@@ -17,8 +17,9 @@ race:
 lint:
 	go run ./cmd/histlint ./...
 
-# Export the project-wide lock-acquisition graph (lockorder analyzer)
-# as Graphviz DOT. Render with: dot -Tsvg lockgraph.dot -o lockgraph.svg
+# Regenerate the committed project-wide lock-acquisition graph
+# (lockorder analyzer) as Graphviz DOT. Render with:
+# dot -Tsvg lockgraph.dot -o lockgraph.svg
 lockgraph:
 	go run ./cmd/histlint -lockgraph lockgraph.dot ./...
 	@echo "wrote lockgraph.dot"
@@ -75,7 +76,7 @@ microbench:
 	go test -bench=. -benchmem ./...
 
 crash:
-	go test -race -count=1 -v -run TestCrashRecoveryNoAcknowledgedLoss ./cmd/histserve/
+	go test -race -count=1 -v -run 'TestCrashRecoveryNoAcknowledgedLoss|TestCrashBetweenStageAndGroupFsync' ./cmd/histserve/
 
 chaos:
 	go test -race -count=1 -v -run 'TestChaos' ./cmd/histserve/

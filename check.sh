@@ -23,13 +23,24 @@ echo "== histlint ./... (with lock-graph export) =="
 # lock discipline (guarded fields, release-on-all-paths, read-path
 # purity, acquisition-order cycles, atomic all-or-nothing, ctx
 # polling), log-before-apply, metric naming, guarded narrowing, error
-# wrapping, float equality. The lock-acquisition graph lands in
-# lockgraph.dot (CI uploads it as an artifact); a cycle is a finding
-# and fails this step.
+# wrapping, float equality. The lock-acquisition graph lands in the
+# committed lockgraph.dot (CI also uploads it as an artifact); a cycle
+# is a finding and fails this step, and so does the one edge group
+# commit exists to remove: the server mutex must never wait on the
+# WAL's fsync queue (DESIGN.md "Durability", lock order).
 go run ./cmd/histlint -lockgraph lockgraph.dot ./...
+if grep -F '"main.server.mu" -> "wal.Log.syncMu"' lockgraph.dot; then
+    echo "lockgraph.dot: main.server.mu is held across wal.Log.Commit" >&2
+    exit 1
+fi
 
 echo "== go test -race -shuffle=on ./... =="
 go test -race -shuffle=on ./...
+
+echo "== benchmark module (vet + short tests) =="
+# benchmark/ is its own module importing this one's internal/*, so the
+# root ./... patterns above neither compile nor test it.
+(cd benchmark && go vet ./... && go test -short ./...)
 
 echo "== fuzz smoke (10s per target) =="
 go test -run='^$' -fuzz=FuzzRecordDecode -fuzztime=10s ./internal/wal/
@@ -37,10 +48,11 @@ go test -run='^$' -fuzz=FuzzCSVWorkload -fuzztime=10s ./internal/workload/
 go test -run='^$' -fuzz=FuzzShardMapParse -fuzztime=10s ./internal/shard/
 go test -run='^$' -fuzz=FuzzSpanJSON -fuzztime=10s ./internal/trace/
 
-echo "== crash-injection durability test =="
-# Runs inside the suite above too; re-run by name so a durability
-# regression is impossible to miss in the gate output.
-go test -race -count=1 -run TestCrashRecoveryNoAcknowledgedLoss ./cmd/histserve/
+echo "== crash-injection durability tests =="
+# Run inside the suite above too; re-run by name so a durability
+# regression is impossible to miss in the gate output: SIGKILL
+# mid-append, and SIGKILL between a group's stage and its fsync.
+go test -race -count=1 -run 'TestCrashRecoveryNoAcknowledgedLoss|TestCrashBetweenStageAndGroupFsync' ./cmd/histserve/
 
 echo "== seeded chaos suite (fault injection) =="
 # Deterministic fixed seeds plus one randomized seed (logged for

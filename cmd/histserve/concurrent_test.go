@@ -65,7 +65,7 @@ func TestConcurrentClients(t *testing.T) {
 	}
 
 	// Every update must be accounted for, either appended or buffered.
-	resp, _ := srv.dispatch(0, "STATS")
+	resp, _ := srv.safeDispatch(0, "STATS")
 	var slices, incomplete, pending, appended int
 	if _, err := fmt.Sscanf(resp, "slices=%d incomplete=%d pending=%d appended=%d",
 		&slices, &incomplete, &pending, &appended); err != nil {

@@ -220,6 +220,128 @@ func TestCrashRecoveryNoAcknowledgedLoss(t *testing.T) {
 	}
 }
 
+// TestCrashBetweenStageAndGroupFsync kills the server in the window
+// group commit opens: records staged in the log and applied to the cube
+// whose fsync has not happened yet. The fsync is stalled through the
+// fault injector's wal file wrapper, so a pipelined writer's whole
+// window and a second connection's insert are parked at the commit
+// barrier — one leading the stalled fsync, one queued behind it — when
+// SIGKILL lands. The restart on the same directory must hold every
+// write that was acked, may hold any prefix of the parked ones, must
+// not report corruption, and must keep serving.
+func TestCrashBetweenStageAndGroupFsync(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash-injection test builds and kills real processes")
+	}
+	bin := buildHistserve(t)
+	dataDir := filepath.Join(t.TempDir(), "data")
+	args := []string{"-dims", "8,8", "-op", "sum", "-data-dir", dataDir,
+		"-fsync", "always", "-checkpoint-every", "0"}
+
+	// Acked phase, depth 1: exactly one fsync per insert, so the stall
+	// armed for fsync acked+1 onwards hits the first pipelined window.
+	const acked, window = 40, 16
+	p1 := startHistserve(t, bin, append(args,
+		"-fault-spec", fmt.Sprintf("wal.sync:slow=1h@%d+", acked+1))...)
+	writer := dialTCP(t, p1.addr)
+	for i := 0; i < acked; i++ {
+		fmt.Fprintf(writer.w, "INS %d %d %d 1\n", i, i%8, (i/3)%8)
+		writer.w.Flush()
+		if resp, err := writer.r.ReadString('\n'); err != nil || strings.TrimSpace(resp) != "OK" {
+			t.Fatalf("acked insert %d: %q %v", i, resp, err)
+		}
+	}
+
+	// In-flight phase. Acked inserts weigh 1 each; in-flight insert j
+	// weighs 1024*2^j, so the recovered SUM says exactly which of them
+	// survived.
+	weight := func(j int) float64 { return 1024 * float64(uint64(1)<<j) }
+	for j := 0; j < window; j++ {
+		fmt.Fprintf(writer.w, "INS %d 0 0 %g\n", acked+j, weight(j))
+	}
+	writer.w.Flush() // one write: the window is one batch at the server
+	reader := dialTCP(t, p1.addr)
+	inflight := float64(acked)
+	for j := 0; j < window; j++ {
+		inflight += weight(j)
+	}
+	awaitSum := func(want float64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			got := query(t, reader, "QRY 0 100000 0 0 7 7")
+			if got == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("SUM = %v, want %v: staged writes must be visible while their fsync is stalled, and queries must not wait for it", got, want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	awaitSum(inflight) // the window is staged and applied; its leader sits in the stalled fsync
+	second := dialTCP(t, p1.addr)
+	fmt.Fprintf(second.w, "INS %d 0 0 %g\n", acked+window, weight(window))
+	second.w.Flush()
+	awaitSum(inflight + weight(window)) // staged too; its commit queues behind the leader
+
+	// No parked write may have been answered.
+	for name, c := range map[string]*tcpConn{"pipelined writer": writer, "second writer": second} {
+		got := make(chan string, 1)
+		go func() {
+			resp, _ := c.r.ReadString('\n')
+			got <- resp
+		}()
+		select {
+		case resp := <-got:
+			t.Fatalf("%s was answered %q before its fsync", name, strings.TrimSpace(resp))
+		case <-time.After(300 * time.Millisecond):
+		}
+	}
+	if err := p1.cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	p1.waitExit(t, 30*time.Second)
+
+	// Restart without the fault. Recovery must accept the directory.
+	p2 := startHistserve(t, bin, args...)
+	recovered := ""
+	for _, line := range p2.stderr {
+		if strings.Contains(line, "msg=recovered") {
+			recovered = line
+		}
+	}
+	if recovered == "" {
+		t.Fatalf("no recovery log line; stderr:\n%s", strings.Join(p2.stderr, "\n"))
+	}
+	conn := dialTCP(t, p2.addr)
+	total := query(t, conn, "QRY 0 100000 0 0 7 7")
+	survivors := uint64(total) / 1024
+	if uint64(total)%1024 != acked {
+		t.Fatalf("recovered SUM %v holds %d acked inserts, want %d\nrecovery: %s", total, uint64(total)%1024, acked, recovered)
+	}
+	// The log is a sequence: what survives of the in-flight records is
+	// a prefix of them, i.e. the weights' bits form 0b0..01..1.
+	if survivors&(survivors+1) != 0 || survivors >= 1<<(window+1) {
+		t.Fatalf("recovered in-flight set %b is not a prefix of the %d parked records\nrecovery: %s", survivors, window+1, recovered)
+	}
+	t.Logf("acked=%d parked=%d survivors=%b (%s)", acked, window+1, survivors, recovered)
+
+	// The recovered server keeps accepting appends after the survivors.
+	fmt.Fprintf(conn.w, "INS %d 0 0 1\n", acked+window+1)
+	conn.w.Flush()
+	if resp, _ := conn.r.ReadString('\n'); strings.TrimSpace(resp) != "OK" {
+		t.Fatalf("post-recovery append: %q", resp)
+	}
+	if after := query(t, conn, "QRY 0 100000 0 0 7 7"); after != total+1 {
+		t.Fatalf("post-recovery SUM = %v, want %v", after, total+1)
+	}
+	p2.cmd.Process.Signal(syscall.SIGTERM)
+	if stderr, err := p2.waitExit(t, 30*time.Second); err != nil {
+		t.Fatalf("graceful shutdown exit: %v\nstderr:\n%s", err, stderr)
+	}
+}
+
 type tcpConn struct {
 	r *bufio.Reader
 	w *bufio.Writer

@@ -1,0 +1,307 @@
+package main
+
+// Pipelining conformance: the connection loop holds replies back until
+// no complete request is buffered and releases them behind one commit
+// barrier. None of that may be visible on the wire except as fewer
+// flushes — a pipelined batch gets exactly the replies, in order, that
+// the same lines get one at a time.
+
+import (
+	"bufio"
+	"fmt"
+	"io"
+	"net"
+	"regexp"
+	"strings"
+	"testing"
+	"time"
+
+	"histcube/internal/fault"
+	"histcube/internal/wal"
+)
+
+// newAlwaysServer builds a quiet durable server that fsyncs before
+// every acknowledgement, so the commit barrier is live.
+func newAlwaysServer(t *testing.T) *server {
+	t.Helper()
+	srv := newQuietServer(t, "8,8", "sum", false)
+	enableChaosWAL(t, srv, t.TempDir())
+	t.Cleanup(srv.shutdown)
+	return srv
+}
+
+// rawConn dials addr for tests that control exactly what goes into one
+// write.
+func rawConn(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	c := dial(t, addr)
+	if err := c.conn.SetDeadline(time.Now().Add(20 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	return c.conn, c.r
+}
+
+// readLines reads exactly n reply lines.
+func readLines(t *testing.T, r *bufio.Reader, n int) []string {
+	t.Helper()
+	lines := make([]string, 0, n)
+	for len(lines) < n {
+		l, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("after %d of %d reply lines: %v", len(lines), n, err)
+		}
+		lines = append(lines, strings.TrimRight(l, "\n"))
+	}
+	return lines
+}
+
+var (
+	durationRE = regexp.MustCompile(`[0-9.]+(ns|µs|ms|s)\b`)
+	traceIDRE  = regexp.MustCompile(`[0-9a-f]{16}`)
+)
+
+// stable strips what legitimately differs between two runs of the same
+// request: span durations and IDs in EXPLAIN trees, and the sliding-
+// window latency digest at the end of STATS.
+func stable(line string) string {
+	if i := strings.Index(line, " win_s="); i >= 0 && strings.HasPrefix(line, "slices=") {
+		return line[:i]
+	}
+	return traceIDRE.ReplaceAllString(durationRE.ReplaceAllString(line, "<dur>"), "<id>")
+}
+
+func TestPipelinedRepliesMatchDepthOne(t *testing.T) {
+	lines := []string{
+		"INS 1 1 1 5",
+		"QRY 0 10 0 0 7 7",
+		"INS 2 2 2 7",
+		"DEL 2 2 2 3",
+		"EXPLAIN QRY 0 10 0 0 7 7",
+		"STATS",
+		"FROB 1 2 3",
+		"INS 3 x 1 1",
+		"",
+		"TID=feedface12345678 QRY 2 2 0 0 7 7",
+		"CHECKPOINT",
+		"INS 0 0 0 1", // out of order without -ooo
+		"QRY 0 10 0 0 7 7",
+		"QUIT",
+		"INS 9 1 1 100", // after QUIT: never executed
+	}
+
+	// Depth 1: one line per write, its reply read before the next.
+	conn, r := rawConn(t, serveOn(t, newAlwaysServer(t)))
+	var want []string
+	for _, line := range lines[:len(lines)-1] {
+		if line == "" {
+			continue // no reply to wait for
+		}
+		if _, err := fmt.Fprintln(conn, line); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			l := readLines(t, r, 1)[0]
+			want = append(want, l)
+			if !strings.HasPrefix(line, "EXPLAIN") || l == "END" {
+				break
+			}
+		}
+	}
+	if _, err := r.ReadString('\n'); err != io.EOF {
+		t.Fatalf("connection open after QUIT: %v", err)
+	}
+
+	// Pipelined: every line in one write, nothing read until the server
+	// closed the connection.
+	conn, r = rawConn(t, serveOn(t, newAlwaysServer(t)))
+	if _, err := io.WriteString(conn, strings.Join(lines, "\n")+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	all, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Split(strings.TrimSuffix(string(all), "\n"), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("pipelined batch answered %d lines, depth 1 answered %d:\n%s\n--- want ---\n%s",
+			len(got), len(want), strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	for i := range want {
+		if stable(got[i]) != stable(want[i]) {
+			t.Errorf("reply line %d: pipelined %q, depth 1 %q", i, got[i], want[i])
+		}
+	}
+	if got[0] != "OK" || got[1] != "5" || got[len(got)-1] != "BYE" {
+		t.Fatalf("unexpected replies: %q", got)
+	}
+}
+
+func TestPartialLineDoesNotWithholdReplies(t *testing.T) {
+	conn, r := rawConn(t, serveOn(t, newAlwaysServer(t)))
+	if _, err := io.WriteString(conn, "INS 1 1 1 5\nQRY 0 10 0 0 7 7\nQRY 0 10"); err != nil {
+		t.Fatal(err)
+	}
+	// Both complete requests are answered although a third is half
+	// there; the deadline turns a withheld reply into a failure.
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if got := readLines(t, r, 2); got[0] != "OK" || got[1] != "5" {
+		t.Fatalf("replies before the partial line = %q", got)
+	}
+	if _, err := io.WriteString(conn, " 0 0 7 7\n"); err != nil {
+		t.Fatal(err)
+	}
+	if got := readLines(t, r, 1); got[0] != "5" {
+		t.Fatalf("completed partial line -> %q", got)
+	}
+}
+
+func TestBatchBeyondCapReleasedInSeveralFlushes(t *testing.T) {
+	srv := newAlwaysServer(t)
+	conn, r := rawConn(t, serveOn(t, srv))
+	// Short lines, so that more than maxPendingReplies of them sit in
+	// the server's read buffer at once, and little enough in total that
+	// a client which reads nothing until it wrote everything cannot
+	// wedge on full socket buffers.
+	const n = 3*maxPendingReplies + 10
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "INS %d 1 1 1\n", i)
+	}
+	before := srv.commitWait.Count()
+	if _, err := io.WriteString(conn, b.String()); err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range readLines(t, r, n) {
+		if l != "OK" {
+			t.Fatalf("reply %d = %q", i, l)
+		}
+	}
+	flushes := srv.commitWait.Count() - before
+	if min := int64((n + maxPendingReplies - 1) / maxPendingReplies); flushes < min || flushes > n/8 {
+		t.Fatalf("%d inserts were released in %d batches, want at least %d (the cap) and far fewer than one per insert",
+			n, flushes, min)
+	}
+	if got := srv.requests["INS"].Value(); got != n {
+		t.Fatalf("accounted %d INS, want %d", got, n)
+	}
+}
+
+func TestOverlongLineAfterPipelinedReplies(t *testing.T) {
+	srv := newQuietServer(t, "8,8", "sum", false)
+	srv.maxLineLen = 256
+	conn, r := rawConn(t, serveOn(t, srv))
+	batch := "INS 1 1 1 1\nQRY 0 5 0 0 7 7\nINS " + strings.Repeat("9", 512) + "\nQRY 0 5 0 0 7 7\n"
+	if _, err := io.WriteString(conn, batch); err != nil {
+		t.Fatal(err)
+	}
+	got := readLines(t, r, 3)
+	if got[0] != "OK" || got[1] != "1" || !strings.HasPrefix(got[2], "ERR line too long") {
+		t.Fatalf("replies = %q, want OK, 1, ERR line too long", got)
+	}
+	if l, err := r.ReadString('\n'); err == nil {
+		t.Fatalf("connection survived an overlong line and answered %q", l)
+	}
+}
+
+func TestSemiSyncTimeoutFailsEveryMutationOfTheBatch(t *testing.T) {
+	srv := newAlwaysServer(t)
+	srv.replMinAcks = 1
+	srv.replAckTimeout = 100 * time.Millisecond
+	conn, r := rawConn(t, serveOn(t, srv))
+	if _, err := io.WriteString(conn, "INS 1 1 1 5\nQRY 0 10 0 0 7 7\nINS 2 1 1 7\nQRY 0 10 0 0 7 7\n"); err != nil {
+		t.Fatal(err)
+	}
+	got := readLines(t, r, 4)
+	// No follower is attached: both writes are durable and applied —
+	// the queries between them see them — but neither may be acked.
+	for _, i := range []int{0, 2} {
+		if !strings.HasPrefix(got[i], "ERR replication timeout") || !strings.Contains(got[i], "indeterminate") {
+			t.Errorf("reply %d = %q, want the indeterminate replication timeout", i, got[i])
+		}
+	}
+	if got[1] != "5" || got[3] != "12" {
+		t.Errorf("query replies = %q and %q, want 5 and 12", got[1], got[3])
+	}
+	if n := srv.replAckWait.Count(); n != 1 {
+		t.Errorf("the batch waited for acks %d times, want once (the wait is cumulative)", n)
+	}
+	if n := srv.errors["INS"].Value(); n != 2 {
+		t.Errorf("INS errors accounted = %d, want 2", n)
+	}
+}
+
+// TestLatencyAccountingFollowsTheReply pins that a request is accounted
+// when its reply is released, not when dispatch returns: the commit
+// wait the client sees must be inside the recorded INS latency.
+func TestLatencyAccountingFollowsTheReply(t *testing.T) {
+	const stall = 40 * time.Millisecond
+	srv := newQuietServer(t, "8,8", "sum", false)
+	srv.inj = fault.MustParse(fmt.Sprintf("wal.sync:slow=%s", stall), 1)
+	enableChaosWAL(t, srv, t.TempDir())
+	t.Cleanup(srv.shutdown)
+	c := dial(t, serveOn(t, srv))
+	c.expect(t, "INS 1 1 1 1", "OK")
+	c.expect(t, "QRY 0 5 0 0 7 7", "1")
+	if got := srv.perf.Snapshot("INS").P50; got < stall {
+		t.Fatalf("recorded INS p50 = %s, below the %s its commit waited", got, stall)
+	}
+	if got := srv.perf.Snapshot("QRY").P50; got >= stall {
+		t.Fatalf("recorded QRY p50 = %s: a query must not wait for a commit", got)
+	}
+	if n, sum := srv.commitWait.Count(), srv.commitWait.Sum(); n != 1 || sum < stall.Seconds() {
+		t.Fatalf("histserve_commit_wait_seconds: %d samples summing to %gs, want 1 of at least %s", n, sum, stall)
+	}
+}
+
+// TestFsyncFailureFailsEveryMutationOfTheBatch pins the barrier's
+// storage-failure path: one failed group fsync turns every staged
+// mutation of the batch into the ERR it would have been inline, leaves
+// the queries alone, and degrades the server; the writes stay applied,
+// and the repair makes them durable without reusing their LSNs.
+func TestFsyncFailureFailsEveryMutationOfTheBatch(t *testing.T) {
+	srv := newQuietServer(t, "8,8", "sum", false)
+	srv.inj = fault.MustParse("wal.sync:err@1", 1)
+	srv.probeEvery = time.Millisecond
+	dir := t.TempDir()
+	enableChaosWAL(t, srv, dir)
+	conn, r := rawConn(t, serveOn(t, srv))
+	if _, err := io.WriteString(conn, "INS 1 1 1 5\nQRY 0 10 0 0 7 7\nINS 2 1 1 7\n"); err != nil {
+		t.Fatal(err)
+	}
+	got := readLines(t, r, 3)
+	for _, i := range []int{0, 2} {
+		if !strings.HasPrefix(got[i], "ERR wal append failed") || !strings.Contains(got[i], "fsync failed") {
+			t.Errorf("reply %d = %q, want the fsync failure", i, got[i])
+		}
+	}
+	if got[1] != "5" {
+		t.Errorf("query reply = %q, want 5", got[1])
+	}
+	if !srv.degraded.Load() {
+		t.Fatal("a failed commit did not degrade the server")
+	}
+	// The next mutation is the probe: its Stage repairs the log, its
+	// commit clears the flag.
+	time.Sleep(5 * time.Millisecond)
+	if _, err := io.WriteString(conn, "INS 3 1 1 1\n"); err != nil {
+		t.Fatal(err)
+	}
+	if got := readLines(t, r, 1); got[0] != "OK" {
+		t.Fatalf("probe after the fault healed -> %q", got[0])
+	}
+	if srv.degraded.Load() {
+		t.Fatal("a successful commit did not clear degraded mode")
+	}
+	srv.shutdown()
+
+	// All three writes were applied, so all three must replay.
+	srv2 := newQuietServer(t, "8,8", "sum", false)
+	res, err := srv2.enableDurability(dir, wal.Options{Sync: wal.SyncAlways}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.shutdown()
+	if resp, _ := srv2.safeDispatch(0, "QRY 0 10 0 0 7 7"); resp != "13" {
+		t.Fatalf("after restart QRY = %q, want 13 (recovery %+v)", resp, res)
+	}
+}

@@ -28,7 +28,7 @@
 // (semi-synchronous replication — the window in which an acked write
 // exists only on the primary is closed).
 //
-// Only acknowledged appends are shipped (wal.Stream's frontier), and a
+// Only durable records are shipped (wal.Stream's frontier), and a
 // follower applies a record only after durably appending it to its own
 // log — so promotion (PROMOTE [<min_lsn>]) turns a follower into a
 // primary whose log is a strict prefix of the failed primary's acked
@@ -306,10 +306,11 @@ func (h *replHub) WaitAcked(lsn uint64, min int, timeout time.Duration) error {
 }
 
 // serveReplication hijacks one client connection for WAL shipping
-// after the handle loop saw its REPLICATE line. sc and w are the
-// connection's existing scanner/writer; sc is handed to the ACK reader
-// goroutine and must not be touched by the caller afterwards.
-func (s *server) serveReplication(conn net.Conn, sc *bufio.Scanner, w *bufio.Writer, line string) {
+// after the handle loop saw its REPLICATE line (and released the
+// replies pending before it). lr and w are the connection's existing
+// reader/writer; lr is handed to the ACK reader goroutine and must not
+// be touched by the caller afterwards.
+func (s *server) serveReplication(conn net.Conn, lr *lineReader, w *bufio.Writer, line string) {
 	s.requests["REPLICATE"].Inc()
 	fail := func(msg string) {
 		s.errors["REPLICATE"].Inc()
@@ -348,8 +349,12 @@ func (s *server) serveReplication(conn net.Conn, sc *bufio.Scanner, w *bufio.Wri
 	defer cancel()
 	go func() {
 		defer cancel()
-		for sc.Scan() {
-			f := strings.Fields(sc.Text())
+		for {
+			ack, err := lr.next()
+			if err != nil {
+				return
+			}
+			f := strings.Fields(string(ack))
 			if len(f) == 2 && strings.EqualFold(f[0], "ACK") {
 				if lsn, err := strconv.ParseUint(f[1], 10, 64); err == nil {
 					s.hub.ack(id, lsn)
@@ -431,13 +436,19 @@ func writeRec(w *bufio.Writer, rec wal.StreamRecord) {
 // sendSnapshot ships the cube as of the log's end: SNAP header, base64
 // chunks, ENDSNAP. Snapshot and LSN are taken under mu, so the pair is
 // exact — replaying from lsn+1 on top of the snapshot reproduces the
-// primary.
+// primary. The snapshot may hold records that are staged but not yet
+// durable, so it is committed through lsn before a byte is shipped: a
+// follower never holds what this primary could still lose.
 func (s *server) sendSnapshot(conn net.Conn, w *bufio.Writer) (uint64, error) {
 	var buf bytes.Buffer
 	s.mu.Lock()
-	lsn := s.wal.LastLSN()
+	wl := s.wal
+	lsn := wl.LastLSN()
 	err := s.cube.Save(&buf)
 	s.mu.Unlock()
+	if err == nil {
+		err = wl.Commit(lsn)
+	}
 	if err != nil {
 		return 0, fmt.Errorf("snapshot: %w", err)
 	}
@@ -602,25 +613,39 @@ func parseRec(fields []string, dims int) (uint64, core.Op, error) {
 	return lsn, core.Op{Kind: core.OpKind(kind), Time: t, Coords: coords, Value: val}, nil
 }
 
-// applyShipped appends one shipped record to the local log and applies
-// it to the cube, under the same mu that serialises queries — readers
-// always see a cube at an exact LSN boundary.
+// applyShipped stages one shipped record in the local log and applies
+// it to the cube under the same mu that serialises queries — readers
+// always see a cube at an exact LSN boundary — then commits it with mu
+// released, like a primary's reply barrier: the record counts as
+// applied, and is ACKed, only once it is durable here.
 func (s *server) applyShipped(r *replState, lsn uint64, op core.Op) error {
+	wl, err := s.stageShipped(lsn, op)
+	if err != nil {
+		return err
+	}
+	if err := wl.Commit(lsn); err != nil {
+		return fmt.Errorf("committing shipped record %d: %w", lsn, err)
+	}
+	r.applied.Store(lsn)
+	return nil
+}
+
+// stageShipped is the part of applyShipped that runs under mu.
+func (s *server) stageShipped(lsn uint64, op core.Op) (*wal.Log, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal == nil {
-		return errors.New("follower has no WAL attached")
+		return nil, errors.New("follower has no WAL attached")
 	}
 	skipped, err := s.wal.ApplyReplicated(s.cube, lsn, op)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if skipped {
 		s.log.Warn("shipped op rejected by cube; skipped to match primary recovery semantics", "lsn", lsn)
 	}
-	r.applied.Store(lsn)
 	s.maybeCheckpointLocked()
-	return nil
+	return s.wal, nil
 }
 
 // receiveSnapshot handles the SNAP bootstrap: collect the base64

@@ -61,6 +61,16 @@
 // shutdown: stop accepting connections, write a final checkpoint,
 // flush and fsync the log, exit 0.
 //
+// Pipelining and group commit: a client may send further requests
+// before reading replies. The connection loop answers every complete
+// line it finds already buffered and releases those replies together —
+// one WAL commit (under -fsync=always one fsync, shared with whichever
+// other connections are committing), with -repl-min-acks one
+// cumulative ack wait, one flush — so an OK still implies durable (and
+// replicated) while a window of N inserts costs one fsync, not N. A
+// client at depth 1 sees exactly the old behaviour. A write is visible
+// to queries once applied, which may be before it is durable.
+//
 // With -metrics the server additionally serves a Prometheus-style
 // endpoint: GET /metrics renders every histcube_* and histserve_*
 // metric in text exposition format, GET /healthz answers "ok"
@@ -128,11 +138,13 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net"
@@ -148,6 +160,7 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unicode"
 
 	"histcube/internal/agg"
 	"histcube/internal/core"
@@ -193,8 +206,9 @@ type server struct {
 	log *slog.Logger
 
 	// wal, when non-nil, makes the server durable: the cube's op sink
-	// appends (and, under -fsync=always, fsyncs) every mutation before
-	// it is applied, and checkpointEvery drives automatic snapshots.
+	// stages every mutation in the log before it is applied (under
+	// -fsync=always the commit barrier fsyncs it before the reply
+	// leaves), and checkpointEvery drives automatic snapshots.
 	wal             *wal.Log // guarded by mu
 	checkpointEvery int64    // guarded by mu
 
@@ -281,6 +295,11 @@ type server struct {
 	panics          *obs.Counter
 	connRejects     *obs.Counter
 	degradedFlips   *obs.Counter
+
+	// commitWait and replAckWait time the two halves of the commit
+	// barrier, once per released batch that carried a mutation.
+	commitWait  *obs.Histogram
+	replAckWait *obs.Histogram
 }
 
 func main() {
@@ -506,7 +525,7 @@ func (s *server) recoverWAL(fallback func() (*core.Cube, error)) (*core.Cube, *w
 func (s *server) attachRecoveredLocked(cube *core.Cube, log *wal.Log) {
 	cube.SetInstruments(s.ins)
 	cube.SetOpSink(func(op core.Op) error {
-		if _, err := log.Append(op); err != nil {
+		if _, err := log.Stage(op); err != nil {
 			return fmt.Errorf("%w: %w", errWALAppend, err)
 		}
 		return nil
@@ -629,6 +648,10 @@ func newServer(dimsArg, opArg string, ooo bool, perfWindow time.Duration) (*serv
 		"Connections rejected at the -max-conns cap.")
 	s.degradedFlips = s.reg.NewCounter("histserve_degraded_transitions_total",
 		"Transitions into degraded read-only mode.")
+	s.commitWait = s.reg.NewHistogram("histserve_commit_wait_seconds",
+		"Time a released batch of replies waited for its WAL commit (the group fsync).", nil)
+	s.replAckWait = s.reg.NewHistogram("histserve_repl_ack_wait_seconds",
+		"Time a released batch of replies waited for -repl-min-acks follower acknowledgements.", nil)
 	s.reg.NewGaugeFunc("histcube_degraded",
 		"1 while the server is in degraded read-only mode, 0 when healthy.",
 		func() float64 {
@@ -765,21 +788,55 @@ func (s *server) handle(conn net.Conn) {
 		}
 		log.Info("connection closed", "requests", reqs, "errors", errs)
 	}()
-	sc := bufio.NewScanner(conn)
-	if s.maxLineLen > 0 {
-		// The scanner's effective cap is max(cap(buf), maxLineLen), so
-		// the initial buffer must not exceed the configured limit.
-		sc.Buffer(make([]byte, 0, min(4096, s.maxLineLen)), s.maxLineLen)
-	}
+	lr := newLineReader(conn, s.maxLineLen)
 	w := bufio.NewWriter(conn)
-	for {
-		if s.readTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout))
+	// Replies are not written as they are produced: they collect in
+	// pending and leave together — one commit barrier (settle), one
+	// flush — once no further complete request line is already
+	// buffered. A client at depth 1 sees exactly one flush per request,
+	// as before; a pipelining client pays one fsync and one flush per
+	// window instead of one per line.
+	var pending []reply
+	release := func() error {
+		if len(pending) == 0 {
+			return nil
 		}
-		if !sc.Scan() {
+		s.settle(pending)
+		s.setWriteDeadline(conn)
+		for i := range pending {
+			p := &pending[i]
+			if strings.HasPrefix(p.text, "ERR") {
+				errs++
+				if p.tid != 0 {
+					log.Warn("request failed", "trace_id", p.tid.String(), "line", p.line, "resp", p.text)
+				} else {
+					log.Warn("request failed", "line", p.line, "resp", p.text)
+				}
+			}
+			_, _ = w.WriteString(p.text) // a write error is sticky; Flush reports it
+			_ = w.WriteByte('\n')
+		}
+		pending = pending[:0]
+		return w.Flush()
+	}
+	var readErr error
+	for {
+		// A trailing partial line does not count as buffered input: it
+		// must not withhold the replies before it.
+		if !lr.hasLine() || len(pending) >= maxPendingReplies {
+			if release() != nil {
+				return
+			}
+			if s.readTimeout > 0 {
+				_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout))
+			}
+		}
+		raw, err := lr.next()
+		if err != nil {
+			readErr = err
 			break
 		}
-		line := strings.TrimSpace(sc.Text())
+		line := strings.TrimSpace(string(raw))
 		if line == "" {
 			continue
 		}
@@ -791,32 +848,27 @@ func (s *server) handle(conn net.Conn) {
 		tid, stripped := trace.CutRequestID(line)
 		// REPLICATE hijacks the connection for WAL shipping: from here
 		// on it speaks the replication protocol, not request/response.
-		if f := strings.Fields(stripped); len(f) > 0 && strings.EqualFold(f[0], "REPLICATE") {
-			s.serveReplication(conn, sc, w, stripped)
-			return
-		}
-		resp, quit := s.safeDispatch(tid, stripped)
-		if strings.HasPrefix(resp, "ERR") {
-			errs++
-			if tid != 0 {
-				log.Warn("request failed", "trace_id", tid.String(), "line", stripped, "resp", resp)
-			} else {
-				log.Warn("request failed", "line", stripped, "resp", resp)
+		if strings.EqualFold(verbOf(stripped), "REPLICATE") {
+			if release() != nil {
+				return
 			}
-		}
-		fmt.Fprintln(w, resp)
-		s.setWriteDeadline(conn)
-		if err := w.Flush(); err != nil {
+			s.serveReplication(conn, lr, w, stripped)
 			return
 		}
-		if quit {
+		r := s.execute(tid, stripped)
+		pending = append(pending, r)
+		if r.quit {
+			_ = release() // the connection closes either way
 			return
 		}
 	}
-	switch err := sc.Err(); {
-	case err == nil: // clean EOF
-	case errors.Is(err, bufio.ErrTooLong):
-		// The scanner cannot resynchronise past an overlong line; tell
+	if release() != nil {
+		return
+	}
+	switch {
+	case errors.Is(readErr, io.EOF): // clean close
+	case errors.Is(readErr, bufio.ErrTooLong):
+		// The reader cannot resynchronise past an overlong line; tell
 		// the client why before closing.
 		fmt.Fprintf(w, "ERR line too long (max %d bytes)\n", s.maxLineLen)
 		s.setWriteDeadline(conn)
@@ -824,12 +876,79 @@ func (s *server) handle(conn net.Conn) {
 		log.Warn("connection closed: line exceeds -max-line-bytes", "max", s.maxLineLen)
 	default:
 		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
+		if errors.As(readErr, &ne) && ne.Timeout() {
 			log.Info("connection closed: idle past -read-timeout", "timeout", s.readTimeout)
 		} else {
-			log.Warn("connection read failed", "err", err)
+			log.Warn("connection read failed", "err", readErr)
 		}
 	}
+}
+
+// maxPendingReplies caps the replies one connection holds back before
+// they are released regardless of buffered input, bounding both the
+// memory a pipelining client can pin and the records one connection
+// contributes to a group commit.
+const maxPendingReplies = 256
+
+// lineReader reads newline-terminated request lines. Unlike
+// bufio.Scanner its buffered bytes can be inspected, which is what lets
+// the connection loop flush only when no complete request is waiting.
+type lineReader struct {
+	br   *bufio.Reader
+	max  int    // longest accepted line in bytes, terminator included; 0 = unbounded
+	long []byte // assembles a line that outgrew br's buffer
+}
+
+func newLineReader(r io.Reader, max int) *lineReader {
+	size := 4096
+	if max > 0 {
+		// A line that fills the buffer without a terminator must
+		// already be over the limit.
+		size = min(size, max)
+	}
+	return &lineReader{br: bufio.NewReaderSize(r, size), max: max}
+}
+
+// hasLine reports whether a complete line is already buffered, i.e.
+// whether next will return without reading from the connection.
+func (r *lineReader) hasLine() bool {
+	b, _ := r.br.Peek(r.br.Buffered()) // never reads: asks only for what is buffered
+	return bytes.IndexByte(b, '\n') >= 0
+}
+
+// next returns the next line without its terminator; the slice is valid
+// until the following call. Like bufio.Scanner it returns a final
+// unterminated line before io.EOF, and bufio.ErrTooLong for a line of
+// max bytes or more.
+func (r *lineReader) next() ([]byte, error) {
+	line, err := r.br.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		r.long = append(r.long[:0], line...)
+		for errors.Is(err, bufio.ErrBufferFull) {
+			if r.max > 0 && len(r.long) >= r.max {
+				return nil, bufio.ErrTooLong
+			}
+			line, err = r.br.ReadSlice('\n')
+			r.long = append(r.long, line...)
+		}
+		line = r.long
+	}
+	if err != nil && !(errors.Is(err, io.EOF) && len(line) > 0) {
+		return nil, err
+	}
+	if r.max > 0 && len(line) > r.max {
+		return nil, bufio.ErrTooLong
+	}
+	return bytes.TrimSuffix(line, []byte("\n")), nil
+}
+
+// verbOf returns the first whitespace-delimited token of a trimmed
+// request line without splitting the rest.
+func verbOf(line string) string {
+	if i := strings.IndexFunc(line, unicode.IsSpace); i >= 0 {
+		return line[:i]
+	}
+	return line
 }
 
 // setWriteDeadline bounds the next response write with the same
@@ -843,25 +962,100 @@ func (s *server) setWriteDeadline(conn net.Conn) {
 	}
 }
 
-// safeDispatch is dispatch behind a panic barrier: a panic anywhere in
-// request handling (including one injected at the serve.dispatch fault
-// site) is logged with its stack and answered with ERR internal, and
-// the connection keeps serving. Panics under mu are converted even
-// earlier, inside mutate/queryLocked, so the deferred unlock runs and
-// the mutex is never poisoned.
-func (s *server) safeDispatch(tid trace.ID, line string) (resp string, quit bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Inc()
-			s.log.Error("panic recovered in dispatch",
-				"line", line, "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
-			resp, quit = errResponse(fmt.Errorf("%w (%v)", errInternal, r)), false
-		}
-	}()
-	return s.dispatch(tid, line)
+// reply is one executed request whose response has not left the server
+// yet. Mutations are staged in the WAL and applied when execute
+// returns, but not yet durable: wal/lsn name the commit the reply must
+// wait for (settle), and until then text is provisional.
+type reply struct {
+	text  string
+	quit  bool
+	line  string   // the request, for the failure log
+	tid   trace.ID // propagated trace identifier, zero when absent
+	cmd   string   // accounting label
+	start time.Time
+	wal   *wal.Log // log a successful mutation was staged in; nil otherwise
+	lsn   uint64   // its position there; 0 otherwise
 }
 
-// finish accounts one dispatched request under the command's label:
+// execute runs one request line up to, but not including, its commit
+// barrier, behind a panic barrier: a panic anywhere in request handling
+// (including one injected at the serve.dispatch fault site) is logged
+// with its stack and answered with ERR internal, and the connection
+// keeps serving. Panics under mu are converted even earlier, inside
+// mutate/queryLocked, so the deferred unlock runs and the mutex is
+// never poisoned.
+func (s *server) execute(tid trace.ID, line string) (r reply) {
+	r = reply{line: line, tid: tid, cmd: "other", start: time.Now()}
+	s.inflight.Inc()
+	defer func() {
+		s.inflight.Dec()
+		if p := recover(); p != nil {
+			s.panics.Inc()
+			s.log.Error("panic recovered in dispatch",
+				"line", line, "panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+			r.text, r.quit = errResponse(fmt.Errorf("%w (%v)", errInternal, p)), false
+		}
+	}()
+	r.text, r.quit = s.dispatch(&r)
+	return r
+}
+
+// settle is the commit barrier in front of every reply: no OK for a
+// mutation may leave the server before its record is durable and, with
+// -repl-min-acks, acknowledged by that many followers. LSNs grow along
+// a connection and both waits are cumulative, so one barrier on the
+// batch's last mutation covers them all. When it fails, every mutation
+// reply of the batch becomes the ERR it would have been inline — the
+// writes are applied and possibly logged, but nothing was promised;
+// other replies pass unchanged. Requests are accounted here, not when
+// execute returns, so the recorded latency includes the wait the client
+// sees.
+func (s *server) settle(batch []reply) {
+	for i := len(batch) - 1; i >= 0; i-- {
+		if last := &batch[i]; last.lsn > 0 {
+			if errResp := s.commitBarrier(last.wal, last.lsn); errResp != "" {
+				for j := range batch[:i+1] {
+					if batch[j].lsn > 0 {
+						batch[j].text = errResp
+					}
+				}
+			}
+			break
+		}
+	}
+	for i := range batch {
+		s.finish(batch[i].cmd, batch[i].text, batch[i].start)
+	}
+}
+
+// commitBarrier waits until the record at lsn is durable and
+// semi-synchronously replicated, and returns "" or the ERR response
+// that replaces the OK. A commit is what proves the disk works, so it —
+// not a staged write — is the recovery probe that clears degraded mode,
+// and a failed one enters it. The ack wait runs with no lock held:
+// followers never contend with the mutation they are acknowledging.
+func (s *server) commitBarrier(wl *wal.Log, lsn uint64) string {
+	t := obs.NewTimer(s.commitWait)
+	err := wl.Commit(lsn)
+	t.ObserveDuration()
+	if err != nil {
+		err = fmt.Errorf("%w: %w", errWALAppend, err)
+		s.setDegraded(err)
+		return errResponse(err)
+	}
+	s.clearDegraded()
+	if s.replMinAcks > 0 {
+		t := obs.NewTimer(s.replAckWait)
+		err := s.hub.WaitAcked(lsn, s.replMinAcks, s.replAckTimeout)
+		t.ObserveDuration()
+		if err != nil {
+			return "ERR " + err.Error()
+		}
+	}
+	return ""
+}
+
+// finish accounts one released request under the command's label:
 // the request counter, the error counter for responses starting with
 // ERR, and the command's sliding-window latency recorder.
 func (s *server) finish(cmd, resp string, start time.Time) {
@@ -876,22 +1070,18 @@ func (s *server) finish(cmd, resp string, start time.Time) {
 	s.perf.Record(key, time.Since(start))
 }
 
-// dispatch answers one request line. tid is the trace identifier
-// propagated by the request's TID= token (zero when absent): traced
-// commands adopt it for their root span, so the ID a proxy generated
-// at the edge survives into this shard's spans, slow log and feeds.
-func (s *server) dispatch(tid trace.ID, line string) (resp string, quit bool) {
+// dispatch answers one request line (r.line). r.tid is the trace
+// identifier propagated by the request's TID= token (zero when absent):
+// traced commands adopt it for their root span, so the ID a proxy
+// generated at the edge survives into this shard's spans, slow log and
+// feeds. It fills in r.cmd and, for a successful mutation, r.wal/r.lsn.
+func (s *server) dispatch(r *reply) (resp string, quit bool) {
+	tid, line := r.tid, r.line
 	fields := strings.Fields(line)
-	cmd := "other"
 	if len(fields) > 0 {
-		cmd = strings.ToUpper(fields[0])
+		r.cmd = strings.ToUpper(fields[0])
 	}
-	start := time.Now()
-	s.inflight.Inc()
-	defer func() {
-		s.inflight.Dec()
-		s.finish(cmd, resp, start)
-	}()
+	cmd := r.cmd
 	if len(fields) == 0 {
 		return "ERR empty command", false
 	}
@@ -1050,22 +1240,15 @@ func (s *server) dispatch(tid trace.ID, line string) (resp string, quit bool) {
 			root = trace.New("histserve.delete")
 		}
 		root.SetTraceID(tid)
-		lsn, err := s.mutate(cmd, root, nums[0], coords, val)
+		wl, lsn, err := s.mutate(cmd, root, nums[0], coords, val)
 		root.End()
 		s.observe(line, root)
 		if err != nil {
 			return errResponse(err), false
 		}
-		// Semi-synchronous replication: the write is durable and applied
-		// locally; hold the OK until enough followers have appended and
-		// applied it too, so an acked write survives losing this primary.
-		// The wait runs after mu is released — followers never contend
-		// with the mutation they are acknowledging.
-		if s.replMinAcks > 0 && lsn > 0 {
-			if err := s.hub.WaitAcked(lsn, s.replMinAcks, s.replAckTimeout); err != nil {
-				return "ERR " + err.Error(), false
-			}
-		}
+		// Staged and applied, not yet durable: the OK is held back until
+		// settle's commit barrier passes.
+		r.wal, r.lsn = wl, lsn
 		return "OK", false
 	case "QRY":
 		rng, errResp := s.parseQueryRange(fields[1:])
@@ -1208,15 +1391,17 @@ func (s *server) queryLocked(root *trace.Span, rng core.Range) (v float64, err e
 	return s.cube.QueryCtx(ctx, rng)
 }
 
-// mutate runs one INS/DEL under mu. The deferred unlock plus the inner
-// recover keep a panicking cube call from poisoning mu; the panic is
-// logged with the request's span tree and surfaces as ERR internal. A
-// successful mutation doubles as the recovery probe that clears
-// degraded mode; a storage failure (WAL append exhausting its retries,
-// or out-of-space) enters it. On success lsn is the WAL position the
-// mutation landed at (0 without durability) — what the semi-sync ack
-// wait keys on.
-func (s *server) mutate(cmd string, root *trace.Span, t int64, coords []int, val float64) (lsn uint64, err error) {
+// mutate runs one INS/DEL under mu: the op sink stages the record in
+// the WAL (write, no fsync), then the cube applies it — log-then-apply,
+// with the fsync left to the commit barrier so mu is never held across
+// it. The deferred unlock plus the inner recover keep a panicking cube
+// call from poisoning mu; the panic is logged with the request's span
+// tree and surfaces as ERR internal. A storage failure (the WAL write
+// exhausting its retries, or out-of-space) enters degraded mode. On
+// success wl/lsn name the log and position the record was staged at
+// (nil/0 without durability) — what the barrier commits and the
+// semi-sync ack wait keys on.
+func (s *server) mutate(cmd string, root *trace.Span, t int64, coords []int, val float64) (wl *wal.Log, lsn uint64, err error) {
 	ctx, cancel := s.requestCtx()
 	defer cancel()
 	ctx = trace.NewContext(ctx, root)
@@ -1245,14 +1430,13 @@ func (s *server) mutate(cmd string, root *trace.Span, t int64, coords []int, val
 	switch {
 	case err == nil:
 		if s.wal != nil {
-			lsn = s.wal.LastLSN()
+			wl, lsn = s.wal, s.wal.LastLSN()
 		}
 		s.maybeCheckpointLocked()
-		s.clearDegraded()
 	case isStorageFailure(err):
 		s.setDegraded(err)
 	}
-	return lsn, err
+	return wl, lsn, err
 }
 
 // statsSnapshot reads the cube's counters under mu.
@@ -1314,8 +1498,8 @@ func (s *server) setDegraded(cause error) {
 	}
 }
 
-// clearDegraded leaves read-only mode after a successful mutation
-// proved the storage path works again. A no-op when healthy.
+// clearDegraded leaves read-only mode after a successful commit proved
+// the storage path works again. A no-op when healthy.
 func (s *server) clearDegraded() {
 	if s.degraded.CompareAndSwap(true, false) {
 		s.log.Info("leaving degraded read-only mode: storage recovered")
@@ -1324,9 +1508,9 @@ func (s *server) clearDegraded() {
 
 // readOnlyReject gates mutations while degraded. Every -degraded-probe-
 // every interval one mutation passes through as a recovery probe: if
-// it succeeds, mutate clears the flag; if storage is still broken, the
-// probe fails like the original mutation did and the server stays
-// read-only.
+// its commit succeeds, the barrier clears the flag; if storage is still
+// broken, the probe fails like the original mutation did and the server
+// stays read-only.
 func (s *server) readOnlyReject() string {
 	if !s.degraded.Load() || s.probeDue() {
 		return ""

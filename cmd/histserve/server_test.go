@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"histcube/internal/trace"
 )
 
 func newQuietServer(t *testing.T, dims, op string, ooo bool) *server {
@@ -19,6 +21,15 @@ func newQuietServer(t *testing.T, dims, op string, ooo bool) *server {
 	}
 	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	return srv
+}
+
+// safeDispatch runs one request the way the connection loop does at
+// depth 1: execute, then settle a batch of one — the returned text is
+// what would be written to the socket.
+func (s *server) safeDispatch(tid trace.ID, line string) (resp string, quit bool) {
+	batch := []reply{s.execute(tid, line)}
+	s.settle(batch)
+	return batch[0].text, batch[0].quit
 }
 
 func serveOn(t *testing.T, srv *server) (addr string) {
@@ -139,7 +150,7 @@ func TestProtocolErrors(t *testing.T) {
 	}
 	// The empty-command branch is unreachable over the wire (handle
 	// skips blank lines), so hit dispatch directly.
-	if got, _ := srv.dispatch(0, "   "); !strings.HasPrefix(got, "ERR") {
+	if got, _ := srv.safeDispatch(0, "   "); !strings.HasPrefix(got, "ERR") {
 		t.Errorf("blank dispatch -> %q, want ERR", got)
 	}
 	// Every ERR above must be visible in the error counters.
@@ -196,11 +207,11 @@ func TestSaveAndResume(t *testing.T) {
 	if err := srv2.loadSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
-	resp, _ := srv2.dispatch(0, "QRY 0 5 0 0 7 7")
+	resp, _ := srv2.safeDispatch(0, "QRY 0 5 0 0 7 7")
 	if resp != "15" {
 		t.Fatalf("resumed QRY -> %q, want 15", resp)
 	}
-	resp, _ = srv2.dispatch(0, "INS 3 2 3 1")
+	resp, _ = srv2.safeDispatch(0, "INS 3 2 3 1")
 	if resp != "OK" {
 		t.Fatalf("resumed INS -> %q", resp)
 	}

@@ -77,7 +77,7 @@ func NewLoader(dir string) (*Loader, error) {
 
 func findModuleRoot(dir string) (string, error) {
 	for d := dir; ; {
-		if fi, err := os.Stat(filepath.Join(d, "go.mod")); err == nil && !fi.IsDir() {
+		if isFile(filepath.Join(d, "go.mod")) {
 			return d, nil
 		}
 		parent := filepath.Dir(d)
@@ -110,8 +110,8 @@ func readModulePath(gomod string) (string, error) {
 // module; empty means the module root) and returns the matched
 // packages, type-checked, in deterministic order. Patterns are
 // directories ("./internal/core") or recursive globs ("./...",
-// "./internal/..."); recursive expansion skips testdata, vendor and
-// hidden directories, as the go tool does.
+// "./internal/..."); recursive expansion skips testdata, vendor,
+// hidden directories and nested modules, as the go tool does.
 func (l *Loader) Load(base string, patterns ...string) ([]*Package, error) {
 	if base == "" {
 		base = l.ModuleRoot
@@ -184,6 +184,12 @@ func (l *Loader) expand(base string, patterns []string) ([]string, error) {
 				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
 			}
+			// A nested module (benchmark/) is not part of this one: its
+			// import paths resolve against its own go.mod, and the go
+			// tool's ./... leaves it out as well.
+			if path != dir && isFile(filepath.Join(path, "go.mod")) {
+				return filepath.SkipDir
+			}
 			if hasGoFiles(path) {
 				add(path)
 			}
@@ -195,6 +201,11 @@ func (l *Loader) expand(base string, patterns []string) ([]string, error) {
 	}
 	sort.Strings(dirs)
 	return dirs, nil
+}
+
+func isFile(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && !fi.IsDir()
 }
 
 func hasGoFiles(dir string) bool {

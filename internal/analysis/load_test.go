@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -51,6 +52,43 @@ func TestLoaderSinglePackagePattern(t *testing.T) {
 	}
 	if len(pkgs) != 1 || pkgs[0].ImportPath != "example.com/appendbeforeapply/internal/core" {
 		t.Fatalf("unexpected packages: %+v", pkgs)
+	}
+}
+
+// TestLoaderSkipsNestedModules pins ./... to the go tool's meaning: a
+// subdirectory with its own go.mod (this repo's benchmark/) is another
+// module and is not loaded, so its findings cannot fail this one's gate.
+func TestLoaderSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	for path, src := range map[string]string{
+		"go.mod":            "module example.com/outer\n\ngo 1.22\n",
+		"a/a.go":            "package a\n",
+		"nested/go.mod":     "module example.com/nested\n\ngo 1.22\n",
+		"nested/n.go":       "package nested\n",
+		"nested/sub/sub.go": "package sub\n",
+	} {
+		full := filepath.Join(root, filepath.FromSlash(path))
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loader, err := analysis.NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load(root, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || pkgs[0].ImportPath != "example.com/outer/a" {
+		var got []string
+		for _, p := range pkgs {
+			got = append(got, p.ImportPath)
+		}
+		t.Fatalf("loaded %v, want only example.com/outer/a", got)
 	}
 }
 

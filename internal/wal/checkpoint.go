@@ -15,10 +15,12 @@ import (
 // obsolete. It returns the covered LSN. The caller must guarantee that
 // save observes a state that includes every appended record up to the
 // returned LSN and nothing beyond — in practice: call Checkpoint under
-// the same lock that serialises mutations.
+// the same lock that serialises mutations. The checkpoint fsyncs the log
+// through its tail first, so it also satisfies every parked Commit.
 func (l *Log) Checkpoint(save func(io.Writer) error) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.awaitSyncIdleLocked()
 	return l.checkpointLocked(save)
 }
 
@@ -31,10 +33,13 @@ func (l *Log) MaybeCheckpoint(every int64, save func(io.Writer) error) (bool, er
 	if every <= 0 || l.sinceCkpt < every {
 		return false, nil
 	}
+	l.awaitSyncIdleLocked()
 	_, err := l.checkpointLocked(save)
 	return true, err
 }
 
+// checkpointLocked runs one checkpoint; the caller holds mu and waited
+// out any group fsync in flight (rotation replaces the descriptor).
 func (l *Log) checkpointLocked(save func(io.Writer) error) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed

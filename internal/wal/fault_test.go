@@ -4,10 +4,14 @@
 package wal_test
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -140,12 +144,15 @@ func TestAppendFailsFastOnNoSpace(t *testing.T) {
 }
 
 // TestSyncFailureFailsFastThenRepairs pins the no-ack-loss contract
-// around fsync: a failed fsync must never be retried on the same
-// descriptor (after EIO the kernel marks the dirty pages clean, so a
-// retried fsync can succeed without the data reaching disk), the
-// append must be nacked with a permanent error, and the next append
-// must repair by reopening the segment, rolling back the nacked tail
-// and reusing its LSN.
+// around fsync and the one repair rule. A failed fsync must never be
+// retried on the same descriptor (after EIO the kernel marks the dirty
+// pages clean, so a retried fsync can succeed without the data reaching
+// disk) and the commit must be nacked with a permanent error. By then
+// the record is staged AND applied, so the repair — run by the next
+// Stage — must not roll it back: it rewrites the unsynced tail at its
+// original LSN on a fresh descriptor. Replaying the directory then
+// yields a cube bit-identical to the live one, and no LSN was ever
+// handed to a second op.
 func TestSyncFailureFailsFastThenRepairs(t *testing.T) {
 	dir := t.TempDir()
 	inj := fault.MustParse("wal.sync:err@1", 1)
@@ -153,13 +160,30 @@ func TestSyncFailureFailsFastThenRepairs(t *testing.T) {
 	opts := faultOptions(inj, wal.Options{Sync: wal.SyncAlways})
 	opts.Metrics = m
 	opts.Retry.OnRetry = nil
-	_, l, _, err := wal.Recover(dir, opts, newCube(t))
+	live, l, _, err := wal.Recover(dir, opts, newCube(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = l.Append(testOp(0))
+	// The server's order: stage, apply, then commit at the reply.
+	var staged []uint64
+	live.SetOpSink(func(op core.Op) error {
+		lsn, err := l.Stage(op)
+		staged = append(staged, lsn)
+		return err
+	})
+	insert := func(i int) uint64 {
+		t.Helper()
+		op := testOp(i)
+		if err := live.Insert(op.Time, op.Coords, op.Value); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+		return staged[len(staged)-1]
+	}
+
+	first := insert(0)
+	err = l.Commit(first)
 	if err == nil {
-		t.Fatal("append was acked although its fsync failed")
+		t.Fatal("commit succeeded although its fsync failed")
 	}
 	if !retry.IsPermanent(err) {
 		t.Fatalf("fsync failure = %v, want a permanent error", err)
@@ -173,19 +197,39 @@ func TestSyncFailureFailsFastThenRepairs(t *testing.T) {
 	if got := m.SyncFailures.Value(); got != 1 {
 		t.Fatalf("sync-failures metric = %v, want 1", got)
 	}
-	// While latched, even a sync with nothing new to flush fails fast.
+	// While latched, commits and syncs fail fast without touching the
+	// descriptor again, and nothing past the durable LSN is shippable.
+	if err := l.Commit(first); !retry.IsPermanent(err) {
+		t.Fatalf("Commit while latched = %v, want the permanent latched error", err)
+	}
 	if err := l.Sync(); !retry.IsPermanent(err) {
 		t.Fatalf("Sync while latched = %v, want the permanent latched error", err)
 	}
-
-	// The @1 fault is spent: the next append reopens the segment,
-	// drops the nacked record and reuses its LSN.
-	lsn, err := l.Append(testOp(1))
-	if err != nil {
-		t.Fatalf("append after repair: %v", err)
+	if got := inj.Ops("wal.sync"); got != 1 {
+		t.Fatalf("sync ops while latched = %d, want still 1", got)
 	}
-	if lsn != 1 {
-		t.Fatalf("repaired append LSN = %d, want 1 (nacked record's LSN reused)", lsn)
+	if got := l.ShippedLSN(); got != 0 {
+		t.Fatalf("shipping frontier = %d while nothing is durable, want 0", got)
+	}
+
+	// The @1 fault is spent: the next Stage reopens the segment and
+	// rewrites the nacked record where it was — its LSN is not reused.
+	second := insert(1)
+	if first != 1 || second != 2 {
+		t.Fatalf("LSNs = %d, %d; want 1, 2 (the nacked record keeps its LSN)", first, second)
+	}
+	if err := l.Commit(first); err != nil {
+		t.Fatalf("the repair made LSN 1 durable, yet Commit(1) = %v", err)
+	}
+	if err := l.Commit(second); err != nil {
+		t.Fatalf("commit after repair: %v", err)
+	}
+	if got := l.ShippedLSN(); got != 2 {
+		t.Fatalf("shipping frontier = %d after repair, want 2", got)
+	}
+	var liveBytes bytes.Buffer
+	if err := live.Save(&liveBytes); err != nil {
+		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -196,15 +240,130 @@ func TestSyncFailureFailsFastThenRepairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if res.Replayed != 1 || res.TornTail {
-		t.Fatalf("recovery = %+v, want exactly the one acked record", res)
+	if res.Replayed != 2 || res.TornTail {
+		t.Fatalf("recovery = %+v, want both records and no torn tail", res)
 	}
-	got, err := cube.Query(core.Range{TimeLo: 0, TimeHi: 100, Lo: []int{0, 0}, Hi: []int{7, 3}})
+	var replayed bytes.Buffer
+	if err := cube.Save(&replayed); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(replayed.Bytes(), liveBytes.Bytes()) {
+		t.Fatal("cube replayed from the repaired directory differs from the live cube")
+	}
+	sub, err := l2.SubscribeFrom(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 1 {
-		t.Fatalf("recovered total = %v, want 1 (only the acked append)", got)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := 0; i < 2; i++ {
+		rec, err := sub.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := testOp(i); rec.LSN != uint64(i+1) || rec.Op.Time != want.Time {
+			t.Fatalf("log record %d = LSN %d %+v, want LSN %d %+v", i, rec.LSN, rec.Op, i+1, want)
+		}
+	}
+}
+
+// TestGroupCommitSharesFsyncs drives Stage+Commit from many goroutines
+// (run under -race): concurrent committers must share fsyncs, the
+// durable LSN and the shipping frontier must only move forward and
+// never pass what was staged, a rotation mid-stream must not pull the
+// descriptor from under a group fsync, and every committed record must
+// be on disk.
+func TestGroupCommitSharesFsyncs(t *testing.T) {
+	const workers, perWorker = 8, 200
+	dir := t.TempDir()
+	m := wal.NewMetrics(obs.NewRegistry())
+	// The slowed fsync is what parks committers behind a leader, as a
+	// real disk does; 2 KiB segments force rotations under load.
+	inj := fault.MustParse("wal.sync:slow=200us", 1)
+	opts := faultOptions(inj, wal.Options{Sync: wal.SyncAlways, SegmentSize: 2 << 10})
+	opts.Metrics = m
+	_, l, _, err := wal.Recover(dir, opts, newCube(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	watched := make(chan error, 1)
+	go func() {
+		var last uint64
+		for {
+			shipped, tail := l.ShippedLSN(), l.LastLSN()
+			if shipped < last || shipped > tail {
+				watched <- fmt.Errorf("durable frontier moved %d -> %d with the log at %d", last, shipped, tail)
+				return
+			}
+			last = shipped
+			select {
+			case <-stop:
+				watched <- nil
+				return
+			default:
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				lsn, err := l.Stage(testOp(w*perWorker + i))
+				if err == nil {
+					err = l.Commit(lsn)
+				}
+				if err == nil && l.ShippedLSN() < lsn {
+					err = fmt.Errorf("Commit(%d) returned with the durable frontier at %d", lsn, l.ShippedLSN())
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := <-watched; err != nil {
+		t.Fatal(err)
+	}
+
+	appends, fsyncs := m.Appends.Value(), m.Fsyncs.Value()
+	if appends != workers*perWorker {
+		t.Fatalf("appends = %d, want %d", appends, workers*perWorker)
+	}
+	if fsyncs >= appends {
+		t.Fatalf("fsyncs = %d for %d appends: concurrent commits did not share any", fsyncs, appends)
+	}
+	if got := m.CommitRecords.Sum(); got != float64(appends) {
+		t.Fatalf("histcube_wal_commit_records sums to %v records, want %d", got, appends)
+	}
+	if m.Rotations.Value() == 0 {
+		t.Fatal("the run never rotated a segment; shrink SegmentSize")
+	}
+	if m.SyncFailures.Value() != 0 {
+		t.Fatalf("sync failures = %d, want 0 (a rotation closed a descriptor under an fsync?)", m.SyncFailures.Value())
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, l2, res, err := wal.Recover(dir, wal.Options{}, newCube(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if got := res.Replayed + res.SkippedOps; got != workers*perWorker || res.TornTail {
+		t.Fatalf("recovery = %+v, want %d records and no torn tail", res, workers*perWorker)
 	}
 }
 

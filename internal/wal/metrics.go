@@ -22,6 +22,9 @@ type Metrics struct {
 	QuarantinedCkpts *obs.Counter
 
 	CheckpointDuration *obs.Histogram
+	// CommitRecords is the live group-commit size: records made durable
+	// by each successful fsync.
+	CommitRecords *obs.Histogram
 }
 
 // NewMetrics registers the WAL metric families on reg under the
@@ -30,7 +33,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		Appends:       reg.NewCounter("histcube_wal_appends_total", "Records appended to the write-ahead log."),
 		AppendedBytes: reg.NewCounter("histcube_wal_appended_bytes_total", "Bytes appended to the write-ahead log."),
-		Fsyncs:        reg.NewCounter("histcube_wal_fsyncs_total", "fsync calls issued for the active segment."),
+		Fsyncs:        reg.NewCounter("histcube_wal_fsyncs_total", "Successful fsyncs of the active segment."),
 		Rotations:     reg.NewCounter("histcube_wal_segment_rotations_total", "Segment rotations."),
 		Checkpoints:   reg.NewCounter("histcube_wal_checkpoints_total", "Checkpoints written."),
 		CheckpointErrors: reg.NewCounter("histcube_wal_checkpoint_errors_total",
@@ -49,5 +52,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Checkpoint files proven corrupt and renamed aside during recovery."),
 		CheckpointDuration: reg.NewHistogram("histcube_wal_checkpoint_duration_seconds",
 			"Duration of checkpoint writes (snapshot + fsync + prune).", nil),
+		CommitRecords: reg.NewHistogram("histcube_wal_commit_records",
+			"Records made durable per fsync of the active segment (the group-commit size).",
+			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}),
 	}
 }

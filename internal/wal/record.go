@@ -57,12 +57,15 @@ func parseSegHeader(b []byte) (firstLSN uint64, err error) {
 	return binary.LittleEndian.Uint64(b[8:]), nil
 }
 
+// recordSize is the framed length appendRecord produces for op.
+func recordSize(op core.Op) int { return recHeaderSize + minPayload + 8*len(op.Coords) }
+
 // appendRecord appends the framed record for op to dst.
 func appendRecord(dst []byte, op core.Op) ([]byte, error) {
 	if len(op.Coords) > maxDims {
 		return dst, fmt.Errorf("wal: op has %d coordinates, limit %d", len(op.Coords), maxDims)
 	}
-	size := minPayload + 8*len(op.Coords)
+	size := recordSize(op) - recHeaderSize
 	start := len(dst)
 	dst = append(dst, make([]byte, recHeaderSize+size)...)
 	p := dst[start+recHeaderSize:]

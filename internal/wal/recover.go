@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync"
 
 	"histcube/internal/core"
 )
@@ -186,6 +187,7 @@ func Recover(dir string, opts Options, newCube func() (*core.Cube, error)) (*cor
 	// baseline (durableBytes/durableLSN).
 	l := &Log{dir: dir, opts: opts, nextLSN: lastLSN + 1, durableLSN: lastLSN,
 		shippedLSN: lastLSN, ckptLSN: res.CheckpointLSN, segCount: len(segs)}
+	l.syncIdle = sync.NewCond(&l.mu)
 	if ckptAt != 0 {
 		l.ckptNano.Store(ckptAt)
 	}

@@ -14,10 +14,13 @@ import (
 	"histcube/internal/core"
 )
 
-// ApplyReplicated durably appends one shipped record to the local log
-// and applies it to the cube, enforcing that the shipped LSN continues
-// the local sequence exactly — any gap or overlap means the follower
-// diverged from the primary and must re-bootstrap rather than apply.
+// ApplyReplicated stages one shipped record in the local log and
+// applies it to the cube — the primary's own order, log then apply —
+// enforcing that the shipped LSN continues the local sequence exactly:
+// any gap or overlap means the follower diverged from the primary and
+// must re-bootstrap rather than apply. The record is not yet durable
+// when it returns: the caller commits it (Commit(lsn), outside the lock
+// that serialises the cube) before acknowledging it to the primary.
 //
 // skipped reports an op the cube rejected. The primary logs ops before
 // applying them, so a rejected op sits in its log too and recovery
@@ -27,15 +30,12 @@ func (l *Log) ApplyReplicated(cube *core.Cube, lsn uint64, op core.Op) (skipped 
 	if want := l.LastLSN() + 1; lsn != want {
 		return false, fmt.Errorf("wal: shipped LSN %d does not continue the local log (want %d)", lsn, want)
 	}
-	got, err := l.Append(op)
+	got, err := l.Stage(op)
 	if err != nil {
 		return false, fmt.Errorf("wal: appending shipped record %d: %w", lsn, err)
 	}
 	if got != lsn {
 		return false, fmt.Errorf("wal: shipped record %d landed at local LSN %d", lsn, got)
 	}
-	if aerr := cube.ApplyOp(op); aerr != nil {
-		return true, nil
-	}
-	return false, nil
+	return cube.ApplyOp(op) != nil, nil
 }

@@ -11,13 +11,17 @@ package wal
 // a deterministic function of the linear op stream) is what makes this
 // sufficient: shipping the op stream IS shipping the state.
 //
-// Shipping frontier: only records whose Append returned success are
-// ever shipped. Under SyncAlways a successful Append implies a
-// successful fsync, and the fsync-failure repair path
-// (reopenAfterSyncFailureLocked) only ever rolls back records whose
-// Append FAILED — so a shipped record can never be rolled back and its
-// LSN can never be reused for a different op. An acked write is
-// durable and shippable; an unacked write is neither.
+// Shipping frontier: a Stream never delivers a record beyond
+// shippedLSN. Under SyncAlways the frontier is the durable LSN — it
+// advances when an fsync completes (publishDurableLocked), not when
+// Stage returns — so a follower can never hold a record this log could
+// still lose in a crash. A staged record is never rolled back either:
+// the fsync-failure repair (reopenAfterSyncFailureLocked) rewrites the
+// unsynced tail at its original LSNs, so an LSN is never reused for a
+// different op, shipped or not. Under SyncInterval/SyncNever no fsync
+// stands between a record and its acknowledgement, and the frontier is
+// simply the last staged LSN. Either way an acknowledged write is
+// shippable, and a shipped write is as durable as an acknowledged one.
 
 import (
 	"context"
@@ -58,8 +62,8 @@ type StreamRecord struct {
 	Op  core.Op
 }
 
-// ringPutLocked records a freshly shipped record in the ring. The
-// caller holds mu. Coords are copied: the ring outlives the request
+// ringPutLocked records a freshly staged record in the ring (Next
+// serves it only once the frontier reaches it). The caller holds mu. Coords are copied: the ring outlives the request
 // that owned the slice.
 func (l *Log) ringPutLocked(lsn uint64, op core.Op) {
 	if l.ring == nil {
@@ -92,7 +96,7 @@ func (l *Log) notifyWaitersLocked() {
 }
 
 // ShippedLSN returns the shipping frontier: the newest LSN a Stream
-// may deliver (the last successfully acknowledged append).
+// may deliver (durable under SyncAlways, staged otherwise).
 func (l *Log) ShippedLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()

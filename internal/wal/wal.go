@@ -55,8 +55,9 @@ type SegmentFile interface {
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every append: an acknowledged record is
-	// durable, at one fsync per record.
+	// SyncAlways makes a record durable before it is acknowledged:
+	// Append returns, and Commit(lsn) returns, only once an fsync covers
+	// the record. Concurrent commits share one fsync (group commit).
 	SyncAlways SyncPolicy = iota
 	// SyncInterval fsyncs on a timer (Options.SyncEvery): crash loss is
 	// bounded by the interval.
@@ -115,7 +116,7 @@ type Options struct {
 	// (after rolling back any torn partial write); permanent ones —
 	// ENOSPC, retry.Permanent — surface immediately. fsync is never
 	// retried: a failed fsync latches the log until the segment is
-	// reopened on a fresh descriptor (see syncLocked).
+	// reopened on a fresh descriptor (see latchSyncFailureLocked).
 	Retry retry.Policy
 	// WrapSegment, when non-nil, wraps every active segment file the
 	// log opens. Fault-injection tests use it to interpose torn writes
@@ -154,31 +155,52 @@ type Log struct {
 	dir  string
 	opts Options
 
+	// syncMu elects the group-commit leader: Commit holds it across the
+	// one fsync it runs outside mu, and every committer queued on it
+	// behind the leader finds its LSN covered when its turn comes. Only
+	// Commit takes it, always before mu (order syncMu -> mu), so a caller
+	// that stages under its own lock never waits here while holding it.
+	syncMu sync.Mutex
+
 	mu        sync.Mutex
 	f         SegmentFile // active segment; guarded by mu
 	segFirst  uint64      // first LSN of the active segment; guarded by mu
 	segBytes  int64       // bytes written to the active segment; guarded by mu
 	segCount  int         // segment files on disk, including the active one; guarded by mu
 	nextLSN   uint64      // guarded by mu
-	dirty     bool        // unsynced appends; guarded by mu
 	sinceCkpt int64       // guarded by mu
 	ckptLSN   uint64      // guarded by mu
 	closed    bool        // guarded by mu
 	buf       []byte      // encode scratch; guarded by mu
 
 	// durableBytes/durableLSN record the active-segment length and last
-	// LSN covered by a successful fsync; syncFailed latches an fsync
-	// error until reopenAfterSyncFailureLocked re-establishes a durable
-	// baseline. All guarded by mu.
+	// LSN covered by a successful fsync. unsynced holds the framed bytes
+	// written past durableBytes (len == segBytes-durableBytes): a
+	// successful fsync drops what it covered, and the fsync-failure
+	// repair rewrites the rest from here instead of trusting the page
+	// cache. syncFailed latches an fsync error until
+	// reopenAfterSyncFailureLocked re-establishes a durable baseline.
+	// All guarded by mu.
 	durableBytes int64
 	durableLSN   uint64
+	unsynced     []byte
 	syncFailed   error
 
+	// syncing is true while Commit's leader runs its fsync outside mu.
+	// Everything that fsyncs or replaces the active descriptor under mu
+	// (rotation, checkpoint, Sync, Close) first waits on syncIdle for it
+	// to finish, so the leader's descriptor and segment stay put and at
+	// most one fsync is ever in flight. Guarded by mu; syncIdle is a
+	// condition on mu.
+	syncing  bool
+	syncIdle *sync.Cond
+
 	// Replication state (see stream.go). shippedLSN is the shipping
-	// frontier: the last LSN whose Append returned success, so the last
-	// LSN a Stream may deliver. ring caches recently appended records
-	// for catch-up reads; waiters holds channels closed on the next
-	// successful append to wake blocked Streams. All guarded by mu.
+	// frontier, the last LSN a Stream may deliver: the durable LSN under
+	// SyncAlways, the last staged LSN otherwise. ring caches recently
+	// staged records for catch-up reads; waiters holds channels closed
+	// when the frontier advances to wake blocked Streams. All guarded by
+	// mu.
 	shippedLSN uint64
 	ring       []streamRec
 	waiters    []chan struct{}
@@ -312,16 +334,51 @@ func (l *Log) startSyncLoop() {
 	}()
 }
 
-// Append writes one op to the log and returns its LSN. Under
-// SyncAlways the record is durable when Append returns.
+// Append stages one op and commits it: under SyncAlways the record is
+// durable when Append returns. It is Stage followed by Commit — when
+// Commit fails the record stays staged at its LSN (it becomes durable
+// with the next successful sync), so a caller that applies what it
+// logs should call Stage, apply, then Commit, as histserve does.
 func (l *Log) Append(op core.Op) (uint64, error) {
+	lsn, err := l.Stage(op)
+	if err != nil {
+		return 0, err
+	}
+	if err := l.Commit(lsn); err != nil {
+		return 0, err
+	}
+	return lsn, nil
+}
+
+// Stage writes one op to the active segment and returns its LSN,
+// without fsyncing: the record is in the log's order but not yet
+// durable, and under SyncAlways must not be acknowledged before
+// Commit(lsn) returns nil. A failed Stage wrote nothing and assigned no
+// LSN.
+func (l *Log) Stage(op core.Op) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
-	}
-	if l.syncFailed != nil {
-		if err := l.reopenAfterSyncFailureLocked(); err != nil {
+	size := int64(recordSize(op))
+	// Repair and rotation replace the active descriptor. Rotation must
+	// not pull it from under a group fsync in flight; waiting for that
+	// releases mu, so every condition is re-evaluated afterwards.
+	for {
+		if l.closed {
+			return 0, ErrClosed
+		}
+		if l.syncFailed != nil {
+			if err := l.reopenAfterSyncFailureLocked(); err != nil {
+				return 0, err
+			}
+		}
+		if l.segBytes+size <= l.opts.SegmentSize || l.segBytes == segHeaderSize {
+			break
+		}
+		if l.syncing {
+			l.awaitSyncIdleLocked()
+			continue
+		}
+		if err := l.rotateLocked(); err != nil {
 			return 0, err
 		}
 	}
@@ -330,17 +387,12 @@ func (l *Log) Append(op core.Op) (uint64, error) {
 		return 0, err
 	}
 	l.buf = rec
-	if l.segBytes+int64(len(rec)) > l.opts.SegmentSize && l.segBytes > segHeaderSize {
-		if err := l.rotateLocked(); err != nil {
-			return 0, err
-		}
-	}
 	if err := l.writeRecordLocked(rec); err != nil {
 		return 0, err
 	}
 	l.segBytes += int64(len(rec))
+	l.unsynced = append(l.unsynced, rec...)
 	l.bytesAppended.Add(int64(len(rec)))
-	l.dirty = true
 	lsn := l.nextLSN
 	l.nextLSN++
 	l.sinceCkpt++
@@ -348,17 +400,75 @@ func (l *Log) Append(op core.Op) (uint64, error) {
 		m.Appends.Inc()
 		m.AppendedBytes.Add(int64(len(rec)))
 	}
-	if l.opts.Sync == SyncAlways {
-		if err := l.syncLocked(); err != nil {
-			return 0, err
-		}
-	}
-	// The append is being acknowledged: it becomes shippable exactly now
-	// (see stream.go for why a shipped LSN can never be rolled back).
-	l.shippedLSN = lsn
 	l.ringPutLocked(lsn, op)
-	l.notifyWaitersLocked()
+	if l.opts.Sync != SyncAlways {
+		// No fsync stands between this record and its acknowledgement,
+		// so it is shippable now; under SyncAlways the frontier follows
+		// the durable LSN instead (publishDurableLocked).
+		l.shippedLSN = lsn
+		l.notifyWaitersLocked()
+	}
 	return lsn, nil
+}
+
+// Commit returns once the record staged at lsn is durable: the commit
+// barrier behind every acknowledgement under SyncAlways (under the
+// other policies it returns nil at once — they acknowledge without an
+// fsync). It is a group commit: the first committer in becomes the
+// leader, fsyncs everything staged so far with mu released — other
+// callers keep staging while the disk works — and publishes the new
+// durable LSN; the committers queued on syncMu behind it then find
+// themselves covered and return without a syscall. Rotation, checkpoint,
+// Sync and Close make the log durable through its tail and so satisfy
+// parked committers too. A failed fsync fails every committer it did
+// not cover, until the repair in Stage succeeds.
+func (l *Log) Commit(lsn uint64) error {
+	if l.opts.Sync != SyncAlways || lsn == 0 {
+		return nil
+	}
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	f, tail, bytes, err := l.beginGroupSync(lsn)
+	if f == nil {
+		return err
+	}
+	return l.endGroupSync(tail, bytes, f.Sync())
+}
+
+// beginGroupSync decides, under mu, whether the committer of lsn must
+// lead an fsync. A nil file means no: err is then the commit's outcome
+// (nil when lsn is already durable). Otherwise it marks the fsync as in
+// flight and returns the descriptor to sync and the tail that sync will
+// cover, for the caller to run with mu released.
+func (l *Log) beginGroupSync(lsn uint64) (f SegmentFile, tail uint64, bytes int64, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case l.durableLSN >= lsn:
+		return nil, 0, 0, nil
+	case l.syncFailed != nil:
+		return nil, 0, 0, l.latchedSyncErrLocked()
+	case l.closed:
+		return nil, 0, 0, ErrClosed
+	case lsn >= l.nextLSN:
+		return nil, 0, 0, fmt.Errorf("wal: commit of LSN %d, but the log ends at %d", lsn, l.nextLSN-1)
+	}
+	l.syncing = true
+	return l.f, l.nextLSN - 1, l.segBytes, nil
+}
+
+// endGroupSync publishes the outcome of the leader's fsync and wakes
+// whoever waited for the descriptor to fall idle.
+func (l *Log) endGroupSync(tail uint64, bytes int64, syncErr error) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.syncing = false
+	l.syncIdle.Broadcast()
+	if syncErr != nil {
+		return l.latchSyncFailureLocked(syncErr)
+	}
+	l.publishDurableLocked(tail, bytes)
+	return nil
 }
 
 // writeRecordLocked writes one framed record to the active segment
@@ -387,7 +497,8 @@ func (l *Log) writeRecordLocked(rec []byte) error {
 }
 
 // rotateLocked seals the active segment (sync + close) and opens a new
-// one starting at the next LSN.
+// one starting at the next LSN. The caller made sure no group fsync is
+// in flight on the descriptor being closed.
 func (l *Log) rotateLocked() error {
 	if err := l.syncLocked(); err != nil {
 		return err
@@ -402,10 +513,9 @@ func (l *Log) rotateLocked() error {
 	l.f = l.wrapSeg(f)
 	l.segFirst = l.nextLSN
 	l.segBytes = segHeaderSize
-	// The sync above succeeded and createSegment fsyncs the header, so
-	// the whole new baseline is durable.
+	// The sync above covered the old segment's tail and createSegment
+	// fsyncs the header, so the whole new baseline is durable.
 	l.durableBytes = segHeaderSize
-	l.durableLSN = l.nextLSN - 1
 	l.segCount++
 	if m := l.opts.Metrics; m != nil {
 		m.Rotations.Inc()
@@ -413,36 +523,68 @@ func (l *Log) rotateLocked() error {
 	return nil
 }
 
-// syncLocked fsyncs the active segment — exactly once, never retried.
-// After fsync reports an error, Linux marks the dirty pages clean
-// without writing them, so a retried fsync on the same descriptor can
-// return success for data that never reached disk; treating that
-// success as durable would silently lose an acknowledged record on
-// crash. The failure is instead latched as permanent: every sync and
-// append fails fast (flipping the server read-only) until
-// reopenAfterSyncFailureLocked re-establishes a durable baseline on a
-// fresh descriptor.
+// awaitSyncIdleLocked waits until no group fsync is in flight. The
+// wait releases mu, so callers run it before reading the state they
+// act on.
+func (l *Log) awaitSyncIdleLocked() {
+	for l.syncing {
+		l.syncIdle.Wait()
+	}
+}
+
+// syncLocked makes the log durable through its tail while holding mu —
+// the fsync of rotation, checkpoint, Sync and Close, whose callers
+// first waited out any group fsync in flight (awaitSyncIdleLocked).
+// fsync runs exactly once and is never retried; see
+// latchSyncFailureLocked.
 func (l *Log) syncLocked() error {
 	if l.syncFailed != nil {
 		return l.latchedSyncErrLocked()
 	}
-	if !l.dirty {
+	if l.segBytes == l.durableBytes {
 		return nil
 	}
 	if err := l.f.Sync(); err != nil {
-		l.syncFailed = err
-		if m := l.opts.Metrics; m != nil {
-			m.SyncFailures.Inc()
-		}
-		return l.latchedSyncErrLocked()
+		return l.latchSyncFailureLocked(err)
 	}
-	l.dirty = false
-	l.durableBytes = l.segBytes
-	l.durableLSN = l.nextLSN - 1
+	l.publishDurableLocked(l.nextLSN-1, l.segBytes)
+	return nil
+}
+
+// publishDurableLocked records a successful fsync that covered the
+// active segment up to bytes, i.e. every record through lsn. Under
+// SyncAlways this is also the moment those records become shippable:
+// the frontier follows the durable LSN, so a follower can never hold a
+// record this log could still lose.
+func (l *Log) publishDurableLocked(lsn uint64, bytes int64) {
+	covered := lsn - l.durableLSN
+	l.unsynced = l.unsynced[:copy(l.unsynced, l.unsynced[bytes-l.durableBytes:])]
+	l.durableLSN, l.durableBytes = lsn, bytes
 	if m := l.opts.Metrics; m != nil {
 		m.Fsyncs.Inc()
+		m.CommitRecords.Observe(float64(covered))
 	}
-	return nil
+	if l.opts.Sync == SyncAlways && lsn > l.shippedLSN {
+		l.shippedLSN = lsn
+		l.notifyWaitersLocked()
+	}
+}
+
+// latchSyncFailureLocked latches a failed fsync and returns it as a
+// permanent error. After fsync reports an error, Linux marks the dirty
+// pages clean without writing them, so a retried fsync on the same
+// descriptor can return success for data that never reached disk;
+// treating that success as durable would silently lose an acknowledged
+// record on crash. The failure is instead latched: every commit, sync
+// and stage fails fast (flipping the server read-only) until
+// reopenAfterSyncFailureLocked re-establishes a durable baseline on a
+// fresh descriptor.
+func (l *Log) latchSyncFailureLocked(err error) error {
+	l.syncFailed = err
+	if m := l.opts.Metrics; m != nil {
+		m.SyncFailures.Inc()
+	}
+	return l.latchedSyncErrLocked()
 }
 
 // latchedSyncErrLocked wraps the latched fsync failure as permanent so
@@ -454,18 +596,22 @@ func (l *Log) latchedSyncErrLocked() error {
 
 // reopenAfterSyncFailureLocked re-establishes a durable baseline after
 // a latched fsync failure. The failed fsync left the unsynced tail's
-// pages clean-but-unwritten, so no later fsync on the old descriptor
-// can be trusted; the segment is reopened on a fresh descriptor and
-// fsynced once as proof the device accepts writes again. Under
-// SyncAlways the unsynced tail holds only unacknowledged records
-// (every ack implies a successful fsync), so it is first rolled back
-// to the last known-durable offset and its LSNs are reused — nothing
-// acknowledged is rewritten. Under SyncInterval/SyncNever acknowledged
-// records may sit in the tail, so the bytes are kept: if the kernel
-// really dropped them, a crash surfaces as loud mid-log corruption at
-// recovery rather than silent loss — the bounded-loss window those
-// policies accept. Any failure here keeps the latch, so callers stay
-// degraded until a later append retries the repair.
+// pages clean-but-unwritten, so neither a later fsync on the old
+// descriptor nor the tail's bytes in the page cache can be trusted. The
+// records of that tail may already be applied in memory (they were
+// staged, then applied, and only their commit failed), so they are
+// never rolled back and their LSNs are never reused: the segment is
+// reopened on a fresh descriptor, cut back to the last known-durable
+// offset, the staged records are rewritten from memory at their
+// original LSNs, and one fsync proves the device accepts writes again.
+// Their clients were told ERR, so they resolve as "applied" — the
+// outcome an unacknowledged write is always allowed to have. A crash
+// mid-repair loses at most those never-acknowledged records (under
+// SyncInterval/SyncNever: the bounded window those policies accept).
+// Any failure here keeps the latch, so callers stay degraded until a
+// later Stage retries the repair from the top. No group fsync can be in
+// flight: one that fails sets the latch only after it finished, and
+// none starts while the latch is set.
 func (l *Log) reopenAfterSyncFailureLocked() error {
 	// The old descriptor may re-report the writeback error on close;
 	// the fresh descriptor's fsync below is the arbiter.
@@ -474,32 +620,29 @@ func (l *Log) reopenAfterSyncFailureLocked() error {
 	if err != nil {
 		return retry.Permanent(fmt.Errorf("wal: reopening segment after fsync failure: %w", err))
 	}
-	if l.opts.Sync == SyncAlways && l.segBytes > l.durableBytes {
-		if err := f.Truncate(l.durableBytes); err != nil {
-			_ = f.Close()
-			return retry.Permanent(fmt.Errorf("wal: rolling back unsynced tail after fsync failure: %w", err))
-		}
-	}
 	nf := l.wrapSeg(f)
-	if err := nf.Sync(); err != nil {
+	err = nf.Truncate(l.durableBytes)
+	if err == nil && len(l.unsynced) > 0 {
+		_, err = nf.Write(l.unsynced)
+	}
+	if err == nil {
+		err = nf.Sync()
+	}
+	if err != nil {
 		_ = nf.Close()
-		return retry.Permanent(fmt.Errorf("wal: fsync on reopened segment failed: %w", err))
+		return retry.Permanent(fmt.Errorf("wal: rewriting the unsynced tail after fsync failure: %w", err))
 	}
 	l.f = nf
-	if l.opts.Sync == SyncAlways {
-		l.sinceCkpt -= int64(l.nextLSN - (l.durableLSN + 1))
-		l.segBytes = l.durableBytes
-		l.nextLSN = l.durableLSN + 1
-	}
-	l.dirty = false
 	l.syncFailed = nil
+	l.publishDurableLocked(l.nextLSN-1, l.segBytes)
 	return nil
 }
 
-// Sync forces unsynced appends to stable storage.
+// Sync forces staged records to stable storage.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.awaitSyncIdleLocked()
 	if l.closed {
 		return nil
 	}
@@ -516,6 +659,7 @@ func (l *Log) Close() error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.awaitSyncIdleLocked()
 	if l.closed {
 		return nil
 	}
@@ -531,8 +675,8 @@ func (l *Log) Close() error {
 // Dir returns the durable directory.
 func (l *Log) Dir() string { return l.dir }
 
-// LastLSN returns the LSN of the most recently appended record (0
-// before the first append).
+// LastLSN returns the LSN of the most recently staged record (0 before
+// the first), durable or not.
 func (l *Log) LastLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
