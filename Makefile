@@ -29,6 +29,7 @@ fuzz:
 	go test -run='^$$' -fuzz=FuzzCSVWorkload -fuzztime=10s ./internal/workload/
 	go test -run='^$$' -fuzz=FuzzShardMapParse -fuzztime=10s ./internal/shard/
 	go test -run='^$$' -fuzz=FuzzSpanJSON -fuzztime=10s ./internal/trace/
+	go test -run='^$$' -fuzz=FuzzRecLine -fuzztime=10s ./cmd/histserve/
 
 # Full load run against the real server: writes the next
 # BENCH_<seq>.json trajectory point plus pprof profiles. Compare two
@@ -76,7 +77,7 @@ microbench:
 	go test -bench=. -benchmem ./...
 
 crash:
-	go test -race -count=1 -v -run 'TestCrashRecoveryNoAcknowledgedLoss|TestCrashBetweenStageAndGroupFsync' ./cmd/histserve/
+	go test -race -count=1 -v -run 'TestCrashRecoveryNoAcknowledgedLoss|TestCrashBetweenStageAndGroupFsync|TestFollowerKilledBetweenStageAndCommit' ./cmd/histserve/
 
 chaos:
 	go test -race -count=1 -v -run 'TestChaos' ./cmd/histserve/
@@ -87,8 +88,9 @@ chaos:
 shardchaos:
 	go test -race -count=1 -v -run TestShardChaosPartialAnswersAndRejoin ./cmd/histproxy/
 
-# Replication chaos: SIGKILL a semi-sync primary mid-append under live
-# proxy write load; no acked write may be lost, reads must stay exact
+# Replication chaos: SIGKILL a semi-sync primary mid-run under live
+# proxy write load pipelined at depth 4; every line of the killed run
+# gets one reply, no acked write may be lost, reads must stay exact
 # and complete via the WAL-shipped replica, and the promoted replica
 # must take writes within the prober's failover interval.
 replchaos:

@@ -27,7 +27,9 @@ echo "== histlint ./... (with lock-graph export) =="
 # committed lockgraph.dot (CI also uploads it as an artifact); a cycle
 # is a finding and fails this step, and so does the one edge group
 # commit exists to remove: the server mutex must never wait on the
-# WAL's fsync queue (DESIGN.md "Durability", lock order).
+# WAL's fsync queue (DESIGN.md "Durability", lock order) — on a primary
+# releasing a batch of replies or on a follower committing a batch of
+# shipped records.
 go run ./cmd/histlint -lockgraph lockgraph.dot ./...
 if grep -F '"main.server.mu" -> "wal.Log.syncMu"' lockgraph.dot; then
     echo "lockgraph.dot: main.server.mu is held across wal.Log.Commit" >&2
@@ -47,12 +49,14 @@ go test -run='^$' -fuzz=FuzzRecordDecode -fuzztime=10s ./internal/wal/
 go test -run='^$' -fuzz=FuzzCSVWorkload -fuzztime=10s ./internal/workload/
 go test -run='^$' -fuzz=FuzzShardMapParse -fuzztime=10s ./internal/shard/
 go test -run='^$' -fuzz=FuzzSpanJSON -fuzztime=10s ./internal/trace/
+go test -run='^$' -fuzz=FuzzRecLine -fuzztime=10s ./cmd/histserve/
 
 echo "== crash-injection durability tests =="
 # Run inside the suite above too; re-run by name so a durability
 # regression is impossible to miss in the gate output: SIGKILL
-# mid-append, and SIGKILL between a group's stage and its fsync.
-go test -race -count=1 -run 'TestCrashRecoveryNoAcknowledgedLoss|TestCrashBetweenStageAndGroupFsync' ./cmd/histserve/
+# mid-append, SIGKILL between a group's stage and its fsync, and
+# SIGKILL of a follower between a shipped batch's stage and its commit.
+go test -race -count=1 -run 'TestCrashRecoveryNoAcknowledgedLoss|TestCrashBetweenStageAndGroupFsync|TestFollowerKilledBetweenStageAndCommit' ./cmd/histserve/
 
 echo "== seeded chaos suite (fault injection) =="
 # Deterministic fixed seeds plus one randomized seed (logged for
@@ -68,8 +72,9 @@ echo "== multi-shard chaos (histproxy scatter-gather degradation) =="
 go test -race -count=1 -run TestShardChaosPartialAnswersAndRejoin ./cmd/histproxy/
 
 echo "== replication chaos (primary SIGKILL, failover, zero acked-write loss) =="
-# SIGKILL a semi-sync primary mid-append under live proxy write load:
-# the final sum must contain every acked write (and nothing phantom),
+# SIGKILL a semi-sync primary mid-run under live proxy write load
+# pipelined at depth 4: every line of the killed run gets exactly one
+# reply, the final sum contains every acked write (and nothing phantom),
 # reads must keep answering exact non-PARTIAL totals via the WAL-
 # shipped replica, and the promoted replica must accept writes within
 # the prober's failover interval.

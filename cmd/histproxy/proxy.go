@@ -25,7 +25,14 @@
 // Request handling:
 //
 //	INS/DEL  routed to the single shard owning the timestamp (Locate);
-//	         the shard's reply is relayed verbatim.
+//	         the shard's reply is relayed verbatim. Consecutive INS/DEL
+//	         lines that are already buffered on a connection form a run
+//	         (capped at 256): each owner's lines of the run travel as
+//	         one batch round trip on one primary connection, so the
+//	         shard commits, replicates and acknowledges them together.
+//	         Replies keep request order and are flushed per run; a lone
+//	         line is a run of one, and a run ends at the first other
+//	         line, so every request still sees every earlier one.
 //	QRY      fanned out concurrently to every overlapped shard over
 //	         pooled connections (internal/shardclient), partial sums
 //	         merged by addition. All legs answered -> the plain number,
@@ -68,9 +75,11 @@
 // bit-identically — and a read still unanswered after -hedge-after is
 // duplicated to the next member, first answer wins. Writes pin to the
 // primary and are never retried (a duplicate mutation is a
-// double-apply). When the primary stops answering — a failed write,
-// or the background prober seeing its breaker open — the proxy polls
-// every member's ROLE, adopts a member that is already primary, or
+// double-apply): when a run breaks, the replies received before the
+// break stand and every other line is answered with an explicit
+// "ERR shard ... unavailable". When the primary stops answering — a
+// failed write, or the background prober seeing its breaker open — the
+// proxy polls every member's ROLE, adopts one that is already primary, or
 // promotes the most-caught-up replica with PROMOTE <fence> where the
 // fence is the highest applied LSN observed across the set: a lagging
 // replica can never be promoted over acked writes it missed. With
@@ -113,6 +122,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -129,6 +139,7 @@ import (
 	"time"
 
 	"histcube/internal/fault"
+	"histcube/internal/lineserver"
 	"histcube/internal/obs"
 	"histcube/internal/perf"
 	"histcube/internal/retry"
@@ -619,9 +630,37 @@ func (p *proxy) shardsUp() int {
 	return up
 }
 
-// handle serves one client connection; structurally the same loop as
-// histserve's (max-conns fast reject, bounded scanner, write deadlines
-// on every flush).
+// request is one client line, stripped of its TID= token.
+type request struct {
+	tid  trace.ID
+	line string
+}
+
+// verbOf returns a trimmed request line's command the way dispatch
+// spells it: the first field, upper-cased.
+func verbOf(line string) string { return strings.ToUpper(lineserver.Verb(line)) }
+
+// isMutation reports whether a request line is an INS or DEL.
+func isMutation(line string) bool {
+	verb := verbOf(line)
+	return verb == "INS" || verb == "DEL"
+}
+
+// handle serves one client connection (max-conns fast reject, bounded
+// line reader, write deadlines on every flush).
+//
+// The unit of work is a run: a maximal sequence of consecutive INS/DEL
+// lines that are already buffered, capped at MaxPendingReplies, or one
+// line of anything else. A run is routed as a whole — each owner
+// shard's lines in one batch round trip, so the primary commits them
+// with one fsync and one ack wait — and a client at depth 1 sends runs
+// of one. Replies leave in request order and are flushed at the end of
+// every unit, not when the input goes idle: a proxied line costs a
+// shard round trip, so holding a finished reply back behind the next
+// one would add that whole round trip to its latency and save one
+// syscall. A run ends at the first other line and reads go one at a
+// time, so every request still observes every earlier request of its
+// connection.
 func (p *proxy) handle(conn net.Conn) {
 	if p.maxConns > 0 && p.liveConns.Add(1) > p.maxConns {
 		p.liveConns.Add(-1)
@@ -649,34 +688,57 @@ func (p *proxy) handle(conn net.Conn) {
 		}
 		log.Info("connection closed", "requests", reqs, "errors", errs)
 	}()
-	sc := bufio.NewScanner(conn)
-	if p.maxLineLen > 0 {
-		sc.Buffer(make([]byte, 0, min(4096, p.maxLineLen)), p.maxLineLen)
-	}
+	lr := lineserver.NewReader(conn, p.maxLineLen)
 	w := bufio.NewWriter(conn)
+	var (
+		unit    []request
+		readErr error
+	)
 	for {
 		if p.readTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(p.readTimeout))
 		}
-		if !sc.Scan() {
+		raw, err := lr.Next()
+		if err != nil {
+			readErr = err
 			break
 		}
-		line := strings.TrimSpace(sc.Text())
+		line := strings.TrimSpace(string(raw))
 		if line == "" {
 			continue
 		}
-		reqs++
 		tid, stripped := trace.CutRequestID(line)
-		resp, quit := p.safeDispatch(tid, stripped)
-		if strings.HasPrefix(resp, "ERR") {
-			errs++
-			if tid != 0 {
-				log.Warn("request failed", "trace_id", tid.String(), "line", stripped, "resp", resp)
-			} else {
-				log.Warn("request failed", "line", stripped, "resp", resp)
+		unit = append(unit[:0], request{tid, stripped})
+		if isMutation(stripped) {
+			// A trailing partial line is not buffered input: it neither
+			// joins the run nor delays it.
+			for len(unit) < lineserver.MaxPendingReplies {
+				next, ok := lr.Peek()
+				if !ok {
+					break
+				}
+				tid, stripped := trace.CutRequestID(strings.TrimSpace(string(next)))
+				if !isMutation(stripped) {
+					break
+				}
+				_, _ = lr.Next() // consumes exactly what Peek showed; cannot fail
+				unit = append(unit, request{tid, stripped})
 			}
 		}
-		fmt.Fprintln(w, resp)
+		reqs += int64(len(unit))
+		resps, quit := p.serve(unit)
+		for i, resp := range resps {
+			if strings.HasPrefix(resp, "ERR") {
+				errs++
+				if tid := unit[i].tid; tid != 0 {
+					log.Warn("request failed", "trace_id", tid.String(), "line", unit[i].line, "resp", resp)
+				} else {
+					log.Warn("request failed", "line", unit[i].line, "resp", resp)
+				}
+			}
+			_, _ = w.WriteString(resp) // a write error is sticky; Flush reports it
+			_ = w.WriteByte('\n')
+		}
 		p.setWriteDeadline(conn)
 		if err := w.Flush(); err != nil {
 			return
@@ -685,19 +747,19 @@ func (p *proxy) handle(conn net.Conn) {
 			return
 		}
 	}
-	switch err := sc.Err(); {
-	case err == nil: // clean EOF
-	case errors.Is(err, bufio.ErrTooLong):
+	switch {
+	case errors.Is(readErr, io.EOF): // clean close
+	case errors.Is(readErr, bufio.ErrTooLong):
 		fmt.Fprintf(w, "ERR line too long (max %d bytes)\n", p.maxLineLen)
 		p.setWriteDeadline(conn)
 		_ = w.Flush() // best-effort farewell
 		log.Warn("connection closed: line exceeds -max-line-bytes", "max", p.maxLineLen)
 	default:
 		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
+		if errors.As(readErr, &ne) && ne.Timeout() {
 			log.Info("connection closed: idle past -read-timeout", "timeout", p.readTimeout)
 		} else {
-			log.Warn("connection read failed", "err", err)
+			log.Warn("connection read failed", "err", readErr)
 		}
 	}
 }
@@ -708,16 +770,37 @@ func (p *proxy) setWriteDeadline(conn net.Conn) {
 	}
 }
 
-func (p *proxy) safeDispatch(tid trace.ID, line string) (resp string, quit bool) {
+// serve answers one unit of work — a run of mutations or a single other
+// line — with one reply per line, behind the panic barrier and the
+// request accounting: every line is counted under its own verb, with
+// the latency its reply took to become ready.
+func (p *proxy) serve(unit []request) (resps []string, quit bool) {
+	start := time.Now()
+	p.inflight.Add(int64(len(unit)))
 	defer func() {
 		if r := recover(); r != nil {
 			p.panics.Inc()
 			p.log.Error("panic recovered in dispatch",
-				"line", line, "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
-			resp, quit = "ERR "+errInternal.Error(), false
+				"line", unit[0].line, "lines", len(unit), "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
+			resps, quit = make([]string, len(unit)), false
+			for i := range resps {
+				resps[i] = "ERR " + errInternal.Error()
+			}
+		}
+		p.inflight.Add(-int64(len(unit)))
+		for i, rq := range unit {
+			cmd := verbOf(rq.line)
+			if cmd == "" {
+				cmd = "other"
+			}
+			p.finish(cmd, resps[i], start)
 		}
 	}()
-	return p.dispatch(tid, line)
+	if isMutation(unit[0].line) {
+		return p.routeMutations(unit), false
+	}
+	resp, quit := p.dispatch(unit[0].tid, unit[0].line)
+	return []string{resp}, quit
 }
 
 func (p *proxy) finish(cmd, resp string, start time.Time) {
@@ -739,23 +822,15 @@ func (p *proxy) requestCtx() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), p.reqTimeout)
 }
 
-// dispatch answers one request line (already stripped of any TID=
-// token; tid is the adopted trace ID, zero when the client sent none).
+// dispatch answers one request line that is not a mutation (already
+// stripped of any TID= token; tid is the adopted trace ID, zero when the
+// client sent none). Mutations travel in runs: see routeMutations.
 func (p *proxy) dispatch(tid trace.ID, line string) (resp string, quit bool) {
 	fields := strings.Fields(line)
-	cmd := "other"
-	if len(fields) > 0 {
-		cmd = strings.ToUpper(fields[0])
-	}
-	start := time.Now()
-	p.inflight.Inc()
-	defer func() {
-		p.inflight.Dec()
-		p.finish(cmd, resp, start)
-	}()
 	if len(fields) == 0 {
 		return "ERR empty command", false
 	}
+	cmd := strings.ToUpper(fields[0])
 	switch cmd {
 	case "QUIT":
 		return "BYE", true
@@ -800,8 +875,6 @@ func (p *proxy) dispatch(tid trace.ID, line string) (resp string, quit bool) {
 		}
 		b.WriteString("END")
 		return b.String(), false
-	case "INS", "DEL":
-		return p.routeMutation(tid, cmd, line, fields), false
 	case "QRY":
 		return p.scatterQuery(tid, line, fields[1:], false), false
 	case "EXPLAIN":
@@ -838,51 +911,107 @@ func (p *proxy) dispatch(tid trace.ID, line string) (resp string, quit bool) {
 	}
 }
 
-// routeMutation forwards one INS/DEL to the shard owning its
-// timestamp. A write cannot be partial: a dead owner is an explicit
-// error, never a silent drop.
-func (p *proxy) routeMutation(tid trace.ID, cmd, line string, fields []string) string {
-	if len(fields) != 1+1+p.dims+1 {
-		return fmt.Sprintf("ERR %s needs time, %d coordinates and a value", cmd, p.dims)
+// ownerLeg is the part of a run one shard owns: the lines, in request
+// order, with the position in the run and the root span of each.
+type ownerLeg struct {
+	shard int
+	pos   []int
+	lines []string
+	spans []*trace.Span
+}
+
+// routeMutations answers a run of INS/DEL lines, a lone line being a
+// run of one. Each line is validated and located; each owner shard's
+// lines then go out, in order, as one batch round trip on one primary
+// connection, the owners concurrently — mutations to different shards
+// commute, and within a shard the single connection keeps the order. A
+// line that fails validation is answered here and leaves the others
+// alone, exactly as if every line had arrived by itself. A write cannot
+// be partial: a dead owner is an explicit error on every line it did
+// not answer, never a silent drop and never a retry.
+func (p *proxy) routeMutations(run []request) []string {
+	resps := make([]string, len(run))
+	legs := make([]*ownerLeg, len(p.groups))
+	var live []*ownerLeg
+	for i, rq := range run {
+		fields := strings.Fields(rq.line)
+		cmd := strings.ToUpper(fields[0])
+		if len(fields) != 1+1+p.dims+1 {
+			resps[i] = fmt.Sprintf("ERR %s needs time, %d coordinates and a value", cmd, p.dims)
+			continue
+		}
+		t, err := strconv.ParseInt(fields[1], 10, 64)
+		if err != nil {
+			resps[i] = fmt.Sprintf("ERR bad integer %q", fields[1])
+			continue
+		}
+		owner, ok := p.smap.Locate(t)
+		if !ok {
+			resps[i] = fmt.Sprintf("ERR no shard owns time %d (the shard map starts at %d)", t, p.smap.Shards()[0].Range.Lo)
+			continue
+		}
+		idx := p.shardIndex(owner.Addr)
+		if legs[idx] == nil {
+			legs[idx] = &ownerLeg{shard: idx}
+			live = append(live, legs[idx])
+		}
+		root := trace.New("proxy.insert")
+		if cmd == "DEL" {
+			root = trace.New("proxy.delete")
+		}
+		root.SetTraceID(rq.tid)
+		root.SetStr("shard", owner.Addr)
+		l := legs[idx]
+		l.pos = append(l.pos, i)
+		// The owner shard's root span adopts the same trace ID via the TID=
+		// token, so the mutation is correlatable end to end.
+		l.lines = append(l.lines, trace.FormatRequestID(root.TraceID())+rq.line)
+		l.spans = append(l.spans, root)
 	}
-	t, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return fmt.Sprintf("ERR bad integer %q", fields[1])
+	if len(live) == 0 {
+		return resps
 	}
-	owner, ok := p.smap.Locate(t)
-	if !ok {
-		return fmt.Sprintf("ERR no shard owns time %d (the shard map starts at %d)", t, p.smap.Shards()[0].Range.Lo)
-	}
-	idx := p.shardIndex(owner.Addr)
-	var root *trace.Span
-	if cmd == "INS" {
-		root = trace.New("proxy.insert")
-	} else {
-		root = trace.New("proxy.delete")
-	}
-	root.SetTraceID(tid)
-	root.SetStr("shard", owner.Addr)
 	ctx, cancel := p.requestCtx()
 	defer cancel()
-	// The owner shard's root span adopts the same trace ID via the TID=
-	// token, so the mutation is correlatable end to end.
-	resp, err := p.groups[idx].Write(ctx, trace.FormatRequestID(root.TraceID())+line)
-	root.End()
-	p.observe(line, root)
-	if err != nil {
-		// The write may or may not have reached the dead primary, so it
-		// is never retried here (a duplicate mutation is a double-apply)
-		// — the client gets the explicit error and a failover kicks off
-		// in the background so its retry finds a promoted primary.
-		go p.maybeFailover(idx)
-		return fmt.Sprintf("ERR shard %s unavailable: %v", owner.Addr, err)
+	var wg sync.WaitGroup
+	for _, l := range live[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.writeLeg(ctx, run, l, resps)
+		}()
 	}
-	if strings.HasPrefix(resp, "ERR read-only replica") {
-		// The proxy's notion of the primary is stale (a promotion it did
-		// not perform): re-poll roles so the next write lands right.
-		go p.maybeFailover(idx)
+	p.writeLeg(ctx, run, live[0], resps)
+	wg.Wait()
+	return resps
+}
+
+// writeLeg sends one owner's share of a run and files the replies at
+// their positions in resps (each leg owns distinct positions).
+func (p *proxy) writeLeg(ctx context.Context, run []request, l *ownerLeg, resps []string) {
+	addr := p.smap.Shards()[l.shard].Addr
+	replies, err := p.groups[l.shard].Write(ctx, l.lines)
+	stale := false
+	for k, pos := range l.pos {
+		l.spans[k].End()
+		p.observe(run[pos].line, l.spans[k])
+		if k < len(replies) {
+			resps[pos] = replies[k]
+			stale = stale || strings.HasPrefix(replies[k], "ERR read-only replica")
+			continue
+		}
+		// The line may or may not have reached the dead primary, so it is
+		// never retried here (a duplicate mutation is a double-apply) —
+		// the client gets the explicit error.
+		resps[pos] = fmt.Sprintf("ERR shard %s unavailable: %v", addr, err)
 	}
-	return resp
+	if err != nil || stale {
+		// One failover per broken run, however many lines it carried, so
+		// the client's retry finds a promoted primary; a read-only reply
+		// means the proxy's notion of the primary is stale (a promotion it
+		// did not perform) and the roles need re-polling.
+		go p.maybeFailover(l.shard)
+	}
 }
 
 // legResult is one shard's reply to a fanned-out read. EXPLAIN legs

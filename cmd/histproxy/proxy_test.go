@@ -33,6 +33,11 @@ type fakeShard struct {
 	sealed  int64
 	hasSeal bool
 	conns   map[net.Conn]struct{}
+
+	// Knobs for the run tests (zero values: a healthy lone primary).
+	replica   bool          // answers ROLE as a follower until PROMOTEd
+	qryDelay  time.Duration // every QRY takes this long
+	dropAfter int           // > 0: crash (stop) instead of answering mutation number dropAfter+1
 }
 
 type fact struct {
@@ -80,6 +85,13 @@ func (f *fakeShard) restart(t *testing.T) {
 
 func (f *fakeShard) addr() string { return f.ln.Addr().String() }
 
+// set changes the fake's knobs under its lock.
+func (f *fakeShard) set(change func(*fakeShard)) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	change(f)
+}
+
 // stop simulates a crash: the listener and every accepted connection
 // (including ones sitting in the proxy's pool) die at once.
 func (f *fakeShard) stop() {
@@ -104,6 +116,15 @@ func (f *fakeShard) serve(conn net.Conn) {
 		fields := strings.Fields(stripped)
 		if len(fields) == 0 {
 			continue
+		}
+		if verb := strings.ToUpper(fields[0]); verb == "INS" || verb == "DEL" {
+			f.mu.Lock()
+			crash := f.dropAfter > 0 && len(f.facts) >= f.dropAfter
+			f.mu.Unlock()
+			if crash {
+				f.stop()
+				return
+			}
 		}
 		fmt.Fprint(conn, f.reply(tid, fields))
 	}
@@ -146,7 +167,21 @@ func (f *fakeShard) reply(tid trace.ID, fields []string) string {
 		f.facts = append(f.facts, fact{t: t, coords: []int{c1, c2}, v: v})
 		f.mu.Unlock()
 		return "OK\n"
+	case "ROLE", "PROMOTE":
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		if fields[0] == "PROMOTE" {
+			f.replica = false
+		}
+		if f.replica {
+			return fmt.Sprintf("OK role=replica applied_lsn=%d lag_lsn=0 primary=fake\n", len(f.facts))
+		}
+		return fmt.Sprintf("OK role=primary last_lsn=%d followers=0\n", len(f.facts))
 	case "QRY":
+		f.mu.Lock()
+		delay := f.qryDelay
+		f.mu.Unlock()
+		time.Sleep(delay)
 		return strconv.FormatFloat(f.query(fields[1:]), 'g', -1, 64) + "\n"
 	case "EXPLAIN":
 		// The proxy always asks for the structured variant: EXPLAIN JSON

@@ -3,7 +3,7 @@ package main
 // Replication-chaos harness: build the real histserve and histproxy
 // binaries, run a replicated hot shard (semi-sync primary + WAL-
 // shipping follower) behind the proxy, SIGKILL the primary mid-append
-// under live write load and verify the failover contract — no acked
+// under live pipelined write load and verify the failover contract — no acked
 // write is ever lost (the final sum is bounded below by the OK count),
 // reads keep answering exact non-PARTIAL totals from the replica
 // throughout the outage, and the promoted replica accepts writes
@@ -62,11 +62,16 @@ func TestReplChaosPrimaryKillUnderLoad(t *testing.T) {
 		t.Fatalf("seeded QRY -> %q, want %d", got, seedN)
 	}
 
-	// Background writer: hammer appends on its own connection, tallying
-	// OKs (acked — must survive) and errors (indeterminate — each may or
-	// may not have landed). It redials when a raced kill breaks the
-	// connection and reports the first post-kill OK: the proof that a
-	// promoted replica took over the write path.
+	// Background writer: hammer appends on its own connection, pipelined
+	// at depth 4 — four INS lines per write, which the proxy forwards as
+	// one run — so the SIGKILL lands mid-run. It tallies OKs (acked —
+	// must survive) and ERRs (indeterminate — each may or may not have
+	// landed) line by line, and requires exactly one reply, OK or ERR, for
+	// every line of every run, the killed one included: the proxy is
+	// alive throughout, so its connection has no excuse to break. The
+	// first post-kill OK is the proof that a promoted replica took over
+	// the write path.
+	const depth = 4
 	var (
 		tallyMu  sync.Mutex
 		okCount  int
@@ -82,10 +87,10 @@ func TestReplChaosPrimaryKillUnderLoad(t *testing.T) {
 			writerDone <- err
 			return
 		}
-		defer func() { conn.Close() }()
+		defer conn.Close()
 		r := bufio.NewReader(conn)
 		sawKill, promoted := false, false
-		for i := 0; ; i++ {
+		for ts := seedN; ; ts += depth {
 			select {
 			case <-stopWriter:
 				writerDone <- nil
@@ -99,39 +104,38 @@ func TestReplChaosPrimaryKillUnderLoad(t *testing.T) {
 				default:
 				}
 			}
-			ts := seedN + i
-			conn.SetDeadline(time.Now().Add(10 * time.Second))
-			_, werr := fmt.Fprintf(conn, "INS %d %d %d 1\n", ts, ts%8, (ts/3)%8)
-			var resp string
-			rerr := werr
-			if werr == nil {
-				resp, rerr = r.ReadString('\n')
+			var run strings.Builder
+			for j := ts; j < ts+depth; j++ {
+				fmt.Fprintf(&run, "INS %d %d %d 1\n", j, j%8, (j/3)%8)
 			}
-			tallyMu.Lock()
-			switch {
-			case rerr != nil:
-				// In-flight at the kill: indeterminate, and the proxy
-				// connection itself may have raced the teardown — redial.
-				errCount++
-				tallyMu.Unlock()
-				conn.Close()
-				nc, derr := net.Dial("tcp", proxy.addr)
-				if derr != nil {
-					writerDone <- derr
+			conn.SetDeadline(time.Now().Add(20 * time.Second))
+			if _, err := conn.Write([]byte(run.String())); err != nil {
+				writerDone <- fmt.Errorf("run at t=%d: write: %w", ts, err)
+				return
+			}
+			for j := 0; j < depth; j++ {
+				resp, err := r.ReadString('\n')
+				if err != nil {
+					writerDone <- fmt.Errorf("run at t=%d: line %d of %d got no reply: %w", ts, j+1, depth, err)
 					return
 				}
-				conn, r = nc, bufio.NewReader(nc)
-				continue
-			case strings.HasPrefix(strings.TrimSpace(resp), "OK"):
-				okCount++
-				if sawKill && !promoted {
-					promoted = true
-					close(promotedOK)
+				tallyMu.Lock()
+				switch resp = strings.TrimSpace(resp); {
+				case resp == "OK":
+					okCount++
+					if sawKill && !promoted {
+						promoted = true
+						close(promotedOK)
+					}
+				case strings.HasPrefix(resp, "ERR"):
+					errCount++ // explicit shard-unavailable / timeout reply
+				default:
+					tallyMu.Unlock()
+					writerDone <- fmt.Errorf("run at t=%d: line %d answered %q, want OK or ERR", ts, j+1, resp)
+					return
 				}
-			default:
-				errCount++ // explicit shard-unavailable / timeout reply
+				tallyMu.Unlock()
 			}
-			tallyMu.Unlock()
 		}
 	}()
 
@@ -157,12 +161,14 @@ func TestReplChaosPrimaryKillUnderLoad(t *testing.T) {
 	// (plus generous slack for the ROLE poll and PROMOTE round-trips).
 	select {
 	case <-promotedOK:
+	case err := <-writerDone:
+		t.Fatalf("writer: %v", err)
 	case <-time.After(15 * time.Second):
 		t.Fatal("no write succeeded after the primary SIGKILL: failover never re-pointed the write path")
 	}
 	close(stopWriter)
 	if err := <-writerDone; err != nil {
-		t.Fatalf("writer connection: %v", err)
+		t.Fatalf("writer: %v", err)
 	}
 	tallyMu.Lock()
 	ok, errs := okCount, errCount

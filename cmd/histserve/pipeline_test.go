@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"histcube/internal/fault"
+	"histcube/internal/lineserver"
 	"histcube/internal/wal"
 )
 
@@ -158,11 +159,11 @@ func TestPartialLineDoesNotWithholdReplies(t *testing.T) {
 func TestBatchBeyondCapReleasedInSeveralFlushes(t *testing.T) {
 	srv := newAlwaysServer(t)
 	conn, r := rawConn(t, serveOn(t, srv))
-	// Short lines, so that more than maxPendingReplies of them sit in
+	// Short lines, so that more than lineserver.MaxPendingReplies of them sit in
 	// the server's read buffer at once, and little enough in total that
 	// a client which reads nothing until it wrote everything cannot
 	// wedge on full socket buffers.
-	const n = 3*maxPendingReplies + 10
+	const n = 3*lineserver.MaxPendingReplies + 10
 	var b strings.Builder
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&b, "INS %d 1 1 1\n", i)
@@ -177,7 +178,7 @@ func TestBatchBeyondCapReleasedInSeveralFlushes(t *testing.T) {
 		}
 	}
 	flushes := srv.commitWait.Count() - before
-	if min := int64((n + maxPendingReplies - 1) / maxPendingReplies); flushes < min || flushes > n/8 {
+	if min := int64((n + lineserver.MaxPendingReplies - 1) / lineserver.MaxPendingReplies); flushes < min || flushes > n/8 {
 		t.Fatalf("%d inserts were released in %d batches, want at least %d (the cap) and far fewer than one per insert",
 			n, flushes, min)
 	}

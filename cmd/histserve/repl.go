@@ -22,15 +22,24 @@
 //	REC <lsn> <kind> <time> <c1> ... <cd> <value>
 //	PING <lsn>                        idle keepalive carrying the frontier
 //
-// The follower answers every applied record with "ACK <lsn>"; the
-// primary aggregates those in a replHub so mutations can wait for
-// -repl-min-acks followers before acknowledging the client
+// Records travel in batches, a lone record being a batch of one: the
+// primary writes every record that is already shippable and flushes
+// once when its stream would block (a group commit publishes its whole
+// batch at once), and the follower drains every REC line that has
+// already arrived, stages and applies them, makes them durable with one
+// commit and answers the batch with a single
+//
+//	ACK <lsn>                         cumulative: everything up to <lsn>
+//	                                  is durable and applied here
+//
+// The primary aggregates the ACKs in a replHub so mutations can wait
+// for -repl-min-acks followers before acknowledging the client
 // (semi-synchronous replication — the window in which an acked write
 // exists only on the primary is closed).
 //
 // Only durable records are shipped (wal.Stream's frontier), and a
-// follower applies a record only after durably appending it to its own
-// log — so promotion (PROMOTE [<min_lsn>]) turns a follower into a
+// follower ACKs a record only after durably appending it to its own
+// log and applying it — so promotion (PROMOTE [<min_lsn>]) turns a follower into a
 // primary whose log is a strict prefix of the failed primary's acked
 // history, and the fence argument lets the proxy refuse to promote a
 // replica that is missing acked writes.
@@ -43,6 +52,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -51,11 +61,12 @@ import (
 	"time"
 
 	"histcube/internal/core"
+	"histcube/internal/lineserver"
 	"histcube/internal/wal"
 )
 
 // snapChunk is the raw byte count per base64 snapshot line; the
-// encoded line stays well under the follower's scanner buffer.
+// encoded line stays well under the follower's line limit.
 const snapChunk = 48 * 1024
 
 // replPingEvery is the primary's idle keepalive cadence; it also
@@ -310,7 +321,7 @@ func (h *replHub) WaitAcked(lsn uint64, min int, timeout time.Duration) error {
 // replies pending before it). lr and w are the connection's existing
 // reader/writer; lr is handed to the ACK reader goroutine and must not
 // be touched by the caller afterwards.
-func (s *server) serveReplication(conn net.Conn, lr *lineReader, w *bufio.Writer, line string) {
+func (s *server) serveReplication(conn net.Conn, lr *lineserver.Reader, w *bufio.Writer, line string) {
 	s.requests["REPLICATE"].Inc()
 	fail := func(msg string) {
 		s.errors["REPLICATE"].Inc()
@@ -350,7 +361,7 @@ func (s *server) serveReplication(conn net.Conn, lr *lineReader, w *bufio.Writer
 	go func() {
 		defer cancel()
 		for {
-			ack, err := lr.next()
+			ack, err := lr.Next()
 			if err != nil {
 				return
 			}
@@ -391,15 +402,28 @@ func (s *server) serveReplication(conn net.Conn, lr *lineReader, w *bufio.Writer
 	}
 	log.Info("replication stream started", "from", from)
 
+	// Every record that is already shippable is written before anything
+	// is flushed — a group commit publishes its whole batch at once, and
+	// what arrives together the follower commits and ACKs together. The
+	// buffer goes out when the stream would block, and only then is a
+	// keepalive timeout built. (The write deadline is renewed per record
+	// because a full buffer spills to the socket on its own.)
 	shipped := int64(0)
 	defer func() { log.Info("replication stream ended", "shipped", shipped) }()
 	for {
-		nctx, ncancel := context.WithTimeout(ctx, replPingEvery)
-		rec, err := sub.Next(nctx)
-		ncancel()
+		rec, ok, err := sub.TryNext()
+		if err == nil && !ok {
+			if err := w.Flush(); err != nil {
+				return
+			}
+			nctx, ncancel := context.WithTimeout(ctx, replPingEvery)
+			rec, err = sub.Next(nctx)
+			ncancel()
+		}
+		s.setWriteDeadline(conn)
 		switch {
 		case err == nil:
-			writeRec(w, rec)
+			_, _ = w.Write(appendRec(w.AvailableBuffer(), rec)) // a write error is sticky; Flush reports it
 			shipped++
 		case errors.Is(err, context.DeadlineExceeded):
 			// Idle: keepalive carrying the frontier, so the follower can
@@ -415,22 +439,27 @@ func (s *server) serveReplication(conn net.Conn, lr *lineReader, w *bufio.Writer
 			fail(err.Error())
 			return
 		}
-		s.setWriteDeadline(conn)
-		if err := w.Flush(); err != nil {
-			return
-		}
 	}
 }
 
-// writeRec serialises one shipped record. The value round-trips
-// exactly ('g', -1 — shortest form that re-parses to the same float),
-// so the follower's log is byte-for-byte replayable.
-func writeRec(w *bufio.Writer, rec wal.StreamRecord) {
-	fmt.Fprintf(w, "REC %d %d %d", rec.LSN, uint8(rec.Op.Kind), rec.Op.Time)
+// appendRec appends one shipped record's line to b (the connection
+// buffer's spare capacity, so shipping allocates nothing). The value
+// round-trips exactly ('g', -1 — shortest form that re-parses to the
+// same float), so the follower's log is byte-for-byte replayable.
+func appendRec(b []byte, rec wal.StreamRecord) []byte {
+	b = append(b, "REC "...)
+	b = strconv.AppendUint(b, rec.LSN, 10)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(rec.Op.Kind), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, rec.Op.Time, 10)
 	for _, c := range rec.Op.Coords {
-		fmt.Fprintf(w, " %d", c)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(c), 10)
 	}
-	fmt.Fprintf(w, " %s\n", strconv.FormatFloat(rec.Op.Value, 'g', -1, 64))
+	b = append(b, ' ')
+	b = strconv.AppendFloat(b, rec.Op.Value, 'g', -1, 64)
+	return append(b, '\n')
 }
 
 // sendSnapshot ships the cube as of the log's end: SNAP header, base64
@@ -510,7 +539,7 @@ func (s *server) followOnce(r *replState) error {
 	}
 	defer func() { _ = conn.Close() }() // double-close with the stop watcher is benign
 	// Promotion must not wait out a blocked read: closing the
-	// connection unblocks the scanner immediately.
+	// connection unblocks the read immediately.
 	done := make(chan struct{})
 	defer close(done)
 	go func() {
@@ -526,47 +555,56 @@ func (s *server) followOnce(r *replState) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	sc := bufio.NewScanner(conn)
 	// Snapshot chunks are the longest lines: snapChunk raw bytes, 4/3
 	// base64 expansion, plus slack.
-	sc.Buffer(make([]byte, 0, 64*1024), 2*snapChunk)
+	lr := lineserver.NewReader(conn, 2*snapChunk)
+	var batch []wal.StreamRecord
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(replReadTimeout))
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil {
-				return err
-			}
+		raw, err := lr.Next()
+		if errors.Is(err, io.EOF) {
 			return errors.New("primary closed the replication stream")
+		}
+		if err != nil {
+			return err
+		}
+		if lr.Torn() {
+			// A REC cut off mid-value would still parse — as another value.
+			return errors.New("primary closed the replication stream mid-line")
 		}
 		if r.promoted.Load() {
 			return nil
 		}
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		switch fields[0] {
+		line := strings.TrimSpace(string(raw))
+		switch verb, _, _ := strings.Cut(line, " "); verb {
+		case "":
 		case "REC":
-			lsn, op, err := parseRec(fields, s.dims)
+			// The unit of work is every REC that has already arrived, a
+			// lone record being a batch of one: one commit and one
+			// cumulative ACK for all of them. Whatever went durable is
+			// ACKed even when a later line of the batch ends the session.
+			var perr error
+			batch, perr = readRecs(lr, line, s.dims, batch[:0])
+			last, err := s.applyShipped(r, batch)
+			if last > 0 {
+				r.noteFrontier(last)
+				fmt.Fprintf(w, "ACK %d\n", last)
+				if err := w.Flush(); err != nil {
+					return err
+				}
+			}
+			if err == nil {
+				err = perr
+			}
 			if err != nil {
 				return err
 			}
-			if err := s.applyShipped(r, lsn, op); err != nil {
-				return err
-			}
-			r.noteFrontier(lsn)
-			fmt.Fprintf(w, "ACK %d\n", lsn)
-			if err := w.Flush(); err != nil {
-				return err
-			}
 		case "PING":
-			if len(fields) == 2 {
-				if lsn, err := strconv.ParseUint(fields[1], 10, 64); err == nil {
-					r.noteFrontier(lsn)
-				}
+			if lsn, err := strconv.ParseUint(strings.TrimPrefix(line, "PING "), 10, 64); err == nil {
+				r.noteFrontier(lsn)
 			}
 		case "SNAP":
-			lsn, err := s.receiveSnapshot(r, fields, sc, conn)
+			lsn, err := s.receiveSnapshot(r, strings.Fields(line), lr, conn)
 			if err != nil {
 				return err
 			}
@@ -574,85 +612,117 @@ func (s *server) followOnce(r *replState) error {
 			r.noteFrontier(lsn)
 		case "OK": // stream start marker; position already agreed
 		case "ERR":
-			return fmt.Errorf("primary refused replication: %s", strings.TrimSpace(sc.Text()))
+			return fmt.Errorf("primary refused replication: %s", line)
 		default:
-			return fmt.Errorf("unexpected replication line %q", sc.Text())
+			return fmt.Errorf("unexpected replication line %q", line)
 		}
 	}
 }
 
-// parseRec decodes "REC <lsn> <kind> <time> <coords...> <value>".
-func parseRec(fields []string, dims int) (uint64, core.Op, error) {
-	if len(fields) != 4+dims+1 {
-		return 0, core.Op{}, fmt.Errorf("malformed REC line: %d fields, want %d", len(fields), 4+dims+1)
+// readRecs parses line and every REC line already buffered behind it,
+// up to MaxPendingReplies, into batch. A line that does not parse ends
+// the batch; the records before it are returned next to the error.
+func readRecs(lr *lineserver.Reader, line string, dims int, batch []wal.StreamRecord) ([]wal.StreamRecord, error) {
+	for {
+		rec, err := parseRec(line, dims)
+		if err != nil {
+			return batch, err
+		}
+		batch = append(batch, rec)
+		next, ok := lr.Peek()
+		if !ok || len(batch) >= lineserver.MaxPendingReplies || !bytes.HasPrefix(next, []byte("REC ")) {
+			return batch, nil
+		}
+		line = string(next)
+		_, _ = lr.Next() // consumes exactly what Peek showed; cannot fail
 	}
-	lsn, err := strconv.ParseUint(fields[1], 10, 64)
-	if err != nil {
-		return 0, core.Op{}, fmt.Errorf("REC lsn: %w", err)
+}
+
+// parseRec decodes "REC <lsn> <kind> <time> <coords...> <value>", the
+// inverse of appendRec. A missing field shows up as an empty token and
+// a surplus one inside the value; both fail to parse.
+func parseRec(line string, dims int) (wal.StreamRecord, error) {
+	rest, ok := strings.CutPrefix(line, "REC ")
+	if !ok {
+		return wal.StreamRecord{}, fmt.Errorf("malformed REC line %q", line)
 	}
-	kind, err := strconv.ParseUint(fields[2], 10, 8)
-	if err != nil {
-		return 0, core.Op{}, fmt.Errorf("REC kind: %w", err)
+	field := func() (tok string) {
+		tok, rest, _ = strings.Cut(rest, " ")
+		return tok
 	}
-	t, err := strconv.ParseInt(fields[3], 10, 64)
+	lsn, err := strconv.ParseUint(field(), 10, 64)
 	if err != nil {
-		return 0, core.Op{}, fmt.Errorf("REC time: %w", err)
+		return wal.StreamRecord{}, fmt.Errorf("REC lsn: %w", err)
+	}
+	kind, err := strconv.ParseUint(field(), 10, 8)
+	if err != nil {
+		return wal.StreamRecord{}, fmt.Errorf("REC kind: %w", err)
+	}
+	t, err := strconv.ParseInt(field(), 10, 64)
+	if err != nil {
+		return wal.StreamRecord{}, fmt.Errorf("REC time: %w", err)
 	}
 	coords := make([]int, dims)
 	for i := range coords {
-		c, err := strconv.Atoi(fields[4+i])
-		if err != nil {
-			return 0, core.Op{}, fmt.Errorf("REC coordinate: %w", err)
+		if coords[i], err = strconv.Atoi(field()); err != nil {
+			return wal.StreamRecord{}, fmt.Errorf("REC coordinate: %w", err)
 		}
-		coords[i] = c
 	}
-	val, err := strconv.ParseFloat(fields[len(fields)-1], 64)
+	val, err := strconv.ParseFloat(rest, 64)
 	if err != nil {
-		return 0, core.Op{}, fmt.Errorf("REC value: %w", err)
+		return wal.StreamRecord{}, fmt.Errorf("REC value: %w", err)
 	}
-	return lsn, core.Op{Kind: core.OpKind(kind), Time: t, Coords: coords, Value: val}, nil
+	return wal.StreamRecord{LSN: lsn, Op: core.Op{Kind: core.OpKind(kind), Time: t, Coords: coords, Value: val}}, nil
 }
 
-// applyShipped stages one shipped record in the local log and applies
-// it to the cube under the same mu that serialises queries — readers
-// always see a cube at an exact LSN boundary — then commits it with mu
-// released, like a primary's reply barrier: the record counts as
-// applied, and is ACKed, only once it is durable here.
-func (s *server) applyShipped(r *replState, lsn uint64, op core.Op) error {
-	wl, err := s.stageShipped(lsn, op)
-	if err != nil {
-		return err
+// applyShipped stages a batch of shipped records in the local log and
+// applies them to the cube under the same mu that serialises queries —
+// readers always see a cube at an exact LSN boundary — then commits the
+// batch with mu released, like a primary's reply barrier: one fsync
+// covers every record that arrived together, and a record counts as
+// applied, and is ACKed, only once it is durable here. It returns the
+// last LSN that now is (0 when none), next to the error that cut the
+// batch short.
+func (s *server) applyShipped(r *replState, batch []wal.StreamRecord) (uint64, error) {
+	wl, staged, err := s.stageShipped(batch)
+	if staged == 0 {
+		return 0, err
 	}
-	if err := wl.Commit(lsn); err != nil {
-		return fmt.Errorf("committing shipped record %d: %w", lsn, err)
+	if cerr := wl.Commit(staged); cerr != nil {
+		return 0, fmt.Errorf("committing shipped records through %d: %w", staged, cerr)
 	}
-	r.applied.Store(lsn)
-	return nil
+	r.applied.Store(staged)
+	return staged, err
 }
 
-// stageShipped is the part of applyShipped that runs under mu.
-func (s *server) stageShipped(lsn uint64, op core.Op) (*wal.Log, error) {
+// stageShipped is the part of applyShipped that runs under mu: it
+// returns the log and the last LSN staged in it.
+func (s *server) stageShipped(batch []wal.StreamRecord) (*wal.Log, uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal == nil {
-		return nil, errors.New("follower has no WAL attached")
+		return nil, 0, errors.New("follower has no WAL attached")
 	}
-	skipped, err := s.wal.ApplyReplicated(s.cube, lsn, op)
-	if err != nil {
-		return nil, err
-	}
-	if skipped {
-		s.log.Warn("shipped op rejected by cube; skipped to match primary recovery semantics", "lsn", lsn)
+	var staged uint64
+	for _, rec := range batch {
+		skipped, err := s.wal.ApplyReplicated(s.cube, rec.LSN, rec.Op)
+		if err != nil {
+			return s.wal, staged, err
+		}
+		if skipped {
+			s.log.Warn("shipped op rejected by cube; skipped to match primary recovery semantics", "lsn", rec.LSN)
+		}
+		staged = rec.LSN
 	}
 	s.maybeCheckpointLocked()
-	return s.wal, nil
+	return s.wal, staged, nil
 }
 
 // receiveSnapshot handles the SNAP bootstrap: collect the base64
 // payload, replace the local log and cube with the shipped state, and
 // resume the stream (the primary continues from lsn+1 on the same
 // connection).
-func (s *server) receiveSnapshot(r *replState, header []string, sc *bufio.Scanner, conn net.Conn) (uint64, error) {
+func (s *server) receiveSnapshot(r *replState, header []string, lr *lineserver.Reader, conn net.Conn) (uint64, error) {
 	var lsn, size uint64
 	var haveLSN, haveSize bool
 	for _, f := range header[1:] {
@@ -682,13 +752,14 @@ func (s *server) receiveSnapshot(r *replState, header []string, sc *bufio.Scanne
 	data.Grow(int(size))
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(replReadTimeout))
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil {
-				return 0, err
-			}
+		raw, err := lr.Next()
+		if errors.Is(err, io.EOF) {
 			return 0, errors.New("stream ended inside snapshot")
 		}
-		line := strings.TrimSpace(sc.Text())
+		if err != nil {
+			return 0, err
+		}
+		line := strings.TrimSpace(string(raw))
 		if line == "ENDSNAP" {
 			break
 		}

@@ -138,7 +138,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -160,12 +159,12 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
-	"unicode"
 
 	"histcube/internal/agg"
 	"histcube/internal/core"
 	"histcube/internal/dims"
 	"histcube/internal/fault"
+	"histcube/internal/lineserver"
 	"histcube/internal/obs"
 	"histcube/internal/perf"
 	"histcube/internal/trace"
@@ -788,7 +787,7 @@ func (s *server) handle(conn net.Conn) {
 		}
 		log.Info("connection closed", "requests", reqs, "errors", errs)
 	}()
-	lr := newLineReader(conn, s.maxLineLen)
+	lr := lineserver.NewReader(conn, s.maxLineLen)
 	w := bufio.NewWriter(conn)
 	// Replies are not written as they are produced: they collect in
 	// pending and leave together — one commit barrier (settle), one
@@ -823,7 +822,7 @@ func (s *server) handle(conn net.Conn) {
 	for {
 		// A trailing partial line does not count as buffered input: it
 		// must not withhold the replies before it.
-		if !lr.hasLine() || len(pending) >= maxPendingReplies {
+		if !lr.HasLine() || len(pending) >= lineserver.MaxPendingReplies {
 			if release() != nil {
 				return
 			}
@@ -831,7 +830,7 @@ func (s *server) handle(conn net.Conn) {
 				_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout))
 			}
 		}
-		raw, err := lr.next()
+		raw, err := lr.Next()
 		if err != nil {
 			readErr = err
 			break
@@ -848,7 +847,7 @@ func (s *server) handle(conn net.Conn) {
 		tid, stripped := trace.CutRequestID(line)
 		// REPLICATE hijacks the connection for WAL shipping: from here
 		// on it speaks the replication protocol, not request/response.
-		if strings.EqualFold(verbOf(stripped), "REPLICATE") {
+		if strings.EqualFold(lineserver.Verb(stripped), "REPLICATE") {
 			if release() != nil {
 				return
 			}
@@ -882,73 +881,6 @@ func (s *server) handle(conn net.Conn) {
 			log.Warn("connection read failed", "err", readErr)
 		}
 	}
-}
-
-// maxPendingReplies caps the replies one connection holds back before
-// they are released regardless of buffered input, bounding both the
-// memory a pipelining client can pin and the records one connection
-// contributes to a group commit.
-const maxPendingReplies = 256
-
-// lineReader reads newline-terminated request lines. Unlike
-// bufio.Scanner its buffered bytes can be inspected, which is what lets
-// the connection loop flush only when no complete request is waiting.
-type lineReader struct {
-	br   *bufio.Reader
-	max  int    // longest accepted line in bytes, terminator included; 0 = unbounded
-	long []byte // assembles a line that outgrew br's buffer
-}
-
-func newLineReader(r io.Reader, max int) *lineReader {
-	size := 4096
-	if max > 0 {
-		// A line that fills the buffer without a terminator must
-		// already be over the limit.
-		size = min(size, max)
-	}
-	return &lineReader{br: bufio.NewReaderSize(r, size), max: max}
-}
-
-// hasLine reports whether a complete line is already buffered, i.e.
-// whether next will return without reading from the connection.
-func (r *lineReader) hasLine() bool {
-	b, _ := r.br.Peek(r.br.Buffered()) // never reads: asks only for what is buffered
-	return bytes.IndexByte(b, '\n') >= 0
-}
-
-// next returns the next line without its terminator; the slice is valid
-// until the following call. Like bufio.Scanner it returns a final
-// unterminated line before io.EOF, and bufio.ErrTooLong for a line of
-// max bytes or more.
-func (r *lineReader) next() ([]byte, error) {
-	line, err := r.br.ReadSlice('\n')
-	if errors.Is(err, bufio.ErrBufferFull) {
-		r.long = append(r.long[:0], line...)
-		for errors.Is(err, bufio.ErrBufferFull) {
-			if r.max > 0 && len(r.long) >= r.max {
-				return nil, bufio.ErrTooLong
-			}
-			line, err = r.br.ReadSlice('\n')
-			r.long = append(r.long, line...)
-		}
-		line = r.long
-	}
-	if err != nil && !(errors.Is(err, io.EOF) && len(line) > 0) {
-		return nil, err
-	}
-	if r.max > 0 && len(line) > r.max {
-		return nil, bufio.ErrTooLong
-	}
-	return bytes.TrimSuffix(line, []byte("\n")), nil
-}
-
-// verbOf returns the first whitespace-delimited token of a trimmed
-// request line without splitting the rest.
-func verbOf(line string) string {
-	if i := strings.IndexFunc(line, unicode.IsSpace); i >= 0 {
-		return line[:i]
-	}
-	return line
 }
 
 // setWriteDeadline bounds the next response write with the same

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -247,7 +248,7 @@ func (c *Client) put(w *wire) {
 // mutations never retry (the first attempt may have been applied).
 // Transport failures feed the breaker; ERR replies do not.
 func (c *Client) Do(ctx context.Context, line string, idempotent bool) (string, error) {
-	lines, err := c.roundTrip(ctx, line, idempotent, false)
+	lines, err := c.roundTrip(ctx, line+"\n", 1, idempotent, false)
 	if err != nil {
 		return "", err
 	}
@@ -259,17 +260,30 @@ func (c *Client) Do(ctx context.Context, line string, idempotent bool) (string, 
 // A response whose first line is ERR is returned as that single line
 // (the server does not follow an error with END).
 func (c *Client) DoMulti(ctx context.Context, line string, idempotent bool) ([]string, error) {
-	return c.roundTrip(ctx, line, idempotent, true)
+	return c.roundTrip(ctx, line+"\n", 1, idempotent, true)
 }
 
-func (c *Client) roundTrip(ctx context.Context, line string, idempotent, multi bool) ([]string, error) {
+// DoBatch is the round trip of a run of mutations: every line goes out
+// in one write on one connection — so the shard sees them buffered
+// together, in order, and answers them behind one commit — and one
+// single-line reply per line is read back. Never retried. When the
+// connection breaks part-way, the replies read before the break are
+// returned next to the error: they are the shard's own answers, and
+// every line beyond them is indeterminate.
+func (c *Client) DoBatch(ctx context.Context, lines []string) ([]string, error) {
+	return c.roundTrip(ctx, strings.Join(lines, "\n")+"\n", len(lines), false, false)
+}
+
+// roundTrip sends payload (n newline-terminated request lines) and
+// reads n replies, behind the breaker.
+func (c *Client) roundTrip(ctx context.Context, payload string, n int, idempotent, multi bool) ([]string, error) {
 	if err := c.allow(); err != nil {
 		return nil, err
 	}
-	lines, reused, err := c.attempt(ctx, line, multi)
+	lines, reused, err := c.attempt(ctx, payload, n, multi)
 	if err != nil && reused && idempotent && ctx.Err() == nil {
 		// The pooled conn likely died idle; one fresh-dial retry.
-		lines, _, err = c.attempt(ctx, line, multi)
+		lines, _, err = c.attempt(ctx, payload, n, multi)
 	}
 	if err != nil {
 		if errors.Is(ctx.Err(), context.Canceled) {
@@ -277,18 +291,21 @@ func (c *Client) roundTrip(ctx context.Context, line string, idempotent, multi b
 			// the client went away): that says nothing about the shard's
 			// health, so the breaker stays out of it. Deadline expiry still
 			// counts below — a shard too slow to answer is a sick shard.
-			return nil, err
+			return lines, err
 		}
 		c.failure()
-		return nil, err
+		return lines, err
 	}
 	c.success()
 	return lines, nil
 }
 
-// attempt performs one request on one connection. The returned bool
-// reports whether that connection came from the pool.
-func (c *Client) attempt(ctx context.Context, line string, multi bool) (_ []string, reused bool, err error) {
+// attempt performs one round trip on one connection: payload out in a
+// single write, then n single-line replies in (multi: one
+// END-terminated response instead). On failure it returns the replies
+// read so far. The returned bool reports whether the connection came
+// from the pool.
+func (c *Client) attempt(ctx context.Context, payload string, n int, multi bool) (lines []string, reused bool, err error) {
 	w, reused, err := c.get(ctx)
 	if err != nil {
 		return nil, reused, err
@@ -301,17 +318,20 @@ func (c *Client) attempt(ctx context.Context, line string, multi bool) (_ []stri
 		w.conn.Close() //histlint:ignore errwrap conn is being discarded for the deadline error
 		return nil, reused, fmt.Errorf("shard %s: set deadline: %w", c.addr, err)
 	}
-	if _, err := w.conn.Write([]byte(line + "\n")); err != nil {
+	if _, err := io.WriteString(w.conn, payload); err != nil {
 		w.conn.Close() //histlint:ignore errwrap conn is being discarded for the write error
 		return nil, reused, fmt.Errorf("shard %s: write: %w", c.addr, err)
 	}
-	first, err := c.readLine(w)
-	if err != nil {
-		w.conn.Close() //histlint:ignore errwrap conn is being discarded for the read error
-		return nil, reused, fmt.Errorf("shard %s: read: %w", c.addr, err)
+	lines = make([]string, 0, n)
+	for len(lines) < n {
+		l, err := c.readLine(w)
+		if err != nil {
+			w.conn.Close() //histlint:ignore errwrap conn is being discarded for the read error
+			return lines, reused, fmt.Errorf("shard %s: read: %w", c.addr, err)
+		}
+		lines = append(lines, l)
 	}
-	lines := []string{first}
-	if multi && !strings.HasPrefix(first, "ERR") {
+	if multi && !strings.HasPrefix(lines[0], "ERR") {
 		for {
 			if err := ctx.Err(); err != nil {
 				// Cancellation without a ctx deadline would otherwise ride

@@ -268,3 +268,43 @@ func TestClosedClientRejects(t *testing.T) {
 		t.Fatal("closed client accepted a request")
 	}
 }
+
+// TestDoBatchOneWriteRepliesInOrder pins the run round trip: k lines,
+// k replies in line order, an ERR reply being an answer like any other,
+// on one connection that goes back to the pool.
+func TestDoBatchOneWriteRepliesInOrder(t *testing.T) {
+	f := startFakeShard(t)
+	c := newTestClient(t, f.addr(), nil)
+	got, err := c.DoBatch(context.Background(), []string{"INS 1 0 0 1", "ERRME", "QRY 0 1 0 0", "INS 2 0 0 1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"OK", "ERR bad request", "42", "OK"}
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("batch replies %q, want %q", got, want)
+	}
+	if _, err := c.DoBatch(context.Background(), []string{"INS 3 0 0 1"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := f.accepted.Load(); n != 1 {
+		t.Fatalf("two batches used %d connections, want the one pooled", n)
+	}
+}
+
+// TestDoBatchBrokenMidwayKeepsReceivedReplies: the shard's own answers
+// before the break are returned, the rest is an error — and a batch is
+// a mutation, so nothing is retried.
+func TestDoBatchBrokenMidwayKeepsReceivedReplies(t *testing.T) {
+	f := startFakeShard(t)
+	c := newTestClient(t, f.addr(), nil)
+	got, err := c.DoBatch(context.Background(), []string{"INS 1 0 0 1", "INS 2 0 0 1", "DROPME", "INS 3 0 0 1"})
+	if err == nil {
+		t.Fatalf("broken batch succeeded with %q", got)
+	}
+	if len(got) != 2 || got[0] != "OK" || got[1] != "OK" {
+		t.Fatalf("replies before the break = %q, want the two OKs", got)
+	}
+	if n := f.accepted.Load(); n != 1 {
+		t.Fatalf("broken batch dialled %d connections: a run must never be resent", n)
+	}
+}

@@ -83,10 +83,13 @@ func (g *Group) Close() {
 	}
 }
 
-// Write sends one mutation to the current primary, never retried and
-// never hedged: a duplicate mutation is a double-apply.
-func (g *Group) Write(ctx context.Context, line string) (string, error) {
-	return g.Primary().Do(ctx, line, false)
+// Write sends a run of mutations — a lone one is a run of one — to the
+// current primary as one batch round trip, never retried and never
+// hedged: a duplicate mutation is a double-apply. Replies come back in
+// line order; on failure the ones received before the break are
+// returned next to the error (see Client.DoBatch).
+func (g *Group) Write(ctx context.Context, lines []string) ([]string, error) {
+	return g.Primary().DoBatch(ctx, lines)
 }
 
 // Read sends one idempotent single-line request with member fan-out:

@@ -113,21 +113,31 @@ func TestGroupWritePinsToPrimary(t *testing.T) {
 	g := NewGroup([]string{a.addr(), b.addr()}, 0, Options{OpTimeout: time.Second})
 	t.Cleanup(g.Close)
 	for i := 0; i < 5; i++ {
-		resp, err := g.Write(context.Background(), "INS 1 0 0 1")
+		// A run of i+1 lines is one batch round trip to the primary.
+		run := make([]string, i+1)
+		for j := range run {
+			run[j] = "INS 1 0 0 1"
+		}
+		resps, err := g.Write(context.Background(), run)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp != "OK a" {
-			t.Fatalf("write %d reached %q, want the primary", i, resp)
+		if len(resps) != len(run) {
+			t.Fatalf("run of %d answered %d replies", len(run), len(resps))
+		}
+		for _, resp := range resps {
+			if resp != "OK a" {
+				t.Fatalf("write %d reached %q, want the primary", i, resp)
+			}
 		}
 	}
 	g.SetPrimary(1)
-	resp, err := g.Write(context.Background(), "INS 1 0 0 1")
+	resps, err := g.Write(context.Background(), []string{"INS 1 0 0 1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp != "OK b" {
-		t.Fatalf("write after SetPrimary reached %q", resp)
+	if len(resps) != 1 || resps[0] != "OK b" {
+		t.Fatalf("write after SetPrimary reached %q", resps)
 	}
 	if g.PrimaryIndex() != 1 {
 		t.Fatalf("PrimaryIndex = %d", g.PrimaryIndex())

@@ -153,58 +153,81 @@ func (l *Log) SubscribeFrom(from uint64) (*Stream, error) {
 
 // Next returns the record at the cursor, blocking until one is
 // shippable, the ctx ends, or the log closes. Callers that need a
-// keepalive cadence wrap ctx with a timeout per call.
+// keepalive cadence drain with TryNext and wrap ctx with a timeout only
+// for the call that has to block.
 func (s *Stream) Next(ctx context.Context) (StreamRecord, error) {
-	emptyFills := 0
 	for {
-		if len(s.buf) > 0 {
-			rec := s.buf[0]
-			s.buf = s.buf[1:]
-			s.next = rec.LSN + 1
-			return rec, nil
+		rec, ok, wake, err := s.poll(true)
+		if ok || err != nil {
+			return rec, err
 		}
-		l := s.log
-		l.mu.Lock()
-		if s.next <= l.shippedLSN {
-			if op, ok := l.ringGetLocked(s.next); ok {
-				rec := StreamRecord{LSN: s.next, Op: op}
-				s.next++
-				l.mu.Unlock()
-				return rec, nil
-			}
-			shipped := l.shippedLSN
-			l.mu.Unlock()
-			n, err := s.fillFromDisk(shipped)
-			if err != nil {
-				return StreamRecord{}, err
-			}
-			if n == 0 {
-				// A checkpoint pruning segments under the read; re-resolve.
-				if emptyFills++; emptyFills > 5 {
-					return StreamRecord{}, fmt.Errorf("wal: stream stuck reading LSN %d", s.next)
-				}
-			}
-			continue
-		}
-		if l.closed {
-			l.mu.Unlock()
-			return StreamRecord{}, ErrClosed
-		}
-		ch := make(chan struct{})
-		l.waiters = append(l.waiters, ch)
-		l.mu.Unlock()
 		select {
 		case <-ctx.Done():
+			l := s.log
 			l.mu.Lock()
 			for i, w := range l.waiters {
-				if w == ch {
+				if w == wake {
 					l.waiters = append(l.waiters[:i], l.waiters[i+1:]...)
 					break
 				}
 			}
 			l.mu.Unlock()
 			return StreamRecord{}, ctx.Err()
-		case <-ch:
+		case <-wake:
+		}
+	}
+}
+
+// TryNext returns the record at the cursor when one is shippable now,
+// and ok=false instead of blocking when the cursor is at the frontier —
+// the point at which a shipping loop flushes what it has written.
+func (s *Stream) TryNext() (rec StreamRecord, ok bool, err error) {
+	rec, ok, _, err = s.poll(false)
+	return rec, ok, err
+}
+
+// poll advances the cursor by one record if it can. At the frontier it
+// returns ok=false and, when wait is set, a channel registered under
+// the same lock hold as the frontier check (so no advance is missed)
+// that the next advance closes.
+func (s *Stream) poll(wait bool) (rec StreamRecord, ok bool, wake chan struct{}, err error) {
+	emptyFills := 0
+	for {
+		if len(s.buf) > 0 {
+			rec := s.buf[0]
+			s.buf = s.buf[1:]
+			s.next = rec.LSN + 1
+			return rec, true, nil, nil
+		}
+		l := s.log
+		l.mu.Lock()
+		if s.next > l.shippedLSN {
+			if l.closed {
+				err = ErrClosed
+			} else if wait {
+				wake = make(chan struct{})
+				l.waiters = append(l.waiters, wake)
+			}
+			l.mu.Unlock()
+			return StreamRecord{}, false, wake, err
+		}
+		if op, ok := l.ringGetLocked(s.next); ok {
+			rec := StreamRecord{LSN: s.next, Op: op}
+			s.next++
+			l.mu.Unlock()
+			return rec, true, nil, nil
+		}
+		shipped := l.shippedLSN
+		l.mu.Unlock()
+		n, err := s.fillFromDisk(shipped)
+		if err != nil {
+			return StreamRecord{}, false, nil, err
+		}
+		if n == 0 {
+			// A checkpoint pruning segments under the read; re-resolve.
+			if emptyFills++; emptyFills > 5 {
+				return StreamRecord{}, false, nil, fmt.Errorf("wal: stream stuck reading LSN %d", s.next)
+			}
 		}
 	}
 }

@@ -117,6 +117,51 @@ func TestStreamBlocksUntilAppend(t *testing.T) {
 	}
 }
 
+// TestStreamTryNextDrainsWithoutBlocking pins the shipping loop's
+// drain: TryNext hands out what is shippable and at the frontier
+// reports ok=false, without registering a waiter, instead of blocking; under SyncAlways the frontier is the
+// durable LSN, so a group commit publishes its whole batch at once.
+func TestStreamTryNextDrainsWithoutBlocking(t *testing.T) {
+	cube := newTestCube(t)
+	_, l, _, err := Recover(t.TempDir(), Options{Sync: SyncAlways}, func() (*core.Cube, error) { return cube, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	s, err := l.SubscribeFrom(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 40
+	var last uint64
+	for i := 0; i < k; i++ {
+		if last, err = l.Stage(core.Op{Kind: core.OpInsert, Time: int64(i), Coords: []int{1, 1}, Value: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok, err := s.TryNext(); ok || err != nil {
+		t.Fatalf("TryNext over staged, not yet durable records = %v, %v; want nothing shippable", ok, err)
+	}
+	if err := l.Commit(last); err != nil {
+		t.Fatal(err)
+	}
+	for want := uint64(1); want <= k; want++ {
+		rec, ok, err := s.TryNext()
+		if !ok || err != nil || rec.LSN != want {
+			t.Fatalf("TryNext = LSN %d, %v, %v; want LSN %d", rec.LSN, ok, err, want)
+		}
+	}
+	if _, ok, err := s.TryNext(); ok || err != nil {
+		t.Fatalf("TryNext at the frontier = %v, %v; want ok=false", ok, err)
+	}
+	l.mu.Lock()
+	waiters := len(l.waiters)
+	l.mu.Unlock()
+	if waiters != 0 {
+		t.Fatalf("TryNext registered %d waiters", waiters)
+	}
+}
+
 func TestSubscribeBoundsErrors(t *testing.T) {
 	dir := t.TempDir()
 	cube := newTestCube(t)
