@@ -1,6 +1,6 @@
 # Developer entry points; `make check` is the CI gate.
 
-.PHONY: check build test race bench bench-smoke shardbench replbench microbench fmt crash lint lockgraph fuzz explain traceguard perfguard chaos shardchaos replchaos runtimemetrics
+.PHONY: check build test race lint lockgraph fuzz benchgate microbench crash chaos shardchaos replchaos explain traceguard perfguard runtimemetrics fmt
 
 check:
 	./check.sh
@@ -31,47 +31,15 @@ fuzz:
 	go test -run='^$$' -fuzz=FuzzSpanJSON -fuzztime=10s ./internal/trace/
 	go test -run='^$$' -fuzz=FuzzRecLine -fuzztime=10s ./cmd/histserve/
 
-# Full load run against the real server: writes the next
-# BENCH_<seq>.json trajectory point plus pprof profiles. Compare two
-# points with: go run ./cmd/histperf -compare old.json new.json
-bench:
-	go build -o bin/histserve ./cmd/histserve
-	go run ./cmd/histperf -serve-bin bin/histserve \
-	    -mixes read,write,mixed,convergence \
-	    -conns 4 -duration 5s -warmup 1s \
-	    -profile-dir bench-profiles -out auto
-
-# The CI smoke variant: short run, gated against the committed
-# baseline with a generous cross-machine tolerance (same step as
-# check.sh).
-bench-smoke:
-	go build -o bin/histserve ./cmd/histserve
-	go run ./cmd/histperf -serve-bin bin/histserve \
-	    -mixes read,write,mixed,convergence \
-	    -conns 2 -duration 2s -warmup 500ms -quiet -out BENCH_smoke.json
-	go run ./cmd/histperf -compare -tolerance 0.9 BENCH_0001.json BENCH_smoke.json
-
-# Scatter-gather scaling: the same read mix against a single node and
-# against a 4-shard histproxy topology, as two consecutive
-# BENCH_<seq>.json trajectory points. On >= 4 cores the topology run
-# should show >= 2x the single-node ops/sec.
-shardbench:
-	go build -o bin/histserve ./cmd/histserve
-	go build -o bin/histproxy ./cmd/histproxy
-	go run ./cmd/histperf -serve-bin bin/histserve \
-	    -mixes read -conns 4 -duration 5s -warmup 1s -out auto
-	go run ./cmd/histperf -serve-bin bin/histserve -proxy-bin bin/histproxy \
-	    -shard-count 4 -mixes read -conns 4 -duration 5s -warmup 1s -out auto
-
-# Replicated-topology load: the same read mix against a 2-shard
-# topology with one WAL-shipping follower per shard — hedged reads fan
-# across the replica sets. Written as the next BENCH_<seq>.json
-# trajectory point.
-replbench:
-	go build -o bin/histserve ./cmd/histserve
-	go build -o bin/histproxy ./cmd/histproxy
-	go run ./cmd/histperf -serve-bin bin/histserve -proxy-bin bin/histproxy \
-	    -shard-count 2 -replicas 1 -mixes read,mixed -conns 4 -duration 5s -warmup 1s -out auto
+# The load harness's oracle gate (same step as check.sh): each of the
+# four BENCHMARK.json workloads for 3 s on the real binaries; run.sh
+# exits non-zero when any answer disagrees with the oracle. Full runs
+# and comparisons: see benchmark/README.md.
+benchgate:
+	benchmark/run.sh --workload read_converged --seed 1 --seconds 3
+	benchmark/run.sh --workload mixed_live --seed 1 --seconds 3
+	benchmark/run.sh --workload durable_ingest --seed 1 --seconds 3
+	benchmark/run.sh --workload fleet_mixed --seed 1 --seconds 3
 
 microbench:
 	go test -bench=. -benchmem ./...

@@ -295,12 +295,12 @@ func main() {
 	}
 }
 
-// writeReport emits the machine-readable run report — the format
-// BENCH_*.json trajectories are built from, so the tool itself is the
-// producer rather than ad-hoc postprocessing. The meta block (git
-// revision, Go version, GOMAXPROCS, OS/arch) is the same
-// perf.RunMeta histperf stamps on its reports, so every benchmark
-// artifact in the repo is attributable to a build the same way.
+// writeReport emits the machine-readable run report, so the tool
+// itself is the producer rather than ad-hoc postprocessing. The meta
+// block (git revision, Go version, GOMAXPROCS, OS/arch) is the
+// perf.RunMeta that benchmark/ results and both servers' VERSION
+// replies are built from, so every number in the repo is attributable
+// to a build the same way.
 func writeReport(path string, experiments map[string]any, seed int64) error {
 	doc := map[string]any{
 		"tool":        "histbench",

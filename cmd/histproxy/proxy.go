@@ -109,9 +109,8 @@
 // per-command sliding-window latency recorders (internal/perf,
 // histproxy_cmd_* gauges), histproxy_* request/error/partial counters
 // and per-shard health gauges on -metrics (/metrics, /healthz,
-// /readyz gated on the shard map being loaded, /debug/perf,
-// /debug/slowlog, /debug/trace/recent, /debug/pprof/*), request
-// timeouts, -max-conns
+// /readyz gated on the shard map being loaded, /debug/slowlog,
+// /debug/trace/recent, /debug/pprof/*), request timeouts, -max-conns
 // and line-length governance, and per-request panic recovery.
 package main
 
@@ -151,6 +150,10 @@ import (
 // commands lists every protocol verb the proxy accounts, mirroring
 // histserve's label discipline ("other" catches unknown verbs).
 var commands = []string{"INS", "DEL", "QRY", "EXPLAIN", "SLOWLOG", "STATS", "VERSION", "SHARDS", "QUIT", "other"}
+
+// perfWindow is the sliding window of the per-command latency and
+// throughput digests (histproxy_cmd_* gauges).
+const perfWindow = 10 * time.Second
 
 // errInternal is the client-visible face of a recovered panic.
 var errInternal = errors.New("internal error (recovered panic; see proxy log)")
@@ -215,7 +218,6 @@ func main() {
 		brkCool  = flag.Duration("breaker-cooldown", time.Second, "how long an open breaker rejects before the half-open trial")
 		probeIv  = flag.Duration("probe-every", 500*time.Millisecond, "background health-probe interval for unhealthy shards; 0 disables (rejoin then waits for client traffic, and failover waits for a failed write)")
 		hedgeIv  = flag.Duration("hedge-after", 30*time.Millisecond, "duplicate a read to the next replica-set member after this long without an answer (single-member shards never hedge); 0 disables hedging")
-		perfWin  = flag.Duration("perf-window", 10*time.Second, "sliding window for per-command latency/throughput digests")
 		slowThr  = flag.Duration("slow-query-threshold", 10*time.Millisecond, "fan-out queries at or above this end-to-end duration enter the proxy's slow-query log")
 		slowCap  = flag.Int("slowlog-size", 32, "worst traces retained by the proxy's slow-query log")
 		sealHist = flag.Bool("seal-historic", false, "at startup, demote every closed-range shard with SEAL <hi> so misrouted mutations cannot land in owned history")
@@ -263,7 +265,7 @@ func main() {
 		copts.WrapConn = func(c net.Conn) net.Conn { return inj.WrapConn("proxy.conn", c) }
 		logger.Warn("fault injection armed", "fault", inj.String())
 	}
-	p := newProxy(smap, dims, *perfWin, *hedgeIv, copts)
+	p := newProxy(smap, dims, *hedgeIv, copts)
 	if inj != nil {
 		inj.RegisterMetrics(p.reg)
 	}
@@ -329,10 +331,7 @@ func main() {
 	}
 }
 
-func newProxy(smap *shard.Map, dims int, perfWindow, hedgeAfter time.Duration, copts shardclient.Options) *proxy {
-	if perfWindow <= 0 {
-		perfWindow = 10 * time.Second
-	}
+func newProxy(smap *shard.Map, dims int, hedgeAfter time.Duration, copts shardclient.Options) *proxy {
 	p := &proxy{
 		smap:       smap,
 		dims:       dims,
@@ -580,21 +579,6 @@ func (p *proxy) serveMetrics(addr string) (net.Listener, error) {
 			return
 		}
 		fmt.Fprintf(w, "ok shards=%d up=%d\n", p.smap.Len(), p.shardsUp())
-	})
-	mux.HandleFunc("/debug/perf", func(w http.ResponseWriter, r *http.Request) {
-		byCmd := make(map[string]perf.Snapshot, len(commands))
-		for _, cmd := range p.perf.Names() {
-			byCmd[cmd] = p.perf.Snapshot(cmd)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{
-			"window_ns": p.perf.Window().Nanoseconds(),
-			"commands":  byCmd,
-		}); err != nil {
-			p.log.Error("perf JSON render failed", "err", err)
-		}
 	})
 	mux.HandleFunc("/debug/slowlog", func(w http.ResponseWriter, r *http.Request) {
 		writeEntriesJSON(w, p.log, map[string]any{

@@ -245,7 +245,7 @@ func startProxy(t *testing.T, spec string) (addr string, p *proxy) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p = newProxy(smap, 2, time.Hour, 0, shardclient.Options{
+	p = newProxy(smap, 2, 0, shardclient.Options{
 		OpTimeout:        time.Second,
 		BreakerThreshold: 1,
 		BreakerCooldown:  50 * time.Millisecond,

@@ -42,9 +42,10 @@ func sendLines(t *testing.T, c *tcpConn, req string) []string {
 
 // TestExplainSmokeRealBinary is the end-to-end smoke for the tracing
 // surface: a real histserve binary answers EXPLAIN with a span tree,
-// SLOWLOG with retained traces, and serves /readyz, /debug/slowlog
-// and /debug/pprof on the metrics listener. Run by check.sh and CI;
-// skipped under -short.
+// SLOWLOG with retained traces, converges a repeated historic query to
+// the PS bound (Fig. 10/11, as TestExplainConvergence pins in
+// process), and serves /readyz, /debug/slowlog and /debug/pprof on
+// the metrics listener. Run by check.sh and CI; skipped under -short.
 func TestExplainSmokeRealBinary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-binary smoke test skipped in -short mode")
@@ -69,7 +70,7 @@ func TestExplainSmokeRealBinary(t *testing.T) {
 	}
 
 	c := dialTCP(t, p.addr)
-	for _, ins := range []string{"INS 1 1 1 5", "INS 2 2 2 7"} {
+	for _, ins := range []string{"INS 1 1 1 5", "INS 2 2 2 7", "INS 3 3 3 9"} {
 		if got := sendLines(t, c, ins); len(got) != 1 || got[0] != "OK" {
 			t.Fatalf("%s -> %v", ins, got)
 		}
@@ -88,6 +89,9 @@ func TestExplainSmokeRealBinary(t *testing.T) {
 	if !strings.HasPrefix(slow[0], "OK n=1 cap=4 threshold=0s") {
 		t.Fatalf("SLOWLOG header = %q", slow[0])
 	}
+	// A box whose corners the query above has not converted yet; the
+	// PS bound is 2^(d-1) = 4 cells at -dims 8,8.
+	requireConvergence(t, func() []string { return sendLines(t, c, "EXPLAIN QRY 1 1 1 1 6 6") }, 4)
 
 	get := func(path string) (int, string) {
 		t.Helper()

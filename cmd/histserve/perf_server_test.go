@@ -1,12 +1,10 @@
 package main
 
 // Tests for the per-command performance windows: the STATS win_*
-// fields, the /debug/perf JSON feed and the histserve_cmd_latency_*
-// gauges all read the same internal/perf sliding windows that
-// dispatch feeds on every request.
+// fields and the histserve_cmd_latency_* gauges both read the same
+// internal/perf sliding windows that dispatch feeds on every request.
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -39,66 +37,6 @@ func TestStatsWindowFields(t *testing.T) {
 	// be non-zero, which the flat text shows as absence of "=0.0 ".
 	if strings.Contains(got, "ins_ops=0.0 ") {
 		t.Errorf("ins_ops stayed zero after 5 inserts: %q", got)
-	}
-}
-
-// TestDebugPerfEndpoint checks the /debug/perf JSON feed: every
-// protocol command appears, and commands that served requests report
-// counts and quantiles.
-func TestDebugPerfEndpoint(t *testing.T) {
-	srv := newQuietServer(t, "8,8", "sum", false)
-	addr := serveOn(t, srv)
-	mln, err := srv.serveMetrics("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { mln.Close() })
-
-	c := dial(t, addr)
-	for i := 0; i < 3; i++ {
-		if got := c.cmd(t, "QRY 0 5 0 0 7 7"); got != "0" {
-			t.Fatalf("QRY -> %q", got)
-		}
-	}
-
-	resp, err := http.Get("http://" + mln.Addr().String() + "/debug/perf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/perf -> %d", resp.StatusCode)
-	}
-	var doc struct {
-		WindowNS int64 `json:"window_ns"`
-		Commands map[string]struct {
-			Count     int64   `json:"count"`
-			OpsPerSec float64 `json:"ops_per_sec"`
-			P50       int64   `json:"p50_ns"`
-			P99       int64   `json:"p99_ns"`
-			Max       int64   `json:"max_ns"`
-		} `json:"commands"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.WindowNS != (10e9) {
-		t.Errorf("window_ns = %d, want 10s default", doc.WindowNS)
-	}
-	for _, cmd := range commands {
-		if _, ok := doc.Commands[cmd]; !ok {
-			t.Errorf("/debug/perf missing command %q", cmd)
-		}
-	}
-	qry := doc.Commands["QRY"]
-	if qry.Count != 3 {
-		t.Errorf("QRY count = %d, want 3", qry.Count)
-	}
-	if qry.P50 <= 0 || qry.P99 < qry.P50 || qry.Max < qry.P99/2 {
-		t.Errorf("implausible QRY digest: %+v", qry)
-	}
-	if ins := doc.Commands["INS"]; ins.Count != 0 {
-		t.Errorf("INS count = %d, want 0 (none sent)", ins.Count)
 	}
 }
 

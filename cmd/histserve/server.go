@@ -35,8 +35,8 @@
 // section): out-of-order totals, eCube conversion progress (split by
 // query/append trigger), lazy-copy work, tier demotions and access
 // counts, plus trailing win_* fields digesting the sliding latency
-// window (-perf-window) for QRY and INS: ops/sec, p50 and p99 in
-// microseconds over the last N seconds.
+// window (perfWindow) for QRY and INS: ops/sec, p50 and p99 in
+// microseconds over the last win_s seconds.
 //
 // Every request is traced (internal/trace): EXPLAIN renders the span
 // tree with the paper's per-query cost counters, SLOWLOG returns the
@@ -77,10 +77,8 @@
 // (liveness), GET /readyz answers "ok" only once WAL recovery has
 // finished (readiness — 503 while replaying). The same listener
 // serves GET /debug/slowlog and /debug/trace/recent (retained traces
-// as JSON), GET /debug/perf (per-command sliding-window latency
-// digests as JSON — the feed cmd/histperf scrapes) and the standard
-// /debug/pprof/* profiling endpoints. Start with
-// -mutex-profile-fraction / -block-profile-rate to populate
+// as JSON) and the standard /debug/pprof/* profiling endpoints. Start
+// with -mutex-profile-fraction / -block-profile-rate to populate
 // /debug/pprof/mutex and /debug/pprof/block when profiling the
 // single-mutex bottleneck.
 //
@@ -185,6 +183,10 @@ var errInternal = errors.New("internal error (recovered panic; see server log)")
 // verbs so a misbehaving client cannot grow the label set unbounded).
 var commands = []string{"INS", "DEL", "QRY", "EXPLAIN", "SLOWLOG", "STATS", "SAVE", "CHECKPOINT", "SEAL", "VERSION", "ROLE", "PROMOTE", "REPLICATE", "QUIT", "other"}
 
+// perfWindow is the sliding window of the per-command latency and
+// throughput digests (STATS win_*, histserve_cmd_* gauges).
+const perfWindow = 10 * time.Second
+
 // server is one histserve instance.
 //
 // Locking contract: mu guards the cube — every cube call, including
@@ -237,8 +239,8 @@ type server struct {
 
 	// perf records per-command request latency into sliding windows
 	// (internal/perf); like slow/recent it is atomic internally and
-	// outside the mu contract. STATS, /debug/perf and the
-	// histserve_cmd_latency_* gauges read it.
+	// outside the mu contract. STATS and the histserve_cmd_latency_*
+	// gauges read it.
 	perf *perf.Set
 
 	// ready flips to true once startup (snapshot load, WAL recovery) has
@@ -325,7 +327,6 @@ func main() {
 		ackTO   = flag.Duration("repl-ack-timeout", 2*time.Second, "how long a mutation waits for -repl-min-acks follower acknowledgements before answering ERR (the write is then indeterminate, not failed)")
 		fspec   = flag.String("fault-spec", "", "fault-injection spec for chaos testing (see internal/fault); empty disables")
 		fseed   = flag.Int64("fault-seed", 1, "seed for probabilistic -fault-spec rules")
-		perfWin = flag.Duration("perf-window", 10*time.Second, "sliding window for per-command latency/throughput digests (STATS, /debug/perf, histserve_cmd_latency_* metrics)")
 		mutexPF = flag.Int("mutex-profile-fraction", 0, "runtime mutex profile sampling fraction (1 samples every contention event, 0 disables); populates /debug/pprof/mutex and scales histcube_lock_contention_events_total")
 		blockPR = flag.Int("block-profile-rate", 0, "runtime block profile sampling rate in ns (1 records every blocking event, 0 disables); populates /debug/pprof/block")
 		rtEvery = flag.Duration("runtime-metrics-every", 10*time.Second, "sampling interval for histcube_runtime_* gauges (GC pause, goroutines, scheduler latency); 0 disables the sampler")
@@ -343,7 +344,7 @@ func main() {
 	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	srv, err := newServer(*dimsArg, *opArg, *ooo, *perfWin)
+	srv, err := newServer(*dimsArg, *opArg, *ooo)
 	if err != nil {
 		logger.Error("startup failed", "err", err)
 		os.Exit(1)
@@ -576,7 +577,7 @@ func (s *server) maybeCheckpointLocked() {
 	}
 }
 
-func newServer(dimsArg, opArg string, ooo bool, perfWindow time.Duration) (*server, error) {
+func newServer(dimsArg, opArg string, ooo bool) (*server, error) {
 	var ds []core.Dim
 	for i, part := range strings.Split(dimsArg, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
@@ -600,9 +601,6 @@ func newServer(dimsArg, opArg string, ooo bool, perfWindow time.Duration) (*serv
 	cube, err := core.New(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if perfWindow <= 0 {
-		perfWindow = 10 * time.Second
 	}
 	s := &server{
 		cube:       cube,
@@ -720,24 +718,6 @@ func (s *server) serveMetrics(addr string) (net.Listener, error) {
 		writeEntriesJSON(w, s.log, map[string]any{
 			"capacity": s.recent.Cap(),
 		}, s.recent.Entries())
-	})
-	// Per-command sliding-window digests — the JSON feed cmd/histperf
-	// scrapes; the same numbers back the histserve_cmd_latency_*
-	// gauges on /metrics and the STATS win_* fields.
-	mux.HandleFunc("/debug/perf", func(w http.ResponseWriter, r *http.Request) {
-		byCmd := make(map[string]perf.Snapshot, len(commands))
-		for _, cmd := range s.perf.Names() {
-			byCmd[cmd] = s.perf.Snapshot(cmd)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{
-			"window_ns": s.perf.Window().Nanoseconds(),
-			"commands":  byCmd,
-		}); err != nil {
-			s.log.Error("perf JSON render failed", "err", err)
-		}
 	})
 	// pprof normally registers on http.DefaultServeMux at import; this
 	// listener uses its own mux, so the handlers are wired explicitly.

@@ -15,7 +15,7 @@ import (
 
 func newQuietServer(t *testing.T, dims, op string, ooo bool) *server {
 	t.Helper()
-	srv, err := newServer(dims, op, ooo, 0)
+	srv, err := newServer(dims, op, ooo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,10 +180,10 @@ func TestOutOfOrderBuffered(t *testing.T) {
 }
 
 func TestNewServerValidation(t *testing.T) {
-	if _, err := newServer("a,b", "sum", false, 0); err == nil {
+	if _, err := newServer("a,b", "sum", false); err == nil {
 		t.Error("bad dims accepted")
 	}
-	if _, err := newServer("4,4", "median", false, 0); err == nil {
+	if _, err := newServer("4,4", "median", false); err == nil {
 		t.Error("bad operator accepted")
 	}
 }

@@ -79,10 +79,30 @@ func TestExplainConvergence(t *testing.T) {
 			}
 		}
 	}
-	const q = "EXPLAIN QRY 1 1 1 1 6 6"
 	const psBound = 4 // 2^(d-1) with d-1 = 2 non-time dimensions
+	first, last := requireConvergence(t, func() []string { return c.cmdMulti(t, "EXPLAIN QRY 1 1 1 1 6 6") }, psBound)
+	// The rendered tree must show the server and cube spans.
+	tree := strings.Join(first, "\n")
+	for _, want := range []string{"histserve.query", "histcube.query", "histcube.prefix"} {
+		if !strings.Contains(tree, want) {
+			t.Errorf("EXPLAIN tree missing %q:\n%s", want, tree)
+		}
+	}
+	if last["instances"] != 1 {
+		t.Errorf("instances = %d, want 1 (time 0 prefix resolves to no slice)", last["instances"])
+	}
+}
 
-	first := c.cmdMulti(t, q)
+// requireConvergence repeats one historic EXPLAIN QRY (explain sends
+// it and returns the reply up to END) and requires the Fig. 10/11
+// shape: the first run in the DDC regime (conversions > 0, more than
+// psBound cells), every later run no more expensive than the one
+// before and bitwise the same result, ending at exactly psBound cells
+// with no conversions left. It returns the first reply and the last
+// run's totals.
+func requireConvergence(t *testing.T, explain func() []string, psBound int64) (first []string, last map[string]int64) {
+	t.Helper()
+	first = explain()
 	if !strings.HasPrefix(first[0], "OK result=") {
 		t.Fatalf("EXPLAIN -> %q", first[0])
 	}
@@ -94,20 +114,13 @@ func TestExplainConvergence(t *testing.T) {
 	if tot["cells_touched"] <= psBound {
 		t.Fatalf("first historic EXPLAIN already at the PS bound: %v", tot)
 	}
-	// The rendered tree must show the server and cube spans.
-	tree := strings.Join(first, "\n")
-	for _, want := range []string{"histserve.query", "histcube.query", "histcube.prefix"} {
-		if !strings.Contains(tree, want) {
-			t.Errorf("EXPLAIN tree missing %q:\n%s", want, tree)
-		}
-	}
 
 	// Identical queries converge: monotonically non-increasing cost,
 	// ending at exactly the PS bound with no further conversions.
 	prev := tot
 	converged := false
 	for i := 0; i < 12 && !converged; i++ {
-		lines := c.cmdMulti(t, q)
+		lines := explain()
 		if got := strings.TrimPrefix(lines[0], "OK result="); got != wantResult {
 			t.Fatalf("result drifted across identical queries: %q -> %q", wantResult, got)
 		}
@@ -121,9 +134,7 @@ func TestExplainConvergence(t *testing.T) {
 	if !converged {
 		t.Fatalf("identical query did not converge to %d cells, 0 conversions: %v", psBound, prev)
 	}
-	if prev["instances"] != 1 {
-		t.Errorf("instances = %d, want 1 (time 0 prefix resolves to no slice)", prev["instances"])
-	}
+	return first, prev
 }
 
 // TestSlowLogCommand drives queries through a threshold-0 slow log and

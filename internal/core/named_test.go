@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-	"sync"
 	"testing"
 
 	"histcube/internal/agg"
@@ -52,81 +50,5 @@ func TestQueryNamed(t *testing.T) {
 	}
 	if _, err := c.QueryNamed(0, 10, map[string]Constraint{"store": Span(2, 99)}); err == nil {
 		t.Error("out-of-domain constraint accepted")
-	}
-}
-
-func TestSafeCubeConcurrentUse(t *testing.T) {
-	inner, err := New(Config{
-		Dims:     []Dim{{Name: "x", Size: 16}, {Name: "y", Size: 16}},
-		Operator: agg.Sum,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSafe(inner)
-
-	// One writer advancing time, several readers; run under -race in
-	// CI to catch unsynchronised access.
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		r := rand.New(rand.NewSource(1))
-		for i := 0; i < 2000; i++ {
-			if err := s.Insert(int64(i/50), []int{r.Intn(16), r.Intn(16)}, 1); err != nil {
-				t.Error(err)
-				break
-			}
-		}
-		close(stop)
-	}()
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				lo := []int{r.Intn(16), r.Intn(16)}
-				hi := []int{lo[0] + r.Intn(16-lo[0]), lo[1] + r.Intn(16-lo[1])}
-				tLo := int64(r.Intn(45))
-				if _, err := s.Query(Range{TimeLo: tLo, TimeHi: tLo + 5, Lo: lo, Hi: hi}); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := s.QueryNamed(0, 100, map[string]Constraint{"x": Point(r.Intn(16))}); err != nil {
-					t.Error(err)
-					return
-				}
-				_ = s.Stats()
-			}
-		}(int64(g + 2))
-	}
-	wg.Wait()
-
-	// Final total must equal everything the writer inserted.
-	got, err := s.Query(Range{TimeLo: 0, TimeHi: 100, Lo: []int{0, 0}, Hi: []int{15, 15}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 2000 {
-		t.Errorf("total = %v, want 2000", got)
-	}
-	if err := s.Retire(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Age(1); err == nil {
-		t.Error("Age on non-tiered safe cube accepted")
-	}
-	if err := s.Delete(100, []int{0, 0}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddDelta(100, []int{0, 0}, 1); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -12,8 +12,9 @@
 // Everything on the hot path is a single atomic operation; callback
 // metrics (CounterFunc, GaugeFunc) defer all work to scrape time so
 // state-derived values cost nothing per operation. Quantile reporting
-// follows the same nearest-rank convention as internal/stats.Quantile,
-// so offline experiment summaries and live histogram summaries agree.
+// (Series.Summary, the runtime histogram digests in runtime.go) follows
+// the nearest-rank convention of internal/stats.Quantile, so offline
+// experiment summaries and live summaries agree.
 package obs
 
 import (
@@ -126,36 +127,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Quantile estimates the q-quantile from the bucket counts using the
-// nearest-rank rule of internal/stats.Quantile: the estimate is the
-// upper bound of the bucket containing the ceil(q*n)-th observation
-// (+Inf observations report the largest finite bound). It returns 0
-// with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q*float64(n) - 1e-9))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	cum := int64(0)
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.bounds[len(h.bounds)-1]
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
-}
 
 // Timer measures one duration and reports it, in seconds, to an
 // optional Observer. The zero cost of a nil observer lets callers keep

@@ -49,29 +49,6 @@ func TestHistogramObserve(t *testing.T) {
 	}
 }
 
-// The histogram quantile must follow the nearest-rank convention of
-// internal/stats.Quantile: with every sample equal to a bucket bound,
-// the two must agree exactly.
-func TestHistogramQuantileMatchesStats(t *testing.T) {
-	bounds := []float64{1, 2, 3, 4, 5}
-	h := newHistogram(bounds)
-	var xs []float64
-	for i, n := range []int{3, 1, 4, 2, 2} { // 12 samples
-		for j := 0; j < n; j++ {
-			h.Observe(bounds[i])
-			xs = append(xs, bounds[i])
-		}
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-		if got, want := h.Quantile(q), stats.Quantile(xs, q); got != want {
-			t.Errorf("Quantile(%v) = %v, stats.Quantile = %v", q, got, want)
-		}
-	}
-	if got := newHistogram(bounds).Quantile(0.5); got != 0 {
-		t.Errorf("empty histogram quantile = %v", got)
-	}
-}
-
 func TestHistogramConcurrent(t *testing.T) {
 	h := newHistogram(nil)
 	var wg sync.WaitGroup

@@ -167,8 +167,8 @@ func valueUint64(v metrics.Value) uint64 {
 // histogramQuantile estimates the q-quantile of a runtime histogram by
 // nearest rank: the upper edge of the bucket containing the ceil(q*n)-th
 // observation (the overflow bucket reports its finite lower edge),
-// matching Histogram.Quantile and internal/stats.Quantile. Returns 0
-// for an empty or non-histogram value.
+// matching internal/stats.Quantile. Returns 0 for an empty or
+// non-histogram value.
 func histogramQuantile(v metrics.Value, q float64) float64 {
 	if v.Kind() != metrics.KindFloat64Histogram {
 		return 0

@@ -9,10 +9,7 @@ import "math/bits"
 // That bounded relative error is what the quantile-accuracy test in
 // perf_test.go pins against the exact internal/stats reference.
 //
-// The layout is shared by the sliding-window Recorder (one bucket
-// array per window slot) and the cumulative Hist histperf uses for
-// whole-run client-side latency, so live window quantiles and offline
-// report quantiles are bucketed identically.
+// The sliding-window Recorder keeps one bucket array per window slot.
 const (
 	// subBits selects 8 sub-buckets per octave: <= 12.5% relative
 	// quantile error at 8 bytes * numBuckets = ~2.6 KiB per bucket
@@ -50,8 +47,7 @@ func bucketIndex(ns int64) int {
 }
 
 // bucketUpper returns the largest nanosecond value mapping to bucket
-// i — the value quantile estimation reports, mirroring the
-// upper-bound convention of obs.Histogram.Quantile.
+// i — the value quantile estimation reports.
 func bucketUpper(i int) int64 {
 	if i < subCount {
 		return int64(i)

@@ -9,10 +9,9 @@ import (
 )
 
 // RunMeta attributes a benchmark report to the build and machine that
-// produced it. cmd/histperf embeds it in every BENCH_*.json record and
-// cmd/histbench in every -json report, so old trajectory points stay
-// attributable to a revision — the regression gate is meaningless if
-// nobody can tell which build a number came from.
+// produced it. benchmark/ embeds it in every result and cmd/histbench
+// in every -json report, and both servers answer VERSION from it, so a
+// number stays attributable to the revision that produced it.
 type RunMeta struct {
 	Tool       string `json:"tool"`
 	GitRev     string `json:"git_rev"`

@@ -37,24 +37,22 @@ import (
 	"histcube/internal/obs"
 )
 
-// Snapshot is one recorder's view of the sliding window. Durations
-// marshal as nanosecond integers, matching the trace JSON convention
-// (duration_ns) of the other /debug feeds.
+// Snapshot is one recorder's view of the sliding window.
 type Snapshot struct {
 	// Window is the nominal window the recorder was configured with.
-	Window time.Duration `json:"window_ns"`
+	Window time.Duration
 	// Covered is the wall time the merged slots actually span (between
 	// Window-slotDur and Window once the ring is warm; less right
 	// after start).
-	Covered time.Duration `json:"covered_ns"`
-	Count   int64         `json:"count"`
+	Covered time.Duration
+	Count   int64
 	// OpsPerSec is Count over Covered (0 when nothing was recorded).
-	OpsPerSec float64       `json:"ops_per_sec"`
-	Mean      time.Duration `json:"mean_ns"`
-	P50       time.Duration `json:"p50_ns"`
-	P95       time.Duration `json:"p95_ns"`
-	P99       time.Duration `json:"p99_ns"`
-	Max       time.Duration `json:"max_ns"`
+	OpsPerSec float64
+	Mean      time.Duration
+	P50       time.Duration
+	P95       time.Duration
+	P99       time.Duration
+	Max       time.Duration
 }
 
 // slot is one rotation unit of the ring: a log-bucketed histogram plus
@@ -304,14 +302,6 @@ func (s *Set) Snapshot(name string) Snapshot {
 		return Snapshot{}
 	}
 	return s.recs[name].Snapshot()
-}
-
-// Names returns the registration-order name list (nil on nil).
-func (s *Set) Names() []string {
-	if s == nil {
-		return nil
-	}
-	return append([]string(nil), s.names...)
 }
 
 // Register publishes every recorder's window digest on reg:

@@ -73,14 +73,8 @@ func TestNilSafety(t *testing.T) {
 	if snap := s.Snapshot("QRY"); snap.Count != 0 {
 		t.Fatalf("nil set snapshot: %+v", snap)
 	}
-	if s.Names() != nil || s.Window() != 0 {
-		t.Fatal("nil set accessors")
-	}
-	var h *Hist
-	h.Record(time.Millisecond)
-	h.Merge(NewHist())
-	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 || h.Mean() != 0 {
-		t.Fatal("nil hist accessors")
+	if s.Window() != 0 {
+		t.Fatal("nil set window")
 	}
 }
 
@@ -153,10 +147,9 @@ func TestOpsPerSec(t *testing.T) {
 }
 
 // TestQuantileAccuracy feeds known distributions through both the
-// bucketed paths (windowed Recorder, cumulative Hist) and the exact
-// internal/stats reference, asserting the documented error bound: the
-// bucketed estimate never undershoots and overestimates by at most
-// 1/subCount plus one bucket of slack.
+// windowed Recorder and the exact internal/stats reference, asserting
+// the documented error bound: the bucketed estimate never undershoots
+// and overestimates by at most 1/subCount plus one bucket of slack.
 func TestQuantileAccuracy(t *testing.T) {
 	distributions := map[string][]float64{
 		"uniform":   nil,
@@ -176,20 +169,17 @@ func TestQuantileAccuracy(t *testing.T) {
 	}
 	for name, xs := range distributions {
 		r, _ := newTestRecorder(time.Hour) // one giant window: nothing lapses
-		h := NewHist()
 		for _, x := range xs {
 			r.Record(time.Duration(x))
-			h.Record(time.Duration(x))
 		}
 		snap := r.Snapshot()
 		for _, tc := range []struct {
-			q    float64
-			got  time.Duration
-			hist time.Duration
+			q   float64
+			got time.Duration
 		}{
-			{0.5, snap.P50, h.Quantile(0.5)},
-			{0.95, snap.P95, h.Quantile(0.95)},
-			{0.99, snap.P99, h.Quantile(0.99)},
+			{0.5, snap.P50},
+			{0.95, snap.P95},
+			{0.99, snap.P99},
 		} {
 			exact := stats.Quantile(xs, tc.q)
 			lo, hi := exact, exact*(1+1.0/subCount)*(1+1.0/subCount)
@@ -197,37 +187,11 @@ func TestQuantileAccuracy(t *testing.T) {
 				t.Errorf("%s p%.0f: recorder %v outside [%v, %v] (exact %v)",
 					name, tc.q*100, tc.got, time.Duration(lo), time.Duration(hi), time.Duration(exact))
 			}
-			if tc.hist != tc.got {
-				t.Errorf("%s p%.0f: Hist %v != Recorder %v on identical samples", name, tc.q*100, tc.hist, tc.got)
-			}
 		}
 		// Max is tracked exactly (the samples are ns-truncated floats,
 		// so compare against the truncated exact max).
 		if want := time.Duration(stats.Quantile(xs, 1)); snap.Max != want {
 			t.Errorf("%s: max %v != exact max %v (max is tracked exactly)", name, snap.Max, want)
-		}
-	}
-}
-
-func TestHistMerge(t *testing.T) {
-	a, b, all := NewHist(), NewHist(), NewHist()
-	for i := 1; i <= 1000; i++ {
-		d := time.Duration(i) * time.Microsecond
-		all.Record(d)
-		if i%2 == 0 {
-			a.Record(d)
-		} else {
-			b.Record(d)
-		}
-	}
-	a.Merge(b)
-	if a.Count() != all.Count() || a.Max() != all.Max() || a.Mean() != all.Mean() {
-		t.Fatalf("merge digest mismatch: %d/%v/%v vs %d/%v/%v",
-			a.Count(), a.Max(), a.Mean(), all.Count(), all.Max(), all.Mean())
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99, 1} {
-		if a.Quantile(q) != all.Quantile(q) {
-			t.Fatalf("merge q%.2f: %v != %v", q, a.Quantile(q), all.Quantile(q))
 		}
 	}
 }

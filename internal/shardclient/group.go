@@ -99,39 +99,19 @@ func (g *Group) Write(ctx context.Context, lines []string) ([]string, error) {
 // reply is an answer (the transport is healthy and every member is
 // deterministic), not a reason to fan out further.
 func (g *Group) Read(ctx context.Context, line string) (string, error) {
-	lines, err := g.read(ctx, line, false)
-	if err != nil {
-		return "", err
-	}
-	return lines[0], nil
-}
-
-// ReadMulti is Read for END-terminated multi-line responses (EXPLAIN).
-func (g *Group) ReadMulti(ctx context.Context, line string) ([]string, error) {
-	return g.read(ctx, line, true)
-}
-
-type readResult struct {
-	lines []string
-	err   error
-}
-
-func (g *Group) read(ctx context.Context, line string, multi bool) ([]string, error) {
 	order := g.readOrder()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel() // the winner cancels every outstanding loser
 
+	type readResult struct {
+		reply string
+		err   error
+	}
 	results := make(chan readResult, len(order))
 	launch := func(c *Client) {
 		go func() {
 			var r readResult
-			if multi {
-				r.lines, r.err = c.DoMulti(ctx, line, true)
-			} else {
-				var one string
-				one, r.err = c.Do(ctx, line, true)
-				r.lines = []string{one}
-			}
+			r.reply, r.err = c.Do(ctx, line, true)
 			results <- r
 		}()
 	}
@@ -154,7 +134,7 @@ func (g *Group) read(ctx context.Context, line string, multi bool) ([]string, er
 		case r := <-results:
 			outstanding--
 			if r.err == nil {
-				return r.lines, nil
+				return r.reply, nil
 			}
 			if firstErr == nil {
 				firstErr = r.err
@@ -164,7 +144,7 @@ func (g *Group) read(ctx context.Context, line string, multi bool) ([]string, er
 				next++
 				outstanding++
 			} else if outstanding == 0 {
-				return nil, firstErr
+				return "", firstErr
 			}
 		case <-hedge:
 			hedge = nil
@@ -176,9 +156,9 @@ func (g *Group) read(ctx context.Context, line string, multi bool) ([]string, er
 			}
 		case <-ctx.Done():
 			if firstErr != nil {
-				return nil, firstErr
+				return "", firstErr
 			}
-			return nil, fmt.Errorf("shard group: %w", ctx.Err())
+			return "", fmt.Errorf("shard group: %w", ctx.Err())
 		}
 	}
 }

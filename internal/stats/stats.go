@@ -22,9 +22,9 @@ func Sorted(xs []float64) []float64 {
 // r satisfies r >= q*n, i.e. index ceil(q*n)-1. The small epsilon
 // keeps exact bucket boundaries (q*n an integer, e.g. the median of 4
 // items) from rounding up a rank through floating-point error. This is
-// the convention obs.Histogram.Quantile mirrors, so live histogram
-// summaries and offline experiment summaries agree. It returns 0 for
-// empty input.
+// the convention the bucketed estimators (perf.Recorder, obs's runtime
+// histogram digests) mirror, so live summaries and offline experiment
+// summaries agree. It returns 0 for empty input.
 func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0

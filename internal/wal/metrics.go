@@ -5,8 +5,8 @@ import "histcube/internal/obs"
 // Metrics bundles the WAL's counters and histograms. Pass one (from
 // NewMetrics) in Options to instrument a log; a nil Metrics disables
 // instrumentation with a single branch per event. Gauges derived from
-// live log state are registered separately via Log.RegisterStateMetrics
-// once the log exists.
+// live log state are registered separately via
+// RegisterStateMetricsFunc.
 type Metrics struct {
 	Appends          *obs.Counter
 	AppendedBytes    *obs.Counter

@@ -699,20 +699,15 @@ func (l *Log) Segments() int {
 	return l.segCount
 }
 
-// RegisterStateMetrics registers gauges derived from the log's state:
-// segment count, last LSN, records since the last checkpoint, and the
-// age of the last checkpoint (-1 before the first). The gauge
-// callbacks take the log's mutex at scrape time.
-func (l *Log) RegisterStateMetrics(reg *obs.Registry) {
-	RegisterStateMetricsFunc(reg, func() *Log { return l })
-}
-
-// RegisterStateMetricsFunc is RegisterStateMetrics reading the log
-// through get at every scrape, for callers that replace their log at
+// RegisterStateMetricsFunc registers gauges derived from the log's
+// state: segment count, last LSN, records since the last checkpoint,
+// and the age of the last checkpoint (-1 before the first). The gauge
+// callbacks take the log's mutex at scrape time. The log is read
+// through get at every scrape, so a caller that replaces its log at
 // runtime (a replica re-recovering after installing a shipped
-// snapshot) — the gauges follow the swap instead of pinning the first
-// log. get may return nil; the gauges then report zeros (and -1 for
-// the checkpoint age).
+// snapshot) has the gauges follow the swap instead of pinning the
+// first log. get may return nil; the gauges then report zeros (and -1
+// for the checkpoint age).
 func RegisterStateMetricsFunc(reg *obs.Registry, get func() *Log) {
 	reg.NewGaugeFunc("histcube_wal_segments",
 		"WAL segment files on disk, including the active one.",
