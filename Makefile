@@ -30,6 +30,7 @@ fuzz:
 	go test -run='^$$' -fuzz=FuzzShardMapParse -fuzztime=10s ./internal/shard/
 	go test -run='^$$' -fuzz=FuzzSpanJSON -fuzztime=10s ./internal/trace/
 	go test -run='^$$' -fuzz=FuzzRecLine -fuzztime=10s ./cmd/histserve/
+	go test -run='^$$' -fuzz=FuzzDispatchLine -fuzztime=10s ./cmd/histserve/
 
 # The load harness's oracle gate (same step as check.sh): each of the
 # four BENCHMARK.json workloads for 3 s on the real binaries; run.sh

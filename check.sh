@@ -59,6 +59,7 @@ go test -run='^$' -fuzz=FuzzCSVWorkload -fuzztime=10s ./internal/workload/
 go test -run='^$' -fuzz=FuzzShardMapParse -fuzztime=10s ./internal/shard/
 go test -run='^$' -fuzz=FuzzSpanJSON -fuzztime=10s ./internal/trace/
 go test -run='^$' -fuzz=FuzzRecLine -fuzztime=10s ./cmd/histserve/
+go test -run='^$' -fuzz=FuzzDispatchLine -fuzztime=10s ./cmd/histserve/
 
 echo "== crash-injection durability tests =="
 # Run inside the suite above too; re-run by name so a durability

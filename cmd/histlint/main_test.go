@@ -322,6 +322,79 @@ func (c *counter) inc() {
 	}
 }
 
+// TestHistlintLockGraphBehindCommandTable guards check.sh's gate on
+// the edge main.server.mu -> wal.Log.syncMu against going vacuous:
+// histserve's handlers and its settle function are reached only through
+// func values in a command table (internal/lineserver calls them), and
+// the graph follows static calls only. It does not need to follow the
+// table: every function body is scanned whether or not anything calls
+// it by name, so a Commit under the server mutex inside a handler, or
+// inside a helper the handler calls, still draws the forbidden edge.
+func TestHistlintLockGraphBehindCommandTable(t *testing.T) {
+	bin := buildHistlint(t)
+	dir := writeTree(t, map[string]string{
+		"go.mod": "module tablemod\n\ngo 1.22\n",
+		"table.go": `package tablemod
+
+import "sync"
+
+type wlog struct {
+	syncMu sync.Mutex
+	synced int // guarded by syncMu
+}
+
+func (l *wlog) Commit() {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	l.synced++
+}
+
+type command struct {
+	verb   string
+	handle func(line string) string
+}
+
+type server struct {
+	mu   sync.Mutex
+	n    int // guarded by mu
+	log  *wlog
+	rows []command
+}
+
+func newServer() *server {
+	s := &server{log: &wlog{}}
+	s.rows = []command{{"INS", s.insert}}
+	return s
+}
+
+// serve is the only caller of a handler, and only by func value.
+func (s *server) serve(line string) string { return s.rows[0].handle(line) }
+
+func (s *server) insert(line string) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.n++
+	s.settle()
+	return "OK"
+}
+
+func (s *server) settle() { s.log.Commit() }
+`,
+	})
+	dot := filepath.Join(t.TempDir(), "lockgraph.dot")
+	stdout, stderr, exit := runHistlint(t, bin, dir, "-lockgraph", dot)
+	if exit != 0 {
+		t.Fatalf("exit = %d, want 0 (the edge is a graph fact, not a finding)\nstdout:\n%s\nstderr:\n%s", exit, stdout, stderr)
+	}
+	data, err := os.ReadFile(dot)
+	if err != nil {
+		t.Fatalf("lock graph not written: %v", err)
+	}
+	if want := `"tablemod.server.mu" -> "tablemod.wlog.syncMu";`; !strings.Contains(string(data), want) {
+		t.Errorf("lock graph missing %q: a commit under the mutex hid behind the table\n%s", want, data)
+	}
+}
+
 func TestHistlintJSON(t *testing.T) {
 	bin := buildHistlint(t)
 	dir := dirtyModule(t)

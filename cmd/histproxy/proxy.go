@@ -91,7 +91,8 @@
 // fault injector (internal/fault) at the proxy's shard-facing sites:
 // "proxy.dial" before each backend dial and "proxy.conn.read" /
 // "proxy.conn.write" around pooled-connection I/O — the chaos
-// harness's hook for drops and stalls between proxy and shard.
+// harness's hook for drops and stalls between proxy and shard — and at
+// the core's "serve.dispatch" site in front of every request.
 //
 // With -seal-historic the proxy demotes every closed-range shard at
 // startup by issuing SEAL <hi> — a misrouted or replayed mutation
@@ -105,39 +106,31 @@
 // proxy and shard slog lines, both SLOWLOGs, and both sides'
 // /debug/slowlog and /debug/trace/recent feeds.
 //
-// The proxy carries the same production treatment as histserve:
-// per-command sliding-window latency recorders (internal/perf,
-// histproxy_cmd_* gauges), histproxy_* request/error/partial counters
-// and per-shard health gauges on -metrics (/metrics, /healthz,
-// /readyz gated on the shard map being loaded, /debug/slowlog,
-// /debug/trace/recent, /debug/pprof/*), request timeouts, -max-conns
-// and line-length governance, and per-request panic recovery.
+// The proxy carries the same production treatment as histserve because
+// it runs the same serving core (internal/lineserver): connection loop,
+// -max-conns / -read-timeout / -max-line-bytes / -request-timeout
+// governance, panic barrier, per-command accounting and the -metrics
+// listener (/metrics, /healthz, /readyz gated on the shard map being
+// loaded, /debug/slowlog, /debug/trace/recent, /debug/pprof/*). Its own
+// are the histproxy_* partial/failover/leg counters, the per-shard
+// health gauges and the command table below.
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
-	"runtime"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
-	"histcube/internal/fault"
 	"histcube/internal/lineserver"
 	"histcube/internal/obs"
 	"histcube/internal/perf"
@@ -147,18 +140,12 @@ import (
 	"histcube/internal/trace"
 )
 
-// commands lists every protocol verb the proxy accounts, mirroring
-// histserve's label discipline ("other" catches unknown verbs).
-var commands = []string{"INS", "DEL", "QRY", "EXPLAIN", "SLOWLOG", "STATS", "VERSION", "SHARDS", "QUIT", "other"}
-
-// perfWindow is the sliding window of the per-command latency and
-// throughput digests (histproxy_cmd_* gauges).
-const perfWindow = 10 * time.Second
-
-// errInternal is the client-visible face of a recovered panic.
-var errInternal = errors.New("internal error (recovered panic; see proxy log)")
-
 type proxy struct {
+	// Server is the serving core (internal/lineserver): connection loop,
+	// governance, panic barrier, accounting, trace retention and the
+	// metrics listener.
+	lineserver.Server
+
 	smap   *shard.Map
 	groups []*shardclient.Group // parallel to smap.Shards(); one replica-set client per shard
 	dims   int
@@ -168,63 +155,31 @@ type proxy struct {
 	// concurrent trigger returns immediately.
 	foBusy []atomic.Bool
 
-	reg    *obs.Registry
-	log    *slog.Logger
-	perf   *perf.Set
-	recent *trace.Ring
-	slow   *trace.SlowLog
-	meta   perf.RunMeta
+	meta perf.RunMeta
 
 	// ready gates /readyz on the shard map being loaded and the client
 	// layer built; flipped just before the listener starts.
 	ready atomic.Bool
 
-	// Governance, set from flags before serving (startup-only).
-	reqTimeout  time.Duration
-	readTimeout time.Duration
-	maxLineLen  int
-	maxConns    int64
-
-	liveConns atomic.Int64
-	connSeq   atomic.Int64
-
-	connections *obs.Gauge
-	connTotal   *obs.Counter
-	inflight    *obs.Gauge
-	requests    map[string]*obs.Counter
-	errors      map[string]*obs.Counter
 	partials    *obs.Counter
 	failovers   *obs.Counter
 	fanoutLegs  *obs.Counter
 	legFailures *obs.Counter
-	connRejects *obs.Counter
-	panics      *obs.Counter
 }
 
 func main() {
 	var (
-		addr     = flag.String("addr", ":7071", "listen address")
+		shared   = lineserver.RegisterFlags(flag.CommandLine, ":7071")
 		dimsArg  = flag.Int("dims-count", 0, "number of non-time dimensions (alternative to -dims)")
 		dimsList = flag.String("dims", "", "comma-separated dimension sizes, as passed to the shards (only the count matters to the proxy)")
 		shards   = flag.String("shards", "", "shard map: addr=lo-hi,...,addr=lo- (contiguous inclusive time ranges; the last is the open-ended hot shard)")
-		metrics  = flag.String("metrics", "", "optional HTTP listen address serving /metrics, /healthz, /readyz (e.g. :9091)")
-		reqTO    = flag.Duration("request-timeout", 10*time.Second, "per-request deadline; 0 disables")
 		legTO    = flag.Duration("shard-timeout", 2*time.Second, "per-shard round-trip deadline inside a fan-out; keep well under -request-timeout so one dead shard degrades the answer instead of timing the request out")
-		readTO   = flag.Duration("read-timeout", 5*time.Minute, "close client connections idle for this long; also bounds each response write; 0 disables")
-		maxLine  = flag.Int("max-line-bytes", 1<<20, "largest accepted request line in bytes")
-		maxConn  = flag.Int64("max-conns", 256, "open client connections accepted at once; 0 = unlimited")
 		poolSize = flag.Int("pool-size", 4, "pooled connections kept per shard")
 		brkN     = flag.Int("breaker-threshold", 3, "consecutive transport failures that open a shard's circuit breaker")
 		brkCool  = flag.Duration("breaker-cooldown", time.Second, "how long an open breaker rejects before the half-open trial")
 		probeIv  = flag.Duration("probe-every", 500*time.Millisecond, "background health-probe interval for unhealthy shards; 0 disables (rejoin then waits for client traffic, and failover waits for a failed write)")
 		hedgeIv  = flag.Duration("hedge-after", 30*time.Millisecond, "duplicate a read to the next replica-set member after this long without an answer (single-member shards never hedge); 0 disables hedging")
-		slowThr  = flag.Duration("slow-query-threshold", 10*time.Millisecond, "fan-out queries at or above this end-to-end duration enter the proxy's slow-query log")
-		slowCap  = flag.Int("slowlog-size", 32, "worst traces retained by the proxy's slow-query log")
 		sealHist = flag.Bool("seal-historic", false, "at startup, demote every closed-range shard with SEAL <hi> so misrouted mutations cannot land in owned history")
-		rtEvery  = flag.Duration("runtime-metrics-every", 10*time.Second, "sampling interval for histcube_runtime_* gauges (GC pause, goroutines, scheduler latency); 0 disables the sampler")
-		mutexPF  = flag.Int("mutex-profile-fraction", 0, "runtime mutex profile sampling fraction (1 samples every contention event, 0 disables); populates /debug/pprof/mutex and scales histcube_lock_contention_events_total")
-		fspec    = flag.String("fault-spec", "", "fault-injection spec armed at the proxy's shard-facing sites (proxy.dial, proxy.conn.read, proxy.conn.write; see internal/fault); empty disables")
-		fseed    = flag.Int64("fault-seed", 1, "seed for probabilistic -fault-spec rules")
 	)
 	flag.Parse()
 
@@ -253,44 +208,12 @@ func main() {
 		BreakerCooldown:  *brkCool,
 		DialRetry:        retry.Policy{Attempts: 2, Base: 10 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: 0.5},
 	}
-	var inj *fault.Injector
-	if *fspec != "" {
-		var err error
-		inj, err = fault.Parse(*fspec, *fseed)
-		if err != nil {
-			logger.Error("bad -fault-spec", "err", err)
-			os.Exit(2)
-		}
-		copts.DialFault = func() error { return inj.Check("proxy.dial").Err }
-		copts.WrapConn = func(c net.Conn) net.Conn { return inj.WrapConn("proxy.conn", c) }
-		logger.Warn("fault injection armed", "fault", inj.String())
-	}
 	p := newProxy(smap, dims, *hedgeIv, copts)
-	if inj != nil {
-		inj.RegisterMetrics(p.reg)
+	stop, err := shared.Apply(&p.Server, logger)
+	if err != nil {
+		os.Exit(1)
 	}
-	p.log = logger
-	p.slow = trace.NewSlowLog(*slowCap, *slowThr)
-	if *mutexPF > 0 {
-		runtime.SetMutexProfileFraction(*mutexPF)
-	}
-	if *rtEvery > 0 {
-		rc := obs.NewRuntimeCollector(p.reg)
-		defer rc.Start(*rtEvery)()
-	}
-	p.reqTimeout = *reqTO
-	p.readTimeout = *readTO
-	p.maxLineLen = *maxLine
-	p.maxConns = *maxConn
-
-	if *metrics != "" {
-		mln, err := p.serveMetrics(*metrics)
-		if err != nil {
-			logger.Error("metrics listener failed", "addr", *metrics, "err", err)
-			os.Exit(1)
-		}
-		logger.Info("metrics listening", "addr", mln.Addr().String())
-	}
+	defer stop()
 	if *sealHist {
 		go p.sealHistoric()
 	}
@@ -299,81 +222,64 @@ func main() {
 	}
 	p.ready.Store(true)
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		logger.Error("listen failed", "addr", *addr, "err", err)
+	if err := p.Run(*shared.Addr, "shards", smap.String(), "dims", dims); err != nil {
 		os.Exit(1)
 	}
-	var closing atomic.Bool
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sig
-		logger.Info("shutdown signal received", "signal", s.String())
-		closing.Store(true)
-		_ = ln.Close() // unblocking Accept is the point
-	}()
-	logger.Info("listening", "addr", ln.Addr().String(), "shards", smap.String(), "dims", dims)
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if closing.Load() {
-				for _, g := range p.groups {
-					g.Close()
-				}
-				logger.Info("shutdown complete")
-				return
-			}
-			logger.Error("accept failed", "err", err)
-			os.Exit(1)
-		}
-		go p.handle(conn)
+	for _, g := range p.groups {
+		g.Close()
 	}
+	logger.Info("shutdown complete")
 }
 
 func newProxy(smap *shard.Map, dims int, hedgeAfter time.Duration, copts shardclient.Options) *proxy {
 	p := &proxy{
-		smap:       smap,
-		dims:       dims,
-		foBusy:     make([]atomic.Bool, smap.Len()),
-		reg:        obs.NewRegistry(),
-		log:        slog.Default(),
-		perf:       perf.NewSet(perfWindow, commands...),
-		recent:     trace.NewRing(64),
-		slow:       trace.NewSlowLog(32, 10*time.Millisecond),
-		meta:       perf.CollectMeta("histproxy"),
-		maxLineLen: 1 << 20,
+		smap:   smap,
+		dims:   dims,
+		foBusy: make([]atomic.Bool, smap.Len()),
+		meta:   perf.CollectMeta("histproxy"),
 	}
+	// The shard-facing fault sites. p.Inj is nil, and both hooks inert,
+	// unless -fault-spec (or a test) arms it before the first dial.
+	copts.DialFault = func() error { return p.Inj.Check("proxy.dial").Err }
+	copts.WrapConn = func(c net.Conn) net.Conn { return p.Inj.WrapConn("proxy.conn", c) }
 	for _, s := range smap.Shards() {
 		p.groups = append(p.groups, shardclient.NewGroup(s.Members(), hedgeAfter, copts))
 	}
-	p.perf.RegisterProxy(p.reg)
-	p.connections = p.reg.NewGauge("histproxy_connections", "Open client connections.")
-	p.connTotal = p.reg.NewCounter("histproxy_connections_total", "Client connections accepted since start.")
-	p.inflight = p.reg.NewGauge("histproxy_inflight_requests", "Requests currently being dispatched.")
-	p.requests = make(map[string]*obs.Counter, len(commands))
-	p.errors = make(map[string]*obs.Counter, len(commands))
-	for _, cmd := range commands {
-		p.requests[cmd] = p.reg.NewCounter("histproxy_requests_total",
+	p.Ready = func() (bool, string) {
+		if !p.ready.Load() {
+			return false, "loading shard map"
+		}
+		return true, fmt.Sprintf("ok shards=%d up=%d", p.smap.Len(), p.shardsUp())
+	}
+	p.Init(p.routeRun, p.commands()...)
+	// RegisterProxy stays a method of its own beside Register: the
+	// histproxy_cmd_* names must be literals where they are registered
+	// (histlint metricname), so a name prefix cannot fold the two.
+	p.Perf.RegisterProxy(p.Reg)
+	p.Connections = p.Reg.NewGauge("histproxy_connections", "Open client connections.")
+	p.ConnTotal = p.Reg.NewCounter("histproxy_connections_total", "Client connections accepted since start.")
+	p.Inflight = p.Reg.NewGauge("histproxy_inflight_requests", "Requests currently being dispatched.")
+	for _, cmd := range p.Labels() {
+		p.Requests[cmd] = p.Reg.NewCounter("histproxy_requests_total",
 			"Requests dispatched, by protocol command.", obs.Label{Key: "cmd", Value: cmd})
-		p.errors[cmd] = p.reg.NewCounter("histproxy_errors_total",
+		p.Errors[cmd] = p.Reg.NewCounter("histproxy_errors_total",
 			"Requests answered with ERR, by protocol command.", obs.Label{Key: "cmd", Value: cmd})
 	}
-	p.partials = p.reg.NewCounter("histproxy_partial_answers_total",
+	p.partials = p.Reg.NewCounter("histproxy_partial_answers_total",
 		"Read queries answered PARTIAL because at least one shard leg failed.")
-	p.failovers = p.reg.NewCounter("histproxy_failovers_total",
+	p.failovers = p.Reg.NewCounter("histproxy_failovers_total",
 		"Primary failovers executed: a replica promoted or an already-promoted member adopted.")
-	p.fanoutLegs = p.reg.NewCounter("histproxy_fanout_legs_total",
+	p.fanoutLegs = p.Reg.NewCounter("histproxy_fanout_legs_total",
 		"Shard legs dispatched across all fan-outs.")
-	p.legFailures = p.reg.NewCounter("histproxy_leg_failures_total",
+	p.legFailures = p.Reg.NewCounter("histproxy_leg_failures_total",
 		"Shard legs that failed (transport error, timeout, or open breaker).")
-	p.connRejects = p.reg.NewCounter("histproxy_connections_rejected_total",
+	p.ConnRejects = p.Reg.NewCounter("histproxy_connections_rejected_total",
 		"Connections rejected at the -max-conns cap.")
-	p.panics = p.reg.NewCounter("histproxy_panics_recovered_total",
+	p.Panics = p.Reg.NewCounter("histproxy_panics_recovered_total",
 		"Request panics recovered into ERR internal responses.")
 	for i, s := range smap.Shards() {
 		g := p.groups[i]
-		p.reg.NewGaugeFunc("histproxy_shard_up",
+		p.Reg.NewGaugeFunc("histproxy_shard_up",
 			"1 while at least one replica-set member's breaker is closed, 0 while every member is unreachable.",
 			func() float64 {
 				if g.Healthy() {
@@ -381,7 +287,7 @@ func newProxy(smap *shard.Map, dims int, hedgeAfter time.Duration, copts shardcl
 				}
 				return 0
 			}, obs.Label{Key: "shard", Value: s.Addr})
-		p.reg.NewGaugeFunc("histproxy_hedged_reads",
+		p.Reg.NewGaugeFunc("histproxy_hedged_reads",
 			"Hedged duplicate reads launched against the shard's replica set (monotone).",
 			func() float64 { return float64(g.Hedged()) },
 			obs.Label{Key: "shard", Value: s.Addr})
@@ -406,10 +312,10 @@ func (p *proxy) sealHistoric() {
 		for j, member := range s.Members() {
 			resp, err := g.Member(j).Do(ctx, fmt.Sprintf("SEAL %d", s.Range.Hi), false)
 			if err != nil || !strings.HasPrefix(resp, "OK") {
-				p.log.Warn("sealing historic shard failed", "shard", member, "resp", resp, "err", err)
+				p.Log.Warn("sealing historic shard failed", "shard", member, "resp", resp, "err", err)
 				continue
 			}
-			p.log.Info("sealed historic shard", "shard", member, "through", s.Range.Hi)
+			p.Log.Info("sealed historic shard", "shard", member, "through", s.Range.Hi)
 		}
 	}
 }
@@ -434,7 +340,7 @@ func (p *proxy) probeLoop(every time.Duration) {
 				err := c.Probe(ctx)
 				cancel()
 				if err == nil {
-					p.log.Info("shard member rejoined", "member", members[j])
+					p.Log.Info("shard member rejoined", "member", members[j])
 				}
 			}
 			if !g.Primary().Healthy() && g.Healthy() {
@@ -533,7 +439,7 @@ func (p *proxy) maybeFailover(i int) {
 			// Already promoted elsewhere: adopt, don't re-promote.
 			g.SetPrimary(j)
 			p.failovers.Inc()
-			p.log.Warn("adopted promoted primary", "shard", members[0], "new_primary", members[j])
+			p.Log.Warn("adopted promoted primary", "shard", members[0], "new_primary", members[j])
 			return
 		}
 		if inf.lsn > fence {
@@ -544,64 +450,18 @@ func (p *proxy) maybeFailover(i int) {
 		}
 	}
 	if best < 0 {
-		p.log.Warn("failover found no live member", "shard", members[0])
+		p.Log.Warn("failover found no live member", "shard", members[0])
 		return
 	}
 	resp, err := g.Member(best).Do(ctx, fmt.Sprintf("PROMOTE %d", fence), false)
 	if err != nil || !strings.HasPrefix(resp, "OK") {
-		p.log.Warn("promotion failed", "shard", members[0], "member", members[best], "resp", resp, "err", err)
+		p.Log.Warn("promotion failed", "shard", members[0], "member", members[best], "resp", resp, "err", err)
 		return
 	}
 	g.SetPrimary(best)
 	p.failovers.Inc()
-	p.log.Warn("promoted replica after primary failure",
+	p.Log.Warn("promoted replica after primary failure",
 		"shard", members[0], "new_primary", members[best], "fence", fence)
-}
-
-func (p *proxy) serveMetrics(addr string) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := p.reg.WritePrometheus(w); err != nil {
-			p.log.Error("metrics render failed", "err", err)
-		}
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !p.ready.Load() {
-			http.Error(w, "loading shard map", http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintf(w, "ok shards=%d up=%d\n", p.smap.Len(), p.shardsUp())
-	})
-	mux.HandleFunc("/debug/slowlog", func(w http.ResponseWriter, r *http.Request) {
-		writeEntriesJSON(w, p.log, map[string]any{
-			"threshold_ns": p.slow.Threshold().Nanoseconds(),
-			"capacity":     p.slow.Cap(),
-			"observed":     p.slow.Observed(),
-			"admitted":     p.slow.Admitted(),
-		}, p.slow.Entries())
-	})
-	mux.HandleFunc("/debug/trace/recent", func(w http.ResponseWriter, r *http.Request) {
-		writeEntriesJSON(w, p.log, map[string]any{"capacity": p.recent.Cap()}, p.recent.Entries())
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	go func() {
-		if err := http.Serve(ln, mux); err != nil && !strings.Contains(err.Error(), "use of closed") {
-			p.log.Error("metrics server stopped", "err", err)
-		}
-	}()
-	return ln, nil
 }
 
 func (p *proxy) shardsUp() int {
@@ -614,387 +474,181 @@ func (p *proxy) shardsUp() int {
 	return up
 }
 
-// request is one client line, stripped of its TID= token.
-type request struct {
-	tid  trace.ID
-	line string
-}
-
-// verbOf returns a trimmed request line's command the way dispatch
-// spells it: the first field, upper-cased.
-func verbOf(line string) string { return strings.ToUpper(lineserver.Verb(line)) }
-
-// isMutation reports whether a request line is an INS or DEL.
-func isMutation(line string) bool {
-	verb := verbOf(line)
-	return verb == "INS" || verb == "DEL"
-}
-
-// handle serves one client connection (max-conns fast reject, bounded
-// line reader, write deadlines on every flush).
-//
-// The unit of work is a run: a maximal sequence of consecutive INS/DEL
-// lines that are already buffered, capped at MaxPendingReplies, or one
-// line of anything else. A run is routed as a whole — each owner
-// shard's lines in one batch round trip, so the primary commits them
-// with one fsync and one ack wait — and a client at depth 1 sends runs
-// of one. Replies leave in request order and are flushed at the end of
-// every unit, not when the input goes idle: a proxied line costs a
-// shard round trip, so holding a finished reply back behind the next
-// one would add that whole round trip to its latency and save one
-// syscall. A run ends at the first other line and reads go one at a
-// time, so every request still observes every earlier request of its
-// connection.
-func (p *proxy) handle(conn net.Conn) {
-	if p.maxConns > 0 && p.liveConns.Add(1) > p.maxConns {
-		p.liveConns.Add(-1)
-		p.connRejects.Inc()
-		p.log.Warn("connection rejected at -max-conns cap",
-			"remote", conn.RemoteAddr().String(), "max", p.maxConns)
-		p.setWriteDeadline(conn)
-		fmt.Fprintln(conn, "ERR server busy: connection limit reached, retry later")
-		_ = conn.Close() // the reject line is best-effort
-		return
+// commands is histproxy's command table. Only INS and DEL join a unit
+// in progress, and every other verb ends its unit, so a unit here is a
+// run — the consecutive buffered mutations — or one line of anything
+// else. That is the unit rule applied to a server whose every line
+// costs a shard round trip: a run's lines share one batch round trip
+// per owner (and behind it one fsync and one ack wait), which is worth
+// waiting for; holding a finished reply back behind any other line
+// would add that line's whole round trip to its latency and save one
+// syscall. Because a run ends at the first other line and reads go one
+// at a time, every request still observes every earlier request of its
+// connection. QRY's arity is checked by scatterQuery, which EXPLAIN
+// shares.
+func (p *proxy) commands() []lineserver.Command {
+	mut := 1 + p.dims + 1
+	refuse := func(verb string) lineserver.Command {
+		return lineserver.Command{Verb: verb, MaxArgs: -1, EndsUnit: true, Other: true, Handle: func(*lineserver.Request) string {
+			return "ERR " + verb + " is not proxied: connect to a shard directly (see SHARDS)"
+		}}
 	}
-	id := p.connSeq.Add(1)
-	p.connections.Inc()
-	p.connTotal.Inc()
-	log := p.log.With("conn", id, "remote", conn.RemoteAddr().String())
-	log.Info("connection opened")
-	var reqs, errs int64
-	defer func() {
-		if err := conn.Close(); err != nil {
-			log.Warn("closing connection failed", "err", err)
+	return []lineserver.Command{
+		{Verb: "INS", MinArgs: mut, MaxArgs: mut, Joins: true, Handle: p.locate,
+			Usage: fmt.Sprintf("INS needs time, %d coordinates and a value", p.dims)},
+		{Verb: "DEL", MinArgs: mut, MaxArgs: mut, Joins: true, Handle: p.locate,
+			Usage: fmt.Sprintf("DEL needs time, %d coordinates and a value", p.dims)},
+		{Verb: "QRY", MaxArgs: -1, EndsUnit: true, Handle: func(rq *lineserver.Request) string {
+			return p.scatterQuery(rq.TID, rq.Line, rq.Fields[1:], false)
+		}},
+		{Verb: "EXPLAIN", MaxArgs: -1, EndsUnit: true, Handle: func(rq *lineserver.Request) string {
+			if len(rq.Fields) < 2 || strings.ToUpper(rq.Fields[1]) != "QRY" {
+				return "ERR EXPLAIN wraps a query: EXPLAIN QRY <tlo> <thi> <lo...> <hi...>"
+			}
+			return p.scatterQuery(rq.TID, rq.Line, rq.Fields[2:], true)
+		}},
+		{Verb: "STATS", Usage: "STATS takes no arguments", EndsUnit: true,
+			Handle: func(*lineserver.Request) string { return p.mergedStats() }},
+		{Verb: "VERSION", Usage: "VERSION takes no arguments", EndsUnit: true, Handle: func(*lineserver.Request) string {
+			return fmt.Sprintf("OK histproxy rev=%s dirty=%t go=%s shards=%d",
+				p.meta.GitRev, p.meta.GitDirty, p.meta.GoVersion, p.smap.Len())
+		}},
+		{Verb: "SHARDS", Usage: "SHARDS takes no arguments", EndsUnit: true, Handle: p.cmdShards},
+		refuse("SAVE"), refuse("CHECKPOINT"), refuse("SEAL"),
+	}
+}
+
+// cmdShards answers SHARDS: the shard map with live health.
+func (p *proxy) cmdShards(*lineserver.Request) string {
+	shards := p.smap.Shards()
+	var b strings.Builder
+	fmt.Fprintf(&b, "OK n=%d up=%d\n", len(shards), p.shardsUp())
+	for i, s := range shards {
+		g := p.groups[i]
+		state := "up"
+		if !g.Healthy() {
+			state = "down"
 		}
-		p.connections.Dec()
-		if p.maxConns > 0 {
-			p.liveConns.Add(-1)
-		}
-		log.Info("connection closed", "requests", reqs, "errors", errs)
-	}()
-	lr := lineserver.NewReader(conn, p.maxLineLen)
-	w := bufio.NewWriter(conn)
-	var (
-		unit    []request
-		readErr error
-	)
-	for {
-		if p.readTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(p.readTimeout))
-		}
-		raw, err := lr.Next()
-		if err != nil {
-			readErr = err
-			break
-		}
-		line := strings.TrimSpace(string(raw))
-		if line == "" {
-			continue
-		}
-		tid, stripped := trace.CutRequestID(line)
-		unit = append(unit[:0], request{tid, stripped})
-		if isMutation(stripped) {
-			// A trailing partial line is not buffered input: it neither
-			// joins the run nor delays it.
-			for len(unit) < lineserver.MaxPendingReplies {
-				next, ok := lr.Peek()
-				if !ok {
-					break
+		fmt.Fprintf(&b, "%s range=%s %s", s.Addr, s.Range, state)
+		if g.Len() > 1 {
+			// Replica sets also report per-member role and health;
+			// single-member shards keep the historical line format.
+			parts := make([]string, g.Len())
+			for j, m := range s.Members() {
+				role := "replica"
+				if j == g.PrimaryIndex() {
+					role = "primary"
 				}
-				tid, stripped := trace.CutRequestID(strings.TrimSpace(string(next)))
-				if !isMutation(stripped) {
-					break
+				health := "up"
+				if !g.Member(j).Healthy() {
+					health = "down"
 				}
-				_, _ = lr.Next() // consumes exactly what Peek showed; cannot fail
-				unit = append(unit, request{tid, stripped})
+				parts[j] = fmt.Sprintf("%s:%s=%s", m, role, health)
 			}
+			fmt.Fprintf(&b, " members=%s", strings.Join(parts, ","))
 		}
-		reqs += int64(len(unit))
-		resps, quit := p.serve(unit)
-		for i, resp := range resps {
-			if strings.HasPrefix(resp, "ERR") {
-				errs++
-				if tid := unit[i].tid; tid != 0 {
-					log.Warn("request failed", "trace_id", tid.String(), "line", unit[i].line, "resp", resp)
-				} else {
-					log.Warn("request failed", "line", unit[i].line, "resp", resp)
-				}
-			}
-			_, _ = w.WriteString(resp) // a write error is sticky; Flush reports it
-			_ = w.WriteByte('\n')
-		}
-		p.setWriteDeadline(conn)
-		if err := w.Flush(); err != nil {
-			return
-		}
-		if quit {
-			return
-		}
+		b.WriteByte('\n')
 	}
-	switch {
-	case errors.Is(readErr, io.EOF): // clean close
-	case errors.Is(readErr, bufio.ErrTooLong):
-		fmt.Fprintf(w, "ERR line too long (max %d bytes)\n", p.maxLineLen)
-		p.setWriteDeadline(conn)
-		_ = w.Flush() // best-effort farewell
-		log.Warn("connection closed: line exceeds -max-line-bytes", "max", p.maxLineLen)
-	default:
-		var ne net.Error
-		if errors.As(readErr, &ne) && ne.Timeout() {
-			log.Info("connection closed: idle past -read-timeout", "timeout", p.readTimeout)
-		} else {
-			log.Warn("connection read failed", "err", readErr)
-		}
-	}
+	b.WriteString("END")
+	return b.String()
 }
 
-func (p *proxy) setWriteDeadline(conn net.Conn) {
-	if p.readTimeout > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(p.readTimeout))
-	}
-}
-
-// serve answers one unit of work — a run of mutations or a single other
-// line — with one reply per line, behind the panic barrier and the
-// request accounting: every line is counted under its own verb, with
-// the latency its reply took to become ready.
-func (p *proxy) serve(unit []request) (resps []string, quit bool) {
-	start := time.Now()
-	p.inflight.Add(int64(len(unit)))
-	defer func() {
-		if r := recover(); r != nil {
-			p.panics.Inc()
-			p.log.Error("panic recovered in dispatch",
-				"line", unit[0].line, "lines", len(unit), "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
-			resps, quit = make([]string, len(unit)), false
-			for i := range resps {
-				resps[i] = "ERR " + errInternal.Error()
-			}
-		}
-		p.inflight.Add(-int64(len(unit)))
-		for i, rq := range unit {
-			cmd := verbOf(rq.line)
-			if cmd == "" {
-				cmd = "other"
-			}
-			p.finish(cmd, resps[i], start)
-		}
-	}()
-	if isMutation(unit[0].line) {
-		return p.routeMutations(unit), false
-	}
-	resp, quit := p.dispatch(unit[0].tid, unit[0].line)
-	return []string{resp}, quit
-}
-
-func (p *proxy) finish(cmd, resp string, start time.Time) {
-	key := cmd
-	if _, known := p.requests[key]; !known {
-		key = "other"
-	}
-	p.requests[key].Inc()
-	if strings.HasPrefix(resp, "ERR") {
-		p.errors[key].Inc()
-	}
-	p.perf.Record(key, time.Since(start))
-}
-
-func (p *proxy) requestCtx() (context.Context, context.CancelFunc) {
-	if p.reqTimeout <= 0 {
-		return context.Background(), func() {}
-	}
-	return context.WithTimeout(context.Background(), p.reqTimeout)
-}
-
-// dispatch answers one request line that is not a mutation (already
-// stripped of any TID= token; tid is the adopted trace ID, zero when the
-// client sent none). Mutations travel in runs: see routeMutations.
-func (p *proxy) dispatch(tid trace.ID, line string) (resp string, quit bool) {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return "ERR empty command", false
-	}
-	cmd := strings.ToUpper(fields[0])
-	switch cmd {
-	case "QUIT":
-		return "BYE", true
-	case "VERSION":
-		if len(fields) != 1 {
-			return "ERR VERSION takes no arguments", false
-		}
-		return fmt.Sprintf("OK histproxy rev=%s dirty=%t go=%s shards=%d",
-			p.meta.GitRev, p.meta.GitDirty, p.meta.GoVersion, p.smap.Len()), false
-	case "SHARDS":
-		if len(fields) != 1 {
-			return "ERR SHARDS takes no arguments", false
-		}
-		shards := p.smap.Shards()
-		var b strings.Builder
-		fmt.Fprintf(&b, "OK n=%d up=%d\n", len(shards), p.shardsUp())
-		for i, s := range shards {
-			g := p.groups[i]
-			state := "up"
-			if !g.Healthy() {
-				state = "down"
-			}
-			fmt.Fprintf(&b, "%s range=%s %s", s.Addr, s.Range, state)
-			if g.Len() > 1 {
-				// Replica sets also report per-member role and health;
-				// single-member shards keep the historical line format.
-				parts := make([]string, g.Len())
-				for j, m := range s.Members() {
-					role := "replica"
-					if j == g.PrimaryIndex() {
-						role = "primary"
-					}
-					health := "up"
-					if !g.Member(j).Healthy() {
-						health = "down"
-					}
-					parts[j] = fmt.Sprintf("%s:%s=%s", m, role, health)
-				}
-				fmt.Fprintf(&b, " members=%s", strings.Join(parts, ","))
-			}
-			b.WriteByte('\n')
-		}
-		b.WriteString("END")
-		return b.String(), false
-	case "QRY":
-		return p.scatterQuery(tid, line, fields[1:], false), false
-	case "EXPLAIN":
-		if len(fields) < 2 || strings.ToUpper(fields[1]) != "QRY" {
-			return "ERR EXPLAIN wraps a query: EXPLAIN QRY <tlo> <thi> <lo...> <hi...>", false
-		}
-		return p.scatterQuery(tid, line, fields[2:], true), false
-	case "STATS":
-		if len(fields) != 1 {
-			return "ERR STATS takes no arguments", false
-		}
-		return p.mergedStats(), false
-	case "SLOWLOG":
-		if len(fields) != 1 {
-			return "ERR SLOWLOG takes no arguments", false
-		}
-		entries := p.slow.Entries()
-		var b strings.Builder
-		fmt.Fprintf(&b, "OK n=%d cap=%d threshold=%s observed=%d admitted=%d\n",
-			len(entries), p.slow.Cap(), p.slow.Threshold(),
-			p.slow.Observed(), p.slow.Admitted())
-		for i, e := range entries {
-			fmt.Fprintf(&b, "#%d dur=%s at=%s cells_touched=%d conversions=%d trace_id=%s line=%q\n",
-				i+1, e.Duration, e.At.UTC().Format(time.RFC3339Nano),
-				e.Span.Total(trace.CellsTouched), e.Span.Total(trace.Conversions),
-				e.Span.TraceID(), e.Line)
-		}
-		b.WriteString("END")
-		return b.String(), false
-	case "SAVE", "CHECKPOINT", "SEAL":
-		return "ERR " + cmd + " is not proxied: connect to a shard directly (see SHARDS)", false
-	default:
-		return "ERR unknown command " + cmd, false
-	}
-}
-
-// ownerLeg is the part of a run one shard owns: the lines, in request
-// order, with the position in the run and the root span of each.
-type ownerLeg struct {
+// routed is what a located mutation leaves pending: the owner shard,
+// the line as it goes out (stamped with the trace ID) and the root span
+// that times the round trip.
+type routed struct {
 	shard int
-	pos   []int
-	lines []string
-	spans []*trace.Span
+	line  string
+	span  *trace.Span
 }
 
-// routeMutations answers a run of INS/DEL lines, a lone line being a
-// run of one. Each line is validated and located; each owner shard's
-// lines then go out, in order, as one batch round trip on one primary
+// locate is the INS/DEL handler: it validates the line and finds its
+// owner, and leaves the sending to routeRun, which forwards all of a
+// run's lines together. A line that fails here is answered here and
+// leaves the others alone, exactly as if every line had arrived by
+// itself.
+func (p *proxy) locate(rq *lineserver.Request) string {
+	t, err := strconv.ParseInt(rq.Fields[1], 10, 64)
+	if err != nil {
+		return fmt.Sprintf("ERR bad integer %q", rq.Fields[1])
+	}
+	owner, ok := p.smap.Locate(t)
+	if !ok {
+		return fmt.Sprintf("ERR no shard owns time %d (the shard map starts at %d)", t, p.smap.Shards()[0].Range.Lo)
+	}
+	root := trace.New("proxy.insert")
+	if rq.Verb() == "DEL" {
+		root = trace.New("proxy.delete")
+	}
+	root.SetTraceID(rq.TID)
+	root.SetStr("shard", owner.Addr)
+	// The owner shard's root span adopts the same trace ID via the TID=
+	// token, so the mutation is correlatable end to end.
+	rq.Pending = &routed{shard: p.shardIndex(owner.Addr), line: trace.FormatRequestID(root.TraceID()) + rq.Line, span: root}
+	return ""
+}
+
+// routeRun is the table's settle function: it forwards the located
+// lines of a run, a lone line being a run of one. Each owner shard's
+// lines go out, in order, as one batch round trip on one primary
 // connection, the owners concurrently — mutations to different shards
 // commute, and within a shard the single connection keeps the order. A
-// line that fails validation is answered here and leaves the others
-// alone, exactly as if every line had arrived by itself. A write cannot
-// be partial: a dead owner is an explicit error on every line it did
-// not answer, never a silent drop and never a retry.
-func (p *proxy) routeMutations(run []request) []string {
-	resps := make([]string, len(run))
-	legs := make([]*ownerLeg, len(p.groups))
-	var live []*ownerLeg
-	for i, rq := range run {
-		fields := strings.Fields(rq.line)
-		cmd := strings.ToUpper(fields[0])
-		if len(fields) != 1+1+p.dims+1 {
-			resps[i] = fmt.Sprintf("ERR %s needs time, %d coordinates and a value", cmd, p.dims)
-			continue
-		}
-		t, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			resps[i] = fmt.Sprintf("ERR bad integer %q", fields[1])
-			continue
-		}
-		owner, ok := p.smap.Locate(t)
-		if !ok {
-			resps[i] = fmt.Sprintf("ERR no shard owns time %d (the shard map starts at %d)", t, p.smap.Shards()[0].Range.Lo)
-			continue
-		}
-		idx := p.shardIndex(owner.Addr)
+// write cannot be partial: a dead owner is an explicit error on every
+// line it did not answer, never a silent drop and never a retry.
+func (p *proxy) routeRun(run []*lineserver.Request) {
+	legs := make([][]*lineserver.Request, len(p.groups))
+	var live []int
+	for _, rq := range run {
+		idx := rq.Pending.(*routed).shard
 		if legs[idx] == nil {
-			legs[idx] = &ownerLeg{shard: idx}
-			live = append(live, legs[idx])
+			live = append(live, idx)
 		}
-		root := trace.New("proxy.insert")
-		if cmd == "DEL" {
-			root = trace.New("proxy.delete")
-		}
-		root.SetTraceID(rq.tid)
-		root.SetStr("shard", owner.Addr)
-		l := legs[idx]
-		l.pos = append(l.pos, i)
-		// The owner shard's root span adopts the same trace ID via the TID=
-		// token, so the mutation is correlatable end to end.
-		l.lines = append(l.lines, trace.FormatRequestID(root.TraceID())+rq.line)
-		l.spans = append(l.spans, root)
+		legs[idx] = append(legs[idx], rq)
 	}
-	if len(live) == 0 {
-		return resps
-	}
-	ctx, cancel := p.requestCtx()
+	ctx, cancel := p.RequestCtx()
 	defer cancel()
 	var wg sync.WaitGroup
-	for _, l := range live[1:] {
+	for _, idx := range live[1:] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.writeLeg(ctx, run, l, resps)
+			p.writeLeg(ctx, idx, legs[idx])
 		}()
 	}
-	p.writeLeg(ctx, run, live[0], resps)
+	p.writeLeg(ctx, live[0], legs[live[0]])
 	wg.Wait()
-	return resps
 }
 
-// writeLeg sends one owner's share of a run and files the replies at
-// their positions in resps (each leg owns distinct positions).
-func (p *proxy) writeLeg(ctx context.Context, run []request, l *ownerLeg, resps []string) {
-	addr := p.smap.Shards()[l.shard].Addr
-	replies, err := p.groups[l.shard].Write(ctx, l.lines)
+// writeLeg sends one owner's share of a run and files the replies with
+// their requests (each leg owns distinct requests).
+func (p *proxy) writeLeg(ctx context.Context, idx int, leg []*lineserver.Request) {
+	addr := p.smap.Shards()[idx].Addr
+	lines := make([]string, len(leg))
+	for k, rq := range leg {
+		lines[k] = rq.Pending.(*routed).line
+	}
+	replies, err := p.groups[idx].Write(ctx, lines)
 	stale := false
-	for k, pos := range l.pos {
-		l.spans[k].End()
-		p.observe(run[pos].line, l.spans[k])
+	for k, rq := range leg {
+		span := rq.Pending.(*routed).span
+		span.End()
+		p.Observe(rq.Line, span)
 		if k < len(replies) {
-			resps[pos] = replies[k]
+			rq.Reply = replies[k]
 			stale = stale || strings.HasPrefix(replies[k], "ERR read-only replica")
 			continue
 		}
 		// The line may or may not have reached the dead primary, so it is
 		// never retried here (a duplicate mutation is a double-apply) —
 		// the client gets the explicit error.
-		resps[pos] = fmt.Sprintf("ERR shard %s unavailable: %v", addr, err)
+		rq.Reply = fmt.Sprintf("ERR shard %s unavailable: %v", addr, err)
 	}
 	if err != nil || stale {
 		// One failover per broken run, however many lines it carried, so
 		// the client's retry finds a promoted primary; a read-only reply
 		// means the proxy's notion of the primary is stale (a promotion it
 		// did not perform) and the roles need re-polling.
-		go p.maybeFailover(l.shard)
+		go p.maybeFailover(idx)
 	}
 }
 
@@ -1017,13 +671,9 @@ func (p *proxy) scatterQuery(tid trace.ID, line string, args []string, explain b
 	if len(args) != 2+2*p.dims {
 		return fmt.Sprintf("ERR QRY needs tlo, thi and %d lo + %d hi coordinates", p.dims, p.dims)
 	}
-	nums := make([]int64, len(args))
-	for i, a := range args {
-		v, err := strconv.ParseInt(a, 10, 64)
-		if err != nil {
-			return fmt.Sprintf("ERR bad integer %q", a)
-		}
-		nums[i] = v
+	nums, err := lineserver.ParseInts(args)
+	if err != nil {
+		return "ERR " + err.Error()
 	}
 	coords := strings.Join(args[2:], " ")
 	legs := p.smap.Route(nums[0], nums[1])
@@ -1033,7 +683,7 @@ func (p *proxy) scatterQuery(tid trace.ID, line string, args []string, explain b
 	root.SetInt("legs", int64(len(legs)))
 	results := p.fanOut(root, legs, coords, explain)
 	root.End()
-	p.observe(line, root)
+	p.Observe(line, root)
 
 	// A deterministic application error from any shard (bad
 	// coordinates, wrong arity) would be the same from every shard:
@@ -1061,23 +711,11 @@ func (p *proxy) scatterQuery(tid trace.ID, line string, args []string, explain b
 			value, merged.Coverage(), shard.FormatRanges(merged.Covered), shard.FormatMissing(merged.Missing))
 	}
 
-	var b strings.Builder
 	if merged.Complete {
-		fmt.Fprintf(&b, "OK result=%s\n", value)
-	} else {
-		fmt.Fprintf(&b, "PARTIAL result=%s coverage=%.3f covered=%s missing=%s\n",
-			value, merged.Coverage(), shard.FormatRanges(merged.Covered), shard.FormatMissing(merged.Missing))
+		return root.Explain("OK result=" + value)
 	}
-	root.Render(&b)
-	// Total over the merged tree: the only counters anywhere in it are
-	// the ones the grafted shard trees brought, so this sum is
-	// bit-identical to adding up the shards' own flat totals lines.
-	b.WriteString("totals")
-	for c := trace.Counter(0); c < trace.NumCounters; c++ {
-		fmt.Fprintf(&b, " %s=%d", c, root.Total(c))
-	}
-	b.WriteString("\nEND")
-	return b.String()
+	return root.Explain(fmt.Sprintf("PARTIAL result=%s coverage=%.3f covered=%s missing=%s",
+		value, merged.Coverage(), shard.FormatRanges(merged.Covered), shard.FormatMissing(merged.Missing)))
 }
 
 // fanOut dispatches one leg per overlapped shard concurrently. Child
@@ -1085,7 +723,7 @@ func (p *proxy) scatterQuery(tid trace.ID, line string, args []string, explain b
 // is not concurrency-safe; each goroutine owns exactly one child) and
 // joined by the WaitGroup before anyone reads the tree.
 func (p *proxy) fanOut(root *trace.Span, legs []shard.Leg, coords string, explain bool) []legResult {
-	ctx, cancel := p.requestCtx()
+	ctx, cancel := p.RequestCtx()
 	defer cancel()
 	tidPrefix := trace.FormatRequestID(root.TraceID())
 	results := make([]legResult, len(legs))
@@ -1143,10 +781,7 @@ func (p *proxy) queryLeg(ctx context.Context, sp *trace.Span, tidPrefix string, 
 			res.err = fmt.Errorf("shard %s: unexpected EXPLAIN reply %q", leg.Addr, reply)
 			return res
 		}
-		var doc struct {
-			Result float64         `json:"result"`
-			Trace  *trace.SpanJSON `json:"trace"`
-		}
+		var doc trace.ExplainJSON
 		if err := json.Unmarshal([]byte(body), &doc); err != nil {
 			res.err = fmt.Errorf("shard %s: bad EXPLAIN JSON reply: %w", leg.Addr, err)
 			return res
@@ -1198,7 +833,7 @@ func statsMaxKey(k string) bool {
 // tokens (git_rev) skipped. Field order follows the first responding
 // shard so the output stays stable and diffable.
 func (p *proxy) mergedStats() string {
-	ctx, cancel := p.requestCtx()
+	ctx, cancel := p.RequestCtx()
 	defer cancel()
 	type statsReply struct {
 		idx  int
@@ -1275,30 +910,4 @@ func (p *proxy) shardIndex(addr string) int {
 		}
 	}
 	return len(p.groups) - 1 // unreachable with a valid map; fall back to hot
-}
-
-// observe retains one finished request trace in the recent ring and,
-// for fan-out queries at or above the threshold, the slow-query log.
-func (p *proxy) observe(line string, root *trace.Span) {
-	at := time.Now()
-	d := root.Duration()
-	p.recent.Add(line, at, d, root)
-	if root.Name() == "proxy.query" {
-		if p.slow.Observe(line, at, d, root) {
-			p.log.Warn("slow query", "trace_id", root.TraceID().String(), "dur", d, "line", line)
-		}
-	}
-}
-
-// writeEntriesJSON renders a trace feed (slowlog or recent ring) as
-// JSON — the same shape histserve serves, so fleet-wide trace_id
-// correlation works with one jq expression on either side.
-func writeEntriesJSON(w http.ResponseWriter, log *slog.Logger, meta map[string]any, entries []trace.Entry) {
-	meta["entries"] = trace.EntriesJSON(entries)
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(meta); err != nil {
-		log.Error("trace JSON render failed", "err", err)
-	}
 }

@@ -237,45 +237,50 @@ func (f *fakeShard) query(args []string) float64 {
 	return sum
 }
 
-// startProxy boots an in-process proxy over the given shard spec with
+// buildProxy builds an in-process proxy over the given shard spec with
 // a fast breaker so rejoin tests run in milliseconds.
-func startProxy(t *testing.T, spec string) (addr string, p *proxy) {
+func buildProxy(t *testing.T, spec string) *proxy {
 	t.Helper()
 	smap, err := shard.Parse(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p = newProxy(smap, 2, 0, shardclient.Options{
+	p := newProxy(smap, 2, 0, shardclient.Options{
 		OpTimeout:        time.Second,
 		BreakerThreshold: 1,
 		BreakerCooldown:  50 * time.Millisecond,
 	})
-	p.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	p.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	// Threshold 0 admits every fan-out query, so SLOWLOG assertions do
 	// not depend on test-machine timing.
-	p.slow = trace.NewSlowLog(32, 0)
-	p.reqTimeout = 5 * time.Second
+	p.Slow = trace.NewSlowLog(32, 0)
+	p.ReqTimeout = 5 * time.Second
 	p.ready.Store(true)
+	groups := p.groups
+	t.Cleanup(func() {
+		for _, g := range groups {
+			g.Close()
+		}
+	})
+	return p
+}
+
+// serveProxy serves p on a loopback listener.
+func serveProxy(t *testing.T, p *proxy) (addr string) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		ln.Close()
-		for _, g := range p.groups {
-			g.Close()
-		}
-	})
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go p.handle(conn)
-		}
-	}()
-	return ln.Addr().String(), p
+	t.Cleanup(func() { ln.Close() })
+	go p.Serve(ln)
+	return ln.Addr().String()
+}
+
+func startProxy(t *testing.T, spec string) (addr string, p *proxy) {
+	t.Helper()
+	p = buildProxy(t, spec)
+	return serveProxy(t, p), p
 }
 
 type client struct {
@@ -501,7 +506,7 @@ func TestProxyExplainMergedTreeTotals(t *testing.T) {
 
 	// The retained trace is the merged tree itself.
 	var root *trace.Span
-	for _, e := range p.recent.Entries() {
+	for _, e := range p.Recent.Entries() {
 		if e.Line == line {
 			root = e.Span
 			break
@@ -614,7 +619,7 @@ func TestProxyTraceIDPropagation(t *testing.T) {
 		t.Fatalf("proxy SLOWLOG missing trace_id=%s:\n%s", id, slowlog)
 	}
 	var found bool
-	for _, e := range p.recent.Entries() {
+	for _, e := range p.Recent.Entries() {
 		if e.Span.TraceID() == id {
 			found = true
 		}

@@ -71,13 +71,13 @@ func TestRunSpansOwnersRepliesInRequestOrder(t *testing.T) {
 		}
 	}
 	// Every line is accounted under its own verb, errors included.
-	if n := p.requests["INS"].Value(); n != 7 {
+	if n := p.Requests["INS"].Value(); n != 7 {
 		t.Errorf("INS requests accounted = %d, want 7", n)
 	}
-	if n := p.errors["INS"].Value(); n != 2 {
+	if n := p.Errors["INS"].Value(); n != 2 {
 		t.Errorf("INS errors accounted = %d, want 2", n)
 	}
-	if n := p.requests["DEL"].Value(); n != 1 {
+	if n := p.Requests["DEL"].Value(); n != 1 {
 		t.Errorf("DEL requests accounted = %d, want 1", n)
 	}
 }

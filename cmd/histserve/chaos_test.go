@@ -49,11 +49,11 @@ func chaosQuery(t *testing.T, srv *server) float64 {
 // and the server returns to normal service.
 func TestChaosReadOnlyDegradationAndRecovery(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
-	srv.inj = fault.MustParse("wal.write:nospace@4+", 1)
+	srv.Inj = fault.MustParse("wal.write:nospace@4+", 1)
 	srv.probeEvery = 50 * time.Millisecond
 	enableChaosWAL(t, srv, filepath.Join(t.TempDir(), "data"))
 	srv.markReady()
-	mln, err := srv.serveMetrics("127.0.0.1:0")
+	mln, err := srv.ServeMetrics("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestChaosReadOnlyDegradationAndRecovery(t *testing.T) {
 
 	// Heal the disk; after the probe interval one mutation gets
 	// through as a probe, succeeds, and clears the flag.
-	srv.inj.Heal()
+	srv.Inj.Heal()
 	deadline := time.Now().Add(5 * time.Second)
 	recovered := false
 	for time.Now().Before(deadline) {
@@ -161,7 +161,7 @@ func TestChaosSeededWorkloadNoAckLoss(t *testing.T) {
 			t.Logf("chaos schedule: spec=%q seed=%d", spec, seed)
 			dir := filepath.Join(t.TempDir(), "data")
 			srv := newQuietServer(t, "8,8", "sum", false)
-			srv.inj = fault.MustParse(spec, seed)
+			srv.Inj = fault.MustParse(spec, seed)
 			srv.probeEvery = time.Millisecond // keep probing so transient degradation heals fast
 			enableChaosWAL(t, srv, dir)
 
@@ -196,7 +196,7 @@ func TestChaosSeededWorkloadNoAckLoss(t *testing.T) {
 			if recovered < float64(acked) || recovered > float64(sent) {
 				t.Fatalf("recovered SUM = %v, want within [acked=%d, sent=%d]", recovered, acked, sent)
 			}
-			t.Logf("acked=%d sent=%d recovered=%v injected_faults=%d", acked, sent, recovered, srv.inj.Injected())
+			t.Logf("acked=%d sent=%d recovered=%v injected_faults=%d", acked, sent, recovered, srv.Inj.Injected())
 			fresh.shutdown()
 		})
 	}
@@ -208,7 +208,7 @@ func TestChaosSeededWorkloadNoAckLoss(t *testing.T) {
 // later mutations and queries on the same connection succeed.
 func TestChaosPanicRecovery(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
-	srv.inj = fault.MustParse("serve.dispatch:panic@2", 1)
+	srv.Inj = fault.MustParse("serve.dispatch:panic@2", 1)
 	addr := serveOn(t, srv)
 	c := dial(t, addr)
 
@@ -218,8 +218,8 @@ func TestChaosPanicRecovery(t *testing.T) {
 	if got := c.cmd(t, "QRY 0 5 0 0 7 7"); !strings.HasPrefix(got, "ERR internal error") {
 		t.Fatalf("panicking request -> %q, want ERR internal error", got)
 	}
-	if srv.panics.Value() != 1 {
-		t.Fatalf("recovered-panic counter = %d, want 1", srv.panics.Value())
+	if srv.Panics.Value() != 1 {
+		t.Fatalf("recovered-panic counter = %d, want 1", srv.Panics.Value())
 	}
 	// Same connection, post-panic: both paths of the mutex contract.
 	if got := c.cmd(t, "INS 2 2 3 2"); got != "OK" {
@@ -233,14 +233,41 @@ func TestChaosPanicRecovery(t *testing.T) {
 	}
 }
 
+// TestChaosPanicUnderMutexReleasesIt panics inside the op sink, i.e.
+// under the cube mutex: the deferred unlock must release it while the
+// panic travels up to the serving core's barrier, so the request
+// answers ERR internal and the next ones find the mutex free.
+func TestChaosPanicUnderMutexReleasesIt(t *testing.T) {
+	srv := newQuietServer(t, "8,8", "sum", false)
+	srv.Inj = fault.MustParse("wal.write:panic@2", 1)
+	enableChaosWAL(t, srv, filepath.Join(t.TempDir(), "data"))
+	t.Cleanup(srv.shutdown)
+	c := dial(t, serveOn(t, srv))
+	if got := c.cmd(t, "INS 1 2 3 5"); got != "OK" {
+		t.Fatalf("pre-panic INS -> %q", got)
+	}
+	if got := c.cmd(t, "INS 2 2 3 2"); !strings.HasPrefix(got, "ERR internal error") {
+		t.Fatalf("INS panicking under the mutex -> %q, want ERR internal error", got)
+	}
+	if n := srv.Panics.Value(); n != 1 {
+		t.Fatalf("recovered-panic counter = %d, want 1", n)
+	}
+	if got := c.cmd(t, "QRY 0 5 0 0 7 7"); got != "5" {
+		t.Fatalf("post-panic QRY -> %q, want 5 (mutex poisoned?)", got)
+	}
+	if got := c.cmd(t, "INS 3 2 3 2"); got != "OK" {
+		t.Fatalf("post-panic INS -> %q", got)
+	}
+}
+
 // TestChaosGovernanceLimits covers the connection-scoped governance:
 // the -max-conns cap fast-rejects the surplus connection with a single
 // ERR line, and an overlong request line is answered with ERR before
 // the connection is closed.
 func TestChaosGovernanceLimits(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
-	srv.maxConns = 1
-	srv.maxLineLen = 256
+	srv.MaxConns = 1
+	srv.MaxLineLen = 256
 	addr := serveOn(t, srv)
 
 	c1 := dial(t, addr)
@@ -255,8 +282,8 @@ func TestChaosGovernanceLimits(t *testing.T) {
 	if !strings.HasPrefix(line, "ERR server busy") {
 		t.Fatalf("over-cap connection -> %q, want ERR server busy", strings.TrimSpace(line))
 	}
-	if srv.connRejects.Value() != 1 {
-		t.Fatalf("rejected-connection counter = %d, want 1", srv.connRejects.Value())
+	if srv.ConnRejects.Value() != 1 {
+		t.Fatalf("rejected-connection counter = %d, want 1", srv.ConnRejects.Value())
 	}
 
 	// The surviving connection trips the line-length guard next.

@@ -78,16 +78,16 @@ func TestConcurrentClients(t *testing.T) {
 	// The server-side close (and its gauge decrement) runs after the
 	// client reads BYE; give the handlers a moment to drain.
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.connections.Value() != 0 && time.Now().Before(deadline) {
+	for srv.Connections.Value() != 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := srv.connections.Value(); got != 0 {
+	if got := srv.Connections.Value(); got != 0 {
 		t.Errorf("connections gauge = %d after shutdown, want 0", got)
 	}
-	if got := srv.connTotal.Value(); got != clients {
+	if got := srv.ConnTotal.Value(); got != clients {
 		t.Errorf("connections_total = %d, want %d", got, clients)
 	}
-	if got := srv.inflight.Value(); got != 0 {
+	if got := srv.Inflight.Value(); got != 0 {
 		t.Errorf("inflight gauge = %d after shutdown, want 0", got)
 	}
 }

@@ -137,7 +137,7 @@ func TestDurableMetricsRegistered(t *testing.T) {
 	c.expect(t, "INS 1 0 0 1", "OK")
 	c.expect(t, "CHECKPOINT", "OK 1")
 	var sb strings.Builder
-	if err := srv.reg.WritePrometheus(&sb); err != nil {
+	if err := srv.Reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

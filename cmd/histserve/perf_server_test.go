@@ -46,7 +46,7 @@ func TestStatsWindowFields(t *testing.T) {
 func TestCmdLatencyMetrics(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
 	addr := serveOn(t, srv)
-	mln, err := srv.serveMetrics("127.0.0.1:0")
+	mln, err := srv.ServeMetrics("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

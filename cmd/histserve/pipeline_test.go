@@ -182,14 +182,14 @@ func TestBatchBeyondCapReleasedInSeveralFlushes(t *testing.T) {
 		t.Fatalf("%d inserts were released in %d batches, want at least %d (the cap) and far fewer than one per insert",
 			n, flushes, min)
 	}
-	if got := srv.requests["INS"].Value(); got != n {
+	if got := srv.Requests["INS"].Value(); got != n {
 		t.Fatalf("accounted %d INS, want %d", got, n)
 	}
 }
 
 func TestOverlongLineAfterPipelinedReplies(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
-	srv.maxLineLen = 256
+	srv.MaxLineLen = 256
 	conn, r := rawConn(t, serveOn(t, srv))
 	batch := "INS 1 1 1 1\nQRY 0 5 0 0 7 7\nINS " + strings.Repeat("9", 512) + "\nQRY 0 5 0 0 7 7\n"
 	if _, err := io.WriteString(conn, batch); err != nil {
@@ -226,7 +226,7 @@ func TestSemiSyncTimeoutFailsEveryMutationOfTheBatch(t *testing.T) {
 	if n := srv.replAckWait.Count(); n != 1 {
 		t.Errorf("the batch waited for acks %d times, want once (the wait is cumulative)", n)
 	}
-	if n := srv.errors["INS"].Value(); n != 2 {
+	if n := srv.Errors["INS"].Value(); n != 2 {
 		t.Errorf("INS errors accounted = %d, want 2", n)
 	}
 }
@@ -237,16 +237,16 @@ func TestSemiSyncTimeoutFailsEveryMutationOfTheBatch(t *testing.T) {
 func TestLatencyAccountingFollowsTheReply(t *testing.T) {
 	const stall = 40 * time.Millisecond
 	srv := newQuietServer(t, "8,8", "sum", false)
-	srv.inj = fault.MustParse(fmt.Sprintf("wal.sync:slow=%s", stall), 1)
+	srv.Inj = fault.MustParse(fmt.Sprintf("wal.sync:slow=%s", stall), 1)
 	enableChaosWAL(t, srv, t.TempDir())
 	t.Cleanup(srv.shutdown)
 	c := dial(t, serveOn(t, srv))
 	c.expect(t, "INS 1 1 1 1", "OK")
 	c.expect(t, "QRY 0 5 0 0 7 7", "1")
-	if got := srv.perf.Snapshot("INS").P50; got < stall {
+	if got := srv.Perf.Snapshot("INS").P50; got < stall {
 		t.Fatalf("recorded INS p50 = %s, below the %s its commit waited", got, stall)
 	}
-	if got := srv.perf.Snapshot("QRY").P50; got >= stall {
+	if got := srv.Perf.Snapshot("QRY").P50; got >= stall {
 		t.Fatalf("recorded QRY p50 = %s: a query must not wait for a commit", got)
 	}
 	if n, sum := srv.commitWait.Count(), srv.commitWait.Sum(); n != 1 || sum < stall.Seconds() {
@@ -261,7 +261,7 @@ func TestLatencyAccountingFollowsTheReply(t *testing.T) {
 // and the repair makes them durable without reusing their LSNs.
 func TestFsyncFailureFailsEveryMutationOfTheBatch(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
-	srv.inj = fault.MustParse("wal.sync:err@1", 1)
+	srv.Inj = fault.MustParse("wal.sync:err@1", 1)
 	srv.probeEvery = time.Millisecond
 	dir := t.TempDir()
 	enableChaosWAL(t, srv, dir)
@@ -304,5 +304,26 @@ func TestFsyncFailureFailsEveryMutationOfTheBatch(t *testing.T) {
 	defer srv2.shutdown()
 	if resp, _ := srv2.safeDispatch(0, "QRY 0 10 0 0 7 7"); resp != "13" {
 		t.Fatalf("after restart QRY = %q, want 13 (recovery %+v)", resp, res)
+	}
+}
+
+// TestPanickingLineKeepsNeighboursReplies pins the panic barrier's
+// granularity on histserve: per line. In one pipelined unit the
+// panicking line answers ERR internal and the lines around it — the
+// mutation before it included, whose commit the unit still settles —
+// keep their own replies.
+func TestPanickingLineKeepsNeighboursReplies(t *testing.T) {
+	srv := newAlwaysServer(t)
+	srv.Inj = fault.MustParse("serve.dispatch:panic@2", 1)
+	conn, r := rawConn(t, serveOn(t, srv))
+	if _, err := io.WriteString(conn, "INS 1 1 1 5\nQRY 0 9 0 0 7 7\nINS 2 1 1 2\nQRY 0 9 0 0 7 7\n"); err != nil {
+		t.Fatal(err)
+	}
+	got := readLines(t, r, 4)
+	if got[0] != "OK" || !strings.HasPrefix(got[1], "ERR internal error") || got[2] != "OK" || got[3] != "7" {
+		t.Fatalf("replies = %q, want OK, ERR internal error..., OK, 7", got)
+	}
+	if n := srv.Panics.Value(); n != 1 {
+		t.Errorf("recovered-panic counter = %d, want 1", n)
 	}
 }

@@ -167,7 +167,7 @@ func (s *server) promote(minLSN uint64) string {
 	}
 	if r.promoted.CompareAndSwap(false, true) {
 		r.stopOnce.Do(func() { close(r.stop) })
-		s.log.Warn("promoted to primary", "applied_lsn", r.applied.Load(), "fence", minLSN, "old_primary", r.primaryAddr)
+		s.Log.Warn("promoted to primary", "applied_lsn", r.applied.Load(), "fence", minLSN, "old_primary", r.primaryAddr)
 	}
 	return fmt.Sprintf("OK role=primary last_lsn=%d followers=%d", s.walLastLSN(), s.hub.Followers())
 }
@@ -316,20 +316,19 @@ func (h *replHub) WaitAcked(lsn uint64, min int, timeout time.Duration) error {
 	return nil // satisfied in the race between timer and lock
 }
 
-// serveReplication hijacks one client connection for WAL shipping
-// after the handle loop saw its REPLICATE line (and released the
-// replies pending before it). lr and w are the connection's existing
-// reader/writer; lr is handed to the ACK reader goroutine and must not
-// be touched by the caller afterwards.
-func (s *server) serveReplication(conn net.Conn, lr *lineserver.Reader, w *bufio.Writer, line string) {
-	s.requests["REPLICATE"].Inc()
+// serveReplication is REPLICATE's Hijack handler: it takes one client
+// connection over for WAL shipping after the connection loop saw its
+// REPLICATE line (the replies before it have left, and the line is
+// already counted as a request). lr is handed to the ACK reader
+// goroutine.
+func (s *server) serveReplication(conn net.Conn, lr *lineserver.Reader, w *bufio.Writer, rq *lineserver.Request) {
 	fail := func(msg string) {
-		s.errors["REPLICATE"].Inc()
+		s.Errors["REPLICATE"].Inc()
 		fmt.Fprintln(w, "ERR "+msg)
-		s.setWriteDeadline(conn)
+		s.SetWriteDeadline(conn)
 		_ = w.Flush() // refusal is best-effort; the connection is done either way
 	}
-	fields := strings.Fields(line)
+	fields := rq.Fields
 	if len(fields) != 3 || !strings.EqualFold(fields[1], "FROM") {
 		fail("usage: REPLICATE FROM <lsn>")
 		return
@@ -349,7 +348,7 @@ func (s *server) serveReplication(conn net.Conn, lr *lineserver.Reader, w *bufio
 
 	id := s.hub.register()
 	defer s.hub.unregister(id)
-	log := s.log.With("follower", conn.RemoteAddr().String(), "repl_id", id)
+	log := s.Log.With("follower", conn.RemoteAddr().String(), "repl_id", id)
 
 	// The follower's ACKs arrive on the same connection; a dedicated
 	// reader feeds them to the hub and cancels the stream when the
@@ -396,7 +395,7 @@ func (s *server) serveReplication(conn net.Conn, lr *lineserver.Reader, w *bufio
 		from = snapLSN + 1
 	}
 	fmt.Fprintf(w, "OK from=%d\n", from)
-	s.setWriteDeadline(conn)
+	s.SetWriteDeadline(conn)
 	if err := w.Flush(); err != nil {
 		return
 	}
@@ -420,7 +419,7 @@ func (s *server) serveReplication(conn net.Conn, lr *lineserver.Reader, w *bufio
 			rec, err = sub.Next(nctx)
 			ncancel()
 		}
-		s.setWriteDeadline(conn)
+		s.SetWriteDeadline(conn)
 		switch {
 		case err == nil:
 			_, _ = w.Write(appendRec(w.AvailableBuffer(), rec)) // a write error is sticky; Flush reports it
@@ -486,13 +485,13 @@ func (s *server) sendSnapshot(conn net.Conn, w *bufio.Writer) (uint64, error) {
 	for off := 0; off < len(data); off += snapChunk {
 		end := min(off+snapChunk, len(data))
 		fmt.Fprintln(w, base64.StdEncoding.EncodeToString(data[off:end]))
-		s.setWriteDeadline(conn)
+		s.SetWriteDeadline(conn)
 		if err := w.Flush(); err != nil {
 			return 0, err
 		}
 	}
 	fmt.Fprintln(w, "ENDSNAP")
-	s.setWriteDeadline(conn)
+	s.SetWriteDeadline(conn)
 	return lsn, w.Flush()
 }
 
@@ -519,7 +518,7 @@ func (s *server) followLoop(r *replState) {
 		default:
 		}
 		if err := s.followOnce(r); err != nil && !r.promoted.Load() {
-			s.log.Warn("replication link lost", "primary", r.primaryAddr, "err", err)
+			s.Log.Warn("replication link lost", "primary", r.primaryAddr, "err", err)
 		}
 		select {
 		case <-r.stop:
@@ -608,7 +607,7 @@ func (s *server) followOnce(r *replState) error {
 			if err != nil {
 				return err
 			}
-			s.log.Info("bootstrapped from shipped snapshot", "lsn", lsn, "primary", r.primaryAddr)
+			s.Log.Info("bootstrapped from shipped snapshot", "lsn", lsn, "primary", r.primaryAddr)
 			r.noteFrontier(lsn)
 		case "OK": // stream start marker; position already agreed
 		case "ERR":
@@ -710,7 +709,7 @@ func (s *server) stageShipped(batch []wal.StreamRecord) (*wal.Log, uint64, error
 			return s.wal, staged, err
 		}
 		if skipped {
-			s.log.Warn("shipped op rejected by cube; skipped to match primary recovery semantics", "lsn", rec.LSN)
+			s.Log.Warn("shipped op rejected by cube; skipped to match primary recovery semantics", "lsn", rec.LSN)
 		}
 		staged = rec.LSN
 	}
@@ -793,7 +792,7 @@ func (s *server) installSnapshot(lsn uint64, data []byte) error {
 		return errors.New("follower has no WAL attached")
 	}
 	if err := s.wal.Close(); err != nil {
-		s.log.Warn("closing log before snapshot install", "err", err)
+		s.Log.Warn("closing log before snapshot install", "err", err)
 	}
 	if err := wal.InstallCheckpoint(s.walDir, lsn, bytes.NewReader(data)); err != nil {
 		return fmt.Errorf("installing shipped checkpoint: %w", err)

@@ -28,7 +28,7 @@ import (
 func startAlwaysReplica(t *testing.T, primary *server, primaryAddr string, inj *fault.Injector) *server {
 	t.Helper()
 	srv := newQuietServer(t, "8,8", "sum", false)
-	srv.inj = inj
+	srv.Inj = inj
 	enableChaosWAL(t, srv, t.TempDir())
 	srv.startFollower(primaryAddr)
 	waitUntil(t, 5*time.Second, "replication link", func() bool { return primary.hub.Followers() == 1 })

@@ -35,7 +35,7 @@
 // section): out-of-order totals, eCube conversion progress (split by
 // query/append trigger), lazy-copy work, tier demotions and access
 // counts, plus trailing win_* fields digesting the sliding latency
-// window (perfWindow) for QRY and INS: ops/sec, p50 and p99 in
+// window (lineserver.PerfWindow) for QRY and INS: ops/sec, p50 and p99 in
 // microseconds over the last win_s seconds.
 //
 // Every request is traced (internal/trace): EXPLAIN renders the span
@@ -61,38 +61,31 @@
 // shutdown: stop accepting connections, write a final checkpoint,
 // flush and fsync the log, exit 0.
 //
+// The connection loop, its governance (-max-conns, -read-timeout,
+// -max-line-bytes, -request-timeout, "ERR server busy", "ERR line too
+// long"), the panic barrier ("ERR internal"; panics under the cube
+// mutex release it by defer on their way there, rather than poison it)
+// and the -metrics listener (/metrics, /healthz, /readyz,
+// /debug/slowlog, /debug/trace/recent, /debug/pprof/*) are
+// internal/lineserver's; this file adds the command table and what
+// stands behind it. -request-timeout bounds every
+// INS/DEL/QRY/EXPLAIN: long-running eCube evaluations poll the context
+// cooperatively and abandon the request with "ERR timeout". /readyz
+// answers "ok" only once WAL recovery has finished (503 while
+// replaying). -block-profile-rate (beside the shared
+// -mutex-profile-fraction) populates /debug/pprof/block when profiling
+// the single-mutex bottleneck.
+//
 // Pipelining and group commit: a client may send further requests
-// before reading replies. The connection loop answers every complete
-// line it finds already buffered and releases those replies together —
-// one WAL commit (under -fsync=always one fsync, shared with whichever
+// before reading replies. Every verb joins the unit in progress (see
+// the lineserver package doc), so the loop answers every complete line
+// it finds already buffered and releases those replies together — one
+// WAL commit (under -fsync=always one fsync, shared with whichever
 // other connections are committing), with -repl-min-acks one
 // cumulative ack wait, one flush — so an OK still implies durable (and
 // replicated) while a window of N inserts costs one fsync, not N. A
-// client at depth 1 sees exactly the old behaviour. A write is visible
-// to queries once applied, which may be before it is durable.
-//
-// With -metrics the server additionally serves a Prometheus-style
-// endpoint: GET /metrics renders every histcube_* and histserve_*
-// metric in text exposition format, GET /healthz answers "ok"
-// (liveness), GET /readyz answers "ok" only once WAL recovery has
-// finished (readiness — 503 while replaying). The same listener
-// serves GET /debug/slowlog and /debug/trace/recent (retained traces
-// as JSON) and the standard /debug/pprof/* profiling endpoints. Start
-// with -mutex-profile-fraction / -block-profile-rate to populate
-// /debug/pprof/mutex and /debug/pprof/block when profiling the
-// single-mutex bottleneck.
-//
-// Resource governance: -max-conns caps concurrently open client
-// connections (excess connections get one "ERR server busy" line and
-// are closed), -read-timeout closes idle connections and doubles as
-// the write deadline on every response (a client that stops reading
-// cannot pin a goroutine on a blocked flush), -max-line-bytes
-// bounds the request line a client may send, and -request-timeout puts
-// a context deadline on every INS/DEL/QRY/EXPLAIN — long-running
-// eCube evaluations poll it cooperatively and abandon the request with
-// "ERR timeout". A panic inside a request is recovered per connection:
-// the client sees "ERR internal", the span tree and stack go to the
-// log, and the cube mutex is released by defer rather than poisoned.
+// client at depth 1 sends units of one. A write is visible to queries
+// once applied, which may be before it is durable.
 //
 // Graceful degradation: when the durable layer fails persistently — a
 // WAL append that survives its retry budget, or out-of-space anywhere
@@ -105,8 +98,9 @@
 // while the state lasts.
 //
 // The hidden -fault-spec / -fault-seed flags arm the deterministic
-// fault injector (internal/fault) on the WAL segment files and the
-// dispatch loop for chaos runs; see that package for the spec grammar.
+// fault injector (internal/fault) on the WAL segment files ("wal.*")
+// and the core's "serve.dispatch" site for chaos runs; see that package
+// for the spec grammar.
 //
 // Replication: start with -follow <primary> (plus -data-dir) to run
 // as a replica — the server tails the primary's WAL over a REPLICATE
@@ -135,22 +129,15 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -161,7 +148,6 @@ import (
 	"histcube/internal/agg"
 	"histcube/internal/core"
 	"histcube/internal/dims"
-	"histcube/internal/fault"
 	"histcube/internal/lineserver"
 	"histcube/internal/obs"
 	"histcube/internal/perf"
@@ -174,19 +160,6 @@ import (
 // flip the server read-only.
 var errWALAppend = errors.New("wal append failed")
 
-// errInternal is the client-visible face of a recovered panic; the
-// span tree and stack stay in the server log.
-var errInternal = errors.New("internal error (recovered panic; see server log)")
-
-// commands lists every protocol verb, used to pre-register one
-// labelled request/error counter per command ("other" catches unknown
-// verbs so a misbehaving client cannot grow the label set unbounded).
-var commands = []string{"INS", "DEL", "QRY", "EXPLAIN", "SLOWLOG", "STATS", "SAVE", "CHECKPOINT", "SEAL", "VERSION", "ROLE", "PROMOTE", "REPLICATE", "QUIT", "other"}
-
-// perfWindow is the sliding window of the per-command latency and
-// throughput digests (STATS win_*, histserve_cmd_* gauges).
-const perfWindow = 10 * time.Second
-
 // server is one histserve instance.
 //
 // Locking contract: mu guards the cube — every cube call, including
@@ -198,13 +171,18 @@ const perfWindow = 10 * time.Second
 // state-derived callbacks registered in newServer take mu themselves
 // at scrape time.
 type server struct {
+	// Server is the serving core (internal/lineserver): connection loop,
+	// governance, panic barrier, accounting, trace retention (Slow and
+	// Recent carry their own locks and Perf is atomic internally, so all
+	// three are outside the mu contract — they run after mu is released)
+	// and the metrics listener.
+	lineserver.Server
+
 	mu   sync.Mutex
 	cube *core.Cube // guarded by mu
 	dims int
 
-	reg *obs.Registry
 	ins *core.Instruments
-	log *slog.Logger
 
 	// wal, when non-nil, makes the server durable: the cube's op sink
 	// stages every mutation in the log before it is applied (under
@@ -230,40 +208,19 @@ type server struct {
 	replMinAcks    int           // startup-only, like the governance knobs
 	replAckTimeout time.Duration // startup-only
 
-	// slow retains the worst query traces at or above its threshold;
-	// recent is a ring of the last finished request traces regardless of
-	// duration. Both carry their own locks, so they are deliberately
-	// outside the mu contract — Observe/Add run after mu is released.
-	slow   *trace.SlowLog
-	recent *trace.Ring
-
-	// perf records per-command request latency into sliding windows
-	// (internal/perf); like slow/recent it is atomic internally and
-	// outside the mu contract. STATS and the histserve_cmd_latency_*
-	// gauges read it.
-	perf *perf.Set
-
 	// ready flips to true once startup (snapshot load, WAL recovery) has
 	// finished; /readyz answers 503 until then while /healthz stays a
 	// pure liveness probe.
 	ready atomic.Bool
 
-	// Resource governance knobs, set from flags before the listener
-	// starts (startup-only, like dims); zero values disable each limit.
-	reqTimeout  time.Duration // per-request context deadline
-	readTimeout time.Duration // idle-connection read deadline; doubles as the per-write deadline
-	maxLineLen  int           // largest accepted request line in bytes
-	maxConns    int64         // open-connection cap; 0 = unlimited
-	probeEvery  time.Duration // recovery-probe interval while degraded
+	// probeEvery is the recovery-probe interval while degraded
+	// (startup-only, like dims).
+	probeEvery time.Duration
 
 	// shape is the cube's per-dimension domain, frozen at startup (the
 	// protocol's arity and domains cannot change while serving); used to
 	// reject out-of-range coordinates at the boundary.
 	shape []int
-
-	// inj is the optional fault injector (-fault-spec); a nil *Injector
-	// is inert, so call sites need no guard.
-	inj *fault.Injector
 
 	// sealedThrough is the seal boundary: mutations with time at or
 	// below it are rejected (historic-shard demotion). math.MinInt64
@@ -284,17 +241,7 @@ type server struct {
 	degradedMsg   atomic.Value
 	lastProbeNano atomic.Int64
 
-	liveConns   atomic.Int64
-	connSeq     atomic.Int64
-	connections *obs.Gauge
-	connTotal   *obs.Counter
-	inflight    *obs.Gauge
-	requests    map[string]*obs.Counter
-	errors      map[string]*obs.Counter
-
 	readonlyRejects *obs.Counter
-	panics          *obs.Counter
-	connRejects     *obs.Counter
 	degradedFlips   *obs.Counter
 
 	// commitWait and replAckWait time the two halves of the commit
@@ -305,60 +252,48 @@ type server struct {
 
 func main() {
 	var (
-		addr    = flag.String("addr", ":7070", "listen address")
+		shared  = lineserver.RegisterFlags(flag.CommandLine, ":7070")
 		dimsArg = flag.String("dims", "16,16", "comma-separated non-time dimension sizes")
 		opArg   = flag.String("op", "sum", "aggregate operator: sum, count, avg")
 		ooo     = flag.Bool("ooo", false, "buffer out-of-order updates instead of rejecting them")
 		load    = flag.String("load", "", "resume from a snapshot written by the SAVE command")
-		metrics = flag.String("metrics", "", "optional HTTP listen address serving /metrics and /healthz (e.g. :9090)")
 		dataDir = flag.String("data-dir", "", "durable data directory (write-ahead log + checkpoints); empty disables durability")
 		fsync   = flag.String("fsync", "always", "WAL fsync policy: always, interval, never (with -data-dir)")
 		ckptN   = flag.Int64("checkpoint-every", 10000, "checkpoint every N WAL records; 0 = only on CHECKPOINT/shutdown (with -data-dir)")
-		slowThr = flag.Duration("slow-query-threshold", 10*time.Millisecond, "queries at or above this duration enter the slow-query log")
-		slowCap = flag.Int("slowlog-size", 32, "worst traces retained by the slow-query log")
-		reqTO   = flag.Duration("request-timeout", 10*time.Second, "per-request deadline for INS/DEL/QRY/EXPLAIN; 0 disables")
-		readTO  = flag.Duration("read-timeout", 5*time.Minute, "close connections idle for this long; also bounds each response write; 0 disables")
-		maxLine = flag.Int("max-line-bytes", 1<<20, "largest accepted request line in bytes")
-		maxConn = flag.Int64("max-conns", 256, "open client connections accepted at once; 0 = unlimited")
 		probeIv = flag.Duration("degraded-probe-every", 2*time.Second, "while read-only, let one mutation through per interval to probe storage recovery")
 		sealArg = flag.String("seal-through", "", "reject mutations with time at or below this value (historic-shard demotion; the SEAL command raises it at runtime); empty seals nothing")
 		follow  = flag.String("follow", "", "run as a replica of the given primary histserve address: apply its WAL stream and reject client mutations until PROMOTE (requires -data-dir)")
 		minAcks = flag.Int("repl-min-acks", 0, "followers that must acknowledge a mutation before the client sees OK (semi-synchronous replication); 0 = asynchronous")
 		ackTO   = flag.Duration("repl-ack-timeout", 2*time.Second, "how long a mutation waits for -repl-min-acks follower acknowledgements before answering ERR (the write is then indeterminate, not failed)")
-		fspec   = flag.String("fault-spec", "", "fault-injection spec for chaos testing (see internal/fault); empty disables")
-		fseed   = flag.Int64("fault-seed", 1, "seed for probabilistic -fault-spec rules")
-		mutexPF = flag.Int("mutex-profile-fraction", 0, "runtime mutex profile sampling fraction (1 samples every contention event, 0 disables); populates /debug/pprof/mutex and scales histcube_lock_contention_events_total")
 		blockPR = flag.Int("block-profile-rate", 0, "runtime block profile sampling rate in ns (1 records every blocking event, 0 disables); populates /debug/pprof/block")
-		rtEvery = flag.Duration("runtime-metrics-every", 10*time.Second, "sampling interval for histcube_runtime_* gauges (GC pause, goroutines, scheduler latency); 0 disables the sampler")
 	)
 	flag.Parse()
 
-	// Profiling the single-mutex bottleneck needs these set before any
-	// contention happens; both default off because sampling costs the
-	// hot path a little.
-	if *mutexPF > 0 {
-		runtime.SetMutexProfileFraction(*mutexPF)
-	}
+	// Profiling the single-mutex bottleneck needs this set before any
+	// contention happens; off by default because sampling costs the hot
+	// path a little (-mutex-profile-fraction is the shared flags' twin).
 	if *blockPR > 0 {
 		runtime.SetBlockProfileRate(*blockPR)
 	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
+	if *load != "" && *dataDir != "" {
+		logger.Error("-load and -data-dir are mutually exclusive (the data directory has its own checkpoints)")
+		os.Exit(1)
+	}
 	srv, err := newServer(*dimsArg, *opArg, *ooo)
 	if err != nil {
 		logger.Error("startup failed", "err", err)
 		os.Exit(1)
 	}
-	srv.log = logger
-	srv.slow = trace.NewSlowLog(*slowCap, *slowThr)
-	if *rtEvery > 0 {
-		rc := obs.NewRuntimeCollector(srv.reg)
-		defer rc.Start(*rtEvery)()
+	// The debug/metrics listener comes up here, before recovery, so
+	// operators can watch a long WAL replay: /healthz (liveness) answers
+	// during it, /readyz answers 503 until markReady below.
+	stop, err := shared.Apply(&srv.Server, logger)
+	if err != nil {
+		os.Exit(1)
 	}
-	srv.reqTimeout = *reqTO
-	srv.readTimeout = *readTO
-	srv.maxLineLen = *maxLine
-	srv.maxConns = *maxConn
+	defer stop()
 	srv.probeEvery = *probeIv
 	if *sealArg != "" {
 		t, err := strconv.ParseInt(*sealArg, 10, 64)
@@ -368,31 +303,6 @@ func main() {
 		}
 		srv.sealThrough(t)
 		logger.Info("sealed", "through", t)
-	}
-	if *fspec != "" {
-		inj, err := fault.Parse(*fspec, *fseed)
-		if err != nil {
-			logger.Error("bad -fault-spec", "err", err)
-			os.Exit(1)
-		}
-		srv.inj = inj
-		inj.RegisterMetrics(srv.reg)
-		logger.Warn("fault injection armed", "fault", inj.String())
-	}
-	if *load != "" && *dataDir != "" {
-		logger.Error("-load and -data-dir are mutually exclusive (the data directory has its own checkpoints)")
-		os.Exit(1)
-	}
-	// The debug/metrics listener comes up before recovery so operators
-	// can watch a long WAL replay: /healthz (liveness) answers during
-	// it, /readyz answers 503 until markReady below.
-	if *metrics != "" {
-		mln, err := srv.serveMetrics(*metrics)
-		if err != nil {
-			logger.Error("metrics listener failed", "addr", *metrics, "err", err)
-			os.Exit(1)
-		}
-		logger.Info("metrics listening", "addr", mln.Addr().String())
 	}
 	if *load != "" {
 		if err := srv.loadSnapshot(*load); err != nil {
@@ -429,38 +339,14 @@ func main() {
 		logger.Info("follower mode", "primary", *follow)
 	}
 	srv.markReady()
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		logger.Error("listen failed", "addr", *addr, "err", err)
+	// Graceful shutdown: Run returns once a signal closed the listener;
+	// the shutdown itself runs here on the main goroutine, so the process
+	// exits 0 strictly after the final checkpoint and WAL fsync completed.
+	if err := srv.Run(*shared.Addr, "dims", srv.dims, "op", *opArg); err != nil {
 		os.Exit(1)
 	}
-	// Graceful shutdown: the signal goroutine only closes the
-	// listener; the accept loop then runs the actual shutdown on the
-	// main goroutine and returns, so the process exits 0 strictly
-	// after the final checkpoint and WAL fsync completed.
-	var closing atomic.Bool
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sig
-		logger.Info("shutdown signal received", "signal", s.String())
-		closing.Store(true)
-		_ = ln.Close() // unblocking Accept is the point; the error is uninteresting
-	}()
-	logger.Info("listening", "addr", ln.Addr().String(), "dims", srv.dims, "op", *opArg)
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if closing.Load() {
-				srv.shutdown()
-				logger.Info("shutdown complete")
-				return
-			}
-			logger.Error("accept failed", "err", err)
-			os.Exit(1)
-		}
-		go srv.handle(conn)
-	}
+	srv.shutdown()
+	logger.Info("shutdown complete")
 }
 
 // enableDurability recovers the cube from dir and attaches the WAL:
@@ -469,8 +355,8 @@ func main() {
 // cube's dimensions must match the -dims flag, which fixes the
 // protocol's coordinate arity.
 func (s *server) enableDurability(dir string, opts wal.Options, checkpointEvery int64) (wal.RecoverResult, error) {
-	opts.Metrics = wal.NewMetrics(s.reg)
-	if inj := s.inj; inj != nil {
+	opts.Metrics = wal.NewMetrics(s.Reg)
+	if inj := s.Inj; inj != nil {
 		// fault.File is a structural copy of wal.SegmentFile, so the
 		// interface values convert both ways without an adapter.
 		opts.WrapSegment = func(f wal.SegmentFile) wal.SegmentFile {
@@ -493,7 +379,7 @@ func (s *server) enableDurability(dir string, opts wal.Options, checkpointEvery 
 	// Registered through an indirection, not on the log itself: a
 	// follower installing a shipped snapshot swaps the log, and the
 	// gauges must follow the swap.
-	wal.RegisterStateMetricsFunc(s.reg, func() *wal.Log {
+	wal.RegisterStateMetricsFunc(s.Reg, func() *wal.Log {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return s.wal
@@ -543,16 +429,16 @@ func (s *server) shutdown() {
 	defer s.mu.Unlock()
 	if s.wal != nil {
 		if lsn, err := s.wal.Checkpoint(s.cube.Save); err != nil {
-			s.log.Error("final checkpoint failed", "err", err)
+			s.Log.Error("final checkpoint failed", "err", err)
 		} else {
-			s.log.Info("final checkpoint written", "lsn", lsn)
+			s.Log.Info("final checkpoint written", "lsn", lsn)
 		}
 		if err := s.wal.Close(); err != nil {
-			s.log.Error("closing WAL failed", "err", err)
+			s.Log.Error("closing WAL failed", "err", err)
 		}
 	}
 	if err := s.cube.Close(); err != nil {
-		s.log.Error("closing cube failed", "err", err)
+		s.Log.Error("closing cube failed", "err", err)
 	}
 }
 
@@ -568,12 +454,12 @@ func (s *server) maybeCheckpointLocked() {
 	}
 	ran, err := s.wal.MaybeCheckpoint(s.checkpointEvery, s.cube.Save)
 	if err != nil {
-		s.log.Error("checkpoint failed", "err", err)
+		s.Log.Error("checkpoint failed", "err", err)
 		if isStorageFailure(err) {
 			s.setDegraded(err)
 		}
 	} else if ran {
-		s.log.Info("checkpoint written", "lsn", s.wal.LastLSN())
+		s.Log.Info("checkpoint written", "lsn", s.wal.LastLSN())
 	}
 }
 
@@ -608,48 +494,38 @@ func newServer(dimsArg, opArg string, ooo bool) (*server, error) {
 		dims:       len(ds),
 		shape:      cube.Shape(),
 		hub:        newReplHub(),
-		reg:        obs.NewRegistry(),
-		log:        slog.Default(),
-		slow:       trace.NewSlowLog(32, 10*time.Millisecond),
-		recent:     trace.NewRing(64),
-		perf:       perf.NewSet(perfWindow, commands...),
-		maxLineLen: 1 << 20,
 		probeEvery: 2 * time.Second,
 		meta:       perf.CollectMeta("histserve"),
 	}
 	s.sealedThrough.Store(math.MinInt64)
-	s.perf.Register(s.reg)
-	s.ins = core.NewInstruments(s.reg)
+	s.Ready = s.readiness
+	s.Init(s.settle, s.commands()...)
+	s.Perf.Register(s.Reg)
+	s.ins = core.NewInstruments(s.Reg)
 	cube.SetInstruments(s.ins)
-	core.RegisterStatsMetrics(s.reg, func() core.Stats {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.cube.Stats()
-	})
-	s.connections = s.reg.NewGauge("histserve_connections", "Open client connections.")
-	s.connTotal = s.reg.NewCounter("histserve_connections_total", "Client connections accepted since start.")
-	s.inflight = s.reg.NewGauge("histserve_inflight_requests", "Requests currently being dispatched.")
-	s.requests = make(map[string]*obs.Counter, len(commands))
-	s.errors = make(map[string]*obs.Counter, len(commands))
-	for _, cmd := range commands {
-		s.requests[cmd] = s.reg.NewCounter("histserve_requests_total",
+	core.RegisterStatsMetrics(s.Reg, s.statsSnapshot)
+	s.Connections = s.Reg.NewGauge("histserve_connections", "Open client connections.")
+	s.ConnTotal = s.Reg.NewCounter("histserve_connections_total", "Client connections accepted since start.")
+	s.Inflight = s.Reg.NewGauge("histserve_inflight_requests", "Requests currently being dispatched.")
+	for _, cmd := range s.Labels() {
+		s.Requests[cmd] = s.Reg.NewCounter("histserve_requests_total",
 			"Requests dispatched, by protocol command.", obs.Label{Key: "cmd", Value: cmd})
-		s.errors[cmd] = s.reg.NewCounter("histserve_errors_total",
+		s.Errors[cmd] = s.Reg.NewCounter("histserve_errors_total",
 			"Requests answered with ERR, by protocol command.", obs.Label{Key: "cmd", Value: cmd})
 	}
-	s.readonlyRejects = s.reg.NewCounter("histserve_readonly_rejections_total",
+	s.readonlyRejects = s.Reg.NewCounter("histserve_readonly_rejections_total",
 		"Mutations rejected while the server was in degraded read-only mode.")
-	s.panics = s.reg.NewCounter("histserve_panics_recovered_total",
+	s.Panics = s.Reg.NewCounter("histserve_panics_recovered_total",
 		"Request panics recovered into ERR internal responses.")
-	s.connRejects = s.reg.NewCounter("histserve_connections_rejected_total",
+	s.ConnRejects = s.Reg.NewCounter("histserve_connections_rejected_total",
 		"Connections rejected at the -max-conns cap.")
-	s.degradedFlips = s.reg.NewCounter("histserve_degraded_transitions_total",
+	s.degradedFlips = s.Reg.NewCounter("histserve_degraded_transitions_total",
 		"Transitions into degraded read-only mode.")
-	s.commitWait = s.reg.NewHistogram("histserve_commit_wait_seconds",
+	s.commitWait = s.Reg.NewHistogram("histserve_commit_wait_seconds",
 		"Time a released batch of replies waited for its WAL commit (the group fsync).", nil)
-	s.replAckWait = s.reg.NewHistogram("histserve_repl_ack_wait_seconds",
+	s.replAckWait = s.Reg.NewHistogram("histserve_repl_ack_wait_seconds",
 		"Time a released batch of replies waited for -repl-min-acks follower acknowledgements.", nil)
-	s.reg.NewGaugeFunc("histcube_degraded",
+	s.Reg.NewGaugeFunc("histcube_degraded",
 		"1 while the server is in degraded read-only mode, 0 when healthy.",
 		func() float64 {
 			if s.degraded.Load() {
@@ -660,283 +536,85 @@ func newServer(dimsArg, opArg string, ooo bool) (*server, error) {
 	return s, nil
 }
 
-// serveMetrics starts the Prometheus-style HTTP listener. It returns
-// the bound listener so callers (and tests) learn the resolved port.
-func (s *server) serveMetrics(addr string) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
+// readiness answers /readyz: during WAL replay the process is alive but
+// must not receive traffic yet, and in degraded read-only mode a load
+// balancer should route mutating traffic elsewhere.
+func (s *server) readiness() (ok bool, msg string) {
+	if !s.ready.Load() {
+		return false, "recovering"
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := s.reg.WritePrometheus(w); err != nil {
-			s.log.Error("metrics render failed", "err", err)
+	if s.degraded.Load() {
+		cause, _ := s.degradedMsg.Load().(string)
+		return false, "degraded: " + cause
+	}
+	// A replica is ready once it has caught up to its primary's
+	// frontier at least once; until then routing reads to it would
+	// serve answers from before the bootstrap finished.
+	if s.isReplica() {
+		r := s.repl
+		if !r.synced.Load() {
+			return false, fmt.Sprintf("replica syncing: applied_lsn=%d replica_lag_lsn=%d", r.applied.Load(), r.lag())
 		}
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	// Readiness is distinct from liveness: during WAL replay the
-	// process is alive but must not receive traffic yet, and in
-	// degraded read-only mode a load balancer should route mutating
-	// traffic elsewhere.
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !s.ready.Load() {
-			http.Error(w, "recovering", http.StatusServiceUnavailable)
-			return
-		}
-		if s.degraded.Load() {
-			msg, _ := s.degradedMsg.Load().(string)
-			http.Error(w, "degraded: "+msg, http.StatusServiceUnavailable)
-			return
-		}
-		// A replica is ready once it has caught up to its primary's
-		// frontier at least once; until then routing reads to it would
-		// serve answers from before the bootstrap finished.
-		if s.isReplica() {
-			r := s.repl
-			if !r.synced.Load() {
-				http.Error(w, fmt.Sprintf("replica syncing: applied_lsn=%d replica_lag_lsn=%d",
-					r.applied.Load(), r.lag()), http.StatusServiceUnavailable)
-				return
-			}
-			fmt.Fprintf(w, "ok replica_lag_lsn=%d\n", r.lag())
-			return
-		}
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/debug/slowlog", func(w http.ResponseWriter, r *http.Request) {
-		writeEntriesJSON(w, s.log, map[string]any{
-			"threshold_ns": s.slow.Threshold().Nanoseconds(),
-			"capacity":     s.slow.Cap(),
-			"observed":     s.slow.Observed(),
-			"admitted":     s.slow.Admitted(),
-		}, s.slow.Entries())
-	})
-	mux.HandleFunc("/debug/trace/recent", func(w http.ResponseWriter, r *http.Request) {
-		writeEntriesJSON(w, s.log, map[string]any{
-			"capacity": s.recent.Cap(),
-		}, s.recent.Entries())
-	})
-	// pprof normally registers on http.DefaultServeMux at import; this
-	// listener uses its own mux, so the handlers are wired explicitly.
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	go func() {
-		if err := http.Serve(ln, mux); err != nil && !strings.Contains(err.Error(), "use of closed") {
-			s.log.Error("metrics server stopped", "err", err)
-		}
-	}()
-	return ln, nil
+		return true, fmt.Sprintf("ok replica_lag_lsn=%d", r.lag())
+	}
+	return true, "ok"
 }
 
-// handle serves one connection. Each connection gets a process-unique
-// id for log correlation and its requests/errors are accounted both
-// globally (metrics) and per connection (the close log line). A
-// connection past the -max-conns cap is rejected with a single ERR
-// line before any per-connection state is set up, so an accept flood
-// cannot exhaust the server.
-func (s *server) handle(conn net.Conn) {
-	if s.maxConns > 0 && s.liveConns.Add(1) > s.maxConns {
-		s.liveConns.Add(-1)
-		s.connRejects.Inc()
-		s.log.Warn("connection rejected at -max-conns cap",
-			"remote", conn.RemoteAddr().String(), "max", s.maxConns)
-		s.setWriteDeadline(conn)
-		fmt.Fprintln(conn, "ERR server busy: connection limit reached, retry later")
-		_ = conn.Close() // the reject line is best-effort; nothing to salvage
-		return
+// commands is histserve's command table. Every verb joins the unit in
+// progress: a line is answered from local state, so serving it together
+// with the buffered lines before it delays none of them, and the whole
+// unit shares one commit barrier and one flush. REPLICATE is the
+// exception on both counts — it hijacks the connection for WAL shipping
+// and speaks the replication protocol from then on (see repl.go), so
+// the replies before it must have left; its arguments are checked there
+// because a refused REPLICATE closes the connection. QRY's arity is
+// checked by parseQueryRange, which EXPLAIN shares.
+func (s *server) commands() []lineserver.Command {
+	mut := 1 + s.dims + 1
+	rows := []lineserver.Command{
+		{Verb: "INS", MinArgs: mut, MaxArgs: mut, Handle: s.cmdMutate,
+			Usage: fmt.Sprintf("INS needs time, %d coordinates and a value", s.dims)},
+		{Verb: "DEL", MinArgs: mut, MaxArgs: mut, Handle: s.cmdMutate,
+			Usage: fmt.Sprintf("DEL needs time, %d coordinates and a value", s.dims)},
+		{Verb: "QRY", MaxArgs: -1, Handle: s.cmdQuery},
+		{Verb: "EXPLAIN", MaxArgs: -1, Handle: s.cmdExplain},
+		{Verb: "STATS", Usage: "STATS takes no arguments", Handle: s.cmdStats},
+		{Verb: "SAVE", MinArgs: 1, MaxArgs: 1, Usage: "SAVE needs a file path", Handle: s.cmdSave},
+		{Verb: "CHECKPOINT", Usage: "CHECKPOINT takes no arguments", Handle: s.cmdCheckpoint},
+		{Verb: "SEAL", MaxArgs: 1, Usage: "SEAL takes at most one argument: SEAL [<time>]", Handle: s.cmdSeal},
+		{Verb: "VERSION", Usage: "VERSION takes no arguments", Handle: s.cmdVersion},
+		{Verb: "ROLE", Usage: "ROLE takes no arguments", Handle: s.cmdRole},
+		{Verb: "PROMOTE", MaxArgs: 1, Usage: "PROMOTE takes at most one argument: PROMOTE [<min_lsn>]", Handle: s.cmdPromote},
+		{Verb: "REPLICATE", MaxArgs: -1, EndsUnit: true, Hijack: s.serveReplication},
 	}
-	id := s.connSeq.Add(1)
-	s.connections.Inc()
-	s.connTotal.Inc()
-	log := s.log.With("conn", id, "remote", conn.RemoteAddr().String())
-	log.Info("connection opened")
-	var reqs, errs int64
-	defer func() {
-		if err := conn.Close(); err != nil {
-			log.Warn("closing connection failed", "err", err)
-		}
-		s.connections.Dec()
-		if s.maxConns > 0 {
-			s.liveConns.Add(-1)
-		}
-		log.Info("connection closed", "requests", reqs, "errors", errs)
-	}()
-	lr := lineserver.NewReader(conn, s.maxLineLen)
-	w := bufio.NewWriter(conn)
-	// Replies are not written as they are produced: they collect in
-	// pending and leave together — one commit barrier (settle), one
-	// flush — once no further complete request line is already
-	// buffered. A client at depth 1 sees exactly one flush per request,
-	// as before; a pipelining client pays one fsync and one flush per
-	// window instead of one per line.
-	var pending []reply
-	release := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		s.settle(pending)
-		s.setWriteDeadline(conn)
-		for i := range pending {
-			p := &pending[i]
-			if strings.HasPrefix(p.text, "ERR") {
-				errs++
-				if p.tid != 0 {
-					log.Warn("request failed", "trace_id", p.tid.String(), "line", p.line, "resp", p.text)
-				} else {
-					log.Warn("request failed", "line", p.line, "resp", p.text)
-				}
-			}
-			_, _ = w.WriteString(p.text) // a write error is sticky; Flush reports it
-			_ = w.WriteByte('\n')
-		}
-		pending = pending[:0]
-		return w.Flush()
+	for i := range rows {
+		rows[i].Joins = rows[i].Hijack == nil
 	}
-	var readErr error
-	for {
-		// A trailing partial line does not count as buffered input: it
-		// must not withhold the replies before it.
-		if !lr.HasLine() || len(pending) >= lineserver.MaxPendingReplies {
-			if release() != nil {
-				return
-			}
-			if s.readTimeout > 0 {
-				_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout))
-			}
-		}
-		raw, err := lr.Next()
-		if err != nil {
-			readErr = err
-			break
-		}
-		line := strings.TrimSpace(string(raw))
-		if line == "" {
-			continue
-		}
-		reqs++
-		// An optional leading TID= token carries a propagated trace
-		// identifier (histproxy stamps one on every shard leg); the
-		// request's root span adopts it so one trace_id correlates the
-		// query across the fleet's logs and /debug feeds.
-		tid, stripped := trace.CutRequestID(line)
-		// REPLICATE hijacks the connection for WAL shipping: from here
-		// on it speaks the replication protocol, not request/response.
-		if strings.EqualFold(lineserver.Verb(stripped), "REPLICATE") {
-			if release() != nil {
-				return
-			}
-			s.serveReplication(conn, lr, w, stripped)
-			return
-		}
-		r := s.execute(tid, stripped)
-		pending = append(pending, r)
-		if r.quit {
-			_ = release() // the connection closes either way
-			return
-		}
-	}
-	if release() != nil {
-		return
-	}
-	switch {
-	case errors.Is(readErr, io.EOF): // clean close
-	case errors.Is(readErr, bufio.ErrTooLong):
-		// The reader cannot resynchronise past an overlong line; tell
-		// the client why before closing.
-		fmt.Fprintf(w, "ERR line too long (max %d bytes)\n", s.maxLineLen)
-		s.setWriteDeadline(conn)
-		_ = w.Flush() // best-effort farewell on a connection being torn down
-		log.Warn("connection closed: line exceeds -max-line-bytes", "max", s.maxLineLen)
-	default:
-		var ne net.Error
-		if errors.As(readErr, &ne) && ne.Timeout() {
-			log.Info("connection closed: idle past -read-timeout", "timeout", s.readTimeout)
-		} else {
-			log.Warn("connection read failed", "err", readErr)
-		}
-	}
+	return rows
 }
 
-// setWriteDeadline bounds the next response write with the same
-// duration that bounds reads: a client that stops reading must not pin
-// a goroutine (and a -max-conns slot) forever on a blocked flush — the
-// slow-loris variant of the idle-read problem. 0 disables, mirroring
-// -read-timeout.
-func (s *server) setWriteDeadline(conn net.Conn) {
-	if s.readTimeout > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(s.readTimeout))
-	}
-}
-
-// reply is one executed request whose response has not left the server
-// yet. Mutations are staged in the WAL and applied when execute
-// returns, but not yet durable: wal/lsn name the commit the reply must
-// wait for (settle), and until then text is provisional.
-type reply struct {
-	text  string
-	quit  bool
-	line  string   // the request, for the failure log
-	tid   trace.ID // propagated trace identifier, zero when absent
-	cmd   string   // accounting label
-	start time.Time
-	wal   *wal.Log // log a successful mutation was staged in; nil otherwise
-	lsn   uint64   // its position there; 0 otherwise
-}
-
-// execute runs one request line up to, but not including, its commit
-// barrier, behind a panic barrier: a panic anywhere in request handling
-// (including one injected at the serve.dispatch fault site) is logged
-// with its stack and answered with ERR internal, and the connection
-// keeps serving. Panics under mu are converted even earlier, inside
-// mutate/queryLocked, so the deferred unlock runs and the mutex is
-// never poisoned.
-func (s *server) execute(tid trace.ID, line string) (r reply) {
-	r = reply{line: line, tid: tid, cmd: "other", start: time.Now()}
-	s.inflight.Inc()
-	defer func() {
-		s.inflight.Dec()
-		if p := recover(); p != nil {
-			s.panics.Inc()
-			s.log.Error("panic recovered in dispatch",
-				"line", line, "panic", fmt.Sprint(p), "stack", string(debug.Stack()))
-			r.text, r.quit = errResponse(fmt.Errorf("%w (%v)", errInternal, p)), false
-		}
-	}()
-	r.text, r.quit = s.dispatch(&r)
-	return r
+// staged is what a successful mutation leaves pending: it is written to
+// the WAL and applied, but not yet durable, so its OK is provisional
+// until settle's barrier on (wal, lsn) passes.
+type staged struct {
+	wal *wal.Log
+	lsn uint64
 }
 
 // settle is the commit barrier in front of every reply: no OK for a
 // mutation may leave the server before its record is durable and, with
 // -repl-min-acks, acknowledged by that many followers. LSNs grow along
 // a connection and both waits are cumulative, so one barrier on the
-// batch's last mutation covers them all. When it fails, every mutation
-// reply of the batch becomes the ERR it would have been inline — the
+// unit's last mutation covers them all. When it fails, every mutation
+// reply of the unit becomes the ERR it would have been inline — the
 // writes are applied and possibly logged, but nothing was promised;
-// other replies pass unchanged. Requests are accounted here, not when
-// execute returns, so the recorded latency includes the wait the client
-// sees.
-func (s *server) settle(batch []reply) {
-	for i := len(batch) - 1; i >= 0; i-- {
-		if last := &batch[i]; last.lsn > 0 {
-			if errResp := s.commitBarrier(last.wal, last.lsn); errResp != "" {
-				for j := range batch[:i+1] {
-					if batch[j].lsn > 0 {
-						batch[j].text = errResp
-					}
-				}
-			}
-			break
+// other replies pass unchanged.
+func (s *server) settle(open []*lineserver.Request) {
+	last := open[len(open)-1].Pending.(staged)
+	if errResp := s.commitBarrier(last.wal, last.lsn); errResp != "" {
+		for _, rq := range open {
+			rq.Reply = errResp
 		}
-	}
-	for i := range batch {
-		s.finish(batch[i].cmd, batch[i].text, batch[i].start)
 	}
 }
 
@@ -967,268 +645,197 @@ func (s *server) commitBarrier(wl *wal.Log, lsn uint64) string {
 	return ""
 }
 
-// finish accounts one released request under the command's label:
-// the request counter, the error counter for responses starting with
-// ERR, and the command's sliding-window latency recorder.
-func (s *server) finish(cmd, resp string, start time.Time) {
-	key := cmd
-	if _, known := s.requests[key]; !known {
-		key = "other"
-	}
-	s.requests[key].Inc()
-	if strings.HasPrefix(resp, "ERR") {
-		s.errors[key].Inc()
-	}
-	s.perf.Record(key, time.Since(start))
+func (s *server) cmdVersion(*lineserver.Request) string {
+	return fmt.Sprintf("OK histserve rev=%s dirty=%t go=%s", s.meta.GitRev, s.meta.GitDirty, s.meta.GoVersion)
 }
 
-// dispatch answers one request line (r.line). r.tid is the trace
-// identifier propagated by the request's TID= token (zero when absent):
-// traced commands adopt it for their root span, so the ID a proxy
-// generated at the edge survives into this shard's spans, slow log and
-// feeds. It fills in r.cmd and, for a successful mutation, r.wal/r.lsn.
-func (s *server) dispatch(r *reply) (resp string, quit bool) {
-	tid, line := r.tid, r.line
-	fields := strings.Fields(line)
-	if len(fields) > 0 {
-		r.cmd = strings.ToUpper(fields[0])
+func (s *server) cmdRole(*lineserver.Request) string { return s.roleLine() }
+
+// cmdPromote answers PROMOTE [<min_lsn>] — failover: turn this follower
+// into a primary. The optional fence refuses the promotion when this
+// replica has applied less than min_lsn (another replica holds more
+// acked history and must take over instead).
+func (s *server) cmdPromote(rq *lineserver.Request) string {
+	var minLSN uint64
+	if len(rq.Fields) == 2 {
+		v, err := strconv.ParseUint(rq.Fields[1], 10, 64)
+		if err != nil {
+			return "ERR bad fence LSN: " + err.Error()
+		}
+		minLSN = v
 	}
-	cmd := r.cmd
-	if len(fields) == 0 {
-		return "ERR empty command", false
+	return s.promote(minLSN)
+}
+
+// cmdSeal answers SEAL [<t>]: SEAL <t> raises the seal boundary to t;
+// bare SEAL seals the whole timeline (full read-only demotion).
+// Monotonic: sealing below the current boundary is a no-op reporting
+// the boundary, because unsealing would re-open history other shards
+// already answer for.
+func (s *server) cmdSeal(rq *lineserver.Request) string {
+	t := int64(math.MaxInt64)
+	if len(rq.Fields) == 2 {
+		v, err := strconv.ParseInt(rq.Fields[1], 10, 64)
+		if err != nil {
+			return "ERR bad seal time: " + err.Error()
+		}
+		t = v
 	}
-	// The serve.dispatch fault site: chaos specs can delay, fail or
-	// panic whole requests here to exercise the governance paths. The
-	// panic kind propagates out of Check into safeDispatch's barrier.
-	if out := s.inj.Check("serve.dispatch"); out.Err != nil || out.Delay > 0 {
-		time.Sleep(out.Delay)
-		if out.Err != nil {
-			return "ERR " + out.Err.Error(), false
-		}
+	return fmt.Sprintf("OK sealed_through=%d", s.sealThrough(t))
+}
+
+func (s *server) cmdStats(*lineserver.Request) string {
+	st := s.statsSnapshot()
+	degraded := 0
+	if s.degraded.Load() {
+		degraded = 1
 	}
-	switch cmd {
-	case "QUIT":
-		return "BYE", true
-	case "VERSION":
-		if len(fields) != 1 {
-			return "ERR VERSION takes no arguments", false
-		}
-		return fmt.Sprintf("OK histserve rev=%s dirty=%t go=%s", s.meta.GitRev, s.meta.GitDirty, s.meta.GoVersion), false
-	case "ROLE":
-		if len(fields) != 1 {
-			return "ERR ROLE takes no arguments", false
-		}
-		return s.roleLine(), false
-	case "PROMOTE":
-		// PROMOTE [<min_lsn>] — failover: turn this follower into a
-		// primary. The optional fence refuses the promotion when this
-		// replica has applied less than min_lsn (another replica holds
-		// more acked history and must take over instead).
-		if len(fields) > 2 {
-			return "ERR PROMOTE takes at most one argument: PROMOTE [<min_lsn>]", false
-		}
-		var minLSN uint64
-		if len(fields) == 2 {
-			v, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				return "ERR bad fence LSN: " + err.Error(), false
-			}
-			minLSN = v
-		}
-		return s.promote(minLSN), false
-	case "SEAL":
-		// SEAL <t> raises the seal boundary to t; bare SEAL seals the
-		// whole timeline (full read-only demotion). Monotonic: sealing
-		// below the current boundary is a no-op reporting the boundary,
-		// because unsealing would re-open history other shards already
-		// answer for.
-		if len(fields) > 2 {
-			return "ERR SEAL takes at most one argument: SEAL [<time>]", false
-		}
-		t := int64(math.MaxInt64)
-		if len(fields) == 2 {
-			v, err := strconv.ParseInt(fields[1], 10, 64)
-			if err != nil {
-				return "ERR bad seal time: " + err.Error(), false
-			}
-			t = v
-		}
-		return fmt.Sprintf("OK sealed_through=%d", s.sealThrough(t)), false
-	case "STATS":
-		st := s.statsSnapshot()
-		degraded := 0
-		if s.degraded.Load() {
-			degraded = 1
-		}
-		// The trailing win_* fields digest the sliding latency windows
-		// (internal/perf) for the two hot commands; times in
-		// microseconds, throughput in ops/sec over the covered window.
-		qry := s.perf.Snapshot("QRY")
-		ins := s.perf.Snapshot("INS")
-		// sealed_through appears only once something is sealed: the
-		// MinInt64 sentinel would poison numeric STATS aggregation
-		// (histproxy sums/maxes the fields it understands). git_rev is
-		// the only non-numeric field; consumers skip unknown tokens.
-		tail := ""
-		if sealed := s.sealedThrough.Load(); sealed != math.MinInt64 {
-			tail = fmt.Sprintf(" sealed_through=%d", sealed)
-		}
-		// Follower mode reports its replication positions; the fields
-		// appear only on replicas, so a proxy summing primary STATS
-		// never sees them.
-		if s.isReplica() {
-			r := s.repl
-			tail += fmt.Sprintf(" replica=1 replica_applied_lsn=%d replica_lag_lsn=%d",
-				r.applied.Load(), r.lag())
-		}
-		tail += " git_rev=" + s.meta.GitRev
-		return fmt.Sprintf("slices=%d incomplete=%d pending=%d appended=%d "+
-			"ooo=%d conversions=%d conversions_query=%d conversions_append=%d "+
-			"cells_touched=%d forced_copies=%d copy_ahead=%d "+
-			"demoted=%d cache_accesses=%d store_accesses=%d "+
-			"degraded=%d readonly_rejections=%d "+
-			"win_s=%.0f qry_ops=%.1f qry_p50_us=%.1f qry_p99_us=%.1f "+
-			"ins_ops=%.1f ins_p50_us=%.1f ins_p99_us=%.1f",
-			st.Slices, st.IncompleteSlices, st.PendingOutOfOrder, st.AppendedUpdates,
-			st.OutOfOrderUpdates, st.ECubeConversions, st.ECubeConversionsQuery,
-			st.ECubeConversionsAppend, st.ECubeCellsTouched,
-			st.ForcedCopies, st.CopyAheadWork,
-			st.TierDemotions, st.CacheAccesses, st.StoreAccesses,
-			degraded, s.readonlyRejects.Value(),
-			s.perf.Window().Seconds(),
-			qry.OpsPerSec, micros(qry.P50), micros(qry.P99),
-			ins.OpsPerSec, micros(ins.P50), micros(ins.P99)) + tail, false
-	case "SAVE":
-		if len(fields) != 2 {
-			return "ERR SAVE needs a file path", false
-		}
-		if err := s.saveSnapshot(fields[1]); err != nil {
-			return "ERR " + err.Error(), false
-		}
-		return "OK", false
-	case "CHECKPOINT":
-		if len(fields) != 1 {
-			return "ERR CHECKPOINT takes no arguments", false
-		}
-		return s.checkpointNow(), false
-	case "INS", "DEL":
-		// INS <time> <c1>..<cd> <value>
-		if len(fields) != 1+1+s.dims+1 {
-			return fmt.Sprintf("ERR %s needs time, %d coordinates and a value", cmd, s.dims), false
-		}
-		nums, err := parseInts(fields[1 : 1+1+s.dims])
-		if err != nil {
-			return "ERR " + err.Error(), false
-		}
-		val, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-		if err != nil {
-			return "ERR bad value: " + err.Error(), false
-		}
-		coords := make([]int, s.dims)
-		for i := range coords {
-			c, ok := dims.ToCoord(nums[1+i])
-			if !ok {
-				return fmt.Sprintf("ERR coordinate %d overflows", nums[1+i]), false
-			}
-			coords[i] = c
-		}
-		if resp := s.badCoord(coords); resp != "" {
-			return resp, false
-		}
-		if resp := s.replicaReject(); resp != "" {
-			return resp, false
-		}
-		if sealed := s.sealedThrough.Load(); nums[0] <= sealed {
-			return fmt.Sprintf("ERR sealed: time %d is in the sealed range (sealed through %d; this history is read-only)",
-				nums[0], sealed), false
-		}
-		if resp := s.readOnlyReject(); resp != "" {
-			return resp, false
-		}
-		var root *trace.Span
-		if cmd == "INS" {
-			root = trace.New("histserve.insert")
-		} else {
-			root = trace.New("histserve.delete")
-		}
-		root.SetTraceID(tid)
-		wl, lsn, err := s.mutate(cmd, root, nums[0], coords, val)
-		root.End()
-		s.observe(line, root)
-		if err != nil {
-			return errResponse(err), false
-		}
-		// Staged and applied, not yet durable: the OK is held back until
-		// settle's commit barrier passes.
-		r.wal, r.lsn = wl, lsn
-		return "OK", false
-	case "QRY":
-		rng, errResp := s.parseQueryRange(fields[1:])
-		if errResp != "" {
-			return errResp, false
-		}
-		v, _, err := s.runQuery(tid, line, rng)
-		if err != nil {
-			return errResponse(err), false
-		}
-		return strconv.FormatFloat(v, 'g', -1, 64), false
-	case "EXPLAIN":
-		// EXPLAIN [JSON] QRY ... — the JSON variant answers on a single
-		// line with the full structured span tree, which is what
-		// histproxy consumes to graft this shard's spans under its own
-		// proxy.leg (the text variant stays the human/debug format).
-		args := fields[1:]
-		jsonMode := len(args) > 0 && strings.ToUpper(args[0]) == "JSON"
-		if jsonMode {
-			args = args[1:]
-		}
-		if len(args) < 1 || strings.ToUpper(args[0]) != "QRY" {
-			return "ERR EXPLAIN wraps a query: EXPLAIN [JSON] QRY <tlo> <thi> <lo...> <hi...>", false
-		}
-		rng, errResp := s.parseQueryRange(args[1:])
-		if errResp != "" {
-			return errResp, false
-		}
-		v, root, err := s.runQuery(tid, line, rng)
-		if err != nil {
-			return errResponse(err), false
-		}
-		if jsonMode {
-			doc, err := json.Marshal(explainJSON{Result: v, Trace: root.JSON()})
-			if err != nil {
-				return "ERR rendering trace: " + err.Error(), false
-			}
-			return "OK " + string(doc), false
-		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "OK result=%s\n", strconv.FormatFloat(v, 'g', -1, 64))
-		root.Render(&b)
-		b.WriteString("totals")
-		for c := trace.Counter(0); c < trace.NumCounters; c++ {
-			fmt.Fprintf(&b, " %s=%d", c, root.Total(c))
-		}
-		b.WriteString("\nEND")
-		return b.String(), false
-	case "SLOWLOG":
-		if len(fields) != 1 {
-			return "ERR SLOWLOG takes no arguments", false
-		}
-		entries := s.slow.Entries()
-		var b strings.Builder
-		fmt.Fprintf(&b, "OK n=%d cap=%d threshold=%s observed=%d admitted=%d\n",
-			len(entries), s.slow.Cap(), s.slow.Threshold(),
-			s.slow.Observed(), s.slow.Admitted())
-		for i, e := range entries {
-			fmt.Fprintf(&b, "#%d dur=%s at=%s cells_touched=%d conversions=%d trace_id=%s line=%q\n",
-				i+1, e.Duration, e.At.UTC().Format(time.RFC3339Nano),
-				e.Span.Total(trace.CellsTouched), e.Span.Total(trace.Conversions),
-				e.Span.TraceID(), e.Line)
-		}
-		b.WriteString("END")
-		return b.String(), false
-	default:
-		return "ERR unknown command " + cmd, false
+	// The trailing win_* fields digest the sliding latency windows
+	// (internal/perf) for the two hot commands; times in
+	// microseconds, throughput in ops/sec over the covered window.
+	qry := s.Perf.Snapshot("QRY")
+	ins := s.Perf.Snapshot("INS")
+	// sealed_through appears only once something is sealed: the
+	// MinInt64 sentinel would poison numeric STATS aggregation
+	// (histproxy sums/maxes the fields it understands). git_rev is
+	// the only non-numeric field; consumers skip unknown tokens.
+	tail := ""
+	if sealed := s.sealedThrough.Load(); sealed != math.MinInt64 {
+		tail = fmt.Sprintf(" sealed_through=%d", sealed)
 	}
+	// Follower mode reports its replication positions; the fields
+	// appear only on replicas, so a proxy summing primary STATS
+	// never sees them.
+	if s.isReplica() {
+		r := s.repl
+		tail += fmt.Sprintf(" replica=1 replica_applied_lsn=%d replica_lag_lsn=%d",
+			r.applied.Load(), r.lag())
+	}
+	tail += " git_rev=" + s.meta.GitRev
+	return fmt.Sprintf("slices=%d incomplete=%d pending=%d appended=%d "+
+		"ooo=%d conversions=%d conversions_query=%d conversions_append=%d "+
+		"cells_touched=%d forced_copies=%d copy_ahead=%d "+
+		"demoted=%d cache_accesses=%d store_accesses=%d "+
+		"degraded=%d readonly_rejections=%d "+
+		"win_s=%.0f qry_ops=%.1f qry_p50_us=%.1f qry_p99_us=%.1f "+
+		"ins_ops=%.1f ins_p50_us=%.1f ins_p99_us=%.1f",
+		st.Slices, st.IncompleteSlices, st.PendingOutOfOrder, st.AppendedUpdates,
+		st.OutOfOrderUpdates, st.ECubeConversions, st.ECubeConversionsQuery,
+		st.ECubeConversionsAppend, st.ECubeCellsTouched,
+		st.ForcedCopies, st.CopyAheadWork,
+		st.TierDemotions, st.CacheAccesses, st.StoreAccesses,
+		degraded, s.readonlyRejects.Value(),
+		s.Perf.Window().Seconds(),
+		qry.OpsPerSec, micros(qry.P50), micros(qry.P99),
+		ins.OpsPerSec, micros(ins.P50), micros(ins.P99)) + tail
+}
+
+func (s *server) cmdSave(rq *lineserver.Request) string {
+	if err := s.saveSnapshot(rq.Fields[1]); err != nil {
+		return "ERR " + err.Error()
+	}
+	return "OK"
+}
+
+func (s *server) cmdCheckpoint(*lineserver.Request) string { return s.checkpointNow() }
+
+// cmdMutate answers INS/DEL <time> <c1>..<cd> <value>. rq.TID is the
+// trace identifier propagated by the request's TID= token (zero when
+// absent): the root span adopts it, so the ID a proxy generated at the
+// edge survives into this shard's spans, slow log and feeds.
+func (s *server) cmdMutate(rq *lineserver.Request) string {
+	cmd, fields := rq.Verb(), rq.Fields
+	nums, err := lineserver.ParseInts(fields[1 : 1+1+s.dims])
+	if err != nil {
+		return "ERR " + err.Error()
+	}
+	val, err := strconv.ParseFloat(fields[len(fields)-1], 64)
+	if err != nil {
+		return "ERR bad value: " + err.Error()
+	}
+	coords := make([]int, s.dims)
+	for i := range coords {
+		c, ok := dims.ToCoord(nums[1+i])
+		if !ok {
+			return fmt.Sprintf("ERR coordinate %d overflows", nums[1+i])
+		}
+		coords[i] = c
+	}
+	if resp := s.badCoord(coords); resp != "" {
+		return resp
+	}
+	if resp := s.replicaReject(); resp != "" {
+		return resp
+	}
+	if sealed := s.sealedThrough.Load(); nums[0] <= sealed {
+		return fmt.Sprintf("ERR sealed: time %d is in the sealed range (sealed through %d; this history is read-only)",
+			nums[0], sealed)
+	}
+	if resp := s.readOnlyReject(); resp != "" {
+		return resp
+	}
+	var root *trace.Span
+	if cmd == "INS" {
+		root = trace.New("histserve.insert")
+	} else {
+		root = trace.New("histserve.delete")
+	}
+	root.SetTraceID(rq.TID)
+	wl, lsn, err := s.mutate(cmd, root, nums[0], coords, val)
+	root.End()
+	s.Observe(rq.Line, root)
+	if err != nil {
+		return errResponse(err)
+	}
+	// Staged and applied, not yet durable: the OK is held back until
+	// settle's commit barrier passes.
+	if wl != nil {
+		rq.Pending = staged{wl, lsn}
+	}
+	return "OK"
+}
+
+func (s *server) cmdQuery(rq *lineserver.Request) string {
+	rng, errResp := s.parseQueryRange(rq.Fields[1:])
+	if errResp != "" {
+		return errResp
+	}
+	v, _, err := s.runQuery(rq.TID, rq.Line, rng)
+	if err != nil {
+		return errResponse(err)
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// cmdExplain answers EXPLAIN [JSON] QRY ... — the JSON variant answers
+// on a single line with the full structured span tree, which is what
+// histproxy consumes to graft this shard's spans under its own
+// proxy.leg (the text variant stays the human/debug format).
+func (s *server) cmdExplain(rq *lineserver.Request) string {
+	args := rq.Fields[1:]
+	jsonMode := len(args) > 0 && strings.ToUpper(args[0]) == "JSON"
+	if jsonMode {
+		args = args[1:]
+	}
+	if len(args) < 1 || strings.ToUpper(args[0]) != "QRY" {
+		return "ERR EXPLAIN wraps a query: EXPLAIN [JSON] QRY <tlo> <thi> <lo...> <hi...>"
+	}
+	rng, errResp := s.parseQueryRange(args[1:])
+	if errResp != "" {
+		return errResp
+	}
+	v, root, err := s.runQuery(rq.TID, rq.Line, rng)
+	if err != nil {
+		return errResponse(err)
+	}
+	if jsonMode {
+		doc, err := json.Marshal(trace.ExplainJSON{Result: v, Trace: root.JSON()})
+		if err != nil {
+			return "ERR rendering trace: " + err.Error()
+		}
+		return "OK " + string(doc)
+	}
+	return root.Explain("OK result=" + strconv.FormatFloat(v, 'g', -1, 64))
 }
 
 // parseQueryRange parses the arguments of a QRY (after the verb):
@@ -1238,7 +845,7 @@ func (s *server) parseQueryRange(args []string) (core.Range, string) {
 	if len(args) != 2+2*s.dims {
 		return core.Range{}, fmt.Sprintf("ERR QRY needs tlo, thi and %d lo + %d hi coordinates", s.dims, s.dims)
 	}
-	nums, err := parseInts(args)
+	nums, err := lineserver.ParseInts(args)
 	if err != nil {
 		return core.Range{}, "ERR " + err.Error()
 	}
@@ -1282,48 +889,39 @@ func (s *server) runQuery(tid trace.ID, line string, rng core.Range) (float64, *
 	root.SetTraceID(tid)
 	v, err := s.queryLocked(root, rng)
 	root.End()
-	s.observe(line, root)
+	s.Observe(line, root)
 	return v, root, err
 }
 
 // queryLocked runs the deadline-bounded query under mu (queries mutate
-// shared state; see the locking contract) with the same panic
-// containment as mutate.
-func (s *server) queryLocked(root *trace.Span, rng core.Range) (v float64, err error) {
-	ctx, cancel := s.requestCtx()
+// shared state; see the locking contract). As in mutate, the unlock is
+// deferred: a panicking cube call releases mu on its way up to the
+// serving core's panic barrier instead of poisoning it.
+func (s *server) queryLocked(root *trace.Span, rng core.Range) (float64, error) {
+	ctx, cancel := s.RequestCtx()
 	defer cancel()
 	ctx = trace.NewContext(ctx, root)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer func() {
-		if r := recover(); r != nil {
-			err = s.recoveredPanic("QRY", r, root)
-		}
-	}()
 	return s.cube.QueryCtx(ctx, rng)
 }
 
 // mutate runs one INS/DEL under mu: the op sink stages the record in
 // the WAL (write, no fsync), then the cube applies it — log-then-apply,
 // with the fsync left to the commit barrier so mu is never held across
-// it. The deferred unlock plus the inner recover keep a panicking cube
-// call from poisoning mu; the panic is logged with the request's span
-// tree and surfaces as ERR internal. A storage failure (the WAL write
+// it. The deferred unlock keeps a panicking cube call from poisoning
+// mu; the panic itself travels on to the serving core's barrier and
+// surfaces as ERR internal. A storage failure (the WAL write
 // exhausting its retries, or out-of-space) enters degraded mode. On
 // success wl/lsn name the log and position the record was staged at
 // (nil/0 without durability) — what the barrier commits and the
 // semi-sync ack wait keys on.
 func (s *server) mutate(cmd string, root *trace.Span, t int64, coords []int, val float64) (wl *wal.Log, lsn uint64, err error) {
-	ctx, cancel := s.requestCtx()
+	ctx, cancel := s.RequestCtx()
 	defer cancel()
 	ctx = trace.NewContext(ctx, root)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer func() {
-		if r := recover(); r != nil {
-			err = s.recoveredPanic(cmd, r, root)
-		}
-	}()
 	// The WAL-bytes delta is taken under mu, where the op sink's
 	// appends are serialised, so the attribution to this request is
 	// exact.
@@ -1358,14 +956,6 @@ func (s *server) statsSnapshot() core.Stats {
 	return s.cube.Stats()
 }
 
-// requestCtx derives the per-request context from -request-timeout.
-func (s *server) requestCtx() (context.Context, context.CancelFunc) {
-	if s.reqTimeout <= 0 {
-		return context.Background(), func() {}
-	}
-	return context.WithTimeout(context.Background(), s.reqTimeout)
-}
-
 // errResponse renders an error as the protocol's ERR line, giving
 // deadline and cancellation failures a stable prefix clients can match.
 func errResponse(err error) string {
@@ -1377,18 +967,6 @@ func errResponse(err error) string {
 	default:
 		return "ERR " + err.Error()
 	}
-}
-
-// recoveredPanic converts a panic caught under mu into an error. It
-// runs inside the deferred recover, before the deferred Unlock, so the
-// mutex is released normally and later requests proceed.
-func (s *server) recoveredPanic(cmd string, r any, root *trace.Span) error {
-	s.panics.Inc()
-	var tree strings.Builder
-	root.Render(&tree)
-	s.log.Error("panic recovered", "cmd", cmd, "panic", fmt.Sprint(r),
-		"trace", tree.String(), "stack", string(debug.Stack()))
-	return fmt.Errorf("%w (%s: %v)", errInternal, cmd, r)
 }
 
 // isStorageFailure classifies errors that mean the durable layer is
@@ -1406,7 +984,7 @@ func (s *server) setDegraded(cause error) {
 	s.lastProbeNano.Store(time.Now().UnixNano())
 	if s.degraded.CompareAndSwap(false, true) {
 		s.degradedFlips.Inc()
-		s.log.Error("entering degraded read-only mode", "cause", cause)
+		s.Log.Error("entering degraded read-only mode", "cause", cause)
 	}
 }
 
@@ -1414,7 +992,7 @@ func (s *server) setDegraded(cause error) {
 // the storage path works again. A no-op when healthy.
 func (s *server) clearDegraded() {
 	if s.degraded.CompareAndSwap(true, false) {
-		s.log.Info("leaving degraded read-only mode: storage recovered")
+		s.Log.Info("leaving degraded read-only mode: storage recovered")
 	}
 }
 
@@ -1451,22 +1029,6 @@ func (s *server) probeDue() bool {
 	return s.lastProbeNano.CompareAndSwap(last, now)
 }
 
-// observe retains one finished request trace: every request enters
-// the recent ring; queries are additionally offered to the slow log.
-// A query the slow log admits is also logged with its trace_id — the
-// slog side of fleet-wide correlation (the proxy logs the same ID for
-// the same request).
-func (s *server) observe(line string, root *trace.Span) {
-	at := time.Now()
-	d := root.Duration()
-	s.recent.Add(line, at, d, root)
-	if root.Name() == "histserve.query" {
-		if s.slow.Observe(line, at, d, root) {
-			s.log.Warn("slow query", "trace_id", root.TraceID().String(), "dur", d, "line", line)
-		}
-	}
-}
-
 // markReady flips /readyz to 200: startup (snapshot load, WAL
 // recovery) has finished and the server is about to accept traffic.
 func (s *server) markReady() { s.ready.Store(true) }
@@ -1488,27 +1050,6 @@ func (s *server) sealThrough(t int64) int64 {
 // micros renders a duration as fractional microseconds for the STATS
 // win_* fields.
 func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-
-// explainJSON is the single-line reply body of EXPLAIN JSON QRY — the
-// structured variant histproxy consumes to graft shard span trees.
-type explainJSON struct {
-	Result float64         `json:"result"`
-	Trace  *trace.SpanJSON `json:"trace"`
-}
-
-// writeEntriesJSON renders retained traces as a JSON document: the
-// meta fields plus an "entries" array of {line, trace_id, at,
-// duration_ns, trace} objects (trace.EntryJSON, shared with
-// histproxy).
-func writeEntriesJSON(w http.ResponseWriter, log *slog.Logger, meta map[string]any, entries []trace.Entry) {
-	meta["entries"] = trace.EntriesJSON(entries)
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(meta); err != nil {
-		log.Error("trace JSON render failed", "err", err)
-	}
-}
 
 // checkpointNow runs the CHECKPOINT command. It holds mu across the
 // whole snapshot so the covered LSN is exact.
@@ -1561,16 +1102,4 @@ func (s *server) loadSnapshot(path string) error {
 	s.shape = cube.Shape()
 	s.mu.Unlock()
 	return nil
-}
-
-func parseInts(fields []string) ([]int64, error) {
-	out := make([]int64, len(fields))
-	for i, f := range fields {
-		v, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", f)
-		}
-		out[i] = v
-	}
-	return out, nil
 }

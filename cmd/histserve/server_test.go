@@ -19,17 +19,15 @@ func newQuietServer(t *testing.T, dims, op string, ooo bool) *server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	srv.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	return srv
 }
 
 // safeDispatch runs one request the way the connection loop does at
-// depth 1: execute, then settle a batch of one — the returned text is
+// depth 1 — a unit of one, executed and settled — the returned text is
 // what would be written to the socket.
 func (s *server) safeDispatch(tid trace.ID, line string) (resp string, quit bool) {
-	batch := []reply{s.execute(tid, line)}
-	s.settle(batch)
-	return batch[0].text, batch[0].quit
+	return s.Do(tid, line)
 }
 
 func serveOn(t *testing.T, srv *server) (addr string) {
@@ -39,15 +37,7 @@ func serveOn(t *testing.T, srv *server) (addr string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go srv.handle(conn)
-		}
-	}()
+	go srv.Serve(ln)
 	return ln.Addr().String()
 }
 
@@ -155,11 +145,29 @@ func TestProtocolErrors(t *testing.T) {
 	}
 	// Every ERR above must be visible in the error counters.
 	total := int64(0)
-	for _, cmd := range commands {
-		total += srv.errors[cmd].Value()
+	for _, cmd := range srv.Labels() {
+		total += srv.Errors[cmd].Value()
 	}
 	if want := int64(len(cases) + 1); total != want {
 		t.Errorf("error counter total = %d, want %d", total, want)
+	}
+}
+
+// TestNoArgumentVerbsRejectArguments pins the table's arity column on
+// the verbs that take none — STATS used to answer with stats whatever
+// followed it — and QUIT's exemption: it must always close.
+func TestNoArgumentVerbsRejectArguments(t *testing.T) {
+	c := dial(t, startTestServer(t, false))
+	for _, verb := range []string{"STATS", "VERSION", "ROLE", "CHECKPOINT", "SLOWLOG"} {
+		if got, want := c.cmd(t, verb+" junk"), "ERR "+verb+" takes no arguments"; got != want {
+			t.Errorf("%s junk -> %q, want %q", verb, got, want)
+		}
+	}
+	if got := c.cmd(t, "QUIT junk"); got != "BYE" {
+		t.Fatalf("QUIT junk -> %q, want BYE", got)
+	}
+	if _, err := c.r.ReadString('\n'); err == nil {
+		t.Fatal("connection survived QUIT")
 	}
 }
 
@@ -269,7 +277,7 @@ func TestStatsExtended(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
 	addr := serveOn(t, srv)
-	mln, err := srv.serveMetrics("127.0.0.1:0")
+	mln, err := srv.ServeMetrics("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,7 +141,7 @@ func requireConvergence(t *testing.T, explain func() []string, psBound int64) (f
 // checks SLOWLOG's reply: bounded, worst-first, well-formed.
 func TestSlowLogCommand(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
-	srv.slow = trace.NewSlowLog(2, 0) // admit everything, keep the 2 worst
+	srv.Slow = trace.NewSlowLog(2, 0) // admit everything, keep the 2 worst
 	addr := serveOn(t, srv)
 	c := dial(t, addr)
 	c.cmd(t, "INS 1 1 1 2")
@@ -179,10 +179,10 @@ func TestSlowLogCommand(t *testing.T) {
 	}
 	// Mutations must not enter the slow log (queries only), but they do
 	// enter the recent ring along with the queries.
-	if got := srv.slow.Observed(); got != 5 {
+	if got := srv.Slow.Observed(); got != 5 {
 		t.Errorf("slow log observed %d traces, want the 5 queries", got)
 	}
-	if got := len(srv.recent.Entries()); got != 7 {
+	if got := len(srv.Recent.Entries()); got != 7 {
 		t.Errorf("recent ring holds %d traces, want 7 (2 INS + 5 QRY)", got)
 	}
 }
@@ -212,11 +212,11 @@ func (s *syncBuf) String() string {
 // stream — the correlation path histproxy relies on.
 func TestTraceIDPropagationAndExplainJSON(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
-	srv.slow = trace.NewSlowLog(8, 0)
+	srv.Slow = trace.NewSlowLog(8, 0)
 	var logs syncBuf
-	srv.log = slog.New(slog.NewTextHandler(&logs, nil))
+	srv.Log = slog.New(slog.NewTextHandler(&logs, nil))
 	addr := serveOn(t, srv)
-	mln, err := srv.serveMetrics("127.0.0.1:0")
+	mln, err := srv.ServeMetrics("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestExplainErrors(t *testing.T) {
 // alive from the start, /readyz answers 503 until markReady.
 func TestReadyzGatesOnRecovery(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
-	mln, err := srv.serveMetrics("127.0.0.1:0")
+	mln, err := srv.ServeMetrics("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,9 +376,9 @@ func TestReadyzGatesOnRecovery(t *testing.T) {
 // TestDebugEndpoints checks the trace JSON feeds and the pprof index.
 func TestDebugEndpoints(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
-	srv.slow = trace.NewSlowLog(8, 0)
+	srv.Slow = trace.NewSlowLog(8, 0)
 	addr := serveOn(t, srv)
-	mln, err := srv.serveMetrics("127.0.0.1:0")
+	mln, err := srv.ServeMetrics("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +454,7 @@ func TestDebugEndpoints(t *testing.T) {
 // bound. Run with -race to check the retention structures.
 func TestConcurrentExplainNoSpanMixing(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
-	srv.slow = trace.NewSlowLog(4, 0)
+	srv.Slow = trace.NewSlowLog(4, 0)
 	addr := serveOn(t, srv)
 
 	// Seed an extra slice so every client's time-1 query is historic.
@@ -504,10 +504,10 @@ func TestConcurrentExplainNoSpanMixing(t *testing.T) {
 	for err := range errCh {
 		t.Error(err)
 	}
-	if got := len(srv.slow.Entries()); got > srv.slow.Cap() {
-		t.Errorf("slow log grew past its bound: %d > %d", got, srv.slow.Cap())
+	if got := len(srv.Slow.Entries()); got > srv.Slow.Cap() {
+		t.Errorf("slow log grew past its bound: %d > %d", got, srv.Slow.Cap())
 	}
-	if got := srv.slow.Observed(); got != clients*rounds {
+	if got := srv.Slow.Observed(); got != clients*rounds {
 		t.Errorf("slow log observed %d queries, want %d", got, clients*rounds)
 	}
 }

@@ -1,24 +1,60 @@
-// Package lineserver holds what histserve's and histproxy's connection
-// loops share. Today that is the request-line reader, the verb of a line
-// and the cap on how much work one connection batches; the loops
-// themselves follow (ROADMAP "One serving core for both binaries").
+// Package lineserver is the serving core histserve and histproxy share:
+// the accept and signal loop, the per-connection loop with its
+// governance (-max-conns, -read-timeout, -max-line-bytes,
+// -request-timeout), the panic barrier, request accounting, trace
+// retention with SLOWLOG, the /metrics and /debug listener and the
+// flags that configure all of it. A binary adds a command table — verb,
+// arity, handler, two unit columns — a settle function and its domain
+// code.
+//
+// The unit rule. The connection loop reads one line and extends it into
+// a unit with the complete lines already buffered behind it (at most
+// MaxPendingReplies), for as long as the table says the next line
+// joins: the unit's last line does not have EndsUnit and the next line
+// has Joins. It runs every line's handler, then calls the settle
+// function once for the requests whose handlers left work pending, then
+// writes all replies in request order and flushes once. A unit is what
+// is settled together; the table decides what is worth settling
+// together.
+//
+// histserve answers every line from local state, so every verb joins
+// and only QUIT and REPLICATE end a unit; settle is the commit barrier
+// (one group fsync, one cumulative follower-ack wait). The buffer only
+// changes inside Reader.Next, so the unit is exactly the set of lines
+// that were buffered when its first line was read: replies are released
+// when no complete line is left waiting, or at the cap — one fsync and
+// one flush per pipelined window, one per request at depth 1.
+//
+// histproxy pays a shard round trip per line. Only INS and DEL join and
+// every other verb ends its unit, so a unit is a run of buffered
+// mutations or one line of anything else; settle sends each owner
+// shard's lines of the run as one batch round trip. Replies are
+// therefore flushed per run, not when the input goes idle: holding a
+// finished reply back behind another line's round trip would cost that
+// round trip and save one syscall.
+//
+// Panics are contained per handler call: one line's in the first phase,
+// the pending requests' in settle — on histproxy, where a run's work
+// happens in settle, the whole run.
 package lineserver
 
 import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"unicode"
 )
 
-// MaxPendingReplies caps the requests one connection batches: the
-// replies histserve holds back before it releases them regardless of
-// buffered input, the mutation lines histproxy forwards as one run, and
-// the shipped records a follower commits together. It bounds both the
-// memory a pipelining peer can pin and the records one connection
-// contributes to a group commit.
+// MaxPendingReplies caps the requests one connection batches: the lines
+// of one unit — the replies histserve holds back before it releases them
+// regardless of buffered input, the mutation lines histproxy forwards as
+// one run — and the shipped records a follower commits together. It
+// bounds both the memory a pipelining peer can pin and the records one
+// connection contributes to a group commit.
 const MaxPendingReplies = 256
 
 // Reader reads newline-terminated lines. Unlike bufio.Scanner its
@@ -57,12 +93,6 @@ func (r *Reader) Peek() ([]byte, bool) {
 	return b[:i], true
 }
 
-// HasLine reports whether a complete line is already buffered.
-func (r *Reader) HasLine() bool {
-	_, ok := r.Peek()
-	return ok
-}
-
 // Next returns the next line without its terminator; the slice is valid
 // until the following call. Like bufio.Scanner it returns a final
 // unterminated line before io.EOF, and bufio.ErrTooLong for a line of
@@ -97,11 +127,25 @@ func (r *Reader) Next() ([]byte, error) {
 // and must not be taken for the whole.
 func (r *Reader) Torn() bool { return r.torn }
 
-// Verb returns the first whitespace-delimited token of a trimmed
+// verb returns the first whitespace-delimited token of a trimmed
 // request line, as sent, without splitting the rest.
-func Verb(line string) string {
+func verb(line string) string {
 	if i := strings.IndexFunc(line, unicode.IsSpace); i >= 0 {
 		return line[:i]
 	}
 	return line
+}
+
+// ParseInts parses the integer fields of a request line (times and
+// coordinates); the error is the reply both binaries give after "ERR ".
+func ParseInts(fields []string) ([]int64, error) {
+	out := make([]int64, len(fields))
+	for i, f := range fields {
+		v, err := strconv.ParseInt(f, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad integer %q", f)
+		}
+		out[i] = v
+	}
+	return out, nil
 }

@@ -25,8 +25,8 @@ func (c *chunks) Read(p []byte) (int, error) {
 
 func TestPeekSeesOnlyCompleteBufferedLines(t *testing.T) {
 	r := NewReader(&chunks{"INS 1\nINS 2\nQRY", " 3\n"}, 0)
-	if r.HasLine() {
-		t.Fatal("HasLine before anything was read: Peek must never read")
+	if _, ok := r.Peek(); ok {
+		t.Fatal("Peek found a line before anything was read: it must never read")
 	}
 	if l, err := r.Next(); err != nil || string(l) != "INS 1" {
 		t.Fatalf("Next = %q, %v", l, err)
@@ -84,8 +84,8 @@ func TestVerb(t *testing.T) {
 		"QUIT":       "QUIT",
 		"":           "",
 	} {
-		if got := Verb(line); got != want {
-			t.Errorf("Verb(%q) = %q, want %q", line, got, want)
+		if got := verb(line); got != want {
+			t.Errorf("verb(%q) = %q, want %q", line, got, want)
 		}
 	}
 }

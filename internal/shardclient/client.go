@@ -33,11 +33,6 @@ import (
 // cooldown expires.
 var ErrShardDown = errors.New("shard down (breaker open)")
 
-// maxResponseLines bounds an END-terminated multi-line response
-// (EXPLAIN span trees); a backend streaming forever is a transport
-// fault, not a reason to buffer without limit.
-const maxResponseLines = 4096
-
 // Options configures a Client. The zero value selects the defaults
 // noted per field.
 type Options struct {
@@ -248,19 +243,11 @@ func (c *Client) put(w *wire) {
 // mutations never retry (the first attempt may have been applied).
 // Transport failures feed the breaker; ERR replies do not.
 func (c *Client) Do(ctx context.Context, line string, idempotent bool) (string, error) {
-	lines, err := c.roundTrip(ctx, line+"\n", 1, idempotent, false)
+	lines, err := c.roundTrip(ctx, line+"\n", 1, idempotent)
 	if err != nil {
 		return "", err
 	}
 	return lines[0], nil
-}
-
-// DoMulti sends one request line and reads an END-terminated
-// multi-line response (EXPLAIN); the terminating END is stripped.
-// A response whose first line is ERR is returned as that single line
-// (the server does not follow an error with END).
-func (c *Client) DoMulti(ctx context.Context, line string, idempotent bool) ([]string, error) {
-	return c.roundTrip(ctx, line+"\n", 1, idempotent, true)
 }
 
 // DoBatch is the round trip of a run of mutations: every line goes out
@@ -271,19 +258,19 @@ func (c *Client) DoMulti(ctx context.Context, line string, idempotent bool) ([]s
 // returned next to the error: they are the shard's own answers, and
 // every line beyond them is indeterminate.
 func (c *Client) DoBatch(ctx context.Context, lines []string) ([]string, error) {
-	return c.roundTrip(ctx, strings.Join(lines, "\n")+"\n", len(lines), false, false)
+	return c.roundTrip(ctx, strings.Join(lines, "\n")+"\n", len(lines), false)
 }
 
 // roundTrip sends payload (n newline-terminated request lines) and
 // reads n replies, behind the breaker.
-func (c *Client) roundTrip(ctx context.Context, payload string, n int, idempotent, multi bool) ([]string, error) {
+func (c *Client) roundTrip(ctx context.Context, payload string, n int, idempotent bool) ([]string, error) {
 	if err := c.allow(); err != nil {
 		return nil, err
 	}
-	lines, reused, err := c.attempt(ctx, payload, n, multi)
+	lines, reused, err := c.attempt(ctx, payload, n)
 	if err != nil && reused && idempotent && ctx.Err() == nil {
 		// The pooled conn likely died idle; one fresh-dial retry.
-		lines, _, err = c.attempt(ctx, payload, n, multi)
+		lines, _, err = c.attempt(ctx, payload, n)
 	}
 	if err != nil {
 		if errors.Is(ctx.Err(), context.Canceled) {
@@ -301,11 +288,10 @@ func (c *Client) roundTrip(ctx context.Context, payload string, n int, idempoten
 }
 
 // attempt performs one round trip on one connection: payload out in a
-// single write, then n single-line replies in (multi: one
-// END-terminated response instead). On failure it returns the replies
-// read so far. The returned bool reports whether the connection came
-// from the pool.
-func (c *Client) attempt(ctx context.Context, payload string, n int, multi bool) (lines []string, reused bool, err error) {
+// single write, then n single-line replies in. On failure it returns
+// the replies read so far. The returned bool reports whether the
+// connection came from the pool.
+func (c *Client) attempt(ctx context.Context, payload string, n int) (lines []string, reused bool, err error) {
 	w, reused, err := c.get(ctx)
 	if err != nil {
 		return nil, reused, err
@@ -330,29 +316,6 @@ func (c *Client) attempt(ctx context.Context, payload string, n int, multi bool)
 			return lines, reused, fmt.Errorf("shard %s: read: %w", c.addr, err)
 		}
 		lines = append(lines, l)
-	}
-	if multi && !strings.HasPrefix(lines[0], "ERR") {
-		for {
-			if err := ctx.Err(); err != nil {
-				// Cancellation without a ctx deadline would otherwise ride
-				// the full OpTimeout on every remaining line read.
-				w.conn.Close() //histlint:ignore errwrap conn is being discarded for the cancelled request
-				return nil, reused, fmt.Errorf("shard %s: %w", c.addr, err)
-			}
-			if len(lines) > maxResponseLines {
-				w.conn.Close() //histlint:ignore errwrap conn is being discarded for the oversized response
-				return nil, reused, fmt.Errorf("shard %s: response exceeds %d lines", c.addr, maxResponseLines)
-			}
-			l, err := c.readLine(w)
-			if err != nil {
-				w.conn.Close() //histlint:ignore errwrap conn is being discarded for the read error
-				return nil, reused, fmt.Errorf("shard %s: read: %w", c.addr, err)
-			}
-			if l == "END" {
-				break
-			}
-			lines = append(lines, l)
-		}
 	}
 	c.put(w)
 	return lines, reused, nil

@@ -12,8 +12,8 @@ import (
 )
 
 // fakeShard is a minimal line-protocol backend: it answers VERSION,
-// QRY (fixed value), EXPLAIN (multi-line + END), ERRME (ERR reply) and
-// DROPME (closes the conn mid-request).
+// QRY (fixed value), ERRME (ERR reply) and DROPME (closes the conn
+// mid-request).
 type fakeShard struct {
 	ln       net.Listener
 	accepted atomic.Int64
@@ -49,8 +49,6 @@ func (f *fakeShard) serve(conn net.Conn) {
 			conn.Write([]byte("OK histserve rev=test\n"))
 		case strings.HasPrefix(line, "QRY"):
 			conn.Write([]byte("42\n"))
-		case strings.HasPrefix(line, "EXPLAIN"):
-			conn.Write([]byte("OK result=42\nspan serve.query\nEND\n"))
 		case line == "ERRME":
 			conn.Write([]byte("ERR bad request\n"))
 		case line == "DROPME":
@@ -97,29 +95,6 @@ func TestDoAndPooling(t *testing.T) {
 	}
 	if !c.Healthy() {
 		t.Fatal("client unhealthy after successes")
-	}
-}
-
-func TestDoMulti(t *testing.T) {
-	f := startFakeShard(t)
-	c := newTestClient(t, f.addr(), nil)
-	lines, err := c.DoMulti(context.Background(), "EXPLAIN QRY 0 1 0 0", true)
-	if err != nil {
-		t.Fatalf("DoMulti: %v", err)
-	}
-	want := []string{"OK result=42", "span serve.query"}
-	if len(lines) != len(want) {
-		t.Fatalf("lines = %q, want %q", lines, want)
-	}
-	for i := range want {
-		if lines[i] != want[i] {
-			t.Fatalf("line %d = %q, want %q", i, lines[i], want[i])
-		}
-	}
-	// ERR first line short-circuits the END scan.
-	lines, err = c.DoMulti(context.Background(), "ERRME", true)
-	if err != nil || len(lines) != 1 || lines[0] != "ERR bad request" {
-		t.Fatalf("DoMulti(ERRME) = %q, %v", lines, err)
 	}
 }
 

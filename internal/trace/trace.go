@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -351,6 +352,24 @@ func FromContext(ctx context.Context) *Span {
 // renders nothing.
 func (s *Span) Render(w io.Writer) {
 	s.render(w, 0)
+}
+
+// Explain renders the text form of an EXPLAIN reply: the head line,
+// the span tree, a totals line with every counter summed over the tree
+// (over a tree histproxy merged from its shards' trees this is
+// bit-identical to adding up the shards' own totals lines, because
+// counters travel as int64), and END.
+func (s *Span) Explain(head string) string {
+	var b strings.Builder
+	b.WriteString(head)
+	b.WriteByte('\n')
+	s.Render(&b)
+	b.WriteString("totals")
+	for c := Counter(0); c < NumCounters; c++ {
+		fmt.Fprintf(&b, " %s=%d", c, s.Total(c))
+	}
+	b.WriteString("\nEND")
+	return b.String()
 }
 
 func (s *Span) render(w io.Writer, depth int) {

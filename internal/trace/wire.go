@@ -118,6 +118,14 @@ func (j *SpanJSON) Span() *Span {
 	return s
 }
 
+// ExplainJSON is the single-line reply body of EXPLAIN JSON QRY: the
+// structured variant histserve answers with and histproxy decodes to
+// graft shard span trees.
+type ExplainJSON struct {
+	Result float64   `json:"result"`
+	Trace  *SpanJSON `json:"trace"`
+}
+
 // EntryJSON is the JSON shape of one retained trace in the
 // /debug/slowlog and /debug/trace/recent feeds, shared by histserve
 // and histproxy so fleet-wide trace_id correlation works with one
