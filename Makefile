@@ -57,13 +57,16 @@ chaos:
 shardchaos:
 	go test -race -count=1 -v -run TestShardChaosPartialAnswersAndRejoin ./cmd/histproxy/
 
-# Replication chaos: SIGKILL a semi-sync primary mid-run under live
-# proxy write load pipelined at depth 4; every line of the killed run
-# gets one reply, no acked write may be lost, reads must stay exact
-# and complete via the WAL-shipped replica, and the promoted replica
-# must take writes within the prober's failover interval.
+# Replication chaos: SIGKILL a semi-sync primary under live proxy load
+# pipelined at depth 4 (three INS and a QRY per window, so the kill
+# lands in a mixed unit); every line of the killed unit gets one reply,
+# no acked write may be lost, reads must stay exact and complete via the
+# WAL-shipped replica, and the promoted replica must take writes within
+# the prober's failover interval. With it, the fake-shard test that
+# breaks a mixed unit at a chosen line (mutations never re-sent, legs
+# re-sent once to the replica, one failover).
 replchaos:
-	go test -race -count=1 -v -run TestReplChaosPrimaryKillUnderLoad ./cmd/histproxy/
+	go test -race -count=1 -v -run 'TestReplChaosPrimaryKillUnderLoad|TestBrokenMixedUnitAnswersEveryLineAndFailsOver' ./cmd/histproxy/
 
 explain:
 	go test -race -count=1 -v -run TestExplainSmokeRealBinary ./cmd/histserve/

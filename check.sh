@@ -82,13 +82,17 @@ echo "== multi-shard chaos (histproxy scatter-gather degradation) =="
 go test -race -count=1 -run TestShardChaosPartialAnswersAndRejoin ./cmd/histproxy/
 
 echo "== replication chaos (primary SIGKILL, failover, zero acked-write loss) =="
-# SIGKILL a semi-sync primary mid-run under live proxy write load
-# pipelined at depth 4: every line of the killed run gets exactly one
-# reply, the final sum contains every acked write (and nothing phantom),
-# reads must keep answering exact non-PARTIAL totals via the WAL-
-# shipped replica, and the promoted replica must accept writes within
-# the prober's failover interval.
-go test -race -count=1 -run TestReplChaosPrimaryKillUnderLoad ./cmd/histproxy/
+# SIGKILL a semi-sync primary under live proxy load pipelined at depth 4
+# — three INS and a QRY per window, so the kill lands in a mixed unit:
+# every line of the killed unit gets exactly one reply, its QRY a plain
+# number, the final sum contains every acked write (and nothing
+# phantom), reads must keep answering exact non-PARTIAL totals via the
+# WAL-shipped replica, and the promoted replica must accept writes
+# within the prober's failover interval. The fake-shard test beside it
+# breaks a mixed unit at a chosen line: answered lines stand, later
+# mutations get one ERR each and are never re-sent, later legs are
+# re-sent once and answered exactly by the replica, one failover.
+go test -race -count=1 -run 'TestReplChaosPrimaryKillUnderLoad|TestBrokenMixedUnitAnswersEveryLineAndFailsOver' ./cmd/histproxy/
 
 echo "== disabled-tracer overhead guard (<= 5 ns/op) =="
 # Without -race on purpose: the guard benchmarks the nil-span hot path

@@ -68,8 +68,8 @@ func TestProxyIdleTimeoutAndArity(t *testing.T) {
 }
 
 // TestProxyPanicContainmentIsPerRun pins the barrier's granularity on
-// the proxy. A run's work happens in one place — the batch round trips
-// of routeRun — so a panic there costs every line the run was routing:
+// the proxy. A unit's work happens in one place — the batch round trips
+// of settle — so a panic there costs every line the unit was routing:
 // each answers ERR internal, none is left without a reply, a line the
 // proxy had already refused keeps its own error, and the connection
 // keeps serving. A panic in front of a single line (the serve.dispatch

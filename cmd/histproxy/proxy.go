@@ -25,25 +25,20 @@
 // Request handling:
 //
 //	INS/DEL  routed to the single shard owning the timestamp (Locate);
-//	         the shard's reply is relayed verbatim. Consecutive INS/DEL
-//	         lines that are already buffered on a connection form a run
-//	         (capped at 256): each owner's lines of the run travel as
-//	         one batch round trip on one primary connection, so the
-//	         shard commits, replicates and acknowledges them together.
-//	         Replies keep request order and are flushed per run; a lone
-//	         line is a run of one, and a run ends at the first other
-//	         line, so every request still sees every earlier one.
-//	QRY      fanned out concurrently to every overlapped shard over
-//	         pooled connections (internal/shardclient), partial sums
-//	         merged by addition. All legs answered -> the plain number,
-//	         bit-identical to a single cube holding all the data.
-//	EXPLAIN  fanned out as EXPLAIN JSON QRY; each shard ships its whole
-//	         span tree back as one JSON document and the proxy grafts it
-//	         under the matching proxy.leg span, so the rendered tree is
-//	         one merged trace (proxy.query root, one proxy.leg child per
-//	         shard, the shard's own spans below) and the totals line is
-//	         Total over that tree — bit-identical to summing the shards'
-//	         flat totals, because counters travel as int64.
+//	         the shard's reply is relayed verbatim.
+//	QRY      one leg per overlapped shard, the time range clamped to the
+//	         shard's (Route); partial sums merged by addition. All legs
+//	         answered -> the plain number, bit-identical to a single
+//	         cube holding all the data.
+//	EXPLAIN  a unit of one whose legs go out as EXPLAIN JSON QRY; each
+//	         shard ships its whole span tree back as one JSON document
+//	         and the proxy grafts it under the matching proxy.leg span,
+//	         so the rendered tree is one merged trace (proxy.query root,
+//	         one proxy.leg child per shard carrying batch=<lines that
+//	         shared its round trip>, the shard's own spans below) and the
+//	         totals line is Total over that tree — bit-identical to
+//	         summing the shards' flat totals, because counters travel as
+//	         int64.
 //	SLOWLOG  answered by the proxy itself from its own slow-query log
 //	         (-slow-query-threshold / -slowlog-size), same line format
 //	         as a shard's SLOWLOG.
@@ -53,6 +48,19 @@
 //	         skipped), prefixed with proxy-level shards=/shards_up=.
 //	VERSION  answered by the proxy itself (its own build revision).
 //	SHARDS   the shard map with live health, END-terminated.
+//
+// One round trip per shard and unit: the INS/DEL/QRY lines that are
+// already buffered on a connection form a unit (capped at 256), and each
+// shard's lines of the unit — routed mutations and query legs alike, in
+// request order — travel as one batch on one pooled connection
+// (internal/shardclient), the shards concurrently, so a shard commits,
+// replicates and acknowledges a window's mutations together and answers
+// its legs in between. A batch that carries a mutation goes to the
+// primary; a batch of legs alone goes to any healthy member. Replies keep
+// request order and leave in one flush; a lone line is a unit of one,
+// and a unit ends before the first line of any other verb. Every request
+// still sees every earlier one, because a leg rides the same ordered
+// connection as the unit's mutations to its shard.
 //
 // Degraded answers instead of failures: when a shard is down, times
 // out, or its circuit breaker is open (internal/shardclient trips it
@@ -72,12 +80,13 @@
 // ("primary|replica=lo-hi") is one internal/shardclient.Group. Reads
 // go to any healthy member — every member replays the primary's
 // totally ordered WAL stream (histserve -follow), so members answer
-// bit-identically — and a read still unanswered after -hedge-after is
-// duplicated to the next member, first answer wins. Writes pin to the
-// primary and are never retried (a duplicate mutation is a
-// double-apply): when a run breaks, the replies received before the
-// break stand and every other line is answered with an explicit
-// "ERR shard ... unavailable". When the primary stops answering — a
+// bit-identically — and a batch of reads still unanswered after
+// -hedge-after is duplicated to the next member, first answer wins.
+// Writes pin to the primary and are never retried (a duplicate mutation
+// is a double-apply): when a batch breaks, the replies received before
+// the break stand, every mutation beyond it is answered with an explicit
+// "ERR shard ... unavailable", and every leg beyond it, being a read, is
+// re-sent once to any healthy member. When the primary stops answering — a
 // failed write, or the background prober seeing its breaker open — the
 // proxy polls every member's ROLE, adopts one that is already primary, or
 // promotes the most-caught-up replica with PROMOTE <fence> where the
@@ -101,7 +110,7 @@
 // Distributed tracing: every request's root span carries a trace ID,
 // generated at the proxy edge or adopted from a client's leading
 // "TID=<16 hex>" token. The proxy stamps that ID on every shard-bound
-// line — fan-out legs and routed mutations alike — so the shards' root
+// line — query legs and routed mutations alike — so the shards' root
 // spans adopt it too, and one identifier correlates a request across
 // proxy and shard slog lines, both SLOWLOGs, and both sides'
 // /debug/slowlog and /debug/trace/recent feeds.
@@ -147,7 +156,8 @@ type proxy struct {
 	lineserver.Server
 
 	smap   *shard.Map
-	groups []*shardclient.Group // parallel to smap.Shards(); one replica-set client per shard
+	shards []shard.Shard        // smap.Shards(), copied once: the request path indexes it
+	groups []*shardclient.Group // parallel to shards; one replica-set client per shard
 	dims   int
 
 	// foBusy is the per-shard failover single-flight latch (parallel to
@@ -234,6 +244,7 @@ func main() {
 func newProxy(smap *shard.Map, dims int, hedgeAfter time.Duration, copts shardclient.Options) *proxy {
 	p := &proxy{
 		smap:   smap,
+		shards: smap.Shards(),
 		dims:   dims,
 		foBusy: make([]atomic.Bool, smap.Len()),
 		meta:   perf.CollectMeta("histproxy"),
@@ -242,7 +253,7 @@ func newProxy(smap *shard.Map, dims int, hedgeAfter time.Duration, copts shardcl
 	// unless -fault-spec (or a test) arms it before the first dial.
 	copts.DialFault = func() error { return p.Inj.Check("proxy.dial").Err }
 	copts.WrapConn = func(c net.Conn) net.Conn { return p.Inj.WrapConn("proxy.conn", c) }
-	for _, s := range smap.Shards() {
+	for _, s := range p.shards {
 		p.groups = append(p.groups, shardclient.NewGroup(s.Members(), hedgeAfter, copts))
 	}
 	p.Ready = func() (bool, string) {
@@ -251,7 +262,7 @@ func newProxy(smap *shard.Map, dims int, hedgeAfter time.Duration, copts shardcl
 		}
 		return true, fmt.Sprintf("ok shards=%d up=%d", p.smap.Len(), p.shardsUp())
 	}
-	p.Init(p.routeRun, p.commands()...)
+	p.Init(p.settle, p.commands()...)
 	// RegisterProxy stays a method of its own beside Register: the
 	// histproxy_cmd_* names must be literals where they are registered
 	// (histlint metricname), so a name prefix cannot fold the two.
@@ -277,7 +288,7 @@ func newProxy(smap *shard.Map, dims int, hedgeAfter time.Duration, copts shardcl
 		"Connections rejected at the -max-conns cap.")
 	p.Panics = p.Reg.NewCounter("histproxy_panics_recovered_total",
 		"Request panics recovered into ERR internal responses.")
-	for i, s := range smap.Shards() {
+	for i, s := range p.shards {
 		g := p.groups[i]
 		p.Reg.NewGaugeFunc("histproxy_shard_up",
 			"1 while at least one replica-set member's breaker is closed, 0 while every member is unreachable.",
@@ -288,7 +299,7 @@ func newProxy(smap *shard.Map, dims int, hedgeAfter time.Duration, copts shardcl
 				return 0
 			}, obs.Label{Key: "shard", Value: s.Addr})
 		p.Reg.NewGaugeFunc("histproxy_hedged_reads",
-			"Hedged duplicate reads launched against the shard's replica set (monotone).",
+			"Hedged duplicate read batches launched against the shard's replica set (monotone).",
 			func() float64 { return float64(g.Hedged()) },
 			obs.Label{Key: "shard", Value: s.Addr})
 	}
@@ -304,7 +315,7 @@ func newProxy(smap *shard.Map, dims int, hedgeAfter time.Duration, copts shardcl
 func (p *proxy) sealHistoric() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	for i, s := range p.smap.Shards() {
+	for i, s := range p.shards {
 		if s.Range.Hi == shard.Open {
 			continue // the hot shard stays writable
 		}
@@ -330,7 +341,7 @@ func (p *proxy) probeLoop(every time.Duration) {
 	defer tick.Stop()
 	for range tick.C {
 		for i, g := range p.groups {
-			members := p.smap.Shards()[i].Members()
+			members := p.shards[i].Members()
 			for j := 0; j < g.Len(); j++ {
 				c := g.Member(j)
 				if c.Healthy() {
@@ -428,7 +439,7 @@ func (p *proxy) maybeFailover(i int) {
 	if infos[cur].ok && infos[cur].primary {
 		return // the primary answered after all: spurious trigger
 	}
-	members := p.smap.Shards()[i].Members()
+	members := p.shards[i].Members()
 	best := -1
 	var fence uint64
 	for j, inf := range infos {
@@ -474,18 +485,18 @@ func (p *proxy) shardsUp() int {
 	return up
 }
 
-// commands is histproxy's command table. Only INS and DEL join a unit
-// in progress, and every other verb ends its unit, so a unit here is a
-// run — the consecutive buffered mutations — or one line of anything
-// else. That is the unit rule applied to a server whose every line
-// costs a shard round trip: a run's lines share one batch round trip
-// per owner (and behind it one fsync and one ack wait), which is worth
-// waiting for; holding a finished reply back behind any other line
-// would add that line's whole round trip to its latency and save one
-// syscall. Because a run ends at the first other line and reads go one
-// at a time, every request still observes every earlier request of its
-// connection. QRY's arity is checked by scatterQuery, which EXPLAIN
-// shares.
+// commands is histproxy's command table. INS, DEL and QRY join a unit
+// in progress and none of them ends it, so a unit here is the window: the
+// complete lines a connection had buffered, up to the first line of any
+// other verb, which is a unit of one. Their handlers only validate and
+// route; settle sends each shard's lines of the unit as one batch round
+// trip. A shard's batch travels in request order on one connection — the
+// primary's whenever it carries a mutation — so a QRY leg sees exactly
+// the unit's earlier mutations to that shard and none of its later ones,
+// and every request still observes every earlier request of its
+// connection, as on histserve. EXPLAIN leaves the same pending request
+// as QRY and ends its unit: a rendered trace is not worth holding
+// neighbours' replies for.
 func (p *proxy) commands() []lineserver.Command {
 	mut := 1 + p.dims + 1
 	refuse := func(verb string) lineserver.Command {
@@ -498,14 +509,14 @@ func (p *proxy) commands() []lineserver.Command {
 			Usage: fmt.Sprintf("INS needs time, %d coordinates and a value", p.dims)},
 		{Verb: "DEL", MinArgs: mut, MaxArgs: mut, Joins: true, Handle: p.locate,
 			Usage: fmt.Sprintf("DEL needs time, %d coordinates and a value", p.dims)},
-		{Verb: "QRY", MaxArgs: -1, EndsUnit: true, Handle: func(rq *lineserver.Request) string {
-			return p.scatterQuery(rq.TID, rq.Line, rq.Fields[1:], false)
+		{Verb: "QRY", MaxArgs: -1, Joins: true, Handle: func(rq *lineserver.Request) string {
+			return p.scatter(rq, rq.Fields[1:], false)
 		}},
 		{Verb: "EXPLAIN", MaxArgs: -1, EndsUnit: true, Handle: func(rq *lineserver.Request) string {
 			if len(rq.Fields) < 2 || strings.ToUpper(rq.Fields[1]) != "QRY" {
 				return "ERR EXPLAIN wraps a query: EXPLAIN QRY <tlo> <thi> <lo...> <hi...>"
 			}
-			return p.scatterQuery(rq.TID, rq.Line, rq.Fields[2:], true)
+			return p.scatter(rq, rq.Fields[2:], true)
 		}},
 		{Verb: "STATS", Usage: "STATS takes no arguments", EndsUnit: true,
 			Handle: func(*lineserver.Request) string { return p.mergedStats() }},
@@ -520,10 +531,9 @@ func (p *proxy) commands() []lineserver.Command {
 
 // cmdShards answers SHARDS: the shard map with live health.
 func (p *proxy) cmdShards(*lineserver.Request) string {
-	shards := p.smap.Shards()
 	var b strings.Builder
-	fmt.Fprintf(&b, "OK n=%d up=%d\n", len(shards), p.shardsUp())
-	for i, s := range shards {
+	fmt.Fprintf(&b, "OK n=%d up=%d\n", len(p.shards), p.shardsUp())
+	for i, s := range p.shards {
 		g := p.groups[i]
 		state := "up"
 		if !g.Healthy() {
@@ -553,121 +563,65 @@ func (p *proxy) cmdShards(*lineserver.Request) string {
 	return b.String()
 }
 
-// routed is what a located mutation leaves pending: the owner shard,
-// the line as it goes out (stamped with the trace ID) and the root span
-// that times the round trip.
+// routed is what a handler leaves pending: the shard-bound lines of one
+// request — a mutation's single line or a query's legs — for settle to
+// send with the rest of the unit's.
 type routed struct {
-	shard int
-	line  string
-	span  *trace.Span
+	root    *trace.Span // proxy.insert, proxy.delete or proxy.query
+	mut     bool        // INS/DEL: one send, the shard's reply relayed verbatim
+	explain bool        // EXPLAIN: legs ask for EXPLAIN JSON and graft the shard's tree
+	sends   []send      // in map order
+}
+
+// send is one shard-bound line and, once its round trip is over, what
+// came back for it. Exactly one goroutine of settle touches it.
+type send struct {
+	of   *routed
+	leg  shard.Leg   // Index is the shard; the clamped range matters to a query only
+	line string      // as it goes out, stamped with the trace ID
+	span *trace.Span // times the round trip: the root of a mutation, a proxy.leg child of a query
+
+	reply  string  // mutation: what the client reads
+	value  float64 // leg: the shard's partial aggregate
+	appErr string  // leg: the shard answered ERR (application error)
+	err    error   // leg: transport/timeout/breaker failure
 }
 
 // locate is the INS/DEL handler: it validates the line and finds its
-// owner, and leaves the sending to routeRun, which forwards all of a
-// run's lines together. A line that fails here is answered here and
-// leaves the others alone, exactly as if every line had arrived by
-// itself.
+// owner, and leaves the sending to settle. A line that fails here is
+// answered here and leaves the others alone, exactly as if every line
+// had arrived by itself.
 func (p *proxy) locate(rq *lineserver.Request) string {
 	t, err := strconv.ParseInt(rq.Fields[1], 10, 64)
 	if err != nil {
 		return fmt.Sprintf("ERR bad integer %q", rq.Fields[1])
 	}
-	owner, ok := p.smap.Locate(t)
+	idx, ok := p.smap.Locate(t)
 	if !ok {
-		return fmt.Sprintf("ERR no shard owns time %d (the shard map starts at %d)", t, p.smap.Shards()[0].Range.Lo)
+		return fmt.Sprintf("ERR no shard owns time %d (the shard map starts at %d)", t, p.shards[0].Range.Lo)
 	}
 	root := trace.New("proxy.insert")
 	if rq.Verb() == "DEL" {
 		root = trace.New("proxy.delete")
 	}
 	root.SetTraceID(rq.TID)
-	root.SetStr("shard", owner.Addr)
+	root.SetStr("shard", p.shards[idx].Addr)
 	// The owner shard's root span adopts the same trace ID via the TID=
 	// token, so the mutation is correlatable end to end.
-	rq.Pending = &routed{shard: p.shardIndex(owner.Addr), line: trace.FormatRequestID(root.TraceID()) + rq.Line, span: root}
+	rt := &routed{root: root, mut: true}
+	rt.sends = []send{{of: rt, leg: shard.Leg{Index: idx, Addr: p.shards[idx].Addr},
+		line: trace.FormatRequestID(root.TraceID()) + rq.Line, span: root}}
+	rq.Pending = rt
 	return ""
 }
 
-// routeRun is the table's settle function: it forwards the located
-// lines of a run, a lone line being a run of one. Each owner shard's
-// lines go out, in order, as one batch round trip on one primary
-// connection, the owners concurrently — mutations to different shards
-// commute, and within a shard the single connection keeps the order. A
-// write cannot be partial: a dead owner is an explicit error on every
-// line it did not answer, never a silent drop and never a retry.
-func (p *proxy) routeRun(run []*lineserver.Request) {
-	legs := make([][]*lineserver.Request, len(p.groups))
-	var live []int
-	for _, rq := range run {
-		idx := rq.Pending.(*routed).shard
-		if legs[idx] == nil {
-			live = append(live, idx)
-		}
-		legs[idx] = append(legs[idx], rq)
-	}
-	ctx, cancel := p.RequestCtx()
-	defer cancel()
-	var wg sync.WaitGroup
-	for _, idx := range live[1:] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.writeLeg(ctx, idx, legs[idx])
-		}()
-	}
-	p.writeLeg(ctx, live[0], legs[live[0]])
-	wg.Wait()
-}
-
-// writeLeg sends one owner's share of a run and files the replies with
-// their requests (each leg owns distinct requests).
-func (p *proxy) writeLeg(ctx context.Context, idx int, leg []*lineserver.Request) {
-	addr := p.smap.Shards()[idx].Addr
-	lines := make([]string, len(leg))
-	for k, rq := range leg {
-		lines[k] = rq.Pending.(*routed).line
-	}
-	replies, err := p.groups[idx].Write(ctx, lines)
-	stale := false
-	for k, rq := range leg {
-		span := rq.Pending.(*routed).span
-		span.End()
-		p.Observe(rq.Line, span)
-		if k < len(replies) {
-			rq.Reply = replies[k]
-			stale = stale || strings.HasPrefix(replies[k], "ERR read-only replica")
-			continue
-		}
-		// The line may or may not have reached the dead primary, so it is
-		// never retried here (a duplicate mutation is a double-apply) —
-		// the client gets the explicit error.
-		rq.Reply = fmt.Sprintf("ERR shard %s unavailable: %v", addr, err)
-	}
-	if err != nil || stale {
-		// One failover per broken run, however many lines it carried, so
-		// the client's retry finds a promoted primary; a read-only reply
-		// means the proxy's notion of the primary is stale (a promotion it
-		// did not perform) and the roles need re-polling.
-		go p.maybeFailover(idx)
-	}
-}
-
-// legResult is one shard's reply to a fanned-out read. EXPLAIN legs
-// carry no payload beyond the value: the shard's span tree is grafted
-// directly under the leg's span as it arrives.
-type legResult struct {
-	leg    shard.Leg
-	value  float64
-	appErr string // non-empty: the shard answered ERR (application error)
-	err    error  // transport/timeout/breaker failure
-}
-
-// scatterQuery fans a read query out to every overlapped shard and
-// merges the partial sums. explain selects the EXPLAIN variant (span
-// tree + summed totals). The query arguments are validated as
-// integers here so a malformed request fails once at the proxy instead
-// of N times at the shards.
-func (p *proxy) scatterQuery(tid trace.ID, line string, args []string, explain bool) string {
+// scatter is the QRY/EXPLAIN handler: it validates the arguments as
+// integers — a malformed request fails once at the proxy, not N times at
+// the shards, and costs its neighbours nothing — and leaves one leg per
+// overlapped shard pending. No leg at all (the range is inverted or
+// precedes the map) is a request with nothing to send, which settle
+// answers with the operator's zero.
+func (p *proxy) scatter(rq *lineserver.Request, args []string, explain bool) string {
 	if len(args) != 2+2*p.dims {
 		return fmt.Sprintf("ERR QRY needs tlo, thi and %d lo + %d hi coordinates", p.dims, p.dims)
 	}
@@ -675,149 +629,200 @@ func (p *proxy) scatterQuery(tid trace.ID, line string, args []string, explain b
 	if err != nil {
 		return "ERR " + err.Error()
 	}
-	coords := strings.Join(args[2:], " ")
 	legs := p.smap.Route(nums[0], nums[1])
-
 	root := trace.New("proxy.query")
-	root.SetTraceID(tid)
+	root.SetTraceID(rq.TID)
 	root.SetInt("legs", int64(len(legs)))
-	results := p.fanOut(root, legs, coords, explain)
-	root.End()
-	p.Observe(line, root)
-
-	// A deterministic application error from any shard (bad
-	// coordinates, wrong arity) would be the same from every shard:
-	// relay the first one in map order rather than calling it PARTIAL.
-	for _, r := range results {
-		if r.appErr != "" {
-			return r.appErr
-		}
+	// Every shard-bound line carries the request's "TID=<hex> " token so
+	// the shard's spans join this trace; an EXPLAIN leg asks for the
+	// structured one-line reply.
+	prefix, coords := trace.FormatRequestID(root.TraceID()), strings.Join(args[2:], " ")
+	if explain {
+		prefix += "EXPLAIN JSON "
 	}
-	parts := make([]shard.Partial, len(results))
-	for i, r := range results {
-		parts[i] = shard.Partial{Leg: r.leg, Value: r.value, Err: r.err}
+	rt := &routed{root: root, explain: explain, sends: make([]send, len(legs))}
+	for i, leg := range legs {
+		sp := root.StartChild("proxy.leg")
+		sp.SetStr("shard", leg.Addr)
+		sp.SetInt("tlo", leg.TimeLo)
+		sp.SetInt("thi", leg.TimeHi)
+		rt.sends[i] = send{of: rt, leg: leg, span: sp,
+			line: fmt.Sprintf("%sQRY %d %d %s", prefix, leg.TimeLo, leg.TimeHi, coords)}
 	}
-	merged := shard.Merge(parts)
-	if !merged.Complete {
-		p.partials.Inc()
-	}
-
-	value := strconv.FormatFloat(merged.Value, 'g', -1, 64)
-	if !explain {
-		if merged.Complete {
-			return value
-		}
-		return fmt.Sprintf("PARTIAL %s coverage=%.3f covered=%s missing=%s",
-			value, merged.Coverage(), shard.FormatRanges(merged.Covered), shard.FormatMissing(merged.Missing))
-	}
-
-	if merged.Complete {
-		return root.Explain("OK result=" + value)
-	}
-	return root.Explain(fmt.Sprintf("PARTIAL result=%s coverage=%.3f covered=%s missing=%s",
-		value, merged.Coverage(), shard.FormatRanges(merged.Covered), shard.FormatMissing(merged.Missing)))
+	rq.Pending = rt
+	return ""
 }
 
-// fanOut dispatches one leg per overlapped shard concurrently. Child
-// spans are created serially before the goroutines start (trace.Span
-// is not concurrency-safe; each goroutine owns exactly one child) and
-// joined by the WaitGroup before anyone reads the tree.
-func (p *proxy) fanOut(root *trace.Span, legs []shard.Leg, coords string, explain bool) []legResult {
+// settle is the table's settle function: it sends each shard's lines of
+// the unit — routed mutations and query legs alike, in request order — as
+// one batch round trip, the shards concurrently, then answers every
+// request in request order. Mutations to different shards commute and a
+// range aggregate is the sum of its per-shard legs (Sec. 2.1, 2.2);
+// within a shard the single connection keeps the order.
+func (p *proxy) settle(unit []*lineserver.Request) {
+	batches := make([][]*send, len(p.groups))
+	var live []int
+	for _, rq := range unit {
+		rt := rq.Pending.(*routed)
+		for k := range rt.sends {
+			idx := rt.sends[k].leg.Index
+			if batches[idx] == nil {
+				live = append(live, idx)
+			}
+			batches[idx] = append(batches[idx], &rt.sends[k])
+		}
+	}
 	ctx, cancel := p.RequestCtx()
 	defer cancel()
-	tidPrefix := trace.FormatRequestID(root.TraceID())
-	results := make([]legResult, len(legs))
-	spans := make([]*trace.Span, len(legs))
-	for i, leg := range legs {
-		spans[i] = root.StartChild("proxy.leg")
-		spans[i].SetStr("shard", leg.Addr)
-		spans[i].SetInt("tlo", leg.TimeLo)
-		spans[i].SetInt("thi", leg.TimeHi)
-	}
 	var wg sync.WaitGroup
-	for i, leg := range legs {
-		i, leg := i, leg
+	for i, idx := range live {
+		if i == len(live)-1 {
+			p.roundTrip(ctx, idx, batches[idx]) // the last one here, while the others are in flight
+			break
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer spans[i].End()
-			p.fanoutLegs.Inc()
-			results[i] = p.queryLeg(ctx, spans[i], tidPrefix, leg, coords, explain)
-			if results[i].err != nil {
-				p.legFailures.Inc()
-				// A failed leg grafts nothing: the surviving shard trees
-				// stay in the rendered answer, and the hole is marked on
-				// the leg's own span.
-				spans[i].SetStr("error", results[i].err.Error())
-			} else {
-				spans[i].SetFloat("value", results[i].value)
-			}
+			p.roundTrip(ctx, idx, batches[idx])
 		}()
 	}
 	wg.Wait()
-	return results
+	for _, rq := range unit {
+		rq.Reply = p.answer(rq.Line, rq.Pending.(*routed))
+	}
 }
 
-// queryLeg performs one shard round-trip for its clamped time range.
-// tidPrefix is the request's "TID=<hex> " token, stamped on every
-// shard-bound line so the shard's spans join this trace. The EXPLAIN
-// variant asks for the structured reply (EXPLAIN JSON, one line) and
-// grafts the shard's decoded span tree under the leg's span.
-func (p *proxy) queryLeg(ctx context.Context, sp *trace.Span, tidPrefix string, leg shard.Leg, coords string, explain bool) legResult {
-	res := legResult{leg: leg}
-	g := p.groups[leg.Index]
-	qry := fmt.Sprintf("QRY %d %d %s", leg.TimeLo, leg.TimeHi, coords)
-	if explain {
-		reply, err := g.Read(ctx, tidPrefix+"EXPLAIN JSON "+qry)
-		if err != nil {
-			res.err = err
-			return res
+// roundTrip sends one shard's share of a unit as one batch and files the
+// replies with their sends. The member rule is read off the batch: one
+// that carries a mutation goes to the primary and is never retried or
+// hedged — a write cannot be partial, so a mutation the primary did not
+// answer is an explicit error, never a silent drop and never a re-send
+// (it may or may not have been applied) — while a batch of legs alone
+// goes to any healthy member, hedged and failed over as a batch. Legs
+// that a broken primary connection left unanswered are reads: they are
+// re-sent once, alone, which takes them down the read path.
+func (p *proxy) roundTrip(ctx context.Context, idx int, batch []*send) {
+	g := p.groups[idx]
+	lines, mutates := make([]string, len(batch)), false
+	for k, s := range batch {
+		lines[k], mutates = s.line, mutates || s.of.mut
+	}
+	trip := g.ReadBatch
+	if mutates {
+		trip = g.Write
+	}
+	replies, err := trip(ctx, lines)
+	var unanswered []*send
+	stale := false
+	for k, s := range batch {
+		switch {
+		case k < len(replies):
+			stale = stale || (s.of.mut && strings.HasPrefix(replies[k], "ERR read-only replica"))
+			p.file(s, replies[k], nil, len(batch))
+		case mutates && !s.of.mut:
+			unanswered = append(unanswered, s)
+		default:
+			p.file(s, "", err, len(batch))
 		}
-		if strings.HasPrefix(reply, "ERR") {
-			return classifyShardErr(res, reply)
+	}
+	if mutates && (err != nil || stale) {
+		// One failover per broken batch, however many lines it carried, so
+		// the client's retry finds a promoted primary; a read-only reply
+		// means the proxy's notion of the primary is stale (a promotion it
+		// did not perform) and the roles need re-polling.
+		go p.maybeFailover(idx)
+	}
+	if len(unanswered) > 0 {
+		p.roundTrip(ctx, idx, unanswered) // QRY lines only
+	}
+}
+
+// file records what came back for one shard-bound line: reply, or err
+// when its round trip broke before an answer. batch is the number of
+// lines that shared the round trip — what explains a leg's wall time.
+// An EXPLAIN leg's reply carries the shard's whole span tree, grafted
+// under the leg's span here; a failed leg grafts nothing, so the
+// surviving shard trees stay in the rendered answer and the hole is
+// marked on the leg's own span.
+func (p *proxy) file(s *send, reply string, err error, batch int) {
+	defer s.span.End()
+	s.span.SetInt("batch", int64(batch))
+	if s.of.mut {
+		if s.reply = reply; err != nil {
+			s.reply = fmt.Sprintf("ERR shard %s unavailable: %v", s.leg.Addr, err)
 		}
-		body, ok := strings.CutPrefix(reply, "OK ")
-		if !ok {
-			res.err = fmt.Errorf("shard %s: unexpected EXPLAIN reply %q", leg.Addr, reply)
-			return res
-		}
+		return
+	}
+	p.fanoutLegs.Inc()
+	switch {
+	case err != nil:
+	case strings.HasPrefix(reply, "ERR timeout"), strings.HasPrefix(reply, "ERR canceled"):
+		// The shard is slow or dying: a leg failure, degrading the answer
+		// to PARTIAL. Every other ERR is deterministic and relayed as-is.
+		err = errors.New(reply)
+	case strings.HasPrefix(reply, "ERR"):
+		s.appErr = reply
+	case s.of.explain:
 		var doc trace.ExplainJSON
-		if err := json.Unmarshal([]byte(body), &doc); err != nil {
-			res.err = fmt.Errorf("shard %s: bad EXPLAIN JSON reply: %w", leg.Addr, err)
-			return res
+		if body, ok := strings.CutPrefix(reply, "OK "); !ok {
+			err = fmt.Errorf("shard %s: unexpected EXPLAIN reply %q", s.leg.Addr, reply)
+		} else if jerr := json.Unmarshal([]byte(body), &doc); jerr != nil {
+			err = fmt.Errorf("shard %s: bad EXPLAIN JSON reply: %w", s.leg.Addr, jerr)
+		} else {
+			s.value = doc.Result
+			s.span.Graft(doc.Trace.Span())
 		}
-		res.value = doc.Result
-		sp.Graft(doc.Trace.Span())
-		return res
+	default:
+		if s.value, err = strconv.ParseFloat(reply, 64); err != nil {
+			err = fmt.Errorf("shard %s: non-numeric QRY reply %q", s.leg.Addr, reply)
+		}
 	}
-	reply, err := g.Read(ctx, tidPrefix+qry)
-	if err != nil {
-		res.err = err
-		return res
+	if s.err = err; err != nil {
+		p.legFailures.Inc()
+		s.span.SetStr("error", err.Error())
+		return
 	}
-	if strings.HasPrefix(reply, "ERR") {
-		return classifyShardErr(res, reply)
-	}
-	v, err := strconv.ParseFloat(reply, 64)
-	if err != nil {
-		res.err = fmt.Errorf("shard %s: non-numeric QRY reply %q", leg.Addr, reply)
-		return res
-	}
-	res.value = v
-	return res
+	s.span.SetFloat("value", s.value)
 }
 
-// classifyShardErr splits a shard's ERR reply: timeouts and
-// cancellations are leg failures (the shard is slow or dying — degrade
-// to PARTIAL), everything else is a deterministic application error
-// relayed to the client as-is.
-func classifyShardErr(res legResult, reply string) legResult {
-	if strings.HasPrefix(reply, "ERR timeout") || strings.HasPrefix(reply, "ERR canceled") {
-		res.err = errors.New(reply)
-	} else {
-		res.appErr = reply
+// answer closes a request's trace and renders its reply from what its
+// sends brought back: a mutation's is the shard's own, a query's the
+// merge of its legs (EXPLAIN: with the merged span tree and the totals
+// over it). All legs answered -> the plain number; a failed leg -> a
+// PARTIAL answer over the live ranges.
+func (p *proxy) answer(line string, rt *routed) string {
+	rt.root.End()
+	p.Observe(line, rt.root)
+	if rt.mut {
+		return rt.sends[0].reply
 	}
-	return res
+	parts := make([]shard.Partial, len(rt.sends))
+	for i := range rt.sends {
+		s := &rt.sends[i]
+		// A deterministic application error from any shard (bad
+		// coordinates, wrong arity) would be the same from every shard:
+		// relay the first one in map order rather than calling it PARTIAL.
+		if s.appErr != "" {
+			return s.appErr
+		}
+		parts[i] = shard.Partial{Leg: s.leg, Value: s.value, Err: s.err}
+	}
+	merged := shard.Merge(parts)
+	head := strconv.FormatFloat(merged.Value, 'g', -1, 64)
+	if rt.explain {
+		head = "result=" + head
+	}
+	if !merged.Complete {
+		p.partials.Inc()
+		head = fmt.Sprintf("PARTIAL %s coverage=%.3f covered=%s missing=%s",
+			head, merged.Coverage(), shard.FormatRanges(merged.Covered), shard.FormatMissing(merged.Missing))
+	} else if rt.explain {
+		head = "OK " + head
+	}
+	if rt.explain {
+		return rt.root.Explain(head)
+	}
+	return head
 }
 
 // statsMaxKeys are STATS fields where summing across shards is wrong:
@@ -900,14 +905,4 @@ func (p *proxy) mergedStats() string {
 		}
 	}
 	return b.String()
-}
-
-// shardIndex maps an address back to its map position.
-func (p *proxy) shardIndex(addr string) int {
-	for j, s := range p.smap.Shards() {
-		if s.Addr == addr {
-			return j
-		}
-	}
-	return len(p.groups) - 1 // unreachable with a valid map; fall back to hot
 }

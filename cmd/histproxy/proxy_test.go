@@ -34,10 +34,12 @@ type fakeShard struct {
 	hasSeal bool
 	conns   map[net.Conn]struct{}
 
-	// Knobs for the run tests (zero values: a healthy lone primary).
+	// Knobs for the unit tests (zero values: a healthy lone primary).
 	replica   bool          // answers ROLE as a follower until PROMOTEd
 	qryDelay  time.Duration // every QRY takes this long
+	qryErr    string        // non-empty: every QRY is answered with this line
 	dropAfter int           // > 0: crash (stop) instead of answering mutation number dropAfter+1
+	hold      int           // > 0: a connection answers nothing before it has received this many lines, so only a batch gets through
 }
 
 type fact struct {
@@ -107,11 +109,13 @@ func (f *fakeShard) stop() {
 func (f *fakeShard) serve(conn net.Conn) {
 	defer conn.Close()
 	sc := bufio.NewScanner(conn)
-	for sc.Scan() {
+	var held strings.Builder
+	for n := 1; sc.Scan(); n++ {
 		line := strings.TrimSpace(sc.Text())
 		tid, stripped := trace.CutRequestID(line)
 		f.mu.Lock()
 		f.lines = append(f.lines, line)
+		hold := f.hold
 		f.mu.Unlock()
 		fields := strings.Fields(stripped)
 		if len(fields) == 0 {
@@ -126,7 +130,11 @@ func (f *fakeShard) serve(conn net.Conn) {
 				return
 			}
 		}
-		fmt.Fprint(conn, f.reply(tid, fields))
+		held.WriteString(f.reply(tid, fields))
+		if n >= hold {
+			fmt.Fprint(conn, held.String())
+			held.Reset()
+		}
 	}
 }
 
@@ -179,9 +187,12 @@ func (f *fakeShard) reply(tid trace.ID, fields []string) string {
 		return fmt.Sprintf("OK role=primary last_lsn=%d followers=0\n", len(f.facts))
 	case "QRY":
 		f.mu.Lock()
-		delay := f.qryDelay
+		delay, qryErr := f.qryDelay, f.qryErr
 		f.mu.Unlock()
 		time.Sleep(delay)
+		if qryErr != "" {
+			return qryErr + "\n"
+		}
 		return strconv.FormatFloat(f.query(fields[1:]), 'g', -1, 64) + "\n"
 	case "EXPLAIN":
 		// The proxy always asks for the structured variant: EXPLAIN JSON
@@ -686,6 +697,54 @@ func TestProxyProtocolErrors(t *testing.T) {
 		if got := c.cmd(t, tc.line); !strings.HasPrefix(got, tc.prefix) {
 			t.Errorf("%q -> %q, want prefix %q", tc.line, got, tc.prefix)
 		}
+	}
+}
+
+// TestProxyUnitEdgesKeepTheirAnswers: joining a unit changes no answer.
+// Each case is one window written in one write. Shard 0 answers nothing
+// before it has the case's hold lines, so a line the proxy answers by
+// itself — no legs to send, or refused on arity or a bad integer — can
+// have cost its neighbours no round trip of their own; shard 1 answers
+// every QRY with a deterministic ERR.
+func TestProxyUnitEdgesKeepTheirAnswers(t *testing.T) {
+	const boom = "ERR bad coordinate 9 for dimension 0"
+	cases := []struct {
+		name  string
+		hold  int // lines shard 0 must see together
+		lines []string
+		want  []string
+	}{
+		{"no legs: inverted and pre-map ranges answer the operator's zero", 3, []string{
+			"INS 10 1 1 5", "QRY 300 100 0 0 7 7", "QRY -9 -1 0 0 7 7", "QRY 0 99 0 0 7 7", "INS 11 1 1 1", "QRY 50 20 0 0 7 7",
+		}, []string{"OK", "0", "0", "5", "OK", "0"}},
+		{"arity and integer errors answer at the proxy", 4, []string{
+			"INS 10 1 1 5", "QRY 0 99 0 0 7", "QRY 0 99 0 0 7 7", "QRY 0 x 0 0 7 7", "INS 11 1 1", "DEL 10 1 1 2", "QRY 0 99 0 0 7 7",
+		}, []string{"OK", "ERR QRY needs tlo, thi and 2 lo + 2 hi coordinates", "5", `ERR bad integer "x"`,
+			"ERR INS needs time, 2 coordinates and a value", "OK", "3"}},
+		{"a shard's deterministic ERR on one leg is relayed, not PARTIAL", 3, []string{
+			"INS 10 1 1 5", "QRY 0 150 0 0 7 7", "QRY 0 99 0 0 7 7", "INS 250 1 1 1", "QRY 100 300 0 0 7 7", "QRY 200 300 0 0 7 7",
+		}, []string{"OK", boom, "5", "OK", boom, "1"}},
+		{"a unit of nothing but zero-leg queries sends nothing", 0, []string{
+			"QRY 9 1 0 0 7 7", "QRY -3 -2 0 0 7 7",
+		}, []string{"0", "0"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, shards := threeShards(t)
+			shards[0].set(func(f *fakeShard) { f.hold = tc.hold })
+			shards[1].set(func(f *fakeShard) { f.qryErr = boom })
+			addr, p := startProxy(t, spec)
+			got := sendAll(t, dial(t, addr), strings.Join(tc.lines, "\n")+"\n", len(tc.lines))
+			if strings.Join(got, "|") != strings.Join(tc.want, "|") {
+				t.Fatalf("replies\n %q\nwant\n %q", got, tc.want)
+			}
+			if n := len(shards[0].received()); n != tc.hold {
+				t.Errorf("shard 0 received %d lines, want %d", n, tc.hold)
+			}
+			if n := p.partials.Value(); n != 0 {
+				t.Errorf("%d answers were PARTIAL", n)
+			}
+		})
 	}
 }
 

@@ -63,15 +63,19 @@ func TestReplChaosPrimaryKillUnderLoad(t *testing.T) {
 	}
 
 	// Background writer: hammer appends on its own connection, pipelined
-	// at depth 4 — four INS lines per write, which the proxy forwards as
-	// one run — so the SIGKILL lands mid-run. It tallies OKs (acked —
-	// must survive) and ERRs (indeterminate — each may or may not have
-	// landed) line by line, and requires exactly one reply, OK or ERR, for
-	// every line of every run, the killed one included: the proxy is
-	// alive throughout, so its connection has no excuse to break. The
-	// first post-kill OK is the proof that a promoted replica took over
-	// the write path.
-	const depth = 4
+	// at depth 4 — three INS lines and a QRY per write, which the proxy
+	// serves as one unit, one batch on the primary's connection — so the
+	// SIGKILL lands in a mixed unit. It tallies OKs (acked — must survive)
+	// and ERRs (indeterminate — each may or may not have landed) line by
+	// line, and requires exactly one reply for every line of every unit,
+	// the killed one included: the proxy is alive throughout, so its
+	// connection has no excuse to break. The unit's QRY is a read: killed
+	// unit or not, it must answer a plain number that holds every write
+	// acked before it and nothing that was not sent before it. (One
+	// exception, in a broken unit only: a leg re-sent after the break may
+	// find the INS behind it applied — the one the client is told is
+	// indeterminate.) The first post-kill OK is the proof that a promoted
+	// replica took over the write path.
 	var (
 		tallyMu  sync.Mutex
 		okCount  int
@@ -90,7 +94,7 @@ func TestReplChaosPrimaryKillUnderLoad(t *testing.T) {
 		defer conn.Close()
 		r := bufio.NewReader(conn)
 		sawKill, promoted := false, false
-		for ts := seedN; ; ts += depth {
+		for ts := seedN; ; ts += 3 {
 			select {
 			case <-stopWriter:
 				writerDone <- nil
@@ -104,23 +108,26 @@ func TestReplChaosPrimaryKillUnderLoad(t *testing.T) {
 				default:
 				}
 			}
-			var run strings.Builder
-			for j := ts; j < ts+depth; j++ {
-				fmt.Fprintf(&run, "INS %d %d %d 1\n", j, j%8, (j/3)%8)
-			}
+			ins := func(j int) string { return fmt.Sprintf("INS %d %d %d 1", j, j%8, (j/3)%8) }
+			unit := []string{ins(ts), ins(ts + 1), qry, ins(ts + 2)}
 			conn.SetDeadline(time.Now().Add(20 * time.Second))
-			if _, err := conn.Write([]byte(run.String())); err != nil {
-				writerDone <- fmt.Errorf("run at t=%d: write: %w", ts, err)
+			if _, err := conn.Write([]byte(strings.Join(unit, "\n") + "\n")); err != nil {
+				writerDone <- fmt.Errorf("unit at t=%d: write: %w", ts, err)
 				return
 			}
-			for j := 0; j < depth; j++ {
+			// ts+2 facts were sent before the unit's query, okCount of them acked.
+			var read string
+			lo, hi := 0, ts+2
+			for j, line := range unit {
 				resp, err := r.ReadString('\n')
 				if err != nil {
-					writerDone <- fmt.Errorf("run at t=%d: line %d of %d got no reply: %w", ts, j+1, depth, err)
+					writerDone <- fmt.Errorf("unit at t=%d: line %d of %d got no reply: %w", ts, j+1, len(unit), err)
 					return
 				}
 				tallyMu.Lock()
 				switch resp = strings.TrimSpace(resp); {
+				case line == qry:
+					read, lo = resp, seedN+okCount
 				case resp == "OK":
 					okCount++
 					if sawKill && !promoted {
@@ -129,12 +136,19 @@ func TestReplChaosPrimaryKillUnderLoad(t *testing.T) {
 					}
 				case strings.HasPrefix(resp, "ERR"):
 					errCount++ // explicit shard-unavailable / timeout reply
+					if read != "" {
+						hi++ // the indeterminate INS behind the query: a re-sent leg may see it
+					}
 				default:
 					tallyMu.Unlock()
-					writerDone <- fmt.Errorf("run at t=%d: line %d answered %q, want OK or ERR", ts, j+1, resp)
+					writerDone <- fmt.Errorf("unit at t=%d: line %d answered %q, want OK or ERR", ts, j+1, resp)
 					return
 				}
 				tallyMu.Unlock()
+			}
+			if sum, err := strconv.ParseFloat(read, 64); err != nil || sum < float64(lo) || sum > float64(hi) {
+				writerDone <- fmt.Errorf("unit at t=%d: QRY answered %q, want a plain number in [%d, %d]", ts, read, lo, hi)
+				return
 			}
 		}
 	}()

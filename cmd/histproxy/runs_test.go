@@ -1,17 +1,21 @@
 package main
 
-// Mutation runs: consecutive buffered INS/DEL lines travel as one batch
-// round trip per owner shard. Nothing of that may be visible to a
+// Units: the INS/DEL/QRY lines a connection had buffered travel as one
+// batch round trip per shard. Nothing of that may be visible to a
 // client except as speed — the same replies, in the same order, as one
-// line at a time — and a run that breaks must still answer every line.
+// line at a time — and a unit that breaks must still answer every line.
 
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"histcube/internal/trace"
 )
 
 // sendAll writes payload in one write and reads n reply lines.
@@ -82,37 +86,103 @@ func TestRunSpansOwnersRepliesInRequestOrder(t *testing.T) {
 	}
 }
 
-// TestRunRepliesAreFlushedPerRun pins the flush rule: a finished run's
-// replies leave before the next line is served, not when the input goes
-// idle — here the next line is a query that takes half a second.
-func TestRunRepliesAreFlushedPerRun(t *testing.T) {
-	spec, shards := threeShards(t)
-	for _, f := range shards {
-		f.set(func(f *fakeShard) { f.qryDelay = 500 * time.Millisecond })
+// batchOf returns the batch attribute — the lines that shared the round
+// trip — of the retained trace of line: the root's for a mutation, its
+// proxy.leg children's for a query.
+func batchOf(t *testing.T, p *proxy, line string) []string {
+	t.Helper()
+	for _, e := range p.Recent.Entries() {
+		if e.Line != line {
+			continue
+		}
+		var out []string
+		for _, sp := range append([]*trace.Span{e.Span}, e.Span.Children()...) {
+			for _, a := range sp.Attrs() {
+				if a.Key == "batch" {
+					out = append(out, a.Value())
+				}
+			}
+		}
+		return out
 	}
-	addr, _ := startProxy(t, spec)
+	t.Fatalf("no retained trace for %q", line)
+	return nil
+}
+
+// TestUnitIsOneRoundTripPerShard pins the unit rule's proxy face: the
+// complete INS/DEL/QRY lines of one write are one unit — one batch round
+// trip per shard, every reply in one flush — and the trailing partial
+// line neither joins nor delays them. Shard 0 answers nothing before it
+// has its three lines of the unit, so a proxy that sent them a line or a
+// run at a time would hang; shard 1 is slow, and the two OKs wait for its
+// leg with the rest of their window. EXPLAIN, STATS and SHARDS still end
+// a unit.
+func TestUnitIsOneRoundTripPerShard(t *testing.T) {
+	spec, shards := threeShards(t)
+	shards[0].set(func(f *fakeShard) { f.hold = 3 })
+	shards[1].set(func(f *fakeShard) { f.qryDelay = 400 * time.Millisecond })
+	addr, p := startProxy(t, spec)
 	c := dial(t, addr)
-	if _, err := io.WriteString(c.conn, "INS 10 1 1 5\nINS 11 1 1 5\nQRY 0 50 0 0 7 7\nINS 12 1 1 5"); err != nil {
+	if _, err := io.WriteString(c.conn, "INS 10 1 1 5\nINS 11 1 1 5\nQRY 0 150 0 0 7 7\nINS 12 1 1 5"); err != nil {
 		t.Fatal(err)
 	}
-	c.conn.SetReadDeadline(time.Now().Add(250 * time.Millisecond))
-	for i := 0; i < 2; i++ {
-		if l, err := c.r.ReadString('\n'); err != nil || l != "OK\n" {
-			t.Fatalf("run reply %d = %q, %v: the run's replies must not wait for the query behind it", i, l, err)
-		}
+	c.conn.SetReadDeadline(time.Now().Add(150 * time.Millisecond))
+	if l, err := c.r.ReadString('\n'); err == nil {
+		t.Fatalf("reply %q left before the unit's slow leg was in: a unit has one flush", l)
 	}
 	c.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if l, err := c.r.ReadString('\n'); err != nil || l != "10\n" {
-		t.Fatalf("query reply = %q, %v", l, err)
+	for i, want := range []string{"OK\n", "OK\n", "10\n"} {
+		if l, err := c.r.ReadString('\n'); err != nil || l != want {
+			t.Fatalf("reply %d = %q, %v, want %q", i, l, err, want)
+		}
 	}
-	// The trailing partial line neither joined a run nor was answered.
+	for line, want := range map[string]string{
+		"INS 10 1 1 5": "[3]", "INS 11 1 1 5": "[3]", "QRY 0 150 0 0 7 7": "[3 1]",
+	} {
+		if got := fmt.Sprint(batchOf(t, p, line)); got != want {
+			t.Errorf("%q shared its round trips with %s lines, want %s", line, got, want)
+		}
+	}
+	// The trailing partial line neither joined the unit nor was answered.
 	c.conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
 	if l, err := c.r.ReadString('\n'); err == nil {
 		t.Fatalf("partial line was answered %q", l)
 	}
 	c.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for _, f := range shards {
+		f.set(func(f *fakeShard) { f.hold, f.qryDelay = 0, 0 })
+	}
 	if got := c.cmd(t, ""); got != "OK" { // completes "INS 12 1 1 5"
 		t.Fatalf("completed partial line -> %q", got)
+	}
+
+	// A line of any other verb is a unit of one and splits the window.
+	if _, err := io.WriteString(c.conn, "INS 20 1 1 1\nEXPLAIN QRY 0 50 0 0 7 7\nINS 21 1 1 1\nSTATS\n"+
+		"INS 22 1 1 1\nSHARDS\nINS 23 1 1 1\nQRY 0 50 0 0 7 7\n"); err != nil {
+		t.Fatal(err)
+	}
+	readLine := func() string {
+		l, err := c.r.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.TrimSpace(l)
+	}
+	for ends := 0; ends < 2; { // through the END of EXPLAIN's reply and of SHARDS'
+		if readLine() == "END" {
+			ends++
+		}
+	}
+	if ok, sum := readLine(), readLine(); ok != "OK" || sum != "19" {
+		t.Fatalf("last two replies of the split window = %q, %q, want OK, 19", ok, sum)
+	}
+	for line, want := range map[string]string{
+		"INS 20 1 1 1": "[1]", "EXPLAIN QRY 0 50 0 0 7 7": "[1]", "INS 21 1 1 1": "[1]",
+		"INS 22 1 1 1": "[1]", "INS 23 1 1 1": "[2]", "QRY 0 50 0 0 7 7": "[2]",
+	} {
+		if got := fmt.Sprint(batchOf(t, p, line)); got != want {
+			t.Errorf("%q shared its round trips with %s lines, want %s", line, got, want)
+		}
 	}
 }
 
@@ -159,6 +229,57 @@ func TestBrokenRunAnswersEveryLineAndFailsOver(t *testing.T) {
 	}
 }
 
+// TestBrokenMixedUnitAnswersEveryLineAndFailsOver kills the primary in
+// the middle of a unit that holds mutations and query legs. What it
+// answered stands; a mutation beyond the break gets exactly one explicit
+// unavailable error and is not re-sent; a leg beyond the break is a read,
+// so it is re-sent once down the read path and answered exactly — not
+// PARTIAL — by the replica (which here holds one fact of its own, worth
+// 100, so its answers are recognisable); and the whole unit triggers one
+// failover.
+func TestBrokenMixedUnitAnswersEveryLineAndFailsOver(t *testing.T) {
+	primary, replica := newFakeShard(t), newFakeShard(t)
+	primary.set(func(f *fakeShard) { f.dropAfter = 2 })
+	replica.set(func(f *fakeShard) {
+		f.replica = true
+		f.facts = []fact{{t: 50, coords: []int{0, 0}, v: 100}}
+	})
+	addr, p := startProxy(t, fmt.Sprintf("%s|%s=0-", primary.addr(), replica.addr()))
+	const qry = "QRY 0 100 0 0 7 7"
+	unit := []string{"INS 1 0 0 1", qry, "INS 2 0 0 1", qry, "INS 3 0 0 1", qry, "DEL 1 0 0 1", qry}
+	got := sendAll(t, dial(t, addr), strings.Join(unit, "\n")+"\n", len(unit))
+	unavailable := "ERR shard " + primary.addr() + " unavailable"
+	for i, want := range []string{"OK", "1", "OK", "2", unavailable, "100", unavailable, "100"} {
+		if got[i] != want && !(want == unavailable && strings.HasPrefix(got[i], want)) {
+			t.Errorf("reply %d to %q = %q, want %q", i, unit[i], got[i], want)
+		}
+	}
+	var resent []string
+	for _, l := range replica.received() {
+		if _, stripped, _ := strings.Cut(l, " "); strings.HasPrefix(stripped, "INS") || strings.HasPrefix(stripped, "DEL") {
+			t.Errorf("the replica received %q: a mutation beyond the break must never be resent", l)
+		} else if strings.HasPrefix(stripped, "QRY") {
+			resent = append(resent, stripped)
+		}
+	}
+	if len(resent) != 2 {
+		t.Errorf("the replica received the legs %q, want exactly the two the break left unanswered", resent)
+	}
+	if n := p.partials.Value(); n != 0 {
+		t.Errorf("%d answers were PARTIAL with a live replica", n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for p.failovers.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the broken unit did not trigger a failover")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := p.failovers.Value(); n != 1 {
+		t.Fatalf("failovers = %d after one broken unit, want 1", n)
+	}
+}
+
 // semiSyncFleet boots two real replica sets — semi-sync primary plus
 // WAL-shipping follower each, everything -fsync always — behind an
 // in-process proxy, and returns the proxy address and the four member
@@ -188,11 +309,16 @@ func semiSyncFleet(t *testing.T, bin string) (string, []string) {
 }
 
 // TestRunConformanceThroughSemiSyncFleet sends one script at depth 1
-// and again in a single write through a 2-shard semi-sync topology of
-// real servers: the reply transcripts must be byte-identical. Reads
-// rotate over primaries and followers (no hedging here), so every QRY
-// in the script also checks that an acked run is already applied on
-// whichever member answers.
+// and again pipelined through a 2-shard semi-sync topology of real
+// servers: the reply transcripts must be byte-identical, and every QRY
+// in them must equal a naive scan over the mutations acked before it — a
+// query sees every earlier line of its connection and no later one. The
+// script's first part goes out in a single write; its second part, a
+// seeded 50/50 INS/QRY mix whose queries span both owners, in windows of
+// random depth 1-8, each cut into two writes at an arbitrary byte. Reads
+// rotate over primaries and followers (no hedging here), so a QRY that
+// travels without a mutation to its shard also checks that an acked
+// unit is already applied on whichever member answers.
 func TestRunConformanceThroughSemiSyncFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("conformance test builds and runs real histserve processes")
@@ -224,12 +350,30 @@ func TestRunConformanceThroughSemiSyncFleet(t *testing.T) {
 		long += 2
 	}
 	script = append(script, all, all, all, all, "INS 400 1 1 9")
+	// The mixed part: both owners' clocks move on from where the first
+	// part left them (no -ooo on the shards), every query spans both.
+	rng := rand.New(rand.NewSource(19))
+	var mixed []string
+	for t0, t1 := int64(78), int64(401); len(mixed) < 400; {
+		switch c1, c2 := rng.Intn(8), rng.Intn(8); {
+		case rng.Intn(2) == 0:
+			lo1, lo2 := rng.Intn(8), rng.Intn(8)
+			mixed = append(mixed, fmt.Sprintf("QRY %d %d %d %d %d %d", rng.Intn(100), 100+rng.Intn(500),
+				lo1, lo2, lo1+rng.Intn(8-lo1), lo2+rng.Intn(8-lo2)))
+		case rng.Intn(2) == 0:
+			t0 = min(99, t0+int64(rng.Intn(2)))
+			mixed = append(mixed, fmt.Sprintf("INS %d %d %d %d", t0, c1, c2, 1+rng.Intn(9)))
+		default:
+			t1 += int64(rng.Intn(3))
+			mixed = append(mixed, fmt.Sprintf("INS %d %d %d %d", t1, c1, c2, 1+rng.Intn(9)))
+		}
+	}
 
-	transcript := func(oneWrite bool) []string {
+	transcript := func(piped bool) []string {
 		addr, members := semiSyncFleet(t, bin)
 		c := dial(t, addr)
 		var got []string
-		if oneWrite {
+		if piped {
 			// Everything but the last line's newline in one write: the
 			// trailing partial line must not withhold a single reply.
 			payload := strings.Join(script, "\n")
@@ -251,18 +395,51 @@ func TestRunConformanceThroughSemiSyncFleet(t *testing.T) {
 				t.Errorf("member %d (%s) answers %s right after the acked script, want %s", i, m, got, want)
 			}
 		}
+		cuts := rand.New(rand.NewSource(23))
+		for rest := mixed; len(rest) > 0; {
+			depth := 1
+			if piped {
+				depth = min(len(rest), 1+cuts.Intn(8))
+			}
+			payload := strings.Join(rest[:depth], "\n") + "\n"
+			cut := cuts.Intn(len(payload) + 1)
+			if _, err := io.WriteString(c.conn, payload[:cut]); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(time.Duration(cuts.Intn(300)) * time.Microsecond) // lets the proxy see the cut
+			got = append(got, sendAll(t, c, payload[cut:], depth)...)
+			rest = rest[depth:]
+		}
 		return got
 	}
 	depth1 := transcript(false)
 	piped := transcript(true)
+	script = append(script, mixed...)
 	if len(depth1) != len(piped) {
-		t.Fatalf("depth 1 answered %d lines, one write %d", len(depth1), len(piped))
+		t.Fatalf("depth 1 answered %d lines, pipelined %d", len(depth1), len(piped))
 	}
-	for i := range depth1 {
+	// The naive oracle is a fake shard that owns every time: it is fed the
+	// mutations the fleet acked and scans its facts for each query.
+	oracle, checked := &fakeShard{}, 0
+	for i, line := range script {
 		if depth1[i] != piped[i] {
-			t.Errorf("line %d %q: depth 1 answered %q, one write %q", i, script[i], depth1[i], piped[i])
+			t.Errorf("line %d %q: depth 1 answered %q, pipelined %q", i, line, depth1[i], piped[i])
+		}
+		_, line = trace.CutRequestID(line)
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 5 && (f[0] == "INS" || f[0] == "DEL") && depth1[i] == "OK":
+			oracle.reply(0, f)
+		case len(f) == 7 && f[0] == "QRY":
+			checked++
+			if want := strconv.FormatFloat(oracle.query(f[1:]), 'g', -1, 64); depth1[i] != want {
+				t.Errorf("line %d %q answered %q, a naive scan of the %d mutations acked before it %s", i, line, depth1[i], len(oracle.facts), want)
+			}
+		case i >= len(script)-len(mixed):
+			t.Errorf("line %d %q of the mixed part answered %q", i, line, depth1[i])
 		}
 	}
+	t.Logf("%d queries equal a naive scan, the last over %d acked mutations", checked, len(oracle.facts))
 	// And the transcript is the right one, not merely the same one.
 	for i, want := range []string{"OK", "5", "OK", "OK", "OK",
 		"ERR INS needs time, 2 coordinates and a value", "OK", `ERR bad integer "x"`} {
@@ -274,7 +451,7 @@ func TestRunConformanceThroughSemiSyncFleet(t *testing.T) {
 		t.Errorf("shard-side errors inside the run answered %q and %q", depth1[8], depth1[9])
 	}
 	total := fmt.Sprint(5 + 3 + 7 - 4 + 1.5 - 0.5 + long)
-	for i := len(depth1) - 5; i < len(depth1)-1; i++ {
+	for i := len(script) - len(mixed) - 5; i < len(script)-len(mixed)-1; i++ {
 		if depth1[i] != total {
 			t.Errorf("read %d after the long run = %q, want %s on every member", i, depth1[i], total)
 		}

@@ -25,17 +25,17 @@
 // when no complete line is left waiting, or at the cap — one fsync and
 // one flush per pipelined window, one per request at depth 1.
 //
-// histproxy pays a shard round trip per line. Only INS and DEL join and
-// every other verb ends its unit, so a unit is a run of buffered
-// mutations or one line of anything else; settle sends each owner
-// shard's lines of the run as one batch round trip. Replies are
-// therefore flushed per run, not when the input goes idle: holding a
-// finished reply back behind another line's round trip would cost that
-// round trip and save one syscall.
+// histproxy pays a shard round trip per line unless lines share one.
+// INS, DEL and QRY join and every other verb ends its unit, so a unit is
+// the buffered window of mutations and queries or one line of anything
+// else; the handlers only validate and route, and settle sends each
+// shard's lines of the unit — mutations and query legs, in request order
+// — as one batch round trip. As on histserve, the window's replies leave
+// together.
 //
 // Panics are contained per handler call: one line's in the first phase,
-// the pending requests' in settle — on histproxy, where a run's work
-// happens in settle, the whole run.
+// the pending requests' in settle — on histproxy, where a unit's work
+// happens in settle, the whole unit.
 package lineserver
 
 import (
@@ -51,8 +51,8 @@ import (
 
 // MaxPendingReplies caps the requests one connection batches: the lines
 // of one unit — the replies histserve holds back before it releases them
-// regardless of buffered input, the mutation lines histproxy forwards as
-// one run — and the shipped records a follower commits together. It
+// regardless of buffered input, the lines histproxy forwards as one
+// batch per shard — and the shipped records a follower commits together. It
 // bounds both the memory a pipelining peer can pin and the records one
 // connection contributes to a group commit.
 const MaxPendingReplies = 256

@@ -67,8 +67,9 @@ type Request struct {
 	Reply  string   // what the client will read, without the newline
 	// Pending is what a handler leaves for the table's settle function —
 	// the work that is cheaper done once for the whole unit (histserve:
-	// the commit a staged mutation waits for; histproxy: the routed line
-	// of a run). While it is non-nil, Reply is provisional.
+	// the commit a staged mutation waits for; histproxy: the shard-bound
+	// lines of a mutation or a query). While it is non-nil, Reply is
+	// provisional.
 	Pending any
 
 	cmd   *Command

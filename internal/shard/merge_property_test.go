@@ -57,15 +57,9 @@ func TestMergeEqualsSingleCubeProperty(t *testing.T) {
 				ts := int64(50 + rng.Intn(tMax-50)) // skip shard 0's range
 				coords := []int{rng.Intn(sizes[0]), rng.Intn(sizes[1])}
 				v := float64(rng.Intn(201) - 100)
-				s, ok := m.Locate(ts)
+				idx, ok := m.Locate(ts)
 				if !ok {
 					t.Fatalf("Locate(%d) found no shard", ts)
-				}
-				idx := -1
-				for j, sh := range m.Shards() {
-					if sh.Addr == s.Addr {
-						idx = j
-					}
 				}
 				if err := shardCubes[idx].Insert(ts, coords, v); err != nil {
 					t.Fatalf("shard insert: %v", err)
@@ -141,13 +135,9 @@ func TestMergeFailedLegMatchesReferenceHole(t *testing.T) {
 		ts := int64(rng.Intn(300))
 		coords := []int{rng.Intn(6), rng.Intn(6)}
 		v := float64(rng.Intn(41) - 20)
-		s, _ := m.Locate(ts)
-		for j, sh := range m.Shards() {
-			if sh.Addr == s.Addr {
-				if err := shardCubes[j].Insert(ts, coords, v); err != nil {
-					t.Fatal(err)
-				}
-			}
+		idx, _ := m.Locate(ts)
+		if err := shardCubes[idx].Insert(ts, coords, v); err != nil {
+			t.Fatal(err)
 		}
 		if err := ref.Insert(ts, coords, v); err != nil {
 			t.Fatal(err)

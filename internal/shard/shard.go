@@ -187,14 +187,15 @@ func (m *Map) String() string {
 	return strings.Join(parts, ",")
 }
 
-// Locate returns the shard owning timestamp t — the mutation route.
-// ok is false when t precedes the first shard's range.
-func (m *Map) Locate(t int64) (Shard, bool) {
+// Locate returns the map position of the shard owning timestamp t — the
+// mutation route, the same index Leg.Index carries. ok is false when t
+// precedes the first shard's range.
+func (m *Map) Locate(t int64) (int, bool) {
 	i := sort.Search(len(m.shards), func(i int) bool { return m.shards[i].Range.Hi >= t })
 	if i == len(m.shards) || t < m.shards[i].Range.Lo {
-		return Shard{}, false
+		return 0, false
 	}
-	return m.shards[i], true
+	return i, true
 }
 
 // Leg is one shard's share of a scattered query: the shard plus the

@@ -98,22 +98,22 @@ func TestParseErrors(t *testing.T) {
 func TestLocate(t *testing.T) {
 	m := mustParse(t, "a=10-99,b=100-199,c=200-")
 	cases := []struct {
-		t    int64
-		addr string
-		ok   bool
+		t   int64
+		idx int
+		ok  bool
 	}{
-		{9, "", false}, // before the map
-		{10, "a", true},
-		{99, "a", true},
-		{100, "b", true},
-		{199, "b", true},
-		{200, "c", true},
-		{1 << 40, "c", true}, // hot shard is open-ended
+		{9, 0, false}, // before the map
+		{10, 0, true},
+		{99, 0, true},
+		{100, 1, true},
+		{199, 1, true},
+		{200, 2, true},
+		{1 << 40, 2, true}, // hot shard is open-ended
 	}
 	for _, tc := range cases {
-		s, ok := m.Locate(tc.t)
-		if ok != tc.ok || (ok && s.Addr != tc.addr) {
-			t.Errorf("Locate(%d) = (%q, %v), want (%q, %v)", tc.t, s.Addr, ok, tc.addr, tc.ok)
+		idx, ok := m.Locate(tc.t)
+		if ok != tc.ok || idx != tc.idx {
+			t.Errorf("Locate(%d) = (%d, %v), want (%d, %v)", tc.t, idx, ok, tc.idx, tc.ok)
 		}
 	}
 }

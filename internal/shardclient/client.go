@@ -237,28 +237,29 @@ func (c *Client) put(w *wire) {
 	w.conn.Close() //histlint:ignore errwrap surplus pooled conn; close errors carry no signal
 }
 
-// Do sends one request line and returns the single response line.
-// idempotent requests (reads) are retried once on a fresh connection
-// when a *reused* pooled conn fails — it may simply have died idle;
-// mutations never retry (the first attempt may have been applied).
-// Transport failures feed the breaker; ERR replies do not.
+// Do sends one request line and returns the single response line: a
+// batch of one (see DoBatch).
 func (c *Client) Do(ctx context.Context, line string, idempotent bool) (string, error) {
-	lines, err := c.roundTrip(ctx, line+"\n", 1, idempotent)
+	lines, err := c.DoBatch(ctx, []string{line}, idempotent)
 	if err != nil {
 		return "", err
 	}
 	return lines[0], nil
 }
 
-// DoBatch is the round trip of a run of mutations: every line goes out
-// in one write on one connection — so the shard sees them buffered
+// DoBatch is one round trip for a batch of lines: every line goes out in
+// one write on one connection — so the shard sees them buffered
 // together, in order, and answers them behind one commit — and one
-// single-line reply per line is read back. Never retried. When the
-// connection breaks part-way, the replies read before the break are
-// returned next to the error: they are the shard's own answers, and
-// every line beyond them is indeterminate.
-func (c *Client) DoBatch(ctx context.Context, lines []string) ([]string, error) {
-	return c.roundTrip(ctx, strings.Join(lines, "\n")+"\n", len(lines), false)
+// single-line reply per line is read back. A batch of reads
+// (idempotent) is retried once on a fresh connection when a *reused*
+// pooled conn fails — it may simply have died idle; a batch that
+// carries a mutation never retries (the first attempt may have been
+// applied), and when its connection breaks part-way, the replies read
+// before the break are returned next to the error: they are the shard's
+// own answers, and every line beyond them is indeterminate. Transport
+// failures feed the breaker; ERR replies do not.
+func (c *Client) DoBatch(ctx context.Context, lines []string, idempotent bool) ([]string, error) {
+	return c.roundTrip(ctx, strings.Join(lines, "\n")+"\n", len(lines), idempotent)
 }
 
 // roundTrip sends payload (n newline-terminated request lines) and

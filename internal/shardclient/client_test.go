@@ -250,7 +250,7 @@ func TestClosedClientRejects(t *testing.T) {
 func TestDoBatchOneWriteRepliesInOrder(t *testing.T) {
 	f := startFakeShard(t)
 	c := newTestClient(t, f.addr(), nil)
-	got, err := c.DoBatch(context.Background(), []string{"INS 1 0 0 1", "ERRME", "QRY 0 1 0 0", "INS 2 0 0 1"})
+	got, err := c.DoBatch(context.Background(), []string{"INS 1 0 0 1", "ERRME", "QRY 0 1 0 0", "INS 2 0 0 1"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestDoBatchOneWriteRepliesInOrder(t *testing.T) {
 	if strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Fatalf("batch replies %q, want %q", got, want)
 	}
-	if _, err := c.DoBatch(context.Background(), []string{"INS 3 0 0 1"}); err != nil {
+	if _, err := c.DoBatch(context.Background(), []string{"INS 3 0 0 1"}, false); err != nil {
 		t.Fatal(err)
 	}
 	if n := f.accepted.Load(); n != 1 {
@@ -272,7 +272,7 @@ func TestDoBatchOneWriteRepliesInOrder(t *testing.T) {
 func TestDoBatchBrokenMidwayKeepsReceivedReplies(t *testing.T) {
 	f := startFakeShard(t)
 	c := newTestClient(t, f.addr(), nil)
-	got, err := c.DoBatch(context.Background(), []string{"INS 1 0 0 1", "INS 2 0 0 1", "DROPME", "INS 3 0 0 1"})
+	got, err := c.DoBatch(context.Background(), []string{"INS 1 0 0 1", "INS 2 0 0 1", "DROPME", "INS 3 0 0 1"}, false)
 	if err == nil {
 		t.Fatalf("broken batch succeeded with %q", got)
 	}

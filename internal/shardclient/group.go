@@ -25,15 +25,15 @@ type Group struct {
 	members []*Client // immutable; configured primary first
 	primary atomic.Int32
 	rr      atomic.Uint32 // read round-robin cursor
-	hedged  atomic.Int64  // hedged duplicates launched
+	hedged  atomic.Int64  // hedged duplicate batches launched
 
 	hedgeAfter time.Duration
 }
 
 // NewGroup builds one Client per member address (configured primary
 // first, as in the shard-map spec). hedgeAfter is the latency
-// threshold after which a read is duplicated to the next member; 0
-// disables hedging.
+// threshold after which a read batch is duplicated to the next member;
+// 0 disables hedging.
 func NewGroup(addrs []string, hedgeAfter time.Duration, opts Options) *Group {
 	g := &Group{hedgeAfter: hedgeAfter}
 	for _, a := range addrs {
@@ -73,7 +73,7 @@ func (g *Group) Healthy() bool {
 	return false
 }
 
-// Hedged returns the number of hedged duplicate reads launched.
+// Hedged returns the number of hedged duplicate read batches launched.
 func (g *Group) Hedged() int64 { return g.hedged.Load() }
 
 // Close closes every member client.
@@ -83,35 +83,47 @@ func (g *Group) Close() {
 	}
 }
 
-// Write sends a run of mutations — a lone one is a run of one — to the
-// current primary as one batch round trip, never retried and never
-// hedged: a duplicate mutation is a double-apply. Replies come back in
-// line order; on failure the ones received before the break are
+// Write sends a batch that carries a mutation — a lone one is a batch of
+// one — to the current primary as one round trip, never retried and
+// never hedged: a duplicate mutation is a double-apply. Replies come
+// back in line order; on failure the ones received before the break are
 // returned next to the error (see Client.DoBatch).
 func (g *Group) Write(ctx context.Context, lines []string) ([]string, error) {
-	return g.Primary().DoBatch(ctx, lines)
+	return g.Primary().DoBatch(ctx, lines, false)
 }
 
-// Read sends one idempotent single-line request with member fan-out:
-// the first member answers alone until hedgeAfter elapses, then a
-// duplicate goes to the next member and the first reply wins. A member
-// whose attempt fails triggers the next member immediately. An ERR
-// reply is an answer (the transport is healthy and every member is
-// deterministic), not a reason to fan out further.
+// Read is ReadBatch for a single line.
 func (g *Group) Read(ctx context.Context, line string) (string, error) {
+	replies, err := g.ReadBatch(ctx, []string{line})
+	if err != nil {
+		return "", err
+	}
+	return replies[0], nil
+}
+
+// ReadBatch sends a batch of idempotent single-line requests as one
+// round trip with member fan-out, the batch as a whole: the first member
+// answers alone until hedgeAfter elapses, then a duplicate of the batch
+// goes to the next member and the first complete set of replies wins. A
+// member whose attempt fails triggers the next member immediately, and
+// what it had answered before failing is discarded — the replies of one
+// batch all come from one member. An ERR reply is an answer (the
+// transport is healthy and every member is deterministic), not a reason
+// to fan out further.
+func (g *Group) ReadBatch(ctx context.Context, lines []string) ([]string, error) {
 	order := g.readOrder()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel() // the winner cancels every outstanding loser
 
 	type readResult struct {
-		reply string
-		err   error
+		replies []string
+		err     error
 	}
 	results := make(chan readResult, len(order))
 	launch := func(c *Client) {
 		go func() {
 			var r readResult
-			r.reply, r.err = c.Do(ctx, line, true)
+			r.replies, r.err = c.DoBatch(ctx, lines, true)
 			results <- r
 		}()
 	}
@@ -134,7 +146,7 @@ func (g *Group) Read(ctx context.Context, line string) (string, error) {
 		case r := <-results:
 			outstanding--
 			if r.err == nil {
-				return r.reply, nil
+				return r.replies, nil
 			}
 			if firstErr == nil {
 				firstErr = r.err
@@ -144,7 +156,7 @@ func (g *Group) Read(ctx context.Context, line string) (string, error) {
 				next++
 				outstanding++
 			} else if outstanding == 0 {
-				return "", firstErr
+				return nil, firstErr
 			}
 		case <-hedge:
 			hedge = nil
@@ -156,9 +168,9 @@ func (g *Group) Read(ctx context.Context, line string) (string, error) {
 			}
 		case <-ctx.Done():
 			if firstErr != nil {
-				return "", firstErr
+				return nil, firstErr
 			}
-			return "", fmt.Errorf("shard group: %w", ctx.Err())
+			return nil, fmt.Errorf("shard group: %w", ctx.Err())
 		}
 	}
 }

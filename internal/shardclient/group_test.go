@@ -54,15 +54,19 @@ func startSlowShard(t *testing.T, reply string, delay time.Duration) *slowShard 
 
 func (s *slowShard) addr() string { return s.ln.Addr().String() }
 
+// pinFirst makes member 0 the next read's first attempt.
+func pinFirst(g *Group) {
+	for int(g.rr.Load())%g.Len() != 0 {
+		g.rr.Add(1)
+	}
+}
+
 func TestGroupHedgesSlowMember(t *testing.T) {
 	slow := startSlowShard(t, "1", 2*time.Second)
 	fast := startSlowShard(t, "2", 0)
 	g := NewGroup([]string{slow.addr(), fast.addr()}, 30*time.Millisecond, Options{OpTimeout: 5 * time.Second})
 	t.Cleanup(g.Close)
-	// Pin the round-robin cursor so the slow member is attempted first.
-	for int(g.rr.Load())%g.Len() != 0 {
-		g.rr.Add(1)
-	}
+	pinFirst(g)
 	start := time.Now()
 	resp, err := g.Read(context.Background(), "QRY 0 0 1 1")
 	if err != nil {
@@ -85,9 +89,7 @@ func TestGroupReadFailsOverToReplicaImmediately(t *testing.T) {
 		DialTimeout: 200 * time.Millisecond, OpTimeout: time.Second,
 	})
 	t.Cleanup(g.Close)
-	for int(g.rr.Load())%g.Len() != 0 {
-		g.rr.Add(1)
-	}
+	pinFirst(g)
 	resp, err := g.Read(context.Background(), "QRY 0 0 1 1")
 	if err != nil {
 		t.Fatal(err)
@@ -151,22 +153,85 @@ func TestGroupHedgeLoserDoesNotFeedBreaker(t *testing.T) {
 		OpTimeout: 5 * time.Second, BreakerThreshold: 2,
 	})
 	t.Cleanup(g.Close)
-	for int(g.rr.Load())%g.Len() != 0 {
-		g.rr.Add(1)
-	}
 	// Several hedged reads where the slow member always loses and gets
 	// canceled: its breaker must stay closed — cancellation is not a
 	// shard failure.
 	for i := 0; i < 4; i++ {
-		for int(g.rr.Load())%g.Len() != 0 {
-			g.rr.Add(1)
-		}
+		pinFirst(g)
 		if _, err := g.Read(context.Background(), "QRY 0 0 1 1"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !g.Member(0).Healthy() {
 		t.Fatal("losing hedges opened the slow member's breaker")
+	}
+}
+
+// TestGroupReadBatchHedgesOncePerBatch: the hedge duplicates the batch,
+// not its lines — one timer, one duplicate, one count — and the replies
+// all come from the member that won.
+func TestGroupReadBatchHedgesOncePerBatch(t *testing.T) {
+	slow := startSlowShard(t, "1", time.Second)
+	fast := startSlowShard(t, "2", 0)
+	g := NewGroup([]string{slow.addr(), fast.addr()}, 30*time.Millisecond, Options{OpTimeout: 5 * time.Second})
+	t.Cleanup(g.Close)
+	pinFirst(g)
+	got, err := g.ReadBatch(context.Background(), []string{"QRY 0 0 1 1", "QRY 0 1 1 1", "QRY 0 2 1 1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, "|") != "2|2|2" {
+		t.Fatalf("got %q, want the hedge's three answers", got)
+	}
+	if g.Hedged() != 1 {
+		t.Fatalf("hedged count = %d for one batch of three, want 1", g.Hedged())
+	}
+	if n := fast.hits.Load(); n != 3 {
+		t.Fatalf("the hedge target served %d lines, want the batch of 3", n)
+	}
+}
+
+// TestGroupReadBatchFailoverDiscardsPartialReplies: a member that dies
+// after answering part of a batch contributes nothing — the next member
+// gets the whole batch and answers all of it.
+func TestGroupReadBatchFailoverDiscardsPartialReplies(t *testing.T) {
+	dying := startFakeShard(t) // answers QRY with 42, closes on DROPME
+	up := startSlowShard(t, "7", 0)
+	g := NewGroup([]string{dying.addr(), up.addr()}, 0, Options{OpTimeout: time.Second})
+	t.Cleanup(g.Close)
+	pinFirst(g)
+	got, err := g.ReadBatch(context.Background(), []string{"QRY 0 0 1 1", "DROPME", "QRY 0 2 1 1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, "|") != "7|7|7" {
+		t.Fatalf("got %q, want every reply from the surviving member", got)
+	}
+	if g.Hedged() != 0 {
+		t.Fatalf("a failover counted as %d hedges", g.Hedged())
+	}
+}
+
+// TestGroupReadBatchLoserDoesNotFeedBreaker: a batch cancelled because
+// its duplicate won says nothing about the member's health.
+func TestGroupReadBatchLoserDoesNotFeedBreaker(t *testing.T) {
+	slow := startSlowShard(t, "1", 100*time.Millisecond)
+	fast := startSlowShard(t, "2", 0)
+	g := NewGroup([]string{slow.addr(), fast.addr()}, 10*time.Millisecond, Options{
+		OpTimeout: 5 * time.Second, BreakerThreshold: 2,
+	})
+	t.Cleanup(g.Close)
+	for i := 0; i < 4; i++ {
+		pinFirst(g)
+		if got, err := g.ReadBatch(context.Background(), []string{"QRY 0 0 1 1", "QRY 0 1 1 1"}); err != nil || strings.Join(got, "|") != "2|2" {
+			t.Fatalf("batch %d: %q, %v", i, got, err)
+		}
+	}
+	if !g.Member(0).Healthy() {
+		t.Fatal("losing batches opened the slow member's breaker")
+	}
+	if g.Hedged() != 4 {
+		t.Fatalf("hedged count = %d after 4 hedged batches, want 4", g.Hedged())
 	}
 }
 
