@@ -18,10 +18,10 @@ import (
 	"histcube/internal/dims"
 	"histcube/internal/ecube"
 	"histcube/internal/experiments"
-	"histcube/internal/framework"
-	"histcube/internal/mvbt"
-	"histcube/internal/mversion"
 	"histcube/internal/pager"
+	"histcube/internal/paper/framework"
+	"histcube/internal/paper/mvbt"
+	"histcube/internal/paper/mversion"
 	"histcube/internal/prefix"
 	"histcube/internal/rstar"
 	"histcube/internal/workload"

@@ -1,134 +1,196 @@
 #!/bin/sh
-# Tier-1 verification gate: the exact checks CI runs (see
-# .github/workflows/ci.yml), runnable locally as `./check.sh` or
-# `make check`: format, build, vet, histlint, race tests, the benchmark
-# module's own tests, fuzz smokes, the crash/chaos drills, the overhead
-# guards, the real-binary EXPLAIN smoke and the load harness's oracle
-# gate.
+# Tier-1 verification gate, and the one place each gate is defined:
+# `./check.sh` (= `make check`) runs every step below in order,
+# `./check.sh <step>` runs one. The Makefile's targets and the jobs of
+# .github/workflows/ci.yml only call this script by step name, so a test
+# joins or leaves a gate by an edit here and nowhere else.
 set -eu
 
-# What git sees of the working tree, minus the lock graph this script
-# regenerates; compared at the end so a step that rewrites a tracked
-# file or leaves an unignored one behind fails the gate.
+steps="fmt build vet histlint race benchmod fuzz crash chaos shardchaos replchaos traceguard perfguard explain benchgate tree"
+is_step() { case " $steps " in *" $1 "*) return 0 ;; esac; return 1; }
+
+# What git sees of the working tree, minus the lock graph the histlint
+# step regenerates; the tree step compares it with what it was when the
+# script started, so a step that rewrites a tracked file or leaves an
+# unignored one behind fails the gate.
 tree_state() { git status --porcelain 2>/dev/null | grep -v ' lockgraph\.dot$' || true; }
 tree_before=$(tree_state)
 
-echo "== gofmt =="
-unformatted=$(gofmt -l .)
-if [ -n "$unformatted" ]; then
-    echo "gofmt needed on:" >&2
-    echo "$unformatted" >&2
-    exit 1
+step_fmt() {
+    echo "== gofmt =="
+    unformatted=$(gofmt -l .)
+    if [ -n "$unformatted" ]; then
+        echo "gofmt needed on:" >&2
+        echo "$unformatted" >&2
+        exit 1
+    fi
+}
+
+step_build() {
+    echo "== go build ./... =="
+    go build ./...
+}
+
+step_vet() {
+    echo "== go vet ./... =="
+    go vet ./...
+}
+
+step_histlint() {
+    echo "== histlint ./... (with lock-graph export) =="
+    # Project-specific invariants (see DESIGN.md "Static analysis"):
+    # lock discipline (guarded fields, release-on-all-paths,
+    # acquisition-order cycles), log-before-apply, the import fence
+    # around internal/paper, metric naming, guarded narrowing, error
+    # wrapping, float equality. The lock-acquisition graph lands in the
+    # committed lockgraph.dot (CI also uploads it as an artifact); a
+    # cycle is a finding and fails this step, and so does the one edge
+    # group commit exists to remove: the server mutex must never wait on
+    # the WAL's fsync queue (DESIGN.md "Durability", lock order) — on a
+    # primary releasing a batch of replies or on a follower committing a
+    # batch of shipped records.
+    go run ./cmd/histlint -lockgraph lockgraph.dot ./...
+    if grep -F '"main.server.mu" -> "wal.Log.syncMu"' lockgraph.dot; then
+        echo "lockgraph.dot: main.server.mu is held across wal.Log.Commit" >&2
+        exit 1
+    fi
+}
+
+step_race() {
+    echo "== go test -race -shuffle=on ./... =="
+    go test -race -shuffle=on ./...
+}
+
+step_benchmod() {
+    echo "== benchmark module (vet + short tests) =="
+    # benchmark/ is its own module importing this one's internal/*, so
+    # the root ./... patterns above neither compile nor test it.
+    (cd benchmark && go vet ./... && go test -short ./...)
+}
+
+step_fuzz() {
+    echo "== fuzz smoke (10s per target) =="
+    go test -run='^$' -fuzz=FuzzRecordDecode -fuzztime=10s ./internal/wal/
+    go test -run='^$' -fuzz=FuzzCSVWorkload -fuzztime=10s ./internal/workload/
+    go test -run='^$' -fuzz=FuzzShardMapParse -fuzztime=10s ./internal/shard/
+    go test -run='^$' -fuzz=FuzzSpanJSON -fuzztime=10s ./internal/trace/
+    go test -run='^$' -fuzz=FuzzRecLine -fuzztime=10s ./cmd/histserve/
+    go test -run='^$' -fuzz=FuzzDispatchLine -fuzztime=10s ./cmd/histserve/
+}
+
+step_crash() {
+    echo "== crash-injection durability tests =="
+    # Run inside the race step too; re-run by name so a durability
+    # regression is impossible to miss in the gate output: SIGKILL
+    # mid-append, SIGKILL between a group's stage and its fsync, and
+    # SIGKILL of a follower between a shipped batch's stage and its
+    # commit.
+    go test -race -count=1 -run 'TestCrashRecoveryNoAcknowledgedLoss|TestCrashBetweenStageAndGroupFsync|TestFollowerKilledBetweenStageAndCommit' ./cmd/histserve/
+}
+
+step_chaos() {
+    echo "== seeded chaos suite (fault injection) =="
+    # Deterministic fixed seeds plus one randomized seed (logged for
+    # repro): no acknowledged write lost, no panic escapes, the server
+    # always answers or cleanly rejects.
+    go test -race -count=1 -run 'TestChaos' ./cmd/histserve/
+}
+
+step_shardchaos() {
+    echo "== multi-shard chaos (histproxy scatter-gather degradation) =="
+    # SIGKILL one historic shard behind a live proxy mid-workload: every
+    # answer over the dead range must be an exact PARTIAL (never a wrong
+    # total presented as complete, never a hang), and the shard
+    # rejoining on the same port restores complete answers without a
+    # proxy restart.
+    go test -race -count=1 -run TestShardChaosPartialAnswersAndRejoin ./cmd/histproxy/
+}
+
+step_replchaos() {
+    echo "== replication chaos (primary SIGKILL, failover, zero acked-write loss) =="
+    # SIGKILL a semi-sync primary under live proxy load pipelined at
+    # depth 4 — three INS and a QRY per window, so the kill lands in a
+    # mixed unit: every line of the killed unit gets exactly one reply,
+    # its QRY a plain number, the final sum contains every acked write
+    # (and nothing phantom), reads must keep answering exact non-PARTIAL
+    # totals via the WAL-shipped replica, and the promoted replica must
+    # accept writes within the prober's failover interval. The
+    # fake-shard test beside it breaks a mixed unit at a chosen line:
+    # answered lines stand, later mutations get one ERR each and are
+    # never re-sent, later legs are re-sent once and answered exactly by
+    # the replica, one failover.
+    go test -race -count=1 -run 'TestReplChaosPrimaryKillUnderLoad|TestBrokenMixedUnitAnswersEveryLineAndFailsOver' ./cmd/histproxy/
+}
+
+step_traceguard() {
+    echo "== disabled-tracer overhead guard (<= 5 ns/op) =="
+    # Without -race on purpose: the guard benchmarks the nil-span hot
+    # path and race instrumentation distorts timings (the test
+    # self-skips under -race, so the race step does not cover it).
+    go test -count=1 -run TestDisabledTracerOverhead ./internal/trace/
+}
+
+step_perfguard() {
+    echo "== perf-recorder overhead guard (nil <= 5 ns, enabled <= 150 ns, 0 allocs) =="
+    # Same regime as the tracer guard: un-instrumented timings only.
+    go test -count=1 -run TestRecorderOverhead ./internal/perf/
+}
+
+step_explain() {
+    echo "== EXPLAIN smoke (real binary) =="
+    go test -race -count=1 -run TestExplainSmokeRealBinary ./cmd/histserve/
+}
+
+step_benchgate() {
+    echo "== load harness oracle gate (benchmark/run.sh, four workloads x 3 s) =="
+    # The one load generator (benchmark/, see its README) run briefly on
+    # the real binaries, once per workload of BENCHMARK.json. run.sh
+    # checks every answer against the naive oracle (after SIGKILL +
+    # restart in durable_ingest, through the semi-sync fleet in
+    # fleet_mixed) and exits non-zero when a single operation failed, so
+    # this step gates the correctness of the measured system; it
+    # compares no timing. It costs 30-35 s where the timing-tolerance
+    # smoke it replaced cost 12-13 s (both measured on one 2-vCPU host);
+    # the ~20 s are accepted because a wrong answer under load is a
+    # failure someone would act on and a 2 s throughput within 90 % of
+    # another machine's was not. Builds, data directories and results
+    # stay under the ignored .bench_build/ and benchmark/out/.
+    for w in read_converged mixed_live durable_ingest fleet_mixed; do
+        benchmark/run.sh --workload "$w" --seed 1 --seconds 3
+    done
+}
+
+step_tree() {
+    echo "== every gate named by make or CI exists; nothing tracked rewritten, nothing unignored left behind =="
+    # The Makefile and ci.yml may only name steps of this script, and
+    # ci.yml only make targets that exist.
+    for s in $(sed -n 's|.*\./check\.sh \([a-z][a-z]*\).*|\1|p' Makefile .github/workflows/ci.yml); do
+        if ! is_step "$s"; then
+            echo "Makefile or ci.yml calls ./check.sh $s, which is not a step of check.sh" >&2
+            exit 1
+        fi
+    done
+    for target in $(sed -n 's|^ *run: make \([a-z][a-z]*\)$|\1|p' .github/workflows/ci.yml); do
+        if ! grep -q "^$target:" Makefile; then
+            echo "ci.yml runs make $target, which the Makefile does not define" >&2
+            exit 1
+        fi
+    done
+    if [ "$(tree_state)" != "$tree_before" ]; then
+        echo "check.sh changed the working tree:" >&2
+        tree_state >&2
+        exit 1
+    fi
+}
+
+if [ $# -eq 0 ]; then
+    set -- $steps
 fi
-
-echo "== go build ./... =="
-go build ./...
-
-echo "== go vet ./... =="
-go vet ./...
-
-echo "== histlint ./... (with lock-graph export) =="
-# Project-specific invariants (see DESIGN.md "Static analysis"):
-# lock discipline (guarded fields, release-on-all-paths, read-path
-# purity, acquisition-order cycles, atomic all-or-nothing, ctx
-# polling), log-before-apply, metric naming, guarded narrowing, error
-# wrapping, float equality. The lock-acquisition graph lands in the
-# committed lockgraph.dot (CI also uploads it as an artifact); a cycle
-# is a finding and fails this step, and so does the one edge group
-# commit exists to remove: the server mutex must never wait on the
-# WAL's fsync queue (DESIGN.md "Durability", lock order) — on a primary
-# releasing a batch of replies or on a follower committing a batch of
-# shipped records.
-go run ./cmd/histlint -lockgraph lockgraph.dot ./...
-if grep -F '"main.server.mu" -> "wal.Log.syncMu"' lockgraph.dot; then
-    echo "lockgraph.dot: main.server.mu is held across wal.Log.Commit" >&2
-    exit 1
-fi
-
-echo "== go test -race -shuffle=on ./... =="
-go test -race -shuffle=on ./...
-
-echo "== benchmark module (vet + short tests) =="
-# benchmark/ is its own module importing this one's internal/*, so the
-# root ./... patterns above neither compile nor test it.
-(cd benchmark && go vet ./... && go test -short ./...)
-
-echo "== fuzz smoke (10s per target) =="
-go test -run='^$' -fuzz=FuzzRecordDecode -fuzztime=10s ./internal/wal/
-go test -run='^$' -fuzz=FuzzCSVWorkload -fuzztime=10s ./internal/workload/
-go test -run='^$' -fuzz=FuzzShardMapParse -fuzztime=10s ./internal/shard/
-go test -run='^$' -fuzz=FuzzSpanJSON -fuzztime=10s ./internal/trace/
-go test -run='^$' -fuzz=FuzzRecLine -fuzztime=10s ./cmd/histserve/
-go test -run='^$' -fuzz=FuzzDispatchLine -fuzztime=10s ./cmd/histserve/
-
-echo "== crash-injection durability tests =="
-# Run inside the suite above too; re-run by name so a durability
-# regression is impossible to miss in the gate output: SIGKILL
-# mid-append, SIGKILL between a group's stage and its fsync, and
-# SIGKILL of a follower between a shipped batch's stage and its commit.
-go test -race -count=1 -run 'TestCrashRecoveryNoAcknowledgedLoss|TestCrashBetweenStageAndGroupFsync|TestFollowerKilledBetweenStageAndCommit' ./cmd/histserve/
-
-echo "== seeded chaos suite (fault injection) =="
-# Deterministic fixed seeds plus one randomized seed (logged for
-# repro): no acknowledged write lost, no panic escapes, the server
-# always answers or cleanly rejects.
-go test -race -count=1 -run 'TestChaos' ./cmd/histserve/
-
-echo "== multi-shard chaos (histproxy scatter-gather degradation) =="
-# SIGKILL one historic shard behind a live proxy mid-workload: every
-# answer over the dead range must be an exact PARTIAL (never a wrong
-# total presented as complete, never a hang), and the shard rejoining
-# on the same port restores complete answers without a proxy restart.
-go test -race -count=1 -run TestShardChaosPartialAnswersAndRejoin ./cmd/histproxy/
-
-echo "== replication chaos (primary SIGKILL, failover, zero acked-write loss) =="
-# SIGKILL a semi-sync primary under live proxy load pipelined at depth 4
-# — three INS and a QRY per window, so the kill lands in a mixed unit:
-# every line of the killed unit gets exactly one reply, its QRY a plain
-# number, the final sum contains every acked write (and nothing
-# phantom), reads must keep answering exact non-PARTIAL totals via the
-# WAL-shipped replica, and the promoted replica must accept writes
-# within the prober's failover interval. The fake-shard test beside it
-# breaks a mixed unit at a chosen line: answered lines stand, later
-# mutations get one ERR each and are never re-sent, later legs are
-# re-sent once and answered exactly by the replica, one failover.
-go test -race -count=1 -run 'TestReplChaosPrimaryKillUnderLoad|TestBrokenMixedUnitAnswersEveryLineAndFailsOver' ./cmd/histproxy/
-
-echo "== disabled-tracer overhead guard (<= 5 ns/op) =="
-# Without -race on purpose: the guard benchmarks the nil-span hot path
-# and race instrumentation distorts timings (the test self-skips under
-# -race, so the suite above does not cover it).
-go test -count=1 -run TestDisabledTracerOverhead ./internal/trace/
-
-echo "== perf-recorder overhead guard (nil <= 5 ns, enabled <= 150 ns, 0 allocs) =="
-# Same regime as the tracer guard: un-instrumented timings only.
-go test -count=1 -run TestRecorderOverhead ./internal/perf/
-
-echo "== EXPLAIN smoke (real binary) =="
-go test -race -count=1 -run TestExplainSmokeRealBinary ./cmd/histserve/
-
-echo "== load harness oracle gate (benchmark/run.sh, four workloads x 3 s) =="
-# The one load generator (benchmark/, see its README) run briefly on
-# the real binaries, once per workload of BENCHMARK.json. run.sh checks
-# every answer against the naive oracle (after SIGKILL + restart in
-# durable_ingest, through the semi-sync fleet in fleet_mixed) and exits
-# non-zero when a single operation failed, so this step gates the
-# correctness of the measured system; it compares no timing. It costs
-# 30-35 s where the timing-tolerance smoke it replaced cost 12-13 s
-# (both measured on one 2-vCPU host); the ~20 s are accepted because a
-# wrong answer under load is a failure someone would act on and a 2 s
-# throughput within 90 % of another machine's was not. Builds, data
-# directories and results stay under the ignored .bench_build/ and
-# benchmark/out/.
-for w in read_converged mixed_live durable_ingest fleet_mixed; do
-    benchmark/run.sh --workload "$w" --seed 1 --seconds 3
+for s in "$@"; do
+    if ! is_step "$s"; then
+        echo "check.sh: unknown step '$s' (steps: $steps)" >&2
+        exit 2
+    fi
+    "step_$s"
 done
-
-echo "== nothing tracked rewritten, nothing unignored left behind =="
-if [ "$(tree_state)" != "$tree_before" ]; then
-    echo "check.sh changed the working tree:" >&2
-    tree_state >&2
-    exit 1
-fi
-
 echo "== ok =="

@@ -56,10 +56,15 @@ type Cube struct{ cells []float64 }
 
 func (c *Cube) Update(i int, v float64) { c.cells[i] += v }
 `,
-		// InsertUnlogged's apply call is on line 13.
+		"internal/paper/framework/framework.go": "package framework\n",
+		// The fenced import is on line 5, InsertUnlogged's apply call
+		// on line 16.
 		"internal/core/core.go": `package core
 
-import "tempmod/internal/appendcube"
+import (
+	"tempmod/internal/appendcube"
+	_ "tempmod/internal/paper/framework"
+)
 
 type Op struct{ Cell int }
 
@@ -77,10 +82,8 @@ func (c *Cube) InsertUnlogged(op Op) {
 		"lint.go": `package tempmod
 
 import (
-	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"tempmod/internal/obs"
 )
@@ -115,33 +118,6 @@ func (b *box) leak(c bool) int {
 	}
 	b.mu.Unlock()
 	return 1
-}
-
-type rw struct {
-	mu sync.RWMutex
-	v  int // guarded by mu
-}
-
-func (r *rw) sneak() {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	r.v = 1
-}
-
-type stat struct {
-	hits int64
-}
-
-func bump(s *stat) { atomic.AddInt64(&s.hits, 1) }
-
-func readPlain(s *stat) int64 { return s.hits }
-
-func spin(ctx context.Context, ready func() bool) {
-	for {
-		if ready() {
-			return
-		}
-	}
 }
 
 func rotted() int {
@@ -189,17 +165,15 @@ var expected = []struct {
 	analyzer string
 	fragment string
 }{
-	{"internal/core/core.go", 13, "appendbeforeapply", "without logging it first"},
-	{"lint.go", 17, "mutexguard", "box.n is guarded by mu"},
-	{"lint.go", 20, "coordnarrow", "unguarded narrowing int(v)"},
-	{"lint.go", 24, "errwrap", "use %w"},
-	{"lint.go", 28, "metricname", "violates the naming contract"},
-	{"lint.go", 32, "nofloateq", "floating-point == comparison"},
-	{"lint.go", 36, "deferunlock", "not released on every path"},
-	{"lint.go", 52, "rwlockdiscipline", "write to rw.v under mu.RLock()"},
-	{"lint.go", 61, "atomicfield", "plain access to hits"},
-	{"lint.go", 64, "ctxloop", "unbounded for loop in spin never polls cancellation"},
-	{"lint.go", 72, "histlint", "stale ignore directive: no coordnarrow finding"},
+	{"internal/core/core.go", 5, "importfence", "internal/core may not import tempmod/internal/paper/framework"},
+	{"internal/core/core.go", 16, "appendbeforeapply", "without logging it first"},
+	{"lint.go", 15, "mutexguard", "box.n is guarded by mu"},
+	{"lint.go", 18, "coordnarrow", "unguarded narrowing int(v)"},
+	{"lint.go", 22, "errwrap", "use %w"},
+	{"lint.go", 26, "metricname", "violates the naming contract"},
+	{"lint.go", 30, "nofloateq", "floating-point == comparison"},
+	{"lint.go", 34, "deferunlock", "not released on every path"},
+	{"lint.go", 43, "histlint", "stale ignore directive: no coordnarrow finding"},
 	{"locks.go", 17, "lockorder", "lock-order cycle"},
 }
 
@@ -245,7 +219,7 @@ func TestHistlintEndToEnd(t *testing.T) {
 			t.Errorf("line %d = %q, want fragment %q", i, lines[i], want.fragment)
 		}
 	}
-	if !strings.Contains(stderr, "12 finding(s)") {
+	if !strings.Contains(stderr, strconv.Itoa(len(expected))+" finding(s)") {
 		t.Errorf("stderr = %q, want finding count", stderr)
 	}
 }
@@ -446,5 +420,149 @@ func TestHistlintBadPattern(t *testing.T) {
 	_, stderr, exit := runHistlint(t, bin, dir, "./nonexistent")
 	if exit != 2 {
 		t.Fatalf("exit = %d, want 2 (stderr %q)", exit, stderr)
+	}
+}
+
+// copyModule copies what histlint reads of this module — go.mod and
+// the non-test Go sources, nested modules and testdata left out — into
+// a temp dir.
+func copyModule(t *testing.T) string {
+	t.Helper()
+	src, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := t.TempDir()
+	err = filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != src &&
+				(err == nil || name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if name != "go.mod" && (!strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go")) {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dst, rel)), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// TestHistlintBitesInTheRealTree seeds one violation per analyzer into
+// a copy of this module — not a fixture — and requires that analyzer's
+// finding on the seeded line. The seeds in cmd/histserve sit in
+// handlers that only the command table reaches, by func value, so an
+// analyzer that needed a static caller to see a body would find nothing
+// here; and an analyzer dropped from the suite fails its row.
+func TestHistlintBitesInTheRealTree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks a copy of the whole module")
+	}
+	const server = "cmd/histserve/server.go"
+	seeds := []struct {
+		analyzer, file string
+		old, new       string // new replaces the one occurrence of old
+		at             string // the part of new whose line carries the finding
+	}{
+		{"mutexguard", server,
+			"func (s *server) cmdRole(*lineserver.Request) string { return s.roleLine() }",
+			"func (s *server) cmdRole(*lineserver.Request) string {\n\tseededCube := s.cube\n\t_ = seededCube\n\treturn s.roleLine()\n}",
+			"seededCube := s.cube"},
+		{"deferunlock", server,
+			"func (s *server) cmdCheckpoint(*lineserver.Request) string { return s.checkpointNow() }",
+			"func (s *server) cmdCheckpoint(rq *lineserver.Request) string {\n\ts.mu.Lock() // seeded leak\n\tif len(rq.Fields) > 1 {\n\t\treturn \"ERR\"\n\t}\n\ts.mu.Unlock()\n\treturn s.checkpointNow()\n}",
+			"s.mu.Lock() // seeded leak"},
+		{"lockorder", server,
+			"func (s *server) cmdVersion(*lineserver.Request) string {\n",
+			"func (s *server) cmdVersion(*lineserver.Request) string {\n\ts.hub.mu.Lock()\n\ts.mu.Lock() // seeded inversion\n\ts.mu.Unlock()\n\ts.hub.mu.Unlock()\n" +
+				"\ts.mu.Lock()\n\ts.hub.mu.Lock() // seeded order\n\ts.hub.mu.Unlock()\n\ts.mu.Unlock()\n",
+			"s.mu.Lock() // seeded inversion"},
+		{"appendbeforeapply", server,
+			"\tt := int64(math.MaxInt64)\n",
+			"\tt := int64(math.MaxInt64)\n\ts.mu.Lock()\n\tseededErr := s.cube.ApplyOp(core.Op{})\n\ts.mu.Unlock()\n\t_ = seededErr\n",
+			"s.cube.ApplyOp(core.Op{})"},
+		{"coordnarrow", server,
+			"\tcoords := make([]int, s.dims)\n\tfor i := range coords {\n\t\tc, ok := dims.ToCoord(nums[1+i])\n",
+			"\tseededCoord := int(nums[1])\n\t_ = seededCoord\n\tcoords := make([]int, s.dims)\n\tfor i := range coords {\n\t\tc, ok := dims.ToCoord(nums[1+i])\n",
+			"seededCoord := int(nums[1])"},
+		{"nofloateq", server,
+			"\tif math.IsNaN(val) || math.IsInf(val, 0) {\n",
+			"\tif val == 0.5 || math.IsNaN(val) || math.IsInf(val, 0) {\n",
+			"val == 0.5"},
+		{"errwrap", server,
+			"\tif err := s.saveSnapshot(rq.Fields[1]); err != nil {\n\t\treturn \"ERR \" + err.Error()\n",
+			"\tif err := s.saveSnapshot(rq.Fields[1]); err != nil {\n\t\treturn \"ERR \" + fmt.Errorf(\"seeded save: %v\", err).Error()\n",
+			"seeded save: %v"},
+		{"metricname", server,
+			"\tst := s.statsSnapshot()\n",
+			"\tst := s.statsSnapshot()\n\ts.Reg.NewCounter(\"BadName-total\", \"seeded\")\n",
+			"BadName-total"},
+		{"importfence", "internal/core/core.go",
+			"\t\"histcube/internal/appendcube\"\n",
+			"\t\"histcube/internal/appendcube\"\n\t_ \"histcube/internal/paper/framework\"\n",
+			"histcube/internal/paper/framework"},
+	}
+
+	dir := copyModule(t)
+	sources := make(map[string]string)
+	for _, s := range seeds {
+		src, ok := sources[s.file]
+		if !ok {
+			data, err := os.ReadFile(filepath.Join(dir, filepath.FromSlash(s.file)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			src = string(data)
+		}
+		if strings.Count(src, s.old) != 1 {
+			t.Fatalf("%s seed: %d occurrences of %q in %s, want 1 (the handler moved: re-aim the seed)", s.analyzer, strings.Count(src, s.old), s.old, s.file)
+		}
+		sources[s.file] = strings.Replace(src, s.old, s.new, 1)
+	}
+	for file, src := range sources {
+		if err := os.WriteFile(filepath.Join(dir, filepath.FromSlash(file)), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stdout, stderr, exit := runHistlint(t, buildHistlint(t), dir)
+	if exit != 1 {
+		t.Fatalf("exit = %d, want 1\nstdout:\n%s\nstderr:\n%s", exit, stdout, stderr)
+	}
+	for _, s := range seeds {
+		src := sources[s.file]
+		if strings.Count(src, s.at) != 1 {
+			t.Fatalf("%s seed: marker %q is not unique in %s", s.analyzer, s.at, s.file)
+		}
+		line := 1 + strings.Count(src[:strings.Index(src, s.at)], "\n")
+		head := filepath.Join(dir, filepath.FromSlash(s.file)) + ":" + strconv.Itoa(line) + ":"
+		found := false
+		for _, l := range strings.Split(stdout, "\n") {
+			if strings.HasPrefix(l, head) && strings.Contains(l, ": "+s.analyzer+": ") {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("no %s finding at %s:%d for the seeded violation", s.analyzer, s.file, line)
+		}
+	}
+	if t.Failed() {
+		t.Logf("histlint said:\n%s", stdout)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -455,5 +456,70 @@ func TestRunConformanceThroughSemiSyncFleet(t *testing.T) {
 		if depth1[i] != total {
 			t.Errorf("read %d after the long run = %q, want %s on every member", i, depth1[i], total)
 		}
+	}
+}
+
+// TestNonFiniteValueIsRefused: every stored cell is a running total over
+// all history, so one NaN or Inf that got in would turn each later
+// cumulative answer non-finite, with no DEL able to take it out again.
+// Against a real durable histserve behind the proxy, each such line is
+// refused with the shard's own ERR (the proxy relays it unchanged),
+// appends nothing to the WAL, and leaves the answers finite — for the
+// cell it named and for another cell at a later time.
+func TestNonFiniteValueIsRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs a real histserve process")
+	}
+	dir := filepath.Join(t.TempDir(), "wal")
+	srv := startProc(t, buildBinary(t, "histserve", "../histserve"),
+		"-addr", "127.0.0.1:0", "-dims", "8,8", "-op", "sum", "-ooo", "-data-dir", dir, "-fsync", "always")
+	addr, _ := startProxy(t, srv.addr+"=0-")
+	direct, proxied := chaosDial(t, srv.addr), dial(t, addr)
+	walBytes := func() (n int64) {
+		segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("no WAL segments under %s (%v)", dir, err)
+		}
+		for _, seg := range segs {
+			fi, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += fi.Size()
+		}
+		return n
+	}
+	if got := proxied.cmd(t, "INS 1 1 1 5"); got != "OK" {
+		t.Fatalf("INS = %q", got)
+	}
+	before := walBytes()
+	const refused = "ERR bad value: not finite"
+	for _, line := range []string{
+		"INS 2 1 1 NaN", "INS 2 1 1 Inf", "INS 2 1 1 -Inf", "INS 2 1 1 +Infinity",
+		"DEL 1 1 1 NaN", "DEL 1 1 1 Inf", "DEL 2 1 1 -inf", "INS 0 1 1 nan", // the last one out of order
+	} {
+		if got := direct.cmd(t, line); got != refused {
+			t.Errorf("histserve: %s = %q, want %q", line, got, refused)
+		}
+		if got := proxied.cmd(t, line); got != refused {
+			t.Errorf("histproxy: %s = %q, want %q", line, got, refused)
+		}
+		if after := walBytes(); after != before {
+			t.Fatalf("%s appended %d WAL bytes", line, after-before)
+		}
+		for qry, want := range map[string]float64{"QRY 0 9 0 0 7 7": 5, "QRY 3 3 2 2 2 2": 0} {
+			if v, err := strconv.ParseFloat(proxied.cmd(t, qry), 64); err != nil || v != want {
+				t.Fatalf("after %s: %s = %v (%v), want %v", line, qry, v, err, want)
+			}
+		}
+	}
+	if got := proxied.cmd(t, "INS 3 2 2 1"); got != "OK" {
+		t.Fatalf("INS after the refusals = %q", got)
+	}
+	if after := walBytes(); after <= before {
+		t.Fatalf("an accepted INS left the WAL at %d bytes: the byte count above proves nothing", after)
+	}
+	if got := proxied.cmd(t, "QRY 3 3 2 2 2 2"); got != "1" {
+		t.Fatalf("QRY 3 3 2 2 2 2 = %q, want 1", got)
 	}
 }

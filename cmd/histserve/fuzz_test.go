@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -12,14 +13,14 @@ import (
 )
 
 // wellFormed is the fuzz oracle: does an INS/DEL/QRY line pass arity,
-// integer and coordinate validation for an 8x8 cube? Anything it rejects
-// must never be answered as a success.
+// integer, coordinate and finite-value validation for an 8x8 cube?
+// Anything it rejects must never be answered as a success.
 func wellFormed(fields []string) bool {
 	const d = 8
 	var coords []string
 	switch verb := strings.ToUpper(fields[0]); {
 	case (verb == "INS" || verb == "DEL") && len(fields) == 5:
-		if _, err := strconv.ParseFloat(fields[4], 64); err != nil {
+		if v, err := strconv.ParseFloat(fields[4], 64); err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return false
 		}
 		coords = fields[2:4]
@@ -54,7 +55,8 @@ func wellFormed(fields []string) bool {
 func FuzzDispatchLine(f *testing.F) {
 	for _, seed := range []string{
 		"INS 1 2 3 4.5", "DEL 1 2 3 4.5", "QRY 0 9 0 0 7 7", "INS 1 2 3", "INS 1 99 3 1",
-		"INS x 2 3 1", "INS 1 2 3 1e999", "QRY 0 9 0 0 7 8", "QRY 0 9 4294967296 0 7 7",
+		"INS x 2 3 1", "INS 1 2 3 1e999", "INS 1 2 3 NaN", "INS 1 2 3 Inf", "DEL 1 2 3 -Inf", "DEL 1 2 3 nan",
+		"INS 1 2 3 +infinity", "QRY 0 9 0 0 7 8", "QRY 0 9 4294967296 0 7 7",
 		"TID=feedface12345678 QRY 0 9 0 0 7 7", "TID=feedface12345678", "EXPLAIN JSON QRY 0 1 0 0 7 7",
 		"EXPLAIN QRY", "STATS junk", "SEAL x", "PROMOTE 1 2", "REPLICATE FROM 0", "\x00\xff\t",
 		"INS 1 2 3 4\nqry 0 1 0 0 7 7\n\nQUIT now\nINS", "INS 1 2 3 4\r\nSLOWLOG\r\n",

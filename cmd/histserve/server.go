@@ -753,6 +753,12 @@ func (s *server) cmdMutate(rq *lineserver.Request) string {
 	if err != nil {
 		return "ERR bad value: " + err.Error()
 	}
+	// Every stored cell is a running total over all history: one NaN
+	// or Inf would poison each later cumulative answer, and no DEL
+	// can subtract it out again.
+	if math.IsNaN(val) || math.IsInf(val, 0) {
+		return "ERR bad value: not finite"
+	}
 	coords := make([]int, s.dims)
 	for i := range coords {
 		c, ok := dims.ToCoord(nums[1+i])

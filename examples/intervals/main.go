@@ -12,9 +12,9 @@ import (
 	"math/rand"
 
 	"histcube/internal/dims"
-	"histcube/internal/extent"
-	"histcube/internal/framework"
 	"histcube/internal/molap"
+	"histcube/internal/paper/extent"
+	"histcube/internal/paper/framework"
 )
 
 const servers = 16

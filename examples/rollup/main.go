@@ -14,7 +14,7 @@ import (
 
 	"histcube/internal/agg"
 	"histcube/internal/core"
-	"histcube/internal/hierarchy"
+	"histcube/internal/paper/hierarchy"
 )
 
 func main() {

@@ -13,8 +13,8 @@ import (
 	"histcube/internal/agg"
 	"histcube/internal/core"
 	"histcube/internal/dims"
-	"histcube/internal/framework"
-	"histcube/internal/hierarchy"
+	"histcube/internal/paper/framework"
+	"histcube/internal/paper/hierarchy"
 	"histcube/internal/workload"
 )
 

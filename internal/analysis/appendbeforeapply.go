@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
 )
 
 // AppendBeforeApply enforces the write-ahead ordering and mutation
@@ -23,13 +22,12 @@ import (
 //     sink's back.
 //  3. replay confinement: only WAL recovery (internal/wal) may call
 //     core's ApplyOp; anywhere else it is a sink bypass.
-//  4. facade confinement: cmd/histserve must not import appendcube at
-//     all — the server mutates through the core facade, which is where
-//     the sink hook lives.
 //
-// Together these make the paper's Section 2.2 append-only contract —
-// "updates only affect the latest instance", historic slices immutable
-// — a property the build enforces rather than one reviews must catch.
+// Together with importfence's row that keeps cmd/histserve off
+// internal/appendcube altogether, these make the paper's Section 2.2
+// append-only contract — "updates only affect the latest instance",
+// historic slices immutable — a property the build enforces rather
+// than one reviews must catch.
 var AppendBeforeApply = &Analyzer{
 	Name: "appendbeforeapply",
 	Doc:  "mutations are logged to the op sink before they are applied, and apply paths stay confined",
@@ -40,17 +38,8 @@ func runAppendBeforeApply(pass *Pass) error {
 	pkgPath := pass.Pkg.Path()
 	inCore := PathHasSuffix(pkgPath, "internal/core")
 	inWal := PathHasSuffix(pkgPath, "internal/wal")
-	inServe := PathHasSuffix(pkgPath, "cmd/histserve")
 
 	for _, f := range pass.Files {
-		if inServe {
-			for _, imp := range f.Imports {
-				if path, err := strconv.Unquote(imp.Path.Value); err == nil && PathHasSuffix(path, "internal/appendcube") {
-					pass.Reportf(imp.Pos(),
-						"histserve must mutate through the core facade (op sink + WAL), not internal/appendcube directly")
-				}
-			}
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

@@ -1,10 +1,8 @@
 // Package cfg builds a basic-block control-flow graph over a single
 // go/ast function body, using only the standard library. It exists so
-// histlint's concurrency-discipline analyzers (deferunlock,
-// rwlockdiscipline, lockorder) can reason about *paths* — "is the lock
-// released on every way out of this function", "can this write happen
-// while a read lock may be held" — instead of the purely positional
-// text-order approximation the first-generation analyzers used.
+// histlint's deferunlock analyzer can reason about *paths* — "is the
+// lock released on every way out of this function" — instead of the
+// purely positional text-order approximation mutexguard uses.
 //
 // The graph is deliberately small: a Block is a maximal straight-line
 // run of statements and the condition/range expressions that decide
@@ -515,19 +513,6 @@ func (g *Graph) EveryPathHits(from *Block, start int, hit func(ast.Node) bool) b
 		}
 	}
 	return true
-}
-
-// BlockOf returns the block containing node n (by identity) and its
-// index within the block, or (nil, -1).
-func (g *Graph) BlockOf(n ast.Node) (*Block, int) {
-	for _, b := range g.Blocks {
-		for i, m := range b.Nodes {
-			if m == n {
-				return b, i
-			}
-		}
-	}
-	return nil, -1
 }
 
 // Dump writes a human-readable rendering, for tests and debugging.

@@ -82,16 +82,14 @@ func RunPackages(loader *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Diag
 var knownAnalyzerNames = map[string]bool{
 	"histlint":          true,
 	"appendbeforeapply": true,
-	"atomicfield":       true,
 	"coordnarrow":       true,
-	"ctxloop":           true,
 	"deferunlock":       true,
 	"errwrap":           true,
+	"importfence":       true,
 	"lockorder":         true,
 	"metricname":        true,
 	"mutexguard":        true,
 	"nofloateq":         true,
-	"rwlockdiscipline":  true,
 }
 
 // All returns the full histcube analyzer suite in stable order, with a
@@ -107,15 +105,13 @@ func All() []*Analyzer {
 func AllWith(lo *LockOrder) []*Analyzer {
 	return []*Analyzer{
 		AppendBeforeApply,
-		AtomicField,
 		CoordNarrow,
-		CtxLoop,
 		DeferUnlock,
 		ErrWrap,
+		ImportFence,
 		lo.Analyzer(),
 		MetricName,
 		MutexGuard,
 		NoFloatEq,
-		RWLockDiscipline,
 	}
 }

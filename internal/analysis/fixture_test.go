@@ -119,9 +119,7 @@ func TestCoordNarrow(t *testing.T)       { checkFixture(t, analysis.CoordNarrow)
 func TestErrWrap(t *testing.T)           { checkFixture(t, analysis.ErrWrap) }
 func TestNoFloatEq(t *testing.T)         { checkFixture(t, analysis.NoFloatEq) }
 func TestDeferUnlock(t *testing.T)       { checkFixture(t, analysis.DeferUnlock) }
-func TestRWLockDiscipline(t *testing.T)  { checkFixture(t, analysis.RWLockDiscipline) }
-func TestAtomicField(t *testing.T)       { checkFixture(t, analysis.AtomicField) }
-func TestCtxLoop(t *testing.T)           { checkFixture(t, analysis.CtxLoop) }
+func TestImportFence(t *testing.T)       { checkFixture(t, analysis.ImportFence) }
 
 // TestLockOrder uses a fresh accumulator: its state is per-run by
 // design, and sharing one across tests would merge the graphs.

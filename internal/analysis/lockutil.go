@@ -7,14 +7,13 @@ import (
 	"strings"
 )
 
-// This file is the shared mutex-identity layer under the CFG-backed
-// concurrency analyzers (deferunlock, rwlockdiscipline, lockorder):
-// it recognises sync.Mutex/RWMutex method calls and resolves the lock
-// they act on to two levels of identity —
+// This file is the shared mutex-identity layer under deferunlock and
+// lockorder: it recognises sync.Mutex/RWMutex method calls and resolves
+// the lock they act on to two levels of identity —
 //
 //   - instance: "which lock value in this function" (root variable
 //     plus the field path reaching the mutex), used to match a Lock
-//     with its Unlock and to know whose fields an RLock covers;
+//     with its Unlock;
 //   - node: "which lock in the program" (the mutex field or package
 //     variable object), used as the vertex identity of the project-
 //     wide lock-acquisition graph, where every *Client.mu is one lock.
@@ -211,16 +210,13 @@ func derefStruct(t types.Type) (*types.Struct, bool) {
 }
 
 // chainKey builds the instance-identity string for a root object plus
-// a field-name path (optionally extended): the shared currency between
-// the lock analyzers, so "the mutex at s.inner.mu" and "the guard of
-// field s.inner.cells" compare equal.
-func chainKey(root types.Object, fields []*types.Var, extra ...string) string {
-	names := make([]string, 0, len(fields)+len(extra)+1)
+// a field-name path, so two mentions of s.inner.mu compare equal.
+func chainKey(root types.Object, fields []*types.Var) string {
+	names := make([]string, 0, len(fields)+1)
 	names = append(names, fmt.Sprintf("%p", root))
 	for _, f := range fields {
 		names = append(names, f.Name())
 	}
-	names = append(names, extra...)
 	return strings.Join(names, ".")
 }
 

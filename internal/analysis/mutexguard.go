@@ -42,7 +42,7 @@ type mgGuard struct {
 }
 
 func runMutexGuard(pass *Pass) error {
-	guards := collectGuards(pass, true)
+	guards := collectGuards(pass)
 	if len(guards) == 0 {
 		return nil
 	}
@@ -71,10 +71,8 @@ func runMutexGuard(pass *Pass) error {
 
 // collectGuards finds "guarded by <mu>" field annotations and
 // validates them (the named mutex must exist in the same struct and
-// be a sync.Mutex or sync.RWMutex). Only the reporting caller
-// (mutexguard) passes report=true; rwlockdiscipline reuses the
-// collection without duplicating the annotation diagnostics.
-func collectGuards(pass *Pass, report bool) map[*types.TypeName]*mgGuard {
+// be a sync.Mutex or sync.RWMutex).
+func collectGuards(pass *Pass) map[*types.TypeName]*mgGuard {
 	guards := make(map[*types.TypeName]*mgGuard)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -97,10 +95,8 @@ func collectGuards(pass *Pass, report bool) map[*types.TypeName]*mgGuard {
 				}
 				muVar := findStructField(pass, st, muName)
 				if muVar == nil || !isSyncMutex(muVar.Type()) {
-					if report {
-						pass.Reportf(field.Pos(),
-							"guarded-by annotation names %q, which is not a sync.Mutex/RWMutex field of this struct", muName)
-					}
+					pass.Reportf(field.Pos(),
+						"guarded-by annotation names %q, which is not a sync.Mutex/RWMutex field of this struct", muName)
 					continue
 				}
 				g := guards[tn]
@@ -108,10 +104,8 @@ func collectGuards(pass *Pass, report bool) map[*types.TypeName]*mgGuard {
 					g = &mgGuard{typeName: tn, muName: muName, muVar: muVar, guarded: make(map[*types.Var]bool)}
 					guards[tn] = g
 				} else if g.muName != muName {
-					if report {
-						pass.Reportf(field.Pos(),
-							"guarded-by annotations on %s disagree: %q vs %q", tn.Name(), g.muName, muName)
-					}
+					pass.Reportf(field.Pos(),
+						"guarded-by annotations on %s disagree: %q vs %q", tn.Name(), g.muName, muName)
 					continue
 				}
 				for _, name := range field.Names {

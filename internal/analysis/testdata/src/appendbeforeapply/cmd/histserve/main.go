@@ -1,15 +1,10 @@
-// Command histserve (stub) demonstrates the two confinement
-// violations the server binary is checked for.
+// Command histserve (stub) demonstrates the confinement violation the
+// server binary is checked for.
 package main
 
-import (
-	"example.com/appendbeforeapply/internal/appendcube" // want `histserve must mutate through the core facade`
-	"example.com/appendbeforeapply/internal/core"
-)
+import "example.com/appendbeforeapply/internal/core"
 
 func main() {
-	direct := &appendcube.Cube{}
-	_ = direct
 	c := &core.Cube{}
 	_ = c.ApplyOp(core.Op{Cell: 1, Value: 2}) // want `core ApplyOp bypasses the op sink`
 }

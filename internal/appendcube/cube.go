@@ -30,7 +30,7 @@ import (
 
 // ErrOutOfOrder reports an update whose time coordinate precedes the
 // latest time slice. The append-only cube rejects such updates; the
-// framework layer (internal/framework) buffers them in a general
+// framework layer (internal/paper/framework) buffers them in a general
 // d-dimensional structure instead (Section 2.5).
 var ErrOutOfOrder = errors.New("appendcube: update time precedes the latest time slice")
 

@@ -6,7 +6,7 @@ import (
 
 	"histcube/internal/appendcube"
 	"histcube/internal/dims"
-	"histcube/internal/framework"
+	"histcube/internal/paper/framework"
 	"histcube/internal/rstar"
 	"histcube/internal/workload"
 )

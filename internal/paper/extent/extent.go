@@ -24,6 +24,9 @@
 // instances store points (Start, coords) keyed by the End event time,
 // so contained(lo, up) is one prefix-time query at up with a Start
 // range of [lo, up].
+//
+// Reproduction only — not importable from the serving path (histlint
+// `importfence`).
 package extent
 
 import (
@@ -32,7 +35,7 @@ import (
 	"fmt"
 
 	"histcube/internal/dims"
-	"histcube/internal/framework"
+	"histcube/internal/paper/framework"
 )
 
 // Interval is one object with extent in the TT-dimension.

@@ -8,8 +8,8 @@ import (
 	"testing/quick"
 
 	"histcube/internal/dims"
-	"histcube/internal/framework"
 	"histcube/internal/molap"
+	"histcube/internal/paper/framework"
 )
 
 const coordDomain = 8

@@ -12,7 +12,7 @@
 // Section 2.3: CloneSource physically copies the latest instance
 // (adequate when updates per slice amortise the copy, and the basis of
 // the paper's own Section 3 array construction), and TreapSource uses
-// the partially persistent treap of internal/mversion, where every
+// the partially persistent treap of internal/paper/mversion, where every
 // snapshot is O(1) — the multiversion route of Section 4.
 //
 // Out-of-order updates (Section 2.5) are buffered in a general
@@ -20,6 +20,9 @@
 // background ApplyOutOfOrder drains it into the affected instances,
 // degrading gracefully towards general d-dimensional cost as the
 // out-of-order share grows.
+//
+// Reproduction only — not importable from the serving path (histlint
+// `importfence`).
 package framework
 
 import (
@@ -28,7 +31,7 @@ import (
 
 	"histcube/internal/dims"
 	"histcube/internal/molap"
-	"histcube/internal/mversion"
+	"histcube/internal/paper/mversion"
 )
 
 // Structure is the (d-1)-dimensional aggregate structure R_{d-1} of

@@ -4,11 +4,11 @@ import (
 	"fmt"
 
 	"histcube/internal/dims"
-	"histcube/internal/mvbt"
+	"histcube/internal/paper/mvbt"
 )
 
 // MVBTSource keeps all instances as versions of one multiversion
-// B-tree (internal/mvbt) over one-dimensional int64 keys — the
+// B-tree (internal/paper/mvbt) over one-dimensional int64 keys — the
 // external-memory multiversion route of Section 4: snapshots are free
 // (a version number), old versions stay queryable at B-tree cost, and
 // storage grows linearly in the number of updates.

@@ -10,6 +10,9 @@
 // coarser levels must be refinements in reverse — every coarse value
 // is a union of consecutive finer values. The base level is implicit
 // (identity).
+//
+// Reproduction only — not importable from the serving path (histlint
+// `importfence`).
 package hierarchy
 
 import (

@@ -15,6 +15,9 @@
 // copy is too full or a merge with a version-split sibling when too
 // empty — the weak version condition that keeps every node's live
 // entry count bounded for the versions it is responsible for.
+//
+// Reproduction only — not importable from the serving path (histlint
+// `importfence`).
 package mvbt
 
 import (

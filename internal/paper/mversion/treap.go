@@ -13,6 +13,9 @@
 //     paper notes no multiversion array with constant-time access
 //     exists — this gap is what the Section 3 cache construction
 //     fills; Array makes the trade-off measurable.
+//
+// Reproduction only — not importable from the serving path (histlint
+// `importfence`).
 package mversion
 
 // Treap is an immutable handle to a persistent treap over int64 keys

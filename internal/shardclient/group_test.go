@@ -235,6 +235,61 @@ func TestGroupReadBatchLoserDoesNotFeedBreaker(t *testing.T) {
 	}
 }
 
+// TestGroupReadBatchReturnsOnParentCancel: ReadBatch's wait loop has no
+// bound of its own, so it must leave when the caller's context ends.
+// Both members accept and then stay silent (the hedge has launched the
+// second by the time of the cancel); the caller gets context.Canceled
+// at once, not the members' 5 s OpTimeout, and an attempt abandoned
+// that way says nothing about its member's health.
+func TestGroupReadBatchReturnsOnParentCancel(t *testing.T) {
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		go func() {
+			var held []net.Conn // open and silent until the listener closes
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					for _, c := range held {
+						c.Close()
+					}
+					return
+				}
+				held = append(held, conn)
+			}
+		}()
+		addrs = append(addrs, ln.Addr().String())
+	}
+	g := NewGroup(addrs, 10*time.Millisecond, Options{OpTimeout: 5 * time.Second, BreakerThreshold: 1})
+	t.Cleanup(g.Close)
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(50*time.Millisecond, cancel)
+		start := time.Now()
+		got, err := g.ReadBatch(ctx, []string{"QRY 0 0 1 1", "QRY 0 1 1 1"})
+		if !errors.Is(err, context.Canceled) || got != nil {
+			t.Fatalf("batch %d: %q, %v; want context.Canceled", i, got, err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("batch %d returned %v after the cancel", i, d)
+		}
+	}
+	if g.Hedged() != 3 {
+		t.Fatalf("hedged count = %d, want 3: the second member was never outstanding", g.Hedged())
+	}
+	// Threshold 1: one failure recorded by the earlier batches' abandoned
+	// attempts, which have long returned, would show here.
+	for i := 0; i < g.Len(); i++ {
+		if !g.Member(i).Healthy() {
+			t.Fatalf("member %d: a cancelled batch opened its breaker", i)
+		}
+	}
+}
+
 func TestClientConnFaultHooks(t *testing.T) {
 	up := startSlowShard(t, "5", 0)
 
