@@ -42,10 +42,10 @@
 //	SLOWLOG  answered by the proxy itself from its own slow-query log
 //	         (-slow-query-threshold / -slowlog-size), same line format
 //	         as a shard's SLOWLOG.
-//	STATS    fanned out; numeric fields are summed across shards
-//	         (window and percentile fields take the max; sealed_through
-//	         takes the max; non-numeric fields like git_rev are
-//	         skipped), prefixed with proxy-level shards=/shards_up=.
+//	STATS    asked of each shard's current primary; numeric fields are
+//	         summed across shards (sealed_through and degraded take the
+//	         max; non-numeric fields like git_rev are skipped), prefixed
+//	         with proxy-level shards=/shards_up=.
 //	VERSION  answered by the proxy itself (its own build revision).
 //	SHARDS   the shard map with live health, END-terminated.
 //
@@ -263,10 +263,6 @@ func newProxy(smap *shard.Map, dims int, hedgeAfter time.Duration, copts shardcl
 		return true, fmt.Sprintf("ok shards=%d up=%d", p.smap.Len(), p.shardsUp())
 	}
 	p.Init(p.settle, p.commands()...)
-	// RegisterProxy stays a method of its own beside Register: the
-	// histproxy_cmd_* names must be literals where they are registered
-	// (histlint metricname), so a name prefix cannot fold the two.
-	p.Perf.RegisterProxy(p.Reg)
 	p.Connections = p.Reg.NewGauge("histproxy_connections", "Open client connections.")
 	p.ConnTotal = p.Reg.NewCounter("histproxy_connections_total", "Client connections accepted since start.")
 	p.Inflight = p.Reg.NewGauge("histproxy_inflight_requests", "Requests currently being dispatched.")
@@ -275,6 +271,9 @@ func newProxy(smap *shard.Map, dims int, hedgeAfter time.Duration, copts shardcl
 			"Requests dispatched, by protocol command.", obs.Label{Key: "cmd", Value: cmd})
 		p.Errors[cmd] = p.Reg.NewCounter("histproxy_errors_total",
 			"Requests answered with ERR, by protocol command.", obs.Label{Key: "cmd", Value: cmd})
+		p.Latency[cmd] = p.Reg.NewHistogram("histproxy_request_seconds",
+			"Time from serving a request line to its reply being final (the unit's shard round trips included), by protocol command.",
+			nil, obs.Label{Key: "cmd", Value: cmd})
 	}
 	p.partials = p.Reg.NewCounter("histproxy_partial_answers_total",
 		"Read queries answered PARTIAL because at least one shard leg failed.")
@@ -825,18 +824,19 @@ func (p *proxy) answer(line string, rt *routed) string {
 	return head
 }
 
-// statsMaxKeys are STATS fields where summing across shards is wrong:
-// window length and percentile digests take the max (worst case), and
-// sealed_through is a boundary, not a quantity.
+// statsMaxKey names the STATS fields where summing across shards is
+// wrong: sealed_through is a boundary and degraded a flag, not
+// quantities, so they take the max.
 func statsMaxKey(k string) bool {
-	return k == "win_s" || k == "sealed_through" || k == "degraded" ||
-		strings.HasSuffix(k, "_p50_us") || strings.HasSuffix(k, "_p99_us")
+	return k == "sealed_through" || k == "degraded"
 }
 
-// mergedStats fans STATS out to every shard and merges the numeric
-// fields: sums by default, max for statsMaxKey fields, non-numeric
-// tokens (git_rev) skipped. Field order follows the first responding
-// shard so the output stays stable and diffable.
+// mergedStats fans STATS out to every shard's current primary — the
+// member whose view is the shard's (a follower reports its own degraded
+// flag and replica positions) and the one SetPrimary moves on failover —
+// and merges the numeric fields: sums by default, max for statsMaxKey
+// fields, non-numeric tokens (git_rev) skipped. Field order follows the
+// first responding shard so the output stays stable and diffable.
 func (p *proxy) mergedStats() string {
 	ctx, cancel := p.RequestCtx()
 	defer cancel()
@@ -852,7 +852,7 @@ func (p *proxy) mergedStats() string {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := g.Read(ctx, "STATS")
+			resp, err := g.Primary().Do(ctx, "STATS", true)
 			replies[i] = statsReply{idx: i, resp: resp, err: err}
 		}()
 	}

@@ -40,6 +40,7 @@ type fakeShard struct {
 	qryErr    string        // non-empty: every QRY is answered with this line
 	dropAfter int           // > 0: crash (stop) instead of answering mutation number dropAfter+1
 	hold      int           // > 0: a connection answers nothing before it has received this many lines, so only a batch gets through
+	stats     string        // non-empty: STATS is answered with this line
 }
 
 type fact struct {
@@ -218,9 +219,12 @@ func (f *fakeShard) reply(tid trace.ID, fields []string) string {
 			strconv.FormatFloat(v, 'g', -1, 64))
 	case "STATS":
 		f.mu.Lock()
-		n := len(f.facts)
+		n, stats := len(f.facts), f.stats
 		f.mu.Unlock()
-		return fmt.Sprintf("slices=1 appended=%d win_s=10 qry_p99_us=%d.0 git_rev=faketest\n", n, n)
+		if stats != "" {
+			return stats + "\n"
+		}
+		return fmt.Sprintf("slices=1 appended=%d degraded=0 git_rev=faketest\n", n)
 	case "QUIT":
 		return "BYE\n"
 	default:
@@ -666,16 +670,37 @@ func TestProxyMergedStats(t *testing.T) {
 	if !strings.HasPrefix(got, "shards=3 shards_up=3 partial_answers_total=0") {
 		t.Fatalf("STATS prefix: %q", got)
 	}
-	// appended sums across shards (1+0+1 facts, +2 STATS-counted... the
-	// fake reports len(facts)): 1+0+1 = 2. slices sums to 3. win_s maxes
-	// to 10. git_rev (non-numeric) is dropped.
-	for _, want := range []string{" appended=2", " slices=3", " win_s=10"} {
+	// appended sums across shards (the fake reports len(facts)):
+	// 1+0+1 = 2. slices sums to 3. degraded maxes to 0. git_rev
+	// (non-numeric) is dropped.
+	for _, want := range []string{" appended=2", " slices=3", " degraded=0"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("STATS missing %q: %q", want, got)
 		}
 	}
 	if strings.Contains(got, "git_rev") {
 		t.Fatalf("STATS carries non-numeric field: %q", got)
+	}
+}
+
+// TestProxyStatsAsksThePrimary: a replica set's STATS is its primary's.
+// Round-robin over the members used to report a degraded primary as
+// degraded=0 whenever the follower answered, and sum the follower-only
+// replica fields into the fleet line.
+func TestProxyStatsAsksThePrimary(t *testing.T) {
+	primary, replica := newFakeShard(t), newFakeShard(t)
+	primary.set(func(f *fakeShard) { f.stats = "slices=1 degraded=1 git_rev=faketest" })
+	replica.set(func(f *fakeShard) {
+		f.replica = true
+		f.stats = "slices=1 degraded=0 replica=1 replica_applied_lsn=5 replica_lag_lsn=0 git_rev=faketest"
+	})
+	addr, _ := startProxy(t, fmt.Sprintf("%s|%s=0-", primary.addr(), replica.addr()))
+	c := dial(t, addr)
+	for i := 0; i < 8; i++ {
+		got := c.cmd(t, "STATS")
+		if !strings.Contains(got, " degraded=1") || strings.Contains(got, "replica=") {
+			t.Fatalf("STATS #%d = %q, want the primary's degraded=1 and no replica fields", i+1, got)
+		}
 	}
 }
 

@@ -62,12 +62,9 @@ var (
 )
 
 // stable strips what legitimately differs between two runs of the same
-// request: span durations and IDs in EXPLAIN trees, and the sliding-
-// window latency digest at the end of STATS.
+// request: span durations and IDs in EXPLAIN trees. STATS carries no
+// timing, so it must match byte for byte.
 func stable(line string) string {
-	if i := strings.Index(line, " win_s="); i >= 0 && strings.HasPrefix(line, "slices=") {
-		return line[:i]
-	}
 	return traceIDRE.ReplaceAllString(durationRE.ReplaceAllString(line, "<dur>"), "<id>")
 }
 
@@ -168,7 +165,8 @@ func TestBatchBeyondCapReleasedInSeveralFlushes(t *testing.T) {
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&b, "INS %d 1 1 1\n", i)
 	}
-	before := srv.commitWait.Count()
+	commitWait := srv.stage[stageCommitWait]
+	before := commitWait.Count()
 	if _, err := io.WriteString(conn, b.String()); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +175,7 @@ func TestBatchBeyondCapReleasedInSeveralFlushes(t *testing.T) {
 			t.Fatalf("reply %d = %q", i, l)
 		}
 	}
-	flushes := srv.commitWait.Count() - before
+	flushes := commitWait.Count() - before
 	if min := int64((n + lineserver.MaxPendingReplies - 1) / lineserver.MaxPendingReplies); flushes < min || flushes > n/8 {
 		t.Fatalf("%d inserts were released in %d batches, want at least %d (the cap) and far fewer than one per insert",
 			n, flushes, min)
@@ -223,7 +221,7 @@ func TestSemiSyncTimeoutFailsEveryMutationOfTheBatch(t *testing.T) {
 	if got[1] != "5" || got[3] != "12" {
 		t.Errorf("query replies = %q and %q, want 5 and 12", got[1], got[3])
 	}
-	if n := srv.replAckWait.Count(); n != 1 {
+	if n := srv.stage[stageReplAckWait].Count(); n != 1 {
 		t.Errorf("the batch waited for acks %d times, want once (the wait is cumulative)", n)
 	}
 	if n := srv.Errors["INS"].Value(); n != 2 {
@@ -243,14 +241,15 @@ func TestLatencyAccountingFollowsTheReply(t *testing.T) {
 	c := dial(t, serveOn(t, srv))
 	c.expect(t, "INS 1 1 1 1", "OK")
 	c.expect(t, "QRY 0 5 0 0 7 7", "1")
-	if got := srv.Perf.Snapshot("INS").P50; got < stall {
-		t.Fatalf("recorded INS p50 = %s, below the %s its commit waited", got, stall)
+	if n, sum := srv.Latency["INS"].Count(), srv.Latency["INS"].Sum(); n != 1 || sum < stall.Seconds() {
+		t.Fatalf(`histserve_request_seconds{cmd="INS"}: %d samples summing to %gs, want 1 of at least the %s its commit waited`, n, sum, stall)
 	}
-	if got := srv.Perf.Snapshot("QRY").P50; got >= stall {
-		t.Fatalf("recorded QRY p50 = %s: a query must not wait for a commit", got)
+	if n, sum := srv.Latency["QRY"].Count(), srv.Latency["QRY"].Sum(); n != 1 || sum >= stall.Seconds() {
+		t.Fatalf(`histserve_request_seconds{cmd="QRY"}: %d samples summing to %gs: a query must not wait for a commit`, n, sum)
 	}
-	if n, sum := srv.commitWait.Count(), srv.commitWait.Sum(); n != 1 || sum < stall.Seconds() {
-		t.Fatalf("histserve_commit_wait_seconds: %d samples summing to %gs, want 1 of at least %s", n, sum, stall)
+	commitWait := srv.stage[stageCommitWait]
+	if n, sum := commitWait.Count(), commitWait.Sum(); n != 1 || sum < stall.Seconds() {
+		t.Fatalf(`histserve_stage_seconds{stage="commit_wait"}: %d samples summing to %gs, want 1 of at least %s`, n, sum, stall)
 	}
 }
 

@@ -74,7 +74,7 @@ func TestReplicaFollowsPrimaryAndAnswersIdentically(t *testing.T) {
 		}
 	}
 	// And identical cube state in STATS (the op-stream-derived fields;
-	// the win_* latency digests are per-process, not state).
+	// the access counters and replica fields are per-process, not state).
 	ps, fs := pc.cmd(t, "STATS"), fc.cmd(t, "STATS")
 	for _, key := range []string{"slices", "incomplete", "pending", "appended", "ooo"} {
 		if p, f := statsField(t, ps, key), statsField(t, fs, key); p != f {

@@ -34,9 +34,11 @@
 // STATS carries the full counter set (see README's Observability
 // section): out-of-order totals, eCube conversion progress (split by
 // query/append trigger), lazy-copy work, tier demotions and access
-// counts, plus trailing win_* fields digesting the sliding latency
-// window (lineserver.PerfWindow) for QRY and INS: ops/sec, p50 and p99 in
-// microseconds over the last win_s seconds.
+// counts, degraded state and read-only rejections; sealed_through,
+// the replica positions and git_rev follow where they apply. Latency is
+// not a STATS field: it is histserve_request_seconds{cmd} and
+// histserve_stage_seconds{stage} on /metrics, where any window is the
+// difference of two scrapes.
 //
 // Every request is traced (internal/trace): EXPLAIN renders the span
 // tree with the paper's per-query cost counters, SLOWLOG returns the
@@ -155,6 +157,22 @@ import (
 	"histcube/internal/wal"
 )
 
+// The stages of histserve_stage_seconds{stage}: where a served request's
+// time went below the serving core's request_seconds. The cube stages
+// are read off the span the core opens for the call; the commit stages
+// time the two halves of the commit barrier, once per released unit that
+// carried a mutation.
+const (
+	stageCubeInsert = iota
+	stageCubeDelete
+	stageCubeQuery
+	stageCommitWait
+	stageReplAckWait
+	numStages
+)
+
+var stageNames = [numStages]string{"cube_insert", "cube_delete", "cube_query", "commit_wait", "repl_ack_wait"}
+
 // errWALAppend marks an op-sink failure: the WAL could not append the
 // mutation, so it was never applied. isStorageFailure keys off it to
 // flip the server read-only.
@@ -173,16 +191,18 @@ var errWALAppend = errors.New("wal append failed")
 type server struct {
 	// Server is the serving core (internal/lineserver): connection loop,
 	// governance, panic barrier, accounting, trace retention (Slow and
-	// Recent carry their own locks and Perf is atomic internally, so all
-	// three are outside the mu contract — they run after mu is released)
-	// and the metrics listener.
+	// Recent carry their own locks, so both are outside the mu contract —
+	// they run after mu is released) and the metrics listener.
 	lineserver.Server
 
 	mu   sync.Mutex
 	cube *core.Cube // guarded by mu
 	dims int
 
-	ins *core.Instruments
+	// stage is histserve_stage_seconds, indexed by the stage constants.
+	// It hangs off the server, not the cube, so a cube swap (recovery,
+	// snapshot install, -load) leaves it in place.
+	stage [numStages]*obs.Histogram
 
 	// wal, when non-nil, makes the server durable: the cube's op sink
 	// stages every mutation in the log before it is applied (under
@@ -243,11 +263,6 @@ type server struct {
 
 	readonlyRejects *obs.Counter
 	degradedFlips   *obs.Counter
-
-	// commitWait and replAckWait time the two halves of the commit
-	// barrier, once per released batch that carried a mutation.
-	commitWait  *obs.Histogram
-	replAckWait *obs.Histogram
 }
 
 func main() {
@@ -305,11 +320,12 @@ func main() {
 		logger.Info("sealed", "through", t)
 	}
 	if *load != "" {
+		began := time.Now()
 		if err := srv.loadSnapshot(*load); err != nil {
 			logger.Error("loading snapshot failed", "path", *load, "err", err)
 			os.Exit(1)
 		}
-		logger.Info("resumed from snapshot", "path", *load)
+		logger.Info("resumed from snapshot", "path", *load, "dur", time.Since(began))
 	}
 	if *dataDir != "" {
 		policy, err := wal.ParseSyncPolicy(*fsync)
@@ -405,11 +421,9 @@ func (s *server) recoverWAL(fallback func() (*core.Cube, error)) (*core.Cube, *w
 	return cube, log, res, nil
 }
 
-// attachRecoveredLocked wires a recovered cube+log into the server:
-// instruments, the durable op sink, and the serving fields. The caller
-// holds mu.
+// attachRecoveredLocked wires a recovered cube+log into the server: the
+// durable op sink and the serving fields. The caller holds mu.
 func (s *server) attachRecoveredLocked(cube *core.Cube, log *wal.Log) {
-	cube.SetInstruments(s.ins)
 	cube.SetOpSink(func(op core.Op) error {
 		if _, err := log.Stage(op); err != nil {
 			return fmt.Errorf("%w: %w", errWALAppend, err)
@@ -500,9 +514,6 @@ func newServer(dimsArg, opArg string, ooo bool) (*server, error) {
 	s.sealedThrough.Store(math.MinInt64)
 	s.Ready = s.readiness
 	s.Init(s.settle, s.commands()...)
-	s.Perf.Register(s.Reg)
-	s.ins = core.NewInstruments(s.Reg)
-	cube.SetInstruments(s.ins)
 	core.RegisterStatsMetrics(s.Reg, s.statsSnapshot)
 	s.Connections = s.Reg.NewGauge("histserve_connections", "Open client connections.")
 	s.ConnTotal = s.Reg.NewCounter("histserve_connections_total", "Client connections accepted since start.")
@@ -512,6 +523,14 @@ func newServer(dimsArg, opArg string, ooo bool) (*server, error) {
 			"Requests dispatched, by protocol command.", obs.Label{Key: "cmd", Value: cmd})
 		s.Errors[cmd] = s.Reg.NewCounter("histserve_errors_total",
 			"Requests answered with ERR, by protocol command.", obs.Label{Key: "cmd", Value: cmd})
+		s.Latency[cmd] = s.Reg.NewHistogram("histserve_request_seconds",
+			"Time from serving a request line to its reply being final (commit wait included), by protocol command.",
+			nil, obs.Label{Key: "cmd", Value: cmd})
+	}
+	for i, name := range stageNames {
+		s.stage[i] = s.Reg.NewHistogram("histserve_stage_seconds",
+			"Time served requests spent in one stage: the cube call, or the commit barrier's WAL commit and follower-ack wait per released unit.",
+			nil, obs.Label{Key: "stage", Value: name})
 	}
 	s.readonlyRejects = s.Reg.NewCounter("histserve_readonly_rejections_total",
 		"Mutations rejected while the server was in degraded read-only mode.")
@@ -521,10 +540,6 @@ func newServer(dimsArg, opArg string, ooo bool) (*server, error) {
 		"Connections rejected at the -max-conns cap.")
 	s.degradedFlips = s.Reg.NewCounter("histserve_degraded_transitions_total",
 		"Transitions into degraded read-only mode.")
-	s.commitWait = s.Reg.NewHistogram("histserve_commit_wait_seconds",
-		"Time a released batch of replies waited for its WAL commit (the group fsync).", nil)
-	s.replAckWait = s.Reg.NewHistogram("histserve_repl_ack_wait_seconds",
-		"Time a released batch of replies waited for -repl-min-acks follower acknowledgements.", nil)
 	s.Reg.NewGaugeFunc("histcube_degraded",
 		"1 while the server is in degraded read-only mode, 0 when healthy.",
 		func() float64 {
@@ -625,7 +640,7 @@ func (s *server) settle(open []*lineserver.Request) {
 // and a failed one enters it. The ack wait runs with no lock held:
 // followers never contend with the mutation they are acknowledging.
 func (s *server) commitBarrier(wl *wal.Log, lsn uint64) string {
-	t := obs.NewTimer(s.commitWait)
+	t := obs.NewTimer(s.stage[stageCommitWait])
 	err := wl.Commit(lsn)
 	t.ObserveDuration()
 	if err != nil {
@@ -635,7 +650,7 @@ func (s *server) commitBarrier(wl *wal.Log, lsn uint64) string {
 	}
 	s.clearDegraded()
 	if s.replMinAcks > 0 {
-		t := obs.NewTimer(s.replAckWait)
+		t := obs.NewTimer(s.stage[stageReplAckWait])
 		err := s.hub.WaitAcked(lsn, s.replMinAcks, s.replAckTimeout)
 		t.ObserveDuration()
 		if err != nil {
@@ -690,11 +705,6 @@ func (s *server) cmdStats(*lineserver.Request) string {
 	if s.degraded.Load() {
 		degraded = 1
 	}
-	// The trailing win_* fields digest the sliding latency windows
-	// (internal/perf) for the two hot commands; times in
-	// microseconds, throughput in ops/sec over the covered window.
-	qry := s.Perf.Snapshot("QRY")
-	ins := s.Perf.Snapshot("INS")
 	// sealed_through appears only once something is sealed: the
 	// MinInt64 sentinel would poison numeric STATS aggregation
 	// (histproxy sums/maxes the fields it understands). git_rev is
@@ -716,18 +726,13 @@ func (s *server) cmdStats(*lineserver.Request) string {
 		"ooo=%d conversions=%d conversions_query=%d conversions_append=%d "+
 		"cells_touched=%d forced_copies=%d copy_ahead=%d "+
 		"demoted=%d cache_accesses=%d store_accesses=%d "+
-		"degraded=%d readonly_rejections=%d "+
-		"win_s=%.0f qry_ops=%.1f qry_p50_us=%.1f qry_p99_us=%.1f "+
-		"ins_ops=%.1f ins_p50_us=%.1f ins_p99_us=%.1f",
+		"degraded=%d readonly_rejections=%d",
 		st.Slices, st.IncompleteSlices, st.PendingOutOfOrder, st.AppendedUpdates,
 		st.OutOfOrderUpdates, st.ECubeConversions, st.ECubeConversionsQuery,
 		st.ECubeConversionsAppend, st.ECubeCellsTouched,
 		st.ForcedCopies, st.CopyAheadWork,
 		st.TierDemotions, st.CacheAccesses, st.StoreAccesses,
-		degraded, s.readonlyRejects.Value(),
-		s.Perf.Window().Seconds(),
-		qry.OpsPerSec, micros(qry.P50), micros(qry.P99),
-		ins.OpsPerSec, micros(ins.P50), micros(ins.P99)) + tail
+		degraded, s.readonlyRejects.Value()) + tail
 }
 
 func (s *server) cmdSave(rq *lineserver.Request) string {
@@ -781,14 +786,16 @@ func (s *server) cmdMutate(rq *lineserver.Request) string {
 		return resp
 	}
 	var root *trace.Span
+	stage := stageCubeInsert
 	if cmd == "INS" {
 		root = trace.New("histserve.insert")
 	} else {
-		root = trace.New("histserve.delete")
+		root, stage = trace.New("histserve.delete"), stageCubeDelete
 	}
 	root.SetTraceID(rq.TID)
 	wl, lsn, err := s.mutate(cmd, root, nums[0], coords, val)
 	root.End()
+	s.observeCube(stage, root)
 	s.Observe(rq.Line, root)
 	if err != nil {
 		return errResponse(err)
@@ -895,8 +902,18 @@ func (s *server) runQuery(tid trace.ID, line string, rng core.Range) (float64, *
 	root.SetTraceID(tid)
 	v, err := s.queryLocked(root, rng)
 	root.End()
+	s.observeCube(stageCubeQuery, root)
 	s.Observe(line, root)
 	return v, root, err
+}
+
+// observeCube files the duration of the span the core opened under root
+// for its insert, delete or query (root's first child) as stage st, so
+// the stage costs no clock reads of its own.
+func (s *server) observeCube(st int, root *trace.Span) {
+	if cs := root.Children(); len(cs) > 0 {
+		s.stage[st].Observe(cs[0].Duration().Seconds())
+	}
 }
 
 // queryLocked runs the deadline-bounded query under mu (queries mutate
@@ -1053,10 +1070,6 @@ func (s *server) sealThrough(t int64) int64 {
 	}
 }
 
-// micros renders a duration as fractional microseconds for the STATS
-// win_* fields.
-func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-
 // checkpointNow runs the CHECKPOINT command. It holds mu across the
 // whole snapshot so the covered LSN is exact.
 func (s *server) checkpointNow() string {
@@ -1096,13 +1109,10 @@ func (s *server) loadSnapshot(path string) error {
 	}
 	// Read-only: decode errors are the signal, the close result is not.
 	defer func() { _ = f.Close() }()
-	t := obs.NewTimer(s.ins.SnapshotLoad)
 	cube, err := core.Load(f)
 	if err != nil {
 		return err
 	}
-	t.ObserveDuration()
-	cube.SetInstruments(s.ins)
 	s.mu.Lock()
 	s.cube = cube
 	s.shape = cube.Shape()

@@ -22,7 +22,6 @@ import (
 	"histcube/internal/agg"
 	"histcube/internal/appendcube"
 	"histcube/internal/dims"
-	"histcube/internal/obs"
 	"histcube/internal/pager"
 	"histcube/internal/rstar"
 	"histcube/internal/trace"
@@ -138,10 +137,6 @@ type Cube struct {
 	// by contract (callers serialise, e.g. histserve's mutex).
 	convQuery  int64
 	convAppend int64
-
-	// ins, when non-nil, receives per-operation latency observations
-	// (see instrument.go).
-	ins *Instruments
 
 	// sink, when non-nil, receives every mutation before it is applied
 	// — the write-ahead hook (see op.go).
@@ -272,9 +267,6 @@ func ctxErr(ctx context.Context, what string) error {
 }
 
 func (c *Cube) insertTraced(ctx context.Context, sp *trace.Span, t int64, coords []int, v float64) error {
-	if c.ins != nil {
-		defer obs.NewTimer(c.ins.Insert).ObserveDuration()
-	}
 	op := sp.StartChild("histcube.insert")
 	defer op.End()
 	if err := ctxErr(ctx, "insert"); err != nil {
@@ -300,9 +292,6 @@ func (c *Cube) DeleteCtx(ctx context.Context, t int64, coords []int, v float64) 
 }
 
 func (c *Cube) deleteTraced(ctx context.Context, sp *trace.Span, t int64, coords []int, v float64) error {
-	if c.ins != nil {
-		defer obs.NewTimer(c.ins.Delete).ObserveDuration()
-	}
 	op := sp.StartChild("histcube.delete")
 	defer op.End()
 	if err := ctxErr(ctx, "delete"); err != nil {
@@ -400,9 +389,6 @@ func (c *Cube) QueryTraced(sp *trace.Span, r Range) (float64, error) {
 }
 
 func (c *Cube) queryCtxTraced(ctx context.Context, sp *trace.Span, r Range) (float64, error) {
-	if c.ins != nil {
-		defer obs.NewTimer(c.ins.Query).ObserveDuration()
-	}
 	q := sp.StartChild("histcube.query")
 	defer q.End()
 	q.SetInt("time_lo", r.TimeLo)

@@ -4,41 +4,6 @@ import (
 	"histcube/internal/obs"
 )
 
-// Instruments bundles the cube's latency histograms. A cube with
-// instruments attached (SetInstruments) observes the wall-clock
-// duration of every Insert, Delete, Query and Save; SnapshotLoad is
-// observed by the caller around core.Load, which constructs the cube
-// it would be attached to. Instruments outlive any one cube, so a
-// server that swaps cubes (snapshot resume) re-attaches the same set.
-//
-// Metric names here (and in RegisterStatsMetrics) are spelled out as
-// literals at each registration site: the histlint metricname analyzer
-// checks the naming contract per call, and dashboards grep for the
-// literal strings.
-type Instruments struct {
-	Insert       *obs.Histogram
-	Delete       *obs.Histogram
-	Query        *obs.Histogram
-	SnapshotSave *obs.Histogram
-	SnapshotLoad *obs.Histogram
-}
-
-// NewInstruments registers the cube latency histograms on reg under
-// the histcube_ prefix.
-func NewInstruments(reg *obs.Registry) *Instruments {
-	return &Instruments{
-		Insert:       reg.NewHistogram("histcube_insert_duration_seconds", "Latency of cube inserts.", nil),
-		Delete:       reg.NewHistogram("histcube_delete_duration_seconds", "Latency of cube deletes.", nil),
-		Query:        reg.NewHistogram("histcube_query_duration_seconds", "Latency of cube range queries.", nil),
-		SnapshotSave: reg.NewHistogram("histcube_snapshot_save_duration_seconds", "Duration of cube snapshot saves.", nil),
-		SnapshotLoad: reg.NewHistogram("histcube_snapshot_load_duration_seconds", "Duration of cube snapshot loads.", nil),
-	}
-}
-
-// SetInstruments attaches (or, with nil, detaches) latency
-// instruments. The non-instrumented hot path stays a single nil check.
-func (c *Cube) SetInstruments(ins *Instruments) { c.ins = ins }
-
 // RegisterStatsMetrics registers the cube's state gauges and
 // cumulative cost counters on reg, reading them from snapshot at
 // scrape time. snapshot must be safe to call from the scrape
@@ -46,6 +11,11 @@ func (c *Cube) SetInstruments(ins *Instruments) { c.ins = ins }
 // taking the same lock that guards the cube (see cmd/histserve). Going
 // through a snapshot function rather than a captured *Cube also keeps
 // the metrics correct when the caller swaps cubes on snapshot resume.
+//
+// Metric names are spelled out as literals at each registration site:
+// the histlint metricname analyzer checks the naming contract per call,
+// and dashboards grep for the literal strings. The cube keeps no
+// latency instrument: a server times its calls from the spans they open.
 func RegisterStatsMetrics(reg *obs.Registry, snapshot func() Stats) {
 	reg.NewGaugeFunc("histcube_slices",
 		"Occurring time slices (time directory entries).",

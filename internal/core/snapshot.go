@@ -7,7 +7,6 @@ import (
 
 	"histcube/internal/agg"
 	"histcube/internal/appendcube"
-	"histcube/internal/obs"
 	"histcube/internal/rstar"
 )
 
@@ -42,9 +41,6 @@ const coreSnapshotVersion = 1
 // Only memory-backed storage is supported (disk-backed cubes persist
 // through their page file).
 func (c *Cube) Save(w io.Writer) error {
-	if c.ins != nil {
-		defer obs.NewTimer(c.ins.SnapshotSave).ObserveDuration()
-	}
 	h := header{
 		Version:    coreSnapshotVersion,
 		Operator:   int(c.cfg.Operator),

@@ -18,7 +18,6 @@ import (
 
 	"histcube/internal/fault"
 	"histcube/internal/obs"
-	"histcube/internal/perf"
 	"histcube/internal/trace"
 )
 
@@ -83,7 +82,10 @@ func (rq *Request) Verb() string { return rq.cmd.Verb }
 // Metrics are the serving core's metric handles. Each binary registers
 // them under its own literal names (histlint's metricname analyzer
 // wants a name readable at its registration site) and hands them over.
-// Requests and Errors take one counter per Labels() entry.
+// Requests, Errors and Latency take one handle per Labels() entry.
+// Latency is the one latency instrument of the serving path: a
+// cumulative bucket histogram, so any window is the difference of two
+// scrapes and the buckets of several processes add up exactly.
 type Metrics struct {
 	Connections *obs.Gauge
 	ConnTotal   *obs.Counter
@@ -92,6 +94,7 @@ type Metrics struct {
 	Panics      *obs.Counter
 	Requests    map[string]*obs.Counter
 	Errors      map[string]*obs.Counter
+	Latency     map[string]*obs.Histogram
 }
 
 // Server is the serving core both binaries embed: accept loop,
@@ -102,7 +105,6 @@ type Server struct {
 	Metrics
 	Log    *slog.Logger
 	Reg    *obs.Registry   // rendered by /metrics
-	Perf   *perf.Set       // per-label sliding latency windows (PerfWindow), made by Init
 	Slow   *trace.SlowLog  // worst query traces at or above its threshold
 	Recent *trace.Ring     // last finished request traces regardless of duration
 	Inj    *fault.Injector // -fault-spec; nil is inert
@@ -125,10 +127,6 @@ type Server struct {
 	connSeq   atomic.Int64
 }
 
-// PerfWindow is the sliding window of the per-command latency and
-// throughput digests (STATS win_*, hist{serve,proxy}_cmd_* gauges).
-const PerfWindow = 10 * time.Second
-
 // Init installs the command table — the binary's rows, the built-in
 // QUIT and SLOWLOG, and the catch-all row that answers unknown verbs —
 // and the defaults a binary's flags or a test may then override: a
@@ -136,8 +134,7 @@ const PerfWindow = 10 * time.Second
 // 64-entry recent ring, 1 MiB lines. settle is called once per unit
 // with the requests whose handlers left Pending set, and makes their
 // replies final. The table yields the cmd= label set, so this is also
-// where the per-label latency windows and the (still empty) counter
-// maps are made.
+// where the (still empty) per-label metric maps are made.
 //
 // The built-in rows take the conservative side of the unit rule — QUIT
 // rides with whatever precedes it (it costs nothing and closes the
@@ -173,9 +170,9 @@ func (s *Server) Init(settle func([]*Request), rows ...Command) {
 		s.rows[c.Verb] = c
 	}
 	s.other = s.rows["other"]
-	s.Perf = perf.NewSet(PerfWindow, s.labels...)
 	s.Requests = make(map[string]*obs.Counter, len(s.labels))
 	s.Errors = make(map[string]*obs.Counter, len(s.labels))
+	s.Latency = make(map[string]*obs.Histogram, len(s.labels))
 }
 
 // Labels returns the cmd= label set the table yields: one per verb
@@ -473,14 +470,14 @@ func (s *Server) execute(one []*Request) {
 
 // finish accounts one answered request under its row's label: the
 // request counter, the error counter for replies starting with ERR, and
-// the label's sliding-window latency recorder.
+// the latency histogram, from execute's start to the reply being final.
 func (s *Server) finish(rq *Request) {
 	label := rq.cmd.label
 	s.Requests[label].Inc()
 	if strings.HasPrefix(rq.Reply, "ERR") {
 		s.Errors[label].Inc()
 	}
-	s.Perf.Record(label, time.Since(rq.start))
+	s.Latency[label].Observe(time.Since(rq.start).Seconds())
 }
 
 // RequestCtx derives the per-request context from -request-timeout.

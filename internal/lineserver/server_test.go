@@ -70,6 +70,7 @@ func newStub(t *testing.T) *stub {
 	for _, l := range st.Labels() {
 		st.Requests[l] = reg.NewCounter("stub_requests_total", "Requests.", obs.Label{Key: "cmd", Value: l})
 		st.Errors[l] = reg.NewCounter("stub_errors_total", "Errors.", obs.Label{Key: "cmd", Value: l})
+		st.Latency[l] = reg.NewHistogram("stub_request_seconds", "Latency.", nil, obs.Label{Key: "cmd", Value: l})
 	}
 	return st
 }
@@ -356,6 +357,61 @@ func TestPanicContainment(t *testing.T) {
 	}
 	if got := st.Inflight.Value(); got != 0 {
 		t.Errorf("inflight gauge = %d after panics, want 0", got)
+	}
+}
+
+// TestEveryAccountedRequestIsTimedOnce pins the invariant the latency
+// family rests on: whatever path a line takes, it is counted and timed
+// once under one label, so request_seconds{cmd}'s count is
+// requests_total{cmd}. A hijacked connection is counted and never
+// timed: its "request" lasts as long as the connection.
+func TestEveryAccountedRequestIsTimedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		send     string   // one write over a connection
+		do       []string // or lines served through Do
+		replies  int
+		want     map[string]int64 // requests per label; every other label 0
+		hijacked int64            // TAKE requests that took their connection over
+	}{
+		{"pipelined units", "ECHO a\nMUT b\n\nMUT c\nECHO d\nONE\nMUT e\n", nil, 6,
+			map[string]int64{"ECHO": 2, "MUT": 3, "ONE": 1}, 0},
+		{"arity errors", "ECHO\nMUT a b\nONE x\nSLOWLOG y\nQUIT now\n", nil, 5,
+			map[string]int64{"ECHO": 1, "MUT": 1, "ONE": 1, "SLOWLOG": 1, "QUIT": 1}, 0},
+		{"unknown verbs, a refused verb and the empty command are other", "FROB\nNOPE x\nTID=feedface12345678\n", nil, 3,
+			map[string]int64{"other": 3}, 0},
+		{"contained panics in a handler and in settle", "ECHO a\nBOOM\nMUT bad\nMUT ok\n", nil, 4,
+			map[string]int64{"ECHO": 1, "BOOM": 1, "MUT": 2}, 0},
+		{"Do", "", []string{"ECHO a", "MUT b", "FROB", "BOOM", "MUT bad", "TAKE x", "  "}, 0,
+			map[string]int64{"ECHO": 1, "MUT": 2, "other": 2, "BOOM": 1, "TAKE": 1}, 0},
+		{"hijack", "ECHO a\nTAKE x\n", nil, 2,
+			map[string]int64{"ECHO": 1, "TAKE": 1}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := newStub(t)
+			st.boomIn = "bad"
+			if tc.send != "" {
+				conn, r, _ := start(t, st)
+				io.WriteString(conn, tc.send)
+				readLines(t, r, tc.replies)
+			}
+			for _, line := range tc.do {
+				st.Do(0, line)
+			}
+			for _, l := range st.Labels() {
+				req, lat := st.Requests[l].Value(), st.Latency[l].Count()
+				if req != tc.want[l] {
+					t.Errorf("requests{cmd=%q} = %d, want %d", l, req, tc.want[l])
+				}
+				timed := req
+				if l == "TAKE" {
+					timed -= tc.hijacked
+				}
+				if lat != timed {
+					t.Errorf("request_seconds{cmd=%q} count = %d, want %d (requests %d)", l, lat, timed, req)
+				}
+			}
+		})
 	}
 }
 

@@ -1,7 +1,13 @@
-// Package perf is histcube's performance-observability layer: sliding-
-// window latency recorders that answer "what are ops/sec and
-// p50/p95/p99 over the last N seconds" on a live server, cheaply
-// enough to sit on every request.
+// Package perf holds RunMeta/CollectMeta, the build and machine
+// stamp that both servers answer VERSION from and every benchmark
+// report carries, and the sliding-window latency Recorder.
+//
+// The Recorder is on no request path: both servers time every served
+// request once, into internal/obs histograms (lineserver's
+// request_seconds family), where any window is the difference of two
+// scrapes. It stays only because benchmark/probes.go prices it as the
+// perf.record_ns probe and benchmark/ compiles against it; it goes, with
+// bucket.go and their tests, once that probe is dropped.
 //
 // A Recorder keeps a ring of fixed-width log-bucketed histogram slots
 // (bucket.go) and rotates them on a coarse clock: each slot covers
@@ -10,10 +16,7 @@
 // the slots still inside the window. There are no per-sample
 // allocations and no locks on the hot path — a mutex is taken only on
 // slot rotation (once per slot duration per recorder) to serialise the
-// zeroing. Like internal/trace, every method is nil-receiver-safe so a
-// disabled recorder costs one branch; the overhead is pinned by a
-// benchmark-backed guard (overhead_test.go) the same way the
-// disabled-tracer cost is.
+// zeroing. Every method is nil-receiver-safe.
 //
 // Accuracy contract: quantiles come from bucket upper bounds, so they
 // overestimate by at most 1/2^subBits (12.5%); window edges are
@@ -33,8 +36,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"histcube/internal/obs"
 )
 
 // Snapshot is one recorder's view of the sliding window.
@@ -255,130 +256,4 @@ func nearestRank(n int64, q float64) int64 {
 		rank = n
 	}
 	return rank
-}
-
-// Set is a fixed group of recorders keyed by name (histserve keys by
-// protocol command). The name set is frozen at construction so the
-// hot path is one map read on an immutable map — no lock. All methods
-// are nil-receiver-safe.
-type Set struct {
-	window time.Duration
-	names  []string
-	recs   map[string]*Recorder
-}
-
-// NewSet builds one Recorder per name over the shared window.
-func NewSet(window time.Duration, names ...string) *Set {
-	s := &Set{window: window, names: append([]string(nil), names...), recs: make(map[string]*Recorder, len(names))}
-	for _, n := range s.names {
-		if _, dup := s.recs[n]; !dup {
-			s.recs[n] = New(window)
-		}
-	}
-	return s
-}
-
-// Window returns the shared window (0 on nil).
-func (s *Set) Window() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.window
-}
-
-// Record adds one sample under name; unknown names are dropped (the
-// caller pre-maps strays to a catch-all key, as histserve does with
-// "other").
-func (s *Set) Record(name string, d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.recs[name].Record(d) // a missing name yields a nil *Recorder: no-op
-}
-
-// Snapshot digests one recorder (zero Snapshot for unknown names).
-func (s *Set) Snapshot(name string) Snapshot {
-	if s == nil {
-		return Snapshot{}
-	}
-	return s.recs[name].Snapshot()
-}
-
-// Register publishes every recorder's window digest on reg:
-// histserve_cmd_latency_seconds{cmd,stat} for stat in
-// p50/p95/p99/max/mean, histserve_cmd_window_ops_per_sec{cmd} and
-// histserve_cmd_window_count{cmd}. Values are computed at scrape time
-// from the live window, so the scrape costs a snapshot per command
-// and the hot path costs nothing extra.
-func (s *Set) Register(reg *obs.Registry) {
-	if s == nil || reg == nil {
-		return
-	}
-	stats := []struct {
-		stat string
-		get  func(Snapshot) time.Duration
-	}{
-		{"p50", func(sn Snapshot) time.Duration { return sn.P50 }},
-		{"p95", func(sn Snapshot) time.Duration { return sn.P95 }},
-		{"p99", func(sn Snapshot) time.Duration { return sn.P99 }},
-		{"max", func(sn Snapshot) time.Duration { return sn.Max }},
-		{"mean", func(sn Snapshot) time.Duration { return sn.Mean }},
-	}
-	for _, name := range s.names {
-		rec := s.recs[name]
-		for _, st := range stats {
-			get := st.get
-			reg.NewGaugeFunc("histserve_cmd_latency_seconds",
-				"Per-command latency digest over the sliding window, by cmd and stat.",
-				func() float64 { return get(rec.Snapshot()).Seconds() },
-				obs.Label{Key: "cmd", Value: name}, obs.Label{Key: "stat", Value: st.stat})
-		}
-		reg.NewGaugeFunc("histserve_cmd_window_ops_per_sec",
-			"Per-command throughput over the sliding window.",
-			func() float64 { return rec.Snapshot().OpsPerSec },
-			obs.Label{Key: "cmd", Value: name})
-		reg.NewGaugeFunc("histserve_cmd_window_count",
-			"Per-command request count inside the sliding window.",
-			func() float64 { return float64(rec.Snapshot().Count) },
-			obs.Label{Key: "cmd", Value: name})
-	}
-}
-
-// RegisterProxy is Register for cmd/histproxy: the same window digests
-// under the histproxy_cmd_* names. It duplicates Register rather than
-// parameterising the prefix because metric names must be string
-// literals at the registration site (the metricname analyzer's
-// greppability rule).
-func (s *Set) RegisterProxy(reg *obs.Registry) {
-	if s == nil || reg == nil {
-		return
-	}
-	stats := []struct {
-		stat string
-		get  func(Snapshot) time.Duration
-	}{
-		{"p50", func(sn Snapshot) time.Duration { return sn.P50 }},
-		{"p95", func(sn Snapshot) time.Duration { return sn.P95 }},
-		{"p99", func(sn Snapshot) time.Duration { return sn.P99 }},
-		{"max", func(sn Snapshot) time.Duration { return sn.Max }},
-		{"mean", func(sn Snapshot) time.Duration { return sn.Mean }},
-	}
-	for _, name := range s.names {
-		rec := s.recs[name]
-		for _, st := range stats {
-			get := st.get
-			reg.NewGaugeFunc("histproxy_cmd_latency_seconds",
-				"Per-command proxy latency digest over the sliding window, by cmd and stat.",
-				func() float64 { return get(rec.Snapshot()).Seconds() },
-				obs.Label{Key: "cmd", Value: name}, obs.Label{Key: "stat", Value: st.stat})
-		}
-		reg.NewGaugeFunc("histproxy_cmd_window_ops_per_sec",
-			"Per-command proxy throughput over the sliding window.",
-			func() float64 { return rec.Snapshot().OpsPerSec },
-			obs.Label{Key: "cmd", Value: name})
-		reg.NewGaugeFunc("histproxy_cmd_window_count",
-			"Per-command proxy request count inside the sliding window.",
-			func() float64 { return float64(rec.Snapshot().Count) },
-			obs.Label{Key: "cmd", Value: name})
-	}
 }

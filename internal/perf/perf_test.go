@@ -3,12 +3,10 @@ package perf
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"histcube/internal/obs"
 	"histcube/internal/stats"
 )
 
@@ -66,15 +64,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	if r.Window() != 0 {
 		t.Fatal("nil recorder window")
-	}
-	var s *Set
-	s.Record("QRY", time.Millisecond)
-	s.Register(nil)
-	if snap := s.Snapshot("QRY"); snap.Count != 0 {
-		t.Fatalf("nil set snapshot: %+v", snap)
-	}
-	if s.Window() != 0 {
-		t.Fatal("nil set window")
 	}
 }
 
@@ -196,13 +185,13 @@ func TestQuantileAccuracy(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecording is the -race guard of the issue checklist:
-// many goroutines hammer one Set across a rotating window while a
-// scraper snapshots concurrently. Correctness bar: no race reports, no
-// panics, and the final quiescent snapshot accounts exactly the
-// samples recorded into the live window.
+// TestConcurrentRecording is the -race guard: many goroutines hammer
+// two recorders (and a nil one) while a scraper snapshots concurrently.
+// Correctness bar: no race reports, no panics, and the final quiescent
+// snapshot accounts exactly the samples recorded into the live window.
 func TestConcurrentRecording(t *testing.T) {
-	set := NewSet(time.Hour, "QRY", "INS", "other") // nothing lapses: counts are exact
+	qry, ins := New(time.Hour), New(time.Hour) // nothing lapses: counts are exact
+	var none *Recorder
 	const (
 		goroutines = 16
 		perG       = 5000
@@ -217,8 +206,8 @@ func TestConcurrentRecording(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = set.Snapshot("QRY")
-				_ = set.Snapshot("INS")
+				_ = qry.Snapshot()
+				_ = ins.Snapshot()
 			}
 		}
 	}()
@@ -227,81 +216,23 @@ func TestConcurrentRecording(t *testing.T) {
 		go func(g int) {
 			defer recorders.Done()
 			for i := 0; i < perG; i++ {
-				set.Record("QRY", time.Duration(g+1)*time.Microsecond)
-				set.Record("INS", time.Duration(i%100)*time.Microsecond)
-				set.Record("UNKNOWN", time.Second) // dropped, must not panic
+				qry.Record(time.Duration(g+1) * time.Microsecond)
+				ins.Record(time.Duration(i%100) * time.Microsecond)
+				none.Record(time.Second) // dropped, must not panic
 			}
 		}(g)
 	}
 	recorders.Wait()
 	close(stop)
 	scraper.Wait()
-	if got := set.Snapshot("QRY").Count; got != goroutines*perG {
+	if got := qry.Snapshot().Count; got != goroutines*perG {
 		t.Fatalf("QRY count = %d, want %d", got, goroutines*perG)
 	}
-	if got := set.Snapshot("INS").Count; got != goroutines*perG {
+	if got := ins.Snapshot().Count; got != goroutines*perG {
 		t.Fatalf("INS count = %d, want %d", got, goroutines*perG)
 	}
-	if got := set.Snapshot("QRY").Max; got != goroutines*time.Microsecond {
+	if got := qry.Snapshot().Max; got != goroutines*time.Microsecond {
 		t.Fatalf("QRY max = %v, want %v", got, goroutines*time.Microsecond)
-	}
-}
-
-// TestRegister renders the Set through an obs registry and checks the
-// exposed series carry the documented names and label sets.
-func TestRegister(t *testing.T) {
-	set := NewSet(time.Hour, "QRY", "INS")
-	set.Record("QRY", 10*time.Millisecond)
-	set.Record("QRY", 20*time.Millisecond)
-	reg := obs.NewRegistry()
-	set.Register(reg)
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`histserve_cmd_latency_seconds{cmd="QRY",stat="p50"}`,
-		`histserve_cmd_latency_seconds{cmd="QRY",stat="p99"}`,
-		`histserve_cmd_latency_seconds{cmd="INS",stat="max"}`,
-		`histserve_cmd_window_ops_per_sec{cmd="QRY"}`,
-		`histserve_cmd_window_count{cmd="QRY"} 2`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics output missing %q:\n%s", want, out)
-		}
-	}
-	// The p50 gauge must reflect the recorded samples (upper-bounded
-	// bucket estimate of 10ms, i.e. >= 0.010 and <= 0.012).
-	snap := set.Snapshot("QRY")
-	if snap.P50 < 10*time.Millisecond || snap.P50 > 12*time.Millisecond {
-		t.Errorf("p50 = %v, want ~10ms", snap.P50)
-	}
-}
-
-// TestRegisterProxy checks the histproxy_ variant exposes the same
-// digests under the proxy's metric namespace.
-func TestRegisterProxy(t *testing.T) {
-	set := NewSet(time.Hour, "QRY", "INS")
-	set.Record("QRY", 10*time.Millisecond)
-	reg := obs.NewRegistry()
-	set.RegisterProxy(reg)
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`histproxy_cmd_latency_seconds{cmd="QRY",stat="p50"}`,
-		`histproxy_cmd_window_ops_per_sec{cmd="QRY"}`,
-		`histproxy_cmd_window_count{cmd="QRY"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "histserve_cmd_") {
-		t.Error("RegisterProxy leaked histserve_cmd_ series")
 	}
 }
 
