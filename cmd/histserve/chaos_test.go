@@ -271,6 +271,33 @@ func TestChaosPanicUnderMutexReleasesIt(t *testing.T) {
 	}
 }
 
+// TestChaosFollowerApplyPanicIsContained panics inside a follower's WAL
+// write while it stages a shipped record. The link is served by the
+// serving core, so its barrier recovers the panic as it would a
+// client's; the session ends, and the follower re-subscribes behind its
+// real log end and converges on the primary.
+func TestChaosFollowerApplyPanicIsContained(t *testing.T) {
+	primary, _ := newDurableServer(t, t.TempDir(), 0)
+	paddr := serveOn(t, primary)
+	follower := newQuietServer(t, "8,8", "sum", false)
+	follower.Inj = fault.MustParse("wal.write:panic@2", 1)
+	enableChaosWAL(t, follower, filepath.Join(t.TempDir(), "data"))
+	follower.startFollower(paddr)
+	t.Cleanup(func() { follower.promote(0) }) // ends the follow loop
+
+	pc := dial(t, paddr)
+	for i := 1; i <= 3; i++ {
+		pc.expect(t, fmt.Sprintf("INS %d 0 0 1", i), "OK")
+	}
+	waitUntil(t, 10*time.Second, "follower convergence", func() bool { return follower.repl.applied.Load() == 3 })
+	if n := follower.Panics.Value(); n != 1 {
+		t.Fatalf("recovered-panic counter = %d, want 1", n)
+	}
+	if got := chaosQuery(t, follower); got != 3 {
+		t.Fatalf("follower SUM = %v, want 3", got)
+	}
+}
+
 // TestChaosGovernanceLimits covers the connection-scoped governance:
 // the -max-conns cap fast-rejects the surplus connection with a single
 // ERR line, and an overlong request line is answered with ERR before

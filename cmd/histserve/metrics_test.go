@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"histcube/internal/lineserver"
 )
@@ -60,6 +61,52 @@ func TestCmdLatencyMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
+// TestFollowerLinkIsAccounted: a follower's link runs on the serving
+// core, so a burst of shipped records shows on its /metrics like client
+// requests — one timed REC request per record, none of them an error.
+func TestFollowerLinkIsAccounted(t *testing.T) {
+	primary, _ := newDurableServer(t, t.TempDir(), 0)
+	paddr := serveOn(t, primary)
+	follower, _ := startReplica(t, paddr)
+	mln, err := follower.ServeMetrics("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mln.Close() })
+
+	const k = 16
+	var b strings.Builder
+	for i := 0; i < k; i++ {
+		fmt.Fprintf(&b, "INS %d %d %d 1\n", i, i%8, (i/3)%8)
+	}
+	conn, r := rawConn(t, paddr)
+	if _, err := io.WriteString(conn, b.String()); err != nil {
+		t.Fatal(err)
+	}
+	readLines(t, r, k)
+	waitUntil(t, 5*time.Second, "every shipped record accounted", func() bool {
+		return follower.Latency["REC"].Count() == k
+	})
+
+	resp, err := http.Get("http://" + mln.Addr().String() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf(`histserve_request_seconds_count{cmd="REC"} %d`, k),
+		`histserve_errors_total{cmd="REC"} 0`,
+	} {
+		if !strings.Contains(string(body), want+"\n") {
+			t.Errorf("follower /metrics missing %q", want)
 		}
 	}
 }

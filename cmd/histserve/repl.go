@@ -25,12 +25,16 @@
 // Records travel in batches, a lone record being a batch of one: the
 // primary writes every record that is already shippable and flushes
 // once when its stream would block (a group commit publishes its whole
-// batch at once), and the follower drains every REC line that has
-// already arrived, stages and applies them, makes them durable with one
-// commit and answers the batch with a single
+// batch at once). The follower serves the link with the serving core
+// (internal/lineserver), so every shipped line gets one reply and the
+// lines that arrived together are one unit, committed once; each REC is
+// answered with the cumulative
 //
-//	ACK <lsn>                         cumulative: everything up to <lsn>
-//	                                  is durable and applied here
+//	ACK <lsn>                         everything up to <lsn> is durable
+//	                                  and applied here
+//
+// and PING and OK with OK, which the primary skips. ERR, a REC that
+// must not be applied, and an installed SNAP end the session.
 //
 // The primary aggregates the ACKs in a replHub so mutations can wait
 // for -repl-min-acks followers before acknowledging the client
@@ -52,7 +56,6 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -65,8 +68,8 @@ import (
 	"histcube/internal/wal"
 )
 
-// snapChunk is the raw byte count per base64 snapshot line; the
-// encoded line stays well under the follower's line limit.
+// snapChunk is the raw byte count per base64 snapshot line, the link's
+// longest; the follower's line limit is twice it.
 const snapChunk = 48 * 1024
 
 // replPingEvery is the primary's idle keepalive cadence; it also
@@ -93,6 +96,10 @@ type replState struct {
 
 	stop     chan struct{} // closed by promotion; ends the follow loop
 	stopOnce sync.Once
+
+	// ended is why the running session ended, for followOnce to report.
+	// Only the follow goroutine, which serves the link, touches it.
+	ended error
 }
 
 // lag returns how many acked records the primary holds that this
@@ -505,6 +512,7 @@ func (s *server) startFollower(primary string) {
 	r := &replState{primaryAddr: primary, stop: make(chan struct{})}
 	r.applied.Store(s.walLastLSN())
 	s.repl = r
+	s.link.Log = s.Log.With("primary", primary)
 	go s.followLoop(r)
 }
 
@@ -528,15 +536,15 @@ func (s *server) followLoop(r *replState) {
 	}
 }
 
-// followOnce runs one replication session: subscribe from the local
-// log's end and apply the stream until the link breaks or the server
-// is promoted.
+// followOnce runs one replication session: it subscribes from the local
+// log's end and hands the connection to the link core, which serves the
+// primary's stream like a client connection until the primary closes
+// it, a line ends the session, or promotion closes the connection.
 func (s *server) followOnce(r *replState) error {
 	conn, err := net.DialTimeout("tcp", r.primaryAddr, 2*time.Second)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = conn.Close() }() // double-close with the stop watcher is benign
 	// Promotion must not wait out a blocked read: closing the
 	// connection unblocks the read immediately.
 	done := make(chan struct{})
@@ -548,93 +556,68 @@ func (s *server) followOnce(r *replState) error {
 		case <-done:
 		}
 	}()
-
-	w := bufio.NewWriter(conn)
-	fmt.Fprintf(w, "REPLICATE FROM %d\n", s.walLastLSN()+1)
-	if err := w.Flush(); err != nil {
+	if _, err := fmt.Fprintf(conn, "REPLICATE FROM %d\n", s.walLastLSN()+1); err != nil {
+		_ = conn.Close() // the write error is the actionable one
 		return err
 	}
-	// Snapshot chunks are the longest lines: snapChunk raw bytes, 4/3
-	// base64 expansion, plus slack.
-	lr := lineserver.NewReader(conn, 2*snapChunk)
-	var batch []wal.StreamRecord
-	for {
-		_ = conn.SetReadDeadline(time.Now().Add(replReadTimeout))
-		raw, err := lr.Next()
-		if errors.Is(err, io.EOF) {
-			return errors.New("primary closed the replication stream")
-		}
-		if err != nil {
-			return err
-		}
-		if lr.Torn() {
-			// A REC cut off mid-value would still parse — as another value.
-			return errors.New("primary closed the replication stream mid-line")
-		}
-		if r.promoted.Load() {
-			return nil
-		}
-		line := strings.TrimSpace(string(raw))
-		switch verb, _, _ := strings.Cut(line, " "); verb {
-		case "":
-		case "REC":
-			// The unit of work is every REC that has already arrived, a
-			// lone record being a batch of one: one commit and one
-			// cumulative ACK for all of them. Whatever went durable is
-			// ACKed even when a later line of the batch ends the session.
-			var perr error
-			batch, perr = readRecs(lr, line, s.dims, batch[:0])
-			last, err := s.applyShipped(r, batch)
-			if last > 0 {
-				r.noteFrontier(last)
-				fmt.Fprintf(w, "ACK %d\n", last)
-				if err := w.Flush(); err != nil {
-					return err
-				}
-			}
-			if err == nil {
-				err = perr
-			}
-			if err != nil {
-				return err
-			}
-		case "PING":
-			if lsn, err := strconv.ParseUint(strings.TrimPrefix(line, "PING "), 10, 64); err == nil {
-				r.noteFrontier(lsn)
-			}
-		case "SNAP":
-			lsn, err := s.receiveSnapshot(r, strings.Fields(line), lr, conn)
-			if err != nil {
-				return err
-			}
-			s.Log.Info("bootstrapped from shipped snapshot", "lsn", lsn, "primary", r.primaryAddr)
-			r.noteFrontier(lsn)
-		case "OK": // stream start marker; position already agreed
-		case "ERR":
-			return fmt.Errorf("primary refused replication: %s", line)
-		default:
-			return fmt.Errorf("unexpected replication line %q", line)
-		}
+	r.ended = errors.New("primary closed the replication stream")
+	s.link.ServeConn(conn)
+	return r.ended
+}
+
+// linkCommands is the link core's table: its requests are the lines the
+// primary ships, each answered up the link. REC, PING and OK join, so a
+// unit is every line that arrived together (a lone record is a unit of
+// one) and settleShipped commits its records at once. The primary's ERR
+// ends the session; SNAP takes the link over to install a snapshot.
+func (s *server) linkCommands() []lineserver.Command {
+	return []lineserver.Command{
+		{Verb: "REC", MaxArgs: -1, Joins: true, Handle: s.linkRec},
+		{Verb: "PING", MinArgs: 1, MaxArgs: 1, Usage: "PING needs the frontier LSN", Joins: true, Handle: s.linkPing},
+		{Verb: "OK", MaxArgs: -1, Joins: true, Handle: func(*lineserver.Request) string { return "OK" }},
+		{Verb: "ERR", MaxArgs: -1, Joins: true, EndsUnit: true, Handle: func(rq *lineserver.Request) string {
+			return s.repl.end(rq, fmt.Errorf("primary refused replication: %s", rq.Line))
+		}},
+		{Verb: "SNAP", MaxArgs: -1, EndsUnit: true, Hijack: s.linkSnap},
 	}
 }
 
-// readRecs parses line and every REC line already buffered behind it,
-// up to MaxPendingReplies, into batch. A line that does not parse ends
-// the batch; the records before it are returned next to the error.
-func readRecs(lr *lineserver.Reader, line string, dims int, batch []wal.StreamRecord) ([]wal.StreamRecord, error) {
-	for {
-		rec, err := parseRec(line, dims)
-		if err != nil {
-			return batch, err
-		}
-		batch = append(batch, rec)
-		next, ok := lr.Peek()
-		if !ok || len(batch) >= lineserver.MaxPendingReplies || !bytes.HasPrefix(next, []byte("REC ")) {
-			return batch, nil
-		}
-		line = string(next)
-		_, _ = lr.Next() // consumes exactly what Peek showed; cannot fail
+// end answers rq with why and makes it the session's last request: the
+// link closes once its unit's replies have left, and followOnce returns
+// why.
+func (r *replState) end(rq *lineserver.Request, why error) string {
+	r.ended, rq.Quit = why, true
+	return "ERR " + why.Error()
+}
+
+// linkRec parses one shipped record and leaves it for settleShipped. A
+// record that must not be applied ends the session instead: one the
+// primary's death cut off (it would still parse, as another value), one
+// that does not parse, and any that arrives after promotion.
+func (s *server) linkRec(rq *lineserver.Request) string {
+	r := s.repl
+	if r.promoted.Load() {
+		return r.end(rq, errors.New("promoted to primary"))
 	}
+	if rq.Torn {
+		return r.end(rq, errors.New("primary closed the replication stream mid-line"))
+	}
+	rec, err := parseRec(rq.Line, s.dims)
+	if err != nil {
+		return r.end(rq, err)
+	}
+	rq.Pending = rec
+	return ""
+}
+
+// linkPing notes the frontier an idle primary reports.
+func (s *server) linkPing(rq *lineserver.Request) string {
+	lsn, err := strconv.ParseUint(rq.Fields[1], 10, 64)
+	if err != nil {
+		return "ERR bad LSN: " + err.Error()
+	}
+	s.repl.noteFrontier(lsn)
+	return "OK"
 }
 
 // parseRec decodes "REC <lsn> <kind> <time> <coords...> <value>", the
@@ -674,36 +657,50 @@ func parseRec(line string, dims int) (wal.StreamRecord, error) {
 	return wal.StreamRecord{LSN: lsn, Op: core.Op{Kind: core.OpKind(kind), Time: t, Coords: coords, Value: val}}, nil
 }
 
-// applyShipped stages a batch of shipped records in the local log and
-// applies them to the cube under the same mu that serialises queries —
-// readers always see a cube at an exact LSN boundary — then commits the
-// batch with mu released, like a primary's reply barrier: one fsync
-// covers every record that arrived together, and a record counts as
-// applied, and is ACKed, only once it is durable here. It returns the
-// last LSN that now is (0 when none), next to the error that cut the
-// batch short.
-func (s *server) applyShipped(r *replState, batch []wal.StreamRecord) (uint64, error) {
-	wl, staged, err := s.stageShipped(batch)
-	if staged == 0 {
-		return 0, err
+// settleShipped is the link core's settle, the follower's commit
+// barrier: the unit's records are staged and applied under the same mu
+// that serialises queries — readers always see a cube at an exact LSN
+// boundary — then committed with mu released, one fsync for every
+// record that arrived together. A record counts as applied only once it
+// is durable here; every REC up to there is answered with the
+// cumulative ACK, and one that could not be applied ends the session.
+func (s *server) settleShipped(open []*lineserver.Request) {
+	r, last := s.repl, open[len(open)-1]
+	// The session ends after a unit that does not settle, a panic
+	// included: its ERR internal leaves the log's end unknown upstream.
+	last.Quit = true
+	wl, staged, err := s.stageShipped(open)
+	if staged > 0 {
+		if cerr := wl.Commit(staged); cerr != nil {
+			staged, err = 0, fmt.Errorf("committing shipped records through %d: %w", staged, cerr)
+		} else {
+			r.applied.Store(staged)
+			r.noteFrontier(staged)
+		}
 	}
-	if cerr := wl.Commit(staged); cerr != nil {
-		return 0, fmt.Errorf("committing shipped records through %d: %w", staged, cerr)
+	last.Quit = false
+	ack := "ACK " + strconv.FormatUint(staged, 10)
+	for _, rq := range open {
+		if rq.Pending.(wal.StreamRecord).LSN <= staged {
+			rq.Reply = ack
+		} else {
+			rq.Reply = r.end(rq, err)
+		}
 	}
-	r.applied.Store(staged)
-	return staged, err
 }
 
-// stageShipped is the part of applyShipped that runs under mu: it
-// returns the log and the last LSN staged in it.
-func (s *server) stageShipped(batch []wal.StreamRecord) (*wal.Log, uint64, error) {
+// stageShipped is the part of settleShipped that runs under mu: it
+// returns the log and the last LSN staged in it, next to the error that
+// cut the unit short.
+func (s *server) stageShipped(open []*lineserver.Request) (*wal.Log, uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal == nil {
 		return nil, 0, errors.New("follower has no WAL attached")
 	}
 	var staged uint64
-	for _, rec := range batch {
+	for _, rq := range open {
+		rec := rq.Pending.(wal.StreamRecord)
 		skipped, err := s.wal.ApplyReplicated(s.cube, rec.LSN, rec.Op)
 		if err != nil {
 			return s.wal, staged, err
@@ -717,31 +714,25 @@ func (s *server) stageShipped(batch []wal.StreamRecord) (*wal.Log, uint64, error
 	return s.wal, staged, nil
 }
 
-// receiveSnapshot handles the SNAP bootstrap: collect the base64
-// payload, replace the local log and cube with the shipped state, and
-// resume the stream (the primary continues from lsn+1 on the same
-// connection).
-func (s *server) receiveSnapshot(r *replState, header []string, lr *lineserver.Reader, conn net.Conn) (uint64, error) {
-	var lsn, size uint64
-	var haveLSN, haveSize bool
-	for _, f := range header[1:] {
-		if v, ok := strings.CutPrefix(f, "lsn="); ok {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return 0, fmt.Errorf("SNAP lsn: %w", err)
-			}
-			lsn, haveLSN = n, true
-		}
-		if v, ok := strings.CutPrefix(f, "size="); ok {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return 0, fmt.Errorf("SNAP size: %w", err)
-			}
-			size, haveSize = n, true
-		}
+// linkSnap is SNAP's Hijack row: it installs the shipped snapshot and
+// ends the session; the next one resumes the stream at the snapshot's
+// LSN+1.
+func (s *server) linkSnap(conn net.Conn, lr *lineserver.Reader, _ *bufio.Writer, rq *lineserver.Request) {
+	r := s.repl
+	lsn, err := s.receiveSnapshot(rq.Line, lr, conn)
+	if r.ended = err; err == nil {
+		r.applied.Store(lsn)
+		s.Log.Info("bootstrapped from shipped snapshot", "lsn", lsn, "primary", r.primaryAddr)
+		r.noteFrontier(lsn)
 	}
-	if !haveLSN || !haveSize {
-		return 0, fmt.Errorf("malformed SNAP header %q", strings.Join(header, " "))
+}
+
+// receiveSnapshot collects the base64 payload of a SNAP and replaces the
+// local log and cube with the shipped state.
+func (s *server) receiveSnapshot(header string, lr *lineserver.Reader, conn net.Conn) (uint64, error) {
+	var lsn, size uint64
+	if _, err := fmt.Sscanf(header, "SNAP lsn=%d size=%d", &lsn, &size); err != nil {
+		return 0, fmt.Errorf("malformed SNAP header %q: %w", header, err)
 	}
 	const maxSnapshot = 1 << 31 // pre-allocation sanity bound, not a protocol limit
 	if size > maxSnapshot {
@@ -752,11 +743,8 @@ func (s *server) receiveSnapshot(r *replState, header []string, lr *lineserver.R
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(replReadTimeout))
 		raw, err := lr.Next()
-		if errors.Is(err, io.EOF) {
-			return 0, errors.New("stream ended inside snapshot")
-		}
 		if err != nil {
-			return 0, err
+			return 0, fmt.Errorf("reading snapshot: %w", err)
 		}
 		line := strings.TrimSpace(string(raw))
 		if line == "ENDSNAP" {
@@ -771,11 +759,7 @@ func (s *server) receiveSnapshot(r *replState, header []string, lr *lineserver.R
 	if uint64(data.Len()) != size {
 		return 0, fmt.Errorf("snapshot is %d bytes, header said %d", data.Len(), size)
 	}
-	if err := s.installSnapshot(lsn, data.Bytes()); err != nil {
-		return 0, err
-	}
-	r.applied.Store(lsn)
-	return lsn, nil
+	return lsn, s.installSnapshot(lsn, data.Bytes())
 }
 
 // installSnapshot replaces the follower's durable state with the

@@ -55,7 +55,7 @@
 //
 // With -data-dir the server is durable: every acknowledged mutation is
 // first appended to a write-ahead log (internal/wal) under the given
-// directory, -fsync selects the always/interval/never fsync policy,
+// directory, -fsync selects the always/never fsync policy,
 // and -checkpoint-every N writes a cube snapshot and truncates the log
 // every N records (CHECKPOINT forces one on demand). On boot the
 // server recovers from the latest valid checkpoint plus the log tail,
@@ -140,6 +140,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -220,10 +221,12 @@ type server struct {
 	cubeCfg core.Config
 
 	// Replication (see repl.go): repl is non-nil in follower mode
-	// (-follow) and set before the listener starts; hub aggregates
-	// follower acknowledgements on the primary side so mutations can
-	// wait for -repl-min-acks replicas before answering OK.
+	// (-follow) and set before the listener starts, and link is the
+	// serving core its sessions run on; hub aggregates follower
+	// acknowledgements on the primary side so mutations can wait for
+	// -repl-min-acks replicas before answering OK.
 	repl           *replState
+	link           lineserver.Server
 	hub            *replHub
 	replMinAcks    int           // startup-only, like the governance knobs
 	replAckTimeout time.Duration // startup-only
@@ -273,7 +276,7 @@ func main() {
 		ooo     = flag.Bool("ooo", false, "buffer out-of-order updates instead of rejecting them")
 		load    = flag.String("load", "", "resume from a snapshot written by the SAVE command")
 		dataDir = flag.String("data-dir", "", "durable data directory (write-ahead log + checkpoints); empty disables durability")
-		fsync   = flag.String("fsync", "always", "WAL fsync policy: always, interval, never (with -data-dir)")
+		fsync   = flag.String("fsync", "always", "WAL fsync policy: always, never (with -data-dir)")
 		ckptN   = flag.Int64("checkpoint-every", 10000, "checkpoint every N WAL records; 0 = only on CHECKPOINT/shutdown (with -data-dir)")
 		probeIv = flag.Duration("degraded-probe-every", 2*time.Second, "while read-only, let one mutation through per interval to probe storage recovery")
 		sealArg = flag.String("seal-through", "", "reject mutations with time at or below this value (historic-shard demotion; the SEAL command raises it at runtime); empty seals nothing")
@@ -514,11 +517,17 @@ func newServer(dimsArg, opArg string, ooo bool) (*server, error) {
 	s.sealedThrough.Store(math.MinInt64)
 	s.Ready = s.readiness
 	s.Init(s.settle, s.commands()...)
+	s.link.Init(s.settleShipped, s.linkCommands()...)
+	s.link.MaxLineLen, s.link.ReadTimeout = 2*snapChunk, replReadTimeout
 	core.RegisterStatsMetrics(s.Reg, s.statsSnapshot)
 	s.Connections = s.Reg.NewGauge("histserve_connections", "Open client connections.")
 	s.ConnTotal = s.Reg.NewCounter("histserve_connections_total", "Client connections accepted since start.")
 	s.Inflight = s.Reg.NewGauge("histserve_inflight_requests", "Requests currently being dispatched.")
-	for _, cmd := range s.Labels() {
+	// The link's verbs join the label set; a verb both tables know has one series.
+	for _, cmd := range slices.Concat(s.Labels(), s.link.Labels()) {
+		if s.Requests[cmd] != nil {
+			continue
+		}
 		s.Requests[cmd] = s.Reg.NewCounter("histserve_requests_total",
 			"Requests dispatched, by protocol command.", obs.Label{Key: "cmd", Value: cmd})
 		s.Errors[cmd] = s.Reg.NewCounter("histserve_errors_total",
@@ -540,6 +549,7 @@ func newServer(dimsArg, opArg string, ooo bool) (*server, error) {
 		"Connections rejected at the -max-conns cap.")
 	s.degradedFlips = s.Reg.NewCounter("histserve_degraded_transitions_total",
 		"Transitions into degraded read-only mode.")
+	s.link.Metrics = s.Metrics
 	s.Reg.NewGaugeFunc("histcube_degraded",
 		"1 while the server is in degraded read-only mode, 0 when healthy.",
 		func() float64 {

@@ -104,32 +104,11 @@ func (en *Engine) PrefixTraced(sp *trace.Span, cs CellStore, x []int) float64 {
 	if !en.shape.Contains(x) {
 		panic("ecube: prefix coordinate outside shape")
 	}
-	v, _ := en.prefixEval(context.Background(), sp, cs, x)
-	return v
-}
-
-// PrefixCtx is PrefixTraced with cooperative cancellation: the
-// recursion polls ctx every 64 cell loads and abandons the evaluation
-// with ctx's error once it is done. An out-of-shape coordinate is
-// reported as an error rather than a panic — PrefixCtx is the
-// server-facing entry point, and a malformed request must not take the
-// process down.
-func (en *Engine) PrefixCtx(ctx context.Context, sp *trace.Span, cs CellStore, x []int) (float64, error) {
-	if !en.shape.Contains(x) {
-		return 0, fmt.Errorf("ecube: prefix coordinate %v outside shape %v", x, en.shape)
-	}
-	return en.prefixEval(ctx, sp, cs, x)
-}
-
-func (en *Engine) prefixEval(cctx context.Context, sp *trace.Span, cs CellStore, x []int) (float64, error) {
-	ctx := evalCtx{done: cctx.Done(), cctx: cctx}
+	var ctx evalCtx
 	v := en.prefixRec(cs, x, &ctx)
 	sp.Add(trace.CellsTouched, int64(ctx.loads))
 	sp.Add(trace.Conversions, int64(ctx.converts))
-	if ctx.err != nil {
-		return 0, ctx.err
-	}
-	return v, nil
+	return v
 }
 
 // evalCtx carries per-evaluation state: PS values the store declined

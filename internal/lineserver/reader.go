@@ -33,9 +33,15 @@
 // — as one batch round trip. As on histserve, the window's replies leave
 // together.
 //
+// A histserve follower serves its link to the primary with a third
+// table, whose requests are the primary's stream: a unit is the burst
+// of records that arrived together, settle commits them once and
+// answers each with the cumulative ACK. A torn REC (Request.Torn) ends
+// the session through Request.Quit, as the built-in QUIT does.
+//
 // Panics are contained per handler call: one line's in the first phase,
 // the pending requests' in settle — on histproxy, where a unit's work
-// happens in settle, the whole unit.
+// happens in settle, the whole unit — and a hijacker's.
 package lineserver
 
 import (

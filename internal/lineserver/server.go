@@ -49,10 +49,10 @@ type Command struct {
 	// settle function ran.
 	Handle func(*Request) string
 	// Hijack, instead of Handle, takes the connection over for good,
-	// with the loop's reader and writer: the loop returns when it
-	// returns. Such a row must neither join nor be joined (Joins false,
-	// EndsUnit true), so every earlier reply has left before the
-	// hand-over.
+	// with the loop's reader and writer, behind the panic barrier: the
+	// loop returns when it returns. Such a row must neither join nor be
+	// joined (Joins false, EndsUnit true), so every earlier reply has
+	// left before the hand-over.
 	Hijack func(net.Conn, *Reader, *bufio.Writer, *Request)
 
 	label string
@@ -70,10 +70,15 @@ type Request struct {
 	// lines of a mutation or a query). While it is non-nil, Reply is
 	// provisional.
 	Pending any
+	// Torn: the line was cut off by EOF, not ended by a newline
+	// (Reader.Torn). Only a unit's first line can be torn.
+	Torn bool
+	// Quit closes the connection once the replies of the request's unit
+	// have left. The built-in QUIT sets it; so may a handler or settle.
+	Quit bool
 
 	cmd   *Command
 	start time.Time
-	quit  bool
 }
 
 // Verb returns the request's command as its table row spells it.
@@ -147,7 +152,7 @@ func (s *Server) Init(settle func([]*Request), rows ...Command) {
 		Command{Verb: "SLOWLOG", Usage: "SLOWLOG takes no arguments", EndsUnit: true, Handle: s.slowlog},
 		// QUIT ignores its arguments: it must always close.
 		Command{Verb: "QUIT", MaxArgs: -1, Joins: true, EndsUnit: true, Handle: func(rq *Request) string {
-			rq.quit = true
+			rq.Quit = true
 			return "BYE"
 		}},
 		// "other" catches unknown verbs so a misbehaving client cannot
@@ -305,6 +310,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		if !ok {
 			continue
 		}
+		rq.Torn = lr.Torn()
 		slab, unit = append(slab[:0], rq), unit[:0]
 		for len(slab) < MaxPendingReplies && !slab[len(slab)-1].cmd.EndsUnit {
 			raw, ok := lr.Peek()
@@ -327,12 +333,14 @@ func (s *Server) ServeConn(conn net.Conn) {
 		if h := unit[0].cmd.Hijack; h != nil {
 			s.Requests[unit[0].cmd.label].Inc()
 			unit[0].Fields = strings.Fields(unit[0].Line)
-			h(conn, lr, w, unit[0])
+			s.contain(unit, func([]*Request) { h(conn, lr, w, unit[0]) })
 			return
 		}
 		open = s.serveUnit(unit, open)
 		s.SetWriteDeadline(conn)
+		quit := false
 		for _, rq := range unit {
+			quit = quit || rq.Quit
 			if strings.HasPrefix(rq.Reply, "ERR") {
 				errs++
 				if rq.TID != 0 {
@@ -344,10 +352,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 			_, _ = w.WriteString(rq.Reply) // a write error is sticky; Flush reports it
 			_ = w.WriteByte('\n')
 		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-		if unit[len(unit)-1].quit {
+		if err := w.Flush(); err != nil || quit {
 			return
 		}
 	}
@@ -388,7 +393,7 @@ func (s *Server) Do(tid trace.ID, line string) (reply string, quit bool) {
 	line = strings.TrimSpace(line)
 	rq := &Request{Line: line, TID: tid, cmd: s.resolve(line)}
 	s.serveUnit([]*Request{rq}, nil)
-	return rq.Reply, rq.quit
+	return rq.Reply, rq.Quit
 }
 
 // serveUnit makes every reply of a unit final: each line runs behind
@@ -421,8 +426,9 @@ func (s *Server) serveUnit(unit, open []*Request) []*Request {
 // contain is the panic barrier: a panic anywhere in fn (including one
 // injected at the serve.dispatch fault site) is logged with its stack,
 // every request whose reply fn was to produce is answered ERR internal,
-// and the connection keeps serving. Code that panics under a lock of
-// its own converts the panic earlier, where its deferred unlock runs.
+// and the connection keeps serving unless fn had set Quit. Code that
+// panics under a lock of its own converts the panic earlier, where its
+// deferred unlock runs.
 func (s *Server) contain(reqs []*Request, fn func([]*Request)) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -430,7 +436,7 @@ func (s *Server) contain(reqs []*Request, fn func([]*Request)) {
 			s.Log.Error("panic recovered in dispatch", "line", reqs[0].Line, "lines", len(reqs),
 				"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
 			for _, rq := range reqs {
-				rq.Reply, rq.Pending, rq.quit = fmt.Sprintf("ERR %v (%v)", ErrInternal, p), nil, false
+				rq.Reply, rq.Pending = fmt.Sprintf("ERR %v (%v)", ErrInternal, p), nil
 			}
 		}
 	}()

@@ -21,7 +21,8 @@ import (
 
 // stub is a Server with a table that exercises every column: ECHO and
 // MUT join, ONE is a unit by itself, MUT leaves its reply to settle,
-// BOOM panics, TAKE hijacks.
+// BOOM panics, STOP sets Quit, TORN answers its Torn field, TAKE
+// hijacks.
 type stub struct {
 	Server
 	mu      sync.Mutex
@@ -51,10 +52,15 @@ func newStub(t *testing.T) *stub {
 		Command{Verb: "ONE", EndsUnit: true, Usage: "ONE takes no arguments",
 			Handle: func(*Request) string { return "one" }},
 		Command{Verb: "BOOM", Joins: true, Handle: func(*Request) string { panic("handler blew up") }},
+		Command{Verb: "STOP", Joins: true, Handle: func(rq *Request) string { rq.Quit = true; return "stopping" }},
+		Command{Verb: "TORN", Joins: true, Handle: func(rq *Request) string { return fmt.Sprint(rq.Torn) }},
 		Command{Verb: "NOPE", MaxArgs: -1, Joins: true, Other: true,
 			Handle: func(*Request) string { return "ERR NOPE is refused" }},
 		Command{Verb: "TAKE", MaxArgs: -1, EndsUnit: true,
 			Hijack: func(conn net.Conn, _ *Reader, w *bufio.Writer, rq *Request) {
+				if rq.Line == "TAKE boom" {
+					panic("hijacker blew up")
+				}
 				fmt.Fprintf(w, "TAKEN %s\n", strings.Join(rq.Fields[1:], ","))
 				_ = w.Flush()
 			}},
@@ -214,6 +220,33 @@ func TestUnitRule(t *testing.T) {
 	}
 }
 
+// TestQuitAndTorn pins the two Request fields a replication link leans
+// on. A handler's Quit in the middle of a pipelined window closes the
+// connection only after every reply of the window has left, in one
+// flush. Torn is true only for a final line cut off by EOF, never for a
+// complete line that joined the unit.
+func TestQuitAndTorn(t *testing.T) {
+	st := newStub(t)
+	conn, r, writes := start(t, st)
+	io.WriteString(conn, "MUT a\nSTOP\nECHO b\nMUT c\n")
+	if got := fmt.Sprint(readLines(t, r, 4)); got != "[OK a stopping b OK c]" {
+		t.Fatalf("window with a Quit in the middle: replies = %s", got)
+	}
+	if _, err := r.ReadString('\n'); err != io.EOF {
+		t.Fatalf("after the window: %v, want the connection closed", err)
+	}
+	if got := writes.Load(); got != 1 {
+		t.Errorf("flushes = %d, want 1", got)
+	}
+
+	conn, r, _ = start(t, newStub(t))
+	io.WriteString(conn, "TORN\nTORN\nTORN")
+	conn.(*net.TCPConn).CloseWrite()
+	if got := fmt.Sprint(readLines(t, r, 3)); got != "[false false true]" {
+		t.Fatalf("Torn of two complete lines and a cut-off one = %s", got)
+	}
+}
+
 func TestPartialTrailingLineNeverWithholdsReplies(t *testing.T) {
 	st := newStub(t)
 	conn, r, _ := start(t, st)
@@ -357,6 +390,16 @@ func TestPanicContainment(t *testing.T) {
 	}
 	if got := st.Inflight.Value(); got != 0 {
 		t.Errorf("inflight gauge = %d after panics, want 0", got)
+	}
+	// A panicking hijacker costs the connection it took over, not the
+	// process.
+	taken, tr, _ := start(t, st)
+	fmt.Fprintln(taken, "TAKE boom")
+	if _, err := tr.ReadString('\n'); err != io.EOF {
+		t.Errorf("after the hijacker panicked: %v, want the connection closed", err)
+	}
+	if got := st.Panics.Value(); got != 3 {
+		t.Errorf("recovered-panic counter = %d after the hijacker's, want 3", got)
 	}
 }
 

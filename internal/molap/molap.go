@@ -205,9 +205,6 @@ func (a *Array) Techniques() []Technique { return a.techs }
 // the disk layout code; ordinary callers should use Query/Update.
 func (a *Array) Cells() []float64 { return a.cells }
 
-// CellAt reads one pre-aggregated cell without cost accounting.
-func (a *Array) CellAt(x []int) float64 { return a.cells[a.shape.Flatten(x)] }
-
 // Clone returns a deep copy (cost counter reset).
 func (a *Array) Clone() *Array {
 	c := &Array{

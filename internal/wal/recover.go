@@ -216,6 +216,5 @@ func Recover(dir string, opts Options, newCube func() (*core.Cube, error)) (*cor
 		l.durableBytes = segHeaderSize
 		l.segCount = 1
 	}
-	l.startSyncLoop()
 	return cube, l, res, nil
 }

@@ -18,7 +18,7 @@ package wal
 // still lose in a crash. A staged record is never rolled back either:
 // the fsync-failure repair (reopenAfterSyncFailureLocked) rewrites the
 // unsynced tail at its original LSNs, so an LSN is never reused for a
-// different op, shipped or not. Under SyncInterval/SyncNever no fsync
+// different op, shipped or not. Under SyncNever no fsync
 // stands between a record and its acknowledgement, and the frontier is
 // simply the last staged LSN. Either way an acknowledged write is
 // shippable, and a shipped write is as durable as an acknowledged one.

@@ -59,26 +59,21 @@ const (
 	// Append returns, and Commit(lsn) returns, only once an fsync covers
 	// the record. Concurrent commits share one fsync (group commit).
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a timer (Options.SyncEvery): crash loss is
-	// bounded by the interval.
-	SyncInterval
 	// SyncNever leaves flushing to the OS (and to rotation, checkpoint
 	// and Close): fastest, weakest.
 	SyncNever
 )
 
-// ParseSyncPolicy maps the flag spellings "always", "interval" and
-// "never" to a policy.
+// ParseSyncPolicy maps the flag spellings "always" and "never" to a
+// policy.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "always":
 		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
 	case "never":
 		return SyncNever, nil
 	default:
-		return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, interval or never)", s)
+		return 0, fmt.Errorf("wal: unknown fsync policy %q (want always or never)", s)
 	}
 }
 
@@ -87,8 +82,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncInterval:
-		return "interval"
 	case SyncNever:
 		return "never"
 	default:
@@ -102,8 +95,6 @@ type Options struct {
 	SegmentSize int64
 	// Sync is the fsync policy; the zero value is SyncAlways.
 	Sync SyncPolicy
-	// SyncEvery is the SyncInterval period; 0 selects 100ms.
-	SyncEvery time.Duration
 	// KeepCheckpoints retains the newest N checkpoint files (log
 	// segments are kept back to the oldest retained one, so recovery
 	// can fall back past a corrupt checkpoint); 0 selects 2.
@@ -127,9 +118,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentSize <= 0 {
 		o.SegmentSize = 4 << 20
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 100 * time.Millisecond
 	}
 	if o.KeepCheckpoints <= 0 {
 		o.KeepCheckpoints = 2
@@ -211,9 +199,6 @@ type Log struct {
 	// opened, unconditionally (unlike the optional Metrics counter).
 	// Atomic so per-request tracing can delta it without taking mu.
 	bytesAppended atomic.Int64
-
-	stop chan struct{} // interval-sync goroutine lifecycle
-	done chan struct{}
 }
 
 // AppendedBytes returns the record bytes appended since the log was
@@ -311,29 +296,6 @@ func createSegment(dir string, first uint64) (*os.File, error) {
 	return f, nil
 }
 
-// startSyncLoop launches the interval-fsync goroutine when the policy
-// asks for one.
-func (l *Log) startSyncLoop() {
-	if l.opts.Sync != SyncInterval {
-		return
-	}
-	l.stop = make(chan struct{})
-	l.done = make(chan struct{})
-	go func() {
-		t := time.NewTicker(l.opts.SyncEvery)
-		defer t.Stop()
-		defer close(l.done)
-		for {
-			select {
-			case <-l.stop:
-				return
-			case <-t.C:
-				_ = l.Sync() // best effort; Append surfaces hard errors
-			}
-		}
-	}()
-}
-
 // Append stages one op and commits it: under SyncAlways the record is
 // durable when Append returns. It is Stage followed by Commit — when
 // Commit fails the record stays staged at its LSN (it becomes durable
@@ -412,9 +374,9 @@ func (l *Log) Stage(op core.Op) (uint64, error) {
 }
 
 // Commit returns once the record staged at lsn is durable: the commit
-// barrier behind every acknowledgement under SyncAlways (under the
-// other policies it returns nil at once — they acknowledge without an
-// fsync). It is a group commit: the first committer in becomes the
+// barrier behind every acknowledgement under SyncAlways (under
+// SyncNever it returns nil at once — that policy acknowledges without
+// an fsync). It is a group commit: the first committer in becomes the
 // leader, fsyncs everything staged so far with mu released — other
 // callers keep staging while the disk works — and publishes the new
 // durable LSN; the committers queued on syncMu behind it then find
@@ -607,7 +569,7 @@ func (l *Log) latchedSyncErrLocked() error {
 // Their clients were told ERR, so they resolve as "applied" — the
 // outcome an unacknowledged write is always allowed to have. A crash
 // mid-repair loses at most those never-acknowledged records (under
-// SyncInterval/SyncNever: the bounded window those policies accept).
+// SyncNever: the window that policy accepts).
 // Any failure here keeps the latch, so callers stay degraded until a
 // later Stage retries the repair from the top. No group fsync can be in
 // flight: one that fails sets the latch only after it finished, and
@@ -652,11 +614,6 @@ func (l *Log) Sync() error {
 // Close flushes, fsyncs and closes the log. Further appends fail with
 // ErrClosed.
 func (l *Log) Close() error {
-	if l.stop != nil {
-		close(l.stop)
-		<-l.done
-		l.stop = nil
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.awaitSyncIdleLocked()

@@ -387,7 +387,7 @@ func TestParseSyncPolicy(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want SyncPolicy
-	}{{"always", SyncAlways}, {"interval", SyncInterval}, {"never", SyncNever}} {
+	}{{"always", SyncAlways}, {"never", SyncNever}} {
 		got, err := ParseSyncPolicy(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseSyncPolicy(%q) = %v, %v", tc.in, got, err)
@@ -396,8 +396,10 @@ func TestParseSyncPolicy(t *testing.T) {
 			t.Errorf("String() = %q, want %q", got.String(), tc.in)
 		}
 	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Error("bad policy accepted")
+	for _, bad := range []string{"sometimes", "interval"} {
+		if _, err := ParseSyncPolicy(bad); err == nil {
+			t.Errorf("bad policy %q accepted", bad)
+		}
 	}
 }
 
