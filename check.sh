@@ -131,11 +131,14 @@ step_traceguard() {
 }
 
 step_perfguard() {
-    echo "== latency-histogram overhead guard (Histogram.Observe <= 150 ns, 0 allocs) =="
+    echo "== serving-path overhead guards (Histogram.Observe <= 150 ns, 0 allocs; served QRY <= 22 allocs) =="
     # What every served request pays to be timed, once per request and
-    # once per stage. Same regime as the tracer guard: un-instrumented
-    # timings only.
+    # once per stage, and what one served QRY allocates in all: its
+    # parse, one slab for its span tree, its deadline context (no timer)
+    # and its reply. Same regime as the tracer guard: un-instrumented
+    # runs only.
     go test -count=1 -run TestHistogramObserveOverhead ./internal/obs/
+    go test -count=1 -run TestServedQueryAllocs ./cmd/histserve/
 }
 
 step_explain() {

@@ -13,7 +13,7 @@ import (
 	"histcube/internal/trace"
 )
 
-func newQuietServer(t *testing.T, dims, op string, ooo bool) *server {
+func newQuietServer(t testing.TB, dims, op string, ooo bool) *server {
 	t.Helper()
 	srv, err := newServer(dims, op, ooo)
 	if err != nil {

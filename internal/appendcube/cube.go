@@ -378,36 +378,21 @@ func (c *Cube) budget() int {
 	return int((2+backlog)*base) + 8
 }
 
-// copyAheadDone reports whether the copy-ahead loop should stop
-// because the request's context is done (done == nil, the Background
-// case, short-circuits to one comparison). A done context stops the
-// loop without error: copy-ahead is amortisation, not correctness, so
-// a request running out of deadline simply leaves the remaining copy
-// work to later updates.
-func copyAheadDone(done <-chan struct{}) bool {
-	if done == nil {
-		return false
-	}
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
-}
-
 // copyAheadCells is the in-memory policy of Fig. 8 step 4: while the
 // operation's total cost is below the budget, copy the value of the
 // cursor cell one slice ahead, or advance the cursor if the cell is
 // current. Cursor advances count as work (one cache inspection).
+//
+// A request whose context is done stops the loop without error:
+// copy-ahead is amortisation, not correctness, so a request running out
+// of deadline simply leaves the remaining copy work to later updates.
 func (c *Cube) copyAheadCells(ctx context.Context, used, budget int) (int, error) {
 	latest := int32(c.dir.Len() - 1)
-	done := ctx.Done()
 	work := 0
 	for used+work < budget && c.minTS < int(latest) {
 		// Poll every 64 cell steps; each step is a handful of memory
 		// accesses, so a finer poll would dominate the loop.
-		if work&63 == 0 && copyAheadDone(done) {
+		if work&63 == 0 && ctx.Err() != nil {
 			return work, nil
 		}
 		cell := &c.cache[c.z]
@@ -435,13 +420,12 @@ func (c *Cube) copyAheadCells(ctx context.Context, used, budget int) (int, error
 func (c *Cube) copyAheadPages(ctx context.Context) (int, error) {
 	ds := c.store.(*DiskStore)
 	latest := c.dir.Len() - 1
-	done := ctx.Done()
 	work := 0
 	for page := 0; page < c.copyPages; page++ {
 		s := c.minTS
 		// Poll per page: one iteration moves up to a whole page of
 		// cells (2048 at the default page size).
-		if s >= latest || copyAheadDone(done) {
+		if s >= latest || ctx.Err() != nil {
 			return work, nil
 		}
 		per := ds.CellsPerPage()

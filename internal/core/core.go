@@ -254,12 +254,8 @@ func (c *Cube) InsertCtx(ctx context.Context, t int64, coords []int, v float64) 
 }
 
 // ctxErr is the single pre-log cancellation check of the mutation
-// paths. The ctx.Done() == nil fast path keeps the Background case at
-// one comparison, preserving the trace-overhead guarantee.
+// paths: one Err poll, which makes no channel.
 func ctxErr(ctx context.Context, what string) error {
-	if ctx.Done() == nil {
-		return nil
-	}
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: %s canceled before logging: %w", what, err)
 	}

@@ -104,7 +104,7 @@ func (en *Engine) PrefixTraced(sp *trace.Span, cs CellStore, x []int) float64 {
 	if !en.shape.Contains(x) {
 		panic("ecube: prefix coordinate outside shape")
 	}
-	var ctx evalCtx
+	ctx := evalCtx{cctx: context.Background()}
 	v := en.prefixRec(cs, x, &ctx)
 	sp.Add(trace.CellsTouched, int64(ctx.loads))
 	sp.Add(trace.Conversions, int64(ctx.converts))
@@ -116,16 +116,14 @@ func (en *Engine) PrefixTraced(sp *trace.Span, cs CellStore, x []int) float64 {
 // bound (the map is allocated on the first declined StorePS only),
 // plus the evaluation's own load/conversion counts so a trace span can
 // attribute cost to one request without reading the shared atomics.
-// done/cctx/err implement cooperative cancellation: done is polled
-// every 64 loads (nil when the context cannot be canceled, which
-// short-circuits the poll to one comparison), and once err is set the
-// whole recursion unwinds without touching further cells and without
-// persisting any value computed from the abandoned subtree.
+// cctx/err implement cooperative cancellation: cctx.Err is polled every
+// 64 loads (Err, not Done, so the poll makes no channel), and once err
+// is set the whole recursion unwinds without touching further cells and
+// without persisting any value computed from the abandoned subtree.
 type evalCtx struct {
 	memo     map[int]float64
 	loads    int
 	converts int
-	done     <-chan struct{}
 	cctx     context.Context
 	err      error
 }
@@ -143,12 +141,10 @@ func (en *Engine) prefixRec(cs CellStore, x []int, ctx *evalCtx) float64 {
 	}
 	en.loads.Add(1)
 	ctx.loads++
-	if ctx.done != nil && ctx.loads&63 == 0 {
-		select {
-		case <-ctx.done:
-			ctx.err = fmt.Errorf("ecube: query canceled after %d cell loads: %w", ctx.loads, ctx.cctx.Err())
+	if ctx.loads&63 == 0 {
+		if err := ctx.cctx.Err(); err != nil {
+			ctx.err = fmt.Errorf("ecube: query canceled after %d cell loads: %w", ctx.loads, err)
 			return 0
-		default:
 		}
 	}
 	val, ps := cs.Load(off)
@@ -205,22 +201,17 @@ func (en *Engine) prefixRec(cs CellStore, x []int, ctx *evalCtx) float64 {
 // reduction: at most 2^d corner prefix queries with alternating signs,
 // corners with a -1 coordinate contributing zero.
 func (en *Engine) Range(cs CellStore, b dims.Box) (float64, error) {
-	return en.RangeTraced(nil, cs, b)
+	return en.RangeCtx(context.Background(), nil, cs, b)
 }
 
-// RangeTraced is Range with per-request cost attribution (see
-// PrefixTraced): the query's cell loads and persisted DDC->PS
-// conversions land on sp. As the slice converges to PS form the
-// recorded CellsTouched falls from the (2 log2 N)^(d-1) DDC bound to
-// the 2^(d-1) corner count — Figures 10/11, observable per query.
-func (en *Engine) RangeTraced(sp *trace.Span, cs CellStore, b dims.Box) (float64, error) {
-	return en.RangeCtx(context.Background(), sp, cs, b)
-}
-
-// RangeCtx is RangeTraced with cooperative cancellation: the corner
-// prefix evaluations share one evalCtx, whose done channel is polled
-// every 64 cell loads. On cancellation the query returns ctx's error;
-// no partially computed PS value is persisted.
+// RangeCtx is Range with per-request cost attribution (see
+// PrefixTraced) and cooperative cancellation. The query's cell loads
+// and persisted DDC->PS conversions land on sp: as the slice converges
+// to PS form the recorded CellsTouched falls from the (2 log2 N)^(d-1)
+// DDC bound to the 2^(d-1) corner count — Figures 10/11, observable per
+// query. The corner prefix evaluations share one evalCtx, which polls
+// cctx.Err every 64 cell loads. On cancellation the query returns ctx's
+// error; no partially computed PS value is persisted.
 func (en *Engine) RangeCtx(cctx context.Context, sp *trace.Span, cs CellStore, b dims.Box) (float64, error) {
 	if err := b.Validate(en.shape); err != nil {
 		return 0, err
@@ -228,7 +219,7 @@ func (en *Engine) RangeCtx(cctx context.Context, sp *trace.Span, cs CellStore, b
 	d := len(en.shape)
 	corner := make([]int, d)
 	total := 0.0
-	ctx := &evalCtx{done: cctx.Done(), cctx: cctx}
+	ctx := &evalCtx{cctx: cctx}
 	for mask := 0; mask < 1<<uint(d); mask++ {
 		feasible := true
 		for i := 0; i < d; i++ {

@@ -12,6 +12,7 @@ import (
 	"os/signal"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -486,12 +487,77 @@ func (s *Server) finish(rq *Request) {
 	s.Latency[label].Observe(time.Since(rq.start).Seconds())
 }
 
-// RequestCtx derives the per-request context from -request-timeout.
+// RequestCtx derives the per-request context from -request-timeout. Its
+// deadline is polled, not timed: Err reads the clock and, once the
+// deadline has passed, cancels the context. A runtime timer exists only
+// when something waits on Done (histproxy's fan-out does; nothing on
+// histserve does).
 func (s *Server) RequestCtx() (context.Context, context.CancelFunc) {
 	if s.ReqTimeout <= 0 {
 		return context.Background(), func() {}
 	}
-	return context.WithTimeout(context.Background(), s.ReqTimeout)
+	c := &deadlineCtx{deadline: time.Now().Add(s.ReqTimeout)}
+	return c, c.cancel
+}
+
+// deadlineCtx is RequestCtx's context. Until the first Done it is a
+// deadline and an error; the first Done hands the deadline to a context
+// from context.WithDeadline, whose timer and channel then govern Err and
+// Done both, and whose Value lets a child context hang off it directly.
+type deadlineCtx struct {
+	deadline time.Time
+	mu       sync.Mutex
+	err      error              // guarded by mu; Canceled or DeadlineExceeded, read while timed is nil
+	timed    context.Context    // guarded by mu; made by the first Done
+	stop     context.CancelFunc // guarded by mu; timed's cancel
+}
+
+func (c *deadlineCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+func (c *deadlineCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.timed != nil {
+		return c.timed.Err()
+	}
+	if c.err == nil && !time.Now().Before(c.deadline) {
+		c.err = context.DeadlineExceeded
+	}
+	return c.err
+}
+
+func (c *deadlineCtx) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.timed == nil {
+		// A deadline already past makes no timer; an earlier cancel is
+		// replayed on the new context so Err keeps its answer.
+		c.timed, c.stop = context.WithDeadline(context.Background(), c.deadline)
+		if c.err == context.Canceled {
+			c.stop()
+		}
+	}
+	return c.timed.Done()
+}
+
+func (c *deadlineCtx) Value(key any) any {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.timed == nil {
+		return nil
+	}
+	return c.timed.Value(key)
+}
+
+func (c *deadlineCtx) cancel() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil {
+		c.err = context.Canceled
+	}
+	if c.stop != nil {
+		c.stop()
+	}
 }
 
 // Observe retains one finished request trace: every request enters the

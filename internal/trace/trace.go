@@ -12,6 +12,14 @@
 // nothing. The overhead is pinned by a benchmark-backed regression
 // test (overhead_test.go, <= 5 ns/op).
 //
+// When it is on — every request a server serves — a span tree costs
+// one allocation: New takes a slab that holds the root and the tree's
+// next six spans, StartChild takes the next free one, and each span
+// keeps its first two attributes and three children inline. Only a
+// tree past the slab, or a span past those sizes, allocates again. A
+// served QRY on histserve allocates 18 objects in all, parse and reply
+// included (cmd/histserve's TestServedQueryAllocs guards <= 22).
+//
 // Spans are NOT safe for concurrent use: a span tree belongs to one
 // request on one goroutine, which is exactly the serving contract of
 // cmd/histserve (all cube calls serialise under the server mutex).
@@ -23,6 +31,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -97,13 +106,14 @@ const (
 	kindBool
 )
 
-// Attr is one typed key/value attribute on a span.
+// Attr is one typed key/value attribute on a span. An int and a float
+// payload share n (a float as its IEEE 754 bits), which keeps the
+// attributes a span holds inline small.
 type Attr struct {
 	Key  string
-	kind attrKind
-	i    int64
 	s    string
-	f    float64
+	n    uint64
+	kind attrKind
 	b    bool
 }
 
@@ -111,11 +121,11 @@ type Attr struct {
 func (a Attr) Value() string {
 	switch a.kind {
 	case kindInt:
-		return strconv.FormatInt(a.i, 10)
+		return strconv.FormatInt(int64(a.n), 10)
 	case kindStr:
 		return a.s
 	case kindFloat:
-		return strconv.FormatFloat(a.f, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(a.n), 'g', -1, 64)
 	default:
 		return strconv.FormatBool(a.b)
 	}
@@ -125,11 +135,11 @@ func (a Attr) Value() string {
 func (a Attr) value() any {
 	switch a.kind {
 	case kindInt:
-		return a.i
+		return int64(a.n)
 	case kindStr:
 		return a.s
 	case kindFloat:
-		return a.f
+		return math.Float64frombits(a.n)
 	default:
 		return a.b
 	}
@@ -147,6 +157,25 @@ type Span struct {
 	attrs    []Attr
 	children []*Span
 	counters [NumCounters]int64
+	// The first attributes and children live in these arrays; append
+	// moves them to the heap only past their size.
+	attrBuf  [inlineAttrs]Attr
+	childBuf [inlineChildren]*Span
+	tree     *slab // where StartChild takes its next span; nil for decoded spans
+}
+
+const (
+	inlineAttrs    = 2 // every histcube span sets at most two
+	inlineChildren = 3 // histcube.query's two prefixes and the OOO buffer
+	slabSpans      = 7 // a served QRY's whole tree on a SUM cube
+)
+
+// slab is the one allocation behind a span tree: New takes its first
+// span for the root, StartChild the next free ones. Spans past the
+// slab's size are allocated one by one.
+type slab struct {
+	spans [slabSpans]Span
+	used  int
 }
 
 // New starts a root span with a freshly generated TraceID — the edge
@@ -154,7 +183,8 @@ type Span struct {
 // contract: constant dotted snake_case under the histcube. or
 // histserve. prefix, enforced by histlint's metricname analyzer.
 func New(name string) *Span {
-	return &Span{name: name, start: time.Now(), traceID: NewID(), spanID: NewID()}
+	sl := &slab{used: 1}
+	return sl.spans[0].open(name, NewID(), sl)
 }
 
 // StartChild starts and appends a child span inheriting the parent's
@@ -164,9 +194,36 @@ func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{name: name, start: time.Now(), traceID: s.traceID, spanID: NewID()}
-	s.children = append(s.children, c)
+	var c *Span
+	if sl := s.tree; sl != nil && sl.used < slabSpans {
+		c = &sl.spans[sl.used]
+		sl.used++
+	} else {
+		c = new(Span)
+	}
+	s.adopt(c.open(name, s.traceID, s.tree))
 	return c
+}
+
+func (s *Span) open(name string, traceID ID, tree *slab) *Span {
+	s.name, s.start, s.traceID, s.spanID, s.tree = name, time.Now(), traceID, NewID(), tree
+	return s
+}
+
+// adopt appends a child, into childBuf while it has room.
+func (s *Span) adopt(c *Span) {
+	if s.children == nil {
+		s.children = s.childBuf[:0]
+	}
+	s.children = append(s.children, c)
+}
+
+// set appends an attribute, into attrBuf while it has room.
+func (s *Span) set(a Attr) {
+	if s.attrs == nil {
+		s.attrs = s.attrBuf[:0]
+	}
+	s.attrs = append(s.attrs, a)
 }
 
 // TraceID returns the request-wide trace identifier (zero for nil).
@@ -205,7 +262,7 @@ func (s *Span) Graft(child *Span) {
 	if s == nil || child == nil {
 		return
 	}
-	s.children = append(s.children, child)
+	s.adopt(child)
 }
 
 // End fixes the span's duration. Ending twice keeps the first
@@ -234,7 +291,7 @@ func (s *Span) SetInt(key string, v int64) {
 	if s == nil {
 		return
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, kind: kindInt, i: v})
+	s.set(Attr{Key: key, kind: kindInt, n: uint64(v)})
 }
 
 // SetStr attaches a string attribute.
@@ -242,7 +299,7 @@ func (s *Span) SetStr(key, v string) {
 	if s == nil {
 		return
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, kind: kindStr, s: v})
+	s.set(Attr{Key: key, kind: kindStr, s: v})
 }
 
 // SetFloat attaches a float attribute.
@@ -250,7 +307,7 @@ func (s *Span) SetFloat(key string, v float64) {
 	if s == nil {
 		return
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, kind: kindFloat, f: v})
+	s.set(Attr{Key: key, kind: kindFloat, n: math.Float64bits(v)})
 }
 
 // SetBool attaches a boolean attribute.
@@ -258,7 +315,7 @@ func (s *Span) SetBool(key string, v bool) {
 	if s == nil {
 		return
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, kind: kindBool, b: v})
+	s.set(Attr{Key: key, kind: kindBool, b: v})
 }
 
 // Name returns the span name ("" for nil).
