@@ -131,7 +131,7 @@ step_traceguard() {
 }
 
 step_perfguard() {
-    echo "== serving-path overhead guards (Histogram.Observe <= 150 ns, 0 allocs; served QRY <= 22 allocs) =="
+    echo "== serving-path overhead guards (Histogram.Observe <= 150 ns, 0 allocs; served QRY <= 22 allocs; one write per group commit) =="
     # What every served request pays to be timed, once per request and
     # once per stage, and what one served QRY allocates in all: its
     # parse, one slab for its span tree, its deadline context (no timer)
@@ -139,6 +139,8 @@ step_perfguard() {
     # runs only.
     go test -count=1 -run TestHistogramObserveOverhead ./internal/obs/
     go test -count=1 -run TestServedQueryAllocs ./cmd/histserve/
+    # N records committed together cost one write(2) and one fsync.
+    go test -count=1 -run TestCommitWritesOnce ./internal/wal/
 }
 
 step_explain() {

@@ -46,7 +46,9 @@ func chaosQuery(t *testing.T, srv *server) float64 {
 // state machine: a persistent out-of-space fault flips the server
 // read-only (mutations rejected, queries served, /readyz 503, STATS
 // degraded=1), healing the fault lets the next probe mutation through,
-// and the server returns to normal service.
+// and the server returns to normal service. The write fails at the
+// commit, after the op was applied: the nacked insert is in the cube
+// (indeterminate, as after a failed fsync) and the repair keeps it.
 func TestChaosReadOnlyDegradationAndRecovery(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
 	srv.Inj = fault.MustParse("wal.write:nospace@4+", 1)
@@ -99,9 +101,10 @@ func TestChaosReadOnlyDegradationAndRecovery(t *testing.T) {
 	if !strings.HasPrefix(resp, "ERR read-only:") {
 		t.Fatalf("degraded INS -> %q, want ERR read-only", resp)
 	}
-	// Queries keep serving the historic data exactly.
-	if got := chaosQuery(t, srv); got != float64(acked) {
-		t.Fatalf("degraded QRY = %v, want %d", got, acked)
+	// Queries keep serving the historic data exactly: every acked insert
+	// and the nacked one.
+	if got := chaosQuery(t, srv); got != float64(acked+1) {
+		t.Fatalf("degraded QRY = %v, want acked+nacked = %d", got, acked+1)
 	}
 	stats, _ := srv.safeDispatch(0, "STATS")
 	if !strings.Contains(stats, "degraded=1") {
@@ -140,8 +143,8 @@ func TestChaosReadOnlyDegradationAndRecovery(t *testing.T) {
 	if got := readyz(); got != http.StatusOK {
 		t.Fatalf("/readyz after recovery -> %d", got)
 	}
-	if got := chaosQuery(t, srv); got != float64(acked+1) {
-		t.Fatalf("post-recovery QRY = %v, want %d", got, acked+1)
+	if got := chaosQuery(t, srv); got != float64(acked+2) {
+		t.Fatalf("post-recovery QRY = %v, want %d", got, acked+2)
 	}
 	srv.shutdown()
 }
@@ -244,14 +247,19 @@ func TestChaosPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestChaosPanicUnderMutexReleasesIt panics inside the op sink, i.e.
-// under the cube mutex: the deferred unlock must release it while the
-// panic travels up to the serving core's barrier, so the request
-// answers ERR internal and the next ones find the mutex free.
+// TestChaosPanicUnderMutexReleasesIt panics inside the every-N
+// checkpoint, i.e. under the cube mutex (its write of the staged tail is
+// the one segment write that still runs there): the deferred unlock must
+// release the mutex while the panic travels up to the serving core's
+// barrier, so the request answers ERR internal and the next ones find
+// the mutex free. The insert was applied before the checkpoint ran, so
+// its outcome is indeterminate; the next commit writes it.
 func TestChaosPanicUnderMutexReleasesIt(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
 	srv.Inj = fault.MustParse("wal.write:panic@2", 1)
-	enableChaosWAL(t, srv, filepath.Join(t.TempDir(), "data"))
+	if _, err := srv.enableDurability(filepath.Join(t.TempDir(), "data"), wal.Options{Sync: wal.SyncAlways}, 2); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(srv.shutdown)
 	c := dial(t, serveOn(t, srv))
 	if got := c.cmd(t, "INS 1 2 3 5"); got != "OK" {
@@ -263,19 +271,23 @@ func TestChaosPanicUnderMutexReleasesIt(t *testing.T) {
 	if n := srv.Panics.Value(); n != 1 {
 		t.Fatalf("recovered-panic counter = %d, want 1", n)
 	}
-	if got := c.cmd(t, "QRY 0 5 0 0 7 7"); got != "5" {
-		t.Fatalf("post-panic QRY -> %q, want 5 (mutex poisoned?)", got)
+	if got := c.cmd(t, "QRY 0 5 0 0 7 7"); got != "7" {
+		t.Fatalf("post-panic QRY -> %q, want 7 (mutex poisoned?)", got)
 	}
 	if got := c.cmd(t, "INS 3 2 3 2"); got != "OK" {
 		t.Fatalf("post-panic INS -> %q", got)
 	}
+	if got := c.cmd(t, "QRY 0 5 0 0 7 7"); got != "9" {
+		t.Fatalf("QRY after the next commit -> %q, want 9", got)
+	}
 }
 
 // TestChaosFollowerApplyPanicIsContained panics inside a follower's WAL
-// write while it stages a shipped record. The link is served by the
-// serving core, so its barrier recovers the panic as it would a
-// client's; the session ends, and the follower re-subscribes behind its
-// real log end and converges on the primary.
+// write while it commits a shipped record it already applied. The link
+// is served by the serving core, so its barrier recovers the panic as it
+// would a client's; the session ends, the follower repairs its latched
+// log — the applied record becomes durable at its LSN — re-subscribes
+// behind that end and converges on the primary.
 func TestChaosFollowerApplyPanicIsContained(t *testing.T) {
 	primary, _ := newDurableServer(t, t.TempDir(), 0)
 	paddr := serveOn(t, primary)
@@ -286,9 +298,19 @@ func TestChaosFollowerApplyPanicIsContained(t *testing.T) {
 	t.Cleanup(func() { follower.promote(0) }) // ends the follow loop
 
 	pc := dial(t, paddr)
-	for i := 1; i <= 3; i++ {
-		pc.expect(t, fmt.Sprintf("INS %d 0 0 1", i), "OK")
-	}
+	// The follower commits what arrives together with one write, so the
+	// first record is made to arrive alone: the panic then fires on the
+	// commit of the second while it is the newest record. No later record
+	// repairs the log, so the follower must before it re-subscribes.
+	pc.expect(t, "INS 1 0 0 1", "OK")
+	waitUntil(t, 10*time.Second, "first record applied", func() bool { return follower.repl.applied.Load() == 1 })
+	pc.expect(t, "INS 2 0 0 1", "OK")
+	waitUntil(t, 10*time.Second, "the panicked record made durable", func() bool {
+		follower.mu.Lock()
+		defer follower.mu.Unlock()
+		return follower.wal.ShippedLSN() == 2 // the durable LSN, under -fsync always
+	})
+	pc.expect(t, "INS 3 0 0 1", "OK")
 	waitUntil(t, 10*time.Second, "follower convergence", func() bool { return follower.repl.applied.Load() == 3 })
 	if n := follower.Panics.Value(); n != 1 {
 		t.Fatalf("recovered-panic counter = %d, want 1", n)
@@ -363,9 +385,11 @@ func TestChaosGovernanceLimits(t *testing.T) {
 
 // TestChaosBinaryDegradeKillRecover is the end-to-end acceptance run:
 // the real binary with an armed -fault-spec fills its disk mid-
-// workload, degrades to read-only while still answering queries, is
-// SIGKILLed, and a healthy restart on the same directory serves
-// exactly the acknowledged records — nothing lost, nothing invented.
+// workload, degrades to read-only while still answering queries (the
+// acked records plus the nacked one whose write failed at its commit,
+// already applied), is SIGKILLed, and a healthy restart on the same
+// directory serves exactly the acknowledged records — nothing lost,
+// nothing invented.
 func TestChaosBinaryDegradeKillRecover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos binary test builds and kills real processes")
@@ -405,8 +429,8 @@ func TestChaosBinaryDegradeKillRecover(t *testing.T) {
 		t.Fatalf("workload saw acked=%d readonly=%v; the fault schedule did not engage", acked, readonlySeen)
 	}
 	// Degraded, but still serving queries, exactly.
-	if got := query(t, conn, "QRY 0 1000000 0 0 7 7"); got != float64(acked) {
-		t.Fatalf("degraded query = %v, want acked=%d", got, acked)
+	if got := query(t, conn, "QRY 0 1000000 0 0 7 7"); got != float64(acked+1) {
+		t.Fatalf("degraded query = %v, want acked+nacked = %d", got, acked+1)
 	}
 
 	// Pull the plug mid-degradation.

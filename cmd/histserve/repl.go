@@ -189,6 +189,21 @@ func (s *server) walLastLSN() uint64 {
 	return s.wal.LastLSN()
 }
 
+// durableLogEnd makes every record the follower's log holds durable and
+// returns the log's end: a session whose commit failed or panicked left
+// records applied but not durable, and the stream must not resume past
+// them before Sync repairs the log. No link serves yet, so nothing
+// stages concurrently.
+func (s *server) durableLogEnd() (uint64, error) {
+	s.mu.Lock()
+	wl := s.wal
+	s.mu.Unlock()
+	if wl == nil {
+		return 0, nil
+	}
+	return wl.LastLSN(), wl.Sync()
+}
+
 // ---------------------------------------------------------------------------
 // Primary side: serving REPLICATE connections and aggregating ACKs.
 
@@ -556,8 +571,13 @@ func (s *server) followOnce(r *replState) error {
 		case <-done:
 		}
 	}()
-	if _, err := fmt.Fprintf(conn, "REPLICATE FROM %d\n", s.walLastLSN()+1); err != nil {
-		_ = conn.Close() // the write error is the actionable one
+	end, err := s.durableLogEnd()
+	if err == nil {
+		r.applied.Store(end)
+		_, err = fmt.Fprintf(conn, "REPLICATE FROM %d\n", end+1)
+	}
+	if err != nil {
+		_ = conn.Close() // the repair or write error is the actionable one
 		return err
 	}
 	r.ended = errors.New("primary closed the replication stream")

@@ -174,9 +174,11 @@ const (
 
 var stageNames = [numStages]string{"cube_insert", "cube_delete", "cube_query", "commit_wait", "repl_ack_wait"}
 
-// errWALAppend marks an op-sink failure: the WAL could not append the
-// mutation, so it was never applied. isStorageFailure keys off it to
-// flip the server read-only.
+// errWALAppend marks a WAL failure on a mutation's path. From the op
+// sink (Stage refused the op) it was never applied; from the commit
+// barrier (the write or fsync failed) it was applied and keeps its LSN,
+// and its outcome is indeterminate. isStorageFailure keys off it to flip
+// the server read-only.
 var errWALAppend = errors.New("wal append failed")
 
 // server is one histserve instance.

@@ -119,6 +119,11 @@ func TestAppendRollsBackTornWrite(t *testing.T) {
 	}
 }
 
+// TestAppendFailsFastOnNoSpace pins where a failed write surfaces: at
+// the Commit that writes the record, not at its Stage. A full disk is
+// permanent, so the commit fails after exactly one write attempt and
+// latches the log; the record keeps its LSN, and once the fault clears
+// the repair writes it where it was.
 func TestAppendFailsFastOnNoSpace(t *testing.T) {
 	dir := t.TempDir()
 	inj := fault.MustParse("wal.write:nospace@2+", 1)
@@ -126,20 +131,111 @@ func TestAppendFailsFastOnNoSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
 	if _, err := l.Append(testOp(0)); err != nil {
 		t.Fatalf("append 1: %v", err)
 	}
 	_, err = l.Append(testOp(1))
-	if !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("append 2 = %v, want ENOSPC to surface", err)
+	if !errors.Is(err, syscall.ENOSPC) || !retry.IsPermanent(err) {
+		t.Fatalf("append 2 = %v, want a permanent ENOSPC from its commit", err)
 	}
-	// A full disk is permanent: exactly one write attempt, no retries.
 	if got := inj.Ops("wal.write"); got != 2 {
 		t.Fatalf("write ops = %d, want 2 (ENOSPC must not be retried)", got)
 	}
-	if got := l.LastLSN(); got != 1 {
-		t.Fatalf("LastLSN = %d, want 1 (failed append must not advance)", got)
+	if got := l.LastLSN(); got != 2 {
+		t.Fatalf("LastLSN = %d, want 2 (the nacked record keeps its LSN)", got)
+	}
+	if got := l.ShippedLSN(); got != 1 {
+		t.Fatalf("shipping frontier = %d, want 1 (LSN 2 was never written)", got)
+	}
+
+	inj.Heal()
+	if lsn, err := l.Append(testOp(2)); err != nil || lsn != 3 {
+		t.Fatalf("append after the fault cleared = %d, %v; want LSN 3", lsn, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, l2, res, err := wal.Recover(dir, wal.Options{}, newCube(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if res.Replayed != 3 || res.TornTail {
+		t.Fatalf("recovery = %+v, want all 3 records and no torn tail", res)
+	}
+}
+
+// TestCommitLeaderPanicDoesNotWedgeTheLog panics inside the commit
+// leader's write and then its fsync. The leader must leave the log
+// idle and latched on its way out: a Checkpoint and a Close after it
+// return instead of waiting forever for the group commit to end.
+func TestCommitLeaderPanicDoesNotWedgeTheLog(t *testing.T) {
+	for _, spec := range []string{"wal.write:panic@1", "wal.sync:panic@1"} {
+		t.Run(spec, func(t *testing.T) {
+			inj := fault.MustParse(spec, 1)
+			cube, l, _, err := wal.Recover(t.TempDir(), faultOptions(inj, wal.Options{Sync: wal.SyncAlways}), newCube(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lsn, err := l.Stage(testOp(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("the injected panic did not fire")
+					}
+				}()
+				_ = l.Commit(lsn)
+			}()
+			if err := l.Commit(lsn); !retry.IsPermanent(err) {
+				t.Fatalf("Commit after the leader panicked = %v, want the permanent latched error", err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := l.Checkpoint(cube.Save)
+				if cerr := l.Close(); err == nil {
+					err = cerr
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !retry.IsPermanent(err) {
+					t.Fatalf("Checkpoint/Close on the latched log = %v, want the latched error", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Checkpoint/Close hung: the panicking leader left the log syncing")
+			}
+		})
+	}
+}
+
+// TestCommitWritesOnce is the group-commit cost guard: records staged
+// together and committed once cost exactly one write(2) and, under
+// SyncAlways, one fsync.
+func TestCommitWritesOnce(t *testing.T) {
+	inj := fault.MustParse("wal.write:err@99", 1) // only counts: this test never reaches op 99
+	_, l, _, err := wal.Recover(t.TempDir(), faultOptions(inj, wal.Options{Sync: wal.SyncAlways}), newCube(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var last uint64
+	for i := 0; i < 16; i++ {
+		if last, err = l.Stage(testOp(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := inj.Ops("wal.write"); got != 0 {
+		t.Fatalf("Stage issued %d writes, want 0", got)
+	}
+	if err := l.Commit(last); err != nil {
+		t.Fatal(err)
+	}
+	if w, s := inj.Ops("wal.write"), inj.Ops("wal.sync"); w != 1 || s != 1 {
+		t.Fatalf("committing 16 staged records cost %d writes and %d fsyncs, want 1 and 1", w, s)
 	}
 }
 
@@ -197,13 +293,10 @@ func TestSyncFailureFailsFastThenRepairs(t *testing.T) {
 	if got := m.SyncFailures.Value(); got != 1 {
 		t.Fatalf("sync-failures metric = %v, want 1", got)
 	}
-	// While latched, commits and syncs fail fast without touching the
-	// descriptor again, and nothing past the durable LSN is shippable.
+	// While latched, commits fail fast without touching the descriptor
+	// again, and nothing past the durable LSN is shippable.
 	if err := l.Commit(first); !retry.IsPermanent(err) {
 		t.Fatalf("Commit while latched = %v, want the permanent latched error", err)
-	}
-	if err := l.Sync(); !retry.IsPermanent(err) {
-		t.Fatalf("Sync while latched = %v, want the permanent latched error", err)
 	}
 	if got := inj.Ops("wal.sync"); got != 1 {
 		t.Fatalf("sync ops while latched = %d, want still 1", got)

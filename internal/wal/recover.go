@@ -183,8 +183,8 @@ func Recover(dir string, opts Options, newCube func() (*core.Cube, error)) (*cor
 	// 3. Position the log for appends: continue the last segment, or
 	// start a fresh one.
 	// Everything recovery just read and validated is on disk by
-	// definition, so the opening position doubles as the durable
-	// baseline (durableBytes/durableLSN).
+	// definition, so the opening position doubles as the written and
+	// durable baseline.
 	l := &Log{dir: dir, opts: opts, nextLSN: lastLSN + 1, durableLSN: lastLSN,
 		shippedLSN: lastLSN, ckptLSN: res.CheckpointLSN, segCount: len(segs)}
 	l.syncIdle = sync.NewCond(&l.mu)
@@ -204,7 +204,7 @@ func Recover(dir string, opts Options, newCube func() (*core.Cube, error)) (*cor
 		l.f = l.wrapSeg(f)
 		l.segFirst = sg.seq
 		l.segBytes = fi.Size()
-		l.durableBytes = fi.Size()
+		l.durableBytes, l.writtenBytes = fi.Size(), fi.Size()
 	} else {
 		f, err := createSegment(dir, l.nextLSN)
 		if err != nil {
@@ -213,7 +213,7 @@ func Recover(dir string, opts Options, newCube func() (*core.Cube, error)) (*cor
 		l.f = l.wrapSeg(f)
 		l.segFirst = l.nextLSN
 		l.segBytes = segHeaderSize
-		l.durableBytes = segHeaderSize
+		l.durableBytes, l.writtenBytes = segHeaderSize, segHeaderSize
 		l.segCount = 1
 	}
 	return cube, l, res, nil

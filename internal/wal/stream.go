@@ -18,10 +18,12 @@ package wal
 // still lose in a crash. A staged record is never rolled back either:
 // the fsync-failure repair (reopenAfterSyncFailureLocked) rewrites the
 // unsynced tail at its original LSNs, so an LSN is never reused for a
-// different op, shipped or not. Under SyncNever no fsync
-// stands between a record and its acknowledgement, and the frontier is
-// simply the last staged LSN. Either way an acknowledged write is
-// shippable, and a shipped write is as durable as an acknowledged one.
+// different op, shipped or not. Under SyncNever no fsync stands between
+// a record and its acknowledgement, and the frontier is the last written
+// LSN: a record staged but not yet written by Commit is not in its
+// segment, and a disk catch-up read must not miss it. Either way an
+// acknowledged write is shippable, and a shipped write is as durable as
+// an acknowledged one.
 
 import (
 	"context"
@@ -96,7 +98,7 @@ func (l *Log) notifyWaitersLocked() {
 }
 
 // ShippedLSN returns the shipping frontier: the newest LSN a Stream
-// may deliver (durable under SyncAlways, staged otherwise).
+// may deliver (durable under SyncAlways, written otherwise).
 func (l *Log) ShippedLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()

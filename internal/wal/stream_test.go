@@ -162,6 +162,48 @@ func TestStreamTryNextDrainsWithoutBlocking(t *testing.T) {
 	}
 }
 
+// TestSyncNeverFrontierFollowsTheWrite stages more records than the
+// ring holds and commits them once under SyncNever. Until that Commit
+// nothing is written, so nothing is shippable; after it a Stream from
+// LSN 1 must read the records that fell out of the ring from disk.
+func TestSyncNeverFrontierFollowsTheWrite(t *testing.T) {
+	cube := newTestCube(t)
+	_, l, _, err := Recover(t.TempDir(), Options{Sync: SyncNever}, func() (*core.Cube, error) { return cube, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const k = ringSize + 100
+	var last uint64
+	for i := 0; i < k; i++ {
+		if last, err = l.Stage(core.Op{Kind: core.OpInsert, Time: int64(i), Coords: []int{1, 1}, Value: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if got := l.ShippedLSN(); got != 0 {
+			t.Fatalf("shipping frontier = %d after staging LSN %d, want 0: nothing is written yet", got, last)
+		}
+	}
+	if err := l.Commit(last); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.ShippedLSN(); got != k {
+		t.Fatalf("shipping frontier = %d after the commit, want %d", got, k)
+	}
+	s, err := l.SubscribeFrom(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := streamAll(t, s, k)
+	if len(recs) != k {
+		t.Fatalf("streamed %d records, want %d", len(recs), k)
+	}
+	for i, rec := range recs {
+		if rec.LSN != uint64(i+1) || rec.Op.Value != float64(i) {
+			t.Fatalf("record %d = LSN %d value %v", i, rec.LSN, rec.Op.Value)
+		}
+	}
+}
+
 func TestSubscribeBoundsErrors(t *testing.T) {
 	dir := t.TempDir()
 	cube := newTestCube(t)

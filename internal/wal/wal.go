@@ -15,6 +15,10 @@
 //	wal-<firstLSN>.seg      log segments (16-byte header + records)
 //	checkpoint-<lsn>.ckpt   core.Save snapshots covering LSNs <= lsn
 //
+// Stage frames a record in memory in log order and assigns its LSN;
+// Commit writes everything staged with one write(2) and, under
+// SyncAlways, one fsync, outside every lock its callers stage under.
+//
 // LSNs start at 1 and increase by one per appended record. A
 // checkpoint file named for LSN n makes every record with LSN <= n
 // redundant; checkpointing rotates the active segment and deletes
@@ -106,8 +110,9 @@ type Options struct {
 	// selects retry.Default(). Transient write errors are absorbed
 	// (after rolling back any torn partial write); permanent ones —
 	// ENOSPC, retry.Permanent — surface immediately. fsync is never
-	// retried: a failed fsync latches the log until the segment is
-	// reopened on a fresh descriptor (see latchSyncFailureLocked).
+	// retried. A write that still fails and a failed fsync both latch
+	// the log until the segment is reopened on a fresh descriptor (see
+	// latchSyncFailureLocked).
 	Retry retry.Policy
 	// WrapSegment, when non-nil, wraps every active segment file the
 	// log opens. Fault-injection tests use it to interpose torn writes
@@ -144,7 +149,7 @@ type Log struct {
 	opts Options
 
 	// syncMu elects the group-commit leader: Commit holds it across the
-	// one fsync it runs outside mu, and every committer queued on it
+	// write and fsync it runs outside mu, and every committer queued on it
 	// behind the leader finds its LSN covered when its turn comes. Only
 	// Commit takes it, always before mu (order syncMu -> mu), so a caller
 	// that stages under its own lock never waits here while holding it.
@@ -153,28 +158,29 @@ type Log struct {
 	mu        sync.Mutex
 	f         SegmentFile // active segment; guarded by mu
 	segFirst  uint64      // first LSN of the active segment; guarded by mu
-	segBytes  int64       // bytes written to the active segment; guarded by mu
+	segBytes  int64       // bytes framed into the active segment, staged ones included; guarded by mu
 	segCount  int         // segment files on disk, including the active one; guarded by mu
 	nextLSN   uint64      // guarded by mu
 	sinceCkpt int64       // guarded by mu
 	ckptLSN   uint64      // guarded by mu
 	closed    bool        // guarded by mu
-	buf       []byte      // encode scratch; guarded by mu
 
-	// durableBytes/durableLSN record the active-segment length and last
-	// LSN covered by a successful fsync. unsynced holds the framed bytes
-	// written past durableBytes (len == segBytes-durableBytes): a
-	// successful fsync drops what it covered, and the fsync-failure
-	// repair rewrites the rest from here instead of trusting the page
-	// cache. syncFailed latches an fsync error until
-	// reopenAfterSyncFailureLocked re-establishes a durable baseline.
-	// All guarded by mu.
+	// The active segment's offsets ascend durableBytes <= writtenBytes <=
+	// segBytes: fsynced, written, staged. durableLSN is the last LSN an
+	// fsync covered. unsynced holds the framed bytes past durableBytes
+	// (len == segBytes-durableBytes): Stage appends to it, the commit
+	// leader writes its unwritten suffix, a successful fsync drops what it
+	// covered, and the repair after a failed write or fsync rewrites the
+	// rest from here instead of trusting the page cache. syncFailed
+	// latches that failure until reopenAfterSyncFailureLocked
+	// re-establishes a durable baseline. All guarded by mu.
 	durableBytes int64
+	writtenBytes int64
 	durableLSN   uint64
 	unsynced     []byte
 	syncFailed   error
 
-	// syncing is true while Commit's leader runs its fsync outside mu.
+	// syncing is true while Commit's leader writes and fsyncs outside mu.
 	// Everything that fsyncs or replaces the active descriptor under mu
 	// (rotation, checkpoint, Sync, Close) first waits on syncIdle for it
 	// to finish, so the leader's descriptor and segment stay put and at
@@ -185,10 +191,10 @@ type Log struct {
 
 	// Replication state (see stream.go). shippedLSN is the shipping
 	// frontier, the last LSN a Stream may deliver: the durable LSN under
-	// SyncAlways, the last staged LSN otherwise. ring caches recently
-	// staged records for catch-up reads; waiters holds channels closed
-	// when the frontier advances to wake blocked Streams. All guarded by
-	// mu.
+	// SyncAlways, the last written LSN otherwise, and so also the commit
+	// frontier Commit waits for. ring caches recently staged records for
+	// catch-up reads; waiters holds channels closed when the frontier
+	// advances to wake blocked Streams. All guarded by mu.
 	shippedLSN uint64
 	ring       []streamRec
 	waiters    []chan struct{}
@@ -298,9 +304,9 @@ func createSegment(dir string, first uint64) (*os.File, error) {
 
 // Append stages one op and commits it: under SyncAlways the record is
 // durable when Append returns. It is Stage followed by Commit — when
-// Commit fails the record stays staged at its LSN (it becomes durable
-// with the next successful sync), so a caller that applies what it
-// logs should call Stage, apply, then Commit, as histserve does.
+// Commit fails the record stays staged at its LSN (the repair after the
+// failure makes it durable), so a caller that applies what it logs
+// should call Stage, apply, then Commit, as histserve does.
 func (l *Log) Append(op core.Op) (uint64, error) {
 	lsn, err := l.Stage(op)
 	if err != nil {
@@ -312,17 +318,17 @@ func (l *Log) Append(op core.Op) (uint64, error) {
 	return lsn, nil
 }
 
-// Stage writes one op to the active segment and returns its LSN,
-// without fsyncing: the record is in the log's order but not yet
-// durable, and under SyncAlways must not be acknowledged before
-// Commit(lsn) returns nil. A failed Stage wrote nothing and assigned no
-// LSN.
+// Stage frames one op into the log's in-memory tail and returns its
+// LSN, without writing it: the record must not be acknowledged before
+// Commit(lsn) returns nil. A failed Stage assigned no LSN, so its op must
+// not be applied. Only its repair of a latched log and rotation touch
+// the disk.
 func (l *Log) Stage(op core.Op) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	size := int64(recordSize(op))
 	// Repair and rotation replace the active descriptor. Rotation must
-	// not pull it from under a group fsync in flight; waiting for that
+	// not pull it from under a group commit in flight; waiting for that
 	// releases mu, so every condition is re-evaluated afterwards.
 	for {
 		if l.closed {
@@ -344,118 +350,132 @@ func (l *Log) Stage(op core.Op) (uint64, error) {
 			return 0, err
 		}
 	}
-	rec, err := appendRecord(l.buf[:0], op)
-	if err != nil {
+	framed := len(l.unsynced)
+	var err error
+	if l.unsynced, err = appendRecord(l.unsynced, op); err != nil {
 		return 0, err
 	}
-	l.buf = rec
-	if err := l.writeRecordLocked(rec); err != nil {
-		return 0, err
-	}
-	l.segBytes += int64(len(rec))
-	l.unsynced = append(l.unsynced, rec...)
-	l.bytesAppended.Add(int64(len(rec)))
+	n := int64(len(l.unsynced) - framed)
+	l.segBytes += n
+	l.bytesAppended.Add(n)
 	lsn := l.nextLSN
 	l.nextLSN++
 	l.sinceCkpt++
 	if m := l.opts.Metrics; m != nil {
 		m.Appends.Inc()
-		m.AppendedBytes.Add(int64(len(rec)))
+		m.AppendedBytes.Add(n)
 	}
 	l.ringPutLocked(lsn, op)
-	if l.opts.Sync != SyncAlways {
-		// No fsync stands between this record and its acknowledgement,
-		// so it is shippable now; under SyncAlways the frontier follows
-		// the durable LSN instead (publishDurableLocked).
-		l.shippedLSN = lsn
-		l.notifyWaitersLocked()
-	}
 	return lsn, nil
 }
 
-// Commit returns once the record staged at lsn is durable: the commit
-// barrier behind every acknowledgement under SyncAlways (under
-// SyncNever it returns nil at once — that policy acknowledges without
-// an fsync). It is a group commit: the first committer in becomes the
-// leader, fsyncs everything staged so far with mu released — other
-// callers keep staging while the disk works — and publishes the new
-// durable LSN; the committers queued on syncMu behind it then find
-// themselves covered and return without a syscall. Rotation, checkpoint,
-// Sync and Close make the log durable through its tail and so satisfy
-// parked committers too. A failed fsync fails every committer it did
-// not cover, until the repair in Stage succeeds.
-func (l *Log) Commit(lsn uint64) error {
-	if l.opts.Sync != SyncAlways || lsn == 0 {
+// errLeaderPanicked is what a commit leader that panicked latches.
+var errLeaderPanicked = errors.New("wal: commit leader panicked")
+
+// Commit returns once the record staged at lsn is written and, under
+// SyncAlways, durable: the barrier behind every acknowledgement. It is a
+// group commit: the first committer in leads, writing everything staged
+// so far with one write(2) (and one fsync under SyncAlways) with mu
+// released, then publishes the new frontier; committers queued on syncMu
+// behind it find themselves covered. Rotation, checkpoint, Sync and
+// Close write and fsync the tail too, satisfying parked committers. A
+// failed or panicking write or fsync latches the log and fails every
+// committer it did not cover until a repair (Stage, Sync) succeeds; the
+// records it did not cover keep their LSNs.
+func (l *Log) Commit(lsn uint64) (err error) {
+	if lsn == 0 {
 		return nil
 	}
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
-	f, tail, bytes, err := l.beginGroupSync(lsn)
-	if f == nil {
+	g, err := l.beginGroupCommit(lsn)
+	if g.f == nil {
 		return err
 	}
-	return l.endGroupSync(tail, bytes, f.Sync())
+	// However the leader's turn ends, it ends under mu: syncing is
+	// cleared and anything but success latches the log.
+	err = errLeaderPanicked
+	defer func() { err = l.endGroupCommit(g, err) }()
+	err = l.flush(g.f, g.pending, g.bytes, l.opts.Sync == SyncAlways)
+	return err
 }
 
-// beginGroupSync decides, under mu, whether the committer of lsn must
-// lead an fsync. A nil file means no: err is then the commit's outcome
-// (nil when lsn is already durable). Otherwise it marks the fsync as in
-// flight and returns the descriptor to sync and the tail that sync will
-// cover, for the caller to run with mu released.
-func (l *Log) beginGroupSync(lsn uint64) (f SegmentFile, tail uint64, bytes int64, err error) {
+// groupCommit is one leader's turn: the staged bytes it writes to f,
+// and the segment length and last LSN they end at.
+type groupCommit struct {
+	f       SegmentFile
+	pending []byte
+	bytes   int64
+	tail    uint64
+}
+
+// beginGroupCommit decides, under mu, whether the committer of lsn must
+// lead a commit. A nil file means no: err is then the commit's outcome.
+// Otherwise it marks the commit in flight and returns what the caller
+// writes with mu released; Stage only appends past pending's end
+// meanwhile, so pending needs no copy.
+func (l *Log) beginGroupCommit(lsn uint64) (g groupCommit, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	switch {
-	case l.durableLSN >= lsn:
-		return nil, 0, 0, nil
+	case l.shippedLSN >= lsn:
+		return g, nil
 	case l.syncFailed != nil:
-		return nil, 0, 0, l.latchedSyncErrLocked()
+		return g, l.latchedSyncErrLocked()
 	case l.closed:
-		return nil, 0, 0, ErrClosed
+		return g, ErrClosed
 	case lsn >= l.nextLSN:
-		return nil, 0, 0, fmt.Errorf("wal: commit of LSN %d, but the log ends at %d", lsn, l.nextLSN-1)
+		return g, fmt.Errorf("wal: commit of LSN %d, but the log ends at %d", lsn, l.nextLSN-1)
 	}
 	l.syncing = true
-	return l.f, l.nextLSN - 1, l.segBytes, nil
+	return groupCommit{l.f, l.unsynced[l.writtenBytes-l.durableBytes:], l.segBytes, l.nextLSN - 1}, nil
 }
 
-// endGroupSync publishes the outcome of the leader's fsync and wakes
-// whoever waited for the descriptor to fall idle.
-func (l *Log) endGroupSync(tail uint64, bytes int64, syncErr error) error {
+// endGroupCommit publishes the outcome of the leader's write and fsync
+// and wakes whoever waited for the descriptor to fall idle.
+func (l *Log) endGroupCommit(g groupCommit, err error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.syncing = false
 	l.syncIdle.Broadcast()
-	if syncErr != nil {
-		return l.latchSyncFailureLocked(syncErr)
+	if err != nil {
+		return l.latchSyncFailureLocked(err)
 	}
-	l.publishDurableLocked(tail, bytes)
+	l.publishLocked(g.tail, g.bytes, l.opts.Sync == SyncAlways)
 	return nil
 }
 
-// writeRecordLocked writes one framed record to the active segment
-// under the retry policy. A failed or short write leaves an
-// unacknowledged partial frame at the segment tail; before every
-// retry that tail is rolled back with Truncate to the last good
-// length, so a retried append can never produce a duplicated or
-// interleaved partial frame. A rollback that itself fails is marked
-// permanent — the segment tail is in an unknown state and further
-// blind writes would corrupt acknowledged history.
-func (l *Log) writeRecordLocked(rec []byte) error {
-	return l.opts.Retry.Do("wal.append", func() error {
-		n, err := l.f.Write(rec)
-		if err == nil && n < len(rec) {
-			err = io.ErrShortWrite
+// flush writes pending, the staged bytes that end segment f at end, with
+// one write under the retry policy, then fsyncs f (once, never retried)
+// when sync is set. Before every retry a torn tail is rolled back with
+// Truncate to where pending starts, so a retried write can never leave a
+// duplicated or interleaved partial frame; a rollback that itself fails
+// is permanent — further blind writes would corrupt acknowledged
+// history. The caller latches any error.
+func (l *Log) flush(f SegmentFile, pending []byte, end int64, sync bool) error {
+	if len(pending) > 0 {
+		err := l.opts.Retry.Do("wal.append", func() error {
+			n, err := f.Write(pending)
+			if err == nil && n < len(pending) {
+				err = io.ErrShortWrite
+			}
+			if err == nil {
+				return nil
+			}
+			if terr := f.Truncate(end - int64(len(pending))); terr != nil {
+				return retry.Permanent(fmt.Errorf(
+					"wal: truncating torn append failed: %w (after write error: %w)", terr, err))
+			}
+			return fmt.Errorf("wal: segment write: %w", err)
+		})
+		if err != nil {
+			return err
 		}
-		if err == nil {
-			return nil
-		}
-		if terr := l.f.Truncate(l.segBytes); terr != nil {
-			return retry.Permanent(fmt.Errorf(
-				"wal: truncating torn append failed: %w (after write error: %w)", terr, err))
-		}
-		return fmt.Errorf("wal: segment write: %w", err)
-	})
+	}
+	if sync {
+		return f.Sync()
+	}
+	return nil
 }
 
 // rotateLocked seals the active segment (sync + close) and opens a new
@@ -477,7 +497,7 @@ func (l *Log) rotateLocked() error {
 	l.segBytes = segHeaderSize
 	// The sync above covered the old segment's tail and createSegment
 	// fsyncs the header, so the whole new baseline is durable.
-	l.durableBytes = segHeaderSize
+	l.durableBytes, l.writtenBytes = segHeaderSize, segHeaderSize
 	l.segCount++
 	if m := l.opts.Metrics; m != nil {
 		m.Rotations.Inc()
@@ -485,7 +505,7 @@ func (l *Log) rotateLocked() error {
 	return nil
 }
 
-// awaitSyncIdleLocked waits until no group fsync is in flight. The
+// awaitSyncIdleLocked waits until no group commit is in flight. The
 // wait releases mu, so callers run it before reading the state they
 // act on.
 func (l *Log) awaitSyncIdleLocked() {
@@ -494,11 +514,9 @@ func (l *Log) awaitSyncIdleLocked() {
 	}
 }
 
-// syncLocked makes the log durable through its tail while holding mu —
-// the fsync of rotation, checkpoint, Sync and Close, whose callers
-// first waited out any group fsync in flight (awaitSyncIdleLocked).
-// fsync runs exactly once and is never retried; see
-// latchSyncFailureLocked.
+// syncLocked writes and fsyncs the log through its tail while holding
+// mu — the commit of rotation, checkpoint, Sync and Close, whose callers
+// first waited out any group commit in flight (awaitSyncIdleLocked).
 func (l *Log) syncLocked() error {
 	if l.syncFailed != nil {
 		return l.latchedSyncErrLocked()
@@ -506,34 +524,40 @@ func (l *Log) syncLocked() error {
 	if l.segBytes == l.durableBytes {
 		return nil
 	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.flush(l.f, l.unsynced[l.writtenBytes-l.durableBytes:], l.segBytes, true); err != nil {
 		return l.latchSyncFailureLocked(err)
 	}
-	l.publishDurableLocked(l.nextLSN-1, l.segBytes)
+	l.publishLocked(l.nextLSN-1, l.segBytes, true)
 	return nil
 }
 
-// publishDurableLocked records a successful fsync that covered the
-// active segment up to bytes, i.e. every record through lsn. Under
-// SyncAlways this is also the moment those records become shippable:
-// the frontier follows the durable LSN, so a follower can never hold a
-// record this log could still lose.
-func (l *Log) publishDurableLocked(lsn uint64, bytes int64) {
-	covered := lsn - l.durableLSN
-	l.unsynced = l.unsynced[:copy(l.unsynced, l.unsynced[bytes-l.durableBytes:])]
-	l.durableLSN, l.durableBytes = lsn, bytes
-	if m := l.opts.Metrics; m != nil {
-		m.Fsyncs.Inc()
-		m.CommitRecords.Observe(float64(covered))
+// publishLocked records a successful write of the active segment up to
+// bytes, i.e. of every record through lsn, and when synced its fsync.
+// The shipping frontier follows: under SyncAlways the durable LSN, so a
+// follower can never hold a record this log could still lose; under
+// SyncNever the written LSN, so a Stream never reads past what the
+// segment holds.
+func (l *Log) publishLocked(lsn uint64, bytes int64, synced bool) {
+	l.writtenBytes = bytes
+	if synced {
+		covered := lsn - l.durableLSN
+		l.unsynced = l.unsynced[:copy(l.unsynced, l.unsynced[bytes-l.durableBytes:])]
+		l.durableLSN, l.durableBytes = lsn, bytes
+		if m := l.opts.Metrics; m != nil {
+			m.Fsyncs.Inc()
+			m.CommitRecords.Observe(float64(covered))
+		}
 	}
-	if l.opts.Sync == SyncAlways && lsn > l.shippedLSN {
+	if (synced || l.opts.Sync != SyncAlways) && lsn > l.shippedLSN {
 		l.shippedLSN = lsn
 		l.notifyWaitersLocked()
 	}
 }
 
-// latchSyncFailureLocked latches a failed fsync and returns it as a
-// permanent error. After fsync reports an error, Linux marks the dirty
+// latchSyncFailureLocked latches a failed write or fsync and returns it
+// as a permanent error. A write that failed for good left the segment
+// tail short of what was staged and possibly applied. After fsync
+// reports an error, Linux marks the dirty
 // pages clean without writing them, so a retried fsync on the same
 // descriptor can return success for data that never reached disk;
 // treating that success as durable would silently lose an acknowledged
@@ -549,19 +573,20 @@ func (l *Log) latchSyncFailureLocked(err error) error {
 	return l.latchedSyncErrLocked()
 }
 
-// latchedSyncErrLocked wraps the latched fsync failure as permanent so
+// latchedSyncErrLocked wraps the latched failure as permanent so
 // no retry layer above spends attempts on it.
 func (l *Log) latchedSyncErrLocked() error {
 	return retry.Permanent(fmt.Errorf(
-		"wal: fsync failed, segment tail not durable until the segment is reopened: %w", l.syncFailed))
+		"wal: write or fsync failed, segment tail not durable until the segment is reopened: %w", l.syncFailed))
 }
 
 // reopenAfterSyncFailureLocked re-establishes a durable baseline after
-// a latched fsync failure. The failed fsync left the unsynced tail's
-// pages clean-but-unwritten, so neither a later fsync on the old
-// descriptor nor the tail's bytes in the page cache can be trusted. The
-// records of that tail may already be applied in memory (they were
-// staged, then applied, and only their commit failed), so they are
+// a latched write or fsync failure. A failed fsync left the unsynced
+// tail's pages clean-but-unwritten, and a failed write left the tail
+// short, so neither a later fsync on the old descriptor nor the tail's
+// bytes in the page cache can be trusted. The records of that tail may
+// already be applied in memory (they were staged, then applied, and
+// only their commit failed), so they are
 // never rolled back and their LSNs are never reused: the segment is
 // reopened on a fresh descriptor, cut back to the last known-durable
 // offset, the staged records are rewritten from memory at their
@@ -571,8 +596,8 @@ func (l *Log) latchedSyncErrLocked() error {
 // mid-repair loses at most those never-acknowledged records (under
 // SyncNever: the window that policy accepts).
 // Any failure here keeps the latch, so callers stay degraded until a
-// later Stage retries the repair from the top. No group fsync can be in
-// flight: one that fails sets the latch only after it finished, and
+// later Stage or Sync retries the repair from the top. No group commit can be
+// in flight: one that fails sets the latch only after it finished, and
 // none starts while the latch is set.
 func (l *Log) reopenAfterSyncFailureLocked() error {
 	// The old descriptor may re-report the writeback error on close;
@@ -596,11 +621,13 @@ func (l *Log) reopenAfterSyncFailureLocked() error {
 	}
 	l.f = nf
 	l.syncFailed = nil
-	l.publishDurableLocked(l.nextLSN-1, l.segBytes)
+	l.publishLocked(l.nextLSN-1, l.segBytes, true)
 	return nil
 }
 
-// Sync forces staged records to stable storage.
+// Sync writes and fsyncs every staged record, first repairing a log
+// that a failed or panicked write or fsync latched. A follower runs it
+// before it re-subscribes past records it applied but could not commit.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -608,10 +635,15 @@ func (l *Log) Sync() error {
 	if l.closed {
 		return nil
 	}
+	if l.syncFailed != nil {
+		if err := l.reopenAfterSyncFailureLocked(); err != nil {
+			return err
+		}
+	}
 	return l.syncLocked()
 }
 
-// Close flushes, fsyncs and closes the log. Further appends fail with
+// Close writes, fsyncs and closes the log. Further appends fail with
 // ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
