@@ -76,6 +76,9 @@ step_fuzz() {
     go test -run='^$' -fuzz=FuzzSpanJSON -fuzztime=10s ./internal/trace/
     go test -run='^$' -fuzz=FuzzRecLine -fuzztime=10s ./cmd/histserve/
     go test -run='^$' -fuzz=FuzzDispatchLine -fuzztime=10s ./cmd/histserve/
+    # A new snapshot-sized input would otherwise spend the whole smoke
+    # being minimised (default 60 s) instead of fuzzed.
+    go test -run='^$' -fuzz=FuzzSnapshotLoad -fuzztime=10s -fuzzminimizetime=1s ./internal/core/
 }
 
 step_crash() {
@@ -131,7 +134,7 @@ step_traceguard() {
 }
 
 step_perfguard() {
-    echo "== serving-path overhead guards (Histogram.Observe <= 150 ns, 0 allocs; served QRY <= 22 allocs; one write per group commit) =="
+    echo "== serving-path overhead guards (Histogram.Observe <= 150 ns, 0 allocs; served QRY <= 22 allocs; one write per group commit; Save streams in < 1 MiB) =="
     # What every served request pays to be timed, once per request and
     # once per stage, and what one served QRY allocates in all: its
     # parse, one slab for its span tree, its deadline context (no timer)
@@ -141,6 +144,9 @@ step_perfguard() {
     go test -count=1 -run TestServedQueryAllocs ./cmd/histserve/
     # N records committed together cost one write(2) and one fsync.
     go test -count=1 -run TestCommitWritesOnce ./internal/wal/
+    # A checkpoint streams the cube slice by slice: Save of a 150-slice
+    # 64x64 cube allocates O(one slice), never the whole snapshot.
+    go test -count=1 -run TestSaveStreams ./internal/core/
 }
 
 step_explain() {

@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
+	"io"
 	"math/rand"
+	"os"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -173,16 +177,19 @@ func TestSaveLoadOutOfOrderBuffers(t *testing.T) {
 				t.Fatalf("pending out-of-order = %d, want %d (test must exercise G_d)", n, buffered)
 			}
 
-			var buf bytes.Buffer
-			if err := c.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			back, err := Load(&buf)
+			first := saved(t, c)
+			back, err := Load(bytes.NewReader(first))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := back.Stats().PendingOutOfOrder; got != buffered {
 				t.Fatalf("restored pending out-of-order = %d, want %d", got, buffered)
+			}
+			// G_d is saved in a canonical order, so the restored cube,
+			// whose R*-trees grew in another order, saves to the same
+			// bytes.
+			if !bytes.Equal(saved(t, back), first) {
+				t.Fatal("the restored cube saves to different bytes")
 			}
 			for q := 0; q < 120; q++ {
 				lo := []int{r.Intn(5), r.Intn(4)}
@@ -289,5 +296,159 @@ func TestSnapshotLosslessProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// oooCube is a small AVERAGE cube with both G_d buffers non-empty and
+// part of its history converted to PS: every section of a snapshot.
+func oooCube(t testing.TB) *Cube {
+	t.Helper()
+	c, err := New(Config{Dims: []Dim{{Name: "a", Size: 4}, {Name: "b", Size: 3}}, Operator: agg.Average, BufferOutOfOrder: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(41))
+	now := int64(1)
+	for i := 0; i < 60; i++ {
+		tv := now
+		if i > 5 && r.Intn(4) == 0 {
+			tv = int64(r.Intn(int(now)))
+		} else if r.Intn(3) == 0 {
+			now++
+			tv = now
+		}
+		if err := c.Insert(tv, []int{r.Intn(4), r.Intn(3)}, float64(r.Intn(9)+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Query(Range{TimeLo: 2, TimeHi: now, Lo: []int{0, 0}, Hi: []int{3, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func saved(t testing.TB, c *Cube) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadRefusesCorruptHeader: header inconsistencies that used to
+// index past a slice inside Load are errors.
+func TestLoadRefusesCorruptHeader(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*header)
+	}{
+		{"dim names short", func(h *header) { h.DimNames = h.DimNames[:1] }},
+		{"dim sizes differ from the cube", func(h *header) { h.DimSizes[1]++ }},
+		{"gd coords short", func(h *header) { h.GdCoords = h.GdCoords[:len(h.GdCoords)-1] }},
+		{"gd sums short", func(h *header) { h.GdSum = h.GdSum[:0] }},
+		{"gd count coords short", func(h *header) { h.GdCntCoords = h.GdCntCoords[1:] }},
+		{"gd counts short", func(h *header) { h.GdCount = h.GdCount[1:] }},
+		{"gd point with too few coords", func(h *header) { h.GdCoords[0] = h.GdCoords[0][:1] }},
+		{"gd point outside the cube", func(h *header) { h.GdCntCoords[0][0] = 4 }},
+		{"count cube without AVERAGE", func(h *header) { h.Operator = int(agg.Sum) }},
+		{"AVERAGE without count cube", func(h *header) { h.HasCount = false }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := oooCube(t)
+			var h header
+			if err := gob.NewDecoder(bytes.NewReader(saved(t, c))).Decode(&h); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(&h)
+			var buf bytes.Buffer
+			enc := gob.NewEncoder(&buf)
+			if err := enc.Encode(&h); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.sum.EncodeSnapshot(enc); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.cnt.EncodeSnapshot(enc); err != nil {
+				t.Fatal(err)
+			}
+			if back, err := Load(&buf); err == nil || back != nil {
+				t.Fatalf("corrupt header loaded (err %v)", err)
+			}
+		})
+	}
+}
+
+// TestLoadRefusesEveryTruncation: a snapshot cut short anywhere is an
+// error, never a panic and never a cube.
+func TestLoadRefusesEveryTruncation(t *testing.T) {
+	data := saved(t, oooCube(t))
+	if _, err := Load(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	for cut := range data {
+		if back, err := Load(bytes.NewReader(data[:cut])); err == nil || back != nil {
+			t.Fatalf("snapshot cut at %d of %d bytes loaded (err %v)", cut, len(data), err)
+		}
+	}
+}
+
+// FuzzSnapshotLoad: arbitrary bytes never panic Load, and whatever
+// loads saves and reloads bit-identically.
+func FuzzSnapshotLoad(f *testing.F) {
+	f.Add(saved(f, oooCube(f)))
+	if v1, err := os.ReadFile("testdata/snapshot_v1_avg.gob"); err == nil {
+		f.Add(v1)
+	}
+	f.Add([]byte("not a snapshot"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		once := saved(t, c)
+		back, err := Load(bytes.NewReader(once))
+		if err != nil {
+			t.Fatalf("re-saved snapshot does not load: %v", err)
+		}
+		if twice := saved(t, back); !bytes.Equal(once, twice) {
+			t.Fatalf("save/load/save differs: %d vs %d bytes", len(once), len(twice))
+		}
+	})
+}
+
+// saveStreamsLimit bounds what Save may allocate for the 150-slice
+// 64x64 cube of TestSaveStreams. Encoding the history as one gob
+// message allocates ~13 MB there; streaming it slice by slice ~0.3 MB.
+const saveStreamsLimit = 1 << 20
+
+// TestSaveStreams: Save never buffers the snapshot whole, so what it
+// allocates is O(one slice), not O(history).
+func TestSaveStreams(t *testing.T) {
+	c, err := New(Config{Dims: []Dim{{Name: "x", Size: 64}, {Name: "y", Size: 64}}, Operator: agg.Sum, BufferOutOfOrder: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(43))
+	for tv := int64(1); tv <= 150; tv++ {
+		for i := 0; i < 40; i++ {
+			if err := c.Insert(tv, []int{r.Intn(64), r.Intn(64)}, float64(r.Intn(100))+0.25); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := c.Retire(); err != nil { // every slice copied: full-size history
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := c.Save(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= saveStreamsLimit {
+		t.Fatalf("Save of %d slices allocated %d bytes, want < %d", c.Stats().Slices, got, saveStreamsLimit)
+	} else {
+		t.Logf("Save of %d slices allocated %d bytes", c.Stats().Slices, got)
 	}
 }

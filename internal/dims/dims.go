@@ -24,16 +24,21 @@ type Shape []int
 // where at least one dimension is required.
 var ErrEmptyShape = errors.New("dims: shape must have at least one dimension")
 
-// Validate returns an error if the shape has no dimensions or any
-// non-positive domain size.
+// Validate returns an error if the shape has no dimensions, any
+// non-positive domain size, or more cells than an int can count.
 func (s Shape) Validate() error {
 	if len(s) == 0 {
 		return ErrEmptyShape
 	}
+	size := 1
 	for i, n := range s {
 		if n <= 0 {
 			return fmt.Errorf("dims: dimension %d has non-positive size %d", i, n)
 		}
+		if size > math.MaxInt/n {
+			return fmt.Errorf("dims: shape %v has more cells than an int can count", s)
+		}
+		size *= n
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"encoding/gob"
+	"io"
 	"math/rand"
 	"os"
 	"testing"
@@ -351,6 +353,74 @@ func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 		t.Fatalf("replayed %d, want 130 (everything after the old checkpoint)", res.Replayed)
 	}
 	assertEquivalent(t, live, back, rand.New(rand.NewSource(17)))
+}
+
+// TestPanickyNewestCheckpointQuarantined: checkpoints that decode as
+// gob but carry corruptions core.Load used to panic on (and so crash
+// every boot) are quarantined, and recovery falls back to the previous
+// checkpoint. The structs mirror the snapshot's gob field names.
+func TestPanickyNewestCheckpointQuarantined(t *testing.T) {
+	type header struct {
+		Version, Operator int
+		DimNames          []string
+		DimSizes          []int
+		HasCount, HasGd   bool
+		GdTimes           []int64
+		GdCoords          [][]int
+		GdSum             []float64
+	}
+	type inner struct {
+		Version   int
+		Shape     []int
+		Times     []int64
+		CacheVals []float64
+		CacheTS   []int32
+	}
+	dims := []int{8, 4}
+	good := header{Version: 1, Operator: int(agg.Sum), DimNames: []string{"x", "y"}, DimSizes: dims, HasGd: true}
+	for _, tc := range []struct {
+		name string
+		msgs []any
+	}{
+		{"dim names short", []any{header{Version: 1, Operator: int(agg.Sum), DimNames: []string{"x"}, DimSizes: dims}}},
+		{"gd coords short", []any{header{Version: 1, Operator: int(agg.Sum), DimNames: []string{"x", "y"}, DimSizes: dims,
+			HasGd: true, GdTimes: []int64{1, 2}, GdCoords: [][]int{{0, 0}}, GdSum: []float64{1, 1}},
+			inner{Version: 1, Shape: dims, CacheVals: make([]float64, 32), CacheTS: make([]int32, 32)}}},
+		{"negative cache timestamp", []any{good, inner{Version: 1, Shape: dims, CacheVals: make([]float64, 32),
+			CacheTS: append(make([]int32, 31), -1)}}},
+		{"cache timestamp past an empty history", []any{good, inner{Version: 1, Shape: dims, CacheVals: make([]float64, 32),
+			CacheTS: append(make([]int32, 31), 5)}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r := rand.New(rand.NewSource(18))
+			live, l, _ := recoverCube(t, dir, Options{Sync: SyncNever, KeepCheckpoints: 2})
+			run(t, live, l, randomOps(r, 100))
+			if _, err := l.Checkpoint(live.Save); err != nil {
+				t.Fatal(err)
+			}
+			run(t, live, l, randomOps(r, 50))
+			if _, err := l.Checkpoint(func(w io.Writer) error {
+				enc := gob.NewEncoder(w)
+				for _, m := range tc.msgs {
+					if err := enc.Encode(m); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			l.Close()
+
+			back, l2, res := recoverCube(t, dir, Options{})
+			defer l2.Close()
+			if res.CheckpointLSN != 100 || res.Replayed != 50 || len(res.QuarantinedCheckpoints) != 1 {
+				t.Fatalf("recovery = %+v, want the newest quarantined and a fallback to checkpoint 100", res)
+			}
+			assertEquivalent(t, live, back, rand.New(rand.NewSource(19)))
+		})
+	}
 }
 
 // appendBytes writes raw bytes to the end of path.
