@@ -87,8 +87,11 @@ step_crash() {
     # regression is impossible to miss in the gate output: SIGKILL
     # mid-append, SIGKILL between a group's stage and its fsync, and
     # SIGKILL of a follower between a shipped batch's stage and its
-    # commit.
+    # commit. Then a follower rebasing its log onto a shipped snapshot:
+    # the directory as every step of the rebase leaves it recovers, and a
+    # rebase that failed part-way is retried from the top.
     go test -race -count=1 -run 'TestCrashRecoveryNoAcknowledgedLoss|TestCrashBetweenStageAndGroupFsync|TestFollowerKilledBetweenStageAndCommit' ./cmd/histserve/
+    go test -race -count=1 -run 'TestRebaseCrashPointsRecover|TestRebaseRetriesAfterFailure|TestInstallCheckpointResetsSegments' ./internal/wal/
 }
 
 step_chaos() {
@@ -121,8 +124,13 @@ step_replchaos() {
     # fake-shard test beside it breaks a mixed unit at a chosen line:
     # answered lines stand, later mutations get one ERR each and are
     # never re-sent, later legs are re-sent once and answered exactly by
-    # the replica, one failover.
+    # the replica, one failover. Last, a fresh follower bootstraps while
+    # its primary checkpoints every 50 records under concurrent inserts,
+    # so the checkpoint it is sent can be pruned before it re-subscribes,
+    # and must answer bit-identically to the primary, before and after a
+    # restart over its own directory.
     go test -race -count=1 -run 'TestReplChaosPrimaryKillUnderLoad|TestBrokenMixedUnitAnswersEveryLineAndFailsOver' ./cmd/histproxy/
+    go test -race -count=1 -run TestReplicaBootstrapsUnderCheckpointLoad ./cmd/histserve/
 }
 
 step_traceguard() {

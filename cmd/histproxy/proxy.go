@@ -127,7 +127,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -180,7 +179,6 @@ type proxy struct {
 func main() {
 	var (
 		shared   = lineserver.RegisterFlags(flag.CommandLine, ":7071")
-		dimsArg  = flag.Int("dims-count", 0, "number of non-time dimensions (alternative to -dims)")
 		dimsList = flag.String("dims", "", "comma-separated dimension sizes, as passed to the shards (only the count matters to the proxy)")
 		shards   = flag.String("shards", "", "shard map: addr=lo-hi,...,addr=lo- (contiguous inclusive time ranges; the last is the open-ended hot shard)")
 		legTO    = flag.Duration("shard-timeout", 2*time.Second, "per-shard round-trip deadline inside a fan-out; keep well under -request-timeout so one dead shard degrades the answer instead of timing the request out")
@@ -198,14 +196,11 @@ func main() {
 		logger.Error("missing -shards: the proxy needs a shard map (addr=lo-hi,...,addr=lo-)")
 		os.Exit(2)
 	}
-	dims := *dimsArg
-	if dims == 0 && *dimsList != "" {
-		dims = len(strings.Split(*dimsList, ","))
-	}
-	if dims <= 0 {
-		logger.Error("missing dimension count: pass -dims (the shard fleet's sizes) or -dims-count")
+	if *dimsList == "" {
+		logger.Error("missing -dims: the proxy needs the shard fleet's dimension sizes")
 		os.Exit(2)
 	}
+	dims := len(strings.Split(*dimsList, ","))
 	smap, err := shard.Parse(*shards)
 	if err != nil {
 		logger.Error("bad -shards map", "err", err)
@@ -762,10 +757,9 @@ func (p *proxy) file(s *send, reply string, err error, batch int) {
 	case strings.HasPrefix(reply, "ERR"):
 		s.appErr = reply
 	case s.of.explain:
-		var doc trace.ExplainJSON
 		if body, ok := strings.CutPrefix(reply, "OK "); !ok {
 			err = fmt.Errorf("shard %s: unexpected EXPLAIN reply %q", s.leg.Addr, reply)
-		} else if jerr := json.Unmarshal([]byte(body), &doc); jerr != nil {
+		} else if doc, jerr := trace.DecodeExplain([]byte(body)); jerr != nil {
 			err = fmt.Errorf("shard %s: bad EXPLAIN JSON reply: %w", s.leg.Addr, jerr)
 		} else {
 			s.value = doc.Result

@@ -41,6 +41,7 @@ type fakeShard struct {
 	dropAfter int           // > 0: crash (stop) instead of answering mutation number dropAfter+1
 	hold      int           // > 0: a connection answers nothing before it has received this many lines, so only a batch gets through
 	stats     string        // non-empty: STATS is answered with this line
+	explain   string        // non-empty: EXPLAIN JSON is answered "OK " + this body
 }
 
 type fact struct {
@@ -200,6 +201,12 @@ func (f *fakeShard) reply(tid trace.ID, fields []string) string {
 		// QRY .... Answer a real span tree (7 cells, 2 conversions per
 		// shard) carrying the adopted trace ID, like histserve would.
 		if len(fields) >= 3 && strings.ToUpper(fields[1]) == "JSON" {
+			f.mu.Lock()
+			body := f.explain
+			f.mu.Unlock()
+			if body != "" {
+				return "OK " + body + "\n"
+			}
 			v := f.query(fields[3:])
 			root := trace.New("histserve.query")
 			root.SetTraceID(tid)
@@ -488,6 +495,25 @@ func TestProxyExplainPartial(t *testing.T) {
 	lines := c.multi(t, "EXPLAIN QRY 0 300 0 0 7 7")
 	if !strings.HasPrefix(lines[0], "PARTIAL result=5 coverage=0.664 covered=0-199 missing=") {
 		t.Fatalf("EXPLAIN over dead shard first line = %q", lines[0])
+	}
+}
+
+// TestProxyExplainRejectsNamelessShardTrace: a shard's EXPLAIN JSON
+// reply whose trace root has no name is not a span tree; its leg fails
+// as a malformed reply does — a PARTIAL answer with the error on the
+// leg — instead of being grafted as a nameless span.
+func TestProxyExplainRejectsNamelessShardTrace(t *testing.T) {
+	spec, shards := threeShards(t)
+	addr, _ := startProxy(t, spec)
+	c := dial(t, addr)
+	c.cmd(t, "INS 10 1 1 5")
+	shards[2].set(func(f *fakeShard) { f.explain = `{"result":5,"trace":{}}` })
+	lines := c.multi(t, "EXPLAIN QRY 0 300 0 0 7 7")
+	if !strings.HasPrefix(lines[0], "PARTIAL result=5 coverage=0.664 covered=0-199 missing=") {
+		t.Fatalf("EXPLAIN over a nameless shard trace: first line = %q", lines[0])
+	}
+	if body := strings.Join(lines, "\n"); !strings.Contains(body, "no named trace root") {
+		t.Fatalf("the failed leg carries no error attr:\n%s", body)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"os"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -63,6 +64,27 @@ func TestCmdLatencyMetrics(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+}
+
+// metricValue reads one unlabelled series off srv's registry, as
+// /metrics renders it.
+func metricValue(t *testing.T, srv *server, name string) int64 {
+	t.Helper()
+	var b strings.Builder
+	if err := srv.Reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return int64(n)
+		}
+	}
+	t.Fatalf("/metrics has no series %s", name)
+	return 0
 }
 
 // TestFollowerLinkIsAccounted: a follower's link runs on the serving
@@ -134,7 +156,7 @@ func TestCubeStageSurvivesCubeSwaps(t *testing.T) {
 	}
 	installed, _ := newDurableServer(t, t.TempDir(), 0)
 	t.Cleanup(installed.shutdown)
-	if err := installed.installSnapshot(1, snap.Bytes()); err != nil {
+	if err := installed.installSnapshot(1, bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	for name, srv := range map[string]*server{"-load": loaded, "snapshot install": installed} {

@@ -11,8 +11,9 @@
 //
 //	OK from=<lsn>                     stream starts at <lsn>
 //	SNAP lsn=<lsn> size=<bytes>       follower is behind the retention
-//	                                  horizon; a cube snapshot covering
-//	                                  <lsn> follows as base64 lines,
+//	                                  horizon; the primary's newest
+//	                                  checkpoint file, covering <lsn>,
+//	                                  follows as base64 lines,
 //	                                  terminated by ENDSNAP, then the
 //	                                  stream restarts at <lsn>+1
 //	ERR <msg>                         refused (diverged follower, no WAL)
@@ -36,6 +37,10 @@
 // and PING and OK with OK, which the primary skips. ERR, a REC that
 // must not be applied, and an installed SNAP end the session.
 //
+// The follower decodes a SNAP as it arrives and rebases its own log onto
+// it in place (wal.Log.Rebase). Neither end holds the whole snapshot in
+// one buffer, and the primary ships it without the cube's lock.
+//
 // The primary aggregates the ACKs in a replHub so mutations can wait
 // for -repl-min-acks followers before acknowledging the client
 // (semi-synchronous replication — the window in which an acked write
@@ -56,6 +61,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -179,29 +185,12 @@ func (s *server) promote(minLSN uint64) string {
 	return fmt.Sprintf("OK role=primary last_lsn=%d followers=%d", s.walLastLSN(), s.hub.Followers())
 }
 
-// walLastLSN reads the log's end under mu (0 without durability).
+// walLastLSN reads the log's end (0 without durability).
 func (s *server) walLastLSN() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.wal == nil {
 		return 0
 	}
 	return s.wal.LastLSN()
-}
-
-// durableLogEnd makes every record the follower's log holds durable and
-// returns the log's end: a session whose commit failed or panicked left
-// records applied but not durable, and the stream must not resume past
-// them before Sync repairs the log. No link serves yet, so nothing
-// stages concurrently.
-func (s *server) durableLogEnd() (uint64, error) {
-	s.mu.Lock()
-	wl := s.wal
-	s.mu.Unlock()
-	if wl == nil {
-		return 0, nil
-	}
-	return wl.LastLSN(), wl.Sync()
 }
 
 // ---------------------------------------------------------------------------
@@ -360,9 +349,7 @@ func (s *server) serveReplication(conn net.Conn, lr *lineserver.Reader, w *bufio
 		fail("bad LSN: " + err.Error())
 		return
 	}
-	s.mu.Lock()
 	wl := s.wal
-	s.mu.Unlock()
 	if wl == nil {
 		fail("no data directory configured (start with -data-dir)")
 		return
@@ -395,26 +382,27 @@ func (s *server) serveReplication(conn net.Conn, lr *lineserver.Reader, w *bufio
 		}
 	}()
 
-	// Position the stream, bootstrapping the follower from a snapshot
-	// when its position fell behind the checkpoint retention horizon.
+	// Position the stream, bootstrapping the follower from the newest
+	// checkpoint when it fell behind the retention horizon. Should
+	// checkpoints prune the tail after the one shipped, the retry ships a
+	// newer one.
 	var sub *wal.Stream
 	for {
 		sub, err = wl.SubscribeFrom(from)
 		if err == nil {
 			break
 		}
-		if !errors.Is(err, wal.ErrTruncated) {
-			fail(err.Error())
-			log.Warn("replication subscribe refused", "from", from, "err", err)
-			return
+		if errors.Is(err, wal.ErrTruncated) {
+			var snapLSN uint64
+			if snapLSN, err = s.sendSnapshot(conn, w, from); err == nil {
+				log.Info("snapshot shipped", "lsn", snapLSN)
+				from = snapLSN + 1
+				continue
+			}
 		}
-		snapLSN, serr := s.sendSnapshot(conn, w)
-		if serr != nil {
-			log.Warn("snapshot ship failed", "err", serr)
-			return
-		}
-		log.Info("snapshot shipped", "lsn", snapLSN)
-		from = snapLSN + 1
+		fail(err.Error())
+		log.Warn("replication refused", "from", from, "err", err)
+		return
 	}
 	fmt.Fprintf(w, "OK from=%d\n", from)
 	s.SetWriteDeadline(conn)
@@ -483,30 +471,35 @@ func appendRec(b []byte, rec wal.StreamRecord) []byte {
 	return append(b, '\n')
 }
 
-// sendSnapshot ships the cube as of the log's end: SNAP header, base64
-// chunks, ENDSNAP. Snapshot and LSN are taken under mu, so the pair is
-// exact — replaying from lsn+1 on top of the snapshot reproduces the
-// primary. The snapshot may hold records that are staged but not yet
-// durable, so it is committed through lsn before a byte is shipped: a
-// follower never holds what this primary could still lose.
-func (s *server) sendSnapshot(conn net.Conn, w *bufio.Writer) (uint64, error) {
-	var buf bytes.Buffer
-	s.mu.Lock()
-	wl := s.wal
-	lsn := wl.LastLSN()
-	err := s.cube.Save(&buf)
-	s.mu.Unlock()
-	if err == nil {
-		err = wl.Commit(lsn)
-	}
+// sendSnapshot ships the log's newest checkpoint file as it lies on
+// disk: SNAP header, base64 chunks, ENDSNAP. It is exact at its LSN and
+// durable, so a follower never holds what this primary could lose. It
+// must cover from, the first record the follower lacks, or the
+// handshake would make no progress; it is refused instead.
+func (s *server) sendSnapshot(conn net.Conn, w *bufio.Writer, from uint64) (uint64, error) {
+	f, lsn, err := s.wal.OpenCheckpoint()
 	if err != nil {
 		return 0, fmt.Errorf("snapshot: %w", err)
 	}
-	data := buf.Bytes()
-	fmt.Fprintf(w, "SNAP lsn=%d size=%d\n", lsn, len(data))
-	for off := 0; off < len(data); off += snapChunk {
-		end := min(off+snapChunk, len(data))
-		fmt.Fprintln(w, base64.StdEncoding.EncodeToString(data[off:end]))
+	// Read-only: a read error is the signal, the close result is not.
+	defer func() { _ = f.Close() }()
+	if lsn < from {
+		return 0, fmt.Errorf("snapshot: newest checkpoint covers LSN %d, short of %d", lsn, from)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("snapshot: %w", err)
+	}
+	fmt.Fprintf(w, "SNAP lsn=%d size=%d\n", lsn, fi.Size())
+	chunk := make([]byte, snapChunk)
+	for {
+		n, err := io.ReadFull(f, chunk)
+		if err == io.EOF {
+			break
+		} else if err != nil && err != io.ErrUnexpectedEOF { // a short last chunk is not an error
+			return 0, fmt.Errorf("snapshot: %w", err)
+		}
+		fmt.Fprintln(w, base64.StdEncoding.EncodeToString(chunk[:n]))
 		s.SetWriteDeadline(conn)
 		if err := w.Flush(); err != nil {
 			return 0, err
@@ -571,8 +564,11 @@ func (s *server) followOnce(r *replState) error {
 		case <-done:
 		}
 	}()
-	end, err := s.durableLogEnd()
-	if err == nil {
+	// Sync repairs what a session whose commit failed left applied but not
+	// durable, before the stream resumes past it (no link serves yet). A
+	// log a failed Rebase left closed is at its old end: SNAP comes again.
+	end := s.wal.LastLSN()
+	if err = s.wal.Sync(); err == nil {
 		r.applied.Store(end)
 		_, err = fmt.Fprintf(conn, "REPLICATE FROM %d\n", end+1)
 	}
@@ -689,9 +685,9 @@ func (s *server) settleShipped(open []*lineserver.Request) {
 	// The session ends after a unit that does not settle, a panic
 	// included: its ERR internal leaves the log's end unknown upstream.
 	last.Quit = true
-	wl, staged, err := s.stageShipped(open)
+	staged, err := s.stageShipped(open)
 	if staged > 0 {
-		if cerr := wl.Commit(staged); cerr != nil {
+		if cerr := s.wal.Commit(staged); cerr != nil {
 			staged, err = 0, fmt.Errorf("committing shipped records through %d: %w", staged, cerr)
 		} else {
 			r.applied.Store(staged)
@@ -710,20 +706,17 @@ func (s *server) settleShipped(open []*lineserver.Request) {
 }
 
 // stageShipped is the part of settleShipped that runs under mu: it
-// returns the log and the last LSN staged in it, next to the error that
-// cut the unit short.
-func (s *server) stageShipped(open []*lineserver.Request) (*wal.Log, uint64, error) {
+// returns the last LSN staged in the log, next to the error that cut
+// the unit short.
+func (s *server) stageShipped(open []*lineserver.Request) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.wal == nil {
-		return nil, 0, errors.New("follower has no WAL attached")
-	}
 	var staged uint64
 	for _, rq := range open {
 		rec := rq.Pending.(wal.StreamRecord)
 		skipped, err := s.wal.ApplyReplicated(s.cube, rec.LSN, rec.Op)
 		if err != nil {
-			return s.wal, staged, err
+			return staged, err
 		}
 		if skipped {
 			s.Log.Warn("shipped op rejected by cube; skipped to match primary recovery semantics", "lsn", rec.LSN)
@@ -731,15 +724,21 @@ func (s *server) stageShipped(open []*lineserver.Request) (*wal.Log, uint64, err
 		staged = rec.LSN
 	}
 	s.maybeCheckpointLocked()
-	return s.wal, staged, nil
+	return staged, nil
 }
 
-// linkSnap is SNAP's Hijack row: it installs the shipped snapshot and
-// ends the session; the next one resumes the stream at the snapshot's
-// LSN+1.
+// linkSnap is SNAP's Hijack row: it installs the snapshot the line
+// announces, decoding its base64 lines as they arrive, and ends the
+// session; the next one resumes the stream at the snapshot's LSN+1.
 func (s *server) linkSnap(conn net.Conn, lr *lineserver.Reader, _ *bufio.Writer, rq *lineserver.Request) {
 	r := s.repl
-	lsn, err := s.receiveSnapshot(rq.Line, lr, conn)
+	var lsn, size uint64
+	_, err := fmt.Sscanf(rq.Line, "SNAP lsn=%d size=%d", &lsn, &size)
+	if err != nil {
+		err = fmt.Errorf("malformed SNAP header %q: %w", rq.Line, err)
+	} else {
+		err = s.installSnapshot(lsn, &snapReader{conn: conn, lr: lr, left: int64(size)})
+	}
 	if r.ended = err; err == nil {
 		r.applied.Store(lsn)
 		s.Log.Info("bootstrapped from shipped snapshot", "lsn", lsn, "primary", r.primaryAddr)
@@ -747,69 +746,78 @@ func (s *server) linkSnap(conn net.Conn, lr *lineserver.Reader, _ *bufio.Writer,
 	}
 }
 
-// receiveSnapshot collects the base64 payload of a SNAP and replaces the
-// local log and cube with the shipped state.
-func (s *server) receiveSnapshot(header string, lr *lineserver.Reader, conn net.Conn) (uint64, error) {
-	var lsn, size uint64
-	if _, err := fmt.Sscanf(header, "SNAP lsn=%d size=%d", &lsn, &size); err != nil {
-		return 0, fmt.Errorf("malformed SNAP header %q: %w", header, err)
-	}
-	const maxSnapshot = 1 << 31 // pre-allocation sanity bound, not a protocol limit
-	if size > maxSnapshot {
-		return 0, fmt.Errorf("snapshot header claims %d bytes (limit %d)", size, uint64(maxSnapshot))
-	}
-	var data bytes.Buffer
-	data.Grow(int(size))
-	for {
-		_ = conn.SetReadDeadline(time.Now().Add(replReadTimeout))
-		raw, err := lr.Next()
-		if err != nil {
-			return 0, fmt.Errorf("reading snapshot: %w", err)
-		}
-		line := strings.TrimSpace(string(raw))
-		if line == "ENDSNAP" {
-			break
-		}
-		chunk, err := base64.StdEncoding.DecodeString(line)
-		if err != nil {
-			return 0, fmt.Errorf("snapshot chunk: %w", err)
-		}
-		data.Write(chunk)
-	}
-	if uint64(data.Len()) != size {
-		return 0, fmt.Errorf("snapshot is %d bytes, header said %d", data.Len(), size)
-	}
-	return lsn, s.installSnapshot(lsn, data.Bytes())
+// snapReader reads a SNAP payload off the link: the base64 lines up to
+// ENDSNAP, decoded one line at a time, ending in io.EOF only when they
+// carried exactly the bytes the header announced. Its first error is
+// final, so nothing is read past the payload.
+type snapReader struct {
+	conn  net.Conn
+	lr    *lineserver.Reader
+	left  int64  // payload bytes the header announced that have not arrived
+	chunk []byte // decoded bytes of the current line not yet read
+	err   error
 }
 
-// installSnapshot replaces the follower's durable state with the
-// shipped snapshot: close the local log, install the snapshot as the
-// checkpoint covering lsn (wal.InstallCheckpoint also removes the
-// stale segments whose implicit LSNs would otherwise mis-number later
-// appends), and re-run recovery so the cube and log positions align
-// with the primary's. Held under mu throughout — recovery after an
-// install replays zero records, so the pause is one snapshot decode.
-func (s *server) installSnapshot(lsn uint64, data []byte) error {
+func (r *snapReader) Read(p []byte) (int, error) {
+	for len(r.chunk) == 0 && r.err == nil {
+		r.chunk, r.err = r.line()
+	}
+	if len(r.chunk) == 0 {
+		return 0, r.err
+	}
+	n := copy(p, r.chunk)
+	r.chunk = r.chunk[n:]
+	return n, nil
+}
+
+// line reads and decodes the payload's next line.
+func (r *snapReader) line() ([]byte, error) {
+	_ = r.conn.SetReadDeadline(time.Now().Add(replReadTimeout))
+	raw, err := r.lr.Next()
+	if err != nil {
+		return nil, fmt.Errorf("reading snapshot: %w", err)
+	}
+	line := bytes.TrimSpace(raw)
+	if string(line) == "ENDSNAP" {
+		if r.left != 0 {
+			return nil, fmt.Errorf("snapshot ended %d bytes short of its header's size", r.left)
+		}
+		return nil, io.EOF
+	}
+	chunk := make([]byte, base64.StdEncoding.DecodedLen(len(line)))
+	n, err := base64.StdEncoding.Decode(chunk, line)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot chunk: %w", err)
+	}
+	if r.left -= int64(n); r.left < 0 {
+		return nil, errors.New("snapshot runs past its header's size")
+	}
+	return chunk[:n], nil
+}
+
+// installSnapshot makes the snapshot in payload, exact at lsn, the
+// follower's state: decoded and checked whole first, then, under mu, the
+// log rebased onto it in place and the cube swapped in. A promoted
+// server keeps its history: it may have staged writes of its own.
+func (s *server) installSnapshot(lsn uint64, payload io.Reader) error {
+	cube, err := core.Load(payload)
+	if err == nil {
+		_, err = io.Copy(io.Discard, payload) // through ENDSNAP, size checked
+	}
+	if err == nil {
+		err = s.checkDims("shipped snapshot", cube)
+	}
+	if err != nil {
+		return fmt.Errorf("decoding shipped snapshot: %w", err)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.wal == nil {
-		return errors.New("follower has no WAL attached")
+	if r := s.repl; r != nil && r.promoted.Load() {
+		return errors.New("promoted to primary")
 	}
-	if err := s.wal.Close(); err != nil {
-		s.Log.Warn("closing log before snapshot install", "err", err)
+	if err := s.wal.Rebase(lsn, cube.Save); err != nil {
+		return fmt.Errorf("rebasing the log onto the shipped snapshot: %w", err)
 	}
-	if err := wal.InstallCheckpoint(s.walDir, lsn, bytes.NewReader(data)); err != nil {
-		return fmt.Errorf("installing shipped checkpoint: %w", err)
-	}
-	cfg := s.cubeCfg
-	cube, log, _, err := s.recoverWAL(func() (*core.Cube, error) { return core.New(cfg) })
-	if err != nil {
-		return fmt.Errorf("recovering from shipped checkpoint: %w", err)
-	}
-	if got := log.LastLSN(); got != lsn {
-		_ = log.Close() // the position mismatch is the actionable error
-		return fmt.Errorf("snapshot install landed at LSN %d, want %d", got, lsn)
-	}
-	s.attachRecoveredLocked(cube, log)
+	s.attachCubeLocked(cube)
 	return nil
 }

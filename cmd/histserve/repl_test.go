@@ -1,10 +1,20 @@
 package main
 
 import (
+	"bytes"
+	"encoding/base64"
 	"fmt"
+	"io"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"histcube/internal/wal"
 )
 
 // startReplica builds a durable follower of primaryAddr over its own
@@ -143,10 +153,133 @@ func TestReplicaColdStartBootstrapsFromSnapshot(t *testing.T) {
 	// The installed state is durable: a restart over the follower's own
 	// directory recovers to the same answers without the primary.
 	follower.shutdown()
-	restarted, _ := newDurableServer(t, follower.walDir, 0)
+	restarted, _ := newDurableServer(t, follower.wal.Dir(), 0)
 	rc := dial(t, serveOn(t, restarted))
 	rc.expect(t, "QRY 0 1000 0 0 7 7", fmt.Sprintf("%g", total+5))
 	restarted.shutdown()
+}
+
+// TestSnapShipsTheNewestCheckpoint reads a bootstrap off the wire: a
+// follower behind the retention horizon is sent the newest checkpoint
+// as it lies on disk, exact at its own LSN, and then the records after
+// it — not a fresh snapshot at the log's end.
+func TestSnapShipsTheNewestCheckpoint(t *testing.T) {
+	primary, _ := newDurableServer(t, t.TempDir(), 0)
+	paddr := serveOn(t, primary)
+	pc := dial(t, paddr)
+	for i := 0; i < 80; i++ {
+		pc.expect(t, fmt.Sprintf("INS %d %d %d 1", i/4, i%8, (i/2)%8), "OK")
+	}
+	pc.expect(t, "CHECKPOINT", "OK 80")
+	for i := 0; i < 20; i++ {
+		pc.expect(t, fmt.Sprintf("INS %d 0 1 2", 100+i), "OK")
+	}
+	ckpt, err := os.ReadFile(filepath.Join(primary.wal.Dir(), fmt.Sprintf("checkpoint-%016x.ckpt", 80)))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	conn, r := rawConn(t, paddr)
+	if _, err := io.WriteString(conn, "REPLICATE FROM 1\n"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := readLines(t, r, 1)[0], fmt.Sprintf("SNAP lsn=80 size=%d", len(ckpt)); got != want {
+		t.Fatalf("REPLICATE FROM 1 -> %q, want %q", got, want)
+	}
+	var payload []byte
+	for {
+		line := readLines(t, r, 1)[0]
+		if line == "ENDSNAP" {
+			break
+		}
+		chunk, err := base64.StdEncoding.DecodeString(line)
+		if err != nil {
+			t.Fatalf("snapshot line %q: %v", line, err)
+		}
+		payload = append(payload, chunk...)
+	}
+	if !bytes.Equal(payload, ckpt) {
+		t.Fatalf("SNAP shipped %d bytes that are not the checkpoint file's %d", len(payload), len(ckpt))
+	}
+	want := []string{"OK from=81"}
+	for lsn := 81; lsn <= 100; lsn++ {
+		want = append(want, fmt.Sprintf("REC %d 1 %d 0 1 2", lsn, 100+lsn-81))
+	}
+	if got := readLines(t, r, len(want)); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("after the snapshot:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestReplicaBootstrapsUnderCheckpointLoad starts a fresh follower
+// while a primary checkpoints every 50 records under concurrent
+// inserts, so the SNAP it is sent can be pruned again before it
+// re-subscribes. It must bootstrap, catch up and answer a seeded query
+// pool bit-identically to the primary, and again after a restart over
+// its own directory.
+func TestReplicaBootstrapsUnderCheckpointLoad(t *testing.T) {
+	primary := newQuietServer(t, "8,8", "sum", true)
+	if _, err := primary.enableDurability(t.TempDir(), wal.Options{Sync: wal.SyncNever}, 50); err != nil {
+		t.Fatal(err)
+	}
+	paddr := serveOn(t, primary)
+
+	const writers = 4
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		c := dial(t, paddr)
+		rng := rand.New(rand.NewSource(int64(w)))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				line := fmt.Sprintf("INS %d %d %d %d", i/8, rng.Intn(8), rng.Intn(8), rng.Intn(9)+1)
+				if _, err := fmt.Fprintln(c.conn, line); err != nil {
+					t.Error(err)
+					return
+				}
+				if resp, err := c.r.ReadString('\n'); err != nil || resp != "OK\n" {
+					t.Errorf("%s -> %q, %v", line, resp, err)
+					return
+				}
+			}
+		}()
+	}
+	checkpoints := func() int64 { return metricValue(t, primary, "histcube_wal_checkpoints_total") }
+	waitUntil(t, 20*time.Second, "3 checkpoints on the primary", func() bool { return checkpoints() >= 3 })
+
+	follower, faddr := startReplica(t, paddr)
+	waitUntil(t, 20*time.Second, "a bootstrap under load", func() bool { return follower.repl.applied.Load() > 0 })
+	seen := checkpoints()
+	waitUntil(t, 20*time.Second, "3 more checkpoints", func() bool { return checkpoints() >= seen+3 })
+	stop.Store(true)
+	wg.Wait()
+	want := primary.walLastLSN()
+	waitUntil(t, 20*time.Second, "follower catch-up", func() bool { return follower.repl.applied.Load() == want })
+
+	queries := make([]string, 40)
+	rng := rand.New(rand.NewSource(7))
+	for i := range queries {
+		lo1, lo2 := rng.Intn(8), rng.Intn(8)
+		tlo := rng.Intn(int(want/8) + 1)
+		queries[i] = fmt.Sprintf("QRY %d %d %d %d %d %d", tlo, tlo+rng.Intn(200), lo1, lo2, lo1+rng.Intn(8-lo1), lo2+rng.Intn(8-lo2))
+	}
+	pc, fc := dial(t, paddr), dial(t, faddr)
+	for _, q := range queries {
+		if p, f := pc.cmd(t, q), fc.cmd(t, q); p != f {
+			t.Fatalf("%s: primary %q != follower %q", q, p, f)
+		}
+	}
+
+	follower.shutdown()
+	restarted, _ := newDurableServer(t, follower.wal.Dir(), 0)
+	defer restarted.shutdown()
+	rc := dial(t, serveOn(t, restarted))
+	for _, q := range queries {
+		if p, f := pc.cmd(t, q), rc.cmd(t, q); p != f {
+			t.Fatalf("after restart, %s: primary %q != follower %q", q, p, f)
+		}
+	}
 }
 
 func TestPromotionFencingAndTakeover(t *testing.T) {

@@ -48,7 +48,7 @@ func TestFollowerCommitsABurstWithOneAckAndFewFsyncs(t *testing.T) {
 	for i := 0; i < k; i++ {
 		fmt.Fprintf(&b, "INS %d %d %d 1\n", i, i%8, (i/3)%8)
 	}
-	before := follower.walOpts.Metrics.Fsyncs.Value()
+	before := metricValue(t, follower, "histcube_wal_fsyncs_total")
 	conn, r := rawConn(t, paddr)
 	if _, err := io.WriteString(conn, b.String()); err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestFollowerCommitsABurstWithOneAckAndFewFsyncs(t *testing.T) {
 		}
 	}
 	waitUntil(t, 5*time.Second, "follower catch-up", func() bool { return follower.repl.applied.Load() == k })
-	if fsyncs := follower.walOpts.Metrics.Fsyncs.Value() - before; fsyncs < 1 || fsyncs >= k/4 {
+	if fsyncs := metricValue(t, follower, "histcube_wal_fsyncs_total") - before; fsyncs < 1 || fsyncs >= k/4 {
 		t.Fatalf("a burst of %d shipped records cost the follower %d fsyncs, want far fewer than one per record", k, fsyncs)
 	}
 	if got := follower.roleLine(); !strings.HasPrefix(got, fmt.Sprintf("OK role=replica applied_lsn=%d lag_lsn=0", k)) {
@@ -69,10 +69,10 @@ func TestFollowerCommitsABurstWithOneAckAndFewFsyncs(t *testing.T) {
 		t.Fatalf("follower SUM = %v, want %d", got, k)
 	}
 	// A lone record is a batch of one: exactly one more fsync.
-	before = follower.walOpts.Metrics.Fsyncs.Value()
+	before = metricValue(t, follower, "histcube_wal_fsyncs_total")
 	dial(t, paddr).expect(t, fmt.Sprintf("INS %d 0 0 1", k), "OK")
 	waitUntil(t, 5*time.Second, "lone record", func() bool { return follower.repl.applied.Load() == k+1 })
-	if fsyncs := follower.walOpts.Metrics.Fsyncs.Value() - before; fsyncs != 1 {
+	if fsyncs := metricValue(t, follower, "histcube_wal_fsyncs_total") - before; fsyncs != 1 {
 		t.Fatalf("a lone shipped record cost %d fsyncs, want 1", fsyncs)
 	}
 }
@@ -133,7 +133,7 @@ func TestPromoteMidBurst(t *testing.T) {
 	if got := follower.walLastLSN(); got != k+1 {
 		t.Fatalf("promoted log ends at %d, want %d", got, k+1)
 	}
-	dir := follower.walDir
+	dir := follower.wal.Dir()
 	follower.shutdown()
 	restarted := newQuietServer(t, "8,8", "sum", false)
 	enableChaosWAL(t, restarted, dir)

@@ -112,10 +112,11 @@
 // and reports its positions via ROLE, STATS (replica=1,
 // replica_applied_lsn, replica_lag_lsn) and /readyz. A follower whose
 // position fell behind the primary's checkpoint retention is
-// bootstrapped automatically from a shipped snapshot. PROMOTE turns a
-// follower into a primary during failover; -repl-min-acks N makes a
-// primary hold each mutation's OK until N followers acknowledged it
-// (semi-synchronous replication), so failover loses no acked write.
+// bootstrapped automatically from the primary's newest checkpoint.
+// PROMOTE turns a follower into a primary during failover;
+// -repl-min-acks N makes a primary hold each mutation's OK until N
+// followers acknowledged it (semi-synchronous), so failover loses no
+// acked write.
 //
 // Sharding support: SEAL <t> (or bare SEAL for everything) makes all
 // times at or below t read-only — mutations into the sealed range get
@@ -183,14 +184,14 @@ var errWALAppend = errors.New("wal append failed")
 
 // server is one histserve instance.
 //
-// Locking contract: mu guards the cube — every cube call, including
-// queries. Queries mutate shared state (the eCube conversion rewrites
-// historic DDC cells to PS form, and the read path bumps cost
-// counters), so a plain RWMutex read lock would race; the single
-// mutex is load-bearing, not an oversight. The metrics registry is
-// not guarded by mu: metric primitives are atomic, and the
-// state-derived callbacks registered in newServer take mu themselves
-// at scrape time.
+// Locking contract: mu guards the cube, and nothing else — every cube
+// call, including queries. Queries mutate shared state (the eCube
+// conversion rewrites historic DDC cells to PS form, and the read path
+// bumps cost counters), so a plain RWMutex read lock would race; the
+// single mutex is load-bearing, not an oversight. wal is fixed before
+// serving and carries its own lock. The metrics registry is not
+// guarded by mu: metric primitives are atomic, and the state-derived
+// callbacks registered in newServer take mu themselves at scrape time.
 type server struct {
 	// Server is the serving core (internal/lineserver): connection loop,
 	// governance, panic barrier, accounting, trace retention (Slow and
@@ -210,17 +211,11 @@ type server struct {
 	// wal, when non-nil, makes the server durable: the cube's op sink
 	// stages every mutation in the log before it is applied (under
 	// -fsync=always the commit barrier fsyncs it before the reply
-	// leaves), and checkpointEvery drives automatic snapshots.
-	wal             *wal.Log // guarded by mu
-	checkpointEvery int64    // guarded by mu
-
-	// walDir/walOpts are retained after enableDurability (startup-only
-	// from then on) so a follower can re-run recovery after installing a
-	// snapshot shipped by its primary; cubeCfg rebuilds a fresh cube for
-	// that recovery.
-	walDir  string
-	walOpts wal.Options
-	cubeCfg core.Config
+	// leaves), and checkpointEvery drives automatic snapshots. wal is
+	// set once, by enableDurability; a follower adopting a shipped
+	// snapshot rebases it in place.
+	wal             *wal.Log
+	checkpointEvery int64 // guarded by mu
 
 	// Replication (see repl.go): repl is non-nil in follower mode
 	// (-follow) and set before the listener starts, and link is the
@@ -384,59 +379,52 @@ func (s *server) enableDurability(dir string, opts wal.Options, checkpointEvery 
 			return inj.WrapFile("wal", f)
 		}
 	}
-	s.walDir, s.walOpts = dir, opts
 	s.mu.Lock()
 	fresh := s.cube // still untouched; captured under mu so Recover's callback needs no lock
 	s.checkpointEvery = checkpointEvery
 	s.mu.Unlock()
 	// Recovery runs without mu so the metrics listener stays live during
 	// a long replay (its state callbacks take mu at scrape time).
-	cube, log, res, err := s.recoverWAL(func() (*core.Cube, error) {
+	cube, log, res, err := wal.Recover(dir, opts, func() (*core.Cube, error) {
 		return fresh, nil
 	})
 	if err != nil {
 		return res, err
 	}
-	// Registered through an indirection, not on the log itself: a
-	// follower installing a shipped snapshot swaps the log, and the
-	// gauges must follow the swap.
-	wal.RegisterStateMetricsFunc(s.Reg, func() *wal.Log {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.wal
-	})
+	if err := s.checkDims("recovered cube", cube); err != nil {
+		_ = log.Close() // the dimension mismatch is the actionable error
+		return res, err
+	}
+	wal.RegisterStateMetrics(s.Reg, log)
+	s.wal = log
 	s.mu.Lock()
-	s.attachRecoveredLocked(cube, log)
+	s.attachCubeLocked(cube)
 	s.mu.Unlock()
 	return res, nil
 }
 
-// recoverWAL recovers a cube+log pair from the durable directory
-// captured by enableDurability, enforcing the -dims contract. Shared
-// by startup recovery and a follower's snapshot re-recovery.
-func (s *server) recoverWAL(fallback func() (*core.Cube, error)) (*core.Cube, *wal.Log, wal.RecoverResult, error) {
-	cube, log, res, err := wal.Recover(s.walDir, s.walOpts, fallback)
-	if err != nil {
-		return nil, nil, res, err
+// checkDims enforces -dims, which fixes the protocol's coordinate
+// arity, on a cube the server did not build.
+func (s *server) checkDims(what string, cube *core.Cube) error {
+	if n := len(cube.Shape()); n != s.dims {
+		return fmt.Errorf("%s has %d dimensions, -dims specifies %d", what, n, s.dims)
 	}
-	if shape := cube.Shape(); len(shape) != s.dims {
-		_ = log.Close() // the dimension mismatch is the actionable error
-		return nil, nil, res, fmt.Errorf("recovered cube has %d dimensions, -dims specifies %d", len(shape), s.dims)
-	}
-	return cube, log, res, nil
+	return nil
 }
 
-// attachRecoveredLocked wires a recovered cube+log into the server: the
-// durable op sink and the serving fields. The caller holds mu.
-func (s *server) attachRecoveredLocked(cube *core.Cube, log *wal.Log) {
-	cube.SetOpSink(func(op core.Op) error {
-		if _, err := log.Stage(op); err != nil {
-			return fmt.Errorf("%w: %w", errWALAppend, err)
-		}
-		return nil
-	})
+// attachCubeLocked makes cube the one the server serves, with the
+// durable op sink when there is a log: every mutation is staged in the
+// log before it is applied. The caller holds mu.
+func (s *server) attachCubeLocked(cube *core.Cube) {
+	if log := s.wal; log != nil {
+		cube.SetOpSink(func(op core.Op) error {
+			if _, err := log.Stage(op); err != nil {
+				return fmt.Errorf("%w: %w", errWALAppend, err)
+			}
+			return nil
+		})
+	}
 	s.cube = cube
-	s.wal = log
 	s.shape = cube.Shape()
 }
 
@@ -502,14 +490,12 @@ func newServer(dimsArg, opArg string, ooo bool) (*server, error) {
 	default:
 		return nil, fmt.Errorf("unknown operator %q", opArg)
 	}
-	cfg := core.Config{Dims: ds, Operator: op, BufferOutOfOrder: ooo}
-	cube, err := core.New(cfg)
+	cube, err := core.New(core.Config{Dims: ds, Operator: op, BufferOutOfOrder: ooo})
 	if err != nil {
 		return nil, err
 	}
 	s := &server{
 		cube:       cube,
-		cubeCfg:    cfg,
 		dims:       len(ds),
 		shape:      cube.Shape(),
 		hub:        newReplHub(),
@@ -620,25 +606,17 @@ func (s *server) commands() []lineserver.Command {
 	return rows
 }
 
-// staged is what a successful mutation leaves pending: it is written to
-// the WAL and applied, but not yet durable, so its OK is provisional
-// until settle's barrier on (wal, lsn) passes.
-type staged struct {
-	wal *wal.Log
-	lsn uint64
-}
-
 // settle is the commit barrier in front of every reply: no OK for a
 // mutation may leave the server before its record is durable and, with
-// -repl-min-acks, acknowledged by that many followers. LSNs grow along
-// a connection and both waits are cumulative, so one barrier on the
-// unit's last mutation covers them all. When it fails, every mutation
-// reply of the unit becomes the ERR it would have been inline — the
-// writes are applied and possibly logged, but nothing was promised;
-// other replies pass unchanged.
+// -repl-min-acks, acknowledged by that many followers. A successful
+// mutation leaves its LSN pending: it is staged in the WAL and applied,
+// but not yet durable. LSNs grow along a connection and both waits are
+// cumulative, so one barrier on the unit's last mutation covers them
+// all. When it fails, every mutation reply of the unit becomes the ERR
+// it would have been inline — the writes are applied and possibly
+// logged, but nothing was promised; other replies pass unchanged.
 func (s *server) settle(open []*lineserver.Request) {
-	last := open[len(open)-1].Pending.(staged)
-	if errResp := s.commitBarrier(last.wal, last.lsn); errResp != "" {
+	if errResp := s.commitBarrier(open[len(open)-1].Pending.(uint64)); errResp != "" {
 		for _, rq := range open {
 			rq.Reply = errResp
 		}
@@ -651,9 +629,9 @@ func (s *server) settle(open []*lineserver.Request) {
 // not a staged write — is the recovery probe that clears degraded mode,
 // and a failed one enters it. The ack wait runs with no lock held:
 // followers never contend with the mutation they are acknowledging.
-func (s *server) commitBarrier(wl *wal.Log, lsn uint64) string {
+func (s *server) commitBarrier(lsn uint64) string {
 	t := obs.NewTimer(s.stage[stageCommitWait])
-	err := wl.Commit(lsn)
+	err := s.wal.Commit(lsn)
 	t.ObserveDuration()
 	if err != nil {
 		err = fmt.Errorf("%w: %w", errWALAppend, err)
@@ -805,7 +783,7 @@ func (s *server) cmdMutate(rq *lineserver.Request) string {
 		root, stage = trace.New("histserve.delete"), stageCubeDelete
 	}
 	root.SetTraceID(rq.TID)
-	wl, lsn, err := s.mutate(cmd, root, nums[0], coords, val)
+	lsn, err := s.mutate(cmd, root, nums[0], coords, val)
 	root.End()
 	s.observeCube(stage, root)
 	s.Observe(rq.Line, root)
@@ -814,8 +792,8 @@ func (s *server) cmdMutate(rq *lineserver.Request) string {
 	}
 	// Staged and applied, not yet durable: the OK is held back until
 	// settle's commit barrier passes.
-	if wl != nil {
-		rq.Pending = staged{wl, lsn}
+	if s.wal != nil {
+		rq.Pending = lsn
 	}
 	return "OK"
 }
@@ -948,10 +926,10 @@ func (s *server) queryLocked(root *trace.Span, rng core.Range) (float64, error) 
 // mu; the panic itself travels on to the serving core's barrier and
 // surfaces as ERR internal. A storage failure (the WAL write
 // exhausting its retries, or out-of-space) enters degraded mode. On
-// success wl/lsn name the log and position the record was staged at
-// (nil/0 without durability) — what the barrier commits and the
-// semi-sync ack wait keys on.
-func (s *server) mutate(cmd string, root *trace.Span, t int64, coords []int, val float64) (wl *wal.Log, lsn uint64, err error) {
+// success lsn is the position the record was staged at (0 without
+// durability) — what the barrier commits and the semi-sync ack wait
+// keys on.
+func (s *server) mutate(cmd string, root *trace.Span, t int64, coords []int, val float64) (lsn uint64, err error) {
 	ctx, cancel := s.RequestCtx()
 	defer cancel()
 	ctx = trace.NewContext(ctx, root)
@@ -975,13 +953,13 @@ func (s *server) mutate(cmd string, root *trace.Span, t int64, coords []int, val
 	switch {
 	case err == nil:
 		if s.wal != nil {
-			wl, lsn = s.wal, s.wal.LastLSN()
+			lsn = s.wal.LastLSN()
 		}
 		s.maybeCheckpointLocked()
 	case isStorageFailure(err):
 		s.setDegraded(err)
 	}
-	return wl, lsn, err
+	return lsn, err
 }
 
 // statsSnapshot reads the cube's counters under mu.
@@ -1126,8 +1104,7 @@ func (s *server) loadSnapshot(path string) error {
 		return err
 	}
 	s.mu.Lock()
-	s.cube = cube
-	s.shape = cube.Shape()
+	s.attachCubeLocked(cube)
 	s.mu.Unlock()
 	return nil
 }

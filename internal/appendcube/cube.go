@@ -65,18 +65,6 @@ type Config struct {
 	DisableConversion bool
 }
 
-// DefaultThreshold returns a fixed copy-ahead work budget for a slice
-// shape: roughly twice a typical DDC update footprint. It is exported
-// for the ablation benchmarks; the cube's default is the adaptive
-// density-tracking budget (see Config.CopyAheadThreshold).
-func DefaultThreshold(shape dims.Shape) int {
-	t := 1
-	for _, n := range shape {
-		t *= (ddc.MaxChainLen(n)+3)/2 + 1
-	}
-	return t
-}
-
 // UpdateResult reports the cost breakdown of one update, in cell
 // accesses (the in-memory metric). For disk-backed cubes the page I/O
 // cost is available via the store's counters.
@@ -566,16 +554,9 @@ func (c *Cube) QueryCtx(ctx context.Context, sp *trace.Span, timeLo, timeHi int6
 	return qu - ql, nil
 }
 
-// PrefixTimeQuery answers the half-open range "all points with time
+// prefixTimeQuery answers the half-open range "all points with time
 // coordinate <= t" restricted to the box — the prefix time query the
 // framework reduces everything to.
-func (c *Cube) PrefixTimeQuery(t int64, box dims.Box) (float64, error) {
-	if err := box.Validate(c.shape); err != nil {
-		return 0, err
-	}
-	return c.prefixTimeQuery(context.Background(), nil, t, box)
-}
-
 func (c *Cube) prefixTimeQuery(ctx context.Context, sp *trace.Span, t int64, box dims.Box) (float64, error) {
 	ps := sp.StartChild("histcube.prefix")
 	defer ps.End()
@@ -590,17 +571,13 @@ func (c *Cube) prefixTimeQuery(ctx context.Context, sp *trace.Span, t int64, box
 	return c.sliceQuery(ctx, ps, idx, box)
 }
 
-// SliceQuery aggregates the box over the cumulative slice with index
+// sliceQuery aggregates the box over the cumulative slice with index
 // s. The latest slice is answered by the DDC algorithm on cache;
-// historic slices by the eCube algorithm over the store.
-func (c *Cube) SliceQuery(s int, box dims.Box) (float64, error) {
-	return c.sliceQuery(context.Background(), nil, s, box)
-}
-
-// sliceQuery runs one instance query, attributing its cost to a
-// histcube.slice_query child span when sp is non-nil: cells touched
-// and conversions from the eCube engine, cache/store access deltas,
-// and — for disk-backed stores — pager read/write deltas. The deltas
+// historic slices by the eCube algorithm over the store. It attributes
+// the cost of that one instance query to a histcube.slice_query child
+// span when sp is non-nil: cells touched and conversions from the eCube
+// engine, cache/store access deltas, and — for disk-backed stores —
+// pager read/write deltas. The deltas
 // are exact because the cube serialises all calls (the server's
 // single-mutex contract).
 func (c *Cube) sliceQuery(ctx context.Context, sp *trace.Span, s int, box dims.Box) (float64, error) {

@@ -1,6 +1,7 @@
 package appendcube
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -96,7 +97,7 @@ func TestRejectsBadConfigAndArgs(t *testing.T) {
 	if _, err := c.Query(0, 1, dims.NewBox([]int{0}, []int{9})); err == nil {
 		t.Error("out-of-range box accepted")
 	}
-	if _, err := c.SliceQuery(0, dims.FullBox(c.SliceShape())); err == nil {
+	if _, err := c.sliceQuery(context.Background(), nil, 0, dims.FullBox(c.SliceShape())); err == nil {
 		t.Error("slice query on empty cube accepted")
 	}
 }
@@ -146,11 +147,11 @@ func TestPaperSection22Scenario(t *testing.T) {
 	}
 	// Prefix time query semantics: t between occurring times uses the
 	// greatest occurring time below it.
-	p2, err := c.PrefixTimeQuery(2, box)
+	p2, err := c.prefixTimeQuery(context.Background(), nil, 2, box)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := c.PrefixTimeQuery(1, box)
+	p1, err := c.prefixTimeQuery(context.Background(), nil, 1, box)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestPaperSection22Scenario(t *testing.T) {
 		t.Errorf("prefix at non-occurring time 2 = %v, want prefix at 1 = %v", p2, p1)
 	}
 	// Prefix before all data is zero.
-	p0, _ := c.PrefixTimeQuery(0, box)
+	p0, _ := c.prefixTimeQuery(context.Background(), nil, 0, box)
 	if p0 != 0 {
 		t.Errorf("prefix before first time = %v", p0)
 	}
@@ -537,14 +538,6 @@ func TestShadowProperty3D(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDefaultThresholdPositive(t *testing.T) {
-	for _, shape := range []dims.Shape{{2}, {16, 16}, {180, 360, 9}} {
-		if got := DefaultThreshold(shape); got <= 0 {
-			t.Errorf("DefaultThreshold(%v) = %d", shape, got)
-		}
 	}
 }
 

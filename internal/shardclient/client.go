@@ -120,9 +120,6 @@ func New(addr string, opts Options) *Client {
 	}
 }
 
-// Addr returns the shard address this client serves.
-func (c *Client) Addr() string { return c.addr }
-
 // Healthy reports whether the breaker is closed (requests flow
 // normally). A half-open client reports unhealthy until a trial
 // succeeds.

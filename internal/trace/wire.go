@@ -1,11 +1,11 @@
 // SpanJSON wire codec: the structured EXPLAIN variant ships a whole
 // span tree across the proxy/shard boundary as one JSON document
 // ("EXPLAIN JSON QRY ..." answers `OK {"result":...,"trace":{...}}`
-// on a single line). Decode tolerates anything a well-meaning shard
-// could send — unknown attrs and counters are preserved or dropped,
-// never fatal — and Span rebuilds an in-memory tree the proxy grafts
-// under its proxy.leg span, so Total over the merged tree equals the
-// sum of the shards' flat totals exactly (counters travel as int64).
+// on a single line). DecodeExplain tolerates anything a well-meaning
+// shard could send — unknown attrs and counters are preserved or
+// dropped, never fatal — and Span rebuilds an in-memory tree the proxy
+// grafts under its proxy.leg span, so Total over the merged tree equals
+// the sum of the shards' flat totals exactly (counters travel as int64).
 
 package trace
 
@@ -27,39 +27,6 @@ var counterByName = func() map[string]Counter {
 	}
 	return m
 }()
-
-// CounterByName resolves a snake_case counter name ("cells_touched")
-// back to its enum value; ok is false for unknown names.
-func CounterByName(name string) (Counter, bool) {
-	c, ok := counterByName[name]
-	return c, ok
-}
-
-// EncodeSpanJSON marshals a span tree's JSON shape. The output is a
-// single line (encoding/json emits no newlines without an Encoder),
-// which is what lets the structured EXPLAIN reply fit the one-line
-// protocol slot.
-func EncodeSpanJSON(j *SpanJSON) ([]byte, error) {
-	if j == nil {
-		return nil, errors.New("trace: nil SpanJSON")
-	}
-	return json.Marshal(j)
-}
-
-// DecodeSpanJSON parses a SpanJSON document. It never panics on
-// adversarial input (FuzzSpanJSON pins this) and rejects documents
-// whose root has no name — the one structural invariant every real
-// span satisfies.
-func DecodeSpanJSON(data []byte) (*SpanJSON, error) {
-	var j SpanJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return nil, err
-	}
-	if j.Name == "" {
-		return nil, errors.New("trace: span document has no name")
-	}
-	return &j, nil
-}
 
 // Span rebuilds an in-memory span tree from its JSON shape — the
 // grafting side of the wire codec. Counters map back through the enum
@@ -124,6 +91,22 @@ func (j *SpanJSON) Span() *Span {
 type ExplainJSON struct {
 	Result float64   `json:"result"`
 	Trace  *SpanJSON `json:"trace"`
+}
+
+// DecodeExplain parses the body of an EXPLAIN JSON reply (what follows
+// "OK "). It never panics on adversarial input (FuzzSpanJSON pins this)
+// and rejects malformed JSON and a trace whose root is missing or has
+// no name — the one structural invariant every real span satisfies, so
+// a reply that breaks it is not a shard's span tree.
+func DecodeExplain(body []byte) (ExplainJSON, error) {
+	var doc ExplainJSON
+	if err := json.Unmarshal(body, &doc); err != nil {
+		return doc, err
+	}
+	if doc.Trace == nil || doc.Trace.Name == "" {
+		return doc, errors.New("trace: EXPLAIN reply has no named trace root")
+	}
+	return doc, nil
 }
 
 // EntryJSON is the JSON shape of one retained trace in the

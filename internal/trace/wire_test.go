@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -94,9 +95,9 @@ func TestSpanIdentity(t *testing.T) {
 	nilSpan.Graft(root)         // must not panic
 }
 
-// TestSpanJSONRoundTrip builds a real tree, ships it through the wire
-// codec and grafts the decoded copy: IDs survive, counter totals are
-// bit-identical, and rendering is deterministic.
+// TestSpanJSONRoundTrip builds a real tree, ships it as an EXPLAIN
+// JSON reply body and grafts the decoded copy: IDs survive, counter
+// totals are bit-identical, and rendering is deterministic.
 func TestSpanJSONRoundTrip(t *testing.T) {
 	root := New("histserve.query")
 	root.SetInt("tlo", 1)
@@ -113,18 +114,21 @@ func TestSpanJSONRoundTrip(t *testing.T) {
 	root.Add(WALBytes, 120)
 	root.End()
 
-	enc, err := EncodeSpanJSON(root.JSON())
+	enc, err := json.Marshal(ExplainJSON{Result: 4.5, Trace: root.JSON()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bytes.ContainsRune(enc, '\n') {
-		t.Fatal("encoded span tree is not a single line")
+		t.Fatal("encoded reply body is not a single line")
 	}
-	dec, err := DecodeSpanJSON(enc)
+	doc, err := DecodeExplain(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := dec.Span()
+	if doc.Result != 4.5 {
+		t.Errorf("result %v, want 4.5", doc.Result)
+	}
+	back := doc.Trace.Span()
 	if back.TraceID() != root.TraceID() || back.SpanID() != root.SpanID() {
 		t.Fatalf("IDs lost in transit: %v/%v -> %v/%v",
 			root.TraceID(), root.SpanID(), back.TraceID(), back.SpanID())
@@ -167,22 +171,21 @@ func TestSpanJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeSpanJSONRejects covers the decode error branches.
+// TestDecodeSpanJSONRejects covers DecodeExplain's error branches:
+// malformed JSON, and a trace root that is missing or has no name.
 func TestDecodeSpanJSONRejects(t *testing.T) {
-	for _, bad := range []string{"", "not json", "null", "{}", `{"name":""}`, "[1,2]"} {
-		if j, err := DecodeSpanJSON([]byte(bad)); err == nil {
-			t.Errorf("DecodeSpanJSON(%q) accepted: %+v", bad, j)
+	for _, bad := range []string{"", "not json", "null", "{}", "[1,2]", `{"result":5}`,
+		`{"result":5,"trace":null}`, `{"result":5,"trace":{}}`, `{"result":5,"trace":{"name":""}}`} {
+		if doc, err := DecodeExplain([]byte(bad)); err == nil {
+			t.Errorf("DecodeExplain(%q) accepted: %+v", bad, doc)
 		}
-	}
-	if _, err := EncodeSpanJSON(nil); err == nil {
-		t.Error("EncodeSpanJSON(nil) accepted")
 	}
 }
 
-// FuzzSpanJSON fuzzes the wire codec: decoding arbitrary bytes must
-// never panic, and any document that decodes must hit an
+// FuzzSpanJSON fuzzes the EXPLAIN JSON decoder: decoding arbitrary
+// bytes must never panic, and any body that decodes must hit an
 // encode/decode fixpoint (canonical form is stable) while converting
-// to a Span without losing known counters.
+// its trace to a Span without losing known counters.
 func FuzzSpanJSON(f *testing.F) {
 	root := New("histserve.query")
 	c := root.StartChild("histcube.query")
@@ -190,26 +193,26 @@ func FuzzSpanJSON(f *testing.F) {
 	c.SetStr("shard", "a:1")
 	c.End()
 	root.End()
-	if seed, err := EncodeSpanJSON(root.JSON()); err == nil {
+	if seed, err := json.Marshal(ExplainJSON{Result: 21, Trace: root.JSON()}); err == nil {
 		f.Add(seed)
 	}
-	f.Add([]byte(`{"name":"histserve.query","counters":{"cells_touched":7,"bogus":1}}`))
-	f.Add([]byte(`{"name":"proxy.query","attrs":{"a":1.5,"b":true,"c":[1,2]},"children":[{"name":"proxy.leg"}]}`))
+	f.Add([]byte(`{"result":7,"trace":{"name":"histserve.query","counters":{"cells_touched":7,"bogus":1}}}`))
+	f.Add([]byte(`{"result":1.5,"trace":{"name":"proxy.query","attrs":{"a":1.5,"b":true,"c":[1,2]},"children":[{"name":"proxy.leg"}]}}`))
 	f.Add([]byte(`not json at all`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		j, err := DecodeSpanJSON(data)
+		doc, err := DecodeExplain(data)
 		if err != nil {
 			return
 		}
-		enc, err := EncodeSpanJSON(j)
+		enc, err := json.Marshal(doc)
 		if err != nil {
-			t.Fatalf("decoded document failed to encode: %v", err)
+			t.Fatalf("decoded body failed to encode: %v", err)
 		}
-		j2, err := DecodeSpanJSON(enc)
+		doc2, err := DecodeExplain(enc)
 		if err != nil {
 			t.Fatalf("canonical form failed to decode: %v\n%s", err, enc)
 		}
-		enc2, err := EncodeSpanJSON(j2)
+		enc2, err := json.Marshal(doc2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,9 +221,9 @@ func FuzzSpanJSON(f *testing.F) {
 		}
 		// Span conversion must not panic and must preserve every known
 		// counter bit-exactly (the proxy's merged totals depend on it).
-		sp := j.Span()
-		for name, v := range j.Counters {
-			if cnt, ok := CounterByName(name); ok && sp.Count(cnt) != v {
+		sp := doc.Trace.Span()
+		for name, v := range doc.Trace.Counters {
+			if cnt, ok := counterByName[name]; ok && sp.Count(cnt) != v {
 				t.Fatalf("counter %s: %d -> %d", name, v, sp.Count(cnt))
 			}
 		}

@@ -54,27 +54,7 @@ func (l *Log) checkpointLocked(save func(io.Writer) error) (uint64, error) {
 	if err := l.syncLocked(); err != nil {
 		return 0, l.ckptFailed(err)
 	}
-	tmp := filepath.Join(l.dir, "checkpoint.tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, l.ckptFailed(err)
-	}
-	err = save(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return 0, l.ckptFailed(err)
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, ckptName(lsn))); err != nil {
-		os.Remove(tmp)
-		return 0, l.ckptFailed(err)
-	}
-	if err := syncDir(l.dir); err != nil {
+	if err := writeCheckpoint(l.dir, lsn, save); err != nil {
 		return 0, l.ckptFailed(err)
 	}
 	l.ckptLSN = lsn
@@ -94,6 +74,88 @@ func (l *Log) checkpointLocked(save func(io.Writer) error) (uint64, error) {
 	}
 	timer.ObserveDuration()
 	return lsn, nil
+}
+
+// writeCheckpoint makes save's snapshot the checkpoint covering lsn:
+// tmp file, fsync, rename, directory fsync, so the name never points at
+// a partial snapshot.
+func writeCheckpoint(dir string, lsn uint64, save func(io.Writer) error) error {
+	tmp := filepath.Join(dir, "checkpoint.tmp")
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = save(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, ckptName(lsn)))
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(dir)
+}
+
+// OpenCheckpoint opens the newest checkpoint file, for the caller to
+// close, and returns the LSN it covers. A checkpoint syncs the log
+// first, so every record it covers is durable, and the segments after it
+// are retained, so a stream resumes at its LSN+1. It is opened under mu,
+// where no checkpoint can prune it first.
+func (l *Log) OpenCheckpoint() (*os.File, uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	f, err := os.Open(filepath.Join(l.dir, ckptName(l.ckptLSN)))
+	return f, l.ckptLSN, err
+}
+
+// Rebase replaces the log's whole history with save's snapshot as the
+// one checkpoint, covering lsn, and positions the log to append lsn+1:
+// how a follower adopts its primary's snapshot. Every crash point
+// recovers — with the segments gone to the old checkpoint's LSN, with
+// the checkpoints gone too to LSN 0 — and the segment after lsn is
+// created only once the new checkpoint exists, or the directory would
+// recover an empty cube at lsn. A Rebase that fails part-way leaves the
+// log closed at its old end (Stage and Commit fail, Sync is a no-op)
+// until a later one succeeds. Older Streams end with ErrClosed.
+func (l *Log) Rebase(lsn uint64, save func(io.Writer) error) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.awaitSyncIdleLocked()
+	if !l.closed {
+		_ = l.f.Close() // the history on it is being discarded, durable or not
+		l.closed = true
+	}
+	l.rebases++
+	l.notifyWaitersLocked()
+	// Newest first, durably, so a crash part-way leaves a prefix.
+	for _, list := range []func(string) ([]dirEntry, error){listSegments, listCheckpoints} {
+		ents, err := list(l.dir)
+		for i := len(ents) - 1; i >= 0 && err == nil; i-- {
+			err = os.Remove(ents[i].path)
+		}
+		if err == nil {
+			err = syncDir(l.dir)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if err := writeCheckpoint(l.dir, lsn, save); err != nil {
+		return err
+	}
+	if err := l.startSegmentLocked(lsn + 1); err != nil {
+		return err
+	}
+	l.nextLSN, l.durableLSN, l.shippedLSN, l.ckptLSN, l.sinceCkpt = lsn+1, lsn, lsn, lsn, 0
+	l.unsynced, l.syncFailed, l.ring, l.segCount, l.closed = l.unsynced[:0], nil, nil, 1, false
+	l.ckptNano.Store(time.Now().UnixNano())
+	return nil
 }
 
 func (l *Log) ckptFailed(err error) error {

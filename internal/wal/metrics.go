@@ -5,8 +5,7 @@ import "histcube/internal/obs"
 // Metrics bundles the WAL's counters and histograms. Pass one (from
 // NewMetrics) in Options to instrument a log; a nil Metrics disables
 // instrumentation with a single branch per event. Gauges derived from
-// live log state are registered separately via
-// RegisterStateMetricsFunc.
+// live log state are registered separately via RegisterStateMetrics.
 type Metrics struct {
 	Appends          *obs.Counter
 	AppendedBytes    *obs.Counter

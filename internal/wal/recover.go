@@ -205,16 +205,8 @@ func Recover(dir string, opts Options, newCube func() (*core.Cube, error)) (*cor
 		l.segFirst = sg.seq
 		l.segBytes = fi.Size()
 		l.durableBytes, l.writtenBytes = fi.Size(), fi.Size()
-	} else {
-		f, err := createSegment(dir, l.nextLSN)
-		if err != nil {
-			return nil, nil, res, err
-		}
-		l.f = l.wrapSeg(f)
-		l.segFirst = l.nextLSN
-		l.segBytes = segHeaderSize
-		l.durableBytes, l.writtenBytes = segHeaderSize, segHeaderSize
-		l.segCount = 1
+	} else if err := l.startSegmentLocked(l.nextLSN); err != nil {
+		return nil, nil, res, err
 	}
 	return cube, l, res, nil
 }

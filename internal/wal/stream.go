@@ -29,10 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
-	"os"
-	"path/filepath"
 
 	"histcube/internal/core"
 )
@@ -126,9 +123,10 @@ func (l *Log) oldestLSNLocked() uint64 {
 // Stream is a subscription cursor positioned before one LSN. Not safe
 // for concurrent use; one replication connection owns one Stream.
 type Stream struct {
-	log  *Log
-	next uint64
-	buf  []StreamRecord // disk catch-up read-ahead
+	log     *Log
+	next    uint64
+	rebases uint64         // the log's Rebase count at subscription
+	buf     []StreamRecord // disk catch-up read-ahead
 }
 
 // SubscribeFrom opens a Stream whose first record will be LSN from.
@@ -150,7 +148,7 @@ func (l *Log) SubscribeFrom(from uint64) (*Stream, error) {
 	if from > l.shippedLSN+1 {
 		return nil, fmt.Errorf("%w: want LSN %d, log ends at %d", ErrFutureLSN, from, l.shippedLSN)
 	}
-	return &Stream{log: l, next: from}, nil
+	return &Stream{log: l, next: from, rebases: l.rebases}, nil
 }
 
 // Next returns the record at the cursor, blocking until one is
@@ -203,8 +201,9 @@ func (s *Stream) poll(wait bool) (rec StreamRecord, ok bool, wake chan struct{},
 		}
 		l := s.log
 		l.mu.Lock()
-		if s.next > l.shippedLSN {
-			if l.closed {
+		// A Rebase replaced the history this cursor was reading.
+		if rebased := s.rebases != l.rebases; rebased || s.next > l.shippedLSN {
+			if l.closed || rebased {
 				err = ErrClosed
 			} else if wait {
 				wake = make(chan struct{})
@@ -274,69 +273,4 @@ func (s *Stream) fillFromDisk(shipped uint64) (int, error) {
 		s.buf = append(s.buf, StreamRecord{LSN: lsn, Op: op})
 	}
 	return len(s.buf), nil
-}
-
-// InstallCheckpoint writes a snapshot (core.Save bytes from r) into dir
-// as the checkpoint covering lsn — the follower side of snapshot
-// bootstrap: a replica whose position fell behind the primary's
-// retention horizon installs the shipped snapshot, then re-runs Recover
-// so its cube and log positions align with the primary's LSNs. Segments
-// whose records are all covered by the installed checkpoint are
-// removed; without that, recovery would continue an old segment whose
-// implicit record LSNs (firstLSN + index) no longer match the log
-// position, silently mis-numbering every later append. The caller must
-// not hold the directory's Log open.
-func InstallCheckpoint(dir string, lsn uint64, r io.Reader) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, "checkpoint.install.tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = io.Copy(f, r)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, ckptName(lsn))); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(dir); err != nil {
-		return err
-	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		return err
-	}
-	for i, sg := range segs {
-		var end uint64
-		if i+1 < len(segs) {
-			end = segs[i+1].seq - 1
-		} else {
-			first, ops, _, _, rerr := readSegment(sg.path)
-			if rerr != nil {
-				break // unreadable tail segment: leave it for Recover to judge
-			}
-			end = first + uint64(len(ops)) - 1
-			if len(ops) == 0 {
-				end = first - 1
-			}
-		}
-		if end > lsn {
-			break // segments ascend; the first survivor ends the removable prefix
-		}
-		if err := os.Remove(sg.path); err != nil {
-			return err
-		}
-	}
-	return syncDir(dir)
 }

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -329,67 +328,4 @@ func TestApplyReplicatedProducesIdenticalCube(t *testing.T) {
 	}
 	defer rl2.Close()
 	assertEquivalent(t, pc, rc2, r)
-}
-
-func TestInstallCheckpointResetsSegments(t *testing.T) {
-	primaryDir, replicaDir := t.TempDir(), t.TempDir()
-	pc := newTestCube(t)
-	_, pl, _, err := Recover(primaryDir, Options{Sync: SyncNever}, func() (*core.Cube, error) { return pc, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pl.Close()
-	r := rand.New(rand.NewSource(31))
-	run(t, pc, pl, randomOps(r, 120))
-	snapLSN := pl.LastLSN()
-	var snap bytes.Buffer
-	if err := pc.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-
-	// Replica has an unrelated shorter history; installing the primary
-	// snapshot must discard its segments so recovery does not continue
-	// an old segment with mismatched implicit LSNs.
-	rcOld := newTestCube(t)
-	_, rlOld, _, err := Recover(replicaDir, Options{Sync: SyncNever}, func() (*core.Cube, error) { return rcOld, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	run(t, rcOld, rlOld, randomOps(rand.New(rand.NewSource(32)), 10))
-	if err := rlOld.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := InstallCheckpoint(replicaDir, snapLSN, bytes.NewReader(snap.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := listSegments(replicaDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 0 {
-		t.Fatalf("%d stale segments survived install", len(segs))
-	}
-
-	rc := newTestCube(t)
-	cube, rl, res, err := Recover(replicaDir, Options{Sync: SyncNever}, func() (*core.Cube, error) { return rc, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rl.Close()
-	if res.CheckpointLSN != snapLSN {
-		t.Fatalf("recovered from checkpoint %d, want %d", res.CheckpointLSN, snapLSN)
-	}
-	if rl.LastLSN() != snapLSN {
-		t.Fatalf("recovered log at LSN %d, want %d", rl.LastLSN(), snapLSN)
-	}
-	// Appends after install must continue the primary's numbering.
-	lsn, err := rl.Append(core.Op{Kind: core.OpInsert, Time: 9, Coords: []int{1, 1}, Value: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lsn != snapLSN+1 {
-		t.Fatalf("first post-install append got LSN %d, want %d", lsn, snapLSN+1)
-	}
-	assertEquivalent(t, pc, cube, r)
 }

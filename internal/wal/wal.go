@@ -26,6 +26,9 @@
 // the directory stays bounded by the checkpoint cadence. Recovery
 // (see Recover) loads the newest readable checkpoint, replays the log
 // tail, and truncates — rather than fails on — a torn final record.
+// The newest checkpoint is also what a replication subscriber behind
+// the retention horizon is sent (OpenCheckpoint), and Rebase is how a
+// follower's open log adopts such a snapshot as its whole history.
 package wal
 
 import (
@@ -164,6 +167,7 @@ type Log struct {
 	sinceCkpt int64       // guarded by mu
 	ckptLSN   uint64      // guarded by mu
 	closed    bool        // guarded by mu
+	rebases   uint64      // Rebase calls so far, so a Stream can tell its history was replaced; guarded by mu
 
 	// The active segment's offsets ascend durableBytes <= writtenBytes <=
 	// segBytes: fsynced, written, staged. durableLSN is the last LSN an
@@ -488,20 +492,28 @@ func (l *Log) rotateLocked() error {
 	if err := l.f.Close(); err != nil {
 		return err
 	}
-	f, err := createSegment(l.dir, l.nextLSN)
+	// The sync above covered the old segment's tail.
+	if err := l.startSegmentLocked(l.nextLSN); err != nil {
+		return err
+	}
+	if m := l.opts.Metrics; m != nil {
+		m.Rotations.Inc()
+	}
+	return nil
+}
+
+// startSegmentLocked creates the segment whose records start at first
+// and makes it the active one. createSegment fsyncs its header, so the
+// new segment's whole baseline is durable.
+func (l *Log) startSegmentLocked(first uint64) error {
+	f, err := createSegment(l.dir, first)
 	if err != nil {
 		return err
 	}
 	l.f = l.wrapSeg(f)
-	l.segFirst = l.nextLSN
-	l.segBytes = segHeaderSize
-	// The sync above covered the old segment's tail and createSegment
-	// fsyncs the header, so the whole new baseline is durable.
-	l.durableBytes, l.writtenBytes = segHeaderSize, segHeaderSize
+	l.segFirst = first
+	l.segBytes, l.durableBytes, l.writtenBytes = segHeaderSize, segHeaderSize, segHeaderSize
 	l.segCount++
-	if m := l.opts.Metrics; m != nil {
-		m.Rotations.Inc()
-	}
 	return nil
 }
 
@@ -688,47 +700,23 @@ func (l *Log) Segments() int {
 	return l.segCount
 }
 
-// RegisterStateMetricsFunc registers gauges derived from the log's
-// state: segment count, last LSN, records since the last checkpoint,
-// and the age of the last checkpoint (-1 before the first). The gauge
-// callbacks take the log's mutex at scrape time. The log is read
-// through get at every scrape, so a caller that replaces its log at
-// runtime (a replica re-recovering after installing a shipped
-// snapshot) has the gauges follow the swap instead of pinning the
-// first log. get may return nil; the gauges then report zeros (and -1
-// for the checkpoint age).
-func RegisterStateMetricsFunc(reg *obs.Registry, get func() *Log) {
+// RegisterStateMetrics registers gauges derived from l's state: segment
+// count, last LSN, records since the last checkpoint, and the age of the
+// last checkpoint (-1 before the first). The gauge callbacks take the
+// log's mutex at scrape time.
+func RegisterStateMetrics(reg *obs.Registry, l *Log) {
 	reg.NewGaugeFunc("histcube_wal_segments",
 		"WAL segment files on disk, including the active one.",
-		func() float64 {
-			if l := get(); l != nil {
-				return float64(l.Segments())
-			}
-			return 0
-		})
+		func() float64 { return float64(l.Segments()) })
 	reg.NewGaugeFunc("histcube_wal_last_lsn",
 		"LSN of the most recently appended WAL record.",
-		func() float64 {
-			if l := get(); l != nil {
-				return float64(l.LastLSN())
-			}
-			return 0
-		})
+		func() float64 { return float64(l.LastLSN()) })
 	reg.NewGaugeFunc("histcube_wal_records_since_checkpoint",
 		"Records appended since the last checkpoint.",
-		func() float64 {
-			if l := get(); l != nil {
-				return float64(l.SinceCheckpoint())
-			}
-			return 0
-		})
+		func() float64 { return float64(l.SinceCheckpoint()) })
 	reg.NewGaugeFunc("histcube_wal_checkpoint_age_seconds",
 		"Seconds since the last checkpoint completed; -1 before the first.",
 		func() float64 {
-			l := get()
-			if l == nil {
-				return -1
-			}
 			ns := l.ckptNano.Load()
 			if ns == 0 {
 				return -1
