@@ -108,8 +108,12 @@ step_shardchaos() {
     # answer over the dead range must be an exact PARTIAL (never a wrong
     # total presented as complete, never a hang), and the shard
     # rejoining on the same port restores complete answers without a
-    # proxy restart.
-    go test -race -count=1 -run TestShardChaosPartialAnswersAndRejoin ./cmd/histproxy/
+    # proxy restart. Then the two traps of reading a unit's shards in
+    # turn: replies that reached a shard's connection while a slower shard
+    # was read are still that shard's answers, past its deadline, and a
+    # read batch past its hedge point with every reply buffered is not
+    # hedged.
+    go test -race -count=1 -run 'TestShardChaosPartialAnswersAndRejoin|TestUnitReadsRepliesBufferedBehindASlowShard|TestUnitDoesNotHedgeBufferedReadBatch' ./cmd/histproxy/
 }
 
 step_replchaos() {
@@ -142,7 +146,7 @@ step_traceguard() {
 }
 
 step_perfguard() {
-    echo "== serving-path overhead guards (Histogram.Observe <= 150 ns, 0 allocs; served QRY <= 22 allocs; one write per group commit; Save streams in < 1 MiB) =="
+    echo "== serving-path overhead guards (Histogram.Observe <= 150 ns, 0 allocs; served QRY <= 22 allocs; proxied window <= 100 allocs; one write per group commit; Save streams in < 1 MiB) =="
     # What every served request pays to be timed, once per request and
     # once per stage, and what one served QRY allocates in all: its
     # parse, one slab for its span tree, its deadline context (no timer)
@@ -150,6 +154,10 @@ step_perfguard() {
     # runs only.
     go test -count=1 -run TestHistogramObserveOverhead ./internal/obs/
     go test -count=1 -run TestServedQueryAllocs ./cmd/histserve/
+    # One four-line window through histproxy to two loopback shards,
+    # counted process-wide: its fan-out starts no goroutine and makes no
+    # channel, cancel context or timer unless a hedge is due.
+    go test -count=1 -run TestProxiedWindowAllocs ./cmd/histproxy/
     # N records committed together cost one write(2) and one fsync.
     go test -count=1 -run TestCommitWritesOnce ./internal/wal/
     # A checkpoint streams the cube slice by slice: Save of a 150-slice

@@ -53,14 +53,17 @@
 // already buffered on a connection form a unit (capped at 256), and each
 // shard's lines of the unit — routed mutations and query legs alike, in
 // request order — travel as one batch on one pooled connection
-// (internal/shardclient), the shards concurrently, so a shard commits,
-// replicates and acknowledges a window's mutations together and answers
-// its legs in between. A batch that carries a mutation goes to the
-// primary; a batch of legs alone goes to any healthy member. Replies keep
-// request order and leave in one flush; a lone line is a unit of one,
-// and a unit ends before the first line of any other verb. Every request
-// still sees every earlier one, because a leg rides the same ordered
-// connection as the unit's mutations to its shard.
+// (internal/shardclient), so a shard commits, replicates and acknowledges
+// a window's mutations together and answers its legs in between. The
+// connection's goroutine sends every shard's batch of the unit before it
+// reads any reply, then reads the shards' replies in turn: the batches
+// are in flight together without a goroutine each. A batch that carries
+// a mutation goes to the primary; a batch of legs alone goes to any
+// healthy member. Replies keep request order and leave in one flush; a
+// lone line is a unit of one, and a unit ends before the first line of
+// any other verb. Every request still sees every earlier one, because a
+// leg rides the same ordered connection as the unit's mutations to its
+// shard.
 //
 // Degraded answers instead of failures: when a shard is down, times
 // out, or its circuit breaker is open (internal/shardclient trips it
@@ -81,7 +84,8 @@
 // go to any healthy member — every member replays the primary's
 // totally ordered WAL stream (histserve -follow), so members answer
 // bit-identically — and a batch of reads still unanswered after
-// -hedge-after is duplicated to the next member, first answer wins.
+// -hedge-after is duplicated to the next member, first answer wins; only
+// then does the unit's fan-out start a goroutine.
 // Writes pin to the primary and are never retried (a duplicate mutation
 // is a double-apply): when a batch breaks, the replies received before
 // the break stand, every mutation beyond it is answered with an explicit
@@ -594,9 +598,11 @@ func (p *proxy) locate(rq *lineserver.Request) string {
 	if !ok {
 		return fmt.Sprintf("ERR no shard owns time %d (the shard map starts at %d)", t, p.shards[0].Range.Lo)
 	}
-	root := trace.New("proxy.insert")
+	var root *trace.Span
 	if rq.Verb() == "DEL" {
 		root = trace.New("proxy.delete")
+	} else {
+		root = trace.New("proxy.insert")
 	}
 	root.SetTraceID(rq.TID)
 	root.SetStr("shard", p.shards[idx].Addr)
@@ -649,10 +655,12 @@ func (p *proxy) scatter(rq *lineserver.Request, args []string, explain bool) str
 
 // settle is the table's settle function: it sends each shard's lines of
 // the unit — routed mutations and query legs alike, in request order — as
-// one batch round trip, the shards concurrently, then answers every
-// request in request order. Mutations to different shards commute and a
-// range aggregate is the sum of its per-shard legs (Sec. 2.1, 2.2);
-// within a shard the single connection keeps the order.
+// one batch round trip, every shard's batch before it reads any reply,
+// then reads the shards' replies in turn and answers every request in
+// request order. Mutations to different shards commute and a range
+// aggregate is the sum of its per-shard legs (Sec. 2.1, 2.2), so the
+// batches only have to be in flight together; within a shard the single
+// connection keeps the order.
 func (p *proxy) settle(unit []*lineserver.Request) {
 	batches := make([][]*send, len(p.groups))
 	var live []int
@@ -668,46 +676,44 @@ func (p *proxy) settle(unit []*lineserver.Request) {
 	}
 	ctx, cancel := p.RequestCtx()
 	defer cancel()
-	var wg sync.WaitGroup
+	calls := make([]*shardclient.Call, len(live))
 	for i, idx := range live {
-		if i == len(live)-1 {
-			p.roundTrip(ctx, idx, batches[idx]) // the last one here, while the others are in flight
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.roundTrip(ctx, idx, batches[idx])
-		}()
+		calls[i] = p.sendBatch(ctx, idx, batches[idx])
 	}
-	wg.Wait()
+	for i, idx := range live {
+		p.receive(ctx, idx, batches[idx], calls[i])
+	}
 	for _, rq := range unit {
 		rq.Reply = p.answer(rq.Line, rq.Pending.(*routed))
 	}
 }
 
-// roundTrip sends one shard's share of a unit as one batch and files the
-// replies with their sends. The member rule is read off the batch: one
-// that carries a mutation goes to the primary and is never retried or
-// hedged — a write cannot be partial, so a mutation the primary did not
-// answer is an explicit error, never a silent drop and never a re-send
-// (it may or may not have been applied) — while a batch of legs alone
-// goes to any healthy member, hedged and failed over as a batch. Legs
-// that a broken primary connection left unanswered are reads: they are
-// re-sent once, alone, which takes them down the read path.
-func (p *proxy) roundTrip(ctx context.Context, idx int, batch []*send) {
-	g := p.groups[idx]
+// sendBatch sends one shard's share of a unit as one batch. The member
+// rule is read off the batch: one that carries a mutation goes to the
+// primary and is never retried or hedged — a write cannot be partial, so
+// a mutation the primary did not answer is an explicit error, never a
+// silent drop and never a re-send (it may or may not have been applied) —
+// while a batch of legs alone goes to any healthy member, hedged and
+// failed over as a batch.
+func (p *proxy) sendBatch(ctx context.Context, idx int, batch []*send) *shardclient.Call {
 	lines, mutates := make([]string, len(batch)), false
 	for k, s := range batch {
 		lines[k], mutates = s.line, mutates || s.of.mut
 	}
-	trip := g.ReadBatch
-	if mutates {
-		trip = g.Write
-	}
-	replies, err := trip(ctx, lines)
+	return p.groups[idx].Send(ctx, lines, mutates)
+}
+
+// receive reads the replies of one shard's batch and files them with
+// their sends. Legs that a broken primary connection left unanswered are
+// reads: they are re-sent once, alone, which takes them down the read
+// path.
+func (p *proxy) receive(ctx context.Context, idx int, batch []*send, call *shardclient.Call) {
+	replies, err := call.Wait()
 	var unanswered []*send
-	stale := false
+	mutates, stale := false, false
+	for _, s := range batch {
+		mutates = mutates || s.of.mut
+	}
 	for k, s := range batch {
 		switch {
 		case k < len(replies):
@@ -727,7 +733,7 @@ func (p *proxy) roundTrip(ctx context.Context, idx int, batch []*send) {
 		go p.maybeFailover(idx)
 	}
 	if len(unanswered) > 0 {
-		p.roundTrip(ctx, idx, unanswered) // QRY lines only
+		p.receive(ctx, idx, unanswered, p.sendBatch(ctx, idx, unanswered)) // QRY lines only
 	}
 }
 

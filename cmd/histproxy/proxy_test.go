@@ -260,15 +260,22 @@ func (f *fakeShard) query(args []string) float64 {
 }
 
 // buildProxy builds an in-process proxy over the given shard spec with
-// a fast breaker so rejoin tests run in milliseconds.
+// a fast breaker so rejoin tests run in milliseconds, and no hedging.
 func buildProxy(t *testing.T, spec string) *proxy {
+	t.Helper()
+	return buildProxyWith(t, spec, 0, time.Second)
+}
+
+// buildProxyWith is buildProxy with the given -hedge-after and
+// -shard-timeout.
+func buildProxyWith(t *testing.T, spec string, hedgeAfter, shardTimeout time.Duration) *proxy {
 	t.Helper()
 	smap, err := shard.Parse(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := newProxy(smap, 2, 0, shardclient.Options{
-		OpTimeout:        time.Second,
+	p := newProxy(smap, 2, hedgeAfter, shardclient.Options{
+		OpTimeout:        shardTimeout,
 		BreakerThreshold: 1,
 		BreakerCooldown:  50 * time.Millisecond,
 	})

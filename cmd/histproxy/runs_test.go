@@ -281,6 +281,46 @@ func TestBrokenMixedUnitAnswersEveryLineAndFailsOver(t *testing.T) {
 	}
 }
 
+// TestUnitReadsRepliesBufferedBehindASlowShard: settle reads the shards
+// of a unit one after another, so a fast shard's replies can sit on their
+// connection past its deadline while a slow shard is read first. They are
+// still the fast shard's answers. Here the query's only leg goes to shard
+// B, which answers after 1.5 s against a 1 s shard timeout, and the
+// insert behind it goes to shard A, which answers at once: the query
+// degrades to PARTIAL, and the insert A acknowledged answers OK.
+func TestUnitReadsRepliesBufferedBehindASlowShard(t *testing.T) {
+	a, b := newFakeShard(t), newFakeShard(t)
+	b.set(func(f *fakeShard) { f.qryDelay = 1500 * time.Millisecond })
+	addr := serveProxy(t, buildProxyWith(t, fmt.Sprintf("%s=0-99,%s=100-", a.addr(), b.addr()), 0, time.Second))
+	got := sendAll(t, dial(t, addr), "QRY 100 150 0 0 7 7\nINS 10 1 1 5\n", 2)
+	if !strings.HasPrefix(got[0], "PARTIAL 0 ") || got[1] != "OK" {
+		t.Fatalf("replies %q, want [PARTIAL 0 ..., OK]", got)
+	}
+	if n := a.query([]string{"0", "99", "0", "0", "7", "7"}); n != 5 {
+		t.Fatalf("shard A holds %v, want the acknowledged 5", n)
+	}
+}
+
+// TestUnitDoesNotHedgeBufferedReadBatch: while settle waits for a slow
+// shard, another shard's read batch can pass its hedge point with every
+// reply already on the connection. Those replies are its answer, so the
+// batch is not duplicated. Shard A answers each query leg after 60 ms,
+// shard B — a replica set hedged after 5 ms — at once.
+func TestUnitDoesNotHedgeBufferedReadBatch(t *testing.T) {
+	a, b0, b1 := newFakeShard(t), newFakeShard(t), newFakeShard(t)
+	a.set(func(f *fakeShard) { f.qryDelay = 60 * time.Millisecond })
+	p := buildProxyWith(t, fmt.Sprintf("%s=0-99,%s|%s=100-", a.addr(), b0.addr(), b1.addr()), 5*time.Millisecond, time.Second)
+	c := dial(t, serveProxy(t, p))
+	for i := 0; i < 5; i++ {
+		if got := c.cmd(t, "QRY 0 150 0 0 7 7"); got != "0" {
+			t.Fatalf("window %d answered %q, want 0", i, got)
+		}
+	}
+	if n := p.groups[1].Hedged(); n != 0 {
+		t.Fatalf("shard B hedged %d read batches whose replies were already in", n)
+	}
+}
+
 // semiSyncFleet boots two real replica sets — semi-sync primary plus
 // WAL-shipping follower each, everything -fsync always — behind an
 // in-process proxy, and returns the proxy address and the four member

@@ -52,7 +52,7 @@ func TestRequestCtxErrPollsTheDeadline(t *testing.T) {
 	}
 }
 
-// TestRequestCtxDoneFiresAtTheDeadline is what histproxy's fan-out
+// TestRequestCtxDoneFiresAtTheDeadline is what histproxy's hedge race
 // relies on: a select on Done, and on the Done of a context derived
 // from it, wakes at the deadline with Err agreeing.
 func TestRequestCtxDoneFiresAtTheDeadline(t *testing.T) {

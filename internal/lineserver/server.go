@@ -490,8 +490,8 @@ func (s *Server) finish(rq *Request) {
 // RequestCtx derives the per-request context from -request-timeout. Its
 // deadline is polled, not timed: Err reads the clock and, once the
 // deadline has passed, cancels the context. A runtime timer exists only
-// when something waits on Done (histproxy's fan-out does; nothing on
-// histserve does).
+// when something waits on Done (histproxy's hedge race and fresh shard
+// dials do; nothing on histserve does).
 func (s *Server) RequestCtx() (context.Context, context.CancelFunc) {
 	if s.ReqTimeout <= 0 {
 		return context.Background(), func() {}

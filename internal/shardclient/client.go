@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -256,80 +257,160 @@ func (c *Client) Do(ctx context.Context, line string, idempotent bool) (string, 
 // own answers, and every line beyond them is indeterminate. Transport
 // failures feed the breaker; ERR replies do not.
 func (c *Client) DoBatch(ctx context.Context, lines []string, idempotent bool) ([]string, error) {
-	return c.roundTrip(ctx, strings.Join(lines, "\n")+"\n", len(lines), idempotent)
+	return c.send(ctx, lines, idempotent).Wait()
 }
 
-// roundTrip sends payload (n newline-terminated request lines) and
-// reads n replies, behind the breaker.
-func (c *Client) roundTrip(ctx context.Context, payload string, n int, idempotent bool) ([]string, error) {
-	if err := c.allow(); err != nil {
-		return nil, err
+// readGrace is how long a read whose limit has already passed — its
+// caller was reading another shard meanwhile — still waits, so that
+// replies already on the connection are read rather than declared late.
+const readGrace = 5 * time.Millisecond
+
+// Call is one batch round trip in flight: sent, its replies not yet
+// read. Wait reads them on the caller's goroutine. A Call belongs to
+// one goroutine at a time.
+type Call struct {
+	c          *Client
+	ctx        context.Context
+	lines      []string
+	idempotent bool
+
+	w        *wire     // the attempt's connection; nil once it failed or went back to the pool
+	reused   bool      // w came from the pool
+	retried  bool      // the one fresh-dial retry is spent
+	deadline time.Time // the attempt's own: OpTimeout, or the ctx's deadline if earlier
+	replies  []string
+	partial  []byte // a reply line read in part before a hedge point passed
+	err      error
+	over     bool // the batch is complete or failed, and the breaker was fed
+
+	// A read batch sent through a Group: the members still to try, in
+	// read order, and when a duplicate goes to the next one.
+	g       *Group
+	rest    []*Client
+	hedgeAt time.Time
+}
+
+// send checks the breaker and writes lines as one batch on a pooled
+// connection, without reading.
+func (c *Client) send(ctx context.Context, lines []string, idempotent bool) *Call {
+	call := &Call{c: c, ctx: ctx, lines: lines, idempotent: idempotent, replies: make([]string, 0, len(lines))}
+	if call.err = c.allow(); call.err != nil {
+		call.over = true // refused by the breaker, which stays as it is
+		return call
 	}
-	lines, reused, err := c.attempt(ctx, payload, n)
-	if err != nil && reused && idempotent && ctx.Err() == nil {
-		// The pooled conn likely died idle; one fresh-dial retry.
-		lines, _, err = c.attempt(ctx, payload, n)
+	call.attempt()
+	return call
+}
+
+// attempt writes the batch on one connection, in a single write.
+func (call *Call) attempt() {
+	c := call.c
+	call.replies, call.partial = call.replies[:0], call.partial[:0]
+	call.w, call.reused, call.err = c.get(call.ctx)
+	if call.err != nil {
+		return
 	}
-	if err != nil {
-		if errors.Is(ctx.Err(), context.Canceled) {
+	call.deadline = c.opts.now().Add(c.opts.OpTimeout)
+	if d, ok := call.ctx.Deadline(); ok && d.Before(call.deadline) {
+		call.deadline = d
+	}
+	if err := call.w.conn.SetWriteDeadline(call.deadline); err != nil {
+		call.fail(fmt.Errorf("shard %s: set deadline: %w", c.addr, err))
+		return
+	}
+	if _, err := io.WriteString(call.w.conn, strings.Join(call.lines, "\n")+"\n"); err != nil {
+		call.fail(fmt.Errorf("shard %s: write: %w", c.addr, err))
+	}
+}
+
+// fail discards the attempt's connection for err.
+func (call *Call) fail(err error) {
+	call.w.conn.Close() //histlint:ignore errwrap conn is being discarded for the error being recorded
+	call.w, call.err = nil, err
+}
+
+// Wait reads the batch's replies on the caller's goroutine, bounded by
+// the attempt's deadline, and returns them. On failure it returns the
+// replies read before the break next to the error (see DoBatch). A read
+// batch sent through a Group fails over and hedges as Group.Send says.
+func (call *Call) Wait() ([]string, error) {
+	if call.g != nil {
+		return call.g.wait(call)
+	}
+	call.read(time.Time{})
+	return call.replies, call.err
+}
+
+// read reads replies until the batch is complete or its attempt failed —
+// then it feeds the breaker and reports true — or until hedgeAt passes
+// with replies still missing: then it reports false, and a later read
+// resumes where this one stopped. A zero hedgeAt reads to the attempt's
+// deadline. A limit that has passed already leaves readGrace to read
+// what arrived meanwhile.
+func (call *Call) read(hedgeAt time.Time) bool {
+	for !call.over {
+		if call.w != nil {
+			limit := call.deadline
+			if !hedgeAt.IsZero() && hedgeAt.Before(limit) {
+				limit = hedgeAt
+			}
+			if grace := time.Now().Add(readGrace); limit.Before(grace) {
+				limit = grace
+			}
+			if err := call.w.conn.SetReadDeadline(limit); err != nil {
+				call.fail(fmt.Errorf("shard %s: set deadline: %w", call.c.addr, err))
+			}
+			for call.err == nil && len(call.replies) < len(call.lines) {
+				l, err := call.readLine()
+				switch {
+				case err == nil:
+					call.replies = append(call.replies, l)
+				case limit.Before(call.deadline) && errors.Is(err, os.ErrDeadlineExceeded):
+					return false // the hedge point, not the deadline
+				default:
+					call.fail(fmt.Errorf("shard %s: read: %w", call.c.addr, err))
+				}
+			}
+		}
+		if call.err != nil && call.reused && call.idempotent && !call.retried && call.ctx.Err() == nil {
+			// The pooled conn likely died idle; one fresh-dial retry.
+			call.retried = true
+			call.attempt()
+			continue
+		}
+		call.over = true
+		switch {
+		case call.err == nil:
+			call.c.put(call.w)
+			call.c.success()
+		case errors.Is(call.ctx.Err(), context.Canceled):
 			// The caller abandoned the request (a hedged duplicate won, or
 			// the client went away): that says nothing about the shard's
 			// health, so the breaker stays out of it. Deadline expiry still
 			// counts below — a shard too slow to answer is a sick shard.
-			return lines, err
+		default:
+			call.c.failure()
 		}
-		c.failure()
-		return lines, err
 	}
-	c.success()
-	return lines, nil
+	return true
 }
 
-// attempt performs one round trip on one connection: payload out in a
-// single write, then n single-line replies in. On failure it returns
-// the replies read so far. The returned bool reports whether the
-// connection came from the pool.
-func (c *Client) attempt(ctx context.Context, payload string, n int) (lines []string, reused bool, err error) {
-	w, reused, err := c.get(ctx)
-	if err != nil {
-		return nil, reused, err
-	}
-	deadline := c.opts.now().Add(c.opts.OpTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	if err := w.conn.SetDeadline(deadline); err != nil {
-		w.conn.Close() //histlint:ignore errwrap conn is being discarded for the deadline error
-		return nil, reused, fmt.Errorf("shard %s: set deadline: %w", c.addr, err)
-	}
-	if _, err := io.WriteString(w.conn, payload); err != nil {
-		w.conn.Close() //histlint:ignore errwrap conn is being discarded for the write error
-		return nil, reused, fmt.Errorf("shard %s: write: %w", c.addr, err)
-	}
-	lines = make([]string, 0, n)
-	for len(lines) < n {
-		l, err := c.readLine(w)
-		if err != nil {
-			w.conn.Close() //histlint:ignore errwrap conn is being discarded for the read error
-			return lines, reused, fmt.Errorf("shard %s: read: %w", c.addr, err)
-		}
-		lines = append(lines, l)
-	}
-	c.put(w)
-	return lines, reused, nil
-}
-
-// readLine reads one \n-terminated line, enforcing MaxLineBytes.
-func (c *Client) readLine(w *wire) (string, error) {
-	var b strings.Builder
+// readLine reads one \n-terminated line, enforcing MaxLineBytes. A line
+// cut off by an error is kept in partial for the next call.
+func (call *Call) readLine() (string, error) {
 	for {
-		chunk, err := w.r.ReadSlice('\n')
-		b.Write(chunk)
-		if b.Len() > c.opts.MaxLineBytes {
-			return "", fmt.Errorf("response line exceeds %d bytes", c.opts.MaxLineBytes)
+		chunk, err := call.w.r.ReadSlice('\n')
+		if err == nil && len(call.partial) == 0 && len(chunk) <= call.c.opts.MaxLineBytes {
+			return strings.TrimRight(string(chunk), "\r\n"), nil
+		}
+		call.partial = append(call.partial, chunk...)
+		if len(call.partial) > call.c.opts.MaxLineBytes {
+			return "", fmt.Errorf("response line exceeds %d bytes", call.c.opts.MaxLineBytes)
 		}
 		if err == nil {
-			return strings.TrimRight(b.String(), "\r\n"), nil
+			l := strings.TrimRight(string(call.partial), "\r\n")
+			call.partial = call.partial[:0]
+			return l, nil
 		}
 		if err != bufio.ErrBufferFull {
 			return "", err

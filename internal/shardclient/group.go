@@ -3,6 +3,15 @@
 // threshold), writes pin to the current primary, and failover is one
 // SetPrimary call away.
 //
+// A batch is sent and read in two halves, Send and Call.Wait, so a
+// caller can have every shard's batch in flight before it reads any of
+// them, on its own goroutine; a goroutine starts only for a due hedge.
+// Cancelling the caller's context is observed at once by the hedge race
+// alone: an inline wait is bounded by the attempt's own deadline, which
+// folds in the context's deadline. That suffices because nothing on
+// histproxy's serving path cancels a window's context while the window
+// is being read.
+//
 // Hedging is safe here for a reason most systems don't have: every
 // member replays the same totally ordered WAL stream, so any two
 // members that have applied an acked write return bit-identical
@@ -83,88 +92,112 @@ func (g *Group) Close() {
 	}
 }
 
-// Write sends a batch that carries a mutation — a lone one is a batch of
-// one — to the current primary as one round trip, never retried and
-// never hedged: a duplicate mutation is a double-apply. Replies come
-// back in line order; on failure the ones received before the break are
-// returned next to the error (see Client.DoBatch).
-func (g *Group) Write(ctx context.Context, lines []string) ([]string, error) {
-	return g.Primary().DoBatch(ctx, lines, false)
+// Send sends one batch of the shard's lines as one round trip and
+// returns without reading; Wait on the Call reads the replies. A batch
+// that carries a mutation (mutates) goes to the current primary and is
+// never retried or hedged: a duplicate mutation is a double-apply.
+// Replies come back in line order; on failure the ones received before
+// the break are returned next to the error (see Client.DoBatch).
+//
+// A read batch goes to the first member in read order, the batch as a
+// whole. Wait reads it inline: a member whose attempt fails is followed
+// by the next one at once, and what it had answered before failing is
+// discarded — the replies of one batch all come from one member. Only
+// when hedgeAfter passes with replies still missing does Wait start a
+// race: the attempt in flight goes on, on a goroutine of its own, a
+// duplicate of the batch goes to the next member, and the first complete
+// set of replies wins. Replies that reached the connection while the
+// caller was reading another batch are read before the hedge point or
+// the deadline counts as passed. An ERR reply is an answer (the
+// transport is healthy and every member is deterministic), not a reason
+// to fan out further.
+func (g *Group) Send(ctx context.Context, lines []string, mutates bool) *Call {
+	if mutates {
+		return g.Primary().send(ctx, lines, false)
+	}
+	order := g.readOrder()
+	call := order[0].send(ctx, lines, true)
+	call.g, call.rest = g, order[1:]
+	if g.hedgeAfter > 0 {
+		call.hedgeAt = time.Now().Add(g.hedgeAfter)
+	}
+	return call
 }
 
-// Read is ReadBatch for a single line.
+// Read sends a single idempotent line as a read batch of one.
 func (g *Group) Read(ctx context.Context, line string) (string, error) {
-	replies, err := g.ReadBatch(ctx, []string{line})
+	replies, err := g.Send(ctx, []string{line}, false).Wait()
 	if err != nil {
 		return "", err
 	}
 	return replies[0], nil
 }
 
-// ReadBatch sends a batch of idempotent single-line requests as one
-// round trip with member fan-out, the batch as a whole: the first member
-// answers alone until hedgeAfter elapses, then a duplicate of the batch
-// goes to the next member and the first complete set of replies wins. A
-// member whose attempt fails triggers the next member immediately, and
-// what it had answered before failing is discarded — the replies of one
-// batch all come from one member. An ERR reply is an answer (the
-// transport is healthy and every member is deterministic), not a reason
-// to fan out further.
-func (g *Group) ReadBatch(ctx context.Context, lines []string) ([]string, error) {
-	order := g.readOrder()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel() // the winner cancels every outstanding loser
-
-	type readResult struct {
-		replies []string
-		err     error
-	}
-	results := make(chan readResult, len(order))
-	launch := func(c *Client) {
-		go func() {
-			var r readResult
-			r.replies, r.err = c.DoBatch(ctx, lines, true)
-			results <- r
-		}()
-	}
-
-	next := 0
-	launch(order[next])
-	next++
-	outstanding := 1
-
-	var hedge <-chan time.Time
-	if g.hedgeAfter > 0 && next < len(order) {
-		t := time.NewTimer(g.hedgeAfter)
-		defer t.Stop()
-		hedge = t.C
-	}
-
+// wait reads a read batch to its end on the caller's goroutine, failing
+// over inline, until the hedge point passes with replies missing.
+func (g *Group) wait(call *Call) ([]string, error) {
 	var firstErr error
 	for {
+		var hedgeAt time.Time
+		if len(call.rest) > 0 {
+			hedgeAt = call.hedgeAt
+		}
+		if !call.read(hedgeAt) {
+			return g.race(call, firstErr)
+		}
+		if call.err == nil {
+			return call.replies, nil
+		}
+		if firstErr == nil {
+			firstErr = call.err
+		}
+		if len(call.rest) == 0 {
+			return nil, firstErr
+		}
+		next := call.rest[0].send(call.ctx, call.lines, true)
+		next.rest, next.hedgeAt = call.rest[1:], call.hedgeAt
+		call = next
+	}
+}
+
+// race is the hedge: the late attempt is resumed and a duplicate batch
+// sent to the next member, each on a goroutine of its own, and the first
+// complete set of replies wins. A failed attempt launches the next
+// member; the winner cancels every loser, which keeps the losers out of
+// the breaker.
+func (g *Group) race(late *Call, firstErr error) ([]string, error) {
+	ctx, cancel := context.WithCancel(late.ctx)
+	defer cancel()
+	results := make(chan *Call, len(late.rest)+1)
+	finish := func(call *Call) {
+		call.read(time.Time{})
+		results <- call
+	}
+	rest, lines := late.rest, late.lines
+	next := func() {
+		c := rest[0]
+		rest = rest[1:]
+		go func() { finish(c.send(ctx, lines, true)) }()
+	}
+	late.ctx = ctx
+	go finish(late)
+	g.hedged.Add(1)
+	next()
+	for outstanding := 2; ; {
 		select {
-		case r := <-results:
+		case call := <-results:
 			outstanding--
-			if r.err == nil {
-				return r.replies, nil
+			if call.err == nil {
+				return call.replies, nil
 			}
 			if firstErr == nil {
-				firstErr = r.err
+				firstErr = call.err
 			}
-			if next < len(order) {
-				launch(order[next])
-				next++
+			if len(rest) > 0 {
+				next()
 				outstanding++
 			} else if outstanding == 0 {
 				return nil, firstErr
-			}
-		case <-hedge:
-			hedge = nil
-			if next < len(order) {
-				g.hedged.Add(1)
-				launch(order[next])
-				next++
-				outstanding++
 			}
 		case <-ctx.Done():
 			if firstErr != nil {

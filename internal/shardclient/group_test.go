@@ -120,7 +120,7 @@ func TestGroupWritePinsToPrimary(t *testing.T) {
 		for j := range run {
 			run[j] = "INS 1 0 0 1"
 		}
-		resps, err := g.Write(context.Background(), run)
+		resps, err := g.Send(context.Background(), run, true).Wait()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestGroupWritePinsToPrimary(t *testing.T) {
 		}
 	}
 	g.SetPrimary(1)
-	resps, err := g.Write(context.Background(), []string{"INS 1 0 0 1"})
+	resps, err := g.Send(context.Background(), []string{"INS 1 0 0 1"}, true).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestGroupReadBatchHedgesOncePerBatch(t *testing.T) {
 	g := NewGroup([]string{slow.addr(), fast.addr()}, 30*time.Millisecond, Options{OpTimeout: 5 * time.Second})
 	t.Cleanup(g.Close)
 	pinFirst(g)
-	got, err := g.ReadBatch(context.Background(), []string{"QRY 0 0 1 1", "QRY 0 1 1 1", "QRY 0 2 1 1"})
+	got, err := g.Send(context.Background(), []string{"QRY 0 0 1 1", "QRY 0 1 1 1", "QRY 0 2 1 1"}, false).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestGroupReadBatchFailoverDiscardsPartialReplies(t *testing.T) {
 	g := NewGroup([]string{dying.addr(), up.addr()}, 0, Options{OpTimeout: time.Second})
 	t.Cleanup(g.Close)
 	pinFirst(g)
-	got, err := g.ReadBatch(context.Background(), []string{"QRY 0 0 1 1", "DROPME", "QRY 0 2 1 1"})
+	got, err := g.Send(context.Background(), []string{"QRY 0 0 1 1", "DROPME", "QRY 0 2 1 1"}, false).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestGroupReadBatchLoserDoesNotFeedBreaker(t *testing.T) {
 	t.Cleanup(g.Close)
 	for i := 0; i < 4; i++ {
 		pinFirst(g)
-		if got, err := g.ReadBatch(context.Background(), []string{"QRY 0 0 1 1", "QRY 0 1 1 1"}); err != nil || strings.Join(got, "|") != "2|2" {
+		if got, err := g.Send(context.Background(), []string{"QRY 0 0 1 1", "QRY 0 1 1 1"}, false).Wait(); err != nil || strings.Join(got, "|") != "2|2" {
 			t.Fatalf("batch %d: %q, %v", i, got, err)
 		}
 	}
@@ -235,13 +235,13 @@ func TestGroupReadBatchLoserDoesNotFeedBreaker(t *testing.T) {
 	}
 }
 
-// TestGroupReadBatchReturnsOnParentCancel: ReadBatch's wait loop has no
-// bound of its own, so it must leave when the caller's context ends.
+// TestGroupHedgeRaceReturnsOnParentCancel: the hedge race's wait loop has
+// no bound of its own, so it must leave when the caller's context ends.
 // Both members accept and then stay silent (the hedge has launched the
 // second by the time of the cancel); the caller gets context.Canceled
 // at once, not the members' 5 s OpTimeout, and an attempt abandoned
 // that way says nothing about its member's health.
-func TestGroupReadBatchReturnsOnParentCancel(t *testing.T) {
+func TestGroupHedgeRaceReturnsOnParentCancel(t *testing.T) {
 	var addrs []string
 	for i := 0; i < 2; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -270,7 +270,7 @@ func TestGroupReadBatchReturnsOnParentCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		time.AfterFunc(50*time.Millisecond, cancel)
 		start := time.Now()
-		got, err := g.ReadBatch(ctx, []string{"QRY 0 0 1 1", "QRY 0 1 1 1"})
+		got, err := g.Send(ctx, []string{"QRY 0 0 1 1", "QRY 0 1 1 1"}, false).Wait()
 		if !errors.Is(err, context.Canceled) || got != nil {
 			t.Fatalf("batch %d: %q, %v; want context.Canceled", i, got, err)
 		}
