@@ -71,7 +71,6 @@ step_benchmod() {
 step_fuzz() {
     echo "== fuzz smoke (10s per target) =="
     go test -run='^$' -fuzz=FuzzRecordDecode -fuzztime=10s ./internal/wal/
-    go test -run='^$' -fuzz=FuzzCSVWorkload -fuzztime=10s ./internal/workload/
     go test -run='^$' -fuzz=FuzzShardMapParse -fuzztime=10s ./internal/shard/
     go test -run='^$' -fuzz=FuzzSpanJSON -fuzztime=10s ./internal/trace/
     go test -run='^$' -fuzz=FuzzRecLine -fuzztime=10s ./cmd/histserve/

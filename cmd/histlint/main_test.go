@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -166,6 +167,7 @@ var expected = []struct {
 	fragment string
 }{
 	{"internal/core/core.go", 5, "importfence", "internal/core may not import tempmod/internal/paper/framework"},
+	{"internal/core/core.go", 15, "deadexport", "(*core.Cube).InsertUnlogged is referenced by no non-test file"},
 	{"internal/core/core.go", 16, "appendbeforeapply", "without logging it first"},
 	{"lint.go", 15, "mutexguard", "box.n is guarded by mu"},
 	{"lint.go", 18, "coordnarrow", "unguarded narrowing int(v)"},
@@ -423,9 +425,9 @@ func TestHistlintBadPattern(t *testing.T) {
 	}
 }
 
-// copyModule copies what histlint reads of this module — go.mod and
-// the non-test Go sources, nested modules and testdata left out — into
-// a temp dir.
+// copyModule copies what histlint reads of this module — every go.mod
+// and the non-test Go sources, testdata left out, benchmark/ kept as
+// the second root of uses — into a temp dir.
 func copyModule(t *testing.T) string {
 	t.Helper()
 	src, err := filepath.Abs("../..")
@@ -439,8 +441,7 @@ func copyModule(t *testing.T) string {
 		}
 		name := d.Name()
 		if d.IsDir() {
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != src &&
-				(err == nil || name == "testdata" || strings.HasPrefix(name, ".")) {
+			if path != src && (name == "testdata" || strings.HasPrefix(name, ".")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -517,6 +518,10 @@ func TestHistlintBitesInTheRealTree(t *testing.T) {
 			"\t\"histcube/internal/appendcube\"\n",
 			"\t\"histcube/internal/appendcube\"\n\t_ \"histcube/internal/paper/framework\"\n",
 			"histcube/internal/paper/framework"},
+		{"deadexport", "internal/core/core.go",
+			"// Retire materialises every historic slice completely",
+			"// SeededDead is exported and called by nothing.\nfunc SeededDead() {}\n\n// Retire materialises every historic slice completely",
+			"func SeededDead() {}"},
 	}
 
 	dir := copyModule(t)
@@ -562,7 +567,52 @@ func TestHistlintBitesInTheRealTree(t *testing.T) {
 			t.Errorf("no %s finding at %s:%d for the seeded violation", s.analyzer, s.file, line)
 		}
 	}
+	// perf.New and (*perf.Recorder).Record are reached only from
+	// benchmark/probes.go, a nested module: a finding on them means the
+	// second root of uses dropped out of the program.
+	if strings.Contains(stdout, "deadexport: perf.New ") || strings.Contains(stdout, "(*perf.Recorder).Record ") {
+		t.Error("deadexport reports perf.New or Recorder.Record: benchmark/ no longer counts as a user")
+	}
 	if t.Failed() {
 		t.Logf("histlint said:\n%s", stdout)
+	}
+}
+
+// TestReadmeListsTheAnalyzers keeps README's "Static analysis" section
+// in step with the suite: its table names exactly the analyzers
+// `histlint -list` prints, and its "enforces N invariants" sentence
+// counts them.
+func TestReadmeListsTheAnalyzers(t *testing.T) {
+	stdout, _, exit := runHistlint(t, buildHistlint(t), ".", "-list")
+	if exit != 0 {
+		t.Fatalf("histlint -list exit = %d", exit)
+	}
+	var listed []string
+	for _, line := range strings.Split(strings.TrimSpace(stdout), "\n") {
+		listed = append(listed, strings.Fields(line)[0])
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(readme), "\n## Static analysis\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	var table []string
+	for _, line := range strings.Split(section, "\n") {
+		if name, ok := strings.CutPrefix(line, "| `"); ok {
+			table = append(table, name[:strings.Index(name, "`")])
+		}
+	}
+	sort.Strings(listed)
+	sort.Strings(table)
+	if strings.Join(table, " ") != strings.Join(listed, " ") {
+		t.Errorf("README table lists %v, histlint -list prints %v", table, listed)
+	}
+	words := []string{"zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten", "eleven", "twelve"}
+	if len(listed) >= len(words) {
+		t.Fatalf("%d analyzers: extend the number words", len(listed))
+	}
+	if want := "enforces " + words[len(listed)] + " invariants"; !strings.Contains(strings.Join(strings.Fields(section), " "), want) {
+		t.Errorf("README's Static analysis section does not say %q", want)
 	}
 }

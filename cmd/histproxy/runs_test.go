@@ -98,10 +98,8 @@ func batchOf(t *testing.T, p *proxy, line string) []string {
 		}
 		var out []string
 		for _, sp := range append([]*trace.Span{e.Span}, e.Span.Children()...) {
-			for _, a := range sp.Attrs() {
-				if a.Key == "batch" {
-					out = append(out, a.Value())
-				}
+			if v, ok := sp.JSON().Attrs["batch"]; ok {
+				out = append(out, fmt.Sprint(v))
 			}
 		}
 		return out

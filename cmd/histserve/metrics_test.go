@@ -93,7 +93,7 @@ func metricValue(t *testing.T, srv *server, name string) int64 {
 func TestFollowerLinkIsAccounted(t *testing.T) {
 	primary, _ := newDurableServer(t, t.TempDir(), 0)
 	paddr := serveOn(t, primary)
-	follower, _ := startReplica(t, paddr)
+	follower, _ := startReplica(t, t.TempDir(), paddr)
 	mln, err := follower.ServeMetrics("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

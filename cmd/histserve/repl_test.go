@@ -19,9 +19,9 @@ import (
 
 // startReplica builds a durable follower of primaryAddr over its own
 // temp directory and returns the server plus its client address.
-func startReplica(t *testing.T, primaryAddr string) (*server, string) {
+func startReplica(t *testing.T, dir, primaryAddr string) (*server, string) {
 	t.Helper()
-	srv, _ := newDurableServer(t, t.TempDir(), 0)
+	srv, _ := newDurableServer(t, dir, 0)
 	srv.startFollower(primaryAddr)
 	return srv, serveOn(t, srv)
 }
@@ -54,7 +54,7 @@ func statsField(t *testing.T, stats, key string) string {
 func TestReplicaFollowsPrimaryAndAnswersIdentically(t *testing.T) {
 	primary, _ := newDurableServer(t, t.TempDir(), 0)
 	paddr := serveOn(t, primary)
-	follower, faddr := startReplica(t, paddr)
+	follower, faddr := startReplica(t, t.TempDir(), paddr)
 
 	pc := dial(t, paddr)
 	for i := 0; i < 100; i++ {
@@ -133,7 +133,8 @@ func TestReplicaColdStartBootstrapsFromSnapshot(t *testing.T) {
 		total += 2
 	}
 
-	follower, faddr := startReplica(t, paddr)
+	fdir := t.TempDir()
+	follower, faddr := startReplica(t, fdir, paddr)
 	waitUntil(t, 5*time.Second, "snapshot bootstrap + catch-up", func() bool {
 		return follower.repl.applied.Load() == 100 && follower.repl.synced.Load()
 	})
@@ -153,7 +154,7 @@ func TestReplicaColdStartBootstrapsFromSnapshot(t *testing.T) {
 	// The installed state is durable: a restart over the follower's own
 	// directory recovers to the same answers without the primary.
 	follower.shutdown()
-	restarted, _ := newDurableServer(t, follower.wal.Dir(), 0)
+	restarted, _ := newDurableServer(t, fdir, 0)
 	rc := dial(t, serveOn(t, restarted))
 	rc.expect(t, "QRY 0 1000 0 0 7 7", fmt.Sprintf("%g", total+5))
 	restarted.shutdown()
@@ -164,7 +165,8 @@ func TestReplicaColdStartBootstrapsFromSnapshot(t *testing.T) {
 // as it lies on disk, exact at its own LSN, and then the records after
 // it — not a fresh snapshot at the log's end.
 func TestSnapShipsTheNewestCheckpoint(t *testing.T) {
-	primary, _ := newDurableServer(t, t.TempDir(), 0)
+	pdir := t.TempDir()
+	primary, _ := newDurableServer(t, pdir, 0)
 	paddr := serveOn(t, primary)
 	pc := dial(t, paddr)
 	for i := 0; i < 80; i++ {
@@ -174,7 +176,7 @@ func TestSnapShipsTheNewestCheckpoint(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		pc.expect(t, fmt.Sprintf("INS %d 0 1 2", 100+i), "OK")
 	}
-	ckpt, err := os.ReadFile(filepath.Join(primary.wal.Dir(), fmt.Sprintf("checkpoint-%016x.ckpt", 80)))
+	ckpt, err := os.ReadFile(filepath.Join(pdir, fmt.Sprintf("checkpoint-%016x.ckpt", 80)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +250,8 @@ func TestReplicaBootstrapsUnderCheckpointLoad(t *testing.T) {
 	checkpoints := func() int64 { return metricValue(t, primary, "histcube_wal_checkpoints_total") }
 	waitUntil(t, 20*time.Second, "3 checkpoints on the primary", func() bool { return checkpoints() >= 3 })
 
-	follower, faddr := startReplica(t, paddr)
+	fdir := t.TempDir()
+	follower, faddr := startReplica(t, fdir, paddr)
 	waitUntil(t, 20*time.Second, "a bootstrap under load", func() bool { return follower.repl.applied.Load() > 0 })
 	seen := checkpoints()
 	waitUntil(t, 20*time.Second, "3 more checkpoints", func() bool { return checkpoints() >= seen+3 })
@@ -272,7 +275,7 @@ func TestReplicaBootstrapsUnderCheckpointLoad(t *testing.T) {
 	}
 
 	follower.shutdown()
-	restarted, _ := newDurableServer(t, follower.wal.Dir(), 0)
+	restarted, _ := newDurableServer(t, fdir, 0)
 	defer restarted.shutdown()
 	rc := dial(t, serveOn(t, restarted))
 	for _, q := range queries {
@@ -285,7 +288,7 @@ func TestReplicaBootstrapsUnderCheckpointLoad(t *testing.T) {
 func TestPromotionFencingAndTakeover(t *testing.T) {
 	primary, _ := newDurableServer(t, t.TempDir(), 0)
 	paddr := serveOn(t, primary)
-	follower, faddr := startReplica(t, paddr)
+	follower, faddr := startReplica(t, t.TempDir(), paddr)
 	pc := dial(t, paddr)
 	for i := 0; i < 50; i++ {
 		pc.expect(t, fmt.Sprintf("INS %d 0 0 1", i), "OK")
@@ -335,7 +338,7 @@ func TestSemiSyncHoldsAckUntilFollowerApplies(t *testing.T) {
 		t.Fatalf("semi-sync INS without followers -> %q", got)
 	}
 
-	follower, _ := startReplica(t, paddr)
+	follower, _ := startReplica(t, t.TempDir(), paddr)
 	waitUntil(t, 5*time.Second, "follower catch-up", func() bool {
 		return follower.repl.applied.Load() == 1
 	})

@@ -25,11 +25,11 @@ import (
 
 // startAlwaysReplica is startReplica with -fsync=always, so the
 // follower's commit is a real fsync that can be counted and stalled.
-func startAlwaysReplica(t *testing.T, primary *server, primaryAddr string, inj *fault.Injector) *server {
+func startAlwaysReplica(t *testing.T, dir string, primary *server, primaryAddr string, inj *fault.Injector) *server {
 	t.Helper()
 	srv := newQuietServer(t, "8,8", "sum", false)
 	srv.Inj = inj
-	enableChaosWAL(t, srv, t.TempDir())
+	enableChaosWAL(t, srv, dir)
 	srv.startFollower(primaryAddr)
 	waitUntil(t, 5*time.Second, "replication link", func() bool { return primary.hub.Followers() == 1 })
 	return srv
@@ -38,7 +38,7 @@ func startAlwaysReplica(t *testing.T, primary *server, primaryAddr string, inj *
 func TestFollowerCommitsABurstWithOneAckAndFewFsyncs(t *testing.T) {
 	primary := newAlwaysServer(t)
 	paddr := serveOn(t, primary)
-	follower := startAlwaysReplica(t, primary, paddr, nil)
+	follower := startAlwaysReplica(t, t.TempDir(), primary, paddr, nil)
 
 	// One write: the primary group-commits the window, its shipping loop
 	// writes every record of the group before it flushes, and the
@@ -88,7 +88,8 @@ func TestPromoteMidBurst(t *testing.T) {
 	primary.replMinAcks = 1
 	primary.replAckTimeout = 2 * stall
 	paddr := serveOn(t, primary)
-	follower := startAlwaysReplica(t, primary, paddr,
+	fdir := t.TempDir()
+	follower := startAlwaysReplica(t, fdir, primary, paddr,
 		fault.MustParse(fmt.Sprintf("wal.sync:slow=%s", stall), 1))
 
 	const k = 8
@@ -133,10 +134,9 @@ func TestPromoteMidBurst(t *testing.T) {
 	if got := follower.walLastLSN(); got != k+1 {
 		t.Fatalf("promoted log ends at %d, want %d", got, k+1)
 	}
-	dir := follower.wal.Dir()
 	follower.shutdown()
 	restarted := newQuietServer(t, "8,8", "sum", false)
-	enableChaosWAL(t, restarted, dir)
+	enableChaosWAL(t, restarted, fdir)
 	defer restarted.shutdown()
 	if got := chaosQuery(t, restarted); got != k+1 {
 		t.Fatalf("after restart SUM = %v, want %d", got, k+1)

@@ -8,6 +8,8 @@ package histcube
 import (
 	"bytes"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"histcube/internal/agg"
@@ -33,7 +35,7 @@ func TestWorkloadThroughPublicCube(t *testing.T) {
 		return total
 	}
 	for _, storage := range []core.Storage{
-		{Kind: core.Memory},
+		{},
 		{Kind: core.Disk, PageSize: 512},
 		{Kind: core.Tiered, PageSize: 512},
 	} {
@@ -46,7 +48,7 @@ func TestWorkloadThroughPublicCube(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, u := range ds.Updates {
-			if err := cube.AddDelta(u.Time, u.Coords, u.Delta); err != nil {
+			if err := cube.Insert(u.Time, u.Coords, u.Delta); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -69,40 +71,51 @@ func TestWorkloadThroughPublicCube(t *testing.T) {
 	}
 }
 
-// TestCSVPipelineIntoCube writes a generated data set to CSV, reads it
-// back (the histgen format) and ingests it; totals must survive.
+// TestCSVPipelineIntoCube writes a generated data set in the histgen
+// CSV format and ingests the file line by line; totals must survive.
 func TestCSVPipelineIntoCube(t *testing.T) {
 	ds := workload.Generate(workload.Weather6Spec.Scaled(0.0005))
 	var buf bytes.Buffer
 	if err := ds.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := workload.ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var cdims []core.Dim
-	for i, n := range back.SliceShape {
+	for i, n := range ds.SliceShape {
 		cdims = append(cdims, core.Dim{Name: string(rune('a' + i)), Size: n})
 	}
 	cube, err := core.New(core.Config{Dims: cdims, Operator: agg.Sum})
 	if err != nil {
 		t.Fatal(err)
 	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 1+len(ds.Updates) {
+		t.Fatalf("%d lines for %d updates", len(lines), len(ds.Updates))
+	}
 	wantTotal := 0.0
-	for _, u := range back.Updates {
-		if err := cube.AddDelta(u.Time, u.Coords, u.Delta); err != nil {
+	for _, line := range lines[1:] {
+		f := strings.Split(line, ",")
+		nums := make([]float64, len(f))
+		for i, s := range f {
+			if nums[i], err = strconv.ParseFloat(s, 64); err != nil {
+				t.Fatalf("line %q: %v", line, err)
+			}
+		}
+		coords := make([]int, len(f)-2)
+		for i := range coords {
+			coords[i] = int(nums[1+i])
+		}
+		if err := cube.Insert(int64(nums[0]), coords, nums[len(f)-1]); err != nil {
 			t.Fatal(err)
 		}
-		wantTotal += u.Delta
+		wantTotal += nums[len(f)-1]
 	}
-	full := dims.FullBox(back.SliceShape)
-	got, err := cube.Query(core.Range{TimeLo: 0, TimeHi: int64(back.TimeSize), Lo: full.Lo, Hi: full.Hi})
+	full := dims.FullBox(ds.SliceShape)
+	got, err := cube.Query(core.Range{TimeLo: 0, TimeHi: int64(ds.TimeSize), Lo: full.Lo, Hi: full.Hi})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != wantTotal {
-		t.Fatalf("total after CSV round trip = %v, want %v", got, wantTotal)
+		t.Fatalf("total after CSV ingest = %v, want %v", got, wantTotal)
 	}
 }
 
@@ -205,7 +218,7 @@ func TestFrameworkVariantsOnOneStream(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
-		if err := cube.AddDelta(now, []int{x}, v); err != nil {
+		if err := cube.Insert(now, []int{x}, v); err != nil {
 			t.Fatal(err)
 		}
 		if i%9 == 0 {

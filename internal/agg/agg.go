@@ -79,25 +79,8 @@ type Value struct {
 	Count float64
 }
 
-// Add combines two partial aggregates.
-func (v Value) Add(o Value) Value {
-	return Value{Sum: v.Sum + o.Sum, Count: v.Count + o.Count}
-}
-
-// Sub removes a partial aggregate, the inverse of Add.
-func (v Value) Sub(o Value) Value {
-	return Value{Sum: v.Sum - o.Sum, Count: v.Count - o.Count}
-}
-
 // Neg returns the additive inverse.
 func (v Value) Neg() Value { return Value{Sum: -v.Sum, Count: -v.Count} }
-
-// Scale multiplies the partial aggregate by factor f. The combination
-// step of pre-aggregation techniques multiplies per-dimension factors
-// (+1/-1) together, so f is typically ±1.
-func (v Value) Scale(f float64) Value {
-	return Value{Sum: v.Sum * f, Count: v.Count * f}
-}
 
 // Point converts one data point with measure value m into the partial
 // aggregate it contributes under operator op.

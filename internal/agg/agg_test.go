@@ -2,9 +2,7 @@ package agg
 
 import (
 	"errors"
-	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestOperatorString(t *testing.T) {
@@ -40,21 +38,8 @@ func TestInvertible(t *testing.T) {
 
 func TestValueArithmetic(t *testing.T) {
 	a := Value{Sum: 5, Count: 2}
-	b := Value{Sum: 3, Count: 1}
-	if got := a.Add(b); got != (Value{Sum: 8, Count: 3}) {
-		t.Errorf("Add = %+v", got)
-	}
-	if got := a.Sub(b); got != (Value{Sum: 2, Count: 1}) {
-		t.Errorf("Sub = %+v", got)
-	}
 	if got := a.Neg(); got != (Value{Sum: -5, Count: -2}) {
 		t.Errorf("Neg = %+v", got)
-	}
-	if got := a.Scale(-1); got != (Value{Sum: -5, Count: -2}) {
-		t.Errorf("Scale(-1) = %+v", got)
-	}
-	if got := a.Scale(0); got != (Value{}) {
-		t.Errorf("Scale(0) = %+v", got)
 	}
 }
 
@@ -102,36 +87,4 @@ func TestFinalizePanicsOnNonInvertible(t *testing.T) {
 		}
 	}()
 	Finalize(Max, Value{})
-}
-
-// Property: Sub is the inverse of Add.
-func TestAddSubInverseProperty(t *testing.T) {
-	f := func(s1, c1, s2, c2 float64) bool {
-		if math.IsNaN(s1) || math.IsNaN(c1) || math.IsNaN(s2) || math.IsNaN(c2) {
-			return true
-		}
-		a := Value{Sum: s1, Count: c1}
-		b := Value{Sum: s2, Count: c2}
-		got := a.Add(b).Sub(b)
-		return got.Sum == s1+s2-s2 && got.Count == c1+c2-c2
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Add is commutative and associative (exactly, for values
-// that avoid float rounding, here small integers).
-func TestAddAlgebraProperty(t *testing.T) {
-	f := func(a, b, c int8) bool {
-		va := Value{Sum: float64(a), Count: 1}
-		vb := Value{Sum: float64(b), Count: 1}
-		vc := Value{Sum: float64(c), Count: 1}
-		comm := va.Add(vb) == vb.Add(va)
-		assoc := va.Add(vb).Add(vc) == va.Add(vb.Add(vc))
-		return comm && assoc
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }

@@ -53,12 +53,13 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description shown by histlint -list.
 	Doc string
+	// Run, when set, inspects one package at a time.
 	Run func(*Pass) error
 	// Finish, when set, is called once after Run has seen every
-	// package — the hook whole-program analyses (the lock-order graph)
-	// use to report on state accumulated across packages. Its Pass
-	// carries the FileSet and the merged suppression table but no
-	// Files/Pkg/Info.
+	// package — the hook whole-program analyses (the lock-order graph,
+	// dead exports) use to report on state across packages. Its Pass
+	// carries the FileSet, the merged suppression table and the run's
+	// packages (Pkgs) but no Files/Pkg/Info.
 	Finish func(*Pass) error
 }
 
@@ -70,10 +71,17 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
+	// Pkgs is set on Finish passes: every package of the run.
+	Pkgs []*Package
 
+	loader   *Loader
 	diags    *[]Diagnostic
 	suppress *suppressions
 }
+
+// Program loads the whole program through the run's loader (see
+// Loader.Program), whatever subset of it the run's patterns named.
+func (p *Pass) Program() ([]*Package, error) { return p.loader.Program() }
 
 type suppressKey struct {
 	analyzer string

@@ -25,11 +25,7 @@
 // which callers must skip, as they must everywhere else).
 package cfg
 
-import (
-	"fmt"
-	"go/ast"
-	"io"
-)
+import "go/ast"
 
 // Block is one basic block: Nodes execute in order, then control moves
 // to one of Succs. A block ending in return or panic has the synthetic
@@ -438,29 +434,6 @@ func exprNodes(list []ast.Expr) []ast.Node {
 	return nodes
 }
 
-// Reachable reports whether `to` can execute after `from` (following
-// successor edges; from is considered to reach itself).
-func (g *Graph) Reachable(from, to *Block) bool {
-	seen := make([]bool, len(g.Blocks))
-	var dfs func(*Block) bool
-	dfs = func(b *Block) bool {
-		if b == to {
-			return true
-		}
-		if seen[b.Index] {
-			return false
-		}
-		seen[b.Index] = true
-		for _, s := range b.Succs {
-			if dfs(s) {
-				return true
-			}
-		}
-		return false
-	}
-	return dfs(from)
-}
-
 // EveryPathHits reports whether every path from block `from`, starting
 // at node index `start` within it, that reaches Exit passes at least
 // one node for which hit returns true first. Paths that never reach
@@ -513,15 +486,4 @@ func (g *Graph) EveryPathHits(from *Block, start int, hit func(ast.Node) bool) b
 		}
 	}
 	return true
-}
-
-// Dump writes a human-readable rendering, for tests and debugging.
-func (g *Graph) Dump(w io.Writer) {
-	for _, b := range g.Blocks {
-		fmt.Fprintf(w, "b%d(%s):", b.Index, b.Kind)
-		for _, s := range b.Succs {
-			fmt.Fprintf(w, " ->b%d", s.Index)
-		}
-		fmt.Fprintln(w)
-	}
 }

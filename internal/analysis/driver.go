@@ -33,6 +33,9 @@ func RunPackages(loader *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Diag
 	}
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
+			if a.Run == nil {
+				continue
+			}
 			pass := &Pass{
 				Analyzer: a,
 				Fset:     loader.Fset,
@@ -53,7 +56,7 @@ func RunPackages(loader *Loader, pkgs []*Package, analyzers []*Analyzer) ([]Diag
 		if a.Finish == nil {
 			continue
 		}
-		pass := &Pass{Analyzer: a, Fset: loader.Fset, diags: &diags, suppress: sup}
+		pass := &Pass{Analyzer: a, Fset: loader.Fset, Pkgs: pkgs, loader: loader, diags: &diags, suppress: sup}
 		if err := a.Finish(pass); err != nil {
 			return nil, fmt.Errorf("analysis: %s finish: %w", a.Name, err)
 		}
@@ -83,6 +86,7 @@ var knownAnalyzerNames = map[string]bool{
 	"histlint":          true,
 	"appendbeforeapply": true,
 	"coordnarrow":       true,
+	"deadexport":        true,
 	"deferunlock":       true,
 	"errwrap":           true,
 	"importfence":       true,
@@ -92,13 +96,6 @@ var knownAnalyzerNames = map[string]bool{
 	"nofloateq":         true,
 }
 
-// All returns the full histcube analyzer suite in stable order, with a
-// fresh lock-order accumulator. Use AllWith to keep a handle on the
-// accumulator (DOT export).
-func All() []*Analyzer {
-	return AllWith(NewLockOrder())
-}
-
 // AllWith returns the full suite wired to the given lock-order
 // accumulator, so callers (cmd/histlint's -lockgraph) can export the
 // acquisition graph after the run.
@@ -106,6 +103,7 @@ func AllWith(lo *LockOrder) []*Analyzer {
 	return []*Analyzer{
 		AppendBeforeApply,
 		CoordNarrow,
+		DeadExport,
 		DeferUnlock,
 		ErrWrap,
 		ImportFence,

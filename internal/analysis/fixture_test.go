@@ -120,6 +120,7 @@ func TestErrWrap(t *testing.T)           { checkFixture(t, analysis.ErrWrap) }
 func TestNoFloatEq(t *testing.T)         { checkFixture(t, analysis.NoFloatEq) }
 func TestDeferUnlock(t *testing.T)       { checkFixture(t, analysis.DeferUnlock) }
 func TestImportFence(t *testing.T)       { checkFixture(t, analysis.ImportFence) }
+func TestDeadExport(t *testing.T)        { checkFixture(t, analysis.DeadExport) }
 
 // TestLockOrder uses a fresh accumulator: its state is per-run by
 // design, and sharing one across tests would merge the graphs.

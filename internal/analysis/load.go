@@ -10,6 +10,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -179,9 +180,7 @@ func (l *Loader) expand(base string, patterns []string) ([]string, error) {
 			if !d.IsDir() {
 				return nil
 			}
-			name := d.Name()
-			if path != dir && (name == "testdata" || name == "vendor" ||
-				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if path != dir && skippedDir(d.Name()) {
 				return filepath.SkipDir
 			}
 			// A nested module (benchmark/) is not part of this one: its
@@ -201,6 +200,62 @@ func (l *Loader) expand(base string, patterns []string) ([]string, error) {
 	}
 	sort.Strings(dirs)
 	return dirs, nil
+}
+
+// skippedDir reports whether a recursive pattern leaves out the
+// directory with this name, as the go tool does.
+func skippedDir(name string) bool {
+	return name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")
+}
+
+// Program loads what a whole-program analysis counts as the program:
+// every package of the module, plus every package of each module nested
+// in it that replaces this one with a local path (benchmark/, whose one
+// requirement is this module). A nested module's packages are named by
+// their directory under this module, as benchmark's are, and import
+// nothing but this module and the standard library.
+func (l *Loader) Program() ([]*Package, error) {
+	pkgs, err := l.Load(l.ModuleRoot, "./...")
+	if err != nil {
+		return nil, err
+	}
+	err = filepath.WalkDir(l.ModuleRoot, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || path == l.ModuleRoot {
+			return err
+		}
+		if skippedDir(d.Name()) {
+			return filepath.SkipDir
+		}
+		gomod := filepath.Join(path, "go.mod")
+		if !isFile(gomod) {
+			return nil
+		}
+		if l.replacedIn(gomod) {
+			nested, err := l.Load(path, "./...")
+			if err != nil {
+				return err
+			}
+			pkgs = append(pkgs, nested...)
+		}
+		return filepath.SkipDir
+	})
+	return pkgs, err
+}
+
+// replacedIn reports whether the go.mod file replaces this module
+// (`replace histcube => ../`).
+func (l *Loader) replacedIn(gomod string) bool {
+	data, err := os.ReadFile(gomod)
+	if err != nil {
+		return false
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		f := strings.Fields(strings.TrimPrefix(strings.TrimSpace(line), "replace"))
+		if len(f) > 1 && f[0] == l.ModulePath && slices.Contains(f, "=>") {
+			return true
+		}
+	}
+	return false
 }
 
 func isFile(path string) bool {

@@ -34,9 +34,6 @@ import (
 // d-dimensional structure instead (Section 2.5).
 var ErrOutOfOrder = errors.New("appendcube: update time precedes the latest time slice")
 
-// ErrNoData reports a query against an empty cube.
-var ErrNoData = errors.New("appendcube: cube holds no data")
-
 // Config configures a Cube.
 type Config struct {
 	// SliceShape is the geometry of one time slice: the d-1 non-time
@@ -188,9 +185,6 @@ func (c *Cube) SliceShape() dims.Shape { return c.shape }
 
 // Store returns the historic slice store.
 func (c *Cube) Store() SliceStore { return c.store }
-
-// Times returns the occurring time values in ascending order.
-func (c *Cube) Times() []int64 { return c.dir.Times() }
 
 // NumSlices returns the number of occurring time values.
 func (c *Cube) NumSlices() int { return c.dir.Len() }

@@ -83,9 +83,6 @@ func (t *TieredStore) Accesses() int64 { return t.hot.Accesses() + t.cold.Access
 // NumSlices implements SliceStore.
 func (t *TieredStore) NumSlices() int { return t.hot.NumSlices() }
 
-// Boundary returns the first hot slice index.
-func (t *TieredStore) Boundary() int { return t.boundary }
-
 // ErrNotTiered reports an aging request on a cube without a
 // TieredStore.
 var ErrNotTiered = errors.New("appendcube: cube store is not tiered; configure a TieredStore to age slices")

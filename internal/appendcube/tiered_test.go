@@ -55,8 +55,8 @@ func TestAgeMovesSlicesAndKeepsAnswersExact(t *testing.T) {
 	if demoted != half {
 		t.Fatalf("demoted %d, want %d", demoted, half)
 	}
-	if ts.Boundary() != half {
-		t.Fatalf("boundary = %d", ts.Boundary())
+	if ts.boundary != half {
+		t.Fatalf("boundary = %d", ts.boundary)
 	}
 	// Hot storage for retired slices is freed.
 	for s := 0; s < half; s++ {
@@ -118,8 +118,8 @@ func TestAgeNeverRetiresLatest(t *testing.T) {
 	if demoted != c.NumSlices()-1 {
 		t.Fatalf("demoted %d of %d slices", demoted, c.NumSlices())
 	}
-	if ts.Boundary() != c.NumSlices()-1 {
-		t.Fatalf("boundary %d reached the latest slice", ts.Boundary())
+	if ts.boundary != c.NumSlices()-1 {
+		t.Fatalf("boundary %d reached the latest slice", ts.boundary)
 	}
 	// Aging again is a no-op until new slices appear.
 	demoted, err = c.Age(5)

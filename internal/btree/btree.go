@@ -1,9 +1,8 @@
 // Package btree implements an in-memory B+ tree over int64 keys with
 // per-subtree aggregate sums, so one-dimensional range-sum queries run
-// in O(log n). It serves two roles in the reproduction: it is the
-// kind of one-dimensional structure R_1 the paper's framework example
-// uses ("e.g., a B-tree with location keys", Section 2.2), and it
-// backs the sparse time directory of Section 2.3.
+// in O(log n). It is the kind of one-dimensional structure R_1 the
+// paper's framework example uses ("e.g., a B-tree with location keys",
+// Section 2.2).
 //
 // Deletions follow the paper's model: inserts and deletes are
 // translated to measure updates (Add with a negative delta), so keys
@@ -42,9 +41,6 @@ func New(order int) *Tree {
 
 // Len returns the number of distinct keys.
 func (t *Tree) Len() int { return t.size }
-
-// Sum returns the sum of all measures.
-func (t *Tree) Sum() float64 { return t.root.sum }
 
 // Add adds delta to the measure of key, inserting the key with
 // measure delta if absent.
@@ -162,19 +158,6 @@ func (n *node) splitInternal() (*node, int64) {
 	return right, sep
 }
 
-// Get returns the measure of key and whether the key exists.
-func (t *Tree) Get(key int64) (float64, bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.kids[n.childIndex(key)]
-	}
-	i := n.search(key)
-	if i < len(n.keys) && n.keys[i] == key {
-		return n.vals[i], true
-	}
-	return 0, false
-}
-
 // RangeSum returns the sum of measures of all keys in [lo, hi].
 func (t *Tree) RangeSum(lo, hi int64) float64 {
 	if lo > hi {
@@ -208,17 +191,6 @@ func (n *node) rangeSum(lo, hi int64) float64 {
 	return total
 }
 
-// Floor returns the greatest key <= key — the time-directory lookup of
-// Section 2.3. It runs in O(log n): at most two children are visited
-// per level (the key-covering child, then its left sibling when the
-// covering subtree holds no key <= key).
-func (t *Tree) Floor(key int64) (int64, bool) {
-	var best int64
-	found := false
-	t.root.floorScan(key, &best, &found)
-	return best, found
-}
-
 func (n *node) floorScan(key int64, best *int64, found *bool) {
 	if n.leaf {
 		i := n.search(key)
@@ -236,23 +208,6 @@ func (n *node) floorScan(key int64, best *int64, found *bool) {
 		if *found {
 			return
 		}
-	}
-}
-
-// Ascend calls fn for every (key, measure) pair in ascending key
-// order, stopping early if fn returns false.
-func (t *Tree) Ascend(fn func(key int64, val float64) bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.kids[0]
-	}
-	for n != nil {
-		for i, k := range n.keys {
-			if !fn(k, n.vals[i]) {
-				return
-			}
-		}
-		n = n.next
 	}
 }
 
@@ -287,6 +242,8 @@ func (n *node) clone(leaves *[]*node) *node {
 
 // CheckInvariants validates structural invariants (key order, subtree
 // sums, fanout); tests call it after mutation sequences.
+//
+//histlint:ignore deadexport invariant checker; btree_test.go runs it after every mutation sequence
 func (t *Tree) CheckInvariants() error {
 	_, _, err := t.root.check(t.order, true)
 	return err

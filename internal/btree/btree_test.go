@@ -9,7 +9,7 @@ import (
 
 func TestEmptyTree(t *testing.T) {
 	tr := New(4)
-	if tr.Len() != 0 || tr.Sum() != 0 {
+	if tr.Len() != 0 || tr.root.sum != 0 {
 		t.Error("empty tree not zeroed")
 	}
 	if _, ok := tr.Get(5); ok {
@@ -17,9 +17,6 @@ func TestEmptyTree(t *testing.T) {
 	}
 	if got := tr.RangeSum(0, 100); got != 0 {
 		t.Errorf("RangeSum on empty tree = %v", got)
-	}
-	if _, ok := tr.Floor(10); ok {
-		t.Error("Floor on empty tree found a key")
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -111,42 +108,6 @@ func TestRangeSumExhaustiveSmall(t *testing.T) {
 	}
 }
 
-func TestFloorSemantics(t *testing.T) {
-	tr := New(4)
-	for _, k := range []int64{10, 20, 30, 40} {
-		tr.Add(k, 1)
-	}
-	cases := []struct {
-		key  int64
-		want int64
-		ok   bool
-	}{
-		{5, 0, false}, {10, 10, true}, {15, 10, true}, {20, 20, true},
-		{39, 30, true}, {40, 40, true}, {1000, 40, true},
-	}
-	for _, c := range cases {
-		got, ok := tr.Floor(c.key)
-		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("Floor(%d) = %d,%v want %d,%v", c.key, got, ok, c.want, c.ok)
-		}
-	}
-}
-
-func TestFloorAcrossLeafBoundaries(t *testing.T) {
-	// Dense keys force splits; floors of keys just below a leaf's
-	// first key must come from the previous leaf.
-	tr := New(3)
-	for i := 0; i < 200; i += 2 {
-		tr.Add(int64(i), 1)
-	}
-	for i := int64(1); i < 200; i += 2 {
-		got, ok := tr.Floor(i)
-		if !ok || got != i-1 {
-			t.Fatalf("Floor(%d) = %d,%v want %d", i, got, ok, i-1)
-		}
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	tr := New(4)
 	for i := 0; i < 100; i++ {
@@ -207,27 +168,39 @@ func TestShadowProperty(t *testing.T) {
 				return false
 			}
 		}
-		// Floor agrees with a sorted-scan reference.
-		keys := make([]int64, 0, len(shadow))
-		for k := range shadow {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for op := 0; op < 30; op++ {
-			q := int64(r.Intn(120) - 10)
-			i := sort.Search(len(keys), func(i int) bool { return keys[i] > q }) - 1
-			got, ok := tr.Floor(q)
-			if i < 0 {
-				if ok {
-					return false
-				}
-			} else if !ok || got != keys[i] {
-				return false
-			}
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Ascend calls fn for every (key, measure) pair in ascending key
+// order, stopping early if fn returns false.
+func (t *Tree) Ascend(fn func(key int64, val float64) bool) {
+	n := t.root
+	for !n.leaf {
+		n = n.kids[0]
+	}
+	for n != nil {
+		for i, k := range n.keys {
+			if !fn(k, n.vals[i]) {
+				return
+			}
+		}
+		n = n.next
+	}
+}
+
+// Get returns the measure of key and whether the key exists.
+func (t *Tree) Get(key int64) (float64, bool) {
+	n := t.root
+	for !n.leaf {
+		n = n.kids[n.childIndex(key)]
+	}
+	i := n.search(key)
+	if i < len(n.keys) && n.keys[i] == key {
+		return n.vals[i], true
+	}
+	return 0, false
 }

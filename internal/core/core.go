@@ -37,13 +37,12 @@ type Dim struct {
 // StorageKind selects where historic time slices live.
 type StorageKind int
 
+// The zero StorageKind keeps historic slices in RAM (the Section
+// 3.3/3.4 algorithms, with eCube conversion).
 const (
-	// Memory keeps historic slices in RAM (the Section 3.3/3.4
-	// algorithms, with eCube conversion).
-	Memory StorageKind = iota
 	// Disk keeps historic slices on paged storage (the Section 3.5
 	// external-memory algorithm with page-wise copy-ahead).
-	Disk
+	Disk StorageKind = iota + 1
 	// Tiered keeps recent slices in RAM and lets Age retire old,
 	// completely copied slices to paged cold storage — the data-aging
 	// scheme of the paper's conclusion.
@@ -67,7 +66,7 @@ type Config struct {
 	// Operator is the aggregate operator; it must be invertible
 	// (SUM, COUNT or AVERAGE).
 	Operator agg.Operator
-	// Storage defaults to Memory.
+	// Storage defaults to RAM.
 	Storage Storage
 	// BufferOutOfOrder routes updates with historic time coordinates
 	// into an R*-tree buffer instead of rejecting them.
@@ -223,12 +222,6 @@ func newInner(cfg Config, shape dims.Shape) (*appendcube.Cube, error) {
 	return appendcube.New(acfg)
 }
 
-// DimIndex returns the index of a named dimension.
-func (c *Cube) DimIndex(name string) (int, bool) {
-	i, ok := c.byName[name]
-	return i, ok
-}
-
 // Shape returns the non-time dimension sizes.
 func (c *Cube) Shape() []int { return append([]int(nil), c.shape...) }
 
@@ -275,14 +268,10 @@ func (c *Cube) insertTraced(ctx context.Context, sp *trace.Span, t int64, coords
 	return c.apply(ctx, op, t, coords, val)
 }
 
-// Delete removes a previously inserted point by applying the inverse
-// contribution — the paper's translation of deletes into updates.
-func (c *Cube) Delete(t int64, coords []int, v float64) error {
-	return c.deleteTraced(context.Background(), nil, t, coords, v)
-}
-
-// DeleteCtx is Delete with request scoping (see InsertCtx for the
-// cancellation contract).
+// DeleteCtx removes a previously inserted point by applying the
+// inverse contribution — the paper's translation of deletes into
+// updates — with request scoping (see InsertCtx for the cancellation
+// contract).
 func (c *Cube) DeleteCtx(ctx context.Context, t int64, coords []int, v float64) error {
 	return c.deleteTraced(ctx, trace.FromContext(ctx), t, coords, v)
 }
@@ -298,22 +287,6 @@ func (c *Cube) deleteTraced(ctx context.Context, sp *trace.Span, t int64, coords
 	}
 	val := agg.Point(c.cfg.Operator, v).Neg()
 	return c.apply(ctx, op, t, coords, val)
-}
-
-// AddDelta adjusts the raw sum component directly (SUM cubes only):
-// the measure at coords changes by delta at time t.
-func (c *Cube) AddDelta(t int64, coords []int, delta float64) error {
-	if err := c.logOp(Op{Kind: OpAddDelta, Time: t, Coords: coords, Value: delta}); err != nil {
-		return err
-	}
-	return c.applyDelta(nil, t, coords, delta)
-}
-
-func (c *Cube) applyDelta(sp *trace.Span, t int64, coords []int, delta float64) error {
-	if c.cfg.Operator != agg.Sum {
-		return fmt.Errorf("core: AddDelta requires the SUM operator, cube uses %s", c.cfg.Operator)
-	}
-	return c.apply(context.Background(), sp, t, coords, agg.Value{Sum: delta})
 }
 
 func (c *Cube) apply(ctx context.Context, sp *trace.Span, t int64, coords []int, val agg.Value) error {
@@ -478,9 +451,6 @@ func (c *Cube) Stats() Stats {
 	return st
 }
 
-// Times returns the occurring time values in ascending order.
-func (c *Cube) Times() []int64 { return c.sum.Times() }
-
 // Retire materialises every historic slice completely — the data-aging
 // hook the paper's conclusion describes: once slices are complete they
 // can move to colder storage with their aggregates intact.
@@ -523,6 +493,8 @@ func closeStore(s appendcube.SliceStore) error {
 // storage only): each is completed and demoted, its cumulative
 // aggregates retained at no extra cost. It returns the number of
 // slices demoted.
+//
+//histlint:ignore deadexport the conclusion's data aging (DESIGN row 13d); core_test.go, instrument_test.go and the root integration test drive it, and nothing served calls it yet (ROADMAP, slice-granular checkpoints)
 func (c *Cube) Age(n int) (int, error) {
 	demoted, err := c.sum.Age(n)
 	if err != nil {

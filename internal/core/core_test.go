@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -31,7 +32,9 @@ func (s coreShadow) eval(op agg.Operator, r Range) float64 {
 			}
 		}
 		if in {
-			acc = acc.Add(agg.Point(op, p.v))
+			pv := agg.Point(op, p.v)
+			acc.Sum += pv.Sum
+			acc.Count += pv.Count
 		}
 	}
 	return agg.Finalize(op, acc)
@@ -52,16 +55,10 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestDimIndex(t *testing.T) {
+func TestShape(t *testing.T) {
 	c, err := New(Config{Dims: []Dim{{"store", 10}, {"product", 20}}, Operator: agg.Sum})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if i, ok := c.DimIndex("product"); !ok || i != 1 {
-		t.Errorf("DimIndex(product) = %d,%v", i, ok)
-	}
-	if _, ok := c.DimIndex("nope"); ok {
-		t.Error("unknown name resolved")
 	}
 	if got := c.Shape(); len(got) != 2 || got[0] != 10 || got[1] != 20 {
 		t.Errorf("Shape = %v", got)
@@ -79,7 +76,7 @@ func TestSumInsertDeleteQuery(t *testing.T) {
 	if err := c.Insert(2, []int{4}, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete(2, []int{4}, 7); err != nil {
+	if err := c.DeleteCtx(context.Background(), 2, []int{4}, 7); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Query(Range{TimeLo: 0, TimeHi: 10, Lo: []int{0}, Hi: []int{7}})
@@ -88,21 +85,6 @@ func TestSumInsertDeleteQuery(t *testing.T) {
 	}
 	if got != 5 {
 		t.Errorf("query = %v, want 5 (delete is the inverse update)", got)
-	}
-}
-
-func TestAddDeltaOnlyForSum(t *testing.T) {
-	c, _ := New(Config{Dims: []Dim{{"x", 4}}, Operator: agg.Count})
-	if err := c.AddDelta(1, []int{0}, 2); err == nil {
-		t.Error("AddDelta accepted on COUNT cube")
-	}
-	s, _ := New(Config{Dims: []Dim{{"x", 4}}, Operator: agg.Sum})
-	if err := s.AddDelta(1, []int{0}, 2.5); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := s.Query(Range{TimeLo: 1, TimeHi: 1, Lo: []int{0}, Hi: []int{0}})
-	if got != 2.5 {
-		t.Errorf("AddDelta query = %v", got)
 	}
 }
 

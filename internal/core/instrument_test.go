@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -95,7 +96,7 @@ func TestStatsMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Delete(19, []int{3, 3}, 0); err != nil {
+	if err := c.DeleteCtx(context.Background(), 19, []int{3, 3}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Query(Range{TimeLo: 0, TimeHi: 10, Lo: []int{0, 0}, Hi: []int{7, 7}}); err != nil {

@@ -18,10 +18,8 @@ const (
 	// OpInsert is Cube.Insert: one data point appended (or buffered
 	// out of order).
 	OpInsert OpKind = iota + 1
-	// OpDelete is Cube.Delete: the inverse contribution of a point.
+	// OpDelete is Cube.DeleteCtx: the inverse contribution of a point.
 	OpDelete
-	// OpAddDelta is Cube.AddDelta: a raw sum adjustment (SUM only).
-	OpAddDelta
 )
 
 // String names the op kind for logs and errors.
@@ -31,8 +29,6 @@ func (k OpKind) String() string {
 		return "insert"
 	case OpDelete:
 		return "delete"
-	case OpAddDelta:
-		return "adddelta"
 	default:
 		return fmt.Sprintf("opkind(%d)", uint8(k))
 	}
@@ -48,8 +44,8 @@ type Op struct {
 	Value  float64
 }
 
-// SetOpSink installs fn as the cube's write-ahead hook: every Insert,
-// Delete and AddDelta passes its op to fn *before* applying it, and
+// SetOpSink installs fn as the cube's write-ahead hook: every insert
+// and delete passes its op to fn *before* applying it, and
 // aborts (returning fn's error) if fn fails. A durable sink therefore
 // sees every mutation the caller may be told succeeded — an op is only
 // acknowledged after both the sink and the apply succeed. fn must not
@@ -75,8 +71,6 @@ func (c *Cube) ApplyOp(op Op) error {
 		return c.apply(context.Background(), nil, op.Time, op.Coords, agg.Point(c.cfg.Operator, op.Value))
 	case OpDelete:
 		return c.apply(context.Background(), nil, op.Time, op.Coords, agg.Point(c.cfg.Operator, op.Value).Neg())
-	case OpAddDelta:
-		return c.applyDelta(nil, op.Time, op.Coords, op.Value)
 	default:
 		return fmt.Errorf("core: unknown op kind %d", op.Kind)
 	}

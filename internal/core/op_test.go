@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -24,10 +25,7 @@ func TestOpSinkSeesEveryMutation(t *testing.T) {
 	if err := c.Insert(1, []int{2}, 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete(1, []int{2}, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddDelta(2, []int{4}, -1.5); err != nil {
+	if err := c.DeleteCtx(context.Background(), 1, []int{2}, 3); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Insert(1, []int{0}, 7); err != nil { // out of order: buffered, still logged
@@ -36,7 +34,6 @@ func TestOpSinkSeesEveryMutation(t *testing.T) {
 	want := []Op{
 		{Kind: OpInsert, Time: 1, Coords: []int{2}, Value: 5},
 		{Kind: OpDelete, Time: 1, Coords: []int{2}, Value: 3},
-		{Kind: OpAddDelta, Time: 2, Coords: []int{4}, Value: -1.5},
 		{Kind: OpInsert, Time: 1, Coords: []int{0}, Value: 7},
 	}
 	if len(got) != len(want) {
@@ -100,7 +97,7 @@ func TestApplyOpReplayEquivalence(t *testing.T) {
 		v := float64(r.Intn(9) + 1)
 		var err error
 		if r.Intn(6) == 0 {
-			err = live.Delete(tv, coords, v)
+			err = live.DeleteCtx(context.Background(), tv, coords, v)
 		} else {
 			err = live.Insert(tv, coords, v)
 		}

@@ -155,6 +155,8 @@ func RangeStart(n, k int) int {
 
 // MaxChainLen returns the worst-case number of cells in a prefix chain
 // for a vector of length n — the log2 N bound of the paper.
+//
+//histlint:ignore deadexport the log2 N chain bound that the cost-bound tests of ddc, appendcube, ecube and molap assert (EXPERIMENTS "Update touches ≤ (log₂N)^(d-1)")
 func MaxChainLen(n int) int {
 	if n <= 1 {
 		return 1
@@ -168,11 +170,6 @@ func MaxChainLen(n int) int {
 		span /= 2
 	}
 	return depth
-}
-
-// NewArray returns an all-zero d-dimensional DDC array.
-func NewArray(shape dims.Shape) (*molap.Array, error) {
-	return molap.New(shape, Uniform(len(shape)))
 }
 
 // FromDense pre-aggregates a dense original array with DDC in every

@@ -250,7 +250,7 @@ func TestMultiDimDDCMatchesNaive(t *testing.T) {
 
 func TestMultiDimCostBounds(t *testing.T) {
 	shape := dims.Shape{64, 64}
-	a, _ := NewArray(shape)
+	a, _ := molap.New(shape, Uniform(len(shape)))
 	r := rand.New(rand.NewSource(8))
 	qBound := int64(2 * MaxChainLen(64) * 2 * MaxChainLen(64))
 	uBound := int64((MaxChainLen(64) + 1) * (MaxChainLen(64) + 1))
@@ -324,7 +324,7 @@ func TestShadowProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		shape := dims.Shape{r.Intn(9) + 1, r.Intn(9) + 1}
-		a, err := NewArray(shape)
+		a, err := molap.New(shape, Uniform(len(shape)))
 		if err != nil {
 			return false
 		}

@@ -56,23 +56,10 @@ func (s Shape) Size() int {
 	return n
 }
 
-// Dims returns the number of dimensions.
-func (s Shape) Dims() int { return len(s) }
-
 // Clone returns an independent copy of the shape.
 func (s Shape) Clone() Shape {
 	c := make(Shape, len(s))
 	copy(c, s)
-	return c
-}
-
-// Drop returns the shape with dimension i removed. It is used to
-// obtain the geometry of a (d-1)-dimensional time slice from a
-// d-dimensional cube whose dimension i is the TT-dimension.
-func (s Shape) Drop(i int) Shape {
-	c := make(Shape, 0, len(s)-1)
-	c = append(c, s[:i]...)
-	c = append(c, s[i+1:]...)
 	return c
 }
 
@@ -120,23 +107,6 @@ func (s Shape) Flatten(x []int) int {
 	return off
 }
 
-// Unflatten converts a row-major flat offset back into a coordinate
-// vector, writing into dst (which must have length len(s)) and
-// returning it. If dst is nil a fresh vector is allocated.
-func (s Shape) Unflatten(off int, dst []int) []int {
-	if dst == nil {
-		dst = make([]int, len(s))
-	}
-	if len(dst) != len(s) {
-		panic("dims: dst arity does not match shape arity")
-	}
-	for i := len(s) - 1; i >= 0; i-- {
-		dst[i] = off % s[i]
-		off /= s[i]
-	}
-	return dst
-}
-
 // Box is a closed hyper-rectangle: it selects all coordinates x with
 // Lo[i] <= x[i] <= Hi[i] in every dimension i, matching the paper's
 // range-query semantics (boundaries included).
@@ -178,15 +148,6 @@ func (b Box) Validate(s Shape) error {
 	return nil
 }
 
-// Size returns the number of cells the box selects.
-func (b Box) Size() int {
-	n := 1
-	for i := range b.Lo {
-		n *= b.Hi[i] - b.Lo[i] + 1
-	}
-	return n
-}
-
 // Contains reports whether coordinate x lies inside the box.
 func (b Box) Contains(x []int) bool {
 	if len(x) != len(b.Lo) {
@@ -199,9 +160,6 @@ func (b Box) Contains(x []int) bool {
 	}
 	return true
 }
-
-// Clone returns an independent copy of the box.
-func (b Box) Clone() Box { return NewBox(b.Lo, b.Hi) }
 
 // String renders the box as [lo..hi] per dimension.
 func (b Box) String() string {

@@ -42,22 +42,6 @@ func TestShapeSize(t *testing.T) {
 	}
 }
 
-func TestShapeDrop(t *testing.T) {
-	s := Shape{2, 3, 4}
-	if got := s.Drop(0); !reflect.DeepEqual(got, Shape{3, 4}) {
-		t.Errorf("Drop(0) = %v", got)
-	}
-	if got := s.Drop(1); !reflect.DeepEqual(got, Shape{2, 4}) {
-		t.Errorf("Drop(1) = %v", got)
-	}
-	if got := s.Drop(2); !reflect.DeepEqual(got, Shape{2, 3}) {
-		t.Errorf("Drop(2) = %v", got)
-	}
-	if !reflect.DeepEqual(s, Shape{2, 3, 4}) {
-		t.Errorf("Drop mutated receiver: %v", s)
-	}
-}
-
 func TestShapeCloneIndependence(t *testing.T) {
 	s := Shape{2, 3}
 	c := s.Clone()
@@ -177,15 +161,6 @@ func TestBoxSizeAndIterAgree(t *testing.T) {
 	}
 }
 
-func TestBoxCloneIndependence(t *testing.T) {
-	b := NewBox([]int{1, 2}, []int{3, 4})
-	c := b.Clone()
-	c.Lo[0] = 99
-	if b.Lo[0] != 1 {
-		t.Error("Clone shares Lo backing array")
-	}
-}
-
 func TestBoxString(t *testing.T) {
 	b := NewBox([]int{1, 2}, []int{3, 4})
 	if got := b.String(); got != "{[1..3], [2..4]}" {
@@ -260,4 +235,30 @@ func TestBoxIterCountProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Unflatten converts a row-major flat offset back into a coordinate
+// vector, writing into dst (which must have length len(s)) and
+// returning it. If dst is nil a fresh vector is allocated.
+func (s Shape) Unflatten(off int, dst []int) []int {
+	if dst == nil {
+		dst = make([]int, len(s))
+	}
+	if len(dst) != len(s) {
+		panic("dims: dst arity does not match shape arity")
+	}
+	for i := len(s) - 1; i >= 0; i-- {
+		dst[i] = off % s[i]
+		off /= s[i]
+	}
+	return dst
+}
+
+// Size returns the number of cells the box selects.
+func (b Box) Size() int {
+	n := 1
+	for i := range b.Lo {
+		n *= b.Hi[i] - b.Lo[i] + 1
+	}
+	return n
 }

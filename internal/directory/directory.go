@@ -3,40 +3,23 @@
 // instances of the (d-1)-dimensional structure R_{d-1}. The paper
 // suggests "standard one-dimensional data structures for this
 // purpose, e.g., a B-tree for a sparse or an array for a dense
-// TT-dimension"; both are provided behind one interface. A pointer to
-// the latest instance keeps update lookups O(1); Floor lookups cost at
-// most O(log n).
+// TT-dimension". The array is the one both the served cube and the
+// framework use. A pointer to the latest instance keeps update lookups
+// O(1); Floor lookups cost at most O(log n).
 package directory
 
 import (
 	"errors"
 	"sort"
-
-	"histcube/internal/btree"
 )
 
 // ErrNotAppendOnly reports an Append with a time value not greater
 // than the latest occurring time.
 var ErrNotAppendOnly = errors.New("directory: time value must exceed the latest occurring time")
 
-// Directory maps occurring time values to dense instance indices.
-type Directory interface {
-	// Append registers a new occurring time (strictly greater than the
-	// latest) and returns its instance index.
-	Append(t int64) (int, error)
-	// Floor returns the index of the greatest occurring time <= t.
-	Floor(t int64) (int, bool)
-	// Latest returns the latest instance index and time; ok is false
-	// when empty. This is the O(1) pointer of Section 2.3.
-	Latest() (idx int, t int64, ok bool)
-	// Len returns the number of occurring times.
-	Len() int
-	// Time returns the occurring time of instance idx.
-	Time(idx int) int64
-}
-
-// Array is the dense-TT-dimension directory: a sorted slice with
-// binary-search lookups.
+// Array is the dense-TT-dimension directory: a sorted slice of the
+// occurring time values with binary-search lookups, mapping each to a
+// dense instance index.
 type Array struct {
 	times []int64
 }
@@ -44,7 +27,8 @@ type Array struct {
 // NewArray returns an empty array directory.
 func NewArray() *Array { return &Array{} }
 
-// Append implements Directory.
+// Append registers a new occurring time (strictly greater than the
+// latest) and returns its instance index.
 func (a *Array) Append(t int64) (int, error) {
 	if n := len(a.times); n > 0 && t <= a.times[n-1] {
 		return 0, ErrNotAppendOnly
@@ -53,14 +37,15 @@ func (a *Array) Append(t int64) (int, error) {
 	return len(a.times) - 1, nil
 }
 
-// Floor implements Directory.
+// Floor returns the index of the greatest occurring time <= t.
 func (a *Array) Floor(t int64) (int, bool) {
 	idx := sort.Search(len(a.times), func(i int) bool { return a.times[i] > t }) - 1
 	return idx, idx >= 0
 }
 
-// Latest implements Directory.
-func (a *Array) Latest() (int, int64, bool) {
+// Latest returns the latest instance index and time; ok is false when
+// empty. This is the O(1) pointer of Section 2.3.
+func (a *Array) Latest() (idx int, t int64, ok bool) {
 	n := len(a.times)
 	if n == 0 {
 		return 0, 0, false
@@ -68,59 +53,13 @@ func (a *Array) Latest() (int, int64, bool) {
 	return n - 1, a.times[n-1], true
 }
 
-// Len implements Directory.
+// Len returns the number of occurring times.
 func (a *Array) Len() int { return len(a.times) }
 
-// Time implements Directory.
+// Time returns the occurring time of instance idx.
 func (a *Array) Time(idx int) int64 { return a.times[idx] }
 
 // Times returns the backing slice of occurring times in ascending
 // order. Callers must not mutate it; it stays valid until the next
 // Append.
 func (a *Array) Times() []int64 { return a.times }
-
-// Tree is the sparse-TT-dimension directory: a B-tree keyed by time
-// with the instance index as payload.
-type Tree struct {
-	bt    *btree.Tree
-	times []int64
-}
-
-// NewTree returns an empty B-tree directory.
-func NewTree() *Tree { return &Tree{bt: btree.New(0)} }
-
-// Append implements Directory.
-func (tr *Tree) Append(t int64) (int, error) {
-	if n := len(tr.times); n > 0 && t <= tr.times[n-1] {
-		return 0, ErrNotAppendOnly
-	}
-	idx := len(tr.times)
-	tr.bt.Add(t, float64(idx))
-	tr.times = append(tr.times, t)
-	return idx, nil
-}
-
-// Floor implements Directory.
-func (tr *Tree) Floor(t int64) (int, bool) {
-	key, ok := tr.bt.Floor(t)
-	if !ok {
-		return 0, false
-	}
-	idx, _ := tr.bt.Get(key)
-	return int(idx), true
-}
-
-// Latest implements Directory.
-func (tr *Tree) Latest() (int, int64, bool) {
-	n := len(tr.times)
-	if n == 0 {
-		return 0, 0, false
-	}
-	return n - 1, tr.times[n-1], true
-}
-
-// Len implements Directory.
-func (tr *Tree) Len() int { return len(tr.times) }
-
-// Time implements Directory.
-func (tr *Tree) Time(idx int) int64 { return tr.times[idx] }

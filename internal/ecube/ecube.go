@@ -68,9 +68,6 @@ func NewEngine(shape dims.Shape) (*Engine, error) {
 	return &Engine{shape: shape.Clone(), strides: shape.Strides()}, nil
 }
 
-// Shape returns the engine's slice shape.
-func (en *Engine) Shape() dims.Shape { return en.shape }
-
 // Loads returns the cumulative number of cells the engine has touched
 // (CellStore.Load calls) across every query it has run.
 func (en *Engine) Loads() int64 { return en.loads.Load() }
@@ -80,36 +77,6 @@ func (en *Engine) Loads() int64 { return en.loads.Load() }
 // track: query cost converges from (2 log2 N)^(d-1) towards 2^(d-1)
 // exactly as this counter approaches the number of queried cells.
 func (en *Engine) Converts() int64 { return en.converts.Load() }
-
-// Prefix computes P[x] = aggregate over the box [0..x] in every
-// dimension, converting every DDC cell it touches to PS via StorePS.
-//
-// The recursion follows the paper's eCube algorithm (Fig. 6): a DDC
-// cell's value covers the box [RangeStart(x_i)..x_i] per dimension, so
-// P(x) = DDC(x) + sum over non-empty subsets S of dimensions of
-// (-1)^(|S|+1) * P(x with x_i replaced by RangeStart(x_i)-1 for i in
-// S), where a sub-prefix with any coordinate -1 is zero. The
-// sub-prefix coordinates are exactly the predecessors in the DDC
-// prefix index chains, so the worst case touches no more cells than
-// the plain DDC algorithm.
-func (en *Engine) Prefix(cs CellStore, x []int) float64 {
-	return en.PrefixTraced(nil, cs, x)
-}
-
-// PrefixTraced is Prefix with per-request cost attribution: the
-// evaluation's cell loads and persisted conversions are added to sp's
-// CellsTouched and Conversions counters. A nil span records nothing
-// and costs one branch per evaluation.
-func (en *Engine) PrefixTraced(sp *trace.Span, cs CellStore, x []int) float64 {
-	if !en.shape.Contains(x) {
-		panic("ecube: prefix coordinate outside shape")
-	}
-	ctx := evalCtx{cctx: context.Background()}
-	v := en.prefixRec(cs, x, &ctx)
-	sp.Add(trace.CellsTouched, int64(ctx.loads))
-	sp.Add(trace.Conversions, int64(ctx.converts))
-	return v
-}
 
 // evalCtx carries per-evaluation state: PS values the store declined
 // to persist, memoised so the recursion stays within the DDC cost
@@ -128,6 +95,17 @@ type evalCtx struct {
 	err      error
 }
 
+// prefixRec computes P[x] = aggregate over the box [0..x] in every
+// dimension, converting every DDC cell it touches to PS via StorePS.
+//
+// The recursion follows the paper's eCube algorithm (Fig. 6): a DDC
+// cell's value covers the box [RangeStart(x_i)..x_i] per dimension, so
+// P(x) = DDC(x) + sum over non-empty subsets S of dimensions of
+// (-1)^(|S|+1) * P(x with x_i replaced by RangeStart(x_i)-1 for i in
+// S), where a sub-prefix with any coordinate -1 is zero. The
+// sub-prefix coordinates are exactly the predecessors in the DDC
+// prefix index chains, so the worst case touches no more cells than
+// the plain DDC algorithm.
 func (en *Engine) prefixRec(cs CellStore, x []int, ctx *evalCtx) float64 {
 	if ctx.err != nil {
 		return 0
@@ -204,10 +182,10 @@ func (en *Engine) Range(cs CellStore, b dims.Box) (float64, error) {
 	return en.RangeCtx(context.Background(), nil, cs, b)
 }
 
-// RangeCtx is Range with per-request cost attribution (see
-// PrefixTraced) and cooperative cancellation. The query's cell loads
-// and persisted DDC->PS conversions land on sp: as the slice converges
-// to PS form the recorded CellsTouched falls from the (2 log2 N)^(d-1)
+// RangeCtx is Range with per-request cost attribution and cooperative
+// cancellation. The query's cell loads and persisted DDC->PS
+// conversions land on sp: as the slice converges to PS form the
+// recorded CellsTouched falls from the (2 log2 N)^(d-1)
 // DDC bound to the 2^(d-1) corner count — Figures 10/11, observable per
 // query. The corner prefix evaluations share one evalCtx, which polls
 // cctx.Err every 64 cell loads. On cancellation the query returns ctx's
@@ -301,9 +279,6 @@ type errValue string
 
 func (e errValue) Error() string { return string(e) }
 
-// Shape returns the array's shape.
-func (a *Array) Shape() dims.Shape { return a.en.Shape() }
-
 // Load implements CellStore.
 func (a *Array) Load(off int) (float64, bool) {
 	a.Accesses++
@@ -320,9 +295,6 @@ func (a *Array) StorePS(off int, val float64) bool {
 	a.Conversions++
 	return true
 }
-
-// PrefixQuery computes P[x], converting touched cells to PS.
-func (a *Array) PrefixQuery(x []int) float64 { return a.en.Prefix(a, x) }
 
 // Query computes the aggregate over the closed box.
 func (a *Array) Query(b dims.Box) (float64, error) { return a.en.Range(a, b) }

@@ -1,6 +1,7 @@
 package ecube
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -23,7 +24,7 @@ func TestFigure6Example(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := a.PrefixQuery([]int{2, 6})
+	got := prefixAt(a, []int{2, 6})
 	if got != 21 {
 		t.Fatalf("PS(2,6) = %v, want 21", got)
 	}
@@ -86,10 +87,10 @@ func TestPrefixQueryMatchesNaive(t *testing.T) {
 			want += data[shape.Flatten(y)]
 		})
 		// Query twice: once converting, once from the PS value.
-		if got := a.PrefixQuery(x); got != want {
+		if got := prefixAt(a, x); got != want {
 			t.Fatalf("PS(%v) = %v, want %v", x, got, want)
 		}
-		if got := a.PrefixQuery(x); got != want {
+		if got := prefixAt(a, x); got != want {
 			t.Fatalf("repeat PS(%v) = %v, want %v", x, got, want)
 		}
 	})
@@ -135,16 +136,6 @@ func TestQueryRejectsInvalidBox(t *testing.T) {
 	if _, err := a.Query(dims.NewBox([]int{1, 0}, []int{0, 1})); err == nil {
 		t.Error("inverted box accepted")
 	}
-}
-
-func TestPrefixPanicsOutsideShape(t *testing.T) {
-	a, _ := FromDense([]float64{1, 2, 3, 4}, dims.Shape{2, 2})
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-shape prefix did not panic")
-		}
-	}()
-	a.PrefixQuery([]int{2, 0})
 }
 
 func TestConvergenceReducesCost(t *testing.T) {
@@ -202,7 +193,7 @@ func TestWorstCaseNoWorseThanDDCChains(t *testing.T) {
 		bound := int64(len(ddc.DDC{}.PrefixTerms(nil, shape[0], x[0])) *
 			len(ddc.DDC{}.PrefixTerms(nil, shape[1], x[1])))
 		a.Accesses = 0
-		a.PrefixQuery(x)
+		prefixAt(a, x)
 		if a.Conversions > bound {
 			t.Fatalf("prefix %v converted %d cells, DDC chain bound %d", x, a.Conversions, bound)
 		}
@@ -225,7 +216,7 @@ func TestFullConversionMatchesPSArray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dims.FullBox(shape).Iter(func(x []int) { a.PrefixQuery(x) })
+	dims.FullBox(shape).Iter(func(x []int) { prefixAt(a, x) })
 	ps, err := prefix.FromDense(data, shape)
 	if err != nil {
 		t.Fatal(err)
@@ -415,4 +406,10 @@ func TestEngineCounters(t *testing.T) {
 	if a.en.Loads() <= loads1 {
 		t.Errorf("repeat query loads did not grow: %d -> %d", loads1, a.en.Loads())
 	}
+}
+
+// prefixAt evaluates one prefix P[x] with the eCube recursion.
+func prefixAt(a *Array, x []int) float64 {
+	ctx := evalCtx{cctx: context.Background()}
+	return a.en.prefixRec(a, x, &ctx)
 }

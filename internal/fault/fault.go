@@ -42,10 +42,9 @@
 // hedging and breaker logic in the shard client and the replication
 // link.
 //
-// The wrapper interfaces (File, Backend) are structural copies of
-// wal.SegmentFile and pager.Backend rather than imports: wal's and
-// pager's own tests import this package, so fault must not import them
-// back.
+// The File wrapper interface is a structural copy of wal.SegmentFile
+// rather than an import: wal's own tests import this package, so fault
+// must not import it back.
 package fault
 
 import (
@@ -153,6 +152,8 @@ func Parse(spec string, seed int64) (*Injector, error) {
 
 // MustParse is Parse for tests and fixed literals; it panics on a bad
 // spec.
+//
+//histlint:ignore deadexport test seam: fault specs in the tests of cmd/histserve, cmd/histproxy, internal/wal, internal/shardclient and internal/fault
 func MustParse(spec string, seed int64) *Injector {
 	inj, err := Parse(spec, seed)
 	if err != nil {
@@ -314,17 +315,12 @@ func (i *Injector) Check(site string) Outcome {
 // Heal disarms every rule: operations keep being counted, but no
 // further faults fire. The chaos suite uses it to clear a persistent
 // fault and watch the server's auto-recovery probe succeed.
+//
+//histlint:ignore deadexport test seam: cmd/histserve chaos_test.go and internal/wal fault_test.go clear a persistent fault to watch recovery
 func (i *Injector) Heal() {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	i.healed = true
-}
-
-// Arm re-enables rules after Heal.
-func (i *Injector) Arm() {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.healed = false
 }
 
 // Injected returns the number of faults fired so far.
@@ -336,14 +332,13 @@ func (i *Injector) Injected() int64 {
 }
 
 // Ops returns the operation count observed at site.
+//
+//histlint:ignore deadexport test seam: internal/wal fault_test.go counts the write and sync operations a commit reached
 func (i *Injector) Ops(site string) int64 {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return i.counts[site]
 }
-
-// Seed returns the seed the injector was built with (for repro logs).
-func (i *Injector) Seed() int64 { return i.seed }
 
 // String renders the spec and seed, the pair that reproduces this
 // fault schedule.
@@ -432,60 +427,6 @@ func (ff *faultFile) Sync() error {
 func (ff *faultFile) Close() error { return ff.f.Close() }
 
 func (ff *faultFile) Truncate(size int64) error { return ff.f.Truncate(size) }
-
-// Backend is the page-store surface — a structural copy of
-// pager.Backend.
-type Backend interface {
-	Load(id int, buf []byte) error
-	Store(id int, buf []byte) error
-	Sync() error
-	Close() error
-}
-
-// WrapBackend interposes the injector on a page backend: Load checks
-// site prefix+".load", Store prefix+".store", Sync prefix+".sync";
-// Close passes through.
-func (i *Injector) WrapBackend(prefix string, b Backend) Backend {
-	if i == nil {
-		return b
-	}
-	return &faultBackend{inj: i, prefix: prefix, b: b}
-}
-
-type faultBackend struct {
-	inj    *Injector
-	prefix string
-	b      Backend
-}
-
-func (fb *faultBackend) Load(id int, buf []byte) error {
-	out := fb.inj.Check(fb.prefix + ".load")
-	fb.inj.wait(out.Delay)
-	if out.Err != nil {
-		return out.Err
-	}
-	return fb.b.Load(id, buf)
-}
-
-func (fb *faultBackend) Store(id int, buf []byte) error {
-	out := fb.inj.Check(fb.prefix + ".store")
-	fb.inj.wait(out.Delay)
-	if out.Err != nil {
-		return out.Err
-	}
-	return fb.b.Store(id, buf)
-}
-
-func (fb *faultBackend) Sync() error {
-	out := fb.inj.Check(fb.prefix + ".sync")
-	fb.inj.wait(out.Delay)
-	if out.Err != nil {
-		return out.Err
-	}
-	return fb.b.Sync()
-}
-
-func (fb *faultBackend) Close() error { return fb.b.Close() }
 
 // WrapConn interposes the injector on a network connection: Read
 // checks site prefix+".read", Write prefix+".write". A drop outcome

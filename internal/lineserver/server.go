@@ -390,6 +390,8 @@ func (s *Server) SetWriteDeadline(conn net.Conn) {
 // Do serves one line as a unit of one, with no connection: what a
 // client at depth 1 would read, and whether the connection would close.
 // It is the entry for drills and fuzzing that need no socket.
+//
+//histlint:ignore deadexport test seam: cmd/histserve (safeDispatch, FuzzDispatchLine) and lineserver's own server_test.go drive the command table without a socket
 func (s *Server) Do(tid trace.ID, line string) (reply string, quit bool) {
 	line = strings.TrimSpace(line)
 	rq := &Request{Line: line, TID: tid, cmd: s.resolve(line)}

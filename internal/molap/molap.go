@@ -89,8 +89,8 @@ func (Raw) UpdateCells(dst []int, _ int, i int) []int {
 // building block for the PS and DDC baselines of the paper's
 // evaluation and for the time slices of the append-only cube.
 //
-// Accesses counts every cell read or write performed by Query,
-// PrefixQuery and Update; it is the paper's cost metric.
+// Accesses counts every cell read or write performed by Query and
+// Update; it is the paper's cost metric.
 type Array struct {
 	shape    dims.Shape
 	techs    []Technique
@@ -215,14 +215,6 @@ func (a *Array) Clone() *Array {
 	return c
 }
 
-// Dense returns the original (disaggregated) array values, leaving the
-// receiver unchanged.
-func (a *Array) Dense() []float64 {
-	c := a.Clone()
-	c.disaggregateAll()
-	return c.cells
-}
-
 // Update adds delta to original cell x by adjusting every
 // pre-aggregated cell that covers it: the cross product of the
 // per-dimension UpdateCells index sets.
@@ -243,16 +235,6 @@ func (a *Array) Update(x []int, delta float64) {
 		a.cells[off] += delta
 		a.Accesses++
 	})
-}
-
-// UpdateCost returns the number of cells Update(x, ·) touches without
-// performing the update.
-func (a *Array) UpdateCost(x []int) int {
-	n := 1
-	for d, t := range a.techs {
-		n *= len(t.UpdateCells(nil, a.shape[d], x[d]))
-	}
-	return n
 }
 
 // Query computes the aggregate over the closed box by combining the
@@ -288,16 +270,6 @@ func (a *Array) query(b dims.Box) (float64, error) {
 		}
 	}
 	return a.combineTerms(sets), nil
-}
-
-// PrefixQuery computes P[x] = aggregate over the box [0..x] in every
-// dimension, using the per-dimension PrefixTerms.
-func (a *Array) PrefixQuery(x []int) float64 {
-	sets := make([][]Term, len(a.shape))
-	for d, t := range a.techs {
-		sets[d] = t.PrefixTerms(nil, a.shape[d], x[d])
-	}
-	return a.combineTerms(sets)
 }
 
 func (a *Array) combineTerms(sets [][]Term) float64 {

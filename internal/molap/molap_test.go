@@ -178,3 +178,21 @@ func TestAccessCounterAdvances(t *testing.T) {
 		t.Errorf("raw query over 4 cells counted %d accesses", a.Accesses-before)
 	}
 }
+
+// Dense returns the original (disaggregated) array values, leaving the
+// receiver unchanged.
+func (a *Array) Dense() []float64 {
+	c := a.Clone()
+	c.disaggregateAll()
+	return c.cells
+}
+
+// PrefixQuery computes P[x] = aggregate over the box [0..x] in every
+// dimension, using the per-dimension PrefixTerms.
+func (a *Array) PrefixQuery(x []int) float64 {
+	sets := make([][]Term, len(a.shape))
+	for d, t := range a.techs {
+		sets[d] = t.PrefixTerms(nil, a.shape[d], x[d])
+	}
+	return a.combineTerms(sets)
+}

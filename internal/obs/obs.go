@@ -60,9 +60,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
@@ -89,14 +86,14 @@ var LatencyBuckets = []float64{
 	1, 2.5, 5, 10,
 }
 
-// Histogram is a fixed-bucket histogram with atomic buckets, count and
-// sum. Buckets are cumulative at render time (Prometheus `le`
-// semantics); observation picks the first upper bound >= v.
+// Histogram is a fixed-bucket histogram with atomic buckets and sum.
+// Buckets are cumulative at render time (Prometheus `le` semantics);
+// observation picks the first upper bound >= v. The count is the
+// cumulative +Inf bucket, so one rendering never disagrees with itself.
 type Histogram struct {
 	bounds  []float64      // ascending upper bounds; +Inf is implicit
 	counts  []atomic.Int64 // len(bounds)+1, last is the overflow bucket
-	count   atomic.Int64
-	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
+	sumBits atomic.Uint64  // float64 bits, CAS-accumulated
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -112,7 +109,6 @@ func newHistogram(bounds []float64) *Histogram {
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -123,7 +119,15 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+//
+//histlint:ignore deadexport test seam: the metrics and pipeline tests of cmd/histserve and lineserver's server_test.go read per-command sample counts
+func (h *Histogram) Count() int64 {
+	n := int64(0)
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
@@ -382,7 +386,7 @@ func writeHistogram(b *strings.Builder, name string, labels []Label, h *Histogra
 	fmt.Fprintf(b, "%s_bucket%s %d\n", name,
 		labelKey(append(append([]Label(nil), labels...), Label{"le", "+Inf"})), cum)
 	fmt.Fprintf(b, "%s_sum%s %s\n", name, labelKey(labels), formatFloat(h.Sum()))
-	fmt.Fprintf(b, "%s_count%s %d\n", name, labelKey(labels), h.Count())
+	fmt.Fprintf(b, "%s_count%s %d\n", name, labelKey(labels), cum)
 }
 
 // labelKey renders a label set as {k="v",...}, or "" for no labels.

@@ -19,7 +19,7 @@ func TestCounterGauge(t *testing.T) {
 		t.Errorf("counter = %d, want 5", got)
 	}
 	var g Gauge
-	g.Set(10)
+	g.Add(10)
 	g.Inc()
 	g.Dec()
 	g.Add(-4)
@@ -115,7 +115,7 @@ func TestRegistryPrometheusRendering(t *testing.T) {
 	c2 := r.NewCounter("test_requests_total", "Requests.", Label{"cmd", "QRY"})
 	c2.Inc()
 	g := r.NewGauge("test_inflight", "In-flight requests.")
-	g.Set(2)
+	g.Add(2)
 	r.NewGaugeFunc("test_slices", "Slices.", func() float64 { return 7 })
 	r.NewCounterFunc("test_conversions_total", "Conversions.", func() int64 { return 42 })
 	h := r.NewHistogram("test_latency_seconds", "Latency.", []float64{0.1, 1})
@@ -174,5 +174,51 @@ func TestLabelEscaping(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `esc_total{path="a\"b\\c\nd"} 0`) {
 		t.Errorf("escaping wrong:\n%s", b.String())
+	}
+}
+
+// TestHistogramCountMatchesInfBucketUnderLoad scrapes a histogram while
+// goroutines observe into it: every scrape's _count must equal its own
+// le="+Inf" bucket, as Prometheus requires of one exposition.
+func TestHistogramCountMatchesInfBucketUnderLoad(t *testing.T) {
+	r := NewRegistry()
+	h := r.NewHistogram("test_load_seconds", "Load.", []float64{0.001, 0.1})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(float64(i%3) * 0.05)
+				}
+			}
+		}(g)
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for scrape := 0; scrape < 300; scrape++ {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		var inf, count string
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, `test_load_seconds_bucket{le="+Inf"} `); ok {
+				inf = v
+			}
+			if v, ok := strings.CutPrefix(line, "test_load_seconds_count "); ok {
+				count = v
+			}
+		}
+		if inf == "" || count != inf {
+			t.Fatalf("scrape %d: _count %s, le=\"+Inf\" %s\n%s", scrape, count, inf, b.String())
+		}
 	}
 }

@@ -18,8 +18,6 @@ import (
 	"io"
 	"math"
 	"os"
-
-	"histcube/internal/retry"
 )
 
 // DefaultPageSize is the page size used throughout the paper's
@@ -86,9 +84,6 @@ func (m *MemBackend) Sync() error { return nil }
 // Close implements Backend.
 func (m *MemBackend) Close() error { return nil }
 
-// PageCount returns the number of pages ever stored.
-func (m *MemBackend) PageCount() int { return len(m.pages) }
-
 // FileBackend stores pages in a regular file at offset id*pageSize.
 type FileBackend struct {
 	f    *os.File
@@ -98,17 +93,6 @@ type FileBackend struct {
 // NewFileBackend creates (or truncates) the file at path.
 func NewFileBackend(path string, pageSize int) (*FileBackend, error) {
 	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return &FileBackend{f: f, size: pageSize}, nil
-}
-
-// OpenFileBackend opens the page file at path without truncating it,
-// creating it when absent — the reopen path a durable deployment takes
-// across restarts.
-func OpenFileBackend(path string, pageSize int) (*FileBackend, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -187,9 +171,6 @@ func New(b Backend, pageSize int) (*Pager, error) {
 	}, nil
 }
 
-// PageSize returns the page size in bytes.
-func (p *Pager) PageSize() int { return p.pageSize }
-
 // CellsPerPage returns the number of 4-byte cells per page (2048 for
 // the default 8 KiB page).
 func (p *Pager) CellsPerPage() int { return p.perPage }
@@ -265,44 +246,6 @@ func (p *Pager) Close() error {
 	}
 	return p.backend.Close()
 }
-
-// RetryBackend wraps a Backend with bounded retry for transient I/O
-// errors. Load, Store and Sync are retried under the policy; Close is
-// not (a failed close is reported once — retrying it risks
-// double-closing the underlying file). Permanent conditions (ENOSPC,
-// canceled requests, retry.Permanent) fail fast, so a full disk
-// surfaces immediately and the degradation machinery above can react.
-type RetryBackend struct {
-	inner  Backend
-	policy retry.Policy
-}
-
-// NewRetryBackend wraps inner with the policy. A zero-value policy is
-// replaced by retry.Default().
-func NewRetryBackend(inner Backend, policy retry.Policy) *RetryBackend {
-	if policy.Attempts == 0 {
-		policy = retry.Default()
-	}
-	return &RetryBackend{inner: inner, policy: policy}
-}
-
-// Load implements Backend with retry.
-func (r *RetryBackend) Load(id int, buf []byte) error {
-	return r.policy.Do("pager.load", func() error { return r.inner.Load(id, buf) })
-}
-
-// Store implements Backend with retry.
-func (r *RetryBackend) Store(id int, buf []byte) error {
-	return r.policy.Do("pager.store", func() error { return r.inner.Store(id, buf) })
-}
-
-// Sync implements Backend with retry.
-func (r *RetryBackend) Sync() error {
-	return r.policy.Do("pager.sync", r.inner.Sync)
-}
-
-// Close implements Backend; it delegates without retry.
-func (r *RetryBackend) Close() error { return r.inner.Close() }
 
 // IOs returns Reads+Writes, the total page access count.
 func (p *Pager) IOs() int64 { return p.Reads + p.Writes }

@@ -4,13 +4,9 @@ import (
 	"errors"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
-	"time"
 
-	"histcube/internal/fault"
 	"histcube/internal/pager"
-	"histcube/internal/retry"
 )
 
 // TestFileBackendLoadPastEOF pins the designed behaviour: pages never
@@ -79,12 +75,24 @@ func TestFileBackendErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestPagerSurfacesBackendFaults runs a Pager over an injected-fault
-// backend and checks the error reaches cell reads instead of being
-// absorbed into a zero page.
+// failNthLoad fails the backend's nth Load.
+type failNthLoad struct {
+	pager.Backend
+	n, loads int
+}
+
+func (f *failNthLoad) Load(id int, buf []byte) error {
+	if f.loads++; f.loads == f.n {
+		return errors.New("injected load fault")
+	}
+	return f.Backend.Load(id, buf)
+}
+
+// TestPagerSurfacesBackendFaults runs a Pager over a faulty backend and
+// checks the error reaches cell reads instead of being absorbed into a
+// zero page.
 func TestPagerSurfacesBackendFaults(t *testing.T) {
-	inj := fault.MustParse("pager.load:err@2", 1)
-	b := inj.WrapBackend("pager", pager.NewMemBackend(64))
+	b := &failNthLoad{Backend: pager.NewMemBackend(64), n: 2}
 	p, err := pager.New(b, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -99,106 +107,5 @@ func TestPagerSurfacesBackendFaults(t *testing.T) {
 	}
 	if _, err := p.ReadCell(100); err == nil {
 		t.Fatal("faulted page load should surface from ReadCell")
-	}
-}
-
-// noSleepPolicy is retry.Default with sleeps recorded instead of taken.
-func noSleepPolicy(slept *[]time.Duration) retry.Policy {
-	p := retry.Default()
-	p.Sleep = func(d time.Duration) { *slept = append(*slept, d) }
-	return p
-}
-
-// flakyBackend fails the first failures calls to each op, then
-// delegates to a MemBackend.
-type flakyBackend struct {
-	inner    *pager.MemBackend
-	failures int
-	calls    int
-	err      error
-}
-
-func (f *flakyBackend) op() error {
-	f.calls++
-	if f.calls <= f.failures {
-		return f.err
-	}
-	return nil
-}
-
-func (f *flakyBackend) Load(id int, buf []byte) error {
-	if err := f.op(); err != nil {
-		return err
-	}
-	return f.inner.Load(id, buf)
-}
-
-func (f *flakyBackend) Store(id int, buf []byte) error {
-	if err := f.op(); err != nil {
-		return err
-	}
-	return f.inner.Store(id, buf)
-}
-
-func (f *flakyBackend) Sync() error {
-	if err := f.op(); err != nil {
-		return err
-	}
-	return f.inner.Sync()
-}
-
-func (f *flakyBackend) Close() error {
-	if err := f.op(); err != nil {
-		return err
-	}
-	return f.inner.Close()
-}
-
-func TestRetryBackendAbsorbsTransientFaults(t *testing.T) {
-	var slept []time.Duration
-	fb := &flakyBackend{inner: pager.NewMemBackend(8), failures: 2, err: errors.New("transient I/O")}
-	rb := pager.NewRetryBackend(fb, noSleepPolicy(&slept))
-	if err := rb.Store(0, make([]byte, 8)); err != nil {
-		t.Fatalf("Store should succeed on the third attempt: %v", err)
-	}
-	if fb.calls != 3 || len(slept) != 2 {
-		t.Fatalf("calls=%d sleeps=%d, want 3 calls and 2 backoffs", fb.calls, len(slept))
-	}
-}
-
-func TestRetryBackendFailsFastOnENOSPC(t *testing.T) {
-	var slept []time.Duration
-	fb := &flakyBackend{inner: pager.NewMemBackend(8), failures: 10, err: syscall.ENOSPC}
-	rb := pager.NewRetryBackend(fb, noSleepPolicy(&slept))
-	err := rb.Store(0, make([]byte, 8))
-	if !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("Store = %v, want ENOSPC", err)
-	}
-	if fb.calls != 1 || len(slept) != 0 {
-		t.Fatalf("calls=%d sleeps=%d: a full disk must not be retried", fb.calls, len(slept))
-	}
-}
-
-func TestRetryBackendExhaustsAttempts(t *testing.T) {
-	var slept []time.Duration
-	base := errors.New("stuck")
-	fb := &flakyBackend{inner: pager.NewMemBackend(8), failures: 10, err: base}
-	rb := pager.NewRetryBackend(fb, noSleepPolicy(&slept))
-	if err := rb.Load(0, make([]byte, 8)); !errors.Is(err, base) {
-		t.Fatalf("Load = %v, want the underlying error after exhaustion", err)
-	}
-	if fb.calls != 3 {
-		t.Fatalf("calls = %d, want the default 3 attempts", fb.calls)
-	}
-}
-
-func TestRetryBackendCloseIsNotRetried(t *testing.T) {
-	fb := &flakyBackend{inner: pager.NewMemBackend(8), failures: 1, err: errors.New("close failed")}
-	rb := pager.NewRetryBackend(fb, retry.Policy{Attempts: 5})
-	if err := rb.Close(); err == nil {
-		t.Fatal("Close error should propagate")
-	}
-	if fb.calls != 1 {
-		t.Fatalf("calls = %d, Close must not be retried", fb.calls)
 	}
 }

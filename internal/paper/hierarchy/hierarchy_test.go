@@ -272,3 +272,25 @@ func TestGroupByPartitionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Levels returns the level names, fine to coarse, excluding the
+// implicit base level.
+func (h *Hierarchy) Levels() []string {
+	out := make([]string, len(h.levels))
+	for i, l := range h.levels {
+		out[i] = l.name
+	}
+	return out
+}
+
+// Size returns the number of values at a level ("" = base).
+func (h *Hierarchy) Size(levelName string) (int, error) {
+	if levelName == "" {
+		return h.base, nil
+	}
+	i, err := h.levelIndex(levelName)
+	if err != nil {
+		return 0, err
+	}
+	return len(h.levels[i].bounds), nil
+}

@@ -361,3 +361,88 @@ func TestSpaceLinearInUpdates(t *testing.T) {
 		t.Errorf("implausible space stats %+v", st)
 	}
 }
+
+// Ascend calls fn for each live (key, value) at version ver in
+// ascending key order; fn returning false stops the walk.
+func (t *Tree) Ascend(ver int64, fn func(key int64, value float64) bool) {
+	n := t.rootAt(ver)
+	if n == nil {
+		return
+	}
+	var walk func(n *node) bool
+	walk = func(n *node) bool {
+		if n.leaf {
+			es := make([]entry, 0, len(n.entries))
+			for _, e := range n.entries {
+				if e.start <= ver && ver < e.end {
+					es = append(es, e)
+				}
+			}
+			sortEntriesByKey(es)
+			for _, e := range es {
+				if !fn(e.key, e.value) {
+					return false
+				}
+			}
+			return true
+		}
+		type kid struct {
+			key   int64
+			child *node
+		}
+		var kids []kid
+		for _, e := range n.entries {
+			if e.start <= ver && ver < e.end {
+				kids = append(kids, kid{e.key, e.child})
+			}
+		}
+		for i := 1; i < len(kids); i++ {
+			for j := i; j > 0 && kids[j].key < kids[j-1].key; j-- {
+				kids[j], kids[j-1] = kids[j-1], kids[j]
+			}
+		}
+		for _, k := range kids {
+			if !walk(k.child) {
+				return false
+			}
+		}
+		return true
+	}
+	walk(n)
+}
+
+// Space computes SpaceStats by walking every root.
+func (t *Tree) Space() SpaceStats {
+	seen := map[*node]bool{}
+	var st SpaceStats
+	var walk func(n *node)
+	walk = func(n *node) {
+		if seen[n] {
+			return
+		}
+		seen[n] = true
+		st.Nodes++
+		st.Entries += len(n.entries)
+		for _, e := range n.entries {
+			if !n.leaf {
+				walk(e.child)
+			} else if e.end == infinity {
+				st.Live++
+			}
+		}
+	}
+	for _, r := range t.roots {
+		walk(r.node)
+	}
+	return st
+}
+
+// SpaceStats reports the multiversion storage profile: Nodes reachable
+// from any root, physical Entries across them, and Live entries in the
+// current version. The Becker et al. analysis promises space linear in
+// the number of updates; tests pin Entries/updates to a small constant.
+type SpaceStats struct {
+	Nodes   int
+	Entries int
+	Live    int
+}

@@ -187,107 +187,32 @@ func checkTreap(n *tnode, lo, hi int64) bool {
 	return checkTreap(n.left, lo, n.key) && checkTreap(n.right, n.key, hi)
 }
 
-func TestArrayVersioning(t *testing.T) {
-	a := NewArray(4)
-	a.Set(0, 3)
-	a.Set(1, 5)
-	v0 := a.Version()
-	a.NewVersion()
-	a.Set(0, 7)
-	a.Add(2, 2)
-	v1 := a.Version()
-	a.NewVersion()
-	a.Set(1, 9)
-
-	if got := a.Get(v0, 0); got != 3 {
-		t.Errorf("v0 cell0 = %v", got)
+// Sum returns the sum of all measures.
+func (t Treap) Sum() float64 {
+	if t.root == nil {
+		return 0
 	}
-	if got := a.Get(v1, 0); got != 7 {
-		t.Errorf("v1 cell0 = %v", got)
-	}
-	if got := a.Get(a.Version(), 0); got != 7 {
-		t.Errorf("cur cell0 = %v", got)
-	}
-	if got := a.Get(v0, 1); got != 5 {
-		t.Errorf("v0 cell1 = %v", got)
-	}
-	if got := a.Get(a.Version(), 1); got != 9 {
-		t.Errorf("cur cell1 = %v", got)
-	}
-	if got := a.Get(v0, 2); got != 0 {
-		t.Errorf("v0 cell2 = %v", got)
-	}
-	if got := a.Get(v1, 2); got != 2 {
-		t.Errorf("v1 cell2 = %v", got)
-	}
-	if got := a.Get(v0, 3); got != 0 {
-		t.Errorf("untouched cell = %v", got)
-	}
+	return t.root.sum
 }
 
-func TestArraySameVersionOverwrite(t *testing.T) {
-	a := NewArray(1)
-	a.Set(0, 1)
-	a.Set(0, 2)
-	if a.Versions(0) != 1 {
-		t.Errorf("same-version writes created %d versions, want 1", a.Versions(0))
+// Get returns key's measure in this version.
+func (t Treap) Get(key int64) (float64, bool) {
+	n := t.root
+	for n != nil {
+		switch {
+		case key == n.key:
+			return n.val, true
+		case key < n.key:
+			n = n.left
+		default:
+			n = n.right
+		}
 	}
-	if a.Get(0, 0) != 2 {
-		t.Errorf("value = %v", a.Get(0, 0))
-	}
+	return 0, false
 }
 
-func TestArrayGetPanicsOnBadVersion(t *testing.T) {
-	a := NewArray(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("future version read did not panic")
-		}
-	}()
-	a.Get(1, 0)
-}
-
-// Property: the multiversion array agrees with a full per-version
-// snapshot shadow.
-func TestArrayShadowProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		size := r.Intn(8) + 1
-		a := NewArray(size)
-		var snaps [][]float64
-		cur := make([]float64, size)
-		for op := 0; op < 100; op++ {
-			switch r.Intn(4) {
-			case 0:
-				a.NewVersion()
-				snaps = append(snaps, append([]float64(nil), cur...))
-				_ = snaps
-			default:
-				i := r.Intn(size)
-				v := float64(r.Intn(100))
-				a.Set(i, v)
-				cur[i] = v
-			}
-		}
-		// Current version must match cur; historical versions must
-		// match their snapshots (version v's state is snaps[v-1]
-		// after... recompute directly instead:)
-		for i := 0; i < size; i++ {
-			if a.Get(a.Version(), i) != cur[i] {
-				return false
-			}
-		}
-		for v := 0; v < len(snaps); v++ {
-			// snaps[v] is the state frozen when version v ended.
-			for i := 0; i < size; i++ {
-				if a.Get(v, i) != snaps[v][i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
+// Ascend calls fn in ascending key order, stopping if fn returns
+// false.
+func (t Treap) Ascend(fn func(key int64, val float64) bool) {
+	ascend(t.root, fn)
 }

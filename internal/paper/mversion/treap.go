@@ -1,18 +1,11 @@
-// Package mversion provides the multiversion substrates discussed in
+// Package mversion provides the multiversion substrate discussed in
 // Section 4 of the paper as the alternative instantiation of the
-// framework for sparse data:
-//
-//   - Treap: a partially persistent (path-copying) balanced search
-//     tree with subtree aggregates, in the spirit of the
-//     Driscoll/Sarnak/Sleator/Tarjan construction — every update
-//     yields a new version in O(log n) time and space, and every old
-//     version remains queryable at single-version cost times a
-//     constant.
-//   - Array: a fat-node multiversion array (O'Neil/Burton-style):
-//     per-cell version lists give O(log v) access to any version. The
-//     paper notes no multiversion array with constant-time access
-//     exists — this gap is what the Section 3 cache construction
-//     fills; Array makes the trade-off measurable.
+// framework for sparse data: Treap, a partially persistent
+// (path-copying) balanced search tree with subtree aggregates, in the
+// spirit of the Driscoll/Sarnak/Sleator/Tarjan construction — every
+// update yields a new version in O(log n) time and space, and every
+// old version remains queryable at single-version cost times a
+// constant.
 //
 // Reproduction only — not importable from the serving path (histlint
 // `importfence`).
@@ -65,14 +58,6 @@ func (t Treap) Len() int {
 	return t.root.size
 }
 
-// Sum returns the sum of all measures.
-func (t Treap) Sum() float64 {
-	if t.root == nil {
-		return 0
-	}
-	return t.root.sum
-}
-
 // Add returns a new version with delta added to key's measure
 // (inserting the key if absent). The receiver is unchanged.
 func (t Treap) Add(key int64, delta float64) Treap {
@@ -122,22 +107,6 @@ func rotateLeft(c *tnode) *tnode {
 	r.left = c
 	r.recompute()
 	return &r
-}
-
-// Get returns key's measure in this version.
-func (t Treap) Get(key int64) (float64, bool) {
-	n := t.root
-	for n != nil {
-		switch {
-		case key == n.key:
-			return n.val, true
-		case key < n.key:
-			n = n.left
-		default:
-			n = n.right
-		}
-	}
-	return 0, false
 }
 
 // RangeSum returns the sum of measures over keys in [lo, hi] for this
@@ -198,12 +167,6 @@ func prefixSum(n *tnode, hi int64) float64 {
 		}
 	}
 	return total
-}
-
-// Ascend calls fn in ascending key order, stopping if fn returns
-// false.
-func (t Treap) Ascend(fn func(key int64, val float64) bool) {
-	ascend(t.root, fn)
 }
 
 func ascend(n *tnode, fn func(int64, float64) bool) bool {

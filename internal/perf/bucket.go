@@ -6,8 +6,6 @@ import "math/bits"
 // [2^k, 2^(k+1)) of nanoseconds is split into 2^subBits equal-width
 // sub-buckets, so a bucket's upper bound overestimates a sample by at
 // most 1/2^subBits (12.5% with subBits=3) regardless of magnitude.
-// That bounded relative error is what the quantile-accuracy test in
-// perf_test.go pins against the exact internal/stats reference.
 //
 // The sliding-window Recorder keeps one bucket array per window slot.
 const (
@@ -44,18 +42,4 @@ func bucketIndex(ns int64) int {
 		idx = numBuckets - 1
 	}
 	return int(idx)
-}
-
-// bucketUpper returns the largest nanosecond value mapping to bucket
-// i — the value quantile estimation reports.
-func bucketUpper(i int) int64 {
-	if i < subCount {
-		return int64(i)
-	}
-	block := i/subCount - 1 // 0-based block over octaves >= subBits
-	sub := i % subCount
-	octave := block + subBits
-	width := int64(1) << (uint(octave) - subBits)
-	lower := (int64(subCount) + int64(sub)) * width
-	return lower + width - 1
 }

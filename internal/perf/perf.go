@@ -11,50 +11,19 @@
 //
 // A Recorder keeps a ring of fixed-width log-bucketed histogram slots
 // (bucket.go) and rotates them on a coarse clock: each slot covers
-// window/slots of wall time, recording is a handful of atomic adds
-// into the slot owning the current time unit, and a snapshot merges
-// the slots still inside the window. There are no per-sample
+// window/slots of wall time, and recording is a handful of atomic adds
+// into the slot owning the current time unit. There are no per-sample
 // allocations and no locks on the hot path — a mutex is taken only on
 // slot rotation (once per slot duration per recorder) to serialise the
-// zeroing. Every method is nil-receiver-safe.
-//
-// Accuracy contract: quantiles come from bucket upper bounds, so they
-// overestimate by at most 1/2^subBits (12.5%); window edges are
-// quantised to the slot duration, so a snapshot covers between
-// window-slotDur and window of history. Both slacks are deliberate —
-// they buy the atomic, allocation-free hot path.
-//
-// Rotation slack: a sample recorded exactly while its slot is being
-// re-zeroed for a new time unit may land in the new window or be
-// dropped; at one rotation per slot per slotDur this mis-accounts at
-// most a handful of samples per window, which is noise at the ops/sec
-// volumes the recorder exists to measure.
+// zeroing. Record is nil-receiver-safe. Nothing reads the slots back:
+// the probe prices the write path alone.
 package perf
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// Snapshot is one recorder's view of the sliding window.
-type Snapshot struct {
-	// Window is the nominal window the recorder was configured with.
-	Window time.Duration
-	// Covered is the wall time the merged slots actually span (between
-	// Window-slotDur and Window once the ring is warm; less right
-	// after start).
-	Covered time.Duration
-	Count   int64
-	// OpsPerSec is Count over Covered (0 when nothing was recorded).
-	OpsPerSec float64
-	Mean      time.Duration
-	P50       time.Duration
-	P95       time.Duration
-	P99       time.Duration
-	Max       time.Duration
-}
 
 // slot is one rotation unit of the ring: a log-bucketed histogram plus
 // count/sum/max, all atomics. epoch holds the absolute time unit
@@ -84,10 +53,9 @@ func (s *slot) reset(unit int64) {
 }
 
 // Recorder measures latency over a sliding window. The zero value is
-// not usable; call New. All methods are safe on a nil receiver and
+// not usable; call New. Record is safe on a nil receiver and
 // safe for concurrent use.
 type Recorder struct {
-	window    time.Duration
 	slotNanos int64
 	start     time.Time
 	// clock returns elapsed nanoseconds since start; tests swap it for
@@ -108,7 +76,6 @@ func New(window time.Duration) *Recorder {
 		window = 10 * time.Second
 	}
 	r := &Recorder{
-		window:    window,
 		slotNanos: int64(window) / recorderSlots,
 		start:     time.Now(),
 		slots:     make([]slot, recorderSlots),
@@ -121,14 +88,6 @@ func New(window time.Duration) *Recorder {
 		r.slots[i].epoch.Store(-1)
 	}
 	return r
-}
-
-// Window returns the configured window (0 on nil).
-func (r *Recorder) Window() time.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.window
 }
 
 // Record adds one duration sample to the current slot.
@@ -168,92 +127,4 @@ func (r *Recorder) Record(d time.Duration) {
 		}
 	}
 	s.buckets[bucketIndex(ns)].Add(1)
-}
-
-// Snapshot merges the slots still inside the window into one digest.
-func (r *Recorder) Snapshot() Snapshot {
-	if r == nil {
-		return Snapshot{}
-	}
-	now := r.clock()
-	cur := now / r.slotNanos
-	oldest := cur - int64(len(r.slots)) + 1
-	var (
-		merged     [numBuckets]int64
-		count, sum int64
-		max        int64
-		minEpoch   = int64(-1)
-	)
-	for i := range r.slots {
-		s := &r.slots[i]
-		e := s.epoch.Load()
-		if e < 0 || e < oldest || e > cur {
-			continue // never used, lapsed, or not yet rotated: outside the window
-		}
-		c := s.count.Load()
-		if c == 0 {
-			continue // reset races ahead of the first add; treat as empty
-		}
-		count += c
-		sum += s.sum.Load()
-		if m := s.max.Load(); m > max {
-			max = m
-		}
-		for b := range merged {
-			merged[b] += s.buckets[b].Load()
-		}
-		if minEpoch < 0 || e < minEpoch {
-			minEpoch = e
-		}
-	}
-	snap := Snapshot{Window: r.window}
-	if count == 0 {
-		return snap
-	}
-	covered := now - minEpoch*r.slotNanos
-	if covered <= 0 {
-		covered = r.slotNanos
-	}
-	snap.Covered = time.Duration(covered)
-	snap.Count = count
-	snap.OpsPerSec = float64(count) / snap.Covered.Seconds()
-	snap.Mean = time.Duration(sum / count)
-	snap.P50 = mergedQuantile(&merged, count, 0.5)
-	snap.P95 = mergedQuantile(&merged, count, 0.95)
-	snap.P99 = mergedQuantile(&merged, count, 0.99)
-	snap.Max = time.Duration(max)
-	return snap
-}
-
-// mergedQuantile applies the nearest-rank rule of stats.Quantile to a
-// merged bucket array, reporting the containing bucket's upper bound.
-func mergedQuantile(buckets *[numBuckets]int64, count int64, q float64) time.Duration {
-	rank := nearestRank(count, q)
-	cum := int64(0)
-	last := 0
-	for i := range buckets {
-		if buckets[i] == 0 {
-			continue
-		}
-		cum += buckets[i]
-		last = i
-		if cum >= rank {
-			return time.Duration(bucketUpper(i))
-		}
-	}
-	return time.Duration(bucketUpper(last))
-}
-
-// nearestRank is stats.Quantile's rank rule: the smallest rank r with
-// r >= q*n, clamped to [1, n], with the same epsilon guard against a
-// float boundary rounding a rank up.
-func nearestRank(n int64, q float64) int64 {
-	rank := int64(math.Ceil(q*float64(n) - 1e-9))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return rank
 }

@@ -58,11 +58,6 @@ func (PS) UpdateCells(dst []int, n, i int) []int {
 	return dst
 }
 
-// NewArray returns an all-zero d-dimensional prefix-sum array.
-func NewArray(shape dims.Shape) (*molap.Array, error) {
-	return molap.New(shape, uniform(len(shape)))
-}
-
 // FromDense pre-aggregates a dense original array with PS in every
 // dimension.
 func FromDense(data []float64, shape dims.Shape) (*molap.Array, error) {

@@ -125,7 +125,7 @@ func TestArrayMatchesNaiveMultiDim(t *testing.T) {
 func TestQueryCostBound(t *testing.T) {
 	// A d-dimensional PS query costs at most 2^d cell accesses.
 	shape := dims.Shape{16, 16, 16}
-	a, _ := NewArray(shape)
+	a, _ := molap.New(shape, uniform(len(shape)))
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
 		lo := make([]int, 3)
@@ -146,7 +146,7 @@ func TestQueryCostBound(t *testing.T) {
 
 func TestUpdateMatchesQueriesAfterward(t *testing.T) {
 	shape := dims.Shape{8, 8}
-	a, _ := NewArray(shape)
+	a, _ := molap.New(shape, uniform(len(shape)))
 	a.Update([]int{3, 4}, 2.5)
 	a.Update([]int{0, 0}, 1)
 	got, _ := a.Query(dims.FullBox(shape))

@@ -212,6 +212,8 @@ func (n *node) walk(fn func(Entry) bool) bool {
 
 // CheckInvariants validates MBR containment, aggregate sums, fanout
 // bounds and uniform leaf depth.
+//
+//histlint:ignore deadexport invariant checker; rstar_test.go runs it after every insert sequence
 func (t *Tree) CheckInvariants() error {
 	sum, count, depth, err := t.root.check(t.max, true)
 	if err != nil {

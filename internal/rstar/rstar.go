@@ -115,9 +115,6 @@ func (t *Tree) Len() int { return t.size }
 // Height returns the tree height (1 for a single leaf).
 func (t *Tree) Height() int { return t.height }
 
-// MaxEntries returns the node capacity.
-func (t *Tree) MaxEntries() int { return t.max }
-
 // LeafCount returns the number of leaf nodes.
 func (t *Tree) LeafCount() int { return t.root.leafCount() }
 

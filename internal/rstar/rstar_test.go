@@ -52,8 +52,8 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Paper geometry: 6-d entries of 28 bytes in 8K pages.
-	if tr.MaxEntries() != 8192/28 {
-		t.Errorf("MaxEntries = %d, want %d", tr.MaxEntries(), 8192/28)
+	if tr.max != 8192/28 {
+		t.Errorf("MaxEntries = %d, want %d", tr.max, 8192/28)
 	}
 }
 

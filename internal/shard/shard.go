@@ -42,9 +42,6 @@ type Range struct {
 	Lo, Hi int64
 }
 
-// Contains reports whether t falls inside the range.
-func (r Range) Contains(t int64) bool { return t >= r.Lo && t <= r.Hi }
-
 // String renders the range in the shard-spec syntax: "lo-hi", or
 // "lo-" for the open-ended range.
 func (r Range) String() string {
@@ -174,9 +171,6 @@ func (m *Map) Shards() []Shard {
 
 // Len returns the number of shards.
 func (m *Map) Len() int { return len(m.shards) }
-
-// Hot returns the open-ended append shard (the last one).
-func (m *Map) Hot() Shard { return m.shards[len(m.shards)-1] }
 
 // String renders the map in the Parse spec syntax.
 func (m *Map) String() string {

@@ -104,9 +104,6 @@ func (f *FreqTracker) Observe(v int) {
 	f.n++
 }
 
-// N returns the number of observations.
-func (f *FreqTracker) N() int { return f.n }
-
 // Min returns the minimum observed value (0 if empty).
 func (f *FreqTracker) Min() int { return f.min }
 
@@ -126,20 +123,4 @@ func (f *FreqTracker) MostFrequent() int {
 		return 0
 	}
 	return best
-}
-
-// Count returns how often v was observed.
-func (f *FreqTracker) Count(v int) int { return f.counts[v] }
-
-// Histogram returns (value, count) pairs in ascending value order.
-func (f *FreqTracker) Histogram() (values []int, counts []int) {
-	for v := range f.counts {
-		values = append(values, v)
-	}
-	sort.Ints(values)
-	counts = make([]int, len(values))
-	for i, v := range values {
-		counts[i] = f.counts[v]
-	}
-	return values, counts
 }

@@ -94,7 +94,7 @@ func TestRollingAvg(t *testing.T) {
 
 func TestFreqTracker(t *testing.T) {
 	f := NewFreqTracker()
-	if f.MostFrequent() != 0 || f.Min() != 0 || f.Max() != 0 || f.N() != 0 {
+	if f.MostFrequent() != 0 || f.Min() != 0 || f.Max() != 0 || f.n != 0 {
 		t.Error("empty tracker not zeroed")
 	}
 	for _, v := range []int{2, 1, 2, 5, 2, 1, 0} {
@@ -109,15 +109,11 @@ func TestFreqTracker(t *testing.T) {
 	if f.MostFrequent() != 2 {
 		t.Errorf("MostFrequent = %d", f.MostFrequent())
 	}
-	if f.Count(1) != 2 {
-		t.Errorf("Count(1) = %d", f.Count(1))
+	if f.n != 7 {
+		t.Errorf("n = %d", f.n)
 	}
-	if f.N() != 7 {
-		t.Errorf("N = %d", f.N())
-	}
-	vals, counts := f.Histogram()
-	if !reflect.DeepEqual(vals, []int{0, 1, 2, 5}) || !reflect.DeepEqual(counts, []int{1, 2, 3, 1}) {
-		t.Errorf("Histogram = %v %v", vals, counts)
+	if want := map[int]int{0: 1, 1: 2, 2: 3, 5: 1}; !reflect.DeepEqual(f.counts, want) {
+		t.Errorf("counts = %v, want %v", f.counts, want)
 	}
 }
 

@@ -234,14 +234,6 @@ func (s *Span) TraceID() ID {
 	return s.traceID
 }
 
-// SpanID returns this span's own identifier (zero for nil).
-func (s *Span) SpanID() ID {
-	if s == nil {
-		return 0
-	}
-	return s.spanID
-}
-
 // SetTraceID adopts a propagated trace identifier (the TID= request
 // token), replacing the generated one. It must run before children are
 // started — they inherit at StartChild time. A zero id (no token on
@@ -326,14 +318,6 @@ func (s *Span) Name() string {
 	return s.name
 }
 
-// Start returns the span's start time.
-func (s *Span) Start() time.Time {
-	if s == nil {
-		return time.Time{}
-	}
-	return s.start
-}
-
 // Duration returns the span's recorded duration (0 until End).
 func (s *Span) Duration() time.Duration {
 	if s == nil {
@@ -348,23 +332,6 @@ func (s *Span) Children() []*Span {
 		return nil
 	}
 	return s.children
-}
-
-// Attrs returns the span's attributes in the order they were set.
-func (s *Span) Attrs() []Attr {
-	if s == nil {
-		return nil
-	}
-	return s.attrs
-}
-
-// Count returns this span's own value of counter c, excluding
-// children.
-func (s *Span) Count(c Counter) int64 {
-	if s == nil {
-		return 0
-	}
-	return s.counters[c]
 }
 
 // Total returns the value of counter c summed over the span and its

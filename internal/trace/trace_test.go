@@ -20,10 +20,10 @@ func TestNilSpanIsInert(t *testing.T) {
 	s.SetStr("k", "v")
 	s.SetFloat("k", 1.5)
 	s.SetBool("k", true)
-	if s.Name() != "" || s.Duration() != 0 || s.Count(CellsTouched) != 0 || s.Total(Conversions) != 0 {
+	if s.Name() != "" || s.Duration() != 0 || s.Total(Conversions) != 0 {
 		t.Fatal("nil span accessors must return zero values")
 	}
-	if s.Children() != nil || s.Attrs() != nil || s.JSON() != nil {
+	if s.Children() != nil || s.JSON() != nil {
 		t.Fatal("nil span snapshots must be nil")
 	}
 	var b strings.Builder
@@ -52,7 +52,7 @@ func TestSpanTreeCountersAndRender(t *testing.T) {
 	if got := root.Total(CellsTouched); got != 15 {
 		t.Fatalf("Total(CellsTouched) = %d, want 15", got)
 	}
-	if got := root.Count(CellsTouched); got != 0 {
+	if got := root.counters[CellsTouched]; got != 0 {
 		t.Fatalf("Count(CellsTouched) on root = %d, want 0 (own only)", got)
 	}
 	if got := root.Total(Conversions); got != 4 {

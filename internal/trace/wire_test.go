@@ -71,7 +71,7 @@ func TestCutRequestID(t *testing.T) {
 // rewrites the root before fan-out.
 func TestSpanIdentity(t *testing.T) {
 	root := New("histserve.query")
-	if root.TraceID() == 0 || root.SpanID() == 0 {
+	if root.TraceID() == 0 || root.spanID == 0 {
 		t.Fatal("New left IDs unset")
 	}
 	adopted := NewID()
@@ -84,12 +84,12 @@ func TestSpanIdentity(t *testing.T) {
 	if child.TraceID() != adopted {
 		t.Fatalf("child trace ID = %v, want inherited %v", child.TraceID(), adopted)
 	}
-	if child.SpanID() == root.SpanID() || child.SpanID() == 0 {
-		t.Fatalf("child span ID %v not distinct from root %v", child.SpanID(), root.SpanID())
+	if child.spanID == root.spanID || child.spanID == 0 {
+		t.Fatalf("child span ID %v not distinct from root %v", child.spanID, root.spanID)
 	}
 	var nilSpan *Span
-	if nilSpan.TraceID() != 0 || nilSpan.SpanID() != 0 {
-		t.Error("nil span reports non-zero IDs")
+	if nilSpan.TraceID() != 0 {
+		t.Error("nil span reports a non-zero trace ID")
 	}
 	nilSpan.SetTraceID(adopted) // must not panic
 	nilSpan.Graft(root)         // must not panic
@@ -129,9 +129,9 @@ func TestSpanJSONRoundTrip(t *testing.T) {
 		t.Errorf("result %v, want 4.5", doc.Result)
 	}
 	back := doc.Trace.Span()
-	if back.TraceID() != root.TraceID() || back.SpanID() != root.SpanID() {
+	if back.TraceID() != root.TraceID() || back.spanID != root.spanID {
 		t.Fatalf("IDs lost in transit: %v/%v -> %v/%v",
-			root.TraceID(), root.SpanID(), back.TraceID(), back.SpanID())
+			root.TraceID(), root.spanID, back.TraceID(), back.spanID)
 	}
 	if back.Children()[0].TraceID() != root.TraceID() {
 		t.Fatal("child trace ID lost in transit")
@@ -144,8 +144,8 @@ func TestSpanJSONRoundTrip(t *testing.T) {
 	if back.Duration() != root.Duration() {
 		t.Errorf("duration drifted: %v -> %v", root.Duration(), back.Duration())
 	}
-	if !back.Start().Equal(time.Unix(0, root.Start().UnixNano())) {
-		t.Errorf("start drifted: %v -> %v", root.Start(), back.Start())
+	if !back.start.Equal(time.Unix(0, root.start.UnixNano())) {
+		t.Errorf("start drifted: %v -> %v", root.start, back.start)
 	}
 
 	// Grafting the decoded tree under a fresh parent folds the shard's
@@ -223,8 +223,8 @@ func FuzzSpanJSON(f *testing.F) {
 		// counter bit-exactly (the proxy's merged totals depend on it).
 		sp := doc.Trace.Span()
 		for name, v := range doc.Trace.Counters {
-			if cnt, ok := counterByName[name]; ok && sp.Count(cnt) != v {
-				t.Fatalf("counter %s: %d -> %d", name, v, sp.Count(cnt))
+			if cnt, ok := counterByName[name]; ok && sp.counters[cnt] != v {
+				t.Fatalf("counter %s: %d -> %d", name, v, sp.counters[cnt])
 			}
 		}
 	})

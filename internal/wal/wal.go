@@ -673,9 +673,6 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Dir returns the durable directory.
-func (l *Log) Dir() string { return l.dir }
-
 // LastLSN returns the LSN of the most recently staged record (0 before
 // the first), durable or not.
 func (l *Log) LastLSN() uint64 {

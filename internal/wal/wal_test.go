@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"context"
 	"encoding/gob"
 	"io"
 	"math/rand"
@@ -66,7 +67,7 @@ func run(t *testing.T, c *core.Cube, l *Log, ops []core.Op) {
 		case core.OpInsert:
 			err = c.Insert(op.Time, op.Coords, op.Value)
 		case core.OpDelete:
-			err = c.Delete(op.Time, op.Coords, op.Value)
+			err = c.DeleteCtx(context.Background(), op.Time, op.Coords, op.Value)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -489,7 +490,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	ops := []core.Op{
 		{Kind: core.OpInsert, Time: 42, Coords: []int{1, 2, 3}, Value: 3.25},
 		{Kind: core.OpDelete, Time: -7, Coords: []int{0}, Value: -1e300},
-		{Kind: core.OpAddDelta, Time: 1 << 60, Coords: nil, Value: 0},
+		{Kind: core.OpDelete, Time: 1 << 60, Coords: nil, Value: 0},
 	}
 	for _, op := range ops {
 		rec, err := appendRecord(nil, op)

@@ -40,53 +40,3 @@ func shapeString(s dims.Shape) string {
 	}
 	return strings.Join(parts, "x")
 }
-
-// ReadCSV parses a dataset written by WriteCSV.
-func ReadCSV(r io.Reader) (*Dataset, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("workload: empty input")
-	}
-	header := sc.Text()
-	d := &Dataset{}
-	var shapeStr string
-	if _, err := fmt.Sscanf(header, "# name=%s slice=%s time=%d", &d.Name, &shapeStr, &d.TimeSize); err != nil {
-		return nil, fmt.Errorf("workload: bad header %q: %w", header, err)
-	}
-	for _, part := range strings.Split(shapeStr, "x") {
-		n, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("workload: bad shape %q: %w", shapeStr, err)
-		}
-		d.SliceShape = append(d.SliceShape, n)
-	}
-	dimsN := len(d.SliceShape)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Split(line, ",")
-		if len(fields) != dimsN+2 {
-			return nil, fmt.Errorf("workload: line %q has %d fields, want %d", line, len(fields), dimsN+2)
-		}
-		tv, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: bad time in %q: %w", line, err)
-		}
-		coords := make([]int, dimsN)
-		for i := 0; i < dimsN; i++ {
-			coords[i], err = strconv.Atoi(fields[1+i])
-			if err != nil {
-				return nil, fmt.Errorf("workload: bad coordinate in %q: %w", line, err)
-			}
-		}
-		delta, err := strconv.ParseFloat(fields[dimsN+1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: bad delta in %q: %w", line, err)
-		}
-		d.Updates = append(d.Updates, Update{Time: tv, Coords: coords, Delta: delta})
-	}
-	return d, sc.Err()
-}
