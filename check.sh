@@ -88,9 +88,10 @@ step_crash() {
     # SIGKILL of a follower between a shipped batch's stage and its
     # commit. Then a follower rebasing its log onto a shipped snapshot:
     # the directory as every step of the rebase leaves it recovers, and a
-    # rebase that failed part-way is retried from the top.
+    # rebase that failed part-way is retried from the top. Last, a failed
+    # or torn segment write: written once, latched, then repaired.
     go test -race -count=1 -run 'TestCrashRecoveryNoAcknowledgedLoss|TestCrashBetweenStageAndGroupFsync|TestFollowerKilledBetweenStageAndCommit' ./cmd/histserve/
-    go test -race -count=1 -run 'TestRebaseCrashPointsRecover|TestRebaseRetriesAfterFailure|TestInstallCheckpointResetsSegments' ./internal/wal/
+    go test -race -count=1 -run 'TestRebaseCrashPointsRecover|TestRebaseRetriesAfterFailure|TestInstallCheckpointResetsSegments|TestFailedWriteIsRepairedNotRetried' ./internal/wal/
 }
 
 step_chaos() {

@@ -146,7 +146,6 @@ import (
 	"histcube/internal/lineserver"
 	"histcube/internal/obs"
 	"histcube/internal/perf"
-	"histcube/internal/retry"
 	"histcube/internal/shard"
 	"histcube/internal/shardclient"
 	"histcube/internal/trace"
@@ -215,7 +214,6 @@ func main() {
 		OpTimeout:        *legTO,
 		BreakerThreshold: *brkN,
 		BreakerCooldown:  *brkCool,
-		DialRetry:        retry.Policy{Attempts: 2, Base: 10 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: 0.5},
 	}
 	p := newProxy(smap, dims, *hedgeIv, copts)
 	stop, err := shared.Apply(&p.Server, logger)

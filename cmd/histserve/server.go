@@ -89,9 +89,10 @@
 // client at depth 1 sends units of one. A write is visible to queries
 // once applied, which may be before it is durable.
 //
-// Graceful degradation: when the durable layer fails persistently — a
-// WAL append that survives its retry budget, or out-of-space anywhere
-// on the checkpoint path — the server flips to read-only. Mutations
+// Graceful degradation: when the durable layer fails — a WAL write or
+// fsync that failed (and latched the log until its repair), or
+// out-of-space anywhere on the checkpoint path — the server flips to
+// read-only. Mutations
 // are rejected with "ERR read-only: ..." while queries keep serving
 // the historic data (the paper's historic slices are immutable, so
 // reads need no healthy write path). Every -degraded-probe-every, one

@@ -40,12 +40,11 @@ func explicitDiscard(f *os.File) {
 	_ = f.Close()
 }
 
-// --- retry-helper idioms (internal/retry) ---
+// --- retry-helper idioms ---
 //
 // Retry closures are ordinary error paths: a %v inside one hides the
-// wrapped cause from retry.IsPermanent / errors.Is exactly like it
-// would anywhere else, and Sync calls inside a closure still may not
-// drop their error.
+// wrapped cause from errors.Is exactly like it would anywhere else, and
+// Sync calls inside a closure still may not drop their error.
 
 type policy struct{}
 

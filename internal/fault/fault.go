@@ -1,10 +1,9 @@
-// Package fault is a deterministic, seed-driven fault injector for the
-// storage layers: it wraps the WAL's segment file and the pager's page
-// backend and makes them fail on demand — error on the Nth operation,
-// out-of-space, torn (short) writes, injected latency, or a panic at a
-// named site — so the chaos suite and `histserve -fault-spec` can
-// exercise retry, degradation and recovery paths that a healthy disk
-// never takes.
+// Package fault is a deterministic, seed-driven fault injector: it wraps
+// the WAL's segment file (and connections, see WrapConn) and makes them
+// fail on demand — error on the Nth operation, out-of-space, torn
+// (short) writes, injected latency, or a panic at a named site — so the
+// chaos suite and `histserve -fault-spec` can exercise the degradation,
+// repair and recovery paths that a healthy disk never takes.
 //
 // Faults are described by a compact spec string:
 //
@@ -63,13 +62,13 @@ import (
 )
 
 // ErrNoSpace is the injected out-of-space condition. It wraps
-// syscall.ENOSPC, so errors.Is(err, syscall.ENOSPC) holds and the
-// retry layer classifies it as permanent — exactly like a real full
-// disk.
+// syscall.ENOSPC, so errors.Is(err, syscall.ENOSPC) holds exactly as
+// for a real full disk.
 var ErrNoSpace = fmt.Errorf("no space left on device (injected): %w", syscall.ENOSPC)
 
-// ErrInjected is the generic transient injected error; retry layers
-// treat it like any other I/O error.
+// ErrInjected is the generic injected I/O error; the layers it reaches
+// handle it like any other (a failed WAL write latches the log until
+// the repair).
 var ErrInjected = fmt.Errorf("injected fault")
 
 type kind int
@@ -385,8 +384,8 @@ type File interface {
 // WrapFile interposes the injector on a segment file. Writes check
 // site prefix+".write" (a torn outcome persists the first half of the
 // buffer before failing, like a crash mid-write), Sync checks
-// prefix+".sync"; Close and Truncate pass through so recovery and
-// rollback paths stay reliable.
+// prefix+".sync"; Close and Truncate pass through so the WAL's repair,
+// which cuts the segment back to its durable length, stays reliable.
 func (i *Injector) WrapFile(prefix string, f File) File {
 	if i == nil {
 		return f

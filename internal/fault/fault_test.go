@@ -177,21 +177,8 @@ func TestWrapFileTornWrite(t *testing.T) {
 	if n != 5 || string(mf.data) != "0123456789abcde" {
 		t.Fatalf("torn write persisted %d bytes, data %q; want half the buffer", n, mf.data)
 	}
-	// Truncate passes through so rollback works.
+	// Truncate passes through so the WAL's repair can cut back.
 	if err := f.Truncate(10); err != nil || string(mf.data) != "0123456789" {
 		t.Fatalf("truncate rollback failed: %v, data %q", err, mf.data)
 	}
 }
-
-type recordingBackend struct{ calls *[]string }
-
-func (r recordingBackend) Load(id int, buf []byte) error {
-	*r.calls = append(*r.calls, "load")
-	return nil
-}
-func (r recordingBackend) Store(id int, buf []byte) error {
-	*r.calls = append(*r.calls, "store")
-	return nil
-}
-func (r recordingBackend) Sync() error  { *r.calls = append(*r.calls, "sync"); return nil }
-func (r recordingBackend) Close() error { *r.calls = append(*r.calls, "close"); return nil }

@@ -1,7 +1,9 @@
 // Package shardclient is histproxy's per-shard connection layer: a
 // small pool of line-protocol connections to one backend histserve,
 // fronted by a consecutive-failure circuit breaker with a half-open
-// trial, dial backoff via internal/retry, and a VERSION health probe.
+// trial, and a VERSION health probe. A dial is tried once: a refused
+// dial feeds the breaker, and a read batch sent through a Group fails
+// over to the next member at once, so a backoff would only delay that.
 //
 // The breaker trips on transport failures only (dial errors, timeouts,
 // broken conns) — an "ERR ..." reply is a healthy transport carrying an
@@ -25,8 +27,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"histcube/internal/retry"
 )
 
 // ErrShardDown is returned (wrapped) when the breaker is open and the
@@ -50,9 +50,6 @@ type Options struct {
 	// BreakerCooldown is how long the breaker stays open before a
 	// half-open trial; 0 selects 1s.
 	BreakerCooldown time.Duration
-	// DialRetry backs off transient dial failures; the zero Policy
-	// dials exactly once (the breaker supplies the coarse retry).
-	DialRetry retry.Policy
 	// MaxLineBytes caps one response line; 0 selects 1 MiB.
 	MaxLineBytes int
 
@@ -137,7 +134,7 @@ func (c *Client) allow() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return retry.Permanent(fmt.Errorf("shard %s: client closed", c.addr))
+		return fmt.Errorf("shard %s: client closed", c.addr)
 	}
 	if c.openedAt.IsZero() {
 		return nil
@@ -199,17 +196,14 @@ func (c *Client) get(ctx context.Context) (*wire, bool, error) {
 	default:
 	}
 	var conn net.Conn
-	err := c.opts.DialRetry.Do("shardclient.dial", func() error {
-		if f := c.opts.DialFault; f != nil {
-			if ferr := f(); ferr != nil {
-				return ferr
-			}
-		}
+	var err error
+	if f := c.opts.DialFault; f != nil {
+		err = f()
+	}
+	if err == nil {
 		d := net.Dialer{Timeout: c.opts.DialTimeout}
-		var derr error
-		conn, derr = d.DialContext(ctx, "tcp", c.addr)
-		return derr
-	})
+		conn, err = d.DialContext(ctx, "tcp", c.addr)
+	}
 	if err != nil {
 		return nil, false, fmt.Errorf("dial shard %s: %w", c.addr, err)
 	}

@@ -165,7 +165,11 @@ func (l *Log) ckptFailed(err error) error {
 	return err
 }
 
-// pruneLocked removes checkpoints beyond KeepCheckpoints and every
+// keepCheckpoints is how many of the newest checkpoint files prune
+// retains.
+const keepCheckpoints = 2
+
+// pruneLocked removes checkpoints beyond keepCheckpoints and every
 // sealed segment that lies entirely below the oldest retained
 // checkpoint (keeping segments back that far lets recovery fall back
 // past a corrupt newest checkpoint without hitting a gap in the log).
@@ -174,7 +178,7 @@ func (l *Log) pruneLocked() {
 	if err != nil {
 		return
 	}
-	for len(ckpts) > l.opts.KeepCheckpoints {
+	for len(ckpts) > keepCheckpoints {
 		os.Remove(ckpts[0].path) // sorted ascending: oldest first
 		ckpts = ckpts[1:]
 	}

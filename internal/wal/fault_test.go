@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"syscall"
@@ -20,7 +21,6 @@ import (
 	"histcube/internal/core"
 	"histcube/internal/fault"
 	"histcube/internal/obs"
-	"histcube/internal/retry"
 	"histcube/internal/wal"
 )
 
@@ -35,15 +35,7 @@ func newCube(t *testing.T) func() (*core.Cube, error) {
 	}
 }
 
-// quietPolicy retries without wall-clock sleeps.
-func quietPolicy() retry.Policy {
-	p := retry.Default()
-	p.Sleep = func(time.Duration) {}
-	return p
-}
-
 func faultOptions(inj *fault.Injector, opts wal.Options) wal.Options {
-	opts.Retry = quietPolicy()
 	opts.WrapSegment = func(f wal.SegmentFile) wal.SegmentFile {
 		return inj.WrapFile("wal", f)
 	}
@@ -54,76 +46,70 @@ func testOp(i int) core.Op {
 	return core.Op{Kind: core.OpInsert, Time: int64(i + 1), Coords: []int{i % 8, i % 4}, Value: 1}
 }
 
-func TestAppendRetriesTransientWriteError(t *testing.T) {
-	dir := t.TempDir()
-	inj := fault.MustParse("wal.write:err@2", 1)
-	_, l, _, err := wal.Recover(dir, faultOptions(inj, wal.Options{Sync: wal.SyncNever}), newCube(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := l.Append(testOp(i)); err != nil {
-			t.Fatalf("append %d should survive one transient write error: %v", i, err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if inj.Injected() != 1 {
-		t.Fatalf("injected = %d, want 1", inj.Injected())
-	}
+// TestFailedWriteIsRepairedNotRetried: a segment write that fails, or
+// is torn part-way, reaches the file exactly once. Its commit is nacked
+// with the injected cause and latches the log; the record keeps its LSN
+// and is not shipped. The next Append repairs the log, rewriting the
+// torn frame from memory, and recovery finds every record intact.
+func TestFailedWriteIsRepairedNotRetried(t *testing.T) {
+	for _, tc := range []struct{ name, spec string }{
+		{"err", "wal.write:err@2"},
+		{"short", "wal.write:short@2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			inj := fault.MustParse(tc.spec, 1)
+			_, l, _, err := wal.Recover(dir, faultOptions(inj, wal.Options{Sync: wal.SyncNever}), newCube(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Append(testOp(0)); err != nil {
+				t.Fatalf("append 1: %v", err)
+			}
+			if _, err := l.Append(testOp(1)); !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("append 2 = %v, want the injected write error", err)
+			}
+			if got := inj.Ops("wal.write"); got != 2 {
+				t.Fatalf("write ops = %d, want 2 (a failed write is not retried)", got)
+			}
+			if got := l.LastLSN(); got != 2 {
+				t.Fatalf("LastLSN = %d, want 2 (the nacked record keeps its LSN)", got)
+			}
+			if got := l.ShippedLSN(); got != 1 {
+				t.Fatalf("shipping frontier = %d, want 1 (LSN 2 was never written whole)", got)
+			}
+			for i := 2; i < 4; i++ {
+				if _, err := l.Append(testOp(i)); err != nil {
+					t.Fatalf("append %d after the fault: %v", i+1, err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	_, l2, res, err := wal.Recover(dir, wal.Options{}, newCube(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if res.Replayed != 3 || res.TornTail {
-		t.Fatalf("recovery = %+v, want 3 replayed and no torn tail", res)
-	}
-}
-
-func TestAppendRollsBackTornWrite(t *testing.T) {
-	dir := t.TempDir()
-	// Op 2's write is torn: half the frame lands, then an error. The
-	// retry must truncate the partial frame before writing again, or
-	// the segment ends up with a duplicated half-record.
-	inj := fault.MustParse("wal.write:short@2", 1)
-	_, l, _, err := wal.Recover(dir, faultOptions(inj, wal.Options{Sync: wal.SyncNever}), newCube(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := l.Append(testOp(i)); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	cube, l2, res, err := wal.Recover(dir, wal.Options{}, newCube(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if res.Replayed != 4 || res.TornTail {
-		t.Fatalf("recovery = %+v, want all 4 appends intact", res)
-	}
-	got, err := cube.Query(core.Range{TimeLo: 0, TimeHi: 100, Lo: []int{0, 0}, Hi: []int{7, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 4 {
-		t.Fatalf("recovered total = %v, want 4", got)
+			cube, l2, res, err := wal.Recover(dir, wal.Options{}, newCube(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l2.Close()
+			if res.Replayed != 4 || res.TornTail {
+				t.Fatalf("recovery = %+v, want all 4 records and no torn tail", res)
+			}
+			got, err := cube.Query(core.Range{TimeLo: 0, TimeHi: 100, Lo: []int{0, 0}, Hi: []int{7, 3}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != 4 {
+				t.Fatalf("recovered total = %v, want 4", got)
+			}
+		})
 	}
 }
 
 // TestAppendFailsFastOnNoSpace pins where a failed write surfaces: at
-// the Commit that writes the record, not at its Stage. A full disk is
-// permanent, so the commit fails after exactly one write attempt and
-// latches the log; the record keeps its LSN, and once the fault clears
-// the repair writes it where it was.
+// the Commit that writes the record, not at its Stage. The commit fails
+// after exactly one write attempt and latches the log; the record keeps
+// its LSN, and once the fault clears the repair writes it where it was.
 func TestAppendFailsFastOnNoSpace(t *testing.T) {
 	dir := t.TempDir()
 	inj := fault.MustParse("wal.write:nospace@2+", 1)
@@ -135,11 +121,11 @@ func TestAppendFailsFastOnNoSpace(t *testing.T) {
 		t.Fatalf("append 1: %v", err)
 	}
 	_, err = l.Append(testOp(1))
-	if !errors.Is(err, syscall.ENOSPC) || !retry.IsPermanent(err) {
-		t.Fatalf("append 2 = %v, want a permanent ENOSPC from its commit", err)
+	if !errors.Is(err, fault.ErrNoSpace) || !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("append 2 = %v, want the injected ENOSPC from its commit", err)
 	}
 	if got := inj.Ops("wal.write"); got != 2 {
-		t.Fatalf("write ops = %d, want 2 (ENOSPC must not be retried)", got)
+		t.Fatalf("write ops = %d, want 2 (a failed write is not retried)", got)
 	}
 	if got := l.LastLSN(); got != 2 {
 		t.Fatalf("LastLSN = %d, want 2 (the nacked record keeps its LSN)", got)
@@ -189,8 +175,8 @@ func TestCommitLeaderPanicDoesNotWedgeTheLog(t *testing.T) {
 				}()
 				_ = l.Commit(lsn)
 			}()
-			if err := l.Commit(lsn); !retry.IsPermanent(err) {
-				t.Fatalf("Commit after the leader panicked = %v, want the permanent latched error", err)
+			if err := l.Commit(lsn); err == nil || !strings.Contains(err.Error(), "commit leader panicked") {
+				t.Fatalf("Commit after the leader panicked = %v, want the latched panic", err)
 			}
 			done := make(chan error, 1)
 			go func() {
@@ -202,8 +188,8 @@ func TestCommitLeaderPanicDoesNotWedgeTheLog(t *testing.T) {
 			}()
 			select {
 			case err := <-done:
-				if !retry.IsPermanent(err) {
-					t.Fatalf("Checkpoint/Close on the latched log = %v, want the latched error", err)
+				if err == nil || !strings.Contains(err.Error(), "commit leader panicked") {
+					t.Fatalf("Checkpoint/Close on the latched log = %v, want the latched panic", err)
 				}
 			case <-time.After(10 * time.Second):
 				t.Fatal("Checkpoint/Close hung: the panicking leader left the log syncing")
@@ -243,7 +229,7 @@ func TestCommitWritesOnce(t *testing.T) {
 // around fsync and the one repair rule. A failed fsync must never be
 // retried on the same descriptor (after EIO the kernel marks the dirty
 // pages clean, so a retried fsync can succeed without the data reaching
-// disk) and the commit must be nacked with a permanent error. By then
+// disk) and the commit must be nacked with the fsync's error. By then
 // the record is staged AND applied, so the repair — run by the next
 // Stage — must not roll it back: it rewrites the unsynced tail at its
 // original LSN on a fresh descriptor. Replaying the directory then
@@ -255,7 +241,6 @@ func TestSyncFailureFailsFastThenRepairs(t *testing.T) {
 	m := wal.NewMetrics(obs.NewRegistry())
 	opts := faultOptions(inj, wal.Options{Sync: wal.SyncAlways})
 	opts.Metrics = m
-	opts.Retry.OnRetry = nil
 	live, l, _, err := wal.Recover(dir, opts, newCube(t))
 	if err != nil {
 		t.Fatal(err)
@@ -281,22 +266,19 @@ func TestSyncFailureFailsFastThenRepairs(t *testing.T) {
 	if err == nil {
 		t.Fatal("commit succeeded although its fsync failed")
 	}
-	if !retry.IsPermanent(err) {
-		t.Fatalf("fsync failure = %v, want a permanent error", err)
+	if !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("fsync failure = %v, want the injected error", err)
 	}
 	if got := inj.Ops("wal.sync"); got != 1 {
 		t.Fatalf("sync ops = %d, want 1 (a failed fsync must not be retried)", got)
-	}
-	if got := m.Retries.Value(); got != 0 {
-		t.Fatalf("retries metric = %v, want 0", got)
 	}
 	if got := m.SyncFailures.Value(); got != 1 {
 		t.Fatalf("sync-failures metric = %v, want 1", got)
 	}
 	// While latched, commits fail fast without touching the descriptor
 	// again, and nothing past the durable LSN is shippable.
-	if err := l.Commit(first); !retry.IsPermanent(err) {
-		t.Fatalf("Commit while latched = %v, want the permanent latched error", err)
+	if err := l.Commit(first); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Commit while latched = %v, want the latched injected error", err)
 	}
 	if got := inj.Ops("wal.sync"); got != 1 {
 		t.Fatalf("sync ops while latched = %d, want still 1", got)
@@ -506,9 +488,74 @@ func TestMidLogCorruptionRefusesRecovery(t *testing.T) {
 	}
 }
 
+// TestStrayNamesAreNotLogFiles puts copies and look-alikes of the log's
+// files beside a real log. Only the exact names the log writes are its
+// own: recovery must neither replay a stray nor remove or quarantine it.
+func TestStrayNamesAreNotLogFiles(t *testing.T) {
+	junk := []byte("not a log file")
+	for _, tc := range []struct {
+		stray   string
+		copySeg bool // the stray is a byte copy of the real segment
+	}{
+		{"wal-0000000000000001 (copy).seg", true},
+		{"wal-1.seg", true},
+		{"wal-0x10.seg", true},
+		{"wal-ffffffffffffffffx.seg", false},
+		{"checkpoint-0000000000000002 (copy).ckpt", false},
+		{"checkpoint-2.ckpt", false},
+	} {
+		t.Run(tc.stray, func(t *testing.T) {
+			dir := t.TempDir()
+			_, l, _, err := wal.Recover(dir, wal.Options{Sync: wal.SyncNever}, newCube(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if _, err := l.Append(testOp(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			content := junk
+			if tc.copySeg {
+				if content, err = os.ReadFile(filepath.Join(dir, "wal-0000000000000001.seg")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stray := filepath.Join(dir, tc.stray)
+			if err := os.WriteFile(stray, content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			cube, l2, res, err := wal.Recover(dir, wal.Options{}, newCube(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (wal.RecoverResult{Replayed: 3}); !reflect.DeepEqual(res, want) {
+				t.Fatalf("recovery = %+v, want %+v", res, want)
+			}
+			got, err := cube.Query(core.Range{TimeLo: 0, TimeHi: 100, Lo: []int{0, 0}, Hi: []int{7, 3}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != 3 {
+				t.Fatalf("recovered total = %v, want 3", got)
+			}
+			if err := l2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if b, err := os.ReadFile(stray); err != nil || !bytes.Equal(b, content) {
+				t.Fatalf("stray %s changed by recovery: %v", tc.stray, err)
+			}
+		})
+	}
+}
+
 func TestCorruptCheckpointQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	cube, l, _, err := wal.Recover(dir, wal.Options{Sync: wal.SyncNever, KeepCheckpoints: 2}, newCube(t))
+	cube, l, _, err := wal.Recover(dir, wal.Options{Sync: wal.SyncNever}, newCube(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,10 @@ import "histcube/internal/obs"
 
 // Metrics bundles the WAL's counters and histograms. Pass one (from
 // NewMetrics) in Options to instrument a log; a nil Metrics disables
-// instrumentation with a single branch per event. Gauges derived from
+// instrumentation with a single branch per event. Series read from
 // live log state are registered separately via RegisterStateMetrics.
 type Metrics struct {
 	Appends          *obs.Counter
-	AppendedBytes    *obs.Counter
 	Fsyncs           *obs.Counter
 	Rotations        *obs.Counter
 	Checkpoints      *obs.Counter
@@ -16,7 +15,6 @@ type Metrics struct {
 	Replayed         *obs.Counter
 	ReplaySkipped    *obs.Counter
 	TornTruncations  *obs.Counter
-	Retries          *obs.Counter
 	SyncFailures     *obs.Counter
 	QuarantinedCkpts *obs.Counter
 
@@ -30,11 +28,10 @@ type Metrics struct {
 // histcube_wal_ prefix.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		Appends:       reg.NewCounter("histcube_wal_appends_total", "Records appended to the write-ahead log."),
-		AppendedBytes: reg.NewCounter("histcube_wal_appended_bytes_total", "Bytes appended to the write-ahead log."),
-		Fsyncs:        reg.NewCounter("histcube_wal_fsyncs_total", "Successful fsyncs of the active segment."),
-		Rotations:     reg.NewCounter("histcube_wal_segment_rotations_total", "Segment rotations."),
-		Checkpoints:   reg.NewCounter("histcube_wal_checkpoints_total", "Checkpoints written."),
+		Appends:     reg.NewCounter("histcube_wal_appends_total", "Records appended to the write-ahead log."),
+		Fsyncs:      reg.NewCounter("histcube_wal_fsyncs_total", "Successful fsyncs of the active segment."),
+		Rotations:   reg.NewCounter("histcube_wal_segment_rotations_total", "Segment rotations."),
+		Checkpoints: reg.NewCounter("histcube_wal_checkpoints_total", "Checkpoints written."),
 		CheckpointErrors: reg.NewCounter("histcube_wal_checkpoint_errors_total",
 			"Checkpoint attempts that failed (the log keeps growing)."),
 		Replayed: reg.NewCounter("histcube_wal_replayed_records_total",
@@ -43,8 +40,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Replayed records whose re-apply failed (they failed identically when first logged)."),
 		TornTruncations: reg.NewCounter("histcube_wal_torn_truncations_total",
 			"Torn final records truncated during recovery."),
-		Retries: reg.NewCounter("histcube_wal_retries_total",
-			"Transient segment write errors absorbed by retry (fsync is never retried)."),
 		SyncFailures: reg.NewCounter("histcube_wal_sync_failures_total",
 			"fsync failures that latched the log until the segment was reopened."),
 		QuarantinedCkpts: reg.NewCounter("histcube_wal_quarantined_checkpoints_total",

@@ -214,7 +214,7 @@ func TestSubscribeBoundsErrors(t *testing.T) {
 
 	run(t, cube, l, randomOps(rand.New(rand.NewSource(3)), 100))
 	// Two checkpoints so pruning advances the retention horizon past
-	// LSN 1 (KeepCheckpoints defaults to 2).
+	// LSN 1 (keepCheckpoints is 2).
 	if _, err := l.Checkpoint(cube.Save); err != nil {
 		t.Fatal(err)
 	}

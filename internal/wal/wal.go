@@ -18,6 +18,9 @@
 // Stage frames a record in memory in log order and assigns its LSN;
 // Commit writes everything staged with one write(2) and, under
 // SyncAlways, one fsync, outside every lock its callers stage under.
+// A failed write or fsync is not retried: it latches the log, and the
+// next Stage or Sync repairs it by rewriting the staged tail on a fresh
+// descriptor.
 //
 // LSNs start at 1 and increase by one per appended record. A
 // checkpoint file named for LSN n makes every record with LSN <= n
@@ -38,6 +41,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,7 +49,6 @@ import (
 
 	"histcube/internal/core"
 	"histcube/internal/obs"
-	"histcube/internal/retry"
 )
 
 // SegmentFile is the slice of *os.File the log needs from its active
@@ -102,21 +105,9 @@ type Options struct {
 	SegmentSize int64
 	// Sync is the fsync policy; the zero value is SyncAlways.
 	Sync SyncPolicy
-	// KeepCheckpoints retains the newest N checkpoint files (log
-	// segments are kept back to the oldest retained one, so recovery
-	// can fall back past a corrupt checkpoint); 0 selects 2.
-	KeepCheckpoints int
 	// Metrics, when non-nil, receives append/fsync/checkpoint/replay
 	// counters (see NewMetrics).
 	Metrics *Metrics
-	// Retry bounds the retry loop around segment writes; a zero value
-	// selects retry.Default(). Transient write errors are absorbed
-	// (after rolling back any torn partial write); permanent ones —
-	// ENOSPC, retry.Permanent — surface immediately. fsync is never
-	// retried. A write that still fails and a failed fsync both latch
-	// the log until the segment is reopened on a fresh descriptor (see
-	// latchSyncFailureLocked).
-	Retry retry.Policy
 	// WrapSegment, when non-nil, wraps every active segment file the
 	// log opens. Fault-injection tests use it to interpose torn writes
 	// and I/O errors between the log and the filesystem.
@@ -126,18 +117,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentSize <= 0 {
 		o.SegmentSize = 4 << 20
-	}
-	if o.KeepCheckpoints <= 0 {
-		o.KeepCheckpoints = 2
-	}
-	if o.Retry.Attempts == 0 {
-		d := retry.Default()
-		d.Sleep, d.Rand, d.OnRetry = o.Retry.Sleep, o.Retry.Rand, o.Retry.OnRetry
-		o.Retry = d
-	}
-	if o.Retry.OnRetry == nil && o.Metrics != nil {
-		m := o.Metrics
-		o.Retry.OnRetry = func(string, int, error) { m.Retries.Inc() }
 	}
 	return o
 }
@@ -206,8 +185,8 @@ type Log struct {
 	ckptNano atomic.Int64 // wall time of the last checkpoint, 0 before
 
 	// bytesAppended counts record bytes appended since the log was
-	// opened, unconditionally (unlike the optional Metrics counter).
-	// Atomic so per-request tracing can delta it without taking mu.
+	// opened. Atomic so per-request tracing can delta it, and /metrics
+	// scrape it, without taking mu.
 	bytesAppended atomic.Int64
 }
 
@@ -220,17 +199,15 @@ func segName(first uint64) string { return fmt.Sprintf("wal-%016x.seg", first) }
 func ckptName(lsn uint64) string  { return fmt.Sprintf("checkpoint-%016x.ckpt", lsn) }
 
 // parseSeq extracts the hex sequence number from a segment or
-// checkpoint file name.
+// checkpoint file name. Only the exact name segName or ckptName writes
+// for that number is accepted: a copy such as "wal-<seq> (copy).seg"
+// or a short form such as "wal-1.seg" is not the log's own file.
 func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 		return 0, false
 	}
-	mid := name[len(prefix) : len(name)-len(suffix)]
-	var v uint64
-	if _, err := fmt.Sscanf(mid, "%x", &v); err != nil || len(mid) == 0 {
-		return 0, false
-	}
-	return v, true
+	v, err := strconv.ParseUint(name[len(prefix):len(name)-len(suffix)], 16, 64)
+	return v, err == nil && name == fmt.Sprintf("%s%016x%s", prefix, v, suffix)
 }
 
 type dirEntry struct {
@@ -282,9 +259,10 @@ func (l *Log) wrapSeg(f *os.File) SegmentFile {
 
 // createSegment writes a fresh segment file whose records start at
 // first, and makes its creation durable. Segments are opened with
-// O_APPEND so that a write retried after a torn-write rollback
-// (Truncate back to the last good length) lands at the truncated end
-// rather than at a stale file offset, which would leave a zero hole.
+// O_APPEND because the repair of a latched log truncates the segment
+// back to its durable length and rewrites the tail: with O_APPEND every
+// write lands at the file's end, never at a stale descriptor offset
+// past it, which would leave a zero hole.
 func createSegment(dir string, first uint64) (*os.File, error) {
 	path := filepath.Join(dir, segName(first))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -367,7 +345,6 @@ func (l *Log) Stage(op core.Op) (uint64, error) {
 	l.sinceCkpt++
 	if m := l.opts.Metrics; m != nil {
 		m.Appends.Inc()
-		m.AppendedBytes.Add(n)
 	}
 	l.ringPutLocked(lsn, op)
 	return lsn, nil
@@ -400,7 +377,7 @@ func (l *Log) Commit(lsn uint64) (err error) {
 	// cleared and anything but success latches the log.
 	err = errLeaderPanicked
 	defer func() { err = l.endGroupCommit(g, err) }()
-	err = l.flush(g.f, g.pending, g.bytes, l.opts.Sync == SyncAlways)
+	err = flush(g.f, g.pending, l.opts.Sync == SyncAlways)
 	return err
 }
 
@@ -449,31 +426,21 @@ func (l *Log) endGroupCommit(g groupCommit, err error) error {
 	return nil
 }
 
-// flush writes pending, the staged bytes that end segment f at end, with
-// one write under the retry policy, then fsyncs f (once, never retried)
-// when sync is set. Before every retry a torn tail is rolled back with
-// Truncate to where pending starts, so a retried write can never leave a
-// duplicated or interleaved partial frame; a rollback that itself fails
-// is permanent — further blind writes would corrupt acknowledged
-// history. The caller latches any error.
-func (l *Log) flush(f SegmentFile, pending []byte, end int64, sync bool) error {
+// flush writes pending, the staged bytes not yet written to segment f,
+// with one write, then fsyncs f when sync is set. Neither is retried:
+// os.File.Write already resumes after EINTR and short counts, so what
+// reaches here is an I/O or out-of-space error, and the descriptor that
+// reported it is not trusted again. The caller latches any error, and
+// the repair rewrites the whole unsynced tail on a fresh descriptor, a
+// torn partial frame included.
+func flush(f SegmentFile, pending []byte, sync bool) error {
 	if len(pending) > 0 {
-		err := l.opts.Retry.Do("wal.append", func() error {
-			n, err := f.Write(pending)
-			if err == nil && n < len(pending) {
-				err = io.ErrShortWrite
-			}
-			if err == nil {
-				return nil
-			}
-			if terr := f.Truncate(end - int64(len(pending))); terr != nil {
-				return retry.Permanent(fmt.Errorf(
-					"wal: truncating torn append failed: %w (after write error: %w)", terr, err))
-			}
-			return fmt.Errorf("wal: segment write: %w", err)
-		})
+		n, err := f.Write(pending)
+		if err == nil && n < len(pending) {
+			err = io.ErrShortWrite
+		}
 		if err != nil {
-			return err
+			return fmt.Errorf("wal: segment write: %w", err)
 		}
 	}
 	if sync {
@@ -536,7 +503,7 @@ func (l *Log) syncLocked() error {
 	if l.segBytes == l.durableBytes {
 		return nil
 	}
-	if err := l.flush(l.f, l.unsynced[l.writtenBytes-l.durableBytes:], l.segBytes, true); err != nil {
+	if err := flush(l.f, l.unsynced[l.writtenBytes-l.durableBytes:], true); err != nil {
 		return l.latchSyncFailureLocked(err)
 	}
 	l.publishLocked(l.nextLSN-1, l.segBytes, true)
@@ -566,12 +533,12 @@ func (l *Log) publishLocked(lsn uint64, bytes int64, synced bool) {
 	}
 }
 
-// latchSyncFailureLocked latches a failed write or fsync and returns it
-// as a permanent error. A write that failed for good left the segment
-// tail short of what was staged and possibly applied. After fsync
-// reports an error, Linux marks the dirty
-// pages clean without writing them, so a retried fsync on the same
-// descriptor can return success for data that never reached disk;
+// latchSyncFailureLocked latches a failed write or fsync and returns it.
+// A failed write left the segment tail short of what was staged and
+// possibly applied, perhaps with a torn partial frame. After fsync
+// reports an error, Linux marks the dirty pages clean without writing
+// them, so a retried fsync on the same descriptor can return success
+// for data that never reached disk;
 // treating that success as durable would silently lose an acknowledged
 // record on crash. The failure is instead latched: every commit, sync
 // and stage fails fast (flipping the server read-only) until
@@ -585,11 +552,10 @@ func (l *Log) latchSyncFailureLocked(err error) error {
 	return l.latchedSyncErrLocked()
 }
 
-// latchedSyncErrLocked wraps the latched failure as permanent so
-// no retry layer above spends attempts on it.
+// latchedSyncErrLocked wraps the latched failure, which stays
+// reachable through errors.Is.
 func (l *Log) latchedSyncErrLocked() error {
-	return retry.Permanent(fmt.Errorf(
-		"wal: write or fsync failed, segment tail not durable until the segment is reopened: %w", l.syncFailed))
+	return fmt.Errorf("wal: write or fsync failed, segment tail not durable until the segment is reopened: %w", l.syncFailed)
 }
 
 // reopenAfterSyncFailureLocked re-establishes a durable baseline after
@@ -617,7 +583,7 @@ func (l *Log) reopenAfterSyncFailureLocked() error {
 	_ = l.f.Close()
 	f, err := os.OpenFile(filepath.Join(l.dir, segName(l.segFirst)), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return retry.Permanent(fmt.Errorf("wal: reopening segment after fsync failure: %w", err))
+		return fmt.Errorf("wal: reopening segment after a failed write or fsync: %w", err)
 	}
 	nf := l.wrapSeg(f)
 	err = nf.Truncate(l.durableBytes)
@@ -629,7 +595,7 @@ func (l *Log) reopenAfterSyncFailureLocked() error {
 	}
 	if err != nil {
 		_ = nf.Close()
-		return retry.Permanent(fmt.Errorf("wal: rewriting the unsynced tail after fsync failure: %w", err))
+		return fmt.Errorf("wal: rewriting the unsynced tail after a failed write or fsync: %w", err)
 	}
 	l.f = nf
 	l.syncFailed = nil
@@ -697,11 +663,13 @@ func (l *Log) Segments() int {
 	return l.segCount
 }
 
-// RegisterStateMetrics registers gauges derived from l's state: segment
-// count, last LSN, records since the last checkpoint, and the age of the
-// last checkpoint (-1 before the first). The gauge callbacks take the
-// log's mutex at scrape time.
+// RegisterStateMetrics registers series read from l's state: the bytes
+// appended, and gauges of the segment count, last LSN, records since the
+// last checkpoint, and the age of the last checkpoint (-1 before the
+// first). The gauge callbacks take the log's mutex at scrape time.
 func RegisterStateMetrics(reg *obs.Registry, l *Log) {
+	reg.NewCounterFunc("histcube_wal_appended_bytes_total",
+		"Bytes appended to the write-ahead log.", l.AppendedBytes)
 	reg.NewGaugeFunc("histcube_wal_segments",
 		"WAL segment files on disk, including the active one.",
 		func() float64 { return float64(l.Segments()) })

@@ -266,7 +266,7 @@ func TestGarbageTailTruncated(t *testing.T) {
 func TestCheckpointTruncatesLog(t *testing.T) {
 	dir := t.TempDir()
 	r := rand.New(rand.NewSource(12))
-	live, l, _ := recoverCube(t, dir, Options{Sync: SyncNever, SegmentSize: 256, KeepCheckpoints: 1})
+	live, l, _ := recoverCube(t, dir, Options{Sync: SyncNever, SegmentSize: 256})
 	run(t, live, l, randomOps(r, 300))
 	before := l.Segments()
 	lsn, err := l.Checkpoint(live.Save)
@@ -327,7 +327,7 @@ func TestMaybeCheckpointEveryN(t *testing.T) {
 func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	r := rand.New(rand.NewSource(16))
-	live, l, _ := recoverCube(t, dir, Options{Sync: SyncNever, KeepCheckpoints: 2})
+	live, l, _ := recoverCube(t, dir, Options{Sync: SyncNever})
 	run(t, live, l, randomOps(r, 100))
 	if _, err := l.Checkpoint(live.Save); err != nil {
 		t.Fatal(err)
@@ -395,7 +395,7 @@ func TestPanickyNewestCheckpointQuarantined(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			r := rand.New(rand.NewSource(18))
-			live, l, _ := recoverCube(t, dir, Options{Sync: SyncNever, KeepCheckpoints: 2})
+			live, l, _ := recoverCube(t, dir, Options{Sync: SyncNever})
 			run(t, live, l, randomOps(r, 100))
 			if _, err := l.Checkpoint(live.Save); err != nil {
 				t.Fatal(err)
