@@ -88,10 +88,12 @@ step_crash() {
     # SIGKILL of a follower between a shipped batch's stage and its
     # commit. Then a follower rebasing its log onto a shipped snapshot:
     # the directory as every step of the rebase leaves it recovers, and a
-    # rebase that failed part-way is retried from the top. Last, a failed
-    # or torn segment write: written once, latched, then repaired.
+    # rebase that failed part-way is retried from the top. Then a failed
+    # or torn segment write: written once, latched, then repaired. Last,
+    # wal.Log.Apply's two failures: a staging failure logs and applies
+    # nothing, an op the cube rejects is logged, and replay skips it.
     go test -race -count=1 -run 'TestCrashRecoveryNoAcknowledgedLoss|TestCrashBetweenStageAndGroupFsync|TestFollowerKilledBetweenStageAndCommit' ./cmd/histserve/
-    go test -race -count=1 -run 'TestRebaseCrashPointsRecover|TestRebaseRetriesAfterFailure|TestInstallCheckpointResetsSegments|TestFailedWriteIsRepairedNotRetried' ./internal/wal/
+    go test -race -count=1 -run 'TestRebaseCrashPointsRecover|TestRebaseRetriesAfterFailure|TestInstallCheckpointResetsSegments|TestFailedWriteIsRepairedNotRetried|TestApplyKeepsFailuresApart' ./internal/wal/
 }
 
 step_chaos() {
@@ -132,9 +134,11 @@ step_replchaos() {
     # its primary checkpoints every 50 records under concurrent inserts,
     # so the checkpoint it is sent can be pruned before it re-subscribes,
     # and must answer bit-identically to the primary, before and after a
-    # restart over its own directory.
+    # restart over its own directory. And one seeded stream with ops the
+    # cube rejects, through a primary and its semi-sync follower, both
+    # applying through wal.Log.Apply: the same logs, the same SAVE bytes.
     go test -race -count=1 -run 'TestReplChaosPrimaryKillUnderLoad|TestBrokenMixedUnitAnswersEveryLineAndFailsOver' ./cmd/histproxy/
-    go test -race -count=1 -run TestReplicaBootstrapsUnderCheckpointLoad ./cmd/histserve/
+    go test -race -count=1 -run 'TestReplicaBootstrapsUnderCheckpointLoad|TestPrimaryAndFollowerApplyOneStream' ./cmd/histserve/
 }
 
 step_traceguard() {

@@ -58,8 +58,8 @@ type Cube struct{ cells []float64 }
 func (c *Cube) Update(i int, v float64) { c.cells[i] += v }
 `,
 		"internal/paper/framework/framework.go": "package framework\n",
-		// The fenced import is on line 5, InsertUnlogged's apply call
-		// on line 16.
+		// The fenced import is on line 5, InsertUnlogged's Update call,
+		// which skips the cube's one mutation path, on line 16.
 		"internal/core/core.go": `package core
 
 import (
@@ -71,11 +71,11 @@ type Op struct{ Cell int }
 
 type Cube struct{ inner *appendcube.Cube }
 
-func (c *Cube) logOp(op Op) error { return nil }
-func (c *Cube) apply(op Op)       { c.inner.Update(op.Cell, 1) }
+// apply is the one caller of Update.
+func (c *Cube) apply(op Op) { c.inner.Update(op.Cell, 1) }
 
 func (c *Cube) InsertUnlogged(op Op) {
-	c.apply(op)
+	c.inner.Update(op.Cell, 1)
 }
 `,
 		// One violation per remaining per-package analyzer plus a stale
@@ -168,7 +168,7 @@ var expected = []struct {
 }{
 	{"internal/core/core.go", 5, "importfence", "internal/core may not import tempmod/internal/paper/framework"},
 	{"internal/core/core.go", 15, "deadexport", "(*core.Cube).InsertUnlogged is referenced by no non-test file"},
-	{"internal/core/core.go", 16, "appendbeforeapply", "without logging it first"},
+	{"internal/core/core.go", 16, "appendbeforeapply", "appendcube.Cube.Update called outside apply"},
 	{"lint.go", 15, "mutexguard", "box.n is guarded by mu"},
 	{"lint.go", 18, "coordnarrow", "unguarded narrowing int(v)"},
 	{"lint.go", 22, "errwrap", "use %w"},
@@ -465,8 +465,8 @@ func copyModule(t *testing.T) string {
 	return dst
 }
 
-// TestHistlintBitesInTheRealTree seeds one violation per analyzer into
-// a copy of this module — not a fixture — and requires that analyzer's
+// TestHistlintBitesInTheRealTree seeds at least one violation per
+// analyzer into a copy of this module — not a fixture — and requires that analyzer's
 // finding on the seeded line. The seeds in cmd/histserve sit in
 // handlers that only the command table reaches, by func value, so an
 // analyzer that needed a static caller to see a body would find nothing
@@ -496,8 +496,12 @@ func TestHistlintBitesInTheRealTree(t *testing.T) {
 			"s.mu.Lock() // seeded inversion"},
 		{"appendbeforeapply", server,
 			"\tt := int64(math.MaxInt64)\n",
-			"\tt := int64(math.MaxInt64)\n\ts.mu.Lock()\n\tseededErr := s.cube.ApplyOp(core.Op{})\n\ts.mu.Unlock()\n\t_ = seededErr\n",
-			"s.cube.ApplyOp(core.Op{})"},
+			"\tt := int64(math.MaxInt64)\n\ts.mu.Lock()\n\tseededErr := s.cube.ApplyOp(context.Background(), core.Op{})\n\ts.mu.Unlock()\n\t_ = seededErr\n",
+			"s.cube.ApplyOp(context.Background(), core.Op{})"},
+		{"appendbeforeapply", server,
+			"\tvar minLSN uint64\n",
+			"\tvar minLSN uint64\n\ts.mu.Lock()\n\tseededInsert := s.cube.Insert(1, []int{0, 0}, 1)\n\ts.mu.Unlock()\n\t_ = seededInsert\n",
+			"s.cube.Insert(1, []int{0, 0}, 1)"},
 		{"coordnarrow", server,
 			"\tcoords := make([]int, s.dims)\n\tfor i := range coords {\n\t\tc, ok := dims.ToCoord(nums[1+i])\n",
 			"\tseededCoord := int(nums[1])\n\t_ = seededCoord\n\tcoords := make([]int, s.dims)\n\tfor i := range coords {\n\t\tc, ok := dims.ToCoord(nums[1+i])\n",

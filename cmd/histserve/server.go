@@ -53,11 +53,12 @@
 // Start with -load <path> to resume from a snapshot written by SAVE
 // (the -dims and -op flags must match the snapshot's configuration).
 //
-// With -data-dir the server is durable: every acknowledged mutation is
-// first appended to a write-ahead log (internal/wal) under the given
-// directory, -fsync selects the always/never fsync policy,
-// and -checkpoint-every N writes a cube snapshot and truncates the log
-// every N records (CHECKPOINT forces one on demand). On boot the
+// With -data-dir the server is durable: every mutation is logged to a
+// write-ahead log (internal/wal) under the given directory, then applied
+// (wal.Log.Apply), and acknowledged only once committed. -fsync selects
+// the always/never fsync policy, and -checkpoint-every N writes a cube
+// snapshot and truncates the log every N records (CHECKPOINT forces one
+// on demand). On boot the
 // server recovers from the latest valid checkpoint plus the log tail,
 // truncating a torn final record. SIGINT/SIGTERM trigger a graceful
 // shutdown: stop accepting connections, write a final checkpoint,
@@ -74,9 +75,7 @@
 // INS/DEL/QRY/EXPLAIN: long-running eCube evaluations poll the context
 // cooperatively and abandon the request with "ERR timeout". /readyz
 // answers "ok" only once WAL recovery has finished (503 while
-// replaying). -block-profile-rate (beside the shared
-// -mutex-profile-fraction) populates /debug/pprof/block when profiling
-// the single-mutex bottleneck.
+// replaying).
 //
 // Pipelining and group commit: a client may send further requests
 // before reading replies. Every verb joins the unit in progress (see
@@ -141,7 +140,6 @@ import (
 	"log/slog"
 	"math"
 	"os"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -176,10 +174,10 @@ const (
 
 var stageNames = [numStages]string{"cube_insert", "cube_delete", "cube_query", "commit_wait", "repl_ack_wait"}
 
-// errWALAppend marks a WAL failure on a mutation's path. From the op
-// sink (Stage refused the op) it was never applied; from the commit
-// barrier (the write or fsync failed) it was applied and keeps its LSN,
-// and its outcome is indeterminate. isStorageFailure keys off it to flip
+// errWALAppend marks a WAL failure on a mutation's path. From staging
+// (wal.Log.Apply refused the op) it was never logged or applied; from
+// the commit barrier (the write or fsync failed) it was applied and
+// keeps its LSN, and its outcome is indeterminate. isStorageFailure keys off it to flip
 // the server read-only.
 var errWALAppend = errors.New("wal append failed")
 
@@ -209,9 +207,9 @@ type server struct {
 	// snapshot install, -load) leaves it in place.
 	stage [numStages]*obs.Histogram
 
-	// wal, when non-nil, makes the server durable: the cube's op sink
-	// stages every mutation in the log before it is applied (under
-	// -fsync=always the commit barrier fsyncs it before the reply
+	// wal, when non-nil, makes the server durable: mutate stages every
+	// mutation in the log before the cube applies it (wal.Log.Apply;
+	// under -fsync=always the commit barrier fsyncs it before the reply
 	// leaves), and checkpointEvery drives automatic snapshots. wal is
 	// set once, by enableDurability; a follower adopting a shipped
 	// snapshot rebases it in place.
@@ -281,16 +279,8 @@ func main() {
 		follow  = flag.String("follow", "", "run as a replica of the given primary histserve address: apply its WAL stream and reject client mutations until PROMOTE (requires -data-dir)")
 		minAcks = flag.Int("repl-min-acks", 0, "followers that must acknowledge a mutation before the client sees OK (semi-synchronous replication); 0 = asynchronous")
 		ackTO   = flag.Duration("repl-ack-timeout", 2*time.Second, "how long a mutation waits for -repl-min-acks follower acknowledgements before answering ERR (the write is then indeterminate, not failed)")
-		blockPR = flag.Int("block-profile-rate", 0, "runtime block profile sampling rate in ns (1 records every blocking event, 0 disables); populates /debug/pprof/block")
 	)
 	flag.Parse()
-
-	// Profiling the single-mutex bottleneck needs this set before any
-	// contention happens; off by default because sampling costs the hot
-	// path a little (-mutex-profile-fraction is the shared flags' twin).
-	if *blockPR > 0 {
-		runtime.SetBlockProfileRate(*blockPR)
-	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	if *load != "" && *dataDir != "" {
@@ -367,10 +357,10 @@ func main() {
 }
 
 // enableDurability recovers the cube from dir and attaches the WAL:
-// the recovered (or fresh) cube replaces the server's, its op sink
-// appends to the log, and WAL metrics join the registry. The recovered
-// cube's dimensions must match the -dims flag, which fixes the
-// protocol's coordinate arity.
+// the recovered (or fresh) cube replaces the server's, mutations go
+// through the log from then on, and WAL metrics join the registry. The
+// recovered cube's dimensions must match the -dims flag, which fixes
+// the protocol's coordinate arity.
 func (s *server) enableDurability(dir string, opts wal.Options, checkpointEvery int64) (wal.RecoverResult, error) {
 	opts.Metrics = wal.NewMetrics(s.Reg)
 	if inj := s.Inj; inj != nil {
@@ -413,18 +403,9 @@ func (s *server) checkDims(what string, cube *core.Cube) error {
 	return nil
 }
 
-// attachCubeLocked makes cube the one the server serves, with the
-// durable op sink when there is a log: every mutation is staged in the
-// log before it is applied. The caller holds mu.
+// attachCubeLocked makes cube the one the server serves. The caller
+// holds mu.
 func (s *server) attachCubeLocked(cube *core.Cube) {
-	if log := s.wal; log != nil {
-		cube.SetOpSink(func(op core.Op) error {
-			if _, err := log.Stage(op); err != nil {
-				return fmt.Errorf("%w: %w", errWALAppend, err)
-			}
-			return nil
-		})
-	}
 	s.cube = cube
 	s.shape = cube.Shape()
 }
@@ -776,15 +757,13 @@ func (s *server) cmdMutate(rq *lineserver.Request) string {
 	if resp := s.readOnlyReject(); resp != "" {
 		return resp
 	}
-	var root *trace.Span
-	stage := stageCubeInsert
-	if cmd == "INS" {
-		root = trace.New("histserve.insert")
-	} else {
-		root, stage = trace.New("histserve.delete"), stageCubeDelete
+	op := core.Op{Kind: core.OpInsert, Time: nums[0], Coords: coords, Value: val}
+	root, stage := trace.New("histserve.insert"), stageCubeInsert
+	if cmd == "DEL" {
+		op.Kind, root, stage = core.OpDelete, trace.New("histserve.delete"), stageCubeDelete
 	}
 	root.SetTraceID(rq.TID)
-	lsn, err := s.mutate(cmd, root, nums[0], coords, val)
+	lsn, err := s.mutate(root, op)
 	root.End()
 	s.observeCube(stage, root)
 	s.Observe(rq.Line, root)
@@ -920,43 +899,32 @@ func (s *server) queryLocked(root *trace.Span, rng core.Range) (float64, error) 
 	return s.cube.QueryCtx(ctx, rng)
 }
 
-// mutate runs one INS/DEL under mu: the op sink stages the record in
-// the WAL (write, no fsync), then the cube applies it — log-then-apply,
-// with the fsync left to the commit barrier so mu is never held across
-// it. The deferred unlock keeps a panicking cube call from poisoning
-// mu; the panic itself travels on to the serving core's barrier and
-// surfaces as ERR internal. A storage failure (the WAL write
-// exhausting its retries, or out-of-space) enters degraded mode. On
-// success lsn is the position the record was staged at (0 without
-// durability) — what the barrier commits and the semi-sync ack wait
-// keys on.
-func (s *server) mutate(cmd string, root *trace.Span, t int64, coords []int, val float64) (lsn uint64, err error) {
+// mutate runs one INS/DEL under mu through wal.Log.Apply: the record is
+// staged in the WAL (framed, not written), then the cube applies it —
+// log-then-apply, with the write and fsync left to the commit barrier so
+// mu is never held across them. The deferred unlock keeps a panicking
+// cube call from poisoning mu; the panic itself travels on to the
+// serving core's barrier and surfaces as ERR internal. A staging
+// failure (the log closed, or latched by a failed write or fsync its
+// repair could not clear) or out-of-space enters degraded mode; an op
+// the cube rejects is logged, answers ERR, and stays out of the cube on
+// recovery too. On success lsn is the position the record was staged
+// at (0 without durability) — what the barrier commits and the
+// semi-sync ack wait keys on.
+func (s *server) mutate(root *trace.Span, op core.Op) (lsn uint64, err error) {
 	ctx, cancel := s.RequestCtx()
 	defer cancel()
 	ctx = trace.NewContext(ctx, root)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The WAL-bytes delta is taken under mu, where the op sink's
-	// appends are serialised, so the attribution to this request is
-	// exact.
-	var walBefore int64
-	if s.wal != nil {
-		walBefore = s.wal.AppendedBytes()
-	}
-	if cmd == "INS" {
-		err = s.cube.InsertCtx(ctx, t, coords, val)
-	} else {
-		err = s.cube.DeleteCtx(ctx, t, coords, val)
-	}
-	if s.wal != nil {
-		root.Add(trace.WALBytes, s.wal.AppendedBytes()-walBefore)
-	}
+	lsn, err = s.wal.Apply(ctx, s.cube, op)
 	switch {
 	case err == nil:
-		if s.wal != nil {
-			lsn = s.wal.LastLSN()
-		}
 		s.maybeCheckpointLocked()
+	case lsn == 0 && s.wal != nil && !errors.Is(err, ctx.Err()):
+		// Nothing was logged, and not for a done context: staging failed.
+		err = fmt.Errorf("%w: %w", errWALAppend, err)
+		s.setDegraded(err)
 	case isStorageFailure(err):
 		s.setDegraded(err)
 	}

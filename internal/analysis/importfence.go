@@ -32,11 +32,11 @@ var fences = []struct {
 		why:    "the paper-reference structures are reproduction-only; the serving path is internal/core -> internal/appendcube",
 	},
 	{
-		// The op-sink hook (WAL append-before-apply) lives in the
-		// core facade.
+		// Log-then-apply (wal.Log.Apply) ends in the core facade's
+		// ApplyOp.
 		target: "internal/appendcube",
 		from:   []string{"cmd/histserve"},
-		why:    "histserve must mutate through the core facade (op sink + WAL), not internal/appendcube directly",
+		why:    "histserve must mutate through the core facade (wal.Log.Apply), not internal/appendcube directly",
 	},
 }
 

@@ -1,7 +1,7 @@
 // Package core is a stub of the facade the appendbeforeapply analyzer
-// guards: exported mutators must route through logOp before apply, the
-// storage layer's Update is confined to apply, and ApplyOp is the
-// replay-only path.
+// guards: ApplyOp is its one mutation path, Insert the library
+// shorthand over it, and the storage layer's Update is confined to
+// apply.
 package core
 
 import "example.com/appendbeforeapply/internal/appendcube"
@@ -13,14 +13,6 @@ type Op struct {
 
 type Cube struct {
 	inner *appendcube.Cube
-	sink  func(Op) error
-}
-
-func (c *Cube) logOp(op Op) error {
-	if c.sink != nil {
-		return c.sink(op)
-	}
-	return nil
 }
 
 func (c *Cube) apply(op Op) {
@@ -28,41 +20,16 @@ func (c *Cube) apply(op Op) {
 	c.inner.UpdateCtx(nil, op.Cell, 0)
 }
 
-func (c *Cube) applyDelta(op Op, scale float64) {
-	op.Value *= scale
-	c.apply(op)
-}
-
-func (c *Cube) Insert(op Op) error {
-	if err := c.logOp(op); err != nil {
-		return err
-	}
-	c.apply(op)
-	return nil
-}
-
-func (c *Cube) AddDelta(op Op, scale float64) error {
-	if err := c.logOp(op); err != nil {
-		return err
-	}
-	c.applyDelta(op, scale)
-	return nil
-}
-
-func (c *Cube) InsertUnlogged(op Op) {
-	c.apply(op) // want `applies a mutation without logging it first`
-}
-
-func (c *Cube) InsertSwapped(op Op) error {
-	c.apply(op) // want `applies the mutation before logging it`
-	return c.logOp(op)
-}
-
-// ApplyOp is the replay path: it bypasses the sink by design.
 func (c *Cube) ApplyOp(op Op) error {
 	c.apply(op)
 	return nil
 }
+
+func (c *Cube) Insert(cell int, v float64) error {
+	return c.ApplyOp(Op{Cell: cell, Value: v})
+}
+
+func (c *Cube) Query(cell int) float64 { return 0 }
 
 func (c *Cube) Rebuild(ops []Op) {
 	for _, op := range ops {

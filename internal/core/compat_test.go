@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math"
 	"math/rand"
@@ -139,10 +140,7 @@ func TestRecoverV1CheckpointWithLogTail(t *testing.T) {
 		tail = append(tail, op)
 	}
 	for _, op := range tail {
-		if _, err := l.Append(op); err != nil {
-			t.Fatal(err)
-		}
-		if err := live.ApplyOp(op); err != nil {
+		if _, err := l.Apply(context.Background(), live, op); err != nil {
 			t.Fatal(err)
 		}
 	}

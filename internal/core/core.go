@@ -12,6 +12,12 @@
 // storage, and optional buffering of out-of-order updates in an
 // R*-tree (Section 2.5's G_d) so late corrections degrade performance
 // gracefully instead of failing.
+//
+// Every mutation is an Op applied by Cube.ApplyOp, the cube's one
+// mutation path; Insert is its library shorthand. The cube is therefore
+// a deterministic function of its op stream (Section 2.2): a durable
+// caller logs each op before the cube applies it with wal.Log.Apply,
+// and recovery replays the log through ApplyOp.
 package core
 
 import (
@@ -136,10 +142,6 @@ type Cube struct {
 	// by contract (callers serialise, e.g. histserve's mutex).
 	convQuery  int64
 	convAppend int64
-
-	// sink, when non-nil, receives every mutation before it is applied
-	// — the write-ahead hook (see op.go).
-	sink func(Op) error
 }
 
 // New returns an empty cube.
@@ -229,64 +231,11 @@ func (c *Cube) Shape() []int { return append([]int(nil), c.shape...) }
 // coords gains measure value v. Under COUNT semantics v is ignored and
 // the point counts 1; AVERAGE accumulates both. Out-of-order times are
 // buffered when configured, rejected with appendcube.ErrOutOfOrder
-// otherwise.
+// otherwise. It is the library shorthand for ApplyOp with an OpInsert
+// and no request scope; a durable caller logs the op first through
+// wal.Log.Apply instead.
 func (c *Cube) Insert(t int64, coords []int, v float64) error {
-	return c.insertTraced(context.Background(), nil, t, coords, v)
-}
-
-// InsertCtx is Insert with request scoping: when ctx carries a trace
-// span (trace.NewContext), the insert records a histcube.insert child
-// span with its cache/copy cost counters; when ctx has a deadline, it
-// is checked once *before* the op is logged (a mutation is atomic with
-// respect to cancellation — once it reaches the WAL it always
-// completes, because aborting between log and apply would diverge the
-// log from the state) and then bounds only the amortised copy-ahead
-// work. A bare context costs one branch.
-func (c *Cube) InsertCtx(ctx context.Context, t int64, coords []int, v float64) error {
-	return c.insertTraced(ctx, trace.FromContext(ctx), t, coords, v)
-}
-
-// ctxErr is the single pre-log cancellation check of the mutation
-// paths: one Err poll, which makes no channel.
-func ctxErr(ctx context.Context, what string) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: %s canceled before logging: %w", what, err)
-	}
-	return nil
-}
-
-func (c *Cube) insertTraced(ctx context.Context, sp *trace.Span, t int64, coords []int, v float64) error {
-	op := sp.StartChild("histcube.insert")
-	defer op.End()
-	if err := ctxErr(ctx, "insert"); err != nil {
-		return err
-	}
-	if err := c.logOp(Op{Kind: OpInsert, Time: t, Coords: coords, Value: v}); err != nil {
-		return err
-	}
-	val := agg.Point(c.cfg.Operator, v)
-	return c.apply(ctx, op, t, coords, val)
-}
-
-// DeleteCtx removes a previously inserted point by applying the
-// inverse contribution — the paper's translation of deletes into
-// updates — with request scoping (see InsertCtx for the cancellation
-// contract).
-func (c *Cube) DeleteCtx(ctx context.Context, t int64, coords []int, v float64) error {
-	return c.deleteTraced(ctx, trace.FromContext(ctx), t, coords, v)
-}
-
-func (c *Cube) deleteTraced(ctx context.Context, sp *trace.Span, t int64, coords []int, v float64) error {
-	op := sp.StartChild("histcube.delete")
-	defer op.End()
-	if err := ctxErr(ctx, "delete"); err != nil {
-		return err
-	}
-	if err := c.logOp(Op{Kind: OpDelete, Time: t, Coords: coords, Value: v}); err != nil {
-		return err
-	}
-	val := agg.Point(c.cfg.Operator, v).Neg()
-	return c.apply(ctx, op, t, coords, val)
+	return c.ApplyOp(context.Background(), Op{Kind: OpInsert, Time: t, Coords: coords, Value: v})
 }
 
 func (c *Cube) apply(ctx context.Context, sp *trace.Span, t int64, coords []int, val agg.Value) error {
@@ -338,7 +287,7 @@ func (c *Cube) engineConversions() int64 {
 // Query aggregates over the range and finalises per the operator
 // (AVERAGE divides the summed measures by the count).
 func (c *Cube) Query(r Range) (float64, error) {
-	return c.QueryTraced(nil, r)
+	return c.QueryCtx(context.Background(), r)
 }
 
 // QueryCtx is Query with request scoping: when ctx carries a trace
@@ -349,16 +298,7 @@ func (c *Cube) Query(r Range) (float64, error) {
 // and abandons the query with ctx's error. A bare context costs one
 // branch.
 func (c *Cube) QueryCtx(ctx context.Context, r Range) (float64, error) {
-	return c.queryCtxTraced(ctx, trace.FromContext(ctx), r)
-}
-
-// QueryTraced is QueryCtx for callers that already hold the span.
-func (c *Cube) QueryTraced(sp *trace.Span, r Range) (float64, error) {
-	return c.queryCtxTraced(context.Background(), sp, r)
-}
-
-func (c *Cube) queryCtxTraced(ctx context.Context, sp *trace.Span, r Range) (float64, error) {
-	q := sp.StartChild("histcube.query")
+	q := trace.FromContext(ctx).StartChild("histcube.query")
 	defer q.End()
 	q.SetInt("time_lo", r.TimeLo)
 	q.SetInt("time_hi", r.TimeHi)

@@ -76,7 +76,7 @@ func TestSumInsertDeleteQuery(t *testing.T) {
 	if err := c.Insert(2, []int{4}, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DeleteCtx(context.Background(), 2, []int{4}, 7); err != nil {
+	if err := c.ApplyOp(context.Background(), Op{Kind: OpDelete, Time: 2, Coords: []int{4}, Value: 7}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Query(Range{TimeLo: 0, TimeHi: 10, Lo: []int{0}, Hi: []int{7}})

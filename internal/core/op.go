@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"histcube/internal/agg"
+	"histcube/internal/trace"
 )
 
 // OpKind enumerates the facade's replayable mutations. The paper's
@@ -15,10 +16,10 @@ import (
 type OpKind uint8
 
 const (
-	// OpInsert is Cube.Insert: one data point appended (or buffered
-	// out of order).
+	// OpInsert is one data point appended (or buffered out of order);
+	// Cube.Insert is its shorthand.
 	OpInsert OpKind = iota + 1
-	// OpDelete is Cube.DeleteCtx: the inverse contribution of a point.
+	// OpDelete is the inverse contribution of a point.
 	OpDelete
 )
 
@@ -44,34 +45,27 @@ type Op struct {
 	Value  float64
 }
 
-// SetOpSink installs fn as the cube's write-ahead hook: every insert
-// and delete passes its op to fn *before* applying it, and
-// aborts (returning fn's error) if fn fails. A durable sink therefore
-// sees every mutation the caller may be told succeeded — an op is only
-// acknowledged after both the sink and the apply succeed. fn must not
-// retain the coords slice. nil detaches the sink. Replay via ApplyOp
-// bypasses the sink.
-func (c *Cube) SetOpSink(fn func(Op) error) { c.sink = fn }
-
-// logOp feeds the sink, if any.
-func (c *Cube) logOp(op Op) error {
-	if c.sink == nil {
-		return nil
-	}
-	return c.sink(op)
-}
-
-// ApplyOp applies a previously logged op without notifying the sink —
-// the recovery replay path. Validation is the same as for the live
-// calls, so an op that failed to apply when first logged fails
-// identically on replay.
-func (c *Cube) ApplyOp(op Op) error {
+// ApplyOp is the cube's one mutation path: it folds op into the cube —
+// an insert adds the point, a delete its inverse contribution (the
+// paper's translation of deletes into updates). When ctx carries a
+// trace span (trace.NewContext) the op records a histcube.insert or
+// histcube.delete child span with its cache/copy cost counters. ctx
+// bounds only the amortised copy-ahead work: once the op is logged it
+// always applies, because aborting between log and apply would diverge
+// the log from the state, so the cancellation check belongs before the
+// log (wal.Log.Apply). An op the cube rejects fails identically on
+// recovery replay, which is why a logged op may be rejected here.
+func (c *Cube) ApplyOp(ctx context.Context, op Op) error {
+	val, parent := agg.Point(c.cfg.Operator, op.Value), trace.FromContext(ctx)
+	var sp *trace.Span
 	switch op.Kind {
 	case OpInsert:
-		return c.apply(context.Background(), nil, op.Time, op.Coords, agg.Point(c.cfg.Operator, op.Value))
+		sp = parent.StartChild("histcube.insert")
 	case OpDelete:
-		return c.apply(context.Background(), nil, op.Time, op.Coords, agg.Point(c.cfg.Operator, op.Value).Neg())
+		val, sp = val.Neg(), parent.StartChild("histcube.delete")
 	default:
 		return fmt.Errorf("core: unknown op kind %d", op.Kind)
 	}
+	defer sp.End()
+	return c.apply(ctx, sp, op.Time, op.Coords, val)
 }

@@ -72,11 +72,11 @@ func TestQueryCtxSpanTree(t *testing.T) {
 	}
 }
 
-func TestInsertCtxSpanCounters(t *testing.T) {
+func TestApplyOpSpanCounters(t *testing.T) {
 	c := traceTestCube(t)
 	root := trace.New("histserve.insert")
 	ctx := trace.NewContext(context.Background(), root)
-	if err := c.InsertCtx(ctx, 4, []int{1, 1}, 2); err != nil {
+	if err := c.ApplyOp(ctx, Op{Kind: OpInsert, Time: 4, Coords: []int{1, 1}, Value: 2}); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -151,7 +151,7 @@ func TestDiskQuerySpanPagerCounters(t *testing.T) {
 		}
 	}
 	root := trace.New("histserve.query")
-	v, err := c.QueryTraced(root, Range{TimeLo: 1, TimeHi: 1, Lo: []int{0, 0}, Hi: []int{7, 7}})
+	v, err := c.QueryCtx(trace.NewContext(context.Background(), root), Range{TimeLo: 1, TimeHi: 1, Lo: []int{0, 0}, Hi: []int{7, 7}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -96,7 +97,7 @@ func TracedQueryCost(n, d, nQueries int, identical bool, seed int64) (TracedQuer
 			}
 		}
 		root := trace.New("histcube.bench_query")
-		v, err := c.QueryTraced(root, core.Range{TimeLo: 1, TimeHi: 1, Lo: lo, Hi: hi})
+		v, err := c.QueryCtx(trace.NewContext(context.Background(), root), core.Range{TimeLo: 1, TimeHi: 1, Lo: lo, Hi: hi})
 		root.End()
 		if err != nil {
 			return res, err

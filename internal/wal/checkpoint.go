@@ -121,7 +121,7 @@ func (l *Log) OpenCheckpoint() (*os.File, uint64, error) {
 // the checkpoints gone too to LSN 0 — and the segment after lsn is
 // created only once the new checkpoint exists, or the directory would
 // recover an empty cube at lsn. A Rebase that fails part-way leaves the
-// log closed at its old end (Stage and Commit fail, Sync is a no-op)
+// log closed at its old end (staging and Commit fail, Sync is a no-op)
 // until a later one succeeds. Older Streams end with ErrClosed.
 func (l *Log) Rebase(lsn uint64, save func(io.Writer) error) error {
 	l.mu.Lock()

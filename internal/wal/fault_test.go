@@ -107,7 +107,7 @@ func TestFailedWriteIsRepairedNotRetried(t *testing.T) {
 }
 
 // TestAppendFailsFastOnNoSpace pins where a failed write surfaces: at
-// the Commit that writes the record, not at its Stage. The commit fails
+// the Commit that writes the record, not where it is staged. The commit fails
 // after exactly one write attempt and latches the log; the record keeps
 // its LSN, and once the fault clears the repair writes it where it was.
 func TestAppendFailsFastOnNoSpace(t *testing.T) {
@@ -163,7 +163,7 @@ func TestCommitLeaderPanicDoesNotWedgeTheLog(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lsn, err := l.Stage(testOp(0))
+			lsn, err := l.Apply(context.Background(), cube, testOp(0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,19 +203,19 @@ func TestCommitLeaderPanicDoesNotWedgeTheLog(t *testing.T) {
 // SyncAlways, one fsync.
 func TestCommitWritesOnce(t *testing.T) {
 	inj := fault.MustParse("wal.write:err@99", 1) // only counts: this test never reaches op 99
-	_, l, _, err := wal.Recover(t.TempDir(), faultOptions(inj, wal.Options{Sync: wal.SyncAlways}), newCube(t))
+	cube, l, _, err := wal.Recover(t.TempDir(), faultOptions(inj, wal.Options{Sync: wal.SyncAlways}), newCube(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	var last uint64
 	for i := 0; i < 16; i++ {
-		if last, err = l.Stage(testOp(i)); err != nil {
+		if last, err = l.Apply(context.Background(), cube, testOp(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := inj.Ops("wal.write"); got != 0 {
-		t.Fatalf("Stage issued %d writes, want 0", got)
+		t.Fatalf("Apply issued %d writes, want 0", got)
 	}
 	if err := l.Commit(last); err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestCommitWritesOnce(t *testing.T) {
 // pages clean, so a retried fsync can succeed without the data reaching
 // disk) and the commit must be nacked with the fsync's error. By then
 // the record is staged AND applied, so the repair — run by the next
-// Stage — must not roll it back: it rewrites the unsynced tail at its
+// Apply — must not roll it back: it rewrites the unsynced tail at its
 // original LSN on a fresh descriptor. Replaying the directory then
 // yields a cube bit-identical to the live one, and no LSN was ever
 // handed to a second op.
@@ -246,19 +246,13 @@ func TestSyncFailureFailsFastThenRepairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The server's order: stage, apply, then commit at the reply.
-	var staged []uint64
-	live.SetOpSink(func(op core.Op) error {
-		lsn, err := l.Stage(op)
-		staged = append(staged, lsn)
-		return err
-	})
 	insert := func(i int) uint64 {
 		t.Helper()
-		op := testOp(i)
-		if err := live.Insert(op.Time, op.Coords, op.Value); err != nil {
+		lsn, err := l.Apply(context.Background(), live, testOp(i))
+		if err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
-		return staged[len(staged)-1]
+		return lsn
 	}
 
 	first := insert(0)
@@ -287,7 +281,7 @@ func TestSyncFailureFailsFastThenRepairs(t *testing.T) {
 		t.Fatalf("shipping frontier = %d while nothing is durable, want 0", got)
 	}
 
-	// The @1 fault is spent: the next Stage reopens the segment and
+	// The @1 fault is spent: the next Apply reopens the segment and
 	// rewrites the nacked record where it was — its LSN is not reused.
 	second := insert(1)
 	if first != 1 || second != 2 {
@@ -342,7 +336,7 @@ func TestSyncFailureFailsFastThenRepairs(t *testing.T) {
 	}
 }
 
-// TestGroupCommitSharesFsyncs drives Stage+Commit from many goroutines
+// TestGroupCommitSharesFsyncs drives Append from many goroutines
 // (run under -race): concurrent committers must share fsyncs, the
 // durable LSN and the shipping frontier must only move forward and
 // never pass what was staged, a rotation mid-stream must not pull the
@@ -389,10 +383,7 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				lsn, err := l.Stage(testOp(w*perWorker + i))
-				if err == nil {
-					err = l.Commit(lsn)
-				}
+				lsn, err := l.Append(testOp(w*perWorker + i))
 				if err == nil && l.ShippedLSN() < lsn {
 					err = fmt.Errorf("Commit(%d) returned with the durable frontier at %d", lsn, l.ShippedLSN())
 				}
@@ -559,10 +550,12 @@ func TestCorruptCheckpointQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cube.SetOpSink(func(op core.Op) error { _, err := l.Append(op); return err })
 	for i := 0; i < 10; i++ {
-		op := testOp(i)
-		if err := cube.Insert(op.Time, op.Coords, op.Value); err != nil {
+		lsn, err := l.Apply(context.Background(), cube, testOp(i))
+		if err == nil {
+			err = l.Commit(lsn)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 4 {

@@ -95,8 +95,8 @@ func TestRebaseRetriesAfterFailure(t *testing.T) {
 		t.Fatalf("failed Rebase moved the log's end to %d, want it left at 40", got)
 	}
 	op := core.Op{Kind: core.OpInsert, Time: 90, Coords: []int{2, 3}, Value: 4}
-	if _, err := l.Stage(op); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Stage after a failed Rebase = %v, want ErrClosed", err)
+	if _, err := l.stage(op); !errors.Is(err, ErrClosed) {
+		t.Fatalf("stage after a failed Rebase = %v, want ErrClosed", err)
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatalf("Sync after a failed Rebase = %v, want nil", err)

@@ -139,23 +139,26 @@ func (e *CorruptError) Error() string {
 		e.LSN, e.Path, e.Offset, e.LSN, e.Path, e.Path)
 }
 
-// validFrameAt reports whether a complete, CRC-valid, decodable record
+// decodeFrame decodes the record frame starting at off — the size
+// range, the CRC and the payload — and returns its op and the offset
+// just past it. ok is false when no complete, CRC-valid, decodable
 // frame starts at off.
-func validFrameAt(data []byte, off int) bool {
+func decodeFrame(data []byte, off int) (op core.Op, next int, ok bool) {
 	if len(data)-off < recHeaderSize {
-		return false
+		return op, 0, false
 	}
 	crc := binary.LittleEndian.Uint32(data[off:])
 	size := int(binary.LittleEndian.Uint32(data[off+4:]))
-	if size < minPayload || size > maxRecordSize || off+recHeaderSize+size > len(data) {
-		return false
+	next = off + recHeaderSize + size
+	if size < minPayload || size > maxRecordSize || next > len(data) {
+		return op, 0, false
 	}
-	payload := data[off+recHeaderSize : off+recHeaderSize+size]
+	payload := data[off+recHeaderSize : next]
 	if crc32.ChecksumIEEE(payload) != crc {
-		return false
+		return op, 0, false
 	}
-	_, err := decodePayload(payload)
-	return err == nil
+	op, err := decodePayload(payload)
+	return op, next, err == nil
 }
 
 // scanForRecord reports whether any complete valid record frame starts
@@ -164,7 +167,7 @@ func validFrameAt(data []byte, off int) bool {
 // (acknowledged records follow — truncating would drop them).
 func scanForRecord(data []byte, start int) bool {
 	for off := start; off+recHeaderSize <= len(data); off++ {
-		if validFrameAt(data, off) {
+		if _, _, ok := decodeFrame(data, off); ok {
 			return true
 		}
 	}
@@ -199,24 +202,12 @@ func readSegment(path string) (first uint64, ops []core.Op, goodLen int64, torn 
 	}
 	off := segHeaderSize
 	for off < len(data) {
-		if len(data)-off < recHeaderSize {
-			return badFrame(off)
-		}
-		crc := binary.LittleEndian.Uint32(data[off:])
-		size := int(binary.LittleEndian.Uint32(data[off+4:]))
-		if size < minPayload || size > maxRecordSize || off+recHeaderSize+size > len(data) {
-			return badFrame(off)
-		}
-		payload := data[off+recHeaderSize : off+recHeaderSize+size]
-		if crc32.ChecksumIEEE(payload) != crc {
-			return badFrame(off)
-		}
-		op, derr := decodePayload(payload)
-		if derr != nil {
+		op, next, ok := decodeFrame(data, off)
+		if !ok {
 			return badFrame(off)
 		}
 		ops = append(ops, op)
-		off += recHeaderSize + size
+		off = next
 	}
 	return first, ops, int64(off), false, nil
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -55,9 +56,9 @@ type RecoverResult struct {
 //
 // newCube constructs the empty cube used when no checkpoint exists
 // (first boot, or every checkpoint unreadable but the log intact from
-// LSN 1). The recovered cube does not yet have an op sink attached —
-// the caller wires cube.SetOpSink to log.Append after Recover, so
-// replay never re-logs.
+// LSN 1). Replay applies the log's ops with core.Cube.ApplyOp, so it
+// never re-logs them; the caller sends further mutations through
+// log.Apply.
 func Recover(dir string, opts Options, newCube func() (*core.Cube, error)) (*core.Cube, *Log, RecoverResult, error) {
 	opts = opts.withDefaults()
 	var res RecoverResult
@@ -159,7 +160,7 @@ func Recover(dir string, opts Options, newCube func() (*core.Cube, error)) (*cor
 			if lsn <= res.CheckpointLSN {
 				continue
 			}
-			if aerr := cube.ApplyOp(op); aerr != nil {
+			if aerr := cube.ApplyOp(context.Background(), op); aerr != nil {
 				res.SkippedOps++
 				if m := opts.Metrics; m != nil {
 					m.ReplaySkipped.Inc()

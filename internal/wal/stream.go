@@ -13,8 +13,8 @@ package wal
 //
 // Shipping frontier: a Stream never delivers a record beyond
 // shippedLSN. Under SyncAlways the frontier is the durable LSN — it
-// advances when an fsync completes (publishDurableLocked), not when
-// Stage returns — so a follower can never hold a record this log could
+// advances when an fsync completes (publishLocked), not when a record
+// is staged — so a follower can never hold a record this log could
 // still lose in a crash. A staged record is never rolled back either:
 // the fsync-failure repair (reopenAfterSyncFailureLocked) rewrites the
 // unsynced tail at its original LSNs, so an LSN is never reused for a

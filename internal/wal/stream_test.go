@@ -134,7 +134,7 @@ func TestStreamTryNextDrainsWithoutBlocking(t *testing.T) {
 	const k = 40
 	var last uint64
 	for i := 0; i < k; i++ {
-		if last, err = l.Stage(core.Op{Kind: core.OpInsert, Time: int64(i), Coords: []int{1, 1}, Value: 1}); err != nil {
+		if last, err = l.stage(core.Op{Kind: core.OpInsert, Time: int64(i), Coords: []int{1, 1}, Value: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,7 +175,7 @@ func TestSyncNeverFrontierFollowsTheWrite(t *testing.T) {
 	const k = ringSize + 100
 	var last uint64
 	for i := 0; i < k; i++ {
-		if last, err = l.Stage(core.Op{Kind: core.OpInsert, Time: int64(i), Coords: []int{1, 1}, Value: float64(i)}); err != nil {
+		if last, err = l.stage(core.Op{Kind: core.OpInsert, Time: int64(i), Coords: []int{1, 1}, Value: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 		if got := l.ShippedLSN(); got != 0 {

@@ -15,12 +15,15 @@
 //	wal-<firstLSN>.seg      log segments (16-byte header + records)
 //	checkpoint-<lsn>.ckpt   core.Save snapshots covering LSNs <= lsn
 //
-// Stage frames a record in memory in log order and assigns its LSN;
-// Commit writes everything staged with one write(2) and, under
-// SyncAlways, one fsync, outside every lock its callers stage under.
-// A failed write or fsync is not retried: it latches the log, and the
-// next Stage or Sync repairs it by rewriting the staged tail on a fresh
-// descriptor.
+// An op enters the log in one of two ways. Apply is log-then-apply:
+// it stages the op's record — frames it in memory in log order and
+// assigns its LSN — then folds the op into the cube, so the cube never
+// holds an op the log lacks. Append stages a record without a cube.
+// Either way Commit then writes everything staged with one write(2)
+// and, under SyncAlways, one fsync, outside every lock its callers
+// stage under. A failed write or fsync is not retried: it latches the
+// log, and the next staging or Sync repairs it by rewriting the staged
+// tail on a fresh descriptor.
 //
 // LSNs start at 1 and increase by one per appended record. A
 // checkpoint file named for LSN n makes every record with LSN <= n
@@ -151,7 +154,7 @@ type Log struct {
 	// The active segment's offsets ascend durableBytes <= writtenBytes <=
 	// segBytes: fsynced, written, staged. durableLSN is the last LSN an
 	// fsync covered. unsynced holds the framed bytes past durableBytes
-	// (len == segBytes-durableBytes): Stage appends to it, the commit
+	// (len == segBytes-durableBytes): stage appends to it, the commit
 	// leader writes its unwritten suffix, a successful fsync drops what it
 	// covered, and the repair after a failed write or fsync rewrites the
 	// rest from here instead of trusting the page cache. syncFailed
@@ -185,14 +188,12 @@ type Log struct {
 	ckptNano atomic.Int64 // wall time of the last checkpoint, 0 before
 
 	// bytesAppended counts record bytes appended since the log was
-	// opened. Atomic so per-request tracing can delta it, and /metrics
-	// scrape it, without taking mu.
+	// opened. Atomic so /metrics can scrape it without taking mu.
 	bytesAppended atomic.Int64
 }
 
 // AppendedBytes returns the record bytes appended since the log was
-// opened. Request tracing reads it before and after a mutation to
-// attribute WAL bytes to one op.
+// opened.
 func (l *Log) AppendedBytes() int64 { return l.bytesAppended.Load() }
 
 func segName(first uint64) string { return fmt.Sprintf("wal-%016x.seg", first) }
@@ -285,12 +286,12 @@ func createSegment(dir string, first uint64) (*os.File, error) {
 }
 
 // Append stages one op and commits it: under SyncAlways the record is
-// durable when Append returns. It is Stage followed by Commit — when
-// Commit fails the record stays staged at its LSN (the repair after the
-// failure makes it durable), so a caller that applies what it logs
-// should call Stage, apply, then Commit, as histserve does.
+// durable when Append returns. When Commit fails the record stays
+// staged at its LSN (the repair after the failure makes it durable), so
+// a caller that applies what it logs calls Apply, then Commit, as
+// histserve does.
 func (l *Log) Append(op core.Op) (uint64, error) {
-	lsn, err := l.Stage(op)
+	lsn, err := l.stage(op)
 	if err != nil {
 		return 0, err
 	}
@@ -300,12 +301,12 @@ func (l *Log) Append(op core.Op) (uint64, error) {
 	return lsn, nil
 }
 
-// Stage frames one op into the log's in-memory tail and returns its
+// stage frames one op into the log's in-memory tail and returns its
 // LSN, without writing it: the record must not be acknowledged before
-// Commit(lsn) returns nil. A failed Stage assigned no LSN, so its op must
+// Commit(lsn) returns nil. A failed stage assigned no LSN, so its op must
 // not be applied. Only its repair of a latched log and rotation touch
 // the disk.
-func (l *Log) Stage(op core.Op) (uint64, error) {
+func (l *Log) stage(op core.Op) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	size := int64(recordSize(op))
@@ -361,7 +362,7 @@ var errLeaderPanicked = errors.New("wal: commit leader panicked")
 // behind it find themselves covered. Rotation, checkpoint, Sync and
 // Close write and fsync the tail too, satisfying parked committers. A
 // failed or panicking write or fsync latches the log and fails every
-// committer it did not cover until a repair (Stage, Sync) succeeds; the
+// committer it did not cover until a repair (staging, Sync) succeeds; the
 // records it did not cover keep their LSNs.
 func (l *Log) Commit(lsn uint64) (err error) {
 	if lsn == 0 {
@@ -393,7 +394,7 @@ type groupCommit struct {
 // beginGroupCommit decides, under mu, whether the committer of lsn must
 // lead a commit. A nil file means no: err is then the commit's outcome.
 // Otherwise it marks the commit in flight and returns what the caller
-// writes with mu released; Stage only appends past pending's end
+// writes with mu released; staging only appends past pending's end
 // meanwhile, so pending needs no copy.
 func (l *Log) beginGroupCommit(lsn uint64) (g groupCommit, err error) {
 	l.mu.Lock()
@@ -574,7 +575,7 @@ func (l *Log) latchedSyncErrLocked() error {
 // mid-repair loses at most those never-acknowledged records (under
 // SyncNever: the window that policy accepts).
 // Any failure here keeps the latch, so callers stay degraded until a
-// later Stage or Sync retries the repair from the top. No group commit can be
+// later staging or Sync retries the repair from the top. No group commit can be
 // in flight: one that fails sets the latch only after it finished, and
 // none starts while the latch is set.
 func (l *Log) reopenAfterSyncFailureLocked() error {

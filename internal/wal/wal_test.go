@@ -54,20 +54,13 @@ func randomOps(r *rand.Rand, n int) []core.Op {
 	return ops
 }
 
-// run applies ops through the cube with the log attached as sink.
+// run applies ops to the cube through the log and commits each.
 func run(t *testing.T, c *core.Cube, l *Log, ops []core.Op) {
 	t.Helper()
-	c.SetOpSink(func(op core.Op) error {
-		_, err := l.Append(op)
-		return err
-	})
 	for _, op := range ops {
-		var err error
-		switch op.Kind {
-		case core.OpInsert:
-			err = c.Insert(op.Time, op.Coords, op.Value)
-		case core.OpDelete:
-			err = c.DeleteCtx(context.Background(), op.Time, op.Coords, op.Value)
+		lsn, err := l.Apply(context.Background(), c, op)
+		if err == nil {
+			err = l.Commit(lsn)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -230,7 +223,7 @@ func TestTornFinalRecordTruncated(t *testing.T) {
 	if _, err := l2.Append(core.Op{Kind: core.OpInsert, Time: 1000, Coords: []int{0, 0}, Value: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := back.ApplyOp(core.Op{Kind: core.OpInsert, Time: 1000, Coords: []int{0, 0}, Value: 1}); err != nil {
+	if err := back.ApplyOp(context.Background(), core.Op{Kind: core.OpInsert, Time: 1000, Coords: []int{0, 0}, Value: 1}); err != nil {
 		t.Fatal(err)
 	}
 	l2.Close()
@@ -299,14 +292,8 @@ func TestMaybeCheckpointEveryN(t *testing.T) {
 	live, l, _ := recoverCube(t, dir, Options{Sync: SyncNever})
 	ops := randomOps(rand.New(rand.NewSource(15)), 25)
 	ckpts := 0
-	live.SetOpSink(func(op core.Op) error {
-		_, err := l.Append(op)
-		return err
-	})
 	for _, op := range ops {
-		if err := live.Insert(op.Time, op.Coords, op.Value); err != nil {
-			t.Fatal(err)
-		}
+		run(t, live, l, []core.Op{op})
 		ran, err := l.MaybeCheckpoint(10, live.Save)
 		if err != nil {
 			t.Fatal(err)
