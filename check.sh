@@ -150,14 +150,15 @@ step_traceguard() {
 }
 
 step_perfguard() {
-    echo "== serving-path overhead guards (Histogram.Observe <= 150 ns, 0 allocs; served QRY <= 22 allocs; proxied window <= 100 allocs; one write per group commit; Save streams in < 1 MiB) =="
+    echo "== serving-path overhead guards (Histogram.Observe <= 150 ns, 0 allocs; served QRY <= 22 allocs; served INS/DEL <= 10 allocs, <= 1280 B; proxied window <= 100 allocs; one write per group commit; Save streams in < 1 MiB) =="
     # What every served request pays to be timed, once per request and
     # once per stage, and what one served QRY allocates in all: its
-    # parse, one slab for its span tree, its deadline context (no timer)
-    # and its reply. Same regime as the tracer guard: un-instrumented
-    # runs only.
+    # parse, two slabs for its span tree, its deadline context (no timer,
+    # and it carries the span) and its reply. A served INS or DEL: one
+    # slab sized to its two-span tree. Same regime as the tracer guard:
+    # un-instrumented runs only.
     go test -count=1 -run TestHistogramObserveOverhead ./internal/obs/
-    go test -count=1 -run TestServedQueryAllocs ./cmd/histserve/
+    go test -count=1 -run 'TestServedQueryAllocs|TestServedInsertAllocs' ./cmd/histserve/
     # One four-line window through histproxy to two loopback shards,
     # counted process-wide: its fan-out starts no goroutine and makes no
     # channel, cancel context or timer unless a hedge is due.

@@ -672,7 +672,7 @@ func (p *proxy) settle(unit []*lineserver.Request) {
 			batches[idx] = append(batches[idx], &rt.sends[k])
 		}
 	}
-	ctx, cancel := p.RequestCtx()
+	ctx, cancel := p.RequestCtx(nil)
 	defer cancel()
 	calls := make([]*shardclient.Call, len(live))
 	for i, idx := range live {
@@ -836,7 +836,7 @@ func statsMaxKey(k string) bool {
 // fields, non-numeric tokens (git_rev) skipped. Field order follows the
 // first responding shard so the output stays stable and diffable.
 func (p *proxy) mergedStats() string {
-	ctx, cancel := p.RequestCtx()
+	ctx, cancel := p.RequestCtx(nil)
 	defer cancel()
 	type statsReply struct {
 		idx  int

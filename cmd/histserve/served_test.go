@@ -7,8 +7,17 @@ import (
 )
 
 // servedQueryLimit is what one served QRY may allocate: the parse, the
-// span tree's slab, the request's deadline context and the reply.
+// span tree's two slabs, the request's deadline context and the reply.
 const servedQueryLimit = 22
+
+// What one served INS or DEL may allocate: the parse, the coordinates,
+// the span tree's one slab (its root and the cube's span, 704 B) and the
+// request's deadline context, which carries the span too. The byte bound
+// leaves no room for a slab sized to a query's seven spans (2 304 B).
+const (
+	servedMutationObjects = 10
+	servedMutationBytes   = 1280
+)
 
 // convergedServer is a warm 64x64 -ooo cube with the binary's default
 // -request-timeout, and a historic QRY over it already answered once,
@@ -39,8 +48,8 @@ func BenchmarkServedQuery(b *testing.B) {
 	}
 }
 
-// TestServedQueryAllocs guards what a served QRY allocates: one slab for
-// its span tree and no runtime timer or channel for its deadline.
+// TestServedQueryAllocs guards what a served QRY allocates: two slabs
+// for its span tree and no runtime timer or channel for its deadline.
 func TestServedQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on its own")
@@ -51,4 +60,47 @@ func TestServedQueryAllocs(t *testing.T) {
 		t.Fatalf("a served QRY allocates %.0f objects, want <= %d", allocs, servedQueryLimit)
 	}
 	t.Logf("a served QRY allocates %.0f objects", allocs)
+}
+
+// servedMutations are an INS and a DEL of the same cell at the
+// converged server's latest time, so repeating them updates the latest
+// instance in place and leaves the cube as it was.
+var servedMutations = []string{"INS 64 3 5 1", "DEL 64 3 5 1"}
+
+// BenchmarkServedInsert is one in-process served INS at the latest time:
+// the serving core's parse, governance, tracing and accounting around the
+// paper's update of the latest instance, without a socket or a log.
+func BenchmarkServedInsert(b *testing.B) {
+	srv, _ := convergedServer(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srv.Do(0, servedMutations[i&1])
+	}
+}
+
+// TestServedInsertAllocs guards what a served INS and a served DEL
+// allocate: one slab sized to their two-span tree and one context.
+func TestServedInsertAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on its own")
+	}
+	srv, _ := convergedServer(t)
+	for _, line := range servedMutations {
+		if got, _ := srv.Do(0, line); got != "OK" {
+			t.Fatalf("%s -> %q", line, got)
+		}
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				srv.Do(0, line)
+			}
+		})
+		objects, bytes := r.AllocsPerOp(), r.AllocedBytesPerOp()
+		t.Logf("a served %.3s allocates %d objects, %d B", line, objects, bytes)
+		if objects > servedMutationObjects || bytes > servedMutationBytes {
+			t.Errorf("a served %.3s allocates %d objects and %d B, want <= %d and <= %d B",
+				line, objects, bytes, servedMutationObjects, servedMutationBytes)
+		}
+	}
 }

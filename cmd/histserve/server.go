@@ -758,9 +758,12 @@ func (s *server) cmdMutate(rq *lineserver.Request) string {
 		return resp
 	}
 	op := core.Op{Kind: core.OpInsert, Time: nums[0], Coords: coords, Value: val}
-	root, stage := trace.New("histserve.insert"), stageCubeInsert
+	var root *trace.Span
+	stage := stageCubeInsert
 	if cmd == "DEL" {
 		op.Kind, root, stage = core.OpDelete, trace.New("histserve.delete"), stageCubeDelete
+	} else {
+		root = trace.New("histserve.insert")
 	}
 	root.SetTraceID(rq.TID)
 	lsn, err := s.mutate(root, op)
@@ -891,9 +894,8 @@ func (s *server) observeCube(st int, root *trace.Span) {
 // deferred: a panicking cube call releases mu on its way up to the
 // serving core's panic barrier instead of poisoning it.
 func (s *server) queryLocked(root *trace.Span, rng core.Range) (float64, error) {
-	ctx, cancel := s.RequestCtx()
+	ctx, cancel := s.RequestCtx(root)
 	defer cancel()
-	ctx = trace.NewContext(ctx, root)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cube.QueryCtx(ctx, rng)
@@ -912,9 +914,8 @@ func (s *server) queryLocked(root *trace.Span, rng core.Range) (float64, error) 
 // at (0 without durability) — what the barrier commits and the
 // semi-sync ack wait keys on.
 func (s *server) mutate(root *trace.Span, op core.Op) (lsn uint64, err error) {
-	ctx, cancel := s.RequestCtx()
+	ctx, cancel := s.RequestCtx(root)
 	defer cancel()
-	ctx = trace.NewContext(ctx, root)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	lsn, err = s.wal.Apply(ctx, s.cube, op)

@@ -7,12 +7,14 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"histcube/internal/trace"
 )
 
 func requestCtx(t *testing.T, timeout time.Duration) (context.Context, context.CancelFunc, time.Time) {
 	t.Helper()
 	before := time.Now()
-	ctx, cancel := (&Server{ReqTimeout: timeout}).RequestCtx()
+	ctx, cancel := (&Server{ReqTimeout: timeout}).RequestCtx(nil)
 	t.Cleanup(cancel)
 	d, ok := ctx.Deadline()
 	if !ok {
@@ -22,6 +24,37 @@ func requestCtx(t *testing.T, timeout time.Duration) (context.Context, context.C
 		t.Fatalf("deadline %v is not the request's start plus %v", d, timeout)
 	}
 	return ctx, cancel, d
+}
+
+// TestRequestCtxCarriesTheRootSpan: the one request context carries the
+// root span for trace.FromContext, so does a context derived from it,
+// before and after Done, and its deadline runs from the span's start.
+func TestRequestCtxCarriesTheRootSpan(t *testing.T) {
+	for _, timeout := range []time.Duration{0, time.Hour} {
+		root := trace.New("histserve.query")
+		ctx, cancel := (&Server{ReqTimeout: timeout}).RequestCtx(root)
+		if got := trace.FromContext(ctx); got != root {
+			t.Fatalf("timeout %v: FromContext = %p, want the root span %p", timeout, got, root)
+		}
+		child, stop := context.WithCancel(ctx)
+		if got := trace.FromContext(child); got != root {
+			t.Fatalf("timeout %v: FromContext of a derived context = %p, want %p", timeout, got, root)
+		}
+		d, ok := ctx.Deadline()
+		if timeout > 0 {
+			if !ok || !d.Equal(root.Start().Add(timeout)) {
+				t.Fatalf("deadline %v (set %v), want the span's start plus %v = %v", d, ok, timeout, root.Start().Add(timeout))
+			}
+			_ = ctx.Done()
+			if got := trace.FromContext(child); got != root {
+				t.Fatalf("after Done, FromContext of a derived context = %p, want %p", got, root)
+			}
+		} else if ok {
+			t.Fatalf("RequestCtx without a timeout reports deadline %v", d)
+		}
+		stop()
+		cancel()
+	}
 }
 
 func isClosed(ch <-chan struct{}) bool {

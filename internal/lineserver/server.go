@@ -489,25 +489,34 @@ func (s *Server) finish(rq *Request) {
 	s.Latency[label].Observe(time.Since(rq.start).Seconds())
 }
 
-// RequestCtx derives the per-request context from -request-timeout. Its
-// deadline is polled, not timed: Err reads the clock and, once the
-// deadline has passed, cancels the context. A runtime timer exists only
-// when something waits on Done (histproxy's hedge race and fresh shard
-// dials do; nothing on histserve does).
-func (s *Server) RequestCtx() (context.Context, context.CancelFunc) {
+// RequestCtx derives the per-request context from -request-timeout and
+// carries root, the request's root span, for trace.FromContext: one
+// context per request. The deadline runs from root's start, so making
+// the context reads no clock (a nil root, for work that serves no one
+// request, starts it now). It is polled, not timed: Err reads the clock
+// and, once the deadline has passed, cancels the context. A runtime
+// timer exists only when something waits on Done (histproxy's hedge race
+// and fresh shard dials do; nothing on histserve does).
+func (s *Server) RequestCtx(root *trace.Span) (context.Context, context.CancelFunc) {
 	if s.ReqTimeout <= 0 {
-		return context.Background(), func() {}
+		return trace.NewContext(context.Background(), root), func() {}
 	}
-	c := &deadlineCtx{deadline: time.Now().Add(s.ReqTimeout)}
+	start := root.Start()
+	if root == nil {
+		start = time.Now()
+	}
+	c := &deadlineCtx{deadline: start.Add(s.ReqTimeout), span: root}
 	return c, c.cancel
 }
 
 // deadlineCtx is RequestCtx's context. Until the first Done it is a
-// deadline and an error; the first Done hands the deadline to a context
-// from context.WithDeadline, whose timer and channel then govern Err and
-// Done both, and whose Value lets a child context hang off it directly.
+// deadline, an error and the request's span; the first Done hands the
+// deadline to a context from context.WithDeadline, whose timer and
+// channel then govern Err and Done both, and whose Value lets a child
+// context hang off it directly.
 type deadlineCtx struct {
 	deadline time.Time
+	span     *trace.Span // the request's root span; fixed at construction
 	mu       sync.Mutex
 	err      error              // guarded by mu; Canceled or DeadlineExceeded, read while timed is nil
 	timed    context.Context    // guarded by mu; made by the first Done
@@ -543,6 +552,9 @@ func (c *deadlineCtx) Done() <-chan struct{} {
 }
 
 func (c *deadlineCtx) Value(key any) any {
+	if _, ok := key.(trace.ContextKey); ok && c.span != nil {
+		return c.span
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.timed == nil {
@@ -562,14 +574,15 @@ func (c *deadlineCtx) cancel() {
 	}
 }
 
-// Observe retains one finished request trace: every request enters the
-// recent ring; queries (root spans named "<binary>.query") are
-// additionally offered to the slow log. A query the slow log admits is
-// also logged with its trace_id — the slog side of fleet-wide
-// correlation (proxy and shard log the same ID for the same request).
+// Observe retains one finished request trace, stamped with the time
+// root ended: every request enters the recent ring; queries (root spans
+// named "<binary>.query") are additionally offered to the slow log. A
+// query the slow log admits is also logged with its trace_id — the slog
+// side of fleet-wide correlation (proxy and shard log the same ID for
+// the same request).
 func (s *Server) Observe(line string, root *trace.Span) {
-	at := time.Now()
 	d := root.Duration()
+	at := root.Start().Add(d)
 	s.Recent.Add(line, at, d, root)
 	if strings.HasSuffix(root.Name(), ".query") {
 		if s.Slow.Observe(line, at, d, root) {

@@ -1,11 +1,8 @@
 package trace
 
 import (
-	crand "crypto/rand"
-	"encoding/binary"
+	"math/rand/v2"
 	"strconv"
-	"sync/atomic"
-	"time"
 )
 
 // ID is a 64-bit trace or span identifier, rendered as 16 lowercase
@@ -43,35 +40,17 @@ func ParseID(s string) (ID, bool) {
 	return ID(v), true
 }
 
-// idState is the generator state: a counter seeded once from
-// crypto/rand (falling back to the clock) and advanced by a large odd
-// constant, then mixed through splitmix64. One atomic add per ID keeps
-// generation lock-free and cheap enough for the per-request edge.
-var idState atomic.Uint64
-
-func init() {
-	var seed [8]byte
-	if _, err := crand.Read(seed[:]); err == nil {
-		idState.Store(binary.LittleEndian.Uint64(seed[:]))
-	} else {
-		idState.Store(uint64(time.Now().UnixNano()))
-	}
-}
-
-// NewID returns a fresh non-zero identifier. IDs are unique within a
-// process run and collide across processes with the usual 64-bit
-// birthday odds — fine for correlation, not for security.
+// NewID returns a fresh non-zero identifier, drawn from the runtime's
+// per-thread random source (math/rand/v2), so concurrent requests take
+// no shared counter. Two IDs collide, within a process or across
+// processes, with the usual 64-bit birthday odds — fine for
+// correlation, not for security.
 func NewID() ID {
-	x := idState.Add(0x9e3779b97f4a7c15) // golden-ratio increment (Weyl sequence)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	if x == 0 {
-		x = 1 // zero is reserved for "absent"
+	for {
+		if x := rand.Uint64(); x != 0 { // zero is reserved for "absent"
+			return ID(x)
+		}
 	}
-	return ID(x)
 }
 
 // requestIDPrefix is the optional leading token a request line may

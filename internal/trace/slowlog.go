@@ -2,6 +2,7 @@ package trace
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -21,9 +22,9 @@ type Entry struct {
 type SlowLog struct {
 	mu        sync.Mutex
 	capacity  int
-	threshold time.Duration
+	threshold time.Duration // fixed at construction, read without mu
+	observed  atomic.Int64
 	entries   []Entry // guarded by mu; sorted by Duration descending
-	observed  int64   // guarded by mu
 	admitted  int64   // guarded by mu
 }
 
@@ -44,14 +45,15 @@ func (l *SlowLog) Threshold() time.Duration { return l.threshold }
 func (l *SlowLog) Cap() int { return l.capacity }
 
 // Observe offers one finished trace and reports whether it was
-// retained.
+// retained. A trace under the threshold is counted and turned away
+// without taking the lock.
 func (l *SlowLog) Observe(line string, at time.Time, d time.Duration, sp *Span) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.observed++
+	l.observed.Add(1)
 	if d < l.threshold {
 		return false
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if len(l.entries) == l.capacity && d <= l.entries[len(l.entries)-1].Duration {
 		return false
 	}
@@ -83,11 +85,7 @@ func (l *SlowLog) Entries() []Entry {
 }
 
 // Observed returns how many traces were offered.
-func (l *SlowLog) Observed() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.observed
-}
+func (l *SlowLog) Observed() int64 { return l.observed.Load() }
 
 // Admitted returns how many traces were retained on arrival.
 func (l *SlowLog) Admitted() int64 {

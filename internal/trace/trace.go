@@ -13,12 +13,16 @@
 // test (overhead_test.go, <= 5 ns/op).
 //
 // When it is on — every request a server serves — a span tree costs
-// one allocation: New takes a slab that holds the root and the tree's
-// next six spans, StartChild takes the next free one, and each span
-// keeps its first two attributes and three children inline. Only a
-// tree past the slab, or a span past those sizes, allocates again. A
-// served QRY on histserve allocates 18 objects in all, parse and reply
-// included (cmd/histserve's TestServedQueryAllocs guards <= 22).
+// what it records: New takes a slab that holds the root and one child
+// (a served INS or DEL's whole tree), StartChild takes the next free
+// span, and the first StartChild past them allocates five more at once
+// (the rest of a served QRY's seven). Each span keeps its first two
+// attributes and three children inline; only a span past those sizes
+// allocates on its own. Span IDs come from the runtime's per-thread
+// random source, so concurrent requests share no counter. A served
+// QRY on histserve allocates 18 objects in all, parse and reply
+// included (cmd/histserve's TestServedQueryAllocs guards <= 22), and a
+// served INS or DEL 10 objects and 1 088 B (TestServedInsertAllocs).
 //
 // Spans are NOT safe for concurrent use: a span tree belongs to one
 // request on one goroutine, which is exactly the serving contract of
@@ -167,15 +171,16 @@ type Span struct {
 const (
 	inlineAttrs    = 2 // every histcube span sets at most two
 	inlineChildren = 3 // histcube.query's two prefixes and the OOO buffer
-	slabSpans      = 7 // a served QRY's whole tree on a SUM cube
+	rootSpans      = 2 // New's slab: the root and one child, a whole INS/DEL tree
+	growSpans      = 5 // each later slab: the rest of a served QRY's seven
 )
 
-// slab is the one allocation behind a span tree: New takes its first
-// span for the root, StartChild the next free ones. Spans past the
-// slab's size are allocated one by one.
+// slab is the allocation behind a span tree: New takes its first span
+// for the root, StartChild the free ones after it, and the first
+// StartChild past them allocates growSpans more in one piece.
 type slab struct {
-	spans [slabSpans]Span
-	used  int
+	spans [rootSpans]Span
+	free  []Span // the spans not yet handed out
 }
 
 // New starts a root span with a freshly generated TraceID — the edge
@@ -183,7 +188,8 @@ type slab struct {
 // contract: constant dotted snake_case under the histcube. or
 // histserve. prefix, enforced by histlint's metricname analyzer.
 func New(name string) *Span {
-	sl := &slab{used: 1}
+	sl := &slab{}
+	sl.free = sl.spans[1:]
 	return sl.spans[0].open(name, NewID(), sl)
 }
 
@@ -195,11 +201,13 @@ func (s *Span) StartChild(name string) *Span {
 		return nil
 	}
 	var c *Span
-	if sl := s.tree; sl != nil && sl.used < slabSpans {
-		c = &sl.spans[sl.used]
-		sl.used++
-	} else {
+	if sl := s.tree; sl == nil {
 		c = new(Span)
+	} else {
+		if len(sl.free) == 0 {
+			sl.free = make([]Span, growSpans)
+		}
+		c, sl.free = &sl.free[0], sl.free[1:]
 	}
 	s.adopt(c.open(name, s.traceID, s.tree))
 	return c
@@ -318,6 +326,14 @@ func (s *Span) Name() string {
 	return s.name
 }
 
+// Start returns when the span was started (the zero time for nil).
+func (s *Span) Start() time.Time {
+	if s == nil {
+		return time.Time{}
+	}
+	return s.start
+}
+
 // Duration returns the span's recorded duration (0 until End).
 func (s *Span) Duration() time.Duration {
 	if s == nil {
@@ -347,8 +363,12 @@ func (s *Span) Total(c Counter) int64 {
 	return n
 }
 
-// ctxKey is the zero-size context key for span propagation.
-type ctxKey struct{}
+// ContextKey is the zero-size context key a span travels under:
+// NewContext sets it and FromContext reads it. A context type that
+// carries its request's span itself (the serving core's request
+// context) answers Value(ContextKey{}) with that span instead of
+// wrapping one more context around it.
+type ContextKey struct{}
 
 // NewContext returns a context carrying sp. A nil span returns ctx
 // unchanged, so untraced requests never touch context values.
@@ -356,13 +376,13 @@ func NewContext(ctx context.Context, sp *Span) context.Context {
 	if sp == nil {
 		return ctx
 	}
-	return context.WithValue(ctx, ctxKey{}, sp)
+	return context.WithValue(ctx, ContextKey{}, sp)
 }
 
 // FromContext extracts the span from ctx, nil when absent — the one
 // branch the disabled path costs.
 func FromContext(ctx context.Context) *Span {
-	sp, _ := ctx.Value(ctxKey{}).(*Span)
+	sp, _ := ctx.Value(ContextKey{}).(*Span)
 	return sp
 }
 
