@@ -84,16 +84,20 @@ step_crash() {
     echo "== crash-injection durability tests =="
     # Run inside the race step too; re-run by name so a durability
     # regression is impossible to miss in the gate output: SIGKILL
-    # mid-append, SIGKILL between a group's stage and its fsync, and
-    # SIGKILL of a follower between a shipped batch's stage and its
-    # commit. Then a follower rebasing its log onto a shipped snapshot:
+    # mid-append, SIGKILL between a group's stage and its fsync (with a
+    # query that counted the group parked behind it, unanswered), a query
+    # that counts another connection's insert answering only once that
+    # insert is durable, and SIGKILL of a follower between a shipped
+    # batch's stage and its commit. Then a follower rebasing its log onto a shipped snapshot:
     # the directory as every step of the rebase leaves it recovers, and a
     # rebase that failed part-way is retried from the top. Then a failed
-    # or torn segment write: written once, latched, then repaired. Last,
+    # or torn segment write: written once, latched, then repaired. Then
     # wal.Log.Apply's two failures: a staging failure logs and applies
     # nothing, an op the cube rejects is logged, and replay skips it.
-    go test -race -count=1 -run 'TestCrashRecoveryNoAcknowledgedLoss|TestCrashBetweenStageAndGroupFsync|TestFollowerKilledBetweenStageAndCommit' ./cmd/histserve/
-    go test -race -count=1 -run 'TestRebaseCrashPointsRecover|TestRebaseRetriesAfterFailure|TestInstallCheckpointResetsSegments|TestFailedWriteIsRepairedNotRetried|TestApplyKeepsFailuresApart' ./internal/wal/
+    # Last, a commit of a record already durable does not queue behind a
+    # leader's fsync of later ones.
+    go test -race -count=1 -run 'TestCrashRecoveryNoAcknowledgedLoss|TestCrashBetweenStageAndGroupFsync|TestQueryWaitsForTheCommitItRead|TestFollowerKilledBetweenStageAndCommit' ./cmd/histserve/
+    go test -race -count=1 -run 'TestRebaseCrashPointsRecover|TestRebaseRetriesAfterFailure|TestInstallCheckpointResetsSegments|TestFailedWriteIsRepairedNotRetried|TestApplyKeepsFailuresApart|TestCommitOfADurableRecordDoesNotQueue' ./internal/wal/
 }
 
 step_chaos() {
@@ -137,8 +141,12 @@ step_replchaos() {
     # restart over its own directory. And one seeded stream with ops the
     # cube rejects, through a primary and its semi-sync follower, both
     # applying through wal.Log.Apply: the same logs, the same SAVE bytes.
+    # Then the read barrier's ack rule: a replica's query waits for no
+    # ack, nor does a promoted one's for the log it inherited; a
+    # semi-sync primary's query of an empty log needs none, and a record
+    # acked by a follower that then left stays committed.
     go test -race -count=1 -run 'TestReplChaosPrimaryKillUnderLoad|TestBrokenMixedUnitAnswersEveryLineAndFailsOver' ./cmd/histproxy/
-    go test -race -count=1 -run 'TestReplicaBootstrapsUnderCheckpointLoad|TestPrimaryAndFollowerApplyOneStream' ./cmd/histserve/
+    go test -race -count=1 -run 'TestReplicaBootstrapsUnderCheckpointLoad|TestPrimaryAndFollowerApplyOneStream|TestReplicaBarrierIsItsLocalCommit|TestSemiSyncReadOutlivesItsFollower' ./cmd/histserve/
 }
 
 step_traceguard() {
@@ -154,8 +162,9 @@ step_perfguard() {
     # What every served request pays to be timed, once per request and
     # once per stage, and what one served QRY allocates in all: its
     # parse, two slabs for its span tree, its deadline context (no timer,
-    # and it carries the span) and its reply. A served INS or DEL: one
-    # slab sized to its two-span tree. Same regime as the tracer guard:
+    # and it carries the span) and its reply. A served INS or DEL: its
+    # parse, its pending op, one slab sized to its two-span tree and its
+    # deadline context. Same regime as the tracer guard:
     # un-instrumented runs only.
     go test -count=1 -run TestHistogramObserveOverhead ./internal/obs/
     go test -count=1 -run 'TestServedQueryAllocs|TestServedInsertAllocs' ./cmd/histserve/

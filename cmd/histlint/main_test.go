@@ -503,9 +503,9 @@ func TestHistlintBitesInTheRealTree(t *testing.T) {
 			"\tvar minLSN uint64\n\ts.mu.Lock()\n\tseededInsert := s.cube.Insert(1, []int{0, 0}, 1)\n\ts.mu.Unlock()\n\t_ = seededInsert\n",
 			"s.cube.Insert(1, []int{0, 0}, 1)"},
 		{"coordnarrow", server,
-			"\tcoords := make([]int, s.dims)\n\tfor i := range coords {\n\t\tc, ok := dims.ToCoord(nums[1+i])\n",
-			"\tseededCoord := int(nums[1])\n\t_ = seededCoord\n\tcoords := make([]int, s.dims)\n\tfor i := range coords {\n\t\tc, ok := dims.ToCoord(nums[1+i])\n",
-			"seededCoord := int(nums[1])"},
+			"\t\tc, ok := dims.ToCoord(v)\n",
+			"\t\tseededCoord := int(v)\n\t\t_ = seededCoord\n\t\tc, ok := dims.ToCoord(v)\n",
+			"seededCoord := int(v)"},
 		{"nofloateq", server,
 			"\tif math.IsNaN(val) || math.IsInf(val, 0) {\n",
 			"\tif val == 0.5 || math.IsNaN(val) || math.IsInf(val, 0) {\n",

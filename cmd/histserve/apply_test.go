@@ -17,8 +17,8 @@ import (
 // TestPrimaryAndFollowerApplyOneStream sends one seeded stream of INS,
 // DEL and out-of-order INS through a durable primary without -ooo and
 // its semi-sync follower. Both reach the cube only through
-// wal.Log.Apply — the primary from mutate, the follower from
-// stageShipped — so the ops the primary's cube rejects are logged there,
+// wal.Log.Apply — both from applyUnit, under settle and settleShipped —
+// so the ops the primary's cube rejects are logged there,
 // shipped, and skipped on the follower alike: once both settle, their
 // logs hold the same (LSN, op) sequence and SAVE writes byte-identical
 // snapshots (no query was sent, so no eCube conversion tells them

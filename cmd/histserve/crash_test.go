@@ -225,10 +225,13 @@ func TestCrashRecoveryNoAcknowledgedLoss(t *testing.T) {
 // whose fsync has not happened yet. The fsync is stalled through the
 // fault injector's wal file wrapper, so a pipelined writer's whole
 // window and a second connection's insert are parked at the commit
-// barrier — one leading the stalled fsync, one queued behind it — when
-// SIGKILL lands. The restart on the same directory must hold every
-// write that was acked, may hold any prefix of the parked ones, must
-// not report corruption, and must keep serving.
+// barrier — one leading the stalled fsync, one queued behind it — and so
+// is a third connection's query, which counted them, when SIGKILL lands.
+// No parked request may have been answered: not the writes, and not the
+// query, whose answer would count writes the restart may not hold. The
+// restart on the same directory must hold every write that was acked,
+// may hold any prefix of the parked ones, must not report corruption,
+// and must keep serving.
 func TestCrashBetweenStageAndGroupFsync(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash-injection test builds and kills real processes")
@@ -243,6 +246,7 @@ func TestCrashBetweenStageAndGroupFsync(t *testing.T) {
 	const acked, window = 40, 16
 	p1 := startHistserve(t, bin, append(args,
 		"-fault-spec", fmt.Sprintf("wal.sync:slow=1h@%d+", acked+1))...)
+	defer p1.cmd.Process.Kill() // a failed check must not leave it parked for the hour
 	writer := dialTCP(t, p1.addr)
 	for i := 0; i < acked; i++ {
 		fmt.Fprintf(writer.w, "INS %d %d %d 1\n", i, i%8, (i/3)%8)
@@ -254,39 +258,44 @@ func TestCrashBetweenStageAndGroupFsync(t *testing.T) {
 
 	// In-flight phase. Acked inserts weigh 1 each; in-flight insert j
 	// weighs 1024*2^j, so the recovered SUM says exactly which of them
-	// survived.
+	// survived. ROLE answers from the log's end without a commit, so it
+	// tells when a write is staged and applied while its fsync stalls.
 	weight := func(j int) float64 { return 1024 * float64(uint64(1)<<j) }
 	for j := 0; j < window; j++ {
 		fmt.Fprintf(writer.w, "INS %d 0 0 %g\n", acked+j, weight(j))
 	}
 	writer.w.Flush() // one write: the window is one batch at the server
-	reader := dialTCP(t, p1.addr)
-	inflight := float64(acked)
-	for j := 0; j < window; j++ {
-		inflight += weight(j)
-	}
-	awaitSum := func(want float64) {
+	ctl := dialTCP(t, p1.addr)
+	awaitStaged := func(want int) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			got := query(t, reader, "QRY 0 100000 0 0 7 7")
-			if got == want {
+			fmt.Fprintln(ctl.w, "ROLE")
+			ctl.w.Flush()
+			resp, err := ctl.r.ReadString('\n')
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(resp, fmt.Sprintf(" last_lsn=%d ", want)) {
 				return
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("SUM = %v, want %v: staged writes must be visible while their fsync is stalled, and queries must not wait for it", got, want)
+				t.Fatalf("ROLE = %q, want last_lsn=%d: the writes must be staged while their fsync is stalled", strings.TrimSpace(resp), want)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	awaitSum(inflight) // the window is staged and applied; its leader sits in the stalled fsync
+	awaitStaged(acked + window) // the window is staged and applied; its leader sits in the stalled fsync
 	second := dialTCP(t, p1.addr)
 	fmt.Fprintf(second.w, "INS %d 0 0 %g\n", acked+window, weight(window))
 	second.w.Flush()
-	awaitSum(inflight + weight(window)) // staged too; its commit queues behind the leader
+	awaitStaged(acked + window + 1) // staged too; its commit queues behind the leader
+	reader := dialTCP(t, p1.addr)
+	fmt.Fprintln(reader.w, "QRY 0 100000 0 0 7 7")
+	reader.w.Flush()
 
-	// No parked write may have been answered.
-	for name, c := range map[string]*tcpConn{"pipelined writer": writer, "second writer": second} {
+	// No parked request may have been answered.
+	for name, c := range map[string]*tcpConn{"pipelined writer": writer, "second writer": second, "reader": reader} {
 		got := make(chan string, 1)
 		go func() {
 			resp, _ := c.r.ReadString('\n')
@@ -294,7 +303,7 @@ func TestCrashBetweenStageAndGroupFsync(t *testing.T) {
 		}()
 		select {
 		case resp := <-got:
-			t.Fatalf("%s was answered %q before its fsync", name, strings.TrimSpace(resp))
+			t.Fatalf("%s was answered %q before the fsync of what it wrote or read", name, strings.TrimSpace(resp))
 		case <-time.After(300 * time.Millisecond):
 		}
 	}

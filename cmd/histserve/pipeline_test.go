@@ -76,12 +76,18 @@ func TestPipelinedRepliesMatchDepthOne(t *testing.T) {
 		"DEL 2 2 2 3",
 		"EXPLAIN QRY 0 10 0 0 7 7",
 		"STATS",
+		"ROLE",
 		"FROB 1 2 3",
 		"INS 3 x 1 1",
 		"",
 		"TID=feedface12345678 QRY 2 2 0 0 7 7",
 		"CHECKPOINT",
 		"INS 0 0 0 1", // out of order without -ooo
+		"QRY 0 10 0 0 7 7",
+		"INS 4 3 3 2",
+		"SEAL 4",
+		"INS 5 3 3 2",
+		"INS 4 4 4 2", // sealed
 		"QRY 0 10 0 0 7 7",
 		"QUIT",
 		"INS 9 1 1 100", // after QUIT: never executed
@@ -211,21 +217,27 @@ func TestSemiSyncTimeoutFailsEveryMutationOfTheBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := readLines(t, r, 4)
-	// No follower is attached: both writes are durable and applied —
-	// the queries between them see them — but neither may be acked.
-	for _, i := range []int{0, 2} {
+	// No follower is attached: both writes are durable and applied, but
+	// neither may be acked, and neither may the queries that counted
+	// them.
+	for i := range got {
 		if !strings.HasPrefix(got[i], "ERR replication timeout") || !strings.Contains(got[i], "indeterminate") {
 			t.Errorf("reply %d = %q, want the indeterminate replication timeout", i, got[i])
 		}
 	}
-	if got[1] != "5" || got[3] != "12" {
-		t.Errorf("query replies = %q and %q, want 5 and 12", got[1], got[3])
-	}
 	if n := srv.stage[stageReplAckWait].Count(); n != 1 {
 		t.Errorf("the batch waited for acks %d times, want once (the wait is cumulative)", n)
 	}
-	if n := srv.Errors["INS"].Value(); n != 2 {
-		t.Errorf("INS errors accounted = %d, want 2", n)
+	if ins, qry := srv.Errors["INS"].Value(), srv.Errors["QRY"].Value(); ins != 2 || qry != 2 {
+		t.Errorf("errors accounted: INS %d, QRY %d, want 2 each", ins, qry)
+	}
+	// A later query counts those writes too, so it answers the same
+	// timeout for as long as no follower acks them.
+	if _, err := io.WriteString(conn, "QRY 0 10 0 0 7 7\n"); err != nil {
+		t.Fatal(err)
+	}
+	if got := readLines(t, r, 1)[0]; !strings.HasPrefix(got, "ERR replication timeout") {
+		t.Errorf("query of the unacked writes = %q, want the replication timeout", got)
 	}
 }
 
@@ -253,11 +265,44 @@ func TestLatencyAccountingFollowsTheReply(t *testing.T) {
 	}
 }
 
+// TestQueryWaitsForTheCommitItRead pins that a reply counts only
+// committed writes, across connections: a query on one connection that
+// counts an insert still in its group fsync on another answers only
+// once that fsync is done, so a crash in between cannot take back what
+// the reader was told.
+func TestQueryWaitsForTheCommitItRead(t *testing.T) {
+	srv := newQuietServer(t, "8,8", "sum", false)
+	srv.Inj = fault.MustParse("wal.sync:slow=200ms", 1)
+	enableChaosWAL(t, srv, t.TempDir())
+	t.Cleanup(srv.shutdown)
+	addr := serveOn(t, srv)
+	writer, wr := rawConn(t, addr)
+	if _, err := io.WriteString(writer, "INS 1 1 1 5\n"); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 5*time.Second, "the insert staged", func() bool { return srv.wal.LastLSN() == 1 })
+	reader, rr := rawConn(t, addr)
+	if _, err := io.WriteString(reader, "QRY 0 10 0 0 7 7\n"); err != nil {
+		t.Fatal(err)
+	}
+	got := readLines(t, rr, 1)[0]
+	if shipped := srv.wal.ShippedLSN(); shipped < 1 {
+		t.Fatalf("the query answered %q with the insert it counted not yet durable (durable through LSN %d)", got, shipped)
+	}
+	if got != "5" {
+		t.Fatalf("query = %q, want 5: it must count the insert", got)
+	}
+	if got := readLines(t, wr, 1)[0]; got != "OK" {
+		t.Fatalf("insert = %q, want OK", got)
+	}
+}
+
 // TestFsyncFailureFailsEveryMutationOfTheBatch pins the barrier's
-// storage-failure path: one failed group fsync turns every staged
-// mutation of the batch into the ERR it would have been inline, leaves
-// the queries alone, and degrades the server; the writes stay applied,
-// and the repair makes them durable without reusing their LSNs.
+// storage-failure path: one failed group fsync turns every reply of the
+// batch into the ERR the mutations would have had inline — the query's
+// too, since it counted them — and degrades the server; the writes stay
+// applied, and the repair makes them durable without reusing their
+// LSNs.
 func TestFsyncFailureFailsEveryMutationOfTheBatch(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
 	srv.Inj = fault.MustParse("wal.sync:err@1", 1)
@@ -269,13 +314,10 @@ func TestFsyncFailureFailsEveryMutationOfTheBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := readLines(t, r, 3)
-	for _, i := range []int{0, 2} {
+	for i := range got {
 		if !strings.HasPrefix(got[i], "ERR wal append failed") || !strings.Contains(got[i], "fsync failed") {
 			t.Errorf("reply %d = %q, want the fsync failure", i, got[i])
 		}
-	}
-	if got[1] != "5" {
-		t.Errorf("query reply = %q, want 5", got[1])
 	}
 	if !srv.degraded.Load() {
 		t.Fatal("a failed commit did not degrade the server")

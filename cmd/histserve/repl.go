@@ -71,6 +71,7 @@ import (
 
 	"histcube/internal/core"
 	"histcube/internal/lineserver"
+	"histcube/internal/obs"
 	"histcube/internal/wal"
 )
 
@@ -140,16 +141,6 @@ func (s *server) isReplica() bool {
 	return r != nil && !r.promoted.Load()
 }
 
-// replicaReject gates client mutations in follower mode: the replica's
-// cube is written only by the shipped stream, never by clients —
-// replica immutability is what makes hedged reads safe.
-func (s *server) replicaReject() string {
-	if s.isReplica() {
-		return "ERR read-only replica: mutations go to the primary (" + s.repl.primaryAddr + ")"
-	}
-	return ""
-}
-
 // roleLine answers the ROLE command: which side of replication this
 // server is on and how far its log extends — the probe a proxy uses to
 // pick the most caught-up replica during failover.
@@ -168,21 +159,21 @@ func (s *server) roleLine() string {
 // less is missing acked writes and must refuse, so a lagging replica
 // can never be promoted over a more caught-up one. Promoting a server
 // that already is a primary is an idempotent OK (a retrying proxy must
-// not flap).
+// not flap). The log a promoted follower inherited counts as committed
+// on its hub: it served that log as committed already.
 func (s *server) promote(minLSN uint64) string {
-	if !s.isReplica() {
-		return fmt.Sprintf("OK role=primary last_lsn=%d followers=%d", s.walLastLSN(), s.hub.Followers())
+	if r := s.repl; s.isReplica() {
+		if applied := r.applied.Load(); applied < minLSN {
+			return fmt.Sprintf("ERR promotion fenced: applied LSN %d is behind the required fence %d (another replica holds more acked history)",
+				applied, minLSN)
+		}
+		if r.promoted.CompareAndSwap(false, true) {
+			s.hub.cover(s.walLastLSN())
+			r.stopOnce.Do(func() { close(r.stop) })
+			s.Log.Warn("promoted to primary", "applied_lsn", r.applied.Load(), "fence", minLSN, "old_primary", r.primaryAddr)
+		}
 	}
-	r := s.repl
-	if applied := r.applied.Load(); applied < minLSN {
-		return fmt.Sprintf("ERR promotion fenced: applied LSN %d is behind the required fence %d (another replica holds more acked history)",
-			applied, minLSN)
-	}
-	if r.promoted.CompareAndSwap(false, true) {
-		r.stopOnce.Do(func() { close(r.stop) })
-		s.Log.Warn("promoted to primary", "applied_lsn", r.applied.Load(), "fence", minLSN, "old_primary", r.primaryAddr)
-	}
-	return fmt.Sprintf("OK role=primary last_lsn=%d followers=%d", s.walLastLSN(), s.hub.Followers())
+	return s.roleLine()
 }
 
 // walLastLSN reads the log's end (0 without durability).
@@ -197,23 +188,20 @@ func (s *server) walLastLSN() uint64 {
 // Primary side: serving REPLICATE connections and aggregating ACKs.
 
 // replHub tracks how far each connected follower has acknowledged the
-// log and lets mutations wait for a quorum of acks (-repl-min-acks)
-// before the client sees OK.
+// log and lets a unit wait until a quorum of them (-repl-min-acks)
+// holds what it wrote or read. The quorum frontier only rises: a record
+// that reached the quorum stays committed when a follower leaves.
 type replHub struct {
 	mu      sync.Mutex
-	nextID  int64            // guarded by mu
-	acked   map[int64]uint64 // follower conn id -> highest acked LSN; guarded by mu
-	waiters []*ackWaiter     // guarded by mu
+	nextID  int64                    // guarded by mu
+	acked   map[int64]uint64         // follower conn id -> highest acked LSN; guarded by mu
+	quorum  uint64                   // highest LSN the quorum acknowledged; guarded by mu
+	waiters map[chan struct{}]uint64 // a parked unit's channel -> the LSN it waits for; guarded by mu
 }
 
-// ackWaiter is one mutation parked until min followers ack lsn.
-type ackWaiter struct {
-	lsn uint64
-	min int
-	ch  chan struct{} // closed when satisfied
+func newReplHub() *replHub {
+	return &replHub{acked: make(map[int64]uint64), waiters: make(map[chan struct{}]uint64)}
 }
-
-func newReplHub() *replHub { return &replHub{acked: make(map[int64]uint64)} }
 
 // register admits one follower connection and returns its id.
 func (h *replHub) register() int64 {
@@ -240,9 +228,9 @@ func (h *replHub) Followers() int {
 	return len(h.acked)
 }
 
-// ack records a follower acknowledgement and releases every waiter it
-// satisfies.
-func (h *replHub) ack(id int64, lsn uint64) {
+// ack records a follower acknowledgement and raises the frontier to the
+// newest LSN min followers hold.
+func (h *replHub) ack(id int64, lsn uint64, min int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	cur, ok := h.acked[id]
@@ -250,15 +238,33 @@ func (h *replHub) ack(id int64, lsn uint64) {
 		return
 	}
 	h.acked[id] = lsn
-	kept := h.waiters[:0]
-	for _, w := range h.waiters {
-		if h.ackCountLocked(w.lsn) >= w.min {
-			close(w.ch)
-		} else {
-			kept = append(kept, w)
+	for _, a := range h.acked {
+		if h.ackCountLocked(a) >= min {
+			h.raiseLocked(a)
 		}
 	}
-	h.waiters = kept
+}
+
+// cover counts every record through lsn as committed (see promote).
+func (h *replHub) cover(lsn uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.raiseLocked(lsn)
+}
+
+// raiseLocked moves the frontier up to lsn (never down) and wakes every
+// waiter it covers. The caller holds mu.
+func (h *replHub) raiseLocked(lsn uint64) {
+	if lsn <= h.quorum {
+		return
+	}
+	h.quorum = lsn
+	for ch, l := range h.waiters {
+		if l <= lsn {
+			close(ch)
+			delete(h.waiters, ch)
+		}
+	}
 }
 
 // ackCountLocked counts followers whose acknowledged position covers
@@ -273,58 +279,41 @@ func (h *replHub) ackCountLocked(lsn uint64) int {
 	return n
 }
 
-// addWaiter registers a waiter for lsn reaching min acks, or returns
-// nil when the threshold is already met.
-func (h *replHub) addWaiter(lsn uint64, min int) *ackWaiter {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.ackCountLocked(lsn) >= min {
-		return nil
-	}
-	w := &ackWaiter{lsn: lsn, min: min, ch: make(chan struct{})}
-	h.waiters = append(h.waiters, w)
-	return w
-}
-
-// dropWaiter removes a timed-out waiter and returns the current ack
-// count for its LSN, closing the race between the timer firing and the
-// last ack arriving.
-func (h *replHub) dropWaiter(w *ackWaiter, lsn uint64) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, x := range h.waiters {
-		if x == w {
-			h.waiters = append(h.waiters[:i], h.waiters[i+1:]...)
-			break
-		}
-	}
-	return h.ackCountLocked(lsn)
-}
-
-// WaitAcked blocks until min followers have acknowledged lsn or the
-// timeout passes. The returned error names the shortfall — the write
-// is already durable and applied locally, so the client must treat it
-// as indeterminate, not failed.
-func (h *replHub) WaitAcked(lsn uint64, min int, timeout time.Duration) error {
+// WaitAcked blocks until the quorum frontier reaches lsn (at once for
+// lsn 0, an empty log) or the timeout passes, and files a wait it had to
+// make in waited. The returned error names the shortfall — the write is
+// already durable and applied locally, so the client must treat it as
+// indeterminate, not failed.
+func (h *replHub) WaitAcked(lsn uint64, min int, timeout time.Duration, waited *obs.Histogram) error {
 	if min <= 0 {
 		return nil
 	}
-	w := h.addWaiter(lsn, min)
-	if w == nil {
+	var ch chan struct{}
+	h.mu.Lock()
+	if lsn > h.quorum {
+		ch = make(chan struct{})
+		h.waiters[ch] = lsn
+	}
+	h.mu.Unlock()
+	if ch == nil {
 		return nil
 	}
+	defer obs.NewTimer(waited).ObserveDuration()
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
-	case <-w.ch:
+	case <-ch:
 		return nil
 	case <-t.C:
 	}
-	if n := h.dropWaiter(w, lsn); n < min {
-		return fmt.Errorf("replication timeout: record %d is durable on the primary but acknowledged by %d of %d required replicas within %s (treat the write as indeterminate)",
-			lsn, n, min, timeout)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	delete(h.waiters, ch)
+	if lsn <= h.quorum {
+		return nil // satisfied in the race between timer and lock
 	}
-	return nil // satisfied in the race between timer and lock
+	return fmt.Errorf("replication timeout: record %d is durable on the primary but acknowledged by %d of %d required replicas within %s (treat the write as indeterminate)",
+		lsn, h.ackCountLocked(lsn), min, timeout)
 }
 
 // serveReplication is REPLICATE's Hijack handler: it takes one client
@@ -376,7 +365,7 @@ func (s *server) serveReplication(conn net.Conn, lr *lineserver.Reader, w *bufio
 			f := strings.Fields(string(ack))
 			if len(f) == 2 && strings.EqualFold(f[0], "ACK") {
 				if lsn, err := strconv.ParseUint(f[1], 10, 64); err == nil {
-					s.hub.ack(id, lsn)
+					s.hub.ack(id, lsn, s.replMinAcks)
 				}
 			}
 		}
@@ -674,30 +663,30 @@ func parseRec(line string, dims int) (wal.StreamRecord, error) {
 }
 
 // settleShipped is the link core's settle, the follower's commit
-// barrier: the unit's records are staged and applied under the same mu
-// that serialises queries — readers always see a cube at an exact LSN
-// boundary — then committed with mu released, one fsync for every
-// record that arrived together. A record counts as applied only once it
-// is durable here; every REC up to there is answered with the
-// cumulative ACK, and one that could not be applied ends the session.
+// barrier: the unit's records are staged and applied by applyUnit, the
+// primary's loop — readers always see a cube at an exact LSN boundary —
+// then committed with mu released, one fsync for every record that
+// arrived together. A record counts as applied only once it is durable
+// here; every REC up to there is answered with the cumulative ACK, and
+// one that could not be applied ends the session.
 func (s *server) settleShipped(open []*lineserver.Request) {
 	r, last := s.repl, open[len(open)-1]
 	// The session ends after a unit that does not settle, a panic
 	// included: its ERR internal leaves the log's end unknown upstream.
 	last.Quit = true
-	staged, err := s.stageShipped(open)
-	if staged > 0 {
-		if cerr := s.wal.Commit(staged); cerr != nil {
-			staged, err = 0, fmt.Errorf("committing shipped records through %d: %w", staged, cerr)
+	n, end, err := s.applyUnit(open, s.shipLocked)
+	if n > 0 {
+		if cerr := s.wal.Commit(end); cerr != nil {
+			n, err = 0, fmt.Errorf("committing shipped records through %d: %w", end, cerr)
 		} else {
-			r.applied.Store(staged)
-			r.noteFrontier(staged)
+			r.applied.Store(end)
+			r.noteFrontier(end)
 		}
 	}
 	last.Quit = false
-	ack := "ACK " + strconv.FormatUint(staged, 10)
-	for _, rq := range open {
-		if rq.Pending.(wal.StreamRecord).LSN <= staged {
+	ack := "ACK " + strconv.FormatUint(end, 10)
+	for i, rq := range open {
+		if i < n {
 			rq.Reply = ack
 		} else {
 			rq.Reply = r.end(rq, err)
@@ -705,26 +694,15 @@ func (s *server) settleShipped(open []*lineserver.Request) {
 	}
 }
 
-// stageShipped is the part of settleShipped that runs under mu: it
-// returns the last LSN staged in the log, next to the error that cut
-// the unit short.
-func (s *server) stageShipped(open []*lineserver.Request) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var staged uint64
-	for _, rq := range open {
-		rec := rq.Pending.(wal.StreamRecord)
-		skipped, err := s.wal.ApplyReplicated(s.cube, rec.LSN, rec.Op)
-		if err != nil {
-			return staged, err
-		}
-		if skipped {
-			s.Log.Warn("shipped op rejected by cube; skipped to match primary recovery semantics", "lsn", rec.LSN)
-		}
-		staged = rec.LSN
+// shipLocked is settleShipped's apply step: one shipped record, logged
+// and applied at its LSN. The caller holds mu.
+func (s *server) shipLocked(rq *lineserver.Request) error {
+	rec := rq.Pending.(wal.StreamRecord)
+	skipped, err := s.wal.ApplyReplicated(s.cube, rec.LSN, rec.Op)
+	if skipped {
+		s.Log.Warn("shipped op rejected by cube; skipped to match primary recovery semantics", "lsn", rec.LSN)
 	}
-	s.maybeCheckpointLocked()
-	return staged, nil
+	return err
 }
 
 // linkSnap is SNAP's Hijack row: it installs the snapshot the line

@@ -114,6 +114,90 @@ func TestReplicaFollowsPrimaryAndAnswersIdentically(t *testing.T) {
 	}
 }
 
+// TestReplicaBarrierIsItsLocalCommit pins the read barrier on a replica:
+// a query there waits for its own log's commit of what it read, never
+// for follower acks. A replica has no followers, so with -repl-min-acks
+// set (as on a member started to take over as a semi-sync primary) an
+// ack wait could only time out.
+func TestReplicaBarrierIsItsLocalCommit(t *testing.T) {
+	primary, _ := newDurableServer(t, t.TempDir(), 0)
+	paddr := serveOn(t, primary)
+	follower, _ := newDurableServer(t, t.TempDir(), 0)
+	follower.replMinAcks, follower.replAckTimeout = 1, 50*time.Millisecond
+	follower.startFollower(paddr)
+	faddr := serveOn(t, follower)
+	dial(t, paddr).expect(t, "INS 1 0 0 5", "OK")
+	waitUntil(t, 5*time.Second, "follower catch-up", func() bool { return follower.repl.applied.Load() == 1 })
+	fc := dial(t, faddr)
+	// A mutation admission refuses is not traced, as at parse time.
+	if got := fc.cmd(t, "INS 2 0 0 1"); !strings.HasPrefix(got, "ERR read-only replica") {
+		t.Fatalf("replica INS -> %q", got)
+	}
+	if n := len(follower.Recent.Entries()); n != 0 {
+		t.Fatalf("a refused INS left %d traces", n)
+	}
+	fc.expect(t, "QRY 0 10 0 0 7 7", "5")
+	if n := follower.stage[stageReplAckWait].Count(); n != 0 {
+		t.Fatalf("a replica's query waited for acks %d times", n)
+	}
+	// Promoted with no follower of its own, it still serves the log it
+	// inherited: that log counts as committed, so no ack is awaited.
+	if got := follower.promote(1); !strings.HasPrefix(got, "OK role=primary") {
+		t.Fatalf("PROMOTE -> %q", got)
+	}
+	fc.expect(t, "QRY 0 10 0 0 7 7", "5")
+	if n := follower.stage[stageReplAckWait].Count(); n != 0 {
+		t.Fatalf("the promoted member's query waited for acks %d times", n)
+	}
+}
+
+// TestSemiSyncReadOutlivesItsFollower pins the hub's quorum frontier on
+// a primary with -repl-min-acks 1: a query of an empty log needs no ack
+// even with no follower attached, and a record the follower acknowledged
+// stays committed after the follower leaves, so a query that counts it
+// answers at once instead of waiting out the ack timeout.
+func TestSemiSyncReadOutlivesItsFollower(t *testing.T) {
+	primary, _ := newDurableServer(t, t.TempDir(), 0)
+	primary.replMinAcks, primary.replAckTimeout = 1, 5*time.Second
+	paddr := serveOn(t, primary)
+	qc := dial(t, paddr)
+	qc.expect(t, "QRY 0 10 0 0 7 7", "0")
+
+	// A hand-driven follower: it acknowledges the one record, then goes.
+	fconn, fr := rawConn(t, paddr)
+	if _, err := io.WriteString(fconn, "REPLICATE FROM 1\n"); err != nil {
+		t.Fatal(err)
+	}
+	if got := readLines(t, fr, 1)[0]; got != "OK from=1" {
+		t.Fatalf("REPLICATE -> %q", got)
+	}
+	wconn, wr := rawConn(t, paddr)
+	if _, err := io.WriteString(wconn, "INS 1 0 0 5\n"); err != nil {
+		t.Fatal(err)
+	}
+	for l := ""; !strings.HasPrefix(l, "REC 1 "); { // PINGs may come first
+		l = readLines(t, fr, 1)[0]
+	}
+	if _, err := io.WriteString(fconn, "ACK 1\n"); err != nil {
+		t.Fatal(err)
+	}
+	if got := readLines(t, wr, 1)[0]; got != "OK" {
+		t.Fatalf("semi-sync INS -> %q", got)
+	}
+	fconn.Close()
+	waitUntil(t, 5*time.Second, "the follower's departure", func() bool { return primary.hub.Followers() == 0 })
+
+	waits := primary.stage[stageReplAckWait].Count()
+	start := time.Now()
+	qc.expect(t, "QRY 0 10 0 0 7 7", "5")
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("the query of an acked record took %s", d)
+	}
+	if n := primary.stage[stageReplAckWait].Count(); n != waits {
+		t.Fatalf("the query of an acked record waited for acks (%d waits, was %d)", n, waits)
+	}
+}
+
 func TestReplicaColdStartBootstrapsFromSnapshot(t *testing.T) {
 	primary, _ := newDurableServer(t, t.TempDir(), 0)
 	paddr := serveOn(t, primary)

@@ -13,6 +13,7 @@ import (
 	"math"
 	"net"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -101,9 +102,9 @@ func TestPromoteMidBurst(t *testing.T) {
 	if _, err := io.WriteString(conn, b.String()); err != nil {
 		t.Fatal(err)
 	}
-	// Staged and applied on the follower — queries see the burst — while
-	// its one commit sits in the stalled fsync.
-	waitUntil(t, 5*time.Second, "burst staged on the follower", func() bool { return chaosQuery(t, follower) == k })
+	// Staged and applied on the follower — its log ends at the burst's
+	// last record — while its one commit sits in the stalled fsync.
+	waitUntil(t, 5*time.Second, "burst staged on the follower", func() bool { return follower.walLastLSN() == k })
 	if got := follower.repl.applied.Load(); got != 0 {
 		t.Fatalf("applied_lsn = %d before the batch's commit returned", got)
 	}
@@ -202,20 +203,47 @@ func TestFollowerKilledBetweenStageAndCommit(t *testing.T) {
 	}
 
 	// Phase 2: every fsync of the restarted follower stalls. The burst
-	// is staged and applied — its queries see it — but never committed.
+	// is staged and applied — STATS counts it — but never committed, so
+	// a query, which would count it, gets no answer.
 	f2 := startHistserve(t, bin, append(fargs, "-fault-spec", "wal.sync:slow=1h")...)
-	send(acked, burst)
 	fc := dialTCP(t, f2.addr)
-	const all = "QRY 0 100000 0 0 7 7"
-	want := query(t, pc, all)
+	appended := func() int {
+		t.Helper()
+		fmt.Fprintln(fc.w, "STATS")
+		fc.w.Flush()
+		resp, err := fc.r.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := strconv.Atoi(statsField(t, resp, "appended"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	before := appended()
+	send(acked, burst)
 	deadline := time.Now().Add(10 * time.Second)
-	for query(t, fc, all) != want {
+	for appended() != before+burst {
 		if time.Now().After(deadline) {
-			t.Fatalf("follower SUM = %v, want %v: the staged burst must be visible while its commit is stalled", query(t, fc, all), want)
+			t.Fatalf("follower STATS appended=%d, want %d: the burst must be staged while its commit is stalled", appended(), before+burst)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	awaitRole(fc, fmt.Sprintf("applied_lsn=%d ", acked)) // staged is not applied_lsn: nothing was ACKed
+	const all = "QRY 0 100000 0 0 7 7"
+	fmt.Fprintln(fc.w, all)
+	fc.w.Flush()
+	answered := make(chan string, 1)
+	go func(r *bufio.Reader) {
+		resp, _ := r.ReadString('\n')
+		answered <- resp
+	}(fc.r)
+	select {
+	case resp := <-answered:
+		t.Fatalf("follower answered %q while the burst it counts is not committed", strings.TrimSpace(resp))
+	case <-time.After(300 * time.Millisecond):
+	}
 	if err := f2.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}

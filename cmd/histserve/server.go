@@ -78,15 +78,17 @@
 // replaying).
 //
 // Pipelining and group commit: a client may send further requests
-// before reading replies. Every verb joins the unit in progress (see
-// the lineserver package doc), so the loop answers every complete line
-// it finds already buffered and releases those replies together — one
-// WAL commit (under -fsync=always one fsync, shared with whichever
-// other connections are committing), with -repl-min-acks one
-// cumulative ack wait, one flush — so an OK still implies durable (and
-// replicated) while a window of N inserts costs one fsync, not N. A
-// client at depth 1 sends units of one. A write is visible to queries
-// once applied, which may be before it is durable.
+// before reading replies. INS, DEL, QRY and EXPLAIN join the unit in
+// progress (see commands), so the loop answers every such line it finds
+// already buffered and releases those replies together — one pass under
+// the cube mutex, one WAL commit (under -fsync=always one fsync, shared
+// with whichever other connections are committing), with -repl-min-acks
+// one cumulative ack wait, one flush — so an OK still implies durable
+// (and replicated) while a window of N inserts costs one fsync, not N. A
+// reply reflects only committed writes: a query waits for the commit of
+// every write it counted, except in degraded mode (below), where it may
+// count any write whose outcome is indeterminate: one answered ERR, or
+// the recovery probe still in its commit.
 //
 // Graceful degradation: when the durable layer fails — a WAL write or
 // fsync that failed (and latched the log until its repair), or
@@ -161,8 +163,8 @@ import (
 // The stages of histserve_stage_seconds{stage}: where a served request's
 // time went below the serving core's request_seconds. The cube stages
 // are read off the span the core opens for the call; the commit stages
-// time the two halves of the commit barrier, once per released unit that
-// carried a mutation.
+// time the two halves of the commit barrier, once per released unit whose
+// barrier had to wait for them.
 const (
 	stageCubeInsert = iota
 	stageCubeDelete
@@ -207,7 +209,7 @@ type server struct {
 	// snapshot install, -load) leaves it in place.
 	stage [numStages]*obs.Histogram
 
-	// wal, when non-nil, makes the server durable: mutate stages every
+	// wal, when non-nil, makes the server durable: settle stages every
 	// mutation in the log before the cube applies it (wal.Log.Apply;
 	// under -fsync=always the commit barrier fsyncs it before the reply
 	// leaves), and checkpointEvery drives automatic snapshots. wal is
@@ -555,79 +557,180 @@ func (s *server) readiness() (ok bool, msg string) {
 	return true, "ok"
 }
 
-// commands is histserve's command table. Every verb joins the unit in
-// progress: a line is answered from local state, so serving it together
-// with the buffered lines before it delays none of them, and the whole
-// unit shares one commit barrier and one flush. REPLICATE is the
-// exception on both counts — it hijacks the connection for WAL shipping
-// and speaks the replication protocol from then on (see repl.go), so
-// the replies before it must have left; its arguments are checked there
-// because a refused REPLICATE closes the connection. QRY's arity is
-// checked by parseQueryRange, which EXPLAIN shares.
+// commands is histserve's command table. INS, DEL, QRY and EXPLAIN join
+// the unit in progress: their handlers only parse, and settle runs the
+// unit against the cube under one mu, one commit barrier and one flush;
+// VERSION reads nothing a unit changes. STATS, ROLE, CHECKPOINT, SAVE,
+// SEAL and PROMOTE read or change state a unit's pending lines change,
+// so each starts a unit once the one before it has settled and a window
+// answers as at depth 1. REPLICATE hijacks the connection for WAL
+// shipping (see repl.go), so the replies before it must have left; its
+// arguments are checked there because a refused REPLICATE closes the
+// connection. QRY's arity is checked by queryOp, which EXPLAIN shares.
 func (s *server) commands() []lineserver.Command {
 	mut := 1 + s.dims + 1
-	rows := []lineserver.Command{
-		{Verb: "INS", MinArgs: mut, MaxArgs: mut, Handle: s.cmdMutate,
+	return []lineserver.Command{
+		{Verb: "INS", MinArgs: mut, MaxArgs: mut, Joins: true, Handle: s.cmdMutate,
 			Usage: fmt.Sprintf("INS needs time, %d coordinates and a value", s.dims)},
-		{Verb: "DEL", MinArgs: mut, MaxArgs: mut, Handle: s.cmdMutate,
+		{Verb: "DEL", MinArgs: mut, MaxArgs: mut, Joins: true, Handle: s.cmdMutate,
 			Usage: fmt.Sprintf("DEL needs time, %d coordinates and a value", s.dims)},
-		{Verb: "QRY", MaxArgs: -1, Handle: s.cmdQuery},
-		{Verb: "EXPLAIN", MaxArgs: -1, Handle: s.cmdExplain},
+		{Verb: "QRY", MaxArgs: -1, Joins: true, Handle: s.cmdQuery},
+		{Verb: "EXPLAIN", MaxArgs: -1, Joins: true, Handle: s.cmdExplain},
 		{Verb: "STATS", Usage: "STATS takes no arguments", Handle: s.cmdStats},
 		{Verb: "SAVE", MinArgs: 1, MaxArgs: 1, Usage: "SAVE needs a file path", Handle: s.cmdSave},
 		{Verb: "CHECKPOINT", Usage: "CHECKPOINT takes no arguments", Handle: s.cmdCheckpoint},
 		{Verb: "SEAL", MaxArgs: 1, Usage: "SEAL takes at most one argument: SEAL [<time>]", Handle: s.cmdSeal},
-		{Verb: "VERSION", Usage: "VERSION takes no arguments", Handle: s.cmdVersion},
+		{Verb: "VERSION", Usage: "VERSION takes no arguments", Joins: true, Handle: s.cmdVersion},
 		{Verb: "ROLE", Usage: "ROLE takes no arguments", Handle: s.cmdRole},
 		{Verb: "PROMOTE", MaxArgs: 1, Usage: "PROMOTE takes at most one argument: PROMOTE [<min_lsn>]", Handle: s.cmdPromote},
 		{Verb: "REPLICATE", MaxArgs: -1, EndsUnit: true, Hijack: s.serveReplication},
 	}
-	for i := range rows {
-		rows[i].Joins = rows[i].Hijack == nil
-	}
-	return rows
 }
 
-// settle is the commit barrier in front of every reply: no OK for a
-// mutation may leave the server before its record is durable and, with
-// -repl-min-acks, acknowledged by that many followers. A successful
-// mutation leaves its LSN pending: it is staged in the WAL and applied,
-// but not yet durable. LSNs grow along a connection and both waits are
-// cumulative, so one barrier on the unit's last mutation covers them
-// all. When it fails, every mutation reply of the unit becomes the ERR
-// it would have been inline — the writes are applied and possibly
-// logged, but nothing was promised; other replies pass unchanged.
+// servedOp is what cmdMutate, cmdQuery and cmdExplain leave in
+// rq.Pending for settle: the parsed line, its root span, its outcome.
+type servedOp struct {
+	root   *trace.Span
+	stage  int                                      // its cube stage
+	op     core.Op                                  // INS/DEL
+	rng    core.Range                               // QRY/EXPLAIN
+	render func(v float64, root *trace.Span) string // a query's reply; a mutation's is OK
+	lsn    uint64                                   // where a mutation was logged, 0 if it was not
+	v      float64
+	err    error
+	denied bool // admit refused it: it is not traced, as at parse time
+}
+
+// settle applies a unit's INS, DEL, QRY and EXPLAIN lines (applyUnit),
+// then, with mu released, ends their spans, renders their replies and
+// waits for the commit of the log's end as the unit left it: a reply
+// reflects only committed writes, a query's too. Both waits are
+// cumulative, so one barrier covers the unit; if it fails, it is every
+// reply's ERR. A unit that neither logged nor read skips it, and so does
+// one that only read while the server is degraded, so degraded reads
+// keep serving.
 func (s *server) settle(open []*lineserver.Request) {
-	if errResp := s.commitBarrier(open[len(open)-1].Pending.(uint64)); errResp != "" {
+	_, end, _ := s.applyUnit(open, s.serveLocked)
+	logged, read := false, false
+	for _, rq := range open {
+		o := rq.Pending.(*servedOp)
+		o.root.End()
+		if !o.denied {
+			s.observeCube(o.stage, o.root)
+			s.Observe(rq.Line, o.root)
+		}
+		logged, read = logged || o.lsn > 0, read || o.stage == stageCubeQuery
+		switch {
+		case o.err != nil:
+			rq.Reply = errResponse(o.err)
+		case o.render != nil:
+			rq.Reply = o.render(o.v, o.root)
+		default:
+			rq.Reply = "OK"
+		}
+	}
+	if s.wal == nil || !logged && (!read || s.degraded.Load()) {
+		return
+	}
+	if errResp := s.commitBarrier(end); errResp != "" {
 		for _, rq := range open {
 			rq.Reply = errResp
 		}
 	}
 }
 
-// commitBarrier waits until the record at lsn is durable and
-// semi-synchronously replicated, and returns "" or the ERR response
-// that replaces the OK. A commit is what proves the disk works, so it —
-// not a staged write — is the recovery probe that clears degraded mode,
-// and a failed one enters it. The ack wait runs with no lock held:
-// followers never contend with the mutation they are acknowledging.
-func (s *server) commitBarrier(lsn uint64) string {
-	t := obs.NewTimer(s.stage[stageCommitWait])
-	err := s.wal.Commit(lsn)
-	t.ObserveDuration()
-	if err != nil {
-		err = fmt.Errorf("%w: %w", errWALAppend, err)
-		s.setDegraded(err)
-		return errResponse(err)
+// applyUnit is where a unit meets the cube, on primary and follower
+// alike: under one mu it runs apply on the open requests in order until
+// one fails and the every-N checkpoint policy once, and returns how many
+// apply took, the log's end (what the unit's commit waits for) and the
+// error. A panic releases mu by the deferred unlock on its way to the
+// serving core's barrier, which answers the unit ERR internal.
+func (s *server) applyUnit(open []*lineserver.Request, apply func(*lineserver.Request) error) (n int, end uint64, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, rq := range open {
+		if err = apply(rq); err != nil {
+			break
+		}
+		n++
 	}
-	s.clearDegraded()
-	if s.replMinAcks > 0 {
-		t := obs.NewTimer(s.stage[stageReplAckWait])
-		err := s.hub.WaitAcked(lsn, s.replMinAcks, s.replAckTimeout)
+	s.maybeCheckpointLocked()
+	return n, s.walLastLSN(), err
+}
+
+// serveLocked is settle's apply step, under mu: it runs one servedOp and
+// leaves the outcome in it. Admission and the deadline (from the root
+// span's start) are read here, as they can change while a unit waits. A
+// staging failure (the log closed, or latched by a failed write or fsync
+// its repair could not clear) or out-of-space enters degraded mode; an
+// op the cube rejects is logged, answers ERR, and stays out on recovery.
+func (s *server) serveLocked(rq *lineserver.Request) error {
+	o := rq.Pending.(*servedOp)
+	ctx, cancel := s.RequestCtx(o.root)
+	defer cancel()
+	if o.stage == stageCubeQuery {
+		o.v, o.err = s.cube.QueryCtx(ctx, o.rng)
+		return nil
+	}
+	if o.err = s.admit(o.op.Time); o.err != nil {
+		o.denied = true
+		return nil
+	}
+	o.lsn, o.err = s.wal.Apply(ctx, s.cube, o.op)
+	switch {
+	case o.err == nil:
+	case o.lsn == 0 && s.wal != nil && !errors.Is(o.err, ctx.Err()):
+		// Nothing was logged, and not for a done context: staging failed.
+		o.err = fmt.Errorf("%w: %w", errWALAppend, o.err)
+		s.setDegraded(o.err)
+	case isStorageFailure(o.err):
+		s.setDegraded(o.err)
+	}
+	return nil
+}
+
+// admit decides whether a mutation at time t may reach the log: never on
+// a replica (only the shipped stream writes its cube, which keeps hedged
+// reads safe) nor into the sealed range, and while degraded only as the
+// one recovery probe per -degraded-probe-every, whose commit clears it.
+func (s *server) admit(t int64) error {
+	if s.isReplica() {
+		return errors.New("read-only replica: mutations go to the primary (" + s.repl.primaryAddr + ")")
+	}
+	if sealed := s.sealedThrough.Load(); t <= sealed {
+		return fmt.Errorf("sealed: time %d is in the sealed range (sealed through %d; this history is read-only)", t, sealed)
+	}
+	if !s.degraded.Load() || s.probeDue() {
+		return nil
+	}
+	s.readonlyRejects.Inc()
+	msg, _ := s.degradedMsg.Load().(string) // stored before degraded flips
+	return errors.New("read-only: mutations disabled after " + msg + " (queries still served; probing for recovery)")
+}
+
+// commitBarrier waits, with no lock held, until the record at lsn is
+// durable and, on a primary, semi-synchronously replicated, and returns
+// "" or the ERR that replaces the unit's replies. A commit is what proves
+// the disk works, so it — not a staged write — clears degraded mode, and
+// a failed one enters it. A covered record (which Commit also passes at
+// once) proves nothing now: it neither clears it nor costs a stage sample.
+func (s *server) commitBarrier(lsn uint64) string {
+	if s.wal.ShippedLSN() < lsn {
+		t := obs.NewTimer(s.stage[stageCommitWait])
+		err := s.wal.Commit(lsn)
 		t.ObserveDuration()
 		if err != nil {
-			return "ERR " + err.Error()
+			err = fmt.Errorf("%w: %w", errWALAppend, err)
+			s.setDegraded(err)
+			return errResponse(err)
 		}
+		s.clearDegraded()
+	}
+	if s.isReplica() { // a replica has no followers to wait for
+		return ""
+	}
+	if err := s.hub.WaitAcked(lsn, s.replMinAcks, s.replAckTimeout, s.stage[stageReplAckWait]); err != nil {
+		return "ERR " + err.Error()
 	}
 	return ""
 }
@@ -716,15 +819,20 @@ func (s *server) cmdSave(rq *lineserver.Request) string {
 
 func (s *server) cmdCheckpoint(*lineserver.Request) string { return s.checkpointNow() }
 
-// cmdMutate answers INS/DEL <time> <c1>..<cd> <value>. rq.TID is the
-// trace identifier propagated by the request's TID= token (zero when
-// absent): the root span adopts it, so the ID a proxy generated at the
-// edge survives into this shard's spans, slow log and feeds.
+// cmdMutate parses INS/DEL <time> <c1>..<cd> <value> and leaves the op
+// for settle. rq.TID is the trace identifier propagated by the
+// request's TID= token (zero when absent): the root span adopts it, so
+// the ID a proxy generated at the edge survives into this shard's spans,
+// slow log and feeds.
 func (s *server) cmdMutate(rq *lineserver.Request) string {
-	cmd, fields := rq.Verb(), rq.Fields
-	nums, err := lineserver.ParseInts(fields[1 : 1+1+s.dims])
-	if err != nil {
-		return "ERR " + err.Error()
+	fields := rq.Fields
+	t, errResp := parseInt(fields[1])
+	if errResp != "" {
+		return errResp
+	}
+	coords, errResp := s.parseCoords(fields[2 : 2+s.dims])
+	if errResp != "" {
+		return errResp
 	}
 	val, err := strconv.ParseFloat(fields[len(fields)-1], 64)
 	if err != nil {
@@ -736,61 +844,19 @@ func (s *server) cmdMutate(rq *lineserver.Request) string {
 	if math.IsNaN(val) || math.IsInf(val, 0) {
 		return "ERR bad value: not finite"
 	}
-	coords := make([]int, s.dims)
-	for i := range coords {
-		c, ok := dims.ToCoord(nums[1+i])
-		if !ok {
-			return fmt.Sprintf("ERR coordinate %d overflows", nums[1+i])
-		}
-		coords[i] = c
-	}
-	if resp := s.badCoord(coords); resp != "" {
-		return resp
-	}
-	if resp := s.replicaReject(); resp != "" {
-		return resp
-	}
-	if sealed := s.sealedThrough.Load(); nums[0] <= sealed {
-		return fmt.Sprintf("ERR sealed: time %d is in the sealed range (sealed through %d; this history is read-only)",
-			nums[0], sealed)
-	}
-	if resp := s.readOnlyReject(); resp != "" {
-		return resp
-	}
-	op := core.Op{Kind: core.OpInsert, Time: nums[0], Coords: coords, Value: val}
-	var root *trace.Span
-	stage := stageCubeInsert
-	if cmd == "DEL" {
-		op.Kind, root, stage = core.OpDelete, trace.New("histserve.delete"), stageCubeDelete
+	o := &servedOp{stage: stageCubeInsert, op: core.Op{Kind: core.OpInsert, Time: t, Coords: coords, Value: val}}
+	if rq.Verb() == "DEL" {
+		o.stage, o.op.Kind, o.root = stageCubeDelete, core.OpDelete, trace.New("histserve.delete")
 	} else {
-		root = trace.New("histserve.insert")
+		o.root = trace.New("histserve.insert")
 	}
-	root.SetTraceID(rq.TID)
-	lsn, err := s.mutate(root, op)
-	root.End()
-	s.observeCube(stage, root)
-	s.Observe(rq.Line, root)
-	if err != nil {
-		return errResponse(err)
-	}
-	// Staged and applied, not yet durable: the OK is held back until
-	// settle's commit barrier passes.
-	if s.wal != nil {
-		rq.Pending = lsn
-	}
-	return "OK"
+	o.root.SetTraceID(rq.TID)
+	rq.Pending = o
+	return ""
 }
 
 func (s *server) cmdQuery(rq *lineserver.Request) string {
-	rng, errResp := s.parseQueryRange(rq.Fields[1:])
-	if errResp != "" {
-		return errResp
-	}
-	v, _, err := s.runQuery(rq.TID, rq.Line, rng)
-	if err != nil {
-		return errResponse(err)
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return s.queryOp(rq, rq.Fields[1:], formatResult)
 }
 
 // cmdExplain answers EXPLAIN [JSON] QRY ... — the JSON variant answers
@@ -798,86 +864,91 @@ func (s *server) cmdQuery(rq *lineserver.Request) string {
 // histproxy consumes to graft this shard's spans under its own
 // proxy.leg (the text variant stays the human/debug format).
 func (s *server) cmdExplain(rq *lineserver.Request) string {
-	args := rq.Fields[1:]
-	jsonMode := len(args) > 0 && strings.ToUpper(args[0]) == "JSON"
-	if jsonMode {
-		args = args[1:]
+	args, render := rq.Fields[1:], explainText
+	if len(args) > 0 && strings.ToUpper(args[0]) == "JSON" {
+		args, render = args[1:], explainJSON
 	}
 	if len(args) < 1 || strings.ToUpper(args[0]) != "QRY" {
 		return "ERR EXPLAIN wraps a query: EXPLAIN [JSON] QRY <tlo> <thi> <lo...> <hi...>"
 	}
-	rng, errResp := s.parseQueryRange(args[1:])
-	if errResp != "" {
+	return s.queryOp(rq, args[1:], render)
+}
+
+// queryOp parses the arguments of a QRY (after the verb) — <tlo> <thi>
+// <l1>..<ld> <u1>..<ud> — and leaves the traced range query for settle,
+// whose reply render makes from the result and the finished span tree. A
+// non-zero rq.TID (the TID= token) becomes the root span's trace ID. It
+// returns the ERR response of a line that does not parse.
+func (s *server) queryOp(rq *lineserver.Request, args []string, render func(float64, *trace.Span) string) string {
+	if len(args) != 2+2*s.dims {
+		return fmt.Sprintf("ERR QRY needs tlo, thi and %d lo + %d hi coordinates", s.dims, s.dims)
+	}
+	o := &servedOp{stage: stageCubeQuery, render: render}
+	var errResp string
+	if o.rng.TimeLo, errResp = parseInt(args[0]); errResp != "" {
 		return errResp
 	}
-	v, root, err := s.runQuery(rq.TID, rq.Line, rng)
-	if err != nil {
-		return errResponse(err)
+	if o.rng.TimeHi, errResp = parseInt(args[1]); errResp != "" {
+		return errResp
 	}
-	if jsonMode {
-		doc, err := json.Marshal(trace.ExplainJSON{Result: v, Trace: root.JSON()})
-		if err != nil {
-			return "ERR rendering trace: " + err.Error()
-		}
-		return "OK " + string(doc)
+	if o.rng.Lo, errResp = s.parseCoords(args[2 : 2+s.dims]); errResp != "" {
+		return errResp
 	}
-	return root.Explain("OK result=" + strconv.FormatFloat(v, 'g', -1, 64))
-}
-
-// parseQueryRange parses the arguments of a QRY (after the verb):
-// <tlo> <thi> <l1>..<ld> <u1>..<ud>. The second result is a non-empty
-// ERR response on failure.
-func (s *server) parseQueryRange(args []string) (core.Range, string) {
-	if len(args) != 2+2*s.dims {
-		return core.Range{}, fmt.Sprintf("ERR QRY needs tlo, thi and %d lo + %d hi coordinates", s.dims, s.dims)
+	if o.rng.Hi, errResp = s.parseCoords(args[2+s.dims:]); errResp != "" {
+		return errResp
 	}
-	nums, err := lineserver.ParseInts(args)
-	if err != nil {
-		return core.Range{}, "ERR " + err.Error()
-	}
-	lo := make([]int, s.dims)
-	hi := make([]int, s.dims)
-	for i := 0; i < s.dims; i++ {
-		l, okl := dims.ToCoord(nums[2+i])
-		h, okh := dims.ToCoord(nums[2+s.dims+i])
-		if !okl || !okh {
-			return core.Range{}, "ERR coordinate overflows"
-		}
-		lo[i] = l
-		hi[i] = h
-	}
-	if resp := s.badCoord(lo); resp != "" {
-		return core.Range{}, resp
-	}
-	if resp := s.badCoord(hi); resp != "" {
-		return core.Range{}, resp
-	}
-	return core.Range{TimeLo: nums[0], TimeHi: nums[1], Lo: lo, Hi: hi}, ""
-}
-
-// badCoord validates parsed coordinates against the cube's domains at
-// the protocol boundary, naming the offending dimension — out-of-range
-// input is a client error and must never reach the storage layer.
-func (s *server) badCoord(coords []int) string {
-	for i, c := range coords {
-		if i < len(s.shape) && (c < 0 || c >= s.shape[i]) {
-			return fmt.Sprintf("ERR bad coordinate d%d: %d outside [0, %d)", i, c, s.shape[i])
-		}
-	}
+	o.root = trace.New("histserve.query")
+	o.root.SetTraceID(rq.TID)
+	rq.Pending = o
 	return ""
 }
 
-// runQuery executes one traced range query (shared by QRY and
-// EXPLAIN) and retains the finished trace. A non-zero tid (the TID=
-// token) becomes the root span's trace ID.
-func (s *server) runQuery(tid trace.ID, line string, rng core.Range) (float64, *trace.Span, error) {
-	root := trace.New("histserve.query")
-	root.SetTraceID(tid)
-	v, err := s.queryLocked(root, rng)
-	root.End()
-	s.observeCube(stageCubeQuery, root)
-	s.Observe(line, root)
-	return v, root, err
+func formatResult(v float64, _ *trace.Span) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+func explainText(v float64, root *trace.Span) string {
+	return root.Explain("OK result=" + strconv.FormatFloat(v, 'g', -1, 64))
+}
+
+func explainJSON(v float64, root *trace.Span) string {
+	doc, err := json.Marshal(trace.ExplainJSON{Result: v, Trace: root.JSON()})
+	if err != nil {
+		return "ERR rendering trace: " + err.Error()
+	}
+	return "OK " + string(doc)
+}
+
+// parseInt parses an integer field. The second result is a non-empty ERR
+// response on failure.
+func parseInt(field string) (int64, string) {
+	t, err := strconv.ParseInt(field, 10, 64)
+	if err != nil {
+		return 0, fmt.Sprintf("ERR bad integer %q", field)
+	}
+	return t, ""
+}
+
+// parseCoords parses one coordinate per dimension and validates it
+// against the cube's domain at the protocol boundary, naming the
+// offending dimension: out-of-range input is a client error and must
+// never reach the storage layer. The second result is a non-empty ERR
+// response on failure.
+func (s *server) parseCoords(fields []string) ([]int, string) {
+	coords := make([]int, len(fields))
+	for i, f := range fields {
+		v, errResp := parseInt(f)
+		if errResp != "" {
+			return nil, errResp
+		}
+		c, ok := dims.ToCoord(v)
+		if !ok {
+			return nil, fmt.Sprintf("ERR coordinate %d overflows", v)
+		}
+		if c < 0 || c >= s.shape[i] {
+			return nil, fmt.Sprintf("ERR bad coordinate d%d: %d outside [0, %d)", i, c, s.shape[i])
+		}
+		coords[i] = c
+	}
+	return coords, ""
 }
 
 // observeCube files the duration of the span the core opened under root
@@ -887,49 +958,6 @@ func (s *server) observeCube(st int, root *trace.Span) {
 	if cs := root.Children(); len(cs) > 0 {
 		s.stage[st].Observe(cs[0].Duration().Seconds())
 	}
-}
-
-// queryLocked runs the deadline-bounded query under mu (queries mutate
-// shared state; see the locking contract). As in mutate, the unlock is
-// deferred: a panicking cube call releases mu on its way up to the
-// serving core's panic barrier instead of poisoning it.
-func (s *server) queryLocked(root *trace.Span, rng core.Range) (float64, error) {
-	ctx, cancel := s.RequestCtx(root)
-	defer cancel()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cube.QueryCtx(ctx, rng)
-}
-
-// mutate runs one INS/DEL under mu through wal.Log.Apply: the record is
-// staged in the WAL (framed, not written), then the cube applies it —
-// log-then-apply, with the write and fsync left to the commit barrier so
-// mu is never held across them. The deferred unlock keeps a panicking
-// cube call from poisoning mu; the panic itself travels on to the
-// serving core's barrier and surfaces as ERR internal. A staging
-// failure (the log closed, or latched by a failed write or fsync its
-// repair could not clear) or out-of-space enters degraded mode; an op
-// the cube rejects is logged, answers ERR, and stays out of the cube on
-// recovery too. On success lsn is the position the record was staged
-// at (0 without durability) — what the barrier commits and the
-// semi-sync ack wait keys on.
-func (s *server) mutate(root *trace.Span, op core.Op) (lsn uint64, err error) {
-	ctx, cancel := s.RequestCtx(root)
-	defer cancel()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	lsn, err = s.wal.Apply(ctx, s.cube, op)
-	switch {
-	case err == nil:
-		s.maybeCheckpointLocked()
-	case lsn == 0 && s.wal != nil && !errors.Is(err, ctx.Err()):
-		// Nothing was logged, and not for a done context: staging failed.
-		err = fmt.Errorf("%w: %w", errWALAppend, err)
-		s.setDegraded(err)
-	case isStorageFailure(err):
-		s.setDegraded(err)
-	}
-	return lsn, err
 }
 
 // statsSnapshot reads the cube's counters under mu.
@@ -977,23 +1005,6 @@ func (s *server) clearDegraded() {
 	if s.degraded.CompareAndSwap(true, false) {
 		s.Log.Info("leaving degraded read-only mode: storage recovered")
 	}
-}
-
-// readOnlyReject gates mutations while degraded. Every -degraded-probe-
-// every interval one mutation passes through as a recovery probe: if
-// its commit succeeds, the barrier clears the flag; if storage is still
-// broken, the probe fails like the original mutation did and the server
-// stays read-only.
-func (s *server) readOnlyReject() string {
-	if !s.degraded.Load() || s.probeDue() {
-		return ""
-	}
-	s.readonlyRejects.Inc()
-	msg, _ := s.degradedMsg.Load().(string)
-	if msg == "" {
-		msg = "storage failure"
-	}
-	return "ERR read-only: mutations disabled after " + msg + " (queries still served; probing for recovery)"
 }
 
 // probeDue claims the next recovery-probe slot: at most one mutation

@@ -17,9 +17,10 @@
 // is settled together; the table decides what is worth settling
 // together.
 //
-// histserve answers every line from local state, so every verb joins
-// and only QUIT and REPLICATE end a unit; settle is the commit barrier
-// (one group fsync, one cumulative follower-ack wait). The buffer only
+// On histserve the lines that touch the cube join and settle applies
+// them under one cube lock, then runs the commit barrier (one group
+// fsync, one cumulative follower-ack wait) every reply waits for; a verb
+// whose state they change starts a unit of its own. The buffer only
 // changes inside Reader.Next, so the unit is exactly the set of lines
 // that were buffered when its first line was read: replies are released
 // when no complete line is left waiting, or at the cap — one fsync and

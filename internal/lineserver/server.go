@@ -67,7 +67,8 @@ type Request struct {
 	Reply  string   // what the client will read, without the newline
 	// Pending is what a handler leaves for the table's settle function —
 	// the work that is cheaper done once for the whole unit (histserve:
-	// the commit a staged mutation waits for; histproxy: the shard-bound
+	// the parsed mutation or query, applied in order under one cube lock
+	// and answered after the unit's commit; histproxy: the shard-bound
 	// lines of a mutation or a query). While it is non-nil, Reply is
 	// provisional.
 	Pending any
@@ -394,9 +395,13 @@ func (s *Server) SetWriteDeadline(conn net.Conn) {
 //histlint:ignore deadexport test seam: cmd/histserve (safeDispatch, FuzzDispatchLine) and lineserver's own server_test.go drive the command table without a socket
 func (s *Server) Do(tid trace.ID, line string) (reply string, quit bool) {
 	line = strings.TrimSpace(line)
-	rq := &Request{Line: line, TID: tid, cmd: s.resolve(line)}
-	s.serveUnit([]*Request{rq}, nil)
-	return rq.Reply, rq.Quit
+	u := &struct {
+		rq         Request
+		unit, open [1]*Request
+	}{rq: Request{Line: line, TID: tid, cmd: s.resolve(line)}}
+	u.unit[0] = &u.rq
+	s.serveUnit(u.unit[:], u.open[:0])
+	return u.rq.Reply, u.rq.Quit
 }
 
 // serveUnit makes every reply of a unit final: each line runs behind

@@ -15,10 +15,10 @@
 // Hedging is safe here for a reason most systems don't have: every
 // member replays the same totally ordered WAL stream, so any two
 // members that have applied an acked write return bit-identical
-// answers — first answer wins, no reconciliation. (A replica that is
-// still catching up can serve a slightly stale read under async
-// replication; semi-sync primaries — histserve -repl-min-acks — close
-// that window for acked writes.)
+// answers — first answer wins, no reconciliation. A follower read is
+// fresh only when the primary's -repl-min-acks is at least its number of
+// followers; below that (the default is 0) a follower outside the ack
+// quorum may lack a write a client already saw acked.
 package shardclient
 
 import (

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -195,6 +196,70 @@ func TestCommitLeaderPanicDoesNotWedgeTheLog(t *testing.T) {
 				t.Fatal("Checkpoint/Close hung: the panicking leader left the log syncing")
 			}
 		})
+	}
+}
+
+// stalledSync parks every fsync of its segment, once armed, until
+// release is closed, and says so on entered first.
+type stalledSync struct {
+	wal.SegmentFile
+	armed   *atomic.Bool
+	entered chan<- struct{}
+	release <-chan struct{}
+}
+
+func (f stalledSync) Sync() error {
+	if f.armed.Load() {
+		f.entered <- struct{}{}
+		<-f.release
+	}
+	return f.SegmentFile.Sync()
+}
+
+// TestCommitOfADurableRecordDoesNotQueue pins Commit's fast path: a
+// record that is already durable is committed at once, even while a
+// leader sits in the fsync of records staged after it. A reader that
+// waits for the commit of what it read must not wait for writes it
+// never saw.
+func TestCommitOfADurableRecordDoesNotQueue(t *testing.T) {
+	var armed atomic.Bool
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	opts := wal.Options{Sync: wal.SyncAlways, WrapSegment: func(f wal.SegmentFile) wal.SegmentFile {
+		return stalledSync{f, &armed, entered, release}
+	}}
+	cube, l, _, err := wal.Recover(t.TempDir(), opts, newCube(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	durable, err := l.Append(testOp(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged, err := l.Apply(context.Background(), cube, testOp(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	leader := make(chan error, 1)
+	go func() { leader <- l.Commit(staged) }()
+	<-entered
+	done := make(chan error, 1)
+	go func() { done <- l.Commit(durable) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Commit(%d) of a durable record = %v", durable, err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Errorf("Commit(%d) of a durable record queued behind the fsync of record %d", durable, staged)
+	}
+	armed.Store(false)
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -355,17 +355,18 @@ func (l *Log) stage(op core.Op) (uint64, error) {
 var errLeaderPanicked = errors.New("wal: commit leader panicked")
 
 // Commit returns once the record staged at lsn is written and, under
-// SyncAlways, durable: the barrier behind every acknowledgement. It is a
-// group commit: the first committer in leads, writing everything staged
-// so far with one write(2) (and one fsync under SyncAlways) with mu
-// released, then publishes the new frontier; committers queued on syncMu
-// behind it find themselves covered. Rotation, checkpoint, Sync and
-// Close write and fsync the tail too, satisfying parked committers. A
-// failed or panicking write or fsync latches the log and fails every
-// committer it did not cover until a repair (staging, Sync) succeeds; the
-// records it did not cover keep their LSNs.
+// SyncAlways, durable: the barrier behind every acknowledgement. A
+// covered record returns at once, queueing behind no leader. Otherwise
+// it is a group commit: the first committer in leads, writing everything
+// staged so far with one write(2) (and one fsync under SyncAlways) with
+// mu released, then publishes the new frontier; committers queued on
+// syncMu behind it find themselves covered. Rotation, checkpoint, Sync
+// and Close write and fsync the tail too, satisfying parked committers.
+// A failed or panicking write or fsync latches the log and fails every
+// committer it did not cover until a repair (staging, Sync) succeeds;
+// the records it did not cover keep their LSNs.
 func (l *Log) Commit(lsn uint64) (err error) {
-	if lsn == 0 {
+	if lsn == 0 || l.ShippedLSN() >= lsn {
 		return nil
 	}
 	l.syncMu.Lock()
