@@ -41,14 +41,14 @@ step_histlint() {
     # Project-specific invariants (see DESIGN.md "Static analysis"):
     # lock discipline (guarded fields, release-on-all-paths,
     # acquisition-order cycles), log-before-apply, the import fence
-    # around internal/paper, metric naming, guarded narrowing, error
-    # wrapping, float equality. The lock-acquisition graph lands in the
-    # committed lockgraph.dot (CI also uploads it as an artifact); a
-    # cycle is a finding and fails this step, and so does the one edge
-    # group commit exists to remove: the server mutex must never wait on
-    # the WAL's fsync queue (DESIGN.md "Durability", lock order) — on a
-    # primary releasing a batch of replies or on a follower committing a
-    # batch of shipped records.
+    # around internal/paper, metric naming and readers, guarded
+    # narrowing, error wrapping, float equality. The lock-acquisition
+    # graph lands in the committed lockgraph.dot (CI also uploads it as
+    # an artifact); a cycle is a finding and fails this step, and so
+    # does the one edge group commit exists to remove: the server mutex
+    # must never wait on the WAL's fsync queue (DESIGN.md "Durability",
+    # lock order) — on a primary releasing a batch of replies or on a
+    # follower committing a batch of shipped records.
     go run ./cmd/histlint -lockgraph lockgraph.dot ./...
     if grep -F '"main.server.mu" -> "wal.Log.syncMu"' lockgraph.dot; then
         echo "lockgraph.dot: main.server.mu is held across wal.Log.Commit" >&2

@@ -426,8 +426,9 @@ func TestHistlintBadPattern(t *testing.T) {
 }
 
 // copyModule copies what histlint reads of this module — every go.mod
-// and the non-test Go sources, testdata left out, benchmark/ kept as
-// the second root of uses — into a temp dir.
+// and the Go sources, tests included (metricname finds a family's
+// readers there), testdata left out, benchmark/ kept as the second root
+// of uses — into a temp dir.
 func copyModule(t *testing.T) string {
 	t.Helper()
 	src, err := filepath.Abs("../..")
@@ -446,7 +447,7 @@ func copyModule(t *testing.T) string {
 			}
 			return nil
 		}
-		if name != "go.mod" && (!strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go")) {
+		if name != "go.mod" && !strings.HasSuffix(name, ".go") {
 			return nil
 		}
 		data, err := os.ReadFile(path)
@@ -476,6 +477,8 @@ func TestHistlintBitesInTheRealTree(t *testing.T) {
 		t.Skip("type-checks a copy of the whole module")
 	}
 	const server = "cmd/histserve/server.go"
+	// Split, or this file, copied along with the module, would read it.
+	const unread = "histserve_seeded_" + "unread_total"
 	seeds := []struct {
 		analyzer, file string
 		old, new       string // new replaces the one occurrence of old
@@ -518,6 +521,10 @@ func TestHistlintBitesInTheRealTree(t *testing.T) {
 			"\tst := s.statsSnapshot()\n",
 			"\tst := s.statsSnapshot()\n\ts.Reg.NewCounter(\"BadName-total\", \"seeded\")\n",
 			"BadName-total"},
+		{"metricname", server,
+			"\ts.link.Metrics = s.Metrics\n",
+			"\ts.Reg.NewCounter(\"" + unread + "\", \"seeded\")\n\ts.link.Metrics = s.Metrics\n",
+			unread},
 		{"importfence", "internal/core/core.go",
 			"\t\"histcube/internal/appendcube\"\n",
 			"\t\"histcube/internal/appendcube\"\n\t_ \"histcube/internal/paper/framework\"\n",
@@ -576,6 +583,11 @@ func TestHistlintBitesInTheRealTree(t *testing.T) {
 	// second root of uses dropped out of the program.
 	if strings.Contains(stdout, "deadexport: perf.New ") || strings.Contains(stdout, "(*perf.Recorder).Record ") {
 		t.Error("deadexport reports perf.New or Recorder.Record: benchmark/ no longer counts as a user")
+	}
+	// Every real family has its reader in a test or in benchmark/, so
+	// the seed is the one family reported unread.
+	if n := strings.Count(stdout, "is read by name in no test"); n != 1 {
+		t.Errorf("%d families reported unread, want only the seeded one", n)
 	}
 	if t.Failed() {
 		t.Logf("histlint said:\n%s", stdout)

@@ -30,8 +30,14 @@ func TestProxyGovernanceLimits(t *testing.T) {
 	if line, err := c2.r.ReadString('\n'); err != nil || !strings.HasPrefix(line, "ERR server busy") {
 		t.Fatalf("over-cap connection -> %q, %v, want ERR server busy", line, err)
 	}
-	if n := p.ConnRejects.Value(); n != 1 {
-		t.Fatalf("rejected-connection counter = %d, want 1", n)
+	for series, want := range map[string]int64{
+		"histproxy_connections_rejected_total": 1,
+		"histproxy_connections":                1,
+		"histproxy_connections_total":          1,
+	} {
+		if n := metricValue(t, p, series); n != want {
+			t.Errorf("%s = %d, want %d", series, n, want)
+		}
 	}
 	// An overlong line after a run: the run's replies, the farewell, close.
 	got := sendAll(t, c1, "INS 11 1 1 1\nINS 12 1 1 1\nINS "+strings.Repeat("9", 512)+"\n", 3)
@@ -91,7 +97,7 @@ func TestProxyPanicContainmentIsPerRun(t *testing.T) {
 	if want := "ERR INS needs time, 2 coordinates and a value"; got[1] != want {
 		t.Errorf("reply 1 = %q, want its own %q", got[1], want)
 	}
-	if n := p.Panics.Value(); n != 1 {
+	if n := metricValue(t, p, "histproxy_panics_recovered_total"); n != 1 {
 		t.Errorf("recovered-panic counter = %d after one broken run, want 1", n)
 	}
 	// Lines 5 and 6 are a healthy run to shard 1; line 7 panics alone.
@@ -103,7 +109,7 @@ func TestProxyPanicContainmentIsPerRun(t *testing.T) {
 	if !strings.HasPrefix(got[0], "ERR internal error") || got[1] != "OK" {
 		t.Fatalf("panic in front of one line of a run = %q, want that line only to fail", got)
 	}
-	if n := p.Inflight.Value(); n != 0 {
+	if n := metricValue(t, p, "histproxy_inflight_requests"); n != 0 {
 		t.Errorf("inflight gauge = %d after panics, want 0", n)
 	}
 }

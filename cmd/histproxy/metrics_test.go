@@ -8,6 +8,7 @@ import (
 	"os"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -38,6 +39,27 @@ func TestProxyRequestSeconds(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+}
+
+// metricValue reads one series off p's registry, as /metrics renders
+// it (cmd/histserve's twin).
+func metricValue(t *testing.T, p *proxy, series string) int64 {
+	t.Helper()
+	var b strings.Builder
+	if err := p.Reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return int64(n)
+		}
+	}
+	t.Fatalf("/metrics has no series %s", series)
+	return 0
 }
 
 // TestReadmeNamesOnlyRealMetrics renders the proxy's /metrics with

@@ -264,8 +264,6 @@ func newProxy(smap *shard.Map, dims int, hedgeAfter time.Duration, copts shardcl
 	p.ConnTotal = p.Reg.NewCounter("histproxy_connections_total", "Client connections accepted since start.")
 	p.Inflight = p.Reg.NewGauge("histproxy_inflight_requests", "Requests currently being dispatched.")
 	for _, cmd := range p.Labels() {
-		p.Requests[cmd] = p.Reg.NewCounter("histproxy_requests_total",
-			"Requests dispatched, by protocol command.", obs.Label{Key: "cmd", Value: cmd})
 		p.Errors[cmd] = p.Reg.NewCounter("histproxy_errors_total",
 			"Requests answered with ERR, by protocol command.", obs.Label{Key: "cmd", Value: cmd})
 		p.Latency[cmd] = p.Reg.NewHistogram("histproxy_request_seconds",

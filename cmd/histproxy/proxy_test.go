@@ -443,6 +443,13 @@ func TestProxyPartialOnDeadShardAndRejoin(t *testing.T) {
 	if p.partials.Value() == 0 {
 		t.Fatal("histproxy_partial_answers_total not incremented")
 	}
+	if metricValue(t, p, "histproxy_leg_failures_total") == 0 {
+		t.Error("histproxy_leg_failures_total not incremented")
+	}
+	shardUp := fmt.Sprintf(`histproxy_shard_up{shard=%q}`, shards[1].addr())
+	if n := metricValue(t, p, shardUp); n != 0 {
+		t.Errorf("%s = %d during the outage, want 0", shardUp, n)
+	}
 
 	// Rejoin: restart on the same address; after the breaker cooldown
 	// the next query is complete again — no proxy restart.
@@ -457,6 +464,9 @@ func TestProxyPartialOnDeadShardAndRejoin(t *testing.T) {
 			t.Fatalf("shard rejoined but answers stayed partial: %q", got)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+	if n := metricValue(t, p, shardUp); n != 1 {
+		t.Errorf("%s = %d after the rejoin, want 1", shardUp, n)
 	}
 }
 

@@ -76,13 +76,13 @@ func TestRunSpansOwnersRepliesInRequestOrder(t *testing.T) {
 		}
 	}
 	// Every line is accounted under its own verb, errors included.
-	if n := p.Requests["INS"].Value(); n != 7 {
+	if n := metricValue(t, p, `histproxy_request_seconds_count{cmd="INS"}`); n != 7 {
 		t.Errorf("INS requests accounted = %d, want 7", n)
 	}
-	if n := p.Errors["INS"].Value(); n != 2 {
+	if n := metricValue(t, p, `histproxy_errors_total{cmd="INS"}`); n != 2 {
 		t.Errorf("INS errors accounted = %d, want 2", n)
 	}
-	if n := p.Requests["DEL"].Value(); n != 1 {
+	if n := metricValue(t, p, `histproxy_request_seconds_count{cmd="DEL"}`); n != 1 {
 		t.Errorf("DEL requests accounted = %d, want 1", n)
 	}
 }

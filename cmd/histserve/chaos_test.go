@@ -110,8 +110,11 @@ func TestChaosReadOnlyDegradationAndRecovery(t *testing.T) {
 	if !strings.Contains(stats, "degraded=1") {
 		t.Fatalf("STATS while degraded: %q", stats)
 	}
-	if srv.readonlyRejects.Value() == 0 {
+	if metricValue(t, srv, "histserve_readonly_rejections_total") == 0 {
 		t.Fatal("readonly_rejections counter did not move")
+	}
+	if got := metricValue(t, srv, "histcube_degraded"); got != 1 {
+		t.Fatalf("histcube_degraded = %d while degraded, want 1", got)
 	}
 	if got := readyz(); got != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz while degraded -> %d, want 503", got)
@@ -139,6 +142,12 @@ func TestChaosReadOnlyDegradationAndRecovery(t *testing.T) {
 	stats, _ = srv.safeDispatch(0, "STATS")
 	if !strings.Contains(stats, "degraded=0") {
 		t.Fatalf("STATS after recovery: %q", stats)
+	}
+	if got := metricValue(t, srv, "histcube_degraded"); got != 0 {
+		t.Fatalf("histcube_degraded = %d after recovery, want 0", got)
+	}
+	if got := metricValue(t, srv, "histserve_degraded_transitions_total"); got != 1 {
+		t.Fatalf("degraded transitions = %d, want 1", got)
 	}
 	if got := readyz(); got != http.StatusOK {
 		t.Fatalf("/readyz after recovery -> %d", got)
@@ -210,7 +219,7 @@ func TestChaosSeededWorkloadNoAckLoss(t *testing.T) {
 			if recovered < float64(acked) || recovered > float64(sent) {
 				t.Fatalf("recovered SUM = %v, want within [acked=%d, sent=%d]", recovered, acked, sent)
 			}
-			t.Logf("acked=%d sent=%d recovered=%v injected_faults=%d", acked, sent, recovered, srv.Inj.Injected())
+			t.Logf("acked=%d sent=%d recovered=%v", acked, sent, recovered)
 			fresh.shutdown()
 		})
 	}
@@ -232,8 +241,8 @@ func TestChaosPanicRecovery(t *testing.T) {
 	if got := c.cmd(t, "QRY 0 5 0 0 7 7"); !strings.HasPrefix(got, "ERR internal error") {
 		t.Fatalf("panicking request -> %q, want ERR internal error", got)
 	}
-	if srv.Panics.Value() != 1 {
-		t.Fatalf("recovered-panic counter = %d, want 1", srv.Panics.Value())
+	if n := metricValue(t, srv, "histserve_panics_recovered_total"); n != 1 {
+		t.Fatalf("recovered-panic counter = %d, want 1", n)
 	}
 	// Same connection, post-panic: both paths of the mutex contract.
 	if got := c.cmd(t, "INS 2 2 3 2"); got != "OK" {
@@ -268,7 +277,7 @@ func TestChaosPanicUnderMutexReleasesIt(t *testing.T) {
 	if got := c.cmd(t, "INS 2 2 3 2"); !strings.HasPrefix(got, "ERR internal error") {
 		t.Fatalf("INS panicking under the mutex -> %q, want ERR internal error", got)
 	}
-	if n := srv.Panics.Value(); n != 1 {
+	if n := metricValue(t, srv, "histserve_panics_recovered_total"); n != 1 {
 		t.Fatalf("recovered-panic counter = %d, want 1", n)
 	}
 	if got := c.cmd(t, "QRY 0 5 0 0 7 7"); got != "7" {
@@ -312,7 +321,7 @@ func TestChaosFollowerApplyPanicIsContained(t *testing.T) {
 	})
 	pc.expect(t, "INS 3 0 0 1", "OK")
 	waitUntil(t, 10*time.Second, "follower convergence", func() bool { return follower.repl.applied.Load() == 3 })
-	if n := follower.Panics.Value(); n != 1 {
+	if n := metricValue(t, follower, "histserve_panics_recovered_total"); n != 1 {
 		t.Fatalf("recovered-panic counter = %d, want 1", n)
 	}
 	if got := chaosQuery(t, follower); got != 3 {
@@ -342,8 +351,8 @@ func TestChaosGovernanceLimits(t *testing.T) {
 	if !strings.HasPrefix(line, "ERR server busy") {
 		t.Fatalf("over-cap connection -> %q, want ERR server busy", strings.TrimSpace(line))
 	}
-	if srv.ConnRejects.Value() != 1 {
-		t.Fatalf("rejected-connection counter = %d, want 1", srv.ConnRejects.Value())
+	if n := metricValue(t, srv, "histserve_connections_rejected_total"); n != 1 {
+		t.Fatalf("rejected-connection counter = %d, want 1", n)
 	}
 
 	// The surviving connection trips the line-length guard next.

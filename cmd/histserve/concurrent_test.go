@@ -87,7 +87,7 @@ func TestConcurrentClients(t *testing.T) {
 	if got := srv.ConnTotal.Value(); got != clients {
 		t.Errorf("connections_total = %d, want %d", got, clients)
 	}
-	if got := srv.Inflight.Value(); got != 0 {
+	if got := metricValue(t, srv, "histserve_inflight_requests"); got != 0 {
 		t.Errorf("inflight gauge = %d after shutdown, want 0", got)
 	}
 }

@@ -66,8 +66,8 @@ func TestCmdLatencyMetrics(t *testing.T) {
 	}
 }
 
-// metricValue reads one unlabelled series off srv's registry, as
-// /metrics renders it.
+// metricValue reads one series off srv's registry, its labels spelled
+// as /metrics renders them.
 func metricValue(t *testing.T, srv *server, name string) int64 {
 	t.Helper()
 	var b strings.Builder
@@ -85,6 +85,25 @@ func metricValue(t *testing.T, srv *server, name string) int64 {
 	}
 	t.Fatalf("/metrics has no series %s", name)
 	return 0
+}
+
+// TestOutOfOrderInsertRaisesGd: histcube_ooo_pending is the size of
+// Sec. 2.5's G_d, the buffer of updates older than the latest instance.
+// On an -ooo server an out-of-order INS lands there and raises it by one.
+func TestOutOfOrderInsertRaisesGd(t *testing.T) {
+	srv := newQuietServer(t, "8,8", "sum", true)
+	for _, line := range []string{"INS 5 1 1 1", "INS 6 2 2 1"} {
+		if resp, _ := srv.safeDispatch(0, line); resp != "OK" {
+			t.Fatalf("%s -> %q", line, resp)
+		}
+	}
+	before := metricValue(t, srv, "histcube_ooo_pending")
+	if resp, _ := srv.safeDispatch(0, "INS 3 1 1 1"); resp != "OK" {
+		t.Fatalf("out-of-order INS -> %q", resp)
+	}
+	if got := metricValue(t, srv, "histcube_ooo_pending"); got != before+1 {
+		t.Fatalf("histcube_ooo_pending = %d after an out-of-order INS, want %d", got, before+1)
+	}
 }
 
 // TestFollowerLinkIsAccounted: a follower's link runs on the serving

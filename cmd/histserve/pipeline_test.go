@@ -186,7 +186,7 @@ func TestBatchBeyondCapReleasedInSeveralFlushes(t *testing.T) {
 		t.Fatalf("%d inserts were released in %d batches, want at least %d (the cap) and far fewer than one per insert",
 			n, flushes, min)
 	}
-	if got := srv.Requests["INS"].Value(); got != n {
+	if got := metricValue(t, srv, `histserve_request_seconds_count{cmd="INS"}`); got != n {
 		t.Fatalf("accounted %d INS, want %d", got, n)
 	}
 }
@@ -364,7 +364,7 @@ func TestPanickingLineKeepsNeighboursReplies(t *testing.T) {
 	if got[0] != "OK" || !strings.HasPrefix(got[1], "ERR internal error") || got[2] != "OK" || got[3] != "7" {
 		t.Fatalf("replies = %q, want OK, ERR internal error..., OK, 7", got)
 	}
-	if n := srv.Panics.Value(); n != 1 {
+	if n := metricValue(t, srv, "histserve_panics_recovered_total"); n != 1 {
 		t.Errorf("recovered-panic counter = %d, want 1", n)
 	}
 }

@@ -497,11 +497,9 @@ func newServer(dimsArg, opArg string, ooo bool) (*server, error) {
 	s.Inflight = s.Reg.NewGauge("histserve_inflight_requests", "Requests currently being dispatched.")
 	// The link's verbs join the label set; a verb both tables know has one series.
 	for _, cmd := range slices.Concat(s.Labels(), s.link.Labels()) {
-		if s.Requests[cmd] != nil {
+		if s.Latency[cmd] != nil {
 			continue
 		}
-		s.Requests[cmd] = s.Reg.NewCounter("histserve_requests_total",
-			"Requests dispatched, by protocol command.", obs.Label{Key: "cmd", Value: cmd})
 		s.Errors[cmd] = s.Reg.NewCounter("histserve_errors_total",
 			"Requests answered with ERR, by protocol command.", obs.Label{Key: "cmd", Value: cmd})
 		s.Latency[cmd] = s.Reg.NewHistogram("histserve_request_seconds",

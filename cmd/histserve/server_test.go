@@ -325,9 +325,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`histserve_stage_seconds_bucket{stage="cube_query",le="+Inf"} 1`,
 		`histserve_request_seconds_bucket{cmd="QRY",le="+Inf"} 1`,
 		"# TYPE histcube_ecube_conversions_total counter",
-		"# TYPE histserve_requests_total counter",
-		`histserve_requests_total{cmd="INS"} 16`,
-		`histserve_requests_total{cmd="QRY"} 1`,
+		`histserve_request_seconds_count{cmd="INS"} 16`,
+		`histserve_request_seconds_count{cmd="QRY"} 1`,
 		"histserve_connections 1",
 		"histserve_connections_total 1",
 		"histcube_slices 16",

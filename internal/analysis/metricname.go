@@ -3,8 +3,14 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/parser"
+	"go/token"
 	"go/types"
+	"os"
+	"path/filepath"
 	"regexp"
+	"strconv"
+	"strings"
 )
 
 // MetricName enforces the metric naming contract from the
@@ -24,15 +30,27 @@ import (
 // source. Spans carry no duplicate-site check — unlike a metric
 // series, the same span name legitimately starts from many call
 // sites.
+//
+// Every family registered at a literal name must also have a reader:
+// a string literal that names it, bare or with a histogram's _bucket,
+// _sum or _count suffix, in a _test.go file of the module or in a .go
+// file of a nested module that replaces it (benchmark/). A read by name
+// checks the series an operator scrapes; a read through the Go handle
+// passes a misspelt registration.
 var MetricName = &Analyzer{
-	Name: "metricname",
-	Doc:  "obs metrics and trace spans use constant histcube/histserve/histproxy snake_case names",
-	Run:  runMetricName,
+	Name:   "metricname",
+	Doc:    "obs metrics and trace spans use constant histcube/histserve/histproxy snake_case names, and a test or benchmark/ reads every metric family by name",
+	Run:    runMetricName,
+	Finish: runMetricReaders,
 }
 
 var (
 	metricNameRE = regexp.MustCompile(`^(histcube|histserve|histproxy)(_[a-z0-9]+)+$`)
 	spanNameRE   = regexp.MustCompile(`^(histcube|histserve|proxy)(\.[a-z0-9_]+)+$`)
+	// nameRunRE splits a reader's literal into the runs a family name
+	// can fill: `histserve_request_seconds_count{cmd="INS"}` holds
+	// histserve_request_seconds_count and cmd.
+	nameRunRE = regexp.MustCompile(`[a-z0-9_]+`)
 )
 
 var metricRegisterMethods = map[string]bool{
@@ -56,14 +74,7 @@ func runMetricName(pass *Pass) error {
 			if checkSpanName(pass, call) {
 				return true
 			}
-			fn := calleeMethod(pass, call)
-			if fn == nil || fn.Pkg() == nil {
-				return true
-			}
-			if !metricRegisterMethods[fn.Name()] || !PathHasSuffix(fn.Pkg().Path(), "internal/obs") {
-				return true
-			}
-			if len(call.Args) == 0 {
+			if !isMetricRegistration(pass, call) {
 				return true
 			}
 			name, isConst := constantString(pass, call.Args[0])
@@ -91,6 +102,99 @@ func runMetricName(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// isMetricRegistration reports whether call registers a family on
+// internal/obs's Registry.
+func isMetricRegistration(pass *Pass, call *ast.CallExpr) bool {
+	fn := calleeMethod(pass, call)
+	return fn != nil && fn.Pkg() != nil && metricRegisterMethods[fn.Name()] &&
+		PathHasSuffix(fn.Pkg().Path(), "internal/obs") && len(call.Args) > 0
+}
+
+// runMetricReaders reports each registration site of a well-formed
+// family that no reader names.
+func runMetricReaders(pass *Pass) error {
+	unread := make(map[string][]token.Pos)
+	for _, pkg := range pass.Pkgs {
+		pp := *pass
+		pp.Info = pkg.Info
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || !isMetricRegistration(&pp, call) {
+					return true
+				}
+				if name, ok := constantString(&pp, call.Args[0]); ok && metricNameRE.MatchString(name) {
+					unread[name] = append(unread[name], call.Args[0].Pos())
+				}
+				return true
+			})
+		}
+	}
+	if len(unread) == 0 {
+		return nil
+	}
+	err := readerLiterals(pass.loader, func(lit string) {
+		for _, run := range nameRunRE.FindAllString(lit, -1) {
+			delete(unread, run)
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				delete(unread, strings.TrimSuffix(run, suffix))
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	for name, sites := range unread {
+		for _, pos := range sites {
+			pass.Reportf(pos, "metric %q is read by name in no test and nowhere in benchmark/: assert it by name where its event is driven, or delete it", name)
+		}
+	}
+	return nil
+}
+
+// readerLiterals calls fn with every string literal of the files that
+// can read a metric: the module's _test.go files and each .go file of a
+// nested module that replaces this one. Other nested modules, testdata
+// and directories named .* or _* are skipped, as the go tool skips them.
+func readerLiterals(l *Loader, fn func(string)) error {
+	fset := token.NewFileSet()
+	nested := ""
+	return filepath.WalkDir(l.ModuleRoot, func(path string, d os.DirEntry, err error) error {
+		if err != nil || path == l.ModuleRoot {
+			return err
+		}
+		if d.IsDir() {
+			if skippedDir(d.Name()) {
+				return filepath.SkipDir
+			}
+			if gomod := filepath.Join(path, "go.mod"); isFile(gomod) {
+				if !l.replacedIn(gomod) {
+					return filepath.SkipDir
+				}
+				nested = path + string(filepath.Separator)
+			}
+			return nil
+		}
+		inNested := nested != "" && strings.HasPrefix(path, nested)
+		if !strings.HasSuffix(path, ".go") || !inNested && !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if s, err := strconv.Unquote(lit.Value); err == nil {
+					fn(s)
+				}
+			}
+			return true
+		})
+		return nil
+	})
 }
 
 // checkSpanName reports whether call is a span-starting call

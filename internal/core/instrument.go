@@ -20,9 +20,6 @@ func RegisterStatsMetrics(reg *obs.Registry, snapshot func() Stats) {
 	reg.NewGaugeFunc("histcube_slices",
 		"Occurring time slices (time directory entries).",
 		func() float64 { return float64(snapshot().Slices) })
-	reg.NewGaugeFunc("histcube_incomplete_slices",
-		"Historic slices not yet completely copied (Table 4's measurement).",
-		func() float64 { return float64(snapshot().IncompleteSlices) })
 	reg.NewGaugeFunc("histcube_ooo_pending",
 		"Out-of-order updates buffered in the R*-tree (Section 2.5's G_d).",
 		func() float64 { return float64(snapshot().PendingOutOfOrder) })
@@ -52,19 +49,10 @@ func RegisterStatsMetrics(reg *obs.Registry, snapshot func() Stats) {
 	reg.NewCounterFunc("histcube_ecube_cells_touched_total",
 		"Historic-slice cells loaded by the eCube query algorithm.",
 		func() int64 { return snapshot().ECubeCellsTouched })
-	reg.NewCounterFunc("histcube_cache_accesses_total",
-		"Cache cell reads and writes (the paper's in-memory cost unit).",
-		func() int64 { return snapshot().CacheAccesses })
-	reg.NewCounterFunc("histcube_store_accesses_total",
-		"Historic store accesses in the store's native unit (cells in memory, page I/Os on disk).",
-		func() int64 { return snapshot().StoreAccesses })
 	reg.NewCounterFunc("histcube_copy_forced_total",
 		"Forced lazy copies of overwritten cache cells (Fig. 8 step 3).",
 		func() int64 { return snapshot().ForcedCopies })
 	reg.NewCounterFunc("histcube_copy_ahead_total",
 		"Copy-ahead work riding on updates (Fig. 8 step 4).",
 		func() int64 { return snapshot().CopyAheadWork })
-	reg.NewCounterFunc("histcube_tier_demotions_total",
-		"Slices aged from hot to cold storage.",
-		func() int64 { return snapshot().TierDemotions })
 }

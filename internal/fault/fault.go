@@ -54,11 +54,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
-
-	"histcube/internal/obs"
 )
 
 // ErrNoSpace is the injected out-of-space condition. It wraps
@@ -116,10 +113,9 @@ type Injector struct {
 	counts map[string]int64 // per-site op counters; guarded by mu
 	healed bool             // guarded by mu
 
-	seed     int64
-	spec     string
-	injected atomic.Int64
-	sleep    func(time.Duration) // set at construction; time.Sleep by default
+	seed  int64
+	spec  string
+	sleep func(time.Duration) // set at construction; time.Sleep by default
 }
 
 // Parse builds an Injector from a spec string (see the package
@@ -288,7 +284,6 @@ func (i *Injector) Check(site string) Outcome {
 			continue
 		}
 		r.fires++
-		i.injected.Add(1)
 		switch r.kind {
 		case kindErr:
 			out.Err = fmt.Errorf("%w at %s (op %d)", ErrInjected, site, n)
@@ -322,14 +317,6 @@ func (i *Injector) Heal() {
 	i.healed = true
 }
 
-// Injected returns the number of faults fired so far.
-func (i *Injector) Injected() int64 {
-	if i == nil {
-		return 0
-	}
-	return i.injected.Load()
-}
-
 // Ops returns the operation count observed at site.
 //
 //histlint:ignore deadexport test seam: internal/wal fault_test.go counts the write and sync operations a commit reached
@@ -343,26 +330,6 @@ func (i *Injector) Ops(site string) int64 {
 // fault schedule.
 func (i *Injector) String() string {
 	return fmt.Sprintf("fault(%q, seed=%d)", i.spec, i.seed)
-}
-
-// RegisterMetrics exposes the injector on a metrics registry so chaos
-// runs can observe fault activity alongside the degradation gauges.
-func (i *Injector) RegisterMetrics(reg *obs.Registry) {
-	// The fire count only ever grows, so it is exposed with counter
-	// semantics (the _total suffix requires them).
-	reg.NewCounterFunc("histcube_fault_injected_total",
-		"Faults fired by the injector since start.",
-		i.Injected)
-	reg.NewGaugeFunc("histcube_fault_armed",
-		"1 while fault rules are armed, 0 after Heal.",
-		func() float64 {
-			i.mu.Lock()
-			defer i.mu.Unlock()
-			if i.healed {
-				return 0
-			}
-			return 1
-		})
 }
 
 func (i *Injector) wait(d time.Duration) {

@@ -134,7 +134,6 @@ func (f *Flags) Apply(s *Server, log *slog.Logger) (stop func(), err error) {
 			log.Error("bad -fault-spec", "err", err)
 			return nil, fmt.Errorf("-fault-spec: %w", err)
 		}
-		s.Inj.RegisterMetrics(s.Reg)
 		log.Warn("fault injection armed", "fault", s.Inj.String())
 	}
 	s.Slow = trace.NewSlowLog(*f.slowCap, *f.slowThr)

@@ -89,17 +89,17 @@ func (rq *Request) Verb() string { return rq.cmd.Verb }
 // Metrics are the serving core's metric handles. Each binary registers
 // them under its own literal names (histlint's metricname analyzer
 // wants a name readable at its registration site) and hands them over.
-// Requests, Errors and Latency take one handle per Labels() entry.
-// Latency is the one latency instrument of the serving path: a
-// cumulative bucket histogram, so any window is the difference of two
-// scrapes and the buckets of several processes add up exactly.
+// Errors and Latency take one handle per Labels() entry. Latency is the
+// one latency instrument of the serving path, and its count is the
+// request count: a cumulative bucket histogram, so any window is the
+// difference of two scrapes and the buckets of several processes add up
+// exactly.
 type Metrics struct {
 	Connections *obs.Gauge
 	ConnTotal   *obs.Counter
 	ConnRejects *obs.Counter
 	Inflight    *obs.Gauge
 	Panics      *obs.Counter
-	Requests    map[string]*obs.Counter
 	Errors      map[string]*obs.Counter
 	Latency     map[string]*obs.Histogram
 }
@@ -177,7 +177,6 @@ func (s *Server) Init(settle func([]*Request), rows ...Command) {
 		s.rows[c.Verb] = c
 	}
 	s.other = s.rows["other"]
-	s.Requests = make(map[string]*obs.Counter, len(s.labels))
 	s.Errors = make(map[string]*obs.Counter, len(s.labels))
 	s.Latency = make(map[string]*obs.Histogram, len(s.labels))
 }
@@ -333,9 +332,10 @@ func (s *Server) ServeConn(conn net.Conn) {
 		}
 		reqs += int64(len(unit))
 		if h := unit[0].cmd.Hijack; h != nil {
-			s.Requests[unit[0].cmd.label].Inc()
-			unit[0].Fields = strings.Fields(unit[0].Line)
-			s.contain(unit, func([]*Request) { h(conn, lr, w, unit[0]) })
+			rq := unit[0]
+			rq.start, rq.Fields = time.Now(), strings.Fields(rq.Line)
+			s.contain(unit, func([]*Request) { h(conn, lr, w, rq) })
+			s.finish(rq)
 			return
 		}
 		open = s.serveUnit(unit, open)
@@ -483,15 +483,14 @@ func (s *Server) execute(one []*Request) {
 }
 
 // finish accounts one answered request under its row's label: the
-// request counter, the error counter for replies starting with ERR, and
-// the latency histogram, from execute's start to the reply being final.
+// error counter for replies starting with ERR, and the latency
+// histogram, from execute's start to the reply being final. A hijacked
+// request is final when its hijacker returns.
 func (s *Server) finish(rq *Request) {
-	label := rq.cmd.label
-	s.Requests[label].Inc()
 	if strings.HasPrefix(rq.Reply, "ERR") {
-		s.Errors[label].Inc()
+		s.Errors[rq.cmd.label].Inc()
 	}
-	s.Latency[label].Observe(time.Since(rq.start).Seconds())
+	s.Latency[rq.cmd.label].Observe(time.Since(rq.start).Seconds())
 }
 
 // RequestCtx derives the per-request context from -request-timeout and

@@ -74,7 +74,6 @@ func newStub(t *testing.T) *stub {
 	st.Inflight = reg.NewGauge("stub_inflight_requests", "Requests in flight.")
 	st.Panics = reg.NewCounter("stub_panics_recovered_total", "Panics recovered.")
 	for _, l := range st.Labels() {
-		st.Requests[l] = reg.NewCounter("stub_requests_total", "Requests.", obs.Label{Key: "cmd", Value: l})
 		st.Errors[l] = reg.NewCounter("stub_errors_total", "Errors.", obs.Label{Key: "cmd", Value: l})
 		st.Latency[l] = reg.NewHistogram("stub_request_seconds", "Latency.", nil, obs.Label{Key: "cmd", Value: l})
 	}
@@ -179,13 +178,13 @@ func TestConformanceLineByLine(t *testing.T) {
 	}
 	// Unknown verbs, the refused verb and the empty command share one
 	// label; every other verb has its own.
-	if got := st.Requests["other"].Value(); got != 3 {
-		t.Errorf(`requests{cmd="other"} = %d, want 3`, got)
+	if got := st.Latency["other"].Count(); got != 3 {
+		t.Errorf(`request_seconds{cmd="other"} count = %d, want 3`, got)
 	}
-	if got, errs := st.Requests["ECHO"].Value(), st.Errors["ECHO"].Value(); got != 6 || errs != 2 {
+	if got, errs := st.Latency["ECHO"].Count(), st.Errors["ECHO"].Value(); got != 6 || errs != 2 {
 		t.Errorf("ECHO requests/errors = %d/%d, want 6/2", got, errs)
 	}
-	if _, own := st.Requests["NOPE"]; own {
+	if _, own := st.Latency["NOPE"]; own {
 		t.Error("an Other row must not yield a label of its own")
 	}
 }
@@ -404,31 +403,29 @@ func TestPanicContainment(t *testing.T) {
 }
 
 // TestEveryAccountedRequestIsTimedOnce pins the invariant the latency
-// family rests on: whatever path a line takes, it is counted and timed
-// once under one label, so request_seconds{cmd}'s count is
-// requests_total{cmd}. A hijacked connection is counted and never
-// timed: its "request" lasts as long as the connection.
+// family rests on: whatever path a line takes, it is timed once under
+// one label, so request_seconds{cmd}'s count is the request count. A
+// hijacked request is timed when its hijacker returns.
 func TestEveryAccountedRequestIsTimedOnce(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		send     string   // one write over a connection
-		do       []string // or lines served through Do
-		replies  int
-		want     map[string]int64 // requests per label; every other label 0
-		hijacked int64            // TAKE requests that took their connection over
+		name    string
+		send    string   // one write over a connection
+		do      []string // or lines served through Do
+		replies int
+		want    map[string]int64 // requests per label; every other label 0
 	}{
 		{"pipelined units", "ECHO a\nMUT b\n\nMUT c\nECHO d\nONE\nMUT e\n", nil, 6,
-			map[string]int64{"ECHO": 2, "MUT": 3, "ONE": 1}, 0},
+			map[string]int64{"ECHO": 2, "MUT": 3, "ONE": 1}},
 		{"arity errors", "ECHO\nMUT a b\nONE x\nSLOWLOG y\nQUIT now\n", nil, 5,
-			map[string]int64{"ECHO": 1, "MUT": 1, "ONE": 1, "SLOWLOG": 1, "QUIT": 1}, 0},
+			map[string]int64{"ECHO": 1, "MUT": 1, "ONE": 1, "SLOWLOG": 1, "QUIT": 1}},
 		{"unknown verbs, a refused verb and the empty command are other", "FROB\nNOPE x\nTID=feedface12345678\n", nil, 3,
-			map[string]int64{"other": 3}, 0},
+			map[string]int64{"other": 3}},
 		{"contained panics in a handler and in settle", "ECHO a\nBOOM\nMUT bad\nMUT ok\n", nil, 4,
-			map[string]int64{"ECHO": 1, "BOOM": 1, "MUT": 2}, 0},
+			map[string]int64{"ECHO": 1, "BOOM": 1, "MUT": 2}},
 		{"Do", "", []string{"ECHO a", "MUT b", "FROB", "BOOM", "MUT bad", "TAKE x", "  "}, 0,
-			map[string]int64{"ECHO": 1, "MUT": 2, "other": 2, "BOOM": 1, "TAKE": 1}, 0},
+			map[string]int64{"ECHO": 1, "MUT": 2, "other": 2, "BOOM": 1, "TAKE": 1}},
 		{"hijack", "ECHO a\nTAKE x\n", nil, 2,
-			map[string]int64{"ECHO": 1, "TAKE": 1}, 1},
+			map[string]int64{"ECHO": 1, "TAKE": 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := newStub(t)
@@ -442,16 +439,8 @@ func TestEveryAccountedRequestIsTimedOnce(t *testing.T) {
 				st.Do(0, line)
 			}
 			for _, l := range st.Labels() {
-				req, lat := st.Requests[l].Value(), st.Latency[l].Count()
-				if req != tc.want[l] {
-					t.Errorf("requests{cmd=%q} = %d, want %d", l, req, tc.want[l])
-				}
-				timed := req
-				if l == "TAKE" {
-					timed -= tc.hijacked
-				}
-				if lat != timed {
-					t.Errorf("request_seconds{cmd=%q} count = %d, want %d (requests %d)", l, lat, timed, req)
+				if got := st.Latency[l].Count(); got != tc.want[l] {
+					t.Errorf("request_seconds{cmd=%q} count = %d, want %d", l, got, tc.want[l])
 				}
 			}
 		})
@@ -472,8 +461,8 @@ func TestHijackReleasesEarlierRepliesFirst(t *testing.T) {
 	if _, err := r.ReadString('\n'); err != io.EOF {
 		t.Fatalf("after the hijacker returned: %v, want the connection closed", err)
 	}
-	if got := st.Requests["TAKE"].Value(); got != 1 {
-		t.Errorf("TAKE requests = %d, want 1", got)
+	if got := st.Latency["TAKE"].Count(); got != 1 {
+		t.Errorf("TAKE request_seconds count = %d, want 1", got)
 	}
 	// Without a connection there is nothing to take over.
 	if got, _ := st.Do(0, "TAKE x"); !strings.HasPrefix(got, "ERR TAKE") {

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,6 +42,26 @@ func faultOptions(inj *fault.Injector, opts wal.Options) wal.Options {
 		return inj.WrapFile("wal", f)
 	}
 	return opts
+}
+
+// metricValue reads one series off reg, as /metrics renders it.
+func metricValue(t *testing.T, reg *obs.Registry, series string) int64 {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return int64(n)
+		}
+	}
+	t.Fatalf("/metrics has no series %s", series)
+	return 0
 }
 
 func testOp(i int) core.Op {
@@ -160,7 +181,8 @@ func TestCommitLeaderPanicDoesNotWedgeTheLog(t *testing.T) {
 	for _, spec := range []string{"wal.write:panic@1", "wal.sync:panic@1"} {
 		t.Run(spec, func(t *testing.T) {
 			inj := fault.MustParse(spec, 1)
-			cube, l, _, err := wal.Recover(t.TempDir(), faultOptions(inj, wal.Options{Sync: wal.SyncAlways}), newCube(t))
+			reg := obs.NewRegistry()
+			cube, l, _, err := wal.Recover(t.TempDir(), faultOptions(inj, wal.Options{Sync: wal.SyncAlways, Metrics: wal.NewMetrics(reg)}), newCube(t))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,6 +213,9 @@ func TestCommitLeaderPanicDoesNotWedgeTheLog(t *testing.T) {
 			case err := <-done:
 				if err == nil || !strings.Contains(err.Error(), "commit leader panicked") {
 					t.Fatalf("Checkpoint/Close on the latched log = %v, want the latched panic", err)
+				}
+				if got := metricValue(t, reg, "histcube_wal_checkpoint_errors_total"); got != 1 {
+					t.Errorf("checkpoint-errors metric = %d, want 1", got)
 				}
 			case <-time.After(10 * time.Second):
 				t.Fatal("Checkpoint/Close hung: the panicking leader left the log syncing")
@@ -303,9 +328,8 @@ func TestCommitWritesOnce(t *testing.T) {
 func TestSyncFailureFailsFastThenRepairs(t *testing.T) {
 	dir := t.TempDir()
 	inj := fault.MustParse("wal.sync:err@1", 1)
-	m := wal.NewMetrics(obs.NewRegistry())
-	opts := faultOptions(inj, wal.Options{Sync: wal.SyncAlways})
-	opts.Metrics = m
+	reg := obs.NewRegistry()
+	opts := faultOptions(inj, wal.Options{Sync: wal.SyncAlways, Metrics: wal.NewMetrics(reg)})
 	live, l, _, err := wal.Recover(dir, opts, newCube(t))
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +355,7 @@ func TestSyncFailureFailsFastThenRepairs(t *testing.T) {
 	if got := inj.Ops("wal.sync"); got != 1 {
 		t.Fatalf("sync ops = %d, want 1 (a failed fsync must not be retried)", got)
 	}
-	if got := m.SyncFailures.Value(); got != 1 {
+	if got := metricValue(t, reg, "histcube_wal_sync_failures_total"); got != 1 {
 		t.Fatalf("sync-failures metric = %v, want 1", got)
 	}
 	// While latched, commits fail fast without touching the descriptor
@@ -410,7 +434,8 @@ func TestSyncFailureFailsFastThenRepairs(t *testing.T) {
 func TestGroupCommitSharesFsyncs(t *testing.T) {
 	const workers, perWorker = 8, 200
 	dir := t.TempDir()
-	m := wal.NewMetrics(obs.NewRegistry())
+	reg := obs.NewRegistry()
+	m := wal.NewMetrics(reg)
 	// The slowed fsync is what parks committers behind a leader, as a
 	// real disk does; 2 KiB segments force rotations under load.
 	inj := fault.MustParse("wal.sync:slow=200us", 1)
@@ -479,11 +504,11 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 	if got := m.CommitRecords.Sum(); got != float64(appends) {
 		t.Fatalf("histcube_wal_commit_records sums to %v records, want %d", got, appends)
 	}
-	if m.Rotations.Value() == 0 {
+	if metricValue(t, reg, "histcube_wal_segment_rotations_total") == 0 {
 		t.Fatal("the run never rotated a segment; shrink SegmentSize")
 	}
-	if m.SyncFailures.Value() != 0 {
-		t.Fatalf("sync failures = %d, want 0 (a rotation closed a descriptor under an fsync?)", m.SyncFailures.Value())
+	if got := metricValue(t, reg, "histcube_wal_sync_failures_total"); got != 0 {
+		t.Fatalf("sync failures = %d, want 0 (a rotation closed a descriptor under an fsync?)", got)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -645,11 +670,15 @@ func TestCorruptCheckpointQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	back, l2, res, err := wal.Recover(dir, wal.Options{}, newCube(t))
+	reg := obs.NewRegistry()
+	back, l2, res, err := wal.Recover(dir, wal.Options{Metrics: wal.NewMetrics(reg)}, newCube(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
+	if got := metricValue(t, reg, "histcube_wal_quarantined_checkpoints_total"); got != 1 {
+		t.Errorf("quarantined-checkpoints metric = %d, want 1", got)
+	}
 	if res.CheckpointsSkipped != 1 || res.CheckpointLSN != 5 {
 		t.Fatalf("recovery = %+v, want fallback to checkpoint 5", res)
 	}

@@ -12,8 +12,6 @@ type Metrics struct {
 	Rotations        *obs.Counter
 	Checkpoints      *obs.Counter
 	CheckpointErrors *obs.Counter
-	Replayed         *obs.Counter
-	ReplaySkipped    *obs.Counter
 	TornTruncations  *obs.Counter
 	SyncFailures     *obs.Counter
 	QuarantinedCkpts *obs.Counter
@@ -34,10 +32,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Checkpoints: reg.NewCounter("histcube_wal_checkpoints_total", "Checkpoints written."),
 		CheckpointErrors: reg.NewCounter("histcube_wal_checkpoint_errors_total",
 			"Checkpoint attempts that failed (the log keeps growing)."),
-		Replayed: reg.NewCounter("histcube_wal_replayed_records_total",
-			"Log records re-applied during crash recovery."),
-		ReplaySkipped: reg.NewCounter("histcube_wal_replay_skipped_total",
-			"Replayed records whose re-apply failed (they failed identically when first logged)."),
 		TornTruncations: reg.NewCounter("histcube_wal_torn_truncations_total",
 			"Torn final records truncated during recovery."),
 		SyncFailures: reg.NewCounter("histcube_wal_sync_failures_total",

@@ -162,14 +162,8 @@ func Recover(dir string, opts Options, newCube func() (*core.Cube, error)) (*cor
 			}
 			if aerr := cube.ApplyOp(context.Background(), op); aerr != nil {
 				res.SkippedOps++
-				if m := opts.Metrics; m != nil {
-					m.ReplaySkipped.Inc()
-				}
 			} else {
 				res.Replayed++
-				if m := opts.Metrics; m != nil {
-					m.Replayed.Inc()
-				}
 			}
 		}
 		if end := first + uint64(len(ops)) - 1; len(ops) > 0 && end > lastLSN {

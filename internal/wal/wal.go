@@ -666,18 +666,15 @@ func (l *Log) Segments() int {
 }
 
 // RegisterStateMetrics registers series read from l's state: the bytes
-// appended, and gauges of the segment count, last LSN, records since the
-// last checkpoint, and the age of the last checkpoint (-1 before the
-// first). The gauge callbacks take the log's mutex at scrape time.
+// appended, and gauges of the segment count, records since the last
+// checkpoint, and the age of the last checkpoint (-1 before the first).
+// The gauge callbacks take the log's mutex at scrape time.
 func RegisterStateMetrics(reg *obs.Registry, l *Log) {
 	reg.NewCounterFunc("histcube_wal_appended_bytes_total",
 		"Bytes appended to the write-ahead log.", l.AppendedBytes)
 	reg.NewGaugeFunc("histcube_wal_segments",
 		"WAL segment files on disk, including the active one.",
 		func() float64 { return float64(l.Segments()) })
-	reg.NewGaugeFunc("histcube_wal_last_lsn",
-		"LSN of the most recently appended WAL record.",
-		func() float64 { return float64(l.LastLSN()) })
 	reg.NewGaugeFunc("histcube_wal_records_since_checkpoint",
 		"Records appended since the last checkpoint.",
 		func() float64 { return float64(l.SinceCheckpoint()) })

@@ -6,10 +6,12 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 
 	"histcube/internal/agg"
 	"histcube/internal/core"
+	"histcube/internal/obs"
 )
 
 func newTestCube(t *testing.T) *core.Cube {
@@ -208,9 +210,17 @@ func TestTornFinalRecordTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	back, l2, res := recoverCube(t, dir, Options{})
+	reg := obs.NewRegistry()
+	back, l2, res := recoverCube(t, dir, Options{Metrics: NewMetrics(reg)})
 	if !res.TornTail {
 		t.Fatal("torn tail not reported")
+	}
+	var exposition strings.Builder
+	if err := reg.WritePrometheus(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(exposition.String(), "\nhistcube_wal_torn_truncations_total 1\n") {
+		t.Errorf("/metrics does not count the truncation:\n%s", exposition.String())
 	}
 	if res.Replayed != len(ops)-1 {
 		t.Fatalf("replayed %d, want %d (one torn)", res.Replayed, len(ops)-1)
