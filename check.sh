@@ -118,8 +118,10 @@ step_shardchaos() {
     # turn: replies that reached a shard's connection while a slower shard
     # was read are still that shard's answers, past its deadline, and a
     # read batch past its hedge point with every reply buffered is not
-    # hedged.
-    go test -race -count=1 -run 'TestShardChaosPartialAnswersAndRejoin|TestUnitReadsRepliesBufferedBehindASlowShard|TestUnitDoesNotHedgeBufferedReadBatch' ./cmd/histproxy/
+    # hedged. And the one rejoin path: a member that comes back has its
+    # breaker closed by the member-state loop's ROLE within one
+    # -probe-every, with no client traffic.
+    go test -race -count=1 -run 'TestShardChaosPartialAnswersAndRejoin|TestUnitReadsRepliesBufferedBehindASlowShard|TestUnitDoesNotHedgeBufferedReadBatch|TestMemberRejoinsWithinOneProbeInterval' ./cmd/histproxy/
 }
 
 step_replchaos() {
@@ -130,7 +132,7 @@ step_replchaos() {
     # its QRY a plain number, the final sum contains every acked write
     # (and nothing phantom), reads must keep answering exact non-PARTIAL
     # totals via the WAL-shipped replica, and the promoted replica must
-    # accept writes within the prober's failover interval. The
+    # accept writes within the member-state loop's interval. The
     # fake-shard test beside it breaks a mixed unit at a chosen line:
     # answered lines stand, later mutations get one ERR each and are
     # never re-sent, later legs are re-sent once and answered exactly by
@@ -144,9 +146,19 @@ step_replchaos() {
     # Then the read barrier's ack rule: a replica's query waits for no
     # ack, nor does a promoted one's for the log it inherited; a
     # semi-sync primary's query of an empty log needs none, and a record
-    # acked by a follower that then left stays committed.
-    go test -race -count=1 -run 'TestReplChaosPrimaryKillUnderLoad|TestBrokenMixedUnitAnswersEveryLineAndFailsOver' ./cmd/histproxy/
-    go test -race -count=1 -run 'TestReplicaBootstrapsUnderCheckpointLoad|TestPrimaryAndFollowerApplyOneStream|TestReplicaBarrierIsItsLocalCommit|TestSemiSyncReadOutlivesItsFollower' ./cmd/histserve/
+    # acked by a follower that then left stays committed. Then the read
+    # rule: behind a real primary with two followers and -repl-min-acks 1,
+    # a pipelined load leaves both followers' QRY count at 0, and in
+    # process every leg and hedge stays on a primary whose min_acks is
+    # below its followers and reaches them once it covers them. Last, a
+    # follower's applied_lsn is its commit frontier after a SNAP install,
+    # a catch-up and a reconnect. And two failovers the breaker alone
+    # would delay: a primary that hangs (ROLE unanswered) is replaced
+    # within a few -probe-every while another shard's member still
+    # rejoins within one, and a write that breaks on a dead primary
+    # promotes its follower on the next ROLE it misses.
+    go test -race -count=1 -run 'TestReplChaosPrimaryKillUnderLoad|TestBrokenMixedUnitAnswersEveryLineAndFailsOver|TestReplChaosReadsSkipFollowersOutsideTheAckQuorum|TestReadRuleFollowsPrimaryMinAcks|TestHungPrimaryFailsOverAndOthersStillRejoin|TestBrokenWriteFailsOverBeforeTheBreakerOpens' ./cmd/histproxy/
+    go test -race -count=1 -run 'TestReplicaBootstrapsUnderCheckpointLoad|TestPrimaryAndFollowerApplyOneStream|TestReplicaBarrierIsItsLocalCommit|TestSemiSyncReadOutlivesItsFollower|TestReplicaAppliedLSNIsItsCommitFrontier' ./cmd/histserve/
 }
 
 step_traceguard() {

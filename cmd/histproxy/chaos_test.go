@@ -153,11 +153,16 @@ func TestShardChaosPartialAnswersAndRejoin(t *testing.T) {
 	s1 := startProc(t, serveBin, append(serveArgs, "-data-dir", victimDir, "-fsync", "always")...)
 	s2 := startProc(t, serveBin, serveArgs...)
 	spec := fmt.Sprintf("%s=0-99,%s=100-199,%s=200-", s0.addr, s1.addr, s2.addr)
+	// Without the member-state loop no member would rejoin: refused.
+	if out, err := exec.Command(proxyBin, "-addr", "127.0.0.1:0", "-dims", "8,8", "-shards", spec, "-probe-every", "0").CombinedOutput(); err == nil ||
+		!strings.Contains(string(out), "-probe-every must be > 0") {
+		t.Fatalf("-probe-every 0: %v\n%s", err, out)
+	}
 
 	proxy := startProc(t, proxyBin,
 		"-addr", "127.0.0.1:0", "-dims", "8,8", "-shards", spec,
 		"-shard-timeout", "500ms", "-request-timeout", "5s",
-		"-breaker-threshold", "1", "-breaker-cooldown", "100ms",
+		"-breaker-threshold", "1",
 		"-probe-every", "100ms")
 	c := chaosDial(t, proxy.addr)
 

@@ -7,11 +7,13 @@ package main
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
 
 	"histcube/internal/fault"
+	"histcube/internal/shard"
 	"histcube/internal/shardclient"
 )
 
@@ -82,8 +84,17 @@ func TestProxyIdleTimeoutAndArity(t *testing.T) {
 // site) costs that line only, as on histserve.
 func TestProxyPanicContainmentIsPerRun(t *testing.T) {
 	spec, _ := threeShards(t)
-	p := buildProxy(t, spec)
-	p.groups = append([]*shardclient.Group(nil), p.groups...)
+	smap, err := shard.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Never marked ready, so no member-state loop reads the broken groups.
+	p := newProxy(smap, 2, 0, testProbeEvery, shardclient.Options{})
+	p.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	t.Cleanup(p.close)
+	groups := p.groups
+	t.Cleanup(func() { p.groups = groups }) // before p.close closes them
+	p.groups = append([]*shardclient.Group(nil), groups...)
 	p.groups[0] = nil // routing anything to shard 0 dereferences it
 	p.Inj = fault.MustParse("serve.dispatch:panic@7", 1)
 	c := dial(t, serveProxy(t, p))

@@ -13,6 +13,8 @@ import (
 	"testing"
 
 	"histcube/internal/lineserver"
+	"histcube/internal/shard"
+	"histcube/internal/shardclient"
 )
 
 // TestProxyRequestSeconds: histproxy_request_seconds has one series per
@@ -67,7 +69,13 @@ func metricValue(t *testing.T, p *proxy, series string) int64 {
 // README to name exactly the histproxy_* families it registers.
 func TestReadmeNamesOnlyRealMetrics(t *testing.T) {
 	spec, _ := threeShards(t)
-	p := buildProxy(t, spec)
+	smap, err := shard.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Configured as main configures it, before markReady starts the loop.
+	p := newProxy(smap, 2, 0, testProbeEvery, shardclient.Options{})
+	t.Cleanup(p.close)
 	fs := flag.NewFlagSet("histproxy", flag.ContinueOnError)
 	shared := lineserver.RegisterFlags(fs, "127.0.0.1:0")
 	if err := fs.Parse([]string{"-fault-spec", "proxy.dial:err@1000000", "-runtime-metrics-every", "1h"}); err != nil {

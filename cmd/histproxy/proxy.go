@@ -15,11 +15,12 @@
 // range; ranges must be contiguous and exactly the last is open-ended
 // (the hot shard taking appends). Each backend may be a '|'-separated
 // replica set, primary first ("primary|replica=lo-hi"): the proxy
-// routes writes to the primary and reads to any healthy member. Why this is correct — and cheap — is
-// the paper's Sec. 2.2 reduction: a d-dimensional range query is
-// answered by prefix differences along time, and SUM/COUNT are
-// invertible, so the answer over [tlo, thi] is exactly the sum of the
-// answers over the per-shard clamps of that interval. internal/shard
+// routes writes to the primary and reads to any healthy member holding
+// every acked write. Why this is correct — and cheap — is the paper's
+// Sec. 2.2 reduction: a d-dimensional range query is answered by prefix
+// differences along time, and SUM/COUNT are invertible, so the answer
+// over [tlo, thi] is exactly the sum of the answers over the per-shard
+// clamps of that interval. internal/shard
 // computes the clamps (Route) and the deterministic merge (Merge).
 //
 // Request handling:
@@ -59,11 +60,11 @@
 // reads any reply, then reads the shards' replies in turn: the batches
 // are in flight together without a goroutine each. A batch that carries
 // a mutation goes to the primary; a batch of legs alone goes to any
-// healthy member. Replies keep request order and leave in one flush; a
-// lone line is a unit of one, and a unit ends before the first line of
-// any other verb. Every request still sees every earlier one, because a
-// leg rides the same ordered connection as the unit's mutations to its
-// shard.
+// member the read rule admits. Replies keep request order and leave in
+// one flush; a lone line is a unit of one, and a unit ends before the
+// first line of any other verb. Every request still sees every earlier
+// one, because a leg rides the same ordered connection as the unit's
+// mutations to its shard.
 //
 // Degraded answers instead of failures: when a shard is down, times
 // out, or its circuit breaker is open (internal/shardclient trips it
@@ -76,29 +77,36 @@
 // the asked time span that sum covers, and the names of the holes. A
 // wrong total is never presented as complete. Mutations to a dead
 // shard fail explicitly (a write cannot be partial). When the shard
-// rejoins, the breaker's half-open probe (plus the background prober)
+// rejoins, the member-state loop's next ROLE closes its breaker and
 // restores complete answers without a proxy restart.
 //
 // Replication and failover: a shard declared as a replica set
-// ("primary|replica=lo-hi") is one internal/shardclient.Group. Reads
-// go to any healthy member — every member replays the primary's
-// totally ordered WAL stream (histserve -follow), so members answer
-// bit-identically — and a batch of reads still unanswered after
-// -hedge-after is duplicated to the next member, first answer wins; only
-// then does the unit's fan-out start a goroutine.
-// Writes pin to the primary and are never retried (a duplicate mutation
-// is a double-apply): when a batch breaks, the replies received before
-// the break stand, every mutation beyond it is answered with an explicit
-// "ERR shard ... unavailable", and every leg beyond it, being a read, is
-// re-sent once to any healthy member. When the primary stops answering — a
-// failed write, or the background prober seeing its breaker open — the
-// proxy polls every member's ROLE, adopts one that is already primary, or
-// promotes the most-caught-up replica with PROMOTE <fence> where the
-// fence is the highest applied LSN observed across the set: a lagging
-// replica can never be promoted over acked writes it missed. With
-// semi-sync primaries (histserve -repl-min-acks 1) every acked write
-// is applied on a replica before its OK, so promotion preserves every
-// acked write.
+// ("primary|replica=lo-hi") is one internal/shardclient.Group. Every
+// member replays the primary's totally ordered WAL stream (histserve
+// -follow), so one holding every acked write answers bit-identically.
+// One member-state loop sends ROLE to every member every -probe-every
+// (at once after a broken mutation batch or "ERR read-only replica"),
+// each with one interval to answer, and from those replies alone closes
+// breakers, fails over and sets the read rule: followers serve reads only
+// while the current primary last reported a min_acks (its
+// -repl-min-acks) covering every follower the map names, so every acked
+// write reached each of them (a follower re-bootstrapping from an empty
+// directory is not told apart), else reads go to the primary alone — no
+// fallback, no hedge, so a dead primary's legs answer PARTIAL. With the
+// rule on, a read batch unanswered after -hedge-after is duplicated to
+// the next member, first answer wins; only then does the unit's fan-out
+// start a goroutine. Writes pin to the primary and are never retried (a
+// duplicate mutation is a double-apply): when a batch breaks, the
+// replies received before the break stand, every mutation beyond it is
+// answered "ERR shard ... unavailable", and every leg beyond it is
+// re-sent once down the read path. A primary whose breaker is open, that
+// answers ROLE as a replica, or that misses the ROLE a failed mutation
+// batch to it set off, is replaced: the loop adopts a member
+// that is already primary, or promotes the most-caught-up replica with
+// PROMOTE <fence>, the highest applied LSN observed across the set, so a
+// lagging replica can never be promoted over acked writes it missed.
+// With semi-sync primaries (histserve -repl-min-acks 1) every acked
+// write is on a replica before its OK, so promotion loses none.
 //
 // The hidden -fault-spec / -fault-seed flags arm the deterministic
 // fault injector (internal/fault) at the proxy's shard-facing sites:
@@ -123,10 +131,10 @@
 // it runs the same serving core (internal/lineserver): connection loop,
 // -max-conns / -read-timeout / -max-line-bytes / -request-timeout
 // governance, panic barrier, per-command accounting and the -metrics
-// listener (/metrics, /healthz, /readyz gated on the shard map being
-// loaded, /debug/slowlog, /debug/trace/recent, /debug/pprof/*). Its own
-// are the histproxy_* partial/failover/leg counters, the per-shard
-// health gauges and the command table below.
+// listener (/metrics, /healthz, /readyz gated on the member-state
+// loop's first round, /debug/slowlog, /debug/trace/recent,
+// /debug/pprof/*). Its own are the histproxy_* partial/failover/leg
+// counters, the per-shard health gauges and the command table below.
 package main
 
 import (
@@ -162,16 +170,15 @@ type proxy struct {
 	groups []*shardclient.Group // parallel to shards; one replica-set client per shard
 	dims   int
 
-	// foBusy is the per-shard failover single-flight latch (parallel to
-	// groups): the first trigger runs the ROLE poll + promotion, every
-	// concurrent trigger returns immediately.
-	foBusy []atomic.Bool
-
 	meta perf.RunMeta
 
-	// ready gates /readyz on the shard map being loaded and the client
-	// layer built; flipped just before the listener starts.
-	ready atomic.Bool
+	// The member-state loop (watch; loop counts it) closes polled after
+	// its first round, wakes on nudge and ends when quit closes.
+	// suspect[i]: a mutation batch to shard i's primary failed (see track).
+	every               time.Duration
+	polled, quit, nudge chan struct{}
+	loop                sync.WaitGroup
+	suspect             []atomic.Bool
 
 	partials    *obs.Counter
 	failovers   *obs.Counter
@@ -187,8 +194,7 @@ func main() {
 		legTO    = flag.Duration("shard-timeout", 2*time.Second, "per-shard round-trip deadline inside a fan-out; keep well under -request-timeout so one dead shard degrades the answer instead of timing the request out")
 		poolSize = flag.Int("pool-size", 4, "pooled connections kept per shard")
 		brkN     = flag.Int("breaker-threshold", 3, "consecutive transport failures that open a shard's circuit breaker")
-		brkCool  = flag.Duration("breaker-cooldown", time.Second, "how long an open breaker rejects before the half-open trial")
-		probeIv  = flag.Duration("probe-every", 500*time.Millisecond, "background health-probe interval for unhealthy shards; 0 disables (rejoin then waits for client traffic, and failover waits for a failed write)")
+		probeIv  = flag.Duration("probe-every", 500*time.Millisecond, "member-state interval: every tick one ROLE to every shard member closes the breakers of members that answer, fails over a down primary and decides whether followers serve reads; must be > 0")
 		hedgeIv  = flag.Duration("hedge-after", 30*time.Millisecond, "duplicate a read to the next replica-set member after this long without an answer (single-member shards never hedge); 0 disables hedging")
 		sealHist = flag.Bool("seal-historic", false, "at startup, demote every closed-range shard with SEAL <hi> so misrouted mutations cannot land in owned history")
 	)
@@ -209,13 +215,16 @@ func main() {
 		logger.Error("bad -shards map", "err", err)
 		os.Exit(2)
 	}
+	if *probeIv <= 0 {
+		logger.Error("-probe-every must be > 0: the member-state loop is how members rejoin and fail over", "value", *probeIv)
+		os.Exit(2)
+	}
 	copts := shardclient.Options{
 		PoolSize:         *poolSize,
 		OpTimeout:        *legTO,
 		BreakerThreshold: *brkN,
-		BreakerCooldown:  *brkCool,
 	}
-	p := newProxy(smap, dims, *hedgeIv, copts)
+	p := newProxy(smap, dims, *hedgeIv, *probeIv, copts)
 	stop, err := shared.Apply(&p.Server, logger)
 	if err != nil {
 		os.Exit(1)
@@ -224,27 +233,26 @@ func main() {
 	if *sealHist {
 		go p.sealHistoric()
 	}
-	if *probeIv > 0 {
-		go p.probeLoop(*probeIv)
-	}
-	p.ready.Store(true)
+	p.markReady()
 
 	if err := p.Run(*shared.Addr, "shards", smap.String(), "dims", dims); err != nil {
 		os.Exit(1)
 	}
-	for _, g := range p.groups {
-		g.Close()
-	}
+	p.close()
 	logger.Info("shutdown complete")
 }
 
-func newProxy(smap *shard.Map, dims int, hedgeAfter time.Duration, copts shardclient.Options) *proxy {
+// newProxy builds the proxy; markReady starts its member-state loop.
+func newProxy(smap *shard.Map, dims int, hedgeAfter, probeEvery time.Duration, copts shardclient.Options) *proxy {
 	p := &proxy{
 		smap:   smap,
 		shards: smap.Shards(),
 		dims:   dims,
-		foBusy: make([]atomic.Bool, smap.Len()),
 		meta:   perf.CollectMeta("histproxy"),
+		every:  probeEvery,
+		polled: make(chan struct{}),
+		quit:   make(chan struct{}),
+		nudge:  make(chan struct{}, 1),
 	}
 	// The shard-facing fault sites. p.Inj is nil, and both hooks inert,
 	// unless -fault-spec (or a test) arms it before the first dial.
@@ -253,11 +261,14 @@ func newProxy(smap *shard.Map, dims int, hedgeAfter time.Duration, copts shardcl
 	for _, s := range p.shards {
 		p.groups = append(p.groups, shardclient.NewGroup(s.Members(), hedgeAfter, copts))
 	}
+	p.suspect = make([]atomic.Bool, len(p.groups))
 	p.Ready = func() (bool, string) {
-		if !p.ready.Load() {
-			return false, "loading shard map"
+		select {
+		case <-p.polled:
+			return true, fmt.Sprintf("ok shards=%d up=%d", p.smap.Len(), p.shardsUp())
+		default:
+			return false, "polling shard members"
 		}
-		return true, fmt.Sprintf("ok shards=%d up=%d", p.smap.Len(), p.shardsUp())
 	}
 	p.Init(p.settle, p.commands()...)
 	p.Connections = p.Reg.NewGauge("histproxy_connections", "Open client connections.")
@@ -300,6 +311,23 @@ func newProxy(smap *shard.Map, dims int, hedgeAfter time.Duration, copts shardcl
 	return p
 }
 
+// markReady starts the member-state loop, the serving core being
+// configured, and returns after its first round: /readyz waits for it.
+func (p *proxy) markReady() {
+	p.loop.Add(1)
+	go p.watch()
+	<-p.polled
+}
+
+// close stops the member-state loop, if started, and the clients.
+func (p *proxy) close() {
+	close(p.quit)
+	p.loop.Wait()
+	for _, g := range p.groups {
+		g.Close()
+	}
+}
+
 // sealHistoric demotes every closed-range shard by sealing its range's
 // upper bound: the shard keeps serving reads but rejects mutations into
 // the history this map says it owns. Every replica-set member is sealed
@@ -325,45 +353,64 @@ func (p *proxy) sealHistoric() {
 	}
 }
 
-// probeLoop keeps probing unhealthy replica-set members so a rejoining
-// member's breaker closes from the background, not only from client
-// traffic — and it is the standing failover trigger: a shard whose
-// current primary is unreachable while another member is alive gets a
-// promotion attempt every interval until one sticks.
-func (p *proxy) probeLoop(every time.Duration) {
-	tick := time.NewTicker(every)
+// watch is the member-state loop, the only sender of ROLE, SetPrimary
+// and PROMOTE. It runs a round at once, then every tick, or sooner when
+// receive nudges it.
+func (p *proxy) watch() {
+	defer p.loop.Done()
+	tick := time.NewTicker(p.every)
 	defer tick.Stop()
-	for range tick.C {
-		for i, g := range p.groups {
-			members := p.shards[i].Members()
-			for j := 0; j < g.Len(); j++ {
-				c := g.Member(j)
-				if c.Healthy() {
-					continue
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), every)
-				err := c.Probe(ctx)
-				cancel()
-				if err == nil {
-					p.Log.Info("shard member rejoined", "member", members[j])
-				}
-			}
-			if !g.Primary().Healthy() && g.Healthy() {
-				go p.maybeFailover(i)
-			}
+	p.pollMembers()
+	close(p.polled)
+	for {
+		select {
+		case <-tick.C:
+		case <-p.nudge:
+		case <-p.quit:
+			return
 		}
+		p.pollMembers()
 	}
 }
 
-// failoverTimeout bounds one failover round: the ROLE poll across the
-// replica set plus the PROMOTE round-trip.
-const failoverTimeout = 2 * time.Second
+// pollMembers is one round: a Client.Probe (ROLE) to every member of
+// every group, concurrently — an answer closes the member's breaker, the
+// rejoin — then track applies each group's replies. A member that hangs
+// fails its probe at the interval and delays no one's rejoin longer.
+func (p *proxy) pollMembers() {
+	ctx, cancel := context.WithTimeout(context.Background(), p.every)
+	defer cancel()
+	roles := make([][]roleInfo, len(p.groups))
+	suspect := make([]bool, len(p.groups))
+	var wg sync.WaitGroup
+	for i, g := range p.groups {
+		roles[i], suspect[i] = make([]roleInfo, g.Len()), p.suspect[i].Swap(false)
+		for j := range roles[i] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				down := !g.Member(j).Healthy()
+				if resp, err := g.Member(j).Probe(ctx); err == nil {
+					roles[i][j] = parseRole(resp)
+					if down {
+						p.Log.Info("shard member rejoined", "member", p.shards[i].Members()[j])
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	for i, infos := range roles {
+		p.track(i, infos, suspect[i])
+	}
+}
 
 // roleInfo is one member's parsed ROLE reply.
 type roleInfo struct {
 	ok      bool
 	primary bool
 	lsn     uint64 // applied_lsn (replica) or last_lsn (primary)
+	minAcks int    // a primary's min_acks
 }
 
 // parseRole decodes a histserve ROLE reply ("OK role=... k=v ...").
@@ -385,88 +432,66 @@ func parseRole(resp string) roleInfo {
 			if n, err := strconv.ParseUint(v, 10, 64); err == nil {
 				info.lsn = n
 			}
+		case "min_acks":
+			info.minAcks, _ = strconv.Atoi(v) // unreadable is 0: no follower reads
 		}
 	}
 	return info
 }
 
-// pollRoles asks every member of g for its ROLE concurrently; a member
-// that fails the round-trip stays ok=false.
-func (p *proxy) pollRoles(ctx context.Context, g *shardclient.Group) []roleInfo {
-	infos := make([]roleInfo, g.Len())
-	var wg sync.WaitGroup
-	for j := 0; j < g.Len(); j++ {
-		j := j
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := g.Member(j).Do(ctx, "ROLE", true)
-			if err == nil {
-				infos[j] = parseRole(resp)
-			}
-		}()
+// track applies one round of ROLE replies to shard i. The current
+// primary's reply sets the read rule: followers serve reads only while
+// its min_acks covers every follower the map names; a dead primary keeps
+// its last value (no write is acked meanwhile). A primary whose breaker
+// is open, that answers as a replica, or that is suspect and missed its
+// ROLE, is replaced: adopt a member already calling itself primary
+// (promoted by an operator or an earlier round), else promote the
+// most-caught-up replica, fenced at the highest applied LSN observed
+// across the set — a lagging replica can never be promoted over acked
+// writes it missed.
+func (p *proxy) track(i int, infos []roleInfo, suspect bool) {
+	g, members := p.groups[i], p.shards[i].Members()
+	next := g.PrimaryIndex()
+	if cur := infos[next]; !cur.primary {
+		if g.Len() < 2 || (!cur.ok && g.Primary().Healthy() && !suspect) {
+			return // nothing to fail over to, or one missed ROLE: down once the breaker opens
+		}
+		if next = p.failover(g, members, infos); next < 0 {
+			return
+		}
 	}
-	wg.Wait()
-	return infos
+	g.SetFollowerReads(infos[next].minAcks >= g.Len()-1)
 }
 
-// maybeFailover re-points writes for shard i after its primary stopped
-// answering: poll every member's ROLE, adopt a member that already
-// calls itself primary (an operator or a competing trigger promoted
-// it), else promote the most-caught-up replica — fenced at the highest
-// applied LSN observed across the set, so a lagging replica can never
-// be promoted over acked writes it missed. Single-flight per shard;
-// concurrent triggers return immediately.
-func (p *proxy) maybeFailover(i int) {
-	if !p.foBusy[i].CompareAndSwap(false, true) {
-		return
-	}
-	defer p.foBusy[i].Store(false)
-	g := p.groups[i]
-	if g.Len() < 2 {
-		return // nothing to promote
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), failoverTimeout)
-	defer cancel()
-	infos := p.pollRoles(ctx, g)
-	cur := g.PrimaryIndex()
-	if infos[cur].ok && infos[cur].primary {
-		return // the primary answered after all: spurious trigger
-	}
-	members := p.shards[i].Members()
+// failover re-points g's writes (see track) and returns the new
+// primary's index, its entry in infos set from its own ROLE line, or -1.
+func (p *proxy) failover(g *shardclient.Group, members []string, infos []roleInfo) int {
 	best := -1
 	var fence uint64
 	for j, inf := range infos {
-		if !inf.ok {
-			continue
-		}
 		if inf.primary {
-			// Already promoted elsewhere: adopt, don't re-promote.
-			g.SetPrimary(j)
+			g.SetPrimary(j) // already promoted elsewhere: adopt, don't re-promote
 			p.failovers.Inc()
 			p.Log.Warn("adopted promoted primary", "shard", members[0], "new_primary", members[j])
-			return
+			return j
 		}
-		if inf.lsn > fence {
-			fence = inf.lsn
-		}
-		if best == -1 || inf.lsn > infos[best].lsn {
-			best = j
+		if inf.ok && (best < 0 || inf.lsn > fence) {
+			fence, best = inf.lsn, j
 		}
 	}
 	if best < 0 {
-		p.Log.Warn("failover found no live member", "shard", members[0])
-		return
+		return -1 // no member answered
 	}
-	resp, err := g.Member(best).Do(ctx, fmt.Sprintf("PROMOTE %d", fence), false)
+	resp, err := g.Member(best).Do(context.Background(), fmt.Sprintf("PROMOTE %d", fence), false) // bounded by -shard-timeout
 	if err != nil || !strings.HasPrefix(resp, "OK") {
 		p.Log.Warn("promotion failed", "shard", members[0], "member", members[best], "resp", resp, "err", err)
-		return
+		return -1
 	}
 	g.SetPrimary(best)
+	infos[best] = parseRole(resp) // PROMOTE answers with the ROLE line
 	p.failovers.Inc()
-	p.Log.Warn("promoted replica after primary failure",
-		"shard", members[0], "new_primary", members[best], "fence", fence)
+	p.Log.Warn("promoted replica after primary failure", "shard", members[0], "new_primary", members[best], "fence", fence)
+	return best
 }
 
 func (p *proxy) shardsUp() int {
@@ -722,11 +747,13 @@ func (p *proxy) receive(ctx context.Context, idx int, batch []*send, call *shard
 		}
 	}
 	if mutates && (err != nil || stale) {
-		// One failover per broken batch, however many lines it carried, so
-		// the client's retry finds a promoted primary; a read-only reply
-		// means the proxy's notion of the primary is stale (a promotion it
-		// did not perform) and the roles need re-polling.
-		go p.maybeFailover(idx)
+		// The primary may be gone, or be one no longer (a promotion the
+		// proxy did not perform): poll the roles now, not at the next tick.
+		p.suspect[idx].Store(true)
+		select {
+		case p.nudge <- struct{}{}:
+		default:
+		}
 	}
 	if len(unanswered) > 0 {
 		p.receive(ctx, idx, unanswered, p.sendBatch(ctx, idx, unanswered)) // QRY lines only
@@ -836,34 +863,28 @@ func statsMaxKey(k string) bool {
 func (p *proxy) mergedStats() string {
 	ctx, cancel := p.RequestCtx(nil)
 	defer cancel()
-	type statsReply struct {
-		idx  int
-		resp string
-		err  error
-	}
-	replies := make([]statsReply, len(p.groups))
+	replies := make([]string, len(p.groups))
 	var wg sync.WaitGroup
 	for i, g := range p.groups {
-		i, g := i, g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := g.Primary().Do(ctx, "STATS", true)
-			replies[i] = statsReply{idx: i, resp: resp, err: err}
+			if resp, err := g.Primary().Do(ctx, "STATS", true); err == nil {
+				replies[i] = resp
+			}
 		}()
 	}
 	wg.Wait()
 
 	merged := make(map[string]float64)
-	sawMax := make(map[string]bool)
 	var order []string
 	up := 0
-	for _, r := range replies {
-		if r.err != nil || strings.HasPrefix(r.resp, "ERR") {
+	for _, resp := range replies {
+		if resp == "" || strings.HasPrefix(resp, "ERR") {
 			continue
 		}
 		up++
-		for _, tok := range strings.Fields(r.resp) {
+		for _, tok := range strings.Fields(resp) {
 			k, v, ok := strings.Cut(tok, "=")
 			if !ok {
 				continue
@@ -872,15 +893,13 @@ func (p *proxy) mergedStats() string {
 			if err != nil {
 				continue // non-numeric (git_rev)
 			}
-			if _, seen := merged[k]; !seen {
+			switch old, seen := merged[k]; {
+			case !seen:
 				order = append(order, k)
-			}
-			if statsMaxKey(k) {
-				if !sawMax[k] || f > merged[k] {
-					merged[k] = f
-				}
-				sawMax[k] = true
-			} else {
+				merged[k] = f
+			case statsMaxKey(k):
+				merged[k] = max(old, f)
+			default:
 				merged[k] += f
 			}
 		}

@@ -36,10 +36,13 @@ type fakeShard struct {
 
 	// Knobs for the unit tests (zero values: a healthy lone primary).
 	replica   bool          // answers ROLE as a follower until PROMOTEd
+	minAcks   int           // the min_acks a primary's ROLE reports
+	roles     int           // ROLE requests answered
 	qryDelay  time.Duration // every QRY takes this long
 	qryErr    string        // non-empty: every QRY is answered with this line
 	dropAfter int           // > 0: crash (stop) instead of answering mutation number dropAfter+1
 	hold      int           // > 0: a connection answers nothing before it has received this many lines, so only a batch gets through
+	hung      bool          // accepts connections and reads lines, ROLE included, but answers none of them
 	stats     string        // non-empty: STATS is answered with this line
 	explain   string        // non-empty: EXPLAIN JSON is answered "OK " + this body
 }
@@ -112,14 +115,27 @@ func (f *fakeShard) serve(conn net.Conn) {
 	defer conn.Close()
 	sc := bufio.NewScanner(conn)
 	var held strings.Builder
-	for n := 1; sc.Scan(); n++ {
+	for n := 0; sc.Scan(); {
+		f.mu.Lock()
+		hung := f.hung
+		f.mu.Unlock()
+		if hung {
+			continue
+		}
 		line := strings.TrimSpace(sc.Text())
 		tid, stripped := trace.CutRequestID(line)
+		fields := strings.Fields(stripped)
+		if len(fields) > 0 && strings.ToUpper(fields[0]) == "ROLE" {
+			// The proxy's member-state loop, not a client's line: answered
+			// at once, counted apart from the recorded lines and the hold.
+			fmt.Fprint(conn, f.reply(tid, fields))
+			continue
+		}
+		n++
 		f.mu.Lock()
 		f.lines = append(f.lines, line)
 		hold := f.hold
 		f.mu.Unlock()
-		fields := strings.Fields(stripped)
 		if len(fields) == 0 {
 			continue
 		}
@@ -182,11 +198,13 @@ func (f *fakeShard) reply(tid trace.ID, fields []string) string {
 		defer f.mu.Unlock()
 		if fields[0] == "PROMOTE" {
 			f.replica = false
+		} else {
+			f.roles++
 		}
 		if f.replica {
 			return fmt.Sprintf("OK role=replica applied_lsn=%d lag_lsn=0 primary=fake\n", len(f.facts))
 		}
-		return fmt.Sprintf("OK role=primary last_lsn=%d followers=0\n", len(f.facts))
+		return fmt.Sprintf("OK role=primary last_lsn=%d followers=0 min_acks=%d\n", len(f.facts), f.minAcks)
 	case "QRY":
 		f.mu.Lock()
 		delay, qryErr := f.qryDelay, f.qryErr
@@ -259,8 +277,13 @@ func (f *fakeShard) query(args []string) float64 {
 	return sum
 }
 
+// testProbeEvery is the in-process proxies' -probe-every: short, so
+// rejoin and failover tests run in milliseconds.
+const testProbeEvery = 50 * time.Millisecond
+
 // buildProxy builds an in-process proxy over the given shard spec with
-// a fast breaker so rejoin tests run in milliseconds, and no hedging.
+// a one-failure breaker and no hedging, its member-state loop released
+// and through its first round, as main does before it serves.
 func buildProxy(t *testing.T, spec string) *proxy {
 	t.Helper()
 	return buildProxyWith(t, spec, 0, time.Second)
@@ -274,23 +297,17 @@ func buildProxyWith(t *testing.T, spec string, hedgeAfter, shardTimeout time.Dur
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := newProxy(smap, 2, hedgeAfter, shardclient.Options{
+	p := newProxy(smap, 2, hedgeAfter, testProbeEvery, shardclient.Options{
 		OpTimeout:        shardTimeout,
 		BreakerThreshold: 1,
-		BreakerCooldown:  50 * time.Millisecond,
 	})
 	p.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	// Threshold 0 admits every fan-out query, so SLOWLOG assertions do
 	// not depend on test-machine timing.
 	p.Slow = trace.NewSlowLog(32, 0)
 	p.ReqTimeout = 5 * time.Second
-	p.ready.Store(true)
-	groups := p.groups
-	t.Cleanup(func() {
-		for _, g := range groups {
-			g.Close()
-		}
-	})
+	t.Cleanup(p.close)
+	p.markReady()
 	return p
 }
 
@@ -451,8 +468,9 @@ func TestProxyPartialOnDeadShardAndRejoin(t *testing.T) {
 		t.Errorf("%s = %d during the outage, want 0", shardUp, n)
 	}
 
-	// Rejoin: restart on the same address; after the breaker cooldown
-	// the next query is complete again — no proxy restart.
+	// Rejoin: restart on the same address; once the member-state loop's
+	// ROLE gets an answer the next query is complete again — no proxy
+	// restart.
 	shards[1].restart(t)
 	deadline := time.Now().Add(5 * time.Second)
 	for {

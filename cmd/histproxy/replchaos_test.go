@@ -14,8 +14,11 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,7 +49,7 @@ func TestReplChaosPrimaryKillUnderLoad(t *testing.T) {
 	proxy := startProc(t, proxyBin,
 		"-addr", "127.0.0.1:0", "-dims", "8,8", "-shards", spec,
 		"-shard-timeout", "2s", "-request-timeout", "10s",
-		"-breaker-threshold", "1", "-breaker-cooldown", "100ms",
+		"-breaker-threshold", "1",
 		"-probe-every", "100ms", "-hedge-after", "20ms")
 	c := chaosDial(t, proxy.addr)
 
@@ -218,4 +221,117 @@ func TestReplChaosPrimaryKillUnderLoad(t *testing.T) {
 	}
 	t.Logf("outage: %d acked + %d indeterminate writes, final SUM=%v in [%v, %v]; replica promoted to primary",
 		ok, errs, sum, lo, hi)
+}
+
+var chaosMetricsRE = regexp.MustCompile(`msg="metrics listening" addr=([^ ]+)`)
+
+// scrape reads one series off a child's /metrics listener (started with
+// -metrics 127.0.0.1:0) by name.
+func (p *chaosProc) scrape(t *testing.T, series string) float64 {
+	t.Helper()
+	var addr string
+	for _, line := range p.stderr {
+		if m := chaosMetricsRE.FindStringSubmatch(line); m != nil {
+			addr = m[1]
+		}
+	}
+	if addr == "" {
+		t.Fatalf("no metrics listener in the child's log:\n%s", strings.Join(p.stderr, "\n"))
+	}
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("%s has no series %s", addr, series)
+	return 0
+}
+
+// TestReplChaosReadsSkipFollowersOutsideTheAckQuorum is the read rule
+// against the real binaries: a primary with two followers and
+// -repl-min-acks 1 acks a write once one follower holds it, so the
+// other may lack it. After a pipelined load of inserts and queries
+// through the proxy — hedging after 1 ms, so a follower would get legs
+// at the first chance — neither follower has served one QRY, while both
+// hold every write, and the primary served every leg.
+func TestReplChaosReadsSkipFollowersOutsideTheAckQuorum(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs real processes")
+	}
+	serveBin := buildBinary(t, "histserve", "../histserve")
+	proxyBin := buildBinary(t, "histproxy", ".")
+	serveArgs := []string{"-addr", "127.0.0.1:0", "-metrics", "127.0.0.1:0", "-dims", "8,8", "-op", "sum", "-fsync", "always"}
+	primary := startProc(t, serveBin, append(serveArgs, "-data-dir", filepath.Join(t.TempDir(), "p"),
+		"-repl-min-acks", "1", "-repl-ack-timeout", "5s")...)
+	var followers []*chaosProc
+	for i := 0; i < 2; i++ {
+		followers = append(followers, startProc(t, serveBin, append(serveArgs,
+			"-data-dir", filepath.Join(t.TempDir(), fmt.Sprint("f", i)), "-follow", primary.addr)...))
+	}
+	pc := chaosDial(t, primary.addr)
+	deadline := time.Now().Add(10 * time.Second)
+	for !strings.Contains(pc.cmd(t, "ROLE"), " followers=2 min_acks=1") {
+		if time.Now().After(deadline) {
+			t.Fatal("the followers never connected")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	proxy := startProc(t, proxyBin, "-addr", "127.0.0.1:0", "-dims", "8,8",
+		"-shards", fmt.Sprintf("%s|%s|%s=0-", primary.addr, followers[0].addr, followers[1].addr),
+		"-probe-every", "100ms", "-hedge-after", "1ms")
+	c := chaosDial(t, proxy.addr)
+
+	// Each round is a window of two inserts, then a window of two
+	// queries: a batch of legs alone takes the read path, which is where a
+	// follower could be chosen.
+	const windows = 100
+	const qry = "QRY 0 1000000 0 0 7 7"
+	for w := 0; w < windows; w++ {
+		sum := fmt.Sprint(2 * (w + 1))
+		for _, unit := range [][2]string{
+			{fmt.Sprintf("INS %d %d 0 1\nINS %d 0 %d 1\n", 2*w, w%8, 2*w+1, w%8), "OK"},
+			{qry + "\n" + qry + "\n", sum},
+		} {
+			c.conn.SetDeadline(time.Now().Add(10 * time.Second))
+			if _, err := io.WriteString(c.conn, unit[0]); err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < 2; j++ {
+				got, err := c.r.ReadString('\n')
+				if err != nil || strings.TrimSpace(got) != unit[1] {
+					t.Fatalf("round %d: reply %d to %q = %q, %v; want %q", w, j, unit[0], got, err, unit[1])
+				}
+			}
+		}
+	}
+	const qrySeries = `histserve_request_seconds_count{cmd="QRY"}`
+	for i, f := range followers {
+		fc := chaosDial(t, f.addr)
+		deadline := time.Now().Add(10 * time.Second)
+		for !strings.Contains(fc.cmd(t, "ROLE"), fmt.Sprintf(" applied_lsn=%d ", 2*windows)) {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower %d never applied the %d writes", i, 2*windows)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := f.scrape(t, qrySeries); n != 0 {
+			t.Errorf("follower %d served %v QRY legs with -repl-min-acks 1 below its 2 followers", i, n)
+		}
+	}
+	if n := primary.scrape(t, qrySeries); n != 2*windows {
+		t.Errorf("the primary served %v QRY legs, want all %d", n, 2*windows)
+	}
 }

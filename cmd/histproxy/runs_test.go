@@ -234,11 +234,11 @@ func TestBrokenRunAnswersEveryLineAndFailsOver(t *testing.T) {
 // unavailable error and is not re-sent; a leg beyond the break is a read,
 // so it is re-sent once down the read path and answered exactly — not
 // PARTIAL — by the replica (which here holds one fact of its own, worth
-// 100, so its answers are recognisable); and the whole unit triggers one
-// failover.
+// 100, so its answers are recognisable; the primary's min_acks=1 covers
+// it, so it serves reads); and the whole unit triggers one failover.
 func TestBrokenMixedUnitAnswersEveryLineAndFailsOver(t *testing.T) {
 	primary, replica := newFakeShard(t), newFakeShard(t)
-	primary.set(func(f *fakeShard) { f.dropAfter = 2 })
+	primary.set(func(f *fakeShard) { f.dropAfter, f.minAcks = 2, 1 })
 	replica.set(func(f *fakeShard) {
 		f.replica = true
 		f.facts = []fact{{t: 50, coords: []int{0, 0}, v: 100}}
@@ -307,6 +307,7 @@ func TestUnitReadsRepliesBufferedBehindASlowShard(t *testing.T) {
 func TestUnitDoesNotHedgeBufferedReadBatch(t *testing.T) {
 	a, b0, b1 := newFakeShard(t), newFakeShard(t), newFakeShard(t)
 	a.set(func(f *fakeShard) { f.qryDelay = 60 * time.Millisecond })
+	b0.set(func(f *fakeShard) { f.minAcks = 1 }) // B's follower serves reads
 	p := buildProxyWith(t, fmt.Sprintf("%s=0-99,%s|%s=100-", a.addr(), b0.addr(), b1.addr()), 5*time.Millisecond, time.Second)
 	c := dial(t, serveProxy(t, p))
 	for i := 0; i < 5; i++ {

@@ -20,8 +20,9 @@ import (
 const proxiedWindowLimit = 100
 
 // startEchoShard is a loopback shard that allocates nothing per line: it
-// answers a QRY with 0 and any other line with OK, and flushes once it
-// has answered every line it had buffered.
+// answers a QRY with 0, ROLE as a primary whose min_acks covers one
+// follower, and any other line with OK, and flushes once it has answered
+// every line it had buffered.
 func startEchoShard(tb testing.TB) string {
 	tb.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -43,9 +44,12 @@ func startEchoShard(tb testing.TB) string {
 					if err != nil {
 						return
 					}
-					if bytes.Contains(line, []byte("QRY ")) {
+					switch {
+					case bytes.Contains(line, []byte("QRY ")):
 						w.WriteString("0\n")
-					} else {
+					case bytes.HasPrefix(line, []byte("ROLE")):
+						w.WriteString("OK role=primary last_lsn=0 followers=1 min_acks=1\n")
+					default:
 						w.WriteString("OK\n")
 					}
 					if r.Buffered() == 0 && w.Flush() != nil {
@@ -72,15 +76,15 @@ func TestProxiedWindowAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := newProxy(smap, 2, 30*time.Millisecond, shardclient.Options{})
+	// The member-state loop runs its first round in markReady, which turns
+	// B's follower reads on, and ticks hourly, so no later round allocates
+	// inside the count.
+	p := newProxy(smap, 2, 30*time.Millisecond, time.Hour, shardclient.Options{})
 	p.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	p.Slow = trace.NewSlowLog(32, time.Hour)
 	p.ReqTimeout, p.ReadTimeout = 10*time.Second, 5*time.Minute
-	t.Cleanup(func() {
-		for _, g := range p.groups {
-			g.Close()
-		}
-	})
+	t.Cleanup(p.close)
+	p.markReady()
 	conn, err := net.Dial("tcp", serveProxy(t, p))
 	if err != nil {
 		t.Fatal(err)

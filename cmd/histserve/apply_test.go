@@ -58,7 +58,7 @@ func TestPrimaryAndFollowerApplyOneStream(t *testing.T) {
 	if end != 300 {
 		t.Fatalf("primary log ends at %d, want all 300 ops logged", end)
 	}
-	waitUntil(t, 5*time.Second, "the follower to settle", func() bool { return follower.repl.applied.Load() == end })
+	waitUntil(t, 5*time.Second, "the follower to settle", func() bool { return follower.repl.applied() == end })
 
 	if p, f := loggedOps(t, primary.wal), loggedOps(t, follower.wal); !reflect.DeepEqual(p, f) {
 		t.Fatalf("logs differ:\nprimary  %v\nfollower %v", p, f)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -312,7 +313,7 @@ func TestChaosFollowerApplyPanicIsContained(t *testing.T) {
 	// commit of the second while it is the newest record. No later record
 	// repairs the log, so the follower must before it re-subscribes.
 	pc.expect(t, "INS 1 0 0 1", "OK")
-	waitUntil(t, 10*time.Second, "first record applied", func() bool { return follower.repl.applied.Load() == 1 })
+	waitUntil(t, 10*time.Second, "first record applied", func() bool { return follower.repl.applied() == 1 })
 	pc.expect(t, "INS 2 0 0 1", "OK")
 	waitUntil(t, 10*time.Second, "the panicked record made durable", func() bool {
 		follower.mu.Lock()
@@ -320,7 +321,7 @@ func TestChaosFollowerApplyPanicIsContained(t *testing.T) {
 		return follower.wal.ShippedLSN() == 2 // the durable LSN, under -fsync always
 	})
 	pc.expect(t, "INS 3 0 0 1", "OK")
-	waitUntil(t, 10*time.Second, "follower convergence", func() bool { return follower.repl.applied.Load() == 3 })
+	waitUntil(t, 10*time.Second, "follower convergence", func() bool { return follower.repl.applied() == 3 })
 	if n := metricValue(t, follower, "histserve_panics_recovered_total"); n != 1 {
 		t.Fatalf("recovered-panic counter = %d, want 1", n)
 	}
@@ -405,6 +406,12 @@ func TestChaosBinaryDegradeKillRecover(t *testing.T) {
 	}
 	bin := buildHistserve(t)
 	dataDir := filepath.Join(t.TempDir(), "data")
+	// A recovery-probe interval of 0 would let every mutation of a
+	// degraded server through as a probe: refused at startup.
+	if out, err := exec.Command(bin, "-addr", "127.0.0.1:0", "-degraded-probe-every", "0").CombinedOutput(); err == nil ||
+		!strings.Contains(string(out), "-degraded-probe-every must be > 0") {
+		t.Fatalf("-degraded-probe-every 0: %v\n%s", err, out)
+	}
 
 	p1 := startHistserve(t, bin,
 		"-dims", "8,8", "-op", "sum", "-data-dir", dataDir, "-fsync", "always",

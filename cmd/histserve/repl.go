@@ -95,8 +95,8 @@ const replRedialDelay = 200 * time.Millisecond
 // ROLE, /readyz). It exists only when the server started with -follow.
 type replState struct {
 	primaryAddr string
+	log         *wal.Log // the follower's own, which only the link writes
 
-	applied    atomic.Uint64 // last LSN durably applied locally
 	primaryLSN atomic.Uint64 // newest frontier LSN the primary reported
 	synced     atomic.Bool   // caught up to the primary's frontier at least once
 	promoted   atomic.Bool   // PROMOTE turned this follower into a primary
@@ -109,10 +109,14 @@ type replState struct {
 	ended error
 }
 
+// applied is the last LSN durably applied locally: the log's commit
+// frontier, since only the link writes it and applies before committing.
+func (r *replState) applied() uint64 { return r.log.ShippedLSN() }
+
 // lag returns how many acked records the primary holds that this
 // follower has not applied yet.
 func (r *replState) lag() uint64 {
-	applied, frontier := r.applied.Load(), r.primaryLSN.Load()
+	applied, frontier := r.applied(), r.primaryLSN.Load()
 	if frontier <= applied {
 		return 0
 	}
@@ -129,7 +133,7 @@ func (r *replState) noteFrontier(lsn uint64) {
 			break
 		}
 	}
-	if r.applied.Load() >= r.primaryLSN.Load() {
+	if r.applied() >= r.primaryLSN.Load() {
 		r.synced.Store(true)
 	}
 }
@@ -142,15 +146,16 @@ func (s *server) isReplica() bool {
 }
 
 // roleLine answers the ROLE command: which side of replication this
-// server is on and how far its log extends — the probe a proxy uses to
-// pick the most caught-up replica during failover.
+// server is on, how far its log extends and, on a primary, its
+// -repl-min-acks — what a proxy needs to pick the most caught-up replica
+// during failover and to decide whether followers may serve reads.
 func (s *server) roleLine() string {
 	if s.isReplica() {
 		r := s.repl
 		return fmt.Sprintf("OK role=replica applied_lsn=%d lag_lsn=%d primary=%s",
-			r.applied.Load(), r.lag(), r.primaryAddr)
+			r.applied(), r.lag(), r.primaryAddr)
 	}
-	return fmt.Sprintf("OK role=primary last_lsn=%d followers=%d", s.walLastLSN(), s.hub.Followers())
+	return fmt.Sprintf("OK role=primary last_lsn=%d followers=%d min_acks=%d", s.walLastLSN(), s.hub.Followers(), s.replMinAcks)
 }
 
 // promote answers PROMOTE [<min_lsn>]: flip this follower into a
@@ -163,14 +168,14 @@ func (s *server) roleLine() string {
 // on its hub: it served that log as committed already.
 func (s *server) promote(minLSN uint64) string {
 	if r := s.repl; s.isReplica() {
-		if applied := r.applied.Load(); applied < minLSN {
+		if applied := r.applied(); applied < minLSN {
 			return fmt.Sprintf("ERR promotion fenced: applied LSN %d is behind the required fence %d (another replica holds more acked history)",
 				applied, minLSN)
 		}
 		if r.promoted.CompareAndSwap(false, true) {
 			s.hub.cover(s.walLastLSN())
 			r.stopOnce.Do(func() { close(r.stop) })
-			s.Log.Warn("promoted to primary", "applied_lsn", r.applied.Load(), "fence", minLSN, "old_primary", r.primaryAddr)
+			s.Log.Warn("promoted to primary", "applied_lsn", r.applied(), "fence", minLSN, "old_primary", r.primaryAddr)
 		}
 	}
 	return s.roleLine()
@@ -506,8 +511,7 @@ func (s *server) sendSnapshot(conn net.Conn, w *bufio.Writer, from uint64) (uint
 // replication loop. Called from main before the listener starts, so
 // dispatch never observes a half-initialised repl field.
 func (s *server) startFollower(primary string) {
-	r := &replState{primaryAddr: primary, stop: make(chan struct{})}
-	r.applied.Store(s.walLastLSN())
+	r := &replState{primaryAddr: primary, log: s.wal, stop: make(chan struct{})}
 	s.repl = r
 	s.link.Log = s.Log.With("primary", primary)
 	go s.followLoop(r)
@@ -558,7 +562,6 @@ func (s *server) followOnce(r *replState) error {
 	// log a failed Rebase left closed is at its old end: SNAP comes again.
 	end := s.wal.LastLSN()
 	if err = s.wal.Sync(); err == nil {
-		r.applied.Store(end)
 		_, err = fmt.Fprintf(conn, "REPLICATE FROM %d\n", end+1)
 	}
 	if err != nil {
@@ -679,7 +682,6 @@ func (s *server) settleShipped(open []*lineserver.Request) {
 		if cerr := s.wal.Commit(end); cerr != nil {
 			n, err = 0, fmt.Errorf("committing shipped records through %d: %w", end, cerr)
 		} else {
-			r.applied.Store(end)
 			r.noteFrontier(end)
 		}
 	}
@@ -718,7 +720,6 @@ func (s *server) linkSnap(conn net.Conn, lr *lineserver.Reader, _ *bufio.Writer,
 		err = s.installSnapshot(lsn, &snapReader{conn: conn, lr: lr, left: int64(size)})
 	}
 	if r.ended = err; err == nil {
-		r.applied.Store(lsn)
 		s.Log.Info("bootstrapped from shipped snapshot", "lsn", lsn, "primary", r.primaryAddr)
 		r.noteFrontier(lsn)
 	}

@@ -67,7 +67,7 @@ func TestReplicaFollowsPrimaryAndAnswersIdentically(t *testing.T) {
 	}
 	want := primary.walLastLSN()
 	waitUntil(t, 5*time.Second, "follower catch-up", func() bool {
-		return follower.repl.applied.Load() == want
+		return follower.repl.applied() == want
 	})
 
 	// Identical answers: cube state is a deterministic function of the
@@ -109,7 +109,7 @@ func TestReplicaFollowsPrimaryAndAnswersIdentically(t *testing.T) {
 		t.Fatalf("replica ROLE -> %q", got)
 	}
 	if got := pc.cmd(t, "ROLE"); !strings.HasPrefix(got, "OK role=primary") ||
-		!strings.Contains(got, "followers=1") {
+		!strings.Contains(got, "followers=1") || !strings.HasSuffix(got, " min_acks=0") {
 		t.Fatalf("primary ROLE -> %q", got)
 	}
 }
@@ -127,7 +127,7 @@ func TestReplicaBarrierIsItsLocalCommit(t *testing.T) {
 	follower.startFollower(paddr)
 	faddr := serveOn(t, follower)
 	dial(t, paddr).expect(t, "INS 1 0 0 5", "OK")
-	waitUntil(t, 5*time.Second, "follower catch-up", func() bool { return follower.repl.applied.Load() == 1 })
+	waitUntil(t, 5*time.Second, "follower catch-up", func() bool { return follower.repl.applied() == 1 })
 	fc := dial(t, faddr)
 	// A mutation admission refuses is not traced, as at parse time.
 	if got := fc.cmd(t, "INS 2 0 0 1"); !strings.HasPrefix(got, "ERR read-only replica") {
@@ -220,7 +220,7 @@ func TestReplicaColdStartBootstrapsFromSnapshot(t *testing.T) {
 	fdir := t.TempDir()
 	follower, faddr := startReplica(t, fdir, paddr)
 	waitUntil(t, 5*time.Second, "snapshot bootstrap + catch-up", func() bool {
-		return follower.repl.applied.Load() == 100 && follower.repl.synced.Load()
+		return follower.repl.applied() == 100 && follower.repl.synced.Load()
 	})
 	fc := dial(t, faddr)
 	fc.expect(t, "QRY 0 1000 0 0 7 7", fmt.Sprintf("%g", total))
@@ -231,7 +231,7 @@ func TestReplicaColdStartBootstrapsFromSnapshot(t *testing.T) {
 	// The stream continues live after the bootstrap on the same link.
 	pc.expect(t, "INS 200 0 0 5", "OK")
 	waitUntil(t, 5*time.Second, "live record after bootstrap", func() bool {
-		return follower.repl.applied.Load() == 101
+		return follower.repl.applied() == 101
 	})
 	fc.expect(t, "QRY 0 1000 0 0 7 7", fmt.Sprintf("%g", total+5))
 
@@ -242,6 +242,84 @@ func TestReplicaColdStartBootstrapsFromSnapshot(t *testing.T) {
 	rc := dial(t, serveOn(t, restarted))
 	rc.expect(t, "QRY 0 1000 0 0 7 7", fmt.Sprintf("%g", total+5))
 	restarted.shutdown()
+}
+
+// TestReplicaAppliedLSNIsItsCommitFrontier pins the follower's one
+// position: ROLE's applied_lsn, read off the log's commit frontier,
+// equals what the follower committed — the end of its own log, the LSN
+// its ACKs carried to the primary, and the records its cube answers for
+// — after a SNAP install, after catching up on the stream, and after a
+// reconnect over its own directory.
+func TestReplicaAppliedLSNIsItsCommitFrontier(t *testing.T) {
+	pdir := t.TempDir()
+	primary, _ := newDurableServer(t, pdir, 0)
+	paddr := serveOn(t, primary)
+	pc := dial(t, paddr)
+	for i := 0; i < 80; i++ {
+		pc.expect(t, fmt.Sprintf("INS %d %d %d 1", i/4, i%8, (i/2)%8), "OK")
+	}
+	pc.expect(t, "CHECKPOINT", "OK 80")
+	for i := 0; i < 20; i++ {
+		pc.expect(t, fmt.Sprintf("INS %d 0 1 2", 100+i), "OK")
+	}
+	ckpt, err := os.ReadFile(filepath.Join(pdir, fmt.Sprintf("checkpoint-%016x.ckpt", 80)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := func() (top uint64) {
+		primary.hub.mu.Lock()
+		defer primary.hub.mu.Unlock()
+		for _, a := range primary.hub.acked {
+			top = max(top, a)
+		}
+		return top
+	}
+	position := func(what string, follower *server, want uint64, sum float64) {
+		t.Helper()
+		if got := follower.roleLine(); !strings.HasPrefix(got, fmt.Sprintf("OK role=replica applied_lsn=%d ", want)) {
+			t.Errorf("%s: ROLE = %q, want applied_lsn=%d", what, got, want)
+		}
+		if got := follower.wal.LastLSN(); got != want {
+			t.Errorf("%s: the follower's log ends at %d, want %d", what, got, want)
+		}
+		if got := chaosQuery(t, follower); got != sum {
+			t.Errorf("%s: the follower answers %v, want %v", what, got, sum)
+		}
+	}
+
+	// A session that only installs a snapshot: the position is its LSN.
+	var snap strings.Builder
+	fmt.Fprintf(&snap, "SNAP lsn=80 size=%d\n", len(ckpt))
+	for off := 0; off < len(ckpt); off += snapChunk {
+		fmt.Fprintln(&snap, base64.StdEncoding.EncodeToString(ckpt[off:min(off+snapChunk, len(ckpt))]))
+	}
+	snap.WriteString("ENDSNAP\n")
+	fdir := t.TempDir()
+	follower, _ := newDurableServer(t, fdir, 0)
+	r := &replState{primaryAddr: newFakePrimary(t, snap.String()), log: follower.wal, stop: make(chan struct{})}
+	follower.repl, follower.link.Log = r, follower.Log
+	if err := follower.followOnce(r); err != nil {
+		t.Fatalf("snapshot session: %v", err)
+	}
+	position("after the SNAP install", follower, 80, 80)
+
+	// Catch-up on the real primary's stream from there.
+	follower.startFollower(paddr)
+	waitUntil(t, 5*time.Second, "the follower's ack of LSN 100", func() bool { return acked() == 100 })
+	position("after catch-up", follower, 100, 120)
+
+	// Reconnect: the follower goes away, misses five records, and comes
+	// back over its own directory.
+	follower.repl.stopOnce.Do(func() { close(follower.repl.stop) })
+	follower.shutdown()
+	for i := 0; i < 5; i++ {
+		pc.expect(t, fmt.Sprintf("INS %d 1 1 3", 200+i), "OK")
+	}
+	back, _ := newDurableServer(t, fdir, 0)
+	back.startFollower(paddr)
+	t.Cleanup(func() { back.repl.stopOnce.Do(func() { close(back.repl.stop) }) })
+	waitUntil(t, 5*time.Second, "the follower's ack of LSN 105", func() bool { return acked() == 105 })
+	position("after a reconnect", back, 105, 135)
 }
 
 // TestSnapShipsTheNewestCheckpoint reads a bootstrap off the wire: a
@@ -336,13 +414,13 @@ func TestReplicaBootstrapsUnderCheckpointLoad(t *testing.T) {
 
 	fdir := t.TempDir()
 	follower, faddr := startReplica(t, fdir, paddr)
-	waitUntil(t, 20*time.Second, "a bootstrap under load", func() bool { return follower.repl.applied.Load() > 0 })
+	waitUntil(t, 20*time.Second, "a bootstrap under load", func() bool { return follower.repl.applied() > 0 })
 	seen := checkpoints()
 	waitUntil(t, 20*time.Second, "3 more checkpoints", func() bool { return checkpoints() >= seen+3 })
 	stop.Store(true)
 	wg.Wait()
 	want := primary.walLastLSN()
-	waitUntil(t, 20*time.Second, "follower catch-up", func() bool { return follower.repl.applied.Load() == want })
+	waitUntil(t, 20*time.Second, "follower catch-up", func() bool { return follower.repl.applied() == want })
 
 	queries := make([]string, 40)
 	rng := rand.New(rand.NewSource(7))
@@ -378,7 +456,7 @@ func TestPromotionFencingAndTakeover(t *testing.T) {
 		pc.expect(t, fmt.Sprintf("INS %d 0 0 1", i), "OK")
 	}
 	waitUntil(t, 5*time.Second, "follower catch-up", func() bool {
-		return follower.repl.applied.Load() == 50
+		return follower.repl.applied() == 50
 	})
 
 	fc := dial(t, faddr)
@@ -424,11 +502,11 @@ func TestSemiSyncHoldsAckUntilFollowerApplies(t *testing.T) {
 
 	follower, _ := startReplica(t, t.TempDir(), paddr)
 	waitUntil(t, 5*time.Second, "follower catch-up", func() bool {
-		return follower.repl.applied.Load() == 1
+		return follower.repl.applied() == 1
 	})
 	// With a live follower the ack arrives and the OK goes out.
 	pc.expect(t, "INS 2 0 0 1", "OK")
-	if follower.repl.applied.Load() != 2 && !waitApplied(follower, 2) {
+	if follower.repl.applied() != 2 && !waitApplied(follower, 2) {
 		t.Fatal("acked write not applied on the follower")
 	}
 }
@@ -437,7 +515,7 @@ func TestSemiSyncHoldsAckUntilFollowerApplies(t *testing.T) {
 func waitApplied(s *server, lsn uint64) bool {
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if s.repl.applied.Load() >= lsn {
+		if s.repl.applied() >= lsn {
 			return true
 		}
 		time.Sleep(2 * time.Millisecond)

@@ -59,7 +59,7 @@ func TestFollowerCommitsABurstWithOneAckAndFewFsyncs(t *testing.T) {
 			t.Fatalf("reply %d = %q", i, l)
 		}
 	}
-	waitUntil(t, 5*time.Second, "follower catch-up", func() bool { return follower.repl.applied.Load() == k })
+	waitUntil(t, 5*time.Second, "follower catch-up", func() bool { return follower.repl.applied() == k })
 	if fsyncs := metricValue(t, follower, "histcube_wal_fsyncs_total") - before; fsyncs < 1 || fsyncs >= k/4 {
 		t.Fatalf("a burst of %d shipped records cost the follower %d fsyncs, want far fewer than one per record", k, fsyncs)
 	}
@@ -72,7 +72,7 @@ func TestFollowerCommitsABurstWithOneAckAndFewFsyncs(t *testing.T) {
 	// A lone record is a batch of one: exactly one more fsync.
 	before = metricValue(t, follower, "histcube_wal_fsyncs_total")
 	dial(t, paddr).expect(t, fmt.Sprintf("INS %d 0 0 1", k), "OK")
-	waitUntil(t, 5*time.Second, "lone record", func() bool { return follower.repl.applied.Load() == k+1 })
+	waitUntil(t, 5*time.Second, "lone record", func() bool { return follower.repl.applied() == k+1 })
 	if fsyncs := metricValue(t, follower, "histcube_wal_fsyncs_total") - before; fsyncs != 1 {
 		t.Fatalf("a lone shipped record cost %d fsyncs, want 1", fsyncs)
 	}
@@ -105,7 +105,7 @@ func TestPromoteMidBurst(t *testing.T) {
 	// Staged and applied on the follower — its log ends at the burst's
 	// last record — while its one commit sits in the stalled fsync.
 	waitUntil(t, 5*time.Second, "burst staged on the follower", func() bool { return follower.walLastLSN() == k })
-	if got := follower.repl.applied.Load(); got != 0 {
+	if got := follower.repl.applied(); got != 0 {
 		t.Fatalf("applied_lsn = %d before the batch's commit returned", got)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
@@ -272,12 +272,12 @@ func TestTornRecLineIsNotApplied(t *testing.T) {
 	follower := newQuietServer(t, "8,8", "sum", false)
 	enableChaosWAL(t, follower, t.TempDir())
 	t.Cleanup(follower.shutdown)
-	r := &replState{primaryAddr: fake, stop: make(chan struct{})}
+	r := &replState{primaryAddr: fake, log: follower.wal, stop: make(chan struct{})}
 	follower.repl = r
 	if err := follower.followOnce(r); err == nil || !strings.Contains(err.Error(), "mid-line") {
 		t.Fatalf("followOnce over a torn stream returned %v", err)
 	}
-	if got := r.applied.Load(); got != 1 {
+	if got := r.applied(); got != 1 {
 		t.Fatalf("applied_lsn = %d, want 1 (the terminated record only)", got)
 	}
 	if got := chaosQuery(t, follower); got != 2 {

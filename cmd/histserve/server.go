@@ -21,7 +21,7 @@
 //	                                      retained trace, END
 //	VERSION                            -> OK histserve rev=<git-rev> go=<ver>
 //	SEAL [<time>]                      -> OK sealed_through=<t> | ERR <msg>
-//	ROLE                               -> OK role=primary last_lsn=<n> followers=<n>
+//	ROLE                               -> OK role=primary last_lsn=<n> followers=<n> min_acks=<n>
 //	                                      | OK role=replica applied_lsn=<n> lag_lsn=<n> primary=<addr>
 //	PROMOTE [<min_lsn>]                -> OK role=primary ... | ERR promotion fenced ...
 //	REPLICATE FROM <lsn>               -> hijacks the connection for WAL
@@ -118,7 +118,7 @@
 // PROMOTE turns a follower into a primary during failover;
 // -repl-min-acks N makes a primary hold each mutation's OK until N
 // followers acknowledged it (semi-synchronous), so failover loses no
-// acked write.
+// acked write. A primary's ROLE reports N as min_acks.
 //
 // Sharding support: SEAL <t> (or bare SEAL for everything) makes all
 // times at or below t read-only — mutations into the sealed range get
@@ -235,7 +235,7 @@ type server struct {
 	ready atomic.Bool
 
 	// probeEvery is the recovery-probe interval while degraded
-	// (startup-only, like dims).
+	// (-degraded-probe-every; startup-only, like dims).
 	probeEvery time.Duration
 
 	// shape is the cube's per-dimension domain, frozen at startup (the
@@ -302,6 +302,10 @@ func main() {
 		os.Exit(1)
 	}
 	defer stop()
+	if *probeIv <= 0 {
+		logger.Error("-degraded-probe-every must be > 0", "value", *probeIv)
+		os.Exit(1)
+	}
 	srv.probeEvery = *probeIv
 	if *sealArg != "" {
 		t, err := strconv.ParseInt(*sealArg, 10, 64)
@@ -479,12 +483,11 @@ func newServer(dimsArg, opArg string, ooo bool) (*server, error) {
 		return nil, err
 	}
 	s := &server{
-		cube:       cube,
-		dims:       len(ds),
-		shape:      cube.Shape(),
-		hub:        newReplHub(),
-		probeEvery: 2 * time.Second,
-		meta:       perf.CollectMeta("histserve"),
+		cube:  cube,
+		dims:  len(ds),
+		shape: cube.Shape(),
+		hub:   newReplHub(),
+		meta:  perf.CollectMeta("histserve"),
 	}
 	s.sealedThrough.Store(math.MinInt64)
 	s.Ready = s.readiness
@@ -548,7 +551,7 @@ func (s *server) readiness() (ok bool, msg string) {
 	if s.isReplica() {
 		r := s.repl
 		if !r.synced.Load() {
-			return false, fmt.Sprintf("replica syncing: applied_lsn=%d replica_lag_lsn=%d", r.applied.Load(), r.lag())
+			return false, fmt.Sprintf("replica syncing: applied_lsn=%d replica_lag_lsn=%d", r.applied(), r.lag())
 		}
 		return true, fmt.Sprintf("ok replica_lag_lsn=%d", r.lag())
 	}
@@ -792,7 +795,7 @@ func (s *server) cmdStats(*lineserver.Request) string {
 	if s.isReplica() {
 		r := s.repl
 		tail += fmt.Sprintf(" replica=1 replica_applied_lsn=%d replica_lag_lsn=%d",
-			r.applied.Load(), r.lag())
+			r.applied(), r.lag())
 	}
 	tail += " git_rev=" + s.meta.GitRev
 	return fmt.Sprintf("slices=%d incomplete=%d pending=%d appended=%d "+
@@ -1009,13 +1012,9 @@ func (s *server) clearDegraded() {
 // per interval may test whether storage healed. The CAS keeps the
 // claim race-free without taking mu on the reject fast path.
 func (s *server) probeDue() bool {
-	every := s.probeEvery
-	if every <= 0 {
-		every = 2 * time.Second
-	}
 	now := time.Now().UnixNano()
 	last := s.lastProbeNano.Load()
-	if now-last < every.Nanoseconds() {
+	if now-last < s.probeEvery.Nanoseconds() {
 		return false
 	}
 	return s.lastProbeNano.CompareAndSwap(last, now)

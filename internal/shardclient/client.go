@@ -1,19 +1,19 @@
 // Package shardclient is histproxy's per-shard connection layer: a
 // small pool of line-protocol connections to one backend histserve,
-// fronted by a consecutive-failure circuit breaker with a half-open
-// trial, and a VERSION health probe. A dial is tried once: a refused
-// dial feeds the breaker, and a read batch sent through a Group fails
-// over to the next member at once, so a backoff would only delay that.
+// fronted by a consecutive-failure circuit breaker, and a ROLE health
+// probe. A dial is tried once: a refused dial feeds the breaker, and a
+// read batch sent through a Group fails over to the next member at once,
+// so a backoff would only delay that.
 //
 // The breaker trips on transport failures only (dial errors, timeouts,
 // broken conns) — an "ERR ..." reply is a healthy transport carrying an
-// application error and must not open the breaker. While open, Do
-// fails fast with ErrShardDown so the proxy can assemble a PARTIAL
-// answer instead of hanging on a dead shard; after the cooldown a
-// single trial request is let through (half-open), and one success
-// closes the breaker again. That is what lets a SIGKILLed shard rejoin
-// without a proxy restart: the first query (or background probe) after
-// it comes back closes the breaker.
+// application error and must not open the breaker. While open, every
+// request fails fast with ErrShardDown, however long ago it opened, so
+// the proxy can assemble a PARTIAL answer instead of hanging on a dead
+// shard; no request — a mutation least of all — is a health probe. Only
+// Probe passes an open breaker, and one that gets an answer closes it:
+// histproxy's member-state loop probes every member on every tick, which
+// lets a SIGKILLed shard rejoin without a proxy restart.
 package shardclient
 
 import (
@@ -30,28 +30,24 @@ import (
 )
 
 // ErrShardDown is returned (wrapped) when the breaker is open and the
-// request was not attempted: the shard is presumed dead until the
-// cooldown expires.
+// request was not attempted: the shard is presumed dead until a Probe
+// gets an answer from it.
 var ErrShardDown = errors.New("shard down (breaker open)")
+
+// maxLineBytes caps one response line.
+const maxLineBytes = 1 << 20
 
 // Options configures a Client. The zero value selects the defaults
 // noted per field.
 type Options struct {
 	// PoolSize is the number of idle connections kept; 0 selects 4.
 	PoolSize int
-	// DialTimeout bounds one TCP dial; 0 selects 2s.
-	DialTimeout time.Duration
 	// OpTimeout bounds one request round-trip (write + full read);
 	// 0 selects 5s. A ctx with an earlier deadline wins.
 	OpTimeout time.Duration
 	// BreakerThreshold is the consecutive transport-failure count that
 	// opens the breaker; 0 selects 3.
 	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before a
-	// half-open trial; 0 selects 1s.
-	BreakerCooldown time.Duration
-	// MaxLineBytes caps one response line; 0 selects 1 MiB.
-	MaxLineBytes int
 
 	// DialFault, when non-nil, is consulted before every fresh dial; a
 	// non-nil error fails that dial attempt. It is the fault-injection
@@ -61,9 +57,6 @@ type Options struct {
 	// WrapConn, when non-nil, wraps every freshly dialed connection —
 	// the hook for injecting drop/stall faults at conn read/write sites.
 	WrapConn func(net.Conn) net.Conn
-
-	// now replaces time.Now in the breaker (tests).
-	now func() time.Time
 }
 
 // Client is a pooled line-protocol client for one shard. Safe for
@@ -74,11 +67,10 @@ type Client struct {
 
 	idle chan *wire
 
-	mu       sync.Mutex
-	fails    int       // guarded by mu; consecutive transport failures
-	openedAt time.Time // guarded by mu; zero while the breaker is closed
-	trialing bool      // guarded by mu; a half-open trial is in flight
-	closed   bool      // guarded by mu
+	mu     sync.Mutex
+	fails  int  // guarded by mu; consecutive transport failures
+	open   bool // guarded by mu; the breaker is open until a Probe succeeds
+	closed bool // guarded by mu
 }
 
 // wire is one pooled connection.
@@ -93,23 +85,11 @@ func New(addr string, opts Options) *Client {
 	if opts.PoolSize <= 0 {
 		opts.PoolSize = 4
 	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 2 * time.Second
-	}
 	if opts.OpTimeout <= 0 {
 		opts.OpTimeout = 5 * time.Second
 	}
 	if opts.BreakerThreshold <= 0 {
 		opts.BreakerThreshold = 3
-	}
-	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = time.Second
-	}
-	if opts.MaxLineBytes <= 0 {
-		opts.MaxLineBytes = 1 << 20
-	}
-	if opts.now == nil {
-		opts.now = time.Now
 	}
 	return &Client{
 		addr: addr,
@@ -119,56 +99,46 @@ func New(addr string, opts Options) *Client {
 }
 
 // Healthy reports whether the breaker is closed (requests flow
-// normally). A half-open client reports unhealthy until a trial
-// succeeds.
+// normally).
 func (c *Client) Healthy() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.openedAt.IsZero()
+	return !c.open
 }
 
-// allow decides whether a request may proceed. It returns an error
-// while the breaker is open; after the cooldown it admits exactly one
-// half-open trial at a time.
-func (c *Client) allow() error {
+// allow decides whether a request may proceed: not on a closed client,
+// and not while the breaker is open unless it is a probe.
+func (c *Client) allow(probe bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return fmt.Errorf("shard %s: client closed", c.addr)
 	}
-	if c.openedAt.IsZero() {
-		return nil
-	}
-	if c.opts.now().Sub(c.openedAt) < c.opts.BreakerCooldown {
+	if c.open && !probe {
 		return fmt.Errorf("shard %s: %w", c.addr, ErrShardDown)
 	}
-	if c.trialing {
-		return fmt.Errorf("shard %s: %w (trial in flight)", c.addr, ErrShardDown)
-	}
-	c.trialing = true
 	return nil
 }
 
-// success records a completed round-trip and closes the breaker.
-func (c *Client) success() {
+// success records a completed round-trip; only a probe's closes an open
+// breaker (a request admitted before it opened just resets the count).
+func (c *Client) success(probe bool) {
 	c.mu.Lock()
 	c.fails = 0
-	c.openedAt = time.Time{}
-	c.trialing = false
+	if probe {
+		c.open = false
+	}
 	c.mu.Unlock()
 }
 
-// failure records a transport failure; at the threshold (or on a
-// failed half-open trial) the breaker opens and the idle pool is
-// drained — pooled conns to a dead shard are all suspect.
+// failure records a transport failure; at the threshold the breaker
+// opens and the idle pool is drained — pooled conns to a dead shard are
+// all suspect.
 func (c *Client) failure() {
 	c.mu.Lock()
 	c.fails++
-	trip := c.fails >= c.opts.BreakerThreshold || c.trialing
-	c.trialing = false
-	if trip {
-		c.openedAt = c.opts.now()
-	}
+	trip := c.fails >= c.opts.BreakerThreshold
+	c.open = c.open || trip
 	c.mu.Unlock()
 	if trip {
 		c.drain()
@@ -201,7 +171,7 @@ func (c *Client) get(ctx context.Context) (*wire, bool, error) {
 		err = f()
 	}
 	if err == nil {
-		d := net.Dialer{Timeout: c.opts.DialTimeout}
+		d := net.Dialer{Timeout: 2 * time.Second}
 		conn, err = d.DialContext(ctx, "tcp", c.addr)
 	}
 	if err != nil {
@@ -267,6 +237,7 @@ type Call struct {
 	ctx        context.Context
 	lines      []string
 	idempotent bool
+	probe      bool // a Probe: passes an open breaker, and closes it by succeeding
 
 	w        *wire     // the attempt's connection; nil once it failed or went back to the pool
 	reused   bool      // w came from the pool
@@ -287,8 +258,12 @@ type Call struct {
 // send checks the breaker and writes lines as one batch on a pooled
 // connection, without reading.
 func (c *Client) send(ctx context.Context, lines []string, idempotent bool) *Call {
-	call := &Call{c: c, ctx: ctx, lines: lines, idempotent: idempotent, replies: make([]string, 0, len(lines))}
-	if call.err = c.allow(); call.err != nil {
+	return (&Call{c: c, ctx: ctx, lines: lines, idempotent: idempotent, replies: make([]string, 0, len(lines))}).start()
+}
+
+// start checks the breaker and sends the batch.
+func (call *Call) start() *Call {
+	if call.err = call.c.allow(call.probe); call.err != nil {
 		call.over = true // refused by the breaker, which stays as it is
 		return call
 	}
@@ -304,7 +279,7 @@ func (call *Call) attempt() {
 	if call.err != nil {
 		return
 	}
-	call.deadline = c.opts.now().Add(c.opts.OpTimeout)
+	call.deadline = time.Now().Add(c.opts.OpTimeout)
 	if d, ok := call.ctx.Deadline(); ok && d.Before(call.deadline) {
 		call.deadline = d
 	}
@@ -376,7 +351,7 @@ func (call *Call) read(hedgeAt time.Time) bool {
 		switch {
 		case call.err == nil:
 			call.c.put(call.w)
-			call.c.success()
+			call.c.success(call.probe)
 		case errors.Is(call.ctx.Err(), context.Canceled):
 			// The caller abandoned the request (a hedged duplicate won, or
 			// the client went away): that says nothing about the shard's
@@ -389,17 +364,17 @@ func (call *Call) read(hedgeAt time.Time) bool {
 	return true
 }
 
-// readLine reads one \n-terminated line, enforcing MaxLineBytes. A line
+// readLine reads one \n-terminated line, enforcing maxLineBytes. A line
 // cut off by an error is kept in partial for the next call.
 func (call *Call) readLine() (string, error) {
 	for {
 		chunk, err := call.w.r.ReadSlice('\n')
-		if err == nil && len(call.partial) == 0 && len(chunk) <= call.c.opts.MaxLineBytes {
+		if err == nil && len(call.partial) == 0 && len(chunk) <= maxLineBytes {
 			return strings.TrimRight(string(chunk), "\r\n"), nil
 		}
 		call.partial = append(call.partial, chunk...)
-		if len(call.partial) > call.c.opts.MaxLineBytes {
-			return "", fmt.Errorf("response line exceeds %d bytes", call.c.opts.MaxLineBytes)
+		if len(call.partial) > maxLineBytes {
+			return "", fmt.Errorf("response line exceeds %d bytes", maxLineBytes)
 		}
 		if err == nil {
 			l := strings.TrimRight(string(call.partial), "\r\n")
@@ -412,19 +387,16 @@ func (call *Call) readLine() (string, error) {
 	}
 }
 
-// Probe performs one VERSION round-trip, bypassing idempotent retry
-// (a probe wants the shard's current truth, not a lucky pooled conn).
-// It feeds the breaker like any request, so a successful probe on a
-// half-open breaker closes it — the rejoin path.
-func (c *Client) Probe(ctx context.Context) error {
-	resp, err := c.Do(ctx, "VERSION", false)
+// Probe sends one ROLE and returns the reply. It passes an open breaker,
+// and one that gets an answer closes it: the one rejoin path. Like a
+// read, it is retried once on a fresh dial if a pooled conn died idle.
+func (c *Client) Probe(ctx context.Context) (string, error) {
+	call := &Call{c: c, ctx: ctx, lines: []string{"ROLE"}, idempotent: true, probe: true, replies: make([]string, 0, 1)}
+	replies, err := call.start().Wait()
 	if err != nil {
-		return err
+		return "", err
 	}
-	if !strings.HasPrefix(resp, "OK") {
-		return fmt.Errorf("shard %s: probe got %q", c.addr, resp)
-	}
-	return nil
+	return replies[0], nil
 }
 
 // Close drains the pool and rejects future requests.

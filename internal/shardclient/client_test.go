@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// fakeShard is a minimal line-protocol backend: it answers VERSION,
+// fakeShard is a minimal line-protocol backend: it answers ROLE,
 // QRY (fixed value), ERRME (ERR reply) and DROPME (closes the conn
 // mid-request).
 type fakeShard struct {
@@ -45,8 +45,8 @@ func (f *fakeShard) serve(conn net.Conn) {
 	sc := bufio.NewScanner(conn)
 	for sc.Scan() {
 		switch line := sc.Text(); {
-		case line == "VERSION":
-			conn.Write([]byte("OK histserve rev=test\n"))
+		case line == "ROLE":
+			conn.Write([]byte("OK role=primary last_lsn=0 followers=0 min_acks=0\n"))
 		case strings.HasPrefix(line, "QRY"):
 			conn.Write([]byte("42\n"))
 		case line == "ERRME":
@@ -61,25 +61,16 @@ func (f *fakeShard) serve(conn net.Conn) {
 
 func (f *fakeShard) addr() string { return f.ln.Addr().String() }
 
-func newTestClient(t *testing.T, addr string, now *atomic.Pointer[time.Time]) *Client {
+func newTestClient(t *testing.T, addr string) *Client {
 	t.Helper()
-	opts := Options{
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Minute,
-		DialTimeout:      time.Second,
-		OpTimeout:        2 * time.Second,
-	}
-	if now != nil {
-		opts.now = func() time.Time { return *now.Load() }
-	}
-	c := New(addr, opts)
+	c := New(addr, Options{BreakerThreshold: 2, OpTimeout: 2 * time.Second})
 	t.Cleanup(c.Close)
 	return c
 }
 
 func TestDoAndPooling(t *testing.T) {
 	f := startFakeShard(t)
-	c := newTestClient(t, f.addr(), nil)
+	c := newTestClient(t, f.addr())
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		resp, err := c.Do(ctx, "QRY 0 10 0 0 1 1", true)
@@ -100,7 +91,7 @@ func TestDoAndPooling(t *testing.T) {
 
 func TestErrReplyDoesNotTripBreaker(t *testing.T) {
 	f := startFakeShard(t)
-	c := newTestClient(t, f.addr(), nil)
+	c := newTestClient(t, f.addr())
 	for i := 0; i < 5; i++ {
 		resp, err := c.Do(context.Background(), "ERRME", true)
 		if err != nil {
@@ -124,10 +115,7 @@ func TestBreakerOpensAndFailsFast(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	start := time.Now()
-	var now atomic.Pointer[time.Time]
-	now.Store(&start)
-	c := newTestClient(t, addr, &now)
+	c := newTestClient(t, addr)
 	ctx := context.Background()
 
 	// Threshold is 2: two real failures, then fast-fail.
@@ -145,10 +133,11 @@ func TestBreakerOpensAndFailsFast(t *testing.T) {
 	}
 }
 
-func TestBreakerHalfOpenRejoin(t *testing.T) {
-	// Reserve an address, kill it, trip the breaker, then bring a
-	// real shard up on the same port and advance past the cooldown:
-	// the half-open trial must close the breaker — the rejoin path.
+// TestBreakerStaysOpenUntilProbe: an open breaker refuses a read and a
+// mutating batch however much time passes — neither is ever a health
+// probe — even once the shard is back, and Probe, which passes it,
+// closes it as soon as the shard answers.
+func TestBreakerStaysOpenUntilProbe(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -156,16 +145,16 @@ func TestBreakerHalfOpenRejoin(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	start := time.Now()
-	var now atomic.Pointer[time.Time]
-	now.Store(&start)
-	c := newTestClient(t, addr, &now)
+	c := newTestClient(t, addr)
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		c.Do(ctx, "VERSION", false)
+		c.Do(ctx, "QRY 0 1 0 0", true)
 	}
 	if c.Healthy() {
 		t.Fatal("breaker should be open")
+	}
+	if _, err := c.Probe(ctx); err == nil {
+		t.Fatal("probe of a dead shard succeeded")
 	}
 
 	// Shard comes back on the same address.
@@ -180,29 +169,39 @@ func TestBreakerHalfOpenRejoin(t *testing.T) {
 			if err != nil {
 				return
 			}
+			f.accepted.Add(1)
 			go f.serve(conn)
 		}
 	}()
 	defer ln2.Close()
 
-	// Still inside the cooldown: fail fast, no trial.
-	if _, err := c.Do(ctx, "VERSION", false); !errors.Is(err, ErrShardDown) {
-		t.Fatalf("inside cooldown got %v, want ErrShardDown", err)
+	for i := 0; i < 3; i++ {
+		time.Sleep(50 * time.Millisecond)
+		if _, err := c.Do(ctx, "QRY 0 1 0 0", true); !errors.Is(err, ErrShardDown) {
+			t.Fatalf("read on an open breaker got %v, want ErrShardDown", err)
+		}
+		if _, err := c.DoBatch(ctx, []string{"INS 1 0 0 1", "INS 2 0 0 1"}, false); !errors.Is(err, ErrShardDown) {
+			t.Fatalf("mutating batch on an open breaker got %v, want ErrShardDown", err)
+		}
 	}
-	// Past the cooldown: the trial goes through and closes the breaker.
-	later := start.Add(2 * time.Minute)
-	now.Store(&later)
-	if err := c.Probe(ctx); err != nil {
-		t.Fatalf("half-open probe failed: %v", err)
+	if n := f.accepted.Load(); n != 0 {
+		t.Fatalf("an open breaker let %d connections through", n)
+	}
+	resp, err := c.Probe(ctx)
+	if err != nil || !strings.HasPrefix(resp, "OK role=primary") {
+		t.Fatalf("probe of the rejoined shard = %q, %v", resp, err)
 	}
 	if !c.Healthy() {
-		t.Fatal("breaker did not close after a successful trial")
+		t.Fatal("breaker did not close after a successful probe")
+	}
+	if got, err := c.Do(ctx, "QRY 0 1 0 0", true); err != nil || got != "42" {
+		t.Fatalf("read after the probe = %q, %v", got, err)
 	}
 }
 
 func TestIdempotentRetryOnStalePooledConn(t *testing.T) {
 	f := startFakeShard(t)
-	c := newTestClient(t, f.addr(), nil)
+	c := newTestClient(t, f.addr())
 	ctx := context.Background()
 
 	// Prime the pool, then make the server drop that conn.
@@ -239,8 +238,11 @@ func TestClosedClientRejects(t *testing.T) {
 	f := startFakeShard(t)
 	c := New(f.addr(), Options{})
 	c.Close()
-	if _, err := c.Do(context.Background(), "VERSION", false); err == nil {
+	if _, err := c.Do(context.Background(), "QRY 0 1 0 0", false); err == nil {
 		t.Fatal("closed client accepted a request")
+	}
+	if _, err := c.Probe(context.Background()); err == nil {
+		t.Fatal("closed client accepted a probe")
 	}
 }
 
@@ -249,7 +251,7 @@ func TestClosedClientRejects(t *testing.T) {
 // on one connection that goes back to the pool.
 func TestDoBatchOneWriteRepliesInOrder(t *testing.T) {
 	f := startFakeShard(t)
-	c := newTestClient(t, f.addr(), nil)
+	c := newTestClient(t, f.addr())
 	got, err := c.DoBatch(context.Background(), []string{"INS 1 0 0 1", "ERRME", "QRY 0 1 0 0", "INS 2 0 0 1"}, false)
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +273,7 @@ func TestDoBatchOneWriteRepliesInOrder(t *testing.T) {
 // a mutation, so nothing is retried.
 func TestDoBatchBrokenMidwayKeepsReceivedReplies(t *testing.T) {
 	f := startFakeShard(t)
-	c := newTestClient(t, f.addr(), nil)
+	c := newTestClient(t, f.addr())
 	got, err := c.DoBatch(context.Background(), []string{"INS 1 0 0 1", "INS 2 0 0 1", "DROPME", "INS 3 0 0 1"}, false)
 	if err == nil {
 		t.Fatalf("broken batch succeeded with %q", got)

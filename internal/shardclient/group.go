@@ -1,7 +1,7 @@
 // Group: one shard's replica set as a single client surface — reads
 // fan across healthy members (with a hedged duplicate after a latency
-// threshold), writes pin to the current primary, and failover is one
-// SetPrimary call away.
+// threshold) while follower reads are on, writes pin to the current
+// primary, and failover is one SetPrimary call away.
 //
 // A batch is sent and read in two halves, Send and Call.Wait, so a
 // caller can have every shard's batch in flight before it reads any of
@@ -15,10 +15,12 @@
 // Hedging is safe here for a reason most systems don't have: every
 // member replays the same totally ordered WAL stream, so any two
 // members that have applied an acked write return bit-identical
-// answers — first answer wins, no reconciliation. A follower read is
-// fresh only when the primary's -repl-min-acks is at least its number of
-// followers; below that (the default is 0) a follower outside the ack
-// quorum may lack a write a client already saw acked.
+// answers — first answer wins, no reconciliation. But a follower outside
+// the primary's ack quorum may lack a write a client saw acked, so
+// followers serve reads only while SetFollowerReads is on: while the
+// primary's -repl-min-acks is at least its number of followers. That
+// rule does not see a follower re-bootstrapping from an empty directory,
+// which answers from what it has applied until it has caught up.
 package shardclient
 
 import (
@@ -31,10 +33,11 @@ import (
 // Group is the replica-set client for one time-range shard. Safe for
 // concurrent use.
 type Group struct {
-	members []*Client // immutable; configured primary first
-	primary atomic.Int32
-	rr      atomic.Uint32 // read round-robin cursor
-	hedged  atomic.Int64  // hedged duplicate batches launched
+	members   []*Client // immutable; configured primary first
+	primary   atomic.Int32
+	followers atomic.Bool   // followers may serve reads (SetFollowerReads)
+	rr        atomic.Uint32 // read round-robin cursor
+	hedged    atomic.Int64  // hedged duplicate batches launched
 
 	hedgeAfter time.Duration
 }
@@ -71,6 +74,10 @@ func (g *Group) SetPrimary(i int) {
 		g.primary.Store(int32(i))
 	}
 }
+
+// SetFollowerReads switches reads between every healthy member (on) and
+// the current primary alone, with no fallback or hedge (off, at start).
+func (g *Group) SetFollowerReads(on bool) { g.followers.Store(on) }
 
 // Healthy reports whether any member's breaker is closed.
 func (g *Group) Healthy() bool {
@@ -208,22 +215,23 @@ func (g *Group) race(late *Call, firstErr error) ([]string, error) {
 	}
 }
 
-// readOrder returns the members in attempt order: healthy ones first,
-// rotated by a round-robin cursor so read load spreads across the set,
-// then open-breaker members last (a half-open trial may still get
-// through and is how a rejoined member comes back).
+// readOrder returns the members in attempt order: with follower reads
+// on, the healthy ones, rotated by a round-robin cursor to spread load;
+// otherwise, or with none healthy, the primary alone.
 func (g *Group) readOrder() []*Client {
 	n := len(g.members)
-	start := int(g.rr.Add(1)-1) % n
-	healthy := make([]*Client, 0, n)
-	var down []*Client
-	for i := 0; i < n; i++ {
-		c := g.members[(start+i)%n]
-		if c.Healthy() {
-			healthy = append(healthy, c)
-		} else {
-			down = append(down, c)
+	if g.followers.Load() {
+		start := int(g.rr.Add(1)-1) % n
+		healthy := make([]*Client, 0, n)
+		for i := 0; i < n; i++ {
+			if c := g.members[(start+i)%n]; c.Healthy() {
+				healthy = append(healthy, c)
+			}
+		}
+		if len(healthy) > 0 {
+			return healthy
 		}
 	}
-	return append(healthy, down...)
+	i := g.primary.Load()
+	return g.members[i : i+1 : i+1]
 }

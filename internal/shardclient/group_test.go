@@ -66,6 +66,7 @@ func TestGroupHedgesSlowMember(t *testing.T) {
 	fast := startSlowShard(t, "2", 0)
 	g := NewGroup([]string{slow.addr(), fast.addr()}, 30*time.Millisecond, Options{OpTimeout: 5 * time.Second})
 	t.Cleanup(g.Close)
+	g.SetFollowerReads(true)
 	pinFirst(g)
 	start := time.Now()
 	resp, err := g.Read(context.Background(), "QRY 0 0 1 1")
@@ -85,10 +86,9 @@ func TestGroupHedgesSlowMember(t *testing.T) {
 
 func TestGroupReadFailsOverToReplicaImmediately(t *testing.T) {
 	up := startSlowShard(t, "7", 0)
-	g := NewGroup([]string{"127.0.0.1:1", up.addr()}, 0, Options{
-		DialTimeout: 200 * time.Millisecond, OpTimeout: time.Second,
-	})
+	g := NewGroup([]string{"127.0.0.1:1", up.addr()}, 0, Options{OpTimeout: time.Second})
 	t.Cleanup(g.Close)
+	g.SetFollowerReads(true)
 	pinFirst(g)
 	resp, err := g.Read(context.Background(), "QRY 0 0 1 1")
 	if err != nil {
@@ -100,10 +100,9 @@ func TestGroupReadFailsOverToReplicaImmediately(t *testing.T) {
 }
 
 func TestGroupAllMembersDown(t *testing.T) {
-	g := NewGroup([]string{"127.0.0.1:1", "127.0.0.1:1"}, 0, Options{
-		DialTimeout: 100 * time.Millisecond, OpTimeout: 500 * time.Millisecond,
-	})
+	g := NewGroup([]string{"127.0.0.1:1", "127.0.0.1:1"}, 0, Options{OpTimeout: 500 * time.Millisecond})
 	t.Cleanup(g.Close)
+	g.SetFollowerReads(true)
 	if _, err := g.Read(context.Background(), "QRY 0 0 1 1"); err == nil {
 		t.Fatal("read with every member down succeeded")
 	}
@@ -114,6 +113,7 @@ func TestGroupWritePinsToPrimary(t *testing.T) {
 	b := startSlowShard(t, "OK b", 0)
 	g := NewGroup([]string{a.addr(), b.addr()}, 0, Options{OpTimeout: time.Second})
 	t.Cleanup(g.Close)
+	g.SetFollowerReads(true)
 	for i := 0; i < 5; i++ {
 		// A run of i+1 lines is one batch round trip to the primary.
 		run := make([]string, i+1)
@@ -146,6 +146,38 @@ func TestGroupWritePinsToPrimary(t *testing.T) {
 	}
 }
 
+// TestGroupPrimaryAloneWithoutFollowerReads: until follower reads are
+// switched on, a read batch goes to the current primary alone — no
+// hedge however slow it is, no fallback when it is down — and
+// SetPrimary moves it.
+func TestGroupPrimaryAloneWithoutFollowerReads(t *testing.T) {
+	slow := startSlowShard(t, "1", 100*time.Millisecond)
+	fast := startSlowShard(t, "2", 0)
+	g := NewGroup([]string{slow.addr(), fast.addr()}, 10*time.Millisecond, Options{OpTimeout: 5 * time.Second})
+	t.Cleanup(g.Close)
+	for i := 0; i < 4; i++ {
+		if got, err := g.Send(context.Background(), []string{"QRY 0 0 1 1", "QRY 0 1 1 1"}, false).Wait(); err != nil || strings.Join(got, "|") != "1|1" {
+			t.Fatalf("batch %d: %q, %v; want the primary's answers", i, got, err)
+		}
+	}
+	if g.Hedged() != 0 || fast.hits.Load() != 0 {
+		t.Fatalf("hedged %d batches, follower served %d lines; want none", g.Hedged(), fast.hits.Load())
+	}
+	g.SetPrimary(1)
+	if got, err := g.Read(context.Background(), "QRY 0 0 1 1"); err != nil || got != "2" {
+		t.Fatalf("read after SetPrimary = %q, %v", got, err)
+	}
+
+	down := NewGroup([]string{"127.0.0.1:1", fast.addr()}, 0, Options{OpTimeout: time.Second})
+	t.Cleanup(down.Close)
+	if got, err := down.Read(context.Background(), "QRY 0 0 1 1"); err == nil {
+		t.Fatalf("read with the primary down answered %q from a follower", got)
+	}
+	if n := fast.hits.Load(); n != 1 {
+		t.Fatalf("follower served %d lines, want only the one after SetPrimary", n)
+	}
+}
+
 func TestGroupHedgeLoserDoesNotFeedBreaker(t *testing.T) {
 	slow := startSlowShard(t, "1", 300*time.Millisecond)
 	fast := startSlowShard(t, "2", 0)
@@ -153,6 +185,7 @@ func TestGroupHedgeLoserDoesNotFeedBreaker(t *testing.T) {
 		OpTimeout: 5 * time.Second, BreakerThreshold: 2,
 	})
 	t.Cleanup(g.Close)
+	g.SetFollowerReads(true)
 	// Several hedged reads where the slow member always loses and gets
 	// canceled: its breaker must stay closed — cancellation is not a
 	// shard failure.
@@ -175,6 +208,7 @@ func TestGroupReadBatchHedgesOncePerBatch(t *testing.T) {
 	fast := startSlowShard(t, "2", 0)
 	g := NewGroup([]string{slow.addr(), fast.addr()}, 30*time.Millisecond, Options{OpTimeout: 5 * time.Second})
 	t.Cleanup(g.Close)
+	g.SetFollowerReads(true)
 	pinFirst(g)
 	got, err := g.Send(context.Background(), []string{"QRY 0 0 1 1", "QRY 0 1 1 1", "QRY 0 2 1 1"}, false).Wait()
 	if err != nil {
@@ -199,6 +233,7 @@ func TestGroupReadBatchFailoverDiscardsPartialReplies(t *testing.T) {
 	up := startSlowShard(t, "7", 0)
 	g := NewGroup([]string{dying.addr(), up.addr()}, 0, Options{OpTimeout: time.Second})
 	t.Cleanup(g.Close)
+	g.SetFollowerReads(true)
 	pinFirst(g)
 	got, err := g.Send(context.Background(), []string{"QRY 0 0 1 1", "DROPME", "QRY 0 2 1 1"}, false).Wait()
 	if err != nil {
@@ -221,6 +256,7 @@ func TestGroupReadBatchLoserDoesNotFeedBreaker(t *testing.T) {
 		OpTimeout: 5 * time.Second, BreakerThreshold: 2,
 	})
 	t.Cleanup(g.Close)
+	g.SetFollowerReads(true)
 	for i := 0; i < 4; i++ {
 		pinFirst(g)
 		if got, err := g.Send(context.Background(), []string{"QRY 0 0 1 1", "QRY 0 1 1 1"}, false).Wait(); err != nil || strings.Join(got, "|") != "2|2" {
@@ -266,6 +302,7 @@ func TestGroupHedgeRaceReturnsOnParentCancel(t *testing.T) {
 	}
 	g := NewGroup(addrs, 10*time.Millisecond, Options{OpTimeout: 5 * time.Second, BreakerThreshold: 1})
 	t.Cleanup(g.Close)
+	g.SetFollowerReads(true)
 	for i := 0; i < 3; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		time.AfterFunc(50*time.Millisecond, cancel)
