@@ -150,15 +150,21 @@ step_replchaos() {
     # rule: behind a real primary with two followers and -repl-min-acks 1,
     # a pipelined load leaves both followers' QRY count at 0, and in
     # process every leg and hedge stays on a primary whose min_acks is
-    # below its followers and reaches them once it covers them. Last, a
+    # below its followers and reaches them once it covers them, and off
+    # a follower whose ROLE says synced=0 until it says synced=1, a
+    # rejoining one included before its round has seen it; a follower
+    # says synced=1 only at the end its primary reported, not after a
+    # SNAP or part of the tail; a
+    # restarted semi-sync primary's recovered tail commits only once a
+    # follower holds it. Last, a
     # follower's applied_lsn is its commit frontier after a SNAP install,
     # a catch-up and a reconnect. And two failovers the breaker alone
     # would delay: a primary that hangs (ROLE unanswered) is replaced
     # within a few -probe-every while another shard's member still
     # rejoins within one, and a write that breaks on a dead primary
     # promotes its follower on the next ROLE it misses.
-    go test -race -count=1 -run 'TestReplChaosPrimaryKillUnderLoad|TestBrokenMixedUnitAnswersEveryLineAndFailsOver|TestReplChaosReadsSkipFollowersOutsideTheAckQuorum|TestReadRuleFollowsPrimaryMinAcks|TestHungPrimaryFailsOverAndOthersStillRejoin|TestBrokenWriteFailsOverBeforeTheBreakerOpens' ./cmd/histproxy/
-    go test -race -count=1 -run 'TestReplicaBootstrapsUnderCheckpointLoad|TestPrimaryAndFollowerApplyOneStream|TestReplicaBarrierIsItsLocalCommit|TestSemiSyncReadOutlivesItsFollower|TestReplicaAppliedLSNIsItsCommitFrontier' ./cmd/histserve/
+    go test -race -count=1 -run 'TestReplChaosPrimaryKillUnderLoad|TestBrokenMixedUnitAnswersEveryLineAndFailsOver|TestReplChaosReadsSkipFollowersOutsideTheAckQuorum|TestReadRuleFollowsPrimaryMinAcks|TestReadRuleSkipsASyncingFollower|TestRejoiningFollowerServesNoReadBeforeItsRound|TestHungPrimaryFailsOverAndOthersStillRejoin|TestBrokenWriteFailsOverBeforeTheBreakerOpens' ./cmd/histproxy/
+    go test -race -count=1 -run 'TestReplicaBootstrapsUnderCheckpointLoad|TestPrimaryAndFollowerApplyOneStream|TestReplicaBarrierIsItsLocalCommit|TestSemiSyncReadOutlivesItsFollower|TestRestartedSemiSyncPrimaryCommitsItsTailOnceHeld|TestReplicaAppliedLSNIsItsCommitFrontier|TestReplicaSyncedOnlyAtThePrimarysEnd' ./cmd/histserve/
 }
 
 step_traceguard() {

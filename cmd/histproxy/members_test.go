@@ -69,6 +69,78 @@ func TestReadRuleFollowsPrimaryMinAcks(t *testing.T) {
 	}
 }
 
+// TestReadRuleSkipsASyncingFollower: a primary whose min_acks covers its
+// one follower, slow enough that a hedge is due on every batch. While the
+// follower's ROLE says synced=0 it is still catching up and gets no QRY
+// leg; within one -probe-every of saying synced=1 it serves again.
+func TestReadRuleSkipsASyncingFollower(t *testing.T) {
+	primary, follower := newFakeShard(t), newFakeShard(t)
+	primary.set(func(f *fakeShard) { f.minAcks, f.qryDelay = 1, 20*time.Millisecond })
+	follower.set(func(f *fakeShard) { f.replica, f.syncing = true, true })
+	p := buildProxyWith(t, fmt.Sprintf("%s|%s=0-", primary.addr(), follower.addr()), 2*time.Millisecond, time.Second)
+	c := dial(t, serveProxy(t, p))
+	if got := c.cmd(t, "INS 1 0 0 5"); got != "OK" {
+		t.Fatalf("INS = %q", got)
+	}
+	for i := 0; i < 8; i++ {
+		if got := sendAll(t, c, "QRY 0 9 0 0 7 7\nQRY 0 1 0 0 7 7\n", 2); strings.Join(got, "|") != "5|5" {
+			t.Fatalf("window %d answered %q, want the primary's 5|5", i, got)
+		}
+	}
+	if n := qryLines(follower); n != 0 {
+		t.Fatalf("a follower that said synced=0 received %d QRY legs", n)
+	}
+	if n := p.groups[0].Hedged(); n != 0 {
+		t.Fatalf("%d read batches hedged to a follower that said synced=0", n)
+	}
+
+	follower.set(func(f *fakeShard) { f.syncing = false })
+	synced := time.Now()
+	for qryLines(follower) == 0 {
+		if time.Since(synced) > 5*time.Second {
+			t.Fatal("the follower said synced=1, yet after 5 s it had received no QRY leg")
+		}
+		if got := c.cmd(t, "QRY 0 9 0 0 7 7"); got != "5" && got != "0" {
+			t.Fatalf("QRY = %q", got)
+		}
+	}
+	// One tick, plus the round, one hedged query and the scheduler's slack.
+	if d := time.Since(synced); d > testProbeEvery+150*time.Millisecond {
+		t.Errorf("the follower served %v after saying synced=1, want within one -probe-every (%v)", d, testProbeEvery)
+	}
+}
+
+// TestRejoiningFollowerServesNoReadBeforeItsRound: a follower whose
+// breaker is open comes back still catching up while another shard's
+// member hangs, so every round lasts the whole interval. Its ROLE closes
+// its breaker early in the round, yet it gets no QRY leg: follower reads
+// stay off until the round has applied its synced=0.
+func TestRejoiningFollowerServesNoReadBeforeItsRound(t *testing.T) {
+	primary, follower, hung := newFakeShard(t), newFakeShard(t), newFakeShard(t)
+	primary.set(func(f *fakeShard) { f.minAcks = 1 })
+	follower.set(func(f *fakeShard) { f.replica = true })
+	hung.set(func(f *fakeShard) { f.hung = true })
+	p := buildProxy(t, fmt.Sprintf("%s|%s=0-99,%s=100-", primary.addr(), follower.addr(), hung.addr()))
+	g := p.groups[0]
+	follower.stop()
+	waitFor(t, "the stopped follower's breaker to open", func() bool { return !g.Member(1).Healthy() })
+
+	follower.set(func(f *fakeShard) { f.syncing = true })
+	follower.restart(t)
+	c := dial(t, serveProxy(t, p))
+	for back := time.Now(); time.Since(back) < 4*testProbeEvery || !g.Member(1).Healthy(); {
+		if time.Since(back) > 5*time.Second {
+			t.Fatal("the rejoined follower's breaker stayed open")
+		}
+		if got := c.cmd(t, "QRY 0 9 0 0 7 7"); got != "0" {
+			t.Fatalf("QRY = %q, want the primary's 0", got)
+		}
+	}
+	if n := qryLines(follower); n != 0 {
+		t.Fatalf("a rejoining follower that says synced=0 received %d QRY legs", n)
+	}
+}
+
 // TestMemberRejoinsWithinOneProbeInterval: a member that comes back has
 // its breaker closed by the next ROLE, within one -probe-every, with no
 // client traffic at all — the fake records no line but the loop's ROLEs.

@@ -90,8 +90,8 @@
 // breakers, fails over and sets the read rule: followers serve reads only
 // while the current primary last reported a min_acks (its
 // -repl-min-acks) covering every follower the map names, so every acked
-// write reached each of them (a follower re-bootstrapping from an empty
-// directory is not told apart), else reads go to the primary alone — no
+// write reached each of them, and no follower's ROLE said synced=0 (still
+// catching up after a bootstrap), else reads go to the primary alone — no
 // fallback, no hedge, so a dead primary's legs answer PARTIAL. With the
 // rule on, a read batch unanswered after -hedge-after is duplicated to
 // the next member, first answer wins; only then does the unit's fan-out
@@ -390,6 +390,9 @@ func (p *proxy) pollMembers() {
 			go func() {
 				defer wg.Done()
 				down := !g.Member(j).Healthy()
+				if down && j != g.PrimaryIndex() {
+					g.SetFollowerReads(false) // its answer closes its breaker before track reads its synced=
+				}
 				if resp, err := g.Member(j).Probe(ctx); err == nil {
 					roles[i][j] = parseRole(resp)
 					if down {
@@ -411,6 +414,7 @@ type roleInfo struct {
 	primary bool
 	lsn     uint64 // applied_lsn (replica) or last_lsn (primary)
 	minAcks int    // a primary's min_acks
+	syncing bool   // a replica that has not yet caught up (synced=0)
 }
 
 // parseRole decodes a histserve ROLE reply ("OK role=... k=v ...").
@@ -434,21 +438,24 @@ func parseRole(resp string) roleInfo {
 			}
 		case "min_acks":
 			info.minAcks, _ = strconv.Atoi(v) // unreadable is 0: no follower reads
+		case "synced":
+			info.syncing = v == "0"
 		}
 	}
 	return info
 }
 
-// track applies one round of ROLE replies to shard i. The current
-// primary's reply sets the read rule: followers serve reads only while
-// its min_acks covers every follower the map names; a dead primary keeps
-// its last value (no write is acked meanwhile). A primary whose breaker
-// is open, that answers as a replica, or that is suspect and missed its
-// ROLE, is replaced: adopt a member already calling itself primary
-// (promoted by an operator or an earlier round), else promote the
-// most-caught-up replica, fenced at the highest applied LSN observed
-// across the set — a lagging replica can never be promoted over acked
-// writes it missed.
+// track applies one round of ROLE replies to shard i. The round sets the
+// read rule: followers serve reads only while the current primary's
+// min_acks covers every follower the map names and no follower answered
+// synced=0 (one still catching up would serve answers missing acked
+// writes); a dead primary keeps the last value (no write is acked
+// meanwhile). A primary whose breaker is open, that answers as a
+// replica, or that is suspect and missed its ROLE, is replaced: adopt a
+// member already calling itself primary (promoted by an operator or an
+// earlier round), else promote the most-caught-up replica, fenced at the
+// highest applied LSN observed across the set — a lagging replica can
+// never be promoted over acked writes it missed.
 func (p *proxy) track(i int, infos []roleInfo, suspect bool) {
 	g, members := p.groups[i], p.shards[i].Members()
 	next := g.PrimaryIndex()
@@ -460,7 +467,11 @@ func (p *proxy) track(i int, infos []roleInfo, suspect bool) {
 			return
 		}
 	}
-	g.SetFollowerReads(infos[next].minAcks >= g.Len()-1)
+	reads := infos[next].minAcks >= g.Len()-1
+	for _, inf := range infos {
+		reads = reads && !inf.syncing
+	}
+	g.SetFollowerReads(reads)
 }
 
 // failover re-points g's writes (see track) and returns the new

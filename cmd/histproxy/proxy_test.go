@@ -36,6 +36,7 @@ type fakeShard struct {
 
 	// Knobs for the unit tests (zero values: a healthy lone primary).
 	replica   bool          // answers ROLE as a follower until PROMOTEd
+	syncing   bool          // a follower's ROLE says synced=0
 	minAcks   int           // the min_acks a primary's ROLE reports
 	roles     int           // ROLE requests answered
 	qryDelay  time.Duration // every QRY takes this long
@@ -202,7 +203,11 @@ func (f *fakeShard) reply(tid trace.ID, fields []string) string {
 			f.roles++
 		}
 		if f.replica {
-			return fmt.Sprintf("OK role=replica applied_lsn=%d lag_lsn=0 primary=fake\n", len(f.facts))
+			synced := 1
+			if f.syncing {
+				synced = 0
+			}
+			return fmt.Sprintf("OK role=replica applied_lsn=%d lag_lsn=0 primary=fake synced=%d\n", len(f.facts), synced)
 		}
 		return fmt.Sprintf("OK role=primary last_lsn=%d followers=0 min_acks=%d\n", len(f.facts), f.minAcks)
 	case "QRY":

@@ -229,6 +229,48 @@ func TestReadmeNamesOnlyRealMetrics(t *testing.T) {
 	}
 }
 
+// TestReadmeStatsBlockMatchesServedReply holds README's STATS block to
+// the served reply, field by field and in order: outside its brackets
+// to what a primary answers, brackets included to what a sealed
+// follower answers, where every optional field appears.
+func TestReadmeStatsBlockMatchesServedReply(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, after, ok := strings.Cut(string(readme), "`STATS` answers\n\n```\n")
+	block, _, closed := strings.Cut(after, "```")
+	if !ok || !closed {
+		t.Fatal("README has no STATS block after \"`STATS` answers\"")
+	}
+	key := regexp.MustCompile(`([a-z_]+)=`)
+	names := func(s string) (out []string) {
+		for _, m := range key.FindAllStringSubmatch(s, -1) {
+			out = append(out, m[1])
+		}
+		return out
+	}
+
+	primary, _ := newDurableServer(t, t.TempDir(), 0)
+	paddr := serveOn(t, primary)
+	dial(t, paddr).expect(t, "INS 1 0 0 1", "OK")
+	follower, faddr := startReplica(t, t.TempDir(), paddr)
+	waitUntil(t, 5*time.Second, "the follower to catch up", func() bool { return follower.repl.synced.Load() })
+	fc := dial(t, faddr)
+	fc.expect(t, "SEAL 9", "OK sealed_through=9")
+
+	for _, c := range []struct {
+		who, readme, served string
+	}{
+		{"a primary", regexp.MustCompile(`\[[^]]*\]`).ReplaceAllString(block, ""), dial(t, paddr).cmd(t, "STATS")},
+		{"a sealed follower", block, fc.cmd(t, "STATS")},
+	} {
+		if want, got := names(c.readme), names(c.served); strings.Join(want, " ") != strings.Join(got, " ") {
+			t.Errorf("README's STATS block names\n  %v\nbut %s answers\n  %v\n(%q)", want, c.who, got, c.served)
+		}
+	}
+}
+
 // readmeFamilies compares the families of a rendered exposition that
 // match prefix with the metric names README spells out: registered
 // families README never names, and names README gives that are no

@@ -9,7 +9,9 @@
 // after which the connection is dedicated to replication. The primary
 // answers with one of
 //
-//	OK from=<lsn>                     stream starts at <lsn>
+//	OK from=<lsn> last=<lsn>          stream starts at from; last is the
+//	                                  primary's durable end, which the
+//	                                  follower must reach to be synced
 //	SNAP lsn=<lsn> size=<bytes>       follower is behind the retention
 //	                                  horizon; the primary's newest
 //	                                  checkpoint file, covering <lsn>,
@@ -34,8 +36,13 @@
 //	ACK <lsn>                         everything up to <lsn> is durable
 //	                                  and applied here
 //
-// and PING and OK with OK, which the primary skips. ERR, a REC that
-// must not be applied, and an installed SNAP end the session.
+// and PING with OK, which the primary skips. OK is answered with the ACK
+// of what the follower held before it asked (it synced its log first):
+// a follower bootstrapped from a SNAP holds records no REC will ship.
+// Only OK's last= and PING report the primary's end; a SNAP's or a REC's
+// LSN is short of it while the follower catches up.
+// ERR, a REC that must not be applied, and an installed SNAP end the
+// session.
 //
 // The follower decodes a SNAP as it arrives and rebases its own log onto
 // it in place (wal.Log.Rebase). Neither end holds the whole snapshot in
@@ -123,9 +130,11 @@ func (r *replState) lag() uint64 {
 	return frontier - applied
 }
 
-// noteFrontier folds a frontier report (REC or PING) into the
-// replica's view and marks it synced once it has caught up — the
-// one-time readiness transition /readyz gates on.
+// noteFrontier folds a frontier report into the replica's view and
+// marks it synced once it has caught up — the one-time readiness
+// transition /readyz gates on. The session's OK reports the primary's
+// end before any REC is settled, so a REC's LSN never marks a follower
+// synced short of that end.
 func (r *replState) noteFrontier(lsn uint64) {
 	for {
 		cur := r.primaryLSN.Load()
@@ -152,8 +161,12 @@ func (s *server) isReplica() bool {
 func (s *server) roleLine() string {
 	if s.isReplica() {
 		r := s.repl
-		return fmt.Sprintf("OK role=replica applied_lsn=%d lag_lsn=%d primary=%s",
-			r.applied(), r.lag(), r.primaryAddr)
+		synced := 0
+		if r.synced.Load() {
+			synced = 1
+		}
+		return fmt.Sprintf("OK role=replica applied_lsn=%d lag_lsn=%d primary=%s synced=%d",
+			r.applied(), r.lag(), r.primaryAddr, synced)
 	}
 	return fmt.Sprintf("OK role=primary last_lsn=%d followers=%d min_acks=%d", s.walLastLSN(), s.hub.Followers(), s.replMinAcks)
 }
@@ -286,9 +299,10 @@ func (h *replHub) ackCountLocked(lsn uint64) int {
 
 // WaitAcked blocks until the quorum frontier reaches lsn (at once for
 // lsn 0, an empty log) or the timeout passes, and files a wait it had to
-// make in waited. The returned error names the shortfall — the write is
-// already durable and applied locally, so the client must treat it as
-// indeterminate, not failed.
+// make in waited. The returned error names the shortfall. The record is
+// already durable and applied locally, so it is not failed but
+// uncommitted: a write of it is indeterminate, and a query that counted
+// it answers the same error rather than a value a failover could lose.
 func (h *replHub) WaitAcked(lsn uint64, min int, timeout time.Duration, waited *obs.Histogram) error {
 	if min <= 0 {
 		return nil
@@ -317,7 +331,7 @@ func (h *replHub) WaitAcked(lsn uint64, min int, timeout time.Duration, waited *
 	if lsn <= h.quorum {
 		return nil // satisfied in the race between timer and lock
 	}
-	return fmt.Errorf("replication timeout: record %d is durable on the primary but acknowledged by %d of %d required replicas within %s (treat the write as indeterminate)",
+	return fmt.Errorf("replication timeout: record %d is durable on the primary but acknowledged by %d of %d required replicas within %s, so whether it commits is indeterminate",
 		lsn, h.ackCountLocked(lsn), min, timeout)
 }
 
@@ -398,7 +412,7 @@ func (s *server) serveReplication(conn net.Conn, lr *lineserver.Reader, w *bufio
 		log.Warn("replication refused", "from", from, "err", err)
 		return
 	}
-	fmt.Fprintf(w, "OK from=%d\n", from)
+	fmt.Fprintf(w, "OK from=%d last=%d\n", from, wl.ShippedLSN())
 	s.SetWriteDeadline(conn)
 	if err := w.Flush(); err != nil {
 		return
@@ -582,7 +596,7 @@ func (s *server) linkCommands() []lineserver.Command {
 	return []lineserver.Command{
 		{Verb: "REC", MaxArgs: -1, Joins: true, Handle: s.linkRec},
 		{Verb: "PING", MinArgs: 1, MaxArgs: 1, Usage: "PING needs the frontier LSN", Joins: true, Handle: s.linkPing},
-		{Verb: "OK", MaxArgs: -1, Joins: true, Handle: func(*lineserver.Request) string { return "OK" }},
+		{Verb: "OK", MaxArgs: -1, Joins: true, Handle: s.linkOK},
 		{Verb: "ERR", MaxArgs: -1, Joins: true, EndsUnit: true, Handle: func(rq *lineserver.Request) string {
 			return s.repl.end(rq, fmt.Errorf("primary refused replication: %s", rq.Line))
 		}},
@@ -616,6 +630,17 @@ func (s *server) linkRec(rq *lineserver.Request) string {
 	}
 	rq.Pending = rec
 	return ""
+}
+
+// linkOK notes the primary's end the stream opens with and acknowledges
+// what the follower already holds.
+func (s *server) linkOK(rq *lineserver.Request) string {
+	var from, last uint64
+	if _, err := fmt.Sscanf(rq.Line, "OK from=%d last=%d", &from, &last); err != nil {
+		return s.repl.end(rq, fmt.Errorf("malformed stream start %q: %w", rq.Line, err))
+	}
+	s.repl.noteFrontier(last)
+	return "ACK " + strconv.FormatUint(s.repl.applied(), 10)
 }
 
 // linkPing notes the frontier an idle primary reports.
@@ -721,7 +746,6 @@ func (s *server) linkSnap(conn net.Conn, lr *lineserver.Reader, _ *bufio.Writer,
 	}
 	if r.ended = err; err == nil {
 		s.Log.Info("bootstrapped from shipped snapshot", "lsn", lsn, "primary", r.primaryAddr)
-		r.noteFrontier(lsn)
 	}
 }
 

@@ -105,7 +105,7 @@ func TestReplicaFollowsPrimaryAndAnswersIdentically(t *testing.T) {
 	}
 	// Role probes on both sides.
 	if got := fc.cmd(t, "ROLE"); !strings.HasPrefix(got, "OK role=replica applied_lsn=") ||
-		!strings.Contains(got, "primary="+paddr) {
+		!strings.Contains(got, "primary="+paddr) || !strings.HasSuffix(got, " synced=1") {
 		t.Fatalf("replica ROLE -> %q", got)
 	}
 	if got := pc.cmd(t, "ROLE"); !strings.HasPrefix(got, "OK role=primary") ||
@@ -168,7 +168,7 @@ func TestSemiSyncReadOutlivesItsFollower(t *testing.T) {
 	if _, err := io.WriteString(fconn, "REPLICATE FROM 1\n"); err != nil {
 		t.Fatal(err)
 	}
-	if got := readLines(t, fr, 1)[0]; got != "OK from=1" {
+	if got := readLines(t, fr, 1)[0]; got != "OK from=1 last=0" {
 		t.Fatalf("REPLICATE -> %q", got)
 	}
 	wconn, wr := rawConn(t, paddr)
@@ -322,6 +322,70 @@ func TestReplicaAppliedLSNIsItsCommitFrontier(t *testing.T) {
 	position("after a reconnect", back, 105, 135)
 }
 
+// TestReplicaSyncedOnlyAtThePrimarysEnd: a follower on an empty
+// directory says synced=0 in ROLE until its applied LSN reaches the end
+// the primary reported, not as soon as it holds a SNAP or a REC — both
+// are short of that end while it catches up, and the proxy's read rule
+// lets a synced follower answer reads.
+func TestReplicaSyncedOnlyAtThePrimarysEnd(t *testing.T) {
+	pdir := t.TempDir()
+	primary, _ := newDurableServer(t, pdir, 0)
+	paddr := serveOn(t, primary)
+	pc := dial(t, paddr)
+	for i := 0; i < 80; i++ {
+		pc.expect(t, fmt.Sprintf("INS %d %d %d 1", i/4, i%8, (i/2)%8), "OK")
+	}
+	pc.expect(t, "CHECKPOINT", "OK 80")
+	var recs strings.Builder
+	for i := 0; i < 20; i++ {
+		pc.expect(t, fmt.Sprintf("INS %d 0 1 2", 100+i), "OK")
+		if i < 10 {
+			fmt.Fprintf(&recs, "REC %d 1 %d 0 1 2\n", 81+i, 100+i)
+		}
+	}
+	pc.expect(t, "ROLE", "OK role=primary last_lsn=100 followers=0 min_acks=0")
+	ckpt, err := os.ReadFile(filepath.Join(pdir, fmt.Sprintf("checkpoint-%016x.ckpt", 80)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap strings.Builder
+	fmt.Fprintf(&snap, "SNAP lsn=80 size=%d\n", len(ckpt))
+	for off := 0; off < len(ckpt); off += snapChunk {
+		fmt.Fprintln(&snap, base64.StdEncoding.EncodeToString(ckpt[off:min(off+snapChunk, len(ckpt))]))
+	}
+	snap.WriteString("ENDSNAP\n")
+
+	// The primary's two sessions, played by hand: the SNAP install, then
+	// half of the tail after the checkpoint.
+	follower, _ := newDurableServer(t, t.TempDir(), 0)
+	r := &replState{primaryAddr: newFakePrimary(t, snap.String()), log: follower.wal, stop: make(chan struct{})}
+	follower.repl, follower.link.Log = r, follower.Log
+	if err := follower.followOnce(r); err != nil {
+		t.Fatalf("snapshot session: %v", err)
+	}
+	if got := follower.roleLine(); !strings.HasPrefix(got, "OK role=replica applied_lsn=80 ") || !strings.HasSuffix(got, " synced=0") {
+		t.Fatalf("after the SNAP install ROLE = %q, want applied_lsn=80 ... synced=0", got)
+	}
+	r.primaryAddr = newFakePrimary(t, "OK from=81 last=100\n"+recs.String())
+	_ = follower.followOnce(r) // ends when the fake primary closes
+	if got, want := follower.roleLine(), "OK role=replica applied_lsn=90 lag_lsn=10 primary="+r.primaryAddr+" synced=0"; got != want {
+		t.Fatalf("halfway through the tail ROLE = %q, want %q", got, want)
+	}
+
+	// The real primary ships the rest: every ROLE short of its end says
+	// synced=0, and the one at its end synced=1.
+	follower.startFollower(paddr)
+	t.Cleanup(func() { follower.repl.stopOnce.Do(func() { close(follower.repl.stop) }) })
+	want := "OK role=replica applied_lsn=100 lag_lsn=0 primary=" + paddr + " synced=1"
+	waitUntil(t, 5*time.Second, "the follower at the primary's end", func() bool {
+		got := follower.roleLine()
+		if !strings.HasPrefix(got, "OK role=replica applied_lsn=100 ") && strings.HasSuffix(got, " synced=1") {
+			t.Fatalf("ROLE = %q: synced short of the primary's last_lsn=100", got)
+		}
+		return got == want
+	})
+}
+
 // TestSnapShipsTheNewestCheckpoint reads a bootstrap off the wire: a
 // follower behind the retention horizon is sent the newest checkpoint
 // as it lies on disk, exact at its own LSN, and then the records after
@@ -365,7 +429,7 @@ func TestSnapShipsTheNewestCheckpoint(t *testing.T) {
 	if !bytes.Equal(payload, ckpt) {
 		t.Fatalf("SNAP shipped %d bytes that are not the checkpoint file's %d", len(payload), len(ckpt))
 	}
-	want := []string{"OK from=81"}
+	want := []string{"OK from=81 last=100"}
 	for lsn := 81; lsn <= 100; lsn++ {
 		want = append(want, fmt.Sprintf("REC %d 1 %d 0 1 2", lsn, 100+lsn-81))
 	}
@@ -521,4 +585,42 @@ func waitApplied(s *server, lsn uint64) bool {
 		time.Sleep(2 * time.Millisecond)
 	}
 	return false
+}
+
+// TestRestartedSemiSyncPrimaryCommitsItsTailOnceHeld: a -repl-min-acks 1
+// primary restarted on its data directory does not count the tail it
+// recovered as committed. With no follower attached a query over it
+// answers the replication timeout within -repl-ack-timeout; once a
+// follower holds the tail, the same query answers the value.
+func TestRestartedSemiSyncPrimaryCommitsItsTailOnceHeld(t *testing.T) {
+	dir := t.TempDir()
+	first, _ := newDurableServer(t, dir, 0)
+	c := dial(t, serveOn(t, first))
+	for i := 0; i < 5; i++ {
+		c.expect(t, fmt.Sprintf("INS %d %d 0 2", i, i%8), "OK")
+	}
+	first.shutdown()
+
+	const ackTimeout = 300 * time.Millisecond
+	primary, res := newDurableServer(t, dir, 0)
+	if res.CheckpointLSN != 5 {
+		t.Fatalf("restart recovery = %+v, want the final checkpoint at LSN 5", res)
+	}
+	primary.replMinAcks, primary.replAckTimeout = 1, ackTimeout
+	paddr := serveOn(t, primary)
+	qc := dial(t, paddr)
+	start := time.Now()
+	if got := qc.cmd(t, "QRY 0 100 0 0 7 7"); !strings.HasPrefix(got, "ERR replication timeout") ||
+		strings.Contains(got, "treat the write") {
+		t.Fatalf("QRY of the recovered tail with no follower = %q, want the replication timeout worded for a read", got)
+	}
+	if d := time.Since(start); d < ackTimeout || d > ackTimeout+time.Second {
+		t.Fatalf("the timeout answered after %s, want -repl-ack-timeout (%s)", d, ackTimeout)
+	}
+
+	follower, _ := startReplica(t, t.TempDir(), paddr)
+	waitUntil(t, 5*time.Second, "the follower to hold the tail", func() bool {
+		return follower.repl.applied() == 5 && follower.repl.synced.Load()
+	})
+	qc.expect(t, "QRY 0 100 0 0 7 7", "10")
 }

@@ -268,7 +268,7 @@ func TestFollowerKilledBetweenStageAndCommit(t *testing.T) {
 // would still parse, as a different value; the follower must drop the
 // link instead of applying it.
 func TestTornRecLineIsNotApplied(t *testing.T) {
-	fake := newFakePrimary(t, "OK from=1\nREC 1 1 5 1 1 2\nREC 2 1 5 1 1 77")
+	fake := newFakePrimary(t, "OK from=1 last=2\nREC 1 1 5 1 1 2\nREC 2 1 5 1 1 77")
 	follower := newQuietServer(t, "8,8", "sum", false)
 	enableChaosWAL(t, follower, t.TempDir())
 	t.Cleanup(follower.shutdown)

@@ -22,7 +22,7 @@
 //	VERSION                            -> OK histserve rev=<git-rev> go=<ver>
 //	SEAL [<time>]                      -> OK sealed_through=<t> | ERR <msg>
 //	ROLE                               -> OK role=primary last_lsn=<n> followers=<n> min_acks=<n>
-//	                                      | OK role=replica applied_lsn=<n> lag_lsn=<n> primary=<addr>
+//	                                      | OK role=replica applied_lsn=<n> lag_lsn=<n> primary=<addr> synced=<0|1>
 //	PROMOTE [<min_lsn>]                -> OK role=primary ... | ERR promotion fenced ...
 //	REPLICATE FROM <lsn>               -> hijacks the connection for WAL
 //	                                      shipping (see repl.go)
@@ -32,9 +32,8 @@
 //	QUIT                               -> BYE (closes the connection)
 //
 // STATS carries the full counter set (see README's Observability
-// section): out-of-order totals, eCube conversion progress (split by
-// query/append trigger), lazy-copy work, tier demotions and access
-// counts, degraded state and read-only rejections; sealed_through,
+// section): out-of-order totals, eCube conversion progress, lazy-copy
+// work and access counts, degraded state and read-only rejections; sealed_through,
 // the replica positions and git_rev follow where they apply. Latency is
 // not a STATS field: it is histserve_request_seconds{cmd} and
 // histserve_stage_seconds{stage} on /metrics, where any window is the
@@ -799,15 +798,11 @@ func (s *server) cmdStats(*lineserver.Request) string {
 	}
 	tail += " git_rev=" + s.meta.GitRev
 	return fmt.Sprintf("slices=%d incomplete=%d pending=%d appended=%d "+
-		"ooo=%d conversions=%d conversions_query=%d conversions_append=%d "+
-		"cells_touched=%d forced_copies=%d copy_ahead=%d "+
-		"demoted=%d cache_accesses=%d store_accesses=%d "+
-		"degraded=%d readonly_rejections=%d",
+		"ooo=%d conversions=%d cells_touched=%d forced_copies=%d copy_ahead=%d "+
+		"cache_accesses=%d store_accesses=%d degraded=%d readonly_rejections=%d",
 		st.Slices, st.IncompleteSlices, st.PendingOutOfOrder, st.AppendedUpdates,
-		st.OutOfOrderUpdates, st.ECubeConversions, st.ECubeConversionsQuery,
-		st.ECubeConversionsAppend, st.ECubeCellsTouched,
-		st.ForcedCopies, st.CopyAheadWork,
-		st.TierDemotions, st.CacheAccesses, st.StoreAccesses,
+		st.OutOfOrderUpdates, st.ECubeConversions, st.ECubeCellsTouched,
+		st.ForcedCopies, st.CopyAheadWork, st.CacheAccesses, st.StoreAccesses,
 		degraded, s.readonlyRejects.Value()) + tail
 }
 

@@ -241,23 +241,17 @@ func TestStatsExtended(t *testing.T) {
 		t.Fatalf("STATS prefix changed: %q", got)
 	}
 	for _, field := range []string{
-		"appended=2", "ooo=0", "conversions=", "conversions_query=",
-		"conversions_append=0", "cells_touched=",
-		"forced_copies=", "copy_ahead=", "demoted=0",
-		"cache_accesses=", "store_accesses=",
+		"appended=2", "ooo=0", "conversions=", "cells_touched=",
+		"forced_copies=", "copy_ahead=", "cache_accesses=", "store_accesses=",
 	} {
 		if !strings.Contains(got, field) {
 			t.Errorf("STATS missing %q: %q", field, got)
 		}
 	}
-	// The historic query must have converted at least one cell, STATS
-	// must report it, and the trigger split must attribute it to the
-	// query leg (appends never run the eCube algorithm).
+	// The historic query must have converted at least one cell, and
+	// STATS must report it.
 	if strings.Contains(got, "conversions=0 ") {
 		t.Errorf("historic query reported zero conversions: %q", got)
-	}
-	if strings.Contains(got, "conversions_query=0 ") {
-		t.Errorf("conversions not attributed to the query trigger: %q", got)
 	}
 }
 
@@ -303,19 +297,15 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("INS -> %q", got)
 		}
 	}
-	// The conversions counter is split by trigger label; sum the legs
-	// for the monotonic total and keep the query leg for attribution.
-	conversionsBy := func(body, trigger string) (v int64) {
-		prefix := fmt.Sprintf(`histcube_ecube_conversions_total{trigger=%q} `, trigger)
+	// Queries are the one conversion trigger; the series keeps its
+	// trigger label because benchmark/ reads it by that name.
+	conversions := func(body string) (v int64) {
 		for _, line := range strings.Split(body, "\n") {
-			if rest, ok := strings.CutPrefix(line, prefix); ok {
+			if rest, ok := strings.CutPrefix(line, `histcube_ecube_conversions_total{trigger="query"} `); ok {
 				fmt.Sscanf(rest, "%d", &v)
 			}
 		}
 		return v
-	}
-	conversions := func(body string) int64 {
-		return conversionsBy(body, "query") + conversionsBy(body, "append")
 	}
 
 	c.cmd(t, "QRY 0 3 0 0 7 7") // historic query
@@ -354,8 +344,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if prev <= conv1 {
 		t.Errorf("conversions did not grow across varied historic queries: %d -> %d", conv1, prev)
 	}
-	if leg := conversionsBy(get("/metrics"), "append"); leg != 0 {
-		t.Errorf("append-triggered conversions = %d, want 0 (appends never run the eCube algorithm)", leg)
+	if stats := c.cmd(t, "STATS"); !strings.Contains(stats, fmt.Sprintf(" conversions=%d ", prev)) {
+		t.Errorf("STATS conversions= differs from the query series %d: %q", prev, stats)
 	}
 
 	if got := c.cmd(t, "QUIT"); got != "BYE" {

@@ -21,7 +21,7 @@ import (
 )
 
 // TestWorkloadThroughPublicCube streams a scaled gauss3 data set into
-// memory-, disk- and tiered-backed cubes and checks a spread of
+// memory- and disk-backed cubes and checks a spread of
 // queries against a naive replay — the whole system end to end.
 func TestWorkloadThroughPublicCube(t *testing.T) {
 	ds := workload.Generate(workload.Gauss3Spec.Scaled(0.001))
@@ -37,7 +37,6 @@ func TestWorkloadThroughPublicCube(t *testing.T) {
 	for _, storage := range []core.Storage{
 		{},
 		{Kind: core.Disk, PageSize: 512},
-		{Kind: core.Tiered, PageSize: 512},
 	} {
 		var cdims []core.Dim
 		for i, n := range ds.SliceShape {
@@ -49,11 +48,6 @@ func TestWorkloadThroughPublicCube(t *testing.T) {
 		}
 		for _, u := range ds.Updates {
 			if err := cube.Insert(u.Time, u.Coords, u.Delta); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if storage.Kind == core.Tiered {
-			if _, err := cube.Age(cube.Stats().Slices / 2); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -52,10 +52,6 @@ type Config struct {
 	// copy-ahead entirely (lazy copies only), exposed for the ablation
 	// benchmarks.
 	CopyAheadThreshold int
-	// CopyPages is the number of pages the page-wise copy-ahead of the
-	// disk algorithm (Section 3.5) may write per update. Zero selects
-	// the paper's setting of 1.
-	CopyPages int
 	// DisableConversion turns off the eCube DDC->PS conversion in
 	// historic slices (ablation: plain DDC reads via the timestamp
 	// rule).
@@ -111,9 +107,8 @@ type Cube struct {
 	threshold    int  // fixed budget; 0 with adaptive=true
 	adaptive     bool // density-tracking budget (the default)
 	totalUpdates int
-	sliceUpds    int     // updates into the current slice
-	estPerSlice  float64 // EWMA of updates per slice (0 until first close)
-	copyPages    int
+	sliceUpds    int         // updates into the current slice
+	estPerSlice  float64     // EWMA of updates per slice (0 until first close)
 	z            int         // cell-wise cursor (Fig. 8's Z)
 	pageCur      map[int]int // per-slice page cursor for the disk policy
 
@@ -156,10 +151,6 @@ func New(cfg Config) (*Cube, error) {
 	if adaptive {
 		threshold = 0
 	}
-	copyPages := cfg.CopyPages
-	if copyPages == 0 {
-		copyPages = 1
-	}
 	size := cfg.SliceShape.Size()
 	c := &Cube{
 		shape:      cfg.SliceShape.Clone(),
@@ -170,7 +161,6 @@ func New(cfg Config) (*Cube, error) {
 		dir:        directory.NewArray(),
 		threshold:  threshold,
 		adaptive:   adaptive,
-		copyPages:  copyPages,
 		pageCur:    make(map[int]int),
 		tsCount:    []int{size},
 		minTS:      0,
@@ -329,15 +319,6 @@ func (c *Cube) Conversions() int64 { return c.engine.Converts() }
 // the eCube query algorithm has loaded.
 func (c *Cube) CellsTouched() int64 { return c.engine.Loads() }
 
-// Demotions returns the number of slices aged to cold storage (0 for
-// non-tiered stores).
-func (c *Cube) Demotions() int64 {
-	if ts, ok := c.store.(*TieredStore); ok {
-		return ts.Demotions()
-	}
-	return 0
-}
-
 // budget returns the copy-ahead work budget for the current update:
 // the fixed threshold, or the adaptive budget of about 2/θ steps,
 // with θ the recent density (EWMA of updates per slice over the slice
@@ -395,51 +376,44 @@ func (c *Cube) copyAheadCells(ctx context.Context, used, budget int) (int, error
 	return work, nil
 }
 
-// copyAheadPages is the disk policy of Section 3.5: copy at most
-// CopyPages pages of the oldest incomplete slice per update. One page
+// copyAheadPages is the disk policy of Section 3.5: copy one page of
+// the oldest incomplete slice per update, the paper's setting. One page
 // write moves up to CellsPerPage cells (2048 for 8 KiB pages), which
 // the paper found keeps at most one historic instance incomplete.
 func (c *Cube) copyAheadPages(ctx context.Context) (int, error) {
 	ds := c.store.(*DiskStore)
-	latest := c.dir.Len() - 1
+	s := c.minTS
+	if s >= c.dir.Len()-1 || ctx.Err() != nil {
+		return 0, nil
+	}
+	per := ds.CellsPerPage()
+	p, ok := c.pageCur[s]
+	if !ok {
+		p = (s * c.shape.Size()) / per
+	}
+	lo, hi := ds.PageSpan(s, p)
 	work := 0
-	for page := 0; page < c.copyPages; page++ {
-		s := c.minTS
-		// Poll per page: one iteration moves up to a whole page of
-		// cells (2048 at the default page size).
-		if s >= latest || ctx.Err() != nil {
-			return work, nil
-		}
-		per := ds.CellsPerPage()
-		firstPage := (s * c.shape.Size()) / per
-		p, ok := c.pageCur[s]
-		if !ok {
-			p = firstPage
-		}
-		lo, hi := ds.PageSpan(s, p)
-		for off := lo; off < hi; off++ {
-			cell := &c.cache[off]
-			if int(cell.ts) == s {
-				if err := ds.Write(s, off, cell.val, DDCValue); err != nil {
-					return work, err
-				}
-				c.moveTS(off, cell.ts+1)
-				work++
+	for off := lo; off < hi; off++ {
+		cell := &c.cache[off]
+		if int(cell.ts) == s {
+			if err := ds.Write(s, off, cell.val, DDCValue); err != nil {
+				return work, err
 			}
+			c.moveTS(off, cell.ts+1)
+			work++
 		}
-		p++
-		lastPage := ((s+1)*c.shape.Size() - 1) / per
-		if p > lastPage {
-			delete(c.pageCur, s)
-		} else {
-			c.pageCur[s] = p
-		}
+	}
+	p++
+	if lastPage := ((s+1)*c.shape.Size() - 1) / per; p > lastPage {
+		delete(c.pageCur, s)
+	} else {
+		c.pageCur[s] = p
 	}
 	return work, nil
 }
 
 // ForceComplete drains all pending copies, materialising every
-// historic slice completely. Tests and the data-aging path use it.
+// historic slice completely; core.Cube.Retire uses it.
 func (c *Cube) ForceComplete() error {
 	latest := int32(c.dir.Len() - 1)
 	if latest < 0 {
@@ -620,17 +594,13 @@ func (c *Cube) sliceQuery(ctx context.Context, sp *trace.Span, s int, box dims.B
 	return v, err
 }
 
-// storePager unwraps the pager behind a disk-backed (or tiered) store,
-// nil for pure in-memory stores.
+// storePager unwraps the pager behind a disk-backed store, nil for
+// pure in-memory stores.
 func storePager(s SliceStore) *pager.Pager {
-	switch st := s.(type) {
-	case *DiskStore:
+	if st, ok := s.(*DiskStore); ok {
 		return st.Pager()
-	case *TieredStore:
-		return storePager(st.Cold())
-	default:
-		return nil
 	}
+	return nil
 }
 
 // cacheQuery runs the direct DDC range algorithm against the cache.

@@ -49,10 +49,6 @@ const (
 	// Disk keeps historic slices on paged storage (the Section 3.5
 	// external-memory algorithm with page-wise copy-ahead).
 	Disk StorageKind = iota + 1
-	// Tiered keeps recent slices in RAM and lets Age retire old,
-	// completely copied slices to paged cold storage — the data-aging
-	// scheme of the paper's conclusion.
-	Tiered
 )
 
 // Storage configures the historic slice store.
@@ -88,28 +84,18 @@ type Range struct {
 
 // Stats is a snapshot of cube state and cost counters.
 type Stats struct {
-	Slices             int
-	IncompleteSlices   int
-	CacheAccesses      int64
-	StoreAccesses      int64
-	PendingOutOfOrder  int
-	AppendedUpdates    int64
-	OutOfOrderUpdates  int64
-	LastUpdateCost     int
-	LastUpdateCopyWork int
+	Slices            int
+	IncompleteSlices  int
+	CacheAccesses     int64
+	StoreAccesses     int64
+	PendingOutOfOrder int
+	AppendedUpdates   int64
+	OutOfOrderUpdates int64
 
 	// ECubeConversions is the cumulative number of historic cells the
 	// eCube query algorithm rewrote from DDC to PS form — the live
 	// counterpart of the paper's Figure 10/11 convergence curves.
 	ECubeConversions int64
-	// ECubeConversionsQuery and ECubeConversionsAppend split
-	// ECubeConversions by trigger: conversions performed while
-	// answering range queries vs. while applying appends (structurally
-	// zero today — the append path never runs the eCube algorithm —
-	// but measured, not assumed, so a future code path that converts
-	// on append shows up attributed rather than silently lumped in).
-	ECubeConversionsQuery  int64
-	ECubeConversionsAppend int64
 	// ECubeCellsTouched is the cumulative number of historic-slice
 	// cells loaded by queries.
 	ECubeCellsTouched int64
@@ -117,8 +103,6 @@ type Stats struct {
 	// progress of Section 3.3 (the live view of Figures 12/13).
 	ForcedCopies  int64
 	CopyAheadWork int64
-	// TierDemotions counts slices aged to cold storage (Tiered only).
-	TierDemotions int64
 }
 
 // Cube is the append-only historical data cube.
@@ -134,14 +118,6 @@ type Cube struct {
 
 	appended   int64
 	outOfOrder int64
-	lastRes    appendcube.UpdateResult
-
-	// convQuery and convAppend attribute eCube conversions to their
-	// trigger by before/after deltas of the engine counters around the
-	// query and apply paths; exact because the cube is single-threaded
-	// by contract (callers serialise, e.g. histserve's mutex).
-	convQuery  int64
-	convAppend int64
 }
 
 // New returns an empty cube.
@@ -195,7 +171,7 @@ func New(cfg Config) (*Cube, error) {
 
 func newInner(cfg Config, shape dims.Shape) (*appendcube.Cube, error) {
 	acfg := appendcube.Config{SliceShape: shape}
-	if cfg.Storage.Kind == Disk || cfg.Storage.Kind == Tiered {
+	if cfg.Storage.Kind == Disk {
 		pageSize := cfg.Storage.PageSize
 		if pageSize == 0 {
 			pageSize = pager.DefaultPageSize
@@ -214,12 +190,7 @@ func newInner(cfg Config, shape dims.Shape) (*appendcube.Cube, error) {
 		if err != nil {
 			return nil, err
 		}
-		disk := appendcube.NewDiskStore(shape.Size(), pg)
-		if cfg.Storage.Kind == Tiered {
-			acfg.Store = appendcube.NewTieredStore(shape.Size(), disk)
-		} else {
-			acfg.Store = disk
-		}
+		acfg.Store = appendcube.NewDiskStore(shape.Size(), pg)
 	}
 	return appendcube.New(acfg)
 }
@@ -239,15 +210,9 @@ func (c *Cube) Insert(t int64, coords []int, v float64) error {
 }
 
 func (c *Cube) apply(ctx context.Context, sp *trace.Span, t int64, coords []int, val agg.Value) error {
-	// Attribute any eCube conversions this append causes to the append
-	// trigger (none today — appends never run the eCube algorithm —
-	// but measured, not assumed).
-	convBefore := c.engineConversions()
-	defer func() { c.convAppend += c.engineConversions() - convBefore }()
 	res, err := c.sum.UpdateCtx(ctx, t, coords, val.Sum)
 	switch {
 	case err == nil:
-		c.lastRes = res
 		c.appended++
 		sp.Add(trace.CacheAccesses, int64(res.CacheCells))
 		sp.Add(trace.ForcedCopies, int64(res.ForcedCopies))
@@ -272,16 +237,6 @@ func (c *Cube) apply(ctx context.Context, sp *trace.Span, t int64, coords []int,
 	default:
 		return err
 	}
-}
-
-// engineConversions reads the cumulative eCube conversion count over
-// both components, the quantity the query/append trigger split deltas.
-func (c *Cube) engineConversions() int64 {
-	n := c.sum.Conversions()
-	if c.cnt != nil {
-		n += c.cnt.Conversions()
-	}
-	return n
 }
 
 // Query aggregates over the range and finalises per the operator
@@ -310,13 +265,6 @@ func (c *Cube) QueryCtx(ctx context.Context, r Range) (float64, error) {
 }
 
 func (c *Cube) partial(ctx context.Context, sp *trace.Span, r Range) (agg.Value, error) {
-	convBefore := c.engineConversions()
-	out, err := c.partialInner(ctx, sp, r)
-	c.convQuery += c.engineConversions() - convBefore
-	return out, err
-}
-
-func (c *Cube) partialInner(ctx context.Context, sp *trace.Span, r Range) (agg.Value, error) {
 	box := dims.Box{Lo: r.Lo, Hi: r.Hi}
 	s, err := c.sum.QueryCtx(ctx, sp, r.TimeLo, r.TimeHi, box)
 	if err != nil {
@@ -360,19 +308,14 @@ func (c *Cube) partialInner(ctx context.Context, sp *trace.Span, r Range) (agg.V
 // cumulative cost counters sum the SUM and COUNT components.
 func (c *Cube) Stats() Stats {
 	st := Stats{
-		Slices:                 c.sum.NumSlices(),
-		IncompleteSlices:       c.sum.Incomplete(),
-		CacheAccesses:          c.sum.CacheAccesses,
-		StoreAccesses:          c.sum.Store().Accesses(),
-		AppendedUpdates:        c.appended,
-		OutOfOrderUpdates:      c.outOfOrder,
-		LastUpdateCost:         c.lastRes.Cost(),
-		LastUpdateCopyWork:     c.lastRes.ForcedCopies + c.lastRes.CopyAhead,
-		ECubeConversions:       c.sum.Conversions(),
-		ECubeCellsTouched:      c.sum.CellsTouched(),
-		ECubeConversionsQuery:  c.convQuery,
-		ECubeConversionsAppend: c.convAppend,
-		TierDemotions:          c.sum.Demotions(),
+		Slices:            c.sum.NumSlices(),
+		IncompleteSlices:  c.sum.Incomplete(),
+		CacheAccesses:     c.sum.CacheAccesses,
+		StoreAccesses:     c.sum.Store().Accesses(),
+		AppendedUpdates:   c.appended,
+		OutOfOrderUpdates: c.outOfOrder,
+		ECubeConversions:  c.sum.Conversions(),
+		ECubeCellsTouched: c.sum.CellsTouched(),
 	}
 	st.ForcedCopies, st.CopyAheadWork = c.sum.CopyProgress()
 	if c.cnt != nil {
@@ -380,7 +323,6 @@ func (c *Cube) Stats() Stats {
 		st.StoreAccesses += c.cnt.Store().Accesses()
 		st.ECubeConversions += c.cnt.Conversions()
 		st.ECubeCellsTouched += c.cnt.CellsTouched()
-		st.TierDemotions += c.cnt.Demotions()
 		f, a := c.cnt.CopyProgress()
 		st.ForcedCopies += f
 		st.CopyAheadWork += a
@@ -419,31 +361,8 @@ func (c *Cube) Close() error {
 }
 
 func closeStore(s appendcube.SliceStore) error {
-	switch st := s.(type) {
-	case *appendcube.DiskStore:
+	if st, ok := s.(*appendcube.DiskStore); ok {
 		return st.Pager().Close()
-	case *appendcube.TieredStore:
-		return closeStore(st.Cold())
-	default:
-		return nil
 	}
-}
-
-// Age retires the oldest n historic slices to cold storage (Tiered
-// storage only): each is completed and demoted, its cumulative
-// aggregates retained at no extra cost. It returns the number of
-// slices demoted.
-//
-//histlint:ignore deadexport the conclusion's data aging (DESIGN row 13d); core_test.go, instrument_test.go and the root integration test drive it, and nothing served calls it yet (ROADMAP, slice-granular checkpoints)
-func (c *Cube) Age(n int) (int, error) {
-	demoted, err := c.sum.Age(n)
-	if err != nil {
-		return demoted, err
-	}
-	if c.cnt != nil {
-		if _, err := c.cnt.Age(n); err != nil {
-			return demoted, err
-		}
-	}
-	return demoted, nil
+	return nil
 }

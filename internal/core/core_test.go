@@ -296,55 +296,3 @@ func TestMixedStreamProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestTieredStorageAging(t *testing.T) {
-	c, err := New(Config{
-		Dims:     []Dim{{Name: "x", Size: 8}, {Name: "y", Size: 6}},
-		Operator: agg.Average,
-		Storage:  Storage{Kind: Tiered, PageSize: 64},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(33))
-	var sh coreShadow
-	now := int64(0)
-	for i := 0; i < 300; i++ {
-		if r.Intn(4) == 0 {
-			now++
-		}
-		p := corePoint{t: now, x: []int{r.Intn(8), r.Intn(6)}, v: float64(r.Intn(20) + 1)}
-		if err := c.Insert(p.t, p.x, p.v); err != nil {
-			t.Fatal(err)
-		}
-		sh = append(sh, p)
-	}
-	demoted, err := c.Age(c.Stats().Slices / 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if demoted == 0 {
-		t.Fatal("nothing demoted")
-	}
-	for q := 0; q < 120; q++ {
-		lo := []int{r.Intn(8), r.Intn(6)}
-		hi := []int{lo[0] + r.Intn(8-lo[0]), lo[1] + r.Intn(6-lo[1])}
-		tLo := int64(r.Intn(int(now) + 2))
-		rng := Range{TimeLo: tLo, TimeHi: tLo + int64(r.Intn(int(now)+2)), Lo: lo, Hi: hi}
-		got, err := c.Query(rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := sh.eval(agg.Average, rng)
-		if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("aged avg query %+v = %v, want %v", rng, got, want)
-		}
-	}
-}
-
-func TestAgeWithoutTieredStorage(t *testing.T) {
-	c, _ := New(Config{Dims: []Dim{{Name: "x", Size: 4}}, Operator: agg.Sum})
-	if _, err := c.Age(1); err == nil {
-		t.Error("Age on non-tiered cube accepted")
-	}
-}

@@ -29,23 +29,12 @@ func RegisterStatsMetrics(reg *obs.Registry, snapshot func() Stats) {
 	reg.NewCounterFunc("histcube_ooo_updates_total",
 		"Updates routed to the out-of-order buffer.",
 		func() int64 { return snapshot().OutOfOrderUpdates })
-	// One labelled series per conversion trigger, registered in a loop
-	// so the literal name has a single registration site (the histlint
-	// metricname contract). Queries drive the Fig. 10/11 convergence;
-	// the append leg is structurally zero today and measured to stay so.
-	for _, trigger := range []struct {
-		name string
-		read func(Stats) int64
-	}{
-		{"query", func(st Stats) int64 { return st.ECubeConversionsQuery }},
-		{"append", func(st Stats) int64 { return st.ECubeConversionsAppend }},
-	} {
-		read := trigger.read
-		reg.NewCounterFunc("histcube_ecube_conversions_total",
-			"Historic cells lazily converted from DDC to PS, by trigger (the Fig. 10/11 convergence signal).",
-			func() int64 { return read(snapshot()) },
-			obs.Label{Key: "trigger", Value: trigger.name})
-	}
+	// Queries are the only conversion trigger on a served cube (Sec.
+	// 3.2); the label stays because benchmark/ reads this series by it.
+	reg.NewCounterFunc("histcube_ecube_conversions_total",
+		"Historic cells lazily converted from DDC to PS while answering queries (the Fig. 10/11 convergence signal).",
+		func() int64 { return snapshot().ECubeConversions },
+		obs.Label{Key: "trigger", Value: "query"})
 	reg.NewCounterFunc("histcube_ecube_cells_touched_total",
 		"Historic-slice cells loaded by the eCube query algorithm.",
 		func() int64 { return snapshot().ECubeCellsTouched })

@@ -58,28 +58,6 @@ func TestStatsCumulativeCounters(t *testing.T) {
 	}
 }
 
-func TestStatsTierDemotions(t *testing.T) {
-	c, err := New(Config{
-		Dims:     []Dim{{Size: 4}, {Size: 4}},
-		Operator: agg.Sum,
-		Storage:  Storage{Kind: Tiered},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 12; i++ {
-		if err := c.Insert(int64(i), []int{i % 4, i % 4}, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := c.Age(3); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().TierDemotions; got != 3 {
-		t.Errorf("TierDemotions = %d, want 3", got)
-	}
-}
-
 func TestStatsMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := newTestCube(t)

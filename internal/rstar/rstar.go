@@ -35,13 +35,15 @@ type Config struct {
 	// Dim*4+4 bytes (int32 coordinates, float32 measure), matching the
 	// paper's 8K pages. Ignored when MaxEntries > 0.
 	PageSize int
-	// MinFill is the minimum fill fraction (default 0.4, the R*
-	// recommendation).
-	MinFill float64
-	// ReinsertFrac is the fraction of entries force-reinserted on
-	// first overflow (default 0.3, the R* recommendation).
-	ReinsertFrac float64
 }
+
+// The R* recommendations: a node holds at least minFill of its
+// capacity, and the first overflow on a level force-reinserts
+// reinsertFrac of its entries.
+const (
+	minFill      = 0.4
+	reinsertFrac = 0.3
+)
 
 // Tree is the R*-tree.
 type Tree struct {
@@ -81,21 +83,11 @@ func New(cfg Config) (*Tree, error) {
 		}
 		max = 64
 	}
-	minFill := cfg.MinFill
-	//histlint:ignore nofloateq zero is the config's explicit "use the default" sentinel, not an arithmetic result
-	if minFill == 0 {
-		minFill = 0.4
-	}
 	min := int(float64(max) * minFill)
 	if min < 2 {
 		min = 2
 	}
-	rf := cfg.ReinsertFrac
-	//histlint:ignore nofloateq zero is the config's explicit "use the default" sentinel, not an arithmetic result
-	if rf == 0 {
-		rf = 0.3
-	}
-	rn := int(float64(max) * rf)
+	rn := int(float64(max) * reinsertFrac)
 	if rn < 1 {
 		rn = 1
 	}

@@ -17,10 +17,9 @@
 // members that have applied an acked write return bit-identical
 // answers — first answer wins, no reconciliation. But a follower outside
 // the primary's ack quorum may lack a write a client saw acked, so
-// followers serve reads only while SetFollowerReads is on: while the
-// primary's -repl-min-acks is at least its number of followers. That
-// rule does not see a follower re-bootstrapping from an empty directory,
-// which answers from what it has applied until it has caught up.
+// followers serve reads only while SetFollowerReads is on: histproxy
+// turns it on while the primary's -repl-min-acks is at least its number
+// of followers and no follower reports that it is still catching up.
 package shardclient
 
 import (
