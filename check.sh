@@ -94,10 +94,15 @@ step_crash() {
     # or torn segment write: written once, latched, then repaired. Then
     # wal.Log.Apply's two failures: a staging failure logs and applies
     # nothing, an op the cube rejects is logged, and replay skips it.
-    # Last, a commit of a record already durable does not queue behind a
-    # leader's fsync of later ones.
+    # Then a commit of a record already durable does not queue behind a
+    # leader's fsync of later ones. Last, the end of a segment created
+    # at its full size: its zero tail is a clean end after Close and
+    # after a crash, a torn record is cut, a zero run before a valid
+    # frame is corruption, a segment cut to its records recovers and is
+    # extended in place, and a catch-up stream reading the active
+    # segment beside a live commit delivers every shipped LSN.
     go test -race -count=1 -run 'TestCrashRecoveryNoAcknowledgedLoss|TestCrashBetweenStageAndGroupFsync|TestQueryWaitsForTheCommitItRead|TestFollowerKilledBetweenStageAndCommit' ./cmd/histserve/
-    go test -race -count=1 -run 'TestRebaseCrashPointsRecover|TestRebaseRetriesAfterFailure|TestInstallCheckpointResetsSegments|TestFailedWriteIsRepairedNotRetried|TestApplyKeepsFailuresApart|TestCommitOfADurableRecordDoesNotQueue' ./internal/wal/
+    go test -race -count=1 -run 'TestRebaseCrashPointsRecover|TestRebaseRetriesAfterFailure|TestInstallCheckpointResetsSegments|TestFailedWriteIsRepairedNotRetried|TestApplyKeepsFailuresApart|TestCommitOfADurableRecordDoesNotQueue|TestRecoveryFindsTheSegmentEnd|TestTornFinalRecordTruncated|TestStreamCatchUpBesideALiveCommit' ./internal/wal/
 }
 
 step_chaos() {
@@ -176,7 +181,7 @@ step_traceguard() {
 }
 
 step_perfguard() {
-    echo "== serving-path overhead guards (Histogram.Observe <= 150 ns, 0 allocs; served QRY <= 22 allocs; served INS/DEL <= 10 allocs, <= 1280 B; proxied window <= 100 allocs; one write per group commit; Save streams in < 1 MiB) =="
+    echo "== serving-path overhead guards (Histogram.Observe <= 150 ns, 0 allocs; served QRY <= 22 allocs; served INS/DEL <= 10 allocs, <= 1280 B; proxied window <= 100 allocs; one write per group commit, no segment growth; segment read allocates by records; Save streams in < 1 MiB) =="
     # What every served request pays to be timed, once per request and
     # once per stage, and what one served QRY allocates in all: its
     # parse, two slabs for its span tree, its deadline context (no timer,
@@ -190,8 +195,11 @@ step_perfguard() {
     # counted process-wide: its fan-out starts no goroutine and makes no
     # channel, cancel context or timer unless a hedge is due.
     go test -count=1 -run TestProxiedWindowAllocs ./cmd/histproxy/
-    # N records committed together cost one write(2) and one fsync.
-    go test -count=1 -run TestCommitWritesOnce ./internal/wal/
+    # N records committed together cost one write(2) and one fsync and
+    # leave the active segment's size unchanged; reading a segment
+    # created at 64 MiB with 1000 records allocates for the records,
+    # not for the file.
+    go test -count=1 -run 'TestCommitWritesOnce|TestReadSegmentAllocatesByRecords' ./internal/wal/
     # A checkpoint streams the cube slice by slice: Save of a 150-slice
     # 64x64 cube allocates O(one slice), never the whole snapshot.
     go test -count=1 -run TestSaveStreams ./internal/core/

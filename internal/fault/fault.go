@@ -345,14 +345,12 @@ type File interface {
 	io.Writer
 	Sync() error
 	Close() error
-	Truncate(size int64) error
 }
 
 // WrapFile interposes the injector on a segment file. Writes check
 // site prefix+".write" (a torn outcome persists the first half of the
 // buffer before failing, like a crash mid-write), Sync checks
-// prefix+".sync"; Close and Truncate pass through so the WAL's repair,
-// which cuts the segment back to its durable length, stays reliable.
+// prefix+".sync"; Close passes through.
 func (i *Injector) WrapFile(prefix string, f File) File {
 	if i == nil {
 		return f
@@ -391,8 +389,6 @@ func (ff *faultFile) Sync() error {
 }
 
 func (ff *faultFile) Close() error { return ff.f.Close() }
-
-func (ff *faultFile) Truncate(size int64) error { return ff.f.Truncate(size) }
 
 // WrapConn interposes the injector on a network connection: Read
 // checks site prefix+".read", Write prefix+".write". A drop outcome

@@ -290,14 +290,25 @@ func TestCommitOfADurableRecordDoesNotQueue(t *testing.T) {
 
 // TestCommitWritesOnce is the group-commit cost guard: records staged
 // together and committed once cost exactly one write(2) and, under
-// SyncAlways, one fsync.
+// SyncAlways, one fsync, and leave the active segment's size as it was,
+// so that fsync journals no new file size.
 func TestCommitWritesOnce(t *testing.T) {
+	dir := t.TempDir()
 	inj := fault.MustParse("wal.write:err@99", 1) // only counts: this test never reaches op 99
-	cube, l, _, err := wal.Recover(t.TempDir(), faultOptions(inj, wal.Options{Sync: wal.SyncAlways}), newCube(t))
+	cube, l, _, err := wal.Recover(dir, faultOptions(inj, wal.Options{Sync: wal.SyncAlways}), newCube(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	segSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, "wal-0000000000000001.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	before := segSize()
 	var last uint64
 	for i := 0; i < 16; i++ {
 		if last, err = l.Apply(context.Background(), cube, testOp(i)); err != nil {
@@ -312,6 +323,9 @@ func TestCommitWritesOnce(t *testing.T) {
 	}
 	if w, s := inj.Ops("wal.write"), inj.Ops("wal.sync"); w != 1 || s != 1 {
 		t.Fatalf("committing 16 staged records cost %d writes and %d fsyncs, want 1 and 1", w, s)
+	}
+	if after := segSize(); after != before {
+		t.Fatalf("the commit grew the active segment from %d to %d bytes", before, after)
 	}
 }
 

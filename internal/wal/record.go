@@ -1,9 +1,12 @@
 package wal
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 
@@ -22,8 +25,15 @@ import (
 // Everything is little-endian. The CRC (IEEE) covers the payload only;
 // the size field is validated by range before it is trusted. Records
 // carry no explicit LSN: a record's LSN is the segment's firstLSN plus
-// its index, which stays correct because segments are append-only and
-// recovery truncates any torn tail before new appends continue.
+// its index, which stays correct because records are only ever added
+// after the last one and recovery truncates any torn tail before new
+// appends continue.
+//
+// The active segment is a sparse file of Options.SegmentSize whose
+// records are followed by zeros. A frame with a zero size field is never
+// valid (size >= minPayload), so the records end at the first all-zero
+// frame, or at the file's end once rotation cut a sealed segment back to
+// its records; see readSegment for how the bytes after them are read.
 const (
 	segMagic      = "HWAL"
 	segVersion    = 1
@@ -164,9 +174,17 @@ func decodeFrame(data []byte, off int) (op core.Op, next int, ok bool) {
 // scanForRecord reports whether any complete valid record frame starts
 // at or after start. It distinguishes a torn tail (nothing valid
 // follows the damage — safe to truncate) from mid-log corruption
-// (acknowledged records follow — truncating would drop them).
+// (acknowledged records follow — truncating would drop them). A frame's
+// size field is never zero, so zero runs are skipped, not tried.
 func scanForRecord(data []byte, start int) bool {
 	for off := start; off+recHeaderSize <= len(data); off++ {
+		// No size field that ends before the next set byte holds a size.
+		if set := skipZeros(data, off+4); set-(recHeaderSize-1) > off {
+			off = set - (recHeaderSize - 1)
+			if off+recHeaderSize > len(data) {
+				break
+			}
+		}
 		if _, _, ok := decodeFrame(data, off); ok {
 			return true
 		}
@@ -174,40 +192,133 @@ func scanForRecord(data []byte, start int) bool {
 	return false
 }
 
-// readSegment reads a whole segment file. It returns the segment's
-// first LSN, the decoded ops, the byte offset up to which the file is
-// valid, and whether a torn (incomplete or corrupt) tail was found
-// after goodLen. A bad frame with valid records after it is mid-log
-// corruption and comes back as a *CorruptError — the caller must not
-// truncate it away. A file whose header itself is unreadable returns
-// an ordinary error; the caller decides whether that is fatal
-// (mid-log) or discardable (final segment of an interrupted run).
-func readSegment(path string) (first uint64, ops []core.Op, goodLen int64, torn bool, err error) {
-	data, err := os.ReadFile(path)
+// readChunk is the reader's buffer size: it bounds what reading a
+// segment allocates beside its records, whatever the file's size.
+const readChunk = 64 << 10
+
+// zeros is what zero runs are compared with, at memory speed.
+var zeros [readChunk]byte
+
+// allZero reports whether b, at most readChunk bytes, holds only zeros.
+func allZero(b []byte) bool { return bytes.Equal(b, zeros[:len(b)]) }
+
+// skipZeros returns the index of the first non-zero byte of b at or
+// after i, or len(b) when there is none.
+func skipZeros(b []byte, i int) int {
+	const block = 256
+	for i+block <= len(b) && allZero(b[i:i+block]) {
+		i += block
+	}
+	for i < len(b) && b[i] == 0 {
+		i++
+	}
+	return i
+}
+
+// readSegment reads the records of a segment file in order, those
+// through LSN through and no further. It returns the segment's first
+// LSN, the decoded ops, the byte offset where they end, and whether a
+// torn (incomplete or corrupt) tail follows them.
+//
+// The records end at the first offset where no valid frame starts; a
+// segment is created at its full size, so that is normally its first
+// all-zero frame. The end is clean when every byte from there to the
+// file's end is zero (or there are none: a segment cut to its records).
+// Anything else is damage: a torn tail when no valid frame follows it,
+// and a *CorruptError when one does — valid records after the damage
+// are acknowledged history the caller must not truncate away. A reader
+// that stops at through never looks past it, so a stream can read the
+// active segment while a commit writes beyond what it ships. A file
+// whose header itself is unreadable returns an ordinary error; the
+// caller decides whether that is fatal (mid-log) or discardable (final
+// segment of an interrupted run).
+func readSegment(path string, through uint64) (first uint64, ops []core.Op, end int64, torn bool, err error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return 0, nil, 0, false, err
 	}
-	first, err = parseSegHeader(data)
-	if err != nil {
+	defer func() { _ = f.Close() }() // read-only: nothing to lose
+	r := bufio.NewReaderSize(f, readChunk)
+	hdr, err := r.Peek(segHeaderSize)
+	if err != nil && err != io.EOF {
+		return 0, nil, 0, false, err
+	}
+	if first, err = parseSegHeader(hdr); err != nil {
 		return 0, nil, 0, false, fmt.Errorf("%w: %s", err, path)
 	}
-	// badFrame classifies the damage at off: torn tail when nothing
-	// valid follows, CorruptError when acknowledged records do.
-	badFrame := func(off int) (uint64, []core.Op, int64, bool, error) {
-		if scanForRecord(data, off+1) {
-			return first, ops, int64(off), false,
-				&CorruptError{Path: path, LSN: first + uint64(len(ops)), Offset: int64(off)}
+	_, _ = r.Discard(segHeaderSize) // peeked above
+	end = segHeaderSize
+	var buf []byte
+	for first+uint64(len(ops)) <= through {
+		op, n, ok, err := nextFrame(r, &buf)
+		if err != nil {
+			return 0, nil, 0, false, err
 		}
-		return first, ops, int64(off), true, nil
-	}
-	off := segHeaderSize
-	for off < len(data) {
-		op, next, ok := decodeFrame(data, off)
 		if !ok {
-			return badFrame(off)
+			return classifyEnd(f, path, first, ops, end)
 		}
 		ops = append(ops, op)
-		off = next
+		end += int64(n)
 	}
-	return first, ops, int64(off), false, nil
+	return first, ops, end, false, nil
+}
+
+// nextFrame reads the frame at r's position into *buf (grown as
+// needed) and decodes it, returning its op and length. ok is false when
+// no complete, CRC-valid, decodable frame starts there; r's position is
+// then unspecified.
+func nextFrame(r *bufio.Reader, buf *[]byte) (op core.Op, n int, ok bool, err error) {
+	hdr, err := r.Peek(recHeaderSize)
+	if len(hdr) < recHeaderSize {
+		if err == io.EOF {
+			err = nil
+		}
+		return op, 0, false, err
+	}
+	size := int(binary.LittleEndian.Uint32(hdr[4:]))
+	if size < minPayload || size > maxRecordSize {
+		return op, 0, false, nil
+	}
+	n = recHeaderSize + size
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	frame := (*buf)[:n]
+	if _, err := io.ReadFull(r, frame); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			err = nil
+		}
+		return op, 0, false, err
+	}
+	op, _, ok = decodeFrame(frame, 0)
+	return op, n, ok, nil
+}
+
+// classifyEnd decides what the bytes of f from end on are, once no
+// valid frame starts at end: nothing but zeros is the segment's clean
+// end; otherwise the damage is a torn tail, or mid-log corruption when
+// a valid frame follows it. Only damage is read whole.
+func classifyEnd(f *os.File, path string, first uint64, ops []core.Op, end int64) (uint64, []core.Op, int64, bool, error) {
+	buf := make([]byte, readChunk)
+	for off := end; ; {
+		n, err := f.ReadAt(buf, off)
+		if !allZero(buf[:n]) {
+			break
+		}
+		if err == io.EOF {
+			return first, ops, end, false, nil
+		}
+		if err != nil {
+			return 0, nil, 0, false, err
+		}
+		off += int64(n)
+	}
+	rest, err := io.ReadAll(io.NewSectionReader(f, end, math.MaxInt64-end))
+	if err != nil {
+		return 0, nil, 0, false, err
+	}
+	if scanForRecord(rest, 1) {
+		return first, ops, end, false, &CorruptError{Path: path, LSN: first + uint64(len(ops)), Offset: end}
+	}
+	return first, ops, end, true, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 
@@ -45,7 +46,8 @@ type RecoverResult struct {
 	// reproduces the pre-crash state.
 	SkippedOps int
 	// TornTail reports that a torn final record (an append interrupted
-	// by the crash) was truncated away.
+	// by the crash) was truncated away. The zero tail of a segment
+	// created at its full size is its clean end, not a torn one.
 	TornTail bool
 }
 
@@ -112,13 +114,14 @@ func Recover(dir string, opts Options, newCube func() (*core.Cube, error)) (*cor
 		return nil, nil, res, err
 	}
 	lastLSN := res.CheckpointLSN
+	var lastEnd int64 // where the last segment's records end
 	if len(segs) > 0 && res.CheckpointLSN != 0 && segs[0].seq > res.CheckpointLSN+1 {
 		return nil, nil, res, fmt.Errorf("wal: log gap after checkpoint %d: oldest segment starts at LSN %d",
 			res.CheckpointLSN, segs[0].seq)
 	}
 	for i, sg := range segs {
 		last := i == len(segs)-1
-		first, ops, goodLen, torn, err := readSegment(sg.path)
+		first, ops, end, torn, err := readSegment(sg.path, math.MaxUint64)
 		if err != nil {
 			// Mid-log corruption is fatal wherever it sits — even in the
 			// final segment, valid records after the damage prove that
@@ -144,7 +147,7 @@ func Recover(dir string, opts Options, newCube func() (*core.Cube, error)) (*cor
 			if !last {
 				return nil, nil, res, fmt.Errorf("wal: segment %s corrupt before the log tail", sg.path)
 			}
-			if terr := os.Truncate(sg.path, goodLen); terr != nil {
+			if terr := os.Truncate(sg.path, end); terr != nil {
 				return nil, nil, res, terr
 			}
 			res.TornTail = true
@@ -152,6 +155,7 @@ func Recover(dir string, opts Options, newCube func() (*core.Cube, error)) (*cor
 				m.TornTruncations.Inc()
 			}
 		}
+		lastEnd = end
 		if first != sg.seq {
 			return nil, nil, res, fmt.Errorf("wal: segment %s header LSN %d does not match its name", sg.path, first)
 		}
@@ -175,11 +179,10 @@ func Recover(dir string, opts Options, newCube func() (*core.Cube, error)) (*cor
 		}
 	}
 
-	// 3. Position the log for appends: continue the last segment, or
-	// start a fresh one.
-	// Everything recovery just read and validated is on disk by
-	// definition, so the opening position doubles as the written and
-	// durable baseline.
+	// 3. Position the log for appends: continue the last segment at the
+	// end of its records, or start a fresh one. Everything recovery just
+	// read and validated is on disk by definition, so the opening position
+	// doubles as the written and durable baseline.
 	l := &Log{dir: dir, opts: opts, nextLSN: lastLSN + 1, durableLSN: lastLSN,
 		shippedLSN: lastLSN, ckptLSN: res.CheckpointLSN, segCount: len(segs)}
 	l.syncIdle = sync.NewCond(&l.mu)
@@ -188,20 +191,37 @@ func Recover(dir string, opts Options, newCube func() (*core.Cube, error)) (*cor
 	}
 	if len(segs) > 0 {
 		sg := segs[len(segs)-1]
-		fi, err := os.Stat(sg.path)
+		f, err := openSegment(sg.path, lastEnd)
 		if err != nil {
 			return nil, nil, res, err
 		}
-		f, err := os.OpenFile(sg.path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
+		// Size the segment as createSegment would have, so a commit never
+		// grows it: a torn tail was cut off above, and a segment written
+		// before segments were created at their full size is extended in
+		// place. Everything past lastEnd is zero.
+		if err := resizeSegment(f, max(opts.SegmentSize, lastEnd)); err != nil {
+			_ = f.Close()
 			return nil, nil, res, err
 		}
 		l.f = l.wrapSeg(f)
 		l.segFirst = sg.seq
-		l.segBytes = fi.Size()
-		l.durableBytes, l.writtenBytes = fi.Size(), fi.Size()
+		l.segBytes, l.durableBytes, l.writtenBytes = lastEnd, lastEnd, lastEnd
 	} else if err := l.startSegmentLocked(l.nextLSN); err != nil {
 		return nil, nil, res, err
 	}
 	return cube, l, res, nil
+}
+
+// resizeSegment makes f size bytes long and the new size durable; a
+// segment already at that size, as a restart after a crash finds it, is
+// left as it is.
+func resizeSegment(f *os.File, size int64) error {
+	fi, err := f.Stat()
+	if err != nil || fi.Size() == size {
+		return err
+	}
+	if err := f.Truncate(size); err != nil {
+		return err
+	}
+	return f.Sync()
 }

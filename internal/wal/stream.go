@@ -234,11 +234,14 @@ func (s *Stream) poll(wait bool) (rec StreamRecord, ok bool, wake chan struct{},
 }
 
 // fillFromDisk reads the segment containing the cursor and buffers
-// every record in [s.next, shipped] it holds. Reads run without mu —
-// segments are append-only and readSegment tolerates a torn tail, so
-// the only race is pruning, which surfaces as ENOENT and is retried by
-// the caller (or reported as ErrTruncated when the cursor really fell
-// behind the retention horizon).
+// every record in [s.next, shipped] it holds. Reads run without mu,
+// while a commit may be writing the active segment past shipped: in a
+// segment created at its full size such a read can see zeros with newer
+// bytes after them, so it parses through shipped and never classifies
+// what lies past it. Records through shipped are written and never
+// change, so the only race is pruning, which surfaces as ENOENT and is
+// retried by the caller (or reported as ErrTruncated when the cursor
+// really fell behind the retention horizon).
 func (s *Stream) fillFromDisk(shipped uint64) (int, error) {
 	segs, err := listSegments(s.log.dir)
 	if err != nil {
@@ -255,7 +258,7 @@ func (s *Stream) fillFromDisk(shipped uint64) (int, error) {
 	if idx < 0 {
 		return 0, fmt.Errorf("%w: want LSN %d", ErrTruncated, s.next)
 	}
-	first, ops, _, _, err := readSegment(segs[idx].path)
+	first, ops, _, _, err := readSegment(segs[idx].path, shipped)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			if oldest := s.log.OldestLSN(); s.next < oldest {

@@ -329,3 +329,67 @@ func TestApplyReplicatedProducesIdenticalCube(t *testing.T) {
 	defer rl2.Close()
 	assertEquivalent(t, pc, rc2, r)
 }
+
+// TestStreamCatchUpBesideALiveCommit reads the active segment from disk
+// while another goroutine keeps committing into it. The segment was
+// created at its full size, so a read can see zeros with a newer record
+// after them; each stream, subscribed behind the ring, must still
+// deliver every LSN through the frontier it started at, in order, with
+// no error.
+func TestStreamCatchUpBesideALiveCommit(t *testing.T) {
+	dir := t.TempDir()
+	_, l, _, err := Recover(dir, Options{Sync: SyncNever}, func() (*core.Cube, error) { return newTestCube(t), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	op := func(lsn uint64) core.Op {
+		return core.Op{Kind: core.OpInsert, Time: int64(lsn), Coords: []int{int(lsn % 8), int(lsn % 4)}, Value: 1}
+	}
+	const prefill, total = 2 * ringSize, 40000
+	for lsn := uint64(1); lsn <= prefill; lsn++ {
+		if _, err := l.Append(op(lsn)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writer := make(chan error, 1)
+	go func() {
+		for lsn := uint64(prefill + 1); lsn <= total; lsn++ {
+			if _, err := l.Append(op(lsn)); err != nil {
+				writer <- err
+				return
+			}
+		}
+		writer <- nil
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for rounds := 0; ; rounds++ {
+		select {
+		case err := <-writer:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if segs := l.Segments(); segs != 1 {
+				t.Fatalf("the log rotated into %d segments; the reads must share the writer's", segs)
+			}
+			t.Logf("%d catch-up reads beside the writer", rounds)
+			return
+		default:
+		}
+		s, err := l.SubscribeFrom(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shipped := l.ShippedLSN()
+		for want := uint64(1); want <= shipped; want++ {
+			rec, err := s.Next(ctx)
+			if err != nil {
+				t.Fatalf("round %d: Next at LSN %d of %d: %v", rounds, want, shipped, err)
+			}
+			if rec.LSN != want || rec.Op.Time != int64(want) {
+				t.Fatalf("round %d: got LSN %d (time %d), want LSN %d", rounds, rec.LSN, rec.Op.Time, want)
+			}
+		}
+	}
+}

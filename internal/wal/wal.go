@@ -15,6 +15,12 @@
 //	wal-<firstLSN>.seg      log segments (16-byte header + records)
 //	checkpoint-<lsn>.ckpt   core.Save snapshots covering LSNs <= lsn
 //
+// A segment is created at its full Options.SegmentSize as a sparse file
+// and written in place, so a commit never grows the file and its fsync
+// carries only the record bytes. Its records therefore end at the first
+// all-zero frame, not at the file's size. Rotation cuts a sealed
+// segment back to its records; only the active one stays sparse.
+//
 // An op enters the log in one of two ways. Apply is log-then-apply:
 // it stages the op's record — frames it in memory in log order and
 // assigns its LSN — then folds the op into the cube, so the cube never
@@ -61,7 +67,6 @@ type SegmentFile interface {
 	io.Writer
 	Sync() error
 	Close() error
-	Truncate(size int64) error
 }
 
 // SyncPolicy selects when appended records are fsynced.
@@ -104,7 +109,8 @@ func (p SyncPolicy) String() string {
 
 // Options configures a Log.
 type Options struct {
-	// SegmentSize is the rotation threshold in bytes; 0 selects 4 MiB.
+	// SegmentSize is the rotation threshold in bytes, and the size every
+	// segment is created at (a sparse file); 0 selects 4 MiB.
 	SegmentSize int64
 	// Sync is the fsync policy; the zero value is SyncAlways.
 	Sync SyncPolicy
@@ -259,14 +265,15 @@ func (l *Log) wrapSeg(f *os.File) SegmentFile {
 }
 
 // createSegment writes a fresh segment file whose records start at
-// first, and makes its creation durable. Segments are opened with
-// O_APPEND because the repair of a latched log truncates the segment
-// back to its durable length and rewrites the tail: with O_APPEND every
-// write lands at the file's end, never at a stale descriptor offset
-// past it, which would leave a zero hole.
-func createSegment(dir string, first uint64) (*os.File, error) {
+// first, extends it to size, and makes its creation durable. The file
+// is created at its full size so that a commit, which writes at the
+// descriptor's offset, never grows it: its fsync then carries the record
+// bytes and no new file size. The extension is sparse (ftruncate, not
+// fallocate): it reserves no blocks, and a reader finds the records' end
+// at the first all-zero frame.
+func createSegment(dir string, first uint64, size int64) (*os.File, error) {
 	path := filepath.Join(dir, segName(first))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -274,11 +281,30 @@ func createSegment(dir string, first uint64) (*os.File, error) {
 		_ = f.Close() // the write error is primary; the file is discarded
 		return nil, err
 	}
+	if err := f.Truncate(max(size, segHeaderSize)); err != nil {
+		_ = f.Close()
+		return nil, err
+	}
 	if err := f.Sync(); err != nil {
 		_ = f.Close()
 		return nil, err
 	}
 	if err := syncDir(dir); err != nil {
+		_ = f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// openSegment opens an existing segment file for writes at off: every
+// write goes through the descriptor's offset, which the log keeps equal
+// to writtenBytes.
+func openSegment(path string, off int64) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		_ = f.Close()
 		return nil, err
 	}
@@ -451,9 +477,9 @@ func flush(f SegmentFile, pending []byte, sync bool) error {
 	return nil
 }
 
-// rotateLocked seals the active segment (sync + close) and opens a new
-// one starting at the next LSN. The caller made sure no group fsync is
-// in flight on the descriptor being closed.
+// rotateLocked seals the active segment (sync + close + cut to its
+// records) and opens a new one starting at the next LSN. The caller made
+// sure no group fsync is in flight on the descriptor being closed.
 func (l *Log) rotateLocked() error {
 	if err := l.syncLocked(); err != nil {
 		return err
@@ -461,6 +487,10 @@ func (l *Log) rotateLocked() error {
 	if err := l.f.Close(); err != nil {
 		return err
 	}
+	// Cut the sealed segment back to its records, so history on disk is
+	// no larger than its records. Best effort: a zero tail left behind
+	// reads as the same end.
+	_ = os.Truncate(filepath.Join(l.dir, segName(l.segFirst)), l.segBytes)
 	// The sync above covered the old segment's tail.
 	if err := l.startSegmentLocked(l.nextLSN); err != nil {
 		return err
@@ -475,7 +505,7 @@ func (l *Log) rotateLocked() error {
 // and makes it the active one. createSegment fsyncs its header, so the
 // new segment's whole baseline is durable.
 func (l *Log) startSegmentLocked(first uint64) error {
-	f, err := createSegment(l.dir, first)
+	f, err := createSegment(l.dir, first, l.opts.SegmentSize)
 	if err != nil {
 		return err
 	}
@@ -568,9 +598,11 @@ func (l *Log) latchedSyncErrLocked() error {
 // already be applied in memory (they were staged, then applied, and
 // only their commit failed), so they are
 // never rolled back and their LSNs are never reused: the segment is
-// reopened on a fresh descriptor, cut back to the last known-durable
+// reopened on a fresh descriptor positioned at the last known-durable
 // offset, the staged records are rewritten from memory at their
 // original LSNs, and one fsync proves the device accepts writes again.
+// Nothing needs cutting first: a failed write never wrote past segBytes,
+// and the rewrite covers everything up to it.
 // Their clients were told ERR, so they resolve as "applied" — the
 // outcome an unacknowledged write is always allowed to have. A crash
 // mid-repair loses at most those never-acknowledged records (under
@@ -583,13 +615,12 @@ func (l *Log) reopenAfterSyncFailureLocked() error {
 	// The old descriptor may re-report the writeback error on close;
 	// the fresh descriptor's fsync below is the arbiter.
 	_ = l.f.Close()
-	f, err := os.OpenFile(filepath.Join(l.dir, segName(l.segFirst)), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := openSegment(filepath.Join(l.dir, segName(l.segFirst)), l.durableBytes)
 	if err != nil {
 		return fmt.Errorf("wal: reopening segment after a failed write or fsync: %w", err)
 	}
 	nf := l.wrapSeg(f)
-	err = nf.Truncate(l.durableBytes)
-	if err == nil && len(l.unsynced) > 0 {
+	if len(l.unsynced) > 0 {
 		_, err = nf.Write(l.unsynced)
 	}
 	if err == nil {

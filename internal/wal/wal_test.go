@@ -1,11 +1,16 @@
 package wal
 
 import (
+	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -196,19 +201,10 @@ func TestTornFinalRecordTruncated(t *testing.T) {
 	run(t, live, l, ops)
 	l.Close()
 
-	// Tear the final record: chop a few bytes off the last segment.
-	segs, err := listSegments(dir)
-	if err != nil || len(segs) == 0 {
-		t.Fatal("no segments", err)
-	}
-	last := segs[len(segs)-1]
-	fi, err := os.Stat(last.path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(last.path, fi.Size()-5); err != nil {
-		t.Fatal(err)
-	}
+	// Tear the final record in place, as a crash that persisted only its
+	// first part leaves it: its last bytes are the segment's zeros.
+	path, end := lastSegment(t, dir)
+	writeAt(t, path, end-5, make([]byte, 5))
 
 	reg := obs.NewRegistry()
 	back, l2, res := recoverCube(t, dir, Options{Metrics: NewMetrics(reg)})
@@ -245,15 +241,169 @@ func TestTornFinalRecordTruncated(t *testing.T) {
 	assertEquivalent(t, back, again, rand.New(rand.NewSource(9)))
 }
 
+// lastSegment returns the path of dir's last segment and the offset
+// where its records end, as readSegment finds it.
+func lastSegment(t *testing.T, dir string) (string, int64) {
+	t.Helper()
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) == 0 {
+		t.Fatal("no segments", err)
+	}
+	path := segs[len(segs)-1].path
+	_, _, end, torn, err := readSegment(path, math.MaxUint64)
+	if err != nil || torn {
+		t.Fatalf("reading %s: torn=%v, %v", path, torn, err)
+	}
+	return path, end
+}
+
+// writeAt overwrites the bytes of path at off with b.
+func writeAt(t *testing.T, path string, off int64, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoveryFindsTheSegmentEnd pins the end-of-segment rule. A
+// segment is created at its full size, so its records are followed by
+// zeros, and they end at the first all-zero frame. After a clean Close
+// and after a crash that zero tail is the clean end, not a torn one; a
+// directory whose active segment ends at its records, as logs were
+// written before segments were created at their full size, recovers and
+// is extended in place; and a zero run with a valid frame after it is
+// mid-log damage, never cut away.
+func TestRecoveryFindsTheSegmentEnd(t *testing.T) {
+	const segSize = 1 << 20
+	ops := randomOps(rand.New(rand.NewSource(20)), 40)
+	frame := int64(recordSize(ops[0]))
+	for _, tc := range []struct {
+		name   string
+		kill   bool // abandon the log instead of closing it
+		damage func(t *testing.T, path string, end int64)
+		lost   uint64 // the first lost LSN a *CorruptError names; 0: recovery succeeds
+	}{
+		{name: "clean close"},
+		{name: "kill", kill: true},
+		{name: "cut to its records", damage: func(t *testing.T, path string, end int64) {
+			if err := os.Truncate(path, end); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "zero run before a valid frame", lost: 3, damage: func(t *testing.T, path string, end int64) {
+			writeAt(t, path, segHeaderSize+2*frame, make([]byte, frame))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{Sync: SyncAlways, SegmentSize: segSize}
+			live, l, _ := recoverCube(t, dir, opts)
+			run(t, live, l, ops)
+			if !tc.kill {
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			path, end := lastSegment(t, dir)
+			if end != segHeaderSize+int64(len(ops))*frame {
+				t.Fatalf("records end at %d, want %d", end, segHeaderSize+int64(len(ops))*frame)
+			}
+			if tc.damage != nil {
+				tc.damage(t, path, end)
+			}
+
+			m := NewMetrics(obs.NewRegistry())
+			opts.Metrics = m
+			_, l2, res, err := Recover(dir, opts, func() (*core.Cube, error) { return newTestCube(t), nil })
+			if tc.lost != 0 {
+				var ce *CorruptError
+				if !errors.As(err, &ce) || ce.LSN != tc.lost || ce.Offset != segHeaderSize+int64(tc.lost-1)*frame {
+					t.Fatalf("recovery = %v, want a *CorruptError at LSN %d, offset %d", err, tc.lost, segHeaderSize+int64(tc.lost-1)*frame)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.TornTail || res.Replayed != len(ops) || m.TornTruncations.Value() != 0 {
+				t.Fatalf("recovery = %+v with %d torn truncations, want %d replayed and no torn tail",
+					res, m.TornTruncations.Value(), len(ops))
+			}
+			if fi, err := os.Stat(path); err != nil || fi.Size() != segSize {
+				t.Fatalf("recovered segment stat = %v, %v; want it at its full size %d", fi, err, segSize)
+			}
+
+			// Appends continue at the records' end, and the directory
+			// recovers again to the live cube, bit for bit (compared before
+			// any query converts cells of either).
+			run(t, live, l2, randomOps(rand.New(rand.NewSource(22)), 20))
+			if err := l2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			again, l3, res3 := recoverCube(t, dir, Options{SegmentSize: segSize})
+			defer l3.Close()
+			if res3.TornTail || res3.Replayed != len(ops)+20 {
+				t.Fatalf("second recovery = %+v, want %d replayed and no torn tail", res3, len(ops)+20)
+			}
+			var want, got bytes.Buffer
+			if err := live.Save(&want); err != nil {
+				t.Fatal(err)
+			}
+			if err := again.Save(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want.Bytes(), got.Bytes()) {
+				t.Fatal("the second recovery differs from the live cube")
+			}
+		})
+	}
+}
+
+// TestReadSegmentAllocatesByRecords guards the reader's cost: reading a
+// segment created at its full size allocates for its records, not for
+// the zeros after them, however large the file.
+func TestReadSegmentAllocatesByRecords(t *testing.T) {
+	const segSize = 64 << 20
+	dir := t.TempDir()
+	live, l, _ := recoverCube(t, dir, Options{Sync: SyncNever, SegmentSize: segSize})
+	run(t, live, l, randomOps(rand.New(rand.NewSource(23)), 1000))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, segName(1))
+	if fi, err := os.Stat(path); err != nil || fi.Size() != segSize {
+		t.Fatalf("segment stat = %v, %v; want %d bytes", fi, err, segSize)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, ops, _, torn, err := readSegment(path, math.MaxUint64)
+	runtime.ReadMemStats(&after)
+	if err != nil || torn || len(ops) != 1000 {
+		t.Fatalf("readSegment = %d ops, torn=%v, %v; want 1000 and a clean end", len(ops), torn, err)
+	}
+	// 1000 ops with their coordinates, the op slice's growth and two
+	// read buffers come to about 250 KiB.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("reading 1000 records of a %d MiB segment allocated %d KiB, want < 1 MiB", segSize>>20, got>>10)
+	}
+}
+
 func TestGarbageTailTruncated(t *testing.T) {
-	// Garbage appended after the last good record (a torn write that
-	// made it partially to disk) is cut off, not fatal.
+	// Garbage after the last good record (a torn write that made it
+	// partially to disk) is cut off, not fatal.
 	dir := t.TempDir()
 	live, l, _ := recoverCube(t, dir, Options{Sync: SyncNever})
 	run(t, live, l, randomOps(rand.New(rand.NewSource(10)), 20))
 	l.Close()
-	segs, _ := listSegments(dir)
-	appendBytes(t, segs[len(segs)-1].path, []byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03})
+	path, end := lastSegment(t, dir)
+	writeAt(t, path, end, []byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03})
 
 	back, l2, res := recoverCube(t, dir, Options{})
 	defer l2.Close()
@@ -418,21 +568,6 @@ func TestPanickyNewestCheckpointQuarantined(t *testing.T) {
 			}
 			assertEquivalent(t, live, back, rand.New(rand.NewSource(19)))
 		})
-	}
-}
-
-// appendBytes writes raw bytes to the end of path.
-func appendBytes(t *testing.T, path string, b []byte) {
-	t.Helper()
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
