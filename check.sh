@@ -16,6 +16,30 @@ is_step() { case " $steps " in *" $1 "*) return 0 ;; esac; return 1; }
 tree_state() { git status --porcelain 2>/dev/null | grep -v ' lockgraph\.dot$' || true; }
 tree_before=$(tree_state)
 
+# require_tests <pkg> <name>|<name>...: fails the step unless every name
+# in the list (a -run alternative: a whole name or a prefix) matches a
+# test, fuzz target or benchmark of pkg. A -run that matches nothing
+# passes with "[no tests to run]", so without this a renamed or moved
+# test would leave its gate silently empty.
+require_tests() {
+    listed=$(go test -list . "$1")
+    for name in $(echo "$2" | tr '|' ' '); do
+        if ! printf '%s\n' "$listed" | grep -Eq "^($name)"; then
+            echo "check.sh: $1 has no test matching $name" >&2
+            exit 1
+        fi
+    done
+}
+
+# run_named <pkg> <names> <go test flags...>: go test -run <names> on pkg,
+# once require_tests has found every name there.
+run_named() {
+    pkg=$1 names=$2
+    shift 2
+    require_tests "$pkg" "$names"
+    go test "$@" -run "$names" "$pkg"
+}
+
 step_fmt() {
     echo "== gofmt =="
     unformatted=$(gofmt -l .)
@@ -50,8 +74,8 @@ step_histlint() {
     # lock order) — on a primary releasing a batch of replies or on a
     # follower committing a batch of shipped records.
     go run ./cmd/histlint -lockgraph lockgraph.dot ./...
-    if grep -F '"main.server.mu" -> "wal.Log.syncMu"' lockgraph.dot; then
-        echo "lockgraph.dot: main.server.mu is held across wal.Log.Commit" >&2
+    if grep -F '"histserve.Server.mu" -> "wal.Log.syncMu"' lockgraph.dot; then
+        echo "lockgraph.dot: histserve.Server.mu is held across wal.Log.Commit" >&2
         exit 1
     fi
 }
@@ -70,13 +94,19 @@ step_benchmod() {
 
 step_fuzz() {
     echo "== fuzz smoke (10s per target) =="
+    require_tests ./internal/wal/ FuzzRecordDecode
     go test -run='^$' -fuzz=FuzzRecordDecode -fuzztime=10s ./internal/wal/
+    require_tests ./internal/shard/ FuzzShardMapParse
     go test -run='^$' -fuzz=FuzzShardMapParse -fuzztime=10s ./internal/shard/
+    require_tests ./internal/trace/ FuzzSpanJSON
     go test -run='^$' -fuzz=FuzzSpanJSON -fuzztime=10s ./internal/trace/
-    go test -run='^$' -fuzz=FuzzRecLine -fuzztime=10s ./cmd/histserve/
+    require_tests ./internal/histserve/ FuzzRecLine
+    go test -run='^$' -fuzz=FuzzRecLine -fuzztime=10s ./internal/histserve/
+    require_tests ./cmd/histserve/ FuzzDispatchLine
     go test -run='^$' -fuzz=FuzzDispatchLine -fuzztime=10s ./cmd/histserve/
     # A new snapshot-sized input would otherwise spend the whole smoke
     # being minimised (default 60 s) instead of fuzzed.
+    require_tests ./internal/core/ FuzzSnapshotLoad
     go test -run='^$' -fuzz=FuzzSnapshotLoad -fuzztime=10s -fuzzminimizetime=1s ./internal/core/
 }
 
@@ -101,16 +131,23 @@ step_crash() {
     # frame is corruption, a segment cut to its records recovers and is
     # extended in place, and a catch-up stream reading the active
     # segment beside a live commit delivers every shipped LSN.
-    go test -race -count=1 -run 'TestCrashRecoveryNoAcknowledgedLoss|TestCrashBetweenStageAndGroupFsync|TestQueryWaitsForTheCommitItRead|TestFollowerKilledBetweenStageAndCommit' ./cmd/histserve/
-    go test -race -count=1 -run 'TestRebaseCrashPointsRecover|TestRebaseRetriesAfterFailure|TestInstallCheckpointResetsSegments|TestFailedWriteIsRepairedNotRetried|TestApplyKeepsFailuresApart|TestCommitOfADurableRecordDoesNotQueue|TestRecoveryFindsTheSegmentEnd|TestTornFinalRecordTruncated|TestStreamCatchUpBesideALiveCommit' ./internal/wal/
+    # The SIGKILL drills run the histserve binary; the query parked
+    # behind a commit runs in process.
+    run_named ./cmd/histserve/ 'TestCrashRecoveryNoAcknowledgedLoss|TestCrashBetweenStageAndGroupFsync|TestFollowerKilledBetweenStageAndCommit' -race -count=1
+    run_named ./internal/histserve/ 'TestQueryWaitsForTheCommitItRead' -race -count=1
+    run_named ./internal/wal/ 'TestRebaseCrashPointsRecover|TestRebaseRetriesAfterFailure|TestInstallCheckpointResetsSegments|TestFailedWriteIsRepairedNotRetried|TestApplyKeepsFailuresApart|TestCommitOfADurableRecordDoesNotQueue|TestRecoveryFindsTheSegmentEnd|TestTornFinalRecordTruncated|TestStreamCatchUpBesideALiveCommit' -race -count=1
 }
 
 step_chaos() {
     echo "== seeded chaos suite (fault injection) =="
     # Deterministic fixed seeds plus one randomized seed (logged for
     # repro): no acknowledged write lost, no panic escapes, the server
-    # always answers or cleanly rejects.
-    go test -race -count=1 -run 'TestChaos' ./cmd/histserve/
+    # always answers or cleanly rejects. The cases that read the server's
+    # own state are in internal/histserve; the binary's
+    # degrade-kill-recover drill and the cases that need no more than
+    # main does are in cmd/histserve.
+    run_named ./internal/histserve/ 'TestChaos' -race -count=1
+    run_named ./cmd/histserve/ 'TestChaos' -race -count=1
 }
 
 step_shardchaos() {
@@ -125,8 +162,11 @@ step_shardchaos() {
     # read batch past its hedge point with every reply buffered is not
     # hedged. And the one rejoin path: a member that comes back has its
     # breaker closed by the member-state loop's ROLE within one
-    # -probe-every, with no client traffic.
-    go test -race -count=1 -run 'TestShardChaosPartialAnswersAndRejoin|TestUnitReadsRepliesBufferedBehindASlowShard|TestUnitDoesNotHedgeBufferedReadBatch|TestMemberRejoinsWithinOneProbeInterval' ./cmd/histproxy/
+    # -probe-every, with no client traffic. Last, the binary's graceful
+    # exit: SIGTERM with one member live and one dead exits 0 within one
+    # -shard-timeout plus one -probe-every, leaving no process behind.
+    run_named ./cmd/histproxy/ 'TestShardChaosPartialAnswersAndRejoin|TestProxySigtermExitsCleanly|TestUnitReadsRepliesBufferedBehindASlowShard|TestUnitDoesNotHedgeBufferedReadBatch' -race -count=1
+    run_named ./internal/histproxy/ 'TestMemberRejoinsWithinOneProbeInterval' -race -count=1
 }
 
 step_replchaos() {
@@ -168,8 +208,9 @@ step_replchaos() {
     # within a few -probe-every while another shard's member still
     # rejoins within one, and a write that breaks on a dead primary
     # promotes its follower on the next ROLE it misses.
-    go test -race -count=1 -run 'TestReplChaosPrimaryKillUnderLoad|TestBrokenMixedUnitAnswersEveryLineAndFailsOver|TestReplChaosReadsSkipFollowersOutsideTheAckQuorum|TestReadRuleFollowsPrimaryMinAcks|TestReadRuleSkipsASyncingFollower|TestRejoiningFollowerServesNoReadBeforeItsRound|TestHungPrimaryFailsOverAndOthersStillRejoin|TestBrokenWriteFailsOverBeforeTheBreakerOpens' ./cmd/histproxy/
-    go test -race -count=1 -run 'TestReplicaBootstrapsUnderCheckpointLoad|TestPrimaryAndFollowerApplyOneStream|TestReplicaBarrierIsItsLocalCommit|TestSemiSyncReadOutlivesItsFollower|TestRestartedSemiSyncPrimaryCommitsItsTailOnceHeld|TestReplicaAppliedLSNIsItsCommitFrontier|TestReplicaSyncedOnlyAtThePrimarysEnd' ./cmd/histserve/
+    run_named ./cmd/histproxy/ 'TestReplChaosPrimaryKillUnderLoad|TestBrokenMixedUnitAnswersEveryLineAndFailsOver|TestReplChaosReadsSkipFollowersOutsideTheAckQuorum|TestBrokenWriteFailsOverBeforeTheBreakerOpens' -race -count=1
+    run_named ./internal/histproxy/ 'TestReadRuleFollowsPrimaryMinAcks|TestReadRuleSkipsASyncingFollower|TestRejoiningFollowerServesNoReadBeforeItsRound|TestHungPrimaryFailsOverAndOthersStillRejoin' -race -count=1
+    run_named ./internal/histserve/ 'TestReplicaBootstrapsUnderCheckpointLoad|TestPrimaryAndFollowerApplyOneStream|TestReplicaBarrierIsItsLocalCommit|TestSemiSyncReadOutlivesItsFollower|TestRestartedSemiSyncPrimaryCommitsItsTailOnceHeld|TestReplicaAppliedLSNIsItsCommitFrontier|TestReplicaSyncedOnlyAtThePrimarysEnd' -race -count=1
 }
 
 step_traceguard() {
@@ -177,7 +218,7 @@ step_traceguard() {
     # Without -race on purpose: the guard benchmarks the nil-span hot
     # path and race instrumentation distorts timings (the test
     # self-skips under -race, so the race step does not cover it).
-    go test -count=1 -run TestDisabledTracerOverhead ./internal/trace/
+    run_named ./internal/trace/ TestDisabledTracerOverhead -count=1
 }
 
 step_perfguard() {
@@ -189,25 +230,25 @@ step_perfguard() {
     # parse, its pending op, one slab sized to its two-span tree and its
     # deadline context. Same regime as the tracer guard:
     # un-instrumented runs only.
-    go test -count=1 -run TestHistogramObserveOverhead ./internal/obs/
-    go test -count=1 -run 'TestServedQueryAllocs|TestServedInsertAllocs' ./cmd/histserve/
+    run_named ./internal/obs/ TestHistogramObserveOverhead -count=1
+    run_named ./cmd/histserve/ 'TestServedQueryAllocs|TestServedInsertAllocs' -count=1
     # One four-line window through histproxy to two loopback shards,
     # counted process-wide: its fan-out starts no goroutine and makes no
     # channel, cancel context or timer unless a hedge is due.
-    go test -count=1 -run TestProxiedWindowAllocs ./cmd/histproxy/
+    run_named ./cmd/histproxy/ TestProxiedWindowAllocs -count=1
     # N records committed together cost one write(2) and one fsync and
     # leave the active segment's size unchanged; reading a segment
     # created at 64 MiB with 1000 records allocates for the records,
     # not for the file.
-    go test -count=1 -run 'TestCommitWritesOnce|TestReadSegmentAllocatesByRecords' ./internal/wal/
+    run_named ./internal/wal/ 'TestCommitWritesOnce|TestReadSegmentAllocatesByRecords' -count=1
     # A checkpoint streams the cube slice by slice: Save of a 150-slice
     # 64x64 cube allocates O(one slice), never the whole snapshot.
-    go test -count=1 -run TestSaveStreams ./internal/core/
+    run_named ./internal/core/ TestSaveStreams -count=1
 }
 
 step_explain() {
     echo "== EXPLAIN smoke (real binary) =="
-    go test -race -count=1 -run TestExplainSmokeRealBinary ./cmd/histserve/
+    run_named ./cmd/histserve/ TestExplainSmokeRealBinary -race -count=1
 }
 
 step_benchgate() {

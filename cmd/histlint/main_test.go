@@ -299,7 +299,7 @@ func (c *counter) inc() {
 }
 
 // TestHistlintLockGraphBehindCommandTable guards check.sh's gate on
-// the edge main.server.mu -> wal.Log.syncMu against going vacuous:
+// the edge histserve.Server.mu -> wal.Log.syncMu against going vacuous:
 // histserve's handlers and its settle function are reached only through
 // func values in a command table (internal/lineserver calls them), and
 // the graph follows static calls only. It does not need to follow the
@@ -309,8 +309,8 @@ func (c *counter) inc() {
 func TestHistlintLockGraphBehindCommandTable(t *testing.T) {
 	bin := buildHistlint(t)
 	dir := writeTree(t, map[string]string{
-		"go.mod": "module tablemod\n\ngo 1.22\n",
-		"table.go": `package tablemod
+		"go.mod": "module example.com/histserve\n\ngo 1.22\n",
+		"table.go": `package histserve
 
 import "sync"
 
@@ -330,23 +330,23 @@ type command struct {
 	handle func(line string) string
 }
 
-type server struct {
+type Server struct {
 	mu   sync.Mutex
 	n    int // guarded by mu
 	log  *wlog
 	rows []command
 }
 
-func newServer() *server {
-	s := &server{log: &wlog{}}
+func newServer() *Server {
+	s := &Server{log: &wlog{}}
 	s.rows = []command{{"INS", s.insert}}
 	return s
 }
 
 // serve is the only caller of a handler, and only by func value.
-func (s *server) serve(line string) string { return s.rows[0].handle(line) }
+func (s *Server) serve(line string) string { return s.rows[0].handle(line) }
 
-func (s *server) insert(line string) string {
+func (s *Server) insert(line string) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.n++
@@ -354,7 +354,7 @@ func (s *server) insert(line string) string {
 	return "OK"
 }
 
-func (s *server) settle() { s.log.Commit() }
+func (s *Server) settle() { s.log.Commit() }
 `,
 	})
 	dot := filepath.Join(t.TempDir(), "lockgraph.dot")
@@ -366,7 +366,7 @@ func (s *server) settle() { s.log.Commit() }
 	if err != nil {
 		t.Fatalf("lock graph not written: %v", err)
 	}
-	if want := `"tablemod.server.mu" -> "tablemod.wlog.syncMu";`; !strings.Contains(string(data), want) {
+	if want := `"histserve.Server.mu" -> "histserve.wlog.syncMu";`; !strings.Contains(string(data), want) {
 		t.Errorf("lock graph missing %q: a commit under the mutex hid behind the table\n%s", want, data)
 	}
 }
@@ -468,7 +468,7 @@ func copyModule(t *testing.T) string {
 
 // TestHistlintBitesInTheRealTree seeds at least one violation per
 // analyzer into a copy of this module — not a fixture — and requires that analyzer's
-// finding on the seeded line. The seeds in cmd/histserve sit in
+// finding on the seeded line. The seeds in internal/histserve sit in
 // handlers that only the command table reaches, by func value, so an
 // analyzer that needed a static caller to see a body would find nothing
 // here; and an analyzer dropped from the suite fails its row.
@@ -476,7 +476,7 @@ func TestHistlintBitesInTheRealTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks a copy of the whole module")
 	}
-	const server = "cmd/histserve/server.go"
+	const server = "internal/histserve/server.go"
 	// Split, or this file, copied along with the module, would read it.
 	const unread = "histserve_seeded_" + "unread_total"
 	seeds := []struct {
@@ -485,16 +485,16 @@ func TestHistlintBitesInTheRealTree(t *testing.T) {
 		at             string // the part of new whose line carries the finding
 	}{
 		{"mutexguard", server,
-			"func (s *server) cmdRole(*lineserver.Request) string { return s.roleLine() }",
-			"func (s *server) cmdRole(*lineserver.Request) string {\n\tseededCube := s.cube\n\t_ = seededCube\n\treturn s.roleLine()\n}",
+			"func (s *Server) cmdRole(*lineserver.Request) string { return s.roleLine() }",
+			"func (s *Server) cmdRole(*lineserver.Request) string {\n\tseededCube := s.cube\n\t_ = seededCube\n\treturn s.roleLine()\n}",
 			"seededCube := s.cube"},
 		{"deferunlock", server,
-			"func (s *server) cmdCheckpoint(*lineserver.Request) string { return s.checkpointNow() }",
-			"func (s *server) cmdCheckpoint(rq *lineserver.Request) string {\n\ts.mu.Lock() // seeded leak\n\tif len(rq.Fields) > 1 {\n\t\treturn \"ERR\"\n\t}\n\ts.mu.Unlock()\n\treturn s.checkpointNow()\n}",
+			"func (s *Server) cmdCheckpoint(*lineserver.Request) string { return s.checkpointNow() }",
+			"func (s *Server) cmdCheckpoint(rq *lineserver.Request) string {\n\ts.mu.Lock() // seeded leak\n\tif len(rq.Fields) > 1 {\n\t\treturn \"ERR\"\n\t}\n\ts.mu.Unlock()\n\treturn s.checkpointNow()\n}",
 			"s.mu.Lock() // seeded leak"},
 		{"lockorder", server,
-			"func (s *server) cmdVersion(*lineserver.Request) string {\n",
-			"func (s *server) cmdVersion(*lineserver.Request) string {\n\ts.hub.mu.Lock()\n\ts.mu.Lock() // seeded inversion\n\ts.mu.Unlock()\n\ts.hub.mu.Unlock()\n" +
+			"func (s *Server) cmdVersion(*lineserver.Request) string {\n",
+			"func (s *Server) cmdVersion(*lineserver.Request) string {\n\ts.hub.mu.Lock()\n\ts.mu.Lock() // seeded inversion\n\ts.mu.Unlock()\n\ts.hub.mu.Unlock()\n" +
 				"\ts.mu.Lock()\n\ts.hub.mu.Lock() // seeded order\n\ts.hub.mu.Unlock()\n\ts.mu.Unlock()\n",
 			"s.mu.Lock() // seeded inversion"},
 		{"appendbeforeapply", server,

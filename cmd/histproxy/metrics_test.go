@@ -8,21 +8,20 @@ import (
 	"os"
 	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
+	"histcube/internal/fleettest"
+	"histcube/internal/histproxy"
 	"histcube/internal/lineserver"
-	"histcube/internal/shard"
-	"histcube/internal/shardclient"
 )
 
 // TestProxyRequestSeconds: histproxy_request_seconds has one series per
 // command-table label, and a served window is counted in it line by line.
 func TestProxyRequestSeconds(t *testing.T) {
-	spec, _ := threeShards(t)
+	spec, _ := threeMembers(t)
 	addr, p := startProxy(t, spec)
-	got := sendAll(t, dial(t, addr), "INS 10 1 1 5\nQRY 0 300 0 0 7 7\nINS 150 1 1 2\n", 3)
+	got := fleettest.Dial(t, addr).SendAll(t, "INS 10 1 1 5\nQRY 0 300 0 0 7 7\nINS 150 1 1 2\n", 3)
 	if strings.Join(got, "|") != "OK|5|OK" {
 		t.Fatalf("replies = %q", got)
 	}
@@ -43,39 +42,17 @@ func TestProxyRequestSeconds(t *testing.T) {
 	}
 }
 
-// metricValue reads one series off p's registry, as /metrics renders
-// it (cmd/histserve's twin).
-func metricValue(t *testing.T, p *proxy, series string) int64 {
-	t.Helper()
-	var b strings.Builder
-	if err := p.Reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(b.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, series+" "); ok {
-			n, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return int64(n)
-		}
-	}
-	t.Fatalf("/metrics has no series %s", series)
-	return 0
-}
-
 // TestReadmeNamesOnlyRealMetrics renders the proxy's /metrics with
 // -fault-spec armed and the runtime collector sampled once, and requires
 // README to name exactly the histproxy_* families it registers.
 func TestReadmeNamesOnlyRealMetrics(t *testing.T) {
 	spec, _ := threeShards(t)
-	smap, err := shard.Parse(spec)
+	// Configured as main configures it, before Start starts the loop.
+	p, err := histproxy.New(testConfig(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Configured as main configures it, before markReady starts the loop.
-	p := newProxy(smap, 2, 0, testProbeEvery, shardclient.Options{})
-	t.Cleanup(p.close)
+	t.Cleanup(p.Close)
 	fs := flag.NewFlagSet("histproxy", flag.ContinueOnError)
 	shared := lineserver.RegisterFlags(fs, "127.0.0.1:0")
 	if err := fs.Parse([]string{"-fault-spec", "proxy.dial:err@1000000", "-runtime-metrics-every", "1h"}); err != nil {

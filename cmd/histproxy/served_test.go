@@ -10,8 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"histcube/internal/shard"
-	"histcube/internal/shardclient"
+	"histcube/internal/histproxy"
 	"histcube/internal/trace"
 )
 
@@ -72,19 +71,19 @@ func TestProxiedWindowAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on its own")
 	}
-	smap, err := shard.Parse(fmt.Sprintf("%s=0-99,%s|%s=100-", startEchoShard(t), startEchoShard(t), startEchoShard(t)))
+	// The member-state loop runs its first round in Start, which turns
+	// B's follower reads on, and ticks hourly, so no later round allocates
+	// inside the count.
+	p, err := histproxy.New(histproxy.Config{Dims: "8,8", Shards: fmt.Sprintf("%s=0-99,%s|%s=100-", startEchoShard(t), startEchoShard(t), startEchoShard(t)),
+		HedgeAfter: 30 * time.Millisecond, ProbeEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The member-state loop runs its first round in markReady, which turns
-	// B's follower reads on, and ticks hourly, so no later round allocates
-	// inside the count.
-	p := newProxy(smap, 2, 30*time.Millisecond, time.Hour, shardclient.Options{})
 	p.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	p.Slow = trace.NewSlowLog(32, time.Hour)
 	p.ReqTimeout, p.ReadTimeout = 10*time.Second, 5*time.Minute
-	t.Cleanup(p.close)
-	p.markReady()
+	t.Cleanup(p.Close)
+	p.Start()
 	conn, err := net.Dial("tcp", serveProxy(t, p))
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"histcube/internal/histserve"
 )
 
 // servedQueryLimit is what one served QRY may allocate: the parse, the
@@ -22,7 +24,7 @@ const (
 // convergedServer is a warm 64x64 -ooo cube with the binary's default
 // -request-timeout, and a historic QRY over it already answered once,
 // so every cell that query reads is PS.
-func convergedServer(tb testing.TB) (*server, string) {
+func convergedServer(tb testing.TB) (*histserve.Server, string) {
 	tb.Helper()
 	srv := newQuietServer(tb, "64,64", "sum", true)
 	srv.ReqTimeout = 10 * time.Second

@@ -9,13 +9,22 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
-	"histcube/internal/trace"
+	"histcube/internal/histserve"
 )
 
-func newQuietServer(t testing.TB, dims, op string, ooo bool) *server {
+// quietConfig is the histserve.Config of -dims dims -op op [-ooo], the other
+// flags at their defaults.
+func quietConfig(dims, op string, ooo bool) histserve.Config {
+	return histserve.Config{Dims: dims, Op: op, OOO: ooo, Fsync: "always", CheckpointEvery: 10000,
+		DegradedProbeEvery: 2 * time.Second, ReplAckTimeout: 2 * time.Second}
+}
+
+// quietServer builds a server from cfg, its log discarded.
+func quietServer(t testing.TB, cfg histserve.Config) *histserve.Server {
 	t.Helper()
-	srv, err := newServer(dims, op, ooo)
+	srv, err := histserve.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,14 +32,15 @@ func newQuietServer(t testing.TB, dims, op string, ooo bool) *server {
 	return srv
 }
 
-// safeDispatch runs one request the way the connection loop does at
-// depth 1 — a unit of one, executed and settled — the returned text is
-// what would be written to the socket.
-func (s *server) safeDispatch(tid trace.ID, line string) (resp string, quit bool) {
-	return s.Do(tid, line)
+// newQuietServer builds a server with the given -dims, -op and -ooo, the
+// other flags at their defaults, its log discarded (internal/histserve's
+// tests have its twin).
+func newQuietServer(t testing.TB, dims, op string, ooo bool) *histserve.Server {
+	t.Helper()
+	return quietServer(t, quietConfig(dims, op, ooo))
 }
 
-func serveOn(t *testing.T, srv *server) (addr string) {
+func serveOn(t *testing.T, srv *histserve.Server) (addr string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -140,7 +150,7 @@ func TestProtocolErrors(t *testing.T) {
 	}
 	// The empty-command branch is unreachable over the wire (handle
 	// skips blank lines), so hit dispatch directly.
-	if got, _ := srv.safeDispatch(0, "   "); !strings.HasPrefix(got, "ERR") {
+	if got, _ := srv.Do(0, "   "); !strings.HasPrefix(got, "ERR") {
 		t.Errorf("blank dispatch -> %q, want ERR", got)
 	}
 	// Every ERR above must be visible in the error counters.
@@ -187,12 +197,30 @@ func TestOutOfOrderBuffered(t *testing.T) {
 	}
 }
 
+// TestNewServerValidation: New refuses every flag combination main used
+// to refuse itself, naming the flag.
 func TestNewServerValidation(t *testing.T) {
-	if _, err := newServer("a,b", "sum", false); err == nil {
-		t.Error("bad dims accepted")
+	ok := histserve.Config{Dims: "4,4", Op: "sum", Fsync: "always", DegradedProbeEvery: time.Second}
+	for _, tc := range []struct {
+		change func(*histserve.Config)
+		want   string
+	}{
+		{func(c *histserve.Config) { c.Dims = "a,b" }, "bad dimension"},
+		{func(c *histserve.Config) { c.Op = "median" }, "unknown operator"},
+		{func(c *histserve.Config) { c.DegradedProbeEvery = 0 }, "-degraded-probe-every must be > 0"},
+		{func(c *histserve.Config) { c.Load, c.DataDir = "snap", "dir" }, "-load and -data-dir are mutually exclusive"},
+		{func(c *histserve.Config) { c.Follow = "127.0.0.1:1" }, "-follow requires -data-dir"},
+		{func(c *histserve.Config) { c.DataDir, c.Fsync = "dir", "sometimes" }, "bad -fsync"},
+		{func(c *histserve.Config) { c.SealThrough = "yesterday" }, "bad -seal-through"},
+	} {
+		cfg := ok
+		tc.change(&cfg)
+		if _, err := histserve.New(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("histserve.New(%+v) = %v, want an error naming %q", cfg, err, tc.want)
+		}
 	}
-	if _, err := newServer("4,4", "median", false); err == nil {
-		t.Error("bad operator accepted")
+	if _, err := histserve.New(ok); err != nil {
+		t.Fatalf("histserve.New(%+v) = %v", ok, err)
 	}
 }
 
@@ -210,20 +238,23 @@ func TestSaveAndResume(t *testing.T) {
 		t.Fatal("SAVE without path accepted")
 	}
 
-	// Resume a fresh server from the snapshot.
-	srv2 := newQuietServer(t, "8,8", "sum", false)
-	if err := srv2.loadSnapshot(path); err != nil {
+	// Resume a fresh server from the snapshot, as -load does.
+	cfg := quietConfig("8,8", "sum", false)
+	cfg.Load = path
+	srv2 := quietServer(t, cfg)
+	if err := srv2.Start(); err != nil {
 		t.Fatal(err)
 	}
-	resp, _ := srv2.safeDispatch(0, "QRY 0 5 0 0 7 7")
+	resp, _ := srv2.Do(0, "QRY 0 5 0 0 7 7")
 	if resp != "15" {
 		t.Fatalf("resumed QRY -> %q, want 15", resp)
 	}
-	resp, _ = srv2.safeDispatch(0, "INS 3 2 3 1")
+	resp, _ = srv2.Do(0, "INS 3 2 3 1")
 	if resp != "OK" {
 		t.Fatalf("resumed INS -> %q", resp)
 	}
-	if err := srv2.loadSnapshot(dir + "/missing.gob"); err == nil {
+	cfg.Load = dir + "/missing.gob"
+	if err := quietServer(t, cfg).Start(); err == nil {
 		t.Error("loading missing snapshot succeeded")
 	}
 }
@@ -350,5 +381,41 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	if got := c.cmd(t, "QUIT"); got != "BYE" {
 		t.Fatalf("QUIT -> %q", got)
+	}
+}
+
+func TestCheckpointCommandWithoutDataDir(t *testing.T) {
+	srv := newQuietServer(t, "8,8", "sum", false)
+	c := dial(t, serveOn(t, srv))
+	resp := c.cmd(t, "CHECKPOINT")
+	if !strings.HasPrefix(resp, "ERR") || !strings.Contains(resp, "-data-dir") {
+		t.Fatalf("CHECKPOINT without data dir: %q", resp)
+	}
+}
+
+func TestOverlongLineAfterPipelinedReplies(t *testing.T) {
+	srv := newQuietServer(t, "8,8", "sum", false)
+	srv.MaxLineLen = 256
+	c := dial(t, serveOn(t, srv))
+	if err := c.conn.SetDeadline(time.Now().Add(20 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	batch := "INS 1 1 1 1\nQRY 0 5 0 0 7 7\nINS " + strings.Repeat("9", 512) + "\nQRY 0 5 0 0 7 7\n"
+	if _, err := io.WriteString(c.conn, batch); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, 3)
+	for i := range got {
+		l, err := c.r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("after %d of 3 reply lines: %v", i, err)
+		}
+		got[i] = strings.TrimRight(l, "\n")
+	}
+	if got[0] != "OK" || got[1] != "1" || !strings.HasPrefix(got[2], "ERR line too long") {
+		t.Fatalf("replies = %q, want OK, 1, ERR line too long", got)
+	}
+	if l, err := c.r.ReadString('\n'); err == nil {
+		t.Fatalf("connection survived an overlong line and answered %q", l)
 	}
 }

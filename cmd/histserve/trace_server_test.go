@@ -341,7 +341,7 @@ func TestExplainErrors(t *testing.T) {
 }
 
 // TestReadyzGatesOnRecovery pins the readiness contract: /healthz is
-// alive from the start, /readyz answers 503 until markReady.
+// alive from the start, /readyz answers 503 until Start has recovered.
 func TestReadyzGatesOnRecovery(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
 	mln, err := srv.ServeMetrics("127.0.0.1:0")
@@ -367,7 +367,9 @@ func TestReadyzGatesOnRecovery(t *testing.T) {
 	if got := status("/readyz"); got != http.StatusServiceUnavailable {
 		t.Errorf("/readyz before ready -> %d, want 503", got)
 	}
-	srv.markReady()
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
 	if got := status("/readyz"); got != http.StatusOK {
 		t.Errorf("/readyz after ready -> %d, want 200", got)
 	}

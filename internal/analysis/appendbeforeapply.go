@@ -15,10 +15,10 @@ import (
 //     the cube's one mutation path.
 //  2. log confinement: only internal/wal (Log.Apply, and recovery
 //     replaying what the log already holds) and core itself call
-//     core.Cube.ApplyOp, and cmd/histserve calls no core.Cube mutator
-//     at all, so every op the served binary applies is logged first.
+//     core.Cube.ApplyOp, and internal/histserve calls no core.Cube
+//     mutator at all, so every op the server applies is logged first.
 //
-// Together with importfence's row that keeps cmd/histserve off
+// Together with importfence's row that keeps internal/histserve off
 // internal/appendcube altogether, these make the paper's Section 2.2
 // append-only contract — "updates only affect the latest instance",
 // historic slices immutable — a property the build enforces rather
@@ -36,7 +36,7 @@ func runAppendBeforeApply(pass *Pass) error {
 	pkgPath := pass.Pkg.Path()
 	inCore := PathHasSuffix(pkgPath, "internal/core")
 	inWal := PathHasSuffix(pkgPath, "internal/wal")
-	inServer := PathHasSuffix(pkgPath, "cmd/histserve")
+	inServer := PathHasSuffix(pkgPath, "internal/histserve")
 
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -65,7 +65,7 @@ func runAppendBeforeApply(pass *Pass) error {
 						"core.Cube.ApplyOp bypasses the log; only internal/wal (Log.Apply and recovery replay) may apply ops")
 				case inServer:
 					pass.Reportf(call.Pos(),
-						"cmd/histserve calls core.Cube.%s: served mutations go through wal.Log.Apply, which logs them before the cube applies them", fn.Name())
+						"internal/histserve calls core.Cube.%s: served mutations go through wal.Log.Apply, which logs them before the cube applies them", fn.Name())
 				}
 				return true
 			})

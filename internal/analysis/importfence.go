@@ -9,7 +9,7 @@ import (
 // fences table is the whole policy.
 var ImportFence = &Analyzer{
 	Name: "importfence",
-	Doc:  "internal/paper is imported only by the reproduction code, internal/appendcube never by cmd/histserve",
+	Doc:  "internal/paper is imported only by the reproduction code, internal/appendcube never by internal/histserve",
 	Run:  runImportFence,
 }
 
@@ -35,7 +35,7 @@ var fences = []struct {
 		// Log-then-apply (wal.Log.Apply) ends in the core facade's
 		// ApplyOp.
 		target: "internal/appendcube",
-		from:   []string{"cmd/histserve"},
+		from:   []string{"internal/histserve"},
 		why:    "histserve must mutate through the core facade (wal.Log.Apply), not internal/appendcube directly",
 	},
 }

@@ -22,9 +22,9 @@ func TestLoaderModuleResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		"example.com/appendbeforeapply/cmd/histserve",
 		"example.com/appendbeforeapply/internal/appendcube",
 		"example.com/appendbeforeapply/internal/core",
+		"example.com/appendbeforeapply/internal/histserve",
 		"example.com/appendbeforeapply/internal/wal",
 	}
 	if len(pkgs) != len(want) {

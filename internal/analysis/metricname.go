@@ -24,7 +24,7 @@ import (
 //
 // The same contract covers trace span names (trace.New and
 // Span.StartChild): constant dotted snake_case under the histcube.,
-// histserve. or proxy. prefix (proxy. is cmd/histproxy's namespace —
+// histserve. or proxy. prefix (proxy. is internal/histproxy's namespace —
 // proxy.query roots with one proxy.leg child per fan-out), so EXPLAIN
 // output and slow-query log entries stay grep-able against the
 // source. Spans carry no duplicate-site check — unlike a metric

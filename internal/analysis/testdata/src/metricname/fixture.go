@@ -46,7 +46,7 @@ func registerPerf(reg *obs.Registry, names []string) {
 
 func count2() float64 { return 0 }
 
-// registerProxy covers the histproxy_ prefix (cmd/histproxy's metric
+// registerProxy covers the histproxy_ prefix (internal/histproxy's metric
 // namespace, published by perf.RegisterProxy and the proxy's own
 // counters): well-formed histproxy_ names pass, near-misses on the
 // prefix or case fail like any other name.
@@ -98,7 +98,7 @@ func spans(dynamic string) {
 	root.StartChild("other.prefix.spoken") // want `violates the naming contract`
 }
 
-// proxySpans covers cmd/histproxy's span namespace: proxy.query roots
+// proxySpans covers internal/histproxy's span namespace: proxy.query roots
 // with one proxy.leg child per shard fan-out. "proxy" alone is a span
 // prefix, not a metric prefix — histproxy. is NOT a valid span prefix
 // (the namespaces are deliberately distinct so a grep for proxy. finds

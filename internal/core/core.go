@@ -253,16 +253,26 @@ func (c *Cube) Query(r Range) (float64, error) {
 // and abandons the query with ctx's error. A bare context costs one
 // branch.
 func (c *Cube) QueryCtx(ctx context.Context, r Range) (float64, error) {
-	q := trace.FromContext(ctx).StartChild("histcube.query")
-	defer q.End()
-	q.SetInt("time_lo", r.TimeLo)
-	q.SetInt("time_hi", r.TimeHi)
-	v, err := c.partial(ctx, q, r)
+	v, err := c.QueryPairCtx(ctx, r)
 	if err != nil {
 		return 0, err
 	}
 	return agg.Finalize(c.cfg.Operator, v), nil
 }
+
+// QueryPairCtx is QueryCtx without the final step: the (sum, count)
+// pair the operator finalises. Pairs of disjoint ranges merge by
+// addition for every operator; AVERAGE's answers do not.
+func (c *Cube) QueryPairCtx(ctx context.Context, r Range) (agg.Value, error) {
+	q := trace.FromContext(ctx).StartChild("histcube.query")
+	defer q.End()
+	q.SetInt("time_lo", r.TimeLo)
+	q.SetInt("time_hi", r.TimeHi)
+	return c.partial(ctx, q, r)
+}
+
+// Operator returns the cube's aggregate operator.
+func (c *Cube) Operator() agg.Operator { return c.cfg.Operator }
 
 func (c *Cube) partial(ctx context.Context, sp *trace.Span, r Range) (agg.Value, error) {
 	box := dims.Box{Lo: r.Lo, Hi: r.Hi}

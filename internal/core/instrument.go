@@ -8,7 +8,7 @@ import (
 // cumulative cost counters on reg, reading them from snapshot at
 // scrape time. snapshot must be safe to call from the scrape
 // goroutine — callers that mutate the cube concurrently pass a closure
-// taking the same lock that guards the cube (see cmd/histserve). Going
+// taking the same lock that guards the cube (see internal/histserve). Going
 // through a snapshot function rather than a captured *Cube also keeps
 // the metrics correct when the caller swaps cubes on snapshot resume.
 //

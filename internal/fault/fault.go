@@ -148,7 +148,7 @@ func Parse(spec string, seed int64) (*Injector, error) {
 // MustParse is Parse for tests and fixed literals; it panics on a bad
 // spec.
 //
-//histlint:ignore deadexport test seam: fault specs in the tests of cmd/histserve, cmd/histproxy, internal/wal, internal/shardclient and internal/fault
+//histlint:ignore deadexport test seam: fault specs in the tests of internal/histserve, internal/histproxy, internal/wal, internal/shardclient and internal/fault
 func MustParse(spec string, seed int64) *Injector {
 	inj, err := Parse(spec, seed)
 	if err != nil {
@@ -310,7 +310,7 @@ func (i *Injector) Check(site string) Outcome {
 // further faults fire. The chaos suite uses it to clear a persistent
 // fault and watch the server's auto-recovery probe succeed.
 //
-//histlint:ignore deadexport test seam: cmd/histserve chaos_test.go and internal/wal fault_test.go clear a persistent fault to watch recovery
+//histlint:ignore deadexport test seam: internal/histserve chaos_test.go and internal/wal fault_test.go clear a persistent fault to watch recovery
 func (i *Injector) Heal() {
 	i.mu.Lock()
 	defer i.mu.Unlock()

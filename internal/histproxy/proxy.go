@@ -1,11 +1,10 @@
-// Command histproxy is the scatter-gather router in front of a
+// Package histproxy is the scatter-gather router in front of a
 // time-range-sharded histserve fleet. It speaks the same line protocol
 // on both sides — unmodified clients connect to it exactly as they
 // would to a single histserve, and it talks plain histserve protocol
 // to every shard — so sharding is a deployment decision, not a client
-// change.
-//
-// Usage:
+// change. The command cmd/histproxy parses its flags into a Config and
+// runs it:
 //
 //	histproxy -addr :7071 -dims 16,16 \
 //	    -shards "h1:7072=0-999,h2:7073=1000-1999,hot:7074=2000-" \
@@ -30,7 +29,9 @@
 //	QRY      one leg per overlapped shard, the time range clamped to the
 //	         shard's (Route); partial sums merged by addition. All legs
 //	         answered -> the plain number, bit-identical to a single
-//	         cube holding all the data.
+//	         cube holding all the data. In an AVG fleet each leg asks for
+//	         its (sum, count) pair ("PAIR QRY ..."), and Merge adds the
+//	         pairs and divides once: averages do not add.
 //	EXPLAIN  a unit of one whose legs go out as EXPLAIN JSON QRY; each
 //	         shard ships its whole span tree back as one JSON document
 //	         and the proxy grafts it under the matching proxy.leg span,
@@ -105,6 +106,9 @@
 // that is already primary, or promotes the most-caught-up replica with
 // PROMOTE <fence>, the highest applied LSN observed across the set, so a
 // lagging replica can never be promoted over acked writes it missed.
+// Every ROLE also names the member's operator (op=): the first one heard
+// becomes the fleet's, and a shard whose primary names another answers
+// its queries ERR, while a follower that does keeps follower reads off.
 // With semi-sync primaries (histserve -repl-min-acks 1) every acked
 // write is on a replica before its OK, so promotion loses none.
 //
@@ -135,16 +139,13 @@
 // loop's first round, /debug/slowlog, /debug/trace/recent,
 // /debug/pprof/*). Its own are the histproxy_* partial/failover/leg
 // counters, the per-shard health gauges and the command table below.
-package main
+package histproxy
 
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
-	"log/slog"
 	"net"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -159,12 +160,14 @@ import (
 	"histcube/internal/trace"
 )
 
-type proxy struct {
+// Proxy is one histproxy instance.
+type Proxy struct {
 	// Server is the serving core (internal/lineserver): connection loop,
 	// governance, panic barrier, accounting, trace retention and the
 	// metrics listener.
 	lineserver.Server
 
+	cfg    Config
 	smap   *shard.Map
 	shards []shard.Shard        // smap.Shards(), copied once: the request path indexes it
 	groups []*shardclient.Group // parallel to shards; one replica-set client per shard
@@ -172,13 +175,19 @@ type proxy struct {
 
 	meta perf.RunMeta
 
-	// The member-state loop (watch; loop counts it) closes polled after
-	// its first round, wakes on nudge and ends when quit closes.
-	// suspect[i]: a mutation batch to shard i's primary failed (see track).
-	every               time.Duration
+	// The member-state loop (watch; loop counts it) ticks every
+	// cfg.ProbeEvery, closes polled after its first round, wakes on nudge
+	// and ends when quit closes. suspect[i]: a mutation batch to shard
+	// i's primary failed (see track).
 	polled, quit, nudge chan struct{}
 	loop                sync.WaitGroup
 	suspect             []atomic.Bool
+
+	// op is the fleet's operator: the first a primary's ROLE names, in
+	// map order (nil until then). wrongOp[i] is the operator shard i's
+	// primary names instead, nil while it agrees. See track.
+	op      atomic.Pointer[string]
+	wrongOp []atomic.Pointer[string]
 
 	partials    *obs.Counter
 	failovers   *obs.Counter
@@ -186,82 +195,60 @@ type proxy struct {
 	legFailures *obs.Counter
 }
 
-func main() {
-	var (
-		shared   = lineserver.RegisterFlags(flag.CommandLine, ":7071")
-		dimsList = flag.String("dims", "", "comma-separated dimension sizes, as passed to the shards (only the count matters to the proxy)")
-		shards   = flag.String("shards", "", "shard map: addr=lo-hi,...,addr=lo- (contiguous inclusive time ranges; the last is the open-ended hot shard)")
-		legTO    = flag.Duration("shard-timeout", 2*time.Second, "per-shard round-trip deadline inside a fan-out; keep well under -request-timeout so one dead shard degrades the answer instead of timing the request out")
-		poolSize = flag.Int("pool-size", 4, "pooled connections kept per shard")
-		brkN     = flag.Int("breaker-threshold", 3, "consecutive transport failures that open a shard's circuit breaker")
-		probeIv  = flag.Duration("probe-every", 500*time.Millisecond, "member-state interval: every tick one ROLE to every shard member closes the breakers of members that answer, fails over a down primary and decides whether followers serve reads; must be > 0")
-		hedgeIv  = flag.Duration("hedge-after", 30*time.Millisecond, "duplicate a read to the next replica-set member after this long without an answer (single-member shards never hedge); 0 disables hedging")
-		sealHist = flag.Bool("seal-historic", false, "at startup, demote every closed-range shard with SEAL <hi> so misrouted mutations cannot land in owned history")
-	)
-	flag.Parse()
-
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	if *shards == "" {
-		logger.Error("missing -shards: the proxy needs a shard map (addr=lo-hi,...,addr=lo-)")
-		os.Exit(2)
-	}
-	if *dimsList == "" {
-		logger.Error("missing -dims: the proxy needs the shard fleet's dimension sizes")
-		os.Exit(2)
-	}
-	dims := len(strings.Split(*dimsList, ","))
-	smap, err := shard.Parse(*shards)
-	if err != nil {
-		logger.Error("bad -shards map", "err", err)
-		os.Exit(2)
-	}
-	if *probeIv <= 0 {
-		logger.Error("-probe-every must be > 0: the member-state loop is how members rejoin and fail over", "value", *probeIv)
-		os.Exit(2)
-	}
-	copts := shardclient.Options{
-		PoolSize:         *poolSize,
-		OpTimeout:        *legTO,
-		BreakerThreshold: *brkN,
-	}
-	p := newProxy(smap, dims, *hedgeIv, *probeIv, copts)
-	stop, err := shared.Apply(&p.Server, logger)
-	if err != nil {
-		os.Exit(1)
-	}
-	defer stop()
-	if *sealHist {
-		go p.sealHistoric()
-	}
-	p.markReady()
-
-	if err := p.Run(*shared.Addr, "shards", smap.String(), "dims", dims); err != nil {
-		os.Exit(1)
-	}
-	p.close()
-	logger.Info("shutdown complete")
+// Config is histproxy's command line: one field per flag of
+// cmd/histproxy beyond the serving core's shared ones (lineserver.Flags),
+// each holding that flag's value.
+type Config struct {
+	Dims             string        // -dims: the fleet's dimension sizes (only the count matters)
+	Shards           string        // -shards: the shard map, addr=lo-hi,...,addr=lo-
+	ShardTimeout     time.Duration // -shard-timeout: per-shard round-trip deadline inside a fan-out
+	PoolSize         int           // -pool-size: pooled connections kept per shard
+	BreakerThreshold int           // -breaker-threshold: transport failures that open a breaker
+	ProbeEvery       time.Duration // -probe-every: the member-state loop's interval
+	HedgeAfter       time.Duration // -hedge-after: when a read is duplicated; 0 disables hedging
+	SealHistoric     bool          // -seal-historic: SEAL every closed-range shard at Start
 }
 
-// newProxy builds the proxy; markReady starts its member-state loop.
-func newProxy(smap *shard.Map, dims int, hedgeAfter, probeEvery time.Duration, copts shardclient.Options) *proxy {
-	p := &proxy{
+// New validates cfg and builds the proxy it describes; Start runs its
+// member-state loop's first round. Every error is a bad or missing flag.
+func New(cfg Config) (*Proxy, error) {
+	if cfg.Shards == "" {
+		return nil, errors.New("missing -shards: the proxy needs a shard map (addr=lo-hi,...,addr=lo-)")
+	}
+	if cfg.Dims == "" {
+		return nil, errors.New("missing -dims: the proxy needs the shard fleet's dimension sizes")
+	}
+	smap, err := shard.Parse(cfg.Shards)
+	if err != nil {
+		return nil, fmt.Errorf("bad -shards map: %w", err)
+	}
+	if cfg.ProbeEvery <= 0 {
+		return nil, fmt.Errorf("-probe-every must be > 0, got %v: the member-state loop is how members rejoin and fail over", cfg.ProbeEvery)
+	}
+	p := &Proxy{
+		cfg:    cfg,
 		smap:   smap,
 		shards: smap.Shards(),
-		dims:   dims,
+		dims:   len(strings.Split(cfg.Dims, ",")),
 		meta:   perf.CollectMeta("histproxy"),
-		every:  probeEvery,
 		polled: make(chan struct{}),
 		quit:   make(chan struct{}),
 		nudge:  make(chan struct{}, 1),
 	}
 	// The shard-facing fault sites. p.Inj is nil, and both hooks inert,
 	// unless -fault-spec (or a test) arms it before the first dial.
-	copts.DialFault = func() error { return p.Inj.Check("proxy.dial").Err }
-	copts.WrapConn = func(c net.Conn) net.Conn { return p.Inj.WrapConn("proxy.conn", c) }
+	copts := shardclient.Options{
+		PoolSize:         cfg.PoolSize,
+		OpTimeout:        cfg.ShardTimeout,
+		BreakerThreshold: cfg.BreakerThreshold,
+		DialFault:        func() error { return p.Inj.Check("proxy.dial").Err },
+		WrapConn:         func(c net.Conn) net.Conn { return p.Inj.WrapConn("proxy.conn", c) },
+	}
 	for _, s := range p.shards {
-		p.groups = append(p.groups, shardclient.NewGroup(s.Members(), hedgeAfter, copts))
+		p.groups = append(p.groups, shardclient.NewGroup(s.Members(), cfg.HedgeAfter, copts))
 	}
 	p.suspect = make([]atomic.Bool, len(p.groups))
+	p.wrongOp = make([]atomic.Pointer[string], len(p.groups))
 	p.Ready = func() (bool, string) {
 		select {
 		case <-p.polled:
@@ -308,19 +295,30 @@ func newProxy(smap *shard.Map, dims int, hedgeAfter, probeEvery time.Duration, c
 			func() float64 { return float64(g.Hedged()) },
 			obs.Label{Key: "shard", Value: s.Addr})
 	}
-	return p
+	return p, nil
 }
 
-// markReady starts the member-state loop, the serving core being
-// configured, and returns after its first round: /readyz waits for it.
-func (p *proxy) markReady() {
+// Start runs the proxy once the serving core is configured
+// (lineserver.Flags.Apply): it starts -seal-historic's sealing and the
+// member-state loop, and returns after the loop's first round, which
+// /readyz waits for.
+func (p *Proxy) Start() {
+	if p.cfg.SealHistoric {
+		go p.sealHistoric()
+	}
 	p.loop.Add(1)
 	go p.watch()
 	<-p.polled
 }
 
-// close stops the member-state loop, if started, and the clients.
-func (p *proxy) close() {
+// Run serves addr until SIGINT or SIGTERM (lineserver.Server.Run), its
+// listening line naming the shard map; the caller runs Close after it.
+func (p *Proxy) Run(addr string) error {
+	return p.Server.Run(addr, "shards", p.smap.String(), "dims", p.dims)
+}
+
+// Close stops the member-state loop, if started, and the clients.
+func (p *Proxy) Close() {
 	close(p.quit)
 	p.loop.Wait()
 	for _, g := range p.groups {
@@ -334,7 +332,7 @@ func (p *proxy) close() {
 // — a promoted replica must inherit the demotion. Best-effort at
 // startup: a member that is down right now logs a warning and stays
 // unsealed until an operator (or a restart) seals it.
-func (p *proxy) sealHistoric() {
+func (p *Proxy) sealHistoric() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for i, s := range p.shards {
@@ -356,9 +354,9 @@ func (p *proxy) sealHistoric() {
 // watch is the member-state loop, the only sender of ROLE, SetPrimary
 // and PROMOTE. It runs a round at once, then every tick, or sooner when
 // receive nudges it.
-func (p *proxy) watch() {
+func (p *Proxy) watch() {
 	defer p.loop.Done()
-	tick := time.NewTicker(p.every)
+	tick := time.NewTicker(p.cfg.ProbeEvery)
 	defer tick.Stop()
 	p.pollMembers()
 	close(p.polled)
@@ -377,8 +375,8 @@ func (p *proxy) watch() {
 // every group, concurrently — an answer closes the member's breaker, the
 // rejoin — then track applies each group's replies. A member that hangs
 // fails its probe at the interval and delays no one's rejoin longer.
-func (p *proxy) pollMembers() {
-	ctx, cancel := context.WithTimeout(context.Background(), p.every)
+func (p *Proxy) pollMembers() {
+	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.ProbeEvery)
 	defer cancel()
 	roles := make([][]roleInfo, len(p.groups))
 	suspect := make([]bool, len(p.groups))
@@ -408,6 +406,14 @@ func (p *proxy) pollMembers() {
 	}
 }
 
+// fleetOp is the adopted operator, "" while none is.
+func (p *Proxy) fleetOp() string {
+	if op := p.op.Load(); op != nil {
+		return *op
+	}
+	return ""
+}
+
 // roleInfo is one member's parsed ROLE reply.
 type roleInfo struct {
 	ok      bool
@@ -415,6 +421,7 @@ type roleInfo struct {
 	lsn     uint64 // applied_lsn (replica) or last_lsn (primary)
 	minAcks int    // a primary's min_acks
 	syncing bool   // a replica that has not yet caught up (synced=0)
+	op      string // the member's operator (sum, count, avg)
 }
 
 // parseRole decodes a histserve ROLE reply ("OK role=... k=v ...").
@@ -440,6 +447,8 @@ func parseRole(resp string) roleInfo {
 			info.minAcks, _ = strconv.Atoi(v) // unreadable is 0: no follower reads
 		case "synced":
 			info.syncing = v == "0"
+		case "op":
+			info.op = v
 		}
 	}
 	return info
@@ -447,16 +456,19 @@ func parseRole(resp string) roleInfo {
 
 // track applies one round of ROLE replies to shard i. The round sets the
 // read rule: followers serve reads only while the current primary's
-// min_acks covers every follower the map names and no follower answered
+// min_acks covers every follower the map names, no follower answered
 // synced=0 (one still catching up would serve answers missing acked
-// writes); a dead primary keeps the last value (no write is acked
-// meanwhile). A primary whose breaker is open, that answers as a
+// writes) and none named another operator than the fleet's; a dead
+// primary keeps the last value (no write is acked meanwhile). The first
+// operator a primary names becomes the fleet's, for good; a primary that
+// names another keeps the shard's legs out, as their answers would not
+// merge with the others'. A primary whose breaker is open, that answers as a
 // replica, or that is suspect and missed its ROLE, is replaced: adopt a
 // member already calling itself primary (promoted by an operator or an
 // earlier round), else promote the most-caught-up replica, fenced at the
 // highest applied LSN observed across the set — a lagging replica can
 // never be promoted over acked writes it missed.
-func (p *proxy) track(i int, infos []roleInfo, suspect bool) {
+func (p *Proxy) track(i int, infos []roleInfo, suspect bool) {
 	g, members := p.groups[i], p.shards[i].Members()
 	next := g.PrimaryIndex()
 	if cur := infos[next]; !cur.primary {
@@ -467,16 +479,25 @@ func (p *proxy) track(i int, infos []roleInfo, suspect bool) {
 			return
 		}
 	}
+	if op := infos[next].op; op != "" && p.op.CompareAndSwap(nil, &op) {
+		p.Log.Info("fleet operator adopted", "op", op)
+	}
+	op := p.fleetOp()
+	if other := infos[next].op; other != op {
+		p.wrongOp[i].Store(&other)
+	} else {
+		p.wrongOp[i].Store(nil)
+	}
 	reads := infos[next].minAcks >= g.Len()-1
 	for _, inf := range infos {
-		reads = reads && !inf.syncing
+		reads = reads && !inf.syncing && (!inf.ok || inf.op == op)
 	}
 	g.SetFollowerReads(reads)
 }
 
 // failover re-points g's writes (see track) and returns the new
 // primary's index, its entry in infos set from its own ROLE line, or -1.
-func (p *proxy) failover(g *shardclient.Group, members []string, infos []roleInfo) int {
+func (p *Proxy) failover(g *shardclient.Group, members []string, infos []roleInfo) int {
 	best := -1
 	var fence uint64
 	for j, inf := range infos {
@@ -505,7 +526,7 @@ func (p *proxy) failover(g *shardclient.Group, members []string, infos []roleInf
 	return best
 }
 
-func (p *proxy) shardsUp() int {
+func (p *Proxy) shardsUp() int {
 	up := 0
 	for _, g := range p.groups {
 		if g.Healthy() {
@@ -527,7 +548,7 @@ func (p *proxy) shardsUp() int {
 // connection, as on histserve. EXPLAIN leaves the same pending request
 // as QRY and ends its unit: a rendered trace is not worth holding
 // neighbours' replies for.
-func (p *proxy) commands() []lineserver.Command {
+func (p *Proxy) commands() []lineserver.Command {
 	mut := 1 + p.dims + 1
 	refuse := func(verb string) lineserver.Command {
 		return lineserver.Command{Verb: verb, MaxArgs: -1, EndsUnit: true, Other: true, Handle: func(*lineserver.Request) string {
@@ -560,7 +581,7 @@ func (p *proxy) commands() []lineserver.Command {
 }
 
 // cmdShards answers SHARDS: the shard map with live health.
-func (p *proxy) cmdShards(*lineserver.Request) string {
+func (p *Proxy) cmdShards(*lineserver.Request) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "OK n=%d up=%d\n", len(p.shards), p.shardsUp())
 	for i, s := range p.shards {
@@ -600,6 +621,7 @@ type routed struct {
 	root    *trace.Span // proxy.insert, proxy.delete or proxy.query
 	mut     bool        // INS/DEL: one send, the shard's reply relayed verbatim
 	explain bool        // EXPLAIN: legs ask for EXPLAIN JSON and graft the shard's tree
+	pair    bool        // AVG: legs ask for the (sum, count) pair (lineserver.PairPrefix)
 	sends   []send      // in map order
 }
 
@@ -612,7 +634,8 @@ type send struct {
 	span *trace.Span // times the round trip: the root of a mutation, a proxy.leg child of a query
 
 	reply  string  // mutation: what the client reads
-	value  float64 // leg: the shard's partial aggregate
+	value  float64 // leg: the shard's partial aggregate (a pair's sum)
+	count  float64 // leg: a pair's count
 	appErr string  // leg: the shard answered ERR (application error)
 	err    error   // leg: transport/timeout/breaker failure
 }
@@ -621,7 +644,7 @@ type send struct {
 // owner, and leaves the sending to settle. A line that fails here is
 // answered here and leaves the others alone, exactly as if every line
 // had arrived by itself.
-func (p *proxy) locate(rq *lineserver.Request) string {
+func (p *Proxy) locate(rq *lineserver.Request) string {
 	t, err := strconv.ParseInt(rq.Fields[1], 10, 64)
 	if err != nil {
 		return fmt.Sprintf("ERR bad integer %q", rq.Fields[1])
@@ -652,8 +675,10 @@ func (p *proxy) locate(rq *lineserver.Request) string {
 // the shards, and costs its neighbours nothing — and leaves one leg per
 // overlapped shard pending. No leg at all (the range is inverted or
 // precedes the map) is a request with nothing to send, which settle
-// answers with the operator's zero.
-func (p *proxy) scatter(rq *lineserver.Request, args []string, explain bool) string {
+// answers with the operator's zero. A leg to a shard whose primary
+// serves another operator than the fleet's fails the request here. In
+// an AVG fleet every leg asks for its pair.
+func (p *Proxy) scatter(rq *lineserver.Request, args []string, explain bool) string {
 	if len(args) != 2+2*p.dims {
 		return fmt.Sprintf("ERR QRY needs tlo, thi and %d lo + %d hi coordinates", p.dims, p.dims)
 	}
@@ -662,6 +687,11 @@ func (p *proxy) scatter(rq *lineserver.Request, args []string, explain bool) str
 		return "ERR " + err.Error()
 	}
 	legs := p.smap.Route(nums[0], nums[1])
+	for _, leg := range legs {
+		if other := p.wrongOp[leg.Index].Load(); other != nil {
+			return fmt.Sprintf("ERR shard %s serves op=%s, not the fleet's op=%s: its answers do not merge", leg.Addr, *other, p.fleetOp())
+		}
+	}
 	root := trace.New("proxy.query")
 	root.SetTraceID(rq.TID)
 	root.SetInt("legs", int64(len(legs)))
@@ -669,10 +699,14 @@ func (p *proxy) scatter(rq *lineserver.Request, args []string, explain bool) str
 	// the shard's spans join this trace; an EXPLAIN leg asks for the
 	// structured one-line reply.
 	prefix, coords := trace.FormatRequestID(root.TraceID()), strings.Join(args[2:], " ")
+	pair := p.fleetOp() == "avg"
+	if pair {
+		prefix += lineserver.PairPrefix
+	}
 	if explain {
 		prefix += "EXPLAIN JSON "
 	}
-	rt := &routed{root: root, explain: explain, sends: make([]send, len(legs))}
+	rt := &routed{root: root, explain: explain, pair: pair, sends: make([]send, len(legs))}
 	for i, leg := range legs {
 		sp := root.StartChild("proxy.leg")
 		sp.SetStr("shard", leg.Addr)
@@ -693,7 +727,7 @@ func (p *proxy) scatter(rq *lineserver.Request, args []string, explain bool) str
 // aggregate is the sum of its per-shard legs (Sec. 2.1, 2.2), so the
 // batches only have to be in flight together; within a shard the single
 // connection keeps the order.
-func (p *proxy) settle(unit []*lineserver.Request) {
+func (p *Proxy) settle(unit []*lineserver.Request) {
 	batches := make([][]*send, len(p.groups))
 	var live []int
 	for _, rq := range unit {
@@ -727,7 +761,7 @@ func (p *proxy) settle(unit []*lineserver.Request) {
 // silent drop and never a re-send (it may or may not have been applied) —
 // while a batch of legs alone goes to any healthy member, hedged and
 // failed over as a batch.
-func (p *proxy) sendBatch(ctx context.Context, idx int, batch []*send) *shardclient.Call {
+func (p *Proxy) sendBatch(ctx context.Context, idx int, batch []*send) *shardclient.Call {
 	lines, mutates := make([]string, len(batch)), false
 	for k, s := range batch {
 		lines[k], mutates = s.line, mutates || s.of.mut
@@ -739,7 +773,7 @@ func (p *proxy) sendBatch(ctx context.Context, idx int, batch []*send) *shardcli
 // their sends. Legs that a broken primary connection left unanswered are
 // reads: they are re-sent once, alone, which takes them down the read
 // path.
-func (p *proxy) receive(ctx context.Context, idx int, batch []*send, call *shardclient.Call) {
+func (p *Proxy) receive(ctx context.Context, idx int, batch []*send, call *shardclient.Call) {
 	replies, err := call.Wait()
 	var unanswered []*send
 	mutates, stale := false, false
@@ -778,7 +812,7 @@ func (p *proxy) receive(ctx context.Context, idx int, batch []*send, call *shard
 // under the leg's span here; a failed leg grafts nothing, so the
 // surviving shard trees stay in the rendered answer and the hole is
 // marked on the leg's own span.
-func (p *proxy) file(s *send, reply string, err error, batch int) {
+func (p *Proxy) file(s *send, reply string, err error, batch int) {
 	defer s.span.End()
 	s.span.SetInt("batch", int64(batch))
 	if s.of.mut {
@@ -802,8 +836,17 @@ func (p *proxy) file(s *send, reply string, err error, batch int) {
 		} else if doc, jerr := trace.DecodeExplain([]byte(body)); jerr != nil {
 			err = fmt.Errorf("shard %s: bad EXPLAIN JSON reply: %w", s.leg.Addr, jerr)
 		} else {
-			s.value = doc.Result
+			s.value, s.count = doc.Result, doc.Count
 			s.span.Graft(doc.Trace.Span())
+		}
+	case s.of.pair:
+		sum, count, _ := strings.Cut(reply, " ")
+		var cerr error
+		if s.value, err = strconv.ParseFloat(sum, 64); err == nil {
+			s.count, cerr = strconv.ParseFloat(count, 64)
+		}
+		if err != nil || cerr != nil {
+			err = fmt.Errorf("shard %s: QRY reply %q is no sum and count", s.leg.Addr, reply)
 		}
 	default:
 		if s.value, err = strconv.ParseFloat(reply, 64); err != nil {
@@ -816,6 +859,9 @@ func (p *proxy) file(s *send, reply string, err error, batch int) {
 		return
 	}
 	s.span.SetFloat("value", s.value)
+	if s.of.pair {
+		s.span.SetFloat("count", s.count)
+	}
 }
 
 // answer closes a request's trace and renders its reply from what its
@@ -823,7 +869,7 @@ func (p *proxy) file(s *send, reply string, err error, batch int) {
 // merge of its legs (EXPLAIN: with the merged span tree and the totals
 // over it). All legs answered -> the plain number; a failed leg -> a
 // PARTIAL answer over the live ranges.
-func (p *proxy) answer(line string, rt *routed) string {
+func (p *Proxy) answer(line string, rt *routed) string {
 	rt.root.End()
 	p.Observe(line, rt.root)
 	if rt.mut {
@@ -838,7 +884,7 @@ func (p *proxy) answer(line string, rt *routed) string {
 		if s.appErr != "" {
 			return s.appErr
 		}
-		parts[i] = shard.Partial{Leg: s.leg, Value: s.value, Err: s.err}
+		parts[i] = shard.Partial{Leg: s.leg, Value: s.value, Count: s.count, Pair: rt.pair, Err: s.err}
 	}
 	merged := shard.Merge(parts)
 	head := strconv.FormatFloat(merged.Value, 'g', -1, 64)
@@ -871,7 +917,7 @@ func statsMaxKey(k string) bool {
 // and merges the numeric fields: sums by default, max for statsMaxKey
 // fields, non-numeric tokens (git_rev) skipped. Field order follows the
 // first responding shard so the output stays stable and diffable.
-func (p *proxy) mergedStats() string {
+func (p *Proxy) mergedStats() string {
 	ctx, cancel := p.RequestCtx(nil)
 	defer cancel()
 	replies := make([]string, len(p.groups))

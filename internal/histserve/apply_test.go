@@ -1,4 +1,4 @@
-package main
+package histserve
 
 import (
 	"bytes"
@@ -25,7 +25,7 @@ import (
 // apart).
 func TestPrimaryAndFollowerApplyOneStream(t *testing.T) {
 	primary, _ := newDurableServer(t, t.TempDir(), 0)
-	primary.replMinAcks, primary.replAckTimeout = 1, 10*time.Second
+	primary.cfg.ReplMinAcks, primary.cfg.ReplAckTimeout = 1, 10*time.Second
 	paddr := serveOn(t, primary)
 	follower, faddr := startReplica(t, t.TempDir(), paddr)
 	waitUntil(t, 5*time.Second, "the follower's link", func() bool { return primary.hub.Followers() == 1 })

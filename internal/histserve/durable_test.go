@@ -1,4 +1,4 @@
-package main
+package histserve
 
 import (
 	"fmt"
@@ -17,7 +17,7 @@ func (c *client) expect(t *testing.T, line, want string) {
 }
 
 // newDurableServer builds a quiet server recovered from dir.
-func newDurableServer(t *testing.T, dir string, every int64) (*server, wal.RecoverResult) {
+func newDurableServer(t *testing.T, dir string, every int64) (*Server, wal.RecoverResult) {
 	t.Helper()
 	srv := newQuietServer(t, "8,8", "sum", false)
 	res, err := srv.enableDurability(dir, wal.Options{Sync: wal.SyncNever}, every)
@@ -41,7 +41,7 @@ func TestDurableRestartResumesState(t *testing.T) {
 		c.expect(t, fmt.Sprintf("INS %d %d %d %g", i/10, i%8, (i/3)%8, v), "OK")
 		total += v
 	}
-	srv.shutdown() // graceful path: final checkpoint + WAL close
+	srv.Close() // graceful path: final checkpoint + WAL close
 
 	// "Restart": a second server over the same directory.
 	srv2, res2 := newDurableServer(t, dir, 0)
@@ -53,7 +53,7 @@ func TestDurableRestartResumesState(t *testing.T) {
 	// And it keeps accepting appends.
 	c2.expect(t, "INS 1000 0 0 5", "OK")
 	c2.expect(t, "QRY 0 2000 0 0 7 7", fmt.Sprintf("%g", total+5))
-	srv2.shutdown()
+	srv2.Close()
 }
 
 func TestDurableRestartWithoutShutdownReplaysLog(t *testing.T) {
@@ -76,7 +76,7 @@ func TestDurableRestartWithoutShutdownReplaysLog(t *testing.T) {
 	}
 	c2 := dial(t, serveOn(t, srv2))
 	c2.expect(t, "QRY 0 1000 0 0 7 7", "100")
-	srv2.shutdown()
+	srv2.Close()
 }
 
 func TestCheckpointCommand(t *testing.T) {
@@ -87,23 +87,14 @@ func TestCheckpointCommand(t *testing.T) {
 	c.expect(t, "INS 2 1 1 4", "OK")
 	c.expect(t, "CHECKPOINT", "OK 2")
 	c.expect(t, "CHECKPOINT extra", "ERR CHECKPOINT takes no arguments")
-	srv.shutdown()
+	srv.Close()
 
 	// The on-demand checkpoint seeds the next recovery.
 	srv2, res := newDurableServer(t, dir, 0)
 	if res.CheckpointLSN < 2 {
 		t.Fatalf("recovery = %+v, want checkpoint LSN >= 2", res)
 	}
-	srv2.shutdown()
-}
-
-func TestCheckpointCommandWithoutDataDir(t *testing.T) {
-	srv := newQuietServer(t, "8,8", "sum", false)
-	c := dial(t, serveOn(t, srv))
-	resp := c.cmd(t, "CHECKPOINT")
-	if !strings.HasPrefix(resp, "ERR") || !strings.Contains(resp, "-data-dir") {
-		t.Fatalf("CHECKPOINT without data dir: %q", resp)
-	}
+	srv2.Close()
 }
 
 func TestAutomaticCheckpointEveryN(t *testing.T) {
@@ -119,7 +110,7 @@ func TestAutomaticCheckpointEveryN(t *testing.T) {
 	if since != 5 {
 		t.Fatalf("records since checkpoint = %d, want 5 (auto checkpoints at 10 and 20)", since)
 	}
-	srv.shutdown()
+	srv.Close()
 
 	srv2, res := newDurableServer(t, dir, 10)
 	if res.CheckpointLSN != 25 { // shutdown wrote the final one
@@ -127,7 +118,7 @@ func TestAutomaticCheckpointEveryN(t *testing.T) {
 	}
 	c2 := dial(t, serveOn(t, srv2))
 	c2.expect(t, "QRY 0 1000 0 0 7 7", "25")
-	srv2.shutdown()
+	srv2.Close()
 }
 
 func TestDurableMetricsRegistered(t *testing.T) {
@@ -152,5 +143,5 @@ func TestDurableMetricsRegistered(t *testing.T) {
 			t.Errorf("metrics output missing %q", want)
 		}
 	}
-	srv.shutdown()
+	srv.Close()
 }

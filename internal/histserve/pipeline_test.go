@@ -1,4 +1,4 @@
-package main
+package histserve
 
 // Pipelining conformance: the connection loop holds replies back until
 // no complete request is buffered and releases them behind one commit
@@ -23,11 +23,11 @@ import (
 
 // newAlwaysServer builds a quiet durable server that fsyncs before
 // every acknowledgement, so the commit barrier is live.
-func newAlwaysServer(t *testing.T) *server {
+func newAlwaysServer(t *testing.T) *Server {
 	t.Helper()
 	srv := newQuietServer(t, "8,8", "sum", false)
 	enableChaosWAL(t, srv, t.TempDir())
-	t.Cleanup(srv.shutdown)
+	t.Cleanup(srv.Close)
 	return srv
 }
 
@@ -191,27 +191,10 @@ func TestBatchBeyondCapReleasedInSeveralFlushes(t *testing.T) {
 	}
 }
 
-func TestOverlongLineAfterPipelinedReplies(t *testing.T) {
-	srv := newQuietServer(t, "8,8", "sum", false)
-	srv.MaxLineLen = 256
-	conn, r := rawConn(t, serveOn(t, srv))
-	batch := "INS 1 1 1 1\nQRY 0 5 0 0 7 7\nINS " + strings.Repeat("9", 512) + "\nQRY 0 5 0 0 7 7\n"
-	if _, err := io.WriteString(conn, batch); err != nil {
-		t.Fatal(err)
-	}
-	got := readLines(t, r, 3)
-	if got[0] != "OK" || got[1] != "1" || !strings.HasPrefix(got[2], "ERR line too long") {
-		t.Fatalf("replies = %q, want OK, 1, ERR line too long", got)
-	}
-	if l, err := r.ReadString('\n'); err == nil {
-		t.Fatalf("connection survived an overlong line and answered %q", l)
-	}
-}
-
 func TestSemiSyncTimeoutFailsEveryMutationOfTheBatch(t *testing.T) {
 	srv := newAlwaysServer(t)
-	srv.replMinAcks = 1
-	srv.replAckTimeout = 100 * time.Millisecond
+	srv.cfg.ReplMinAcks = 1
+	srv.cfg.ReplAckTimeout = 100 * time.Millisecond
 	conn, r := rawConn(t, serveOn(t, srv))
 	if _, err := io.WriteString(conn, "INS 1 1 1 5\nQRY 0 10 0 0 7 7\nINS 2 1 1 7\nQRY 0 10 0 0 7 7\n"); err != nil {
 		t.Fatal(err)
@@ -249,7 +232,7 @@ func TestLatencyAccountingFollowsTheReply(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
 	srv.Inj = fault.MustParse(fmt.Sprintf("wal.sync:slow=%s", stall), 1)
 	enableChaosWAL(t, srv, t.TempDir())
-	t.Cleanup(srv.shutdown)
+	t.Cleanup(srv.Close)
 	c := dial(t, serveOn(t, srv))
 	c.expect(t, "INS 1 1 1 1", "OK")
 	c.expect(t, "QRY 0 5 0 0 7 7", "1")
@@ -274,7 +257,7 @@ func TestQueryWaitsForTheCommitItRead(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
 	srv.Inj = fault.MustParse("wal.sync:slow=200ms", 1)
 	enableChaosWAL(t, srv, t.TempDir())
-	t.Cleanup(srv.shutdown)
+	t.Cleanup(srv.Close)
 	addr := serveOn(t, srv)
 	writer, wr := rawConn(t, addr)
 	if _, err := io.WriteString(writer, "INS 1 1 1 5\n"); err != nil {
@@ -306,7 +289,7 @@ func TestQueryWaitsForTheCommitItRead(t *testing.T) {
 func TestFsyncFailureFailsEveryMutationOfTheBatch(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
 	srv.Inj = fault.MustParse("wal.sync:err@1", 1)
-	srv.probeEvery = time.Millisecond
+	srv.cfg.DegradedProbeEvery = time.Millisecond
 	dir := t.TempDir()
 	enableChaosWAL(t, srv, dir)
 	conn, r := rawConn(t, serveOn(t, srv))
@@ -334,7 +317,7 @@ func TestFsyncFailureFailsEveryMutationOfTheBatch(t *testing.T) {
 	if srv.degraded.Load() {
 		t.Fatal("a successful commit did not clear degraded mode")
 	}
-	srv.shutdown()
+	srv.Close()
 
 	// All three writes were applied, so all three must replay.
 	srv2 := newQuietServer(t, "8,8", "sum", false)
@@ -342,7 +325,7 @@ func TestFsyncFailureFailsEveryMutationOfTheBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv2.shutdown()
+	defer srv2.Close()
 	if resp, _ := srv2.safeDispatch(0, "QRY 0 10 0 0 7 7"); resp != "13" {
 		t.Fatalf("after restart QRY = %q, want 13 (recovery %+v)", resp, res)
 	}

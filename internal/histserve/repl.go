@@ -59,7 +59,7 @@
 // primary whose log is a strict prefix of the failed primary's acked
 // history, and the fence argument lets the proxy refuse to promote a
 // replica that is missing acked writes.
-package main
+package histserve
 
 import (
 	"bufio"
@@ -76,6 +76,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"histcube/internal/agg"
 	"histcube/internal/core"
 	"histcube/internal/lineserver"
 	"histcube/internal/obs"
@@ -149,26 +150,33 @@ func (r *replState) noteFrontier(lsn uint64) {
 
 // isReplica reports whether the server is (still) a follower: started
 // with -follow and not yet promoted.
-func (s *server) isReplica() bool {
+func (s *Server) isReplica() bool {
 	r := s.repl
 	return r != nil && !r.promoted.Load()
 }
 
 // roleLine answers the ROLE command: which side of replication this
-// server is on, how far its log extends and, on a primary, its
-// -repl-min-acks — what a proxy needs to pick the most caught-up replica
-// during failover and to decide whether followers may serve reads.
-func (s *server) roleLine() string {
+// server is on, how far its log extends, on a primary its
+// -repl-min-acks, and the cube's operator — what a proxy needs to pick
+// the most caught-up replica during failover, to decide whether
+// followers may serve reads, and to know how its legs merge.
+func (s *Server) roleLine() string {
 	if s.isReplica() {
 		r := s.repl
 		synced := 0
 		if r.synced.Load() {
 			synced = 1
 		}
-		return fmt.Sprintf("OK role=replica applied_lsn=%d lag_lsn=%d primary=%s synced=%d",
-			r.applied(), r.lag(), r.primaryAddr, synced)
+		return fmt.Sprintf("OK role=replica applied_lsn=%d lag_lsn=%d primary=%s synced=%d op=%s",
+			r.applied(), r.lag(), r.primaryAddr, synced, s.opName())
 	}
-	return fmt.Sprintf("OK role=primary last_lsn=%d followers=%d min_acks=%d", s.walLastLSN(), s.hub.Followers(), s.replMinAcks)
+	return fmt.Sprintf("OK role=primary last_lsn=%d followers=%d min_acks=%d op=%s",
+		s.walLastLSN(), s.hub.Followers(), s.cfg.ReplMinAcks, s.opName())
+}
+
+// opName is the served cube's operator as -op spells it.
+func (s *Server) opName() string {
+	return strings.ToLower(agg.Operator(s.operator.Load()).String())
 }
 
 // promote answers PROMOTE [<min_lsn>]: flip this follower into a
@@ -179,7 +187,7 @@ func (s *server) roleLine() string {
 // that already is a primary is an idempotent OK (a retrying proxy must
 // not flap). The log a promoted follower inherited counts as committed
 // on its hub: it served that log as committed already.
-func (s *server) promote(minLSN uint64) string {
+func (s *Server) promote(minLSN uint64) string {
 	if r := s.repl; s.isReplica() {
 		if applied := r.applied(); applied < minLSN {
 			return fmt.Sprintf("ERR promotion fenced: applied LSN %d is behind the required fence %d (another replica holds more acked history)",
@@ -195,7 +203,7 @@ func (s *server) promote(minLSN uint64) string {
 }
 
 // walLastLSN reads the log's end (0 without durability).
-func (s *server) walLastLSN() uint64 {
+func (s *Server) walLastLSN() uint64 {
 	if s.wal == nil {
 		return 0
 	}
@@ -340,7 +348,7 @@ func (h *replHub) WaitAcked(lsn uint64, min int, timeout time.Duration, waited *
 // REPLICATE line (the replies before it have left, and the line is
 // already counted as a request). lr is handed to the ACK reader
 // goroutine.
-func (s *server) serveReplication(conn net.Conn, lr *lineserver.Reader, w *bufio.Writer, rq *lineserver.Request) {
+func (s *Server) serveReplication(conn net.Conn, lr *lineserver.Reader, w *bufio.Writer, rq *lineserver.Request) {
 	fail := func(msg string) {
 		s.Errors["REPLICATE"].Inc()
 		fmt.Fprintln(w, "ERR "+msg)
@@ -384,7 +392,7 @@ func (s *server) serveReplication(conn net.Conn, lr *lineserver.Reader, w *bufio
 			f := strings.Fields(string(ack))
 			if len(f) == 2 && strings.EqualFold(f[0], "ACK") {
 				if lsn, err := strconv.ParseUint(f[1], 10, 64); err == nil {
-					s.hub.ack(id, lsn, s.replMinAcks)
+					s.hub.ack(id, lsn, s.cfg.ReplMinAcks)
 				}
 			}
 		}
@@ -484,7 +492,7 @@ func appendRec(b []byte, rec wal.StreamRecord) []byte {
 // durable, so a follower never holds what this primary could lose. It
 // must cover from, the first record the follower lacks, or the
 // handshake would make no progress; it is refused instead.
-func (s *server) sendSnapshot(conn net.Conn, w *bufio.Writer, from uint64) (uint64, error) {
+func (s *Server) sendSnapshot(conn net.Conn, w *bufio.Writer, from uint64) (uint64, error) {
 	f, lsn, err := s.wal.OpenCheckpoint()
 	if err != nil {
 		return 0, fmt.Errorf("snapshot: %w", err)
@@ -522,9 +530,9 @@ func (s *server) sendSnapshot(conn net.Conn, w *bufio.Writer, from uint64) (uint
 // Follower side: tailing the primary and applying its stream.
 
 // startFollower puts the server in follower mode and starts the
-// replication loop. Called from main before the listener starts, so
+// replication loop. Called from Start before the listener starts, so
 // dispatch never observes a half-initialised repl field.
-func (s *server) startFollower(primary string) {
+func (s *Server) startFollower(primary string) {
 	r := &replState{primaryAddr: primary, log: s.wal, stop: make(chan struct{})}
 	s.repl = r
 	s.link.Log = s.Log.With("primary", primary)
@@ -533,7 +541,7 @@ func (s *server) startFollower(primary string) {
 
 // followLoop keeps the replication link alive until promotion:
 // dial, stream, and on any link failure redial after a short pause.
-func (s *server) followLoop(r *replState) {
+func (s *Server) followLoop(r *replState) {
 	for {
 		select {
 		case <-r.stop:
@@ -555,7 +563,7 @@ func (s *server) followLoop(r *replState) {
 // log's end and hands the connection to the link core, which serves the
 // primary's stream like a client connection until the primary closes
 // it, a line ends the session, or promotion closes the connection.
-func (s *server) followOnce(r *replState) error {
+func (s *Server) followOnce(r *replState) error {
 	conn, err := net.DialTimeout("tcp", r.primaryAddr, 2*time.Second)
 	if err != nil {
 		return err
@@ -592,7 +600,7 @@ func (s *server) followOnce(r *replState) error {
 // unit is every line that arrived together (a lone record is a unit of
 // one) and settleShipped commits its records at once. The primary's ERR
 // ends the session; SNAP takes the link over to install a snapshot.
-func (s *server) linkCommands() []lineserver.Command {
+func (s *Server) linkCommands() []lineserver.Command {
 	return []lineserver.Command{
 		{Verb: "REC", MaxArgs: -1, Joins: true, Handle: s.linkRec},
 		{Verb: "PING", MinArgs: 1, MaxArgs: 1, Usage: "PING needs the frontier LSN", Joins: true, Handle: s.linkPing},
@@ -616,7 +624,7 @@ func (r *replState) end(rq *lineserver.Request, why error) string {
 // record that must not be applied ends the session instead: one the
 // primary's death cut off (it would still parse, as another value), one
 // that does not parse, and any that arrives after promotion.
-func (s *server) linkRec(rq *lineserver.Request) string {
+func (s *Server) linkRec(rq *lineserver.Request) string {
 	r := s.repl
 	if r.promoted.Load() {
 		return r.end(rq, errors.New("promoted to primary"))
@@ -634,7 +642,7 @@ func (s *server) linkRec(rq *lineserver.Request) string {
 
 // linkOK notes the primary's end the stream opens with and acknowledges
 // what the follower already holds.
-func (s *server) linkOK(rq *lineserver.Request) string {
+func (s *Server) linkOK(rq *lineserver.Request) string {
 	var from, last uint64
 	if _, err := fmt.Sscanf(rq.Line, "OK from=%d last=%d", &from, &last); err != nil {
 		return s.repl.end(rq, fmt.Errorf("malformed stream start %q: %w", rq.Line, err))
@@ -644,7 +652,7 @@ func (s *server) linkOK(rq *lineserver.Request) string {
 }
 
 // linkPing notes the frontier an idle primary reports.
-func (s *server) linkPing(rq *lineserver.Request) string {
+func (s *Server) linkPing(rq *lineserver.Request) string {
 	lsn, err := strconv.ParseUint(rq.Fields[1], 10, 64)
 	if err != nil {
 		return "ERR bad LSN: " + err.Error()
@@ -697,7 +705,7 @@ func parseRec(line string, dims int) (wal.StreamRecord, error) {
 // arrived together. A record counts as applied only once it is durable
 // here; every REC up to there is answered with the cumulative ACK, and
 // one that could not be applied ends the session.
-func (s *server) settleShipped(open []*lineserver.Request) {
+func (s *Server) settleShipped(open []*lineserver.Request) {
 	r, last := s.repl, open[len(open)-1]
 	// The session ends after a unit that does not settle, a panic
 	// included: its ERR internal leaves the log's end unknown upstream.
@@ -723,7 +731,7 @@ func (s *server) settleShipped(open []*lineserver.Request) {
 
 // shipLocked is settleShipped's apply step: one shipped record, logged
 // and applied at its LSN. The caller holds mu.
-func (s *server) shipLocked(rq *lineserver.Request) error {
+func (s *Server) shipLocked(rq *lineserver.Request) error {
 	rec := rq.Pending.(wal.StreamRecord)
 	skipped, err := s.wal.ApplyReplicated(s.cube, rec.LSN, rec.Op)
 	if skipped {
@@ -735,7 +743,7 @@ func (s *server) shipLocked(rq *lineserver.Request) error {
 // linkSnap is SNAP's Hijack row: it installs the snapshot the line
 // announces, decoding its base64 lines as they arrive, and ends the
 // session; the next one resumes the stream at the snapshot's LSN+1.
-func (s *server) linkSnap(conn net.Conn, lr *lineserver.Reader, _ *bufio.Writer, rq *lineserver.Request) {
+func (s *Server) linkSnap(conn net.Conn, lr *lineserver.Reader, _ *bufio.Writer, rq *lineserver.Request) {
 	r := s.repl
 	var lsn, size uint64
 	_, err := fmt.Sscanf(rq.Line, "SNAP lsn=%d size=%d", &lsn, &size)
@@ -802,7 +810,7 @@ func (r *snapReader) line() ([]byte, error) {
 // follower's state: decoded and checked whole first, then, under mu, the
 // log rebased onto it in place and the cube swapped in. A promoted
 // server keeps its history: it may have staged writes of its own.
-func (s *server) installSnapshot(lsn uint64, payload io.Reader) error {
+func (s *Server) installSnapshot(lsn uint64, payload io.Reader) error {
 	cube, err := core.Load(payload)
 	if err == nil {
 		_, err = io.Copy(io.Discard, payload) // through ENDSNAP, size checked

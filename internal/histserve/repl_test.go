@@ -1,4 +1,4 @@
-package main
+package histserve
 
 import (
 	"bytes"
@@ -19,7 +19,7 @@ import (
 
 // startReplica builds a durable follower of primaryAddr over its own
 // temp directory and returns the server plus its client address.
-func startReplica(t *testing.T, dir, primaryAddr string) (*server, string) {
+func startReplica(t *testing.T, dir, primaryAddr string) (*Server, string) {
 	t.Helper()
 	srv, _ := newDurableServer(t, dir, 0)
 	srv.startFollower(primaryAddr)
@@ -105,11 +105,11 @@ func TestReplicaFollowsPrimaryAndAnswersIdentically(t *testing.T) {
 	}
 	// Role probes on both sides.
 	if got := fc.cmd(t, "ROLE"); !strings.HasPrefix(got, "OK role=replica applied_lsn=") ||
-		!strings.Contains(got, "primary="+paddr) || !strings.HasSuffix(got, " synced=1") {
+		!strings.Contains(got, "primary="+paddr) || !strings.HasSuffix(got, " synced=1 op=sum") {
 		t.Fatalf("replica ROLE -> %q", got)
 	}
 	if got := pc.cmd(t, "ROLE"); !strings.HasPrefix(got, "OK role=primary") ||
-		!strings.Contains(got, "followers=1") || !strings.HasSuffix(got, " min_acks=0") {
+		!strings.Contains(got, "followers=1") || !strings.HasSuffix(got, " min_acks=0 op=sum") {
 		t.Fatalf("primary ROLE -> %q", got)
 	}
 }
@@ -123,7 +123,7 @@ func TestReplicaBarrierIsItsLocalCommit(t *testing.T) {
 	primary, _ := newDurableServer(t, t.TempDir(), 0)
 	paddr := serveOn(t, primary)
 	follower, _ := newDurableServer(t, t.TempDir(), 0)
-	follower.replMinAcks, follower.replAckTimeout = 1, 50*time.Millisecond
+	follower.cfg.ReplMinAcks, follower.cfg.ReplAckTimeout = 1, 50*time.Millisecond
 	follower.startFollower(paddr)
 	faddr := serveOn(t, follower)
 	dial(t, paddr).expect(t, "INS 1 0 0 5", "OK")
@@ -158,7 +158,7 @@ func TestReplicaBarrierIsItsLocalCommit(t *testing.T) {
 // answers at once instead of waiting out the ack timeout.
 func TestSemiSyncReadOutlivesItsFollower(t *testing.T) {
 	primary, _ := newDurableServer(t, t.TempDir(), 0)
-	primary.replMinAcks, primary.replAckTimeout = 1, 5*time.Second
+	primary.cfg.ReplMinAcks, primary.cfg.ReplAckTimeout = 1, 5*time.Second
 	paddr := serveOn(t, primary)
 	qc := dial(t, paddr)
 	qc.expect(t, "QRY 0 10 0 0 7 7", "0")
@@ -237,11 +237,11 @@ func TestReplicaColdStartBootstrapsFromSnapshot(t *testing.T) {
 
 	// The installed state is durable: a restart over the follower's own
 	// directory recovers to the same answers without the primary.
-	follower.shutdown()
+	follower.Close()
 	restarted, _ := newDurableServer(t, fdir, 0)
 	rc := dial(t, serveOn(t, restarted))
 	rc.expect(t, "QRY 0 1000 0 0 7 7", fmt.Sprintf("%g", total+5))
-	restarted.shutdown()
+	restarted.Close()
 }
 
 // TestReplicaAppliedLSNIsItsCommitFrontier pins the follower's one
@@ -274,7 +274,7 @@ func TestReplicaAppliedLSNIsItsCommitFrontier(t *testing.T) {
 		}
 		return top
 	}
-	position := func(what string, follower *server, want uint64, sum float64) {
+	position := func(what string, follower *Server, want uint64, sum float64) {
 		t.Helper()
 		if got := follower.roleLine(); !strings.HasPrefix(got, fmt.Sprintf("OK role=replica applied_lsn=%d ", want)) {
 			t.Errorf("%s: ROLE = %q, want applied_lsn=%d", what, got, want)
@@ -311,7 +311,7 @@ func TestReplicaAppliedLSNIsItsCommitFrontier(t *testing.T) {
 	// Reconnect: the follower goes away, misses five records, and comes
 	// back over its own directory.
 	follower.repl.stopOnce.Do(func() { close(follower.repl.stop) })
-	follower.shutdown()
+	follower.Close()
 	for i := 0; i < 5; i++ {
 		pc.expect(t, fmt.Sprintf("INS %d 1 1 3", 200+i), "OK")
 	}
@@ -343,7 +343,7 @@ func TestReplicaSyncedOnlyAtThePrimarysEnd(t *testing.T) {
 			fmt.Fprintf(&recs, "REC %d 1 %d 0 1 2\n", 81+i, 100+i)
 		}
 	}
-	pc.expect(t, "ROLE", "OK role=primary last_lsn=100 followers=0 min_acks=0")
+	pc.expect(t, "ROLE", "OK role=primary last_lsn=100 followers=0 min_acks=0 op=sum")
 	ckpt, err := os.ReadFile(filepath.Join(pdir, fmt.Sprintf("checkpoint-%016x.ckpt", 80)))
 	if err != nil {
 		t.Fatal(err)
@@ -363,12 +363,12 @@ func TestReplicaSyncedOnlyAtThePrimarysEnd(t *testing.T) {
 	if err := follower.followOnce(r); err != nil {
 		t.Fatalf("snapshot session: %v", err)
 	}
-	if got := follower.roleLine(); !strings.HasPrefix(got, "OK role=replica applied_lsn=80 ") || !strings.HasSuffix(got, " synced=0") {
+	if got := follower.roleLine(); !strings.HasPrefix(got, "OK role=replica applied_lsn=80 ") || !strings.HasSuffix(got, " synced=0 op=sum") {
 		t.Fatalf("after the SNAP install ROLE = %q, want applied_lsn=80 ... synced=0", got)
 	}
 	r.primaryAddr = newFakePrimary(t, "OK from=81 last=100\n"+recs.String())
 	_ = follower.followOnce(r) // ends when the fake primary closes
-	if got, want := follower.roleLine(), "OK role=replica applied_lsn=90 lag_lsn=10 primary="+r.primaryAddr+" synced=0"; got != want {
+	if got, want := follower.roleLine(), "OK role=replica applied_lsn=90 lag_lsn=10 primary="+r.primaryAddr+" synced=0 op=sum"; got != want {
 		t.Fatalf("halfway through the tail ROLE = %q, want %q", got, want)
 	}
 
@@ -376,10 +376,10 @@ func TestReplicaSyncedOnlyAtThePrimarysEnd(t *testing.T) {
 	// synced=0, and the one at its end synced=1.
 	follower.startFollower(paddr)
 	t.Cleanup(func() { follower.repl.stopOnce.Do(func() { close(follower.repl.stop) }) })
-	want := "OK role=replica applied_lsn=100 lag_lsn=0 primary=" + paddr + " synced=1"
+	want := "OK role=replica applied_lsn=100 lag_lsn=0 primary=" + paddr + " synced=1 op=sum"
 	waitUntil(t, 5*time.Second, "the follower at the primary's end", func() bool {
 		got := follower.roleLine()
-		if !strings.HasPrefix(got, "OK role=replica applied_lsn=100 ") && strings.HasSuffix(got, " synced=1") {
+		if !strings.HasPrefix(got, "OK role=replica applied_lsn=100 ") && strings.HasSuffix(got, " synced=1 op=sum") {
 			t.Fatalf("ROLE = %q: synced short of the primary's last_lsn=100", got)
 		}
 		return got == want
@@ -500,9 +500,9 @@ func TestReplicaBootstrapsUnderCheckpointLoad(t *testing.T) {
 		}
 	}
 
-	follower.shutdown()
+	follower.Close()
 	restarted, _ := newDurableServer(t, fdir, 0)
-	defer restarted.shutdown()
+	defer restarted.Close()
 	rc := dial(t, serveOn(t, restarted))
 	for _, q := range queries {
 		if p, f := pc.cmd(t, q), rc.cmd(t, q); p != f {
@@ -553,8 +553,8 @@ func TestPromotionFencingAndTakeover(t *testing.T) {
 
 func TestSemiSyncHoldsAckUntilFollowerApplies(t *testing.T) {
 	primary, _ := newDurableServer(t, t.TempDir(), 0)
-	primary.replMinAcks = 1
-	primary.replAckTimeout = 300 * time.Millisecond
+	primary.cfg.ReplMinAcks = 1
+	primary.cfg.ReplAckTimeout = 300 * time.Millisecond
 	paddr := serveOn(t, primary)
 	pc := dial(t, paddr)
 
@@ -576,7 +576,7 @@ func TestSemiSyncHoldsAckUntilFollowerApplies(t *testing.T) {
 }
 
 // waitApplied polls briefly for the follower to reach lsn.
-func waitApplied(s *server, lsn uint64) bool {
+func waitApplied(s *Server, lsn uint64) bool {
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if s.repl.applied() >= lsn {
@@ -599,14 +599,14 @@ func TestRestartedSemiSyncPrimaryCommitsItsTailOnceHeld(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.expect(t, fmt.Sprintf("INS %d %d 0 2", i, i%8), "OK")
 	}
-	first.shutdown()
+	first.Close()
 
 	const ackTimeout = 300 * time.Millisecond
 	primary, res := newDurableServer(t, dir, 0)
 	if res.CheckpointLSN != 5 {
 		t.Fatalf("restart recovery = %+v, want the final checkpoint at LSN 5", res)
 	}
-	primary.replMinAcks, primary.replAckTimeout = 1, ackTimeout
+	primary.cfg.ReplMinAcks, primary.cfg.ReplAckTimeout = 1, ackTimeout
 	paddr := serveOn(t, primary)
 	qc := dial(t, paddr)
 	start := time.Now()

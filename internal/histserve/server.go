@@ -1,9 +1,8 @@
-// Command histserve exposes a histcube over TCP with a line-oriented
-// text protocol, turning the append-only cube into a tiny aggregation
-// service for streaming sources (the data-warehouse loading scenario
-// of the paper's introduction).
-//
-// Usage:
+// Package histserve is the histserve server: a histcube exposed over
+// TCP with a line-oriented text protocol, turning the append-only cube
+// into a tiny aggregation service for streaming sources (the
+// data-warehouse loading scenario of the paper's introduction). The
+// command cmd/histserve parses its flags into a Config and runs it:
 //
 //	histserve -addr :7070 -dims 16,16 -op sum [-ooo] [-metrics :9090]
 //
@@ -21,8 +20,8 @@
 //	                                      retained trace, END
 //	VERSION                            -> OK histserve rev=<git-rev> go=<ver>
 //	SEAL [<time>]                      -> OK sealed_through=<t> | ERR <msg>
-//	ROLE                               -> OK role=primary last_lsn=<n> followers=<n> min_acks=<n>
-//	                                      | OK role=replica applied_lsn=<n> lag_lsn=<n> primary=<addr> synced=<0|1>
+//	ROLE                               -> OK role=primary last_lsn=<n> followers=<n> min_acks=<n> op=<op>
+//	                                      | OK role=replica applied_lsn=<n> lag_lsn=<n> primary=<addr> synced=<0|1> op=<op>
 //	PROMOTE [<min_lsn>]                -> OK role=primary ... | ERR promotion fenced ...
 //	REPLICATE FROM <lsn>               -> hijacks the connection for WAL
 //	                                      shipping (see repl.go)
@@ -47,7 +46,10 @@
 // "TID=<16 hex>" token (histproxy stamps one on every shard leg); the
 // request's root span adopts that trace ID, so one identifier
 // correlates the query across proxy and shard slog lines, SLOWLOG
-// entries and both /debug/trace/recent feeds.
+// entries and both /debug/trace/recent feeds. After it, a QRY or
+// EXPLAIN line may carry a "PAIR " token: the reply is then the (sum,
+// count) pair the operator finalises, "<sum> <count>" (EXPLAIN JSON:
+// result and count), which is how histproxy merges AVG legs exactly.
 //
 // Start with -load <path> to resume from a snapshot written by SAVE
 // (the -dims and -op flags must match the snapshot's configuration).
@@ -69,7 +71,7 @@
 // mutex release it by defer on their way there, rather than poison it)
 // and the -metrics listener (/metrics, /healthz, /readyz,
 // /debug/slowlog, /debug/trace/recent, /debug/pprof/*) are
-// internal/lineserver's; this file adds the command table and what
+// internal/lineserver's; this package adds the command table and what
 // stands behind it. -request-timeout bounds every
 // INS/DEL/QRY/EXPLAIN: long-running eCube evaluations poll the context
 // cooperatively and abandon the request with "ERR timeout". /readyz
@@ -122,7 +124,7 @@
 // Sharding support: SEAL <t> (or bare SEAL for everything) makes all
 // times at or below t read-only — mutations into the sealed range get
 // "ERR sealed: ..." while queries keep serving. A sharding proxy
-// (cmd/histproxy) demotes a historic shard by sealing the time range
+// (internal/histproxy) demotes a historic shard by sealing the time range
 // it owns, so a misrouted or replayed mutation cannot silently land in
 // history that other shards now answer for. The seal boundary only
 // ever rises, is reported by STATS as sealed_through, and is a runtime
@@ -130,15 +132,13 @@
 // map, not the shard, is the source of truth for ownership). VERSION
 // lets clients and probes verify which build they reached; STATS
 // carries the same revision as git_rev.
-package main
+package histserve
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
-	"log/slog"
 	"math"
 	"os"
 	"slices"
@@ -192,7 +192,7 @@ var errWALAppend = errors.New("wal append failed")
 // serving and carries its own lock. The metrics registry is not
 // guarded by mu: metric primitives are atomic, and the state-derived
 // callbacks registered in newServer take mu themselves at scrape time.
-type server struct {
+type Server struct {
 	// Server is the serving core (internal/lineserver): connection loop,
 	// governance, panic barrier, accounting, trace retention (Slow and
 	// Recent carry their own locks, so both are outside the mu contract —
@@ -217,30 +217,31 @@ type server struct {
 	wal             *wal.Log
 	checkpointEvery int64 // guarded by mu
 
+	// cfg is what New was given, fixed before serving: Start and Run
+	// read it, and so do the replication and recovery-probe knobs.
+	cfg Config
+
 	// Replication (see repl.go): repl is non-nil in follower mode
 	// (-follow) and set before the listener starts, and link is the
 	// serving core its sessions run on; hub aggregates follower
 	// acknowledgements on the primary side so mutations can wait for
 	// -repl-min-acks replicas before answering OK.
-	repl           *replState
-	link           lineserver.Server
-	hub            *replHub
-	replMinAcks    int           // startup-only, like the governance knobs
-	replAckTimeout time.Duration // startup-only
+	repl *replState
+	link lineserver.Server
+	hub  *replHub
 
 	// ready flips to true once startup (snapshot load, WAL recovery) has
 	// finished; /readyz answers 503 until then while /healthz stays a
 	// pure liveness probe.
 	ready atomic.Bool
 
-	// probeEvery is the recovery-probe interval while degraded
-	// (-degraded-probe-every; startup-only, like dims).
-	probeEvery time.Duration
-
 	// shape is the cube's per-dimension domain, frozen at startup (the
 	// protocol's arity and domains cannot change while serving); used to
 	// reject out-of-range coordinates at the boundary.
 	shape []int
+	// operator is the cube's agg.Operator, which ROLE reports without
+	// mu: a snapshot loaded or shipped in brings its own.
+	operator atomic.Int32
 
 	// sealedThrough is the seal boundary: mutations with time at or
 	// below it are rejected (historic-shard demotion). math.MinInt64
@@ -265,201 +266,51 @@ type server struct {
 	degradedFlips   *obs.Counter
 }
 
-func main() {
-	var (
-		shared  = lineserver.RegisterFlags(flag.CommandLine, ":7070")
-		dimsArg = flag.String("dims", "16,16", "comma-separated non-time dimension sizes")
-		opArg   = flag.String("op", "sum", "aggregate operator: sum, count, avg")
-		ooo     = flag.Bool("ooo", false, "buffer out-of-order updates instead of rejecting them")
-		load    = flag.String("load", "", "resume from a snapshot written by the SAVE command")
-		dataDir = flag.String("data-dir", "", "durable data directory (write-ahead log + checkpoints); empty disables durability")
-		fsync   = flag.String("fsync", "always", "WAL fsync policy: always, never (with -data-dir)")
-		ckptN   = flag.Int64("checkpoint-every", 10000, "checkpoint every N WAL records; 0 = only on CHECKPOINT/shutdown (with -data-dir)")
-		probeIv = flag.Duration("degraded-probe-every", 2*time.Second, "while read-only, let one mutation through per interval to probe storage recovery")
-		sealArg = flag.String("seal-through", "", "reject mutations with time at or below this value (historic-shard demotion; the SEAL command raises it at runtime); empty seals nothing")
-		follow  = flag.String("follow", "", "run as a replica of the given primary histserve address: apply its WAL stream and reject client mutations until PROMOTE (requires -data-dir)")
-		minAcks = flag.Int("repl-min-acks", 0, "followers that must acknowledge a mutation before the client sees OK (semi-synchronous replication); 0 = asynchronous")
-		ackTO   = flag.Duration("repl-ack-timeout", 2*time.Second, "how long a mutation waits for -repl-min-acks follower acknowledgements before answering ERR (the write is then indeterminate, not failed)")
-	)
-	flag.Parse()
+// Config is histserve's command line: one field per flag of
+// cmd/histserve beyond the serving core's shared ones (lineserver.Flags),
+// each holding that flag's value.
+type Config struct {
+	Dims               string        // -dims: comma-separated non-time dimension sizes
+	Op                 string        // -op: sum, count or avg
+	OOO                bool          // -ooo: buffer out-of-order updates
+	Load               string        // -load: snapshot to resume from
+	DataDir            string        // -data-dir: durable data directory; empty disables durability
+	Fsync              string        // -fsync: always or never (with DataDir)
+	CheckpointEvery    int64         // -checkpoint-every: WAL records per checkpoint; 0 = on demand
+	DegradedProbeEvery time.Duration // -degraded-probe-every: recovery-probe interval while read-only
+	SealThrough        string        // -seal-through: initial seal boundary; empty seals nothing
+	Follow             string        // -follow: the primary to replicate (requires DataDir)
+	ReplMinAcks        int           // -repl-min-acks: follower acks before a mutation's OK
+	ReplAckTimeout     time.Duration // -repl-ack-timeout: how long a mutation waits for them
+}
 
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	if *load != "" && *dataDir != "" {
-		logger.Error("-load and -data-dir are mutually exclusive (the data directory has its own checkpoints)")
-		os.Exit(1)
+// New validates cfg and builds the server it describes, not yet serving:
+// Start loads or recovers its state once the serving core is configured.
+func New(cfg Config) (*Server, error) {
+	if cfg.Load != "" && cfg.DataDir != "" {
+		return nil, errors.New("-load and -data-dir are mutually exclusive (the data directory has its own checkpoints)")
 	}
-	srv, err := newServer(*dimsArg, *opArg, *ooo)
-	if err != nil {
-		logger.Error("startup failed", "err", err)
-		os.Exit(1)
+	if cfg.Follow != "" && cfg.DataDir == "" {
+		return nil, errors.New("-follow requires -data-dir (the replica keeps its own durable log)")
 	}
-	// The debug/metrics listener comes up here, before recovery, so
-	// operators can watch a long WAL replay: /healthz (liveness) answers
-	// during it, /readyz answers 503 until markReady below.
-	stop, err := shared.Apply(&srv.Server, logger)
-	if err != nil {
-		os.Exit(1)
+	if cfg.DegradedProbeEvery <= 0 {
+		return nil, fmt.Errorf("-degraded-probe-every must be > 0, got %v", cfg.DegradedProbeEvery)
 	}
-	defer stop()
-	if *probeIv <= 0 {
-		logger.Error("-degraded-probe-every must be > 0", "value", *probeIv)
-		os.Exit(1)
+	if cfg.DataDir != "" {
+		if _, err := wal.ParseSyncPolicy(cfg.Fsync); err != nil {
+			return nil, fmt.Errorf("bad -fsync flag: %w", err)
+		}
 	}
-	srv.probeEvery = *probeIv
-	if *sealArg != "" {
-		t, err := strconv.ParseInt(*sealArg, 10, 64)
+	sealed := int64(math.MinInt64)
+	if cfg.SealThrough != "" {
+		t, err := strconv.ParseInt(cfg.SealThrough, 10, 64)
 		if err != nil {
-			logger.Error("bad -seal-through: want an integer time", "value", *sealArg, "err", err)
-			os.Exit(1)
+			return nil, fmt.Errorf("bad -seal-through %q: want an integer time: %w", cfg.SealThrough, err)
 		}
-		srv.sealThrough(t)
-		logger.Info("sealed", "through", t)
+		sealed = t
 	}
-	if *load != "" {
-		began := time.Now()
-		if err := srv.loadSnapshot(*load); err != nil {
-			logger.Error("loading snapshot failed", "path", *load, "err", err)
-			os.Exit(1)
-		}
-		logger.Info("resumed from snapshot", "path", *load, "dur", time.Since(began))
-	}
-	if *dataDir != "" {
-		policy, err := wal.ParseSyncPolicy(*fsync)
-		if err != nil {
-			logger.Error("bad -fsync flag", "err", err)
-			os.Exit(1)
-		}
-		res, err := srv.enableDurability(*dataDir, wal.Options{Sync: policy}, *ckptN)
-		if err != nil {
-			logger.Error("recovery failed", "dir", *dataDir, "err", err)
-			os.Exit(1)
-		}
-		logger.Info("recovered",
-			"dir", *dataDir, "fsync", policy.String(),
-			"checkpoint_lsn", res.CheckpointLSN, "replayed", res.Replayed,
-			"skipped_ops", res.SkippedOps, "torn_tail", res.TornTail,
-			"checkpoints_skipped", res.CheckpointsSkipped)
-	}
-	srv.replMinAcks = *minAcks
-	srv.replAckTimeout = *ackTO
-	if *follow != "" {
-		if *dataDir == "" {
-			logger.Error("-follow requires -data-dir (the replica keeps its own durable log)")
-			os.Exit(1)
-		}
-		srv.startFollower(*follow)
-		logger.Info("follower mode", "primary", *follow)
-	}
-	srv.markReady()
-	// Graceful shutdown: Run returns once a signal closed the listener;
-	// the shutdown itself runs here on the main goroutine, so the process
-	// exits 0 strictly after the final checkpoint and WAL fsync completed.
-	if err := srv.Run(*shared.Addr, "dims", srv.dims, "op", *opArg); err != nil {
-		os.Exit(1)
-	}
-	srv.shutdown()
-	logger.Info("shutdown complete")
-}
-
-// enableDurability recovers the cube from dir and attaches the WAL:
-// the recovered (or fresh) cube replaces the server's, mutations go
-// through the log from then on, and WAL metrics join the registry. The
-// recovered cube's dimensions must match the -dims flag, which fixes
-// the protocol's coordinate arity.
-func (s *server) enableDurability(dir string, opts wal.Options, checkpointEvery int64) (wal.RecoverResult, error) {
-	opts.Metrics = wal.NewMetrics(s.Reg)
-	if inj := s.Inj; inj != nil {
-		// fault.File is a structural copy of wal.SegmentFile, so the
-		// interface values convert both ways without an adapter.
-		opts.WrapSegment = func(f wal.SegmentFile) wal.SegmentFile {
-			return inj.WrapFile("wal", f)
-		}
-	}
-	s.mu.Lock()
-	fresh := s.cube // still untouched; captured under mu so Recover's callback needs no lock
-	s.checkpointEvery = checkpointEvery
-	s.mu.Unlock()
-	// Recovery runs without mu so the metrics listener stays live during
-	// a long replay (its state callbacks take mu at scrape time).
-	cube, log, res, err := wal.Recover(dir, opts, func() (*core.Cube, error) {
-		return fresh, nil
-	})
-	if err != nil {
-		return res, err
-	}
-	if err := s.checkDims("recovered cube", cube); err != nil {
-		_ = log.Close() // the dimension mismatch is the actionable error
-		return res, err
-	}
-	wal.RegisterStateMetrics(s.Reg, log)
-	s.wal = log
-	s.mu.Lock()
-	s.attachCubeLocked(cube)
-	s.mu.Unlock()
-	return res, nil
-}
-
-// checkDims enforces -dims, which fixes the protocol's coordinate
-// arity, on a cube the server did not build.
-func (s *server) checkDims(what string, cube *core.Cube) error {
-	if n := len(cube.Shape()); n != s.dims {
-		return fmt.Errorf("%s has %d dimensions, -dims specifies %d", what, n, s.dims)
-	}
-	return nil
-}
-
-// attachCubeLocked makes cube the one the server serves. The caller
-// holds mu.
-func (s *server) attachCubeLocked(cube *core.Cube) {
-	s.cube = cube
-	s.shape = cube.Shape()
-}
-
-// shutdown writes a final checkpoint and closes the WAL and cube. It
-// holds mu throughout, so in-flight requests finish first and later
-// ones fail cleanly on the closed log.
-func (s *server) shutdown() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.wal != nil {
-		if lsn, err := s.wal.Checkpoint(s.cube.Save); err != nil {
-			s.Log.Error("final checkpoint failed", "err", err)
-		} else {
-			s.Log.Info("final checkpoint written", "lsn", lsn)
-		}
-		if err := s.wal.Close(); err != nil {
-			s.Log.Error("closing WAL failed", "err", err)
-		}
-	}
-	if err := s.cube.Close(); err != nil {
-		s.Log.Error("closing cube failed", "err", err)
-	}
-}
-
-// maybeCheckpointLocked runs the every-N-records checkpoint policy;
-// the caller holds mu. Checkpoint failures are logged, not fatal: the
-// log keeps growing, so durability degrades to slower recovery rather
-// than data loss — unless the failure is out-of-space, which means
-// appends are about to fail too, so the server degrades to read-only
-// proactively.
-func (s *server) maybeCheckpointLocked() {
-	if s.wal == nil {
-		return
-	}
-	ran, err := s.wal.MaybeCheckpoint(s.checkpointEvery, s.cube.Save)
-	if err != nil {
-		s.Log.Error("checkpoint failed", "err", err)
-		if isStorageFailure(err) {
-			s.setDegraded(err)
-		}
-	} else if ran {
-		s.Log.Info("checkpoint written", "lsn", s.wal.LastLSN())
-	}
-}
-
-func newServer(dimsArg, opArg string, ooo bool) (*server, error) {
 	var ds []core.Dim
-	for i, part := range strings.Split(dimsArg, ",") {
+	for i, part := range strings.Split(cfg.Dims, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
 			return nil, fmt.Errorf("bad dimension %q: %w", part, err)
@@ -467,7 +318,7 @@ func newServer(dimsArg, opArg string, ooo bool) (*server, error) {
 		ds = append(ds, core.Dim{Name: fmt.Sprintf("d%d", i), Size: n})
 	}
 	var op agg.Operator
-	switch opArg {
+	switch cfg.Op {
 	case "sum":
 		op = agg.Sum
 	case "count":
@@ -475,20 +326,20 @@ func newServer(dimsArg, opArg string, ooo bool) (*server, error) {
 	case "avg":
 		op = agg.Average
 	default:
-		return nil, fmt.Errorf("unknown operator %q", opArg)
+		return nil, fmt.Errorf("unknown operator %q", cfg.Op)
 	}
-	cube, err := core.New(core.Config{Dims: ds, Operator: op, BufferOutOfOrder: ooo})
+	cube, err := core.New(core.Config{Dims: ds, Operator: op, BufferOutOfOrder: cfg.OOO})
 	if err != nil {
 		return nil, err
 	}
-	s := &server{
-		cube:  cube,
-		dims:  len(ds),
-		shape: cube.Shape(),
-		hub:   newReplHub(),
-		meta:  perf.CollectMeta("histserve"),
+	s := &Server{
+		cfg:  cfg,
+		dims: len(ds),
+		hub:  newReplHub(),
+		meta: perf.CollectMeta("histserve"),
 	}
-	s.sealedThrough.Store(math.MinInt64)
+	s.attachCubeLocked(cube) // nothing else holds s yet
+	s.sealedThrough.Store(sealed)
 	s.Ready = s.readiness
 	s.Init(s.settle, s.commands()...)
 	s.link.Init(s.settleShipped, s.linkCommands()...)
@@ -533,10 +384,158 @@ func newServer(dimsArg, opArg string, ooo bool) (*server, error) {
 	return s, nil
 }
 
+// Start brings the server to its serving state: the -load snapshot or
+// the -data-dir recovery, then -follow, then ready. It runs once the
+// serving core is configured (lineserver.Flags.Apply), so the metrics
+// listener is already up: /healthz answers during a long WAL replay and
+// /readyz answers 503 until Start returns. Failures are logged and
+// returned.
+func (s *Server) Start() error {
+	if t := s.sealedThrough.Load(); t != math.MinInt64 {
+		s.Log.Info("sealed", "through", t)
+	}
+	if path := s.cfg.Load; path != "" {
+		began := time.Now()
+		if err := s.loadSnapshot(path); err != nil {
+			s.Log.Error("loading snapshot failed", "path", path, "err", err)
+			return err
+		}
+		s.Log.Info("resumed from snapshot", "path", path, "dur", time.Since(began))
+	}
+	if dir := s.cfg.DataDir; dir != "" {
+		policy, _ := wal.ParseSyncPolicy(s.cfg.Fsync) // New checked it
+		res, err := s.enableDurability(dir, wal.Options{Sync: policy}, s.cfg.CheckpointEvery)
+		if err != nil {
+			s.Log.Error("recovery failed", "dir", dir, "err", err)
+			return err
+		}
+		s.Log.Info("recovered",
+			"dir", dir, "fsync", policy.String(),
+			"checkpoint_lsn", res.CheckpointLSN, "replayed", res.Replayed,
+			"skipped_ops", res.SkippedOps, "torn_tail", res.TornTail,
+			"checkpoints_skipped", res.CheckpointsSkipped)
+	}
+	if primary := s.cfg.Follow; primary != "" {
+		s.startFollower(primary)
+		s.Log.Info("follower mode", "primary", primary)
+	}
+	s.markReady()
+	return nil
+}
+
+// Run serves addr until SIGINT or SIGTERM (lineserver.Server.Run), its
+// listening line naming the cube's shape. The caller runs Close after
+// it, so a graceful shutdown ends strictly after the final checkpoint.
+func (s *Server) Run(addr string) error {
+	return s.Server.Run(addr, "dims", s.dims, "op", s.cfg.Op)
+}
+
+// enableDurability recovers the cube from dir and attaches the WAL:
+// the recovered (or fresh) cube replaces the server's, mutations go
+// through the log from then on, and WAL metrics join the registry. The
+// recovered cube's dimensions must match the -dims flag, which fixes
+// the protocol's coordinate arity.
+func (s *Server) enableDurability(dir string, opts wal.Options, checkpointEvery int64) (wal.RecoverResult, error) {
+	opts.Metrics = wal.NewMetrics(s.Reg)
+	if inj := s.Inj; inj != nil {
+		// fault.File is a structural copy of wal.SegmentFile, so the
+		// interface values convert both ways without an adapter.
+		opts.WrapSegment = func(f wal.SegmentFile) wal.SegmentFile {
+			return inj.WrapFile("wal", f)
+		}
+	}
+	s.mu.Lock()
+	fresh := s.cube // still untouched; captured under mu so Recover's callback needs no lock
+	s.checkpointEvery = checkpointEvery
+	s.mu.Unlock()
+	// Recovery runs without mu so the metrics listener stays live during
+	// a long replay (its state callbacks take mu at scrape time).
+	cube, log, res, err := wal.Recover(dir, opts, func() (*core.Cube, error) {
+		return fresh, nil
+	})
+	if err != nil {
+		return res, err
+	}
+	if err := s.checkDims("recovered cube", cube); err != nil {
+		_ = log.Close() // the dimension mismatch is the actionable error
+		return res, err
+	}
+	wal.RegisterStateMetrics(s.Reg, log)
+	s.wal = log
+	s.mu.Lock()
+	s.attachCubeLocked(cube)
+	s.mu.Unlock()
+	return res, nil
+}
+
+// checkDims enforces -dims, which fixes the protocol's coordinate
+// arity, on a cube the server did not build.
+func (s *Server) checkDims(what string, cube *core.Cube) error {
+	if n := len(cube.Shape()); n != s.dims {
+		return fmt.Errorf("%s has %d dimensions, -dims specifies %d", what, n, s.dims)
+	}
+	return nil
+}
+
+// attachCubeLocked makes cube the one the server serves. The caller
+// holds mu.
+func (s *Server) attachCubeLocked(cube *core.Cube) {
+	s.cube = cube
+	s.shape = cube.Shape()
+	s.operator.Store(int32(cube.Operator()))
+}
+
+// Close ends the server's state: a follower stops following, then a
+// final checkpoint is written and the WAL and cube are closed. It holds
+// mu throughout, so in-flight requests finish first and later ones fail
+// cleanly on the closed log. Closing the listener is Run's (or the
+// caller of Serve's).
+func (s *Server) Close() {
+	if r := s.repl; r != nil {
+		r.stopOnce.Do(func() { close(r.stop) })
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.wal != nil {
+		if lsn, err := s.wal.Checkpoint(s.cube.Save); err != nil {
+			s.Log.Error("final checkpoint failed", "err", err)
+		} else {
+			s.Log.Info("final checkpoint written", "lsn", lsn)
+		}
+		if err := s.wal.Close(); err != nil {
+			s.Log.Error("closing WAL failed", "err", err)
+		}
+	}
+	if err := s.cube.Close(); err != nil {
+		s.Log.Error("closing cube failed", "err", err)
+	}
+}
+
+// maybeCheckpointLocked runs the every-N-records checkpoint policy;
+// the caller holds mu. Checkpoint failures are logged, not fatal: the
+// log keeps growing, so durability degrades to slower recovery rather
+// than data loss — unless the failure is out-of-space, which means
+// appends are about to fail too, so the server degrades to read-only
+// proactively.
+func (s *Server) maybeCheckpointLocked() {
+	if s.wal == nil {
+		return
+	}
+	ran, err := s.wal.MaybeCheckpoint(s.checkpointEvery, s.cube.Save)
+	if err != nil {
+		s.Log.Error("checkpoint failed", "err", err)
+		if isStorageFailure(err) {
+			s.setDegraded(err)
+		}
+	} else if ran {
+		s.Log.Info("checkpoint written", "lsn", s.wal.LastLSN())
+	}
+}
+
 // readiness answers /readyz: during WAL replay the process is alive but
 // must not receive traffic yet, and in degraded read-only mode a load
 // balancer should route mutating traffic elsewhere.
-func (s *server) readiness() (ok bool, msg string) {
+func (s *Server) readiness() (ok bool, msg string) {
 	if !s.ready.Load() {
 		return false, "recovering"
 	}
@@ -567,7 +566,7 @@ func (s *server) readiness() (ok bool, msg string) {
 // shipping (see repl.go), so the replies before it must have left; its
 // arguments are checked there because a refused REPLICATE closes the
 // connection. QRY's arity is checked by queryOp, which EXPLAIN shares.
-func (s *server) commands() []lineserver.Command {
+func (s *Server) commands() []lineserver.Command {
 	mut := 1 + s.dims + 1
 	return []lineserver.Command{
 		{Verb: "INS", MinArgs: mut, MaxArgs: mut, Joins: true, Handle: s.cmdMutate,
@@ -591,14 +590,16 @@ func (s *server) commands() []lineserver.Command {
 // rq.Pending for settle: the parsed line, its root span, its outcome.
 type servedOp struct {
 	root   *trace.Span
-	stage  int                                      // its cube stage
-	op     core.Op                                  // INS/DEL
-	rng    core.Range                               // QRY/EXPLAIN
-	render func(v float64, root *trace.Span) string // a query's reply; a mutation's is OK
-	lsn    uint64                                   // where a mutation was logged, 0 if it was not
-	v      float64
+	op     core.Op                // INS/DEL
+	rng    core.Range             // QRY/EXPLAIN
+	render func(*servedOp) string // a query's reply; a mutation's is OK
+	lsn    uint64                 // where a mutation was logged, 0 if it was not
+	v      float64                // a query's answer, or its pair's sum
+	count  float64                // a pair's count
 	err    error
-	denied bool // admit refused it: it is not traced, as at parse time
+	stage  uint8 // its cube stage
+	denied bool  // admit refused it: it is not traced, as at parse time
+	pair   bool  // the query asked for its (sum, count) pair (lineserver.PairPrefix)
 }
 
 // settle applies a unit's INS, DEL, QRY and EXPLAIN lines (applyUnit),
@@ -609,7 +610,7 @@ type servedOp struct {
 // reply's ERR. A unit that neither logged nor read skips it, and so does
 // one that only read while the server is degraded, so degraded reads
 // keep serving.
-func (s *server) settle(open []*lineserver.Request) {
+func (s *Server) settle(open []*lineserver.Request) {
 	_, end, _ := s.applyUnit(open, s.serveLocked)
 	logged, read := false, false
 	for _, rq := range open {
@@ -624,7 +625,7 @@ func (s *server) settle(open []*lineserver.Request) {
 		case o.err != nil:
 			rq.Reply = errResponse(o.err)
 		case o.render != nil:
-			rq.Reply = o.render(o.v, o.root)
+			rq.Reply = o.render(o)
 		default:
 			rq.Reply = "OK"
 		}
@@ -645,7 +646,7 @@ func (s *server) settle(open []*lineserver.Request) {
 // apply took, the log's end (what the unit's commit waits for) and the
 // error. A panic releases mu by the deferred unlock on its way to the
 // serving core's barrier, which answers the unit ERR internal.
-func (s *server) applyUnit(open []*lineserver.Request, apply func(*lineserver.Request) error) (n int, end uint64, err error) {
+func (s *Server) applyUnit(open []*lineserver.Request, apply func(*lineserver.Request) error) (n int, end uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, rq := range open {
@@ -664,12 +665,18 @@ func (s *server) applyUnit(open []*lineserver.Request, apply func(*lineserver.Re
 // staging failure (the log closed, or latched by a failed write or fsync
 // its repair could not clear) or out-of-space enters degraded mode; an
 // op the cube rejects is logged, answers ERR, and stays out on recovery.
-func (s *server) serveLocked(rq *lineserver.Request) error {
+func (s *Server) serveLocked(rq *lineserver.Request) error {
 	o := rq.Pending.(*servedOp)
 	ctx, cancel := s.RequestCtx(o.root)
 	defer cancel()
 	if o.stage == stageCubeQuery {
-		o.v, o.err = s.cube.QueryCtx(ctx, o.rng)
+		if !o.pair {
+			o.v, o.err = s.cube.QueryCtx(ctx, o.rng)
+			return nil
+		}
+		var v agg.Value
+		v, o.err = s.cube.QueryPairCtx(ctx, o.rng)
+		o.v, o.count = v.Sum, v.Count
 		return nil
 	}
 	if o.err = s.admit(o.op.Time); o.err != nil {
@@ -693,7 +700,7 @@ func (s *server) serveLocked(rq *lineserver.Request) error {
 // a replica (only the shipped stream writes its cube, which keeps hedged
 // reads safe) nor into the sealed range, and while degraded only as the
 // one recovery probe per -degraded-probe-every, whose commit clears it.
-func (s *server) admit(t int64) error {
+func (s *Server) admit(t int64) error {
 	if s.isReplica() {
 		return errors.New("read-only replica: mutations go to the primary (" + s.repl.primaryAddr + ")")
 	}
@@ -714,7 +721,7 @@ func (s *server) admit(t int64) error {
 // the disk works, so it — not a staged write — clears degraded mode, and
 // a failed one enters it. A covered record (which Commit also passes at
 // once) proves nothing now: it neither clears it nor costs a stage sample.
-func (s *server) commitBarrier(lsn uint64) string {
+func (s *Server) commitBarrier(lsn uint64) string {
 	if s.wal.ShippedLSN() < lsn {
 		t := obs.NewTimer(s.stage[stageCommitWait])
 		err := s.wal.Commit(lsn)
@@ -729,23 +736,23 @@ func (s *server) commitBarrier(lsn uint64) string {
 	if s.isReplica() { // a replica has no followers to wait for
 		return ""
 	}
-	if err := s.hub.WaitAcked(lsn, s.replMinAcks, s.replAckTimeout, s.stage[stageReplAckWait]); err != nil {
+	if err := s.hub.WaitAcked(lsn, s.cfg.ReplMinAcks, s.cfg.ReplAckTimeout, s.stage[stageReplAckWait]); err != nil {
 		return "ERR " + err.Error()
 	}
 	return ""
 }
 
-func (s *server) cmdVersion(*lineserver.Request) string {
+func (s *Server) cmdVersion(*lineserver.Request) string {
 	return fmt.Sprintf("OK histserve rev=%s dirty=%t go=%s", s.meta.GitRev, s.meta.GitDirty, s.meta.GoVersion)
 }
 
-func (s *server) cmdRole(*lineserver.Request) string { return s.roleLine() }
+func (s *Server) cmdRole(*lineserver.Request) string { return s.roleLine() }
 
 // cmdPromote answers PROMOTE [<min_lsn>] — failover: turn this follower
 // into a primary. The optional fence refuses the promotion when this
 // replica has applied less than min_lsn (another replica holds more
 // acked history and must take over instead).
-func (s *server) cmdPromote(rq *lineserver.Request) string {
+func (s *Server) cmdPromote(rq *lineserver.Request) string {
 	var minLSN uint64
 	if len(rq.Fields) == 2 {
 		v, err := strconv.ParseUint(rq.Fields[1], 10, 64)
@@ -762,7 +769,7 @@ func (s *server) cmdPromote(rq *lineserver.Request) string {
 // Monotonic: sealing below the current boundary is a no-op reporting
 // the boundary, because unsealing would re-open history other shards
 // already answer for.
-func (s *server) cmdSeal(rq *lineserver.Request) string {
+func (s *Server) cmdSeal(rq *lineserver.Request) string {
 	t := int64(math.MaxInt64)
 	if len(rq.Fields) == 2 {
 		v, err := strconv.ParseInt(rq.Fields[1], 10, 64)
@@ -774,7 +781,7 @@ func (s *server) cmdSeal(rq *lineserver.Request) string {
 	return fmt.Sprintf("OK sealed_through=%d", s.sealThrough(t))
 }
 
-func (s *server) cmdStats(*lineserver.Request) string {
+func (s *Server) cmdStats(*lineserver.Request) string {
 	st := s.statsSnapshot()
 	degraded := 0
 	if s.degraded.Load() {
@@ -806,21 +813,21 @@ func (s *server) cmdStats(*lineserver.Request) string {
 		degraded, s.readonlyRejects.Value()) + tail
 }
 
-func (s *server) cmdSave(rq *lineserver.Request) string {
+func (s *Server) cmdSave(rq *lineserver.Request) string {
 	if err := s.saveSnapshot(rq.Fields[1]); err != nil {
 		return "ERR " + err.Error()
 	}
 	return "OK"
 }
 
-func (s *server) cmdCheckpoint(*lineserver.Request) string { return s.checkpointNow() }
+func (s *Server) cmdCheckpoint(*lineserver.Request) string { return s.checkpointNow() }
 
 // cmdMutate parses INS/DEL <time> <c1>..<cd> <value> and leaves the op
 // for settle. rq.TID is the trace identifier propagated by the
 // request's TID= token (zero when absent): the root span adopts it, so
 // the ID a proxy generated at the edge survives into this shard's spans,
 // slow log and feeds.
-func (s *server) cmdMutate(rq *lineserver.Request) string {
+func (s *Server) cmdMutate(rq *lineserver.Request) string {
 	fields := rq.Fields
 	t, errResp := parseInt(fields[1])
 	if errResp != "" {
@@ -851,7 +858,7 @@ func (s *server) cmdMutate(rq *lineserver.Request) string {
 	return ""
 }
 
-func (s *server) cmdQuery(rq *lineserver.Request) string {
+func (s *Server) cmdQuery(rq *lineserver.Request) string {
 	return s.queryOp(rq, rq.Fields[1:], formatResult)
 }
 
@@ -859,7 +866,7 @@ func (s *server) cmdQuery(rq *lineserver.Request) string {
 // on a single line with the full structured span tree, which is what
 // histproxy consumes to graft this shard's spans under its own
 // proxy.leg (the text variant stays the human/debug format).
-func (s *server) cmdExplain(rq *lineserver.Request) string {
+func (s *Server) cmdExplain(rq *lineserver.Request) string {
 	args, render := rq.Fields[1:], explainText
 	if len(args) > 0 && strings.ToUpper(args[0]) == "JSON" {
 		args, render = args[1:], explainJSON
@@ -875,11 +882,11 @@ func (s *server) cmdExplain(rq *lineserver.Request) string {
 // whose reply render makes from the result and the finished span tree. A
 // non-zero rq.TID (the TID= token) becomes the root span's trace ID. It
 // returns the ERR response of a line that does not parse.
-func (s *server) queryOp(rq *lineserver.Request, args []string, render func(float64, *trace.Span) string) string {
+func (s *Server) queryOp(rq *lineserver.Request, args []string, render func(*servedOp) string) string {
 	if len(args) != 2+2*s.dims {
 		return fmt.Sprintf("ERR QRY needs tlo, thi and %d lo + %d hi coordinates", s.dims, s.dims)
 	}
-	o := &servedOp{stage: stageCubeQuery, render: render}
+	o := &servedOp{stage: stageCubeQuery, render: render, pair: rq.Pair}
 	var errResp string
 	if o.rng.TimeLo, errResp = parseInt(args[0]); errResp != "" {
 		return errResp
@@ -899,14 +906,18 @@ func (s *server) queryOp(rq *lineserver.Request, args []string, render func(floa
 	return ""
 }
 
-func formatResult(v float64, _ *trace.Span) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func explainText(v float64, root *trace.Span) string {
-	return root.Explain("OK result=" + strconv.FormatFloat(v, 'g', -1, 64))
+// formatResult renders a query's answer, or its pair as "<sum> <count>".
+func formatResult(o *servedOp) string {
+	if o.pair {
+		return strconv.FormatFloat(o.v, 'g', -1, 64) + " " + strconv.FormatFloat(o.count, 'g', -1, 64)
+	}
+	return strconv.FormatFloat(o.v, 'g', -1, 64)
 }
 
-func explainJSON(v float64, root *trace.Span) string {
-	doc, err := json.Marshal(trace.ExplainJSON{Result: v, Trace: root.JSON()})
+func explainText(o *servedOp) string { return o.root.Explain("OK result=" + formatResult(o)) }
+
+func explainJSON(o *servedOp) string {
+	doc, err := json.Marshal(trace.ExplainJSON{Result: o.v, Count: o.count, Trace: o.root.JSON()})
 	if err != nil {
 		return "ERR rendering trace: " + err.Error()
 	}
@@ -928,7 +939,7 @@ func parseInt(field string) (int64, string) {
 // offending dimension: out-of-range input is a client error and must
 // never reach the storage layer. The second result is a non-empty ERR
 // response on failure.
-func (s *server) parseCoords(fields []string) ([]int, string) {
+func (s *Server) parseCoords(fields []string) ([]int, string) {
 	coords := make([]int, len(fields))
 	for i, f := range fields {
 		v, errResp := parseInt(f)
@@ -950,14 +961,14 @@ func (s *server) parseCoords(fields []string) ([]int, string) {
 // observeCube files the duration of the span the core opened under root
 // for its insert, delete or query (root's first child) as stage st, so
 // the stage costs no clock reads of its own.
-func (s *server) observeCube(st int, root *trace.Span) {
+func (s *Server) observeCube(st uint8, root *trace.Span) {
 	if cs := root.Children(); len(cs) > 0 {
 		s.stage[st].Observe(cs[0].Duration().Seconds())
 	}
 }
 
 // statsSnapshot reads the cube's counters under mu.
-func (s *server) statsSnapshot() core.Stats {
+func (s *Server) statsSnapshot() core.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cube.Stats()
@@ -986,7 +997,7 @@ func isStorageFailure(err error) bool {
 // setDegraded enters read-only mode (idempotently): mutations are
 // rejected, queries keep serving, and lastProbeNano starts the probe
 // clock so recovery attempts are rate-limited from now.
-func (s *server) setDegraded(cause error) {
+func (s *Server) setDegraded(cause error) {
 	s.degradedMsg.Store(cause.Error())
 	s.lastProbeNano.Store(time.Now().UnixNano())
 	if s.degraded.CompareAndSwap(false, true) {
@@ -997,7 +1008,7 @@ func (s *server) setDegraded(cause error) {
 
 // clearDegraded leaves read-only mode after a successful commit proved
 // the storage path works again. A no-op when healthy.
-func (s *server) clearDegraded() {
+func (s *Server) clearDegraded() {
 	if s.degraded.CompareAndSwap(true, false) {
 		s.Log.Info("leaving degraded read-only mode: storage recovered")
 	}
@@ -1006,10 +1017,10 @@ func (s *server) clearDegraded() {
 // probeDue claims the next recovery-probe slot: at most one mutation
 // per interval may test whether storage healed. The CAS keeps the
 // claim race-free without taking mu on the reject fast path.
-func (s *server) probeDue() bool {
+func (s *Server) probeDue() bool {
 	now := time.Now().UnixNano()
 	last := s.lastProbeNano.Load()
-	if now-last < s.probeEvery.Nanoseconds() {
+	if now-last < s.cfg.DegradedProbeEvery.Nanoseconds() {
 		return false
 	}
 	return s.lastProbeNano.CompareAndSwap(last, now)
@@ -1017,11 +1028,11 @@ func (s *server) probeDue() bool {
 
 // markReady flips /readyz to 200: startup (snapshot load, WAL
 // recovery) has finished and the server is about to accept traffic.
-func (s *server) markReady() { s.ready.Store(true) }
+func (s *Server) markReady() { s.ready.Store(true) }
 
 // sealThrough raises the seal boundary to t (monotonically — a lower
 // request leaves it unchanged) and returns the resulting boundary.
-func (s *server) sealThrough(t int64) int64 {
+func (s *Server) sealThrough(t int64) int64 {
 	for {
 		cur := s.sealedThrough.Load()
 		if t <= cur {
@@ -1035,7 +1046,7 @@ func (s *server) sealThrough(t int64) int64 {
 
 // checkpointNow runs the CHECKPOINT command. It holds mu across the
 // whole snapshot so the covered LSN is exact.
-func (s *server) checkpointNow() string {
+func (s *Server) checkpointNow() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal == nil {
@@ -1051,7 +1062,7 @@ func (s *server) checkpointNow() string {
 	return fmt.Sprintf("OK %d", lsn)
 }
 
-func (s *server) saveSnapshot(path string) error {
+func (s *Server) saveSnapshot(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -1065,7 +1076,7 @@ func (s *server) saveSnapshot(path string) error {
 	return err
 }
 
-func (s *server) loadSnapshot(path string) error {
+func (s *Server) loadSnapshot(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err

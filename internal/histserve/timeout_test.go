@@ -1,4 +1,4 @@
-package main
+package histserve
 
 import (
 	"fmt"
@@ -23,7 +23,7 @@ func TestRequestTimeoutAbandonsCleanly(t *testing.T) {
 	if _, err := srv.enableDurability(t.TempDir(), wal.Options{Sync: wal.SyncNever}, 0); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.shutdown()
+	defer srv.Close()
 	do := func(line string) string {
 		t.Helper()
 		reply, _ := srv.Do(0, line)

@@ -61,7 +61,7 @@ type Command struct {
 
 // Request is one request line on its way through a unit.
 type Request struct {
-	Line   string   // trimmed, the TID= token cut off
+	Line   string   // trimmed, the TID= and PAIR tokens cut off
 	TID    trace.ID // propagated trace identifier, zero when absent
 	Fields []string // Line split at white space; Fields[0] is the verb as sent
 	Reply  string   // what the client will read, without the newline
@@ -78,6 +78,8 @@ type Request struct {
 	// Quit closes the connection once the replies of the request's unit
 	// have left. The built-in QUIT sets it; so may a handler or settle.
 	Quit bool
+	// Pair: the line carried PairPrefix.
+	Pair bool
 
 	cmd   *Command
 	start time.Time
@@ -204,8 +206,15 @@ func (s *Server) request(raw []byte) (rq Request, ok bool) {
 		return rq, false
 	}
 	tid, stripped := trace.CutRequestID(line)
-	return Request{Line: stripped, TID: tid, cmd: s.resolve(stripped)}, true
+	stripped, pair := strings.CutPrefix(stripped, PairPrefix)
+	return Request{Line: stripped, TID: tid, Pair: pair, cmd: s.resolve(stripped)}, true
 }
+
+// PairPrefix is the optional token, after any TID=, by which a query asks
+// for the (sum, count) pair its answer is finalised from rather than the
+// answer: histproxy's AVG legs carry it, because averages merge only
+// through that pair.
+const PairPrefix = "PAIR "
 
 // Run listens on addr and serves until SIGINT or SIGTERM, then returns
 // nil with the listener closed and no new connection accepted, so the
@@ -392,7 +401,7 @@ func (s *Server) SetWriteDeadline(conn net.Conn) {
 // client at depth 1 would read, and whether the connection would close.
 // It is the entry for drills and fuzzing that need no socket.
 //
-//histlint:ignore deadexport test seam: cmd/histserve (safeDispatch, FuzzDispatchLine) and lineserver's own server_test.go drive the command table without a socket
+//histlint:ignore deadexport test seam: internal/histserve (safeDispatch), cmd/histserve (FuzzDispatchLine, the served-allocation guards) and lineserver's own server_test.go drive the command table without a socket
 func (s *Server) Do(tid trace.ID, line string) (reply string, quit bool) {
 	line = strings.TrimSpace(line)
 	u := &struct {

@@ -434,6 +434,14 @@ func TestEveryAccountedRequestIsTimedOnce(t *testing.T) {
 				conn, r, _ := start(t, st)
 				io.WriteString(conn, tc.send)
 				readLines(t, r, tc.replies)
+				if strings.Contains(tc.send, "TAKE") {
+					// A hijacked request is timed once its hijacker has
+					// returned, after its reply, and then the loop closes
+					// the connection: at EOF the count is final.
+					if _, err := r.ReadString('\n'); err != io.EOF {
+						t.Fatalf("after the hijacker returned: %v, want the connection closed", err)
+					}
+				}
 			}
 			for _, line := range tc.do {
 				st.Do(0, line)

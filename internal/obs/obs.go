@@ -6,7 +6,7 @@
 // The package exists so the paper's cost-convergence claims (Figures
 // 10-14 of Riedewald/Agrawal/El Abbadi) can be watched on a *live*
 // system instead of recomputed offline: internal/core, the append-only
-// cube and cmd/histserve register their counters here and the server's
+// cube and internal/histserve register their counters here and the server's
 // optional /metrics listener scrapes them.
 //
 // Everything on the hot path is a single atomic operation; callback
@@ -113,7 +113,7 @@ func (h *Histogram) Observe(v float64) {
 
 // Count returns the number of observations.
 //
-//histlint:ignore deadexport test seam: the metrics and pipeline tests of cmd/histserve and lineserver's server_test.go read per-command sample counts
+//histlint:ignore deadexport test seam: the metrics and pipeline tests of internal/histserve and lineserver's server_test.go read per-command sample counts
 func (h *Histogram) Count() int64 {
 	n := int64(0)
 	for i := range h.counts {

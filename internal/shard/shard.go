@@ -1,16 +1,17 @@
 // Package shard implements time-range sharding for histcube: an
 // immutable shard map keyed by contiguous transaction-time ranges,
 // query route computation, and partial-aggregate merging for the
-// scatter-gather proxy (cmd/histproxy).
+// scatter-gather proxy (internal/histproxy).
 //
 // The partitioning leans on the paper's core reduction (Sec. 2.2): any
 // d-dimensional range query decomposes into two (d-1)-dimensional
 // instance queries against cumulative slices, and the supported
-// operators (SUM, COUNT — AVG is maintained as the pair) are
-// invertible. Because the transaction-time dimension is answered by
+// operators (SUM, COUNT — AVG is maintained as the (sum, count) pair)
+// are invertible. Because the transaction-time dimension is answered by
 // prefix differences, a time-range partition splits any query into
 // independent per-shard sub-queries whose results merge by simple
-// addition — no coordination, no re-aggregation state. Historic shards
+// addition — of the pairs, for AVG, divided once — with no coordination
+// and no re-aggregation state. Historic shards
 // converge to the read-only PS regime (the EXPLAIN convergence the
 // server already proves) while the single open-ended hot shard absorbs
 // appends.
@@ -31,6 +32,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"histcube/internal/agg"
 )
 
 // Open is the Hi value of the open-ended hot range.
@@ -227,10 +230,15 @@ func (m *Map) Route(tlo, thi int64) []Leg {
 	return legs
 }
 
-// Partial is one shard's answer (or failure) for its leg.
+// Partial is one shard's answer (or failure) for its leg. An AVG leg
+// carries the pair its average is made of — Pair set, Value its sum,
+// Count its count — because averages of disjoint ranges do not merge by
+// addition and their (sum, count) pairs do.
 type Partial struct {
 	Leg   Leg
 	Value float64
+	Count float64
+	Pair  bool
 	Err   error
 }
 
@@ -271,12 +279,16 @@ func (r Result) Coverage() float64 {
 // Merge folds per-shard partials into one Result. The invertible-
 // operator property (Sec. 2.2) makes this a plain sum: each shard
 // already answered its clamped sub-range, and SUM/COUNT partials
-// combine by addition. Partials are summed in Leg.Index order, so the
-// result does not depend on the order responses arrived in.
+// combine by addition. AVG pairs are summed the same way, and the
+// merged sum is divided by the merged count once, at the end, as the
+// cube finalises its own pair. Partials are summed in Leg.Index order,
+// so the result does not depend on the order responses arrived in.
 func Merge(parts []Partial) Result {
 	ordered := append([]Partial(nil), parts...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Leg.Index < ordered[j].Leg.Index })
 	res := Result{Complete: true, Legs: len(ordered)}
+	var count float64
+	pair := false
 	for _, p := range ordered {
 		span := float64(p.Leg.TimeHi-p.Leg.TimeLo) + 1
 		res.TotalSpan += span
@@ -286,8 +298,13 @@ func Merge(parts []Partial) Result {
 			continue
 		}
 		res.Value += p.Value
+		count += p.Count
+		pair = pair || p.Pair
 		res.CoveredSpan += span
 		res.Covered = appendCoalesced(res.Covered, p.Leg.Range())
+	}
+	if pair {
+		res.Value = agg.Finalize(agg.Average, agg.Value{Sum: res.Value, Count: count})
 	}
 	return res
 }

@@ -200,6 +200,27 @@ func TestMergePartial(t *testing.T) {
 	}
 }
 
+// TestMergeAveragePairs: AVG legs merge their (sum, count) pairs and
+// divide once. Adding the legs' averages would answer 3+100 = 103 for
+// the values 2 and 4 on one shard and 100 on the other; the average of
+// the three is 106/3. A failed leg leaves the average of the live ones,
+// and pairs that count nothing average to the operator's zero.
+func TestMergeAveragePairs(t *testing.T) {
+	legs := mustParse(t, "a=0-99,b=100-").Route(0, 199)
+	both := []Partial{{Leg: legs[1], Value: 100, Count: 1, Pair: true}, {Leg: legs[0], Value: 6, Count: 2, Pair: true}}
+	if res := Merge(both); !res.Complete || res.Value != 106.0/3 {
+		t.Fatalf("Merge of AVG pairs = %+v, want complete 106/3", res)
+	}
+	both[0].Err = errors.New("shard down")
+	if res := Merge(both); res.Complete || res.Value != 3 {
+		t.Fatalf("Merge of AVG pairs with a dead leg = %+v, want PARTIAL 3", res)
+	}
+	empty := []Partial{{Leg: legs[0], Pair: true}, {Leg: legs[1], Pair: true}}
+	if res := Merge(empty); res.Value != 0 {
+		t.Fatalf("Merge of empty AVG pairs = %v, want 0", res.Value)
+	}
+}
+
 func TestMergeOrderInvariant(t *testing.T) {
 	legs := mustParse(t, "a=0-9,b=10-19,c=20-29,d=30-").Route(0, 40)
 	// Values chosen so naive float summation is order-sensitive.

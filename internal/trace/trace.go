@@ -21,12 +21,12 @@
 // allocates on its own. Span IDs come from the runtime's per-thread
 // random source, so concurrent requests share no counter. A served
 // QRY on histserve allocates 18 objects in all, parse and reply
-// included (cmd/histserve's TestServedQueryAllocs guards <= 22), and a
+// included (internal/histserve's TestServedQueryAllocs guards <= 22), and a
 // served INS or DEL 10 objects and 1 088 B (TestServedInsertAllocs).
 //
 // Spans are NOT safe for concurrent use: a span tree belongs to one
 // request on one goroutine, which is exactly the serving contract of
-// cmd/histserve (all cube calls serialise under the server mutex).
+// internal/histserve (all cube calls serialise under the server mutex).
 // Rendered snapshots (Render, JSON) are plain values and may be
 // shipped across goroutines freely.
 package trace

@@ -89,8 +89,10 @@ func (j *SpanJSON) Span() *Span {
 // structured variant histserve answers with and histproxy decodes to
 // graft shard span trees.
 type ExplainJSON struct {
-	Result float64   `json:"result"`
-	Trace  *SpanJSON `json:"trace"`
+	Result float64 `json:"result"`
+	// Count is a PAIR query's count, Result then being its sum.
+	Count float64   `json:"count,omitempty"`
+	Trace *SpanJSON `json:"trace"`
 }
 
 // DecodeExplain parses the body of an EXPLAIN JSON reply (what follows
