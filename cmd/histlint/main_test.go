@@ -529,6 +529,10 @@ func TestHistlintBitesInTheRealTree(t *testing.T) {
 			"\t\"histcube/internal/appendcube\"\n",
 			"\t\"histcube/internal/appendcube\"\n\t_ \"histcube/internal/paper/framework\"\n",
 			"histcube/internal/paper/framework"},
+		{"importfence", "internal/oracle/oracle.go",
+			"import \"strings\"\n",
+			"import (\n\t\"strings\"\n\n\t_ \"histcube/internal/dims\"\n)\n",
+			"histcube/internal/dims"},
 		{"deadexport", "internal/core/core.go",
 			"// Retire materialises every historic slice completely",
 			"// SeededDead is exported and called by nothing.\nfunc SeededDead() {}\n\n// Retire materialises every historic slice completely",

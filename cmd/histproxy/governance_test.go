@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"histcube/internal/fleettest"
+	"histcube/internal/linetest"
 )
 
 func TestProxyGovernanceLimits(t *testing.T) {
@@ -22,11 +22,11 @@ func TestProxyGovernanceLimits(t *testing.T) {
 	p.MaxLineLen = 256
 	addr := serveProxy(t, p)
 
-	c1 := fleettest.Dial(t, addr)
+	c1 := linetest.Dial(t, addr)
 	if got := c1.Cmd(t, "INS 10 1 1 5"); got != "OK" {
 		t.Fatalf("INS on first connection -> %q", got)
 	}
-	c2 := fleettest.Dial(t, addr)
+	c2 := linetest.Dial(t, addr)
 	if line, err := c2.R.ReadString('\n'); err != nil || !strings.HasPrefix(line, "ERR server busy") {
 		t.Fatalf("over-cap connection -> %q, %v, want ERR server busy", line, err)
 	}
@@ -35,7 +35,7 @@ func TestProxyGovernanceLimits(t *testing.T) {
 		"histproxy_connections":                1,
 		"histproxy_connections_total":          1,
 	} {
-		if n := fleettest.MetricValue(t, p.Reg, series); n != want {
+		if n := linetest.MetricValue(t, p.Reg, series); n != want {
 			t.Errorf("%s = %d, want %d", series, n, want)
 		}
 	}
@@ -53,7 +53,7 @@ func TestProxyIdleTimeoutAndArity(t *testing.T) {
 	spec, _ := threeShards(t)
 	p := buildProxy(t, spec)
 	p.ReadTimeout = 150 * time.Millisecond
-	c := fleettest.Dial(t, serveProxy(t, p))
+	c := linetest.Dial(t, serveProxy(t, p))
 	for _, tc := range []struct{ line, want string }{
 		{"STATS junk", "ERR STATS takes no arguments"},
 		{"SHARDS junk", "ERR SHARDS takes no arguments"},
@@ -67,7 +67,7 @@ func TestProxyIdleTimeoutAndArity(t *testing.T) {
 		t.Fatalf("idle connection: %v, want it closed by the proxy", err)
 	}
 	// QUIT must always close, arguments or not.
-	c = fleettest.Dial(t, serveProxy(t, p))
+	c = linetest.Dial(t, serveProxy(t, p))
 	if got := c.Cmd(t, "QUIT junk"); got != "BYE" {
 		t.Fatalf("QUIT junk -> %q, want BYE", got)
 	}

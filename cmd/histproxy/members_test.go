@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"histcube/internal/fleettest"
+	"histcube/internal/linetest"
 )
 
 // TestMemberStateLoopSendsOneRolePerMemberPerTick: in steady state the
@@ -47,7 +48,7 @@ func TestBrokenWriteFailsOverBeforeTheBreakerOpens(t *testing.T) {
 	cfg := testConfig(fmt.Sprintf("%s|%s=0-", primary.Addr, follower.Addr))
 	cfg.ProbeEvery, cfg.BreakerThreshold = time.Hour, 3
 	p := startConfigured(t, cfg)
-	c := fleettest.Dial(t, serveProxy(t, p))
+	c := linetest.Dial(t, serveProxy(t, p))
 	if got := c.Cmd(t, "INS 1 0 0 5"); got != "OK" {
 		t.Fatalf("INS = %q", got)
 	}
@@ -55,7 +56,7 @@ func TestBrokenWriteFailsOverBeforeTheBreakerOpens(t *testing.T) {
 	if got := c.Cmd(t, "INS 2 0 0 5"); !strings.HasPrefix(got, "ERR shard") {
 		t.Fatalf("INS to the dead primary = %q, want ERR shard ... unavailable", got)
 	}
-	for deadline := time.Now().Add(5 * time.Second); fleettest.MetricValue(t, p.Reg, "histproxy_failovers_total") != 1; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); linetest.MetricValue(t, p.Reg, "histproxy_failovers_total") != 1; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("waited 5 s for the follower to be promoted")
 		}

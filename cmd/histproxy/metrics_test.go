@@ -11,9 +11,9 @@ import (
 	"strings"
 	"testing"
 
-	"histcube/internal/fleettest"
 	"histcube/internal/histproxy"
 	"histcube/internal/lineserver"
+	"histcube/internal/linetest"
 )
 
 // TestProxyRequestSeconds: histproxy_request_seconds has one series per
@@ -21,7 +21,7 @@ import (
 func TestProxyRequestSeconds(t *testing.T) {
 	spec, _ := threeMembers(t)
 	addr, p := startProxy(t, spec)
-	got := fleettest.Dial(t, addr).SendAll(t, "INS 10 1 1 5\nQRY 0 300 0 0 7 7\nINS 150 1 1 2\n", 3)
+	got := linetest.Dial(t, addr).SendAll(t, "INS 10 1 1 5\nQRY 0 300 0 0 7 7\nINS 150 1 1 2\n", 3)
 	if strings.Join(got, "|") != "OK|5|OK" {
 		t.Fatalf("replies = %q", got)
 	}

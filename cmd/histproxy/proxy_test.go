@@ -12,6 +12,7 @@ import (
 
 	"histcube/internal/fleettest"
 	"histcube/internal/histproxy"
+	"histcube/internal/linetest"
 	"histcube/internal/trace"
 )
 
@@ -100,7 +101,7 @@ func threeMembers(t *testing.T) (spec string, members []*fleettest.Member) {
 func TestProxyRoutesAndMerges(t *testing.T) {
 	spec, members := threeMembers(t)
 	addr, _ := startProxy(t, spec)
-	c := fleettest.Dial(t, addr)
+	c := linetest.Dial(t, addr)
 
 	// Mutations land on the owner by timestamp.
 	for _, ins := range []string{"INS 10 1 1 5", "INS 150 1 1 7", "INS 250 1 1 11", "INS 180 2 2 13"} {
@@ -144,7 +145,7 @@ func TestProxyPartialOnDeadShardAndRejoin(t *testing.T) {
 	members := []*fleettest.Member{a, b, c}
 	spec := fmt.Sprintf("%s=0-99,%s=100-199,%s=200-", a.Addr, b.Addr, c.Addr)
 	addr, p := startProxy(t, spec)
-	cl := fleettest.Dial(t, addr)
+	cl := linetest.Dial(t, addr)
 
 	for _, ins := range []string{"INS 10 1 1 5", "INS 150 1 1 7", "INS 250 1 1 11"} {
 		if got := cl.Cmd(t, ins); got != "OK" {
@@ -169,14 +170,14 @@ func TestProxyPartialOnDeadShardAndRejoin(t *testing.T) {
 	if got := cl.Cmd(t, "INS 150 1 1 1"); !strings.HasPrefix(got, "ERR shard") {
 		t.Fatalf("INS to dead shard -> %q, want ERR shard ... unavailable", got)
 	}
-	if fleettest.MetricValue(t, p.Reg, "histproxy_partial_answers_total") == 0 {
+	if linetest.MetricValue(t, p.Reg, "histproxy_partial_answers_total") == 0 {
 		t.Fatal("histproxy_partial_answers_total not incremented")
 	}
-	if fleettest.MetricValue(t, p.Reg, "histproxy_leg_failures_total") == 0 {
+	if linetest.MetricValue(t, p.Reg, "histproxy_leg_failures_total") == 0 {
 		t.Error("histproxy_leg_failures_total not incremented")
 	}
 	shardUp := fmt.Sprintf(`histproxy_shard_up{shard=%q}`, b.Addr)
-	if n := fleettest.MetricValue(t, p.Reg, shardUp); n != 0 {
+	if n := linetest.MetricValue(t, p.Reg, shardUp); n != 0 {
 		t.Errorf("%s = %d during the outage, want 0", shardUp, n)
 	}
 
@@ -195,7 +196,7 @@ func TestProxyPartialOnDeadShardAndRejoin(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if n := fleettest.MetricValue(t, p.Reg, shardUp); n != 1 {
+	if n := linetest.MetricValue(t, p.Reg, shardUp); n != 1 {
 		t.Errorf("%s = %d after the rejoin, want 1", shardUp, n)
 	}
 }
@@ -203,7 +204,7 @@ func TestProxyPartialOnDeadShardAndRejoin(t *testing.T) {
 func TestProxyExplain(t *testing.T) {
 	spec, _ := threeMembers(t)
 	addr, _ := startProxy(t, spec)
-	c := fleettest.Dial(t, addr)
+	c := linetest.Dial(t, addr)
 	c.Cmd(t, "INS 10 1 1 5")
 	c.Cmd(t, "INS 250 1 1 7")
 
@@ -233,7 +234,7 @@ func TestProxyExplain(t *testing.T) {
 func TestProxyExplainPartial(t *testing.T) {
 	spec, members := threeMembers(t)
 	addr, _ := startProxy(t, spec)
-	c := fleettest.Dial(t, addr)
+	c := linetest.Dial(t, addr)
 	c.Cmd(t, "INS 10 1 1 5")
 	members[2].Stop()
 	lines := c.Multi(t, "EXPLAIN QRY 0 300 0 0 7 7")
@@ -250,7 +251,7 @@ func TestProxyExplainRejectsNamelessShardTrace(t *testing.T) {
 	a, b, bad := fleettest.StartMember(t, fleettest.MemberConfig("sum")), fleettest.StartMember(t, fleettest.MemberConfig("sum")), fleettest.NewFakeShard(t)
 	bad.Set(func(f *fleettest.FakeShard) { f.Explain = `{"result":5,"trace":{}}` })
 	addr, _ := startProxy(t, fmt.Sprintf("%s=0-99,%s=100-199,%s=200-", a.Addr, b.Addr, bad.Addr))
-	c := fleettest.Dial(t, addr)
+	c := linetest.Dial(t, addr)
 	c.Cmd(t, "INS 10 1 1 5")
 	lines := c.Multi(t, "EXPLAIN QRY 0 300 0 0 7 7")
 	if !strings.HasPrefix(lines[0], "PARTIAL result=5 coverage=0.664 covered=0-199 missing=") {
@@ -327,7 +328,7 @@ func explainTotals(t *testing.T, p *histproxy.Proxy, line string, lines []string
 func TestProxyExplainMergedTreeTotals(t *testing.T) {
 	spec, _ := threeMembers(t)
 	addr, p := startProxy(t, spec)
-	c := fleettest.Dial(t, addr)
+	c := linetest.Dial(t, addr)
 	c.Cmd(t, "INS 10 1 1 5")
 	c.Cmd(t, "INS 250 1 1 7")
 	line := "EXPLAIN QRY 0 300 0 0 7 7"
@@ -342,7 +343,7 @@ func TestProxyExplainMergedTreeTotals(t *testing.T) {
 func TestProxyExplainDeadShardKeepsSurvivors(t *testing.T) {
 	spec, members := threeMembers(t)
 	addr, p := startProxy(t, spec)
-	c := fleettest.Dial(t, addr)
+	c := linetest.Dial(t, addr)
 	c.Cmd(t, "INS 10 1 1 5")
 	c.Cmd(t, "INS 150 1 1 7")
 	members[2].Stop()
@@ -371,7 +372,7 @@ func TestProxyExplainDeadShardKeepsSurvivors(t *testing.T) {
 func TestProxyTraceIDPropagation(t *testing.T) {
 	spec, members := threeMembers(t)
 	addr, p := startProxy(t, spec)
-	c := fleettest.Dial(t, addr)
+	c := linetest.Dial(t, addr)
 	id := trace.NewID()
 	tok := trace.FormatRequestID(id)
 
@@ -432,7 +433,7 @@ func TestProxyTraceIDPropagation(t *testing.T) {
 func TestProxyMergedStats(t *testing.T) {
 	spec, _ := threeMembers(t)
 	addr, _ := startProxy(t, spec)
-	c := fleettest.Dial(t, addr)
+	c := linetest.Dial(t, addr)
 	c.Cmd(t, "INS 10 1 1 5")
 	c.Cmd(t, "INS 250 1 1 7")
 
@@ -461,11 +462,11 @@ func TestProxyStatsAsksThePrimary(t *testing.T) {
 	cfg.Follow = primary.Addr
 	follower := fleettest.StartMember(t, cfg)
 	addr, _ := startProxy(t, fmt.Sprintf("%s|%s=0-", primary.Addr, follower.Addr))
-	c := fleettest.Dial(t, addr)
+	c := linetest.Dial(t, addr)
 	if got := c.Cmd(t, "INS 1 1 1 5"); got != "OK" {
 		t.Fatalf("INS = %q", got)
 	}
-	if got := fleettest.Dial(t, follower.Addr).Cmd(t, "STATS"); !strings.Contains(got, " replica=1 ") {
+	if got := linetest.Dial(t, follower.Addr).Cmd(t, "STATS"); !strings.Contains(got, " replica=1 ") {
 		t.Fatalf("the follower's own STATS = %q, want its replica fields", got)
 	}
 	for i := 0; i < 8; i++ {
@@ -478,7 +479,7 @@ func TestProxyStatsAsksThePrimary(t *testing.T) {
 func TestProxyProtocolErrors(t *testing.T) {
 	spec, _ := threeShards(t)
 	addr, _ := startProxy(t, spec)
-	c := fleettest.Dial(t, addr)
+	c := linetest.Dial(t, addr)
 	cases := []struct{ line, prefix string }{
 		{"QRY 0 300 0 0 7", "ERR QRY needs"},
 		{"QRY 0 x 0 0 7 7", "ERR bad integer"},
@@ -531,14 +532,14 @@ func TestProxyUnitEdgesKeepTheirAnswers(t *testing.T) {
 			shards[0].Set(func(f *fleettest.FakeShard) { f.Hold = tc.hold })
 			shards[1].Set(func(f *fleettest.FakeShard) { f.QryErr = boom })
 			addr, p := startProxy(t, spec)
-			got := fleettest.Dial(t, addr).SendAll(t, strings.Join(tc.lines, "\n")+"\n", len(tc.lines))
+			got := linetest.Dial(t, addr).SendAll(t, strings.Join(tc.lines, "\n")+"\n", len(tc.lines))
 			if strings.Join(got, "|") != strings.Join(tc.want, "|") {
 				t.Fatalf("replies\n %q\nwant\n %q", got, tc.want)
 			}
 			if n := len(shards[0].Received()); n != tc.hold {
 				t.Errorf("shard 0 received %d lines, want %d", n, tc.hold)
 			}
-			if n := fleettest.MetricValue(t, p.Reg, "histproxy_partial_answers_total"); n != 0 {
+			if n := linetest.MetricValue(t, p.Reg, "histproxy_partial_answers_total"); n != 0 {
 				t.Errorf("%d answers were PARTIAL", n)
 			}
 		})
@@ -548,7 +549,7 @@ func TestProxyUnitEdgesKeepTheirAnswers(t *testing.T) {
 func TestProxyVersionAndShards(t *testing.T) {
 	spec, shards := threeShards(t)
 	addr, _ := startProxy(t, spec)
-	c := fleettest.Dial(t, addr)
+	c := linetest.Dial(t, addr)
 	if got := c.Cmd(t, "VERSION"); !strings.HasPrefix(got, "OK histproxy rev=") || !strings.Contains(got, "shards=3") {
 		t.Fatalf("VERSION -> %q", got)
 	}
@@ -570,7 +571,7 @@ func TestProxySealHistoric(t *testing.T) {
 	cfg.SealHistoric = true // Start seals in the background, as -seal-historic does
 	startConfigured(t, cfg)
 	for i := range 2 {
-		c := fleettest.Dial(t, members[i].Addr)
+		c := linetest.Dial(t, members[i].Addr)
 		for deadline := time.Now().Add(5 * time.Second); !strings.Contains(c.Cmd(t, "STATS"), "sealed_through="); time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatalf("historic member %d was never sealed", i)
@@ -582,10 +583,10 @@ func TestProxySealHistoric(t *testing.T) {
 			t.Fatalf("historic member %d sealed_through=%v, want %v", i, got, want)
 		}
 	}
-	if got := fleettest.Dial(t, members[2].Addr).Cmd(t, "STATS"); strings.Contains(got, "sealed_through") {
+	if got := linetest.Dial(t, members[2].Addr).Cmd(t, "STATS"); strings.Contains(got, "sealed_through") {
 		t.Fatalf("hot member must not be sealed: %q", got)
 	}
-	if got := fleettest.Dial(t, members[1].Addr).Cmd(t, "INS 150 1 1 1"); !strings.HasPrefix(got, "ERR sealed") {
+	if got := linetest.Dial(t, members[1].Addr).Cmd(t, "INS 150 1 1 1"); !strings.HasPrefix(got, "ERR sealed") {
 		t.Fatalf("INS into a sealed member's range = %q, want ERR sealed", got)
 	}
 }

@@ -16,13 +16,15 @@ import (
 
 	"histcube/internal/fleettest"
 	"histcube/internal/histproxy"
+	"histcube/internal/linetest"
+	"histcube/internal/oracle"
 	"histcube/internal/trace"
 )
 
 func TestRunSpansOwnersRepliesInRequestOrder(t *testing.T) {
 	spec, members := threeMembers(t)
 	addr, p := startProxy(t, spec)
-	c := fleettest.Dial(t, addr)
+	c := linetest.Dial(t, addr)
 	lines := []string{
 		"INS 10 1 1 5",   // shard 0
 		"INS 250 2 2 7",  // shard 2
@@ -59,13 +61,13 @@ func TestRunSpansOwnersRepliesInRequestOrder(t *testing.T) {
 		}
 	}
 	// Every line is accounted under its own verb, errors included.
-	if n := fleettest.MetricValue(t, p.Reg, `histproxy_request_seconds_count{cmd="INS"}`); n != 7 {
+	if n := linetest.MetricValue(t, p.Reg, `histproxy_request_seconds_count{cmd="INS"}`); n != 7 {
 		t.Errorf("INS requests accounted = %d, want 7", n)
 	}
-	if n := fleettest.MetricValue(t, p.Reg, `histproxy_errors_total{cmd="INS"}`); n != 2 {
+	if n := linetest.MetricValue(t, p.Reg, `histproxy_errors_total{cmd="INS"}`); n != 2 {
 		t.Errorf("INS errors accounted = %d, want 2", n)
 	}
-	if n := fleettest.MetricValue(t, p.Reg, `histproxy_request_seconds_count{cmd="DEL"}`); n != 1 {
+	if n := linetest.MetricValue(t, p.Reg, `histproxy_request_seconds_count{cmd="DEL"}`); n != 1 {
 		t.Errorf("DEL requests accounted = %d, want 1", n)
 	}
 }
@@ -104,7 +106,7 @@ func TestUnitIsOneRoundTripPerShard(t *testing.T) {
 	shards[0].Set(func(f *fleettest.FakeShard) { f.Hold = 3 })
 	shards[1].Set(func(f *fleettest.FakeShard) { f.QryDelay = 400 * time.Millisecond })
 	addr, p := startProxy(t, spec)
-	c := fleettest.Dial(t, addr)
+	c := linetest.Dial(t, addr)
 	if _, err := io.WriteString(c.Conn, "INS 10 1 1 5\nINS 11 1 1 5\nQRY 0 150 0 0 7 7\nINS 12 1 1 5"); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +179,7 @@ func TestBrokenRunAnswersEveryLineAndFailsOver(t *testing.T) {
 	primary.Set(func(f *fleettest.FakeShard) { f.DropAfter = 2 })
 	replica.Set(func(f *fleettest.FakeShard) { f.Replica = true })
 	addr, p := startProxy(t, fmt.Sprintf("%s|%s=0-", primary.Addr, replica.Addr))
-	c := fleettest.Dial(t, addr)
+	c := linetest.Dial(t, addr)
 	run := "INS 1 0 0 1\nINS 2 0 0 1\nINS 3 0 0 1\nINS 4 0 0 1\nINS 5 0 0 1\n"
 	got := c.SendAll(t, run, 5)
 	for i, l := range got {
@@ -194,13 +196,13 @@ func TestBrokenRunAnswersEveryLineAndFailsOver(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for fleettest.MetricValue(t, p.Reg, "histproxy_failovers_total") == 0 {
+	for linetest.MetricValue(t, p.Reg, "histproxy_failovers_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("the broken run did not trigger a failover")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n := fleettest.MetricValue(t, p.Reg, "histproxy_failovers_total"); n != 1 {
+	if n := linetest.MetricValue(t, p.Reg, "histproxy_failovers_total"); n != 1 {
 		t.Fatalf("failovers = %d after one broken run, want 1", n)
 	}
 	if got := c.SendAll(t, "INS 3 0 0 1\nINS 4 0 0 1\nINS 5 0 0 1\n", 3); strings.Join(got, "|") != "OK|OK|OK" {
@@ -232,7 +234,7 @@ func TestBrokenMixedUnitAnswersEveryLineAndFailsOver(t *testing.T) {
 	addr, p := startProxy(t, fmt.Sprintf("%s|%s=0-", primary.Addr, replica.Addr))
 	const qry = "QRY 0 100 0 0 7 7"
 	unit := []string{"INS 1 0 0 1", qry, "INS 2 0 0 1", qry, "INS 3 0 0 1", qry, "DEL 1 0 0 1", qry}
-	got := fleettest.Dial(t, addr).SendAll(t, strings.Join(unit, "\n")+"\n", len(unit))
+	got := linetest.Dial(t, addr).SendAll(t, strings.Join(unit, "\n")+"\n", len(unit))
 	unavailable := "ERR shard " + primary.Addr + " unavailable"
 	for i, want := range []string{"OK", "0", "OK", "0", unavailable, "0", unavailable, "0"} {
 		if got[i] != want && !(want == unavailable && strings.HasPrefix(got[i], want)) {
@@ -250,17 +252,17 @@ func TestBrokenMixedUnitAnswersEveryLineAndFailsOver(t *testing.T) {
 	if len(resent) != 2 {
 		t.Errorf("the replica received the legs %q, want exactly the two the break left unanswered", resent)
 	}
-	if n := fleettest.MetricValue(t, p.Reg, "histproxy_partial_answers_total"); n != 0 {
+	if n := linetest.MetricValue(t, p.Reg, "histproxy_partial_answers_total"); n != 0 {
 		t.Errorf("%d answers were PARTIAL with a live replica", n)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for fleettest.MetricValue(t, p.Reg, "histproxy_failovers_total") == 0 {
+	for linetest.MetricValue(t, p.Reg, "histproxy_failovers_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("the broken unit did not trigger a failover")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n := fleettest.MetricValue(t, p.Reg, "histproxy_failovers_total"); n != 1 {
+	if n := linetest.MetricValue(t, p.Reg, "histproxy_failovers_total"); n != 1 {
 		t.Fatalf("failovers = %d after one broken unit, want 1", n)
 	}
 }
@@ -276,7 +278,7 @@ func TestUnitReadsRepliesBufferedBehindASlowShard(t *testing.T) {
 	a, b := fleettest.NewFakeShard(t), fleettest.NewFakeShard(t)
 	b.Set(func(f *fleettest.FakeShard) { f.QryDelay = 1500 * time.Millisecond })
 	addr := serveProxy(t, buildProxyWith(t, fmt.Sprintf("%s=0-99,%s=100-", a.Addr, b.Addr), 0, time.Second))
-	got := fleettest.Dial(t, addr).SendAll(t, "QRY 100 150 0 0 7 7\nINS 10 1 1 5\n", 2)
+	got := linetest.Dial(t, addr).SendAll(t, "QRY 100 150 0 0 7 7\nINS 10 1 1 5\n", 2)
 	if !strings.HasPrefix(got[0], "PARTIAL 0 ") || got[1] != "OK" {
 		t.Fatalf("replies %q, want [PARTIAL 0 ..., OK]", got)
 	}
@@ -295,13 +297,13 @@ func TestUnitDoesNotHedgeBufferedReadBatch(t *testing.T) {
 	a.Set(func(f *fleettest.FakeShard) { f.QryDelay = 60 * time.Millisecond })
 	b0.Set(func(f *fleettest.FakeShard) { f.MinAcks = 1 }) // B's follower serves reads
 	p := buildProxyWith(t, fmt.Sprintf("%s=0-99,%s|%s=100-", a.Addr, b0.Addr, b1.Addr), 5*time.Millisecond, time.Second)
-	c := fleettest.Dial(t, serveProxy(t, p))
+	c := linetest.Dial(t, serveProxy(t, p))
 	for i := 0; i < 5; i++ {
 		if got := c.Cmd(t, "QRY 0 150 0 0 7 7"); got != "0" {
 			t.Fatalf("window %d answered %q, want 0", i, got)
 		}
 	}
-	if n := fleettest.MetricValue(t, p.Reg, fmt.Sprintf("histproxy_hedged_reads{shard=%q}", b0.Addr)); n != 0 {
+	if n := linetest.MetricValue(t, p.Reg, fmt.Sprintf("histproxy_hedged_reads{shard=%q}", b0.Addr)); n != 0 {
 		t.Fatalf("shard B hedged %d read batches whose replies were already in", n)
 	}
 }
@@ -321,7 +323,7 @@ func semiSyncFleet(t *testing.T) (string, []string) {
 		fcfg.Follow = primary.Addr
 		follower := fleettest.StartMember(t, fcfg)
 		// Semi-sync needs the link up before the first write.
-		pc := fleettest.Dial(t, primary.Addr)
+		pc := linetest.Dial(t, primary.Addr)
 		deadline := time.Now().Add(10 * time.Second)
 		for !strings.Contains(pc.Cmd(t, "ROLE"), "followers=1") {
 			if time.Now().After(deadline) {
@@ -394,7 +396,7 @@ func TestRunConformanceThroughSemiSyncFleet(t *testing.T) {
 
 	transcript := func(piped bool) []string {
 		addr, members := semiSyncFleet(t)
-		c := fleettest.Dial(t, addr)
+		c := linetest.Dial(t, addr)
 		var got []string
 		if piped {
 			// Everything but the last line's newline in one write: the
@@ -414,7 +416,7 @@ func TestRunConformanceThroughSemiSyncFleet(t *testing.T) {
 			if i >= 2 {
 				want = fmt.Sprint(7 - 4 + 1.5 - 0.5 + long/2 + 9)
 			}
-			if got := fleettest.Dial(t, m).Cmd(t, all); got != want {
+			if got := linetest.Dial(t, m).Cmd(t, all); got != want {
 				t.Errorf("member %d (%s) answers %s right after the acked script, want %s", i, m, got, want)
 			}
 		}
@@ -441,9 +443,9 @@ func TestRunConformanceThroughSemiSyncFleet(t *testing.T) {
 	if len(depth1) != len(piped) {
 		t.Fatalf("depth 1 answered %d lines, pipelined %d", len(depth1), len(piped))
 	}
-	// The naive reference is fed the mutations the fleet acked and scans
-	// them for each query.
-	var oracle fleettest.Naive
+	// The oracle is fed the mutations the fleet acked and scans them for
+	// each query.
+	var ref oracle.Points
 	checked := 0
 	for i, line := range script {
 		if depth1[i] != piped[i] {
@@ -453,17 +455,17 @@ func TestRunConformanceThroughSemiSyncFleet(t *testing.T) {
 		f := strings.Fields(line)
 		switch {
 		case len(f) == 5 && (f[0] == "INS" || f[0] == "DEL") && depth1[i] == "OK":
-			oracle.Apply(t, f)
+			fleettest.Apply(t, &ref, f)
 		case len(f) == 7 && f[0] == "QRY":
 			checked++
-			if want := strconv.FormatFloat(oracle.Query(t, "sum", f[1:]), 'g', -1, 64); depth1[i] != want {
-				t.Errorf("line %d %q answered %q, a naive scan of the %d mutations acked before it %s", i, line, depth1[i], len(oracle), want)
+			if want := fleettest.Answer(t, ref, "sum", f[1:]); depth1[i] != want {
+				t.Errorf("line %d %q answered %q, a naive scan of the %d mutations acked before it %s", i, line, depth1[i], len(ref), want)
 			}
 		case i >= len(script)-len(mixed):
 			t.Errorf("line %d %q of the mixed part answered %q", i, line, depth1[i])
 		}
 	}
-	t.Logf("%d queries equal a naive scan, the last over %d acked mutations", checked, len(oracle))
+	t.Logf("%d queries equal a naive scan, the last over %d acked mutations", checked, len(ref))
 	// And the transcript is the right one, not merely the same one.
 	for i, want := range []string{"OK", "5", "OK", "OK", "OK",
 		"ERR INS needs time, 2 coordinates and a value", "OK", `ERR bad integer "x"`} {
@@ -494,10 +496,10 @@ func TestNonFiniteValueIsRefused(t *testing.T) {
 	cfg.OOO = true
 	srv := fleettest.StartMember(t, cfg)
 	addr, _ := startProxy(t, srv.Addr+"=0-")
-	direct, proxied := fleettest.Dial(t, srv.Addr), fleettest.Dial(t, addr)
+	direct, proxied := linetest.Dial(t, srv.Addr), linetest.Dial(t, addr)
 	// The log's own count: a segment is created at its full size, so
 	// its file size says nothing about what was appended.
-	walBytes := func() int64 { return fleettest.MetricValue(t, srv.Server().Reg, "histcube_wal_appended_bytes_total") }
+	walBytes := func() int64 { return linetest.MetricValue(t, srv.Server().Reg, "histcube_wal_appended_bytes_total") }
 	if got := proxied.Cmd(t, "INS 1 1 1 5"); got != "OK" {
 		t.Fatalf("INS = %q", got)
 	}

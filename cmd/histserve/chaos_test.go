@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"histcube/internal/fault"
+	"histcube/internal/linetest"
 )
 
 // TestChaosBinaryDegradeKillRecover is the end-to-end acceptance run:
@@ -105,25 +106,25 @@ func TestChaosPanicRecovery(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
 	srv.Inj = fault.MustParse("serve.dispatch:panic@2", 1)
 	addr := serveOn(t, srv)
-	c := dial(t, addr)
+	c := linetest.Dial(t, addr)
 
-	if got := c.cmd(t, "INS 1 2 3 5"); got != "OK" {
+	if got := c.Cmd(t, "INS 1 2 3 5"); got != "OK" {
 		t.Fatalf("pre-panic INS -> %q", got)
 	}
-	if got := c.cmd(t, "QRY 0 5 0 0 7 7"); !strings.HasPrefix(got, "ERR internal error") {
+	if got := c.Cmd(t, "QRY 0 5 0 0 7 7"); !strings.HasPrefix(got, "ERR internal error") {
 		t.Fatalf("panicking request -> %q, want ERR internal error", got)
 	}
-	if n := metricValue(t, srv, "histserve_panics_recovered_total"); n != 1 {
+	if n := linetest.MetricValue(t, srv.Reg, "histserve_panics_recovered_total"); n != 1 {
 		t.Fatalf("recovered-panic counter = %d, want 1", n)
 	}
 	// Same connection, post-panic: both paths of the mutex contract.
-	if got := c.cmd(t, "INS 2 2 3 2"); got != "OK" {
+	if got := c.Cmd(t, "INS 2 2 3 2"); got != "OK" {
 		t.Fatalf("post-panic INS -> %q (mutex poisoned?)", got)
 	}
-	if got := c.cmd(t, "QRY 0 5 0 0 7 7"); got != "7" {
+	if got := c.Cmd(t, "QRY 0 5 0 0 7 7"); got != "7" {
 		t.Fatalf("post-panic QRY -> %q, want 7", got)
 	}
-	if got := c.cmd(t, "QUIT"); got != "BYE" {
+	if got := c.Cmd(t, "QUIT"); got != "BYE" {
 		t.Fatalf("QUIT -> %q", got)
 	}
 }
@@ -138,35 +139,35 @@ func TestChaosGovernanceLimits(t *testing.T) {
 	srv.MaxLineLen = 256
 	addr := serveOn(t, srv)
 
-	c1 := dial(t, addr)
-	if got := c1.cmd(t, "INS 1 1 1 1"); got != "OK" {
+	c1 := linetest.Dial(t, addr)
+	if got := c1.Cmd(t, "INS 1 1 1 1"); got != "OK" {
 		t.Fatalf("INS on first connection -> %q", got)
 	}
-	c2 := dial(t, addr)
-	line, err := c2.r.ReadString('\n')
+	c2 := linetest.Dial(t, addr)
+	line, err := c2.R.ReadString('\n')
 	if err != nil {
 		t.Fatalf("reading cap rejection: %v", err)
 	}
 	if !strings.HasPrefix(line, "ERR server busy") {
 		t.Fatalf("over-cap connection -> %q, want ERR server busy", strings.TrimSpace(line))
 	}
-	if n := metricValue(t, srv, "histserve_connections_rejected_total"); n != 1 {
+	if n := linetest.MetricValue(t, srv.Reg, "histserve_connections_rejected_total"); n != 1 {
 		t.Fatalf("rejected-connection counter = %d, want 1", n)
 	}
 
 	// The surviving connection trips the line-length guard next.
 	long := "INS " + strings.Repeat("9", 512)
-	if _, err := fmt.Fprintln(c1.conn, long); err != nil {
+	if _, err := fmt.Fprintln(c1.Conn, long); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c1.r.ReadString('\n')
+	resp, err := c1.R.ReadString('\n')
 	if err != nil {
 		t.Fatalf("reading too-long rejection: %v", err)
 	}
 	if !strings.HasPrefix(resp, "ERR line too long") {
 		t.Fatalf("overlong line -> %q, want ERR line too long", strings.TrimSpace(resp))
 	}
-	if _, err := c1.r.ReadString('\n'); err == nil {
+	if _, err := c1.R.ReadString('\n'); err == nil {
 		t.Fatal("connection survived an overlong line; the scanner cannot resynchronise, it must close")
 	}
 

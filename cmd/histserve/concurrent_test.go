@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"histcube/internal/linetest"
 )
 
 // TestConcurrentClients spins N goroutine clients doing mixed
@@ -29,31 +31,31 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			c := dial(t, addr)
+			c := linetest.Dial(t, addr)
 			r := rand.New(rand.NewSource(int64(n)))
 			for i := 0; i < opsPerClient; i++ {
 				switch i % 3 {
 				case 0:
 					line := fmt.Sprintf("INS %d %d %d 1", r.Intn(100), r.Intn(8), r.Intn(8))
-					if got := c.cmd(t, line); got != "OK" {
+					if got := c.Cmd(t, line); got != "OK" {
 						errCh <- fmt.Errorf("client %d: %q -> %q", n, line, got)
 						return
 					}
 				case 1:
 					lo := r.Intn(8)
 					line := fmt.Sprintf("QRY 0 100 %d 0 7 7", lo)
-					if got := c.cmd(t, line); strings.HasPrefix(got, "ERR") {
+					if got := c.Cmd(t, line); strings.HasPrefix(got, "ERR") {
 						errCh <- fmt.Errorf("client %d: %q -> %q", n, line, got)
 						return
 					}
 				case 2:
-					if got := c.cmd(t, "STATS"); !strings.HasPrefix(got, "slices=") {
+					if got := c.Cmd(t, "STATS"); !strings.HasPrefix(got, "slices=") {
 						errCh <- fmt.Errorf("client %d: STATS -> %q", n, got)
 						return
 					}
 				}
 			}
-			if got := c.cmd(t, "QUIT"); got != "BYE" {
+			if got := c.Cmd(t, "QUIT"); got != "BYE" {
 				errCh <- fmt.Errorf("client %d: QUIT -> %q", n, got)
 			}
 		}(n)
@@ -87,7 +89,7 @@ func TestConcurrentClients(t *testing.T) {
 	if got := srv.ConnTotal.Value(); got != clients {
 		t.Errorf("connections_total = %d, want %d", got, clients)
 	}
-	if got := metricValue(t, srv, "histserve_inflight_requests"); got != 0 {
+	if got := linetest.MetricValue(t, srv.Reg, "histserve_inflight_requests"); got != 0 {
 		t.Errorf("inflight gauge = %d after shutdown, want 0", got)
 	}
 }

@@ -14,12 +14,11 @@ import (
 	"os"
 	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
-	"histcube/internal/histserve"
 	"histcube/internal/lineserver"
+	"histcube/internal/linetest"
 )
 
 // TestCmdLatencyMetrics checks histserve_request_seconds on /metrics:
@@ -35,8 +34,8 @@ func TestCmdLatencyMetrics(t *testing.T) {
 	}
 	t.Cleanup(func() { mln.Close() })
 
-	c := dial(t, addr)
-	if got := c.cmd(t, "INS 1 2 3 4"); got != "OK" {
+	c := linetest.Dial(t, addr)
+	if got := c.Cmd(t, "INS 1 2 3 4"); got != "OK" {
 		t.Fatalf("INS -> %q", got)
 	}
 
@@ -77,11 +76,11 @@ func TestOutOfOrderInsertRaisesGd(t *testing.T) {
 			t.Fatalf("%s -> %q", line, resp)
 		}
 	}
-	before := metricValue(t, srv, "histcube_ooo_pending")
+	before := linetest.MetricValue(t, srv.Reg, "histcube_ooo_pending")
 	if resp, _ := srv.Do(0, "INS 3 1 1 1"); resp != "OK" {
 		t.Fatalf("out-of-order INS -> %q", resp)
 	}
-	if got := metricValue(t, srv, "histcube_ooo_pending"); got != before+1 {
+	if got := linetest.MetricValue(t, srv.Reg, "histcube_ooo_pending"); got != before+1 {
 		t.Fatalf("histcube_ooo_pending = %d after an out-of-order INS, want %d", got, before+1)
 	}
 }
@@ -123,27 +122,6 @@ func TestReadmeNamesOnlyRealMetrics(t *testing.T) {
 	if len(stale) > 0 {
 		t.Errorf("named in README but not registered: %s", strings.Join(stale, ", "))
 	}
-}
-
-// metricValue reads one series off srv's registry, its labels spelled
-// as /metrics renders them (internal/histserve's tests have its twin).
-func metricValue(t *testing.T, srv *histserve.Server, name string) int64 {
-	t.Helper()
-	var b strings.Builder
-	if err := srv.Reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(b.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, name+" "); ok {
-			n, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return int64(n)
-		}
-	}
-	t.Fatalf("/metrics has no series %s", name)
-	return 0
 }
 
 // readmeFamilies compares the families of a rendered exposition that

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"log/slog"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"histcube/internal/histserve"
+	"histcube/internal/linetest"
 )
 
 // quietConfig is the histserve.Config of -dims dims -op op [-ooo], the other
@@ -56,59 +56,32 @@ func startTestServer(t *testing.T, ooo bool) (addr string) {
 	return serveOn(t, newQuietServer(t, "8,8", "sum", ooo))
 }
 
-type client struct {
-	conn net.Conn
-	r    *bufio.Reader
-}
-
-func dial(t *testing.T, addr string) *client {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	return &client{conn: conn, r: bufio.NewReader(conn)}
-}
-
-func (c *client) cmd(t *testing.T, line string) string {
-	t.Helper()
-	if _, err := fmt.Fprintln(c.conn, line); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := c.r.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	return strings.TrimSpace(resp)
-}
-
 func TestProtocolRoundTrip(t *testing.T) {
 	addr := startTestServer(t, false)
-	c := dial(t, addr)
+	c := linetest.Dial(t, addr)
 
-	if got := c.cmd(t, "INS 1 3 4 5.5"); got != "OK" {
+	if got := c.Cmd(t, "INS 1 3 4 5.5"); got != "OK" {
 		t.Fatalf("INS -> %q", got)
 	}
-	if got := c.cmd(t, "INS 2 3 4 2.5"); got != "OK" {
+	if got := c.Cmd(t, "INS 2 3 4 2.5"); got != "OK" {
 		t.Fatalf("INS -> %q", got)
 	}
-	if got := c.cmd(t, "QRY 0 5 0 0 7 7"); got != "8" {
+	if got := c.Cmd(t, "QRY 0 5 0 0 7 7"); got != "8" {
 		t.Fatalf("QRY -> %q, want 8", got)
 	}
-	if got := c.cmd(t, "QRY 2 2 3 4 3 4"); got != "2.5" {
+	if got := c.Cmd(t, "QRY 2 2 3 4 3 4"); got != "2.5" {
 		t.Fatalf("point QRY -> %q", got)
 	}
-	if got := c.cmd(t, "DEL 2 3 4 2.5"); got != "OK" {
+	if got := c.Cmd(t, "DEL 2 3 4 2.5"); got != "OK" {
 		t.Fatalf("DEL -> %q", got)
 	}
-	if got := c.cmd(t, "QRY 0 5 0 0 7 7"); got != "5.5" {
+	if got := c.Cmd(t, "QRY 0 5 0 0 7 7"); got != "5.5" {
 		t.Fatalf("QRY after DEL -> %q", got)
 	}
-	if got := c.cmd(t, "STATS"); !strings.HasPrefix(got, "slices=2") {
+	if got := c.Cmd(t, "STATS"); !strings.HasPrefix(got, "slices=2") {
 		t.Fatalf("STATS -> %q", got)
 	}
-	if got := c.cmd(t, "QUIT"); got != "BYE" {
+	if got := c.Cmd(t, "QUIT"); got != "BYE" {
 		t.Fatalf("QUIT -> %q", got)
 	}
 }
@@ -117,7 +90,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 func TestProtocolErrors(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
 	addr := serveOn(t, srv)
-	c := dial(t, addr)
+	c := linetest.Dial(t, addr)
 	cases := []struct {
 		line string
 		why  string
@@ -139,12 +112,12 @@ func TestProtocolErrors(t *testing.T) {
 		{"SAVE", "SAVE without path"},
 		{"SAVE /nonexistent-dir/snap.gob", "SAVE to unwritable path"},
 	}
-	if got := c.cmd(t, "INS 5 1 1 1"); got != "OK" {
+	if got := c.Cmd(t, "INS 5 1 1 1"); got != "OK" {
 		t.Fatalf("seed INS -> %q", got)
 	}
 	cases = append(cases, struct{ line, why string }{"INS 3 1 1 1", "out of order without buffer"})
 	for _, tc := range cases {
-		if got := c.cmd(t, tc.line); !strings.HasPrefix(got, "ERR") {
+		if got := c.Cmd(t, tc.line); !strings.HasPrefix(got, "ERR") {
 			t.Errorf("%s: %q -> %q, want ERR", tc.why, tc.line, got)
 		}
 	}
@@ -167,32 +140,32 @@ func TestProtocolErrors(t *testing.T) {
 // the verbs that take none — STATS used to answer with stats whatever
 // followed it — and QUIT's exemption: it must always close.
 func TestNoArgumentVerbsRejectArguments(t *testing.T) {
-	c := dial(t, startTestServer(t, false))
+	c := linetest.Dial(t, startTestServer(t, false))
 	for _, verb := range []string{"STATS", "VERSION", "ROLE", "CHECKPOINT", "SLOWLOG"} {
-		if got, want := c.cmd(t, verb+" junk"), "ERR "+verb+" takes no arguments"; got != want {
+		if got, want := c.Cmd(t, verb+" junk"), "ERR "+verb+" takes no arguments"; got != want {
 			t.Errorf("%s junk -> %q, want %q", verb, got, want)
 		}
 	}
-	if got := c.cmd(t, "QUIT junk"); got != "BYE" {
+	if got := c.Cmd(t, "QUIT junk"); got != "BYE" {
 		t.Fatalf("QUIT junk -> %q, want BYE", got)
 	}
-	if _, err := c.r.ReadString('\n'); err == nil {
+	if _, err := c.R.ReadString('\n'); err == nil {
 		t.Fatal("connection survived QUIT")
 	}
 }
 
 func TestOutOfOrderBuffered(t *testing.T) {
 	addr := startTestServer(t, true)
-	c := dial(t, addr)
-	c.cmd(t, "INS 10 1 1 5")
-	c.cmd(t, "INS 20 2 2 3")
-	if got := c.cmd(t, "INS 15 3 3 7"); got != "OK" {
+	c := linetest.Dial(t, addr)
+	c.Cmd(t, "INS 10 1 1 5")
+	c.Cmd(t, "INS 20 2 2 3")
+	if got := c.Cmd(t, "INS 15 3 3 7"); got != "OK" {
 		t.Fatalf("buffered INS -> %q", got)
 	}
-	if got := c.cmd(t, "QRY 14 16 0 0 7 7"); got != "7" {
+	if got := c.Cmd(t, "QRY 14 16 0 0 7 7"); got != "7" {
 		t.Fatalf("QRY over buffered update -> %q", got)
 	}
-	if got := c.cmd(t, "STATS"); !strings.Contains(got, "pending=1") {
+	if got := c.Cmd(t, "STATS"); !strings.Contains(got, "pending=1") {
 		t.Fatalf("STATS -> %q", got)
 	}
 }
@@ -228,13 +201,13 @@ func TestSaveAndResume(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/snap.gob"
 	addr := startTestServer(t, false)
-	c := dial(t, addr)
-	c.cmd(t, "INS 1 2 3 10")
-	c.cmd(t, "INS 2 2 3 5")
-	if got := c.cmd(t, "SAVE "+path); got != "OK" {
+	c := linetest.Dial(t, addr)
+	c.Cmd(t, "INS 1 2 3 10")
+	c.Cmd(t, "INS 2 2 3 5")
+	if got := c.Cmd(t, "SAVE "+path); got != "OK" {
 		t.Fatalf("SAVE -> %q", got)
 	}
-	if got := c.cmd(t, "SAVE"); got == "OK" {
+	if got := c.Cmd(t, "SAVE"); got == "OK" {
 		t.Fatal("SAVE without path accepted")
 	}
 
@@ -259,15 +232,45 @@ func TestSaveAndResume(t *testing.T) {
 	}
 }
 
+// TestLoadChecksDims: a snapshot of another dimensionality is refused
+// at Start, as a recovered or a shipped one is, and the server keeps
+// its own cube — no request reaches a cube whose arity is not -dims.
+func TestLoadChecksDims(t *testing.T) {
+	path := t.TempDir() + "/snap.gob"
+	if got := linetest.Dial(t, startTestServer(t, false)).Cmd(t, "SAVE "+path); got != "OK" {
+		t.Fatalf("SAVE -> %q", got)
+	}
+	cfg := quietConfig("4,4,4", "sum", false)
+	cfg.Load = path
+	srv := quietServer(t, cfg)
+	want := "loaded snapshot has 2 dimensions, -dims specifies 3"
+	if err := srv.Start(); err == nil || err.Error() != want {
+		t.Fatalf("Start = %v, want %q", err, want)
+	}
+	for _, rq := range []struct{ line, want string }{
+		{"INS 1 1 2 3 5", "OK"},
+		{"QRY 0 5 0 0 0 3 3 3", "5"},
+		{"INS 2 1 2 5", "ERR INS needs time, 3 coordinates and a value"},
+		{"QRY 0 5 0 0 3 3", "ERR QRY needs tlo, thi and 3 lo + 3 hi coordinates"},
+	} {
+		if got, _ := srv.Do(0, rq.line); got != rq.want {
+			t.Errorf("%s -> %q, want %q", rq.line, got, rq.want)
+		}
+	}
+	if n := linetest.MetricValue(t, srv.Reg, "histserve_panics_recovered_total"); n != 0 {
+		t.Errorf("%d requests panicked", n)
+	}
+}
+
 // TestStatsExtended pins the extended STATS fields: the original four
 // stay first (wire compatibility), the new counters follow.
 func TestStatsExtended(t *testing.T) {
 	addr := startTestServer(t, false)
-	c := dial(t, addr)
-	c.cmd(t, "INS 1 1 1 2")
-	c.cmd(t, "INS 2 2 2 3")
-	c.cmd(t, "QRY 1 1 0 0 7 7") // historic -> eCube conversions
-	got := c.cmd(t, "STATS")
+	c := linetest.Dial(t, addr)
+	c.Cmd(t, "INS 1 1 1 2")
+	c.Cmd(t, "INS 2 2 2 3")
+	c.Cmd(t, "QRY 1 1 0 0 7 7") // historic -> eCube conversions
+	got := c.Cmd(t, "STATS")
 	if !strings.HasPrefix(got, "slices=2 incomplete=") {
 		t.Fatalf("STATS prefix changed: %q", got)
 	}
@@ -322,9 +325,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("/healthz -> %q", got)
 	}
 
-	c := dial(t, addr)
+	c := linetest.Dial(t, addr)
 	for i := 0; i < 16; i++ {
-		if got := c.cmd(t, fmt.Sprintf("INS %d %d %d 1", i, i%8, (i*3)%8)); got != "OK" {
+		if got := c.Cmd(t, fmt.Sprintf("INS %d %d %d 1", i, i%8, (i*3)%8)); got != "OK" {
 			t.Fatalf("INS -> %q", got)
 		}
 	}
@@ -339,7 +342,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		return v
 	}
 
-	c.cmd(t, "QRY 0 3 0 0 7 7") // historic query
+	c.Cmd(t, "QRY 0 3 0 0 7 7") // historic query
 	body1 := get("/metrics")
 	for _, want := range []string{
 		"# TYPE histserve_stage_seconds histogram",
@@ -365,7 +368,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	// the counter must grow and never shrink.
 	prev := conv1
 	for _, q := range []string{"QRY 4 6 1 1 6 6", "QRY 0 9 2 0 5 7", "QRY 2 5 0 2 7 5"} {
-		c.cmd(t, q)
+		c.Cmd(t, q)
 		cur := conversions(get("/metrics"))
 		if cur < prev {
 			t.Fatalf("conversions shrank: %d -> %d", prev, cur)
@@ -375,19 +378,19 @@ func TestMetricsEndpoint(t *testing.T) {
 	if prev <= conv1 {
 		t.Errorf("conversions did not grow across varied historic queries: %d -> %d", conv1, prev)
 	}
-	if stats := c.cmd(t, "STATS"); !strings.Contains(stats, fmt.Sprintf(" conversions=%d ", prev)) {
+	if stats := c.Cmd(t, "STATS"); !strings.Contains(stats, fmt.Sprintf(" conversions=%d ", prev)) {
 		t.Errorf("STATS conversions= differs from the query series %d: %q", prev, stats)
 	}
 
-	if got := c.cmd(t, "QUIT"); got != "BYE" {
+	if got := c.Cmd(t, "QUIT"); got != "BYE" {
 		t.Fatalf("QUIT -> %q", got)
 	}
 }
 
 func TestCheckpointCommandWithoutDataDir(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
-	c := dial(t, serveOn(t, srv))
-	resp := c.cmd(t, "CHECKPOINT")
+	c := linetest.Dial(t, serveOn(t, srv))
+	resp := c.Cmd(t, "CHECKPOINT")
 	if !strings.HasPrefix(resp, "ERR") || !strings.Contains(resp, "-data-dir") {
 		t.Fatalf("CHECKPOINT without data dir: %q", resp)
 	}
@@ -396,26 +399,13 @@ func TestCheckpointCommandWithoutDataDir(t *testing.T) {
 func TestOverlongLineAfterPipelinedReplies(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
 	srv.MaxLineLen = 256
-	c := dial(t, serveOn(t, srv))
-	if err := c.conn.SetDeadline(time.Now().Add(20 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
+	c := linetest.Dial(t, serveOn(t, srv))
 	batch := "INS 1 1 1 1\nQRY 0 5 0 0 7 7\nINS " + strings.Repeat("9", 512) + "\nQRY 0 5 0 0 7 7\n"
-	if _, err := io.WriteString(c.conn, batch); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]string, 3)
-	for i := range got {
-		l, err := c.r.ReadString('\n')
-		if err != nil {
-			t.Fatalf("after %d of 3 reply lines: %v", i, err)
-		}
-		got[i] = strings.TrimRight(l, "\n")
-	}
+	got := c.SendAll(t, batch, 3)
 	if got[0] != "OK" || got[1] != "1" || !strings.HasPrefix(got[2], "ERR line too long") {
 		t.Fatalf("replies = %q, want OK, 1, ERR line too long", got)
 	}
-	if l, err := c.r.ReadString('\n'); err == nil {
+	if l, err := c.R.ReadString('\n'); err == nil {
 		t.Fatalf("connection survived an overlong line and answered %q", l)
 	}
 }

@@ -13,32 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"histcube/internal/linetest"
 	"histcube/internal/trace"
 )
-
-// cmdMulti sends one request and reads the multi-line response of
-// EXPLAIN/SLOWLOG, which is terminated by an END line.
-func (c *client) cmdMulti(t *testing.T, line string) []string {
-	t.Helper()
-	if _, err := fmt.Fprintln(c.conn, line); err != nil {
-		t.Fatal(err)
-	}
-	var lines []string
-	for {
-		resp, err := c.r.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp = strings.TrimRight(resp, "\n")
-		if strings.HasPrefix(resp, "ERR") && len(lines) == 0 {
-			return []string{resp}
-		}
-		if resp == "END" {
-			return lines
-		}
-		lines = append(lines, resp)
-	}
-}
 
 // explainTotals extracts the named counters from an EXPLAIN totals
 // line ("totals cells_touched=12 conversions=8 ...").
@@ -70,17 +47,17 @@ func explainTotals(t *testing.T, lines []string) map[string]int64 {
 // to PS form, at which point conversions hits zero and stays there.
 func TestExplainConvergence(t *testing.T) {
 	addr := startTestServer(t, false)
-	c := dial(t, addr)
+	c := linetest.Dial(t, addr)
 	// Three slices; time 1 becomes historic once 2 and 3 open.
 	for tm := 1; tm <= 3; tm++ {
 		for i := 0; i < 8; i++ {
-			if got := c.cmd(t, fmt.Sprintf("INS %d %d %d 1", tm, i, (i*5)%8)); got != "OK" {
+			if got := c.Cmd(t, fmt.Sprintf("INS %d %d %d 1", tm, i, (i*5)%8)); got != "OK" {
 				t.Fatalf("INS -> %q", got)
 			}
 		}
 	}
 	const psBound = 4 // 2^(d-1) with d-1 = 2 non-time dimensions
-	first, last := requireConvergence(t, func() []string { return c.cmdMulti(t, "EXPLAIN QRY 1 1 1 1 6 6") }, psBound)
+	first, last := requireConvergence(t, func() []string { return c.Multi(t, "EXPLAIN QRY 1 1 1 1 6 6") }, psBound)
 	// The rendered tree must show the server and cube spans.
 	tree := strings.Join(first, "\n")
 	for _, want := range []string{"histserve.query", "histcube.query", "histcube.prefix"} {
@@ -143,13 +120,13 @@ func TestSlowLogCommand(t *testing.T) {
 	srv := newQuietServer(t, "8,8", "sum", false)
 	srv.Slow = trace.NewSlowLog(2, 0) // admit everything, keep the 2 worst
 	addr := serveOn(t, srv)
-	c := dial(t, addr)
-	c.cmd(t, "INS 1 1 1 2")
-	c.cmd(t, "INS 2 2 2 3")
+	c := linetest.Dial(t, addr)
+	c.Cmd(t, "INS 1 1 1 2")
+	c.Cmd(t, "INS 2 2 2 3")
 	for i := 0; i < 5; i++ {
-		c.cmd(t, "QRY 1 1 0 0 7 7")
+		c.Cmd(t, "QRY 1 1 0 0 7 7")
 	}
-	lines := c.cmdMulti(t, "SLOWLOG")
+	lines := c.Multi(t, "SLOWLOG")
 	if !strings.HasPrefix(lines[0], "OK n=2 cap=2 threshold=0s observed=5") {
 		t.Fatalf("SLOWLOG header = %q", lines[0])
 	}
@@ -174,7 +151,7 @@ func TestSlowLogCommand(t *testing.T) {
 			t.Errorf("SLOWLOG not worst-first: %v", durs)
 		}
 	}
-	if got := c.cmd(t, "SLOWLOG extra"); !strings.HasPrefix(got, "ERR") {
+	if got := c.Cmd(t, "SLOWLOG extra"); !strings.HasPrefix(got, "ERR") {
 		t.Errorf("SLOWLOG with arguments -> %q, want ERR", got)
 	}
 	// Mutations must not enter the slow log (queries only), but they do
@@ -222,19 +199,19 @@ func TestTraceIDPropagationAndExplainJSON(t *testing.T) {
 	}
 	t.Cleanup(func() { mln.Close() })
 
-	c := dial(t, addr)
-	c.cmd(t, "INS 1 1 1 2")
-	c.cmd(t, "INS 2 2 2 3")
+	c := linetest.Dial(t, addr)
+	c.Cmd(t, "INS 1 1 1 2")
+	c.Cmd(t, "INS 2 2 2 3")
 	id := trace.NewID()
 
 	// A plain QRY carrying a TID= token answers exactly as without it.
-	if got := c.cmd(t, trace.FormatRequestID(id)+"QRY 1 1 0 0 7 7"); got != "2" {
+	if got := c.Cmd(t, trace.FormatRequestID(id)+"QRY 1 1 0 0 7 7"); got != "2" {
 		t.Fatalf("QRY with TID -> %q, want 2", got)
 	}
 
 	// EXPLAIN JSON answers a one-line structured document whose root
 	// carries the propagated trace ID.
-	resp := c.cmd(t, trace.FormatRequestID(id)+"EXPLAIN JSON QRY 1 1 0 0 7 7")
+	resp := c.Cmd(t, trace.FormatRequestID(id)+"EXPLAIN JSON QRY 1 1 0 0 7 7")
 	body, ok := strings.CutPrefix(resp, "OK ")
 	if !ok {
 		t.Fatalf("EXPLAIN JSON -> %q", resp)
@@ -264,13 +241,13 @@ func TestTraceIDPropagationAndExplainJSON(t *testing.T) {
 
 	// The JSON variant keeps EXPLAIN's ERR discipline.
 	for _, bad := range []string{"EXPLAIN JSON", "EXPLAIN JSON STATS", "EXPLAIN JSON QRY 1"} {
-		if got := c.cmd(t, bad); !strings.HasPrefix(got, "ERR") {
+		if got := c.Cmd(t, bad); !strings.HasPrefix(got, "ERR") {
 			t.Errorf("%q -> %q, want ERR", bad, got)
 		}
 	}
 
 	// SLOWLOG's wire format names the trace.
-	lines := c.cmdMulti(t, "SLOWLOG")
+	lines := c.Multi(t, "SLOWLOG")
 	if !strings.Contains(strings.Join(lines, "\n"), "trace_id="+id.String()) {
 		t.Errorf("SLOWLOG lost trace_id %s:\n%s", id, strings.Join(lines, "\n"))
 	}
@@ -306,7 +283,7 @@ func TestTraceIDPropagationAndExplainJSON(t *testing.T) {
 	// The slog stream carries the same ID: the threshold-0 slow log
 	// admits the query and logs it, and a failing request with a TID=
 	// token logs the ID too.
-	if got := c.cmd(t, trace.FormatRequestID(id)+"QRY bogus"); !strings.HasPrefix(got, "ERR") {
+	if got := c.Cmd(t, trace.FormatRequestID(id)+"QRY bogus"); !strings.HasPrefix(got, "ERR") {
 		t.Fatalf("bad QRY -> %q, want ERR", got)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -325,7 +302,7 @@ func TestTraceIDPropagationAndExplainJSON(t *testing.T) {
 // TestExplainErrors covers EXPLAIN's ERR branches.
 func TestExplainErrors(t *testing.T) {
 	addr := startTestServer(t, false)
-	c := dial(t, addr)
+	c := linetest.Dial(t, addr)
 	for _, line := range []string{
 		"EXPLAIN",                 // nothing to wrap
 		"EXPLAIN STATS",           // only QRY is explainable
@@ -334,7 +311,7 @@ func TestExplainErrors(t *testing.T) {
 		"EXPLAIN QRY 0 1 x 0 7 7", // bad integer
 		"EXPLAIN QRY 0 1 0 0 9 9", // out of domain
 	} {
-		if got := c.cmd(t, line); !strings.HasPrefix(got, "ERR") {
+		if got := c.Cmd(t, line); !strings.HasPrefix(got, "ERR") {
 			t.Errorf("%q -> %q, want ERR", line, got)
 		}
 	}
@@ -387,10 +364,10 @@ func TestDebugEndpoints(t *testing.T) {
 	t.Cleanup(func() { mln.Close() })
 	base := "http://" + mln.Addr().String()
 
-	c := dial(t, addr)
-	c.cmd(t, "INS 1 1 1 2")
-	c.cmd(t, "INS 2 2 2 3")
-	c.cmd(t, "QRY 1 1 0 0 7 7")
+	c := linetest.Dial(t, addr)
+	c.Cmd(t, "INS 1 1 1 2")
+	c.Cmd(t, "INS 2 2 2 3")
+	c.Cmd(t, "QRY 1 1 0 0 7 7")
 
 	get := func(path string) []byte {
 		t.Helper()
@@ -460,11 +437,11 @@ func TestConcurrentExplainNoSpanMixing(t *testing.T) {
 	addr := serveOn(t, srv)
 
 	// Seed an extra slice so every client's time-1 query is historic.
-	seed := dial(t, addr)
+	seed := linetest.Dial(t, addr)
 	for i := 0; i < 8; i++ {
-		seed.cmd(t, fmt.Sprintf("INS 1 %d %d 1", i, i))
+		seed.Cmd(t, fmt.Sprintf("INS 1 %d %d 1", i, i))
 	}
-	seed.cmd(t, "INS 2 0 0 1")
+	seed.Cmd(t, "INS 2 0 0 1")
 
 	const clients = 4
 	const rounds = 20
@@ -474,11 +451,11 @@ func TestConcurrentExplainNoSpanMixing(t *testing.T) {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			c := dial(t, addr)
+			c := linetest.Dial(t, addr)
 			// Client n owns row n: its query sums exactly its seed point.
 			q := fmt.Sprintf("EXPLAIN QRY 1 1 %d %d %d %d", n, n, n, n)
 			for r := 0; r < rounds; r++ {
-				lines := c.cmdMulti(t, q)
+				lines := c.Multi(t, q)
 				if lines[0] != "OK result=1" {
 					errCh <- fmt.Errorf("client %d round %d: %q", n, r, lines[0])
 					return

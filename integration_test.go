@@ -15,6 +15,7 @@ import (
 	"histcube/internal/agg"
 	"histcube/internal/core"
 	"histcube/internal/dims"
+	"histcube/internal/oracle"
 	"histcube/internal/paper/framework"
 	"histcube/internal/paper/hierarchy"
 	"histcube/internal/workload"
@@ -22,17 +23,12 @@ import (
 
 // TestWorkloadThroughPublicCube streams a scaled gauss3 data set into
 // memory- and disk-backed cubes and checks a spread of
-// queries against a naive replay — the whole system end to end.
+// queries against the oracle — the whole system end to end.
 func TestWorkloadThroughPublicCube(t *testing.T) {
 	ds := workload.Generate(workload.Gauss3Spec.Scaled(0.001))
-	naive := func(q workload.TimeQuery) float64 {
-		total := 0.0
-		for _, u := range ds.Updates {
-			if u.Time >= q.TimeLo && u.Time <= q.TimeHi && q.Box.Contains(u.Coords) {
-				total += u.Delta
-			}
-		}
-		return total
+	var ref oracle.Points
+	for _, u := range ds.Updates {
+		ref.Insert(u.Time, u.Coords, u.Delta)
 	}
 	for _, storage := range []core.Storage{
 		{},
@@ -58,7 +54,7 @@ func TestWorkloadThroughPublicCube(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := naive(q); got != want {
+			if want := ref.Query(q.TimeLo, q.TimeHi, q.Box.Lo, q.Box.Hi).Sum; got != want {
 				t.Fatalf("storage %v query %d: got %v, want %v", storage.Kind, i, got, want)
 			}
 		}

@@ -9,7 +9,7 @@ import (
 // fences table is the whole policy.
 var ImportFence = &Analyzer{
 	Name: "importfence",
-	Doc:  "internal/paper is imported only by the reproduction code, internal/appendcube never by internal/histserve",
+	Doc:  "internal/paper is imported only by the reproduction code, internal/appendcube never by internal/histserve, and internal/oracle imports nothing under internal",
 	Run:  runImportFence,
 }
 
@@ -37,6 +37,13 @@ var fences = []struct {
 		target: "internal/appendcube",
 		from:   []string{"internal/histserve"},
 		why:    "histserve must mutate through the core facade (wal.Log.Apply), not internal/appendcube directly",
+	},
+	{
+		// The one point-list reference of the tests and of the
+		// reproduction's exactness checks: the standard library only.
+		target: "internal",
+		from:   []string{"internal/oracle"},
+		why:    "the reference shares no code with what it checks",
 	},
 }
 

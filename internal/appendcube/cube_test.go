@@ -10,38 +10,9 @@ import (
 
 	"histcube/internal/ddc"
 	"histcube/internal/dims"
+	"histcube/internal/oracle"
 	"histcube/internal/pager"
 )
-
-// shadowPoint is one applied update in the naive reference.
-type shadowPoint struct {
-	t int64
-	x []int
-	v float64
-}
-
-type shadow struct {
-	points []shadowPoint
-	shape  dims.Shape
-}
-
-func (s *shadow) add(t int64, x []int, v float64) {
-	cx := append([]int(nil), x...)
-	s.points = append(s.points, shadowPoint{t: t, x: cx, v: v})
-}
-
-func (s *shadow) query(tLo, tHi int64, b dims.Box) float64 {
-	total := 0.0
-	for _, p := range s.points {
-		if p.t < tLo || p.t > tHi {
-			continue
-		}
-		if b.Contains(p.x) {
-			total += p.v
-		}
-	}
-	return total
-}
 
 func randBox(r *rand.Rand, s dims.Shape) dims.Box {
 	lo := make([]int, len(s))
@@ -130,19 +101,19 @@ func TestPaperSection22Scenario(t *testing.T) {
 	}{
 		{1, 3, 3}, {1, 5, 4}, {3, 4, 2}, {3, 3, 1}, {4, 5, 3},
 	}
-	sh := &shadow{shape: dims.Shape{8}}
+	var ref oracle.Points
 	for _, u := range updates {
 		if _, err := c.Update(u.t, []int{u.loc}, u.v); err != nil {
 			t.Fatal(err)
 		}
-		sh.add(u.t, []int{u.loc}, u.v)
+		ref.Insert(u.t, []int{u.loc}, u.v)
 	}
 	box := dims.NewBox([]int{3}, []int{5})
 	got, err := c.Query(2, 4, box)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := sh.query(2, 4, box); got != want {
+	if want := ref.Query(2, 4, box.Lo, box.Hi).Sum; got != want {
 		t.Fatalf("query = %v, want %v", got, want)
 	}
 	// Prefix time query semantics: t between occurring times uses the
@@ -206,7 +177,7 @@ func testQueriesMatchShadow(t *testing.T, mk func(dims.Shape) *Cube) {
 	r := rand.New(rand.NewSource(42))
 	shape := dims.Shape{7, 5}
 	c := mk(shape)
-	sh := &shadow{shape: shape}
+	var ref oracle.Points
 	now := int64(0)
 	for i := 0; i < 400; i++ {
 		if r.Intn(3) == 0 {
@@ -217,7 +188,7 @@ func testQueriesMatchShadow(t *testing.T, mk func(dims.Shape) *Cube) {
 		if _, err := c.Update(now, x, v); err != nil {
 			t.Fatal(err)
 		}
-		sh.add(now, x, v)
+		ref.Insert(now, x, v)
 		if i%7 == 0 {
 			b := randBox(r, shape)
 			tLo := int64(r.Intn(int(now) + 2))
@@ -226,7 +197,7 @@ func testQueriesMatchShadow(t *testing.T, mk func(dims.Shape) *Cube) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := sh.query(tLo, tHi, b); got != want {
+			if want := ref.Query(tLo, tHi, b.Lo, b.Hi).Sum; got != want {
 				t.Fatalf("op %d: query [%d,%d] %v = %v, want %v", i, tLo, tHi, b, got, want)
 			}
 		}
@@ -241,7 +212,7 @@ func testQueriesMatchShadow(t *testing.T, mk func(dims.Shape) *Cube) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := sh.query(tLo, tHi, b); got != want {
+		if want := ref.Query(tLo, tHi, b.Lo, b.Hi).Sum; got != want {
 			t.Fatalf("post query %d: [%d,%d] %v = %v, want %v", q, tLo, tHi, b, got, want)
 		}
 	}
@@ -449,7 +420,7 @@ func TestConversionSpeedsUpRepeatQueries(t *testing.T) {
 }
 
 // Property: random streams with random slice shapes, stores and
-// thresholds always match the naive shadow.
+// thresholds always match the oracle.
 func TestShadowProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -471,7 +442,7 @@ func TestShadowProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sh := &shadow{shape: shape}
+		var ref oracle.Points
 		now := int64(0)
 		for i := 0; i < 120; i++ {
 			if r.Intn(3) == 0 {
@@ -482,7 +453,7 @@ func TestShadowProperty(t *testing.T) {
 			if _, err := c.Update(now, x, v); err != nil {
 				return false
 			}
-			sh.add(now, x, v)
+			ref.Insert(now, x, v)
 			if i%5 == 0 {
 				b := randBox(r, shape)
 				tLo := int64(r.Intn(int(now) + 2))
@@ -491,7 +462,7 @@ func TestShadowProperty(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				if got != sh.query(tLo, tHi, b) {
+				if got != ref.Query(tLo, tHi, b.Lo, b.Hi).Sum {
 					return false
 				}
 			}
@@ -503,7 +474,7 @@ func TestShadowProperty(t *testing.T) {
 	}
 }
 
-// Property: 3-d slices (4-d cubes) match the shadow too.
+// Property: 3-d slices (4-d cubes) match the oracle too.
 func TestShadowProperty3D(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -512,7 +483,7 @@ func TestShadowProperty3D(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sh := &shadow{shape: shape}
+		var ref oracle.Points
 		now := int64(0)
 		for i := 0; i < 80; i++ {
 			if r.Intn(4) == 0 {
@@ -523,13 +494,13 @@ func TestShadowProperty3D(t *testing.T) {
 			if _, err := c.Update(now, x, v); err != nil {
 				return false
 			}
-			sh.add(now, x, v)
+			ref.Insert(now, x, v)
 			if i%6 == 0 {
 				b := randBox(r, shape)
 				tLo := int64(r.Intn(int(now) + 2))
 				tHi := tLo + int64(r.Intn(int(now)+2))
 				got, err := c.Query(tLo, tHi, b)
-				if err != nil || got != sh.query(tLo, tHi, b) {
+				if err != nil || got != ref.Query(tLo, tHi, b.Lo, b.Hi).Sum {
 					return false
 				}
 			}

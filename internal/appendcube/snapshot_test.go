@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"histcube/internal/dims"
+	"histcube/internal/oracle"
 	"histcube/internal/pager"
 )
 
@@ -31,7 +32,7 @@ func TestSnapshotRoundTripMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(81))
-	sh := &shadow{shape: shape}
+	var ref oracle.Points
 	now := int64(0)
 	apply := func(cube *Cube, record bool, n int) {
 		t.Helper()
@@ -45,7 +46,7 @@ func TestSnapshotRoundTripMidStream(t *testing.T) {
 				t.Fatal(err)
 			}
 			if record {
-				sh.add(now, x, v)
+				ref.Insert(now, x, v)
 			}
 		}
 	}
@@ -81,13 +82,13 @@ func TestSnapshotRoundTripMidStream(t *testing.T) {
 		if _, err := back.Update(now, x, v); err != nil {
 			t.Fatal(err)
 		}
-		sh.add(now, x, v)
+		ref.Insert(now, x, v)
 	}
 	for q := 0; q < 120; q++ {
 		b := randBox(r, shape)
 		tLo := int64(r.Intn(int(now) + 2))
 		tHi := tLo + int64(r.Intn(int(now)+2))
-		want := sh.query(tLo, tHi, b)
+		want := ref.Query(tLo, tHi, b.Lo, b.Hi).Sum
 		g1, err1 := c.Query(tLo, tHi, b)
 		g2, err2 := back.Query(tLo, tHi, b)
 		if err1 != nil || err2 != nil || g1 != want || g2 != want {

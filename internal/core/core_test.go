@@ -8,36 +8,12 @@ import (
 	"testing/quick"
 
 	"histcube/internal/agg"
+	"histcube/internal/oracle"
 )
 
-type corePoint struct {
-	t int64
-	x []int
-	v float64
-}
-
-type coreShadow []corePoint
-
-func (s coreShadow) eval(op agg.Operator, r Range) float64 {
-	var acc agg.Value
-	for _, p := range s {
-		if p.t < r.TimeLo || p.t > r.TimeHi {
-			continue
-		}
-		in := true
-		for i := range p.x {
-			if p.x[i] < r.Lo[i] || p.x[i] > r.Hi[i] {
-				in = false
-				break
-			}
-		}
-		if in {
-			pv := agg.Point(op, p.v)
-			acc.Sum += pv.Sum
-			acc.Count += pv.Count
-		}
-	}
-	return agg.Finalize(op, acc)
+// oracleAt is the oracle's answer to r under op.
+func oracleAt(ref oracle.Points, op agg.Operator, r Range) float64 {
+	return ref.Query(r.TimeLo, r.TimeHi, r.Lo, r.Hi).Of(op.String())
 }
 
 func TestNewValidation(t *testing.T) {
@@ -96,17 +72,17 @@ func TestOperatorsMatchShadow(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := rand.New(rand.NewSource(31))
-			var sh coreShadow
+			var ref oracle.Points
 			now := int64(0)
 			for i := 0; i < 300; i++ {
 				if r.Intn(3) == 0 {
 					now++
 				}
-				p := corePoint{t: now, x: []int{r.Intn(6), r.Intn(5)}, v: float64(r.Intn(20) + 1)}
-				if err := c.Insert(p.t, p.x, p.v); err != nil {
+				x, v := []int{r.Intn(6), r.Intn(5)}, float64(r.Intn(20)+1)
+				if err := c.Insert(now, x, v); err != nil {
 					t.Fatal(err)
 				}
-				sh = append(sh, p)
+				ref.Insert(now, x, v)
 			}
 			for q := 0; q < 150; q++ {
 				lo := []int{r.Intn(6), r.Intn(5)}
@@ -117,7 +93,7 @@ func TestOperatorsMatchShadow(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := sh.eval(op, rng)
+				want := oracleAt(ref, op, rng)
 				if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 					t.Fatalf("%s query %+v = %v, want %v", op, rng, got, want)
 				}
@@ -131,13 +107,13 @@ func TestOutOfOrderBuffering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sh coreShadow
+	var ref oracle.Points
 	ins := func(tv int64, x int, v float64) {
 		t.Helper()
 		if err := c.Insert(tv, []int{x}, v); err != nil {
 			t.Fatal(err)
 		}
-		sh = append(sh, corePoint{t: tv, x: []int{x}, v: v})
+		ref.Insert(tv, []int{x}, v)
 	}
 	ins(10, 1, 5)
 	ins(20, 2, 3)
@@ -153,7 +129,7 @@ func TestOutOfOrderBuffering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := sh.eval(agg.Sum, rng); got != want {
+		if want := oracleAt(ref, agg.Sum, rng); got != want {
 			t.Fatalf("query [%d,%d] = %v, want %v", q[0], q[1], got, want)
 		}
 	}
@@ -174,21 +150,22 @@ func TestAverageOutOfOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sh coreShadow
-	for _, p := range []corePoint{
-		{10, []int{1}, 4}, {20, []int{1}, 8}, {15, []int{1}, 6},
-	} {
-		if err := c.Insert(p.t, p.x, p.v); err != nil {
+	var ref oracle.Points
+	for _, p := range []struct {
+		t int64
+		v float64
+	}{{10, 4}, {20, 8}, {15, 6}} {
+		if err := c.Insert(p.t, []int{1}, p.v); err != nil {
 			t.Fatal(err)
 		}
-		sh = append(sh, p)
+		ref.Insert(p.t, []int{1}, p.v)
 	}
 	rng := Range{TimeLo: 0, TimeHi: 30, Lo: []int{0}, Hi: []int{7}}
 	got, err := c.Query(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := sh.eval(agg.Average, rng); got != want {
+	if want := oracleAt(ref, agg.Average, rng); got != want {
 		t.Errorf("avg = %v, want %v", got, want)
 	}
 }
@@ -204,17 +181,17 @@ func TestDiskBackedCube(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(32))
-	var sh coreShadow
+	var ref oracle.Points
 	now := int64(0)
 	for i := 0; i < 200; i++ {
 		if r.Intn(4) == 0 {
 			now++
 		}
-		p := corePoint{t: now, x: []int{r.Intn(8), r.Intn(8)}, v: float64(r.Intn(9) + 1)}
-		if err := c.Insert(p.t, p.x, p.v); err != nil {
+		x, v := []int{r.Intn(8), r.Intn(8)}, float64(r.Intn(9)+1)
+		if err := c.Insert(now, x, v); err != nil {
 			t.Fatal(err)
 		}
-		sh = append(sh, p)
+		ref.Insert(now, x, v)
 	}
 	for q := 0; q < 60; q++ {
 		lo := []int{r.Intn(8), r.Intn(8)}
@@ -225,7 +202,7 @@ func TestDiskBackedCube(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := sh.eval(agg.Sum, rng); got != want {
+		if want := oracleAt(ref, agg.Sum, rng); got != want {
 			t.Fatalf("disk query %+v = %v, want %v", rng, got, want)
 		}
 	}
@@ -250,7 +227,7 @@ func TestRetire(t *testing.T) {
 }
 
 // Property: SUM cubes with buffered out-of-order updates match the
-// shadow under random mixed streams.
+// oracle under random mixed streams.
 func TestMixedStreamProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -262,7 +239,7 @@ func TestMixedStreamProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var sh coreShadow
+		var ref oracle.Points
 		now := int64(1)
 		for i := 0; i < 100; i++ {
 			var tv int64
@@ -274,18 +251,18 @@ func TestMixedStreamProperty(t *testing.T) {
 				}
 				tv = now
 			}
-			p := corePoint{t: tv, x: []int{r.Intn(5), r.Intn(4)}, v: float64(r.Intn(9) - 4)}
-			if err := c.Insert(p.t, p.x, p.v); err != nil {
+			x, v := []int{r.Intn(5), r.Intn(4)}, float64(r.Intn(9)-4)
+			if err := c.Insert(tv, x, v); err != nil {
 				return false
 			}
-			sh = append(sh, p)
+			ref.Insert(tv, x, v)
 			if i%5 == 0 {
 				lo := []int{r.Intn(5), r.Intn(4)}
 				hi := []int{lo[0] + r.Intn(5-lo[0]), lo[1] + r.Intn(4-lo[1])}
 				tLo := int64(r.Intn(int(now) + 2))
 				rng := Range{TimeLo: tLo, TimeHi: tLo + int64(r.Intn(int(now)+2)), Lo: lo, Hi: hi}
 				got, err := c.Query(rng)
-				if err != nil || got != sh.eval(agg.Sum, rng) {
+				if err != nil || got != oracleAt(ref, agg.Sum, rng) {
 					return false
 				}
 			}

@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 
 	"histcube/internal/agg"
+	"histcube/internal/oracle"
 )
 
 func TestSaveLoadRoundTripSum(t *testing.T) {
@@ -23,7 +24,7 @@ func TestSaveLoadRoundTripSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(71))
-	var sh coreShadow
+	var ref oracle.Points
 	now := int64(1)
 	for i := 0; i < 300; i++ {
 		var tv int64
@@ -35,11 +36,11 @@ func TestSaveLoadRoundTripSum(t *testing.T) {
 			}
 			tv = now
 		}
-		p := corePoint{t: tv, x: []int{r.Intn(6), r.Intn(5)}, v: float64(r.Intn(9) + 1)}
-		if err := c.Insert(p.t, p.x, p.v); err != nil {
+		x, v := []int{r.Intn(6), r.Intn(5)}, float64(r.Intn(9)+1)
+		if err := c.Insert(tv, x, v); err != nil {
 			t.Fatal(err)
 		}
-		sh = append(sh, p)
+		ref.Insert(tv, x, v)
 	}
 
 	var buf bytes.Buffer
@@ -69,8 +70,8 @@ func TestSaveLoadRoundTripSum(t *testing.T) {
 		if got != want {
 			t.Fatalf("restored query %+v = %v, want %v", rng, got, want)
 		}
-		if naive := sh.eval(agg.Sum, rng); got != naive {
-			t.Fatalf("restored query %+v = %v, shadow %v", rng, got, naive)
+		if naive := oracleAt(ref, agg.Sum, rng); got != naive {
+			t.Fatalf("restored query %+v = %v, oracle %v", rng, got, naive)
 		}
 	}
 	st, bst := c.Stats(), back.Stats()
@@ -117,9 +118,12 @@ func TestSaveLoadContinuesIngest(t *testing.T) {
 
 func TestSaveLoadAverage(t *testing.T) {
 	c, _ := New(Config{Dims: []Dim{{Name: "x", Size: 8}}, Operator: agg.Average, BufferOutOfOrder: true})
-	ins := []corePoint{{10, []int{1}, 4}, {20, []int{1}, 8}, {15, []int{2}, 6}}
-	for _, p := range ins {
-		if err := c.Insert(p.t, p.x, p.v); err != nil {
+	for _, p := range []struct {
+		t int64
+		x int
+		v float64
+	}{{10, 1, 4}, {20, 1, 8}, {15, 2, 6}} {
+		if err := c.Insert(p.t, []int{p.x}, p.v); err != nil {
 			t.Fatal(err)
 		}
 	}

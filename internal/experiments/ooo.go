@@ -5,7 +5,7 @@ import (
 	"math/rand"
 
 	"histcube/internal/appendcube"
-	"histcube/internal/dims"
+	"histcube/internal/oracle"
 	"histcube/internal/paper/framework"
 	"histcube/internal/rstar"
 	"histcube/internal/workload"
@@ -48,14 +48,14 @@ func OutOfOrderSweep(scale float64, percents []float64, nQueries int, seed int64
 		}
 		var latest int64 = -1
 		buffered := 0
-		applied := make([]workload.Update, 0, len(ds.Updates))
+		applied := make(oracle.Points, 0, len(ds.Updates))
 		for _, u := range ds.Updates {
 			tv := u.Time
 			if latest >= 1 && r.Float64()*100 < pct {
 				// Redirect to a historic time.
 				tv = int64(r.Intn(int(latest)))
 			}
-			applied = append(applied, workload.Update{Time: tv, Coords: u.Coords, Delta: u.Delta})
+			applied.Insert(tv, u.Coords, u.Delta)
 			if tv >= latest {
 				if _, err := cube.Update(tv, u.Coords, u.Delta); err != nil {
 					return nil, err
@@ -93,11 +93,11 @@ func OutOfOrderSweep(scale float64, percents []float64, nQueries int, seed int64
 				return nil, fmt.Errorf("experiments: G_d structures disagree: list %v, tree %v", lv, tv)
 			}
 			// Exactness: append-only part plus buffered part must equal
-			// the naive replay of the redirected stream (spot-checked
+			// the oracle's scan of the redirected stream (spot-checked
 			// to keep the sweep fast).
 			if qi%25 == 0 {
-				//histlint:ignore nofloateq exactness oracle against naive replay of the same update stream; a ulp difference here would be a real bug
-				if want := naiveBoxCheck(applied, q.TimeLo, q.TimeHi, q.Box); base+lv != want {
+				//histlint:ignore nofloateq exactness check against the oracle's scan of the same update stream; a ulp difference here would be a real bug
+				if want := applied.Query(q.TimeLo, q.TimeHi, q.Box.Lo, q.Box.Hi).Sum; base+lv != want {
 					return nil, fmt.Errorf("experiments: ooo query inexact at %.0f%%: got %v, want %v", pct, base+lv, want)
 				}
 			}
@@ -112,17 +112,4 @@ func OutOfOrderSweep(scale float64, percents []float64, nQueries int, seed int64
 		})
 	}
 	return rows, nil
-}
-
-// naiveBoxCheck is kept for the sweep's tests: a query against the
-// combined (cube + buffer) state must equal the stream replayed
-// naively. Exposed so the test can reuse the exact redirect logic.
-func naiveBoxCheck(updates []workload.Update, tLo, tHi int64, b dims.Box) float64 {
-	total := 0.0
-	for _, u := range updates {
-		if u.Time >= tLo && u.Time <= tHi && b.Contains(u.Coords) {
-			total += u.Delta
-		}
-	}
-	return total
 }

@@ -1,8 +1,10 @@
 // Package fleettest runs a histcube fleet's parts in process for the
 // proxy's tests, in cmd/histproxy and in internal/histproxy: real
 // histserve members on loopback, a scripted stand-in for the states a
-// member reaches only by timing or by failing, a line-protocol client,
-// and the naive reference every proxied answer is checked against.
+// member reaches only by timing or by failing, and the adaptor that
+// feeds the wire's mutations to internal/oracle and renders its
+// answers as the wire does, the reference every proxied answer is
+// checked against.
 //
 // Nothing in the program calls it: each export that no other export
 // reaches is a cross-package test seam, and its deadexport ignore names
@@ -22,7 +24,8 @@ import (
 	"time"
 
 	"histcube/internal/histserve"
-	"histcube/internal/obs"
+	"histcube/internal/linetest"
+	"histcube/internal/oracle"
 	"histcube/internal/trace"
 )
 
@@ -146,7 +149,7 @@ func (l trackingListener) Accept() (net.Conn, error) {
 //histlint:ignore deadexport test seam: the proxy tests of cmd/histproxy
 func (m *Member) Stat(t *testing.T, key string) float64 {
 	t.Helper()
-	for _, tok := range strings.Fields(Dial(t, m.Addr).Cmd(t, "STATS")) {
+	for _, tok := range strings.Fields(linetest.Dial(t, m.Addr).Cmd(t, "STATS")) {
 		if v, ok := strings.CutPrefix(tok, key+"="); ok {
 			n, err := strconv.ParseFloat(v, 64)
 			if err != nil {
@@ -343,179 +346,44 @@ func (f *FakeShard) reply(verb string) string {
 	}
 }
 
-// Client is one line-protocol connection, to a proxy or a member.
-type Client struct {
-	Conn net.Conn
-	R    *bufio.Reader
-}
-
-// Dial connects to addr; the test's cleanup closes the connection.
-func Dial(t *testing.T, addr string) *Client {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = conn.Close() })
-	return &Client{Conn: conn, R: bufio.NewReader(conn)}
-}
-
-// Cmd sends one line and returns the one-line reply, trimmed.
-func (c *Client) Cmd(t *testing.T, line string) string {
-	t.Helper()
-	if _, err := fmt.Fprintln(c.Conn, line); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := c.R.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	return strings.TrimSpace(resp)
-}
-
-// Multi reads an END-terminated response after the given command.
+// Apply feeds one acknowledged mutation line, split at white space
+// ("INS|DEL <t> <c1> <c2> <v>"), to the reference.
 //
 //histlint:ignore deadexport test seam: the proxy tests of cmd/histproxy and internal/histproxy
-func (c *Client) Multi(t *testing.T, line string) []string {
+func Apply(t *testing.T, ref *oracle.Points, f []string) {
 	t.Helper()
-	first := c.Cmd(t, line)
-	if strings.HasPrefix(first, "ERR") {
-		return []string{first}
-	}
-	lines := []string{first}
-	for {
-		l, err := c.R.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		l = strings.TrimSpace(l)
-		if l == "END" {
-			return lines
-		}
-		lines = append(lines, l)
-	}
-}
-
-// SendAll writes payload in one write and reads n reply lines.
-//
-//histlint:ignore deadexport test seam: the proxy tests of cmd/histproxy and internal/histproxy
-func (c *Client) SendAll(t *testing.T, payload string, n int) []string {
-	t.Helper()
-	if err := c.Conn.SetDeadline(time.Now().Add(20 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.WriteString(c.Conn, payload); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]string, 0, n)
-	for len(out) < n {
-		l, err := c.R.ReadString('\n')
-		if err != nil {
-			t.Fatalf("after %d of %d replies: %v", len(out), n, err)
-		}
-		out = append(out, strings.TrimRight(l, "\n"))
-	}
-	return out
-}
-
-// MetricValue reads one series off a registry, its labels spelled as
-// /metrics renders them.
-//
-//histlint:ignore deadexport test seam: the proxy tests of cmd/histproxy and internal/histproxy
-func MetricValue(t *testing.T, reg *obs.Registry, series string) int64 {
-	t.Helper()
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(b.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, series+" "); ok {
-			n, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return int64(n)
-		}
-	}
-	t.Fatalf("/metrics has no series %s", series)
-	return 0
-}
-
-// Naive is the proxy tests' reference: every acknowledged mutation as a
-// point, and each query answered by scanning all of them. It shares no
-// code with the cube, so a bug of the engine under test cannot hide in
-// it too.
-type Naive []point
-
-// point is one acknowledged INS (sign 1) or DEL (sign -1).
-type point struct {
-	t      int64
-	c1, c2 int64
-	v      float64
-	sign   int64
-}
-
-// Apply records one acknowledged mutation line, split at white space:
-// "INS|DEL <t> <c1> <c2> <v>".
-//
-//histlint:ignore deadexport test seam: the proxy tests of cmd/histproxy and internal/histproxy
-func (n *Naive) Apply(t *testing.T, f []string) {
-	t.Helper()
-	p := point{sign: 1}
-	if f[0] == "DEL" {
-		p.sign = -1
-	}
-	p.t = naiveInt(t, f[1])
-	p.c1, p.c2 = naiveInt(t, f[2]), naiveInt(t, f[3])
+	tm, coords := int64(wireInt(t, f[1])), []int{wireInt(t, f[2]), wireInt(t, f[3])}
 	v, err := strconv.ParseFloat(f[4], 64)
 	if err != nil {
-		t.Fatalf("naive reference: value %q: %v", f[4], err)
+		t.Fatalf("reference: value %q: %v", f[4], err)
 	}
-	p.v = v
-	*n = append(*n, p)
+	if f[0] == "DEL" {
+		ref.Delete(tm, coords, v)
+	} else {
+		ref.Insert(tm, coords, v)
+	}
 }
 
-// Query answers op (sum, count or avg) over the fields after a QRY verb:
-// <tlo> <thi> <lo1> <lo2> <hi1> <hi2>. A DEL takes its value off the sum
-// and one off the count; an average of nothing is 0, as on histserve.
+// Answer is the reply a correct fleet of operator op (sum, count or
+// avg) gives to QRY with the fields after the verb, <tlo> <thi> <lo1>
+// <lo2> <hi1> <hi2>, as the wire renders it.
 //
 //histlint:ignore deadexport test seam: the proxy tests of cmd/histproxy and internal/histproxy
-func (n Naive) Query(t *testing.T, op string, args []string) float64 {
+func Answer(t *testing.T, ref oracle.Points, op string, args []string) string {
 	t.Helper()
-	var b [6]int64
+	var b [6]int
 	for i := range b {
-		b[i] = naiveInt(t, args[i])
+		b[i] = wireInt(t, args[i])
 	}
-	var sum float64
-	var count int64
-	for _, p := range n {
-		if p.t >= b[0] && p.t <= b[1] &&
-			p.c1 >= b[2] && p.c1 <= b[4] &&
-			p.c2 >= b[3] && p.c2 <= b[5] {
-			sum += float64(p.sign) * p.v
-			count += p.sign
-		}
-	}
-	switch op {
-	case "sum":
-		return sum
-	case "count":
-		return float64(count)
-	case "avg":
-		if count == 0 {
-			return 0
-		}
-		return sum / float64(count)
-	}
-	t.Fatalf("naive reference: unknown operator %q", op)
-	return 0
+	pair := ref.Query(int64(b[0]), int64(b[1]), b[2:4], b[4:6])
+	return strconv.FormatFloat(pair.Of(op), 'g', -1, 64)
 }
 
-func naiveInt(t *testing.T, field string) int64 {
+func wireInt(t *testing.T, field string) int {
 	t.Helper()
-	v, err := strconv.ParseInt(field, 10, 64)
+	v, err := strconv.Atoi(field)
 	if err != nil {
-		t.Fatalf("naive reference: %q: %v", field, err)
+		t.Fatalf("reference: %q: %v", field, err)
 	}
 	return v
 }

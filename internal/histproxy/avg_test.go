@@ -7,11 +7,12 @@ package histproxy
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 	"strings"
 	"testing"
 
 	"histcube/internal/fleettest"
+	"histcube/internal/linetest"
+	"histcube/internal/oracle"
 )
 
 // TestProxyAverageIsExact: two real -op avg members hold 2 and 4
@@ -23,17 +24,15 @@ import (
 func TestProxyAverageIsExact(t *testing.T) {
 	a, b := fleettest.StartMember(t, fleettest.MemberConfig("avg")), fleettest.StartMember(t, fleettest.MemberConfig("avg"))
 	addr, _ := startProxy(t, fmt.Sprintf("%s=0-99,%s=100-", a.Addr, b.Addr))
-	c := fleettest.Dial(t, addr)
-	var ref fleettest.Naive
+	c := linetest.Dial(t, addr)
+	var ref oracle.Points
 	for _, ins := range []string{"INS 10 1 1 2", "INS 20 1 1 4", "INS 150 1 1 100", "INS 160 5 6 7"} {
 		if got := c.Cmd(t, ins); got != "OK" {
 			t.Fatalf("%s -> %q", ins, got)
 		}
-		ref.Apply(t, strings.Fields(ins))
+		fleettest.Apply(t, &ref, strings.Fields(ins))
 	}
-	avg := func(qry string) string {
-		return strconv.FormatFloat(ref.Query(t, "avg", strings.Fields(qry)[1:]), 'g', -1, 64)
-	}
+	avg := func(qry string) string { return fleettest.Answer(t, ref, "avg", strings.Fields(qry)[1:]) }
 	for _, qry := range []string{
 		"QRY 0 199 0 0 3 3", // the reproduction: 106/3, not 103
 		"QRY 0 199 0 0 7 7",
@@ -72,7 +71,7 @@ func TestProxyAverageIsExact(t *testing.T) {
 func TestProxyRefusesAMemberOfAnotherOperator(t *testing.T) {
 	a, other := fleettest.StartMember(t, fleettest.MemberConfig("avg")), fleettest.NewFakeShard(t)
 	addr, _ := startProxy(t, fmt.Sprintf("%s=0-99,%s=100-", a.Addr, other.Addr))
-	c := fleettest.Dial(t, addr)
+	c := linetest.Dial(t, addr)
 	for _, ins := range []string{"INS 10 1 1 2", "INS 20 1 1 4"} {
 		if got := c.Cmd(t, ins); got != "OK" {
 			t.Fatalf("%s -> %q", ins, got)
@@ -101,9 +100,9 @@ func TestProxyFleetsAnswerLikeOneScan(t *testing.T) {
 		t.Run(op, func(t *testing.T) {
 			a, b := fleettest.StartMember(t, fleettest.MemberConfig(op)), fleettest.StartMember(t, fleettest.MemberConfig(op))
 			addr, _ := startProxy(t, fmt.Sprintf("%s=0-99,%s=100-", a.Addr, b.Addr))
-			c := fleettest.Dial(t, addr)
+			c := linetest.Dial(t, addr)
 			rng := rand.New(rand.NewSource(7))
-			var ref fleettest.Naive
+			var ref oracle.Points
 			var inserted [][]string
 			now, checked := int64(0), 0
 			for step := 0; step < 400; step++ {
@@ -127,14 +126,14 @@ func TestProxyFleetsAnswerLikeOneScan(t *testing.T) {
 					if got != "OK" {
 						t.Fatalf("step %d: %s -> %q", step, line, got)
 					}
-					ref.Apply(t, f)
+					fleettest.Apply(t, &ref, f)
 					if f[0] == "INS" {
 						inserted = append(inserted, f)
 					}
 					continue
 				}
 				checked++
-				if want := strconv.FormatFloat(ref.Query(t, op, f[1:]), 'g', -1, 64); got != want {
+				if want := fleettest.Answer(t, ref, op, f[1:]); got != want {
 					t.Fatalf("step %d: %s = %s, a naive scan of %d mutations says %s", step, line, got, len(ref), want)
 				}
 			}

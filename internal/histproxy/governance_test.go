@@ -12,7 +12,7 @@ import (
 	"testing"
 
 	"histcube/internal/fault"
-	"histcube/internal/fleettest"
+	"histcube/internal/linetest"
 	"histcube/internal/shardclient"
 )
 
@@ -37,7 +37,7 @@ func TestProxyPanicContainmentIsPerRun(t *testing.T) {
 	p.groups = append([]*shardclient.Group(nil), groups...)
 	p.groups[0] = nil // routing anything to shard 0 dereferences it
 	p.Inj = fault.MustParse("serve.dispatch:panic@7", 1)
-	c := fleettest.Dial(t, serveProxy(t, p))
+	c := linetest.Dial(t, serveProxy(t, p))
 
 	got := c.SendAll(t, "INS 10 1 1 5\nINS 11 1 1\nDEL 12 1 1 5\nINS 13 1 1 5\n", 4)
 	for i, l := range got {
@@ -48,7 +48,7 @@ func TestProxyPanicContainmentIsPerRun(t *testing.T) {
 	if want := "ERR INS needs time, 2 coordinates and a value"; got[1] != want {
 		t.Errorf("reply 1 = %q, want its own %q", got[1], want)
 	}
-	if n := fleettest.MetricValue(t, p.Reg, "histproxy_panics_recovered_total"); n != 1 {
+	if n := linetest.MetricValue(t, p.Reg, "histproxy_panics_recovered_total"); n != 1 {
 		t.Errorf("recovered-panic counter = %d after one broken run, want 1", n)
 	}
 	// Lines 5 and 6 are a healthy run to shard 1; line 7 panics alone.
@@ -60,7 +60,7 @@ func TestProxyPanicContainmentIsPerRun(t *testing.T) {
 	if !strings.HasPrefix(got[0], "ERR internal error") || got[1] != "OK" {
 		t.Fatalf("panic in front of one line of a run = %q, want that line only to fail", got)
 	}
-	if n := fleettest.MetricValue(t, p.Reg, "histproxy_inflight_requests"); n != 0 {
+	if n := linetest.MetricValue(t, p.Reg, "histproxy_inflight_requests"); n != 0 {
 		t.Errorf("inflight gauge = %d after panics, want 0", n)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"histcube/internal/fleettest"
+	"histcube/internal/linetest"
 )
 
 // qryLines returns the QRY lines a fake shard received.
@@ -35,7 +36,7 @@ func TestReadRuleFollowsPrimaryMinAcks(t *testing.T) {
 		f.Set(func(f *fleettest.FakeShard) { f.Replica = true })
 	}
 	p := buildProxyWith(t, fmt.Sprintf("%s|%s|%s=0-", primary.Addr, f1.Addr, f2.Addr), 2*time.Millisecond, time.Second)
-	c := fleettest.Dial(t, serveProxy(t, p))
+	c := linetest.Dial(t, serveProxy(t, p))
 	if got := c.Cmd(t, "INS 1 0 0 5"); got != "OK" {
 		t.Fatalf("INS = %q", got)
 	}
@@ -73,7 +74,7 @@ func TestReadRuleSkipsASyncingFollower(t *testing.T) {
 	primary.Set(func(f *fleettest.FakeShard) { f.MinAcks, f.QryDelay = 1, 20*time.Millisecond })
 	follower.Set(func(f *fleettest.FakeShard) { f.Replica, f.Syncing = true, true })
 	p := buildProxyWith(t, fmt.Sprintf("%s|%s=0-", primary.Addr, follower.Addr), 2*time.Millisecond, time.Second)
-	c := fleettest.Dial(t, serveProxy(t, p))
+	c := linetest.Dial(t, serveProxy(t, p))
 	if got := c.Cmd(t, "INS 1 0 0 5"); got != "OK" {
 		t.Fatalf("INS = %q", got)
 	}
@@ -122,7 +123,7 @@ func TestRejoiningFollowerServesNoReadBeforeItsRound(t *testing.T) {
 
 	follower.Set(func(f *fleettest.FakeShard) { f.Syncing = true })
 	follower.Restart(t)
-	c := fleettest.Dial(t, serveProxy(t, p))
+	c := linetest.Dial(t, serveProxy(t, p))
 	for back := time.Now(); time.Since(back) < 4*testProbeEvery || !g.Member(1).Healthy(); {
 		if time.Since(back) > 5*time.Second {
 			t.Fatal("the rejoined follower's breaker stayed open")
@@ -190,7 +191,7 @@ func TestHungPrimaryFailsOverAndOthersStillRejoin(t *testing.T) {
 	if d := time.Since(hung); d > 10*testProbeEvery {
 		t.Errorf("promoted %v after the primary hung, want within a few -probe-every (%v)", d, testProbeEvery)
 	}
-	if got := fleettest.Dial(t, serveProxy(t, p)).Cmd(t, "INS 5 0 0 1"); got != "OK" {
+	if got := linetest.Dial(t, serveProxy(t, p)).Cmd(t, "INS 5 0 0 1"); got != "OK" {
 		t.Fatalf("INS after failover = %q, want the promoted follower's OK", got)
 	}
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"histcube/internal/linetest"
 	"histcube/internal/wal"
 )
 
@@ -30,25 +31,25 @@ func TestPrimaryAndFollowerApplyOneStream(t *testing.T) {
 	follower, faddr := startReplica(t, t.TempDir(), paddr)
 	waitUntil(t, 5*time.Second, "the follower's link", func() bool { return primary.hub.Followers() == 1 })
 
-	pc := dial(t, paddr)
+	pc := linetest.Dial(t, paddr)
 	r := rand.New(rand.NewSource(34))
 	now, rejected := int64(1), 0
 	for i := 0; i < 300; i++ {
 		x, y, v := r.Intn(8), r.Intn(8), float64(r.Intn(9)+1)
 		switch k := r.Intn(10); {
 		case k < 2 && now > 1 && i < 299: // out of order: logged, then rejected
-			got := pc.cmd(t, fmt.Sprintf("INS %d %d %d %g", r.Int63n(now-1)+1, x, y, v))
+			got := pc.Cmd(t, fmt.Sprintf("INS %d %d %d %g", r.Int63n(now-1)+1, x, y, v))
 			if !strings.HasPrefix(got, "ERR appendcube: update time precedes the latest time slice") {
 				t.Fatalf("out-of-order INS -> %q, want the cube's rejection", got)
 			}
 			rejected++
 		case k < 4:
-			pc.expect(t, fmt.Sprintf("DEL %d %d %d %g", now, x, y, v), "OK")
+			expect(t, pc, fmt.Sprintf("DEL %d %d %d %g", now, x, y, v), "OK")
 		default:
 			if k == 9 {
 				now++
 			}
-			pc.expect(t, fmt.Sprintf("INS %d %d %d %g", now, x, y, v), "OK")
+			expect(t, pc, fmt.Sprintf("INS %d %d %d %g", now, x, y, v), "OK")
 		}
 	}
 	if rejected == 0 {
@@ -65,8 +66,8 @@ func TestPrimaryAndFollowerApplyOneStream(t *testing.T) {
 	}
 	dir := t.TempDir()
 	pfile, ffile := filepath.Join(dir, "primary.gob"), filepath.Join(dir, "follower.gob")
-	pc.expect(t, "SAVE "+pfile, "OK")
-	dial(t, faddr).expect(t, "SAVE "+ffile, "OK")
+	expect(t, pc, "SAVE "+pfile, "OK")
+	expect(t, linetest.Dial(t, faddr), "SAVE "+ffile, "OK")
 	pb, err := os.ReadFile(pfile)
 	if err != nil {
 		t.Fatal(err)

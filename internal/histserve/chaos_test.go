@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"histcube/internal/fault"
+	"histcube/internal/linetest"
 	"histcube/internal/wal"
 )
 
@@ -110,10 +111,10 @@ func TestChaosReadOnlyDegradationAndRecovery(t *testing.T) {
 	if !strings.Contains(stats, "degraded=1") {
 		t.Fatalf("STATS while degraded: %q", stats)
 	}
-	if metricValue(t, srv, "histserve_readonly_rejections_total") == 0 {
+	if linetest.MetricValue(t, srv.Reg, "histserve_readonly_rejections_total") == 0 {
 		t.Fatal("readonly_rejections counter did not move")
 	}
-	if got := metricValue(t, srv, "histcube_degraded"); got != 1 {
+	if got := linetest.MetricValue(t, srv.Reg, "histcube_degraded"); got != 1 {
 		t.Fatalf("histcube_degraded = %d while degraded, want 1", got)
 	}
 	if got := readyz(); got != http.StatusServiceUnavailable {
@@ -143,10 +144,10 @@ func TestChaosReadOnlyDegradationAndRecovery(t *testing.T) {
 	if !strings.Contains(stats, "degraded=0") {
 		t.Fatalf("STATS after recovery: %q", stats)
 	}
-	if got := metricValue(t, srv, "histcube_degraded"); got != 0 {
+	if got := linetest.MetricValue(t, srv.Reg, "histcube_degraded"); got != 0 {
 		t.Fatalf("histcube_degraded = %d after recovery, want 0", got)
 	}
-	if got := metricValue(t, srv, "histserve_degraded_transitions_total"); got != 1 {
+	if got := linetest.MetricValue(t, srv.Reg, "histserve_degraded_transitions_total"); got != 1 {
 		t.Fatalf("degraded transitions = %d, want 1", got)
 	}
 	if got := readyz(); got != http.StatusOK {
@@ -239,23 +240,23 @@ func TestChaosPanicUnderMutexReleasesIt(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	c := dial(t, serveOn(t, srv))
-	if got := c.cmd(t, "INS 1 2 3 5"); got != "OK" {
+	c := linetest.Dial(t, serveOn(t, srv))
+	if got := c.Cmd(t, "INS 1 2 3 5"); got != "OK" {
 		t.Fatalf("pre-panic INS -> %q", got)
 	}
-	if got := c.cmd(t, "INS 2 2 3 2"); !strings.HasPrefix(got, "ERR internal error") {
+	if got := c.Cmd(t, "INS 2 2 3 2"); !strings.HasPrefix(got, "ERR internal error") {
 		t.Fatalf("INS panicking under the mutex -> %q, want ERR internal error", got)
 	}
-	if n := metricValue(t, srv, "histserve_panics_recovered_total"); n != 1 {
+	if n := linetest.MetricValue(t, srv.Reg, "histserve_panics_recovered_total"); n != 1 {
 		t.Fatalf("recovered-panic counter = %d, want 1", n)
 	}
-	if got := c.cmd(t, "QRY 0 5 0 0 7 7"); got != "7" {
+	if got := c.Cmd(t, "QRY 0 5 0 0 7 7"); got != "7" {
 		t.Fatalf("post-panic QRY -> %q, want 7 (mutex poisoned?)", got)
 	}
-	if got := c.cmd(t, "INS 3 2 3 2"); got != "OK" {
+	if got := c.Cmd(t, "INS 3 2 3 2"); got != "OK" {
 		t.Fatalf("post-panic INS -> %q", got)
 	}
-	if got := c.cmd(t, "QRY 0 5 0 0 7 7"); got != "9" {
+	if got := c.Cmd(t, "QRY 0 5 0 0 7 7"); got != "9" {
 		t.Fatalf("QRY after the next commit -> %q, want 9", got)
 	}
 }
@@ -275,22 +276,22 @@ func TestChaosFollowerApplyPanicIsContained(t *testing.T) {
 	follower.startFollower(paddr)
 	t.Cleanup(func() { follower.promote(0) }) // ends the follow loop
 
-	pc := dial(t, paddr)
+	pc := linetest.Dial(t, paddr)
 	// The follower commits what arrives together with one write, so the
 	// first record is made to arrive alone: the panic then fires on the
 	// commit of the second while it is the newest record. No later record
 	// repairs the log, so the follower must before it re-subscribes.
-	pc.expect(t, "INS 1 0 0 1", "OK")
+	expect(t, pc, "INS 1 0 0 1", "OK")
 	waitUntil(t, 10*time.Second, "first record applied", func() bool { return follower.repl.applied() == 1 })
-	pc.expect(t, "INS 2 0 0 1", "OK")
+	expect(t, pc, "INS 2 0 0 1", "OK")
 	waitUntil(t, 10*time.Second, "the panicked record made durable", func() bool {
 		follower.mu.Lock()
 		defer follower.mu.Unlock()
 		return follower.wal.ShippedLSN() == 2 // the durable LSN, under -fsync always
 	})
-	pc.expect(t, "INS 3 0 0 1", "OK")
+	expect(t, pc, "INS 3 0 0 1", "OK")
 	waitUntil(t, 10*time.Second, "follower convergence", func() bool { return follower.repl.applied() == 3 })
-	if n := metricValue(t, follower, "histserve_panics_recovered_total"); n != 1 {
+	if n := linetest.MetricValue(t, follower.Reg, "histserve_panics_recovered_total"); n != 1 {
 		t.Fatalf("recovered-panic counter = %d, want 1", n)
 	}
 	if got := chaosQuery(t, follower); got != 3 {

@@ -5,13 +5,14 @@ import (
 	"strings"
 	"testing"
 
+	"histcube/internal/linetest"
 	"histcube/internal/wal"
 )
 
 // expect sends one command and requires an exact response.
-func (c *client) expect(t *testing.T, line, want string) {
+func expect(t *testing.T, c *linetest.Client, line, want string) {
 	t.Helper()
-	if got := c.cmd(t, line); got != want {
+	if got := c.Cmd(t, line); got != want {
 		t.Fatalf("%s -> %q, want %q", line, got, want)
 	}
 }
@@ -34,11 +35,11 @@ func TestDurableRestartResumesState(t *testing.T) {
 		t.Fatalf("fresh dir recovery = %+v", res)
 	}
 	addr := serveOn(t, srv)
-	c := dial(t, addr)
+	c := linetest.Dial(t, addr)
 	total := 0.0
 	for i := 0; i < 200; i++ {
 		v := float64(i%7 + 1)
-		c.expect(t, fmt.Sprintf("INS %d %d %d %g", i/10, i%8, (i/3)%8, v), "OK")
+		expect(t, c, fmt.Sprintf("INS %d %d %d %g", i/10, i%8, (i/3)%8, v), "OK")
 		total += v
 	}
 	srv.Close() // graceful path: final checkpoint + WAL close
@@ -48,11 +49,11 @@ func TestDurableRestartResumesState(t *testing.T) {
 	if res2.CheckpointLSN != 200 || res2.Replayed != 0 {
 		t.Fatalf("restart recovery = %+v, want checkpoint at LSN 200, nothing to replay", res2)
 	}
-	c2 := dial(t, serveOn(t, srv2))
-	c2.expect(t, "QRY 0 1000 0 0 7 7", fmt.Sprintf("%g", total))
+	c2 := linetest.Dial(t, serveOn(t, srv2))
+	expect(t, c2, "QRY 0 1000 0 0 7 7", fmt.Sprintf("%g", total))
 	// And it keeps accepting appends.
-	c2.expect(t, "INS 1000 0 0 5", "OK")
-	c2.expect(t, "QRY 0 2000 0 0 7 7", fmt.Sprintf("%g", total+5))
+	expect(t, c2, "INS 1000 0 0 5", "OK")
+	expect(t, c2, "QRY 0 2000 0 0 7 7", fmt.Sprintf("%g", total+5))
 	srv2.Close()
 }
 
@@ -60,9 +61,9 @@ func TestDurableRestartWithoutShutdownReplaysLog(t *testing.T) {
 	dir := t.TempDir()
 	srv, _ := newDurableServer(t, dir, 0)
 	addr := serveOn(t, srv)
-	c := dial(t, addr)
+	c := linetest.Dial(t, addr)
 	for i := 0; i < 50; i++ {
-		c.expect(t, fmt.Sprintf("INS %d %d 0 2", i, i%8), "OK")
+		expect(t, c, fmt.Sprintf("INS %d %d 0 2", i, i%8), "OK")
 	}
 	// Crash: no shutdown, no checkpoint — only the log survives. Force
 	// the OS-buffered writes down first (SyncNever in tests).
@@ -74,19 +75,19 @@ func TestDurableRestartWithoutShutdownReplaysLog(t *testing.T) {
 	if res.CheckpointLSN != 0 || res.Replayed != 50 {
 		t.Fatalf("recovery = %+v, want 50 records replayed from LSN 1", res)
 	}
-	c2 := dial(t, serveOn(t, srv2))
-	c2.expect(t, "QRY 0 1000 0 0 7 7", "100")
+	c2 := linetest.Dial(t, serveOn(t, srv2))
+	expect(t, c2, "QRY 0 1000 0 0 7 7", "100")
 	srv2.Close()
 }
 
 func TestCheckpointCommand(t *testing.T) {
 	dir := t.TempDir()
 	srv, _ := newDurableServer(t, dir, 0)
-	c := dial(t, serveOn(t, srv))
-	c.expect(t, "INS 1 0 0 3", "OK")
-	c.expect(t, "INS 2 1 1 4", "OK")
-	c.expect(t, "CHECKPOINT", "OK 2")
-	c.expect(t, "CHECKPOINT extra", "ERR CHECKPOINT takes no arguments")
+	c := linetest.Dial(t, serveOn(t, srv))
+	expect(t, c, "INS 1 0 0 3", "OK")
+	expect(t, c, "INS 2 1 1 4", "OK")
+	expect(t, c, "CHECKPOINT", "OK 2")
+	expect(t, c, "CHECKPOINT extra", "ERR CHECKPOINT takes no arguments")
 	srv.Close()
 
 	// The on-demand checkpoint seeds the next recovery.
@@ -100,9 +101,9 @@ func TestCheckpointCommand(t *testing.T) {
 func TestAutomaticCheckpointEveryN(t *testing.T) {
 	dir := t.TempDir()
 	srv, _ := newDurableServer(t, dir, 10)
-	c := dial(t, serveOn(t, srv))
+	c := linetest.Dial(t, serveOn(t, srv))
 	for i := 0; i < 25; i++ {
-		c.expect(t, fmt.Sprintf("INS %d 0 0 1", i), "OK")
+		expect(t, c, fmt.Sprintf("INS %d 0 0 1", i), "OK")
 	}
 	srv.mu.Lock()
 	since := srv.wal.SinceCheckpoint()
@@ -116,17 +117,17 @@ func TestAutomaticCheckpointEveryN(t *testing.T) {
 	if res.CheckpointLSN != 25 { // shutdown wrote the final one
 		t.Fatalf("recovery = %+v, want final checkpoint at 25", res)
 	}
-	c2 := dial(t, serveOn(t, srv2))
-	c2.expect(t, "QRY 0 1000 0 0 7 7", "25")
+	c2 := linetest.Dial(t, serveOn(t, srv2))
+	expect(t, c2, "QRY 0 1000 0 0 7 7", "25")
 	srv2.Close()
 }
 
 func TestDurableMetricsRegistered(t *testing.T) {
 	dir := t.TempDir()
 	srv, _ := newDurableServer(t, dir, 0)
-	c := dial(t, serveOn(t, srv))
-	c.expect(t, "INS 1 0 0 1", "OK")
-	c.expect(t, "CHECKPOINT", "OK 1")
+	c := linetest.Dial(t, serveOn(t, srv))
+	expect(t, c, "INS 1 0 0 1", "OK")
+	expect(t, c, "CHECKPOINT", "OK 1")
 	var sb strings.Builder
 	if err := srv.Reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)

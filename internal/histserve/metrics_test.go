@@ -12,32 +12,12 @@ import (
 	"net/http"
 	"os"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
-)
 
-// metricValue reads one series off srv's registry, its labels spelled
-// as /metrics renders them (cmd/histserve's tests have its twin).
-func metricValue(t *testing.T, srv *Server, name string) int64 {
-	t.Helper()
-	var b strings.Builder
-	if err := srv.Reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(b.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, name+" "); ok {
-			n, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return int64(n)
-		}
-	}
-	t.Fatalf("/metrics has no series %s", name)
-	return 0
-}
+	"histcube/internal/linetest"
+)
 
 // TestFollowerLinkIsAccounted: a follower's link runs on the serving
 // core, so a burst of shipped records shows on its /metrics like client
@@ -151,17 +131,17 @@ func TestReadmeStatsBlockMatchesServedReply(t *testing.T) {
 
 	primary, _ := newDurableServer(t, t.TempDir(), 0)
 	paddr := serveOn(t, primary)
-	dial(t, paddr).expect(t, "INS 1 0 0 1", "OK")
+	expect(t, linetest.Dial(t, paddr), "INS 1 0 0 1", "OK")
 	follower, faddr := startReplica(t, t.TempDir(), paddr)
 	waitUntil(t, 5*time.Second, "the follower to catch up", func() bool { return follower.repl.synced.Load() })
-	fc := dial(t, faddr)
-	fc.expect(t, "SEAL 9", "OK sealed_through=9")
+	fc := linetest.Dial(t, faddr)
+	expect(t, fc, "SEAL 9", "OK sealed_through=9")
 
 	for _, c := range []struct {
 		who, readme, served string
 	}{
-		{"a primary", regexp.MustCompile(`\[[^]]*\]`).ReplaceAllString(block, ""), dial(t, paddr).cmd(t, "STATS")},
-		{"a sealed follower", block, fc.cmd(t, "STATS")},
+		{"a primary", regexp.MustCompile(`\[[^]]*\]`).ReplaceAllString(block, ""), linetest.Dial(t, paddr).Cmd(t, "STATS")},
+		{"a sealed follower", block, fc.Cmd(t, "STATS")},
 	} {
 		if want, got := names(c.readme), names(c.served); strings.Join(want, " ") != strings.Join(got, " ") {
 			t.Errorf("README's STATS block names\n  %v\nbut %s answers\n  %v\n(%q)", want, c.who, got, c.served)

@@ -18,6 +18,7 @@ import (
 
 	"histcube/internal/fault"
 	"histcube/internal/lineserver"
+	"histcube/internal/linetest"
 	"histcube/internal/wal"
 )
 
@@ -35,11 +36,11 @@ func newAlwaysServer(t *testing.T) *Server {
 // write.
 func rawConn(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 	t.Helper()
-	c := dial(t, addr)
-	if err := c.conn.SetDeadline(time.Now().Add(20 * time.Second)); err != nil {
+	c := linetest.Dial(t, addr)
+	if err := c.Conn.SetDeadline(time.Now().Add(20 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	return c.conn, c.r
+	return c.Conn, c.R
 }
 
 // readLines reads exactly n reply lines.
@@ -186,7 +187,7 @@ func TestBatchBeyondCapReleasedInSeveralFlushes(t *testing.T) {
 		t.Fatalf("%d inserts were released in %d batches, want at least %d (the cap) and far fewer than one per insert",
 			n, flushes, min)
 	}
-	if got := metricValue(t, srv, `histserve_request_seconds_count{cmd="INS"}`); got != n {
+	if got := linetest.MetricValue(t, srv.Reg, `histserve_request_seconds_count{cmd="INS"}`); got != n {
 		t.Fatalf("accounted %d INS, want %d", got, n)
 	}
 }
@@ -233,9 +234,9 @@ func TestLatencyAccountingFollowsTheReply(t *testing.T) {
 	srv.Inj = fault.MustParse(fmt.Sprintf("wal.sync:slow=%s", stall), 1)
 	enableChaosWAL(t, srv, t.TempDir())
 	t.Cleanup(srv.Close)
-	c := dial(t, serveOn(t, srv))
-	c.expect(t, "INS 1 1 1 1", "OK")
-	c.expect(t, "QRY 0 5 0 0 7 7", "1")
+	c := linetest.Dial(t, serveOn(t, srv))
+	expect(t, c, "INS 1 1 1 1", "OK")
+	expect(t, c, "QRY 0 5 0 0 7 7", "1")
 	if n, sum := srv.Latency["INS"].Count(), srv.Latency["INS"].Sum(); n != 1 || sum < stall.Seconds() {
 		t.Fatalf(`histserve_request_seconds{cmd="INS"}: %d samples summing to %gs, want 1 of at least the %s its commit waited`, n, sum, stall)
 	}
@@ -347,7 +348,7 @@ func TestPanickingLineKeepsNeighboursReplies(t *testing.T) {
 	if got[0] != "OK" || !strings.HasPrefix(got[1], "ERR internal error") || got[2] != "OK" || got[3] != "7" {
 		t.Fatalf("replies = %q, want OK, ERR internal error..., OK, 7", got)
 	}
-	if n := metricValue(t, srv, "histserve_panics_recovered_total"); n != 1 {
+	if n := linetest.MetricValue(t, srv.Reg, "histserve_panics_recovered_total"); n != 1 {
 		t.Errorf("recovered-panic counter = %d, want 1", n)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"histcube/internal/linetest"
 	"histcube/internal/wal"
 )
 
@@ -56,14 +57,14 @@ func TestReplicaFollowsPrimaryAndAnswersIdentically(t *testing.T) {
 	paddr := serveOn(t, primary)
 	follower, faddr := startReplica(t, t.TempDir(), paddr)
 
-	pc := dial(t, paddr)
+	pc := linetest.Dial(t, paddr)
 	for i := 0; i < 100; i++ {
-		pc.expect(t, fmt.Sprintf("INS %d %d %d %g", i/5, i%8, (i/3)%8, float64(i%7)+0.25), "OK")
+		expect(t, pc, fmt.Sprintf("INS %d %d %d %g", i/5, i%8, (i/3)%8, float64(i%7)+0.25), "OK")
 	}
 	// Deletes only ever touch the latest slice (the paper's append-only
 	// contract); replication must carry them like inserts.
 	for i := 0; i < 20; i++ {
-		pc.expect(t, fmt.Sprintf("DEL 19 %d %d %g", i%8, (i/3)%8, 0.25), "OK")
+		expect(t, pc, fmt.Sprintf("DEL 19 %d %d %g", i%8, (i/3)%8, 0.25), "OK")
 	}
 	want := primary.walLastLSN()
 	waitUntil(t, 5*time.Second, "follower catch-up", func() bool {
@@ -72,20 +73,20 @@ func TestReplicaFollowsPrimaryAndAnswersIdentically(t *testing.T) {
 
 	// Identical answers: cube state is a deterministic function of the
 	// op stream, so every query must come back bit-identical.
-	fc := dial(t, faddr)
+	fc := linetest.Dial(t, faddr)
 	for _, q := range []string{
 		"QRY 0 100 0 0 7 7",
 		"QRY 3 9 1 2 6 6",
 		"QRY 0 0 0 0 7 7",
 		"QRY 7 19 2 0 5 7",
 	} {
-		if p, f := pc.cmd(t, q), fc.cmd(t, q); p != f {
+		if p, f := pc.Cmd(t, q), fc.Cmd(t, q); p != f {
 			t.Fatalf("%s: primary %q != replica %q", q, p, f)
 		}
 	}
 	// And identical cube state in STATS (the op-stream-derived fields;
 	// the access counters and replica fields are per-process, not state).
-	ps, fs := pc.cmd(t, "STATS"), fc.cmd(t, "STATS")
+	ps, fs := pc.Cmd(t, "STATS"), fc.Cmd(t, "STATS")
 	for _, key := range []string{"slices", "incomplete", "pending", "appended", "ooo"} {
 		if p, f := statsField(t, ps, key), statsField(t, fs, key); p != f {
 			t.Fatalf("STATS %s: primary %q != replica %q", key, p, f)
@@ -100,15 +101,15 @@ func TestReplicaFollowsPrimaryAndAnswersIdentically(t *testing.T) {
 
 	// Replicas reject client mutations — their cube is written only by
 	// the shipped stream.
-	if got := fc.cmd(t, "INS 1000 0 0 1"); !strings.HasPrefix(got, "ERR read-only replica") {
+	if got := fc.Cmd(t, "INS 1000 0 0 1"); !strings.HasPrefix(got, "ERR read-only replica") {
 		t.Fatalf("replica INS -> %q", got)
 	}
 	// Role probes on both sides.
-	if got := fc.cmd(t, "ROLE"); !strings.HasPrefix(got, "OK role=replica applied_lsn=") ||
+	if got := fc.Cmd(t, "ROLE"); !strings.HasPrefix(got, "OK role=replica applied_lsn=") ||
 		!strings.Contains(got, "primary="+paddr) || !strings.HasSuffix(got, " synced=1 op=sum") {
 		t.Fatalf("replica ROLE -> %q", got)
 	}
-	if got := pc.cmd(t, "ROLE"); !strings.HasPrefix(got, "OK role=primary") ||
+	if got := pc.Cmd(t, "ROLE"); !strings.HasPrefix(got, "OK role=primary") ||
 		!strings.Contains(got, "followers=1") || !strings.HasSuffix(got, " min_acks=0 op=sum") {
 		t.Fatalf("primary ROLE -> %q", got)
 	}
@@ -126,17 +127,17 @@ func TestReplicaBarrierIsItsLocalCommit(t *testing.T) {
 	follower.cfg.ReplMinAcks, follower.cfg.ReplAckTimeout = 1, 50*time.Millisecond
 	follower.startFollower(paddr)
 	faddr := serveOn(t, follower)
-	dial(t, paddr).expect(t, "INS 1 0 0 5", "OK")
+	expect(t, linetest.Dial(t, paddr), "INS 1 0 0 5", "OK")
 	waitUntil(t, 5*time.Second, "follower catch-up", func() bool { return follower.repl.applied() == 1 })
-	fc := dial(t, faddr)
+	fc := linetest.Dial(t, faddr)
 	// A mutation admission refuses is not traced, as at parse time.
-	if got := fc.cmd(t, "INS 2 0 0 1"); !strings.HasPrefix(got, "ERR read-only replica") {
+	if got := fc.Cmd(t, "INS 2 0 0 1"); !strings.HasPrefix(got, "ERR read-only replica") {
 		t.Fatalf("replica INS -> %q", got)
 	}
 	if n := len(follower.Recent.Entries()); n != 0 {
 		t.Fatalf("a refused INS left %d traces", n)
 	}
-	fc.expect(t, "QRY 0 10 0 0 7 7", "5")
+	expect(t, fc, "QRY 0 10 0 0 7 7", "5")
 	if n := follower.stage[stageReplAckWait].Count(); n != 0 {
 		t.Fatalf("a replica's query waited for acks %d times", n)
 	}
@@ -145,7 +146,7 @@ func TestReplicaBarrierIsItsLocalCommit(t *testing.T) {
 	if got := follower.promote(1); !strings.HasPrefix(got, "OK role=primary") {
 		t.Fatalf("PROMOTE -> %q", got)
 	}
-	fc.expect(t, "QRY 0 10 0 0 7 7", "5")
+	expect(t, fc, "QRY 0 10 0 0 7 7", "5")
 	if n := follower.stage[stageReplAckWait].Count(); n != 0 {
 		t.Fatalf("the promoted member's query waited for acks %d times", n)
 	}
@@ -160,8 +161,8 @@ func TestSemiSyncReadOutlivesItsFollower(t *testing.T) {
 	primary, _ := newDurableServer(t, t.TempDir(), 0)
 	primary.cfg.ReplMinAcks, primary.cfg.ReplAckTimeout = 1, 5*time.Second
 	paddr := serveOn(t, primary)
-	qc := dial(t, paddr)
-	qc.expect(t, "QRY 0 10 0 0 7 7", "0")
+	qc := linetest.Dial(t, paddr)
+	expect(t, qc, "QRY 0 10 0 0 7 7", "0")
 
 	// A hand-driven follower: it acknowledges the one record, then goes.
 	fconn, fr := rawConn(t, paddr)
@@ -189,7 +190,7 @@ func TestSemiSyncReadOutlivesItsFollower(t *testing.T) {
 
 	waits := primary.stage[stageReplAckWait].Count()
 	start := time.Now()
-	qc.expect(t, "QRY 0 10 0 0 7 7", "5")
+	expect(t, qc, "QRY 0 10 0 0 7 7", "5")
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("the query of an acked record took %s", d)
 	}
@@ -201,19 +202,19 @@ func TestSemiSyncReadOutlivesItsFollower(t *testing.T) {
 func TestReplicaColdStartBootstrapsFromSnapshot(t *testing.T) {
 	primary, _ := newDurableServer(t, t.TempDir(), 0)
 	paddr := serveOn(t, primary)
-	pc := dial(t, paddr)
+	pc := linetest.Dial(t, paddr)
 	total := 0.0
 	for i := 0; i < 80; i++ {
 		v := float64(i%9) + 1
-		pc.expect(t, fmt.Sprintf("INS %d %d %d %g", i/4, i%8, (i/2)%8, v), "OK")
+		expect(t, pc, fmt.Sprintf("INS %d %d %d %g", i/4, i%8, (i/2)%8, v), "OK")
 		total += v
 	}
 	// Checkpoint rotates and prunes the pre-checkpoint segments, so a
 	// cold follower asking for LSN 1 is behind the retention horizon
 	// and must be served a snapshot.
-	pc.expect(t, "CHECKPOINT", "OK 80")
+	expect(t, pc, "CHECKPOINT", "OK 80")
 	for i := 0; i < 20; i++ {
-		pc.expect(t, fmt.Sprintf("INS %d 0 1 2", 100+i), "OK")
+		expect(t, pc, fmt.Sprintf("INS %d 0 1 2", 100+i), "OK")
 		total += 2
 	}
 
@@ -222,25 +223,25 @@ func TestReplicaColdStartBootstrapsFromSnapshot(t *testing.T) {
 	waitUntil(t, 5*time.Second, "snapshot bootstrap + catch-up", func() bool {
 		return follower.repl.applied() == 100 && follower.repl.synced.Load()
 	})
-	fc := dial(t, faddr)
-	fc.expect(t, "QRY 0 1000 0 0 7 7", fmt.Sprintf("%g", total))
+	fc := linetest.Dial(t, faddr)
+	expect(t, fc, "QRY 0 1000 0 0 7 7", fmt.Sprintf("%g", total))
 	if got := follower.walLastLSN(); got != 100 {
 		t.Fatalf("follower log ends at LSN %d, want 100 (primary positions adopted)", got)
 	}
 
 	// The stream continues live after the bootstrap on the same link.
-	pc.expect(t, "INS 200 0 0 5", "OK")
+	expect(t, pc, "INS 200 0 0 5", "OK")
 	waitUntil(t, 5*time.Second, "live record after bootstrap", func() bool {
 		return follower.repl.applied() == 101
 	})
-	fc.expect(t, "QRY 0 1000 0 0 7 7", fmt.Sprintf("%g", total+5))
+	expect(t, fc, "QRY 0 1000 0 0 7 7", fmt.Sprintf("%g", total+5))
 
 	// The installed state is durable: a restart over the follower's own
 	// directory recovers to the same answers without the primary.
 	follower.Close()
 	restarted, _ := newDurableServer(t, fdir, 0)
-	rc := dial(t, serveOn(t, restarted))
-	rc.expect(t, "QRY 0 1000 0 0 7 7", fmt.Sprintf("%g", total+5))
+	rc := linetest.Dial(t, serveOn(t, restarted))
+	expect(t, rc, "QRY 0 1000 0 0 7 7", fmt.Sprintf("%g", total+5))
 	restarted.Close()
 }
 
@@ -254,13 +255,13 @@ func TestReplicaAppliedLSNIsItsCommitFrontier(t *testing.T) {
 	pdir := t.TempDir()
 	primary, _ := newDurableServer(t, pdir, 0)
 	paddr := serveOn(t, primary)
-	pc := dial(t, paddr)
+	pc := linetest.Dial(t, paddr)
 	for i := 0; i < 80; i++ {
-		pc.expect(t, fmt.Sprintf("INS %d %d %d 1", i/4, i%8, (i/2)%8), "OK")
+		expect(t, pc, fmt.Sprintf("INS %d %d %d 1", i/4, i%8, (i/2)%8), "OK")
 	}
-	pc.expect(t, "CHECKPOINT", "OK 80")
+	expect(t, pc, "CHECKPOINT", "OK 80")
 	for i := 0; i < 20; i++ {
-		pc.expect(t, fmt.Sprintf("INS %d 0 1 2", 100+i), "OK")
+		expect(t, pc, fmt.Sprintf("INS %d 0 1 2", 100+i), "OK")
 	}
 	ckpt, err := os.ReadFile(filepath.Join(pdir, fmt.Sprintf("checkpoint-%016x.ckpt", 80)))
 	if err != nil {
@@ -313,7 +314,7 @@ func TestReplicaAppliedLSNIsItsCommitFrontier(t *testing.T) {
 	follower.repl.stopOnce.Do(func() { close(follower.repl.stop) })
 	follower.Close()
 	for i := 0; i < 5; i++ {
-		pc.expect(t, fmt.Sprintf("INS %d 1 1 3", 200+i), "OK")
+		expect(t, pc, fmt.Sprintf("INS %d 1 1 3", 200+i), "OK")
 	}
 	back, _ := newDurableServer(t, fdir, 0)
 	back.startFollower(paddr)
@@ -331,19 +332,19 @@ func TestReplicaSyncedOnlyAtThePrimarysEnd(t *testing.T) {
 	pdir := t.TempDir()
 	primary, _ := newDurableServer(t, pdir, 0)
 	paddr := serveOn(t, primary)
-	pc := dial(t, paddr)
+	pc := linetest.Dial(t, paddr)
 	for i := 0; i < 80; i++ {
-		pc.expect(t, fmt.Sprintf("INS %d %d %d 1", i/4, i%8, (i/2)%8), "OK")
+		expect(t, pc, fmt.Sprintf("INS %d %d %d 1", i/4, i%8, (i/2)%8), "OK")
 	}
-	pc.expect(t, "CHECKPOINT", "OK 80")
+	expect(t, pc, "CHECKPOINT", "OK 80")
 	var recs strings.Builder
 	for i := 0; i < 20; i++ {
-		pc.expect(t, fmt.Sprintf("INS %d 0 1 2", 100+i), "OK")
+		expect(t, pc, fmt.Sprintf("INS %d 0 1 2", 100+i), "OK")
 		if i < 10 {
 			fmt.Fprintf(&recs, "REC %d 1 %d 0 1 2\n", 81+i, 100+i)
 		}
 	}
-	pc.expect(t, "ROLE", "OK role=primary last_lsn=100 followers=0 min_acks=0 op=sum")
+	expect(t, pc, "ROLE", "OK role=primary last_lsn=100 followers=0 min_acks=0 op=sum")
 	ckpt, err := os.ReadFile(filepath.Join(pdir, fmt.Sprintf("checkpoint-%016x.ckpt", 80)))
 	if err != nil {
 		t.Fatal(err)
@@ -394,13 +395,13 @@ func TestSnapShipsTheNewestCheckpoint(t *testing.T) {
 	pdir := t.TempDir()
 	primary, _ := newDurableServer(t, pdir, 0)
 	paddr := serveOn(t, primary)
-	pc := dial(t, paddr)
+	pc := linetest.Dial(t, paddr)
 	for i := 0; i < 80; i++ {
-		pc.expect(t, fmt.Sprintf("INS %d %d %d 1", i/4, i%8, (i/2)%8), "OK")
+		expect(t, pc, fmt.Sprintf("INS %d %d %d 1", i/4, i%8, (i/2)%8), "OK")
 	}
-	pc.expect(t, "CHECKPOINT", "OK 80")
+	expect(t, pc, "CHECKPOINT", "OK 80")
 	for i := 0; i < 20; i++ {
-		pc.expect(t, fmt.Sprintf("INS %d 0 1 2", 100+i), "OK")
+		expect(t, pc, fmt.Sprintf("INS %d 0 1 2", 100+i), "OK")
 	}
 	ckpt, err := os.ReadFile(filepath.Join(pdir, fmt.Sprintf("checkpoint-%016x.ckpt", 80)))
 	if err != nil {
@@ -455,25 +456,25 @@ func TestReplicaBootstrapsUnderCheckpointLoad(t *testing.T) {
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
-		c := dial(t, paddr)
+		c := linetest.Dial(t, paddr)
 		rng := rand.New(rand.NewSource(int64(w)))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
 				line := fmt.Sprintf("INS %d %d %d %d", i/8, rng.Intn(8), rng.Intn(8), rng.Intn(9)+1)
-				if _, err := fmt.Fprintln(c.conn, line); err != nil {
+				if _, err := fmt.Fprintln(c.Conn, line); err != nil {
 					t.Error(err)
 					return
 				}
-				if resp, err := c.r.ReadString('\n'); err != nil || resp != "OK\n" {
+				if resp, err := c.R.ReadString('\n'); err != nil || resp != "OK\n" {
 					t.Errorf("%s -> %q, %v", line, resp, err)
 					return
 				}
 			}
 		}()
 	}
-	checkpoints := func() int64 { return metricValue(t, primary, "histcube_wal_checkpoints_total") }
+	checkpoints := func() int64 { return linetest.MetricValue(t, primary.Reg, "histcube_wal_checkpoints_total") }
 	waitUntil(t, 20*time.Second, "3 checkpoints on the primary", func() bool { return checkpoints() >= 3 })
 
 	fdir := t.TempDir()
@@ -493,9 +494,9 @@ func TestReplicaBootstrapsUnderCheckpointLoad(t *testing.T) {
 		tlo := rng.Intn(int(want/8) + 1)
 		queries[i] = fmt.Sprintf("QRY %d %d %d %d %d %d", tlo, tlo+rng.Intn(200), lo1, lo2, lo1+rng.Intn(8-lo1), lo2+rng.Intn(8-lo2))
 	}
-	pc, fc := dial(t, paddr), dial(t, faddr)
+	pc, fc := linetest.Dial(t, paddr), linetest.Dial(t, faddr)
 	for _, q := range queries {
-		if p, f := pc.cmd(t, q), fc.cmd(t, q); p != f {
+		if p, f := pc.Cmd(t, q), fc.Cmd(t, q); p != f {
 			t.Fatalf("%s: primary %q != follower %q", q, p, f)
 		}
 	}
@@ -503,9 +504,9 @@ func TestReplicaBootstrapsUnderCheckpointLoad(t *testing.T) {
 	follower.Close()
 	restarted, _ := newDurableServer(t, fdir, 0)
 	defer restarted.Close()
-	rc := dial(t, serveOn(t, restarted))
+	rc := linetest.Dial(t, serveOn(t, restarted))
 	for _, q := range queries {
-		if p, f := pc.cmd(t, q), rc.cmd(t, q); p != f {
+		if p, f := pc.Cmd(t, q), rc.Cmd(t, q); p != f {
 			t.Fatalf("after restart, %s: primary %q != follower %q", q, p, f)
 		}
 	}
@@ -515,38 +516,38 @@ func TestPromotionFencingAndTakeover(t *testing.T) {
 	primary, _ := newDurableServer(t, t.TempDir(), 0)
 	paddr := serveOn(t, primary)
 	follower, faddr := startReplica(t, t.TempDir(), paddr)
-	pc := dial(t, paddr)
+	pc := linetest.Dial(t, paddr)
 	for i := 0; i < 50; i++ {
-		pc.expect(t, fmt.Sprintf("INS %d 0 0 1", i), "OK")
+		expect(t, pc, fmt.Sprintf("INS %d 0 0 1", i), "OK")
 	}
 	waitUntil(t, 5*time.Second, "follower catch-up", func() bool {
 		return follower.repl.applied() == 50
 	})
 
-	fc := dial(t, faddr)
+	fc := linetest.Dial(t, faddr)
 	// A fence above the applied position means acked writes exist that
 	// this replica never received: promotion must refuse.
-	if got := fc.cmd(t, "PROMOTE 60"); !strings.HasPrefix(got, "ERR promotion fenced") {
+	if got := fc.Cmd(t, "PROMOTE 60"); !strings.HasPrefix(got, "ERR promotion fenced") {
 		t.Fatalf("fenced PROMOTE -> %q", got)
 	}
 	if !follower.isReplica() {
 		t.Fatal("refused promotion still flipped the role")
 	}
 	// At the fence: the replica holds everything acked, take over.
-	if got := fc.cmd(t, "PROMOTE 50"); !strings.HasPrefix(got, "OK role=primary last_lsn=50") {
+	if got := fc.Cmd(t, "PROMOTE 50"); !strings.HasPrefix(got, "OK role=primary last_lsn=50") {
 		t.Fatalf("PROMOTE -> %q", got)
 	}
 	// Idempotent for a retrying proxy.
-	if got := fc.cmd(t, "PROMOTE 50"); !strings.HasPrefix(got, "OK role=primary") {
+	if got := fc.Cmd(t, "PROMOTE 50"); !strings.HasPrefix(got, "OK role=primary") {
 		t.Fatalf("repeated PROMOTE -> %q", got)
 	}
 	// The promoted server accepts writes and extends the same log.
-	fc.expect(t, "INS 1000 2 2 7", "OK")
+	expect(t, fc, "INS 1000 2 2 7", "OK")
 	if got := follower.walLastLSN(); got != 51 {
 		t.Fatalf("promoted log ends at %d, want 51", got)
 	}
-	fc.expect(t, "QRY 1000 1000 0 0 7 7", "7")
-	if got := fc.cmd(t, "ROLE"); !strings.HasPrefix(got, "OK role=primary") {
+	expect(t, fc, "QRY 1000 1000 0 0 7 7", "7")
+	if got := fc.Cmd(t, "ROLE"); !strings.HasPrefix(got, "OK role=primary") {
 		t.Fatalf("promoted ROLE -> %q", got)
 	}
 }
@@ -556,11 +557,11 @@ func TestSemiSyncHoldsAckUntilFollowerApplies(t *testing.T) {
 	primary.cfg.ReplMinAcks = 1
 	primary.cfg.ReplAckTimeout = 300 * time.Millisecond
 	paddr := serveOn(t, primary)
-	pc := dial(t, paddr)
+	pc := linetest.Dial(t, paddr)
 
 	// No follower connected: the write lands locally but the OK cannot
 	// be given — the client learns the write is indeterminate.
-	if got := pc.cmd(t, "INS 1 0 0 1"); !strings.Contains(got, "replication timeout") {
+	if got := pc.Cmd(t, "INS 1 0 0 1"); !strings.Contains(got, "replication timeout") {
 		t.Fatalf("semi-sync INS without followers -> %q", got)
 	}
 
@@ -569,7 +570,7 @@ func TestSemiSyncHoldsAckUntilFollowerApplies(t *testing.T) {
 		return follower.repl.applied() == 1
 	})
 	// With a live follower the ack arrives and the OK goes out.
-	pc.expect(t, "INS 2 0 0 1", "OK")
+	expect(t, pc, "INS 2 0 0 1", "OK")
 	if follower.repl.applied() != 2 && !waitApplied(follower, 2) {
 		t.Fatal("acked write not applied on the follower")
 	}
@@ -595,9 +596,9 @@ func waitApplied(s *Server, lsn uint64) bool {
 func TestRestartedSemiSyncPrimaryCommitsItsTailOnceHeld(t *testing.T) {
 	dir := t.TempDir()
 	first, _ := newDurableServer(t, dir, 0)
-	c := dial(t, serveOn(t, first))
+	c := linetest.Dial(t, serveOn(t, first))
 	for i := 0; i < 5; i++ {
-		c.expect(t, fmt.Sprintf("INS %d %d 0 2", i, i%8), "OK")
+		expect(t, c, fmt.Sprintf("INS %d %d 0 2", i, i%8), "OK")
 	}
 	first.Close()
 
@@ -608,9 +609,9 @@ func TestRestartedSemiSyncPrimaryCommitsItsTailOnceHeld(t *testing.T) {
 	}
 	primary.cfg.ReplMinAcks, primary.cfg.ReplAckTimeout = 1, ackTimeout
 	paddr := serveOn(t, primary)
-	qc := dial(t, paddr)
+	qc := linetest.Dial(t, paddr)
 	start := time.Now()
-	if got := qc.cmd(t, "QRY 0 100 0 0 7 7"); !strings.HasPrefix(got, "ERR replication timeout") ||
+	if got := qc.Cmd(t, "QRY 0 100 0 0 7 7"); !strings.HasPrefix(got, "ERR replication timeout") ||
 		strings.Contains(got, "treat the write") {
 		t.Fatalf("QRY of the recovered tail with no follower = %q, want the replication timeout worded for a read", got)
 	}
@@ -622,5 +623,5 @@ func TestRestartedSemiSyncPrimaryCommitsItsTailOnceHeld(t *testing.T) {
 	waitUntil(t, 5*time.Second, "the follower to hold the tail", func() bool {
 		return follower.repl.applied() == 5 && follower.repl.synced.Load()
 	})
-	qc.expect(t, "QRY 0 100 0 0 7 7", "10")
+	expect(t, qc, "QRY 0 100 0 0 7 7", "10")
 }

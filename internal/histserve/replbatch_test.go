@@ -18,6 +18,7 @@ import (
 
 	"histcube/internal/core"
 	"histcube/internal/fault"
+	"histcube/internal/linetest"
 	"histcube/internal/wal"
 )
 
@@ -46,7 +47,7 @@ func TestFollowerCommitsABurstWithOneAckAndFewFsyncs(t *testing.T) {
 	for i := 0; i < k; i++ {
 		fmt.Fprintf(&b, "INS %d %d %d 1\n", i, i%8, (i/3)%8)
 	}
-	before := metricValue(t, follower, "histcube_wal_fsyncs_total")
+	before := linetest.MetricValue(t, follower.Reg, "histcube_wal_fsyncs_total")
 	conn, r := rawConn(t, paddr)
 	if _, err := io.WriteString(conn, b.String()); err != nil {
 		t.Fatal(err)
@@ -57,7 +58,7 @@ func TestFollowerCommitsABurstWithOneAckAndFewFsyncs(t *testing.T) {
 		}
 	}
 	waitUntil(t, 5*time.Second, "follower catch-up", func() bool { return follower.repl.applied() == k })
-	if fsyncs := metricValue(t, follower, "histcube_wal_fsyncs_total") - before; fsyncs < 1 || fsyncs >= k/4 {
+	if fsyncs := linetest.MetricValue(t, follower.Reg, "histcube_wal_fsyncs_total") - before; fsyncs < 1 || fsyncs >= k/4 {
 		t.Fatalf("a burst of %d shipped records cost the follower %d fsyncs, want far fewer than one per record", k, fsyncs)
 	}
 	if got := follower.roleLine(); !strings.HasPrefix(got, fmt.Sprintf("OK role=replica applied_lsn=%d lag_lsn=0", k)) {
@@ -67,10 +68,10 @@ func TestFollowerCommitsABurstWithOneAckAndFewFsyncs(t *testing.T) {
 		t.Fatalf("follower SUM = %v, want %d", got, k)
 	}
 	// A lone record is a batch of one: exactly one more fsync.
-	before = metricValue(t, follower, "histcube_wal_fsyncs_total")
-	dial(t, paddr).expect(t, fmt.Sprintf("INS %d 0 0 1", k), "OK")
+	before = linetest.MetricValue(t, follower.Reg, "histcube_wal_fsyncs_total")
+	expect(t, linetest.Dial(t, paddr), fmt.Sprintf("INS %d 0 0 1", k), "OK")
 	waitUntil(t, 5*time.Second, "lone record", func() bool { return follower.repl.applied() == k+1 })
-	if fsyncs := metricValue(t, follower, "histcube_wal_fsyncs_total") - before; fsyncs != 1 {
+	if fsyncs := linetest.MetricValue(t, follower.Reg, "histcube_wal_fsyncs_total") - before; fsyncs != 1 {
 		t.Fatalf("a lone shipped record cost %d fsyncs, want 1", fsyncs)
 	}
 }

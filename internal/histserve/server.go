@@ -1087,6 +1087,9 @@ func (s *Server) loadSnapshot(path string) error {
 	if err != nil {
 		return err
 	}
+	if err := s.checkDims("loaded snapshot", cube); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	s.attachCubeLocked(cube)
 	s.mu.Unlock()

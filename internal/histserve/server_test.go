@@ -1,16 +1,14 @@
 package histserve
 
 // The in-process fixtures of this package's tests. cmd/histserve's
-// server_test.go has twins of them for the protocol tests there, which
-// need no more of the server than main does.
+// server_test.go builds and serves servers the same way for the
+// protocol tests there, which need no more of the server than main
+// does; both talk to them through internal/linetest.
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 	"log/slog"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -51,31 +49,4 @@ func serveOn(t *testing.T, srv *Server) (addr string) {
 func startTestServer(t *testing.T, ooo bool) (addr string) {
 	t.Helper()
 	return serveOn(t, newQuietServer(t, "8,8", "sum", ooo))
-}
-
-type client struct {
-	conn net.Conn
-	r    *bufio.Reader
-}
-
-func dial(t *testing.T, addr string) *client {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	return &client{conn: conn, r: bufio.NewReader(conn)}
-}
-
-func (c *client) cmd(t *testing.T, line string) string {
-	t.Helper()
-	if _, err := fmt.Fprintln(c.conn, line); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := c.r.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	return strings.TrimSpace(resp)
 }

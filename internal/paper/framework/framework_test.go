@@ -8,33 +8,8 @@ import (
 
 	"histcube/internal/dims"
 	"histcube/internal/molap"
+	"histcube/internal/oracle"
 )
-
-type fwShadow struct {
-	points []struct {
-		t int64
-		x []int
-		v float64
-	}
-}
-
-func (s *fwShadow) add(t int64, x []int, v float64) {
-	s.points = append(s.points, struct {
-		t int64
-		x []int
-		v float64
-	}{t, append([]int(nil), x...), v})
-}
-
-func (s *fwShadow) query(tLo, tHi int64, b dims.Box) float64 {
-	total := 0.0
-	for _, p := range s.points {
-		if p.t >= tLo && p.t <= tHi && b.Contains(p.x) {
-			total += p.v
-		}
-	}
-	return total
-}
 
 func newBTreeAppendOnly(t *testing.T, ooo bool) *AppendOnly {
 	t.Helper()
@@ -59,7 +34,7 @@ func TestSection22Example(t *testing.T) {
 	// The time x location walkthrough of Section 2.2 with a B-tree as
 	// R_1: a 2-d range query is two 1-d prefix-time queries.
 	a := newBTreeAppendOnly(t, false)
-	sh := &fwShadow{}
+	var ref oracle.Points
 	for _, u := range []struct {
 		t   int64
 		loc int
@@ -68,14 +43,14 @@ func TestSection22Example(t *testing.T) {
 		if err := a.Update(u.t, []int{u.loc}, u.v); err != nil {
 			t.Fatal(err)
 		}
-		sh.add(u.t, []int{u.loc}, u.v)
+		ref.Insert(u.t, []int{u.loc}, u.v)
 	}
 	box := dims.NewBox([]int{3}, []int{5})
 	got, err := a.Query(2, 4, box)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := sh.query(2, 4, box); got != want {
+	if want := ref.Query(2, 4, box.Lo, box.Hi).Sum; got != want {
 		t.Fatalf("query = %v, want %v", got, want)
 	}
 	if a.dir.Len() != 3 {
@@ -96,13 +71,13 @@ func TestOutOfOrderRejectedWithoutBuffer(t *testing.T) {
 
 func TestOutOfOrderBufferedAndQueried(t *testing.T) {
 	a := newBTreeAppendOnly(t, true)
-	sh := &fwShadow{}
+	var ref oracle.Points
 	upd := func(tv int64, loc int, v float64) {
 		t.Helper()
 		if err := a.Update(tv, []int{loc}, v); err != nil {
 			t.Fatal(err)
 		}
-		sh.add(tv, []int{loc}, v)
+		ref.Insert(tv, []int{loc}, v)
 	}
 	upd(10, 3, 5)
 	upd(20, 4, 2)
@@ -118,7 +93,7 @@ func TestOutOfOrderBufferedAndQueried(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := sh.query(tr[0], tr[1], box); got != want {
+		if want := ref.Query(tr[0], tr[1], box.Lo, box.Hi).Sum; got != want {
 			t.Fatalf("query [%d,%d] = %v, want %v", tr[0], tr[1], got, want)
 		}
 	}
@@ -136,7 +111,7 @@ func TestOutOfOrderBufferedAndQueried(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := sh.query(tr[0], tr[1], box); got != want {
+		if want := ref.Query(tr[0], tr[1], box.Lo, box.Hi).Sum; got != want {
 			t.Fatalf("post-drain query [%d,%d] = %v, want %v", tr[0], tr[1], got, want)
 		}
 	}
@@ -212,7 +187,7 @@ func TestArrayStructureSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := &fwShadow{}
+	var ref oracle.Points
 	r := rand.New(rand.NewSource(21))
 	now := int64(0)
 	for i := 0; i < 150; i++ {
@@ -224,7 +199,7 @@ func TestArrayStructureSource(t *testing.T) {
 		if err := a.Update(now, x, v); err != nil {
 			t.Fatal(err)
 		}
-		sh.add(now, x, v)
+		ref.Insert(now, x, v)
 	}
 	for q := 0; q < 100; q++ {
 		lo := []int{r.Intn(4), r.Intn(5)}
@@ -236,13 +211,13 @@ func TestArrayStructureSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := sh.query(tLo, tHi, b); got != want {
+		if want := ref.Query(tLo, tHi, b.Lo, b.Hi).Sum; got != want {
 			t.Fatalf("query [%d,%d] %v = %v, want %v", tLo, tHi, b, got, want)
 		}
 	}
 }
 
-// Property: clone-source and treap-source agree with the shadow (and
+// Property: clone-source and treap-source agree with the oracle (and
 // with each other) on random 1-d append streams with out-of-order
 // updates and interleaved drains.
 func TestSourcesAgreeProperty(t *testing.T) {
@@ -259,7 +234,7 @@ func TestSourcesAgreeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sh := &fwShadow{}
+		var ref oracle.Points
 		now := int64(0)
 		for i := 0; i < 120; i++ {
 			var tv int64
@@ -279,7 +254,7 @@ func TestSourcesAgreeProperty(t *testing.T) {
 			if err := treap.Update(tv, x, v); err != nil {
 				return false
 			}
-			sh.add(tv, x, v)
+			ref.Insert(tv, x, v)
 			if r.Intn(10) == 0 {
 				if _, err := clone.ApplyOutOfOrder(r.Intn(3)); err != nil {
 					return false
@@ -291,7 +266,7 @@ func TestSourcesAgreeProperty(t *testing.T) {
 				b := dims.NewBox([]int{lo}, []int{hi})
 				tLo := int64(r.Intn(int(now) + 2))
 				tHi := tLo + int64(r.Intn(int(now)+2))
-				want := sh.query(tLo, tHi, b)
+				want := ref.Query(tLo, tHi, b.Lo, b.Hi).Sum
 				g1, err1 := clone.Query(tLo, tHi, b)
 				g2, err2 := treap.Query(tLo, tHi, b)
 				if err1 != nil || err2 != nil || g1 != want || g2 != want {

@@ -1,10 +1,8 @@
 package perf
 
 import (
-	"os/exec"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"time"
 )
 
@@ -24,10 +22,9 @@ type RunMeta struct {
 }
 
 // CollectMeta gathers RunMeta for the running tool. The git revision
-// comes from the build info VCS stamp when present (go build in a git
-// checkout) and falls back to asking git itself, since `go run` and
-// test binaries are built without the stamp; "unknown" if neither
-// works.
+// comes from the build info VCS stamp, which go build writes in a git
+// checkout; `go run` and test binaries carry none, and report
+// "unknown".
 func CollectMeta(tool string) RunMeta {
 	m := RunMeta{
 		Tool:       tool,
@@ -45,13 +42,6 @@ func CollectMeta(tool string) RunMeta {
 				m.GitRev = s.Value
 			case "vcs.modified":
 				m.GitDirty = s.Value == "true"
-			}
-		}
-	}
-	if m.GitRev == "unknown" {
-		if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
-			if rev := strings.TrimSpace(string(out)); rev != "" {
-				m.GitRev = rev
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"histcube/internal/dims"
+	"histcube/internal/oracle"
 )
 
 func randEntries(r *rand.Rand, n, dim, domain int) []Entry {
@@ -20,14 +21,14 @@ func randEntries(r *rand.Rand, n, dim, domain int) []Entry {
 	return es
 }
 
-func naiveSum(es []Entry, b dims.Box) float64 {
-	total := 0.0
+// refOf loads entries into the oracle, all at time 0: they are points
+// with no time of their own, so a query asks for time 0 to 0.
+func refOf(es []Entry) oracle.Points {
+	var ref oracle.Points
 	for _, e := range es {
-		if b.Contains(e.Coords) {
-			total += e.Value
-		}
+		ref.Insert(0, e.Coords, e.Value)
 	}
-	return total
+	return ref
 }
 
 func randBox(r *rand.Rand, dim, domain int) dims.Box {
@@ -104,9 +105,10 @@ func TestInsertManyWithSplitsAndReinserts(t *testing.T) {
 	if tr.Height() < 3 {
 		t.Errorf("height = %d; expected a multi-level tree", tr.Height())
 	}
+	ref := refOf(es)
 	for q := 0; q < 100; q++ {
 		b := randBox(r, 2, 100)
-		want := naiveSum(es, b)
+		want := ref.Query(0, 0, b.Lo, b.Hi).Sum
 		gs, err := tr.RangeScan(b)
 		if err != nil {
 			t.Fatal(err)
@@ -162,9 +164,10 @@ func TestBulkLoadPackedAndCorrect(t *testing.T) {
 	if lc := tr.LeafCount(); lc > minLeaves+minLeaves/4 {
 		t.Errorf("bulk load produced %d leaves; fully packed would be %d", lc, minLeaves)
 	}
+	ref := refOf(es)
 	for q := 0; q < 80; q++ {
 		b := randBox(r, 3, 50)
-		want := naiveSum(es, b)
+		want := ref.Query(0, 0, b.Lo, b.Hi).Sum
 		got, err := tr.RangeScan(b)
 		if err != nil {
 			t.Fatal(err)
@@ -203,7 +206,7 @@ func TestDelete(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Delete half, verifying against the naive remainder.
+	// Delete half, verifying against the oracle of the remainder.
 	for i := 0; i < 250; i++ {
 		if !tr.Delete(es[i].Coords, es[i].Value) {
 			t.Fatalf("delete %d failed", i)
@@ -215,14 +218,14 @@ func TestDelete(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	rest := es[250:]
+	rest := refOf(es[250:])
 	for q := 0; q < 50; q++ {
 		b := randBox(r, 2, 40)
 		got, err := tr.RangeScan(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := naiveSum(rest, b); got != want {
+		if want := rest.Query(0, 0, b.Lo, b.Hi).Sum; got != want {
 			t.Fatalf("after deletes, box %v: got %v want %v", b, got, want)
 		}
 	}
@@ -297,7 +300,7 @@ func TestWalkVisitsAll(t *testing.T) {
 	}
 }
 
-// Property: dynamic inserts + deletes match a naive shadow and keep
+// Property: dynamic inserts + deletes match the oracle and keep
 // invariants, across random capacities.
 func TestShadowProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -307,6 +310,7 @@ func TestShadowProperty(t *testing.T) {
 			return false
 		}
 		var live []Entry
+		var ref oracle.Points
 		for op := 0; op < 250; op++ {
 			if r.Intn(4) > 0 || len(live) == 0 {
 				e := Entry{Coords: []int{r.Intn(20), r.Intn(20)}, Value: float64(r.Intn(5) + 1)}
@@ -314,11 +318,13 @@ func TestShadowProperty(t *testing.T) {
 					return false
 				}
 				live = append(live, e)
+				ref.Insert(0, e.Coords, e.Value)
 			} else {
 				i := r.Intn(len(live))
 				if !tr.Delete(live[i].Coords, live[i].Value) {
 					return false
 				}
+				ref.Delete(0, live[i].Coords, live[i].Value)
 				live[i] = live[len(live)-1]
 				live = live[:len(live)-1]
 			}
@@ -328,7 +334,7 @@ func TestShadowProperty(t *testing.T) {
 		}
 		for q := 0; q < 30; q++ {
 			b := randBox(r, 2, 20)
-			want := naiveSum(live, b)
+			want := ref.Query(0, 0, b.Lo, b.Hi).Sum
 			gs, err1 := tr.RangeScan(b)
 			ga, err2 := tr.RangeAggregate(b)
 			if err1 != nil || err2 != nil || gs != want || ga != want {
@@ -342,7 +348,7 @@ func TestShadowProperty(t *testing.T) {
 	}
 }
 
-// Property: bulk-loaded trees answer like the naive scan for random
+// Property: bulk-loaded trees answer like the oracle for random
 // dimensionalities.
 func TestBulkLoadProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -356,10 +362,11 @@ func TestBulkLoadProperty(t *testing.T) {
 		if err := tr.CheckInvariants(); err != nil {
 			return false
 		}
+		ref := refOf(es)
 		for q := 0; q < 20; q++ {
 			b := randBox(r, dim, 16)
 			got, err := tr.RangeScan(b)
-			if err != nil || got != naiveSum(es, b) {
+			if err != nil || got != ref.Query(0, 0, b.Lo, b.Hi).Sum {
 				return false
 			}
 		}

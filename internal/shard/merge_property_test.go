@@ -1,23 +1,24 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"histcube/internal/agg"
 	"histcube/internal/core"
+	"histcube/internal/oracle"
 )
 
-// The merge property the proxy's correctness rests on (ISSUE 7,
-// Sec. 2.2 invertible operators): for any range query, summing the
-// per-shard answers over Route's clamped legs equals the answer a
-// single cube holding all the data would give — bit-identically, in
-// any arrival order, including empty shards and boundary-straddling
-// ranges. Deltas are integers so float addition is exact and the
-// equality check can be strict (histlint's nofloateq does not run on
-// _test.go files, and approximate comparison would hide real merge
-// bugs here).
+// The merge property the proxy's correctness rests on (Sec. 2.2
+// invertible operators): for any range query, merging the per-shard
+// answers over Route's clamped legs equals the oracle's scan of all
+// the data — bit-identically, in any arrival order, including empty
+// shards and boundary-straddling ranges. Deltas are integers so float
+// addition is exact and the equality check can be strict (histlint's
+// nofloateq does not run on _test.go files, and approximate comparison
+// would hide real merge bugs here).
 
 func newCube(t *testing.T, sizes []int, op agg.Operator) *core.Cube {
 	t.Helper()
@@ -33,7 +34,7 @@ func newCube(t *testing.T, sizes []int, op agg.Operator) *core.Cube {
 }
 
 func TestMergeEqualsSingleCubeProperty(t *testing.T) {
-	for _, op := range []agg.Operator{agg.Sum, agg.Count} {
+	for _, op := range []agg.Operator{agg.Sum, agg.Count, agg.Average} {
 		op := op
 		t.Run(op.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
@@ -51,7 +52,7 @@ func TestMergeEqualsSingleCubeProperty(t *testing.T) {
 			for i := range shardCubes {
 				shardCubes[i] = newCube(t, sizes, op)
 			}
-			ref := newCube(t, sizes, op)
+			var ref oracle.Points
 
 			for i := 0; i < facts; i++ {
 				ts := int64(50 + rng.Intn(tMax-50)) // skip shard 0's range
@@ -64,9 +65,7 @@ func TestMergeEqualsSingleCubeProperty(t *testing.T) {
 				if err := shardCubes[idx].Insert(ts, coords, v); err != nil {
 					t.Fatalf("shard insert: %v", err)
 				}
-				if err := ref.Insert(ts, coords, v); err != nil {
-					t.Fatalf("ref insert: %v", err)
-				}
+				ref.Insert(ts, coords, v)
 			}
 
 			for trial := 0; trial < trials; trial++ {
@@ -95,13 +94,18 @@ func TestMergeEqualsSingleCubeProperty(t *testing.T) {
 				legs := m.Route(tlo, thi)
 				parts := make([]Partial, len(legs))
 				for i, leg := range legs {
-					v, err := shardCubes[leg.Index].Query(core.Range{
+					// An AVG leg carries its (sum, count) pair, as the
+					// proxy asks for it; the others their final value.
+					v, err := shardCubes[leg.Index].QueryPairCtx(context.Background(), core.Range{
 						TimeLo: leg.TimeLo, TimeHi: leg.TimeHi, Lo: lo, Hi: hi,
 					})
 					if err != nil {
 						t.Fatalf("shard %s query: %v", leg.Addr, err)
 					}
-					parts[i] = Partial{Leg: leg, Value: v}
+					parts[i] = Partial{Leg: leg, Value: agg.Finalize(op, v)}
+					if op == agg.Average {
+						parts[i] = Partial{Leg: leg, Value: v.Sum, Count: v.Count, Pair: true}
+					}
 				}
 				// Shuffle arrival order; the merged total must not care.
 				rng.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
@@ -110,12 +114,9 @@ func TestMergeEqualsSingleCubeProperty(t *testing.T) {
 				if !got.Complete {
 					t.Fatalf("trial %d: all shards answered but merge is not Complete", trial)
 				}
-				want, err := ref.Query(core.Range{TimeLo: tlo, TimeHi: thi, Lo: lo, Hi: hi})
-				if err != nil {
-					t.Fatalf("ref query: %v", err)
-				}
+				want := ref.Query(tlo, thi, lo, hi).Of(op.String())
 				if got.Value != want {
-					t.Fatalf("trial %d: merge(t=[%d,%d] box=%v..%v) = %v, single cube = %v",
+					t.Fatalf("trial %d: merge(t=[%d,%d] box=%v..%v) = %v, oracle = %v",
 						trial, tlo, thi, lo, hi, got.Value, want)
 				}
 			}
@@ -130,7 +131,7 @@ func TestMergeFailedLegMatchesReferenceHole(t *testing.T) {
 	sizes := []int{6, 6}
 	m := mustParse(t, "s0=0-99,s1=100-199,s2=200-")
 	shardCubes := []*core.Cube{newCube(t, sizes, agg.Sum), newCube(t, sizes, agg.Sum), newCube(t, sizes, agg.Sum)}
-	ref := newCube(t, sizes, agg.Sum)
+	var ref oracle.Points
 	for i := 0; i < 300; i++ {
 		ts := int64(rng.Intn(300))
 		coords := []int{rng.Intn(6), rng.Intn(6)}
@@ -139,9 +140,7 @@ func TestMergeFailedLegMatchesReferenceHole(t *testing.T) {
 		if err := shardCubes[idx].Insert(ts, coords, v); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.Insert(ts, coords, v); err != nil {
-			t.Fatal(err)
-		}
+		ref.Insert(ts, coords, v)
 	}
 
 	lo, hi := []int{0, 0}, []int{5, 5}
@@ -164,14 +163,7 @@ func TestMergeFailedLegMatchesReferenceHole(t *testing.T) {
 	}
 	// The partial value must equal the reference answer with the dead
 	// shard's time range carved out.
-	left, err := ref.Query(core.Range{TimeLo: 0, TimeHi: 99, Lo: lo, Hi: hi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	right, err := ref.Query(core.Range{TimeLo: 200, TimeHi: 299, Lo: lo, Hi: hi})
-	if err != nil {
-		t.Fatal(err)
-	}
+	left, right := ref.Query(0, 99, lo, hi).Sum, ref.Query(200, 299, lo, hi).Sum
 	if res.Value != left+right {
 		t.Fatalf("partial value %v != reference-with-hole %v", res.Value, left+right)
 	}
