@@ -222,16 +222,20 @@ step_traceguard() {
 }
 
 step_perfguard() {
-    echo "== serving-path overhead guards (Histogram.Observe <= 150 ns, 0 allocs; served QRY <= 22 allocs; served INS/DEL <= 10 allocs, <= 1280 B; proxied window <= 100 allocs; one write per group commit, no segment growth; segment read allocates by records; Save streams in < 1 MiB) =="
+    echo "== serving-path overhead guards (Histogram.Observe <= 150 ns, 0 allocs; served QRY <= 7 allocs, <= 640 B; served INS/DEL <= 8 allocs, <= 640 B; converged core query 0 allocs; proxied window <= 94 allocs; one write per group commit, no segment growth; segment read allocates by records; Save streams in < 1 MiB) =="
     # What every served request pays to be timed, once per request and
     # once per stage, and what one served QRY allocates in all: its
-    # parse, two slabs for its span tree, its deadline context (no timer,
-    # and it carries the span) and its reply. A served INS or DEL: its
-    # parse, its pending op, one slab sized to its two-span tree and its
-    # deadline context. Same regime as the tracer guard:
-    # un-instrumented runs only.
+    # request and fields, its pending op (which holds the parsed box),
+    # its deadline context (no timer, and it carries the span) and its
+    # reply. A served INS or DEL: its request, its pending op and
+    # coordinates, its deadline context and the cube's update sets.
+    # Neither allocates for its span tree: it is built on a slab the
+    # trace ring recycled. Below them, a converged historic query with
+    # a span-less context allocates nothing. Same regime as the tracer
+    # guard: un-instrumented runs only.
     run_named ./internal/obs/ TestHistogramObserveOverhead -count=1
     run_named ./cmd/histserve/ 'TestServedQueryAllocs|TestServedInsertAllocs' -count=1
+    run_named ./internal/core/ TestConvergedQueryAllocs -count=1
     # One four-line window through histproxy to two loopback shards,
     # counted process-wide: its fan-out starts no goroutine and makes no
     # channel, cancel context or timer unless a hedge is due.
@@ -267,6 +271,29 @@ step_benchgate() {
     # stay under the ignored .bench_build/ and benchmark/out/.
     for w in read_converged mixed_live durable_ingest fleet_mixed; do
         benchmark/run.sh --workload "$w" --seed 1 --seconds 3
+    done
+    # No process the runs started may outlive them: after a grace of up
+    # to 2 s for servers still exiting, any process whose executable
+    # lies under this checkout's .bench_build/bin/ fails the step.
+    for _ in 1 2 3 4 5 6 7 8 9 10; do
+        left=$(bench_leftovers)
+        [ -z "$left" ] && return 0
+        sleep 0.2
+    done
+    echo "benchmark processes outlived their runs (pid executable):" >&2
+    echo "$left" >&2
+    exit 1
+}
+
+# bench_leftovers prints "<pid> <executable>" for every running process
+# whose executable lies under this checkout's .bench_build/bin/.
+bench_leftovers() {
+    bin="$(pwd -P)/.bench_build/bin/"
+    for exe in /proc/[0-9]*/exe; do
+        target=$(readlink "$exe" 2>/dev/null) || continue
+        case "$target" in
+        "$bin"*) pid=${exe#/proc/} && echo "${pid%/exe} $target" ;;
+        esac
     done
 }
 

@@ -38,20 +38,10 @@ func TestChaosBinaryDegradeKillRecover(t *testing.T) {
 		"-dims", "8,8", "-op", "sum", "-data-dir", dataDir, "-fsync", "always",
 		"-fault-spec", "wal.write:nospace@120+", "-fault-seed", "3",
 		"-degraded-probe-every", "250ms")
-	conn := dialTCP(t, p1.addr)
+	conn := linetest.Dial(t, p1.addr)
 	acked, readonlySeen := 0, false
 	for i := 0; i < 400; i++ {
-		if _, err := fmt.Fprintf(conn.w, "INS %d %d %d 1\n", i/5, i%8, (i/3)%8); err != nil {
-			t.Fatal(err)
-		}
-		if err := conn.w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := conn.r.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp = strings.TrimSpace(resp)
+		resp := conn.Cmd(t, fmt.Sprintf("INS %d %d %d 1", i/5, i%8, (i/3)%8))
 		switch {
 		case resp == "OK":
 			acked++
@@ -66,7 +56,7 @@ func TestChaosBinaryDegradeKillRecover(t *testing.T) {
 		t.Fatalf("workload saw acked=%d readonly=%v; the fault schedule did not engage", acked, readonlySeen)
 	}
 	// Degraded, but still serving queries, exactly.
-	if got := query(t, conn, "QRY 0 1000000 0 0 7 7"); got != float64(acked+1) {
+	if got := conn.Float(t, "QRY 0 1000000 0 0 7 7"); got != float64(acked+1) {
 		t.Fatalf("degraded query = %v, want acked+nacked = %d", got, acked+1)
 	}
 
@@ -79,16 +69,12 @@ func TestChaosBinaryDegradeKillRecover(t *testing.T) {
 	// A healthy restart recovers every acknowledged record and nothing
 	// else, and serves writes again.
 	p2 := startHistserve(t, bin, "-dims", "8,8", "-op", "sum", "-data-dir", dataDir, "-fsync", "always")
-	conn2 := dialTCP(t, p2.addr)
-	if got := query(t, conn2, "QRY 0 1000000 0 0 7 7"); got != float64(acked) {
+	conn2 := linetest.Dial(t, p2.addr)
+	if got := conn2.Float(t, "QRY 0 1000000 0 0 7 7"); got != float64(acked) {
 		t.Fatalf("recovered SUM = %v, want acked=%d", got, acked)
 	}
-	if _, err := fmt.Fprintln(conn2.w, "INS 999999 0 0 1"); err != nil {
-		t.Fatal(err)
-	}
-	conn2.w.Flush()
-	if resp, _ := conn2.r.ReadString('\n'); strings.TrimSpace(resp) != "OK" {
-		t.Fatalf("post-recovery INS -> %q", strings.TrimSpace(resp))
+	if resp := conn2.Cmd(t, "INS 999999 0 0 1"); resp != "OK" {
+		t.Fatalf("post-recovery INS -> %q", resp)
 	}
 	p2.cmd.Process.Kill()
 	p2.waitExit(t, 30*time.Second)

@@ -11,15 +11,16 @@ package main
 import (
 	"bufio"
 	"fmt"
-	"net"
+	"io"
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"histcube/internal/linetest"
 )
 
 // buildHistserve compiles the server binary once per test run.
@@ -121,21 +122,17 @@ func TestCrashRecoveryNoAcknowledgedLoss(t *testing.T) {
 
 	// Phase 1: drive the append workload and SIGKILL mid-append.
 	p1 := startHistserve(t, bin, args...)
-	conn := dialTCP(t, p1.addr)
+	conn := linetest.Dial(t, p1.addr)
 	const workload = 10000
 	const killAfter = 1200 // acks before the plug is pulled
 	acked, sent := 0, 0
 	killed := false
 	for i := 0; i < workload; i++ {
-		_, err := fmt.Fprintf(conn.w, "INS %d %d %d 1\n", i/10, i%8, (i/3)%8)
-		if err == nil {
-			err = conn.w.Flush()
-		}
-		if err != nil {
+		if _, err := fmt.Fprintf(conn.Conn, "INS %d %d %d 1\n", i/10, i%8, (i/3)%8); err != nil {
 			break // the kill landed
 		}
 		sent++
-		resp, err := conn.r.ReadString('\n')
+		resp, err := conn.R.ReadString('\n')
 		if err != nil {
 			break // killed between request and response
 		}
@@ -173,8 +170,8 @@ func TestCrashRecoveryNoAcknowledgedLoss(t *testing.T) {
 	if recovered == "" {
 		t.Fatalf("no recovery log line; stderr:\n%s", strings.Join(p2.stderr, "\n"))
 	}
-	conn2 := dialTCP(t, p2.addr)
-	total := query(t, conn2, "QRY 0 100000 0 0 7 7")
+	conn2 := linetest.Dial(t, p2.addr)
+	total := conn2.Float(t, "QRY 0 100000 0 0 7 7")
 	if total < float64(acked) || total > float64(sent) {
 		t.Fatalf("recovered SUM = %v, want within [acked=%d, sent=%d]\nrecovery: %s",
 			total, acked, sent, recovered)
@@ -182,14 +179,10 @@ func TestCrashRecoveryNoAcknowledgedLoss(t *testing.T) {
 	t.Logf("acked=%d sent=%d recovered=%v (%s)", acked, sent, total, recovered)
 
 	// The recovered server keeps accepting appends.
-	if _, err := fmt.Fprintln(conn2.w, "INS 99999 0 0 1"); err != nil {
-		t.Fatal(err)
-	}
-	conn2.w.Flush()
-	if resp, _ := conn2.r.ReadString('\n'); strings.TrimSpace(resp) != "OK" {
+	if resp := conn2.Cmd(t, "INS 99999 0 0 1"); resp != "OK" {
 		t.Fatalf("post-recovery append: %q", resp)
 	}
-	after := query(t, conn2, "QRY 0 100000 0 0 7 7")
+	after := conn2.Float(t, "QRY 0 100000 0 0 7 7")
 	if after != total+1 {
 		t.Fatalf("post-recovery SUM = %v, want %v", after, total+1)
 	}
@@ -209,8 +202,8 @@ func TestCrashRecoveryNoAcknowledgedLoss(t *testing.T) {
 	// Phase 4: a third boot resumes from the final checkpoint with an
 	// empty tail — the canonical clean restart.
 	p3 := startHistserve(t, bin, args...)
-	conn3 := dialTCP(t, p3.addr)
-	final := query(t, conn3, "QRY 0 100000 0 0 7 7")
+	conn3 := linetest.Dial(t, p3.addr)
+	final := conn3.Float(t, "QRY 0 100000 0 0 7 7")
 	if final != after {
 		t.Fatalf("after clean restart SUM = %v, want %v", final, after)
 	}
@@ -247,12 +240,10 @@ func TestCrashBetweenStageAndGroupFsync(t *testing.T) {
 	p1 := startHistserve(t, bin, append(args,
 		"-fault-spec", fmt.Sprintf("wal.sync:slow=1h@%d+", acked+1))...)
 	defer p1.cmd.Process.Kill() // a failed check must not leave it parked for the hour
-	writer := dialTCP(t, p1.addr)
+	writer := linetest.Dial(t, p1.addr)
 	for i := 0; i < acked; i++ {
-		fmt.Fprintf(writer.w, "INS %d %d %d 1\n", i, i%8, (i/3)%8)
-		writer.w.Flush()
-		if resp, err := writer.r.ReadString('\n'); err != nil || strings.TrimSpace(resp) != "OK" {
-			t.Fatalf("acked insert %d: %q %v", i, resp, err)
+		if resp := writer.Cmd(t, fmt.Sprintf("INS %d %d %d 1", i, i%8, (i/3)%8)); resp != "OK" {
+			t.Fatalf("acked insert %d: %q", i, resp)
 		}
 	}
 
@@ -261,44 +252,44 @@ func TestCrashBetweenStageAndGroupFsync(t *testing.T) {
 	// survived. ROLE answers from the log's end without a commit, so it
 	// tells when a write is staged and applied while its fsync stalls.
 	weight := func(j int) float64 { return 1024 * float64(uint64(1)<<j) }
+	var batch strings.Builder
 	for j := 0; j < window; j++ {
-		fmt.Fprintf(writer.w, "INS %d 0 0 %g\n", acked+j, weight(j))
+		fmt.Fprintf(&batch, "INS %d 0 0 %g\n", acked+j, weight(j))
 	}
-	writer.w.Flush() // one write: the window is one batch at the server
-	ctl := dialTCP(t, p1.addr)
+	if _, err := io.WriteString(writer.Conn, batch.String()); err != nil { // one write: the window is one batch at the server
+		t.Fatal(err)
+	}
+	ctl := linetest.Dial(t, p1.addr)
 	awaitStaged := func(want int) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			fmt.Fprintln(ctl.w, "ROLE")
-			ctl.w.Flush()
-			resp, err := ctl.r.ReadString('\n')
-			if err != nil {
-				t.Fatal(err)
-			}
+			resp := ctl.Cmd(t, "ROLE")
 			if strings.Contains(resp, fmt.Sprintf(" last_lsn=%d ", want)) {
 				return
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("ROLE = %q, want last_lsn=%d: the writes must be staged while their fsync is stalled", strings.TrimSpace(resp), want)
+				t.Fatalf("ROLE = %q, want last_lsn=%d: the writes must be staged while their fsync is stalled", resp, want)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
 	awaitStaged(acked + window) // the window is staged and applied; its leader sits in the stalled fsync
-	second := dialTCP(t, p1.addr)
-	fmt.Fprintf(second.w, "INS %d 0 0 %g\n", acked+window, weight(window))
-	second.w.Flush()
+	second := linetest.Dial(t, p1.addr)
+	if _, err := fmt.Fprintf(second.Conn, "INS %d 0 0 %g\n", acked+window, weight(window)); err != nil {
+		t.Fatal(err)
+	}
 	awaitStaged(acked + window + 1) // staged too; its commit queues behind the leader
-	reader := dialTCP(t, p1.addr)
-	fmt.Fprintln(reader.w, "QRY 0 100000 0 0 7 7")
-	reader.w.Flush()
+	reader := linetest.Dial(t, p1.addr)
+	if _, err := fmt.Fprintln(reader.Conn, "QRY 0 100000 0 0 7 7"); err != nil {
+		t.Fatal(err)
+	}
 
 	// No parked request may have been answered.
-	for name, c := range map[string]*tcpConn{"pipelined writer": writer, "second writer": second, "reader": reader} {
+	for name, c := range map[string]*linetest.Client{"pipelined writer": writer, "second writer": second, "reader": reader} {
 		got := make(chan string, 1)
 		go func() {
-			resp, _ := c.r.ReadString('\n')
+			resp, _ := c.R.ReadString('\n')
 			got <- resp
 		}()
 		select {
@@ -323,8 +314,8 @@ func TestCrashBetweenStageAndGroupFsync(t *testing.T) {
 	if recovered == "" {
 		t.Fatalf("no recovery log line; stderr:\n%s", strings.Join(p2.stderr, "\n"))
 	}
-	conn := dialTCP(t, p2.addr)
-	total := query(t, conn, "QRY 0 100000 0 0 7 7")
+	conn := linetest.Dial(t, p2.addr)
+	total := conn.Float(t, "QRY 0 100000 0 0 7 7")
 	survivors := uint64(total) / 1024
 	if uint64(total)%1024 != acked {
 		t.Fatalf("recovered SUM %v holds %d acked inserts, want %d\nrecovery: %s", total, uint64(total)%1024, acked, recovered)
@@ -337,72 +328,14 @@ func TestCrashBetweenStageAndGroupFsync(t *testing.T) {
 	t.Logf("acked=%d parked=%d survivors=%b (%s)", acked, window+1, survivors, recovered)
 
 	// The recovered server keeps accepting appends after the survivors.
-	fmt.Fprintf(conn.w, "INS %d 0 0 1\n", acked+window+1)
-	conn.w.Flush()
-	if resp, _ := conn.r.ReadString('\n'); strings.TrimSpace(resp) != "OK" {
+	if resp := conn.Cmd(t, fmt.Sprintf("INS %d 0 0 1", acked+window+1)); resp != "OK" {
 		t.Fatalf("post-recovery append: %q", resp)
 	}
-	if after := query(t, conn, "QRY 0 100000 0 0 7 7"); after != total+1 {
+	if after := conn.Float(t, "QRY 0 100000 0 0 7 7"); after != total+1 {
 		t.Fatalf("post-recovery SUM = %v, want %v", after, total+1)
 	}
 	p2.cmd.Process.Signal(syscall.SIGTERM)
 	if stderr, err := p2.waitExit(t, 30*time.Second); err != nil {
 		t.Fatalf("graceful shutdown exit: %v\nstderr:\n%s", err, stderr)
 	}
-}
-
-type tcpConn struct {
-	r *bufio.Reader
-	w *bufio.Writer
-}
-
-func dialTCP(t *testing.T, addr string) *tcpConn {
-	t.Helper()
-	var lastErr error
-	for i := 0; i < 50; i++ {
-		conn, err := dialOnce(addr)
-		if err == nil {
-			t.Cleanup(func() { conn.close() })
-			return conn.tcpConn
-		}
-		lastErr = err
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("dialing %s: %v", addr, lastErr)
-	return nil
-}
-
-type ownedConn struct {
-	*tcpConn
-	close func() error
-}
-
-func dialOnce(addr string) (*ownedConn, error) {
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &ownedConn{
-		tcpConn: &tcpConn{r: bufio.NewReader(c), w: bufio.NewWriter(c)},
-		close:   c.Close,
-	}, nil
-}
-
-func query(t *testing.T, c *tcpConn, q string) float64 {
-	t.Helper()
-	if _, err := fmt.Fprintln(c.w, q); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := c.r.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(resp), 64)
-	if err != nil {
-		t.Fatalf("query %q -> %q", q, strings.TrimSpace(resp))
-	}
-	return v
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"regexp"
@@ -9,36 +8,11 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"histcube/internal/linetest"
 )
 
 var metricsRE = regexp.MustCompile(`msg="metrics listening" addr=([^ ]+)`)
-
-// sendLines sends one request over the raw test connection and reads
-// lines until the END terminator (or a single ERR/OK line).
-func sendLines(t *testing.T, c *tcpConn, req string) []string {
-	t.Helper()
-	if _, err := fmt.Fprintln(c.w, req); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var lines []string
-	for {
-		resp, err := c.r.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp = strings.TrimRight(resp, "\n")
-		if resp == "END" {
-			return lines
-		}
-		lines = append(lines, resp)
-		if resp == "OK" || strings.HasPrefix(resp, "ERR") {
-			return lines
-		}
-	}
-}
 
 // TestExplainSmokeRealBinary is the end-to-end smoke for the tracing
 // surface: a real histserve binary answers EXPLAIN with a span tree,
@@ -69,13 +43,13 @@ func TestExplainSmokeRealBinary(t *testing.T) {
 		t.Fatalf("no metrics listen address in stderr:\n%s", strings.Join(p.stderr, "\n"))
 	}
 
-	c := dialTCP(t, p.addr)
+	c := linetest.Dial(t, p.addr)
 	for _, ins := range []string{"INS 1 1 1 5", "INS 2 2 2 7", "INS 3 3 3 9"} {
-		if got := sendLines(t, c, ins); len(got) != 1 || got[0] != "OK" {
-			t.Fatalf("%s -> %v", ins, got)
+		if got := c.Cmd(t, ins); got != "OK" {
+			t.Fatalf("%s -> %q", ins, got)
 		}
 	}
-	lines := sendLines(t, c, "EXPLAIN QRY 1 1 0 0 7 7")
+	lines := c.Multi(t, "EXPLAIN QRY 1 1 0 0 7 7")
 	if lines[0] != "OK result=5" {
 		t.Fatalf("EXPLAIN first line = %q", lines[0])
 	}
@@ -85,13 +59,13 @@ func TestExplainSmokeRealBinary(t *testing.T) {
 			t.Errorf("EXPLAIN reply missing %q:\n%s", want, tree)
 		}
 	}
-	slow := sendLines(t, c, "SLOWLOG")
+	slow := c.Multi(t, "SLOWLOG")
 	if !strings.HasPrefix(slow[0], "OK n=1 cap=4 threshold=0s") {
 		t.Fatalf("SLOWLOG header = %q", slow[0])
 	}
 	// A box whose corners the query above has not converted yet; the
 	// PS bound is 2^(d-1) = 4 cells at -dims 8,8.
-	requireConvergence(t, func() []string { return sendLines(t, c, "EXPLAIN QRY 1 1 1 1 6 6") }, 4)
+	requireConvergence(t, func() []string { return c.Multi(t, "EXPLAIN QRY 1 1 1 1 6 6") }, 4)
 
 	get := func(path string) (int, string) {
 		t.Helper()

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"math"
 	"path/filepath"
 	"strconv"
@@ -10,6 +11,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"histcube/internal/linetest"
 )
 
 // statsField extracts one k=v token from a STATS line.
@@ -39,34 +42,32 @@ func TestFollowerKilledBetweenStageAndCommit(t *testing.T) {
 	fdir := filepath.Join(t.TempDir(), "follower")
 	fargs := append(base, "-data-dir", fdir, "-follow", primary.addr)
 
-	pc := dialTCP(t, primary.addr)
+	pc := linetest.Dial(t, primary.addr)
 	send := func(from, n int) {
 		t.Helper()
+		var batch strings.Builder
 		for i := from; i < from+n; i++ {
-			fmt.Fprintf(pc.w, "INS %d %d %d %g\n", i/4, i%8, (i/3)%8, float64(i%7)+0.125)
+			fmt.Fprintf(&batch, "INS %d %d %d %g\n", i/4, i%8, (i/3)%8, float64(i%7)+0.125)
 		}
-		pc.w.Flush() // one write: one group commit, shipped together
+		if _, err := io.WriteString(pc.Conn, batch.String()); err != nil { // one write: one group commit, shipped together
+			t.Fatal(err)
+		}
 		for i := 0; i < n; i++ {
-			if resp, err := pc.r.ReadString('\n'); err != nil || strings.TrimSpace(resp) != "OK" {
+			if resp, err := pc.R.ReadString('\n'); err != nil || strings.TrimSpace(resp) != "OK" {
 				t.Fatalf("insert %d: %q %v", from+i, resp, err)
 			}
 		}
 	}
-	awaitRole := func(c *tcpConn, want string) {
+	awaitRole := func(c *linetest.Client, want string) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			fmt.Fprintln(c.w, "ROLE")
-			c.w.Flush()
-			resp, err := c.r.ReadString('\n')
-			if err != nil {
-				t.Fatal(err)
-			}
+			resp := c.Cmd(t, "ROLE")
 			if strings.Contains(resp, want) {
 				return
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("ROLE = %q, want %s", strings.TrimSpace(resp), want)
+				t.Fatalf("ROLE = %q, want %s", resp, want)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -76,7 +77,7 @@ func TestFollowerKilledBetweenStageAndCommit(t *testing.T) {
 	const acked, burst = 40, 16
 	f1 := startHistserve(t, bin, fargs...)
 	send(0, acked)
-	awaitRole(dialTCP(t, f1.addr), fmt.Sprintf("applied_lsn=%d ", acked))
+	awaitRole(linetest.Dial(t, f1.addr), fmt.Sprintf("applied_lsn=%d ", acked))
 	f1.cmd.Process.Signal(syscall.SIGTERM)
 	if stderr, err := f1.waitExit(t, 30*time.Second); err != nil {
 		t.Fatalf("follower shutdown: %v\n%s", err, stderr)
@@ -86,16 +87,10 @@ func TestFollowerKilledBetweenStageAndCommit(t *testing.T) {
 	// is staged and applied — STATS counts it — but never committed, so
 	// a query, which would count it, gets no answer.
 	f2 := startHistserve(t, bin, append(fargs, "-fault-spec", "wal.sync:slow=1h")...)
-	fc := dialTCP(t, f2.addr)
+	fc := linetest.Dial(t, f2.addr)
 	appended := func() int {
 		t.Helper()
-		fmt.Fprintln(fc.w, "STATS")
-		fc.w.Flush()
-		resp, err := fc.r.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := strconv.Atoi(statsField(t, resp, "appended"))
+		n, err := strconv.Atoi(statsField(t, fc.Cmd(t, "STATS"), "appended"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,13 +107,14 @@ func TestFollowerKilledBetweenStageAndCommit(t *testing.T) {
 	}
 	awaitRole(fc, fmt.Sprintf("applied_lsn=%d ", acked)) // staged is not applied_lsn: nothing was ACKed
 	const all = "QRY 0 100000 0 0 7 7"
-	fmt.Fprintln(fc.w, all)
-	fc.w.Flush()
+	if _, err := fmt.Fprintln(fc.Conn, all); err != nil {
+		t.Fatal(err)
+	}
 	answered := make(chan string, 1)
 	go func(r *bufio.Reader) {
 		resp, _ := r.ReadString('\n')
 		answered <- resp
-	}(fc.r)
+	}(fc.R)
 	select {
 	case resp := <-answered:
 		t.Fatalf("follower answered %q while the burst it counts is not committed", strings.TrimSpace(resp))
@@ -133,10 +129,10 @@ func TestFollowerKilledBetweenStageAndCommit(t *testing.T) {
 	// from wherever its log really ends and converges on the primary.
 	f3 := startHistserve(t, bin, fargs...)
 	defer f3.cmd.Process.Kill()
-	fc = dialTCP(t, f3.addr)
+	fc = linetest.Dial(t, f3.addr)
 	awaitRole(fc, fmt.Sprintf("applied_lsn=%d lag_lsn=0", acked+burst))
 	for _, q := range []string{all, "QRY 3 9 1 2 6 6", "QRY 0 0 0 0 7 7", "QRY 10 13 0 0 7 7", "QRY 7 12 2 0 5 7"} {
-		if p, f := query(t, pc, q), query(t, fc, q); math.Float64bits(p) != math.Float64bits(f) {
+		if p, f := pc.Float(t, q), fc.Float(t, q); math.Float64bits(p) != math.Float64bits(f) {
 			t.Fatalf("%s: primary %v != restarted follower %v", q, p, f)
 		}
 	}

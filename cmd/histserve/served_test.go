@@ -8,17 +8,24 @@ import (
 	"histcube/internal/histserve"
 )
 
-// servedQueryLimit is what one served QRY may allocate: the parse, the
-// span tree's two slabs, the request's deadline context and the reply.
-const servedQueryLimit = 22
-
-// What one served INS or DEL may allocate: the parse, the coordinates,
-// the span tree's one slab (its root and the cube's span, 704 B) and the
-// request's deadline context, which carries the span too. The byte bound
-// leaves no room for a slab sized to a query's seven spans (2 304 B).
+// What one served QRY may allocate: the request and its fields, the
+// pending op (which holds the parsed box), the deadline context and the
+// reply. Its span tree is a slab the trace ring recycled, and the
+// converged query below it allocates nothing (internal/core's
+// TestConvergedQueryAllocs); the byte bound leaves no room for a span
+// slab (2 568 B).
 const (
-	servedMutationObjects = 10
-	servedMutationBytes   = 1280
+	servedQueryLimit = 7
+	servedQueryBytes = 640
+)
+
+// What one served INS or DEL may allocate: the request and its fields,
+// the pending op and its coordinates (the out-of-order buffer may keep
+// them), the deadline context and the cube's update sets. Its two-span
+// tree is on a recycled slab, as a query's is.
+const (
+	servedMutationObjects = 8
+	servedMutationBytes   = 640
 )
 
 // convergedServer is a warm 64x64 -ooo cube with the binary's default
@@ -50,18 +57,26 @@ func BenchmarkServedQuery(b *testing.B) {
 	}
 }
 
-// TestServedQueryAllocs guards what a served QRY allocates: two slabs
-// for its span tree and no runtime timer or channel for its deadline.
+// TestServedQueryAllocs guards what a served QRY allocates: nothing for
+// its span tree, its converged cube query or its box, and no runtime
+// timer or channel for its deadline.
 func TestServedQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on its own")
 	}
 	srv, qry := convergedServer(t)
-	allocs := testing.AllocsPerRun(200, func() { srv.Do(0, qry) })
-	if allocs > servedQueryLimit {
-		t.Fatalf("a served QRY allocates %.0f objects, want <= %d", allocs, servedQueryLimit)
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			srv.Do(0, qry)
+		}
+	})
+	objects, bytes := r.AllocsPerOp(), r.AllocedBytesPerOp()
+	t.Logf("a served QRY allocates %d objects, %d B", objects, bytes)
+	if objects > servedQueryLimit || bytes > servedQueryBytes {
+		t.Fatalf("a served QRY allocates %d objects and %d B, want <= %d and <= %d B",
+			objects, bytes, servedQueryLimit, servedQueryBytes)
 	}
-	t.Logf("a served QRY allocates %.0f objects", allocs)
 }
 
 // servedMutations are an INS and a DEL of the same cell at the
@@ -82,7 +97,7 @@ func BenchmarkServedInsert(b *testing.B) {
 }
 
 // TestServedInsertAllocs guards what a served INS and a served DEL
-// allocate: one slab sized to their two-span tree and one context.
+// allocate: nothing for their span tree, and one context.
 func TestServedInsertAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on its own")

@@ -490,3 +490,134 @@ func TestConcurrentExplainNoSpanMixing(t *testing.T) {
 		t.Errorf("slow log observed %d queries, want %d", got, clients*rounds)
 	}
 }
+
+// TestRecycledTreesKeepTheirTraceIDs: QRY, EXPLAIN JSON and INS run on
+// four connections while another goroutine reads /debug/trace/recent,
+// /debug/slowlog and SLOWLOG. The ring keeps one trace, so a tree's slab
+// is recycled for a new request as soon as the next one is observed,
+// and the slow log admits (clones) every query. Every span of every
+// EXPLAIN reply and feed tree must still carry its own root's trace_id,
+// and every feed entry the line sent with that ID. Under -race it also
+// catches a tree read after it went to the ring.
+func TestRecycledTreesKeepTheirTraceIDs(t *testing.T) {
+	srv := newQuietServer(t, "8,8", "sum", false)
+	srv.Slow, srv.Recent = trace.NewSlowLog(1024, 0), trace.NewRing(1)
+	addr := serveOn(t, srv)
+	mln, err := srv.ServeMetrics("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mln.Close() })
+
+	var sent sync.Map // trace ID -> the line sent with it, TID token cut off
+	send := func(c *linetest.Client, line string) (string, trace.ID) {
+		id := trace.NewID()
+		sent.Store(id.String(), line)
+		return c.Cmd(t, trace.FormatRequestID(id)+line), id
+	}
+	seed := linetest.Dial(t, addr)
+	for i := 0; i < 8; i++ {
+		send(seed, fmt.Sprintf("INS 1 %d %d 1", i, i))
+	}
+	send(seed, "INS 2 0 0 1") // time 1 is historic from here on
+
+	var checkSpans func(where string, j *trace.SpanJSON, id string)
+	checkSpans = func(where string, j *trace.SpanJSON, id string) {
+		if j.TraceID != id {
+			t.Errorf("%s: span %s has trace_id %s, its root's is %s", where, j.Name, j.TraceID, id)
+		}
+		for _, c := range j.Children {
+			checkSpans(where, c, id)
+		}
+	}
+	checkEntry := func(where, id, line string) {
+		if want, ok := sent.Load(id); !ok || want != line {
+			t.Errorf("%s: entry %q has trace_id %s, which was sent with %q", where, line, id, want)
+		}
+	}
+
+	const clients, rounds = 4, 600
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		c := linetest.Dial(t, addr)
+		slowRE := regexp.MustCompile(` trace_id=([0-9a-f]{16}) line=(".*")$`)
+		for {
+			for _, path := range []string{"/debug/trace/recent", "/debug/slowlog"} {
+				resp, err := http.Get("http://" + mln.Addr().String() + path)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var feed struct {
+					Entries []trace.EntryJSON `json:"entries"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&feed)
+				resp.Body.Close()
+				if err != nil {
+					t.Errorf("%s is not JSON: %v", path, err)
+					return
+				}
+				for _, e := range feed.Entries {
+					checkEntry(path, e.TraceID, e.Line)
+					checkSpans(path, e.Trace, e.TraceID)
+				}
+			}
+			for _, l := range c.Multi(t, "SLOWLOG")[1:] {
+				m := slowRE.FindStringSubmatch(l)
+				if m == nil {
+					t.Errorf("malformed SLOWLOG entry %q", l)
+					continue
+				}
+				line, err := strconv.Unquote(m[2])
+				if err != nil {
+					t.Errorf("SLOWLOG entry %q: %v", l, err)
+					continue
+				}
+				checkEntry("SLOWLOG", m[1], line)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for n := 0; n < clients; n++ {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			c := linetest.Dial(t, addr)
+			qry := fmt.Sprintf("QRY 1 1 %d %d %d %d", n, n, n, n) // client n's own seed point
+			for r := 0; r < rounds; r++ {
+				line := []string{qry, "EXPLAIN JSON " + qry, fmt.Sprintf("INS 2 %d %d 1", n, n)}[r%3]
+				reply, id := send(c, line)
+				switch r % 3 {
+				case 0:
+					if reply != "1" {
+						t.Errorf("client %d: %s -> %q, want 1", n, line, reply)
+					}
+				case 1:
+					var doc trace.ExplainJSON
+					body, _ := strings.CutPrefix(reply, "OK ")
+					if err := json.Unmarshal([]byte(body), &doc); err != nil || doc.Result != 1 || doc.Trace == nil {
+						t.Errorf("client %d: %s -> %q (%v)", n, line, reply, err)
+						continue
+					}
+					checkSpans("EXPLAIN JSON", doc.Trace, id.String())
+				case 2:
+					if reply != "OK" {
+						t.Errorf("client %d: %s -> %q", n, line, reply)
+					}
+				}
+			}
+		}(n)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+}

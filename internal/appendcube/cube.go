@@ -131,6 +131,8 @@ type Cube struct {
 
 	// scratch
 	updateSets [][]int
+	view       sliceView     // the historic slice a query reads, lent to the engine
+	eval       ecube.Scratch // the engine's working memory for that query
 }
 
 // New returns an empty cube.
@@ -569,8 +571,12 @@ func (c *Cube) sliceQuery(ctx context.Context, sp *trace.Span, s int, box dims.B
 		qs.End()
 		return v, nil
 	}
+	// The cube lends its own view and scratch: queries convert cells,
+	// so they reach a cube one at a time, and boxing a fresh view
+	// into the CellStore would allocate per query.
+	c.view = sliceView{c: c, s: s}
 	if sp == nil {
-		return c.engine.RangeCtx(ctx, nil, sliceView{c: c, s: s}, box)
+		return c.engine.RangeCtx(ctx, nil, &c.view, box, &c.eval)
 	}
 	qs := sp.StartChild("histcube.slice_query")
 	qs.SetInt("slice", int64(s))
@@ -583,7 +589,7 @@ func (c *Cube) sliceQuery(ctx context.Context, sp *trace.Span, s int, box dims.B
 	if pg != nil {
 		readsBefore, writesBefore = pg.Reads, pg.Writes
 	}
-	v, err := c.engine.RangeCtx(ctx, qs, sliceView{c: c, s: s}, box)
+	v, err := c.engine.RangeCtx(ctx, qs, &c.view, box, &c.eval)
 	qs.Add(trace.CacheAccesses, c.CacheAccesses-cacheBefore)
 	qs.Add(trace.StoreAccesses, c.store.Accesses()-storeBefore)
 	if pg != nil {

@@ -273,3 +273,33 @@ func TestMixedStreamProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestConvergedQueryAllocs guards what a converged historic query costs
+// besides its cells: once every cell it reads is PS, answering it again
+// with a span-less context allocates nothing, through the framework
+// reduction, the eCube engine and the empty out-of-order buffer alike.
+func TestConvergedQueryAllocs(t *testing.T) {
+	c, err := New(Config{Dims: []Dim{{"x", 64}, {"y", 64}}, Operator: agg.Sum, BufferOutOfOrder: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref oracle.Points
+	for i := 0; i < 512; i++ {
+		tv, x := int64(1+i/8), []int{(i * 7) % 64, (i * 13) % 64}
+		if err := c.Insert(tv, x, 1); err != nil {
+			t.Fatal(err)
+		}
+		ref.Insert(tv, x, 1)
+	}
+	ctx, r := context.Background(), Range{TimeLo: 8, TimeHi: 40, Lo: []int{3, 5}, Hi: []int{60, 58}}
+	want := oracleAt(ref, agg.Sum, r)
+	query := func() {
+		if got, err := c.QueryCtx(ctx, r); err != nil || got != want {
+			t.Fatalf("QueryCtx = %v, %v, want %v", got, err, want)
+		}
+	}
+	query() // converts the cells it reads to PS
+	if allocs := testing.AllocsPerRun(100, query); allocs != 0 {
+		t.Fatalf("a converged historic query allocates %.0f objects, want 0", allocs)
+	}
+}

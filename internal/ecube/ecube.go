@@ -175,29 +175,39 @@ func (en *Engine) prefixRec(cs CellStore, x []int, ctx *evalCtx) float64 {
 	return val
 }
 
-// Range computes the aggregate over the closed box using the PS
-// reduction: at most 2^d corner prefix queries with alternating signs,
-// corners with a -1 coordinate contributing zero.
-func (en *Engine) Range(cs CellStore, b dims.Box) (float64, error) {
-	return en.RangeCtx(context.Background(), nil, cs, b)
+// Scratch is the working memory of one range evaluation: the corner
+// being evaluated and the evaluation's state. Its owner lends it to
+// one RangeCtx at a time — a store has one writer, since queries
+// convert its cells — and the Engine holds none, so one Engine still
+// serves every store and goroutine.
+type Scratch struct {
+	corner []int
+	ev     evalCtx
 }
 
-// RangeCtx is Range with per-request cost attribution and cooperative
-// cancellation. The query's cell loads and persisted DDC->PS
-// conversions land on sp: as the slice converges to PS form the
-// recorded CellsTouched falls from the (2 log2 N)^(d-1)
-// DDC bound to the 2^(d-1) corner count — Figures 10/11, observable per
-// query. The corner prefix evaluations share one evalCtx, which polls
-// cctx.Err every 64 cell loads. On cancellation the query returns ctx's
-// error; no partially computed PS value is persisted.
-func (en *Engine) RangeCtx(cctx context.Context, sp *trace.Span, cs CellStore, b dims.Box) (float64, error) {
+// RangeCtx computes the aggregate over the closed box using the PS
+// reduction: at most 2^d corner prefix queries with alternating signs,
+// corners with a -1 coordinate contributing zero, evaluated in sc.
+//
+// The query's cell loads and persisted DDC->PS conversions land on sp:
+// as the slice converges to PS form the recorded CellsTouched falls
+// from the (2 log2 N)^(d-1) DDC bound to the 2^(d-1) corner count —
+// Figures 10/11, observable per query. The corner prefix evaluations
+// share one evalCtx, which polls cctx.Err every 64 cell loads. On
+// cancellation the query returns ctx's error; no partially computed PS
+// value is persisted.
+func (en *Engine) RangeCtx(cctx context.Context, sp *trace.Span, cs CellStore, b dims.Box, sc *Scratch) (float64, error) {
 	if err := b.Validate(en.shape); err != nil {
 		return 0, err
 	}
 	d := len(en.shape)
-	corner := make([]int, d)
+	if cap(sc.corner) < d {
+		sc.corner = make([]int, d)
+	}
+	corner := sc.corner[:d]
 	total := 0.0
-	ctx := &evalCtx{cctx: cctx}
+	sc.ev = evalCtx{cctx: cctx}
+	ctx := &sc.ev
 	for mask := 0; mask < 1<<uint(d); mask++ {
 		feasible := true
 		for i := 0; i < d; i++ {
@@ -226,8 +236,10 @@ func (en *Engine) RangeCtx(cctx context.Context, sp *trace.Span, cs CellStore, b
 	}
 	sp.Add(trace.CellsTouched, int64(ctx.loads))
 	sp.Add(trace.Conversions, int64(ctx.converts))
-	if ctx.err != nil {
-		return 0, ctx.err
+	err := ctx.err
+	*ctx = evalCtx{} // the scratch keeps no request context alive
+	if err != nil {
+		return 0, err
 	}
 	return total, nil
 }
@@ -240,6 +252,7 @@ type Array struct {
 	en          *Engine
 	cells       []float64
 	ps          []bool
+	scratch     Scratch
 	Accesses    int64
 	Conversions int64
 }
@@ -297,7 +310,9 @@ func (a *Array) StorePS(off int, val float64) bool {
 }
 
 // Query computes the aggregate over the closed box.
-func (a *Array) Query(b dims.Box) (float64, error) { return a.en.Range(a, b) }
+func (a *Array) Query(b dims.Box) (float64, error) {
+	return a.en.RangeCtx(context.Background(), nil, a, b, &a.scratch)
+}
 
 // Converted returns the number of cells currently holding PS values.
 func (a *Array) Converted() int {

@@ -345,7 +345,7 @@ func TestEngineMemoisesWhenStoreDeclines(t *testing.T) {
 		}
 		b := dims.Box{Lo: lo, Hi: hi}
 		ds.loads = 0
-		got, err := en.Range(ds, b)
+		got, err := en.RangeCtx(context.Background(), nil, ds, b, new(Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -864,14 +864,21 @@ func (p *Proxy) file(s *send, reply string, err error, batch int) {
 	}
 }
 
-// answer closes a request's trace and renders its reply from what its
-// sends brought back: a mutation's is the shard's own, a query's the
-// merge of its legs (EXPLAIN: with the merged span tree and the totals
-// over it). All legs answered -> the plain number; a failed leg -> a
-// PARTIAL answer over the live ranges.
+// answer closes a request's trace, renders its reply from what its
+// sends brought back (merge), and then hands the trace to the feeds: a
+// mutation's reply is the shard's own, a query's the merge of its legs
+// (EXPLAIN: with the merged span tree and the totals over it). All legs
+// answered -> the plain number; a failed leg -> a PARTIAL answer over
+// the live ranges.
 func (p *Proxy) answer(line string, rt *routed) string {
 	rt.root.End()
-	p.Observe(line, rt.root)
+	reply := p.merge(rt)
+	p.Observe(line, rt.root) // hands the tree to the ring: nothing reads it after
+	return reply
+}
+
+// merge renders the reply of a request whose sends are all filed.
+func (p *Proxy) merge(rt *routed) string {
 	if rt.mut {
 		return rt.sends[0].reply
 	}

@@ -600,26 +600,28 @@ type servedOp struct {
 	stage  uint8 // its cube stage
 	denied bool  // admit refused it: it is not traced, as at parse time
 	pair   bool  // the query asked for its (sum, count) pair (lineserver.PairPrefix)
+	// rng's lo and hi coordinates, while the cube has at most
+	// inlineDims dimensions. An op's are a slice of their own: the
+	// out-of-order buffer keeps them.
+	box [2 * inlineDims]int
 }
 
+const inlineDims = 4
+
 // settle applies a unit's INS, DEL, QRY and EXPLAIN lines (applyUnit),
-// then, with mu released, ends their spans, renders their replies and
-// waits for the commit of the log's end as the unit left it: a reply
-// reflects only committed writes, a query's too. Both waits are
-// cumulative, so one barrier covers the unit; if it fails, it is every
-// reply's ERR. A unit that neither logged nor read skips it, and so does
-// one that only read while the server is degraded, so degraded reads
-// keep serving.
+// then, with mu released, ends their spans, renders their replies,
+// hands each tree to the trace feeds last, and waits for the commit of
+// the log's end as the unit left it: a reply reflects only committed
+// writes, a query's too. Both waits are cumulative, so one barrier
+// covers the unit; if it fails, it is every reply's ERR. A unit that
+// neither logged nor read skips it, and so does one that only read
+// while the server is degraded, so degraded reads keep serving.
 func (s *Server) settle(open []*lineserver.Request) {
 	_, end, _ := s.applyUnit(open, s.serveLocked)
 	logged, read := false, false
 	for _, rq := range open {
 		o := rq.Pending.(*servedOp)
 		o.root.End()
-		if !o.denied {
-			s.observeCube(o.stage, o.root)
-			s.Observe(rq.Line, o.root)
-		}
 		logged, read = logged || o.lsn > 0, read || o.stage == stageCubeQuery
 		switch {
 		case o.err != nil:
@@ -628,6 +630,10 @@ func (s *Server) settle(open []*lineserver.Request) {
 			rq.Reply = o.render(o)
 		default:
 			rq.Reply = "OK"
+		}
+		if !o.denied { // Observe hands the tree to the ring: nothing reads it after
+			s.observeCube(o.stage, o.root)
+			s.Observe(rq.Line, o.root)
 		}
 	}
 	if s.wal == nil || !logged && (!read || s.degraded.Load()) {
@@ -833,8 +839,8 @@ func (s *Server) cmdMutate(rq *lineserver.Request) string {
 	if errResp != "" {
 		return errResp
 	}
-	coords, errResp := s.parseCoords(fields[2 : 2+s.dims])
-	if errResp != "" {
+	coords := make([]int, s.dims)
+	if errResp = s.parseCoords(coords, fields[2:2+s.dims]); errResp != "" {
 		return errResp
 	}
 	val, err := strconv.ParseFloat(fields[len(fields)-1], 64)
@@ -894,10 +900,15 @@ func (s *Server) queryOp(rq *lineserver.Request, args []string, render func(*ser
 	if o.rng.TimeHi, errResp = parseInt(args[1]); errResp != "" {
 		return errResp
 	}
-	if o.rng.Lo, errResp = s.parseCoords(args[2 : 2+s.dims]); errResp != "" {
+	box := o.box[:]
+	if len(box) < 2*s.dims {
+		box = make([]int, 2*s.dims)
+	}
+	o.rng.Lo, o.rng.Hi = box[:s.dims:s.dims], box[s.dims:2*s.dims]
+	if errResp = s.parseCoords(o.rng.Lo, args[2:2+s.dims]); errResp != "" {
 		return errResp
 	}
-	if o.rng.Hi, errResp = s.parseCoords(args[2+s.dims:]); errResp != "" {
+	if errResp = s.parseCoords(o.rng.Hi, args[2+s.dims:]); errResp != "" {
 		return errResp
 	}
 	o.root = trace.New("histserve.query")
@@ -934,28 +945,27 @@ func parseInt(field string) (int64, string) {
 	return t, ""
 }
 
-// parseCoords parses one coordinate per dimension and validates it
-// against the cube's domain at the protocol boundary, naming the
-// offending dimension: out-of-range input is a client error and must
-// never reach the storage layer. The second result is a non-empty ERR
+// parseCoords parses one coordinate per dimension into coords and
+// validates it against the cube's domain at the protocol boundary,
+// naming the offending dimension: out-of-range input is a client error
+// and must never reach the storage layer. It returns a non-empty ERR
 // response on failure.
-func (s *Server) parseCoords(fields []string) ([]int, string) {
-	coords := make([]int, len(fields))
+func (s *Server) parseCoords(coords []int, fields []string) string {
 	for i, f := range fields {
 		v, errResp := parseInt(f)
 		if errResp != "" {
-			return nil, errResp
+			return errResp
 		}
 		c, ok := dims.ToCoord(v)
 		if !ok {
-			return nil, fmt.Sprintf("ERR coordinate %d overflows", v)
+			return fmt.Sprintf("ERR coordinate %d overflows", v)
 		}
 		if c < 0 || c >= s.shape[i] {
-			return nil, fmt.Sprintf("ERR bad coordinate d%d: %d outside [0, %d)", i, c, s.shape[i])
+			return fmt.Sprintf("ERR bad coordinate d%d: %d outside [0, %d)", i, c, s.shape[i])
 		}
 		coords[i] = c
 	}
-	return coords, ""
+	return ""
 }
 
 // observeCube files the duration of the span the core opened under root

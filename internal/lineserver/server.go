@@ -544,7 +544,7 @@ func (c *deadlineCtx) Err() error {
 	if c.timed != nil {
 		return c.timed.Err()
 	}
-	if c.err == nil && !time.Now().Before(c.deadline) {
+	if c.err == nil && time.Until(c.deadline) <= 0 { // deadline is monotonic: no wall-clock read
 		c.err = context.DeadlineExceeded
 	}
 	return c.err
@@ -588,20 +588,21 @@ func (c *deadlineCtx) cancel() {
 }
 
 // Observe retains one finished request trace, stamped with the time
-// root ended: every request enters the recent ring; queries (root spans
-// named "<binary>.query") are additionally offered to the slow log. A
-// query the slow log admits is also logged with its trace_id — the slog
-// side of fleet-wide correlation (proxy and shard log the same ID for
-// the same request).
+// root ended: queries (root spans named "<binary>.query") are offered
+// to the slow log, and every request enters the recent ring. A query
+// the slow log admits is also logged with its trace_id — the slog side
+// of fleet-wide correlation (proxy and shard log the same ID for the
+// same request). The ring recycles the tree, so the caller must be done
+// with root, and the ring comes last: the slow log clones what it keeps.
 func (s *Server) Observe(line string, root *trace.Span) {
 	d := root.Duration()
 	at := root.Start().Add(d)
-	s.Recent.Add(line, at, d, root)
 	if strings.HasSuffix(root.Name(), ".query") {
 		if s.Slow.Observe(line, at, d, root) {
 			s.Log.Warn("slow query", "trace_id", root.TraceID().String(), "dur", d, "line", line)
 		}
 	}
+	s.Recent.Add(line, at, d, root)
 }
 
 // slowlog answers the SLOWLOG command.

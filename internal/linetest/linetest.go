@@ -28,15 +28,22 @@ type Client struct {
 	R    *bufio.Reader
 }
 
-// Dial connects to addr; the test's cleanup closes the connection.
+// Dial connects to addr, retrying for up to a second (50 tries, 20 ms
+// apart) while a server binary that has just said where it listens is
+// still booting; the test's cleanup closes the connection.
 func Dial(t *testing.T, addr string) *Client {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	var err error
+	for try := 0; try < 50; try++ {
+		var conn net.Conn
+		if conn, err = net.Dial("tcp", addr); err == nil {
+			t.Cleanup(func() { _ = conn.Close() })
+			return &Client{Conn: conn, R: bufio.NewReader(conn)}
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
-	t.Cleanup(func() { _ = conn.Close() })
-	return &Client{Conn: conn, R: bufio.NewReader(conn)}
+	t.Fatalf("dialing %s: %v", addr, err)
+	return nil
 }
 
 // Cmd sends one line and returns the one-line reply, trimmed.
@@ -50,6 +57,20 @@ func (c *Client) Cmd(t *testing.T, line string) string {
 		t.Fatal(err)
 	}
 	return strings.TrimSpace(resp)
+}
+
+// Float sends one line and returns its reply as a number: a query's
+// answer.
+//
+//histlint:ignore deadexport test seam: the crash, chaos and follower-kill drills of cmd/histserve
+func (c *Client) Float(t *testing.T, line string) float64 {
+	t.Helper()
+	reply := c.Cmd(t, line)
+	v, err := strconv.ParseFloat(reply, 64)
+	if err != nil {
+		t.Fatalf("%s -> %q, want a number", line, reply)
+	}
+	return v
 }
 
 // Multi reads an END-terminated response after the given command.

@@ -35,8 +35,14 @@ func (g *Gd) Insert(t int64, x []int, delta float64) {
 	}
 }
 
-// Query aggregates buffered updates over the time range and box.
+// Query aggregates buffered updates over the time range and box. An
+// empty buffer answers 0 at once, without checking the box: an
+// out-of-order cube asks it on every query, and the cube has checked
+// the box already.
 func (g *Gd) Query(tLo, tHi int64, b dims.Box) (float64, error) {
+	if g.Len() == 0 {
+		return 0, nil
+	}
 	lo := make([]int, 0, len(b.Lo)+1)
 	hi := make([]int, 0, len(b.Hi)+1)
 	lo = append(lo, clampToInt(tLo))

@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // buildTree builds an n-span tree the way a server does, with New and
@@ -56,9 +58,10 @@ func stripJSON(t *testing.T, j *SpanJSON, traceID string, seen map[string]bool) 
 }
 
 // TestSlabTreesRenderUnchanged: trees that fit New's slab (one and two
-// spans, a served INS or DEL), grow once (seven, a served QRY) and grow
-// twice (nine) render exactly this text and JSON, wherever their spans
-// were allocated: names, attributes, child order and counters.
+// spans, a served INS or DEL, and seven, a served QRY) and run past it
+// (nine) render exactly this text and JSON, wherever their spans were
+// allocated — on a fresh slab, or on one a ring recycled: names,
+// attributes, child order and counters.
 func TestSlabTreesRenderUnchanged(t *testing.T) {
 	cases := []struct {
 		n          int
@@ -92,7 +95,8 @@ func TestSlabTreesRenderUnchanged(t *testing.T) {
 `,
 			`{"name":"histserve.query","start_unix_nano":0,"duration_ns":0,"attrs":{"i":0},"children":[{"name":"histcube.prefix","start_unix_nano":0,"duration_ns":0,"attrs":{"i":1,"odd":true},"counters":{"cells_touched":1,"conversions":1},"children":[{"name":"histcube.prefix","start_unix_nano":0,"duration_ns":0,"attrs":{"i":3,"odd":true},"counters":{"cells_touched":3},"children":[{"name":"histcube.prefix","start_unix_nano":0,"duration_ns":0,"attrs":{"i":7,"odd":true},"counters":{"cells_touched":7,"conversions":1}},{"name":"histcube.prefix","start_unix_nano":0,"duration_ns":0,"attrs":{"i":8},"counters":{"cells_touched":8,"conversions":2}}]},{"name":"histcube.prefix","start_unix_nano":0,"duration_ns":0,"attrs":{"i":4},"counters":{"cells_touched":4,"conversions":1}}]},{"name":"histcube.prefix","start_unix_nano":0,"duration_ns":0,"attrs":{"i":2},"counters":{"cells_touched":2,"conversions":2},"children":[{"name":"histcube.prefix","start_unix_nano":0,"duration_ns":0,"attrs":{"i":5,"odd":true},"counters":{"cells_touched":5,"conversions":2}},{"name":"histcube.prefix","start_unix_nano":0,"duration_ns":0,"attrs":{"i":6},"counters":{"cells_touched":6}}]}]}`},
 	}
-	for _, tc := range cases {
+	r := NewRing(1)
+	for _, tc := range append(cases, cases...) {
 		root := buildTree(tc.n)
 		var b strings.Builder
 		root.Render(&b)
@@ -108,22 +112,21 @@ func TestSlabTreesRenderUnchanged(t *testing.T) {
 		if string(doc) != tc.json {
 			t.Errorf("%d spans: JSON =\n%s\nwant\n%s", tc.n, doc, tc.json)
 		}
+		r.Add("QRY", root.Start(), root.Duration(), root) // the next tree is built on this one's slab
 	}
 }
 
-// TestSlabAllocations pins the growth step: a two-span tree (a served
-// INS or DEL) is one allocation and a seven-span tree (a served QRY) at
-// most two, so growing cannot quietly become one allocation per span.
+// TestSlabAllocations pins the recycling: once a ring hands back the
+// slabs of the trees it evicts, building a two-span tree (a served INS
+// or DEL) or a seven-span tree (a served QRY) and handing it to the
+// ring allocates nothing.
 func TestSlabAllocations(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race instrumentation allocates on its own")
+		t.Skip("race instrumentation allocates on its own, and sync.Pool drops items under it")
 	}
-	for _, tc := range []struct {
-		n    int
-		want float64
-	}{{2, 1}, {7, 2}} {
-		n := tc.n
-		got := testing.AllocsPerRun(200, func() {
+	for _, n := range []int{2, 7} {
+		r := NewRing(4)
+		observe := func() {
 			var spans [7]*Span
 			spans[0] = New("histserve.query")
 			for i := 1; i < n; i++ {
@@ -132,10 +135,58 @@ func TestSlabAllocations(t *testing.T) {
 			for i := n - 1; i >= 0; i-- {
 				spans[i].End()
 			}
-		})
-		if got > tc.want {
-			t.Errorf("a %d-span tree allocates %.0f times, want <= %.0f", n, got, tc.want)
+			r.Add("QRY", spans[0].Start(), spans[0].Duration(), spans[0])
 		}
+		for i := 0; i < r.Cap(); i++ {
+			observe() // fills the ring: every later Add evicts a tree
+		}
+		if got := testing.AllocsPerRun(200, observe); got != 0 {
+			t.Errorf("a %d-span tree allocates %.0f times, want 0", n, got)
+		}
+	}
+}
+
+// render is the text and the JSON of a snapshot's entries.
+func render(t *testing.T, es []Entry) string {
+	t.Helper()
+	var b strings.Builder
+	for _, e := range es {
+		e.Span.Render(&b)
+		doc, err := json.Marshal(EntriesJSON([]Entry{e}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(doc)
+	}
+	return b.String()
+}
+
+// TestSnapshotsOutliveRecycling: what Ring.Entries and SlowLog.Entries
+// hand out is the caller's. Snapshots taken before 64 more trees are
+// built on the slabs the ring recycles render byte-identical text and
+// JSON afterwards.
+func TestSnapshotsOutliveRecycling(t *testing.T) {
+	r, l := NewRing(4), NewSlowLog(4, 0)
+	observe := func(round, n int) {
+		root := buildTree(n)
+		root.SetInt("round", int64(round))
+		line := "QRY " + strconv.Itoa(round)
+		l.Observe(line, root.Start(), root.Duration()+time.Duration(round), root)
+		r.Add(line, root.Start(), root.Duration(), root)
+	}
+	for round := 0; round < r.Cap(); round++ {
+		observe(round, 7)
+	}
+	ring, slow := r.Entries(), l.Entries()
+	wantRing, wantSlow := render(t, ring), render(t, slow)
+	for round := r.Cap(); round < r.Cap()+64; round++ {
+		observe(round, 2+round%7)
+	}
+	if got := render(t, ring); got != wantRing {
+		t.Errorf("a ring snapshot changed as its trees were recycled:\n%s\nwant\n%s", got, wantRing)
+	}
+	if got := render(t, slow); got != wantSlow {
+		t.Errorf("a slow-log snapshot changed as the ring recycled trees:\n%s\nwant\n%s", got, wantSlow)
 	}
 }
 

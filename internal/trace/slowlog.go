@@ -46,7 +46,8 @@ func (l *SlowLog) Cap() int { return l.capacity }
 
 // Observe offers one finished trace and reports whether it was
 // retained. A trace under the threshold is counted and turned away
-// without taking the lock.
+// without taking the lock. An admitted trace is kept as a heap clone,
+// so sp stays its caller's, free to hand to a Ring afterwards.
 func (l *SlowLog) Observe(line string, at time.Time, d time.Duration, sp *Span) bool {
 	l.observed.Add(1)
 	if d < l.threshold {
@@ -57,7 +58,7 @@ func (l *SlowLog) Observe(line string, at time.Time, d time.Duration, sp *Span) 
 	if len(l.entries) == l.capacity && d <= l.entries[len(l.entries)-1].Duration {
 		return false
 	}
-	e := Entry{Line: line, At: at, Duration: d, Span: sp}
+	e := Entry{Line: line, At: at, Duration: d, Span: sp.clone()}
 	// Insert in descending duration order; the list is tiny (the
 	// retention bound), so a linear scan beats anything clever.
 	pos := len(l.entries)
@@ -77,7 +78,8 @@ func (l *SlowLog) Observe(line string, at time.Time, d time.Duration, sp *Span) 
 	return true
 }
 
-// Entries returns a copy of the retained traces, worst-first.
+// Entries returns a copy of the retained traces, worst-first. Their
+// trees are the log's clones, which nothing changes or recycles.
 func (l *SlowLog) Entries() []Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -96,7 +98,8 @@ func (l *SlowLog) Admitted() int64 {
 
 // Ring retains the most recent traces in a fixed-size circular
 // buffer, newest first on read — the /debug/trace/recent feed. Safe
-// for concurrent use.
+// for concurrent use. It owns the trees handed to Add: the one it
+// evicts goes back to New's pool, and Entries hands out clones.
 type Ring struct {
 	mu   sync.Mutex
 	buf  []Entry // guarded by mu
@@ -120,10 +123,13 @@ func (r *Ring) Cap() int {
 	return len(r.buf)
 }
 
-// Add records one finished trace, evicting the oldest when full.
+// Add records one finished trace, evicting the oldest when full. The
+// tree under sp now belongs to the ring: the caller must be done with
+// it, because the ring recycles it once it is evicted.
 func (r *Ring) Add(line string, at time.Time, d time.Duration, sp *Span) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	recycle(r.buf[r.next].Span)
 	r.buf[r.next] = Entry{Line: line, At: at, Duration: d, Span: sp}
 	r.next++
 	if r.next == len(r.buf) {
@@ -132,7 +138,8 @@ func (r *Ring) Add(line string, at time.Time, d time.Duration, sp *Span) {
 	}
 }
 
-// Entries returns a copy of the retained traces, newest first.
+// Entries returns a copy of the retained traces, newest first, each
+// with a clone of its tree.
 func (r *Ring) Entries() []Entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -146,7 +153,9 @@ func (r *Ring) Entries() []Entry {
 		if idx < 0 {
 			idx += len(r.buf)
 		}
-		out = append(out, r.buf[idx])
+		e := r.buf[idx]
+		e.Span = e.Span.clone()
+		out = append(out, e)
 	}
 	return out
 }

@@ -13,16 +13,27 @@
 // test (overhead_test.go, <= 5 ns/op).
 //
 // When it is on — every request a server serves — a span tree costs
-// what it records: New takes a slab that holds the root and one child
-// (a served INS or DEL's whole tree), StartChild takes the next free
-// span, and the first StartChild past them allocates five more at once
-// (the rest of a served QRY's seven). Each span keeps its first two
-// attributes and three children inline; only a span past those sizes
-// allocates on its own. Span IDs come from the runtime's per-thread
-// random source, so concurrent requests share no counter. A served
-// QRY on histserve allocates 18 objects in all, parse and reply
-// included (internal/histserve's TestServedQueryAllocs guards <= 22), and a
-// served INS or DEL 10 objects and 1 088 B (TestServedInsertAllocs).
+// no heap. New takes a slab of eight spans from a sync.Pool (a served
+// QRY's tree has seven, an INS or DEL's two) and StartChild hands out
+// the next one; a span is reset when it is handed out, so a two-span
+// tree touches two. A span past the slab is allocated alone, as a
+// decoded span is. Each span keeps its first two attributes and three
+// children inline; only a span past those sizes allocates on its own.
+// Only New reads the wall clock: StartChild stamps the root's start plus
+// the monotonic time since, so Start and the JSON start_unix_nano keep
+// their meaning at one monotonic clock read per span. Span IDs come from
+// the runtime's per-thread random source, so concurrent requests share
+// no counter.
+//
+// A tree handed to Ring.Add belongs to the ring; the slow log and
+// Entries hand out clones. The ring puts the tree it evicts back into
+// the pool, so whoever hands a tree to Ring.Add must be done with it —
+// every render, every read — and a tree nobody hands to a ring is
+// garbage-collected. Graft takes only decoded (heap) trees. A served
+// QRY on histserve allocates 7 objects and 619 B in all, parse and reply
+// included, none of them for its spans (cmd/histserve's
+// TestServedQueryAllocs), and a served INS or DEL 8 objects and 608 B
+// (TestServedInsertAllocs).
 //
 // Spans are NOT safe for concurrent use: a span tree belongs to one
 // request on one goroutine, which is exactly the serving contract of
@@ -38,6 +49,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -165,32 +177,34 @@ type Span struct {
 	// moves them to the heap only past their size.
 	attrBuf  [inlineAttrs]Attr
 	childBuf [inlineChildren]*Span
-	tree     *slab // where StartChild takes its next span; nil for decoded spans
+	tree     *slab // the slab of the tree's root; nil for decoded and cloned spans
 }
 
 const (
 	inlineAttrs    = 2 // every histcube span sets at most two
 	inlineChildren = 3 // histcube.query's two prefixes and the OOO buffer
-	rootSpans      = 2 // New's slab: the root and one child, a whole INS/DEL tree
-	growSpans      = 5 // each later slab: the rest of a served QRY's seven
+	slabSpans      = 8 // a served QRY's tree has seven
 )
 
-// slab is the allocation behind a span tree: New takes its first span
-// for the root, StartChild the free ones after it, and the first
-// StartChild past them allocates growSpans more in one piece.
+// slab is the memory behind a span tree: New takes its first span for
+// the root and StartChild the next ones. The Ring that evicts a tree
+// puts its slab back into slabs for New to reuse.
 type slab struct {
-	spans [rootSpans]Span
-	free  []Span // the spans not yet handed out
+	spans [slabSpans]Span
+	used  int // spans handed out since New
 }
 
+var slabs = sync.Pool{New: func() any { return new(slab) }}
+
 // New starts a root span with a freshly generated TraceID — the edge
-// of a distributed trace. Span names are part of the observability
-// contract: constant dotted snake_case under the histcube. or
-// histserve. prefix, enforced by histlint's metricname analyzer.
+// of a distributed trace — and the one wall-clock read of its tree.
+// Span names are part of the observability contract: constant dotted
+// snake_case under the histcube. or histserve. prefix, enforced by
+// histlint's metricname analyzer.
 func New(name string) *Span {
-	sl := &slab{}
-	sl.free = sl.spans[1:]
-	return sl.spans[0].open(name, NewID(), sl)
+	sl := slabs.Get().(*slab)
+	sl.used = 1
+	return sl.spans[0].open(name, NewID(), time.Now(), sl)
 }
 
 // StartChild starts and appends a child span inheriting the parent's
@@ -200,30 +214,59 @@ func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	var c *Span
-	if sl := s.tree; sl == nil {
-		c = new(Span)
-	} else {
-		if len(sl.free) == 0 {
-			sl.free = make([]Span, growSpans)
-		}
-		c, sl.free = &sl.free[0], sl.free[1:]
+	sl := s.tree
+	if sl == nil { // a decoded or cloned tree has no root clock
+		return s.adopt(new(Span).open(name, s.traceID, time.Now(), nil))
 	}
-	s.adopt(c.open(name, s.traceID, s.tree))
-	return c
+	var c *Span
+	if sl.used < len(sl.spans) {
+		c = &sl.spans[sl.used]
+		sl.used++
+	} else {
+		c = new(Span)
+	}
+	root := sl.spans[0].start
+	return s.adopt(c.open(name, s.traceID, root.Add(time.Since(root)), sl))
 }
 
-func (s *Span) open(name string, traceID ID, tree *slab) *Span {
-	s.name, s.start, s.traceID, s.spanID, s.tree = name, time.Now(), traceID, NewID(), tree
+// open resets s, which may hold a recycled tree's span, to a new span.
+func (s *Span) open(name string, traceID ID, start time.Time, tree *slab) *Span {
+	*s = Span{name: name, start: start, traceID: traceID, spanID: NewID(), tree: tree}
 	return s
 }
 
-// adopt appends a child, into childBuf while it has room.
-func (s *Span) adopt(c *Span) {
+// recycle returns the slab behind root to the pool, if root is a tree's
+// root from New; anything else is left to the garbage collector.
+func recycle(root *Span) {
+	if root != nil && root.tree != nil && root == &root.tree.spans[0] {
+		slabs.Put(root.tree)
+	}
+}
+
+// clone returns a heap copy of the tree under s that shares nothing with
+// it (nil for nil).
+func (s *Span) clone() *Span {
+	if s == nil {
+		return nil
+	}
+	c := &Span{name: s.name, start: s.start, dur: s.dur, traceID: s.traceID, spanID: s.spanID, counters: s.counters}
+	for _, a := range s.attrs {
+		c.set(a)
+	}
+	for _, child := range s.children {
+		c.adopt(child.clone())
+	}
+	return c
+}
+
+// adopt appends a child, into childBuf while it has room, and returns
+// it.
+func (s *Span) adopt(c *Span) *Span {
 	if s.children == nil {
 		s.children = s.childBuf[:0]
 	}
 	s.children = append(s.children, c)
+	return c
 }
 
 // set appends an attribute, into attrBuf while it has room.
@@ -256,8 +299,9 @@ func (s *Span) SetTraceID(id ID) {
 
 // Graft appends an already-built span as a child — the proxy-side
 // merge that hangs a shard's decoded tree (SpanJSON.Span) under its
-// proxy.leg span so Total sums the whole distributed request. Nil
-// receiver and nil child are no-ops.
+// proxy.leg span so Total sums the whole distributed request. The child
+// must be a decoded (heap) tree: a tree from New belongs to the ring it
+// is handed to. Nil receiver and nil child are no-ops.
 func (s *Span) Graft(child *Span) {
 	if s == nil || child == nil {
 		return
