@@ -165,8 +165,7 @@ step_shardchaos() {
     # -probe-every, with no client traffic. Last, the binary's graceful
     # exit: SIGTERM with one member live and one dead exits 0 within one
     # -shard-timeout plus one -probe-every, leaving no process behind.
-    run_named ./cmd/histproxy/ 'TestShardChaosPartialAnswersAndRejoin|TestProxySigtermExitsCleanly|TestUnitReadsRepliesBufferedBehindASlowShard|TestUnitDoesNotHedgeBufferedReadBatch' -race -count=1
-    run_named ./internal/histproxy/ 'TestMemberRejoinsWithinOneProbeInterval' -race -count=1
+    run_named ./cmd/histproxy/ 'TestShardChaosPartialAnswersAndRejoin|TestProxySigtermExitsCleanly|TestUnitReadsRepliesBufferedBehindASlowShard|TestUnitDoesNotHedgeBufferedReadBatch|TestMemberRejoinsWithinOneProbeInterval' -race -count=1
 }
 
 step_replchaos() {
@@ -178,10 +177,10 @@ step_replchaos() {
     # (and nothing phantom), reads must keep answering exact non-PARTIAL
     # totals via the WAL-shipped replica, and the promoted replica must
     # accept writes within the member-state loop's interval. The
-    # fake-shard test beside it breaks a mixed unit at a chosen line:
-    # answered lines stand, later mutations get one ERR each and are
-    # never re-sent, later legs are re-sent once and answered exactly by
-    # the replica, one failover. Last, a fresh follower bootstraps while
+    # in-process test beside it breaks a mixed unit at a chosen line (a
+    # relay cuts the primary's link): answered lines stand, later
+    # mutations get one ERR each and are never re-sent, later legs are
+    # re-sent once and answered exactly by the follower, one failover. Last, a fresh follower bootstraps while
     # its primary checkpoints every 50 records under concurrent inserts,
     # so the checkpoint it is sent can be pruned before it re-subscribes,
     # and must answer bit-identically to the primary, before and after a
@@ -208,8 +207,7 @@ step_replchaos() {
     # within a few -probe-every while another shard's member still
     # rejoins within one, and a write that breaks on a dead primary
     # promotes its follower on the next ROLE it misses.
-    run_named ./cmd/histproxy/ 'TestReplChaosPrimaryKillUnderLoad|TestBrokenMixedUnitAnswersEveryLineAndFailsOver|TestReplChaosReadsSkipFollowersOutsideTheAckQuorum|TestBrokenWriteFailsOverBeforeTheBreakerOpens' -race -count=1
-    run_named ./internal/histproxy/ 'TestReadRuleFollowsPrimaryMinAcks|TestReadRuleSkipsASyncingFollower|TestRejoiningFollowerServesNoReadBeforeItsRound|TestHungPrimaryFailsOverAndOthersStillRejoin' -race -count=1
+    run_named ./cmd/histproxy/ 'TestReplChaosPrimaryKillUnderLoad|TestBrokenMixedUnitAnswersEveryLineAndFailsOver|TestReplChaosReadsSkipFollowersOutsideTheAckQuorum|TestBrokenWriteFailsOverBeforeTheBreakerOpens|TestReadRuleFollowsPrimaryMinAcks|TestReadRuleSkipsASyncingFollower|TestRejoiningFollowerServesNoReadBeforeItsRound|TestHungPrimaryFailsOverAndOthersStillRejoin' -race -count=1
     run_named ./internal/histserve/ 'TestReplicaBootstrapsUnderCheckpointLoad|TestPrimaryAndFollowerApplyOneStream|TestReplicaBarrierIsItsLocalCommit|TestSemiSyncReadOutlivesItsFollower|TestRestartedSemiSyncPrimaryCommitsItsTailOnceHeld|TestReplicaAppliedLSNIsItsCommitFrontier|TestReplicaSyncedOnlyAtThePrimarysEnd' -race -count=1
 }
 

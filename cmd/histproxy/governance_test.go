@@ -16,7 +16,7 @@ import (
 )
 
 func TestProxyGovernanceLimits(t *testing.T) {
-	spec, _ := threeShards(t)
+	spec, _ := threeMembers(t)
 	p := buildProxy(t, spec)
 	p.MaxConns = 1
 	p.MaxLineLen = 256
@@ -50,7 +50,7 @@ func TestProxyGovernanceLimits(t *testing.T) {
 }
 
 func TestProxyIdleTimeoutAndArity(t *testing.T) {
-	spec, _ := threeShards(t)
+	spec, _ := threeMembers(t)
 	p := buildProxy(t, spec)
 	p.ReadTimeout = 150 * time.Millisecond
 	c := linetest.Dial(t, serveProxy(t, p))

@@ -46,7 +46,7 @@ func TestProxyRequestSeconds(t *testing.T) {
 // -fault-spec armed and the runtime collector sampled once, and requires
 // README to name exactly the histproxy_* families it registers.
 func TestReadmeNamesOnlyRealMetrics(t *testing.T) {
-	spec, _ := threeShards(t)
+	spec, _ := threeMembers(t)
 	// Configured as main configures it, before Start starts the loop.
 	p, err := histproxy.New(testConfig(spec))
 	if err != nil {

@@ -13,11 +13,15 @@ import (
 	"histcube/internal/fleettest"
 	"histcube/internal/histproxy"
 	"histcube/internal/linetest"
+	"histcube/internal/oracle"
 	"histcube/internal/trace"
 )
 
-// The proxy builders below have twins in internal/histproxy's
-// proxy_test.go, for the tests that read the proxy's own state.
+// The proxy's tests drive it only through what main uses — its Config,
+// the wire, /metrics and the feeds — against real in-process members
+// (internal/fleettest), each answer checked against internal/oracle.
+// The one test that breaks the proxy's own state lives in
+// internal/histproxy and builds its proxy there.
 
 // testProbeEvery is the in-process proxies' -probe-every: short, so
 // rejoin and failover tests run in milliseconds.
@@ -80,15 +84,8 @@ func startProxy(t *testing.T, spec string) (addr string, p *histproxy.Proxy) {
 	return serveProxy(t, p), p
 }
 
-// threeShards is a map over three scripted fakes: 0-99, 100-199, 200-.
-func threeShards(t *testing.T) (spec string, shards []*fleettest.FakeShard) {
-	t.Helper()
-	a, b, c := fleettest.NewFakeShard(t), fleettest.NewFakeShard(t), fleettest.NewFakeShard(t)
-	spec = fmt.Sprintf("%s=0-99,%s=100-199,%s=200-", a.Addr, b.Addr, c.Addr)
-	return spec, []*fleettest.FakeShard{a, b, c}
-}
-
-// threeMembers is the same map over three real -op sum members.
+// threeMembers is a map over three real -op sum members: 0-99,
+// 100-199, 200-.
 func threeMembers(t *testing.T) (spec string, members []*fleettest.Member) {
 	t.Helper()
 	for range 3 {
@@ -96,6 +93,20 @@ func threeMembers(t *testing.T) (spec string, members []*fleettest.Member) {
 	}
 	spec = fmt.Sprintf("%s=0-99,%s=100-199,%s=200-", members[0].Addr, members[1].Addr, members[2].Addr)
 	return spec, members
+}
+
+// served reads off a member's own /metrics how many lines of verb it
+// has served: histserve times every request line under its verb.
+func served(t *testing.T, m *fleettest.Member, verb string) int64 {
+	t.Helper()
+	return linetest.MetricValue(t, m.Server().Reg, fmt.Sprintf("histserve_request_seconds_count{cmd=%q}", verb))
+}
+
+// servedLines is what a member has served of the lines a proxy routes:
+// INS, DEL and QRY.
+func servedLines(t *testing.T, m *fleettest.Member) int64 {
+	t.Helper()
+	return served(t, m, "INS") + served(t, m, "DEL") + served(t, m, "QRY")
 }
 
 func TestProxyRoutesAndMerges(t *testing.T) {
@@ -240,25 +251,6 @@ func TestProxyExplainPartial(t *testing.T) {
 	lines := c.Multi(t, "EXPLAIN QRY 0 300 0 0 7 7")
 	if !strings.HasPrefix(lines[0], "PARTIAL result=5 coverage=0.664 covered=0-199 missing=") {
 		t.Fatalf("EXPLAIN over dead shard first line = %q", lines[0])
-	}
-}
-
-// TestProxyExplainRejectsNamelessShardTrace: a shard's EXPLAIN JSON
-// reply whose trace root has no name is not a span tree; its leg fails
-// as a malformed reply does — a PARTIAL answer with the error on the
-// leg — instead of being grafted as a nameless span.
-func TestProxyExplainRejectsNamelessShardTrace(t *testing.T) {
-	a, b, bad := fleettest.StartMember(t, fleettest.MemberConfig("sum")), fleettest.StartMember(t, fleettest.MemberConfig("sum")), fleettest.NewFakeShard(t)
-	bad.Set(func(f *fleettest.FakeShard) { f.Explain = `{"result":5,"trace":{}}` })
-	addr, _ := startProxy(t, fmt.Sprintf("%s=0-99,%s=100-199,%s=200-", a.Addr, b.Addr, bad.Addr))
-	c := linetest.Dial(t, addr)
-	c.Cmd(t, "INS 10 1 1 5")
-	lines := c.Multi(t, "EXPLAIN QRY 0 300 0 0 7 7")
-	if !strings.HasPrefix(lines[0], "PARTIAL result=5 coverage=0.664 covered=0-199 missing=") {
-		t.Fatalf("EXPLAIN over a nameless shard trace: first line = %q", lines[0])
-	}
-	if body := strings.Join(lines, "\n"); !strings.Contains(body, "no named trace root") {
-		t.Fatalf("the failed leg carries no error attr:\n%s", body)
 	}
 }
 
@@ -477,7 +469,7 @@ func TestProxyStatsAsksThePrimary(t *testing.T) {
 }
 
 func TestProxyProtocolErrors(t *testing.T) {
-	spec, _ := threeShards(t)
+	spec, _ := threeMembers(t)
 	addr, _ := startProxy(t, spec)
 	c := linetest.Dial(t, addr)
 	cases := []struct{ line, prefix string }{
@@ -498,46 +490,69 @@ func TestProxyProtocolErrors(t *testing.T) {
 }
 
 // TestProxyUnitEdgesKeepTheirAnswers: joining a unit changes no answer.
-// Each case is one window written in one write. Shard 0 answers nothing
-// before it has the case's hold lines, so a line the proxy answers by
-// itself — no legs to send, or refused on arity or a bad integer — can
-// have cost its neighbours no round trip of their own; shard 1 answers
-// every QRY with a deterministic ERR. The fakes compute nothing: their
-// legs answer 0.
+// Each case is one window written in one write, over three real
+// members. A line the proxy answers by itself — no legs to send, or
+// refused on arity or a bad integer — sends nothing and costs its
+// neighbours no round trip of their own: shard 0 serves exactly the
+// case's lines to it, and every line with a leg records (batchOf) that
+// it shared one round trip per shard with all of the unit's lines to
+// that shard. Shard 1 is a -dims 4,4 member, so every leg to it with a
+// coordinate past 3 gets its deterministic ERR. An empty want is the
+// oracle's answer over the mutations acked before the line.
 func TestProxyUnitEdgesKeepTheirAnswers(t *testing.T) {
-	const boom = "ERR bad coordinate 9 for dimension 0"
+	const boom = "ERR bad coordinate d0: 7 outside [0, 4)"
 	cases := []struct {
-		name  string
-		hold  int // lines shard 0 must see together
-		lines []string
-		want  []string
+		name   string
+		shard0 int64 // lines shard 0 serves
+		lines  []string
+		want   []string
+		batch  []string // batchOf each line, one size per leg in shard order; "" for a line with no leg
 	}{
 		{"no legs: inverted and pre-map ranges answer the operator's zero", 3, []string{
 			"INS 10 1 1 5", "QRY 300 100 0 0 7 7", "QRY -9 -1 0 0 7 7", "QRY 0 99 0 0 7 7", "INS 11 1 1 1", "QRY 50 20 0 0 7 7",
-		}, []string{"OK", "0", "0", "0", "OK", "0"}},
+		}, []string{"OK", "0", "0", "", "OK", "0"}, []string{"[3]", "", "", "[3]", "[3]", ""}},
 		{"arity and integer errors answer at the proxy", 4, []string{
 			"INS 10 1 1 5", "QRY 0 99 0 0 7", "QRY 0 99 0 0 7 7", "QRY 0 x 0 0 7 7", "INS 11 1 1", "DEL 10 1 1 2", "QRY 0 99 0 0 7 7",
-		}, []string{"OK", "ERR QRY needs tlo, thi and 2 lo + 2 hi coordinates", "0", `ERR bad integer "x"`,
-			"ERR INS needs time, 2 coordinates and a value", "OK", "0"}},
+		}, []string{"OK", "ERR QRY needs tlo, thi and 2 lo + 2 hi coordinates", "", `ERR bad integer "x"`,
+			"ERR INS needs time, 2 coordinates and a value", "OK", ""}, []string{"[4]", "", "[4]", "", "", "[4]", "[4]"}},
 		{"a shard's deterministic ERR on one leg is relayed, not PARTIAL", 3, []string{
 			"INS 10 1 1 5", "QRY 0 150 0 0 7 7", "QRY 0 99 0 0 7 7", "INS 250 1 1 1", "QRY 100 300 0 0 7 7", "QRY 200 300 0 0 7 7",
-		}, []string{"OK", boom, "0", "OK", boom, "0"}},
+		}, []string{"OK", boom, "", "OK", boom, ""}, []string{"[3]", "[3 2]", "[3]", "[3]", "[2 3]", "[3]"}},
 		{"a unit of nothing but zero-leg queries sends nothing", 0, []string{
 			"QRY 9 1 0 0 7 7", "QRY -3 -2 0 0 7 7",
-		}, []string{"0", "0"}},
+		}, []string{"0", "0"}, []string{"", ""}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			spec, shards := threeShards(t)
-			shards[0].Set(func(f *fleettest.FakeShard) { f.Hold = tc.hold })
-			shards[1].Set(func(f *fleettest.FakeShard) { f.QryErr = boom })
-			addr, p := startProxy(t, spec)
+			small := fleettest.MemberConfig("sum")
+			small.Dims = "4,4"
+			members := []*fleettest.Member{fleettest.StartMember(t, fleettest.MemberConfig("sum")),
+				fleettest.StartMember(t, small), fleettest.StartMember(t, fleettest.MemberConfig("sum"))}
+			addr, p := startProxy(t, fmt.Sprintf("%s=0-99,%s=100-199,%s=200-", members[0].Addr, members[1].Addr, members[2].Addr))
 			got := linetest.Dial(t, addr).SendAll(t, strings.Join(tc.lines, "\n")+"\n", len(tc.lines))
-			if strings.Join(got, "|") != strings.Join(tc.want, "|") {
-				t.Fatalf("replies\n %q\nwant\n %q", got, tc.want)
+			var ref oracle.Points
+			for i, line := range tc.lines {
+				want, f := tc.want[i], strings.Fields(line)
+				if want == "" {
+					want = fleettest.Answer(t, ref, "sum", f[1:])
+				}
+				if got[i] != want {
+					t.Errorf("reply %d to %q = %q, want %q", i, line, got[i], want)
+				}
+				if got[i] == "OK" {
+					fleettest.Apply(t, &ref, f)
+				}
 			}
-			if n := len(shards[0].Received()); n != tc.hold {
-				t.Errorf("shard 0 received %d lines, want %d", n, tc.hold)
+			if n := servedLines(t, members[0]); n != tc.shard0 {
+				t.Errorf("shard 0 served %d lines, want %d", n, tc.shard0)
+			}
+			for i, line := range tc.lines {
+				if tc.batch[i] == "" {
+					continue
+				}
+				if got := fmt.Sprint(batchOf(t, p, line)); got != tc.batch[i] {
+					t.Errorf("%q shared its round trips with %s lines, want %s", line, got, tc.batch[i])
+				}
 			}
 			if n := linetest.MetricValue(t, p.Reg, "histproxy_partial_answers_total"); n != 0 {
 				t.Errorf("%d answers were PARTIAL", n)
@@ -547,7 +562,7 @@ func TestProxyUnitEdgesKeepTheirAnswers(t *testing.T) {
 }
 
 func TestProxyVersionAndShards(t *testing.T) {
-	spec, shards := threeShards(t)
+	spec, shards := threeMembers(t)
 	addr, _ := startProxy(t, spec)
 	c := linetest.Dial(t, addr)
 	if got := c.Cmd(t, "VERSION"); !strings.HasPrefix(got, "OK histproxy rev=") || !strings.Contains(got, "shards=3") {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"histcube/internal/fault"
 	"histcube/internal/fleettest"
 	"histcube/internal/histproxy"
 	"histcube/internal/linetest"
@@ -96,17 +97,17 @@ func batchOf(t *testing.T, p *histproxy.Proxy, line string) []string {
 // TestUnitIsOneRoundTripPerShard pins the unit rule's proxy face: the
 // complete INS/DEL/QRY lines of one write are one unit — one batch round
 // trip per shard, every reply in one flush — and the trailing partial
-// line neither joins nor delays them. Shard 0 answers nothing before it
-// has its three lines of the unit, so a proxy that sent them a line or a
-// run at a time would hang; shard 1 is slow, and the two OKs wait for its
-// leg with the rest of their window. EXPLAIN, STATS and SHARDS still end
-// a unit. The fakes' legs answer 0.
+// line neither joins nor delays them. Shard 1's relay holds every QRY for
+// 400 ms, and the two OKs wait for its leg with the rest of their window;
+// shard 0 serves exactly the unit's three lines to it. EXPLAIN, STATS and
+// SHARDS still end a unit.
 func TestUnitIsOneRoundTripPerShard(t *testing.T) {
-	spec, shards := threeShards(t)
-	shards[0].Set(func(f *fleettest.FakeShard) { f.Hold = 3 })
-	shards[1].Set(func(f *fleettest.FakeShard) { f.QryDelay = 400 * time.Millisecond })
-	addr, p := startProxy(t, spec)
+	spec, members := threeMembers(t)
+	slow := fault.MustParse("QRY:slow=400ms", 1)
+	relay := fleettest.StartRelay(t, members[1], fleettest.Script{Faults: slow})
+	addr, p := startProxy(t, strings.Replace(spec, members[1].Addr, relay.Addr, 1))
 	c := linetest.Dial(t, addr)
+	var ref oracle.Points
 	if _, err := io.WriteString(c.Conn, "INS 10 1 1 5\nINS 11 1 1 5\nQRY 0 150 0 0 7 7\nINS 12 1 1 5"); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,9 @@ func TestUnitIsOneRoundTripPerShard(t *testing.T) {
 		t.Fatalf("reply %q left before the unit's slow leg was in: a unit has one flush", l)
 	}
 	c.Conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	for i, want := range []string{"OK\n", "OK\n", "0\n"} {
+	fleettest.Apply(t, &ref, strings.Fields("INS 10 1 1 5"))
+	fleettest.Apply(t, &ref, strings.Fields("INS 11 1 1 5"))
+	for i, want := range []string{"OK\n", "OK\n", fleettest.Answer(t, ref, "sum", strings.Fields("0 150 0 0 7 7")) + "\n"} {
 		if l, err := c.R.ReadString('\n'); err != nil || l != want {
 			t.Fatalf("reply %d = %q, %v, want %q", i, l, err, want)
 		}
@@ -127,18 +130,20 @@ func TestUnitIsOneRoundTripPerShard(t *testing.T) {
 			t.Errorf("%q shared its round trips with %s lines, want %s", line, got, want)
 		}
 	}
+	if n, legs := servedLines(t, members[0]), slow.Ops("QRY"); n != 3 || legs != 1 {
+		t.Errorf("shard 0 served %d lines and shard 1 was sent %d legs, want the unit's 3 and 1", n, legs)
+	}
 	// The trailing partial line neither joined the unit nor was answered.
 	c.Conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
 	if l, err := c.R.ReadString('\n'); err == nil {
 		t.Fatalf("partial line was answered %q", l)
 	}
 	c.Conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	for _, f := range shards {
-		f.Set(func(f *fleettest.FakeShard) { f.Hold, f.QryDelay = 0, 0 })
-	}
+	slow.Heal()
 	if got := c.Cmd(t, ""); got != "OK" { // completes "INS 12 1 1 5"
 		t.Fatalf("completed partial line -> %q", got)
 	}
+	fleettest.Apply(t, &ref, strings.Fields("INS 12 1 1 5"))
 
 	// A line of any other verb is a unit of one and splits the window.
 	if _, err := io.WriteString(c.Conn, "INS 20 1 1 1\nEXPLAIN QRY 0 50 0 0 7 7\nINS 21 1 1 1\nSTATS\n"+
@@ -157,8 +162,11 @@ func TestUnitIsOneRoundTripPerShard(t *testing.T) {
 			ends++
 		}
 	}
-	if ok, sum := readLine(), readLine(); ok != "OK" || sum != "0" {
-		t.Fatalf("last two replies of the split window = %q, %q, want OK, 0", ok, sum)
+	for _, ins := range []string{"INS 20 1 1 1", "INS 21 1 1 1", "INS 22 1 1 1", "INS 23 1 1 1"} {
+		fleettest.Apply(t, &ref, strings.Fields(ins))
+	}
+	if ok, sum, want := readLine(), readLine(), fleettest.Answer(t, ref, "sum", strings.Fields("0 50 0 0 7 7")); ok != "OK" || sum != want {
+		t.Fatalf("last two replies of the split window = %q, %q, want OK, %s", ok, sum, want)
 	}
 	for line, want := range map[string]string{
 		"INS 20 1 1 1": "[1]", "EXPLAIN QRY 0 50 0 0 7 7": "[1]", "INS 21 1 1 1": "[1]",
@@ -170,100 +178,117 @@ func TestUnitIsOneRoundTripPerShard(t *testing.T) {
 	}
 }
 
-// TestBrokenRunAnswersEveryLineAndFailsOver kills the primary in the
-// middle of a run: the lines it answered keep their answers, every
+// brokenReplicaSet is a semi-sync primary and its follower behind a
+// proxy whose loop ticks hourly: only a broken batch wakes it. The
+// primary's relay cuts the link at its third INS, and answers no ROLE
+// after the first round's, so the nudged round fails the primary over.
+func brokenReplicaSet(t *testing.T) (addr string, p *histproxy.Proxy, toPrimary *fleettest.Relay, follower *fleettest.Member) {
+	t.Helper()
+	primary, followers := replicaSet(t, "never", 1, 1)
+	toPrimary = fleettest.StartRelay(t, primary, fleettest.Script{Faults: fault.MustParse("INS:drop@3;ROLE:drop@2+", 1)})
+	cfg := testConfig(fmt.Sprintf("%s|%s=0-", toPrimary.Addr, followers[0].Addr))
+	cfg.ProbeEvery = time.Hour
+	p = startConfigured(t, cfg)
+	return serveProxy(t, p), p, toPrimary, followers[0]
+}
+
+// TestBrokenRunAnswersEveryLineAndFailsOver breaks the primary's link in
+// the middle of a run: the lines it answered keep their answers, every
 // other line gets the explicit unavailable error — none retried, none
-// dropped — and one failover later the client's retry succeeds.
+// dropped — and one failover later the client's retry succeeds. An
+// unavailable line is in general indeterminate (the member may have
+// applied it before the break); here the relay cuts the link before the
+// third INS reaches the primary, so the member's state is known exactly.
 func TestBrokenRunAnswersEveryLineAndFailsOver(t *testing.T) {
-	primary, replica := fleettest.NewFakeShard(t), fleettest.NewFakeShard(t)
-	primary.Set(func(f *fleettest.FakeShard) { f.DropAfter = 2 })
-	replica.Set(func(f *fleettest.FakeShard) { f.Replica = true })
-	addr, p := startProxy(t, fmt.Sprintf("%s|%s=0-", primary.Addr, replica.Addr))
+	addr, p, toPrimary, follower := brokenReplicaSet(t)
 	c := linetest.Dial(t, addr)
-	run := "INS 1 0 0 1\nINS 2 0 0 1\nINS 3 0 0 1\nINS 4 0 0 1\nINS 5 0 0 1\n"
-	got := c.SendAll(t, run, 5)
+	run := []string{"INS 1 0 0 1", "INS 2 0 0 1", "INS 3 0 0 1", "INS 4 0 0 1", "INS 5 0 0 1"}
+	got := c.SendAll(t, strings.Join(run, "\n")+"\n", len(run))
+	var acked oracle.Points
+	var broken []string
 	for i, l := range got {
 		switch {
 		case i < 2 && l != "OK":
 			t.Errorf("reply %d = %q, want the primary's own OK", i, l)
-		case i >= 2 && !strings.HasPrefix(l, "ERR shard "+primary.Addr+" unavailable"):
+		case i >= 2 && !strings.HasPrefix(l, "ERR shard "+toPrimary.Addr+" unavailable"):
 			t.Errorf("reply %d = %q, want the explicit unavailable error", i, l)
+		case i < 2:
+			fleettest.Apply(t, &acked, strings.Fields(run[i]))
+		default:
+			broken = append(broken, run[i])
 		}
 	}
-	for _, l := range replica.Received() {
-		if strings.Contains(l, "INS") {
-			t.Fatalf("the replica received %q: a broken run must never be resent", l)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for linetest.MetricValue(t, p.Reg, "histproxy_failovers_total") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("the broken run did not trigger a failover")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := linetest.MetricValue(t, p.Reg, "histproxy_failovers_total"); n != 1 {
+	waitFor(t, "the broken run to trigger a failover", func() bool { return failovers(t, p) != 0 })
+	if n := failovers(t, p); n != 1 {
 		t.Fatalf("failovers = %d after one broken run, want 1", n)
 	}
-	if got := c.SendAll(t, "INS 3 0 0 1\nINS 4 0 0 1\nINS 5 0 0 1\n", 3); strings.Join(got, "|") != "OK|OK|OK" {
+	// The relay cut the link before the third INS reached the primary, so
+	// the promoted follower holds exactly the two acked ones: a proxy that
+	// re-sent a line of the broken run would show here.
+	if n := follower.Stat(t, "appended"); n != 2 {
+		t.Fatalf("the promoted member appended %v inserts before the retry, want the 2 acked", n)
+	}
+	if got := c.SendAll(t, strings.Join(broken, "\n")+"\n", 3); strings.Join(got, "|") != "OK|OK|OK" {
 		t.Fatalf("client retry after failover -> %q", got)
 	}
-	var retried []string
-	for _, l := range replica.Received() {
-		if _, stripped, _ := strings.Cut(l, " "); strings.HasPrefix(stripped, "INS") {
-			retried = append(retried, stripped)
-		}
+	for _, l := range broken {
+		fleettest.Apply(t, &acked, strings.Fields(l))
 	}
-	if want := "INS 3 0 0 1|INS 4 0 0 1|INS 5 0 0 1"; strings.Join(retried, "|") != want {
-		t.Fatalf("the promoted member received %q, want the 3 retried inserts", retried)
+	// Each retried line reached the promoted member exactly once.
+	if n := follower.Stat(t, "appended"); n != 5 {
+		t.Errorf("the promoted member appended %v inserts after the retry, want the 5 acked", n)
+	}
+	const qry = "QRY 0 100 0 0 7 7"
+	if got, want := c.Cmd(t, qry), fleettest.Answer(t, acked, "sum", strings.Fields(qry)[1:]); got != want {
+		t.Errorf("%s = %q after the retry, want %q", qry, got, want)
 	}
 }
 
-// TestBrokenMixedUnitAnswersEveryLineAndFailsOver kills the primary in
-// the middle of a unit that holds mutations and query legs. What it
-// answered stands; a mutation beyond the break gets exactly one explicit
-// unavailable error and is not re-sent; a leg beyond the break is a read,
-// so it is re-sent once down the read path and answered — not PARTIAL —
-// by the replica (the primary's min_acks=1 covers it, so it serves
-// reads; the fakes' legs answer 0); and the whole unit triggers one
-// failover.
+// TestBrokenMixedUnitAnswersEveryLineAndFailsOver breaks the primary's
+// link in the middle of a unit that holds mutations and query legs. What
+// it answered stands; a mutation beyond the break gets exactly one
+// explicit unavailable error and is not re-sent; a leg beyond the break
+// is a read, so it is re-sent once down the read path and answered — not
+// PARTIAL — by the follower (the primary's min_acks=1 covers it, so it
+// serves reads); and the whole unit triggers one failover. The relay
+// cuts the link before the third INS reaches the primary, so the two
+// unavailable mutations were applied nowhere and every leg's answer is
+// exact.
 func TestBrokenMixedUnitAnswersEveryLineAndFailsOver(t *testing.T) {
-	primary, replica := fleettest.NewFakeShard(t), fleettest.NewFakeShard(t)
-	primary.Set(func(f *fleettest.FakeShard) { f.DropAfter, f.MinAcks = 2, 1 })
-	replica.Set(func(f *fleettest.FakeShard) { f.Replica = true })
-	addr, p := startProxy(t, fmt.Sprintf("%s|%s=0-", primary.Addr, replica.Addr))
+	addr, p, toPrimary, follower := brokenReplicaSet(t)
 	const qry = "QRY 0 100 0 0 7 7"
-	unit := []string{"INS 1 0 0 1", qry, "INS 2 0 0 1", qry, "INS 3 0 0 1", qry, "DEL 1 0 0 1", qry}
+	unit := []string{"INS 1 0 0 1", qry, "INS 2 0 0 1", qry, "INS 3 0 0 1", qry, "DEL 3 0 0 1", qry}
 	got := linetest.Dial(t, addr).SendAll(t, strings.Join(unit, "\n")+"\n", len(unit))
-	unavailable := "ERR shard " + primary.Addr + " unavailable"
-	for i, want := range []string{"OK", "0", "OK", "0", unavailable, "0", unavailable, "0"} {
-		if got[i] != want && !(want == unavailable && strings.HasPrefix(got[i], want)) {
-			t.Errorf("reply %d to %q = %q, want %q", i, unit[i], got[i], want)
+	unavailable := "ERR shard " + toPrimary.Addr + " unavailable"
+	var acked oracle.Points
+	for i, line := range unit {
+		switch {
+		case i == 4 || i == 6:
+			if !strings.HasPrefix(got[i], unavailable) {
+				t.Errorf("reply %d to %q = %q, want %q", i, line, got[i], unavailable)
+			}
+		case line == qry:
+			if want := fleettest.Answer(t, acked, "sum", strings.Fields(qry)[1:]); got[i] != want {
+				t.Errorf("reply %d to %q = %q, want %q", i, line, got[i], want)
+			}
+		case got[i] != "OK":
+			t.Errorf("reply %d to %q = %q, want the primary's own OK", i, line, got[i])
+		default:
+			fleettest.Apply(t, &acked, strings.Fields(line))
 		}
 	}
-	var resent []string
-	for _, l := range replica.Received() {
-		if _, stripped, _ := strings.Cut(l, " "); strings.HasPrefix(stripped, "INS") || strings.HasPrefix(stripped, "DEL") {
-			t.Errorf("the replica received %q: a mutation beyond the break must never be resent", l)
-		} else if strings.HasPrefix(stripped, "QRY") {
-			resent = append(resent, stripped)
-		}
-	}
-	if len(resent) != 2 {
-		t.Errorf("the replica received the legs %q, want exactly the two the break left unanswered", resent)
+	if n := served(t, follower, "QRY"); n != 2 {
+		t.Errorf("the follower served %d legs, want exactly the two the break left unanswered", n)
 	}
 	if n := linetest.MetricValue(t, p.Reg, "histproxy_partial_answers_total"); n != 0 {
-		t.Errorf("%d answers were PARTIAL with a live replica", n)
+		t.Errorf("%d answers were PARTIAL with a live follower", n)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for linetest.MetricValue(t, p.Reg, "histproxy_failovers_total") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("the broken unit did not trigger a failover")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := linetest.MetricValue(t, p.Reg, "histproxy_failovers_total"); n != 1 {
+	waitFor(t, "the broken unit to trigger a failover", func() bool { return failovers(t, p) != 0 })
+	if n := failovers(t, p); n != 1 {
 		t.Fatalf("failovers = %d after one broken unit, want 1", n)
+	}
+	if n := follower.Stat(t, "appended"); n != 2 {
+		t.Errorf("the promoted member appended %v mutations, want the 2 acked: a mutation beyond the break must never be re-sent", n)
 	}
 }
 
@@ -271,39 +296,45 @@ func TestBrokenMixedUnitAnswersEveryLineAndFailsOver(t *testing.T) {
 // of a unit one after another, so a fast shard's replies can sit on their
 // connection past its deadline while a slow shard is read first. They are
 // still the fast shard's answers. Here the query's only leg goes to shard
-// B, which answers after 1.5 s against a 1 s shard timeout, and the
+// B, whose relay holds it 1.5 s against a 1 s shard timeout, and the
 // insert behind it goes to shard A, which answers at once: the query
 // degrades to PARTIAL, and the insert A acknowledged answers OK.
 func TestUnitReadsRepliesBufferedBehindASlowShard(t *testing.T) {
-	a, b := fleettest.NewFakeShard(t), fleettest.NewFakeShard(t)
-	b.Set(func(f *fleettest.FakeShard) { f.QryDelay = 1500 * time.Millisecond })
-	addr := serveProxy(t, buildProxyWith(t, fmt.Sprintf("%s=0-99,%s=100-", a.Addr, b.Addr), 0, time.Second))
-	got := linetest.Dial(t, addr).SendAll(t, "QRY 100 150 0 0 7 7\nINS 10 1 1 5\n", 2)
-	if !strings.HasPrefix(got[0], "PARTIAL 0 ") || got[1] != "OK" {
-		t.Fatalf("replies %q, want [PARTIAL 0 ..., OK]", got)
+	a, b := fleettest.StartMember(t, fleettest.MemberConfig("sum")), fleettest.StartMember(t, fleettest.MemberConfig("sum"))
+	toB := fleettest.StartRelay(t, b, fleettest.Script{Faults: fault.MustParse("QRY:slow=1500ms", 1)})
+	c := linetest.Dial(t, serveProxy(t, buildProxyWith(t, fmt.Sprintf("%s=0-99,%s=100-", a.Addr, toB.Addr), 0, time.Second)))
+	var ref oracle.Points
+	mustAck(t, c, &ref, "INS 120 2 2 7")
+	got := c.SendAll(t, "QRY 100 150 0 0 7 7\nINS 10 1 1 5\n", 2)
+	if !strings.HasPrefix(got[0], "PARTIAL 0 coverage=0.000 ") || got[1] != "OK" {
+		t.Fatalf("replies %q, want [PARTIAL 0 coverage=0.000 ..., OK]", got)
 	}
-	if got := a.Received(); len(got) != 1 || !strings.HasSuffix(got[0], "INS 10 1 1 5") {
-		t.Fatalf("shard A received %q, want the acknowledged INS", got)
+	fleettest.Apply(t, &ref, strings.Fields("INS 10 1 1 5"))
+	if n := a.Stat(t, "appended"); n != 1 {
+		t.Fatalf("shard A appended %v inserts, want the acknowledged one", n)
 	}
+	answers(t, c, ref, "QRY 0 99 0 0 7 7")
 }
 
 // TestUnitDoesNotHedgeBufferedReadBatch: while settle waits for a slow
 // shard, another shard's read batch can pass its hedge point with every
 // reply already on the connection. Those replies are its answer, so the
-// batch is not duplicated. Shard A answers each query leg after 60 ms,
-// shard B — a replica set hedged after 5 ms — at once.
+// batch is not duplicated. Shard A's relay holds each query leg 60 ms;
+// shard B — a semi-sync primary and its follower, hedged after 5 ms —
+// answers at once.
 func TestUnitDoesNotHedgeBufferedReadBatch(t *testing.T) {
-	a, b0, b1 := fleettest.NewFakeShard(t), fleettest.NewFakeShard(t), fleettest.NewFakeShard(t)
-	a.Set(func(f *fleettest.FakeShard) { f.QryDelay = 60 * time.Millisecond })
-	b0.Set(func(f *fleettest.FakeShard) { f.MinAcks = 1 }) // B's follower serves reads
-	p := buildProxyWith(t, fmt.Sprintf("%s=0-99,%s|%s=100-", a.Addr, b0.Addr, b1.Addr), 5*time.Millisecond, time.Second)
+	a := fleettest.StartMember(t, fleettest.MemberConfig("sum"))
+	toA := fleettest.StartRelay(t, a, fleettest.Script{Faults: fault.MustParse("QRY:slow=60ms", 1)})
+	b0, b1 := replicaSet(t, "never", 1, 1) // min_acks=1 covers B's follower: it serves reads
+	p := buildProxyWith(t, fmt.Sprintf("%s=0-99,%s|%s=100-", toA.Addr, b0.Addr, b1[0].Addr), 5*time.Millisecond, time.Second)
 	c := linetest.Dial(t, serveProxy(t, p))
-	for i := 0; i < 5; i++ {
-		if got := c.Cmd(t, "QRY 0 150 0 0 7 7"); got != "0" {
-			t.Fatalf("window %d answered %q, want 0", i, got)
-		}
+	var ref oracle.Points
+	mustAck(t, c, &ref, "INS 10 1 1 5")
+	mustAck(t, c, &ref, "INS 120 2 2 7")
+	for range 5 {
+		answers(t, c, ref, "QRY 0 150 0 0 7 7")
 	}
-	if n := linetest.MetricValue(t, p.Reg, fmt.Sprintf("histproxy_hedged_reads{shard=%q}", b0.Addr)); n != 0 {
+	if n := hedgedReads(t, p, b0.Addr); n != 0 {
 		t.Fatalf("shard B hedged %d read batches whose replies were already in", n)
 	}
 }
@@ -315,23 +346,9 @@ func TestUnitDoesNotHedgeBufferedReadBatch(t *testing.T) {
 func semiSyncFleet(t *testing.T) (string, []string) {
 	t.Helper()
 	var members []string
-	for i := 0; i < 2; i++ {
-		pcfg := fleettest.DurableConfig("sum", t.TempDir(), "always")
-		pcfg.ReplMinAcks = 1
-		primary := fleettest.StartMember(t, pcfg)
-		fcfg := fleettest.DurableConfig("sum", t.TempDir(), "always")
-		fcfg.Follow = primary.Addr
-		follower := fleettest.StartMember(t, fcfg)
-		// Semi-sync needs the link up before the first write.
-		pc := linetest.Dial(t, primary.Addr)
-		deadline := time.Now().Add(10 * time.Second)
-		for !strings.Contains(pc.Cmd(t, "ROLE"), "followers=1") {
-			if time.Now().After(deadline) {
-				t.Fatal("follower never connected")
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		members = append(members, primary.Addr, follower.Addr)
+	for range 2 {
+		primary, followers := replicaSet(t, "always", 1, 1)
+		members = append(members, primary.Addr, followers[0].Addr)
 	}
 	addr, _ := startProxy(t, fmt.Sprintf("%s|%s=0-99,%s|%s=100-", members[0], members[1], members[2], members[3]))
 	return addr, members

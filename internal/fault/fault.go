@@ -148,7 +148,7 @@ func Parse(spec string, seed int64) (*Injector, error) {
 // MustParse is Parse for tests and fixed literals; it panics on a bad
 // spec.
 //
-//histlint:ignore deadexport test seam: fault specs in the tests of internal/histserve, internal/histproxy, internal/wal, internal/shardclient and internal/fault
+//histlint:ignore deadexport test seam: fault specs in the tests of cmd/histserve, cmd/histproxy, internal/histserve, internal/histproxy, internal/wal, internal/shardclient, internal/fleettest and internal/fault
 func MustParse(spec string, seed int64) *Injector {
 	inj, err := Parse(spec, seed)
 	if err != nil {
@@ -310,7 +310,7 @@ func (i *Injector) Check(site string) Outcome {
 // further faults fire. The chaos suite uses it to clear a persistent
 // fault and watch the server's auto-recovery probe succeed.
 //
-//histlint:ignore deadexport test seam: internal/histserve chaos_test.go and internal/wal fault_test.go clear a persistent fault to watch recovery
+//histlint:ignore deadexport test seam: internal/histserve chaos_test.go and internal/wal fault_test.go clear a persistent fault to watch recovery, and cmd/histproxy runs_test.go a relay's slow legs
 func (i *Injector) Heal() {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -319,7 +319,7 @@ func (i *Injector) Heal() {
 
 // Ops returns the operation count observed at site.
 //
-//histlint:ignore deadexport test seam: internal/wal fault_test.go counts the write and sync operations a commit reached
+//histlint:ignore deadexport test seam: internal/wal fault_test.go counts the write and sync operations a commit reached; the tests of cmd/histproxy and internal/fleettest count the lines a relay checked
 func (i *Injector) Ops(site string) int64 {
 	i.mu.Lock()
 	defer i.mu.Unlock()

@@ -1,10 +1,11 @@
 // Package fleettest runs a histcube fleet's parts in process for the
-// proxy's tests, in cmd/histproxy and in internal/histproxy: real
-// histserve members on loopback, a scripted stand-in for the states a
-// member reaches only by timing or by failing, and the adaptor that
-// feeds the wire's mutations to internal/oracle and renders its
-// answers as the wire does, the reference every proxied answer is
-// checked against.
+// proxy's tests: real histserve members on loopback; a line relay in
+// front of a member, for the states a member reaches only by timing or
+// by failing (a slow or stalled line, a link cut between two replies,
+// an injected ERR, a ROLE that reports another min_acks= or synced=);
+// and the adaptor that feeds the wire's mutations to internal/oracle
+// and renders its answers as the wire does, the reference every
+// proxied answer is checked against.
 //
 // Nothing in the program calls it: each export that no other export
 // reaches is a cross-package test seam, and its deadexport ignore names
@@ -13,7 +14,6 @@ package fleettest
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"log/slog"
 	"net"
@@ -23,6 +23,7 @@ import (
 	"testing"
 	"time"
 
+	"histcube/internal/fault"
 	"histcube/internal/histserve"
 	"histcube/internal/linetest"
 	"histcube/internal/oracle"
@@ -52,7 +53,7 @@ func MemberConfig(op string) histserve.Config {
 // DurableConfig is MemberConfig with a data directory under dir, so a
 // restarted member recovers what it held.
 //
-//histlint:ignore deadexport test seam: the proxy tests of cmd/histproxy
+//histlint:ignore deadexport test seam: the tests of cmd/histproxy and internal/fleettest
 func DurableConfig(op, dir, fsync string) histserve.Config {
 	cfg := MemberConfig(op)
 	cfg.DataDir, cfg.Fsync = dir, fsync
@@ -62,7 +63,7 @@ func DurableConfig(op, dir, fsync string) histserve.Config {
 // StartMember starts a member from cfg on a free loopback port; the
 // test's cleanup stops it.
 //
-//histlint:ignore deadexport test seam: the proxy tests of cmd/histproxy and internal/histproxy
+//histlint:ignore deadexport test seam: the tests of cmd/histproxy, internal/histproxy and internal/fleettest
 func StartMember(t *testing.T, cfg histserve.Config) *Member {
 	t.Helper()
 	m := &Member{cfg: cfg}
@@ -95,7 +96,7 @@ func (m *Member) start(t *testing.T, addr string) {
 
 // Restart brings the member back on its previous address (rejoin).
 //
-//histlint:ignore deadexport test seam: the proxy tests of cmd/histproxy
+//histlint:ignore deadexport test seam: the tests of cmd/histproxy
 func (m *Member) Restart(t *testing.T) {
 	t.Helper()
 	m.start(t, m.Addr)
@@ -120,7 +121,7 @@ func (m *Member) Stop() {
 
 // Server returns the running server.
 //
-//histlint:ignore deadexport test seam: the proxy tests of cmd/histproxy
+//histlint:ignore deadexport test seam: the tests of cmd/histproxy
 func (m *Member) Server() *histserve.Server {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -146,7 +147,7 @@ func (l trackingListener) Accept() (net.Conn, error) {
 
 // Stat reads one numeric field of the member's own STATS.
 //
-//histlint:ignore deadexport test seam: the proxy tests of cmd/histproxy
+//histlint:ignore deadexport test seam: the tests of cmd/histproxy and internal/fleettest
 func (m *Member) Stat(t *testing.T, key string) float64 {
 	t.Helper()
 	for _, tok := range strings.Fields(linetest.Dial(t, m.Addr).Cmd(t, "STATS")) {
@@ -162,194 +163,191 @@ func (m *Member) Stat(t *testing.T, key string) float64 {
 	return 0
 }
 
-// FakeShard is a scripted stand-in for the states a real member reaches
-// only by timing or by failing: it computes nothing. It answers a
-// mutation OK, a QRY 0, an EXPLAIN JSON with a one-span tree and ROLE
-// from its script (always naming op=sum), and it records every line it
-// receives verbatim (TID= token included) so tests can assert what the
-// proxy put on the wire. Tests change the script with Set.
-type FakeShard struct {
-	Addr string
-	ln   net.Listener
+// Relay is a line relay in front of one member, for the states a real
+// member reaches only by timing or by failing. It sends the member each
+// request line and relays the one reply line that answers it, changing
+// only what its Script says: the min_acks= and synced= fields of a ROLE
+// reply, and the faults its injector puts on a line. Each relayed
+// connection has one of its own to the member, so a member that is down
+// refuses it and the relay closes the client's.
+type Relay struct {
+	Addr   string
+	member string
+	ln     net.Listener
+	stop   chan struct{} // closed by Stop: ends every delayed line
+	wg     sync.WaitGroup
 
-	mu       sync.Mutex
-	lines    []string
-	answered int // mutations answered, which DropAfter counts
-	conns    map[net.Conn]struct{}
-
-	// The script (zero values: a healthy lone primary).
-	Replica   bool          // ROLE: a follower, until PROMOTEd
-	Syncing   bool          // ROLE: a follower still catching up (synced=0)
-	MinAcks   int           // ROLE: the min_acks a primary reports
-	Roles     int           // ROLE requests answered
-	Hung      bool          // reads every line, ROLE included, and answers none
-	Hold      int           // a connection answers nothing before it has received this many lines
-	DropAfter int           // > 0: crash instead of answering mutation number DropAfter+1
-	QryErr    string        // non-empty: every QRY is answered with this line
-	QryDelay  time.Duration // every QRY takes this long
-	Explain   string        // non-empty: EXPLAIN JSON is answered "OK " + this body
+	mu     sync.Mutex
+	script Script
+	conns  map[net.Conn]struct{} // nil once stopped
 }
 
-// NewFakeShard starts a fake on a free loopback port; the test's cleanup
-// stops it.
+// Script is what a relay changes; its zero value changes nothing.
+type Script struct {
+	MinAcks string // non-empty: the min_acks= a ROLE reply reports
+	Synced  string // non-empty: the synced= a ROLE reply reports
+	// Faults is checked once per request line, at the line's first word
+	// after any TID= token (QRY, INS, DEL, ROLE, ...; an AVG leg's is
+	// PAIR): slow= and stall= delay the line, err answers it with the
+	// injected ERR, and drop relays nothing more and closes both sides.
+	// Its Ops count the lines by that word.
+	Faults *fault.Injector
+}
+
+// StartRelay starts a relay in front of m on a free loopback port; the
+// test's cleanup stops it.
 //
-//histlint:ignore deadexport test seam: the proxy tests of cmd/histproxy and internal/histproxy
-func NewFakeShard(t *testing.T) *FakeShard {
+//histlint:ignore deadexport test seam: the tests of cmd/histproxy and internal/fleettest
+func StartRelay(t *testing.T, m *Member, s Script) *Relay {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &FakeShard{Addr: ln.Addr().String(), ln: ln, conns: make(map[net.Conn]struct{})}
-	go f.acceptLoop(ln)
-	t.Cleanup(f.Stop)
-	return f
+	r := &Relay{Addr: ln.Addr().String(), member: m.Addr, ln: ln, stop: make(chan struct{}),
+		script: s, conns: make(map[net.Conn]struct{})}
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		for {
+			client, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			r.wg.Add(1)
+			go r.serve(client)
+		}
+	}()
+	t.Cleanup(r.Stop)
+	return r
 }
 
-func (f *FakeShard) acceptLoop(ln net.Listener) {
+// Set replaces the script: every line after it follows s.
+//
+//histlint:ignore deadexport test seam: the tests of cmd/histproxy
+func (r *Relay) Set(s Script) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.script = s
+}
+
+// Stop closes the listener and every relayed connection, ends every
+// delayed line, and returns once nothing of the relay runs.
+func (r *Relay) Stop() {
+	r.mu.Lock()
+	if r.conns != nil {
+		close(r.stop)
+		_ = r.ln.Close() // the relay is going: nothing to report
+		for c := range r.conns {
+			_ = c.Close()
+		}
+		r.conns = nil
+	}
+	r.mu.Unlock()
+	r.wg.Wait()
+}
+
+// serve relays one connection line by line until a side closes, a drop
+// or Stop. Replies leave when the client has sent nothing more, as a
+// member flushes them.
+func (r *Relay) serve(client net.Conn) {
+	defer r.wg.Done()
+	member, err := net.DialTimeout("tcp", r.member, time.Second)
+	r.mu.Lock()
+	stopped := r.conns == nil
+	if err == nil && !stopped {
+		r.conns[client], r.conns[member] = struct{}{}, struct{}{}
+	}
+	r.mu.Unlock()
+	in, out := bufio.NewReader(client), bufio.NewWriter(client)
+	defer func() {
+		_ = out.Flush() // the replies already due; the client may be gone
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		for _, c := range []net.Conn{client, member} {
+			if c != nil {
+				_ = c.Close()
+				delete(r.conns, c)
+			}
+		}
+	}()
+	if err != nil || stopped {
+		return // the member is down, and so is the link
+	}
+	replies := bufio.NewReader(member)
 	for {
-		conn, err := ln.Accept()
+		if in.Buffered() == 0 && out.Flush() != nil {
+			return
+		}
+		line, err := in.ReadString('\n')
 		if err != nil {
 			return
 		}
-		f.mu.Lock()
-		f.conns[conn] = struct{}{}
-		f.mu.Unlock()
-		go f.serve(conn)
-	}
-}
-
-// Restart brings the shard back on its previous address (rejoin).
-//
-//histlint:ignore deadexport test seam: the proxy tests of cmd/histproxy and internal/histproxy
-func (f *FakeShard) Restart(t *testing.T) {
-	t.Helper()
-	ln, err := net.Listen("tcp", f.Addr)
-	if err != nil {
-		t.Fatalf("rebind %s: %v", f.Addr, err)
-	}
-	f.mu.Lock()
-	f.ln = ln
-	f.mu.Unlock()
-	go f.acceptLoop(ln)
-	t.Cleanup(f.Stop)
-}
-
-// Set changes the fake's script under its lock.
-//
-//histlint:ignore deadexport test seam: the proxy tests of cmd/histproxy and internal/histproxy
-func (f *FakeShard) Set(change func(*FakeShard)) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	change(f)
-}
-
-// Stop simulates a crash: the listener and every accepted connection
-// (including ones sitting in the proxy's pool) die at once.
-func (f *FakeShard) Stop() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	_ = f.ln.Close() // a crash: nothing to report
-	for c := range f.conns {
-		_ = c.Close()
-	}
-	f.conns = make(map[net.Conn]struct{})
-}
-
-func (f *FakeShard) serve(conn net.Conn) {
-	defer func() { _ = conn.Close() }()
-	sc := bufio.NewScanner(conn)
-	var held strings.Builder
-	for n := 0; sc.Scan(); {
-		f.mu.Lock()
-		hung := f.Hung
-		f.mu.Unlock()
-		if hung {
-			continue
+		trimmed := strings.TrimSpace(line)
+		if trimmed == "" {
+			continue // a member answers a blank line with nothing
 		}
-		line := strings.TrimSpace(sc.Text())
-		_, stripped := trace.CutRequestID(line)
+		_, stripped := trace.CutRequestID(trimmed)
 		verb, _, _ := strings.Cut(stripped, " ")
-		if verb == "ROLE" || verb == "PROMOTE" {
-			// The proxy's member-state loop, not a client's line: answered
-			// at once, counted apart from the recorded lines and the hold.
-			fmt.Fprint(conn, f.role(verb == "PROMOTE"))
-			continue
-		}
-		n++
-		f.mu.Lock()
-		f.lines = append(f.lines, line)
-		hold := f.Hold
-		crash := (verb == "INS" || verb == "DEL") && f.DropAfter > 0 && f.answered >= f.DropAfter
-		f.mu.Unlock()
-		if crash {
-			f.Stop()
+		r.mu.Lock()
+		s := r.script
+		r.mu.Unlock()
+		o := s.Faults.Check(verb)
+		if o.Delay > 0 && (out.Flush() != nil || !r.wait(o.Delay)) {
 			return
 		}
-		held.WriteString(f.reply(verb))
-		if n >= hold {
-			fmt.Fprint(conn, held.String())
-			held.Reset()
+		var reply string
+		switch {
+		case o.Drop:
+			return
+		case o.Err != nil:
+			reply = "ERR " + o.Err.Error() + "\n"
+		default:
+			if _, err := io.WriteString(member, line); err != nil {
+				return
+			}
+			if reply, err = replies.ReadString('\n'); err != nil {
+				return
+			}
+			if verb == "ROLE" {
+				reply = s.role(reply)
+			}
+		}
+		if _, err := out.WriteString(reply); err != nil {
+			return
 		}
 	}
 }
 
-// Received returns every raw request line the shard has seen.
-//
-//histlint:ignore deadexport test seam: the proxy tests of cmd/histproxy and internal/histproxy
-func (f *FakeShard) Received() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]string(nil), f.lines...)
+// wait sleeps d, or until Stop; it reports whether the relay still runs.
+func (r *Relay) wait(d time.Duration) bool {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return true
+	case <-r.stop:
+		return false
+	}
 }
 
-// role answers ROLE, or PROMOTE, from the script.
-func (f *FakeShard) role(promote bool) string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if promote {
-		f.Replica = false
-	} else {
-		f.Roles++
-	}
-	if f.Replica {
-		synced := 1
-		if f.Syncing {
-			synced = 0
+// role rewrites a ROLE reply's min_acks= and synced= as s says; every
+// other byte passes.
+func (s Script) role(reply string) string {
+	set := map[string]string{"min_acks": s.MinAcks, "synced": s.Synced}
+	fields := strings.Split(strings.TrimSuffix(reply, "\n"), " ")
+	for i, f := range fields {
+		if k, _, _ := strings.Cut(f, "="); set[k] != "" {
+			fields[i] = k + "=" + set[k]
 		}
-		return fmt.Sprintf("OK role=replica applied_lsn=0 lag_lsn=0 primary=fake synced=%d op=sum\n", synced)
 	}
-	return fmt.Sprintf("OK role=primary last_lsn=0 followers=0 min_acks=%d op=sum\n", f.MinAcks)
-}
-
-func (f *FakeShard) reply(verb string) string {
-	f.mu.Lock()
-	delay, qryErr, explain := f.QryDelay, f.QryErr, f.Explain
-	if verb == "INS" || verb == "DEL" {
-		f.answered++
-	}
-	f.mu.Unlock()
-	switch verb {
-	case "QRY":
-		time.Sleep(delay)
-		if qryErr != "" {
-			return qryErr + "\n"
-		}
-		return "0\n"
-	case "EXPLAIN":
-		if explain != "" {
-			return "OK " + explain + "\n"
-		}
-		return `OK {"result":0,"trace":{"name":"fake.query"}}` + "\n"
-	default:
-		return "OK\n"
-	}
+	return strings.Join(fields, " ") + "\n"
 }
 
 // Apply feeds one acknowledged mutation line, split at white space
 // ("INS|DEL <t> <c1> <c2> <v>"), to the reference.
 //
-//histlint:ignore deadexport test seam: the proxy tests of cmd/histproxy and internal/histproxy
+//histlint:ignore deadexport test seam: the tests of cmd/histproxy
 func Apply(t *testing.T, ref *oracle.Points, f []string) {
 	t.Helper()
 	tm, coords := int64(wireInt(t, f[1])), []int{wireInt(t, f[2]), wireInt(t, f[3])}
@@ -368,7 +366,7 @@ func Apply(t *testing.T, ref *oracle.Points, f []string) {
 // avg) gives to QRY with the fields after the verb, <tlo> <thi> <lo1>
 // <lo2> <hi1> <hi2>, as the wire renders it.
 //
-//histlint:ignore deadexport test seam: the proxy tests of cmd/histproxy and internal/histproxy
+//histlint:ignore deadexport test seam: the tests of cmd/histproxy
 func Answer(t *testing.T, ref oracle.Points, op string, args []string) string {
 	t.Helper()
 	var b [6]int

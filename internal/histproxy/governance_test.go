@@ -8,10 +8,13 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"histcube/internal/fault"
+	"histcube/internal/fleettest"
 	"histcube/internal/linetest"
 	"histcube/internal/shardclient"
 )
@@ -24,9 +27,13 @@ import (
 // keeps serving. A panic in front of a single line (the serve.dispatch
 // site) costs that line only, as on histserve.
 func TestProxyPanicContainmentIsPerRun(t *testing.T) {
-	spec, _ := threeShards(t)
+	var addrs []any
+	for range 3 {
+		addrs = append(addrs, fleettest.StartMember(t, fleettest.MemberConfig("sum")).Addr)
+	}
 	// Never started, so no member-state loop reads the broken groups.
-	p, err := New(testConfig(spec))
+	p, err := New(Config{Dims: "8,8", Shards: fmt.Sprintf("%s=0-99,%s=100-199,%s=200-", addrs...),
+		ShardTimeout: time.Second, BreakerThreshold: 1, ProbeEvery: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +44,13 @@ func TestProxyPanicContainmentIsPerRun(t *testing.T) {
 	p.groups = append([]*shardclient.Group(nil), groups...)
 	p.groups[0] = nil // routing anything to shard 0 dereferences it
 	p.Inj = fault.MustParse("serve.dispatch:panic@7", 1)
-	c := linetest.Dial(t, serveProxy(t, p))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go p.Serve(ln)
+	c := linetest.Dial(t, ln.Addr().String())
 
 	got := c.SendAll(t, "INS 10 1 1 5\nINS 11 1 1\nDEL 12 1 1 5\nINS 13 1 1 5\n", 4)
 	for i, l := range got {

@@ -1,94 +1,62 @@
 package histproxy
 
-// Proxies built in process for the tests that read the proxy's own
-// state; cmd/histproxy's proxy_test.go has their twins for the tests
-// that need no more than main does.
+// A member's reply is input from outside the program: file decodes it
+// where it lands, and a reply it cannot read fails its leg rather than
+// entering a merge.
 
 import (
-	"fmt"
-	"io"
-	"log/slog"
-	"net"
+	"strings"
 	"testing"
 	"time"
 
-	"histcube/internal/fleettest"
+	"histcube/internal/shard"
 	"histcube/internal/trace"
 )
 
-// testProbeEvery is the in-process proxies' -probe-every: short, so
-// rejoin and failover tests run in milliseconds.
-const testProbeEvery = 50 * time.Millisecond
-
-// testConfig is the Config the in-process proxies start from: -dims 8,8
-// over spec, a one-failure breaker, no hedging, a 1 s -shard-timeout.
-func testConfig(spec string) Config {
-	return Config{Dims: "8,8", Shards: spec, ShardTimeout: time.Second, BreakerThreshold: 1, ProbeEvery: testProbeEvery}
-}
-
-// startConfigured builds a proxy from cfg as main does, quietly, with a
-// slow log that keeps every query, and returns it after Start.
-func startConfigured(t *testing.T, cfg Config) *Proxy {
-	t.Helper()
-	p, err := New(cfg)
+// TestFileDecodesMemberReplies drives file with crafted member replies to
+// one QRY leg. A reply it cannot decode, and an ERR that says the member
+// is slow or dying, fail the leg: the error lands on the leg's span and
+// the answer is PARTIAL. Any other ERR is the member's deterministic
+// answer, relayed as the reply.
+func TestFileDecodesMemberReplies(t *testing.T) {
+	p, err := New(Config{Dims: "8,8", Shards: "127.0.0.1:1=0-", ProbeEvery: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	p.Slow = trace.NewSlowLog(32, 0)
-	p.ReqTimeout = 5 * time.Second
-	t.Cleanup(p.Close)
-	p.Start()
-	return p
-}
-
-// buildProxy starts an in-process proxy over spec with testConfig.
-func buildProxy(t *testing.T, spec string) *Proxy {
-	t.Helper()
-	return startConfigured(t, testConfig(spec))
-}
-
-// buildProxyWith is buildProxy with the given -hedge-after and
-// -shard-timeout.
-func buildProxyWith(t *testing.T, spec string, hedgeAfter, shardTimeout time.Duration) *Proxy {
-	t.Helper()
-	cfg := testConfig(spec)
-	cfg.HedgeAfter, cfg.ShardTimeout = hedgeAfter, shardTimeout
-	return startConfigured(t, cfg)
-}
-
-// serveProxy serves p on a loopback listener.
-func serveProxy(t *testing.T, p *Proxy) (addr string) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go p.Serve(ln)
-	return ln.Addr().String()
-}
-
-func startProxy(t *testing.T, spec string) (addr string, p *Proxy) {
-	t.Helper()
-	p = buildProxy(t, spec)
-	return serveProxy(t, p), p
-}
-
-// threeShards is a map over three scripted fakes: 0-99, 100-199, 200-.
-func threeShards(t *testing.T) (spec string, shards []*fleettest.FakeShard) {
-	t.Helper()
-	a, b, c := fleettest.NewFakeShard(t), fleettest.NewFakeShard(t), fleettest.NewFakeShard(t)
-	spec = fmt.Sprintf("%s=0-99,%s=100-199,%s=200-", a.Addr, b.Addr, c.Addr)
-	return spec, []*fleettest.FakeShard{a, b, c}
-}
-
-// waitFor polls cond for up to 5 s.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("waited 5 s for %s", what)
-		}
+	t.Cleanup(p.Close) // never started: nothing dials the member
+	const relayed = "ERR bad coordinate d0: 7 outside [0, 4)"
+	for _, tc := range []struct {
+		name           string
+		explain, pair  bool
+		reply, failure string // failure: the leg's error attribute; "" relays the reply
+	}{
+		{"non-numeric QRY reply", false, false, "five", `non-numeric QRY reply "five"`},
+		{"PAIR reply without a count", false, true, "5", `QRY reply "5" is no sum and count`},
+		{"EXPLAIN reply without OK", true, false, `{"result":5,"trace":{"name":"histserve.query"}}`, "unexpected EXPLAIN reply"},
+		{"EXPLAIN reply with a nameless root", true, false, `OK {"result":5,"trace":{}}`, "no named trace root"},
+		{"ERR timeout is a leg failure", false, false, "ERR timeout: request deadline exceeded", "ERR timeout"},
+		{"any other ERR is relayed", false, false, relayed, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := &routed{root: trace.New("proxy.query"), explain: tc.explain, pair: tc.pair}
+			rt.sends = []send{{of: rt, leg: shard.Leg{Addr: "127.0.0.1:1", TimeLo: 0, TimeHi: 9},
+				span: rt.root.StartChild("proxy.leg")}}
+			p.file(&rt.sends[0], tc.reply, nil, 1)
+			rt.root.End()
+			attr, _ := rt.sends[0].span.JSON().Attrs["error"].(string)
+			answer := p.merge(rt)
+			if tc.failure == "" {
+				if attr != "" || answer != tc.reply {
+					t.Fatalf("answer %q, leg error %q; want the member's %q relayed", answer, attr, tc.reply)
+				}
+				return
+			}
+			if !strings.Contains(attr, tc.failure) {
+				t.Errorf("leg error attribute %q, want it to name %q", attr, tc.failure)
+			}
+			if !strings.HasPrefix(answer, "PARTIAL ") {
+				t.Errorf("answer %q, want PARTIAL over a failed leg", answer)
+			}
+		})
 	}
 }

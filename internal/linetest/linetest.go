@@ -75,7 +75,7 @@ func (c *Client) Float(t *testing.T, line string) float64 {
 
 // Multi reads an END-terminated response after the given command.
 //
-//histlint:ignore deadexport test seam: the tests of cmd/histserve, cmd/histproxy and internal/histproxy
+//histlint:ignore deadexport test seam: the tests of cmd/histserve and cmd/histproxy
 func (c *Client) Multi(t *testing.T, line string) []string {
 	t.Helper()
 	first := c.Cmd(t, line)
@@ -98,7 +98,7 @@ func (c *Client) Multi(t *testing.T, line string) []string {
 
 // SendAll writes payload in one write and reads n reply lines.
 //
-//histlint:ignore deadexport test seam: the tests of cmd/histserve, cmd/histproxy and internal/histproxy
+//histlint:ignore deadexport test seam: the tests of cmd/histserve, cmd/histproxy, internal/histproxy and internal/fleettest
 func (c *Client) SendAll(t *testing.T, payload string, n int) []string {
 	t.Helper()
 	if err := c.Conn.SetDeadline(time.Now().Add(20 * time.Second)); err != nil {

@@ -11,55 +11,65 @@ import (
 	"time"
 )
 
-// fakeShard is a minimal line-protocol backend: it answers ROLE,
-// QRY (fixed value), ERRME (ERR reply) and DROPME (closes the conn
-// mid-request).
-type fakeShard struct {
+// shard is the one line-protocol backend of this package's tests: ROLE
+// answers as a lone primary, QRY its value after its delay, ERRME an ERR
+// reply and DROPME closes the connection mid-request, unless the shard
+// survives it; any other line is answered OK. Distinct values let the
+// group tests see which member answered.
+type shard struct {
 	ln       net.Listener
-	accepted atomic.Int64
+	value    string
+	delay    time.Duration
+	survives atomic.Bool  // DROPME is answered OK
+	accepted atomic.Int64 // connections
+	hits     atomic.Int64 // lines received
 }
 
-func startFakeShard(t *testing.T) *fakeShard {
+func startShard(t *testing.T, value string, delay time.Duration) *shard {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	f := &fakeShard{ln: ln}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			f.accepted.Add(1)
-			go f.serve(conn)
-		}
-	}()
+	s := &shard{ln: ln, value: value, delay: delay}
+	go s.accept()
 	t.Cleanup(func() { ln.Close() })
-	return f
+	return s
 }
 
-func (f *fakeShard) serve(conn net.Conn) {
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	for sc.Scan() {
-		switch line := sc.Text(); {
-		case line == "ROLE":
-			conn.Write([]byte("OK role=primary last_lsn=0 followers=0 min_acks=0\n"))
-		case strings.HasPrefix(line, "QRY"):
-			conn.Write([]byte("42\n"))
-		case line == "ERRME":
-			conn.Write([]byte("ERR bad request\n"))
-		case line == "DROPME":
+func (s *shard) accept() {
+	for {
+		conn, err := s.ln.Accept()
+		if err != nil {
 			return
-		default:
-			conn.Write([]byte("OK\n"))
 		}
+		s.accepted.Add(1)
+		go s.serve(conn)
 	}
 }
 
-func (f *fakeShard) addr() string { return f.ln.Addr().String() }
+func (s *shard) serve(conn net.Conn) {
+	defer conn.Close()
+	sc := bufio.NewScanner(conn)
+	for sc.Scan() {
+		s.hits.Add(1)
+		reply := "OK"
+		switch line := sc.Text(); {
+		case line == "ROLE":
+			reply = "OK role=primary last_lsn=0 followers=0 min_acks=0"
+		case strings.HasPrefix(line, "QRY"):
+			time.Sleep(s.delay)
+			reply = s.value
+		case line == "ERRME":
+			reply = "ERR bad request"
+		case line == "DROPME" && !s.survives.Load():
+			return
+		}
+		conn.Write([]byte(reply + "\n"))
+	}
+}
+
+func (s *shard) addr() string { return s.ln.Addr().String() }
 
 func newTestClient(t *testing.T, addr string) *Client {
 	t.Helper()
@@ -69,7 +79,7 @@ func newTestClient(t *testing.T, addr string) *Client {
 }
 
 func TestDoAndPooling(t *testing.T) {
-	f := startFakeShard(t)
+	f := startShard(t, "42", 0)
 	c := newTestClient(t, f.addr())
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
@@ -90,7 +100,7 @@ func TestDoAndPooling(t *testing.T) {
 }
 
 func TestErrReplyDoesNotTripBreaker(t *testing.T) {
-	f := startFakeShard(t)
+	f := startShard(t, "42", 0)
 	c := newTestClient(t, f.addr())
 	for i := 0; i < 5; i++ {
 		resp, err := c.Do(context.Background(), "ERRME", true)
@@ -162,17 +172,8 @@ func TestBreakerStaysOpenUntilProbe(t *testing.T) {
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
-	f := &fakeShard{ln: ln2}
-	go func() {
-		for {
-			conn, err := ln2.Accept()
-			if err != nil {
-				return
-			}
-			f.accepted.Add(1)
-			go f.serve(conn)
-		}
-	}()
+	f := &shard{ln: ln2, value: "42"}
+	go f.accept()
 	defer ln2.Close()
 
 	for i := 0; i < 3; i++ {
@@ -200,7 +201,7 @@ func TestBreakerStaysOpenUntilProbe(t *testing.T) {
 }
 
 func TestIdempotentRetryOnStalePooledConn(t *testing.T) {
-	f := startFakeShard(t)
+	f := startShard(t, "42", 0)
 	c := newTestClient(t, f.addr())
 	ctx := context.Background()
 
@@ -235,7 +236,7 @@ func TestIdempotentRetryOnStalePooledConn(t *testing.T) {
 }
 
 func TestClosedClientRejects(t *testing.T) {
-	f := startFakeShard(t)
+	f := startShard(t, "42", 0)
 	c := New(f.addr(), Options{})
 	c.Close()
 	if _, err := c.Do(context.Background(), "QRY 0 1 0 0", false); err == nil {
@@ -250,7 +251,7 @@ func TestClosedClientRejects(t *testing.T) {
 // k replies in line order, an ERR reply being an answer like any other,
 // on one connection that goes back to the pool.
 func TestDoBatchOneWriteRepliesInOrder(t *testing.T) {
-	f := startFakeShard(t)
+	f := startShard(t, "42", 0)
 	c := newTestClient(t, f.addr())
 	got, err := c.DoBatch(context.Background(), []string{"INS 1 0 0 1", "ERRME", "QRY 0 1 0 0", "INS 2 0 0 1"}, false)
 	if err != nil {
@@ -272,7 +273,7 @@ func TestDoBatchOneWriteRepliesInOrder(t *testing.T) {
 // before the break are returned, the rest is an error — and a batch is
 // a mutation, so nothing is retried.
 func TestDoBatchBrokenMidwayKeepsReceivedReplies(t *testing.T) {
-	f := startFakeShard(t)
+	f := startShard(t, "42", 0)
 	c := newTestClient(t, f.addr())
 	got, err := c.DoBatch(context.Background(), []string{"INS 1 0 0 1", "INS 2 0 0 1", "DROPME", "INS 3 0 0 1"}, false)
 	if err == nil {

@@ -1,58 +1,15 @@
 package shardclient
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"net"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"histcube/internal/fault"
 )
-
-// slowShard answers QRY with its own value after an optional delay —
-// distinct values let hedging tests see which member won.
-type slowShard struct {
-	ln    net.Listener
-	reply string
-	delay time.Duration
-	hits  atomic.Int64
-}
-
-func startSlowShard(t *testing.T, reply string, delay time.Duration) *slowShard {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &slowShard{ln: ln, reply: reply, delay: delay}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				sc := bufio.NewScanner(c)
-				for sc.Scan() {
-					s.hits.Add(1)
-					if s.delay > 0 {
-						time.Sleep(s.delay)
-					}
-					c.Write([]byte(s.reply + "\n"))
-				}
-			}(conn)
-		}
-	}()
-	t.Cleanup(func() { ln.Close() })
-	return s
-}
-
-func (s *slowShard) addr() string { return s.ln.Addr().String() }
 
 // pinFirst makes member 0 the next read's first attempt.
 func pinFirst(g *Group) {
@@ -62,8 +19,8 @@ func pinFirst(g *Group) {
 }
 
 func TestGroupHedgesSlowMember(t *testing.T) {
-	slow := startSlowShard(t, "1", 2*time.Second)
-	fast := startSlowShard(t, "2", 0)
+	slow := startShard(t, "1", 2*time.Second)
+	fast := startShard(t, "2", 0)
 	g := NewGroup([]string{slow.addr(), fast.addr()}, 30*time.Millisecond, Options{OpTimeout: 5 * time.Second})
 	t.Cleanup(g.Close)
 	g.SetFollowerReads(true)
@@ -85,7 +42,7 @@ func TestGroupHedgesSlowMember(t *testing.T) {
 }
 
 func TestGroupReadFailsOverToReplicaImmediately(t *testing.T) {
-	up := startSlowShard(t, "7", 0)
+	up := startShard(t, "7", 0)
 	g := NewGroup([]string{"127.0.0.1:1", up.addr()}, 0, Options{OpTimeout: time.Second})
 	t.Cleanup(g.Close)
 	g.SetFollowerReads(true)
@@ -109,8 +66,7 @@ func TestGroupAllMembersDown(t *testing.T) {
 }
 
 func TestGroupWritePinsToPrimary(t *testing.T) {
-	a := startSlowShard(t, "OK a", 0)
-	b := startSlowShard(t, "OK b", 0)
+	a, b := startShard(t, "1", 0), startShard(t, "2", 0)
 	g := NewGroup([]string{a.addr(), b.addr()}, 0, Options{OpTimeout: time.Second})
 	t.Cleanup(g.Close)
 	g.SetFollowerReads(true)
@@ -127,19 +83,17 @@ func TestGroupWritePinsToPrimary(t *testing.T) {
 		if len(resps) != len(run) {
 			t.Fatalf("run of %d answered %d replies", len(run), len(resps))
 		}
-		for _, resp := range resps {
-			if resp != "OK a" {
-				t.Fatalf("write %d reached %q, want the primary", i, resp)
-			}
-		}
+	}
+	if na, nb := a.hits.Load(), b.hits.Load(); na != 15 || nb != 0 {
+		t.Fatalf("writes reached the primary %d and the follower %d times, want 15 and 0", na, nb)
 	}
 	g.SetPrimary(1)
 	resps, err := g.Send(context.Background(), []string{"INS 1 0 0 1"}, true).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resps) != 1 || resps[0] != "OK b" {
-		t.Fatalf("write after SetPrimary reached %q", resps)
+	if len(resps) != 1 || resps[0] != "OK" || b.hits.Load() != 1 {
+		t.Fatalf("write after SetPrimary answered %q, the new primary received %d lines", resps, b.hits.Load())
 	}
 	if g.PrimaryIndex() != 1 {
 		t.Fatalf("PrimaryIndex = %d", g.PrimaryIndex())
@@ -151,8 +105,8 @@ func TestGroupWritePinsToPrimary(t *testing.T) {
 // hedge however slow it is, no fallback when it is down — and
 // SetPrimary moves it.
 func TestGroupPrimaryAloneWithoutFollowerReads(t *testing.T) {
-	slow := startSlowShard(t, "1", 100*time.Millisecond)
-	fast := startSlowShard(t, "2", 0)
+	slow := startShard(t, "1", 100*time.Millisecond)
+	fast := startShard(t, "2", 0)
 	g := NewGroup([]string{slow.addr(), fast.addr()}, 10*time.Millisecond, Options{OpTimeout: 5 * time.Second})
 	t.Cleanup(g.Close)
 	for i := 0; i < 4; i++ {
@@ -179,8 +133,8 @@ func TestGroupPrimaryAloneWithoutFollowerReads(t *testing.T) {
 }
 
 func TestGroupHedgeLoserDoesNotFeedBreaker(t *testing.T) {
-	slow := startSlowShard(t, "1", 300*time.Millisecond)
-	fast := startSlowShard(t, "2", 0)
+	slow := startShard(t, "1", 300*time.Millisecond)
+	fast := startShard(t, "2", 0)
 	g := NewGroup([]string{slow.addr(), fast.addr()}, 10*time.Millisecond, Options{
 		OpTimeout: 5 * time.Second, BreakerThreshold: 2,
 	})
@@ -204,8 +158,8 @@ func TestGroupHedgeLoserDoesNotFeedBreaker(t *testing.T) {
 // not its lines — one timer, one duplicate, one count — and the replies
 // all come from the member that won.
 func TestGroupReadBatchHedgesOncePerBatch(t *testing.T) {
-	slow := startSlowShard(t, "1", time.Second)
-	fast := startSlowShard(t, "2", 0)
+	slow := startShard(t, "1", time.Second)
+	fast := startShard(t, "2", 0)
 	g := NewGroup([]string{slow.addr(), fast.addr()}, 30*time.Millisecond, Options{OpTimeout: 5 * time.Second})
 	t.Cleanup(g.Close)
 	g.SetFollowerReads(true)
@@ -229,8 +183,8 @@ func TestGroupReadBatchHedgesOncePerBatch(t *testing.T) {
 // after answering part of a batch contributes nothing — the next member
 // gets the whole batch and answers all of it.
 func TestGroupReadBatchFailoverDiscardsPartialReplies(t *testing.T) {
-	dying := startFakeShard(t) // answers QRY with 42, closes on DROPME
-	up := startSlowShard(t, "7", 0)
+	dying, up := startShard(t, "42", 0), startShard(t, "7", 0)
+	up.survives.Store(true)
 	g := NewGroup([]string{dying.addr(), up.addr()}, 0, Options{OpTimeout: time.Second})
 	t.Cleanup(g.Close)
 	g.SetFollowerReads(true)
@@ -239,7 +193,7 @@ func TestGroupReadBatchFailoverDiscardsPartialReplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Join(got, "|") != "7|7|7" {
+	if strings.Join(got, "|") != "7|OK|7" {
 		t.Fatalf("got %q, want every reply from the surviving member", got)
 	}
 	if g.Hedged() != 0 {
@@ -250,8 +204,8 @@ func TestGroupReadBatchFailoverDiscardsPartialReplies(t *testing.T) {
 // TestGroupReadBatchLoserDoesNotFeedBreaker: a batch cancelled because
 // its duplicate won says nothing about the member's health.
 func TestGroupReadBatchLoserDoesNotFeedBreaker(t *testing.T) {
-	slow := startSlowShard(t, "1", 100*time.Millisecond)
-	fast := startSlowShard(t, "2", 0)
+	slow := startShard(t, "1", 100*time.Millisecond)
+	fast := startShard(t, "2", 0)
 	g := NewGroup([]string{slow.addr(), fast.addr()}, 10*time.Millisecond, Options{
 		OpTimeout: 5 * time.Second, BreakerThreshold: 2,
 	})
@@ -328,7 +282,7 @@ func TestGroupHedgeRaceReturnsOnParentCancel(t *testing.T) {
 }
 
 func TestClientConnFaultHooks(t *testing.T) {
-	up := startSlowShard(t, "5", 0)
+	up := startShard(t, "5", 0)
 
 	// DialFault: injected dial failures surface like dial errors.
 	inj := fault.MustParse("proxy0.dial:err@1", 1)
