@@ -94,6 +94,10 @@ step_benchmod() {
 
 step_fuzz() {
     echo "== fuzz smoke (10s per target) =="
+    # The serving core's tokeniser against strings.Fields, the split it
+    # stands in for.
+    require_tests ./internal/lineserver/ FuzzFields
+    go test -run='^$' -fuzz=FuzzFields -fuzztime=10s ./internal/lineserver/
     require_tests ./internal/wal/ FuzzRecordDecode
     go test -run='^$' -fuzz=FuzzRecordDecode -fuzztime=10s ./internal/wal/
     require_tests ./internal/shard/ FuzzShardMapParse
@@ -220,17 +224,17 @@ step_traceguard() {
 }
 
 step_perfguard() {
-    echo "== serving-path overhead guards (Histogram.Observe <= 150 ns, 0 allocs; served QRY <= 7 allocs, <= 640 B; served INS/DEL <= 8 allocs, <= 640 B; converged core query 0 allocs; proxied window <= 94 allocs; one write per group commit, no segment growth; segment read allocates by records; Save streams in < 1 MiB) =="
+    echo "== serving-path overhead guards (Histogram.Observe <= 150 ns, 0 allocs; served QRY <= 4 allocs, <= 608 B; served INS/DEL <= 5 allocs, <= 624 B; converged core query 0 allocs; proxied window <= 85 allocs; one write per group commit, no segment growth; segment read allocates by records; Save streams in < 1 MiB) =="
     # What every served request pays to be timed, once per request and
     # once per stage, and what one served QRY allocates in all: its
-    # request and fields, its pending op (which holds the parsed box),
-    # its deadline context (no timer, and it carries the span) and its
-    # reply. A served INS or DEL: its request, its pending op and
-    # coordinates, its deadline context and the cube's update sets.
-    # Neither allocates for its span tree: it is built on a slab the
-    # trace ring recycled. Below them, a converged historic query with
-    # a span-less context allocates nothing. Same regime as the tracer
-    # guard: un-instrumented runs only.
+    # request (which holds its fields), its pending op (which holds the
+    # parsed box and the request's context: no timer, and it carries the
+    # span) and its reply. A served INS or DEL: its request, its pending
+    # op and coordinates and the cube's update sets. Neither allocates
+    # for its span tree: it is built on a slab the trace ring recycled.
+    # Below them, a converged historic query with a span-less context
+    # allocates nothing. Same regime as the tracer guard: un-instrumented
+    # runs only.
     run_named ./internal/obs/ TestHistogramObserveOverhead -count=1
     run_named ./cmd/histserve/ 'TestServedQueryAllocs|TestServedInsertAllocs' -count=1
     run_named ./internal/core/ TestConvergedQueryAllocs -count=1

@@ -447,13 +447,15 @@ func TestProxyMergedStats(t *testing.T) {
 
 // TestProxyStatsAsksThePrimary: a replica set's STATS is its primary's.
 // Round-robin over the members used to sum the follower-only replica
-// fields into the fleet line whenever the follower answered.
+// fields into the fleet line whenever the follower answered. The proxy
+// starts from steadyConfig, so one late ROLE cannot make the follower the
+// primary whose STATS the test reads.
 func TestProxyStatsAsksThePrimary(t *testing.T) {
 	primary := fleettest.StartMember(t, fleettest.DurableConfig("sum", t.TempDir(), "never"))
 	cfg := fleettest.DurableConfig("sum", t.TempDir(), "never")
 	cfg.Follow = primary.Addr
 	follower := fleettest.StartMember(t, cfg)
-	addr, _ := startProxy(t, fmt.Sprintf("%s|%s=0-", primary.Addr, follower.Addr))
+	addr := serveProxy(t, startConfigured(t, steadyConfig(fmt.Sprintf("%s|%s=0-", primary.Addr, follower.Addr), 0)))
 	c := linetest.Dial(t, addr)
 	if got := c.Cmd(t, "INS 1 1 1 5"); got != "OK" {
 		t.Fatalf("INS = %q", got)

@@ -342,7 +342,9 @@ func TestUnitDoesNotHedgeBufferedReadBatch(t *testing.T) {
 // semiSyncFleet starts two real replica sets in process — a semi-sync
 // primary plus a WAL-shipping follower each, everything -fsync always —
 // behind an in-process proxy, and returns the proxy address and the four
-// member addresses (primary0, follower0, primary1, follower1).
+// member addresses (primary0, follower0, primary1, follower1). The proxy
+// starts from steadyConfig: one late ROLE must not fail a primary over
+// mid-script.
 func semiSyncFleet(t *testing.T) (string, []string) {
 	t.Helper()
 	var members []string
@@ -350,8 +352,8 @@ func semiSyncFleet(t *testing.T) (string, []string) {
 		primary, followers := replicaSet(t, "always", 1, 1)
 		members = append(members, primary.Addr, followers[0].Addr)
 	}
-	addr, _ := startProxy(t, fmt.Sprintf("%s|%s=0-99,%s|%s=100-", members[0], members[1], members[2], members[3]))
-	return addr, members
+	p := startConfigured(t, steadyConfig(fmt.Sprintf("%s|%s=0-99,%s|%s=100-", members[0], members[1], members[2], members[3]), 0))
+	return serveProxy(t, p), members
 }
 
 // TestRunConformanceThroughSemiSyncFleet sends one script at depth 1

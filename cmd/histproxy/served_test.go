@@ -16,7 +16,7 @@ import (
 
 // proxiedWindowLimit is what one four-line window through the proxy may
 // allocate, counted over the whole process.
-const proxiedWindowLimit = 94
+const proxiedWindowLimit = 85
 
 // startEchoShard is a loopback shard that allocates nothing per line: it
 // answers a QRY with 0, ROLE as a primary whose min_acks covers one

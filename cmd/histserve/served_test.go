@@ -8,24 +8,24 @@ import (
 	"histcube/internal/histserve"
 )
 
-// What one served QRY may allocate: the request and its fields, the
-// pending op (which holds the parsed box), the deadline context and the
-// reply. Its span tree is a slab the trace ring recycled, and the
-// converged query below it allocates nothing (internal/core's
-// TestConvergedQueryAllocs); the byte bound leaves no room for a span
-// slab (2 568 B).
+// What one served QRY may allocate: the request (whose fields it
+// holds), the pending op (which holds the parsed box and the request's
+// context) and the reply. Its span tree is a slab the trace ring
+// recycled, and the converged query below it allocates nothing
+// (internal/core's TestConvergedQueryAllocs); the byte bound leaves no
+// room for a span slab (2 952 B).
 const (
-	servedQueryLimit = 7
-	servedQueryBytes = 640
+	servedQueryLimit = 4
+	servedQueryBytes = 608
 )
 
-// What one served INS or DEL may allocate: the request and its fields,
-// the pending op and its coordinates (the out-of-order buffer may keep
-// them), the deadline context and the cube's update sets. Its two-span
-// tree is on a recycled slab, as a query's is.
+// What one served INS or DEL may allocate: the request, the pending op
+// and its coordinates (the out-of-order buffer may keep them) and the
+// cube's update sets. Its two-span tree is on a recycled slab, as a
+// query's is.
 const (
-	servedMutationObjects = 8
-	servedMutationBytes   = 640
+	servedMutationObjects = 5
+	servedMutationBytes   = 624
 )
 
 // convergedServer is a warm 64x64 -ooo cube with the binary's default
@@ -58,8 +58,8 @@ func BenchmarkServedQuery(b *testing.B) {
 }
 
 // TestServedQueryAllocs guards what a served QRY allocates: nothing for
-// its span tree, its converged cube query or its box, and no runtime
-// timer or channel for its deadline.
+// its span tree, its converged cube query, its box, its fields or its
+// context, and no runtime timer or channel for its deadline.
 func TestServedQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on its own")
@@ -97,7 +97,7 @@ func BenchmarkServedInsert(b *testing.B) {
 }
 
 // TestServedInsertAllocs guards what a served INS and a served DEL
-// allocate: nothing for their span tree, and one context.
+// allocate: nothing for their span tree, their fields or their context.
 func TestServedInsertAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on its own")

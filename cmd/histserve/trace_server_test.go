@@ -70,6 +70,74 @@ func TestExplainConvergence(t *testing.T) {
 	}
 }
 
+// TestConvergedQueryIsFourSpans pins the span tree of a converged served
+// QRY on an -ooo server: histserve.query, histcube.query and one
+// histcube.prefix per framework prefix, each carrying t, slice and form
+// and the cost of the one instance it read, so the prefixes' counters
+// are the query's; an empty out-of-order buffer adds no span. After one
+// out-of-order INS, histcube.ooo_buffer is back with pending=1.
+func TestConvergedQueryIsFourSpans(t *testing.T) {
+	c := linetest.Dial(t, startTestServer(t, true))
+	for tm := 1; tm <= 3; tm++ {
+		for i := 0; i < 8; i++ {
+			if got := c.Cmd(t, fmt.Sprintf("INS %d %d %d 1", tm, i, (i*5)%8)); got != "OK" {
+				t.Fatalf("INS -> %q", got)
+			}
+		}
+	}
+	// Times 1 and 2 are historic slices 0 and 1; the first run converts
+	// the cells the query reads, so the second is converged.
+	explain := func() *trace.SpanJSON {
+		t.Helper()
+		resp := c.Cmd(t, "EXPLAIN JSON QRY 2 2 1 1 6 6")
+		body, ok := strings.CutPrefix(resp, "OK ")
+		if !ok {
+			t.Fatalf("EXPLAIN JSON -> %q", resp)
+		}
+		doc, err := trace.DecodeExplain([]byte(body))
+		if err != nil {
+			t.Fatalf("EXPLAIN JSON body: %v\n%s", err, body)
+		}
+		return doc.Trace
+	}
+	explain()
+	root := explain()
+	if root.Name != "histserve.query" || len(root.Children) != 1 || root.Children[0].Name != "histcube.query" {
+		t.Fatalf("root = %s with %d children, want histserve.query over one histcube.query", root.Name, len(root.Children))
+	}
+	q := root.Children[0]
+	if len(q.Children) != 2 {
+		t.Fatalf("histcube.query has %d children, want its two histcube.prefix spans alone", len(q.Children))
+	}
+	cells := int64(0)
+	for i, p := range q.Children {
+		if p.Name != "histcube.prefix" || len(p.Children) != 0 {
+			t.Fatalf("child %d = %s with %d children, want a histcube.prefix leaf", i, p.Name, len(p.Children))
+		}
+		wantT := []string{"2", "1"}[i]
+		if got := fmt.Sprint(p.Attrs["t"], " ", p.Attrs["slice"], " ", p.Attrs["form"]); got != wantT+" "+fmt.Sprint(1-i)+" historic" {
+			t.Errorf("prefix %d attrs t, slice, form = %s, want %s %d historic", i, got, wantT, 1-i)
+		}
+		if p.Counters["instances"] != 1 || p.Counters["cells_touched"] != 4 || p.Counters["conversions"] != 0 {
+			t.Errorf("prefix %d counters = %v, want instances=1 and the converged 2^(d-1) = 4 cells_touched, no conversions", i, p.Counters)
+		}
+		cells += p.Counters["cells_touched"]
+	}
+	if tree := root.Span(); tree.Total(trace.Instances) != 2 || tree.Total(trace.CellsTouched) != cells || len(q.Counters) != 0 {
+		t.Errorf("totals instances=%d cells_touched=%d, histcube.query's own counters %v; want 2, the prefixes' %d, none",
+			tree.Total(trace.Instances), tree.Total(trace.CellsTouched), q.Counters, cells)
+	}
+
+	if got := c.Cmd(t, "INS 1 0 0 5"); got != "OK" {
+		t.Fatalf("out-of-order INS -> %q", got)
+	}
+	q = explain().Children[0]
+	if len(q.Children) != 3 || q.Children[2].Name != "histcube.ooo_buffer" || fmt.Sprint(q.Children[2].Attrs["pending"]) != "1" {
+		t.Fatalf("after one out-of-order INS histcube.query has %d children, want the two prefixes and histcube.ooo_buffer pending=1: %+v",
+			len(q.Children), q.Children[len(q.Children)-1])
+	}
+}
+
 // requireConvergence repeats one historic EXPLAIN QRY (explain sends
 // it and returns the reply up to END) and requires the Fig. 10/11
 // shape: the first run in the DDC regime (conversions > 0, more than

@@ -487,8 +487,9 @@ func (c *Cube) Query(timeLo, timeHi int64, box dims.Box) (float64, error) {
 // QueryTraced is Query with per-request cost attribution: each of the
 // (at most two) prefix time queries of the framework reduction becomes
 // a histcube.prefix child span under sp, carrying the directory
-// lookup result and the consulted instance's cost counters. A nil
-// span records nothing and costs a few branches.
+// lookup result, the form of the instance it consulted and that
+// instance's cost counters. A nil span records nothing and costs a few
+// branches.
 func (c *Cube) QueryTraced(sp *trace.Span, timeLo, timeHi int64, box dims.Box) (float64, error) {
 	return c.QueryCtx(context.Background(), sp, timeLo, timeHi, box)
 }
@@ -526,7 +527,9 @@ func (c *Cube) QueryCtx(ctx context.Context, sp *trace.Span, timeLo, timeHi int6
 
 // prefixTimeQuery answers the half-open range "all points with time
 // coordinate <= t" restricted to the box — the prefix time query the
-// framework reduces everything to.
+// framework reduces everything to. Its histcube.prefix span under sp
+// carries t, the slice the directory lookup found ("none" when no time
+// is <= t) and, from sliceQuery, the form of that instance and its cost.
 func (c *Cube) prefixTimeQuery(ctx context.Context, sp *trace.Span, t int64, box dims.Box) (float64, error) {
 	ps := sp.StartChild("histcube.prefix")
 	defer ps.End()
@@ -543,13 +546,12 @@ func (c *Cube) prefixTimeQuery(ctx context.Context, sp *trace.Span, t int64, box
 
 // sliceQuery aggregates the box over the cumulative slice with index
 // s. The latest slice is answered by the DDC algorithm on cache;
-// historic slices by the eCube algorithm over the store. It attributes
-// the cost of that one instance query to a histcube.slice_query child
-// span when sp is non-nil: cells touched and conversions from the eCube
+// historic slices by the eCube algorithm over the store. When sp (the
+// prefix's span) is non-nil it records the cost of that one instance
+// query on sp: its form, cells touched and conversions from the eCube
 // engine, cache/store access deltas, and — for disk-backed stores —
-// pager read/write deltas. The deltas
-// are exact because the cube serialises all calls (the server's
-// single-mutex contract).
+// pager read/write deltas. The deltas are exact because the cube
+// serialises all calls (the server's single-mutex contract).
 func (c *Cube) sliceQuery(ctx context.Context, sp *trace.Span, s int, box dims.Box) (float64, error) {
 	if s < 0 || s >= c.dir.Len() {
 		return 0, fmt.Errorf("appendcube: slice index %d out of range [0, %d)", s, c.dir.Len())
@@ -561,14 +563,11 @@ func (c *Cube) sliceQuery(ctx context.Context, sp *trace.Span, s int, box dims.B
 		if sp == nil {
 			return c.cacheQuery(box), nil
 		}
-		qs := sp.StartChild("histcube.slice_query")
-		qs.SetInt("slice", int64(s))
-		qs.SetStr("form", "cache")
-		qs.Add(trace.Instances, 1)
+		sp.SetStr("form", "cache")
+		sp.Add(trace.Instances, 1)
 		cacheBefore := c.CacheAccesses
 		v := c.cacheQuery(box)
-		qs.Add(trace.CacheAccesses, c.CacheAccesses-cacheBefore)
-		qs.End()
+		sp.Add(trace.CacheAccesses, c.CacheAccesses-cacheBefore)
 		return v, nil
 	}
 	// The cube lends its own view and scratch: queries convert cells,
@@ -578,10 +577,8 @@ func (c *Cube) sliceQuery(ctx context.Context, sp *trace.Span, s int, box dims.B
 	if sp == nil {
 		return c.engine.RangeCtx(ctx, nil, &c.view, box, &c.eval)
 	}
-	qs := sp.StartChild("histcube.slice_query")
-	qs.SetInt("slice", int64(s))
-	qs.SetStr("form", "historic")
-	qs.Add(trace.Instances, 1)
+	sp.SetStr("form", "historic")
+	sp.Add(trace.Instances, 1)
 	cacheBefore := c.CacheAccesses
 	storeBefore := c.store.Accesses()
 	var readsBefore, writesBefore int64
@@ -589,14 +586,13 @@ func (c *Cube) sliceQuery(ctx context.Context, sp *trace.Span, s int, box dims.B
 	if pg != nil {
 		readsBefore, writesBefore = pg.Reads, pg.Writes
 	}
-	v, err := c.engine.RangeCtx(ctx, qs, &c.view, box, &c.eval)
-	qs.Add(trace.CacheAccesses, c.CacheAccesses-cacheBefore)
-	qs.Add(trace.StoreAccesses, c.store.Accesses()-storeBefore)
+	v, err := c.engine.RangeCtx(ctx, sp, &c.view, box, &c.eval)
+	sp.Add(trace.CacheAccesses, c.CacheAccesses-cacheBefore)
+	sp.Add(trace.StoreAccesses, c.store.Accesses()-storeBefore)
 	if pg != nil {
-		qs.Add(trace.PagerReads, pg.Reads-readsBefore)
-		qs.Add(trace.PagerWrites, pg.Writes-writesBefore)
+		sp.Add(trace.PagerReads, pg.Reads-readsBefore)
+		sp.Add(trace.PagerWrites, pg.Writes-writesBefore)
 	}
-	qs.End()
 	return v, err
 }
 

@@ -290,7 +290,9 @@ func (c *Cube) partial(ctx context.Context, sp *trace.Span, r Range) (agg.Value,
 		}
 		out.Count = n
 	}
-	if c.gd != nil {
+	// An empty buffer adds nothing, and its span would be one more per
+	// query on every -ooo server that has caught up.
+	if c.gd != nil && c.gd.Len() > 0 {
 		gq := sp.StartChild("histcube.ooo_buffer")
 		gq.SetInt("pending", int64(c.gd.Len()))
 		g, err := c.gd.Query(r.TimeLo, r.TimeHi, box)

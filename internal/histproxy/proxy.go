@@ -570,7 +570,7 @@ func (p *Proxy) commands() []lineserver.Command {
 			return p.scatter(rq, rq.Fields[2:], true)
 		}},
 		{Verb: "STATS", Usage: "STATS takes no arguments", EndsUnit: true,
-			Handle: func(*lineserver.Request) string { return p.mergedStats() }},
+			Handle: func(rq *lineserver.Request) string { return p.mergedStats(rq.Start()) }},
 		{Verb: "VERSION", Usage: "VERSION takes no arguments", EndsUnit: true, Handle: func(*lineserver.Request) string {
 			return fmt.Sprintf("OK histproxy rev=%s dirty=%t go=%s shards=%d",
 				p.meta.GitRev, p.meta.GitDirty, p.meta.GoVersion, p.smap.Len())
@@ -655,9 +655,9 @@ func (p *Proxy) locate(rq *lineserver.Request) string {
 	}
 	var root *trace.Span
 	if rq.Verb() == "DEL" {
-		root = trace.New("proxy.delete")
+		root = trace.NewAt("proxy.delete", rq.Start())
 	} else {
-		root = trace.New("proxy.insert")
+		root = trace.NewAt("proxy.insert", rq.Start())
 	}
 	root.SetTraceID(rq.TID)
 	root.SetStr("shard", p.shards[idx].Addr)
@@ -692,7 +692,7 @@ func (p *Proxy) scatter(rq *lineserver.Request, args []string, explain bool) str
 			return fmt.Sprintf("ERR shard %s serves op=%s, not the fleet's op=%s: its answers do not merge", leg.Addr, *other, p.fleetOp())
 		}
 	}
-	root := trace.New("proxy.query")
+	root := trace.NewAt("proxy.query", rq.Start())
 	root.SetTraceID(rq.TID)
 	root.SetInt("legs", int64(len(legs)))
 	// Every shard-bound line carries the request's "TID=<hex> " token so
@@ -726,8 +726,10 @@ func (p *Proxy) scatter(rq *lineserver.Request, args []string, explain bool) str
 // request order. Mutations to different shards commute and a range
 // aggregate is the sum of its per-shard legs (Sec. 2.1, 2.2), so the
 // batches only have to be in flight together; within a shard the single
-// connection keeps the order.
-func (p *Proxy) settle(unit []*lineserver.Request) {
+// connection keeps the order. The roots end at one stamp, read once every
+// batch is answered, and settle returns it for the serving core's second
+// stamp.
+func (p *Proxy) settle(unit []*lineserver.Request) time.Time {
 	batches := make([][]*send, len(p.groups))
 	var live []int
 	for _, rq := range unit {
@@ -740,8 +742,9 @@ func (p *Proxy) settle(unit []*lineserver.Request) {
 			batches[idx] = append(batches[idx], &rt.sends[k])
 		}
 	}
-	ctx, cancel := p.RequestCtx(nil)
-	defer cancel()
+	var rc lineserver.RequestCtx // the unit's: its deadline runs from the unit's first stamp
+	ctx := p.StartRequest(&rc, nil, unit[0].Start())
+	defer rc.Cancel()
 	calls := make([]*shardclient.Call, len(live))
 	for i, idx := range live {
 		calls[i] = p.sendBatch(ctx, idx, batches[idx])
@@ -749,9 +752,11 @@ func (p *Proxy) settle(unit []*lineserver.Request) {
 	for i, idx := range live {
 		p.receive(ctx, idx, batches[idx], calls[i])
 	}
+	answered := lineserver.StampAfter(unit[0].Start())
 	for _, rq := range unit {
-		rq.Reply = p.answer(rq.Line, rq.Pending.(*routed))
+		rq.Reply = p.answer(rq.Line, rq.Pending.(*routed), answered)
 	}
+	return answered
 }
 
 // sendBatch sends one shard's share of a unit as one batch. The member
@@ -864,14 +869,14 @@ func (p *Proxy) file(s *send, reply string, err error, batch int) {
 	}
 }
 
-// answer closes a request's trace, renders its reply from what its
-// sends brought back (merge), and then hands the trace to the feeds: a
-// mutation's reply is the shard's own, a query's the merge of its legs
-// (EXPLAIN: with the merged span tree and the totals over it). All legs
-// answered -> the plain number; a failed leg -> a PARTIAL answer over
-// the live ranges.
-func (p *Proxy) answer(line string, rt *routed) string {
-	rt.root.End()
+// answer closes a request's trace at the unit's stamp at, renders its
+// reply from what its sends brought back (merge), and then hands the
+// trace to the feeds: a mutation's reply is the shard's own, a query's
+// the merge of its legs (EXPLAIN: with the merged span tree and the
+// totals over it). All legs answered -> the plain number; a failed leg
+// -> a PARTIAL answer over the live ranges.
+func (p *Proxy) answer(line string, rt *routed, at time.Time) string {
+	rt.root.EndAt(at)
 	reply := p.merge(rt)
 	p.Observe(line, rt.root) // hands the tree to the ring: nothing reads it after
 	return reply
@@ -924,9 +929,10 @@ func statsMaxKey(k string) bool {
 // and merges the numeric fields: sums by default, max for statsMaxKey
 // fields, non-numeric tokens (git_rev) skipped. Field order follows the
 // first responding shard so the output stays stable and diffable.
-func (p *Proxy) mergedStats() string {
-	ctx, cancel := p.RequestCtx(nil)
-	defer cancel()
+func (p *Proxy) mergedStats(start time.Time) string {
+	var rc lineserver.RequestCtx
+	ctx := p.StartRequest(&rc, nil, start)
+	defer rc.Cancel()
 	replies := make([]string, len(p.groups))
 	var wg sync.WaitGroup
 	for i, g := range p.groups {

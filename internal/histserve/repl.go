@@ -349,10 +349,13 @@ func (h *replHub) WaitAcked(lsn uint64, min int, timeout time.Duration, waited *
 // already counted as a request). lr is handed to the ACK reader
 // goroutine.
 func (s *Server) serveReplication(conn net.Conn, lr *lineserver.Reader, w *bufio.Writer, rq *lineserver.Request) {
+	// The ACK reader below reads conn: the stream's deadline is its
+	// writes' alone.
+	wd := s.WriteDeadline(conn)
 	fail := func(msg string) {
 		s.Errors["REPLICATE"].Inc()
 		fmt.Fprintln(w, "ERR "+msg)
-		s.SetWriteDeadline(conn)
+		wd.Arm(time.Now())
 		_ = w.Flush() // refusal is best-effort; the connection is done either way
 	}
 	fields := rq.Fields
@@ -410,7 +413,7 @@ func (s *Server) serveReplication(conn net.Conn, lr *lineserver.Reader, w *bufio
 		}
 		if errors.Is(err, wal.ErrTruncated) {
 			var snapLSN uint64
-			if snapLSN, err = s.sendSnapshot(conn, w, from); err == nil {
+			if snapLSN, err = s.sendSnapshot(&wd, w, from); err == nil {
 				log.Info("snapshot shipped", "lsn", snapLSN)
 				from = snapLSN + 1
 				continue
@@ -421,7 +424,7 @@ func (s *Server) serveReplication(conn net.Conn, lr *lineserver.Reader, w *bufio
 		return
 	}
 	fmt.Fprintf(w, "OK from=%d last=%d\n", from, wl.ShippedLSN())
-	s.SetWriteDeadline(conn)
+	wd.Arm(time.Now())
 	if err := w.Flush(); err != nil {
 		return
 	}
@@ -431,21 +434,25 @@ func (s *Server) serveReplication(conn net.Conn, lr *lineserver.Reader, w *bufio
 	// is flushed — a group commit publishes its whole batch at once, and
 	// what arrives together the follower commits and ACKs together. The
 	// buffer goes out when the stream would block, and only then is a
-	// keepalive timeout built. (The write deadline is renewed per record
-	// because a full buffer spills to the socket on its own.)
+	// keepalive timeout built. A full buffer spills to the socket on its
+	// own, so the write deadline is armed before each flush, after each
+	// wait for the stream and every MaxPendingReplies records between.
 	shipped := int64(0)
 	defer func() { log.Info("replication stream ended", "shipped", shipped) }()
 	for {
 		rec, ok, err := sub.TryNext()
 		if err == nil && !ok {
+			wd.Arm(time.Now())
 			if err := w.Flush(); err != nil {
 				return
 			}
 			nctx, ncancel := context.WithTimeout(ctx, replPingEvery)
 			rec, err = sub.Next(nctx)
 			ncancel()
+			wd.Arm(time.Now())
+		} else if shipped%lineserver.MaxPendingReplies == 0 {
+			wd.Arm(time.Now())
 		}
-		s.SetWriteDeadline(conn)
 		switch {
 		case err == nil:
 			_, _ = w.Write(appendRec(w.AvailableBuffer(), rec)) // a write error is sticky; Flush reports it
@@ -492,7 +499,7 @@ func appendRec(b []byte, rec wal.StreamRecord) []byte {
 // durable, so a follower never holds what this primary could lose. It
 // must cover from, the first record the follower lacks, or the
 // handshake would make no progress; it is refused instead.
-func (s *Server) sendSnapshot(conn net.Conn, w *bufio.Writer, from uint64) (uint64, error) {
+func (s *Server) sendSnapshot(wd *lineserver.Deadline, w *bufio.Writer, from uint64) (uint64, error) {
 	f, lsn, err := s.wal.OpenCheckpoint()
 	if err != nil {
 		return 0, fmt.Errorf("snapshot: %w", err)
@@ -516,13 +523,13 @@ func (s *Server) sendSnapshot(conn net.Conn, w *bufio.Writer, from uint64) (uint
 			return 0, fmt.Errorf("snapshot: %w", err)
 		}
 		fmt.Fprintln(w, base64.StdEncoding.EncodeToString(chunk[:n]))
-		s.SetWriteDeadline(conn)
+		wd.Arm(time.Now())
 		if err := w.Flush(); err != nil {
 			return 0, err
 		}
 	}
 	fmt.Fprintln(w, "ENDSNAP")
-	s.SetWriteDeadline(conn)
+	wd.Arm(time.Now())
 	return lsn, w.Flush()
 }
 
@@ -705,7 +712,7 @@ func parseRec(line string, dims int) (wal.StreamRecord, error) {
 // arrived together. A record counts as applied only once it is durable
 // here; every REC up to there is answered with the cumulative ACK, and
 // one that could not be applied ends the session.
-func (s *Server) settleShipped(open []*lineserver.Request) {
+func (s *Server) settleShipped(open []*lineserver.Request) time.Time {
 	r, last := s.repl, open[len(open)-1]
 	// The session ends after a unit that does not settle, a panic
 	// included: its ERR internal leaves the log's end unknown upstream.
@@ -727,6 +734,7 @@ func (s *Server) settleShipped(open []*lineserver.Request) {
 			rq.Reply = r.end(rq, err)
 		}
 	}
+	return time.Time{}
 }
 
 // shipLocked is settleShipped's apply step: one shipped record, logged

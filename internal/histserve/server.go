@@ -587,17 +587,19 @@ func (s *Server) commands() []lineserver.Command {
 }
 
 // servedOp is what cmdMutate, cmdQuery and cmdExplain leave in
-// rq.Pending for settle: the parsed line, its root span, its outcome.
+// rq.Pending for settle: the parsed line, its root span, its request
+// context, its outcome.
 type servedOp struct {
 	root   *trace.Span
-	op     core.Op                // INS/DEL
-	rng    core.Range             // QRY/EXPLAIN
-	render func(*servedOp) string // a query's reply; a mutation's is OK
-	lsn    uint64                 // where a mutation was logged, 0 if it was not
-	v      float64                // a query's answer, or its pair's sum
-	count  float64                // a pair's count
+	ctx    lineserver.RequestCtx // armed by serveLocked
+	op     core.Op               // INS/DEL
+	rng    core.Range            // QRY/EXPLAIN
+	lsn    uint64                // where a mutation was logged, 0 if it was not
+	v      float64               // a query's answer, or its pair's sum
+	count  float64               // a pair's count
 	err    error
 	stage  uint8 // its cube stage
+	render uint8 // a query's reply: renderers[render]; a mutation's is OK
 	denied bool  // admit refused it: it is not traced, as at parse time
 	pair   bool  // the query asked for its (sum, count) pair (lineserver.PairPrefix)
 	// rng's lo and hi coordinates, while the cube has at most
@@ -609,25 +611,28 @@ type servedOp struct {
 const inlineDims = 4
 
 // settle applies a unit's INS, DEL, QRY and EXPLAIN lines (applyUnit),
-// then, with mu released, ends their spans, renders their replies,
-// hands each tree to the trace feeds last, and waits for the commit of
-// the log's end as the unit left it: a reply reflects only committed
-// writes, a query's too. Both waits are cumulative, so one barrier
-// covers the unit; if it fails, it is every reply's ERR. A unit that
-// neither logged nor read skips it, and so does one that only read
-// while the server is degraded, so degraded reads keep serving.
-func (s *Server) settle(open []*lineserver.Request) {
+// then, with mu released, ends their spans at one stamp, renders their
+// replies, hands each tree to the trace feeds last, and waits for the
+// commit of the log's end as the unit left it: a reply reflects only
+// committed writes, a query's too. Both waits are cumulative, so one
+// barrier covers the unit; if it fails, it is every reply's ERR. A unit
+// that neither logged nor read skips it, and so does one that only read
+// while the server is degraded, so degraded reads keep serving. A unit
+// that skips the barrier was final at the stamp its roots ended at,
+// which settle returns for the serving core's second stamp.
+func (s *Server) settle(open []*lineserver.Request) time.Time {
 	_, end, _ := s.applyUnit(open, s.serveLocked)
+	applied := lineserver.StampAfter(open[0].Start())
 	logged, read := false, false
 	for _, rq := range open {
 		o := rq.Pending.(*servedOp)
-		o.root.End()
+		o.root.EndAt(applied)
 		logged, read = logged || o.lsn > 0, read || o.stage == stageCubeQuery
 		switch {
 		case o.err != nil:
 			rq.Reply = errResponse(o.err)
-		case o.render != nil:
-			rq.Reply = o.render(o)
+		case o.stage == stageCubeQuery:
+			rq.Reply = renderers[o.render](o)
 		default:
 			rq.Reply = "OK"
 		}
@@ -637,13 +642,14 @@ func (s *Server) settle(open []*lineserver.Request) {
 		}
 	}
 	if s.wal == nil || !logged && (!read || s.degraded.Load()) {
-		return
+		return applied
 	}
 	if errResp := s.commitBarrier(end); errResp != "" {
 		for _, rq := range open {
 			rq.Reply = errResp
 		}
 	}
+	return time.Time{}
 }
 
 // applyUnit is where a unit meets the cube, on primary and follower
@@ -666,15 +672,15 @@ func (s *Server) applyUnit(open []*lineserver.Request, apply func(*lineserver.Re
 }
 
 // serveLocked is settle's apply step, under mu: it runs one servedOp and
-// leaves the outcome in it. Admission and the deadline (from the root
-// span's start) are read here, as they can change while a unit waits. A
+// leaves the outcome in it. Admission and the deadline (from the unit's
+// first stamp) are read here, as they can change while a unit waits. A
 // staging failure (the log closed, or latched by a failed write or fsync
 // its repair could not clear) or out-of-space enters degraded mode; an
 // op the cube rejects is logged, answers ERR, and stays out on recovery.
 func (s *Server) serveLocked(rq *lineserver.Request) error {
 	o := rq.Pending.(*servedOp)
-	ctx, cancel := s.RequestCtx(o.root)
-	defer cancel()
+	ctx := s.StartRequest(&o.ctx, o.root, rq.Start())
+	defer o.ctx.Cancel()
 	if o.stage == stageCubeQuery {
 		if !o.pair {
 			o.v, o.err = s.cube.QueryCtx(ctx, o.rng)
@@ -855,9 +861,9 @@ func (s *Server) cmdMutate(rq *lineserver.Request) string {
 	}
 	o := &servedOp{stage: stageCubeInsert, op: core.Op{Kind: core.OpInsert, Time: t, Coords: coords, Value: val}}
 	if rq.Verb() == "DEL" {
-		o.stage, o.op.Kind, o.root = stageCubeDelete, core.OpDelete, trace.New("histserve.delete")
+		o.stage, o.op.Kind, o.root = stageCubeDelete, core.OpDelete, trace.NewAt("histserve.delete", rq.Start())
 	} else {
-		o.root = trace.New("histserve.insert")
+		o.root = trace.NewAt("histserve.insert", rq.Start())
 	}
 	o.root.SetTraceID(rq.TID)
 	rq.Pending = o
@@ -865,7 +871,7 @@ func (s *Server) cmdMutate(rq *lineserver.Request) string {
 }
 
 func (s *Server) cmdQuery(rq *lineserver.Request) string {
-	return s.queryOp(rq, rq.Fields[1:], formatResult)
+	return s.queryOp(rq, rq.Fields[1:], renderResult)
 }
 
 // cmdExplain answers EXPLAIN [JSON] QRY ... — the JSON variant answers
@@ -873,9 +879,9 @@ func (s *Server) cmdQuery(rq *lineserver.Request) string {
 // histproxy consumes to graft this shard's spans under its own
 // proxy.leg (the text variant stays the human/debug format).
 func (s *Server) cmdExplain(rq *lineserver.Request) string {
-	args, render := rq.Fields[1:], explainText
+	args, render := rq.Fields[1:], renderExplainText
 	if len(args) > 0 && strings.ToUpper(args[0]) == "JSON" {
-		args, render = args[1:], explainJSON
+		args, render = args[1:], renderExplainJSON
 	}
 	if len(args) < 1 || strings.ToUpper(args[0]) != "QRY" {
 		return "ERR EXPLAIN wraps a query: EXPLAIN [JSON] QRY <tlo> <thi> <lo...> <hi...>"
@@ -885,10 +891,10 @@ func (s *Server) cmdExplain(rq *lineserver.Request) string {
 
 // queryOp parses the arguments of a QRY (after the verb) — <tlo> <thi>
 // <l1>..<ld> <u1>..<ud> — and leaves the traced range query for settle,
-// whose reply render makes from the result and the finished span tree. A
-// non-zero rq.TID (the TID= token) becomes the root span's trace ID. It
-// returns the ERR response of a line that does not parse.
-func (s *Server) queryOp(rq *lineserver.Request, args []string, render func(*servedOp) string) string {
+// whose reply renderers[render] makes from the result and the finished
+// span tree. A non-zero rq.TID (the TID= token) becomes the root span's
+// trace ID. It returns the ERR response of a line that does not parse.
+func (s *Server) queryOp(rq *lineserver.Request, args []string, render uint8) string {
 	if len(args) != 2+2*s.dims {
 		return fmt.Sprintf("ERR QRY needs tlo, thi and %d lo + %d hi coordinates", s.dims, s.dims)
 	}
@@ -911,10 +917,24 @@ func (s *Server) queryOp(rq *lineserver.Request, args []string, render func(*ser
 	if errResp = s.parseCoords(o.rng.Hi, args[2+s.dims:]); errResp != "" {
 		return errResp
 	}
-	o.root = trace.New("histserve.query")
+	o.root = trace.NewAt("histserve.query", rq.Start())
 	o.root.SetTraceID(rq.TID)
 	rq.Pending = o
 	return ""
+}
+
+// The replies a query's servedOp.render selects: the answer, or an
+// EXPLAIN's text or JSON.
+const (
+	renderResult uint8 = iota
+	renderExplainText
+	renderExplainJSON
+)
+
+var renderers = [...]func(*servedOp) string{
+	renderResult:      formatResult,
+	renderExplainText: explainText,
+	renderExplainJSON: explainJSON,
 }
 
 // formatResult renders a query's answer, or its pair as "<sum> <count>".

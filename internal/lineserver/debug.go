@@ -111,7 +111,7 @@ func RegisterFlags(fs *flag.FlagSet, addr string) *Flags {
 		Addr:    fs.String("addr", addr, "listen address"),
 		metrics: fs.String("metrics", "", "optional HTTP listen address serving /metrics, /healthz, /readyz and /debug/* (e.g. :9090)"),
 		reqTO:   fs.Duration("request-timeout", 10*time.Second, "per-request deadline; 0 disables"),
-		readTO:  fs.Duration("read-timeout", 5*time.Minute, "close client connections idle for this long; also bounds each response write; 0 disables"),
+		readTO:  fs.Duration("read-timeout", 5*time.Minute, "close client connections that send no request or take no reply for this long (cut between it and 9/8 of it after the last request served); 0 disables"),
 		maxLine: fs.Int("max-line-bytes", 1<<20, "largest accepted request line in bytes"),
 		maxConn: fs.Int64("max-conns", 256, "open client connections accepted at once; 0 = unlimited"),
 		slowThr: fs.Duration("slow-query-threshold", 10*time.Millisecond, "queries at or above this end-to-end duration enter the slow-query log"),

@@ -40,6 +40,23 @@
 // answers each with the cumulative ACK. A torn REC (Request.Torn) ends
 // the session through Request.Quit, as the built-in QUIT does.
 //
+// Two clock stamps per unit. The connection loop reads the clock once
+// when a unit's lines have been read (Request.Start, time.Now) and once
+// when settle has made every reply final (one monotonic read on top of
+// the first, unless settle read that stamp itself and returned it);
+// nothing else in the core reads it per request. The latency
+// histogram (Metrics.Latency, one sample per request) is the span
+// between the two: parsing, the binary's work and its settle, the commit
+// wait included, but not the wait for the request's bytes nor the
+// reply's flush. The request's root span (trace.NewAt) and its
+// -request-timeout deadline (RequestCtx) start at the first stamp. The
+// connection's -read-timeout deadline is armed from the second: it
+// covers reads and writes alike, and it is moved only when it is more
+// than an eighth of the timeout T stale, to the stamp plus 9/8·T, so a
+// connection is cut between T and 9/8·T after its last unit was served
+// — idle, stalled mid-line, or not reading the replies its flush blocks
+// on — and a busy one updates no runtime timer (Deadline).
+//
 // Panics are contained per handler call: one line's in the first phase,
 // the pending requests' in settle — on histproxy, where a unit's work
 // happens in settle, the whole unit — and a hijacker's.
@@ -54,6 +71,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // MaxPendingReplies caps the requests one connection batches: the lines
@@ -141,6 +159,35 @@ func verb(line string) string {
 		return line[:i]
 	}
 	return line
+}
+
+// asciiSpace marks the bytes below utf8.RuneSelf that unicode.IsSpace
+// (and so strings.Fields) splits at.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// appendFields appends the fields of s to dst, split exactly as
+// strings.Fields splits them — at runs of unicode.IsSpace runes, an
+// invalid byte being no space — and allocates only once dst is full.
+func appendFields(dst []string, s string) []string {
+	start := -1 // where the field in progress began, -1 between fields
+	for i, r := range s {
+		space := false
+		if r < utf8.RuneSelf {
+			space = asciiSpace[r]
+		} else {
+			space = unicode.IsSpace(r)
+		}
+		switch {
+		case !space && start < 0:
+			start = i
+		case space && start >= 0:
+			dst, start = append(dst, s[start:i]), -1
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
 }
 
 // ParseInts parses the integer fields of a request line (times and

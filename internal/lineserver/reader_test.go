@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -88,4 +89,24 @@ func TestVerb(t *testing.T) {
 			t.Errorf("verb(%q) = %q, want %q", line, got, want)
 		}
 	}
+}
+
+// FuzzFields checks the serving core's tokeniser against strings.Fields,
+// the split it stands in for: ASCII and non-ASCII white space, invalid
+// UTF-8 (a byte that is no rune is no space either) and more fields than
+// a Request holds inline.
+func FuzzFields(f *testing.F) {
+	for _, seed := range []string{
+		"", " \t ", "QRY 1 2 0 0 7 7", "EXPLAIN JSON QRY 1 2 0 0 7 7",
+		"  INS\t1\v2\f3\r4\n", "a\u0085b\u00a0c", "x\u2003y\u3000z\u2028w\u205f",
+		"\xff \xc2\x85", "\xc2 \x85", "\u1680lead", "1 2 3 4 5 6 7 8 9 10 11 12",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		var buf [inlineFields]string
+		if got, want := appendFields(buf[:0], s), strings.Fields(s); !slices.Equal(got, want) {
+			t.Fatalf("appendFields(%q) = %q, strings.Fields = %q", s, got, want)
+		}
+	})
 }

@@ -13,26 +13,29 @@ import (
 
 func requestCtx(t *testing.T, timeout time.Duration) (context.Context, context.CancelFunc, time.Time) {
 	t.Helper()
-	before := time.Now()
-	ctx, cancel := (&Server{ReqTimeout: timeout}).RequestCtx(nil)
-	t.Cleanup(cancel)
+	start := time.Now()
+	c := new(RequestCtx)
+	ctx := (&Server{ReqTimeout: timeout}).StartRequest(c, nil, start)
+	t.Cleanup(c.Cancel)
 	d, ok := ctx.Deadline()
 	if !ok {
 		t.Fatal("RequestCtx with a timeout reports no deadline")
 	}
-	if d.Before(before.Add(timeout)) || d.After(time.Now().Add(timeout)) {
+	if !d.Equal(start.Add(timeout)) {
 		t.Fatalf("deadline %v is not the request's start plus %v", d, timeout)
 	}
-	return ctx, cancel, d
+	return ctx, c.Cancel, d
 }
 
 // TestRequestCtxCarriesTheRootSpan: the one request context carries the
 // root span for trace.FromContext, so does a context derived from it,
-// before and after Done, and its deadline runs from the span's start.
+// before and after Done, and its deadline runs from the request's start,
+// which is the span's.
 func TestRequestCtxCarriesTheRootSpan(t *testing.T) {
 	for _, timeout := range []time.Duration{0, time.Hour} {
 		root := trace.New("histserve.query")
-		ctx, cancel := (&Server{ReqTimeout: timeout}).RequestCtx(root)
+		c := new(RequestCtx)
+		ctx, cancel := (&Server{ReqTimeout: timeout}).StartRequest(c, root, root.Start()), c.Cancel
 		if got := trace.FromContext(ctx); got != root {
 			t.Fatalf("timeout %v: FromContext = %p, want the root span %p", timeout, got, root)
 		}

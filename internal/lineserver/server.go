@@ -59,12 +59,15 @@ type Command struct {
 	label string
 }
 
-// Request is one request line on its way through a unit.
+// Request is one request line on its way through a unit. A served
+// Request is not copied: Fields points into it.
 type Request struct {
-	Line   string   // trimmed, the TID= and PAIR tokens cut off
-	TID    trace.ID // propagated trace identifier, zero when absent
-	Fields []string // Line split at white space; Fields[0] is the verb as sent
-	Reply  string   // what the client will read, without the newline
+	Line string   // trimmed, the TID= and PAIR tokens cut off
+	TID  trace.ID // propagated trace identifier, zero when absent
+	// Fields is Line split as strings.Fields splits it; Fields[0] is the
+	// verb as sent. Up to inlineFields of them live in the Request.
+	Fields []string
+	Reply  string // what the client will read, without the newline
 	// Pending is what a handler leaves for the table's settle function —
 	// the work that is cheaper done once for the whole unit (histserve:
 	// the parsed mutation or query, applied in order under one cube lock
@@ -81,12 +84,28 @@ type Request struct {
 	// Pair: the line carried PairPrefix.
 	Pair bool
 
-	cmd   *Command
-	start time.Time
+	cmd    *Command
+	start  time.Time // the unit's first stamp (see Start)
+	fields [inlineFields]string
 }
+
+// inlineFields is how many fields a Request holds without a heap slice:
+// an EXPLAIN QRY over two dimensions has eight, an INS over six.
+const inlineFields = 8
 
 // Verb returns the request's command as its table row spells it.
 func (rq *Request) Verb() string { return rq.cmd.Verb }
+
+// Start is when the connection loop had read the request's unit: the
+// first of the unit's two clock stamps (see the package doc). The
+// request's latency, its root span and its -request-timeout deadline
+// all run from it.
+func (rq *Request) Start() time.Time { return rq.start }
+
+// StampAfter reads the clock as one monotonic reading on top of start,
+// which must carry one (time.Now's does): what a unit's code that needs
+// the time again reads instead of time.Now.
+func StampAfter(start time.Time) time.Time { return start.Add(time.Since(start)) }
 
 // Metrics are the serving core's metric handles. Each binary registers
 // them under its own literal names (histlint's metricname analyzer
@@ -120,7 +139,7 @@ type Server struct {
 
 	// Resource governance; the zero value disables each limit.
 	ReqTimeout  time.Duration // per-request context deadline
-	ReadTimeout time.Duration // idle-connection read deadline; doubles as the per-write deadline
+	ReadTimeout time.Duration // cuts a connection idle or stalled this long (see Deadline); 0 disables
 	MaxLineLen  int           // largest accepted request line in bytes
 	MaxConns    int64         // open-connection cap
 
@@ -130,7 +149,7 @@ type Server struct {
 	rows   map[string]*Command
 	other  *Command
 	labels []string
-	settle func([]*Request)
+	settle func([]*Request) time.Time
 
 	liveConns atomic.Int64
 	connSeq   atomic.Int64
@@ -142,14 +161,17 @@ type Server struct {
 // fresh registry, the default logger, a 32-entry slow log at 10 ms, a
 // 64-entry recent ring, 1 MiB lines. settle is called once per unit
 // with the requests whose handlers left Pending set, and makes their
-// replies final. The table yields the cmd= label set, so this is also
-// where the (still empty) per-label metric maps are made.
+// replies final. If it read the clock after the last thing it waited
+// for, it returns that stamp, which the serving core then takes for the
+// unit's second stamp instead of reading the clock again; otherwise it
+// returns the zero Time. The table yields the cmd= label set, so this is
+// also where the (still empty) per-label metric maps are made.
 //
 // The built-in rows take the conservative side of the unit rule — QUIT
 // rides with whatever precedes it (it costs nothing and closes the
 // connection anyway), SLOWLOG and unknown verbs are units of one — so
 // they are right for any table.
-func (s *Server) Init(settle func([]*Request), rows ...Command) {
+func (s *Server) Init(settle func([]*Request) time.Time, rows ...Command) {
 	s.Reg, s.Log, s.MaxLineLen = obs.NewRegistry(), slog.Default(), 1<<20
 	s.Slow, s.Recent = trace.NewSlowLog(32, 10*time.Millisecond), trace.NewRing(64)
 	rows = append(rows,
@@ -195,19 +217,20 @@ func (s *Server) resolve(line string) *Command {
 	return s.other
 }
 
-// request turns one raw line into a Request; ok is false for a blank
-// line, which is skipped without a reply. An optional leading TID=
-// token carries a propagated trace identifier (histproxy stamps one on
-// every shard leg); the request's root span adopts it so one trace_id
-// correlates the query across the fleet's logs and /debug feeds.
-func (s *Server) request(raw []byte) (rq Request, ok bool) {
+// request makes the last Request of slab from one raw line; ok is false
+// for a blank line, which is skipped without a reply, and slab is then
+// as it was. An optional leading TID= token carries a propagated trace
+// identifier (histproxy stamps one on every shard leg); the request's
+// root span adopts it so one trace_id correlates the query across the
+// fleet's logs and /debug feeds.
+func (s *Server) request(slab []Request, raw []byte) (_ []Request, ok bool) {
 	line := strings.TrimSpace(string(raw))
 	if line == "" {
-		return rq, false
+		return slab, false
 	}
 	tid, stripped := trace.CutRequestID(line)
 	stripped, pair := strings.CutPrefix(stripped, PairPrefix)
-	return Request{Line: stripped, TID: tid, Pair: pair, cmd: s.resolve(stripped)}, true
+	return append(slab, Request{Line: stripped, TID: tid, Pair: pair, cmd: s.resolve(stripped)}), true
 }
 
 // PairPrefix is the optional token, after any TID=, by which a query asks
@@ -271,15 +294,18 @@ func (s *Server) Serve(ln net.Listener) error {
 // read plus the complete lines already buffered behind it, for as long
 // as the table lets the next one join. A trailing partial line is not
 // buffered input: it neither joins nor delays the lines before it. The
-// unit is served, its replies written in request order and flushed
-// once.
+// unit is stamped, served, stamped again, its replies written in
+// request order and flushed once. The connection's one deadline covers
+// reads and writes alike and is re-armed from the second stamp
+// (Deadline).
 func (s *Server) ServeConn(conn net.Conn) {
+	dl := Deadline{conn: conn, timeout: s.ReadTimeout}
 	if s.MaxConns > 0 && s.liveConns.Add(1) > s.MaxConns {
 		s.liveConns.Add(-1)
 		s.ConnRejects.Inc()
 		s.Log.Warn("connection rejected at -max-conns cap",
 			"remote", conn.RemoteAddr().String(), "max", s.MaxConns)
-		s.SetWriteDeadline(conn)
+		dl.Arm(time.Now())
 		fmt.Fprintln(conn, "ERR server busy: connection limit reached, retry later")
 		_ = conn.Close() // the reject line is best-effort; nothing to salvage
 		return
@@ -307,48 +333,47 @@ func (s *Server) ServeConn(conn net.Conn) {
 		open    []*Request
 		readErr error
 	)
+	dl.Arm(time.Now())
 	for {
-		if s.ReadTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.ReadTimeout))
-		}
 		raw, err := lr.Next()
 		if err != nil {
 			readErr = err
 			break
 		}
-		rq, ok := s.request(raw)
-		if !ok {
+		var ok bool
+		if slab, ok = s.request(slab[:0], raw); !ok {
 			continue
 		}
-		rq.Torn = lr.Torn()
-		slab, unit = append(slab[:0], rq), unit[:0]
+		slab[0].Torn = lr.Torn()
 		for len(slab) < MaxPendingReplies && !slab[len(slab)-1].cmd.EndsUnit {
 			raw, ok := lr.Peek()
 			if !ok {
 				break
 			}
-			rq, ok := s.request(raw)
-			if ok && !rq.cmd.Joins {
+			n := len(slab)
+			if slab, ok = s.request(slab, raw); ok && !slab[n].cmd.Joins {
+				slab = slab[:n] // read again as the next unit's first line
 				break
 			}
 			_, _ = lr.Next() // consumes exactly what Peek showed; cannot fail
-			if ok {
-				slab = append(slab, rq)
-			}
 		}
+		start := time.Now()
+		unit = unit[:0]
 		for i := range slab {
+			slab[i].start = start
 			unit = append(unit, &slab[i])
 		}
 		reqs += int64(len(unit))
 		if h := unit[0].cmd.Hijack; h != nil {
 			rq := unit[0]
-			rq.start, rq.Fields = time.Now(), strings.Fields(rq.Line)
+			rq.Fields = appendFields(rq.fields[:0], rq.Line)
 			s.contain(unit, func([]*Request) { h(conn, lr, w, rq) })
-			s.finish(rq)
+			s.finish(rq, StampAfter(start))
 			return
 		}
-		open = s.serveUnit(unit, open)
-		s.SetWriteDeadline(conn)
+		var end time.Time
+		open, end = s.serveUnit(unit, open)
+		dl.Arm(end)
 		quit := false
 		for _, rq := range unit {
 			quit = quit || rq.Quit
@@ -373,7 +398,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		// The reader cannot resynchronise past an overlong line; tell
 		// the client why before closing.
 		fmt.Fprintf(w, "ERR line too long (max %d bytes)\n", s.MaxLineLen)
-		s.SetWriteDeadline(conn)
+		dl.Arm(time.Now())
 		_ = w.Flush() // best-effort farewell on a connection being torn down
 		log.Warn("connection closed: line exceeds -max-line-bytes", "max", s.MaxLineLen)
 	default:
@@ -386,14 +411,47 @@ func (s *Server) ServeConn(conn net.Conn) {
 	}
 }
 
-// SetWriteDeadline bounds the next response write with the same
-// duration that bounds reads: a client that stops reading must not pin
-// a goroutine (and a -max-conns slot) forever on a blocked flush — the
-// slow-loris variant of the idle-read problem. 0 disables, mirroring
-// -read-timeout.
-func (s *Server) SetWriteDeadline(conn net.Conn) {
-	if s.ReadTimeout > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(s.ReadTimeout))
+// Deadline is a connection's -read-timeout, armed lazily. A client that
+// stops sending must not hold a goroutine and a -max-conns slot forever
+// on a blocked read, nor one that stops reading on a blocked flush (the
+// slow-loris variant of the idle-read problem); yet setting a deadline
+// updates a runtime timer, too dear for every line. So Arm, given a
+// stamp the caller already read, moves the deadline to the stamp plus
+// 9/8 of the timeout T only when the deadline was last moved more than
+// T/8 before the stamp. Between two moves the deadline stays at least T
+// ahead of every stamp Arm was given, so a connection is cut between T
+// and 9/8·T after the last one. The connection loop's deadline covers
+// reads and writes and is armed from each unit's second stamp: a client
+// is cut between T and 9/8·T after its last unit was served, whether it
+// sends nothing more (blank lines are no requests), stalls mid-line or
+// stops reading the replies its flush blocks on. A hijacker whose
+// connection another goroutine reads takes a WriteDeadline. A zero
+// timeout disables it.
+type Deadline struct {
+	conn      net.Conn
+	timeout   time.Duration
+	writeOnly bool
+	armed     time.Time // the stamp of the last move; zero before the first
+}
+
+// WriteDeadline is the -read-timeout Deadline of conn's writes alone,
+// for a hijacker whose connection another goroutine reads.
+func (s *Server) WriteDeadline(conn net.Conn) Deadline {
+	return Deadline{conn: conn, timeout: s.ReadTimeout, writeOnly: true}
+}
+
+// Arm moves the deadline to now plus 9/8 of the timeout if it was last
+// moved more than an eighth of the timeout before now (see Deadline).
+func (d *Deadline) Arm(now time.Time) {
+	if d.timeout <= 0 || !d.armed.IsZero() && now.Sub(d.armed) <= d.timeout/8 {
+		return
+	}
+	d.armed = now
+	at := now.Add(d.timeout + d.timeout/8)
+	if d.writeOnly {
+		_ = d.conn.SetWriteDeadline(at)
+	} else {
+		_ = d.conn.SetDeadline(at)
 	}
 }
 
@@ -407,7 +465,7 @@ func (s *Server) Do(tid trace.ID, line string) (reply string, quit bool) {
 	u := &struct {
 		rq         Request
 		unit, open [1]*Request
-	}{rq: Request{Line: line, TID: tid, cmd: s.resolve(line)}}
+	}{rq: Request{Line: line, TID: tid, cmd: s.resolve(line), start: time.Now()}}
 	u.unit[0] = &u.rq
 	s.serveUnit(u.unit[:], u.open[:0])
 	return u.rq.Reply, u.rq.Quit
@@ -417,9 +475,11 @@ func (s *Server) Do(tid trace.ID, line string) (reply string, quit bool) {
 // its own panic barrier, then the table's settle function makes the
 // provisional replies final — all of them behind one barrier, because
 // that work is shared — and every request is accounted. Accounting
-// happens here, after settle, so the recorded latency includes the wait
-// the client sees. open is scratch space, returned for reuse.
-func (s *Server) serveUnit(unit, open []*Request) []*Request {
+// happens here, after settle and at the unit's second stamp (settle's
+// own, if it read one), which it returns, so the recorded latency
+// includes the wait the client sees. open is scratch space, returned
+// for reuse.
+func (s *Server) serveUnit(unit, open []*Request) ([]*Request, time.Time) {
 	s.Inflight.Add(int64(len(unit)))
 	for i := range unit {
 		s.contain(unit[i:i+1], s.execute)
@@ -430,14 +490,18 @@ func (s *Server) serveUnit(unit, open []*Request) []*Request {
 			open = append(open, rq)
 		}
 	}
+	var end time.Time
 	if len(open) > 0 {
-		s.contain(open, s.settle)
+		s.contain(open, func(open []*Request) { end = s.settle(open) })
 	}
 	s.Inflight.Add(-int64(len(unit)))
-	for _, rq := range unit {
-		s.finish(rq)
+	if end.IsZero() {
+		end = StampAfter(unit[0].start)
 	}
-	return open
+	for _, rq := range unit {
+		s.finish(rq, end)
+	}
+	return open, end
 }
 
 // contain is the panic barrier: a panic anywhere in fn (including one
@@ -464,8 +528,7 @@ func (s *Server) contain(reqs []*Request, fn func([]*Request)) {
 // from the command table.
 func (s *Server) execute(one []*Request) {
 	rq := one[0]
-	rq.start = time.Now()
-	rq.Fields = strings.Fields(rq.Line)
+	rq.Fields = appendFields(rq.fields[:0], rq.Line)
 	if len(rq.Fields) == 0 { // a TID= token and nothing else
 		rq.Reply = "ERR empty command"
 		return
@@ -493,78 +556,106 @@ func (s *Server) execute(one []*Request) {
 
 // finish accounts one answered request under its row's label: the
 // error counter for replies starting with ERR, and the latency
-// histogram, from execute's start to the reply being final. A hijacked
-// request is final when its hijacker returns.
-func (s *Server) finish(rq *Request) {
+// histogram, from the unit's first stamp to end, its second: the reply
+// being final. A hijacked request is final when its hijacker returns.
+func (s *Server) finish(rq *Request, end time.Time) {
 	if strings.HasPrefix(rq.Reply, "ERR") {
 		s.Errors[rq.cmd.label].Inc()
 	}
-	s.Latency[rq.cmd.label].Observe(time.Since(rq.start).Seconds())
+	s.Latency[rq.cmd.label].Observe(end.Sub(rq.start).Seconds())
 }
 
-// RequestCtx derives the per-request context from -request-timeout and
-// carries root, the request's root span, for trace.FromContext: one
-// context per request. The deadline runs from root's start, so making
-// the context reads no clock (a nil root, for work that serves no one
-// request, starts it now). It is polled, not timed: Err reads the clock
-// and, once the deadline has passed, cancels the context. A runtime
-// timer exists only when something waits on Done (histproxy's hedge race
-// and fresh shard dials do; nothing on histserve does).
-func (s *Server) RequestCtx(root *trace.Span) (context.Context, context.CancelFunc) {
-	if s.ReqTimeout <= 0 {
-		return trace.NewContext(context.Background(), root), func() {}
-	}
-	start := root.Start()
-	if root == nil {
-		start = time.Now()
-	}
-	c := &deadlineCtx{deadline: start.Add(s.ReqTimeout), span: root}
-	return c, c.cancel
-}
-
-// deadlineCtx is RequestCtx's context. Until the first Done it is a
-// deadline, an error and the request's span; the first Done hands the
-// deadline to a context from context.WithDeadline, whose timer and
-// channel then govern Err and Done both, and whose Value lets a child
-// context hang off it directly.
-type deadlineCtx struct {
-	deadline time.Time
-	span     *trace.Span // the request's root span; fixed at construction
+// RequestCtx is a request's context: the deadline -request-timeout
+// sets and the request's root span, for trace.FromContext. Its caller
+// holds it — in the request's pending state, or for the unit — so it
+// costs no allocation of its own, arms it with Server.StartRequest and
+// ends it with Cancel. It is polled, not timed: Err reads the clock and,
+// once the deadline has passed, cancels the context. A runtime timer
+// exists only when something waits on Done (histproxy's hedge race and
+// fresh shard dials do; nothing on histserve does). A RequestCtx is
+// safe for concurrent use; it must not be copied once armed.
+type RequestCtx struct {
+	deadline time.Time   // zero: no -request-timeout
+	span     *trace.Span // the request's root span; fixed by StartRequest
 	mu       sync.Mutex
-	err      error              // guarded by mu; Canceled or DeadlineExceeded, read while timed is nil
-	timed    context.Context    // guarded by mu; made by the first Done
-	stop     context.CancelFunc // guarded by mu; timed's cancel
+	timed    *timedCtx // guarded by mu; made by the first Done
+	err      ctxErr    // guarded by mu; what Err answers while timed is nil
 }
 
-func (c *deadlineCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+// timedCtx is what RequestCtx.Done makes: a context with a timer, and
+// the cancel that stops it. It lives apart, so a request whose Done
+// nobody asks for carries two words less.
+type timedCtx struct {
+	context.Context
+	stop context.CancelFunc
+}
 
-func (c *deadlineCtx) Err() error {
+// ctxErr is a RequestCtx's error while no Done was asked for: none,
+// Canceled or DeadlineExceeded, an index into ctxErrs.
+type ctxErr uint8
+
+const (
+	ctxLive ctxErr = iota
+	ctxCanceled
+	ctxExpired
+)
+
+var ctxErrs = [...]error{ctxLive: nil, ctxCanceled: context.Canceled, ctxExpired: context.DeadlineExceeded}
+
+// StartRequest arms c for one request and returns it as a context. Its
+// deadline runs from start, the request's first stamp (Request.Start),
+// so arming reads no clock; root may be nil, for work that serves no one
+// request.
+func (s *Server) StartRequest(c *RequestCtx, root *trace.Span, start time.Time) context.Context {
+	c.span = root
+	if s.ReqTimeout > 0 {
+		c.deadline = start.Add(s.ReqTimeout)
+	}
+	return c
+}
+
+// Deadline reports the -request-timeout deadline, if there is one.
+func (c *RequestCtx) Deadline() (time.Time, bool) { return c.deadline, !c.deadline.IsZero() }
+
+// Err is nil while the request may go on, then Canceled or
+// DeadlineExceeded, whichever came first.
+func (c *RequestCtx) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.timed != nil {
 		return c.timed.Err()
 	}
-	if c.err == nil && time.Until(c.deadline) <= 0 { // deadline is monotonic: no wall-clock read
-		c.err = context.DeadlineExceeded
+	if c.err == ctxLive && !c.deadline.IsZero() && time.Until(c.deadline) <= 0 { // deadline is monotonic: no wall-clock read
+		c.err = ctxExpired
 	}
-	return c.err
+	return ctxErrs[c.err]
 }
 
-func (c *deadlineCtx) Done() <-chan struct{} {
+// Done hands the deadline to a context from context.WithDeadline (or,
+// without one, context.WithCancel) the first time it is asked for; that
+// context's timer and channel then govern Err and Done both, and its
+// Value lets a child context hang off c directly.
+func (c *RequestCtx) Done() <-chan struct{} {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.timed == nil {
 		// A deadline already past makes no timer; an earlier cancel is
 		// replayed on the new context so Err keeps its answer.
-		c.timed, c.stop = context.WithDeadline(context.Background(), c.deadline)
-		if c.err == context.Canceled {
-			c.stop()
+		c.timed = new(timedCtx)
+		if c.deadline.IsZero() {
+			c.timed.Context, c.timed.stop = context.WithCancel(context.Background())
+		} else {
+			c.timed.Context, c.timed.stop = context.WithDeadline(context.Background(), c.deadline)
+		}
+		if c.err == ctxCanceled {
+			c.timed.stop()
 		}
 	}
 	return c.timed.Done()
 }
 
-func (c *deadlineCtx) Value(key any) any {
+// Value answers trace.ContextKey with the root span.
+func (c *RequestCtx) Value(key any) any {
 	if _, ok := key.(trace.ContextKey); ok && c.span != nil {
 		return c.span
 	}
@@ -576,14 +667,16 @@ func (c *deadlineCtx) Value(key any) any {
 	return c.timed.Value(key)
 }
 
-func (c *deadlineCtx) cancel() {
+// Cancel ends the request's context, as a context.CancelFunc would; a
+// second call is a no-op.
+func (c *RequestCtx) Cancel() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.err == nil {
-		c.err = context.Canceled
+	if c.err == ctxLive {
+		c.err = ctxCanceled
 	}
-	if c.stop != nil {
-		c.stop()
+	if c.timed != nil {
+		c.timed.stop()
 	}
 }
 

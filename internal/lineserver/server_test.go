@@ -33,7 +33,7 @@ type stub struct {
 func newStub(t *testing.T) *stub {
 	t.Helper()
 	st := &stub{}
-	st.Init(func(open []*Request) {
+	st.Init(func(open []*Request) time.Time {
 		st.mu.Lock()
 		st.settled = append(st.settled, len(open))
 		boom := st.boomIn
@@ -44,6 +44,7 @@ func newStub(t *testing.T) *stub {
 			}
 			rq.Reply = "OK " + rq.Fields[1]
 		}
+		return time.Time{}
 	},
 		Command{Verb: "ECHO", MinArgs: 1, MaxArgs: 1, Usage: "ECHO takes one word", Joins: true,
 			Handle: func(rq *Request) string { return rq.Fields[1] }},
@@ -306,9 +307,13 @@ func TestTooLongFarewellAfterEarlierReplies(t *testing.T) {
 	}
 }
 
+// TestIdleTimeoutClosesAndWriteDeadlineIsSet: an idle connection is cut
+// inside the documented window, between T and 9/8·T after the last
+// reply (Deadline), give or take the test's own scheduling.
 func TestIdleTimeoutClosesAndWriteDeadlineIsSet(t *testing.T) {
+	const timeout = 400 * time.Millisecond
 	st := newStub(t)
-	st.ReadTimeout = 100 * time.Millisecond
+	st.ReadTimeout = timeout
 	conn, r, _ := start(t, st)
 	fmt.Fprintln(conn, "ECHO a")
 	readLines(t, r, 1)
@@ -316,8 +321,80 @@ func TestIdleTimeoutClosesAndWriteDeadlineIsSet(t *testing.T) {
 	if _, err := r.ReadString('\n'); err != io.EOF {
 		t.Fatalf("idle connection: %v, want it closed by the server", err)
 	}
-	if idle := time.Since(start); idle < 50*time.Millisecond || idle > 5*time.Second {
-		t.Errorf("closed after %v, want about the 100ms read timeout", idle)
+	if idle, lo, hi := time.Since(start), timeout-25*time.Millisecond, timeout*9/8+300*time.Millisecond; idle < lo || idle > hi {
+		t.Errorf("closed after %v idle, want between T and 9/8·T (T = %v; %v-%v with slack)", idle, timeout, lo, hi)
+	}
+}
+
+// TestDeadlineSparesARegularClient: a connection that sends one request
+// every T/4 for 3·T is never cut, although the deadline is re-armed only
+// when it is more than T/8 stale.
+func TestDeadlineSparesARegularClient(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	st := newStub(t)
+	st.ReadTimeout = timeout
+	conn, r, _ := start(t, st)
+	for i := 0; i < 12; i++ {
+		time.Sleep(timeout / 4)
+		fmt.Fprintf(conn, "ECHO %d\n", i)
+		l, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("request %d, %v into the connection: %v", i, time.Duration(i+1)*timeout/4, err)
+		}
+		if got := strings.TrimSuffix(l, "\n"); got != fmt.Sprint(i) {
+			t.Fatalf("request %d -> %q", i, got)
+		}
+	}
+}
+
+// TestDeadlineCutsAClientThatNeverReads is the slow-loris case of the
+// write side: a client that pipelines requests and never reads their
+// replies blocks the server's flush once the socket buffers are full.
+// The connection is cut within 9/8·T (plus slack) of the client's last
+// write going through, and its -max-conns slot is freed.
+func TestDeadlineCutsAClientThatNeverReads(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	st := newStub(t)
+	st.ReadTimeout, st.MaxConns = timeout, 1
+	conn, _, _ := start(t, st)
+	line := []byte("ECHO " + strings.Repeat("x", 32<<10) + "\n")
+	var lastWrite atomic.Int64 // unix nanos of the last write that went through
+	lastWrite.Store(time.Now().UnixNano())
+	writer := make(chan error, 1)
+	go func() {
+		for i := 0; i < 2048; i++ { // 64 MiB of replies: far past any loopback buffer
+			if _, err := conn.Write(line); err != nil {
+				writer <- err
+				return
+			}
+			lastWrite.Store(time.Now().UnixNano())
+		}
+		writer <- nil
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for st.Connections.Value() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("a client that never reads was not cut within 10s")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if held, hi := time.Since(time.Unix(0, lastWrite.Load())), timeout*9/8+300*time.Millisecond; held > hi {
+		t.Errorf("cut %v after the client's last write went through, want within 9/8·T = %v (%v with slack)", held, timeout*9/8, hi)
+	}
+	conn.Close()
+	if err := <-writer; err == nil {
+		t.Fatal("the client wrote 64 MiB of requests without reading a reply, and the server took them all")
+	}
+	// The slot is free: a new connection is served, not refused.
+	next, err := net.Dial("tcp", conn.RemoteAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer next.Close()
+	next.SetDeadline(time.Now().Add(10 * time.Second))
+	fmt.Fprintln(next, "ECHO again")
+	if got := readLines(t, bufio.NewReader(next), 1)[0]; got != "again" {
+		t.Fatalf("after the cut -> %q, want the -max-conns slot free", got)
 	}
 }
 

@@ -13,26 +13,30 @@
 // test (overhead_test.go, <= 5 ns/op).
 //
 // When it is on — every request a server serves — a span tree costs
-// no heap. New takes a slab of eight spans from a sync.Pool (a served
-// QRY's tree has seven, an INS or DEL's two) and StartChild hands out
-// the next one; a span is reset when it is handed out, so a two-span
-// tree touches two. A span past the slab is allocated alone, as a
-// decoded span is. Each span keeps its first two attributes and three
-// children inline; only a span past those sizes allocates on its own.
-// Only New reads the wall clock: StartChild stamps the root's start plus
-// the monotonic time since, so Start and the JSON start_unix_nano keep
-// their meaning at one monotonic clock read per span. Span IDs come from
-// the runtime's per-thread random source, so concurrent requests share
-// no counter.
+// no heap. New and NewAt take a slab of eight spans from a sync.Pool (a
+// served QRY's tree has four, or seven on an AVG cube, and one more
+// while the out-of-order buffer holds points; an INS or DEL's two) and
+// StartChild hands out the next one; a span is reset when it is handed
+// out, so a two-span tree touches two. A span past the slab is allocated
+// alone, as a decoded span is. Each span keeps its first three
+// attributes and three children inline; only a span past those sizes
+// allocates on its own. Only New reads the wall clock; NewAt takes a start the caller
+// already read (the serving core's stamp for the request's unit), and
+// EndAt an end, so a server reads one clock for every root of a unit.
+// StartChild stamps the root's start plus the monotonic time since, so
+// Start and the JSON start_unix_nano keep their meaning at one monotonic
+// clock read per child span and one per End. Span IDs come from the
+// runtime's per-thread random source, so concurrent requests share no
+// counter.
 //
 // A tree handed to Ring.Add belongs to the ring; the slow log and
 // Entries hand out clones. The ring puts the tree it evicts back into
 // the pool, so whoever hands a tree to Ring.Add must be done with it —
 // every render, every read — and a tree nobody hands to a ring is
 // garbage-collected. Graft takes only decoded (heap) trees. A served
-// QRY on histserve allocates 7 objects and 619 B in all, parse and reply
+// QRY on histserve allocates 4 objects and 603 B in all, parse and reply
 // included, none of them for its spans (cmd/histserve's
-// TestServedQueryAllocs), and a served INS or DEL 8 objects and 608 B
+// TestServedQueryAllocs), and a served INS or DEL 5 objects and 624 B
 // (TestServedInsertAllocs).
 //
 // Spans are NOT safe for concurrent use: a span tree belongs to one
@@ -181,9 +185,9 @@ type Span struct {
 }
 
 const (
-	inlineAttrs    = 2 // every histcube span sets at most two
+	inlineAttrs    = 3 // every histcube span sets at most three (histcube.prefix: t, slice, form)
 	inlineChildren = 3 // histcube.query's two prefixes and the OOO buffer
-	slabSpans      = 8 // a served QRY's tree has seven
+	slabSpans      = 8 // a served QRY's tree on an AVG cube with a pending buffer has eight
 )
 
 // slab is the memory behind a span tree: New takes its first span for
@@ -201,10 +205,16 @@ var slabs = sync.Pool{New: func() any { return new(slab) }}
 // Span names are part of the observability contract: constant dotted
 // snake_case under the histcube. or histserve. prefix, enforced by
 // histlint's metricname analyzer.
-func New(name string) *Span {
+func New(name string) *Span { return NewAt(name, time.Now()) }
+
+// NewAt is New with the start the caller read: a server stamps a unit
+// of requests once and starts each request's root at that stamp. start
+// should carry a monotonic reading (time.Now's does), which StartChild
+// and End measure from.
+func NewAt(name string, start time.Time) *Span {
 	sl := slabs.Get().(*slab)
 	sl.used = 1
-	return sl.spans[0].open(name, NewID(), time.Now(), sl)
+	return sl.spans[0].open(name, NewID(), start, sl)
 }
 
 // StartChild starts and appends a child span inheriting the parent's
@@ -315,8 +325,17 @@ func (s *Span) End() {
 	if s == nil || s.dur != 0 {
 		return
 	}
-	s.dur = time.Since(s.start)
-	if s.dur == 0 {
+	s.EndAt(s.start.Add(time.Since(s.start)))
+}
+
+// EndAt is End at a time the caller read: a server ends every root of a
+// unit at one stamp.
+func (s *Span) EndAt(t time.Time) {
+	if s == nil || s.dur != 0 {
+		return
+	}
+	s.dur = t.Sub(s.start)
+	if s.dur <= 0 {
 		s.dur = 1 // clock granularity floor; 0 means "still open"
 	}
 }
@@ -432,9 +451,8 @@ func FromContext(ctx context.Context) *Span {
 
 // Render writes the span tree as indented text, one line per span:
 //
-//	histcube.query dur=12.3µs time_lo=1 time_hi=5 ...
-//	  histcube.prefix dur=8.1µs t=5 slice=2
-//	    histcube.slice_query ... cells_touched=17 conversions=9
+//	histcube.query dur=12.3µs time_lo=1 time_hi=5
+//	  histcube.prefix dur=8.1µs t=5 slice=2 form=historic cells_touched=17 conversions=9 ...
 //
 // Counters appear after attributes, zero counters omitted. A nil span
 // renders nothing.

@@ -86,6 +86,32 @@ func TestSpanTreeCountersAndRender(t *testing.T) {
 	}
 }
 
+// TestNewAtAndEndAt: a root started and ended at stamps the caller read
+// spans exactly their difference, a child is stamped on the root's
+// clock, a second end keeps the first, and an end at or before the
+// start still reads as ended.
+func TestNewAtAndEndAt(t *testing.T) {
+	start := time.Now()
+	root := NewAt("histserve.query", start)
+	if !root.Start().Equal(start) {
+		t.Fatalf("Start = %v, want the stamp %v", root.Start(), start)
+	}
+	child := root.StartChild("histcube.query")
+	if child.Start().Before(start) {
+		t.Fatalf("child started at %v, before its root's %v", child.Start(), start)
+	}
+	root.EndAt(start.Add(3 * time.Millisecond))
+	root.EndAt(start.Add(time.Hour))
+	if got := root.Duration(); got != 3*time.Millisecond {
+		t.Fatalf("Duration = %v, want the 3ms between the stamps, kept past a second end", got)
+	}
+	early := NewAt("histserve.query", start)
+	early.EndAt(start)
+	if got := early.Duration(); got <= 0 {
+		t.Fatalf("ended at its start: Duration = %v, want > 0 (0 means still open)", got)
+	}
+}
+
 func TestContextRoundTrip(t *testing.T) {
 	if got := FromContext(context.Background()); got != nil {
 		t.Fatalf("FromContext(empty) = %v, want nil", got)
