@@ -400,13 +400,17 @@ func BenchmarkAblationConversion(b *testing.B) {
 // against the R*-tree-backed one as the buffer grows.
 func BenchmarkAblationGd(b *testing.B) {
 	const buffered = 20000
-	fill := func(g framework.GeneralStructure) {
+	type gd interface {
+		Insert(t int64, x []int, delta float64)
+		Query(tLo, tHi int64, b dims.Box) (float64, error)
+	}
+	fill := func(g gd) {
 		r := rand.New(rand.NewSource(11))
 		for i := 0; i < buffered; i++ {
 			g.Insert(int64(r.Intn(1000)), []int{r.Intn(100), r.Intn(100)}, 1)
 		}
 	}
-	query := func(b *testing.B, g framework.GeneralStructure) {
+	query := func(b *testing.B, g gd) {
 		r := rand.New(rand.NewSource(12))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

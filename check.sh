@@ -136,9 +136,14 @@ step_crash() {
     # extended in place, and a catch-up stream reading the active
     # segment beside a live commit delivers every shipped LSN.
     # The SIGKILL drills run the histserve binary; the query parked
-    # behind a commit runs in process.
+    # behind a commit runs in process. Then the transcript checker
+    # (internal/linetest): one script at depth 1 and pipelined in
+    # byte-cut windows must answer the same bytes, every QRY equal to the
+    # oracle over the acked mutations — on one durable member, and on a
+    # durable -ooo member that checkpoints and restarts mid-script.
     run_named ./cmd/histserve/ 'TestCrashRecoveryNoAcknowledgedLoss|TestCrashBetweenStageAndGroupFsync|TestFollowerKilledBetweenStageAndCommit' -race -count=1
-    run_named ./internal/histserve/ 'TestQueryWaitsForTheCommitItRead' -race -count=1
+    run_named ./internal/histserve/ 'TestQueryWaitsForTheCommitItRead|TestPipelinedRepliesMatchDepthOne' -race -count=1
+    run_named ./internal/fleettest/ 'TestTranscriptThroughCheckpointAndRestart' -race -count=1
     run_named ./internal/wal/ 'TestRebaseCrashPointsRecover|TestRebaseRetriesAfterFailure|TestInstallCheckpointResetsSegments|TestFailedWriteIsRepairedNotRetried|TestApplyKeepsFailuresApart|TestCommitOfADurableRecordDoesNotQueue|TestRecoveryFindsTheSegmentEnd|TestTornFinalRecordTruncated|TestStreamCatchUpBesideALiveCommit' -race -count=1
 }
 
@@ -210,9 +215,14 @@ step_replchaos() {
     # would delay: a primary that hangs (ROLE unanswered) is replaced
     # within a few -probe-every while another shard's member still
     # rejoins within one, and a write that breaks on a dead primary
-    # promotes its follower on the next ROLE it misses.
-    run_named ./cmd/histproxy/ 'TestReplChaosPrimaryKillUnderLoad|TestBrokenMixedUnitAnswersEveryLineAndFailsOver|TestReplChaosReadsSkipFollowersOutsideTheAckQuorum|TestBrokenWriteFailsOverBeforeTheBreakerOpens|TestReadRuleFollowsPrimaryMinAcks|TestReadRuleSkipsASyncingFollower|TestRejoiningFollowerServesNoReadBeforeItsRound|TestHungPrimaryFailsOverAndOthersStillRejoin' -race -count=1
+    # promotes its follower on the next ROLE it misses. Last, the
+    # transcript checker through replicated and sharded targets: a
+    # 2-shard semi-sync fleet behind the proxy, two-member -op count and
+    # -op avg fleets, and a semi-sync primary stopped mid-script whose
+    # promoted follower answers the rest.
+    run_named ./cmd/histproxy/ 'TestReplChaosPrimaryKillUnderLoad|TestBrokenMixedUnitAnswersEveryLineAndFailsOver|TestReplChaosReadsSkipFollowersOutsideTheAckQuorum|TestBrokenWriteFailsOverBeforeTheBreakerOpens|TestReadRuleFollowsPrimaryMinAcks|TestReadRuleSkipsASyncingFollower|TestRejoiningFollowerServesNoReadBeforeItsRound|TestHungPrimaryFailsOverAndOthersStillRejoin|TestRunConformanceThroughSemiSyncFleet|TestProxyFleetsAnswerLikeOneScan' -race -count=1
     run_named ./internal/histserve/ 'TestReplicaBootstrapsUnderCheckpointLoad|TestPrimaryAndFollowerApplyOneStream|TestReplicaBarrierIsItsLocalCommit|TestSemiSyncReadOutlivesItsFollower|TestRestartedSemiSyncPrimaryCommitsItsTailOnceHeld|TestReplicaAppliedLSNIsItsCommitFrontier|TestReplicaSyncedOnlyAtThePrimarysEnd' -race -count=1
+    run_named ./internal/fleettest/ 'TestTranscriptThroughPromotion' -race -count=1
 }
 
 step_traceguard() {

@@ -30,9 +30,9 @@ func TestProxyAverageIsExact(t *testing.T) {
 		if got := c.Cmd(t, ins); got != "OK" {
 			t.Fatalf("%s -> %q", ins, got)
 		}
-		fleettest.Apply(t, &ref, strings.Fields(ins))
+		linetest.Apply(t, &ref, strings.Fields(ins))
 	}
-	avg := func(qry string) string { return fleettest.Answer(t, ref, "avg", strings.Fields(qry)[1:]) }
+	avg := func(qry string) string { return linetest.Answer(t, ref, "avg", strings.Fields(qry)[1:]) }
 	for _, qry := range []string{
 		"QRY 0 199 0 0 3 3", // the reproduction: 106/3, not 103
 		"QRY 0 199 0 0 7 7",
@@ -77,13 +77,13 @@ func TestProxyRefusesAMemberOfAnotherOperator(t *testing.T) {
 		if got := c.Cmd(t, ins); got != "OK" {
 			t.Fatalf("%s -> %q", ins, got)
 		}
-		fleettest.Apply(t, &ref, strings.Fields(ins))
+		linetest.Apply(t, &ref, strings.Fields(ins))
 	}
 	want := fmt.Sprintf("ERR shard %s serves op=sum, not the fleet's op=avg", other.Addr)
 	if got := c.Cmd(t, "QRY 0 199 0 0 7 7"); !strings.HasPrefix(got, want) {
 		t.Errorf("QRY with a leg to the op=sum member = %q, want %q...", got, want)
 	}
-	if got, want := c.Cmd(t, "QRY 0 99 0 0 7 7"), fleettest.Answer(t, ref, "avg", strings.Fields("0 99 0 0 7 7")); got != want {
+	if got, want := c.Cmd(t, "QRY 0 99 0 0 7 7"), linetest.Answer(t, ref, "avg", strings.Fields("0 99 0 0 7 7")); got != want {
 		t.Errorf("QRY of the avg member alone = %q, want %s", got, want)
 	}
 	if n := served(t, other, "QRY"); n != 0 {
@@ -92,19 +92,17 @@ func TestProxyRefusesAMemberOfAnotherOperator(t *testing.T) {
 }
 
 // TestProxyFleetsAnswerLikeOneScan: a seeded stream of INS, DEL and QRY
-// through two-member -op count and -op avg fleets. Every reply to a
-// mutation is OK, and every QRY — most straddle the members' boundary —
-// equals a naive scan of the acknowledged mutations before it.
+// through two-member -op count and -op avg fleets, played by the
+// transcript checker. Every reply to a mutation is OK, and every QRY —
+// most straddle the members' boundary — equals a naive scan of the
+// acknowledged mutations before it.
 func TestProxyFleetsAnswerLikeOneScan(t *testing.T) {
 	for _, op := range []string{"count", "avg"} {
 		t.Run(op, func(t *testing.T) {
-			a, b := fleettest.StartMember(t, fleettest.MemberConfig(op)), fleettest.StartMember(t, fleettest.MemberConfig(op))
-			addr, _ := startProxy(t, fmt.Sprintf("%s=0-99,%s=100-", a.Addr, b.Addr))
-			c := linetest.Dial(t, addr)
 			rng := rand.New(rand.NewSource(7))
-			var ref oracle.Points
+			var script []string
 			var inserted [][]string
-			now, checked := int64(0), 0
+			now := int64(0)
 			for step := 0; step < 400; step++ {
 				var line string
 				switch r := rng.Intn(10); {
@@ -120,27 +118,23 @@ func TestProxyFleetsAnswerLikeOneScan(t *testing.T) {
 				default:
 					now += rng.Int63n(4)
 					line = fmt.Sprintf("INS %d %d %d %d", now, rng.Intn(8), rng.Intn(8), 1+rng.Intn(9))
+					inserted = append(inserted, strings.Fields(line))
 				}
-				got, f := c.Cmd(t, line), strings.Fields(line)
-				if f[0] != "QRY" {
-					if got != "OK" {
-						t.Fatalf("step %d: %s -> %q", step, line, got)
-					}
-					fleettest.Apply(t, &ref, f)
-					if f[0] == "INS" {
-						inserted = append(inserted, f)
-					}
-					continue
-				}
-				checked++
-				if want := fleettest.Answer(t, ref, op, f[1:]); got != want {
-					t.Fatalf("step %d: %s = %s, a naive scan of %d mutations says %s", step, line, got, len(ref), want)
-				}
+				script = append(script, line)
 			}
 			if now < 150 {
 				t.Fatalf("the stream reached only time %d: the second member took no part", now)
 			}
-			t.Logf("-op %s: %d queries equal a naive scan", op, checked)
+			got := linetest.CheckScript(t, op, func(t *testing.T) linetest.Fleet {
+				a, b := fleettest.StartMember(t, fleettest.MemberConfig(op)), fleettest.StartMember(t, fleettest.MemberConfig(op))
+				addr, _ := startProxy(t, fmt.Sprintf("%s=0-99,%s=100-", a.Addr, b.Addr))
+				return linetest.Fleet{Addr: addr}
+			}, script)
+			for step, line := range script {
+				if !strings.HasPrefix(line, "QRY") && got[step] != "OK" {
+					t.Fatalf("step %d: %s -> %q", step, line, got[step])
+				}
+			}
 		})
 	}
 }

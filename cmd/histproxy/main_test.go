@@ -1,0 +1,12 @@
+package main
+
+import (
+	"os"
+	"testing"
+
+	"histcube/internal/linetest"
+)
+
+// TestMain lets the binary drills build histserve and histproxy once
+// for the whole test binary.
+func TestMain(m *testing.M) { os.Exit(linetest.Main(m)) }

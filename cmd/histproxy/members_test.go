@@ -113,7 +113,7 @@ func mustAck(t *testing.T, c *linetest.Client, ref *oracle.Points, line string) 
 	if got := c.Cmd(t, line); got != "OK" {
 		t.Fatalf("%s = %q, want OK", line, got)
 	}
-	fleettest.Apply(t, ref, strings.Fields(line))
+	linetest.Apply(t, ref, strings.Fields(line))
 }
 
 // answers sends each query of one window in one write and checks every
@@ -122,7 +122,7 @@ func answers(t *testing.T, c *linetest.Client, ref oracle.Points, qrys ...string
 	t.Helper()
 	got := c.SendAll(t, strings.Join(qrys, "\n")+"\n", len(qrys))
 	for i, qry := range qrys {
-		if want := fleettest.Answer(t, ref, "sum", strings.Fields(qry)[1:]); got[i] != want {
+		if want := linetest.Answer(t, ref, "sum", strings.Fields(qry)[1:]); got[i] != want {
 			t.Fatalf("%s = %q, want %q", qry, got[i], want)
 		}
 	}

@@ -536,13 +536,13 @@ func TestProxyUnitEdgesKeepTheirAnswers(t *testing.T) {
 			for i, line := range tc.lines {
 				want, f := tc.want[i], strings.Fields(line)
 				if want == "" {
-					want = fleettest.Answer(t, ref, "sum", f[1:])
+					want = linetest.Answer(t, ref, "sum", f[1:])
 				}
 				if got[i] != want {
 					t.Errorf("reply %d to %q = %q, want %q", i, line, got[i], want)
 				}
 				if got[i] == "OK" {
-					fleettest.Apply(t, &ref, f)
+					linetest.Apply(t, &ref, f)
 				}
 			}
 			if n := servedLines(t, members[0]); n != tc.shard0 {

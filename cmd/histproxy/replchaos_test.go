@@ -14,54 +14,51 @@ package main
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"net"
-	"net/http"
+	"os"
 	"path/filepath"
-	"regexp"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"histcube/internal/linetest"
 )
 
 func TestReplChaosPrimaryKillUnderLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replication chaos test builds and kills real processes")
 	}
-	serveBin := buildBinary(t, "histserve", "../histserve")
-	proxyBin := buildBinary(t, "histproxy", ".")
-
 	// One replicated hot shard. The primary is semi-sync (-repl-min-acks
 	// 1): an INS is OK'd only after the follower has durably appended
 	// AND applied it, so promotion can never lose an acked write.
 	pdir := filepath.Join(t.TempDir(), "primary-data")
 	rdir := filepath.Join(t.TempDir(), "replica-data")
-	serveArgs := []string{"-addr", "127.0.0.1:0", "-dims", "8,8", "-op", "sum"}
-	primary := startProc(t, serveBin, append(serveArgs,
+	serveArgs := []string{"-dims", "8,8", "-op", "sum"}
+	primary := linetest.Start(t, servePkg, append(serveArgs,
 		"-data-dir", pdir, "-fsync", "always",
 		"-repl-min-acks", "1", "-repl-ack-timeout", "5s")...)
-	replica := startProc(t, serveBin, append(serveArgs,
-		"-data-dir", rdir, "-fsync", "always", "-follow", primary.addr)...)
+	replica := linetest.Start(t, servePkg, append(serveArgs,
+		"-data-dir", rdir, "-fsync", "always", "-follow", primary.Addr)...)
 
-	spec := fmt.Sprintf("%s|%s=0-", primary.addr, replica.addr)
-	proxy := startProc(t, proxyBin,
-		"-addr", "127.0.0.1:0", "-dims", "8,8", "-shards", spec,
+	spec := fmt.Sprintf("%s|%s=0-", primary.Addr, replica.Addr)
+	proxy := linetest.Start(t, proxyPkg,
+		"-dims", "8,8", "-shards", spec,
 		"-shard-timeout", "2s", "-request-timeout", "10s",
 		"-breaker-threshold", "1",
 		"-probe-every", "100ms", "-hedge-after", "20ms")
-	c := chaosDial(t, proxy.addr)
+	c := linetest.Dial(t, proxy.Addr)
 
 	// Seed through the proxy. Every OK means the follower applied it.
 	const seedN = 100
 	for i := 0; i < seedN; i++ {
-		if got := c.cmd(t, fmt.Sprintf("INS %d %d %d 1", i, i%8, (i/3)%8)); got != "OK" {
+		if got := c.Cmd(t, fmt.Sprintf("INS %d %d %d 1", i, i%8, (i/3)%8)); got != "OK" {
 			t.Fatalf("seed INS %d -> %q", i, got)
 		}
 	}
 	const qry = "QRY 0 1000000 0 0 7 7"
-	if got := c.cmd(t, qry); got != strconv.Itoa(seedN) {
+	if got := c.Cmd(t, qry); got != strconv.Itoa(seedN) {
 		t.Fatalf("seeded QRY -> %q, want %d", got, seedN)
 	}
 
@@ -89,7 +86,7 @@ func TestReplChaosPrimaryKillUnderLoad(t *testing.T) {
 	stopWriter := make(chan struct{})
 	writerDone := make(chan error, 1)
 	go func() {
-		conn, err := net.Dial("tcp", proxy.addr)
+		conn, err := net.Dial("tcp", proxy.Addr)
 		if err != nil {
 			writerDone <- err
 			return
@@ -158,14 +155,14 @@ func TestReplChaosPrimaryKillUnderLoad(t *testing.T) {
 
 	// Let the writer get going, then SIGKILL the primary mid-append.
 	time.Sleep(150 * time.Millisecond)
-	primary.kill(t)
+	primary.Stop(t, os.Kill)
 	close(killed)
 
 	// Reads during the outage: the replica replays the primary's exact
 	// op stream, so every answer must be a plain, complete number —
 	// never PARTIAL, never an error, never a hang.
 	for i := 0; i < 20; i++ {
-		got := c.cmd(t, qry)
+		got := c.Cmd(t, qry)
 		if strings.HasPrefix(got, "PARTIAL") || strings.HasPrefix(got, "ERR") {
 			t.Fatalf("QRY during outage -> %q; the replica must keep answers exact and complete", got)
 		}
@@ -194,7 +191,7 @@ func TestReplChaosPrimaryKillUnderLoad(t *testing.T) {
 	// Zero acked-write loss: every OK'd append must be in the final sum;
 	// every errored one may or may not be (indeterminate), but nothing
 	// else can appear.
-	final := c.cmd(t, qry)
+	final := c.Cmd(t, qry)
 	sum, err := strconv.ParseFloat(final, 64)
 	if err != nil {
 		t.Fatalf("final QRY -> %q", final)
@@ -206,58 +203,21 @@ func TestReplChaosPrimaryKillUnderLoad(t *testing.T) {
 	}
 
 	// The shard map reflects the takeover: the old replica is primary.
-	shards := c.cmd(t, "SHARDS")
+	shards := c.Cmd(t, "SHARDS")
 	var body strings.Builder
 	body.WriteString(shards)
 	for !strings.HasSuffix(strings.TrimSpace(body.String()), "END") {
-		line, err := c.r.ReadString('\n')
+		line, err := c.R.ReadString('\n')
 		if err != nil {
 			t.Fatalf("reading SHARDS body: %v", err)
 		}
 		body.WriteString(line)
 	}
-	if !strings.Contains(body.String(), replica.addr+":primary=") {
+	if !strings.Contains(body.String(), replica.Addr+":primary=") {
 		t.Fatalf("SHARDS does not show the promoted replica as primary:\n%s", body.String())
 	}
 	t.Logf("outage: %d acked + %d indeterminate writes, final SUM=%v in [%v, %v]; replica promoted to primary",
 		ok, errs, sum, lo, hi)
-}
-
-var chaosMetricsRE = regexp.MustCompile(`msg="metrics listening" addr=([^ ]+)`)
-
-// scrape reads one series off a child's /metrics listener (started with
-// -metrics 127.0.0.1:0) by name.
-func (p *chaosProc) scrape(t *testing.T, series string) float64 {
-	t.Helper()
-	var addr string
-	for _, line := range p.stderr {
-		if m := chaosMetricsRE.FindStringSubmatch(line); m != nil {
-			addr = m[1]
-		}
-	}
-	if addr == "" {
-		t.Fatalf("no metrics listener in the child's log:\n%s", strings.Join(p.stderr, "\n"))
-	}
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(string(body), "\n") {
-		if v, ok := strings.CutPrefix(line, series+" "); ok {
-			n, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return n
-		}
-	}
-	t.Fatalf("%s has no series %s", addr, series)
-	return 0
 }
 
 // TestReplChaosReadsSkipFollowersOutsideTheAckQuorum is the read rule
@@ -271,28 +231,20 @@ func TestReplChaosReadsSkipFollowersOutsideTheAckQuorum(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs real processes")
 	}
-	serveBin := buildBinary(t, "histserve", "../histserve")
-	proxyBin := buildBinary(t, "histproxy", ".")
-	serveArgs := []string{"-addr", "127.0.0.1:0", "-metrics", "127.0.0.1:0", "-dims", "8,8", "-op", "sum", "-fsync", "always"}
-	primary := startProc(t, serveBin, append(serveArgs, "-data-dir", filepath.Join(t.TempDir(), "p"),
+	serveArgs := []string{"-metrics", "127.0.0.1:0", "-dims", "8,8", "-op", "sum", "-fsync", "always"}
+	primary := linetest.Start(t, servePkg, append(serveArgs, "-data-dir", filepath.Join(t.TempDir(), "p"),
 		"-repl-min-acks", "1", "-repl-ack-timeout", "5s")...)
-	var followers []*chaosProc
+	var followers []*linetest.Proc
 	for i := 0; i < 2; i++ {
-		followers = append(followers, startProc(t, serveBin, append(serveArgs,
-			"-data-dir", filepath.Join(t.TempDir(), fmt.Sprint("f", i)), "-follow", primary.addr)...))
+		followers = append(followers, linetest.Start(t, servePkg, append(serveArgs,
+			"-data-dir", filepath.Join(t.TempDir(), fmt.Sprint("f", i)), "-follow", primary.Addr)...))
 	}
-	pc := chaosDial(t, primary.addr)
-	deadline := time.Now().Add(10 * time.Second)
-	for !strings.Contains(pc.cmd(t, "ROLE"), " followers=2 min_acks=1") {
-		if time.Now().After(deadline) {
-			t.Fatal("the followers never connected")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	proxy := startProc(t, proxyBin, "-addr", "127.0.0.1:0", "-dims", "8,8",
-		"-shards", fmt.Sprintf("%s|%s|%s=0-", primary.addr, followers[0].addr, followers[1].addr),
+	pc := linetest.Dial(t, primary.Addr)
+	waitFor(t, "the followers to connect", func() bool { return strings.Contains(pc.Cmd(t, "ROLE"), " followers=2 min_acks=1") })
+	proxy := linetest.Start(t, proxyPkg, "-dims", "8,8",
+		"-shards", fmt.Sprintf("%s|%s|%s=0-", primary.Addr, followers[0].Addr, followers[1].Addr),
 		"-probe-every", "100ms", "-hedge-after", "1ms")
-	c := chaosDial(t, proxy.addr)
+	c := linetest.Dial(t, proxy.Addr)
 
 	// Each round is a window of two inserts, then a window of two
 	// queries: a batch of legs alone takes the read path, which is where a
@@ -305,33 +257,24 @@ func TestReplChaosReadsSkipFollowersOutsideTheAckQuorum(t *testing.T) {
 			{fmt.Sprintf("INS %d %d 0 1\nINS %d 0 %d 1\n", 2*w, w%8, 2*w+1, w%8), "OK"},
 			{qry + "\n" + qry + "\n", sum},
 		} {
-			c.conn.SetDeadline(time.Now().Add(10 * time.Second))
-			if _, err := io.WriteString(c.conn, unit[0]); err != nil {
-				t.Fatal(err)
-			}
-			for j := 0; j < 2; j++ {
-				got, err := c.r.ReadString('\n')
-				if err != nil || strings.TrimSpace(got) != unit[1] {
-					t.Fatalf("round %d: reply %d to %q = %q, %v; want %q", w, j, unit[0], got, err, unit[1])
+			for j, got := range c.SendAll(t, unit[0], 2) {
+				if got != unit[1] {
+					t.Fatalf("round %d: reply %d to %q = %q; want %q", w, j, unit[0], got, unit[1])
 				}
 			}
 		}
 	}
 	const qrySeries = `histserve_request_seconds_count{cmd="QRY"}`
 	for i, f := range followers {
-		fc := chaosDial(t, f.addr)
-		deadline := time.Now().Add(10 * time.Second)
-		for !strings.Contains(fc.cmd(t, "ROLE"), fmt.Sprintf(" applied_lsn=%d ", 2*windows)) {
-			if time.Now().After(deadline) {
-				t.Fatalf("follower %d never applied the %d writes", i, 2*windows)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		if n := f.scrape(t, qrySeries); n != 0 {
+		fc := linetest.Dial(t, f.Addr)
+		waitFor(t, "a follower to apply every write", func() bool {
+			return strings.Contains(fc.Cmd(t, "ROLE"), fmt.Sprintf(" applied_lsn=%d ", 2*windows))
+		})
+		if n := linetest.MetricValue(t, f, qrySeries); n != 0 {
 			t.Errorf("follower %d served %v QRY legs with -repl-min-acks 1 below its 2 followers", i, n)
 		}
 	}
-	if n := primary.scrape(t, qrySeries); n != 2*windows {
+	if n := linetest.MetricValue(t, primary, qrySeries); n != 2*windows {
 		t.Errorf("the primary served %v QRY legs, want all %d", n, 2*windows)
 	}
 }

@@ -116,9 +116,9 @@ func TestUnitIsOneRoundTripPerShard(t *testing.T) {
 		t.Fatalf("reply %q left before the unit's slow leg was in: a unit has one flush", l)
 	}
 	c.Conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	fleettest.Apply(t, &ref, strings.Fields("INS 10 1 1 5"))
-	fleettest.Apply(t, &ref, strings.Fields("INS 11 1 1 5"))
-	for i, want := range []string{"OK\n", "OK\n", fleettest.Answer(t, ref, "sum", strings.Fields("0 150 0 0 7 7")) + "\n"} {
+	linetest.Apply(t, &ref, strings.Fields("INS 10 1 1 5"))
+	linetest.Apply(t, &ref, strings.Fields("INS 11 1 1 5"))
+	for i, want := range []string{"OK\n", "OK\n", linetest.Answer(t, ref, "sum", strings.Fields("0 150 0 0 7 7")) + "\n"} {
 		if l, err := c.R.ReadString('\n'); err != nil || l != want {
 			t.Fatalf("reply %d = %q, %v, want %q", i, l, err, want)
 		}
@@ -143,7 +143,7 @@ func TestUnitIsOneRoundTripPerShard(t *testing.T) {
 	if got := c.Cmd(t, ""); got != "OK" { // completes "INS 12 1 1 5"
 		t.Fatalf("completed partial line -> %q", got)
 	}
-	fleettest.Apply(t, &ref, strings.Fields("INS 12 1 1 5"))
+	linetest.Apply(t, &ref, strings.Fields("INS 12 1 1 5"))
 
 	// A line of any other verb is a unit of one and splits the window.
 	if _, err := io.WriteString(c.Conn, "INS 20 1 1 1\nEXPLAIN QRY 0 50 0 0 7 7\nINS 21 1 1 1\nSTATS\n"+
@@ -163,9 +163,9 @@ func TestUnitIsOneRoundTripPerShard(t *testing.T) {
 		}
 	}
 	for _, ins := range []string{"INS 20 1 1 1", "INS 21 1 1 1", "INS 22 1 1 1", "INS 23 1 1 1"} {
-		fleettest.Apply(t, &ref, strings.Fields(ins))
+		linetest.Apply(t, &ref, strings.Fields(ins))
 	}
-	if ok, sum, want := readLine(), readLine(), fleettest.Answer(t, ref, "sum", strings.Fields("0 50 0 0 7 7")); ok != "OK" || sum != want {
+	if ok, sum, want := readLine(), readLine(), linetest.Answer(t, ref, "sum", strings.Fields("0 50 0 0 7 7")); ok != "OK" || sum != want {
 		t.Fatalf("last two replies of the split window = %q, %q, want OK, %s", ok, sum, want)
 	}
 	for line, want := range map[string]string{
@@ -213,7 +213,7 @@ func TestBrokenRunAnswersEveryLineAndFailsOver(t *testing.T) {
 		case i >= 2 && !strings.HasPrefix(l, "ERR shard "+toPrimary.Addr+" unavailable"):
 			t.Errorf("reply %d = %q, want the explicit unavailable error", i, l)
 		case i < 2:
-			fleettest.Apply(t, &acked, strings.Fields(run[i]))
+			linetest.Apply(t, &acked, strings.Fields(run[i]))
 		default:
 			broken = append(broken, run[i])
 		}
@@ -232,14 +232,14 @@ func TestBrokenRunAnswersEveryLineAndFailsOver(t *testing.T) {
 		t.Fatalf("client retry after failover -> %q", got)
 	}
 	for _, l := range broken {
-		fleettest.Apply(t, &acked, strings.Fields(l))
+		linetest.Apply(t, &acked, strings.Fields(l))
 	}
 	// Each retried line reached the promoted member exactly once.
 	if n := follower.Stat(t, "appended"); n != 5 {
 		t.Errorf("the promoted member appended %v inserts after the retry, want the 5 acked", n)
 	}
 	const qry = "QRY 0 100 0 0 7 7"
-	if got, want := c.Cmd(t, qry), fleettest.Answer(t, acked, "sum", strings.Fields(qry)[1:]); got != want {
+	if got, want := c.Cmd(t, qry), linetest.Answer(t, acked, "sum", strings.Fields(qry)[1:]); got != want {
 		t.Errorf("%s = %q after the retry, want %q", qry, got, want)
 	}
 }
@@ -268,13 +268,13 @@ func TestBrokenMixedUnitAnswersEveryLineAndFailsOver(t *testing.T) {
 				t.Errorf("reply %d to %q = %q, want %q", i, line, got[i], unavailable)
 			}
 		case line == qry:
-			if want := fleettest.Answer(t, acked, "sum", strings.Fields(qry)[1:]); got[i] != want {
+			if want := linetest.Answer(t, acked, "sum", strings.Fields(qry)[1:]); got[i] != want {
 				t.Errorf("reply %d to %q = %q, want %q", i, line, got[i], want)
 			}
 		case got[i] != "OK":
 			t.Errorf("reply %d to %q = %q, want the primary's own OK", i, line, got[i])
 		default:
-			fleettest.Apply(t, &acked, strings.Fields(line))
+			linetest.Apply(t, &acked, strings.Fields(line))
 		}
 	}
 	if n := served(t, follower, "QRY"); n != 2 {
@@ -309,7 +309,7 @@ func TestUnitReadsRepliesBufferedBehindASlowShard(t *testing.T) {
 	if !strings.HasPrefix(got[0], "PARTIAL 0 coverage=0.000 ") || got[1] != "OK" {
 		t.Fatalf("replies %q, want [PARTIAL 0 coverage=0.000 ..., OK]", got)
 	}
-	fleettest.Apply(t, &ref, strings.Fields("INS 10 1 1 5"))
+	linetest.Apply(t, &ref, strings.Fields("INS 10 1 1 5"))
 	if n := a.Stat(t, "appended"); n != 1 {
 		t.Fatalf("shard A appended %v inserts, want the acknowledged one", n)
 	}
@@ -339,37 +339,21 @@ func TestUnitDoesNotHedgeBufferedReadBatch(t *testing.T) {
 	}
 }
 
-// semiSyncFleet starts two real replica sets in process — a semi-sync
-// primary plus a WAL-shipping follower each, everything -fsync always —
-// behind an in-process proxy, and returns the proxy address and the four
-// member addresses (primary0, follower0, primary1, follower1). The proxy
-// starts from steadyConfig: one late ROLE must not fail a primary over
-// mid-script.
-func semiSyncFleet(t *testing.T) (string, []string) {
-	t.Helper()
-	var members []string
-	for range 2 {
-		primary, followers := replicaSet(t, "always", 1, 1)
-		members = append(members, primary.Addr, followers[0].Addr)
-	}
-	p := startConfigured(t, steadyConfig(fmt.Sprintf("%s|%s=0-99,%s|%s=100-", members[0], members[1], members[2], members[3]), 0))
-	return serveProxy(t, p), members
-}
-
-// TestRunConformanceThroughSemiSyncFleet sends one script at depth 1
-// and again pipelined through a 2-shard semi-sync topology of real
-// in-process members: the reply transcripts must be byte-identical, and every QRY
-// in them must equal a naive scan over the mutations acked before it — a
-// query sees every earlier line of its connection and no later one. The
-// script's first part goes out in a single write; its second part, a
-// seeded 50/50 INS/QRY mix whose queries span both owners, in windows of
-// random depth 1-8, each cut into two writes at an arbitrary byte. Reads
-// rotate over primaries and followers (no hedging here), so a QRY that
-// travels without a mutation to its shard also checks that an acked
-// unit is already applied on whichever member answers.
+// TestRunConformanceThroughSemiSyncFleet plays one script through the
+// transcript checker against a 2-shard semi-sync topology of real
+// in-process members — a semi-sync primary plus a WAL-shipping follower
+// each, everything -fsync always, behind an in-process proxy that
+// starts from steadyConfig, so one late ROLE cannot fail a primary over
+// mid-script. The script's first part is one window of the pipelined
+// run: a run longer than the unit cap, alternating owners. Its second
+// part, a seeded 50/50 INS/QRY mix whose queries span both owners, goes
+// in the checker's windows of 1 to 8 lines. Reads rotate over primaries
+// and followers (no hedging here), so a QRY that travels without a
+// mutation to its shard also checks that an acked unit is already
+// applied on whichever member answers.
 func TestRunConformanceThroughSemiSyncFleet(t *testing.T) {
 	const all = "QRY 0 100000 0 0 7 7"
-	script := []string{
+	fixed := []string{
 		"INS 1 1 1 5",
 		all,
 		"INS 100 2 2 7", // a run spanning both owners
@@ -390,10 +374,10 @@ func TestRunConformanceThroughSemiSyncFleet(t *testing.T) {
 	// must see all of it.
 	var long float64
 	for i := 0; i < 300; i++ {
-		script = append(script, fmt.Sprintf("INS %d %d %d 2", 3+(i%2)*100+i/4, i%8, (i/3)%8))
+		fixed = append(fixed, fmt.Sprintf("INS %d %d %d 2", 3+(i%2)*100+i/4, i%8, (i/3)%8))
 		long += 2
 	}
-	script = append(script, all, all, all, all, "INS 400 1 1 9")
+	fixed = append(fixed, all, all, all, all, "INS 400 1 1 9")
 	// The mixed part: both owners' clocks move on from where the first
 	// part left them (no -ooo on the shards), every query spans both.
 	rng := rand.New(rand.NewSource(19))
@@ -412,93 +396,51 @@ func TestRunConformanceThroughSemiSyncFleet(t *testing.T) {
 			mixed = append(mixed, fmt.Sprintf("INS %d %d %d %d", t1, c1, c2, 1+rng.Intn(9)))
 		}
 	}
-
-	transcript := func(piped bool) []string {
-		addr, members := semiSyncFleet(t)
-		c := linetest.Dial(t, addr)
-		var got []string
-		if piped {
-			// Everything but the last line's newline in one write: the
-			// trailing partial line must not withhold a single reply.
-			payload := strings.Join(script, "\n")
-			got = c.SendAll(t, payload, len(script)-1)
-			got = append(got, c.Cmd(t, ""))
-		} else {
-			for _, line := range script {
-				got = append(got, c.Cmd(t, line))
-			}
+	script := append(append(append([]string{"@window"}, fixed...), "@shares"), mixed...)
+	got := linetest.CheckScript(t, "sum", func(t *testing.T) linetest.Fleet {
+		var members []string
+		for range 2 {
+			primary, followers := replicaSet(t, "always", 1, 1)
+			members = append(members, primary.Addr, followers[0].Addr)
 		}
+		p := startConfigured(t, steadyConfig(fmt.Sprintf("%s|%s=0-99,%s|%s=100-", members[0], members[1], members[2], members[3]), 0))
 		// Directly after the last ack, every member of both replica sets
 		// holds its shard's share.
-		for i, m := range members {
-			want := fmt.Sprint(5 + 3 + long/2)
-			if i >= 2 {
-				want = fmt.Sprint(7 - 4 + 1.5 - 0.5 + long/2 + 9)
+		shares := func(t *testing.T) string {
+			for i, m := range members {
+				want := fmt.Sprint(5 + 3 + long/2)
+				if i >= 2 {
+					want = fmt.Sprint(7 - 4 + 1.5 - 0.5 + long/2 + 9)
+				}
+				if got := linetest.Dial(t, m).Cmd(t, all); got != want {
+					t.Errorf("member %d (%s) answers %s right after the acked script, want %s", i, m, got, want)
+				}
 			}
-			if got := linetest.Dial(t, m).Cmd(t, all); got != want {
-				t.Errorf("member %d (%s) answers %s right after the acked script, want %s", i, m, got, want)
-			}
+			return ""
 		}
-		cuts := rand.New(rand.NewSource(23))
-		for rest := mixed; len(rest) > 0; {
-			depth := 1
-			if piped {
-				depth = min(len(rest), 1+cuts.Intn(8))
-			}
-			payload := strings.Join(rest[:depth], "\n") + "\n"
-			cut := cuts.Intn(len(payload) + 1)
-			if _, err := io.WriteString(c.Conn, payload[:cut]); err != nil {
-				t.Fatal(err)
-			}
-			time.Sleep(time.Duration(cuts.Intn(300)) * time.Microsecond) // lets the proxy see the cut
-			got = append(got, c.SendAll(t, payload[cut:], depth)...)
-			rest = rest[depth:]
-		}
-		return got
-	}
-	depth1 := transcript(false)
-	piped := transcript(true)
-	script = append(script, mixed...)
-	if len(depth1) != len(piped) {
-		t.Fatalf("depth 1 answered %d lines, pipelined %d", len(depth1), len(piped))
-	}
-	// The oracle is fed the mutations the fleet acked and scans them for
-	// each query.
-	var ref oracle.Points
-	checked := 0
-	for i, line := range script {
-		if depth1[i] != piped[i] {
-			t.Errorf("line %d %q: depth 1 answered %q, pipelined %q", i, line, depth1[i], piped[i])
-		}
-		_, line = trace.CutRequestID(line)
-		f := strings.Fields(line)
-		switch {
-		case len(f) == 5 && (f[0] == "INS" || f[0] == "DEL") && depth1[i] == "OK":
-			fleettest.Apply(t, &ref, f)
-		case len(f) == 7 && f[0] == "QRY":
-			checked++
-			if want := fleettest.Answer(t, ref, "sum", f[1:]); depth1[i] != want {
-				t.Errorf("line %d %q answered %q, a naive scan of the %d mutations acked before it %s", i, line, depth1[i], len(ref), want)
-			}
-		case i >= len(script)-len(mixed):
-			t.Errorf("line %d %q of the mixed part answered %q", i, line, depth1[i])
+		return linetest.Fleet{Addr: serveProxy(t, p), Events: map[string]func(*testing.T) string{"shares": shares}}
+	}, script)
+	head, tail := got[1:1+len(fixed)], got[2+len(fixed):]
+	// Every mutation of the mixed part is acked.
+	for i, line := range mixed {
+		if strings.HasPrefix(line, "INS") && tail[i] != "OK" {
+			t.Errorf("line %q of the mixed part answered %q", line, tail[i])
 		}
 	}
-	t.Logf("%d queries equal a naive scan, the last over %d acked mutations", checked, len(ref))
 	// And the transcript is the right one, not merely the same one.
 	for i, want := range []string{"OK", "5", "OK", "OK", "OK",
 		"ERR INS needs time, 2 coordinates and a value", "OK", `ERR bad integer "x"`} {
-		if depth1[i] != want {
-			t.Errorf("line %d %q answered %q, want %q", i, script[i], depth1[i], want)
+		if head[i] != want {
+			t.Errorf("line %d %q answered %q, want %q", i, fixed[i], head[i], want)
 		}
 	}
-	if !strings.HasPrefix(depth1[8], "ERR") || !strings.HasPrefix(depth1[9], "ERR bad coordinate") {
-		t.Errorf("shard-side errors inside the run answered %q and %q", depth1[8], depth1[9])
+	if !strings.HasPrefix(head[8], "ERR") || !strings.HasPrefix(head[9], "ERR bad coordinate") {
+		t.Errorf("shard-side errors inside the run answered %q and %q", head[8], head[9])
 	}
 	total := fmt.Sprint(5 + 3 + 7 - 4 + 1.5 - 0.5 + long)
-	for i := len(script) - len(mixed) - 5; i < len(script)-len(mixed)-1; i++ {
-		if depth1[i] != total {
-			t.Errorf("read %d after the long run = %q, want %s on every member", i, depth1[i], total)
+	for i := len(fixed) - 5; i < len(fixed)-1; i++ {
+		if head[i] != total {
+			t.Errorf("read %d after the long run = %q, want %s on every member", i, head[i], total)
 		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"histcube/internal/linetest"
 )
 
 // TestProxySigtermExitsCleanly is the binary's graceful path: a proxy in
@@ -20,14 +22,7 @@ func TestProxySigtermExitsCleanly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and signals real processes")
 	}
-	serveBin := buildBinary(t, "histserve", "../histserve")
-	proxyBin := buildBinary(t, "histproxy", ".")
-	var exit *exec.ExitError
-	if err := exec.Command(proxyBin, "-dims", "8,8").Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("histproxy without -shards: %v, want exit status 2", err)
-	}
-
-	live := startProc(t, serveBin, "-addr", "127.0.0.1:0", "-dims", "8,8", "-op", "sum")
+	live := linetest.Start(t, servePkg, "-dims", "8,8", "-op", "sum")
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -35,35 +30,32 @@ func TestProxySigtermExitsCleanly(t *testing.T) {
 	dead := ln.Addr().String()
 	ln.Close()
 	const shardTimeout, probeEvery = time.Second, 200 * time.Millisecond
-	proxy := startProc(t, proxyBin, "-addr", "127.0.0.1:0", "-dims", "8,8",
-		"-shards", live.addr+"=0-99,"+dead+"=100-",
+	proxy := linetest.Start(t, proxyPkg, "-dims", "8,8",
+		"-shards", live.Addr+"=0-99,"+dead+"=100-",
 		"-shard-timeout", shardTimeout.String(), "-probe-every", probeEvery.String())
-	c := chaosDial(t, proxy.addr)
-	if got := c.cmd(t, "INS 1 1 1 5"); got != "OK" {
+	var exit *exec.ExitError
+	if err := exec.Command(proxy.Cmd.Path, "-dims", "8,8").Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("histproxy without -shards: %v, want exit status 2", err)
+	}
+	c := linetest.Dial(t, proxy.Addr)
+	if got := c.Cmd(t, "INS 1 1 1 5"); got != "OK" {
 		t.Fatalf("INS to the live member = %q", got)
 	}
-	if got := c.cmd(t, "QRY 0 199 0 0 7 7"); !strings.HasPrefix(got, "PARTIAL 5 ") {
+	if got := c.Cmd(t, "QRY 0 199 0 0 7 7"); !strings.HasPrefix(got, "PARTIAL 5 ") {
 		t.Fatalf("QRY over the dead member = %q, want PARTIAL 5", got)
 	}
 
-	for _, p := range []*chaosProc{proxy, live} {
-		if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			t.Fatal(err)
-		}
+	for _, p := range []*linetest.Proc{proxy, live} {
 		sent := time.Now()
-		done := make(chan error, 1)
-		go func() { done <- p.cmd.Wait() }()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("%s after SIGTERM: %v, want exit status 0", p.cmd.Path, err)
-			}
-		case <-time.After(shardTimeout + probeEvery):
-			t.Fatalf("%s still running %v after SIGTERM", p.cmd.Path, time.Since(sent))
+		if _, err := p.Stop(t, syscall.SIGTERM); err != nil {
+			t.Fatalf("%s after SIGTERM: %v, want exit status 0", p.Cmd.Path, err)
 		}
-		if err := syscall.Kill(p.cmd.Process.Pid, 0); !errors.Is(err, syscall.ESRCH) {
-			t.Fatalf("%s (pid %d) outlived its exit: kill -0 = %v", p.cmd.Path, p.cmd.Process.Pid, err)
+		if d := time.Since(sent); d > shardTimeout+probeEvery {
+			t.Fatalf("%s took %v to exit after SIGTERM", p.Cmd.Path, d)
 		}
-		t.Logf("%s exited 0 %v after SIGTERM", filepath.Base(p.cmd.Path), time.Since(sent))
+		if err := syscall.Kill(p.Cmd.Process.Pid, 0); !errors.Is(err, syscall.ESRCH) {
+			t.Fatalf("%s (pid %d) outlived its exit: kill -0 = %v", p.Cmd.Path, p.Cmd.Process.Pid, err)
+		}
+		t.Logf("%s exited 0 %v after SIGTERM", filepath.Base(p.Cmd.Path), time.Since(sent))
 	}
 }

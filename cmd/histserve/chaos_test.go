@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -25,20 +26,18 @@ func TestChaosBinaryDegradeKillRecover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos binary test builds and kills real processes")
 	}
-	bin := buildHistserve(t)
 	dataDir := filepath.Join(t.TempDir(), "data")
-	// A recovery-probe interval of 0 would let every mutation of a
-	// degraded server through as a probe: refused at startup.
-	if out, err := exec.Command(bin, "-addr", "127.0.0.1:0", "-degraded-probe-every", "0").CombinedOutput(); err == nil ||
-		!strings.Contains(string(out), "-degraded-probe-every must be > 0") {
-		t.Fatalf("-degraded-probe-every 0: %v\n%s", err, out)
-	}
-
-	p1 := startHistserve(t, bin,
+	p1 := linetest.Start(t, servePkg,
 		"-dims", "8,8", "-op", "sum", "-data-dir", dataDir, "-fsync", "always",
 		"-fault-spec", "wal.write:nospace@120+", "-fault-seed", "3",
 		"-degraded-probe-every", "250ms")
-	conn := linetest.Dial(t, p1.addr)
+	// A recovery-probe interval of 0 would let every mutation of a
+	// degraded server through as a probe: refused at startup.
+	if out, err := exec.Command(p1.Cmd.Path, "-addr", "127.0.0.1:0", "-degraded-probe-every", "0").CombinedOutput(); err == nil ||
+		!strings.Contains(string(out), "-degraded-probe-every must be > 0") {
+		t.Fatalf("-degraded-probe-every 0: %v\n%s", err, out)
+	}
+	conn := linetest.Dial(t, p1.Addr)
 	acked, readonlySeen := 0, false
 	for i := 0; i < 400; i++ {
 		resp := conn.Cmd(t, fmt.Sprintf("INS %d %d %d 1", i/5, i%8, (i/3)%8))
@@ -61,23 +60,18 @@ func TestChaosBinaryDegradeKillRecover(t *testing.T) {
 	}
 
 	// Pull the plug mid-degradation.
-	if err := p1.cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	p1.waitExit(t, 30*time.Second)
+	p1.Stop(t, os.Kill)
 
 	// A healthy restart recovers every acknowledged record and nothing
 	// else, and serves writes again.
-	p2 := startHistserve(t, bin, "-dims", "8,8", "-op", "sum", "-data-dir", dataDir, "-fsync", "always")
-	conn2 := linetest.Dial(t, p2.addr)
+	p2 := linetest.Start(t, servePkg, "-dims", "8,8", "-op", "sum", "-data-dir", dataDir, "-fsync", "always")
+	conn2 := linetest.Dial(t, p2.Addr)
 	if got := conn2.Float(t, "QRY 0 1000000 0 0 7 7"); got != float64(acked) {
 		t.Fatalf("recovered SUM = %v, want acked=%d", got, acked)
 	}
 	if resp := conn2.Cmd(t, "INS 999999 0 0 1"); resp != "OK" {
 		t.Fatalf("post-recovery INS -> %q", resp)
 	}
-	p2.cmd.Process.Kill()
-	p2.waitExit(t, 30*time.Second)
 }
 
 // The in-process chaos cases that need no more than main does; the

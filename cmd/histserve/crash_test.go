@@ -6,15 +6,13 @@ package main
 // recovery (checkpoint + log-tail replay, torn final record truncated)
 // loses no acknowledged record. This is the durability acceptance test
 // wired into check.sh and CI; it needs the go toolchain to build the
-// binary and is skipped under -short.
+// binary (linetest.Start) and is skipped under -short.
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"os/exec"
+	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -23,106 +21,49 @@ import (
 	"histcube/internal/linetest"
 )
 
-// buildHistserve compiles the server binary once per test run.
-func buildHistserve(t *testing.T) string {
+// servePkg is the command the drills run as a child process.
+const servePkg = "histcube/cmd/histserve"
+
+// awaitRole polls c's ROLE for up to 10 s until it holds want.
+func awaitRole(t *testing.T, c *linetest.Client, want string) {
 	t.Helper()
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go toolchain not in PATH; cannot build the crash-test binary")
-	}
-	bin := filepath.Join(t.TempDir(), "histserve")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("building histserve: %v\n%s", err, out)
-	}
-	return bin
-}
-
-var listenRE = regexp.MustCompile(`msg=listening addr=([^ ]+)`)
-
-// histProc is one running histserve child process.
-type histProc struct {
-	cmd    *exec.Cmd
-	addr   string
-	stderr []string
-	lines  chan string
-}
-
-// startHistserve launches the binary and waits for its listen address.
-func startHistserve(t *testing.T, bin string, args ...string) *histProc {
-	t.Helper()
-	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	p := &histProc{cmd: cmd, lines: make(chan string, 256)}
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			select {
-			case p.lines <- sc.Text():
-			default: // never block the child on a full buffer
-			}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp := c.Cmd(t, "ROLE")
+		if strings.Contains(resp, want) {
+			return
 		}
-		close(p.lines)
-	}()
-	deadline := time.After(30 * time.Second)
-	for {
-		select {
-		case line, ok := <-p.lines:
-			if !ok {
-				t.Fatalf("histserve exited before listening; stderr:\n%s", strings.Join(p.stderr, "\n"))
-			}
-			p.stderr = append(p.stderr, line)
-			if m := listenRE.FindStringSubmatch(line); m != nil {
-				p.addr = m[1]
-				return p
-			}
-		case <-deadline:
-			p.cmd.Process.Kill()
-			t.Fatalf("histserve did not report a listen address; stderr:\n%s", strings.Join(p.stderr, "\n"))
+		if time.Now().After(deadline) {
+			t.Fatalf("ROLE = %q, want %s", resp, want)
 		}
 	}
 }
 
-// waitExit drains stderr to EOF and then reaps the child — in that
-// order, because cmd.Wait closes the pipe and would race the reader
-// out of the final log lines. Returns the full stderr and exit error.
-func (p *histProc) waitExit(t *testing.T, d time.Duration) (string, error) {
+// recovered returns the recovery line of a restarted child's boot log.
+func recovered(t *testing.T, p *linetest.Proc) string {
 	t.Helper()
-	done := make(chan error, 1)
-	go func() {
-		for line := range p.lines {
-			p.stderr = append(p.stderr, line)
+	for _, line := range p.Boot {
+		if strings.Contains(line, "msg=recovered") {
+			return line
 		}
-		done <- p.cmd.Wait()
-	}()
-	select {
-	case err := <-done:
-		return strings.Join(p.stderr, "\n"), err
-	case <-time.After(d):
-		p.cmd.Process.Kill()
-		t.Fatal("child process did not exit in time")
-		return "", nil
 	}
+	t.Fatalf("no recovery log line; boot log:\n%s", strings.Join(p.Boot, "\n"))
+	return ""
 }
 
 func TestCrashRecoveryNoAcknowledgedLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash-injection test builds and kills real processes")
 	}
-	bin := buildHistserve(t)
 	dataDir := filepath.Join(t.TempDir(), "data")
 	args := []string{"-dims", "8,8", "-op", "sum", "-data-dir", dataDir,
 		"-fsync", "always", "-checkpoint-every", "500"}
 
 	// Phase 1: drive the append workload and SIGKILL mid-append.
-	p1 := startHistserve(t, bin, args...)
-	conn := linetest.Dial(t, p1.addr)
+	p1 := linetest.Start(t, servePkg, args...)
+	conn := linetest.Dial(t, p1.Addr)
+	if err := conn.Conn.SetDeadline(time.Now().Add(2 * time.Minute)); err != nil { // one deadline for the whole workload
+		t.Fatal(err)
+	}
 	const workload = 10000
 	const killAfter = 1200 // acks before the plug is pulled
 	acked, sent := 0, 0
@@ -143,7 +84,7 @@ func TestCrashRecoveryNoAcknowledgedLoss(t *testing.T) {
 		if acked == killAfter {
 			// SIGKILL while the workload is in full flight: the next
 			// iterations race the process teardown.
-			if err := p1.cmd.Process.Kill(); err != nil {
+			if err := p1.Cmd.Process.Kill(); err != nil {
 				t.Fatal(err)
 			}
 			killed = true
@@ -152,7 +93,7 @@ func TestCrashRecoveryNoAcknowledgedLoss(t *testing.T) {
 	if !killed {
 		t.Fatalf("workload finished (%d acks) before the kill", acked)
 	}
-	p1.waitExit(t, 30*time.Second)
+	p1.Stop(t, os.Kill) // reaps it
 	if acked < killAfter {
 		t.Fatalf("only %d acks before failure, want >= %d", acked, killAfter)
 	}
@@ -160,23 +101,15 @@ func TestCrashRecoveryNoAcknowledgedLoss(t *testing.T) {
 	// Phase 2: restart on the same directory; recovery must replay
 	// checkpoint + tail, tolerate a torn final record, and preserve
 	// every acknowledged append (value 1 each: SUM == count).
-	p2 := startHistserve(t, bin, args...)
-	recovered := ""
-	for _, line := range p2.stderr {
-		if strings.Contains(line, "msg=recovered") {
-			recovered = line
-		}
-	}
-	if recovered == "" {
-		t.Fatalf("no recovery log line; stderr:\n%s", strings.Join(p2.stderr, "\n"))
-	}
-	conn2 := linetest.Dial(t, p2.addr)
+	p2 := linetest.Start(t, servePkg, args...)
+	recovery := recovered(t, p2)
+	conn2 := linetest.Dial(t, p2.Addr)
 	total := conn2.Float(t, "QRY 0 100000 0 0 7 7")
 	if total < float64(acked) || total > float64(sent) {
 		t.Fatalf("recovered SUM = %v, want within [acked=%d, sent=%d]\nrecovery: %s",
-			total, acked, sent, recovered)
+			total, acked, sent, recovery)
 	}
-	t.Logf("acked=%d sent=%d recovered=%v (%s)", acked, sent, total, recovered)
+	t.Logf("acked=%d sent=%d recovered=%v (%s)", acked, sent, total, recovery)
 
 	// The recovered server keeps accepting appends.
 	if resp := conn2.Cmd(t, "INS 99999 0 0 1"); resp != "OK" {
@@ -188,10 +121,7 @@ func TestCrashRecoveryNoAcknowledgedLoss(t *testing.T) {
 	}
 
 	// Phase 3: graceful shutdown on SIGTERM — final checkpoint, exit 0.
-	if err := p2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	stderr2, werr := p2.waitExit(t, 30*time.Second)
+	stderr2, werr := p2.Stop(t, syscall.SIGTERM)
 	if werr != nil {
 		t.Fatalf("graceful shutdown exit: %v\nstderr:\n%s", werr, stderr2)
 	}
@@ -201,14 +131,13 @@ func TestCrashRecoveryNoAcknowledgedLoss(t *testing.T) {
 
 	// Phase 4: a third boot resumes from the final checkpoint with an
 	// empty tail — the canonical clean restart.
-	p3 := startHistserve(t, bin, args...)
-	conn3 := linetest.Dial(t, p3.addr)
+	p3 := linetest.Start(t, servePkg, args...)
+	conn3 := linetest.Dial(t, p3.Addr)
 	final := conn3.Float(t, "QRY 0 100000 0 0 7 7")
 	if final != after {
 		t.Fatalf("after clean restart SUM = %v, want %v", final, after)
 	}
-	p3.cmd.Process.Signal(syscall.SIGTERM)
-	if _, err := p3.waitExit(t, 30*time.Second); err != nil {
+	if _, err := p3.Stop(t, syscall.SIGTERM); err != nil {
 		t.Fatalf("clean restart shutdown exit: %v", err)
 	}
 }
@@ -229,7 +158,6 @@ func TestCrashBetweenStageAndGroupFsync(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash-injection test builds and kills real processes")
 	}
-	bin := buildHistserve(t)
 	dataDir := filepath.Join(t.TempDir(), "data")
 	args := []string{"-dims", "8,8", "-op", "sum", "-data-dir", dataDir,
 		"-fsync", "always", "-checkpoint-every", "0"}
@@ -237,10 +165,9 @@ func TestCrashBetweenStageAndGroupFsync(t *testing.T) {
 	// Acked phase, depth 1: exactly one fsync per insert, so the stall
 	// armed for fsync acked+1 onwards hits the first pipelined window.
 	const acked, window = 40, 16
-	p1 := startHistserve(t, bin, append(args,
+	p1 := linetest.Start(t, servePkg, append(args,
 		"-fault-spec", fmt.Sprintf("wal.sync:slow=1h@%d+", acked+1))...)
-	defer p1.cmd.Process.Kill() // a failed check must not leave it parked for the hour
-	writer := linetest.Dial(t, p1.addr)
+	writer := linetest.Dial(t, p1.Addr)
 	for i := 0; i < acked; i++ {
 		if resp := writer.Cmd(t, fmt.Sprintf("INS %d %d %d 1", i, i%8, (i/3)%8)); resp != "OK" {
 			t.Fatalf("acked insert %d: %q", i, resp)
@@ -259,28 +186,15 @@ func TestCrashBetweenStageAndGroupFsync(t *testing.T) {
 	if _, err := io.WriteString(writer.Conn, batch.String()); err != nil { // one write: the window is one batch at the server
 		t.Fatal(err)
 	}
-	ctl := linetest.Dial(t, p1.addr)
-	awaitStaged := func(want int) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			resp := ctl.Cmd(t, "ROLE")
-			if strings.Contains(resp, fmt.Sprintf(" last_lsn=%d ", want)) {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("ROLE = %q, want last_lsn=%d: the writes must be staged while their fsync is stalled", resp, want)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	awaitStaged(acked + window) // the window is staged and applied; its leader sits in the stalled fsync
-	second := linetest.Dial(t, p1.addr)
+	ctl := linetest.Dial(t, p1.Addr)
+	// The writes must be staged while their fsync is stalled.
+	awaitRole(t, ctl, fmt.Sprintf(" last_lsn=%d ", acked+window)) // the window is staged and applied; its leader sits in the stalled fsync
+	second := linetest.Dial(t, p1.Addr)
 	if _, err := fmt.Fprintf(second.Conn, "INS %d 0 0 %g\n", acked+window, weight(window)); err != nil {
 		t.Fatal(err)
 	}
-	awaitStaged(acked + window + 1) // staged too; its commit queues behind the leader
-	reader := linetest.Dial(t, p1.addr)
+	awaitRole(t, ctl, fmt.Sprintf(" last_lsn=%d ", acked+window+1)) // staged too; its commit queues behind the leader
+	reader := linetest.Dial(t, p1.Addr)
 	if _, err := fmt.Fprintln(reader.Conn, "QRY 0 100000 0 0 7 7"); err != nil {
 		t.Fatal(err)
 	}
@@ -298,34 +212,23 @@ func TestCrashBetweenStageAndGroupFsync(t *testing.T) {
 		case <-time.After(300 * time.Millisecond):
 		}
 	}
-	if err := p1.cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	p1.waitExit(t, 30*time.Second)
+	p1.Stop(t, os.Kill)
 
 	// Restart without the fault. Recovery must accept the directory.
-	p2 := startHistserve(t, bin, args...)
-	recovered := ""
-	for _, line := range p2.stderr {
-		if strings.Contains(line, "msg=recovered") {
-			recovered = line
-		}
-	}
-	if recovered == "" {
-		t.Fatalf("no recovery log line; stderr:\n%s", strings.Join(p2.stderr, "\n"))
-	}
-	conn := linetest.Dial(t, p2.addr)
+	p2 := linetest.Start(t, servePkg, args...)
+	recovery := recovered(t, p2)
+	conn := linetest.Dial(t, p2.Addr)
 	total := conn.Float(t, "QRY 0 100000 0 0 7 7")
 	survivors := uint64(total) / 1024
 	if uint64(total)%1024 != acked {
-		t.Fatalf("recovered SUM %v holds %d acked inserts, want %d\nrecovery: %s", total, uint64(total)%1024, acked, recovered)
+		t.Fatalf("recovered SUM %v holds %d acked inserts, want %d\nrecovery: %s", total, uint64(total)%1024, acked, recovery)
 	}
 	// The log is a sequence: what survives of the in-flight records is
 	// a prefix of them, i.e. the weights' bits form 0b0..01..1.
 	if survivors&(survivors+1) != 0 || survivors >= 1<<(window+1) {
-		t.Fatalf("recovered in-flight set %b is not a prefix of the %d parked records\nrecovery: %s", survivors, window+1, recovered)
+		t.Fatalf("recovered in-flight set %b is not a prefix of the %d parked records\nrecovery: %s", survivors, window+1, recovery)
 	}
-	t.Logf("acked=%d parked=%d survivors=%b (%s)", acked, window+1, survivors, recovered)
+	t.Logf("acked=%d parked=%d survivors=%b (%s)", acked, window+1, survivors, recovery)
 
 	// The recovered server keeps accepting appends after the survivors.
 	if resp := conn.Cmd(t, fmt.Sprintf("INS %d 0 0 1", acked+window+1)); resp != "OK" {
@@ -334,8 +237,7 @@ func TestCrashBetweenStageAndGroupFsync(t *testing.T) {
 	if after := conn.Float(t, "QRY 0 100000 0 0 7 7"); after != total+1 {
 		t.Fatalf("post-recovery SUM = %v, want %v", after, total+1)
 	}
-	p2.cmd.Process.Signal(syscall.SIGTERM)
-	if stderr, err := p2.waitExit(t, 30*time.Second); err != nil {
+	if stderr, err := p2.Stop(t, syscall.SIGTERM); err != nil {
 		t.Fatalf("graceful shutdown exit: %v\nstderr:\n%s", err, stderr)
 	}
 }

@@ -3,16 +3,12 @@ package main
 import (
 	"io"
 	"net/http"
-	"regexp"
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 
 	"histcube/internal/linetest"
 )
-
-var metricsRE = regexp.MustCompile(`msg="metrics listening" addr=([^ ]+)`)
 
 // TestExplainSmokeRealBinary is the end-to-end smoke for the tracing
 // surface: a real histserve binary answers EXPLAIN with a span tree,
@@ -24,26 +20,15 @@ func TestExplainSmokeRealBinary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-binary smoke test skipped in -short mode")
 	}
-	bin := buildHistserve(t)
-	p := startHistserve(t, bin, "-dims", "8,8",
+	p := linetest.Start(t, servePkg, "-dims", "8,8",
 		"-metrics", "127.0.0.1:0", "-slow-query-threshold", "0s", "-slowlog-size", "4")
 	defer func() {
-		_ = p.cmd.Process.Signal(syscall.SIGTERM)
-		if out, err := p.waitExit(t, 15*time.Second); err != nil {
+		if out, err := p.Stop(t, syscall.SIGTERM); err != nil {
 			t.Errorf("shutdown: %v\n%s", err, out)
 		}
 	}()
-	var metricsAddr string
-	for _, line := range p.stderr {
-		if m := metricsRE.FindStringSubmatch(line); m != nil {
-			metricsAddr = m[1]
-		}
-	}
-	if metricsAddr == "" {
-		t.Fatalf("no metrics listen address in stderr:\n%s", strings.Join(p.stderr, "\n"))
-	}
 
-	c := linetest.Dial(t, p.addr)
+	c := linetest.Dial(t, p.Addr)
 	for _, ins := range []string{"INS 1 1 1 5", "INS 2 2 2 7", "INS 3 3 3 9"} {
 		if got := c.Cmd(t, ins); got != "OK" {
 			t.Fatalf("%s -> %q", ins, got)
@@ -69,7 +54,7 @@ func TestExplainSmokeRealBinary(t *testing.T) {
 
 	get := func(path string) (int, string) {
 		t.Helper()
-		resp, err := http.Get("http://" + metricsAddr + path)
+		resp, err := http.Get("http://" + p.Metrics + path)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -15,18 +16,6 @@ import (
 	"histcube/internal/linetest"
 )
 
-// statsField extracts one k=v token from a STATS line.
-func statsField(t *testing.T, stats, key string) string {
-	t.Helper()
-	for _, tok := range strings.Fields(stats) {
-		if v, ok := strings.CutPrefix(tok, key+"="); ok {
-			return v
-		}
-	}
-	t.Fatalf("STATS %q has no field %s", stats, key)
-	return ""
-}
-
 // TestFollowerKilledBetweenStageAndCommit SIGKILLs a real follower
 // whose batch is staged and applied but parked in its fsync. Whatever
 // prefix of the batch reached the disk, the restarted follower must
@@ -35,14 +24,12 @@ func TestFollowerKilledBetweenStageAndCommit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash-injection test builds and kills real processes")
 	}
-	bin := buildHistserve(t)
 	base := []string{"-dims", "8,8", "-op", "sum", "-fsync", "always", "-checkpoint-every", "0"}
-	primary := startHistserve(t, bin, append(base, "-data-dir", filepath.Join(t.TempDir(), "primary"))...)
-	defer primary.cmd.Process.Kill()
+	primary := linetest.Start(t, servePkg, append(base, "-data-dir", filepath.Join(t.TempDir(), "primary"))...)
 	fdir := filepath.Join(t.TempDir(), "follower")
-	fargs := append(base, "-data-dir", fdir, "-follow", primary.addr)
+	fargs := append(base, "-data-dir", fdir, "-follow", primary.Addr)
 
-	pc := linetest.Dial(t, primary.addr)
+	pc := linetest.Dial(t, primary.Addr)
 	send := func(from, n int) {
 		t.Helper()
 		var batch strings.Builder
@@ -58,39 +45,23 @@ func TestFollowerKilledBetweenStageAndCommit(t *testing.T) {
 			}
 		}
 	}
-	awaitRole := func(c *linetest.Client, want string) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			resp := c.Cmd(t, "ROLE")
-			if strings.Contains(resp, want) {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("ROLE = %q, want %s", resp, want)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-
 	// Phase 1: a healthy follower commits and ACKs 40 records.
 	const acked, burst = 40, 16
-	f1 := startHistserve(t, bin, fargs...)
+	f1 := linetest.Start(t, servePkg, fargs...)
 	send(0, acked)
-	awaitRole(linetest.Dial(t, f1.addr), fmt.Sprintf("applied_lsn=%d ", acked))
-	f1.cmd.Process.Signal(syscall.SIGTERM)
-	if stderr, err := f1.waitExit(t, 30*time.Second); err != nil {
+	awaitRole(t, linetest.Dial(t, f1.Addr), fmt.Sprintf("applied_lsn=%d ", acked))
+	if stderr, err := f1.Stop(t, syscall.SIGTERM); err != nil {
 		t.Fatalf("follower shutdown: %v\n%s", err, stderr)
 	}
 
 	// Phase 2: every fsync of the restarted follower stalls. The burst
 	// is staged and applied — STATS counts it — but never committed, so
 	// a query, which would count it, gets no answer.
-	f2 := startHistserve(t, bin, append(fargs, "-fault-spec", "wal.sync:slow=1h")...)
-	fc := linetest.Dial(t, f2.addr)
+	f2 := linetest.Start(t, servePkg, append(fargs, "-fault-spec", "wal.sync:slow=1h")...)
+	fc := linetest.Dial(t, f2.Addr)
 	appended := func() int {
 		t.Helper()
-		n, err := strconv.Atoi(statsField(t, fc.Cmd(t, "STATS"), "appended"))
+		n, err := strconv.Atoi(linetest.Field(t, fc.Cmd(t, "STATS"), "appended"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +76,7 @@ func TestFollowerKilledBetweenStageAndCommit(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	awaitRole(fc, fmt.Sprintf("applied_lsn=%d ", acked)) // staged is not applied_lsn: nothing was ACKed
+	awaitRole(t, fc, fmt.Sprintf("applied_lsn=%d ", acked)) // staged is not applied_lsn: nothing was ACKed
 	const all = "QRY 0 100000 0 0 7 7"
 	if _, err := fmt.Fprintln(fc.Conn, all); err != nil {
 		t.Fatal(err)
@@ -120,22 +91,18 @@ func TestFollowerKilledBetweenStageAndCommit(t *testing.T) {
 		t.Fatalf("follower answered %q while the burst it counts is not committed", strings.TrimSpace(resp))
 	case <-time.After(300 * time.Millisecond):
 	}
-	if err := f2.cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	f2.waitExit(t, 30*time.Second)
+	f2.Stop(t, os.Kill)
 
 	// Phase 3: restart without the fault; the follower re-subscribes
 	// from wherever its log really ends and converges on the primary.
-	f3 := startHistserve(t, bin, fargs...)
-	defer f3.cmd.Process.Kill()
-	fc = linetest.Dial(t, f3.addr)
-	awaitRole(fc, fmt.Sprintf("applied_lsn=%d lag_lsn=0", acked+burst))
+	f3 := linetest.Start(t, servePkg, fargs...)
+	fc = linetest.Dial(t, f3.Addr)
+	awaitRole(t, fc, fmt.Sprintf("applied_lsn=%d lag_lsn=0", acked+burst))
 	for _, q := range []string{all, "QRY 3 9 1 2 6 6", "QRY 0 0 0 0 7 7", "QRY 10 13 0 0 7 7", "QRY 7 12 2 0 5 7"} {
 		if p, f := pc.Float(t, q), fc.Float(t, q); math.Float64bits(p) != math.Float64bits(f) {
 			t.Fatalf("%s: primary %v != restarted follower %v", q, p, f)
 		}
 	}
 	send(acked+burst, 1)
-	awaitRole(fc, fmt.Sprintf("applied_lsn=%d ", acked+burst+1))
+	awaitRole(t, fc, fmt.Sprintf("applied_lsn=%d ", acked+burst+1))
 }

@@ -9,8 +9,9 @@
 //
 //	spec     := rule { ";" rule }
 //	rule     := site ":" kind { modifier }
-//	site     := "wal.write" | "wal.sync" | "pager.load" | "pager.store"
-//	            | "pager.sync" | "serve.dispatch" | ...   (free-form)
+//	site     := "wal.write" | "wal.sync" | "serve.dispatch" | "proxy.dial"
+//	            | "proxy.conn.read" | "proxy.conn.write"
+//	            | <verb>   (a fleettest.Relay's per-line site: QRY, INS, ROLE, ...)
 //	kind     := "err" | "nospace" | "short" | "panic" | "slow=<dur>"
 //	            | "drop" | "stall=<dur>"
 //	modifier := "@N"     fire on the Nth operation at the site (1-based)
@@ -28,18 +29,18 @@
 //
 //	wal.write:nospace@100+          disk full from the 100th append on
 //	wal.write:short@5               the 5th append is torn mid-record
-//	pager.load:err%0.01x3           1% of page loads fail, 3 at most
-//	serve.dispatch:panic@2          the 2nd request panics
 //	wal.sync:slow=5ms%0.5           half of all fsyncs take +5ms
-//	shard0.read:drop@3              the 3rd conn read tears the link down
-//	shard1.write:stall=50ms%0.2     a fifth of conn writes stall +50ms
+//	serve.dispatch:panic@2          the 2nd request panics
+//	proxy.dial:err%0.01x3           1% of the proxy's shard dials fail, 3 at most
+//	proxy.conn.read:drop@3          the 3rd read of a shard link tears it down
+//	proxy.conn.write:stall=50ms%0.2 a fifth of shard-link writes stall +50ms
+//	QRY:slow=400ms                  a relay holds every query line 400 ms
 //
 // The connection-level kinds model network flakiness rather than disk
 // failure: "drop" severs the wrapped connection (the peer sees a
 // reset-like error mid-exchange) and "stall=<dur>" freezes an
 // individual read or write, the shapes that exercise reconnect,
-// hedging and breaker logic in the shard client and the replication
-// link.
+// hedging and breaker logic in the proxy's shard client.
 //
 // The File wrapper interface is a structural copy of wal.SegmentFile
 // rather than an import: wal's own tests import this package, so fault

@@ -2,10 +2,9 @@
 // proxy's tests: real histserve members on loopback; a line relay in
 // front of a member, for the states a member reaches only by timing or
 // by failing (a slow or stalled line, a link cut between two replies,
-// an injected ERR, a ROLE that reports another min_acks= or synced=);
-// and the adaptor that feeds the wire's mutations to internal/oracle
-// and renders its answers as the wire does, the reference every
-// proxied answer is checked against.
+// an injected ERR, a ROLE that reports another min_acks= or synced=).
+// What they answer is checked against internal/oracle through
+// internal/linetest.
 //
 // Nothing in the program calls it: each export that no other export
 // reaches is a cross-package test seam, and its deadexport ignore names
@@ -26,7 +25,6 @@ import (
 	"histcube/internal/fault"
 	"histcube/internal/histserve"
 	"histcube/internal/linetest"
-	"histcube/internal/oracle"
 	"histcube/internal/trace"
 )
 
@@ -150,17 +148,12 @@ func (l trackingListener) Accept() (net.Conn, error) {
 //histlint:ignore deadexport test seam: the tests of cmd/histproxy and internal/fleettest
 func (m *Member) Stat(t *testing.T, key string) float64 {
 	t.Helper()
-	for _, tok := range strings.Fields(linetest.Dial(t, m.Addr).Cmd(t, "STATS")) {
-		if v, ok := strings.CutPrefix(tok, key+"="); ok {
-			n, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				t.Fatalf("STATS %s=%q: %v", key, v, err)
-			}
-			return n
-		}
+	v := linetest.Field(t, linetest.Dial(t, m.Addr).Cmd(t, "STATS"), key)
+	n, err := strconv.ParseFloat(v, 64)
+	if err != nil {
+		t.Fatalf("STATS %s=%q: %v", key, v, err)
 	}
-	t.Fatalf("member %s's STATS has no %s", m.Addr, key)
-	return 0
+	return n
 }
 
 // Relay is a line relay in front of one member, for the states a real
@@ -342,46 +335,4 @@ func (s Script) role(reply string) string {
 		}
 	}
 	return strings.Join(fields, " ") + "\n"
-}
-
-// Apply feeds one acknowledged mutation line, split at white space
-// ("INS|DEL <t> <c1> <c2> <v>"), to the reference.
-//
-//histlint:ignore deadexport test seam: the tests of cmd/histproxy
-func Apply(t *testing.T, ref *oracle.Points, f []string) {
-	t.Helper()
-	tm, coords := int64(wireInt(t, f[1])), []int{wireInt(t, f[2]), wireInt(t, f[3])}
-	v, err := strconv.ParseFloat(f[4], 64)
-	if err != nil {
-		t.Fatalf("reference: value %q: %v", f[4], err)
-	}
-	if f[0] == "DEL" {
-		ref.Delete(tm, coords, v)
-	} else {
-		ref.Insert(tm, coords, v)
-	}
-}
-
-// Answer is the reply a correct fleet of operator op (sum, count or
-// avg) gives to QRY with the fields after the verb, <tlo> <thi> <lo1>
-// <lo2> <hi1> <hi2>, as the wire renders it.
-//
-//histlint:ignore deadexport test seam: the tests of cmd/histproxy
-func Answer(t *testing.T, ref oracle.Points, op string, args []string) string {
-	t.Helper()
-	var b [6]int
-	for i := range b {
-		b[i] = wireInt(t, args[i])
-	}
-	pair := ref.Query(int64(b[0]), int64(b[1]), b[2:4], b[4:6])
-	return strconv.FormatFloat(pair.Of(op), 'g', -1, 64)
-}
-
-func wireInt(t *testing.T, field string) int {
-	t.Helper()
-	v, err := strconv.Atoi(field)
-	if err != nil {
-		t.Fatalf("reference: %q: %v", field, err)
-	}
-	return v
 }

@@ -15,28 +15,6 @@ import (
 	"histcube/internal/linetest"
 )
 
-// rawReplies writes payload in one write and returns n reply lines as
-// they came, newlines included.
-func rawReplies(t *testing.T, addr, payload string, n int) string {
-	t.Helper()
-	c := linetest.Dial(t, addr)
-	if err := c.Conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.WriteString(c.Conn, payload); err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	for i := 0; i < n; i++ {
-		l, err := c.R.ReadString('\n')
-		if err != nil {
-			t.Fatalf("after %d of %d replies: %v", i, n, err)
-		}
-		b.WriteString(l)
-	}
-	return b.String()
-}
-
 // TestRelayedWindowIsTheMembersOwn: one pipelined window of mutations,
 // queries, refusals, a TID= line, a blank line (which no member
 // answers), ROLE and STATS, sent to one member directly and to a twin
@@ -50,8 +28,8 @@ func TestRelayedWindowIsTheMembersOwn(t *testing.T) {
 		"INS 1 0 0 1", "ROLE", "QRY 2 2 0 0 7 7", "STATS", "NOPE", "QRY 0 9 0 0 7 7",
 	}, "\n") + "\n"
 	const replies = 13
-	want := rawReplies(t, direct.Addr, window, replies)
-	if got := rawReplies(t, relay.Addr, window, replies); got != want {
+	want := strings.Join(linetest.Dial(t, direct.Addr).SendAll(t, window, replies), "\n")
+	if got := strings.Join(linetest.Dial(t, relay.Addr).SendAll(t, window, replies), "\n"); got != want {
 		t.Fatalf("through the relay:\n%s\nfrom the member:\n%s", got, want)
 	}
 	if !strings.Contains(want, "\n6.5\n") || !strings.Contains(want, "OK role=primary ") {

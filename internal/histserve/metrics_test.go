@@ -37,11 +37,7 @@ func TestFollowerLinkIsAccounted(t *testing.T) {
 	for i := 0; i < k; i++ {
 		fmt.Fprintf(&b, "INS %d %d %d 1\n", i, i%8, (i/3)%8)
 	}
-	conn, r := rawConn(t, paddr)
-	if _, err := io.WriteString(conn, b.String()); err != nil {
-		t.Fatal(err)
-	}
-	readLines(t, r, k)
+	linetest.Dial(t, paddr).SendAll(t, b.String(), k)
 	waitUntil(t, 5*time.Second, "every shipped record accounted", func() bool {
 		return follower.Latency["REC"].Count() == k
 	})

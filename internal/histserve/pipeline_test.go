@@ -7,11 +7,7 @@ package histserve
 // the same lines get one at a time.
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"net"
-	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -32,45 +28,12 @@ func newAlwaysServer(t *testing.T) *Server {
 	return srv
 }
 
-// rawConn dials addr for tests that control exactly what goes into one
-// write.
-func rawConn(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
-	t.Helper()
-	c := linetest.Dial(t, addr)
-	if err := c.Conn.SetDeadline(time.Now().Add(20 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	return c.Conn, c.R
-}
-
-// readLines reads exactly n reply lines.
-func readLines(t *testing.T, r *bufio.Reader, n int) []string {
-	t.Helper()
-	lines := make([]string, 0, n)
-	for len(lines) < n {
-		l, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatalf("after %d of %d reply lines: %v", len(lines), n, err)
-		}
-		lines = append(lines, strings.TrimRight(l, "\n"))
-	}
-	return lines
-}
-
-var (
-	durationRE = regexp.MustCompile(`[0-9.]+(ns|µs|ms|s)\b`)
-	traceIDRE  = regexp.MustCompile(`[0-9a-f]{16}`)
-)
-
-// stable strips what legitimately differs between two runs of the same
-// request: span durations and IDs in EXPLAIN trees. STATS carries no
-// timing, so it must match byte for byte.
-func stable(line string) string {
-	return traceIDRE.ReplaceAllString(durationRE.ReplaceAllString(line, "<dur>"), "<id>")
-}
-
+// TestPipelinedRepliesMatchDepthOne plays one script of every reply
+// shape — mutations, queries, EXPLAIN's multi-line reply, STATS, ROLE,
+// errors, a blank line, a TID= line, CHECKPOINT, SEAL, QUIT and a line
+// after it — at depth 1 and pipelined through the transcript checker.
 func TestPipelinedRepliesMatchDepthOne(t *testing.T) {
-	lines := []string{
+	script := []string{
 		"INS 1 1 1 5",
 		"QRY 0 10 0 0 7 7",
 		"INS 2 2 2 7",
@@ -93,76 +56,29 @@ func TestPipelinedRepliesMatchDepthOne(t *testing.T) {
 		"QUIT",
 		"INS 9 1 1 100", // after QUIT: never executed
 	}
-
-	// Depth 1: one line per write, its reply read before the next.
-	conn, r := rawConn(t, serveOn(t, newAlwaysServer(t)))
-	var want []string
-	for _, line := range lines[:len(lines)-1] {
-		if line == "" {
-			continue // no reply to wait for
-		}
-		if _, err := fmt.Fprintln(conn, line); err != nil {
-			t.Fatal(err)
-		}
-		for {
-			l := readLines(t, r, 1)[0]
-			want = append(want, l)
-			if !strings.HasPrefix(line, "EXPLAIN") || l == "END" {
-				break
-			}
-		}
-	}
-	if _, err := r.ReadString('\n'); err != io.EOF {
-		t.Fatalf("connection open after QUIT: %v", err)
-	}
-
-	// Pipelined: every line in one write, nothing read until the server
-	// closed the connection.
-	conn, r = rawConn(t, serveOn(t, newAlwaysServer(t)))
-	if _, err := io.WriteString(conn, strings.Join(lines, "\n")+"\n"); err != nil {
-		t.Fatal(err)
-	}
-	all, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := strings.Split(strings.TrimSuffix(string(all), "\n"), "\n")
-	if len(got) != len(want) {
-		t.Fatalf("pipelined batch answered %d lines, depth 1 answered %d:\n%s\n--- want ---\n%s",
-			len(got), len(want), strings.Join(got, "\n"), strings.Join(want, "\n"))
-	}
-	for i := range want {
-		if stable(got[i]) != stable(want[i]) {
-			t.Errorf("reply line %d: pipelined %q, depth 1 %q", i, got[i], want[i])
-		}
-	}
-	if got[0] != "OK" || got[1] != "5" || got[len(got)-1] != "BYE" {
+	got := linetest.CheckScript(t, "sum", func(t *testing.T) linetest.Fleet {
+		return linetest.Fleet{Addr: serveOn(t, newAlwaysServer(t))}
+	}, script)
+	if got[0] != "OK" || got[1] != "5" || got[len(got)-2] != "BYE" {
 		t.Fatalf("unexpected replies: %q", got)
 	}
 }
 
 func TestPartialLineDoesNotWithholdReplies(t *testing.T) {
-	conn, r := rawConn(t, serveOn(t, newAlwaysServer(t)))
-	if _, err := io.WriteString(conn, "INS 1 1 1 5\nQRY 0 10 0 0 7 7\nQRY 0 10"); err != nil {
-		t.Fatal(err)
-	}
+	c := linetest.Dial(t, serveOn(t, newAlwaysServer(t)))
 	// Both complete requests are answered although a third is half
-	// there; the deadline turns a withheld reply into a failure.
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if got := readLines(t, r, 2); got[0] != "OK" || got[1] != "5" {
+	// there; the client's deadline turns a withheld reply into a failure.
+	if got := c.SendAll(t, "INS 1 1 1 5\nQRY 0 10 0 0 7 7\nQRY 0 10", 2); got[0] != "OK" || got[1] != "5" {
 		t.Fatalf("replies before the partial line = %q", got)
 	}
-	if _, err := io.WriteString(conn, " 0 0 7 7\n"); err != nil {
-		t.Fatal(err)
-	}
-	if got := readLines(t, r, 1); got[0] != "5" {
+	if got := c.SendAll(t, " 0 0 7 7\n", 1); got[0] != "5" {
 		t.Fatalf("completed partial line -> %q", got)
 	}
 }
 
 func TestBatchBeyondCapReleasedInSeveralFlushes(t *testing.T) {
 	srv := newAlwaysServer(t)
-	conn, r := rawConn(t, serveOn(t, srv))
+	c := linetest.Dial(t, serveOn(t, srv))
 	// Short lines, so that more than lineserver.MaxPendingReplies of them sit in
 	// the server's read buffer at once, and little enough in total that
 	// a client which reads nothing until it wrote everything cannot
@@ -174,10 +90,7 @@ func TestBatchBeyondCapReleasedInSeveralFlushes(t *testing.T) {
 	}
 	commitWait := srv.stage[stageCommitWait]
 	before := commitWait.Count()
-	if _, err := io.WriteString(conn, b.String()); err != nil {
-		t.Fatal(err)
-	}
-	for i, l := range readLines(t, r, n) {
+	for i, l := range c.SendAll(t, b.String(), n) {
 		if l != "OK" {
 			t.Fatalf("reply %d = %q", i, l)
 		}
@@ -196,11 +109,8 @@ func TestSemiSyncTimeoutFailsEveryMutationOfTheBatch(t *testing.T) {
 	srv := newAlwaysServer(t)
 	srv.cfg.ReplMinAcks = 1
 	srv.cfg.ReplAckTimeout = 100 * time.Millisecond
-	conn, r := rawConn(t, serveOn(t, srv))
-	if _, err := io.WriteString(conn, "INS 1 1 1 5\nQRY 0 10 0 0 7 7\nINS 2 1 1 7\nQRY 0 10 0 0 7 7\n"); err != nil {
-		t.Fatal(err)
-	}
-	got := readLines(t, r, 4)
+	c := linetest.Dial(t, serveOn(t, srv))
+	got := c.SendAll(t, "INS 1 1 1 5\nQRY 0 10 0 0 7 7\nINS 2 1 1 7\nQRY 0 10 0 0 7 7\n", 4)
 	// No follower is attached: both writes are durable and applied, but
 	// neither may be acked, and neither may the queries that counted
 	// them.
@@ -217,10 +127,7 @@ func TestSemiSyncTimeoutFailsEveryMutationOfTheBatch(t *testing.T) {
 	}
 	// A later query counts those writes too, so it answers the same
 	// timeout for as long as no follower acks them.
-	if _, err := io.WriteString(conn, "QRY 0 10 0 0 7 7\n"); err != nil {
-		t.Fatal(err)
-	}
-	if got := readLines(t, r, 1)[0]; !strings.HasPrefix(got, "ERR replication timeout") {
+	if got := c.SendAll(t, "QRY 0 10 0 0 7 7\n", 1)[0]; !strings.HasPrefix(got, "ERR replication timeout") {
 		t.Errorf("query of the unacked writes = %q, want the replication timeout", got)
 	}
 }
@@ -260,23 +167,17 @@ func TestQueryWaitsForTheCommitItRead(t *testing.T) {
 	enableChaosWAL(t, srv, t.TempDir())
 	t.Cleanup(srv.Close)
 	addr := serveOn(t, srv)
-	writer, wr := rawConn(t, addr)
-	if _, err := io.WriteString(writer, "INS 1 1 1 5\n"); err != nil {
-		t.Fatal(err)
-	}
+	writer := linetest.Dial(t, addr)
+	writer.SendAll(t, "INS 1 1 1 5\n", 0)
 	waitUntil(t, 5*time.Second, "the insert staged", func() bool { return srv.wal.LastLSN() == 1 })
-	reader, rr := rawConn(t, addr)
-	if _, err := io.WriteString(reader, "QRY 0 10 0 0 7 7\n"); err != nil {
-		t.Fatal(err)
-	}
-	got := readLines(t, rr, 1)[0]
+	got := linetest.Dial(t, addr).SendAll(t, "QRY 0 10 0 0 7 7\n", 1)[0]
 	if shipped := srv.wal.ShippedLSN(); shipped < 1 {
 		t.Fatalf("the query answered %q with the insert it counted not yet durable (durable through LSN %d)", got, shipped)
 	}
 	if got != "5" {
 		t.Fatalf("query = %q, want 5: it must count the insert", got)
 	}
-	if got := readLines(t, wr, 1)[0]; got != "OK" {
+	if got := writer.SendAll(t, "", 1)[0]; got != "OK" {
 		t.Fatalf("insert = %q, want OK", got)
 	}
 }
@@ -293,11 +194,8 @@ func TestFsyncFailureFailsEveryMutationOfTheBatch(t *testing.T) {
 	srv.cfg.DegradedProbeEvery = time.Millisecond
 	dir := t.TempDir()
 	enableChaosWAL(t, srv, dir)
-	conn, r := rawConn(t, serveOn(t, srv))
-	if _, err := io.WriteString(conn, "INS 1 1 1 5\nQRY 0 10 0 0 7 7\nINS 2 1 1 7\n"); err != nil {
-		t.Fatal(err)
-	}
-	got := readLines(t, r, 3)
+	c := linetest.Dial(t, serveOn(t, srv))
+	got := c.SendAll(t, "INS 1 1 1 5\nQRY 0 10 0 0 7 7\nINS 2 1 1 7\n", 3)
 	for i := range got {
 		if !strings.HasPrefix(got[i], "ERR wal append failed") || !strings.Contains(got[i], "fsync failed") {
 			t.Errorf("reply %d = %q, want the fsync failure", i, got[i])
@@ -309,10 +207,7 @@ func TestFsyncFailureFailsEveryMutationOfTheBatch(t *testing.T) {
 	// The next mutation is the probe: its Stage repairs the log, its
 	// commit clears the flag.
 	time.Sleep(5 * time.Millisecond)
-	if _, err := io.WriteString(conn, "INS 3 1 1 1\n"); err != nil {
-		t.Fatal(err)
-	}
-	if got := readLines(t, r, 1); got[0] != "OK" {
+	if got := c.SendAll(t, "INS 3 1 1 1\n", 1); got[0] != "OK" {
 		t.Fatalf("probe after the fault healed -> %q", got[0])
 	}
 	if srv.degraded.Load() {
@@ -340,11 +235,7 @@ func TestFsyncFailureFailsEveryMutationOfTheBatch(t *testing.T) {
 func TestPanickingLineKeepsNeighboursReplies(t *testing.T) {
 	srv := newAlwaysServer(t)
 	srv.Inj = fault.MustParse("serve.dispatch:panic@2", 1)
-	conn, r := rawConn(t, serveOn(t, srv))
-	if _, err := io.WriteString(conn, "INS 1 1 1 5\nQRY 0 9 0 0 7 7\nINS 2 1 1 2\nQRY 0 9 0 0 7 7\n"); err != nil {
-		t.Fatal(err)
-	}
-	got := readLines(t, r, 4)
+	got := linetest.Dial(t, serveOn(t, srv)).SendAll(t, "INS 1 1 1 5\nQRY 0 9 0 0 7 7\nINS 2 1 1 2\nQRY 0 9 0 0 7 7\n", 4)
 	if got[0] != "OK" || !strings.HasPrefix(got[1], "ERR internal error") || got[2] != "OK" || got[3] != "7" {
 		t.Fatalf("replies = %q, want OK, ERR internal error..., OK, 7", got)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/base64"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -38,18 +37,6 @@ func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() boo
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
-}
-
-// statsField extracts one k=v token from a STATS line.
-func statsField(t *testing.T, stats, key string) string {
-	t.Helper()
-	for _, tok := range strings.Fields(stats) {
-		if v, ok := strings.CutPrefix(tok, key+"="); ok {
-			return v
-		}
-	}
-	t.Fatalf("STATS %q has no field %s", stats, key)
-	return ""
 }
 
 func TestReplicaFollowsPrimaryAndAnswersIdentically(t *testing.T) {
@@ -88,14 +75,14 @@ func TestReplicaFollowsPrimaryAndAnswersIdentically(t *testing.T) {
 	// the access counters and replica fields are per-process, not state).
 	ps, fs := pc.Cmd(t, "STATS"), fc.Cmd(t, "STATS")
 	for _, key := range []string{"slices", "incomplete", "pending", "appended", "ooo"} {
-		if p, f := statsField(t, ps, key), statsField(t, fs, key); p != f {
+		if p, f := linetest.Field(t, ps, key), linetest.Field(t, fs, key); p != f {
 			t.Fatalf("STATS %s: primary %q != replica %q", key, p, f)
 		}
 	}
-	if statsField(t, fs, "replica") != "1" {
+	if linetest.Field(t, fs, "replica") != "1" {
 		t.Fatalf("replica STATS missing replica=1: %q", fs)
 	}
-	if got := statsField(t, fs, "replica_applied_lsn"); got != fmt.Sprint(want) {
+	if got := linetest.Field(t, fs, "replica_applied_lsn"); got != fmt.Sprint(want) {
 		t.Fatalf("replica_applied_lsn = %s, want %d", got, want)
 	}
 
@@ -165,27 +152,20 @@ func TestSemiSyncReadOutlivesItsFollower(t *testing.T) {
 	expect(t, qc, "QRY 0 10 0 0 7 7", "0")
 
 	// A hand-driven follower: it acknowledges the one record, then goes.
-	fconn, fr := rawConn(t, paddr)
-	if _, err := io.WriteString(fconn, "REPLICATE FROM 1\n"); err != nil {
-		t.Fatal(err)
-	}
-	if got := readLines(t, fr, 1)[0]; got != "OK from=1 last=0" {
+	fc := linetest.Dial(t, paddr)
+	if got := fc.Cmd(t, "REPLICATE FROM 1"); got != "OK from=1 last=0" {
 		t.Fatalf("REPLICATE -> %q", got)
 	}
-	wconn, wr := rawConn(t, paddr)
-	if _, err := io.WriteString(wconn, "INS 1 0 0 5\n"); err != nil {
-		t.Fatal(err)
-	}
+	wc := linetest.Dial(t, paddr)
+	wc.SendAll(t, "INS 1 0 0 5\n", 0)
 	for l := ""; !strings.HasPrefix(l, "REC 1 "); { // PINGs may come first
-		l = readLines(t, fr, 1)[0]
+		l = fc.SendAll(t, "", 1)[0]
 	}
-	if _, err := io.WriteString(fconn, "ACK 1\n"); err != nil {
-		t.Fatal(err)
-	}
-	if got := readLines(t, wr, 1)[0]; got != "OK" {
+	fc.SendAll(t, "ACK 1\n", 0)
+	if got := wc.SendAll(t, "", 1)[0]; got != "OK" {
 		t.Fatalf("semi-sync INS -> %q", got)
 	}
-	fconn.Close()
+	fc.Conn.Close()
 	waitUntil(t, 5*time.Second, "the follower's departure", func() bool { return primary.hub.Followers() == 0 })
 
 	waits := primary.stage[stageReplAckWait].Count()
@@ -408,16 +388,13 @@ func TestSnapShipsTheNewestCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	conn, r := rawConn(t, paddr)
-	if _, err := io.WriteString(conn, "REPLICATE FROM 1\n"); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := readLines(t, r, 1)[0], fmt.Sprintf("SNAP lsn=80 size=%d", len(ckpt)); got != want {
+	c := linetest.Dial(t, paddr)
+	if got, want := c.SendAll(t, "REPLICATE FROM 1\n", 1)[0], fmt.Sprintf("SNAP lsn=80 size=%d", len(ckpt)); got != want {
 		t.Fatalf("REPLICATE FROM 1 -> %q, want %q", got, want)
 	}
 	var payload []byte
 	for {
-		line := readLines(t, r, 1)[0]
+		line := c.SendAll(t, "", 1)[0]
 		if line == "ENDSNAP" {
 			break
 		}
@@ -434,7 +411,7 @@ func TestSnapShipsTheNewestCheckpoint(t *testing.T) {
 	for lsn := 81; lsn <= 100; lsn++ {
 		want = append(want, fmt.Sprintf("REC %d 1 %d 0 1 2", lsn, 100+lsn-81))
 	}
-	if got := readLines(t, r, len(want)); strings.Join(got, "\n") != strings.Join(want, "\n") {
+	if got := c.SendAll(t, "", len(want)); strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("after the snapshot:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -48,11 +48,7 @@ func TestFollowerCommitsABurstWithOneAckAndFewFsyncs(t *testing.T) {
 		fmt.Fprintf(&b, "INS %d %d %d 1\n", i, i%8, (i/3)%8)
 	}
 	before := linetest.MetricValue(t, follower.Reg, "histcube_wal_fsyncs_total")
-	conn, r := rawConn(t, paddr)
-	if _, err := io.WriteString(conn, b.String()); err != nil {
-		t.Fatal(err)
-	}
-	for i, l := range readLines(t, r, k) {
+	for i, l := range linetest.Dial(t, paddr).SendAll(t, b.String(), k) {
 		if l != "OK" {
 			t.Fatalf("reply %d = %q", i, l)
 		}
@@ -96,18 +92,16 @@ func TestPromoteMidBurst(t *testing.T) {
 	for i := 0; i < k; i++ {
 		fmt.Fprintf(&b, "INS %d %d %d 1\n", i, i%8, (i/3)%8)
 	}
-	conn, r := rawConn(t, paddr)
-	if _, err := io.WriteString(conn, b.String()); err != nil {
-		t.Fatal(err)
-	}
+	c := linetest.Dial(t, paddr)
+	c.SendAll(t, b.String(), 0)
 	// Staged and applied on the follower — its log ends at the burst's
 	// last record — while its one commit sits in the stalled fsync.
 	waitUntil(t, 5*time.Second, "burst staged on the follower", func() bool { return follower.walLastLSN() == k })
 	if got := follower.repl.applied(); got != 0 {
 		t.Fatalf("applied_lsn = %d before the batch's commit returned", got)
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-	if l, err := r.ReadString('\n'); err == nil {
+	_ = c.Conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if l, err := c.R.ReadString('\n'); err == nil {
 		t.Fatalf("the primary answered %q: the follower ACKed a record it had not committed", strings.TrimSpace(l))
 	}
 	if got := follower.promote(0); !strings.HasPrefix(got, fmt.Sprintf("OK role=primary last_lsn=%d", k)) {
@@ -116,8 +110,7 @@ func TestPromoteMidBurst(t *testing.T) {
 	// The old primary's clients get one reply per line either way: OK if
 	// the ACK still made it out after the commit, the indeterminate
 	// timeout if the promotion closed the link first.
-	_ = conn.SetReadDeadline(time.Now().Add(20 * time.Second))
-	for i, l := range readLines(t, r, k) {
+	for i, l := range c.SendAll(t, "", k) {
 		if l != "OK" && !strings.HasPrefix(l, "ERR replication timeout") {
 			t.Fatalf("reply %d = %q", i, l)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"histcube/internal/linetest"
 	"histcube/internal/wal"
 )
 
@@ -47,7 +48,7 @@ func TestRequestTimeoutAbandonsCleanly(t *testing.T) {
 	qry := fmt.Sprintf("QRY %d %d %d %d %d %d", tlo, thi, lo, lo, hi, hi)
 	conversions := func() int64 {
 		t.Helper()
-		n, err := strconv.ParseInt(statsField(t, do("STATS"), "conversions"), 10, 64)
+		n, err := strconv.ParseInt(linetest.Field(t, do("STATS"), "conversions"), 10, 64)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"histcube/internal/linetest"
 	"histcube/internal/obs"
 	"histcube/internal/trace"
 )
@@ -112,7 +113,7 @@ func (l countingListener) Accept() (net.Conn, error) {
 // start serves st on a loopback listener and returns a connected client
 // plus the server side's write count (read it only after the replies
 // that the writes carried have been read).
-func start(t *testing.T, st *stub) (net.Conn, *bufio.Reader, *atomic.Int64) {
+func start(t *testing.T, st *stub) (*linetest.Client, *atomic.Int64) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -121,31 +122,12 @@ func start(t *testing.T, st *stub) (net.Conn, *bufio.Reader, *atomic.Int64) {
 	writes := new(atomic.Int64)
 	go st.Serve(countingListener{ln, writes})
 	t.Cleanup(func() { ln.Close() })
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	return conn, bufio.NewReader(conn), writes
-}
-
-func readLines(t *testing.T, r *bufio.Reader, n int) []string {
-	t.Helper()
-	out := make([]string, 0, n)
-	for len(out) < n {
-		l, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatalf("after %d of %d replies %q: %v", len(out), n, out, err)
-		}
-		out = append(out, strings.TrimSuffix(l, "\n"))
-	}
-	return out
+	return linetest.Dial(t, ln.Addr().String()), writes
 }
 
 func TestConformanceLineByLine(t *testing.T) {
 	st := newStub(t)
-	conn, r, _ := start(t, st)
+	c, _ := start(t, st)
 	for _, tc := range []struct{ send, want string }{
 		{"ECHO a", "a"},
 		{"  echo   b  ", "b"}, // verbs are case-insensitive, white space is free
@@ -160,21 +142,18 @@ func TestConformanceLineByLine(t *testing.T) {
 		{"NOPE whatever", "ERR NOPE is refused"},
 		{"MUT x", "OK x"},
 	} {
-		fmt.Fprintln(conn, tc.send)
-		if got := readLines(t, r, 1)[0]; got != tc.want {
+		if got := c.Cmd(t, tc.send); got != tc.want {
 			t.Errorf("%q -> %q, want %q", tc.send, got, tc.want)
 		}
 	}
-	fmt.Fprintln(conn, "SLOWLOG")
-	if got := readLines(t, r, 2); !strings.HasPrefix(got[0], "OK n=0 cap=4") || got[1] != "END" {
+	if got := c.SendAll(t, "SLOWLOG\n", 2); !strings.HasPrefix(got[0], "OK n=0 cap=4") || got[1] != "END" {
 		t.Errorf("SLOWLOG -> %q", got)
 	}
 	// QUIT must always close, whatever follows the verb.
-	fmt.Fprintln(conn, "QUIT right now")
-	if got := readLines(t, r, 1)[0]; got != "BYE" {
+	if got := c.Cmd(t, "QUIT right now"); got != "BYE" {
 		t.Errorf("QUIT with arguments -> %q, want BYE", got)
 	}
-	if _, err := r.ReadString('\n'); err != io.EOF {
+	if _, err := c.R.ReadString('\n'); err != io.EOF {
 		t.Errorf("after QUIT: %v, want the connection closed", err)
 	}
 	// Unknown verbs, the refused verb and the empty command share one
@@ -207,9 +186,8 @@ func TestUnitRule(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := newStub(t)
-			conn, r, writes := start(t, st)
-			io.WriteString(conn, tc.send)
-			readLines(t, r, tc.replies)
+			c, writes := start(t, st)
+			c.SendAll(t, tc.send, tc.replies)
 			if got := writes.Load(); got != int64(tc.flushes) {
 				t.Errorf("flushes = %d, want %d", got, tc.flushes)
 			}
@@ -227,54 +205,50 @@ func TestUnitRule(t *testing.T) {
 // complete line that joined the unit.
 func TestQuitAndTorn(t *testing.T) {
 	st := newStub(t)
-	conn, r, writes := start(t, st)
-	io.WriteString(conn, "MUT a\nSTOP\nECHO b\nMUT c\n")
-	if got := fmt.Sprint(readLines(t, r, 4)); got != "[OK a stopping b OK c]" {
+	c, writes := start(t, st)
+	if got := fmt.Sprint(c.SendAll(t, "MUT a\nSTOP\nECHO b\nMUT c\n", 4)); got != "[OK a stopping b OK c]" {
 		t.Fatalf("window with a Quit in the middle: replies = %s", got)
 	}
-	if _, err := r.ReadString('\n'); err != io.EOF {
+	if _, err := c.R.ReadString('\n'); err != io.EOF {
 		t.Fatalf("after the window: %v, want the connection closed", err)
 	}
 	if got := writes.Load(); got != 1 {
 		t.Errorf("flushes = %d, want 1", got)
 	}
 
-	conn, r, _ = start(t, newStub(t))
-	io.WriteString(conn, "TORN\nTORN\nTORN")
-	conn.(*net.TCPConn).CloseWrite()
-	if got := fmt.Sprint(readLines(t, r, 3)); got != "[false false true]" {
+	c, _ = start(t, newStub(t))
+	io.WriteString(c.Conn, "TORN\nTORN\nTORN")
+	c.Conn.(*net.TCPConn).CloseWrite()
+	if got := fmt.Sprint(c.SendAll(t, "", 3)); got != "[false false true]" {
 		t.Fatalf("Torn of two complete lines and a cut-off one = %s", got)
 	}
 }
 
 func TestPartialTrailingLineNeverWithholdsReplies(t *testing.T) {
 	st := newStub(t)
-	conn, r, _ := start(t, st)
-	io.WriteString(conn, "MUT a\nECHO b\nMUT c")
-	if got := readLines(t, r, 2); got[0] != "OK a" || got[1] != "b" {
+	c, _ := start(t, st)
+	if got := c.SendAll(t, "MUT a\nECHO b\nMUT c", 2); got[0] != "OK a" || got[1] != "b" {
 		t.Fatalf("replies before the partial line = %q", got)
 	}
-	conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-	if l, err := r.ReadString('\n'); err == nil {
+	c.Conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if l, err := c.R.ReadString('\n'); err == nil {
 		t.Fatalf("partial line was answered %q", l)
 	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	io.WriteString(conn, "c\n")
-	if got := readLines(t, r, 1)[0]; got != "OK cc" {
+	if got := c.Cmd(t, "c"); got != "OK cc" {
 		t.Fatalf("completed line -> %q", got)
 	}
 }
 
 func TestUnitBeyondCapReleasedInSeveralFlushes(t *testing.T) {
 	st := newStub(t)
-	conn, r, writes := start(t, st)
+	c, writes := start(t, st)
 	const n = 2*MaxPendingReplies + 10
 	var b strings.Builder
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&b, "MUT %d\n", i)
 	}
-	go io.WriteString(conn, b.String())
-	for i, got := range readLines(t, r, n) {
+	go io.WriteString(c.Conn, b.String())
+	for i, got := range c.SendAll(t, "", n) {
 		if want := fmt.Sprintf("OK %d", i); got != want {
 			t.Fatalf("reply %d = %q, want %q", i, got, want)
 		}
@@ -294,15 +268,14 @@ func TestUnitBeyondCapReleasedInSeveralFlushes(t *testing.T) {
 func TestTooLongFarewellAfterEarlierReplies(t *testing.T) {
 	st := newStub(t)
 	st.MaxLineLen = 64
-	conn, r, _ := start(t, st)
-	io.WriteString(conn, "MUT a\nECHO b\nECHO "+strings.Repeat("x", 200)+"\nECHO never\n")
-	got := readLines(t, r, 3)
+	c, _ := start(t, st)
+	got := c.SendAll(t, "MUT a\nECHO b\nECHO "+strings.Repeat("x", 200)+"\nECHO never\n", 3)
 	if got[0] != "OK a" || got[1] != "b" || got[2] != "ERR line too long (max 64 bytes)" {
 		t.Fatalf("replies = %q", got)
 	}
 	// Closed, not resynchronised (a reset rather than EOF when the close
 	// finds the rest of the client's write unread).
-	if l, err := r.ReadString('\n'); err == nil {
+	if l, err := c.R.ReadString('\n'); err == nil {
 		t.Fatalf("after the farewell the server went on to answer %q", l)
 	}
 }
@@ -314,11 +287,10 @@ func TestIdleTimeoutClosesAndWriteDeadlineIsSet(t *testing.T) {
 	const timeout = 400 * time.Millisecond
 	st := newStub(t)
 	st.ReadTimeout = timeout
-	conn, r, _ := start(t, st)
-	fmt.Fprintln(conn, "ECHO a")
-	readLines(t, r, 1)
+	c, _ := start(t, st)
+	c.SendAll(t, "ECHO a\n", 1)
 	start := time.Now()
-	if _, err := r.ReadString('\n'); err != io.EOF {
+	if _, err := c.R.ReadString('\n'); err != io.EOF {
 		t.Fatalf("idle connection: %v, want it closed by the server", err)
 	}
 	if idle, lo, hi := time.Since(start), timeout-25*time.Millisecond, timeout*9/8+300*time.Millisecond; idle < lo || idle > hi {
@@ -333,15 +305,10 @@ func TestDeadlineSparesARegularClient(t *testing.T) {
 	const timeout = 200 * time.Millisecond
 	st := newStub(t)
 	st.ReadTimeout = timeout
-	conn, r, _ := start(t, st)
+	c, _ := start(t, st)
 	for i := 0; i < 12; i++ {
 		time.Sleep(timeout / 4)
-		fmt.Fprintf(conn, "ECHO %d\n", i)
-		l, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatalf("request %d, %v into the connection: %v", i, time.Duration(i+1)*timeout/4, err)
-		}
-		if got := strings.TrimSuffix(l, "\n"); got != fmt.Sprint(i) {
+		if got := c.Cmd(t, fmt.Sprintf("ECHO %d", i)); got != fmt.Sprint(i) {
 			t.Fatalf("request %d -> %q", i, got)
 		}
 	}
@@ -356,14 +323,14 @@ func TestDeadlineCutsAClientThatNeverReads(t *testing.T) {
 	const timeout = 300 * time.Millisecond
 	st := newStub(t)
 	st.ReadTimeout, st.MaxConns = timeout, 1
-	conn, _, _ := start(t, st)
+	c, _ := start(t, st)
 	line := []byte("ECHO " + strings.Repeat("x", 32<<10) + "\n")
 	var lastWrite atomic.Int64 // unix nanos of the last write that went through
 	lastWrite.Store(time.Now().UnixNano())
 	writer := make(chan error, 1)
 	go func() {
 		for i := 0; i < 2048; i++ { // 64 MiB of replies: far past any loopback buffer
-			if _, err := conn.Write(line); err != nil {
+			if _, err := c.Conn.Write(line); err != nil {
 				writer <- err
 				return
 			}
@@ -381,19 +348,12 @@ func TestDeadlineCutsAClientThatNeverReads(t *testing.T) {
 	if held, hi := time.Since(time.Unix(0, lastWrite.Load())), timeout*9/8+300*time.Millisecond; held > hi {
 		t.Errorf("cut %v after the client's last write went through, want within 9/8·T = %v (%v with slack)", held, timeout*9/8, hi)
 	}
-	conn.Close()
+	c.Conn.Close()
 	if err := <-writer; err == nil {
 		t.Fatal("the client wrote 64 MiB of requests without reading a reply, and the server took them all")
 	}
 	// The slot is free: a new connection is served, not refused.
-	next, err := net.Dial("tcp", conn.RemoteAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer next.Close()
-	next.SetDeadline(time.Now().Add(10 * time.Second))
-	fmt.Fprintln(next, "ECHO again")
-	if got := readLines(t, bufio.NewReader(next), 1)[0]; got != "again" {
+	if got := linetest.Dial(t, c.Conn.RemoteAddr().String()).Cmd(t, "ECHO again"); got != "again" {
 		t.Fatalf("after the cut -> %q, want the -max-conns slot free", got)
 	}
 }
@@ -401,39 +361,25 @@ func TestDeadlineCutsAClientThatNeverReads(t *testing.T) {
 func TestMaxConnsRejectLine(t *testing.T) {
 	st := newStub(t)
 	st.MaxConns = 1
-	conn, r, _ := start(t, st)
-	fmt.Fprintln(conn, "ECHO a")
-	readLines(t, r, 1)
-	second, err := net.Dial("tcp", conn.RemoteAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer second.Close()
-	second.SetDeadline(time.Now().Add(10 * time.Second))
-	r2 := bufio.NewReader(second)
-	if got := readLines(t, r2, 1)[0]; got != "ERR server busy: connection limit reached, retry later" {
+	c, _ := start(t, st)
+	c.SendAll(t, "ECHO a\n", 1)
+	second := linetest.Dial(t, c.Conn.RemoteAddr().String())
+	if got := second.SendAll(t, "", 1)[0]; got != "ERR server busy: connection limit reached, retry later" {
 		t.Fatalf("over the cap -> %q", got)
 	}
-	if _, err := r2.ReadString('\n'); err != io.EOF {
+	if _, err := second.R.ReadString('\n'); err != io.EOF {
 		t.Fatalf("rejected connection: %v, want it closed", err)
 	}
 	if got := st.ConnRejects.Value(); got != 1 {
 		t.Errorf("rejected-connection counter = %d, want 1", got)
 	}
 	// The slot frees when the first connection goes.
-	conn.Close()
+	c.Conn.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for st.Connections.Value() != 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	third, err := net.Dial("tcp", second.RemoteAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer third.Close()
-	third.SetDeadline(time.Now().Add(10 * time.Second))
-	fmt.Fprintln(third, "ECHO again")
-	if got := readLines(t, bufio.NewReader(third), 1)[0]; got != "again" {
+	if got := linetest.Dial(t, second.Conn.RemoteAddr().String()).Cmd(t, "ECHO again"); got != "again" {
 		t.Fatalf("after the slot freed -> %q", got)
 	}
 }
@@ -445,20 +391,17 @@ func TestMaxConnsRejectLine(t *testing.T) {
 func TestPanicContainment(t *testing.T) {
 	st := newStub(t)
 	st.boomIn = "bad"
-	conn, r, _ := start(t, st)
-	io.WriteString(conn, "ECHO a\nBOOM\nMUT b\nECHO c\n")
-	got := readLines(t, r, 4)
+	c, _ := start(t, st)
+	got := c.SendAll(t, "ECHO a\nBOOM\nMUT b\nECHO c\n", 4)
 	if got[0] != "a" || !strings.HasPrefix(got[1], "ERR internal") || got[2] != "OK b" || got[3] != "c" {
 		t.Fatalf("handler panic: replies = %q", got)
 	}
-	io.WriteString(conn, "ECHO a\nMUT good\nMUT\nMUT bad\nECHO c\n")
-	got = readLines(t, r, 5)
+	got = c.SendAll(t, "ECHO a\nMUT good\nMUT\nMUT bad\nECHO c\n", 5)
 	if got[0] != "a" || !strings.HasPrefix(got[1], "ERR internal") || got[2] != "ERR MUT takes one word" ||
 		!strings.HasPrefix(got[3], "ERR internal") || got[4] != "c" {
 		t.Fatalf("settle panic: replies = %q", got)
 	}
-	fmt.Fprintln(conn, "MUT fine")
-	if got := readLines(t, r, 1)[0]; got != "OK fine" {
+	if got := c.Cmd(t, "MUT fine"); got != "OK fine" {
 		t.Fatalf("after two panics -> %q", got)
 	}
 	if got := st.Panics.Value(); got != 2 {
@@ -469,9 +412,9 @@ func TestPanicContainment(t *testing.T) {
 	}
 	// A panicking hijacker costs the connection it took over, not the
 	// process.
-	taken, tr, _ := start(t, st)
-	fmt.Fprintln(taken, "TAKE boom")
-	if _, err := tr.ReadString('\n'); err != io.EOF {
+	taken, _ := start(t, st)
+	taken.SendAll(t, "TAKE boom\n", 0)
+	if _, err := taken.R.ReadString('\n'); err != io.EOF {
 		t.Errorf("after the hijacker panicked: %v, want the connection closed", err)
 	}
 	if got := st.Panics.Value(); got != 3 {
@@ -508,14 +451,13 @@ func TestEveryAccountedRequestIsTimedOnce(t *testing.T) {
 			st := newStub(t)
 			st.boomIn = "bad"
 			if tc.send != "" {
-				conn, r, _ := start(t, st)
-				io.WriteString(conn, tc.send)
-				readLines(t, r, tc.replies)
+				c, _ := start(t, st)
+				c.SendAll(t, tc.send, tc.replies)
 				if strings.Contains(tc.send, "TAKE") {
 					// A hijacked request is timed once its hijacker has
 					// returned, after its reply, and then the loop closes
 					// the connection: at EOF the count is final.
-					if _, err := r.ReadString('\n'); err != io.EOF {
+					if _, err := c.R.ReadString('\n'); err != io.EOF {
 						t.Fatalf("after the hijacker returned: %v, want the connection closed", err)
 					}
 				}
@@ -534,16 +476,15 @@ func TestEveryAccountedRequestIsTimedOnce(t *testing.T) {
 
 func TestHijackReleasesEarlierRepliesFirst(t *testing.T) {
 	st := newStub(t)
-	conn, r, writes := start(t, st)
-	io.WriteString(conn, "MUT a\nECHO b\nTAKE x y\nECHO never\n")
-	got := readLines(t, r, 3)
+	c, writes := start(t, st)
+	got := c.SendAll(t, "MUT a\nECHO b\nTAKE x y\nECHO never\n", 3)
 	if got[0] != "OK a" || got[1] != "b" || got[2] != "TAKEN x,y" {
 		t.Fatalf("replies = %q", got)
 	}
 	if got := writes.Load(); got != 2 {
 		t.Errorf("writes = %d, want 2: the unit before the hijack, then the hijacker's own", got)
 	}
-	if _, err := r.ReadString('\n'); err != io.EOF {
+	if _, err := c.R.ReadString('\n'); err != io.EOF {
 		t.Fatalf("after the hijacker returned: %v, want the connection closed", err)
 	}
 	if got := st.Latency["TAKE"].Count(); got != 1 {

@@ -230,15 +230,6 @@ func (p *Pager) WriteCell(i int, v float64) error {
 // Flush writes the buffered page back if dirty.
 func (p *Pager) Flush() error { return p.flushLocked() }
 
-// Sync flushes the buffered page and forces the backend to stable
-// storage.
-func (p *Pager) Sync() error {
-	if err := p.flushLocked(); err != nil {
-		return err
-	}
-	return p.backend.Sync()
-}
-
 // Close flushes and closes the backend.
 func (p *Pager) Close() error {
 	if err := p.flushLocked(); err != nil {

@@ -198,9 +198,13 @@ func TestFileBackendSyncAndCloseErrors(t *testing.T) {
 	if err := p.WriteCell(3, 42); err != nil {
 		t.Fatal(err)
 	}
-	// Sync flushes the dirty buffered page before fsyncing: the value
-	// must be on disk afterwards, visible through a second backend.
-	if err := p.Sync(); err != nil {
+	// Flush writes the dirty buffered page back and the backend's Sync
+	// forces it to disk: the value must then be visible through a
+	// second backend.
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	b2, err := openFileBackend(path, 64)
@@ -209,7 +213,7 @@ func TestFileBackendSyncAndCloseErrors(t *testing.T) {
 	}
 	p2, _ := New(b2, 64)
 	if got, err := p2.ReadCell(3); err != nil || got != 42 {
-		t.Fatalf("after Sync, reopened cell = %v (%v), want 42", got, err)
+		t.Fatalf("after Flush and Sync, reopened cell = %v (%v), want 42", got, err)
 	}
 	if err := p2.Close(); err != nil {
 		t.Fatal(err)

@@ -27,8 +27,8 @@ type GeneralStructure interface {
 // ListGd is the baseline G_d: an unindexed point list with linear-scan
 // queries. Its per-query cost is linear in the number of out-of-order
 // updates, which matches the paper's graceful-degradation analysis and
-// makes the degradation measurable; the R*-tree in internal/rstar
-// offers an indexed alternative through the same interface.
+// makes the degradation measurable (rstar.Gd is the indexed G_d the
+// serving cube buffers in).
 type ListGd struct {
 	pts []gdPoint
 }

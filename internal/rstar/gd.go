@@ -6,11 +6,10 @@ import (
 	"histcube/internal/dims"
 )
 
-// Gd adapts the R*-tree to the framework's GeneralStructure interface
-// (satisfied structurally): the general d-dimensional structure G_d of
-// Section 2.5 that buffers out-of-order updates, with indexed queries
-// instead of the linear scan of the baseline list buffer. The time
-// coordinate is stored as dimension 0.
+// Gd is the general d-dimensional structure G_d of Section 2.5 that
+// buffers out-of-order updates, on an R*-tree: indexed queries instead
+// of the linear scan of the baseline list buffer. The time coordinate
+// is stored as dimension 0.
 type Gd struct {
 	t *Tree
 }
@@ -65,19 +64,6 @@ func clampToInt(v int64) int {
 
 // Len returns the number of buffered updates.
 func (g *Gd) Len() int { return g.t.Len() }
-
-// PopLatest removes and returns a buffered update with the greatest
-// time coordinate.
-func (g *Gd) PopLatest() (int64, []int, float64, bool) {
-	e, ok := g.t.MaxDim0Entry()
-	if !ok {
-		return 0, nil, 0, false
-	}
-	if !g.t.Delete(e.Coords, e.Value) {
-		return 0, nil, 0, false
-	}
-	return int64(e.Coords[0]), append([]int(nil), e.Coords[1:]...), e.Value, true
-}
 
 // Tree exposes the underlying R*-tree (for stats).
 func (g *Gd) Tree() *Tree { return g.t }

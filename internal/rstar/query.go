@@ -86,107 +86,6 @@ func (t *Tree) boxRect(b dims.Box) (rect, error) {
 	return rect{lo: b.Lo, hi: b.Hi}, nil
 }
 
-// Delete removes one entry with exactly the given coordinates and
-// value, returning false if no such entry exists. Underflowing nodes
-// are dissolved and their remaining contents reinserted (the classic
-// condense-tree treatment).
-func (t *Tree) Delete(coords []int, value float64) bool {
-	if len(coords) != t.dim {
-		return false
-	}
-	var orphans []Entry
-	removed := t.deleteRec(t.root, coords, value, &orphans)
-	if !removed {
-		return false
-	}
-	t.size--
-	// Shrink the root if it lost all but one child.
-	for !t.root.leaf && len(t.root.children) == 1 {
-		t.root = t.root.children[0]
-		t.height--
-	}
-	for _, e := range orphans {
-		t.reinserted = make(map[int]bool)
-		t.insertAtLevel(e, nil, 0)
-	}
-	return true
-}
-
-func (t *Tree) deleteRec(n *node, coords []int, value float64, orphans *[]Entry) bool {
-	if n.leaf {
-		for i, e := range n.entries {
-			//histlint:ignore nofloateq delete matches the identical stored entry bit-for-bit (identity, not arithmetic)
-			if e.Value == value && equalCoords(e.Coords, coords) {
-				n.entries = append(n.entries[:i], n.entries[i+1:]...)
-				n.recompute()
-				return true
-			}
-		}
-		return false
-	}
-	p := pointRect(coords)
-	for i, c := range n.children {
-		if !c.mbr.containsRect(p) {
-			continue
-		}
-		if t.deleteRec(c, coords, value, orphans) {
-			if c.fanout() < t.min {
-				// Dissolve the child; collect its leaf entries.
-				c.collectEntries(orphans)
-				n.children = append(n.children[:i], n.children[i+1:]...)
-			}
-			n.recompute()
-			return true
-		}
-	}
-	return false
-}
-
-func (n *node) collectEntries(out *[]Entry) {
-	if n.leaf {
-		*out = append(*out, n.entries...)
-		return
-	}
-	for _, c := range n.children {
-		c.collectEntries(out)
-	}
-}
-
-func equalCoords(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// MaxDim0Entry returns an entry with the greatest coordinate in
-// dimension 0 (used by the out-of-order buffer to drain latest-first).
-func (t *Tree) MaxDim0Entry() (Entry, bool) {
-	if t.size == 0 {
-		return Entry{}, false
-	}
-	n := t.root
-	for !n.leaf {
-		best := n.children[0]
-		for _, c := range n.children[1:] {
-			if c.mbr.hi[0] > best.mbr.hi[0] {
-				best = c
-			}
-		}
-		n = best
-	}
-	bi := 0
-	for i, e := range n.entries {
-		if e.Coords[0] > n.entries[bi].Coords[0] {
-			bi = i
-		}
-		_ = i
-	}
-	return n.entries[bi], true
-}
-
 // Walk calls fn for every entry (order unspecified); fn returning
 // false stops the walk.
 func (t *Tree) Walk(fn func(Entry) bool) {

@@ -197,66 +197,6 @@ func TestBulkLoadEmptyAndTiny(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	tr, _ := New(Config{Dim: 2, MaxEntries: 6})
-	es := randEntries(r, 500, 2, 40)
-	for _, e := range es {
-		if err := tr.Insert(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Delete half, verifying against the oracle of the remainder.
-	for i := 0; i < 250; i++ {
-		if !tr.Delete(es[i].Coords, es[i].Value) {
-			t.Fatalf("delete %d failed", i)
-		}
-	}
-	if tr.Len() != 250 {
-		t.Fatalf("Len after deletes = %d", tr.Len())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	rest := refOf(es[250:])
-	for q := 0; q < 50; q++ {
-		b := randBox(r, 2, 40)
-		got, err := tr.RangeScan(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := rest.Query(0, 0, b.Lo, b.Hi).Sum; got != want {
-			t.Fatalf("after deletes, box %v: got %v want %v", b, got, want)
-		}
-	}
-	// Deleting a non-existent entry fails.
-	if tr.Delete([]int{1000, 1000}, 1) {
-		t.Error("deleted non-existent entry")
-	}
-}
-
-func TestMaxDim0Entry(t *testing.T) {
-	tr, _ := New(Config{Dim: 2, MaxEntries: 4})
-	if _, ok := tr.MaxDim0Entry(); ok {
-		t.Error("MaxDim0Entry on empty tree")
-	}
-	r := rand.New(rand.NewSource(5))
-	maxT := -1
-	for i := 0; i < 300; i++ {
-		tv := r.Intn(1000)
-		if tv > maxT {
-			maxT = tv
-		}
-		if err := tr.Insert(Entry{Coords: []int{tv, r.Intn(10)}, Value: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e, ok := tr.MaxDim0Entry()
-	if !ok || e.Coords[0] != maxT {
-		t.Errorf("MaxDim0Entry = %v,%v want coord0 %d", e, ok, maxT)
-	}
-}
-
 func TestGdRoundTrip(t *testing.T) {
 	g, err := NewGd(1)
 	if err != nil {
@@ -274,13 +214,6 @@ func TestGdRoundTrip(t *testing.T) {
 	}
 	if got != 5 {
 		t.Errorf("Query = %v, want 5", got)
-	}
-	tv, x, v, ok := g.PopLatest()
-	if !ok || tv != 9 || x[0] != 3 || v != 2 {
-		t.Errorf("PopLatest = %d %v %v %v", tv, x, v, ok)
-	}
-	if g.Len() != 2 {
-		t.Errorf("Len after pop = %d", g.Len())
 	}
 }
 
@@ -300,8 +233,8 @@ func TestWalkVisitsAll(t *testing.T) {
 	}
 }
 
-// Property: dynamic inserts + deletes match the oracle and keep
-// invariants, across random capacities.
+// Property: dynamic inserts match the oracle and keep invariants,
+// across random capacities.
 func TestShadowProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -309,25 +242,13 @@ func TestShadowProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var live []Entry
 		var ref oracle.Points
 		for op := 0; op < 250; op++ {
-			if r.Intn(4) > 0 || len(live) == 0 {
-				e := Entry{Coords: []int{r.Intn(20), r.Intn(20)}, Value: float64(r.Intn(5) + 1)}
-				if err := tr.Insert(e); err != nil {
-					return false
-				}
-				live = append(live, e)
-				ref.Insert(0, e.Coords, e.Value)
-			} else {
-				i := r.Intn(len(live))
-				if !tr.Delete(live[i].Coords, live[i].Value) {
-					return false
-				}
-				ref.Delete(0, live[i].Coords, live[i].Value)
-				live[i] = live[len(live)-1]
-				live = live[:len(live)-1]
+			e := Entry{Coords: []int{r.Intn(20), r.Intn(20)}, Value: float64(r.Intn(5) + 1)}
+			if err := tr.Insert(e); err != nil {
+				return false
 			}
+			ref.Insert(0, e.Coords, e.Value)
 		}
 		if err := tr.CheckInvariants(); err != nil {
 			return false
