@@ -34,13 +34,9 @@ func replicaSet(t *testing.T, fsync string, minAcks, n int) (primary *fleettest.
 		cfg.Follow = primary.Addr
 		followers = append(followers, fleettest.StartMember(t, cfg))
 	}
-	pc := linetest.Dial(t, primary.Addr)
-	waitFor(t, "the followers to connect", func() bool {
-		return strings.Contains(pc.Cmd(t, "ROLE"), fmt.Sprintf(" followers=%d ", n))
-	})
+	linetest.Dial(t, primary.Addr).AwaitRole(t, fmt.Sprintf(" followers=%d ", n))
 	for _, f := range followers {
-		fc := linetest.Dial(t, f.Addr)
-		waitFor(t, "a follower to catch up", func() bool { return strings.Contains(fc.Cmd(t, "ROLE"), " synced=1 ") })
+		linetest.Dial(t, f.Addr).AwaitRole(t, " synced=1 ")
 	}
 	return primary, followers
 }

@@ -239,8 +239,7 @@ func TestReplChaosReadsSkipFollowersOutsideTheAckQuorum(t *testing.T) {
 		followers = append(followers, linetest.Start(t, servePkg, append(serveArgs,
 			"-data-dir", filepath.Join(t.TempDir(), fmt.Sprint("f", i)), "-follow", primary.Addr)...))
 	}
-	pc := linetest.Dial(t, primary.Addr)
-	waitFor(t, "the followers to connect", func() bool { return strings.Contains(pc.Cmd(t, "ROLE"), " followers=2 min_acks=1") })
+	linetest.Dial(t, primary.Addr).AwaitRole(t, " followers=2 min_acks=1")
 	proxy := linetest.Start(t, proxyPkg, "-dims", "8,8",
 		"-shards", fmt.Sprintf("%s|%s|%s=0-", primary.Addr, followers[0].Addr, followers[1].Addr),
 		"-probe-every", "100ms", "-hedge-after", "1ms")
@@ -266,10 +265,7 @@ func TestReplChaosReadsSkipFollowersOutsideTheAckQuorum(t *testing.T) {
 	}
 	const qrySeries = `histserve_request_seconds_count{cmd="QRY"}`
 	for i, f := range followers {
-		fc := linetest.Dial(t, f.Addr)
-		waitFor(t, "a follower to apply every write", func() bool {
-			return strings.Contains(fc.Cmd(t, "ROLE"), fmt.Sprintf(" applied_lsn=%d ", 2*windows))
-		})
+		linetest.Dial(t, f.Addr).AwaitRole(t, fmt.Sprintf(" applied_lsn=%d ", 2*windows))
 		if n := linetest.MetricValue(t, f, qrySeries); n != 0 {
 			t.Errorf("follower %d served %v QRY legs with -repl-min-acks 1 below its 2 followers", i, n)
 		}

@@ -24,20 +24,6 @@ import (
 // servePkg is the command the drills run as a child process.
 const servePkg = "histcube/cmd/histserve"
 
-// awaitRole polls c's ROLE for up to 10 s until it holds want.
-func awaitRole(t *testing.T, c *linetest.Client, want string) {
-	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		resp := c.Cmd(t, "ROLE")
-		if strings.Contains(resp, want) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("ROLE = %q, want %s", resp, want)
-		}
-	}
-}
-
 // recovered returns the recovery line of a restarted child's boot log.
 func recovered(t *testing.T, p *linetest.Proc) string {
 	t.Helper()
@@ -188,12 +174,12 @@ func TestCrashBetweenStageAndGroupFsync(t *testing.T) {
 	}
 	ctl := linetest.Dial(t, p1.Addr)
 	// The writes must be staged while their fsync is stalled.
-	awaitRole(t, ctl, fmt.Sprintf(" last_lsn=%d ", acked+window)) // the window is staged and applied; its leader sits in the stalled fsync
+	ctl.AwaitRole(t, fmt.Sprintf(" last_lsn=%d ", acked+window)) // the window is staged and applied; its leader sits in the stalled fsync
 	second := linetest.Dial(t, p1.Addr)
 	if _, err := fmt.Fprintf(second.Conn, "INS %d 0 0 %g\n", acked+window, weight(window)); err != nil {
 		t.Fatal(err)
 	}
-	awaitRole(t, ctl, fmt.Sprintf(" last_lsn=%d ", acked+window+1)) // staged too; its commit queues behind the leader
+	ctl.AwaitRole(t, fmt.Sprintf(" last_lsn=%d ", acked+window+1)) // staged too; its commit queues behind the leader
 	reader := linetest.Dial(t, p1.Addr)
 	if _, err := fmt.Fprintln(reader.Conn, "QRY 0 100000 0 0 7 7"); err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func TestFollowerKilledBetweenStageAndCommit(t *testing.T) {
 	const acked, burst = 40, 16
 	f1 := linetest.Start(t, servePkg, fargs...)
 	send(0, acked)
-	awaitRole(t, linetest.Dial(t, f1.Addr), fmt.Sprintf("applied_lsn=%d ", acked))
+	linetest.Dial(t, f1.Addr).AwaitRole(t, fmt.Sprintf("applied_lsn=%d ", acked))
 	if stderr, err := f1.Stop(t, syscall.SIGTERM); err != nil {
 		t.Fatalf("follower shutdown: %v\n%s", err, stderr)
 	}
@@ -76,7 +76,7 @@ func TestFollowerKilledBetweenStageAndCommit(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	awaitRole(t, fc, fmt.Sprintf("applied_lsn=%d ", acked)) // staged is not applied_lsn: nothing was ACKed
+	fc.AwaitRole(t, fmt.Sprintf("applied_lsn=%d ", acked)) // staged is not applied_lsn: nothing was ACKed
 	const all = "QRY 0 100000 0 0 7 7"
 	if _, err := fmt.Fprintln(fc.Conn, all); err != nil {
 		t.Fatal(err)
@@ -97,12 +97,12 @@ func TestFollowerKilledBetweenStageAndCommit(t *testing.T) {
 	// from wherever its log really ends and converges on the primary.
 	f3 := linetest.Start(t, servePkg, fargs...)
 	fc = linetest.Dial(t, f3.Addr)
-	awaitRole(t, fc, fmt.Sprintf("applied_lsn=%d lag_lsn=0", acked+burst))
+	fc.AwaitRole(t, fmt.Sprintf("applied_lsn=%d lag_lsn=0", acked+burst))
 	for _, q := range []string{all, "QRY 3 9 1 2 6 6", "QRY 0 0 0 0 7 7", "QRY 10 13 0 0 7 7", "QRY 7 12 2 0 5 7"} {
 		if p, f := pc.Float(t, q), fc.Float(t, q); math.Float64bits(p) != math.Float64bits(f) {
 			t.Fatalf("%s: primary %v != restarted follower %v", q, p, f)
 		}
 	}
 	send(acked+burst, 1)
-	awaitRole(t, fc, fmt.Sprintf("applied_lsn=%d ", acked+burst+1))
+	fc.AwaitRole(t, fmt.Sprintf("applied_lsn=%d ", acked+burst+1))
 }

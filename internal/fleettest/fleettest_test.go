@@ -49,12 +49,7 @@ func TestRelayRewritesOnlyTheRoleFields(t *testing.T) {
 	script := Script{MinAcks: "7", Synced: "0"}
 	toPrimary, toFollower := StartRelay(t, primary, script), StartRelay(t, follower, script)
 
-	fc := linetest.Dial(t, follower.Addr)
-	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(fc.Cmd(t, "ROLE"), " synced=1 "); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the follower never caught up")
-		}
-	}
+	linetest.Dial(t, follower.Addr).AwaitRole(t, " synced=1 ")
 	for _, tc := range []struct {
 		relay      *Relay
 		member     *Member

@@ -1,18 +1,19 @@
 package fleettest
 
 // The transcript checker's targets whose member goes down mid-script:
-// a durable member that restarts on its own directory, and a semi-sync
-// replica set whose follower is promoted once its primary is gone.
+// a durable histserve killed and restarted on its own directory, and a
+// semi-sync replica set whose follower is promoted once its primary is
+// gone.
 // Every acknowledged write must outlive both, so the oracle over the
 // acknowledged mutations judges the answers after them as before.
 
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"histcube/internal/linetest"
 )
@@ -61,26 +62,41 @@ func acked(t *testing.T, script, got []string) {
 	}
 }
 
-// TestTranscriptThroughCheckpointAndRestart: a durable -ooo -op avg
-// member checkpoints a third of the way through a seeded history,
-// restarts on its directory right after (recovery from the checkpoint
-// alone) and again two thirds through (the checkpoint plus a log tail
-// with out-of-order updates in it), and answers every query like the
-// oracle over what it acknowledged.
+// TestMain lets the restart target build histserve once for the whole
+// test binary.
+func TestMain(m *testing.M) { os.Exit(linetest.Main(m)) }
+
+// TestTranscriptThroughCheckpointAndRestart: a histserve binary, durable
+// with -ooo -op avg, checkpoints a third of the way through a seeded
+// history and is killed with SIGKILL right after, so its restart on
+// the same directory recovers from the checkpoint alone; two thirds
+// through it is killed again and recovers from the checkpoint plus a
+// log tail with out-of-order updates in it. It answers every query
+// like the oracle over what it acknowledged.
 func TestTranscriptThroughCheckpointAndRestart(t *testing.T) {
 	script := history(31, 300)
 	script = slices.Insert(script, 200, "@restart")
 	script = slices.Insert(script, 100, "CHECKPOINT", "@restart")
 	got := linetest.CheckScript(t, "avg", func(t *testing.T) linetest.Fleet {
-		cfg := DurableConfig("avg", t.TempDir(), "always")
-		cfg.OOO = true
-		m := StartMember(t, cfg)
+		args := []string{"-dims", "8,8", "-op", "avg", "-ooo", "-data-dir", t.TempDir(), "-fsync", "always"}
+		p := linetest.Start(t, "histcube/cmd/histserve", args...)
+		restarts := 0
 		restart := func(t *testing.T) string {
-			m.Stop()
-			m.Restart(t)
-			return m.Addr
+			_, _ = p.Stop(t, os.Kill) // a crash: no final checkpoint
+			p = linetest.Start(t, "histcube/cmd/histserve", args...)
+			restarts++
+			i := slices.IndexFunc(p.Boot, func(l string) bool { return strings.Contains(l, "msg=recovered") })
+			if i < 0 {
+				t.Fatalf("restart %d logged no recovery:\n%s", restarts, strings.Join(p.Boot, "\n"))
+			}
+			// The first restart follows the checkpoint at once; the
+			// second has a hundred lines of the log to replay.
+			if replayed := linetest.Field(t, p.Boot[i], "replayed"); (replayed == "0") != (restarts == 1) {
+				t.Errorf("restart %d: %s", restarts, p.Boot[i])
+			}
+			return p.Addr
 		}
-		return linetest.Fleet{Addr: m.Addr, Events: map[string]func(*testing.T) string{"restart": restart}}
+		return linetest.Fleet{Addr: p.Addr, Events: map[string]func(*testing.T) string{"restart": restart}}
 	}, script)
 	acked(t, script, got)
 	if !strings.HasPrefix(got[100], "OK ") {
@@ -102,11 +118,7 @@ func TestTranscriptThroughPromotion(t *testing.T) {
 		cfg.OOO, cfg.Follow = true, primary.Addr
 		follower := StartMember(t, cfg)
 		fc := linetest.Dial(t, follower.Addr)
-		for deadline := time.Now().Add(5 * time.Second); !strings.Contains(fc.Cmd(t, "ROLE"), " synced=1 "); time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatal("the follower never caught up")
-			}
-		}
+		fc.AwaitRole(t, " synced=1 ")
 		promote := func(t *testing.T) string {
 			primary.Stop()
 			if got := fc.Cmd(t, "PROMOTE"); !strings.HasPrefix(got, "OK role=primary ") {

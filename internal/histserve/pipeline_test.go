@@ -32,8 +32,11 @@ func newAlwaysServer(t *testing.T) *Server {
 // shape — mutations, queries, EXPLAIN's multi-line reply, STATS, ROLE,
 // errors, a blank line, a TID= line, CHECKPOINT, SEAL, QUIT and a line
 // after it — at depth 1 and pipelined through the transcript checker.
+// Pipelined, the script is one window: every line but the last reaches
+// the server in one write, the complete line after QUIT included.
 func TestPipelinedRepliesMatchDepthOne(t *testing.T) {
 	script := []string{
+		"@window",
 		"INS 1 1 1 5",
 		"QRY 0 10 0 0 7 7",
 		"INS 2 2 2 7",
@@ -54,12 +57,13 @@ func TestPipelinedRepliesMatchDepthOne(t *testing.T) {
 		"INS 4 4 4 2", // sealed
 		"QRY 0 10 0 0 7 7",
 		"QUIT",
-		"INS 9 1 1 100", // after QUIT: never executed
+		"INS 9 1 1 100",  // after QUIT, complete in its write: never executed
+		"INS 10 1 1 100", // the window's last line, cut
 	}
 	got := linetest.CheckScript(t, "sum", func(t *testing.T) linetest.Fleet {
 		return linetest.Fleet{Addr: serveOn(t, newAlwaysServer(t))}
 	}, script)
-	if got[0] != "OK" || got[1] != "5" || got[len(got)-2] != "BYE" {
+	if got[1] != "OK" || got[2] != "5" || got[len(got)-3] != "BYE" {
 		t.Fatalf("unexpected replies: %q", got)
 	}
 }

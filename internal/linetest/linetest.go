@@ -85,11 +85,29 @@ func (c *Client) line(t *testing.T) string {
 	return strings.TrimSuffix(l, "\n")
 }
 
-// Cmd sends one line and returns the one-line reply, trimmed.
+// Cmd sends one line and returns the one-line reply, without its
+// newline: a reply with white space around it is not the reply a test
+// compares it to.
 func (c *Client) Cmd(t *testing.T, line string) string {
 	t.Helper()
-	c.SendAll(t, line+"\n", 0)
-	return strings.TrimSpace(c.line(t))
+	return c.SendAll(t, line+"\n", 1)[0]
+}
+
+// AwaitRole polls c's ROLE every 5 ms for up to 10 s until the reply
+// holds want, as " synced=1 " or " applied_lsn=40 ".
+//
+//histlint:ignore deadexport test seam: the drills of cmd/histserve and cmd/histproxy, the tests of internal/fleettest
+func (c *Client) AwaitRole(t *testing.T, want string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		reply := c.Cmd(t, "ROLE")
+		if strings.Contains(reply, want) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("ROLE = %q after 10 s, want %s in it", reply, want)
+		}
+	}
 }
 
 // Float sends one line and returns its reply as a number: a query's

@@ -33,14 +33,18 @@ type Fleet struct {
 // A line "@<name>" is no request. It runs the fleet's event <name>
 // between two windows, once every reply of the window before it is
 // in, so no line is in flight across it. "@window" makes the lines up
-// to the next "@" line one window of the pipelined run.
+// to the next "@" line one window of the pipelined run, cut at a
+// random byte of its last line: every line before that one reaches
+// the server complete in one write, whatever the seed draws — a unit
+// beyond the reply cap, or the lines after a QUIT, which none may
+// answer.
 //
 // The two transcripts must hold the same bytes, but for EXPLAIN's span
 // durations and IDs. Every QRY with six fields must answer what
 // internal/oracle does, under operator op (sum, count or avg), over
 // the INS and DEL lines answered OK before it. A QUIT's BYE must be
-// followed by the server closing the connection, and nothing after it
-// is sent.
+// followed by the server closing the connection, with no reply to a
+// line that came in the same write; nothing is written after the BYE.
 //
 // It returns the depth-1 transcript, one entry per script line: the
 // reply's lines joined by newlines, and "" for a blank line, an event
@@ -104,12 +108,16 @@ func play(t *testing.T, f Fleet, script []string, cuts *rand.Rand) []string {
 		for end < len(script) && (whole || end-i < depth) && !strings.HasPrefix(script[end], "@") {
 			end++
 		}
-		whole = false
 		payload := strings.Join(script[i:end], "\n") + "\n"
 		cut := len(payload)
-		if cuts != nil {
+		switch {
+		case whole:
+			last := strings.LastIndexByte(payload[:len(payload)-1], '\n') + 1
+			cut = last + cuts.Intn(len(payload)-last)
+		case cuts != nil:
 			cut = cuts.Intn(len(payload) + 1)
 		}
+		whole = false
 		for _, part := range []string{payload[:cut], payload[cut:]} {
 			c.SendAll(t, part, 0)
 			for complete := i + strings.Count(part, "\n"); i < complete; i++ {
