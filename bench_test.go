@@ -184,7 +184,7 @@ func BenchmarkCubeQueryHistoric(b *testing.B) {
 	cube := benchCube(b, shape, 50, 300)
 	r := rand.New(rand.NewSource(3))
 	qs := workload.TimeQueries(r, shape, 50, 512, false)
-	base := cube.Accesses()
+	base := cube.CacheAccesses + cube.Store().Accesses()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
@@ -192,7 +192,7 @@ func BenchmarkCubeQueryHistoric(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(cube.Accesses()-base)/float64(b.N), "cells/query")
+	b.ReportMetric(float64((cube.CacheAccesses+cube.Store().Accesses())-base)/float64(b.N), "cells/query")
 }
 
 // BenchmarkECubeQuery measures standalone eCube queries from cold
@@ -382,7 +382,7 @@ func BenchmarkAblationConversion(b *testing.B) {
 			}
 		}
 		qs := workload.TimeQueries(r, shape, 40, 256, false)
-		base := cube.Accesses()
+		base := cube.CacheAccesses + cube.Store().Accesses()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			q := qs[i%len(qs)]
@@ -390,7 +390,7 @@ func BenchmarkAblationConversion(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(float64(cube.Accesses()-base)/float64(b.N), "cells/query")
+		b.ReportMetric(float64((cube.CacheAccesses+cube.Store().Accesses())-base)/float64(b.N), "cells/query")
 	}
 	b.Run("ecube", func(b *testing.B) { run(b, false) })
 	b.Run("ddc-only", func(b *testing.B) { run(b, true) })

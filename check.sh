@@ -16,13 +16,20 @@ is_step() { case " $steps " in *" $1 "*) return 0 ;; esac; return 1; }
 tree_state() { git status --porcelain 2>/dev/null | grep -v ' lockgraph\.dot$' || true; }
 tree_before=$(tree_state)
 
-# require_tests <pkg> <name>|<name>...: fails the step unless every name
-# in the list (a -run alternative: a whole name or a prefix) matches a
-# test, fuzz target or benchmark of pkg. A -run that matches nothing
-# passes with "[no tests to run]", so without this a renamed or moved
-# test would leave its gate silently empty.
+# require_tests <pkg> <name>|<name>... [<test binary>]: fails the step
+# unless every name in the list (a -run alternative: a whole name or a
+# prefix) matches a test, fuzz target or benchmark of pkg, as the given
+# test binary of pkg lists them or, without one, as go test -list does.
+# A -run that matches nothing passes with "[no tests to run]", so
+# without this a renamed or moved test would leave its gate silently
+# empty. A -race binary sleeps 1 s at exit so that late race reports
+# are printed; a listing starts no goroutine, so it skips the sleep.
 require_tests() {
-    listed=$(go test -list . "$1")
+    if [ $# -gt 2 ]; then
+        listed=$(cd "$1" && GORACE="${GORACE:+$GORACE }atexit_sleep_ms=0" "$3" -test.list .)
+    else
+        listed=$(go test -list . "$1")
+    fi
     for name in $(echo "$2" | tr '|' ' '); do
         if ! printf '%s\n' "$listed" | grep -Eq "^($name)"; then
             echo "check.sh: $1 has no test matching $name" >&2
@@ -31,13 +38,19 @@ require_tests() {
     done
 }
 
-# run_named <pkg> <names> <go test flags...>: go test -run <names> on pkg,
-# once require_tests has found every name there.
+# run_named <pkg> <names> [-race]: builds pkg's test binary once (with
+# -race when given), lists its tests through require_tests, then runs
+# -run <names> from it in pkg's directory, as go test would.
+testbins=$(mktemp -d)
+trap 'rm -rf "$testbins"' EXIT
 run_named() {
     pkg=$1 names=$2
     shift 2
-    require_tests "$pkg" "$names"
-    go test "$@" -run "$names" "$pkg"
+    bin="$testbins/$(echo "$pkg" | tr -c 'a-zA-Z0-9\n' '_').test"
+    go test -c -o "$bin" "$@" "$pkg"
+    require_tests "$pkg" "$names" "$bin"
+    echo "$pkg -run '$names'"
+    (cd "$pkg" && "$bin" -test.run "$names" -test.timeout 10m)
 }
 
 step_fmt() {
@@ -141,10 +154,10 @@ step_crash() {
     # byte-cut windows must answer the same bytes, every QRY equal to the
     # oracle over the acked mutations — on one durable member, and on a
     # durable -ooo member that checkpoints and restarts mid-script.
-    run_named ./cmd/histserve/ 'TestCrashRecoveryNoAcknowledgedLoss|TestCrashBetweenStageAndGroupFsync|TestFollowerKilledBetweenStageAndCommit' -race -count=1
-    run_named ./internal/histserve/ 'TestQueryWaitsForTheCommitItRead|TestPipelinedRepliesMatchDepthOne' -race -count=1
-    run_named ./internal/fleettest/ 'TestTranscriptThroughCheckpointAndRestart' -race -count=1
-    run_named ./internal/wal/ 'TestRebaseCrashPointsRecover|TestRebaseRetriesAfterFailure|TestInstallCheckpointResetsSegments|TestFailedWriteIsRepairedNotRetried|TestApplyKeepsFailuresApart|TestCommitOfADurableRecordDoesNotQueue|TestRecoveryFindsTheSegmentEnd|TestTornFinalRecordTruncated|TestStreamCatchUpBesideALiveCommit' -race -count=1
+    run_named ./cmd/histserve/ 'TestCrashRecoveryNoAcknowledgedLoss|TestCrashBetweenStageAndGroupFsync|TestFollowerKilledBetweenStageAndCommit' -race
+    run_named ./internal/histserve/ 'TestQueryWaitsForTheCommitItRead|TestPipelinedRepliesMatchDepthOne' -race
+    run_named ./internal/fleettest/ 'TestTranscriptThroughCheckpointAndRestart' -race
+    run_named ./internal/wal/ 'TestRebaseCrashPointsRecover|TestRebaseRetriesAfterFailure|TestInstallCheckpointResetsSegments|TestFailedWriteIsRepairedNotRetried|TestApplyKeepsFailuresApart|TestCommitOfADurableRecordDoesNotQueue|TestRecoveryFindsTheSegmentEnd|TestTornFinalRecordTruncated|TestStreamCatchUpBesideALiveCommit' -race
 }
 
 step_chaos() {
@@ -155,8 +168,8 @@ step_chaos() {
     # own state are in internal/histserve; the binary's
     # degrade-kill-recover drill and the cases that need no more than
     # main does are in cmd/histserve.
-    run_named ./internal/histserve/ 'TestChaos' -race -count=1
-    run_named ./cmd/histserve/ 'TestChaos' -race -count=1
+    run_named ./internal/histserve/ 'TestChaos' -race
+    run_named ./cmd/histserve/ 'TestChaos' -race
 }
 
 step_shardchaos() {
@@ -174,7 +187,7 @@ step_shardchaos() {
     # -probe-every, with no client traffic. Last, the binary's graceful
     # exit: SIGTERM with one member live and one dead exits 0 within one
     # -shard-timeout plus one -probe-every, leaving no process behind.
-    run_named ./cmd/histproxy/ 'TestShardChaosPartialAnswersAndRejoin|TestProxySigtermExitsCleanly|TestUnitReadsRepliesBufferedBehindASlowShard|TestUnitDoesNotHedgeBufferedReadBatch|TestMemberRejoinsWithinOneProbeInterval' -race -count=1
+    run_named ./cmd/histproxy/ 'TestShardChaosPartialAnswersAndRejoin|TestProxySigtermExitsCleanly|TestUnitReadsRepliesBufferedBehindASlowShard|TestUnitDoesNotHedgeBufferedReadBatch|TestMemberRejoinsWithinOneProbeInterval' -race
 }
 
 step_replchaos() {
@@ -220,9 +233,9 @@ step_replchaos() {
     # 2-shard semi-sync fleet behind the proxy, two-member -op count and
     # -op avg fleets, and a semi-sync primary stopped mid-script whose
     # promoted follower answers the rest.
-    run_named ./cmd/histproxy/ 'TestReplChaosPrimaryKillUnderLoad|TestBrokenMixedUnitAnswersEveryLineAndFailsOver|TestReplChaosReadsSkipFollowersOutsideTheAckQuorum|TestBrokenWriteFailsOverBeforeTheBreakerOpens|TestReadRuleFollowsPrimaryMinAcks|TestReadRuleSkipsASyncingFollower|TestRejoiningFollowerServesNoReadBeforeItsRound|TestHungPrimaryFailsOverAndOthersStillRejoin|TestRunConformanceThroughSemiSyncFleet|TestProxyFleetsAnswerLikeOneScan' -race -count=1
-    run_named ./internal/histserve/ 'TestReplicaBootstrapsUnderCheckpointLoad|TestPrimaryAndFollowerApplyOneStream|TestReplicaBarrierIsItsLocalCommit|TestSemiSyncReadOutlivesItsFollower|TestRestartedSemiSyncPrimaryCommitsItsTailOnceHeld|TestReplicaAppliedLSNIsItsCommitFrontier|TestReplicaSyncedOnlyAtThePrimarysEnd' -race -count=1
-    run_named ./internal/fleettest/ 'TestTranscriptThroughPromotion' -race -count=1
+    run_named ./cmd/histproxy/ 'TestReplChaosPrimaryKillUnderLoad|TestBrokenMixedUnitAnswersEveryLineAndFailsOver|TestReplChaosReadsSkipFollowersOutsideTheAckQuorum|TestBrokenWriteFailsOverBeforeTheBreakerOpens|TestReadRuleFollowsPrimaryMinAcks|TestReadRuleSkipsASyncingFollower|TestRejoiningFollowerServesNoReadBeforeItsRound|TestHungPrimaryFailsOverAndOthersStillRejoin|TestRunConformanceThroughSemiSyncFleet|TestProxyFleetsAnswerLikeOneScan' -race
+    run_named ./internal/histserve/ 'TestReplicaBootstrapsUnderCheckpointLoad|TestPrimaryAndFollowerApplyOneStream|TestReplicaBarrierIsItsLocalCommit|TestSemiSyncReadOutlivesItsFollower|TestRestartedSemiSyncPrimaryCommitsItsTailOnceHeld|TestReplicaAppliedLSNIsItsCommitFrontier|TestReplicaSyncedOnlyAtThePrimarysEnd' -race
+    run_named ./internal/fleettest/ 'TestTranscriptThroughPromotion' -race
 }
 
 step_traceguard() {
@@ -230,7 +243,7 @@ step_traceguard() {
     # Without -race on purpose: the guard benchmarks the nil-span hot
     # path and race instrumentation distorts timings (the test
     # self-skips under -race, so the race step does not cover it).
-    run_named ./internal/trace/ TestDisabledTracerOverhead -count=1
+    run_named ./internal/trace/ TestDisabledTracerOverhead
 }
 
 step_perfguard() {
@@ -245,26 +258,26 @@ step_perfguard() {
     # Below them, a converged historic query with a span-less context
     # allocates nothing. Same regime as the tracer guard: un-instrumented
     # runs only.
-    run_named ./internal/obs/ TestHistogramObserveOverhead -count=1
-    run_named ./cmd/histserve/ 'TestServedQueryAllocs|TestServedInsertAllocs' -count=1
-    run_named ./internal/core/ TestConvergedQueryAllocs -count=1
+    run_named ./internal/obs/ TestHistogramObserveOverhead
+    run_named ./cmd/histserve/ 'TestServedQueryAllocs|TestServedInsertAllocs'
+    run_named ./internal/core/ TestConvergedQueryAllocs
     # One four-line window through histproxy to two loopback shards,
     # counted process-wide: its fan-out starts no goroutine and makes no
     # channel, cancel context or timer unless a hedge is due.
-    run_named ./cmd/histproxy/ TestProxiedWindowAllocs -count=1
+    run_named ./cmd/histproxy/ TestProxiedWindowAllocs
     # N records committed together cost one write(2) and one fsync and
     # leave the active segment's size unchanged; reading a segment
     # created at 64 MiB with 1000 records allocates for the records,
     # not for the file.
-    run_named ./internal/wal/ 'TestCommitWritesOnce|TestReadSegmentAllocatesByRecords' -count=1
+    run_named ./internal/wal/ 'TestCommitWritesOnce|TestReadSegmentAllocatesByRecords'
     # A checkpoint streams the cube slice by slice: Save of a 150-slice
     # 64x64 cube allocates O(one slice), never the whole snapshot.
-    run_named ./internal/core/ TestSaveStreams -count=1
+    run_named ./internal/core/ TestSaveStreams
 }
 
 step_explain() {
     echo "== EXPLAIN smoke (real binary) =="
-    run_named ./cmd/histserve/ TestExplainSmokeRealBinary -race -count=1
+    run_named ./cmd/histserve/ TestExplainSmokeRealBinary -race
 }
 
 step_benchgate() {

@@ -36,10 +36,11 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"histcube/internal/experiments"
-	"histcube/internal/obs"
 	"histcube/internal/perf"
+	"histcube/internal/stats"
 	"histcube/internal/workload"
 )
 
@@ -61,9 +62,9 @@ func main() {
 			return
 		}
 		fmt.Printf("=== %s ===\n", name)
-		t := obs.NewTimer(nil)
+		start := time.Now()
 		rec, err := fn()
-		wall := t.ObserveDuration().Seconds()
+		wall := time.Since(start).Seconds()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "histbench: %s: %v\n", name, err)
 			os.Exit(1)
@@ -136,7 +137,7 @@ func main() {
 			"slice_cells":  res.SliceCells,
 			"wall_seconds": res.WallSeconds,
 			// Digest of the eCube rolling-window cost curve.
-			"ecube_window_cost": obs.Summarize(ecube),
+			"ecube_window_cost": stats.Summarize(ecube),
 		}, nil
 	}
 	run("fig10", func() (any, error) { return queryCost(false) })
@@ -148,8 +149,8 @@ func main() {
 		if err != nil {
 			return nil, err
 		}
-		with := obs.Summarize(res.SortedWith)
-		without := obs.Summarize(res.SortedWithout)
+		with := stats.Summarize(res.SortedWith)
+		without := stats.Summarize(res.SortedWithout)
 		fmt.Printf("Update cost quantiles, %s at scale %g (%d updates), costs in cell accesses\n", spec.Name, sc, res.Updates)
 		fmt.Printf("with copy cost:   p50 %.0f  p90 %.0f  p99 %.0f  max %.0f\n",
 			with.P50, with.P90, with.P99, with.Max)
@@ -222,8 +223,8 @@ func main() {
 			"tree_leaves":  res.TreeLeaves,
 			"array_cells":  res.ArrayCells,
 			"tree_entries": res.TreeEntries,
-			"array_cost":   obs.Summarize(res.SortedArray),
-			"rtree_cost":   obs.Summarize(res.SortedRTree),
+			"array_cost":   stats.Summarize(res.SortedArray),
+			"rtree_cost":   stats.Summarize(res.SortedRTree),
 		}, nil
 	})
 
@@ -277,7 +278,7 @@ func main() {
 				"ps_bound":   res.PSBound,
 				"first":      first,
 				"last":       last,
-				"cells_cost": obs.Summarize(cells),
+				"cells_cost": stats.Summarize(cells),
 			}, nil
 		})
 	}

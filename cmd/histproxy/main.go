@@ -24,7 +24,6 @@ func main() {
 	flag.StringVar(&cfg.Dims, "dims", "", "comma-separated dimension sizes, as passed to the shards (only the count matters to the proxy)")
 	flag.StringVar(&cfg.Shards, "shards", "", "shard map: addr=lo-hi,...,addr=lo- (contiguous inclusive time ranges; the last is the open-ended hot shard)")
 	flag.DurationVar(&cfg.ShardTimeout, "shard-timeout", 2*time.Second, "per-shard round-trip deadline inside a fan-out; keep well under -request-timeout so one dead shard degrades the answer instead of timing the request out")
-	flag.IntVar(&cfg.PoolSize, "pool-size", 4, "pooled connections kept per shard")
 	flag.IntVar(&cfg.BreakerThreshold, "breaker-threshold", 3, "consecutive transport failures that open a shard's circuit breaker")
 	flag.DurationVar(&cfg.ProbeEvery, "probe-every", 500*time.Millisecond, "member-state interval: every tick one ROLE to every shard member closes the breakers of members that answer, fails over a down primary and decides whether followers serve reads; must be > 0")
 	flag.DurationVar(&cfg.HedgeAfter, "hedge-after", 30*time.Millisecond, "duplicate a read to the next replica-set member after this long without an answer (single-member shards never hedge); 0 disables hedging")

@@ -163,7 +163,7 @@ func TestProxyPartialOnDeadShardAndRejoin(t *testing.T) {
 			t.Fatalf("%s -> %q", ins, got)
 		}
 	}
-	// Kill the middle (historic) shard.
+	// Stop the middle (historic) shard; it writes a final checkpoint.
 	members[1].Stop()
 
 	// Queries overlapping the dead range answer PARTIAL: live ranges
@@ -199,7 +199,7 @@ func TestProxyPartialOnDeadShardAndRejoin(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		got = cl.Cmd(t, "QRY 0 300 0 0 7 7")
-		if got == "23" { // complete again: the member recovered its log
+		if got == "23" { // complete again: the member reopened its checkpoint
 			break
 		}
 		if time.Now().After(deadline) {

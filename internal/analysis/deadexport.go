@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // DeadExport holds internal/ to the rule that code reachable only from
@@ -74,9 +75,9 @@ func runDeadExport(pass *Pass) error {
 			}
 		}
 	}
-	ifaces := interfaceMethods(prog)
+	ifaces, called := interfaceMethods(prog)
 	for obj, e := range exports {
-		if e.used || satisfies(obj, ifaces) {
+		if e.used || reachedThroughInterface(obj, ifaces, called, pass.loader.ModulePath) {
 			continue
 		}
 		pass.Reportf(e.name.Pos(), "%s is referenced by no non-test file of the program: delete it or wire it in", exportName(obj))
@@ -94,11 +95,12 @@ func exportName(obj types.Object) string {
 	return obj.Pkg().Name() + "." + obj.Name()
 }
 
-// interfaceMethods indexes by name the methods of every interface type
-// the program mentions or finds in the scope of a package it imports
-// (fmt.Stringer, heap.Interface, types.Importer, ...).
-func interfaceMethods(prog []*Package) map[string][]types.Type {
-	methods := make(map[string][]types.Type)
+// interfaceMethods indexes by method name every interface type the
+// program mentions or finds in the scope of a package it imports
+// (fmt.Stringer, heap.Interface, types.Importer, ...), and returns the
+// set of interface methods the program calls.
+func interfaceMethods(prog []*Package) (map[string][]*types.Interface, map[*types.Func]bool) {
+	ifaces := make(map[string][]*types.Interface)
 	seen := make(map[*types.Interface]bool)
 	addType := func(t types.Type) {
 		it, ok := t.Underlying().(*types.Interface)
@@ -107,10 +109,11 @@ func interfaceMethods(prog []*Package) map[string][]types.Type {
 		}
 		seen[it] = true
 		for i := 0; i < it.NumMethods(); i++ {
-			m := it.Method(i)
-			methods[m.Name()] = append(methods[m.Name()], m.Type())
+			name := it.Method(i).Name()
+			ifaces[name] = append(ifaces[name], it)
 		}
 	}
+	called := make(map[*types.Func]bool)
 	for _, pkg := range prog {
 		for _, tv := range pkg.Info.Types {
 			if tv.Type != nil {
@@ -125,14 +128,25 @@ func interfaceMethods(prog []*Package) map[string][]types.Type {
 				}
 			}
 		}
+		for _, obj := range pkg.Info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				called[fn.Origin()] = true
+			}
+		}
 	}
-	return methods
+	return ifaces, called
 }
 
-// satisfies reports whether obj is a method whose name and signature
-// match a method of some interface: a call through that interface
-// reaches it without naming it.
-func satisfies(obj types.Object, ifaces map[string][]types.Type) bool {
+// reachedThroughInterface reports whether a call through an interface
+// reaches the method obj without naming it: its receiver type (T or
+// *T) implements an interface with a method of its name, and that
+// interface comes from outside the module (package errors, fmt or
+// container/heap calls it) or the program calls that method through it.
+func reachedThroughInterface(obj types.Object, ifaces map[string][]*types.Interface, called map[*types.Func]bool, module string) bool {
 	fn, ok := obj.(*types.Func)
 	if !ok || fn.Type().(*types.Signature).Recv() == nil {
 		return false
@@ -140,10 +154,24 @@ func satisfies(obj types.Object, ifaces map[string][]types.Type) bool {
 	if errorsMethods[fn.Name()] {
 		return true
 	}
-	for _, t := range ifaces[fn.Name()] {
-		if types.Identical(fn.Type(), t) {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	for _, it := range ifaces[fn.Name()] {
+		if !types.Implements(recv, it) && !types.Implements(types.NewPointer(recv), it) {
+			continue
+		}
+		m, _, _ := types.LookupFieldOrMethod(it, false, fn.Pkg(), fn.Name())
+		im := m.(*types.Func)
+		if im.Pkg() == nil || !inModule(im.Pkg().Path(), module) || called[im.Origin()] {
 			return true
 		}
 	}
 	return false
+}
+
+// inModule reports whether the import path names a package of module.
+func inModule(path, module string) bool {
+	return path == module || strings.HasPrefix(path, module+"/")
 }

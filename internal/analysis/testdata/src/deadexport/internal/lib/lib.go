@@ -45,6 +45,29 @@ type areaer interface{ Area() float64 }
 
 func total(a areaer) float64 { return a.Area() }
 
+// sizer is a module interface that Bag implements, but nothing calls
+// Size through it.
+type sizer interface{ Size() int }
+
+type Bag struct{}
+
+func (Bag) Size() int { return 0 } // want `\(lib.Bag\).Size is referenced by no non-test file`
+
+func keep(s sizer) sizer { return s }
+
+// Volume is called through solid, but Sheet has no Area, so no call
+// through solid reaches Sheet.Volume.
+type solid interface {
+	Area() float64
+	Volume() float64
+}
+
+func weight(s solid) float64 { return s.Volume() }
+
+type Sheet struct{}
+
+func (Sheet) Volume() float64 { return 0 } // want `\(lib.Sheet\).Volume is referenced by no non-test file`
+
 // Temp is printed through fmt.Stringer.
 type Temp float64
 

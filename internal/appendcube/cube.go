@@ -481,25 +481,19 @@ func (v sliceView) StorePS(off int, val float64) bool {
 // [timeLo, timeHi] and the slice-dimension box: the framework
 // reduction q_u - q_l over the two relevant cumulative slices.
 func (c *Cube) Query(timeLo, timeHi int64, box dims.Box) (float64, error) {
-	return c.QueryTraced(nil, timeLo, timeHi, box)
+	return c.QueryCtx(context.Background(), nil, timeLo, timeHi, box)
 }
 
-// QueryTraced is Query with per-request cost attribution: each of the
-// (at most two) prefix time queries of the framework reduction becomes
-// a histcube.prefix child span under sp, carrying the directory
-// lookup result, the form of the instance it consulted and that
-// instance's cost counters. A nil span records nothing and costs a few
-// branches.
-func (c *Cube) QueryTraced(sp *trace.Span, timeLo, timeHi int64, box dims.Box) (float64, error) {
-	return c.QueryCtx(context.Background(), sp, timeLo, timeHi, box)
-}
-
-// QueryCtx is QueryTraced with cooperative cancellation: the eCube
-// evaluations under it poll ctx and abandon the query (returning ctx's
-// error) once it is done. Queries are read-mostly — the only state
-// they write is the DDC->PS convergence, which the engine refuses to
-// persist for abandoned evaluations — so cancelling one is always
-// safe.
+// QueryCtx is Query with per-request cost attribution and cooperative
+// cancellation. Each of the (at most two) prefix time queries of the
+// framework reduction becomes a histcube.prefix child span under sp,
+// carrying the directory lookup result, the form of the instance it
+// consulted and that instance's cost counters; a nil span records
+// nothing and costs a few branches. The eCube evaluations under it
+// poll ctx and abandon the query (returning ctx's error) once it is
+// done. Queries are read-mostly — the only state they write is the
+// DDC->PS convergence, which the engine refuses to persist for
+// abandoned evaluations — so cancelling one is always safe.
 func (c *Cube) QueryCtx(ctx context.Context, sp *trace.Span, timeLo, timeHi int64, box dims.Box) (float64, error) {
 	if err := box.Validate(c.shape); err != nil {
 		return 0, err
@@ -633,9 +627,3 @@ func (c *Cube) cacheQuery(box dims.Box) float64 {
 	})
 	return total
 }
-
-// Accesses returns the combined access count: cache cell accesses plus
-// the store's native accesses. For in-memory cubes both units are
-// cells; for disk cubes use CacheAccesses and Store().Accesses()
-// separately.
-func (c *Cube) Accesses() int64 { return c.CacheAccesses + c.store.Accesses() }

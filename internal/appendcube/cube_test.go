@@ -369,14 +369,14 @@ func TestQueryCostIndependentOfHistoryLength(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		before := c.Accesses()
+		before := c.CacheAccesses + c.Store().Accesses()
 		for q := 0; q < 20; q++ {
 			tv := int64(epoch * 1000)
 			if _, err := c.Query(tv+5, tv+25, box); err != nil {
 				t.Fatal(err)
 			}
 		}
-		cost := c.Accesses() - before
+		cost := (c.CacheAccesses + c.Store().Accesses()) - before
 		if epoch == 0 {
 			early = cost
 		} else {
@@ -398,16 +398,16 @@ func TestConversionSpeedsUpRepeatQueries(t *testing.T) {
 		}
 	}
 	box := dims.NewBox([]int{4, 4}, []int{20, 25})
-	before := c.Accesses()
+	before := c.CacheAccesses + c.Store().Accesses()
 	if _, err := c.Query(3, 12, box); err != nil {
 		t.Fatal(err)
 	}
-	first := c.Accesses() - before
-	before = c.Accesses()
+	first := (c.CacheAccesses + c.Store().Accesses()) - before
+	before = c.CacheAccesses + c.Store().Accesses()
 	if _, err := c.Query(3, 12, box); err != nil {
 		t.Fatal(err)
 	}
-	second := c.Accesses() - before
+	second := (c.CacheAccesses + c.Store().Accesses()) - before
 	if second > first {
 		t.Errorf("repeat query cost %d > first %d; conversion not helping", second, first)
 	}

@@ -38,13 +38,6 @@ func (f *faultBackend) Store(id int, buf []byte) error {
 	return f.inner.Store(id, buf)
 }
 
-func (f *faultBackend) Sync() error {
-	if err := f.tick(); err != nil {
-		return err
-	}
-	return f.inner.Sync()
-}
-
 func (f *faultBackend) Close() error { return f.inner.Close() }
 
 var errDiskDied = errors.New("simulated disk failure")

@@ -46,8 +46,6 @@ type SliceStore interface {
 	Convert(s, off int, v float64) (bool, error)
 	// Accesses returns the cumulative counted accesses.
 	Accesses() int64
-	// NumSlices returns the number of reserved slices.
-	NumSlices() int
 }
 
 // MemStore keeps historic slices in main memory, one value and one
@@ -104,9 +102,6 @@ func (m *MemStore) Convert(s, off int, v float64) (bool, error) {
 // Accesses implements SliceStore (unit: cells).
 func (m *MemStore) Accesses() int64 { return m.accesses }
 
-// NumSlices implements SliceStore.
-func (m *MemStore) NumSlices() int { return len(m.vals) }
-
 // DiskStore keeps historic slices on paged secondary storage
 // (Section 3.5): 4-byte cells, slice-major layout, page-granular cost
 // accounting through the pager's single-page buffer. It keeps no
@@ -156,9 +151,6 @@ func (d *DiskStore) Convert(int, int, float64) (bool, error) { return false, nil
 
 // Accesses implements SliceStore (unit: page I/Os).
 func (d *DiskStore) Accesses() int64 { return d.pg.IOs() }
-
-// NumSlices implements SliceStore.
-func (d *DiskStore) NumSlices() int { return d.n }
 
 // Pager exposes the underlying pager (for flushing and I/O stats).
 func (d *DiskStore) Pager() *pager.Pager { return d.pg }

@@ -18,7 +18,6 @@ const DefaultOrder = 32
 type Tree struct {
 	root  *node
 	order int
-	size  int
 }
 
 type node struct {
@@ -38,9 +37,6 @@ func New(order int) *Tree {
 	}
 	return &Tree{root: &node{leaf: true}, order: order}
 }
-
-// Len returns the number of distinct keys.
-func (t *Tree) Len() int { return t.size }
 
 // Add adds delta to the measure of key, inserting the key with
 // measure delta if absent.
@@ -72,7 +68,6 @@ func (n *node) add(t *Tree, key int64, delta float64) (*node, int64) {
 		n.vals = append(n.vals, 0)
 		copy(n.vals[i+1:], n.vals[i:])
 		n.vals[i] = delta
-		t.size++
 		if len(n.keys) > t.order {
 			return n.splitLeaf()
 		}
@@ -213,7 +208,7 @@ func (n *node) floorScan(key int64, best *int64, found *bool) {
 
 // Clone returns a deep copy of the tree.
 func (t *Tree) Clone() *Tree {
-	c := &Tree{order: t.order, size: t.size}
+	c := &Tree{order: t.order}
 	var leaves []*node
 	c.root = t.root.clone(&leaves)
 	for i := 0; i+1 < len(leaves); i++ {

@@ -71,8 +71,8 @@ func (DDC) Disaggregate(v []float64) {
 	}
 }
 
-// PrefixTerms implements molap.Technique: the descent chain whose cell
-// values sum to P[k]. All factors are +1. Terms are appended in
+// PrefixTerms appends to dst the descent chain whose cell values sum
+// to P[k] and returns the extended slice. All factors are +1. Terms are appended in
 // descent order (top of the hierarchy first), which QueryTerms relies
 // on for cancellation.
 func (DDC) PrefixTerms(dst []molap.Term, n, k int) []molap.Term {

@@ -10,13 +10,13 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"time"
 
 	"histcube/internal/appendcube"
 	"histcube/internal/ddc"
 	"histcube/internal/dims"
 	"histcube/internal/ecube"
 	"histcube/internal/molap"
-	"histcube/internal/obs"
 	"histcube/internal/pager"
 	"histcube/internal/prefix"
 	"histcube/internal/rstar"
@@ -75,8 +75,8 @@ type QueryCostResult struct {
 	DDCAvg, PSAvg         float64
 	Converted             int // eCube cells converted to PS
 	SliceCells            int
-	// WallSeconds is the experiment's wall-clock time (obs.Timer) —
-	// secondary to the cell-access metric, reported for context.
+	// WallSeconds is the experiment's wall-clock time, secondary to
+	// the cell-access metric and reported for context.
 	WallSeconds float64
 }
 
@@ -87,7 +87,7 @@ type QueryCostResult struct {
 // curve must start at or above DDC (its two-prefix reduction touches
 // cells DDC's direct algorithm cancels) and converge towards PS.
 func QueryCost(scale float64, nQueries int, skew bool, window int, seed int64) (QueryCostResult, error) {
-	timer := obs.NewTimer(nil)
+	start := time.Now()
 	spec := workload.Weather4Spec.Scaled(scale)
 	ds := workload.Generate(spec)
 	shape := ds.SliceShape
@@ -170,7 +170,7 @@ func QueryCost(scale float64, nQueries int, skew bool, window int, seed int64) (
 	}
 	res.DDCAvg = stats.Mean(costsD)
 	res.PSAvg = stats.Mean(costsP)
-	res.WallSeconds = timer.ObserveDuration().Seconds()
+	res.WallSeconds = time.Since(start).Seconds()
 	return res, nil
 }
 
@@ -185,7 +185,7 @@ type UpdateCostResult struct {
 	// copy-ahead work.
 	TotalCopy float64
 	Updates   int
-	// WallSeconds is the experiment's wall-clock time (obs.Timer).
+	// WallSeconds is the experiment's wall-clock time.
 	WallSeconds float64
 }
 
@@ -195,7 +195,7 @@ type UpdateCostResult struct {
 // Most copies must ride on cheap updates: the two sorted curves stay
 // close except at the cheap end.
 func UpdateCost(spec workload.Spec, scale float64) (UpdateCostResult, error) {
-	timer := obs.NewTimer(nil)
+	start := time.Now()
 	ds := workload.Generate(spec.Scaled(scale))
 	cube, err := appendcube.New(appendcube.Config{SliceShape: ds.SliceShape})
 	if err != nil {
@@ -221,7 +221,7 @@ func UpdateCost(spec workload.Spec, scale float64) (UpdateCostResult, error) {
 		P99:           stats.Quantile(with, 0.99),
 		TotalCopy:     total,
 		Updates:       len(with),
-		WallSeconds:   timer.ObserveDuration().Seconds(),
+		WallSeconds:   time.Since(start).Seconds(),
 	}, nil
 }
 

@@ -29,9 +29,8 @@ import (
 )
 
 // Member is a real histserve, run in process on loopback: every value a
-// proxy test checks comes from members like it. Stop drops its listener
-// and every connection it accepted, as a crash would, then closes the
-// server; Restart brings the same Config back on the same address.
+// proxy test checks comes from members like it. Stop takes it down and
+// Restart brings the same Config back on the same address.
 type Member struct {
 	Addr string
 	cfg  histserve.Config
@@ -100,8 +99,12 @@ func (m *Member) Restart(t *testing.T) {
 	m.start(t, m.Addr)
 }
 
-// Stop crashes the member: its listener and every connection it
-// accepted close at once, then the server closes.
+// Stop takes the member down: its listener and every connection it
+// accepted close at once, then histserve.Server.Close closes the
+// server, and a durable one writes a final checkpoint first. It is a
+// clean stop, not a crash: a restart finds no log tail to replay. A
+// test that needs a crash runs the histserve binary and SIGKILLs it, as
+// TestTranscriptThroughCheckpointAndRestart does.
 func (m *Member) Stop() {
 	m.mu.Lock()
 	srv, ln, conns := m.srv, m.ln, m.conns
@@ -110,7 +113,7 @@ func (m *Member) Stop() {
 	if srv == nil {
 		return
 	}
-	_ = ln.Close() // a crash: nothing to report
+	_ = ln.Close() // the member is going away: nothing to report
 	for _, c := range conns {
 		_ = c.Close()
 	}

@@ -202,7 +202,6 @@ type Config struct {
 	Dims             string        // -dims: the fleet's dimension sizes (only the count matters)
 	Shards           string        // -shards: the shard map, addr=lo-hi,...,addr=lo-
 	ShardTimeout     time.Duration // -shard-timeout: per-shard round-trip deadline inside a fan-out
-	PoolSize         int           // -pool-size: pooled connections kept per shard
 	BreakerThreshold int           // -breaker-threshold: transport failures that open a breaker
 	ProbeEvery       time.Duration // -probe-every: the member-state loop's interval
 	HedgeAfter       time.Duration // -hedge-after: when a read is duplicated; 0 disables hedging
@@ -238,7 +237,6 @@ func New(cfg Config) (*Proxy, error) {
 	// The shard-facing fault sites. p.Inj is nil, and both hooks inert,
 	// unless -fault-spec (or a test) arms it before the first dial.
 	copts := shardclient.Options{
-		PoolSize:         cfg.PoolSize,
 		OpTimeout:        cfg.ShardTimeout,
 		BreakerThreshold: cfg.BreakerThreshold,
 		DialFault:        func() error { return p.Inj.Check("proxy.dial").Err },

@@ -325,7 +325,7 @@ func (h *replHub) WaitAcked(lsn uint64, min int, timeout time.Duration, waited *
 	if ch == nil {
 		return nil
 	}
-	defer obs.NewTimer(waited).ObserveDuration()
+	defer func(start time.Time) { waited.Observe(time.Since(start).Seconds()) }(time.Now())
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {

@@ -735,9 +735,9 @@ func (s *Server) admit(t int64) error {
 // once) proves nothing now: it neither clears it nor costs a stage sample.
 func (s *Server) commitBarrier(lsn uint64) string {
 	if s.wal.ShippedLSN() < lsn {
-		t := obs.NewTimer(s.stage[stageCommitWait])
+		start := time.Now()
 		err := s.wal.Commit(lsn)
-		t.ObserveDuration()
+		s.stage[stageCommitWait].Observe(time.Since(start).Seconds())
 		if err != nil {
 			err = fmt.Errorf("%w: %w", errWALAppend, err)
 			s.setDegraded(err)

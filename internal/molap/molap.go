@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"histcube/internal/dims"
-	"histcube/internal/trace"
 )
 
 // Term is one cell contribution to a range aggregate: the value stored
@@ -37,10 +36,6 @@ type Technique interface {
 	Aggregate(v []float64)
 	// Disaggregate is the inverse of Aggregate.
 	Disaggregate(v []float64)
-	// PrefixTerms appends to dst the terms whose weighted sum over the
-	// pre-aggregated vector equals the prefix sum P[k] = sum(A[0..k]),
-	// and returns the extended slice.
-	PrefixTerms(dst []Term, n, k int) []Term
 	// QueryTerms appends the terms for the range sum over [l, u]
 	// (bounds included), with any cell that a naive P[u] - P[l-1]
 	// combination would both add and subtract already cancelled.
@@ -62,14 +57,6 @@ func (Raw) Aggregate([]float64) {}
 
 // Disaggregate implements Technique (identity).
 func (Raw) Disaggregate([]float64) {}
-
-// PrefixTerms implements Technique: P[k] touches cells 0..k.
-func (Raw) PrefixTerms(dst []Term, _ int, k int) []Term {
-	for i := 0; i <= k; i++ {
-		dst = append(dst, Term{Index: i, Factor: 1})
-	}
-	return dst
-}
 
 // QueryTerms implements Technique: the range touches cells l..u.
 func (Raw) QueryTerms(dst []Term, _ int, l, u int) []Term {
@@ -240,21 +227,6 @@ func (a *Array) Update(x []int, delta float64) {
 // Query computes the aggregate over the closed box by combining the
 // per-dimension QueryTerms via cross product, multiplying factors.
 func (a *Array) Query(b dims.Box) (float64, error) {
-	return a.QueryTraced(nil, b)
-}
-
-// QueryTraced is Query with per-request cost attribution: the cells
-// combined for this one query are added to sp's CellsTouched counter
-// (pre-aggregated arrays never convert, so no other counter moves).
-// A nil span records nothing.
-func (a *Array) QueryTraced(sp *trace.Span, b dims.Box) (float64, error) {
-	before := a.Accesses
-	v, err := a.query(b)
-	sp.Add(trace.CellsTouched, a.Accesses-before)
-	return v, err
-}
-
-func (a *Array) query(b dims.Box) (float64, error) {
 	if err := b.Validate(a.shape); err != nil {
 		return 0, err
 	}

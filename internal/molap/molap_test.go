@@ -188,11 +188,11 @@ func (a *Array) Dense() []float64 {
 }
 
 // PrefixQuery computes P[x] = aggregate over the box [0..x] in every
-// dimension, using the per-dimension PrefixTerms.
+// dimension, using the per-dimension QueryTerms over [0, x[d]].
 func (a *Array) PrefixQuery(x []int) float64 {
 	sets := make([][]Term, len(a.shape))
 	for d, t := range a.techs {
-		sets[d] = t.PrefixTerms(nil, a.shape[d], x[d])
+		sets[d] = t.QueryTerms(nil, a.shape[d], 0, x[d])
 	}
 	return a.combineTerms(sets)
 }

@@ -9,12 +9,15 @@
 // cube and internal/histserve register their counters here and the server's
 // optional /metrics listener scrapes them.
 //
-// Everything on the hot path is a single atomic operation; callback
-// metrics (CounterFunc, GaugeFunc) defer all work to scrape time so
-// state-derived values cost nothing per operation. Quantile reporting
-// (Series.Summary, the runtime histogram digests in runtime.go) follows
-// the nearest-rank convention of internal/stats.Quantile, so offline
-// experiment summaries and live summaries agree.
+// Histogram is the one latency instrument in the process: a served
+// wait is timed where it happens, with time.Now before it and
+// Histogram.Observe(time.Since(start).Seconds()) after it. Everything
+// on the hot path is a single atomic operation; callback metrics
+// (CounterFunc, GaugeFunc) defer all work to scrape time so
+// state-derived values cost nothing per operation. The runtime
+// histogram digests in runtime.go follow the nearest-rank convention
+// of internal/stats.Quantile, so offline experiment summaries
+// (stats.Summarize) and live summaries agree.
 package obs
 
 import (
@@ -26,16 +29,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"histcube/internal/stats"
 )
-
-// Observer receives one sample; Histogram and Series implement it, and
-// Timer reports durations (in seconds) to one.
-type Observer interface {
-	Observe(v float64)
-}
 
 // Counter is a monotonically increasing integer metric.
 type Counter struct {
@@ -124,96 +118,6 @@ func (h *Histogram) Count() int64 {
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Timer measures one duration and reports it, in seconds, to an
-// optional Observer. The zero cost of a nil observer lets callers keep
-// one code path whether or not metrics are enabled:
-//
-//	t := obs.NewTimer(h)      // h may be nil
-//	defer t.ObserveDuration()
-type Timer struct {
-	start time.Time
-	o     Observer
-}
-
-// NewTimer starts a timer reporting to o (nil is allowed: the timer
-// then only returns the elapsed duration).
-func NewTimer(o Observer) Timer { return Timer{start: time.Now(), o: o} }
-
-// ObserveDuration reports the elapsed time to the observer (if any)
-// and returns it.
-func (t Timer) ObserveDuration() time.Duration {
-	d := time.Since(t.start)
-	if t.o != nil && !isNilObserver(t.o) {
-		t.o.Observe(d.Seconds())
-	}
-	return d
-}
-
-// isNilObserver guards against typed-nil interfaces such as a nil
-// *Histogram passed as an Observer.
-func isNilObserver(o Observer) bool {
-	switch v := o.(type) {
-	case *Histogram:
-		return v == nil
-	case *Series:
-		return v == nil
-	}
-	return false
-}
-
-// Series collects raw samples for offline summary — the hook
-// cmd/histbench and internal/experiments use so benchmark timing goes
-// through the same instrumentation as the server. Unlike Histogram it
-// keeps every sample, so quantiles are exact (internal/stats).
-type Series struct {
-	mu sync.Mutex
-	xs []float64 // guarded by mu
-}
-
-// Observe implements Observer.
-func (s *Series) Observe(v float64) {
-	s.mu.Lock()
-	s.xs = append(s.xs, v)
-	s.mu.Unlock()
-}
-
-// Summary is the standard p50/p90/p99/mean digest, computed with
-// internal/stats on the raw samples.
-type Summary struct {
-	Count int     `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-	Max   float64 `json:"max"`
-}
-
-// Summary digests the collected samples via internal/stats.
-func (s *Series) Summary() Summary {
-	s.mu.Lock()
-	xs := append([]float64(nil), s.xs...)
-	s.mu.Unlock()
-	sum := Summary{
-		Count: len(xs),
-		Mean:  stats.Mean(xs),
-		P50:   stats.Quantile(xs, 0.5),
-		P90:   stats.Quantile(xs, 0.9),
-		P99:   stats.Quantile(xs, 0.99),
-	}
-	if len(xs) > 0 {
-		sum.Max = stats.Quantile(xs, 1)
-	}
-	return sum
-}
-
-// Summarize digests an ad-hoc sample slice that never went through a
-// Series — the helper cmd/histbench uses to turn experiment cost
-// curves into the standard digest.
-func Summarize(xs []float64) Summary {
-	s := &Series{xs: xs}
-	return s.Summary()
-}
 
 // Label is one name="value" pair attached to a metric series.
 type Label struct {

@@ -5,9 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
-
-	"histcube/internal/stats"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -66,44 +63,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 	if got := h.Sum(); math.Abs(got-8000*1e-5) > 1e-9 {
 		t.Errorf("sum = %v", got)
-	}
-}
-
-func TestTimer(t *testing.T) {
-	h := newHistogram(nil)
-	tm := NewTimer(h)
-	time.Sleep(time.Millisecond)
-	d := tm.ObserveDuration()
-	if d <= 0 {
-		t.Errorf("duration = %v", d)
-	}
-	if h.Count() != 1 || h.Sum() <= 0 {
-		t.Errorf("histogram not observed: count=%d sum=%v", h.Count(), h.Sum())
-	}
-	// nil observer (including typed nil) must not panic.
-	NewTimer(nil).ObserveDuration()
-	var nilH *Histogram
-	NewTimer(nilH).ObserveDuration()
-}
-
-func TestSeriesSummary(t *testing.T) {
-	s := &Series{}
-	for _, v := range []float64{4, 1, 3, 2} {
-		s.Observe(v)
-	}
-	sum := s.Summary()
-	if sum.Count != 4 || sum.Mean != 2.5 {
-		t.Errorf("summary = %+v", sum)
-	}
-	if sum.P50 != stats.Quantile([]float64{1, 2, 3, 4}, 0.5) {
-		t.Errorf("p50 = %v", sum.P50)
-	}
-	if sum.Max != 4 {
-		t.Errorf("max = %v", sum.Max)
-	}
-	empty := (&Series{}).Summary()
-	if empty.Count != 0 || empty.Max != 0 {
-		t.Errorf("empty summary = %+v", empty)
 	}
 }
 

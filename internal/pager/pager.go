@@ -35,8 +35,6 @@ type Backend interface {
 	Load(id int, buf []byte) error
 	// Store persists buf (exactly one page) as page id.
 	Store(id int, buf []byte) error
-	// Sync forces stored pages to stable storage.
-	Sync() error
 	// Close releases backend resources, syncing first where that is
 	// meaningful.
 	Close() error
@@ -77,9 +75,6 @@ func (m *MemBackend) Store(id int, buf []byte) error {
 	copy(p, buf)
 	return nil
 }
-
-// Sync implements Backend; memory pages are as stable as they get.
-func (m *MemBackend) Sync() error { return nil }
 
 // Close implements Backend.
 func (m *MemBackend) Close() error { return nil }
@@ -124,9 +119,6 @@ func (b *FileBackend) Store(id int, buf []byte) error {
 	_, err := b.f.WriteAt(buf, int64(id)*int64(b.size))
 	return err
 }
-
-// Sync implements Backend: fsync the page file.
-func (b *FileBackend) Sync() error { return b.f.Sync() }
 
 // Close implements Backend. It syncs before closing — pages written
 // through WriteAt otherwise sit in the OS cache with no durability

@@ -198,13 +198,9 @@ func TestFileBackendSyncAndCloseErrors(t *testing.T) {
 	if err := p.WriteCell(3, 42); err != nil {
 		t.Fatal(err)
 	}
-	// Flush writes the dirty buffered page back and the backend's Sync
-	// forces it to disk: the value must then be visible through a
-	// second backend.
+	// Flush writes the dirty buffered page back to the file: the value
+	// must then be visible through a second backend.
 	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	b2, err := openFileBackend(path, 64)
@@ -213,7 +209,7 @@ func TestFileBackendSyncAndCloseErrors(t *testing.T) {
 	}
 	p2, _ := New(b2, 64)
 	if got, err := p2.ReadCell(3); err != nil || got != 42 {
-		t.Fatalf("after Flush and Sync, reopened cell = %v (%v), want 42", got, err)
+		t.Fatalf("after Flush, reopened cell = %v (%v), want 42", got, err)
 	}
 	if err := p2.Close(); err != nil {
 		t.Fatal(err)
@@ -225,13 +221,6 @@ func TestFileBackendSyncAndCloseErrors(t *testing.T) {
 	// surface instead of being swallowed.
 	if err := b.Close(); err == nil {
 		t.Error("double close reported no error")
-	}
-}
-
-func TestMemBackendSync(t *testing.T) {
-	b := NewMemBackend(64)
-	if err := b.Sync(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -16,8 +16,6 @@ type GeneralStructure interface {
 	Insert(t int64, x []int, delta float64)
 	// Query aggregates over the time range and box.
 	Query(tLo, tHi int64, b dims.Box) (float64, error)
-	// Len returns the number of buffered points.
-	Len() int
 	// PopLatest removes and returns a point with the greatest time
 	// coordinate — the background process drains latest-first so it
 	// does not chase newly created time slices.
@@ -60,9 +58,6 @@ func (g *ListGd) Query(tLo, tHi int64, b dims.Box) (float64, error) {
 	}
 	return total, nil
 }
-
-// Len implements GeneralStructure.
-func (g *ListGd) Len() int { return len(g.pts) }
 
 // PopLatest implements GeneralStructure.
 func (g *ListGd) PopLatest() (int64, []int, float64, bool) {
@@ -160,6 +155,8 @@ func (a *AppendOnly) prefixMain(t int64, b dims.Box) (float64, error) {
 // Query answers query_D over the closed time range [tLo, tHi] and box:
 // q_u - q_l on the cumulative instances, plus the buffered
 // out-of-order contribution.
+//
+//histlint:ignore deadexport Sec. 2.2 range query q_u - q_l plus G_d (DESIGN row 10); framework_test.go and mvbtsource_test.go check it against the oracle, the root integration test against core, for every source
 func (a *AppendOnly) Query(tLo, tHi int64, b dims.Box) (float64, error) {
 	if tLo > tHi {
 		return 0, fmt.Errorf("framework: inverted time range [%d, %d]", tLo, tHi)

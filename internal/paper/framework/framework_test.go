@@ -84,8 +84,8 @@ func TestOutOfOrderBufferedAndQueried(t *testing.T) {
 	upd(10, 2, 4) // out of order, at an occurring time: drainable
 	upd(15, 3, 7) // out of order, non-occurring time: stays in G_d
 	upd(5, 1, 1)  // out of order, before the first occurring time
-	if a.gd.Len() != 3 {
-		t.Fatalf("pending = %d", a.gd.Len())
+	if len(a.gd.(*ListGd).pts) != 3 {
+		t.Fatalf("pending = %d", len(a.gd.(*ListGd).pts))
 	}
 	box := dims.NewBox([]int{0}, []int{9})
 	for _, tr := range [][2]int64{{0, 30}, {11, 19}, {5, 5}, {0, 9}, {16, 30}, {10, 10}} {
@@ -103,8 +103,8 @@ func TestOutOfOrderBufferedAndQueried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 || a.gd.Len() != 2 {
-		t.Fatalf("applied %d, pending %d; want 1 applied, 2 pending", n, a.gd.Len())
+	if n != 1 || len(a.gd.(*ListGd).pts) != 2 {
+		t.Fatalf("applied %d, pending %d; want 1 applied, 2 pending", n, len(a.gd.(*ListGd).pts))
 	}
 	for _, tr := range [][2]int64{{0, 30}, {11, 19}, {5, 5}, {0, 9}, {16, 30}, {10, 10}} {
 		got, err := a.Query(tr[0], tr[1], box)
@@ -138,8 +138,8 @@ func TestTreapSourceCascadeUnsupported(t *testing.T) {
 		t.Errorf("err = %v, want ErrCascadeUnsupported", err)
 	}
 	// The update must remain buffered and still be visible to queries.
-	if a.gd.Len() != 1 {
-		t.Errorf("pending = %d", a.gd.Len())
+	if len(a.gd.(*ListGd).pts) != 1 {
+		t.Errorf("pending = %d", len(a.gd.(*ListGd).pts))
 	}
 	got, err := a.Query(10, 10, dims.NewBox([]int{0}, []int{9}))
 	if err != nil {

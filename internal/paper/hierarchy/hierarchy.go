@@ -41,9 +41,6 @@ func New(name string, baseSize int) (*Hierarchy, error) {
 	return &Hierarchy{name: name, base: baseSize}, nil
 }
 
-// Name returns the dimension name.
-func (h *Hierarchy) Name() string { return h.name }
-
 // AddLevel appends a coarser level defined by the first base
 // coordinate of each coarse value. bounds must start at 0, be strictly
 // ascending and stay within the base domain; levels must be added

@@ -43,7 +43,6 @@ type Tree struct {
 
 	version int64
 	roots   []rootRef // roots by version interval, ascending start
-	size    int       // live keys in the current version
 }
 
 type rootRef struct {
@@ -85,9 +84,6 @@ func New(cfg Config) (*Tree, error) {
 
 // Version returns the current version number.
 func (t *Tree) Version() int64 { return t.version }
-
-// Len returns the number of live keys in the current version.
-func (t *Tree) Len() int { return t.size }
 
 func (t *Tree) rootAt(ver int64) *node {
 	// Binary search the last root with start <= ver.
@@ -214,11 +210,6 @@ func (t *Tree) update(key int64, value float64, insert bool) error {
 	}
 	// Collapse a root with a single live child (after deletions).
 	t.collapseRoot()
-	if insert {
-		t.size++
-	} else {
-		t.size--
-	}
 	return nil
 }
 

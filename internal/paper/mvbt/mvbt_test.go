@@ -15,7 +15,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Version() != 0 || tr.Len() != 0 {
+	if tr.Version() != 0 || tr.Space().Live != 0 {
 		t.Error("fresh tree not empty")
 	}
 }
@@ -50,8 +50,8 @@ func TestInsertGetAcrossVersions(t *testing.T) {
 	if got, ok := tr.Get(v2, 10); !ok || got != 1.5 {
 		t.Errorf("Get(v2,10) after delete = %v,%v (old version must survive)", got, ok)
 	}
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d", tr.Len())
+	if tr.Space().Live != 1 {
+		t.Errorf("Len = %d", tr.Space().Live)
 	}
 }
 
@@ -97,8 +97,8 @@ func TestManyInsertsSplit(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 2000 {
-		t.Fatalf("Len = %d", tr.Len())
+	if tr.Space().Live != 2000 {
+		t.Fatalf("Len = %d", tr.Space().Live)
 	}
 	cur := tr.Version()
 	for _, k := range keys {
@@ -349,8 +349,8 @@ func TestSpaceLinearInUpdates(t *testing.T) {
 		ops++
 	}
 	st := tr.Space()
-	if st.Live != len(live) || st.Live != tr.Len() {
-		t.Fatalf("live = %d, want %d (Len %d)", st.Live, len(live), tr.Len())
+	if st.Live != len(live) {
+		t.Fatalf("live = %d, want %d", st.Live, len(live))
 	}
 	// Linear space: physical entries within a small constant of the
 	// update count (each update writes O(1) entries amortised).

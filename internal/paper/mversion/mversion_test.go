@@ -172,19 +172,26 @@ func checkTreap(n *tnode, lo, hi int64) bool {
 		return false
 	}
 	wantSum := n.val
-	wantSize := 1
 	if n.left != nil {
 		wantSum += n.left.sum
-		wantSize += n.left.size
 	}
 	if n.right != nil {
 		wantSum += n.right.sum
-		wantSize += n.right.size
 	}
-	if n.sum != wantSum || n.size != wantSize {
+	if n.sum != wantSum {
 		return false
 	}
 	return checkTreap(n.left, lo, n.key) && checkTreap(n.right, n.key, hi)
+}
+
+// Len walks the treap and counts its keys.
+func (t Treap) Len() int { return count(t.root) }
+
+func count(n *tnode) int {
+	if n == nil {
+		return 0
+	}
+	return 1 + count(n.left) + count(n.right)
 }
 
 // Sum returns the sum of all measures.

@@ -24,7 +24,6 @@ type tnode struct {
 	prio        uint64
 	val         float64
 	sum         float64
-	size        int
 	left, right *tnode
 }
 
@@ -39,23 +38,12 @@ func splitmix64(x uint64) uint64 {
 
 func (n *tnode) recompute() {
 	n.sum = n.val
-	n.size = 1
 	if n.left != nil {
 		n.sum += n.left.sum
-		n.size += n.left.size
 	}
 	if n.right != nil {
 		n.sum += n.right.sum
-		n.size += n.right.size
 	}
-}
-
-// Len returns the number of keys.
-func (t Treap) Len() int {
-	if t.root == nil {
-		return 0
-	}
-	return t.root.size
 }
 
 // Add returns a new version with delta added to key's measure

@@ -34,11 +34,6 @@ func (PS) Disaggregate(v []float64) {
 	}
 }
 
-// PrefixTerms implements molap.Technique: P[k] is stored directly.
-func (PS) PrefixTerms(dst []molap.Term, _ int, k int) []molap.Term {
-	return append(dst, molap.Term{Index: k, Factor: 1})
-}
-
 // QueryTerms implements molap.Technique: q(l,u) = P[u] - P[l-1], with
 // the P[-1] = 0 convention of the paper.
 func (PS) QueryTerms(dst []molap.Term, _ int, l, u int) []molap.Term {

@@ -37,11 +37,14 @@ var ErrShardDown = errors.New("shard down (breaker open)")
 // maxLineBytes caps one response line.
 const maxLineBytes = 1 << 20
 
+// poolSize is the number of idle connections a Client keeps; a request
+// that finds none idle dials a fresh one, and a connection coming back
+// to a full pool is closed.
+const poolSize = 4
+
 // Options configures a Client. The zero value selects the defaults
 // noted per field.
 type Options struct {
-	// PoolSize is the number of idle connections kept; 0 selects 4.
-	PoolSize int
 	// OpTimeout bounds one request round-trip (write + full read);
 	// 0 selects 5s. A ctx with an earlier deadline wins.
 	OpTimeout time.Duration
@@ -82,9 +85,6 @@ type wire struct {
 // New returns a client for addr. No connection is made until the
 // first request or probe.
 func New(addr string, opts Options) *Client {
-	if opts.PoolSize <= 0 {
-		opts.PoolSize = 4
-	}
 	if opts.OpTimeout <= 0 {
 		opts.OpTimeout = 5 * time.Second
 	}
@@ -94,7 +94,7 @@ func New(addr string, opts Options) *Client {
 	return &Client{
 		addr: addr,
 		opts: opts,
-		idle: make(chan *wire, opts.PoolSize),
+		idle: make(chan *wire, poolSize),
 	}
 }
 
@@ -200,28 +200,13 @@ func (c *Client) put(w *wire) {
 }
 
 // Do sends one request line and returns the single response line: a
-// batch of one (see DoBatch).
+// batch of one (see send).
 func (c *Client) Do(ctx context.Context, line string, idempotent bool) (string, error) {
-	lines, err := c.DoBatch(ctx, []string{line}, idempotent)
+	lines, err := c.send(ctx, []string{line}, idempotent).Wait()
 	if err != nil {
 		return "", err
 	}
 	return lines[0], nil
-}
-
-// DoBatch is one round trip for a batch of lines: every line goes out in
-// one write on one connection — so the shard sees them buffered
-// together, in order, and answers them behind one commit — and one
-// single-line reply per line is read back. A batch of reads
-// (idempotent) is retried once on a fresh connection when a *reused*
-// pooled conn fails — it may simply have died idle; a batch that
-// carries a mutation never retries (the first attempt may have been
-// applied), and when its connection breaks part-way, the replies read
-// before the break are returned next to the error: they are the shard's
-// own answers, and every line beyond them is indeterminate. Transport
-// failures feed the breaker; ERR replies do not.
-func (c *Client) DoBatch(ctx context.Context, lines []string, idempotent bool) ([]string, error) {
-	return c.send(ctx, lines, idempotent).Wait()
 }
 
 // readGrace is how long a read whose limit has already passed — its
@@ -256,7 +241,18 @@ type Call struct {
 }
 
 // send checks the breaker and writes lines as one batch on a pooled
-// connection, without reading.
+// connection, without reading; the Call's Wait reads the replies. It is
+// one round trip: every line goes out in one write on one connection —
+// so the shard sees them buffered together, in order, and answers them
+// behind one commit — and one single-line reply per line is read back.
+// A batch of reads (idempotent) is retried once on a fresh connection
+// when a *reused* pooled conn fails — it may simply have died idle; a
+// batch that carries a mutation never retries (the first attempt may
+// have been applied), and when its connection breaks part-way, the
+// replies read before the break are returned next to the error: they
+// are the shard's own answers, and every line beyond them is
+// indeterminate. Transport failures feed the breaker; ERR replies do
+// not.
 func (c *Client) send(ctx context.Context, lines []string, idempotent bool) *Call {
 	return (&Call{c: c, ctx: ctx, lines: lines, idempotent: idempotent, replies: make([]string, 0, len(lines))}).start()
 }
@@ -300,7 +296,7 @@ func (call *Call) fail(err error) {
 
 // Wait reads the batch's replies on the caller's goroutine, bounded by
 // the attempt's deadline, and returns them. On failure it returns the
-// replies read before the break next to the error (see DoBatch). A read
+// replies read before the break next to the error (see send). A read
 // batch sent through a Group fails over and hedges as Group.Send says.
 func (call *Call) Wait() ([]string, error) {
 	if call.g != nil {

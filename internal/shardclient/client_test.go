@@ -181,7 +181,7 @@ func TestBreakerStaysOpenUntilProbe(t *testing.T) {
 		if _, err := c.Do(ctx, "QRY 0 1 0 0", true); !errors.Is(err, ErrShardDown) {
 			t.Fatalf("read on an open breaker got %v, want ErrShardDown", err)
 		}
-		if _, err := c.DoBatch(ctx, []string{"INS 1 0 0 1", "INS 2 0 0 1"}, false); !errors.Is(err, ErrShardDown) {
+		if _, err := c.send(ctx, []string{"INS 1 0 0 1", "INS 2 0 0 1"}, false).Wait(); !errors.Is(err, ErrShardDown) {
 			t.Fatalf("mutating batch on an open breaker got %v, want ErrShardDown", err)
 		}
 	}
@@ -253,7 +253,7 @@ func TestClosedClientRejects(t *testing.T) {
 func TestDoBatchOneWriteRepliesInOrder(t *testing.T) {
 	f := startShard(t, "42", 0)
 	c := newTestClient(t, f.addr())
-	got, err := c.DoBatch(context.Background(), []string{"INS 1 0 0 1", "ERRME", "QRY 0 1 0 0", "INS 2 0 0 1"}, false)
+	got, err := c.send(context.Background(), []string{"INS 1 0 0 1", "ERRME", "QRY 0 1 0 0", "INS 2 0 0 1"}, false).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestDoBatchOneWriteRepliesInOrder(t *testing.T) {
 	if strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Fatalf("batch replies %q, want %q", got, want)
 	}
-	if _, err := c.DoBatch(context.Background(), []string{"INS 3 0 0 1"}, false); err != nil {
+	if _, err := c.send(context.Background(), []string{"INS 3 0 0 1"}, false).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if n := f.accepted.Load(); n != 1 {
@@ -275,7 +275,7 @@ func TestDoBatchOneWriteRepliesInOrder(t *testing.T) {
 func TestDoBatchBrokenMidwayKeepsReceivedReplies(t *testing.T) {
 	f := startShard(t, "42", 0)
 	c := newTestClient(t, f.addr())
-	got, err := c.DoBatch(context.Background(), []string{"INS 1 0 0 1", "INS 2 0 0 1", "DROPME", "INS 3 0 0 1"}, false)
+	got, err := c.send(context.Background(), []string{"INS 1 0 0 1", "INS 2 0 0 1", "DROPME", "INS 3 0 0 1"}, false).Wait()
 	if err == nil {
 		t.Fatalf("broken batch succeeded with %q", got)
 	}

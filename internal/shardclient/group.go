@@ -103,7 +103,7 @@ func (g *Group) Close() {
 // that carries a mutation (mutates) goes to the current primary and is
 // never retried or hedged: a duplicate mutation is a double-apply.
 // Replies come back in line order; on failure the ones received before
-// the break are returned next to the error (see Client.DoBatch).
+// the break are returned next to the error (see Client.send).
 //
 // A read batch goes to the first member in read order, the batch as a
 // whole. Wait reads it inline: a member whose attempt fails is followed

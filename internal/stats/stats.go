@@ -58,6 +58,33 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
+// Summary is the standard p50/p90/p99/mean digest of a sample.
+type Summary struct {
+	Count int     `json:"count"`
+	Mean  float64 `json:"mean"`
+	P50   float64 `json:"p50"`
+	P90   float64 `json:"p90"`
+	P99   float64 `json:"p99"`
+	Max   float64 `json:"max"`
+}
+
+// Summarize digests xs with Quantile's nearest-rank rule — the helper
+// cmd/histbench uses to turn experiment cost curves into the standard
+// digest.
+func Summarize(xs []float64) Summary {
+	sum := Summary{
+		Count: len(xs),
+		Mean:  Mean(xs),
+		P50:   Quantile(xs, 0.5),
+		P90:   Quantile(xs, 0.9),
+		P99:   Quantile(xs, 0.99),
+	}
+	if len(xs) > 0 {
+		sum.Max = Quantile(xs, 1)
+	}
+	return sum
+}
+
 // RollingAvg returns the rolling averages of xs over non-overlapping
 // groups of the given window size (the paper uses groups of 50 queries
 // in Figures 10 and 11). A trailing partial group is averaged over its

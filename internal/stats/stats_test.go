@@ -171,3 +171,19 @@ func TestRollingAvgMeanProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestSummarize(t *testing.T) {
+	sum := Summarize([]float64{4, 1, 3, 2})
+	if sum.Count != 4 || sum.Mean != 2.5 {
+		t.Errorf("summary = %+v", sum)
+	}
+	if sum.P50 != Quantile([]float64{1, 2, 3, 4}, 0.5) {
+		t.Errorf("p50 = %v", sum.P50)
+	}
+	if sum.Max != 4 {
+		t.Errorf("max = %v", sum.Max)
+	}
+	if empty := Summarize(nil); empty.Count != 0 || empty.Max != 0 {
+		t.Errorf("empty summary = %+v", empty)
+	}
+}

@@ -3,6 +3,7 @@ package trace
 import (
 	"math/rand/v2"
 	"strconv"
+	"strings"
 )
 
 // ID is a 64-bit trace or span identifier, rendered as 16 lowercase
@@ -64,13 +65,13 @@ const requestIDPrefix = "TID="
 // malformed — a bad token is ignored rather than rejected, so tracing
 // can never break a request) and the line without the token.
 func CutRequestID(line string) (ID, string) {
-	rest, ok := cutPrefix(line, requestIDPrefix)
+	rest, ok := strings.CutPrefix(line, requestIDPrefix)
 	if !ok {
 		return 0, line
 	}
 	tok := rest
-	if i := indexSpace(rest); i >= 0 {
-		tok, rest = rest[:i], trimLeftSpace(rest[i:])
+	if i := strings.IndexAny(rest, " \t"); i >= 0 {
+		tok, rest = rest[:i], strings.TrimLeft(rest[i:], " \t")
 	} else {
 		rest = ""
 	}
@@ -89,30 +90,4 @@ func FormatRequestID(id ID) string {
 		return ""
 	}
 	return requestIDPrefix + id.String() + " "
-}
-
-// The three tiny helpers below avoid importing strings into the hot
-// ID path (CutRequestID runs per request on both servers).
-
-func cutPrefix(s, prefix string) (string, bool) {
-	if len(s) < len(prefix) || s[:len(prefix)] != prefix {
-		return s, false
-	}
-	return s[len(prefix):], true
-}
-
-func indexSpace(s string) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == ' ' || s[i] == '\t' {
-			return i
-		}
-	}
-	return -1
-}
-
-func trimLeftSpace(s string) string {
-	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
-		s = s[1:]
-	}
-	return s
 }

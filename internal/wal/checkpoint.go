@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"time"
-
-	"histcube/internal/obs"
 )
 
 // Checkpoint writes a snapshot of the current state through save
@@ -44,10 +42,7 @@ func (l *Log) checkpointLocked(save func(io.Writer) error) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
-	timer := obs.NewTimer(nil)
-	if m := l.opts.Metrics; m != nil {
-		timer = obs.NewTimer(m.CheckpointDuration)
-	}
+	start := time.Now()
 	lsn := l.nextLSN - 1
 	// Make the log consistent through lsn first: the snapshot must
 	// never be newer than the durable log it truncates.
@@ -71,8 +66,8 @@ func (l *Log) checkpointLocked(save func(io.Writer) error) (uint64, error) {
 	l.pruneLocked()
 	if m := l.opts.Metrics; m != nil {
 		m.Checkpoints.Inc()
+		m.CheckpointDuration.Observe(time.Since(start).Seconds())
 	}
-	timer.ObserveDuration()
 	return lsn, nil
 }
 

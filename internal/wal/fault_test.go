@@ -224,6 +224,32 @@ func TestCommitLeaderPanicDoesNotWedgeTheLog(t *testing.T) {
 	}
 }
 
+// TestCheckpointDurationCoversTheLogSync pins where
+// histcube_wal_checkpoint_duration_seconds starts: before the fsync
+// that makes the log durable through the checkpoint's LSN, so a 20ms
+// stall of that fsync puts the one sample above the 10ms bucket.
+func TestCheckpointDurationCoversTheLogSync(t *testing.T) {
+	inj := fault.MustParse("wal.sync:slow=20ms", 1)
+	reg := obs.NewRegistry()
+	cube, l, _, err := wal.Recover(t.TempDir(), faultOptions(inj, wal.Options{Sync: wal.SyncNever, Metrics: wal.NewMetrics(reg)}), newCube(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if _, err := l.Apply(context.Background(), cube, testOp(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Checkpoint(cube.Save); err != nil {
+		t.Fatal(err)
+	}
+	if got := metricValue(t, reg, "histcube_wal_checkpoint_duration_seconds_count"); got != 1 {
+		t.Fatalf("checkpoint durations = %d, want 1", got)
+	}
+	if got := metricValue(t, reg, `histcube_wal_checkpoint_duration_seconds_bucket{le="0.01"}`); got != 0 {
+		t.Errorf("a checkpoint behind a 20ms fsync took under 10ms: the duration starts after the sync")
+	}
+}
+
 // stalledSync parks every fsync of its segment, once armed, until
 // release is closed, and says so on entered first.
 type stalledSync struct {
