@@ -168,13 +168,14 @@ func TestSemiSyncReadOutlivesItsFollower(t *testing.T) {
 	fc.Conn.Close()
 	waitUntil(t, 5*time.Second, "the follower's departure", func() bool { return primary.hub.Followers() == 0 })
 
-	waits := primary.stage[stageReplAckWait].Count()
+	const ackWaits = `histserve_stage_seconds_count{stage="repl_ack_wait"}`
+	waits := linetest.MetricValue(t, primary.Reg, ackWaits)
 	start := time.Now()
 	expect(t, qc, "QRY 0 10 0 0 7 7", "5")
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("the query of an acked record took %s", d)
 	}
-	if n := primary.stage[stageReplAckWait].Count(); n != waits {
+	if n := linetest.MetricValue(t, primary.Reg, ackWaits); n != waits {
 		t.Fatalf("the query of an acked record waited for acks (%d waits, was %d)", n, waits)
 	}
 }
